@@ -47,11 +47,12 @@
 use std::fmt;
 use std::time::Instant;
 
+use cinm_lowering::cnm_op::CnmOp;
 use cinm_lowering::{BatchPlan, UpmemBackend, UpmemRunOptions};
 use cinm_runtime::{AdmissionError, CommandStream, FairQueue, FaultConfig, FaultStats};
 use upmem_sim::{CommandOutput, SimError, SystemStats, UpmemConfig};
 
-use crate::session::{gemm_request_signature, gemv_request_signature};
+use crate::session::single_op_signature;
 
 /// Recovery attempts per batch before a request is failed (mirrors the
 /// session recovery loop's budget).
@@ -245,6 +246,13 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// A device failure that recovery could not (or need not) absorb.
+fn device_error(e: SimError) -> ServeError {
+    ServeError::Device {
+        message: e.to_string(),
+    }
+}
 
 /// Handle of a registered tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -626,8 +634,7 @@ impl SessionServer {
                 got: a.len(),
             });
         }
-        let sig = gemv_request_signature(rows, cols);
-        let gi = self.ensure_group(sig, GroupShape::Gemv { rows, cols })?;
+        let gi = self.ensure_group(CnmOp::Gemv { rows, cols })?;
         self.bind_model(tenant, gi, a)
     }
 
@@ -653,8 +660,7 @@ impl SessionServer {
                 got: a.len(),
             });
         }
-        let sig = gemm_request_signature(m, k, n);
-        let gi = self.ensure_group(sig, GroupShape::Gemm { m, k, n })?;
+        let gi = self.ensure_group(CnmOp::Gemm { m, k, n })?;
         self.bind_model(tenant, gi, a)
     }
 
@@ -695,11 +701,7 @@ impl SessionServer {
             // budget (kept registered — a future load of the same shape
             // re-admits it through the ordinary residency path).
             let bytes = 4 * g.plan.elems_per_dpu();
-            g.plan
-                .release(&mut self.backend)
-                .map_err(|e| ServeError::Device {
-                    message: e.to_string(),
-                })?;
+            g.plan.release(&mut self.backend).map_err(device_error)?;
             self.groups[gi].resident = false;
             self.mram_used_bytes -= bytes;
         }
@@ -770,9 +772,7 @@ impl SessionServer {
             self.groups[v]
                 .plan
                 .release(&mut self.backend)
-                .map_err(|e| ServeError::Device {
-                    message: e.to_string(),
-                })?;
+                .map_err(device_error)?;
             self.groups[v].resident = false;
             self.mram_used_bytes -= bytes;
             self.res_evictions += 1;
@@ -791,28 +791,10 @@ impl SessionServer {
         self.groups[gi]
             .plan
             .reacquire(&mut self.backend)
-            .map_err(|e| ServeError::Device {
-                message: e.to_string(),
-            })?;
+            .map_err(device_error)?;
         self.mram_used_bytes += needed_bytes;
         self.groups[gi].resident = true;
-        // Upload under the recovery loop, like the initial bind.
-        let mut attempts = 0;
-        loop {
-            let g = &self.groups[gi];
-            match g.plan.upload_weights(&mut self.backend, &g.w_stage) {
-                Ok(()) => break,
-                Err(e) if attempts < MAX_RECOVERY_ATTEMPTS => {
-                    attempts += 1;
-                    self.recover(&e);
-                }
-                Err(e) => {
-                    return Err(ServeError::Device {
-                        message: e.to_string(),
-                    })
-                }
-            }
-        }
+        self.upload_weights(gi)?;
         self.res_reloads += 1;
         self.res_reload_bytes += (self.groups[gi].w_stage.len() * 4) as u64;
         Ok(())
@@ -822,25 +804,15 @@ impl SessionServer {
     /// is soft: a new class that does not fit first evicts idle colder
     /// classes' reloadable weights; the typed capacity error surfaces only
     /// when the active working set truly fills the budget.
-    fn ensure_group(&mut self, sig: u64, shape: GroupShape) -> Result<usize, ServeError> {
+    fn ensure_group(&mut self, op: CnmOp) -> Result<usize, ServeError> {
+        let sig = single_op_signature(op);
         if let Some(gi) = self.groups.iter().position(|g| g.sig == sig) {
             return Ok(gi);
         }
-        let slot_dpus = (self.backend.num_dpus() / self.tenant_slots).max(1);
-        let needed_bytes = 4 * shape.elems_per_dpu(slot_dpus);
+        let mut plan = BatchPlan::new(&self.backend, self.tenant_slots, op);
+        let needed_bytes = 4 * plan.elems_per_dpu();
         self.make_room(needed_bytes)?;
-        let plan = match shape {
-            GroupShape::Gemv { rows, cols } => {
-                BatchPlan::gemv(&mut self.backend, self.tenant_slots, rows, cols)
-            }
-            GroupShape::Gemm { m, k, n } => {
-                BatchPlan::gemm(&mut self.backend, self.tenant_slots, m, k, n)
-            }
-        }
-        .map_err(|e| ServeError::Device {
-            message: e.to_string(),
-        })?;
-        debug_assert_eq!(4 * plan.elems_per_dpu(), needed_bytes);
+        plan.reacquire(&mut self.backend).map_err(device_error)?;
         self.mram_used_bytes += needed_bytes;
         let slots = plan.slots();
         self.groups.push(Group {
@@ -874,38 +846,19 @@ impl SessionServer {
             });
         };
         g.plan.stage_weights(slot, weights, &mut g.w_stage);
-        if !self.groups[gi].resident {
-            // Binding into an evicted class: re-admission re-uploads the
-            // whole shadow, staged slot included.
-            if let Err(e) = self.ensure_resident(gi) {
-                let g = &mut self.groups[gi];
-                let zeros = vec![0; g.plan.weights_len()];
-                g.plan.stage_weights(slot, &zeros, &mut g.w_stage);
-                return Err(e);
-            }
+        // Binding into an evicted class re-admits it, which re-uploads the
+        // whole shadow, staged slot included; a resident class uploads now.
+        let uploaded = if self.groups[gi].resident {
+            self.upload_weights(gi)
         } else {
-            // Upload under the recovery loop: the scatter is idempotent and a
-            // faulted transfer commits nothing.
-            let mut attempts = 0;
-            loop {
-                let g = &self.groups[gi];
-                match g.plan.upload_weights(&mut self.backend, &g.w_stage) {
-                    Ok(()) => break,
-                    Err(e) if attempts < MAX_RECOVERY_ATTEMPTS => {
-                        attempts += 1;
-                        self.recover(&e);
-                    }
-                    Err(e) => {
-                        // Roll the staged slot back so the class stays coherent.
-                        let g = &mut self.groups[gi];
-                        let zeros = vec![0; g.plan.weights_len()];
-                        g.plan.stage_weights(slot, &zeros, &mut g.w_stage);
-                        return Err(ServeError::Device {
-                            message: e.to_string(),
-                        });
-                    }
-                }
-            }
+            self.ensure_resident(gi)
+        };
+        if let Err(e) = uploaded {
+            // Roll the staged slot back so the class stays coherent.
+            let g = &mut self.groups[gi];
+            let zeros = vec![0; g.plan.weights_len()];
+            g.plan.stage_weights(slot, &zeros, &mut g.w_stage);
+            return Err(e);
         }
         self.groups[gi].occupied[slot] = Some(id);
         self.models.push(Model {
@@ -1200,73 +1153,66 @@ impl SessionServer {
         }
     }
 
-    /// Direct eager dispatch of one batch under the recovery loop.
-    fn run_batch_direct(&mut self, gi: usize) -> Result<(), ServeError> {
+    /// Runs a device operation under the recovery loop: a failure is
+    /// handed to [`recover`](Self::recover) and the operation re-run, up to
+    /// [`MAX_RECOVERY_ATTEMPTS`] times. Every operation passed here is
+    /// idempotent and commits nothing when it faults, so re-running is safe.
+    fn with_recovery<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Self) -> Result<T, SimError>,
+    ) -> Result<T, ServeError> {
         let mut attempts = 0;
         loop {
-            let SessionServer {
-                backend, groups, ..
-            } = self;
+            match op(self) {
+                Ok(done) => return Ok(done),
+                Err(e) if attempts < MAX_RECOVERY_ATTEMPTS => {
+                    attempts += 1;
+                    self.recover(&e);
+                }
+                Err(e) => return Err(device_error(e)),
+            }
+        }
+    }
+
+    /// Scatters a class's staged weights shadow to the grid.
+    fn upload_weights(&mut self, gi: usize) -> Result<(), ServeError> {
+        self.with_recovery(|s| {
+            let g = &s.groups[gi];
+            g.plan.upload_weights(&mut s.backend, &g.w_stage)
+        })
+    }
+
+    /// Direct eager dispatch of one batch.
+    fn run_batch_direct(&mut self, gi: usize) -> Result<(), ServeError> {
+        self.with_recovery(|s| {
             let Group {
                 plan,
                 x_stage,
                 y_scratch,
                 ..
-            } = &mut groups[gi];
-            match plan.execute(backend, x_stage, y_scratch) {
-                Ok(()) => return Ok(()),
-                Err(e) if attempts < MAX_RECOVERY_ATTEMPTS => {
-                    attempts += 1;
-                    self.recover(&e);
-                }
-                Err(e) => {
-                    return Err(ServeError::Device {
-                        message: e.to_string(),
-                    })
-                }
-            }
-        }
+            } = &mut s.groups[gi];
+            plan.execute(&mut s.backend, x_stage, y_scratch)
+        })
     }
 
     /// Stream dispatch of a multi-shape round: every batch's commands in one
     /// hazard-tracked sync (disjoint buffers — the shape classes overlap on
-    /// the worker pool), under the recovery loop. A faulted sync applies
-    /// nothing, so re-syncing after recovery is safe.
+    /// the worker pool). A faulted sync applies nothing, so re-syncing after
+    /// recovery is safe.
     fn run_round_stream(&mut self) {
         let round = std::mem::take(&mut self.round_groups);
-        let mut attempts = 0;
-        let result = 'attempt: loop {
+        let result = self.with_recovery(|s| {
             // Fresh-output semantics per attempt, matching the direct path.
             for &gi in round.iter() {
-                if let Err(e) = self.groups[gi as usize].plan.zero_output(&mut self.backend) {
-                    if attempts < MAX_RECOVERY_ATTEMPTS {
-                        attempts += 1;
-                        self.recover(&e);
-                        continue 'attempt;
-                    }
-                    break 'attempt Err(ServeError::Device {
-                        message: e.to_string(),
-                    });
-                }
+                s.groups[gi as usize].plan.zero_output(&mut s.backend)?;
             }
             let mut stream = CommandStream::new();
             for &gi in round.iter() {
-                let g = &self.groups[gi as usize];
+                let g = &s.groups[gi as usize];
                 g.plan.push_commands(&g.x_stage, &mut stream);
             }
-            match self.backend.try_sync(&mut stream) {
-                Ok(outputs) => break Ok(outputs),
-                Err(e) if attempts < MAX_RECOVERY_ATTEMPTS => {
-                    attempts += 1;
-                    self.recover(&e);
-                }
-                Err(e) => {
-                    break Err(ServeError::Device {
-                        message: e.to_string(),
-                    })
-                }
-            }
-        };
+            s.backend.try_sync(&mut stream)
+        });
         match result {
             Ok(outputs) => {
                 // Three outputs per batch, in enqueue order; the third
@@ -1460,30 +1406,6 @@ impl SessionServer {
     /// Number of DPUs in the owned grid.
     pub fn num_dpus(&self) -> usize {
         self.backend.num_dpus()
-    }
-}
-
-/// Shape of a batched class before its plan exists (admission accounting).
-#[derive(Debug, Clone, Copy)]
-enum GroupShape {
-    Gemv { rows: usize, cols: usize },
-    Gemm { m: usize, k: usize, n: usize },
-}
-
-impl GroupShape {
-    /// Per-DPU element footprint — must match
-    /// [`BatchPlan::elems_per_dpu`] (debug-asserted after plan creation).
-    fn elems_per_dpu(self, slot_dpus: usize) -> usize {
-        match self {
-            GroupShape::Gemv { rows, cols } => {
-                let rpd = rows.div_ceil(slot_dpus);
-                rpd * cols + cols + rpd
-            }
-            GroupShape::Gemm { m, k, n } => {
-                let rpd = m.div_ceil(slot_dpus);
-                rpd * k + k * n + rpd * n
-            }
-        }
     }
 }
 

@@ -15,12 +15,12 @@
 //!    grid. An op consuming a tensor that is already **device-resident** in
 //!    a compatible layout is placed on that device directly — no plan, no
 //!    round-trip.
-//! 2. **Compilation.** Consecutive UPMEM-placed ops become one **segment**:
-//!    a single hazard-tracked [`CommandStream`] per device per segment
-//!    (transfers of independent inputs overlap, dependent launches are
-//!    RAW-ordered on their MRAM buffers by `UpmemSystem::sync`). Sharded
-//!    ops dispatch one `submit` per device concurrently on the shared
-//!    worker pool via [`ShardedBackend`].
+//! 2. **Compilation.** Every op is lowered through the one table
+//!    ([`cinm_lowering::cnm_op::CnmOp::geometry`]). Consecutive UPMEM-placed
+//!    ops become one **segment**: their scatter / broadcast / zero / launch
+//!    commands in program order, executed through the simulator's eager
+//!    entry points. Sharded ops dispatch one `submit` per device
+//!    concurrently on the shared worker pool via [`ShardedBackend::run`].
 //! 3. **Residency.** Intermediate tensors stay in DPU MRAM between ops:
 //!    a `gemv → select` chain launches both kernels against the same
 //!    resident buffer, skipping the gather + re-scatter the eager API pays.
@@ -49,11 +49,10 @@
 //! (the steady state of any iterating loop — BFS re-records the same five
 //! ops against fresh frontier handles every iteration). On a hit the plan's
 //! physical bindings are patched in place (`rebind`) and the session
-//! **replays** the compiled plan through the simulator's eager entry points
-//! in the recorded hazard order, which is bit-identical to the stream
-//! schedule (`cinm-runtime` streams are property-tested equal to in-order
-//! eager execution) and performs **zero heap allocations per op** — pinned
-//! by `tests/alloc_regression.rs`. The first iterations of a loop compile
+//! **replays** the compiled plan — the same segment executor a fresh
+//! compilation runs, minus the compile — performing **zero heap allocations
+//! per op**, pinned by `tests/alloc_regression.rs`. The first iterations of
+//! a loop compile
 //! (cold transfers, then once more with the inputs observed resident — at
 //! most two compilations); every later iteration replays.
 //!
@@ -96,7 +95,6 @@
 //! assert_eq!(sess.fetch(s), vec![6; 8]);
 //! ```
 
-use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -107,50 +105,19 @@ use cinm_ir::{
     Attribute, CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge, Func, Module,
     OpBuilder, OpSpec, PassManager, PatternRewritePass, ScalarType, Type, ValueId,
 };
-use cinm_lowering::backend::{
-    decode_select_into, fold_reduce_partials, merge_histogram_partials_into,
-};
-use cinm_lowering::{
-    elementwise_op_name, ShardDevice, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions,
-};
-use cinm_runtime::{CommandStream, FaultConfig, FaultStats};
+use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, MramLayout, OutputLayout};
+use cinm_lowering::{ShardDevice, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
+use cinm_runtime::{FaultConfig, FaultStats};
 use upmem_sim::{
-    BinOp, Command, CommandOutput, DpuKernelKind, FusedArg, FusedStage, KernelSpec, SimError,
-    SystemStats, TransferStats, UpmemConfig,
+    BinOp, DpuKernelKind, FusedArg, FusedStage, KernelSpec, SimError, SystemStats, UpmemConfig,
 };
 
-use cinm_dialects::cinm;
-
-use crate::shard::{CachedShardPlanner, ShardPlanner, ShardPolicy, ShardShape};
+use crate::shard::{CachedShardPlanner, ShardPlanner, ShardPolicy};
 use crate::target::Target;
 
 // The IR fusion patterns and the simulator's fused kernel share one stage
 // cap; the session lowers fused groups directly into fused kernel specs.
 const _: () = assert!(fusion::MAX_FUSED_STAGES == upmem_sim::MAX_FUSED_STAGES);
-
-/// Binary ops in declaration order — the positional code used to round-trip
-/// [`BinOp`] through integer IR attributes.
-const BINOPS: [BinOp; 9] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Max,
-    BinOp::Min,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::Xor,
-];
-
-fn binop_code(op: BinOp) -> i64 {
-    BINOPS.iter().position(|&b| b == op).expect("known binop") as i64
-}
-
-fn binop_from_code(code: i64) -> Option<BinOp> {
-    usize::try_from(code)
-        .ok()
-        .and_then(|i| BINOPS.get(i).copied())
-}
 
 /// Options of a [`Session`].
 #[derive(Debug, Clone)]
@@ -352,50 +319,43 @@ struct Resident {
     /// Per-DPU elements of that buffer (the gather chunk).
     gather_chunk: usize,
     /// How the buffer contents map back to the logical tensor.
-    layout: ResidentLayout,
+    layout: OutputLayout,
 }
 
-/// Decoding rule of a resident buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ResidentLayout {
-    /// Per-DPU chunks of the logical vector, zero-padded tail — directly
-    /// consumable by any same-chunk scatter input.
-    Chunked,
-    /// The same logical value replicated to every DPU (broadcast inputs).
-    Replicated,
-    /// Raw select output: `(count, values…)` records per DPU.
-    SelectRaw {
-        threshold: i32,
-        len: usize,
-        chunk: usize,
-    },
-    /// Per-DPU reduction partials (fold the first `used` in DPU order).
-    ReducePartials { op: BinOp, used: usize },
-    /// Per-DPU privatised histograms.
-    HistPartials {
-        bins: usize,
-        len: usize,
-        chunk: usize,
-    },
-    /// Per-DPU time-series profiles.
-    Profiles { used: usize, positions: usize },
-}
+/// The id-free residency of a tensor — `(gather chunk, layout)` of its
+/// device copy, `None` when it has none (or a stale one). Placement,
+/// replay preconditions and the compile-time virtual state all reason in
+/// these terms; physical buffer ids never enter a decision.
+type Residency = Option<(usize, OutputLayout)>;
 
-/// Device-buffer key of one tensor role: a scatter target of `chunk`
-/// elements per DPU, or a broadcast target of the full (replicated) length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BufKey {
-    Chunk(usize),
-    Broadcast(usize),
-}
-
-impl BufKey {
-    fn elems_per_dpu(&self) -> usize {
-        match self {
-            BufKey::Chunk(c) => *c,
-            BufKey::Broadcast(l) => *l,
-        }
+/// Whether a residency satisfies an operand role without a transfer.
+fn residency_matches(resident: Residency, key: MramLayout) -> bool {
+    match (resident, key) {
+        (Some((c, OutputLayout::Chunked)), MramLayout::Chunk(k)) => c == k,
+        (Some((l, OutputLayout::Replicated)), MramLayout::Broadcast(k)) => l == k,
+        _ => false,
     }
+}
+
+/// The residency a tensor has after being transferred in role `key`.
+fn residency_of(key: MramLayout) -> (usize, OutputLayout) {
+    match key {
+        MramLayout::Chunk(c) => (c, OutputLayout::Chunked),
+        MramLayout::Broadcast(l) => (l, OutputLayout::Replicated),
+    }
+}
+
+/// Binds a tensor of (virtual) residency `resident` to operand role `key`:
+/// returns `true` when it is already resident that way, otherwise records
+/// the transfer. The one state transition the optimizer's placement pass
+/// and the lowering share, applied input by input so a tensor used twice by
+/// one op transfers once.
+fn bind_resident(resident: &mut Residency, key: MramLayout, residency: bool) -> bool {
+    if residency_matches(*resident, key) {
+        return true;
+    }
+    *resident = residency.then_some(residency_of(key));
+    false
 }
 
 /// One tensor slot of the session.
@@ -416,7 +376,7 @@ struct Slot {
     pinned: bool,
     /// Device buffers of this slot, keyed by role layout. Kept across
     /// recycling (same-shaped successors reuse the MRAM).
-    bufs: Vec<(BufKey, u32)>,
+    bufs: Vec<(MramLayout, u32)>,
     /// Raw gather scratch for decoding (reused across fetches).
     scratch: Vec<i32>,
     /// Run token of the last run that bound this slot — the LRU recency the
@@ -437,12 +397,33 @@ struct Slot {
     recipe_gens: [u32; 3],
 }
 
+impl Slot {
+    /// The effective residency: `None` while the device copy is stale.
+    fn residency(&self) -> Residency {
+        self.device_valid
+            .then_some(self.resident)
+            .flatten()
+            .map(|r| (r.gather_chunk, r.layout))
+    }
+}
+
+/// Recycles slot `id`: its handle goes stale and the id returns to the free
+/// list; host storage and device buffers stay attached for the next tenant.
+fn recycle_slot(slots: &mut [Slot], free: &mut VecDeque<u32>, id: u32) {
+    let slot = &mut slots[id as usize];
+    slot.gen = slot.gen.wrapping_add(1);
+    slot.host_valid = false;
+    slot.device_valid = false;
+    slot.resident = None;
+    free.push_back(id);
+}
+
 /// One recorded graph op. `PartialEq` + `Copy` so the replay signature
 /// check is a plain slice comparison with no allocation; `Hash` feeds the
 /// canonical graph signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct OpNode {
-    kind: OpKindNode,
+    kind: CnmOp,
     inputs: [u32; 3],
     n_inputs: u8,
     output: u32,
@@ -451,89 +432,6 @@ struct OpNode {
 impl OpNode {
     fn inputs(&self) -> &[u32] {
         &self.inputs[..self.n_inputs as usize]
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum OpKindNode {
-    Gemm {
-        m: usize,
-        k: usize,
-        n: usize,
-    },
-    Gemv {
-        rows: usize,
-        cols: usize,
-    },
-    Elementwise {
-        op: BinOp,
-        len: usize,
-    },
-    Reduce {
-        op: BinOp,
-        len: usize,
-    },
-    Histogram {
-        bins: usize,
-        max_value: i32,
-        len: usize,
-    },
-    Select {
-        threshold: i32,
-        len: usize,
-    },
-    TimeSeries {
-        window: usize,
-        len: usize,
-    },
-    BfsStep {
-        vertices_per_dpu: usize,
-        avg_degree: usize,
-        used_dpus: usize,
-    },
-}
-
-impl OpKindNode {
-    /// The `cinm` dialect name of the op when the shard planner can plan it.
-    fn plannable_name(&self) -> Option<&'static str> {
-        match self {
-            OpKindNode::Gemm { .. } => Some(cinm::GEMM),
-            OpKindNode::Gemv { .. } => Some(cinm::GEMV),
-            OpKindNode::Elementwise { op, .. } => Some(elementwise_op_name(*op)),
-            OpKindNode::Reduce { .. } => Some(cinm::REDUCE),
-            OpKindNode::Histogram { .. } => Some(cinm::HISTOGRAM),
-            _ => None,
-        }
-    }
-
-    fn shard_shape(&self) -> Option<ShardShape> {
-        match *self {
-            OpKindNode::Gemm { m, k, n } => Some(ShardShape::matmul(m, k, n)),
-            OpKindNode::Gemv { rows, cols } => Some(ShardShape::matmul(rows, cols, 1)),
-            OpKindNode::Elementwise { len, .. }
-            | OpKindNode::Reduce { len, .. }
-            | OpKindNode::Histogram { len, .. } => Some(ShardShape::streaming(len)),
-            _ => None,
-        }
-    }
-
-    /// Logical output element count (decorative result-type length of the
-    /// optimizer IR; deterministic per kind so CSE compares consistently).
-    fn out_len(&self) -> usize {
-        match *self {
-            OpKindNode::Gemm { m, n, .. } => m * n,
-            OpKindNode::Gemv { rows, .. } => rows,
-            OpKindNode::Elementwise { len, .. } => len,
-            OpKindNode::Reduce { .. } => 1,
-            OpKindNode::Histogram { bins, .. } => bins,
-            OpKindNode::Select { len, .. } => len,
-            OpKindNode::TimeSeries { len, .. } => len,
-            OpKindNode::BfsStep {
-                vertices_per_dpu,
-                used_dpus,
-                ..
-            } => used_dpus * vertices_per_dpu,
-        }
     }
 }
 
@@ -549,25 +447,16 @@ fn canonical_signature(ops: &[OpNode], discards: &[bool], residency: bool) -> u6
     hasher.finish()
 }
 
-/// Canonical replay signature of the single-op request graph
-/// `y = gemv(a, x)` recorded on a fresh resident session — the batching
-/// compatibility key of the serving layer ([`crate::serve`]): two requests
-/// may share one fused launch iff their signatures match. A unit test pins
-/// this to the signature `canonicalize` computes for the same graph.
-pub(crate) fn gemv_request_signature(rows: usize, cols: usize) -> u64 {
-    single_op_signature(OpKindNode::Gemv { rows, cols })
-}
-
-/// Canonical replay signature of `c = gemm(a, b)` — see
-/// [`gemv_request_signature`].
-pub(crate) fn gemm_request_signature(m: usize, k: usize, n: usize) -> u64 {
-    single_op_signature(OpKindNode::Gemm { m, k, n })
-}
-
-/// The canonical form of any fresh two-input single-op graph: inputs intern
-/// to canonical slots 0 and 1 (unused third input stays at its recorded
-/// zero padding), the output to slot 2, nothing discarded, residency on.
-fn single_op_signature(kind: OpKindNode) -> u64 {
+/// Canonical replay signature of a single-op request graph
+/// (`y = gemv(a, x)` or `c = gemm(a, b)`) recorded on a fresh resident
+/// session — the batching compatibility key of the serving layer
+/// ([`crate::serve`]): two requests may share one fused launch iff their
+/// signatures match. A unit test pins this to the signature `canonicalize`
+/// computes for the same graph. The canonical form of any fresh two-input
+/// single-op graph: inputs intern to canonical slots 0 and 1 (the unused
+/// third input stays at its recorded zero padding), the output to slot 2,
+/// nothing discarded, residency on.
+pub(crate) fn single_op_signature(kind: CnmOp) -> u64 {
     let node = OpNode {
         kind,
         inputs: [0, 1, 0],
@@ -577,215 +466,9 @@ fn single_op_signature(kind: OpKindNode) -> u64 {
     canonical_signature(&[node], &[false], true)
 }
 
-/// The optimizer-IR op name of a kind. Element-wise ops share one name —
-/// the `"kind"` attribute (which CSE compares) carries the opcode.
-fn ir_name(kind: &OpKindNode) -> &'static str {
-    match kind {
-        OpKindNode::Gemm { .. } => "sess.gemm",
-        OpKindNode::Gemv { .. } => "sess.gemv",
-        OpKindNode::Elementwise { .. } => "sess.elementwise",
-        OpKindNode::Reduce { .. } => "sess.reduce",
-        OpKindNode::Histogram { .. } => "sess.histogram",
-        OpKindNode::Select { .. } => "sess.select",
-        OpKindNode::TimeSeries { .. } => "sess.time_series",
-        OpKindNode::BfsStep { .. } => "sess.bfs_step",
-    }
-}
-
-/// Round-trips an op kind through a four-integer IR attribute, so the
-/// structural identity of an op survives the pass pipeline.
-fn encode_kind(kind: &OpKindNode) -> [i64; 4] {
-    match *kind {
-        OpKindNode::Gemm { m, k, n } => [0, m as i64, k as i64, n as i64],
-        OpKindNode::Gemv { rows, cols } => [1, rows as i64, cols as i64, 0],
-        OpKindNode::Elementwise { op, len } => [2, binop_code(op), len as i64, 0],
-        OpKindNode::Reduce { op, len } => [3, binop_code(op), len as i64, 0],
-        OpKindNode::Histogram {
-            bins,
-            max_value,
-            len,
-        } => [4, bins as i64, max_value as i64, len as i64],
-        OpKindNode::Select { threshold, len } => [5, threshold as i64, len as i64, 0],
-        OpKindNode::TimeSeries { window, len } => [6, window as i64, len as i64, 0],
-        OpKindNode::BfsStep {
-            vertices_per_dpu,
-            avg_degree,
-            used_dpus,
-        } => [
-            7,
-            vertices_per_dpu as i64,
-            avg_degree as i64,
-            used_dpus as i64,
-        ],
-    }
-}
-
-fn decode_kind(code: &[i64]) -> Option<OpKindNode> {
-    let &[tag, a, b, c] = code else { return None };
-    Some(match tag {
-        0 => OpKindNode::Gemm {
-            m: a as usize,
-            k: b as usize,
-            n: c as usize,
-        },
-        1 => OpKindNode::Gemv {
-            rows: a as usize,
-            cols: b as usize,
-        },
-        2 => OpKindNode::Elementwise {
-            op: binop_from_code(a)?,
-            len: b as usize,
-        },
-        3 => OpKindNode::Reduce {
-            op: binop_from_code(a)?,
-            len: b as usize,
-        },
-        4 => OpKindNode::Histogram {
-            bins: a as usize,
-            max_value: b as i32,
-            len: c as usize,
-        },
-        5 => OpKindNode::Select {
-            threshold: a as i32,
-            len: b as usize,
-        },
-        6 => OpKindNode::TimeSeries {
-            window: a as usize,
-            len: b as usize,
-        },
-        7 => OpKindNode::BfsStep {
-            vertices_per_dpu: a as usize,
-            avg_degree: b as usize,
-            used_dpus: c as usize,
-        },
-        _ => return None,
-    })
-}
-
-/// Per-op UPMEM geometry: expected input buffer keys, output buffer and its
-/// resident layout, and the per-DPU kernel.
-struct CnmGeometry {
-    inputs: [BufKey; 3],
-    out_chunk: usize,
-    out_layout: ResidentLayout,
-    kernel: DpuKernelKind,
-}
-
-fn cnm_geometry(node: &OpNode, dpus: usize) -> CnmGeometry {
-    match node.kind {
-        OpKindNode::Gemm { m, k, n } => {
-            let rpd = m.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [
-                    BufKey::Chunk(rpd * k),
-                    BufKey::Broadcast(k * n),
-                    BufKey::Chunk(0),
-                ],
-                out_chunk: rpd * n,
-                out_layout: ResidentLayout::Chunked,
-                kernel: DpuKernelKind::Gemm { m: rpd, k, n },
-            }
-        }
-        OpKindNode::Gemv { rows, cols } => {
-            let rpd = rows.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [
-                    BufKey::Chunk(rpd * cols),
-                    BufKey::Broadcast(cols),
-                    BufKey::Chunk(0),
-                ],
-                out_chunk: rpd,
-                out_layout: ResidentLayout::Chunked,
-                kernel: DpuKernelKind::Gemv { rows: rpd, cols },
-            }
-        }
-        OpKindNode::Elementwise { op, len } => {
-            let c = len.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [BufKey::Chunk(c), BufKey::Chunk(c), BufKey::Chunk(0)],
-                out_chunk: c,
-                out_layout: ResidentLayout::Chunked,
-                kernel: DpuKernelKind::Elementwise { op, len: c },
-            }
-        }
-        OpKindNode::Reduce { op, len } => {
-            let c = len.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [BufKey::Chunk(c), BufKey::Chunk(0), BufKey::Chunk(0)],
-                out_chunk: 1,
-                out_layout: ResidentLayout::ReducePartials {
-                    op,
-                    used: len.div_ceil(c),
-                },
-                kernel: DpuKernelKind::Reduce { op, len: c },
-            }
-        }
-        OpKindNode::Histogram {
-            bins,
-            max_value,
-            len,
-        } => {
-            let c = len.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [BufKey::Chunk(c), BufKey::Chunk(0), BufKey::Chunk(0)],
-                out_chunk: bins,
-                out_layout: ResidentLayout::HistPartials {
-                    bins,
-                    len,
-                    chunk: c,
-                },
-                kernel: DpuKernelKind::Histogram {
-                    bins,
-                    len: c,
-                    max_value,
-                },
-            }
-        }
-        OpKindNode::Select { threshold, len } => {
-            let c = len.div_ceil(dpus).max(1);
-            CnmGeometry {
-                inputs: [BufKey::Chunk(c), BufKey::Chunk(0), BufKey::Chunk(0)],
-                out_chunk: c + 1,
-                out_layout: ResidentLayout::SelectRaw {
-                    threshold,
-                    len,
-                    chunk: c,
-                },
-                kernel: DpuKernelKind::Select { len: c, threshold },
-            }
-        }
-        OpKindNode::TimeSeries { window, len } => {
-            let c = len.div_ceil(dpus).max(window);
-            let positions = c - window + 1;
-            CnmGeometry {
-                inputs: [BufKey::Chunk(c), BufKey::Chunk(0), BufKey::Chunk(0)],
-                out_chunk: positions,
-                out_layout: ResidentLayout::Profiles {
-                    used: len.div_ceil(c),
-                    positions,
-                },
-                kernel: DpuKernelKind::TimeSeries { len: c, window },
-            }
-        }
-        OpKindNode::BfsStep {
-            vertices_per_dpu: vp,
-            avg_degree,
-            ..
-        } => CnmGeometry {
-            inputs: [
-                BufKey::Chunk(vp + 1),
-                BufKey::Chunk(vp * avg_degree),
-                BufKey::Chunk(vp),
-            ],
-            out_chunk: vp,
-            out_layout: ResidentLayout::Chunked,
-            kernel: DpuKernelKind::BfsStep {
-                vertices: vp,
-                avg_degree,
-            },
-        },
-    }
-}
+/// The optimizer-IR name of every session op — the `"kind"` attribute
+/// (which CSE compares) carries the structural identity.
+const IR_OP: &str = "sess.op";
 
 /// One compiled UPMEM command of a segment.
 ///
@@ -810,7 +493,7 @@ enum CnmCmd {
     },
     Zero {
         cslot: u32,
-        key: BufKey,
+        key: MramLayout,
         buf: u32,
     },
     Launch {
@@ -833,10 +516,7 @@ enum CnmCmd {
         chunk: usize,
     },
     /// Decodes the slot's scratch into its host copy.
-    Decode {
-        cslot: u32,
-        slot: u32,
-    },
+    Decode { cslot: u32, slot: u32 },
 }
 
 /// Canonical source of one buffer argument of a compiled kernel spec.
@@ -844,7 +524,7 @@ enum CnmCmd {
 struct LaunchBind {
     role: LaunchRole,
     cslot: u32,
-    key: BufKey,
+    key: MramLayout,
 }
 
 /// Which field of the [`KernelSpec`] a [`LaunchBind`] patches.
@@ -858,9 +538,9 @@ enum LaunchRole {
 /// One compiled execution step.
 #[derive(Debug)]
 enum Step {
-    /// Gather + decode a resident tensor to the host (stream boundary).
+    /// Gather + decode a resident tensor to the host (segment boundary).
     Materialize { cslot: u32, slot: u32 },
-    /// One hazard-tracked UPMEM command stream.
+    /// One run of consecutive UPMEM commands, executed in program order.
     Segment { cmds: Range<usize> },
     /// One shard-planned op dispatched across the device set.
     Planned { op: usize, split: ShardSplit },
@@ -874,7 +554,7 @@ enum Step {
 struct Precond {
     cslot: u32,
     host_valid: bool,
-    resident: Option<(usize, ResidentLayout)>,
+    resident: Residency,
 }
 
 /// One schedule item of an optimized graph (compile-local).
@@ -887,8 +567,25 @@ enum SchedItem {
         ops: Range<usize>,
         stages: Vec<FusedStage>,
         externals: Vec<u32>,
-        len: usize,
     },
+}
+
+/// Compile-local lowering state of one plan: the virtual state of every
+/// canonical slot as placement evolves it (the actual slots only change at
+/// execution time), which slots the schedule has produced / recorded
+/// preconditions for, and the open segment.
+struct Lowering {
+    /// The plan-cache entry being built.
+    idx: usize,
+    /// Canonical slot → physical slot.
+    binding: Vec<u32>,
+    /// Whether the slot's host copy is (virtually) valid.
+    host: Vec<bool>,
+    resident: Vec<Residency>,
+    produced: Vec<bool>,
+    precond_done: Vec<bool>,
+    /// First command of the segment under construction.
+    seg_start: usize,
 }
 
 #[derive(Debug, Default)]
@@ -1312,7 +1009,7 @@ impl Session {
 
     fn push_op(
         &mut self,
-        kind: OpKindNode,
+        kind: CnmOp,
         inputs: &[TensorHandle],
         out_shape: TensorShape,
         composable: bool,
@@ -1350,7 +1047,7 @@ impl Session {
         };
         assert_eq!(k, kb, "gemm inner dimensions must match");
         self.push_op(
-            OpKindNode::Gemm { m, k, n },
+            CnmOp::Gemm { m, k, n },
             &[a, b],
             TensorShape::Matrix { rows: m, cols: n },
             true,
@@ -1364,7 +1061,7 @@ impl Session {
         };
         assert_eq!(Self::vec_len(x), cols, "gemv vector length mismatch");
         self.push_op(
-            OpKindNode::Gemv { rows, cols },
+            CnmOp::Gemv { rows, cols },
             &[a, x],
             TensorShape::Vector { len: rows },
             true,
@@ -1376,7 +1073,7 @@ impl Session {
         let len = a.len();
         assert_eq!(len, b.len(), "element-wise operands must match");
         self.push_op(
-            OpKindNode::Elementwise { op, len },
+            CnmOp::Elementwise { op, len },
             &[a, b],
             TensorShape::Vector { len },
             true,
@@ -1386,12 +1083,7 @@ impl Session {
     /// Records a reduction to a scalar tensor.
     pub fn reduce(&mut self, op: BinOp, a: TensorHandle) -> TensorHandle {
         let len = a.len();
-        self.push_op(
-            OpKindNode::Reduce { op, len },
-            &[a],
-            TensorShape::Scalar,
-            true,
-        )
+        self.push_op(CnmOp::Reduce { op, len }, &[a], TensorShape::Scalar, true)
     }
 
     /// Records a histogram over `bins` bins of values in `[0, max_value)`.
@@ -1399,7 +1091,7 @@ impl Session {
         assert!(bins > 0, "histogram needs at least one bin");
         let len = a.len();
         self.push_op(
-            OpKindNode::Histogram {
+            CnmOp::Histogram {
                 bins,
                 max_value,
                 len,
@@ -1416,7 +1108,7 @@ impl Session {
     pub fn select(&mut self, a: TensorHandle, threshold: i32) -> TensorHandle {
         let len = a.len();
         self.push_op(
-            OpKindNode::Select { threshold, len },
+            CnmOp::Select { threshold, len },
             &[a],
             TensorShape::Vector { len },
             false,
@@ -1428,18 +1120,9 @@ impl Session {
     pub fn time_series(&mut self, a: TensorHandle, window: usize) -> TensorHandle {
         let len = a.len();
         assert!(window > 0 && window <= len, "invalid time-series window");
-        let dpus = self.backend.num_dpus();
-        let chunk = len.div_ceil(dpus).max(window);
-        let positions = chunk - window + 1;
-        let used = len.div_ceil(chunk);
-        self.push_op(
-            OpKindNode::TimeSeries { window, len },
-            &[a],
-            TensorShape::Vector {
-                len: used * positions,
-            },
-            true,
-        )
+        let op = CnmOp::TimeSeries { window, len };
+        let out_len = op.geometry(self.backend.num_dpus()).out_len;
+        self.push_op(op, &[a], TensorShape::Vector { len: out_len }, true)
     }
 
     /// Records one BFS frontier expansion over partitioned CSR fragments
@@ -1472,7 +1155,7 @@ impl Session {
             "frontier length mismatch"
         );
         self.push_op(
-            OpKindNode::BfsStep {
+            CnmOp::BfsStep {
                 vertices_per_dpu,
                 avg_degree,
                 used_dpus,
@@ -1551,12 +1234,7 @@ impl Session {
                 && c.preconds.iter().all(|p| {
                     let phys = self.binding_scratch[p.cslot as usize];
                     let slot = &self.slots[phys as usize];
-                    let effective = slot
-                        .device_valid
-                        .then_some(slot.resident)
-                        .flatten()
-                        .map(|r| (r.gather_chunk, r.layout));
-                    slot.host_valid == p.host_valid && effective == p.resident
+                    slot.host_valid == p.host_valid && slot.residency() == p.resident
                 })
         })
     }
@@ -1590,6 +1268,18 @@ impl Session {
                 *slot = binding[*cslot as usize];
             }
         }
+        let mut buf_of = |phys: u32, key: MramLayout| {
+            ensure_buf_in(
+                backend,
+                slots,
+                live_temps,
+                phys,
+                key,
+                token,
+                res_counters,
+                dpus,
+            )
+        };
         for cmd in cmds.iter_mut() {
             match cmd {
                 CnmCmd::Scatter {
@@ -1597,18 +1287,15 @@ impl Session {
                     slot,
                     buf,
                     chunk,
+                }
+                | CnmCmd::Gather {
+                    cslot,
+                    slot,
+                    buf,
+                    chunk,
                 } => {
                     *slot = binding[*cslot as usize];
-                    *buf = ensure_buf_in(
-                        backend,
-                        slots,
-                        live_temps,
-                        *slot,
-                        BufKey::Chunk(*chunk),
-                        token,
-                        res_counters,
-                        dpus,
-                    )?;
+                    *buf = buf_of(*slot, MramLayout::Chunk(*chunk))?;
                 }
                 CnmCmd::Broadcast {
                     cslot,
@@ -1617,41 +1304,14 @@ impl Session {
                     len,
                 } => {
                     *slot = binding[*cslot as usize];
-                    *buf = ensure_buf_in(
-                        backend,
-                        slots,
-                        live_temps,
-                        *slot,
-                        BufKey::Broadcast(*len),
-                        token,
-                        res_counters,
-                        dpus,
-                    )?;
+                    *buf = buf_of(*slot, MramLayout::Broadcast(*len))?;
                 }
                 CnmCmd::Zero { cslot, key, buf } => {
-                    *buf = ensure_buf_in(
-                        backend,
-                        slots,
-                        live_temps,
-                        binding[*cslot as usize],
-                        *key,
-                        token,
-                        res_counters,
-                        dpus,
-                    )?;
+                    *buf = buf_of(binding[*cslot as usize], *key)?;
                 }
                 CnmCmd::Launch { spec, args } => {
                     for bind in args.iter() {
-                        let buf = ensure_buf_in(
-                            backend,
-                            slots,
-                            live_temps,
-                            binding[bind.cslot as usize],
-                            bind.key,
-                            token,
-                            res_counters,
-                            dpus,
-                        )?;
+                        let buf = buf_of(binding[bind.cslot as usize], bind.key)?;
                         match bind.role {
                             LaunchRole::Input(i) => spec.inputs[i as usize] = buf,
                             LaunchRole::Output => spec.output = buf,
@@ -1665,34 +1325,7 @@ impl Session {
                     resident,
                 } => {
                     *slot = binding[*cslot as usize];
-                    resident.buf = ensure_buf_in(
-                        backend,
-                        slots,
-                        live_temps,
-                        *slot,
-                        BufKey::Chunk(resident.gather_chunk),
-                        token,
-                        res_counters,
-                        dpus,
-                    )?;
-                }
-                CnmCmd::Gather {
-                    cslot,
-                    slot,
-                    buf,
-                    chunk,
-                } => {
-                    *slot = binding[*cslot as usize];
-                    *buf = ensure_buf_in(
-                        backend,
-                        slots,
-                        live_temps,
-                        *slot,
-                        BufKey::Chunk(*chunk),
-                        token,
-                        res_counters,
-                        dpus,
-                    )?;
+                    resident.buf = buf_of(*slot, MramLayout::Chunk(resident.gather_chunk))?;
                 }
                 CnmCmd::Decode { cslot, slot } => {
                     *slot = binding[*cslot as usize];
@@ -1712,15 +1345,10 @@ impl Session {
         let ops = &self.ops;
         live.retain(|&t| {
             let referenced = ops.iter().any(|o| o.inputs().contains(&t));
-            let slot = &mut slots[t as usize];
-            if slot.pinned || referenced {
+            if slots[t as usize].pinned || referenced {
                 true
             } else {
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.host_valid = false;
-                slot.device_valid = false;
-                slot.resident = None;
-                free.push_back(t);
+                recycle_slot(slots, free, t);
                 false
             }
         });
@@ -1809,7 +1437,7 @@ impl Session {
         }
     }
 
-    fn ensure_buf(&mut self, slot: u32, key: BufKey) -> Result<u32, ShardError> {
+    fn ensure_buf(&mut self, slot: u32, key: MramLayout) -> Result<u32, ShardError> {
         let dpus = self.backend.num_dpus();
         ensure_buf_in(
             &mut self.backend,
@@ -1821,25 +1449,6 @@ impl Session {
             &mut self.res_counters,
             dpus,
         )
-    }
-
-    /// `ensure_buf` for the compile path: an MRAM-exhausted allocation
-    /// aborts the half-built plan (recycling its output slots) before the
-    /// typed error surfaces, so a failed compile neither leaks slots nor
-    /// leaves a replayable half-plan.
-    fn ensure_buf_compile(
-        &mut self,
-        idx: usize,
-        slot: u32,
-        key: BufKey,
-    ) -> Result<u32, ShardError> {
-        match self.ensure_buf(slot, key) {
-            Ok(buf) => Ok(buf),
-            Err(e) => {
-                self.abort_compile(idx);
-                Err(e)
-            }
-        }
     }
 
     /// Marks every physical slot bound by the canonicalized graph as part
@@ -1869,13 +1478,11 @@ impl Session {
     fn abort_compile(&mut self, idx: usize) {
         let failed = std::mem::take(&mut self.compiled[idx]);
         for op in &failed.canon_src {
-            let phys = failed.binding[op.output as usize];
-            let slot = &mut self.slots[phys as usize];
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.host_valid = false;
-            slot.device_valid = false;
-            slot.resident = None;
-            self.free.push_back(phys);
+            recycle_slot(
+                &mut self.slots,
+                &mut self.free,
+                failed.binding[op.output as usize],
+            );
         }
     }
 
@@ -1924,10 +1531,17 @@ impl Session {
         {
             let mut b = OpBuilder::at_end(&mut func.body, entry);
             for (oi, op) in canon.iter().enumerate() {
-                let mut spec = OpSpec::new(ir_name(&op.kind))
-                    .attr("kind", Attribute::IntArray(encode_kind(&op.kind).to_vec()))
+                // Structural identity for CSE: ops of equal kind share the
+                // index of the first of them.
+                let kind_id = canon.iter().position(|o| o.kind == op.kind);
+                let out_len = op.kind.geometry(dpus).out_len;
+                let mut spec = OpSpec::new(IR_OP)
+                    .attr(
+                        "kind",
+                        Attribute::Int(kind_id.expect("op is recorded") as i64),
+                    )
                     .attr(fusion::ATTR_TAG, Attribute::Int(op.output as i64))
-                    .result(Type::tensor(&[op.kind.out_len() as i64], ScalarType::I32));
+                    .result(Type::tensor(&[out_len as i64], ScalarType::I32));
                 if !discards[oi] {
                     spec = spec.attr(fusion::ATTR_LIVE_OUT, Attribute::Int(1));
                 }
@@ -1952,102 +1566,64 @@ impl Session {
         pm.add_pass(Box::new(DcePass));
         pm.run(&mut module).ok()?;
 
-        // Placement simulation: mirror `compile`'s placement decisions over
-        // the cleaned graph and mark every segment-placed element-wise op
-        // as fusion-eligible at its placement.
-        let chain_ok = matches!(
-            self.planner.planner().policy,
-            ShardPolicy::Auto | ShardPolicy::Single(Target::Cnm)
-        ) && self.backend.device(ShardDevice::Cnm).is_healthy();
+        // Every surviving IR op still carries the canonical slot of its
+        // output as its tag, which names the recorded op it came from.
+        let mut kind_of: Vec<Option<CnmOp>> = vec![None; n_cslots];
+        for op in canon {
+            kind_of[op.output as usize] = Some(op.kind);
+        }
         let mut cslot_of: HashMap<ValueId, u32> = HashMap::new();
         for (i, &c) in arg_cslots.iter().enumerate() {
             cslot_of.insert(args[i], c);
         }
+        // Reads one plain IR op back into a canonical node.
+        let node_of = |o: &cinm_ir::Operation, cslot_of: &HashMap<ValueId, u32>| {
+            let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
+            let mut node = OpNode {
+                kind: kind_of[tag as usize]?,
+                inputs: [0u32; 3],
+                n_inputs: o.operands.len() as u8,
+                output: tag,
+            };
+            for (slot, v) in node.inputs.iter_mut().zip(&o.operands) {
+                *slot = *cslot_of.get(v)?;
+            }
+            Some(node)
+        };
+
+        // Placement pass: place the cleaned graph exactly as `compile` will
+        // (same `place`, same `bind_resident` transitions) and mark every
+        // segment-placed element-wise op as fusion-eligible.
         {
             let func = &mut module.funcs[fi];
             let entry = func.body.entry_block();
-            let mut virt: Vec<(bool, Option<(usize, ResidentLayout)>)> = binding
+            let mut resident: Vec<Residency> = binding
                 .iter()
-                .map(|&p| {
-                    let s = &self.slots[p as usize];
-                    (
-                        s.host_valid,
-                        s.device_valid
-                            .then_some(s.resident)
-                            .flatten()
-                            .map(|r| (r.gather_chunk, r.layout)),
-                    )
-                })
+                .map(|&p| self.slots[p as usize].residency())
                 .collect();
             let op_ids: Vec<cinm_ir::OpId> = func.body.block_ops(entry).to_vec();
             for id in op_ids {
-                let (kind, tag, in_cslots) = {
-                    let o = func.body.op(id);
-                    let kind = decode_kind(o.int_array_attr("kind")?)?;
-                    let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
-                    let ins: Option<Vec<u32>> = o
-                        .operands
-                        .iter()
-                        .map(|v| cslot_of.get(v).copied())
-                        .collect();
-                    (kind, tag, ins?)
-                };
-                cslot_of.insert(func.body.result(id, 0), tag);
-                let mut node = OpNode {
-                    kind,
-                    inputs: [0u32; 3],
-                    n_inputs: in_cslots.len() as u8,
-                    output: tag,
-                };
-                for (i, &c) in in_cslots.iter().enumerate() {
-                    node.inputs[i] = c;
+                let node = node_of(func.body.op(id), &cslot_of)?;
+                cslot_of.insert(func.body.result(id, 0), node.output);
+                let geometry = node.kind.geometry(dpus);
+                if self.place(&node, &geometry, &resident).ok()?.is_some() {
+                    resident[node.output as usize] = None;
+                    continue;
                 }
-                let geometry = cnm_geometry(&node, dpus);
-                let resident_chain =
-                    chain_ok
-                        && node.inputs().iter().enumerate().any(|(pos, &t)| {
-                            virt_key_match(virt[t as usize].1, geometry.inputs[pos])
-                        });
-                let planned = if node.kind.plannable_name().is_none() || resident_chain {
-                    false
-                } else {
-                    let split = self
-                        .planner
-                        .split_for(node.kind.plannable_name()?, node.kind.shard_shape()?)
-                        .ok()?;
-                    split.cnm != split.total()
-                };
-                if planned {
-                    for &inp in node.inputs() {
-                        virt[inp as usize].0 = true;
+                if let CnmOp::Elementwise { op, len } = node.kind {
+                    let o = func.body.op_mut(id);
+                    for (key, value) in [
+                        (fusion::ATTR_ELIGIBLE, 1),
+                        (fusion::ATTR_CODE, op as i64),
+                        (fusion::ATTR_LEN, len as i64),
+                    ] {
+                        o.attrs.insert(key.to_string(), Attribute::Int(value));
                     }
-                    virt[node.output as usize] = (true, None);
-                } else {
-                    if let OpKindNode::Elementwise { op, len } = node.kind {
-                        let o = func.body.op_mut(id);
-                        o.attrs
-                            .insert(fusion::ATTR_ELIGIBLE.to_string(), Attribute::Int(1));
-                        o.attrs.insert(
-                            fusion::ATTR_CODE.to_string(),
-                            Attribute::Int(binop_code(op)),
-                        );
-                        o.attrs
-                            .insert(fusion::ATTR_LEN.to_string(), Attribute::Int(len as i64));
-                    }
-                    for (pos, &inp) in node.inputs().iter().enumerate() {
-                        let key = geometry.inputs[pos];
-                        if virt_key_match(virt[inp as usize].1, key) {
-                            continue;
-                        }
-                        virt[inp as usize].0 = true;
-                        virt[inp as usize].1 = Some(match key {
-                            BufKey::Chunk(c) => (c, ResidentLayout::Chunked),
-                            BufKey::Broadcast(l) => (l, ResidentLayout::Replicated),
-                        });
-                    }
-                    virt[node.output as usize] =
-                        (false, Some((geometry.out_chunk, geometry.out_layout)));
                 }
+                for (&inp, key) in node.inputs().iter().zip(geometry.inputs) {
+                    bind_resident(&mut resident[inp as usize], key, true);
+                }
+                resident[node.output as usize] = Some((geometry.out_chunk, geometry.out_layout));
             }
         }
 
@@ -2086,7 +1662,9 @@ impl Session {
                 let start = ops.len();
                 let mut stages: Vec<FusedStage> = Vec::with_capacity(tags.len());
                 for (s, words) in flat.chunks(fusion::STAGE_WORDS).enumerate() {
-                    let op = binop_from_code(words[0])?;
+                    let CnmOp::Elementwise { op, .. } = kind_of[*tags.get(s)? as usize]? else {
+                        return None;
+                    };
                     let resolve = |kind: i64, v: i64| -> Option<(FusedArg, u32)> {
                         if kind == fusion::ARG_INPUT {
                             Some((FusedArg::Input(v as u8), *externals.get(v as usize)?))
@@ -2098,7 +1676,7 @@ impl Session {
                     let (rhs, rc) = resolve(words[3], words[4])?;
                     let out_c = *tags.get(s)? as u32;
                     ops.push(OpNode {
-                        kind: OpKindNode::Elementwise { op, len },
+                        kind: CnmOp::Elementwise { op, len },
                         inputs: [lc, rc, 0],
                         n_inputs: 2,
                         output: out_c,
@@ -2115,27 +1693,11 @@ impl Session {
                     ops: start..ops.len(),
                     stages,
                     externals,
-                    len,
                 });
             } else {
-                let kind = decode_kind(o.int_array_attr("kind")?)?;
-                let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
-                let ins: Option<Vec<u32>> = o
-                    .operands
-                    .iter()
-                    .map(|v| cslot_of.get(v).copied())
-                    .collect();
-                let ins = ins?;
+                let node = node_of(o, &cslot_of)?;
+                let tag = node.output;
                 cslot_of.insert(func.body.result(id, 0), tag);
-                let mut node = OpNode {
-                    kind,
-                    inputs: [0u32; 3],
-                    n_inputs: ins.len() as u8,
-                    output: tag,
-                };
-                for (i, &c) in ins.iter().enumerate() {
-                    node.inputs[i] = c;
-                }
                 survives[tag as usize] = true;
                 sched.push(SchedItem::Plain(ops.len()));
                 ops.push(node);
@@ -2159,7 +1721,6 @@ impl Session {
     /// executed here; buffer allocation is the only device side effect
     /// (untimed, like the eager backends' context allocation).
     fn compile(&mut self) -> Result<usize, ShardError> {
-        let dpus = self.backend.num_dpus();
         let residency = self.residency;
         self.canonicalize();
         self.protect_bound_slots();
@@ -2217,343 +1778,311 @@ impl Session {
             steps: Vec::new(),
             cmds: Vec::new(),
         };
-        // Virtual per-canonical-slot state evolved during compilation (the
-        // actual slots are only updated at execution time).
-        let mut virt: Vec<(bool, Option<Resident>)> = binding
-            .iter()
-            .map(|&p| {
-                let s = &self.slots[p as usize];
-                (s.host_valid, s.device_valid.then_some(s.resident).flatten())
-            })
-            .collect();
-        let mut produced = vec![false; binding.len()];
-        let mut precond_done = vec![false; binding.len()];
-        let mut seg_start = 0usize;
-        let mut host_written_in_seg: Vec<u32> = Vec::new();
-
-        macro_rules! flush_segment {
-            ($self:ident, $idx:ident, $seg_start:ident, $hw:ident) => {
-                let end = $self.compiled[$idx].cmds.len();
-                if end > $seg_start {
-                    $self.compiled[$idx].steps.push(Step::Segment {
-                        cmds: $seg_start..end,
-                    });
-                }
-                $seg_start = end;
-                $hw.clear();
-            };
-        }
-
-        // Records the replay precondition of an external input (a canonical
-        // slot not produced earlier in the schedule) at its first use.
-        macro_rules! note_external {
-            ($self:ident, $idx:ident, $c:expr) => {
-                let c = $c;
-                if !produced[c as usize] && !precond_done[c as usize] {
-                    precond_done[c as usize] = true;
-                    let slot = &$self.slots[binding[c as usize] as usize];
-                    let resident = slot
-                        .device_valid
-                        .then_some(slot.resident)
-                        .flatten()
-                        .map(|r| (r.gather_chunk, r.layout));
-                    $self.compiled[$idx].preconds.push(Precond {
-                        cslot: c,
-                        host_valid: slot.host_valid,
-                        resident,
-                    });
-                }
-            };
-        }
-
+        let slot_of = |&p: &u32| &self.slots[p as usize];
+        let mut low = Lowering {
+            idx,
+            host: binding.iter().map(|p| slot_of(p).host_valid).collect(),
+            resident: binding.iter().map(|p| slot_of(p).residency()).collect(),
+            produced: vec![false; binding.len()],
+            precond_done: vec![false; binding.len()],
+            seg_start: 0,
+            binding,
+        };
         for item in &sched {
-            match item {
-                SchedItem::Plain(oi) => {
-                    let node = self.compiled[idx].ops[*oi];
-                    for &inp in node.inputs() {
-                        note_external!(self, idx, inp);
-                    }
-                    let geometry = cnm_geometry(&node, dpus);
-                    // Placement: residency-first for chains, otherwise the
-                    // planner.
-                    let resident_chain = residency
-                        && matches!(
-                            self.planner.planner().policy,
-                            ShardPolicy::Auto | ShardPolicy::Single(Target::Cnm)
-                        )
-                        // Plans built after a grid failure must not route
-                        // chains back onto the unhealthy device.
-                        && self.backend.device(ShardDevice::Cnm).is_healthy()
-                        && node.inputs().iter().enumerate().any(|(pos, &t)| {
-                            resident_buf(&virt[t as usize].1, geometry.inputs[pos]).is_some()
-                        });
-                    let placement = if node.kind.plannable_name().is_none() || resident_chain {
-                        None // UPMEM segment
-                    } else {
-                        let name = node.kind.plannable_name().unwrap();
-                        let shape = node.kind.shard_shape().unwrap();
-                        let split = match self.planner.split_for(name, shape) {
-                            Ok(split) => split,
-                            Err(e) => {
-                                self.abort_compile(idx);
-                                return Err(e);
-                            }
-                        };
-                        if split.cnm == split.total() {
-                            None // single-device CNM: the resident segment path
-                        } else {
-                            Some(split)
-                        }
-                    };
-
-                    match placement {
-                        Some(split) => {
-                            flush_segment!(self, idx, seg_start, host_written_in_seg);
-                            for &inp in node.inputs() {
-                                if !virt[inp as usize].0 {
-                                    self.compiled[idx].steps.push(Step::Materialize {
-                                        cslot: inp,
-                                        slot: binding[inp as usize],
-                                    });
-                                    virt[inp as usize].0 = true;
-                                }
-                            }
-                            self.compiled[idx]
-                                .steps
-                                .push(Step::Planned { op: *oi, split });
-                            virt[node.output as usize] = (true, None);
-                            produced[node.output as usize] = true;
-                        }
-                        None => {
-                            // UPMEM segment op.
-                            let mut input_bufs: Vec<u32> = Vec::with_capacity(node.inputs().len());
-                            for (pos, &inp) in node.inputs().iter().enumerate() {
-                                let key = geometry.inputs[pos];
-                                if let Some(buf) = resident_buf(&virt[inp as usize].1, key) {
-                                    input_bufs.push(buf);
-                                    continue;
-                                }
-                                if !virt[inp as usize].0 {
-                                    // Host copy needed but the tensor is
-                                    // resident in an incompatible layout:
-                                    // materialize first.
-                                    flush_segment!(self, idx, seg_start, host_written_in_seg);
-                                    self.compiled[idx].steps.push(Step::Materialize {
-                                        cslot: inp,
-                                        slot: binding[inp as usize],
-                                    });
-                                    virt[inp as usize].0 = true;
-                                }
-                                if host_written_in_seg.contains(&inp) {
-                                    // The payload is produced by a decode
-                                    // earlier in this segment: a stream would
-                                    // record a stale borrow, so cut the
-                                    // segment here.
-                                    flush_segment!(self, idx, seg_start, host_written_in_seg);
-                                }
-                                let phys = binding[inp as usize];
-                                let buf = self.ensure_buf_compile(idx, phys, key)?;
-                                match key {
-                                    BufKey::Chunk(c) => {
-                                        self.compiled[idx].cmds.push(CnmCmd::Scatter {
-                                            cslot: inp,
-                                            slot: phys,
-                                            buf,
-                                            chunk: c,
-                                        });
-                                        virt[inp as usize].1 = residency.then_some(Resident {
-                                            buf,
-                                            gather_chunk: c,
-                                            layout: ResidentLayout::Chunked,
-                                        });
-                                    }
-                                    BufKey::Broadcast(l) => {
-                                        self.compiled[idx].cmds.push(CnmCmd::Broadcast {
-                                            cslot: inp,
-                                            slot: phys,
-                                            buf,
-                                            len: l,
-                                        });
-                                        virt[inp as usize].1 = residency.then_some(Resident {
-                                            buf,
-                                            gather_chunk: l,
-                                            layout: ResidentLayout::Replicated,
-                                        });
-                                    }
-                                }
-                                input_bufs.push(buf);
-                            }
-                            let out = node.output;
-                            let out_phys = binding[out as usize];
-                            let out_key = BufKey::Chunk(geometry.out_chunk);
-                            let out_buf = self.ensure_buf_compile(idx, out_phys, out_key)?;
-                            self.compiled[idx].cmds.push(CnmCmd::Zero {
-                                cslot: out,
-                                key: out_key,
-                                buf: out_buf,
-                            });
-                            let mut args: Vec<LaunchBind> =
-                                Vec::with_capacity(node.inputs().len() + 1);
-                            for (pos, &inp) in node.inputs().iter().enumerate() {
-                                args.push(LaunchBind {
-                                    role: LaunchRole::Input(pos as u8),
-                                    cslot: inp,
-                                    key: geometry.inputs[pos],
-                                });
-                            }
-                            args.push(LaunchBind {
-                                role: LaunchRole::Output,
-                                cslot: out,
-                                key: out_key,
-                            });
-                            let spec = self.backend.upmem().kernel_spec(
-                                geometry.kernel.clone(),
-                                input_bufs,
-                                out_buf,
-                            );
-                            self.compiled[idx].cmds.push(CnmCmd::Launch { spec, args });
-                            let resident = Resident {
-                                buf: out_buf,
-                                gather_chunk: geometry.out_chunk,
-                                layout: geometry.out_layout,
-                            };
-                            self.compiled[idx].cmds.push(CnmCmd::SetOutput {
-                                cslot: out,
-                                slot: out_phys,
-                                resident,
-                            });
-                            virt[out as usize] = (false, residency.then_some(resident));
-                            produced[out as usize] = true;
-                            if !residency {
-                                // Mirror the eager program: gather and decode
-                                // every op output immediately.
-                                self.compiled[idx].cmds.push(CnmCmd::Gather {
-                                    cslot: out,
-                                    slot: out_phys,
-                                    buf: out_buf,
-                                    chunk: geometry.out_chunk,
-                                });
-                                self.compiled[idx].cmds.push(CnmCmd::Decode {
-                                    cslot: out,
-                                    slot: out_phys,
-                                });
-                                virt[out as usize].0 = true;
-                                host_written_in_seg.push(out);
-                            }
-                        }
-                    }
-                }
+            let lowered = match item {
+                SchedItem::Plain(oi) => self.lower_plain(&mut low, *oi),
                 SchedItem::Fused {
                     ops,
                     stages,
                     externals,
-                    len,
-                } => {
-                    // One multi-output fused element-wise kernel launch in
-                    // the current segment. Only emitted with residency on.
-                    let c = len.div_ceil(dpus).max(1);
-                    let key = BufKey::Chunk(c);
-                    let mut input_bufs: Vec<u32> = Vec::with_capacity(externals.len());
-                    for &inp in externals {
-                        note_external!(self, idx, inp);
-                        if let Some(buf) = resident_buf(&virt[inp as usize].1, key) {
-                            input_bufs.push(buf);
-                            continue;
-                        }
-                        if !virt[inp as usize].0 {
-                            flush_segment!(self, idx, seg_start, host_written_in_seg);
-                            self.compiled[idx].steps.push(Step::Materialize {
-                                cslot: inp,
-                                slot: binding[inp as usize],
-                            });
-                            virt[inp as usize].0 = true;
-                        }
-                        if host_written_in_seg.contains(&inp) {
-                            flush_segment!(self, idx, seg_start, host_written_in_seg);
-                        }
-                        let phys = binding[inp as usize];
-                        let buf = self.ensure_buf_compile(idx, phys, key)?;
-                        self.compiled[idx].cmds.push(CnmCmd::Scatter {
-                            cslot: inp,
-                            slot: phys,
-                            buf,
-                            chunk: c,
-                        });
-                        virt[inp as usize].1 = Some(Resident {
-                            buf,
-                            gather_chunk: c,
-                            layout: ResidentLayout::Chunked,
-                        });
-                        input_bufs.push(buf);
-                    }
-                    let stage_outs: Vec<u32> = self.compiled[idx].ops[ops.clone()]
-                        .iter()
-                        .map(|o| o.output)
-                        .collect();
-                    let mut out_bufs: Vec<u32> = Vec::with_capacity(stage_outs.len());
-                    for &out_c in &stage_outs {
-                        let phys = binding[out_c as usize];
-                        let buf = self.ensure_buf_compile(idx, phys, key)?;
-                        self.compiled[idx].cmds.push(CnmCmd::Zero {
-                            cslot: out_c,
-                            key,
-                            buf,
-                        });
-                        out_bufs.push(buf);
-                    }
-                    let kind = DpuKernelKind::FusedElementwise {
-                        stages: stages.clone(),
-                        len: c,
-                        arity: externals.len(),
-                    };
-                    let spec = self
-                        .backend
-                        .upmem()
-                        .kernel_spec(kind, input_bufs, out_bufs[0])
-                        .with_extra_outputs(out_bufs[1..].to_vec());
-                    let mut args: Vec<LaunchBind> =
-                        Vec::with_capacity(externals.len() + stage_outs.len());
-                    for (pos, &inp) in externals.iter().enumerate() {
-                        args.push(LaunchBind {
-                            role: LaunchRole::Input(pos as u8),
-                            cslot: inp,
-                            key,
-                        });
-                    }
-                    args.push(LaunchBind {
-                        role: LaunchRole::Output,
-                        cslot: stage_outs[0],
-                        key,
-                    });
-                    for (j, &out_c) in stage_outs[1..].iter().enumerate() {
-                        args.push(LaunchBind {
-                            role: LaunchRole::Extra(j as u8),
-                            cslot: out_c,
-                            key,
-                        });
-                    }
-                    self.compiled[idx].cmds.push(CnmCmd::Launch { spec, args });
-                    for (&out_c, &buf) in stage_outs.iter().zip(&out_bufs) {
-                        let resident = Resident {
-                            buf,
-                            gather_chunk: c,
-                            layout: ResidentLayout::Chunked,
-                        };
-                        self.compiled[idx].cmds.push(CnmCmd::SetOutput {
-                            cslot: out_c,
-                            slot: binding[out_c as usize],
-                            resident,
-                        });
-                        virt[out_c as usize] = (false, Some(resident));
-                        produced[out_c as usize] = true;
-                    }
-                }
+                } => self.lower_fused(&mut low, ops.clone(), stages, externals),
+            };
+            if let Err(e) = lowered {
+                self.abort_compile(idx);
+                return Err(e);
             }
         }
-        flush_segment!(self, idx, seg_start, host_written_in_seg);
-        let _ = seg_start; // the final flush leaves the cursor at the end
+        self.flush_segment(&mut low);
         self.compiled[idx].valid = true;
         Ok(idx)
+    }
+
+    /// Closes the current UPMEM segment (if it holds any command).
+    fn flush_segment(&mut self, low: &mut Lowering) {
+        let entry = &mut self.compiled[low.idx];
+        let end = entry.cmds.len();
+        if end > low.seg_start {
+            entry.steps.push(Step::Segment {
+                cmds: low.seg_start..end,
+            });
+        }
+        low.seg_start = end;
+    }
+
+    /// Records the replay precondition of an external input (a canonical
+    /// slot not produced earlier in the schedule) at its first use.
+    fn note_external(&mut self, low: &mut Lowering, c: u32) {
+        if low.produced[c as usize] || low.precond_done[c as usize] {
+            return;
+        }
+        low.precond_done[c as usize] = true;
+        let slot = &self.slots[low.binding[c as usize] as usize];
+        let precond = Precond {
+            cslot: c,
+            host_valid: slot.host_valid,
+            resident: slot.residency(),
+        };
+        self.compiled[low.idx].preconds.push(precond);
+    }
+
+    /// Makes canonical slot `c`'s host copy valid, materializing it from its
+    /// resident copy (a step of its own, between segments) when needed.
+    fn need_host(&mut self, low: &mut Lowering, c: u32) {
+        if !low.host[c as usize] {
+            self.flush_segment(low);
+            self.compiled[low.idx].steps.push(Step::Materialize {
+                cslot: c,
+                slot: low.binding[c as usize],
+            });
+            low.host[c as usize] = true;
+        }
+    }
+
+    /// Binds one segment-op input to operand role `key` and returns its
+    /// device buffer: a tensor already resident that way is used in place,
+    /// anything else is scattered/broadcast from its host copy
+    /// (materialized first when only an incompatible device copy exists).
+    fn lower_input(
+        &mut self,
+        low: &mut Lowering,
+        inp: u32,
+        key: MramLayout,
+    ) -> Result<u32, ShardError> {
+        self.note_external(low, inp);
+        let resident = bind_resident(&mut low.resident[inp as usize], key, self.residency);
+        if !resident {
+            self.need_host(low, inp);
+        }
+        let slot = low.binding[inp as usize];
+        let buf = self.ensure_buf(slot, key)?;
+        if !resident {
+            self.compiled[low.idx].cmds.push(match key {
+                MramLayout::Chunk(chunk) => CnmCmd::Scatter {
+                    cslot: inp,
+                    slot,
+                    buf,
+                    chunk,
+                },
+                MramLayout::Broadcast(len) => CnmCmd::Broadcast {
+                    cslot: inp,
+                    slot,
+                    buf,
+                    len,
+                },
+            });
+        }
+        Ok(buf)
+    }
+
+    /// Allocates (and schedules the zeroing of) the output buffer of
+    /// canonical slot `out` in a segment launch.
+    fn lower_output(
+        &mut self,
+        low: &mut Lowering,
+        out: u32,
+        key: MramLayout,
+    ) -> Result<u32, ShardError> {
+        let buf = self.ensure_buf(low.binding[out as usize], key)?;
+        self.compiled[low.idx].cmds.push(CnmCmd::Zero {
+            cslot: out,
+            key,
+            buf,
+        });
+        Ok(buf)
+    }
+
+    /// Records that a segment launch produced canonical slot `out`.
+    fn lower_set_output(&mut self, low: &mut Lowering, out: u32, resident: Resident) {
+        self.compiled[low.idx].cmds.push(CnmCmd::SetOutput {
+            cslot: out,
+            slot: low.binding[out as usize],
+            resident,
+        });
+        low.host[out as usize] = false;
+        low.resident[out as usize] = self
+            .residency
+            .then_some((resident.gather_chunk, resident.layout));
+        low.produced[out as usize] = true;
+    }
+
+    /// Lowers `ops[oi]` of the plan: shard-dispatched as a step of its own,
+    /// or as scatter ∥ broadcast → zero → launch in the current segment.
+    fn lower_plain(&mut self, low: &mut Lowering, oi: usize) -> Result<(), ShardError> {
+        let node = self.compiled[low.idx].ops[oi];
+        let geometry = node.kind.geometry(self.backend.num_dpus());
+        if let Some(split) = self.place(&node, &geometry, &low.resident)? {
+            for &inp in node.inputs() {
+                self.note_external(low, inp);
+            }
+            self.flush_segment(low);
+            for &inp in node.inputs() {
+                self.need_host(low, inp);
+            }
+            self.compiled[low.idx]
+                .steps
+                .push(Step::Planned { op: oi, split });
+            low.host[node.output as usize] = true;
+            low.resident[node.output as usize] = None;
+            low.produced[node.output as usize] = true;
+            return Ok(());
+        }
+        let mut args: Vec<LaunchBind> = Vec::with_capacity(node.inputs().len() + 1);
+        let mut input_bufs: Vec<u32> = Vec::with_capacity(node.inputs().len());
+        for (pos, (&inp, key)) in node.inputs().iter().zip(geometry.inputs).enumerate() {
+            input_bufs.push(self.lower_input(low, inp, key)?);
+            args.push(LaunchBind {
+                role: LaunchRole::Input(pos as u8),
+                cslot: inp,
+                key,
+            });
+        }
+        let out = node.output;
+        let out_key = MramLayout::Chunk(geometry.out_chunk);
+        let out_buf = self.lower_output(low, out, out_key)?;
+        args.push(LaunchBind {
+            role: LaunchRole::Output,
+            cslot: out,
+            key: out_key,
+        });
+        let spec = self
+            .backend
+            .upmem()
+            .kernel_spec(geometry.kernel, input_bufs, out_buf);
+        self.compiled[low.idx]
+            .cmds
+            .push(CnmCmd::Launch { spec, args });
+        let resident = Resident {
+            buf: out_buf,
+            gather_chunk: geometry.out_chunk,
+            layout: geometry.out_layout,
+        };
+        self.lower_set_output(low, out, resident);
+        if !self.residency {
+            // Mirror the eager program: gather and decode every op output
+            // immediately.
+            let slot = low.binding[out as usize];
+            let cmds = &mut self.compiled[low.idx].cmds;
+            cmds.push(CnmCmd::Gather {
+                cslot: out,
+                slot,
+                buf: out_buf,
+                chunk: geometry.out_chunk,
+            });
+            cmds.push(CnmCmd::Decode { cslot: out, slot });
+            low.host[out as usize] = true;
+        }
+        Ok(())
+    }
+
+    /// Lowers a fused element-wise group (`ops` indexes the plan's flattened
+    /// per-stage nodes) into one multi-output kernel launch in the current
+    /// segment. Only emitted with residency on.
+    fn lower_fused(
+        &mut self,
+        low: &mut Lowering,
+        ops: Range<usize>,
+        stages: &[FusedStage],
+        externals: &[u32],
+    ) -> Result<(), ShardError> {
+        // Every stage is an element-wise op of the group's length: the
+        // first one's geometry is the whole group's.
+        let stage_outs: Vec<u32> = self.compiled[low.idx].ops[ops.clone()]
+            .iter()
+            .map(|o| o.output)
+            .collect();
+        let first = self.compiled[low.idx].ops[ops.start].kind;
+        let geometry = first.geometry(self.backend.num_dpus());
+        let key = geometry.inputs[0];
+        let mut args: Vec<LaunchBind> = Vec::with_capacity(externals.len() + stage_outs.len());
+        let mut input_bufs: Vec<u32> = Vec::with_capacity(externals.len());
+        for (pos, &inp) in externals.iter().enumerate() {
+            input_bufs.push(self.lower_input(low, inp, key)?);
+            args.push(LaunchBind {
+                role: LaunchRole::Input(pos as u8),
+                cslot: inp,
+                key,
+            });
+        }
+        let mut out_bufs: Vec<u32> = Vec::with_capacity(stage_outs.len());
+        for (j, &out) in stage_outs.iter().enumerate() {
+            out_bufs.push(self.lower_output(low, out, key)?);
+            args.push(LaunchBind {
+                role: match j {
+                    0 => LaunchRole::Output,
+                    _ => LaunchRole::Extra(j as u8 - 1),
+                },
+                cslot: out,
+                key,
+            });
+        }
+        let kind = DpuKernelKind::FusedElementwise {
+            stages: stages.to_vec(),
+            len: geometry.out_chunk,
+            arity: externals.len(),
+        };
+        let spec = self
+            .backend
+            .upmem()
+            .kernel_spec(kind, input_bufs, out_bufs[0])
+            .with_extra_outputs(out_bufs[1..].to_vec());
+        self.compiled[low.idx]
+            .cmds
+            .push(CnmCmd::Launch { spec, args });
+        for (&out, &buf) in stage_outs.iter().zip(&out_bufs) {
+            let resident = Resident {
+                buf,
+                gather_chunk: geometry.out_chunk,
+                layout: OutputLayout::Chunked,
+            };
+            self.lower_set_output(low, out, resident);
+        }
+        Ok(())
+    }
+
+    /// Places one op against the virtual residency of its inputs: `None`
+    /// keeps it in the UPMEM segment (the PrIM kernels the planner has no
+    /// model for; chains consuming a tensor already resident in a compatible
+    /// layout; plans that put all work on the grid anyway), `Some(split)`
+    /// shard-dispatches it. The single placement rule — the optimizer's
+    /// placement pass and the lowering both call it.
+    fn place(
+        &mut self,
+        node: &OpNode,
+        geometry: &CnmGeometry,
+        resident: &[Residency],
+    ) -> Result<Option<ShardSplit>, ShardError> {
+        let Some((name, shape)) = node.kind.shard() else {
+            return Ok(None);
+        };
+        let chain_ok = self.residency
+            && matches!(
+                self.planner.planner().policy,
+                ShardPolicy::Auto | ShardPolicy::Single(Target::Cnm)
+            )
+            // Plans built after a grid failure must not route chains back
+            // onto the unhealthy device.
+            && self.backend.device(ShardDevice::Cnm).is_healthy();
+        let resident_chain = chain_ok
+            && node
+                .inputs()
+                .iter()
+                .zip(geometry.inputs)
+                .any(|(&t, key)| residency_matches(resident[t as usize], key));
+        if resident_chain {
+            return Ok(None);
+        }
+        let split = self.planner.split_for(name, shape)?;
+        Ok((split.cnm != split.total()).then_some(split))
     }
 
     // -- execution ----------------------------------------------------------
@@ -2599,7 +2128,7 @@ impl Session {
         }
         self.canonicalize();
         self.protect_bound_slots();
-        let (mut idx, mut replay) = match self.find_compiled() {
+        let mut idx = match self.find_compiled() {
             Some(idx) => {
                 self.replays += 1;
                 self.cache_hits += 1;
@@ -2620,12 +2149,12 @@ impl Session {
                 // the signature: buffer ids are always re-derived on the
                 // next replay, so the entry stays cached.
                 self.rebind(idx)?;
-                (idx, true)
+                idx
             }
             None => {
                 self.cache_misses += 1;
                 match self.compile() {
-                    Ok(idx) => (idx, false),
+                    Ok(idx) => idx,
                     Err(e) => {
                         self.ops.clear();
                         self.discarded.clear();
@@ -2639,7 +2168,7 @@ impl Session {
         let mut attempts = 0u32;
         let mut feedback_dirty = false;
         let outcome = loop {
-            match self.execute(idx, replay, from, &mut feedback_dirty) {
+            match self.execute(idx, from, &mut feedback_dirty) {
                 Ok(()) => break Ok(()),
                 Err((step, error)) => {
                     // Panics and validation errors are bugs, not faults: no
@@ -2661,12 +2190,10 @@ impl Session {
                             // before it committed, and failed steps commit
                             // nothing.
                             from = step;
-                            replay = true;
                         }
                         Ok(Recovery::Replanned(new_idx)) => {
                             idx = new_idx;
                             from = 0;
-                            replay = false;
                         }
                         Err(e) => break Err(e),
                     }
@@ -2699,12 +2226,7 @@ impl Session {
                 }
                 recipe.output = phys;
                 if discarded && !self.slots[phys as usize].pinned {
-                    let slot = &mut self.slots[phys as usize];
-                    slot.gen = slot.gen.wrapping_add(1);
-                    slot.host_valid = false;
-                    slot.device_valid = false;
-                    slot.resident = None;
-                    self.free.push_back(phys);
+                    recycle_slot(&mut self.slots, &mut self.free, phys);
                 } else {
                     if !self.live_temps.contains(&phys) {
                         self.live_temps.push(phys);
@@ -2725,15 +2247,9 @@ impl Session {
             for k in 0..self.compiled[idx].eliminated.len() {
                 let c = self.compiled[idx].eliminated[k];
                 let phys = self.compiled[idx].binding[c as usize];
-                if self.slots[phys as usize].pinned {
-                    continue;
+                if !self.slots[phys as usize].pinned {
+                    recycle_slot(&mut self.slots, &mut self.free, phys);
                 }
-                let slot = &mut self.slots[phys as usize];
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.host_valid = false;
-                slot.device_valid = false;
-                slot.resident = None;
-                self.free.push_back(phys);
             }
         }
         self.publish_telemetry();
@@ -2775,7 +2291,6 @@ impl Session {
     fn execute(
         &mut self,
         idx: usize,
-        replay: bool,
         from: usize,
         dirty: &mut bool,
     ) -> Result<(), (usize, ShardError)> {
@@ -2794,22 +2309,19 @@ impl Session {
                 Step::Materialize { slot, .. } => {
                     materialize_slot(backend, &mut slots[*slot as usize], dpus)
                 }
-                Step::Segment { cmds } => {
-                    let cmds = &compiled.cmds[cmds.clone()];
-                    if replay {
-                        run_segment_direct(backend, slots, cmds, residency, dpus)
-                    } else {
-                        run_segment_stream(backend, slots, cmds, residency, dpus)
-                    }
-                }
+                Step::Segment { cmds } => run_segment(
+                    backend,
+                    slots,
+                    &compiled.cmds[cmds.clone()],
+                    residency,
+                    dpus,
+                ),
                 Step::Planned { op, split } => {
                     let node = &compiled.ops[*op];
                     let before = backend.stats().sim_seconds;
                     let result = run_planned(backend, slots, &compiled.binding, node, split);
                     if result.is_ok() {
-                        if let (Some(name), Some(shape)) =
-                            (node.kind.plannable_name(), node.kind.shard_shape())
-                        {
+                        if let Some((name, shape)) = node.kind.shard() {
                             let after = backend.stats().sim_seconds;
                             let measured = [
                                 after[0] - before[0],
@@ -2829,12 +2341,12 @@ impl Session {
         Ok(())
     }
 
-    /// Recovers from one device failure. The failed step committed nothing
-    /// (streams validate every command before executing any, single
-    /// commands are transactional, and shard dispatch discards partial
-    /// merges), so the slots hold the state of the last completed step and
-    /// re-execution is safe — external inputs keep their host copies, and
-    /// every transfer/launch rewrites its own buffers with the same data.
+    /// Recovers from one device failure. A failed command commits nothing
+    /// (single commands are transactional, and shard dispatch discards
+    /// partial merges) and the commands of its segment that did run are
+    /// idempotent, so re-executing the failed step from its start is safe —
+    /// external inputs keep their host copies, and every transfer/launch
+    /// rewrites its own buffers with the same data.
     fn recover(&mut self, device: ShardDevice, idx: usize) -> Result<Recovery, ShardError> {
         self.fault_stats.replans += 1;
         if self.backend.device(device).is_healthy() {
@@ -2879,15 +2391,9 @@ impl Session {
             .map(|&c| entry.binding[c as usize])
             .collect();
         for phys in stale {
-            if self.slots[phys as usize].pinned {
-                continue;
+            if !self.slots[phys as usize].pinned {
+                recycle_slot(&mut self.slots, &mut self.free, phys);
             }
-            let slot = &mut self.slots[phys as usize];
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.host_valid = false;
-            slot.device_valid = false;
-            slot.resident = None;
-            self.free.push_back(phys);
         }
         self.compiled.clear();
         self.ops = ops;
@@ -2914,7 +2420,7 @@ impl Session {
             || self.compiled[idx]
                 .ops
                 .iter()
-                .any(|op| op.kind.plannable_name().is_none())
+                .any(|op| op.kind.shard().is_none())
     }
 
     /// Rebuilds the shard planner over the devices that are still healthy,
@@ -3092,34 +2598,6 @@ impl Session {
     }
 }
 
-/// The resident buffer satisfying a role key, if layouts are compatible.
-fn resident_buf(resident: &Option<Resident>, key: BufKey) -> Option<u32> {
-    match (resident, key) {
-        (Some(r), BufKey::Chunk(c))
-            if r.layout == ResidentLayout::Chunked && r.gather_chunk == c =>
-        {
-            Some(r.buf)
-        }
-        (Some(r), BufKey::Broadcast(l))
-            if r.layout == ResidentLayout::Replicated && r.gather_chunk == l =>
-        {
-            Some(r.buf)
-        }
-        _ => None,
-    }
-}
-
-/// Whether an effective residency shape `(gather_chunk, layout)` satisfies a
-/// buffer-role key (the id-free form of [`resident_buf`], used by the
-/// optimizer's placement simulation).
-fn virt_key_match(resident: Option<(usize, ResidentLayout)>, key: BufKey) -> bool {
-    match (resident, key) {
-        (Some((c, ResidentLayout::Chunked)), BufKey::Chunk(k)) => c == k,
-        (Some((l, ResidentLayout::Replicated)), BufKey::Broadcast(k)) => l == k,
-        _ => false,
-    }
-}
-
 /// The device buffer backing `slot` under role `key`, allocating it on first
 /// use. Buffers stay attached to the slot across recycling, so a replayed
 /// plan's lookups are allocation-free. Under MRAM pressure the allocation
@@ -3133,7 +2611,7 @@ fn ensure_buf_in(
     slots: &mut [Slot],
     live_temps: &[u32],
     slot: u32,
-    key: BufKey,
+    key: MramLayout,
     protect: u64,
     counters: &mut ResidencyCounters,
     dpus: usize,
@@ -3141,19 +2619,15 @@ fn ensure_buf_in(
     if let Some(&(_, buf)) = slots[slot as usize].bufs.iter().find(|(k, _)| *k == key) {
         return Ok(buf);
     }
+    let (MramLayout::Chunk(elems) | MramLayout::Broadcast(elems)) = key;
     loop {
-        match backend
-            .upmem_mut()
-            .system_mut()
-            .alloc_buffer(key.elems_per_dpu())
-        {
+        match backend.upmem_mut().system_mut().alloc_buffer(elems) {
             Ok(buf) => {
                 slots[slot as usize].bufs.push((key, buf));
                 return Ok(buf);
             }
             Err(e) if e.is_mram_exhausted() => {
-                let (needed_bytes, available_bytes) =
-                    e.mram_shortfall().unwrap_or((key.elems_per_dpu() * 4, 0));
+                let (needed_bytes, available_bytes) = e.mram_shortfall().unwrap_or((elems * 4, 0));
                 if !evict_one(backend, slots, live_temps, slot, protect, counters, dpus)? {
                     return Err(ShardError::MramExhausted {
                         needed_bytes,
@@ -3292,37 +2766,18 @@ fn materialize_slot(
 }
 
 /// Decodes `slot.scratch` (a raw gather of the resident buffer) into the
-/// logical host value, using the single decode implementations shared with
-/// the eager backend.
+/// logical host value by the resident layout's rule.
 fn decode_slot(slot: &mut Slot, dpus: usize) {
     let resident = slot.resident.expect("decode needs a resident descriptor");
-    let logical = slot.shape.expect("live slot has a shape").len();
-    let host = &mut slot.host;
-    host.clear();
-    match resident.layout {
-        ResidentLayout::Chunked | ResidentLayout::Replicated => {
-            host.extend_from_slice(&slot.scratch[..logical]);
-        }
-        ResidentLayout::SelectRaw {
-            threshold,
-            len,
-            chunk,
-        } => decode_select_into(&slot.scratch, chunk, len, threshold, host),
-        ResidentLayout::ReducePartials { op, used } => {
-            host.push(fold_reduce_partials(op, &slot.scratch, used));
-        }
-        ResidentLayout::HistPartials { bins, len, chunk } => {
-            merge_histogram_partials_into(&slot.scratch, bins, len, chunk, dpus, host);
-        }
-        ResidentLayout::Profiles { used, positions } => {
-            host.extend_from_slice(&slot.scratch[..used * positions]);
-        }
-    }
+    let len = slot.shape.expect("live slot has a shape").len();
+    resident
+        .layout
+        .decode_into(&slot.scratch, dpus, len, &mut slot.host);
     slot.host_valid = true;
 }
 
-/// Applies the state effect of one command to its slot (shared by both
-/// execution modes; runs in command order).
+/// Applies the state effect of one command to its slot (runs in command
+/// order).
 fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
     match cmd {
         CnmCmd::Scatter {
@@ -3332,7 +2787,7 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
             s.resident = Some(Resident {
                 buf: *buf,
                 gather_chunk: *chunk,
-                layout: ResidentLayout::Chunked,
+                layout: OutputLayout::Chunked,
             });
             s.device_valid = residency;
         }
@@ -3342,7 +2797,7 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
             s.resident = Some(Resident {
                 buf: *buf,
                 gather_chunk: len,
-                layout: ResidentLayout::Replicated,
+                layout: OutputLayout::Replicated,
             });
             s.device_valid = residency;
         }
@@ -3357,96 +2812,9 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
     }
 }
 
-/// Executes one segment through the hazard-tracked command stream (the
-/// compile-path mode): transfers of independent inputs overlap, dependent
-/// launches are RAW-ordered, statistics fold in program order.
-fn run_segment_stream(
-    backend: &mut ShardedBackend,
-    slots: &mut [Slot],
-    cmds: &[CnmCmd],
-    residency: bool,
-    dpus: usize,
-) -> Result<(), ShardError> {
-    // Zeroing is untimed fresh-allocation semantics and each zeroed buffer
-    // is only written by its own op's launch afterwards, so it is applied
-    // before the stream is recorded.
-    for cmd in cmds {
-        if let CnmCmd::Zero { buf, .. } = cmd {
-            backend
-                .upmem_mut()
-                .system_mut()
-                .zero_buffer(*buf)
-                .expect("zero output buffer");
-        }
-    }
-    let mut gathers: Vec<(usize, u32)> = Vec::new();
-    let mut stream = CommandStream::new();
-    {
-        let slots_ref: &[Slot] = slots;
-        for cmd in cmds {
-            match cmd {
-                CnmCmd::Scatter {
-                    slot, buf, chunk, ..
-                } => {
-                    stream.enqueue(Command::Scatter {
-                        buffer: *buf,
-                        data: Cow::Borrowed(&slots_ref[*slot as usize].host[..]),
-                        chunk: *chunk,
-                    });
-                }
-                CnmCmd::Broadcast { slot, buf, .. } => {
-                    stream.enqueue(Command::Broadcast {
-                        buffer: *buf,
-                        data: Cow::Borrowed(&slots_ref[*slot as usize].host[..]),
-                    });
-                }
-                CnmCmd::Launch { spec, .. } => {
-                    stream.enqueue(Command::Launch { spec: spec.clone() });
-                }
-                CnmCmd::Gather {
-                    slot, buf, chunk, ..
-                } => {
-                    let idx = stream.enqueue(Command::Gather {
-                        buffer: *buf,
-                        chunk: *chunk,
-                    });
-                    gathers.push((idx, *slot));
-                }
-                CnmCmd::Zero { .. } | CnmCmd::SetOutput { .. } | CnmCmd::Decode { .. } => {}
-            }
-        }
-        let mut outputs = match backend.upmem_mut().try_sync(&mut stream) {
-            Ok(outputs) => outputs,
-            Err(e) => return Err(cnm_failure(backend, "session stream", e)),
-        };
-        for (idx, slot) in &gathers {
-            // Each gather index is consumed exactly once: take the buffer
-            // out instead of deep-copying it.
-            let taken = std::mem::replace(
-                &mut outputs[*idx],
-                CommandOutput::Transfer(TransferStats::default()),
-            );
-            slots[*slot as usize].scratch = taken.into_gathered().expect("gather output");
-        }
-    }
-    for cmd in cmds {
-        apply_effect(slots, cmd, residency);
-    }
-    for cmd in cmds {
-        if let CnmCmd::Decode { slot, .. } = cmd {
-            decode_slot(&mut slots[*slot as usize], dpus);
-            if !residency {
-                slots[*slot as usize].device_valid = false;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Executes one segment through the simulator's eager entry points in the
-/// recorded (program) order — bit-identical to the stream schedule and
-/// allocation-free in the steady state (the replay mode).
-fn run_segment_direct(
+/// recorded (program) order — allocation-free in the steady state.
+fn run_segment(
     backend: &mut ShardedBackend,
     slots: &mut [Slot],
     cmds: &[CnmCmd],
@@ -3528,34 +2896,9 @@ fn run_planned(
     split: &ShardSplit,
 ) -> Result<(), ShardError> {
     let phys = |c: u32| binding[c as usize] as usize;
-    let result = match node.kind {
-        OpKindNode::Gemm { m, k, n } => {
-            let a = &slots[phys(node.inputs[0])].host;
-            let b = &slots[phys(node.inputs[1])].host;
-            backend.gemm(a, b, m, k, n, split)?
-        }
-        OpKindNode::Gemv { rows, cols } => {
-            let a = &slots[phys(node.inputs[0])].host;
-            let x = &slots[phys(node.inputs[1])].host;
-            backend.gemv(a, x, rows, cols, split)?
-        }
-        OpKindNode::Elementwise { op, .. } => {
-            let a = &slots[phys(node.inputs[0])].host;
-            let b = &slots[phys(node.inputs[1])].host;
-            backend.elementwise(op, a, b, split)?
-        }
-        OpKindNode::Reduce { op, .. } => {
-            let a = &slots[phys(node.inputs[0])].host;
-            vec![backend.reduce(op, a, split)?]
-        }
-        OpKindNode::Histogram {
-            bins, max_value, ..
-        } => {
-            let a = &slots[phys(node.inputs[0])].host;
-            backend.histogram(a, bins, max_value, split)?
-        }
-        _ => unreachable!("non-plannable ops are never shard-dispatched"),
-    };
+    let host = |i: usize| &slots[phys(node.inputs[i])].host[..];
+    let operands = [host(0), host(1)];
+    let result = backend.run(node.kind, &operands[..node.inputs().len()], split)?;
     let out = &mut slots[phys(node.output)];
     out.host = result;
     out.host_valid = true;
@@ -4077,15 +3420,19 @@ mod tests {
         let x = sess.vector(&[1; 4]);
         let _y = sess.gemv(a, x);
         sess.canonicalize();
-        assert_eq!(sess.sig_scratch, gemv_request_signature(3, 4));
-        assert_ne!(sess.sig_scratch, gemv_request_signature(4, 3));
+        let gemv = |rows, cols| single_op_signature(CnmOp::Gemv { rows, cols });
+        assert_eq!(sess.sig_scratch, gemv(3, 4));
+        assert_ne!(sess.sig_scratch, gemv(4, 3));
 
         let mut sess = cnm_session(true);
         let a = sess.matrix(&[2; 12], 3, 4);
         let b = sess.matrix(&[1; 8], 4, 2);
         let _c = sess.gemm(a, b);
         sess.canonicalize();
-        assert_eq!(sess.sig_scratch, gemm_request_signature(3, 4, 2));
-        assert_ne!(sess.sig_scratch, gemv_request_signature(3, 4));
+        assert_eq!(
+            sess.sig_scratch,
+            single_op_signature(CnmOp::Gemm { m: 3, k: 4, n: 2 })
+        );
+        assert_ne!(sess.sig_scratch, gemv(3, 4));
     }
 }

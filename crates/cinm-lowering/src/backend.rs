@@ -15,7 +15,7 @@
 //! the same shape — the bench/experiment loops, or any serving workload —
 //! skip steady-state heap allocation and re-preparation:
 //!
-//! * [`UpmemBackend`] caches its device buffers keyed by op shape. A cache
+//! * [`UpmemBackend`] caches its device buffers keyed by op geometry. A cache
 //!   hit reuses the buffers of the previous same-shaped op: the inputs are
 //!   fully overwritten by the op's scatter/broadcast, and the output is
 //!   functionally zeroed (untimed, exactly like a fresh `alloc_buffer`), so
@@ -45,6 +45,7 @@ use upmem_sim::{
     UpmemSystem,
 };
 
+use crate::cnm_op::{CnmGeometry, CnmOp, MramLayout};
 use crate::tiling::{interchange, tile_2d, wram_tile_elems, TileShape};
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
@@ -128,91 +129,32 @@ impl UpmemRunOptions {
     }
 }
 
-/// Decodes the raw gathered output of the UPMEM select kernel: each DPU
-/// contributes a `(count, values...)` record of `chunk + 1` elements; the
-/// selections of the used DPUs are concatenated in order, dropping the
-/// trailing zero-pad selections of the last chunk for negative thresholds
-/// (padding zeros never pass a non-negative threshold check). Appends to
-/// `out` — the single decode implementation shared by
-/// [`UpmemBackend::select`] and the session's resident-tensor fetch.
-pub fn decode_select_into(
-    raw: &[i32],
-    chunk: usize,
-    len: usize,
-    threshold: i32,
-    out: &mut Vec<i32>,
-) {
-    let used_dpus = len.div_ceil(chunk.max(1));
-    for d in 0..used_dpus {
-        let base = d * (chunk + 1);
-        let count = raw[base].max(0) as usize;
-        let valid = if d + 1 == used_dpus {
-            let pad = chunk * used_dpus - len;
-            count.saturating_sub(if threshold < 0 { pad } else { 0 })
-        } else {
-            count
-        };
-        out.extend_from_slice(&raw[base + 1..base + 1 + valid.min(chunk)]);
+/// Allocates one device buffer per entry of `lens` into `bufs` — all of them
+/// or none: when one does not fit, the buffers already allocated are freed
+/// again before the typed error is returned.
+pub(crate) fn alloc_all(
+    sys: &mut UpmemSystem,
+    lens: &[usize],
+    bufs: &mut [u32],
+) -> Result<(), SimError> {
+    for (i, &len) in lens.iter().enumerate() {
+        match sys.alloc_buffer(len) {
+            Ok(buf) => bufs[i] = buf,
+            Err(e) => {
+                for &buf in &bufs[..i] {
+                    sys.free_buffer(buf).expect("live buffer");
+                }
+                return Err(e);
+            }
+        }
     }
-}
-
-/// Merges per-DPU privatised histograms into `out` (resized to `bins`),
-/// removing the counts contributed by the zero padding of the final chunk
-/// and by idle DPUs beyond the data — the single merge implementation shared
-/// by [`UpmemBackend::histogram`] and the session's resident-tensor fetch.
-pub fn merge_histogram_partials_into(
-    partials: &[i32],
-    bins: usize,
-    len: usize,
-    chunk: usize,
-    dpus: usize,
-    out: &mut Vec<i32>,
-) {
-    out.clear();
-    out.resize(bins, 0);
-    for (i, v) in partials.iter().enumerate() {
-        out[i % bins] += v;
-    }
-    let chunk = chunk.max(1);
-    // Remove the counts contributed by zero padding of the final chunk.
-    let padded = chunk * len.div_ceil(chunk) - len;
-    out[0] -= padded as i32;
-    // Idle DPUs (beyond the data) hold all-zero chunks: subtract those too.
-    let idle = dpus - len.div_ceil(chunk);
-    out[0] -= (idle * chunk) as i32;
-}
-
-/// Folds the per-DPU reduction partials of the used DPUs in DPU order — the
-/// single fold implementation shared by [`UpmemBackend::reduce`] and the
-/// session's resident-tensor fetch.
-pub fn fold_reduce_partials(op: BinOp, partials: &[i32], used_dpus: usize) -> i32 {
-    partials
-        .iter()
-        .take(used_dpus)
-        .fold(op.identity(), |acc, &v| op.apply(acc, v))
-}
-
-/// Shape key of one UPMEM op: two ops with the same key use identical
-/// device-buffer geometry on a fixed grid, so their buffers can be shared.
-/// Value parameters that do not affect buffer shapes (element-wise operator,
-/// select threshold, histogram max value) are deliberately not part of the
-/// key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum UpmemShape {
-    Gemm { m: usize, k: usize, n: usize },
-    Gemv { rows: usize, cols: usize },
-    Elementwise { len: usize },
-    Reduce { len: usize },
-    Histogram { bins: usize, len: usize },
-    Select { len: usize },
-    TimeSeries { len: usize, window: usize },
-    BfsStep { vertices: usize, avg_degree: usize },
+    Ok(())
 }
 
 /// Maximum device buffers any UPMEM op uses (BFS: three inputs + output).
 const MAX_OP_BUFFERS: usize = 4;
 
-/// Cached device buffers of one op shape: inputs first, output last.
+/// Cached device buffers of one op geometry: inputs first, output last.
 #[derive(Debug, Clone, Copy)]
 struct UpmemContext {
     bufs: [u32; MAX_OP_BUFFERS],
@@ -230,9 +172,11 @@ impl UpmemContext {
 pub struct UpmemBackend {
     system: UpmemSystem,
     options: UpmemRunOptions,
-    /// Persistent execution contexts: device buffers keyed by op shape (see
-    /// the module docs — reuse is bit-identical to allocating per op).
-    contexts: HashMap<UpmemShape, UpmemContext>,
+    /// Persistent execution contexts: device buffers keyed by the op with
+    /// its value parameters erased ([`CnmOp::erased`]) — two such ops use
+    /// identical buffer geometry on a fixed grid (see the module docs —
+    /// reuse is bit-identical to allocating per op).
+    contexts: HashMap<CnmOp, UpmemContext>,
     /// Retry policy for transient injected faults (see
     /// [`try_sync`](Self::try_sync)).
     retry: RetryPolicy,
@@ -274,31 +218,40 @@ impl UpmemBackend {
         }
     }
 
-    /// Returns the cached device buffers of an op shape, allocating them on
-    /// first use (`lens` holds the per-DPU buffer lengths, inputs first,
-    /// output last). On a cache hit the output buffer is functionally zeroed
-    /// — untimed, exactly like the fresh `alloc_buffer` it replaces — so
+    /// Returns the cached device buffers of an op, allocating them on first
+    /// use. On a cache hit the output buffer is functionally zeroed —
+    /// untimed, exactly like the fresh `alloc_buffer` it replaces — so
     /// accumulating kernels and partially-written outputs (select) observe
     /// fresh-buffer semantics; every input buffer is fully overwritten by
-    /// the op's own scatter/broadcast.
-    fn context(&mut self, shape: UpmemShape, lens: &[usize]) -> UpmemContext {
-        debug_assert!(lens.len() <= MAX_OP_BUFFERS);
-        if let Some(&ctx) = self.contexts.get(&shape) {
+    /// the op's own scatter/broadcast. A context that does not fit the MRAM
+    /// capacity is refused whole: the typed error is returned with every
+    /// buffer already allocated for it freed again.
+    fn context(
+        &mut self,
+        op: CnmOp,
+        inputs: &[MramLayout],
+        out_chunk: usize,
+    ) -> Result<UpmemContext, SimError> {
+        let key = op.erased();
+        if let Some(&ctx) = self.contexts.get(&key) {
             self.system
                 .zero_buffer(ctx.output())
                 .expect("cached buffer");
-            return ctx;
+            return Ok(ctx);
         }
-        let mut bufs = [0u32; MAX_OP_BUFFERS];
-        for (slot, &len) in bufs.iter_mut().zip(lens) {
-            *slot = self.system.alloc_buffer(len).expect("MRAM alloc");
+        // Per-DPU buffer lengths: the inputs, then the output chunk.
+        let mut lens = [out_chunk; MAX_OP_BUFFERS];
+        for (len, &(MramLayout::Chunk(n) | MramLayout::Broadcast(n))) in lens.iter_mut().zip(inputs)
+        {
+            *len = n;
         }
-        let ctx = UpmemContext {
-            bufs,
-            n: lens.len(),
+        let mut ctx = UpmemContext {
+            bufs: [0; MAX_OP_BUFFERS],
+            n: inputs.len() + 1,
         };
-        self.contexts.insert(shape, ctx);
-        ctx
+        alloc_all(&mut self.system, &lens[..ctx.n], &mut ctx.bufs)?;
+        self.contexts.insert(key, ctx);
+        Ok(ctx)
     }
 
     /// Number of cached execution contexts (distinct op shapes seen).
@@ -327,13 +280,27 @@ impl UpmemBackend {
         &self.options
     }
 
-    /// Builds the [`KernelSpec`] this backend would launch for a kernel kind
-    /// on the given buffers — tasklets, WRAM tiling, locality optimisation
-    /// and instruction overhead all follow the backend options, exactly as
-    /// the eager methods configure their own launches. Public so the session
-    /// compiler emits bit-identical launches for its tensor-keyed buffers.
+    /// Builds the [`KernelSpec`] this backend launches for a kernel kind on
+    /// the given buffers — tasklets, WRAM tiling, locality optimisation and
+    /// instruction overhead all follow the backend options. Public so the
+    /// session compiler emits bit-identical launches for its tensor-keyed
+    /// buffers.
     pub fn kernel_spec(&self, kind: DpuKernelKind, inputs: Vec<u32>, output: u32) -> KernelSpec {
-        self.spec(kind, inputs, output)
+        let wram = self.options.wram_tile_elems.unwrap_or_else(|| {
+            if self.options.locality_optimized {
+                wram_tile_elems(self.system.config().wram_bytes, self.options.tasklets, 4)
+            } else {
+                64
+            }
+        });
+        let mut spec = KernelSpec::new(kind, inputs, output)
+            .with_tasklets(self.options.tasklets)
+            .with_wram_tile(wram)
+            .with_instruction_overhead(self.options.instruction_overhead);
+        if self.options.locality_optimized {
+            spec = spec.with_locality_optimization();
+        }
+        spec
     }
 
     /// Runs a recorded command stream on the backend's system, retrying
@@ -430,22 +397,53 @@ impl UpmemBackend {
         self.system.num_dpus()
     }
 
-    fn spec(&self, kind: DpuKernelKind, inputs: Vec<u32>, output: u32) -> KernelSpec {
-        let wram = self.options.wram_tile_elems.unwrap_or_else(|| {
-            if self.options.locality_optimized {
-                wram_tile_elems(self.system.config().wram_bytes, self.options.tasklets, 4)
-            } else {
-                64
-            }
-        });
-        let mut spec = KernelSpec::new(kind, inputs, output)
-            .with_tasklets(self.options.tasklets)
-            .with_wram_tile(wram)
-            .with_instruction_overhead(self.options.instruction_overhead);
-        if self.options.locality_optimized {
-            spec = spec.with_locality_optimization();
+    /// Runs one op eagerly through its [`CnmOp::geometry`]: the generated
+    /// host program is one command stream — the operand transfers (scatter
+    /// or broadcast, per the table) are hazard-independent and overlap, the
+    /// launch waits on all of them, the gather waits on the launch — and the
+    /// gathered output is decoded by the geometry's layout. Transient
+    /// injected faults are retried internally (see
+    /// [`try_sync`](Self::try_sync)); the op is one transactional sync, so
+    /// an error leaves nothing partially applied.
+    pub(crate) fn run_op(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
+        debug_assert_eq!(operands.len(), op.arity());
+        let dpus = self.system.num_dpus();
+        let CnmGeometry {
+            inputs,
+            out_chunk,
+            out_layout,
+            out_len,
+            kernel,
+            ..
+        } = op.geometry(dpus);
+        let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
+        let bufs = &ctx.bufs[..operands.len()];
+        let spec = self.kernel_spec(kernel, bufs.to_vec(), ctx.output());
+        let mut stream = CommandStream::new();
+        for ((&buffer, layout), &data) in bufs.iter().zip(inputs).zip(operands) {
+            stream.enqueue(match layout {
+                MramLayout::Chunk(chunk) => Command::Scatter {
+                    buffer,
+                    data: data.into(),
+                    chunk,
+                },
+                MramLayout::Broadcast(_) => Command::Broadcast {
+                    buffer,
+                    data: data.into(),
+                },
+            });
         }
-        spec
+        stream.enqueue(Command::Launch { spec });
+        let g = stream.enqueue(Command::Gather {
+            buffer: ctx.output(),
+            chunk: out_chunk,
+        });
+        let mut outputs = self.try_sync(&mut stream)?;
+        let raw = outputs
+            .swap_remove(g)
+            .into_gathered()
+            .expect("gather output");
+        Ok(out_layout.decode(raw, dpus, out_len))
     }
 
     /// `C[m×n] = A[m×k] × B[k×n]`: row blocks of A are scattered across the
@@ -456,12 +454,14 @@ impl UpmemBackend {
 
     /// The fallible form of [`gemm`](Self::gemm): transient injected faults
     /// are retried internally (see [`try_sync`](Self::try_sync)); permanent
-    /// faults and exhausted retry budgets surface as errors with nothing
-    /// partially applied (each op is one transactional stream sync).
+    /// faults, exhausted retry budgets and a full MRAM surface as errors
+    /// with nothing partially applied (each op is one transactional stream
+    /// sync).
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_sync`](Self::try_sync); also typed MRAM exhaustion
+    /// ([`SimError::is_mram_exhausted`]) when the op's buffers do not fit.
     pub fn try_gemm(
         &mut self,
         a: &[i32],
@@ -472,44 +472,7 @@ impl UpmemBackend {
     ) -> Result<Vec<i32>, SimError> {
         assert_eq!(a.len(), m * k, "lhs shape mismatch");
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        let dpus = self.system.num_dpus();
-        let rows_per_dpu = m.div_ceil(dpus).max(1);
-        let ctx = self.context(
-            UpmemShape::Gemm { m, k, n },
-            &[rows_per_dpu * k, k * n, rows_per_dpu * n],
-        );
-        let (a_buf, b_buf, c_buf) = (ctx.bufs[0], ctx.bufs[1], ctx.bufs[2]);
-        let spec = self.spec(
-            DpuKernelKind::Gemm {
-                m: rows_per_dpu,
-                k,
-                n,
-            },
-            vec![a_buf, b_buf],
-            c_buf,
-        );
-        // The generated host program is a command stream: the two input
-        // transfers are hazard-independent and overlap, the launch waits on
-        // both, the gather waits on the launch.
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk: rows_per_dpu * k,
-        });
-        stream.enqueue(Command::Broadcast {
-            buffer: b_buf,
-            data: b.into(),
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: c_buf,
-            chunk: rows_per_dpu * n,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let mut c = out.swap_remove(g).into_gathered().expect("gather output");
-        c.truncate(m * n);
-        Ok(c)
+        self.run_op(CnmOp::Gemm { m, k, n }, &[a, b])
     }
 
     /// `y[rows] = A[rows×cols] × x[cols]` with row blocks per DPU.
@@ -521,7 +484,7 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_gemv(
         &mut self,
         a: &[i32],
@@ -531,40 +494,7 @@ impl UpmemBackend {
     ) -> Result<Vec<i32>, SimError> {
         assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
         assert_eq!(x.len(), cols, "vector shape mismatch");
-        let dpus = self.system.num_dpus();
-        let rows_per_dpu = rows.div_ceil(dpus).max(1);
-        let ctx = self.context(
-            UpmemShape::Gemv { rows, cols },
-            &[rows_per_dpu * cols, cols, rows_per_dpu],
-        );
-        let (a_buf, x_buf, y_buf) = (ctx.bufs[0], ctx.bufs[1], ctx.bufs[2]);
-        let spec = self.spec(
-            DpuKernelKind::Gemv {
-                rows: rows_per_dpu,
-                cols,
-            },
-            vec![a_buf, x_buf],
-            y_buf,
-        );
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk: rows_per_dpu * cols,
-        });
-        stream.enqueue(Command::Broadcast {
-            buffer: x_buf,
-            data: x.into(),
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: y_buf,
-            chunk: rows_per_dpu,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let mut y = out.swap_remove(g).into_gathered().expect("gather output");
-        y.truncate(rows);
-        Ok(y)
+        self.run_op(CnmOp::Gemv { rows, cols }, &[a, x])
     }
 
     /// Element-wise binary kernel over equally-split chunks.
@@ -576,7 +506,7 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_elementwise(
         &mut self,
         op: BinOp,
@@ -584,38 +514,7 @@ impl UpmemBackend {
         b: &[i32],
     ) -> Result<Vec<i32>, SimError> {
         assert_eq!(a.len(), b.len(), "element-wise operands must match");
-        let dpus = self.system.num_dpus();
-        let chunk = a.len().div_ceil(dpus).max(1);
-        let ctx = self.context(
-            UpmemShape::Elementwise { len: a.len() },
-            &[chunk, chunk, chunk],
-        );
-        let (a_buf, b_buf, c_buf) = (ctx.bufs[0], ctx.bufs[1], ctx.bufs[2]);
-        let spec = self.spec(
-            DpuKernelKind::Elementwise { op, len: chunk },
-            vec![a_buf, b_buf],
-            c_buf,
-        );
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Scatter {
-            buffer: b_buf,
-            data: b.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: c_buf,
-            chunk,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let mut c = out.swap_remove(g).into_gathered().expect("gather output");
-        c.truncate(a.len());
-        Ok(c)
+        self.run_op(CnmOp::Elementwise { op, len: a.len() }, &[a, b])
     }
 
     /// Reduction: per-DPU partials are reduced, gathered, and folded on the
@@ -628,31 +527,10 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_reduce(&mut self, op: BinOp, a: &[i32]) -> Result<i32, SimError> {
-        let dpus = self.system.num_dpus();
-        let chunk = a.len().div_ceil(dpus).max(1);
-        let ctx = self.context(UpmemShape::Reduce { len: a.len() }, &[chunk, 1]);
-        let (a_buf, p_buf) = (ctx.bufs[0], ctx.bufs[1]);
-        // Zero-pad tails must not disturb the reduction: pad with identity.
-        // (The scatter pads with zeros, which is the identity for add/or/xor;
-        // for min/max the pads are ignored because the identity dominates.)
-        let spec = self.spec(DpuKernelKind::Reduce { op, len: chunk }, vec![a_buf], p_buf);
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: p_buf,
-            chunk: 1,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let partials = out.swap_remove(g).into_gathered().expect("gather output");
-        let used_dpus = a.len().div_ceil(chunk);
-        Ok(fold_reduce_partials(op, &partials, used_dpus))
+        let folded = self.run_op(CnmOp::Reduce { op, len: a.len() }, &[a])?;
+        Ok(folded[0])
     }
 
     /// Histogram: per-DPU privatised histograms merged on the host.
@@ -665,42 +543,22 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_histogram(
         &mut self,
         a: &[i32],
         bins: usize,
         max_value: i32,
     ) -> Result<Vec<i32>, SimError> {
-        let dpus = self.system.num_dpus();
-        let chunk = a.len().div_ceil(dpus).max(1);
-        let ctx = self.context(UpmemShape::Histogram { bins, len: a.len() }, &[chunk, bins]);
-        let (a_buf, h_buf) = (ctx.bufs[0], ctx.bufs[1]);
-        let spec = self.spec(
-            DpuKernelKind::Histogram {
+        let len = a.len();
+        self.run_op(
+            CnmOp::Histogram {
                 bins,
-                len: chunk,
                 max_value,
+                len,
             },
-            vec![a_buf],
-            h_buf,
-        );
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: h_buf,
-            chunk: bins,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let partials = out.swap_remove(g).into_gathered().expect("gather output");
-        let mut merged = Vec::new();
-        merge_histogram_partials_into(&partials, bins, a.len(), chunk, dpus, &mut merged);
-        Ok(merged)
+            &[a],
+        )
     }
 
     /// Database select: per-DPU selections concatenated in order.
@@ -712,36 +570,10 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_select(&mut self, a: &[i32], threshold: i32) -> Result<Vec<i32>, SimError> {
-        let dpus = self.system.num_dpus();
-        let chunk = a.len().div_ceil(dpus).max(1);
-        let ctx = self.context(UpmemShape::Select { len: a.len() }, &[chunk, chunk + 1]);
-        let (a_buf, o_buf) = (ctx.bufs[0], ctx.bufs[1]);
-        let spec = self.spec(
-            DpuKernelKind::Select {
-                len: chunk,
-                threshold,
-            },
-            vec![a_buf],
-            o_buf,
-        );
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: o_buf,
-            chunk: chunk + 1,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let raw = out.swap_remove(g).into_gathered().expect("gather output");
-        let mut out = Vec::new();
-        decode_select_into(&raw, chunk, a.len(), threshold, &mut out);
-        Ok(out)
+        let len = a.len();
+        self.run_op(CnmOp::Select { threshold, len }, &[a])
     }
 
     /// Time-series distance profile with partitioned semantics: each DPU
@@ -754,46 +586,14 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_time_series(&mut self, a: &[i32], window: usize) -> Result<Vec<i32>, SimError> {
-        let dpus = self.system.num_dpus();
-        let chunk = a.len().div_ceil(dpus).max(window);
-        let positions = chunk - window + 1;
-        let ctx = self.context(
-            UpmemShape::TimeSeries {
-                len: a.len(),
-                window,
-            },
-            &[chunk, positions],
-        );
-        let (a_buf, o_buf) = (ctx.bufs[0], ctx.bufs[1]);
-        let spec = self.spec(
-            DpuKernelKind::TimeSeries { len: chunk, window },
-            vec![a_buf],
-            o_buf,
-        );
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: a_buf,
-            data: a.into(),
-            chunk,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: o_buf,
-            chunk: positions,
-        });
-        let mut outputs = self.try_sync(&mut stream)?;
-        let mut out = outputs
-            .swap_remove(g)
-            .into_gathered()
-            .expect("gather output");
-        let used_dpus = a.len().div_ceil(chunk);
-        out.truncate(used_dpus * positions);
-        Ok(out)
+        let len = a.len();
+        self.run_op(CnmOp::TimeSeries { window, len }, &[a])
     }
 
-    /// One BFS frontier expansion with partitioned CSR fragments.
+    /// One BFS frontier expansion with partitioned CSR fragments (the three
+    /// fragment transfers are independent and overlap).
     #[allow(clippy::too_many_arguments)]
     pub fn bfs_step(
         &mut self,
@@ -819,7 +619,7 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     #[allow(clippy::too_many_arguments)]
     pub fn try_bfs_step(
         &mut self,
@@ -830,53 +630,12 @@ impl UpmemBackend {
         avg_degree: usize,
         used_dpus: usize,
     ) -> Result<Vec<i32>, SimError> {
-        let ctx = self.context(
-            UpmemShape::BfsStep {
-                vertices: vertices_per_dpu,
-                avg_degree,
-            },
-            &[
-                vertices_per_dpu + 1,
-                vertices_per_dpu * avg_degree,
-                vertices_per_dpu,
-                vertices_per_dpu,
-            ],
-        );
-        let (r_buf, c_buf, f_buf, n_buf) = (ctx.bufs[0], ctx.bufs[1], ctx.bufs[2], ctx.bufs[3]);
-        let spec = self.spec(
-            DpuKernelKind::BfsStep {
-                vertices: vertices_per_dpu,
-                avg_degree,
-            },
-            vec![r_buf, c_buf, f_buf],
-            n_buf,
-        );
-        // The three CSR-fragment transfers are independent and overlap.
-        let mut stream = CommandStream::new();
-        stream.enqueue(Command::Scatter {
-            buffer: r_buf,
-            data: row_offsets.into(),
-            chunk: vertices_per_dpu + 1,
-        });
-        stream.enqueue(Command::Scatter {
-            buffer: c_buf,
-            data: cols.into(),
-            chunk: vertices_per_dpu * avg_degree,
-        });
-        stream.enqueue(Command::Scatter {
-            buffer: f_buf,
-            data: frontier.into(),
-            chunk: vertices_per_dpu,
-        });
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: n_buf,
-            chunk: vertices_per_dpu,
-        });
-        let mut out = self.try_sync(&mut stream)?;
-        let mut next = out.swap_remove(g).into_gathered().expect("gather output");
-        next.truncate(used_dpus * vertices_per_dpu);
-        Ok(next)
+        let op = CnmOp::BfsStep {
+            vertices_per_dpu,
+            avg_degree,
+            used_dpus,
+        };
+        self.run_op(op, &[row_offsets, cols, frontier])
     }
 }
 

@@ -27,43 +27,81 @@
 
 use cinm_runtime::CommandStream;
 use std::borrow::Cow;
-use upmem_sim::{Command, DpuKernelKind, KernelSpec, SimError, UpmemSystem};
+use upmem_sim::{Command, KernelSpec, SimError, UpmemSystem};
 
-use crate::backend::UpmemBackend;
+use crate::backend::{alloc_all, UpmemBackend};
+use crate::cnm_op::{CnmOp, MramLayout};
+use crate::device::ShardShape;
 
 /// Geometry and device buffers of one batched shape class: all requests of
 /// kind `gemv(rows, cols)` (or `gemm(m, k, n)`) share this plan, each tenant
-/// occupying one slot of the grid.
+/// occupying one slot of the grid. The geometry is the op's
+/// [`CnmOp::geometry`] on one slot's DPUs: the scattered operand is the
+/// resident per-tenant weight matrix, the broadcast operand is the moving
+/// activation (replicated to every DPU of the owning slot).
 #[derive(Debug)]
 pub struct BatchPlan {
-    /// The per-DPU kernel of a batched launch.
-    kind: DpuKernelKind,
     /// Total DPUs in the grid.
     dpus: usize,
     /// DPUs per tenant slot.
     slot_dpus: usize,
     /// Number of tenant slots.
     slots: usize,
-    /// Resident rows of the weight operand (`rows` / `m`).
-    m: usize,
-    /// Inner dimension (`cols` / `k`).
-    k: usize,
-    /// Output columns per row (1 for gemv, `n` for gemm).
-    n: usize,
-    /// Resident weight elements per DPU (`rpd * k`).
+    /// Logical shape of one request: `work` resident rows of `inner`
+    /// elements, `out` output columns per row.
+    shape: ShardShape,
+    /// Resident weight elements per DPU.
     w_chunk: usize,
-    /// Moving activation elements per DPU (`k * n`: the full right-hand
-    /// operand, replicated to every DPU of the owning slot).
+    /// Moving activation elements per DPU.
     act_chunk: usize,
-    /// Output elements per DPU (`rpd * n`).
+    /// Output elements per DPU.
     out_chunk: usize,
     w_buf: u32,
     x_buf: u32,
     y_buf: u32,
+    /// The batched launch; its buffer ids are placeholders while the plan
+    /// holds no device buffers.
     spec: KernelSpec,
 }
 
 impl BatchPlan {
+    /// Plans the batched form of a matmul-like `op` on `backend`'s grid
+    /// divided into `slots` tenant slots. No device buffer is allocated:
+    /// the plan starts [`release`](Self::release)d, so its footprint
+    /// ([`elems_per_dpu`](Self::elems_per_dpu)) can be admitted before
+    /// [`reacquire`](Self::reacquire) claims it.
+    ///
+    /// # Panics
+    ///
+    /// If `op` is not `Gemm`/`Gemv`.
+    pub fn new(backend: &UpmemBackend, slots: usize, op: CnmOp) -> BatchPlan {
+        assert!(
+            matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. }),
+            "only matmul-like ops batch"
+        );
+        let dpus = backend.num_dpus();
+        let slots = slots.max(1).min(dpus);
+        let slot_dpus = (dpus / slots).max(1);
+        let geometry = op.geometry(slot_dpus);
+        let [MramLayout::Chunk(w_chunk), MramLayout::Broadcast(act_chunk), _] = geometry.inputs
+        else {
+            unreachable!("matmul-like ops scatter the lhs and broadcast the rhs");
+        };
+        BatchPlan {
+            dpus,
+            slot_dpus,
+            slots,
+            shape: op.shard().expect("matmul-like ops shard").1,
+            w_chunk,
+            act_chunk,
+            out_chunk: geometry.out_chunk,
+            w_buf: 0,
+            x_buf: 0,
+            y_buf: 0,
+            spec: backend.kernel_spec(geometry.kernel, vec![0, 0], 0),
+        }
+    }
+
     /// Builds the plan for batched `gemv(rows, cols)` requests, allocating
     /// the shared weights/activation/output buffers on the backend's grid.
     ///
@@ -76,80 +114,9 @@ impl BatchPlan {
         rows: usize,
         cols: usize,
     ) -> Result<BatchPlan, SimError> {
-        let rpd = rows.div_ceil(Self::slot_dpus_for(backend.num_dpus(), slots));
-        Self::build(
-            backend,
-            slots,
-            DpuKernelKind::Gemv { rows: rpd, cols },
-            rows,
-            cols,
-            1,
-        )
-    }
-
-    /// Builds the plan for batched `gemm(m, k, n)` requests: `A` (`m × k`)
-    /// is the resident per-tenant operand, `B` (`k × n`) moves with each
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// Buffer allocation failure (per-DPU slab exhaustion).
-    pub fn gemm(
-        backend: &mut UpmemBackend,
-        slots: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<BatchPlan, SimError> {
-        let rpd = m.div_ceil(Self::slot_dpus_for(backend.num_dpus(), slots));
-        Self::build(
-            backend,
-            slots,
-            DpuKernelKind::Gemm { m: rpd, k, n },
-            m,
-            k,
-            n,
-        )
-    }
-
-    fn slot_dpus_for(dpus: usize, slots: usize) -> usize {
-        (dpus / slots.max(1)).max(1)
-    }
-
-    fn build(
-        backend: &mut UpmemBackend,
-        slots: usize,
-        kind: DpuKernelKind,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<BatchPlan, SimError> {
-        let dpus = backend.num_dpus();
-        let slots = slots.max(1).min(dpus);
-        let slot_dpus = Self::slot_dpus_for(dpus, slots);
-        let rpd = m.div_ceil(slot_dpus);
-        let (w_chunk, act_chunk, out_chunk) = (rpd * k, k * n, rpd * n);
-        let sys = backend.system_mut();
-        let w_buf = sys.alloc_buffer(w_chunk)?;
-        let x_buf = sys.alloc_buffer(act_chunk)?;
-        let y_buf = sys.alloc_buffer(out_chunk)?;
-        let spec = backend.kernel_spec(kind.clone(), vec![w_buf, x_buf], y_buf);
-        Ok(BatchPlan {
-            kind,
-            dpus,
-            slot_dpus,
-            slots,
-            m,
-            k,
-            n,
-            w_chunk,
-            act_chunk,
-            out_chunk,
-            w_buf,
-            x_buf,
-            y_buf,
-            spec,
-        })
+        let mut plan = Self::new(backend, slots, CnmOp::Gemv { rows, cols });
+        plan.reacquire(backend)?;
+        Ok(plan)
     }
 
     /// Number of tenant slots of this plan.
@@ -157,34 +124,24 @@ impl BatchPlan {
         self.slots
     }
 
-    /// DPUs per tenant slot.
-    pub fn slot_dpus(&self) -> usize {
-        self.slot_dpus
-    }
-
-    /// The per-DPU kernel of a batched launch.
-    pub fn kind(&self) -> &DpuKernelKind {
-        &self.kind
-    }
-
     /// Logical element count of one request's moving activation operand.
     pub fn activation_len(&self) -> usize {
-        self.k * self.n
+        self.shape.inner * self.shape.out
     }
 
     /// Logical element count of one request's weight operand.
     pub fn weights_len(&self) -> usize {
-        self.m * self.k
+        self.shape.work * self.shape.inner
     }
 
     /// Logical element count of one request's output.
-    pub fn output_len(&self) -> usize {
-        self.m * self.n
+    fn output_len(&self) -> usize {
+        self.shape.work * self.shape.out
     }
 
     /// Logical multiply-accumulates of one request (the fairness cost unit).
     pub fn work(&self) -> u64 {
-        (self.m as u64) * (self.k as u64) * (self.n as u64)
+        (self.shape.work as u64) * (self.shape.inner as u64) * (self.shape.out as u64)
     }
 
     /// Per-DPU MRAM elements this plan keeps allocated (weights stripe +
@@ -210,37 +167,23 @@ impl BatchPlan {
         Ok(())
     }
 
-    /// Re-allocates the device buffers of a [`release`](Self::release)d plan
-    /// and rebuilds the kernel spec around the fresh ids. The weights buffer
-    /// comes back zeroed — the caller re-uploads its staged weights shadow
-    /// (billed as a full-grid scatter) before serving from this plan again.
+    /// Allocates the device buffers of a [`new`](Self::new) or
+    /// [`release`](Self::release)d plan and points the kernel spec at the
+    /// fresh ids. The weights buffer comes back zeroed — the caller
+    /// (re-)uploads its staged weights shadow (billed as a full-grid
+    /// scatter) before serving from this plan.
     ///
     /// # Errors
     ///
-    /// Typed MRAM exhaustion when the capacity freed by eviction still does
-    /// not fit this plan.
+    /// Typed MRAM exhaustion when the plan does not fit the free capacity;
+    /// nothing stays allocated.
     pub fn reacquire(&mut self, backend: &mut UpmemBackend) -> Result<(), SimError> {
-        let sys = backend.system_mut();
-        let w_buf = sys.alloc_buffer(self.w_chunk)?;
-        let x_buf = match sys.alloc_buffer(self.act_chunk) {
-            Ok(b) => b,
-            Err(e) => {
-                sys.free_buffer(w_buf)?;
-                return Err(e);
-            }
-        };
-        let y_buf = match sys.alloc_buffer(self.out_chunk) {
-            Ok(b) => b,
-            Err(e) => {
-                sys.free_buffer(w_buf)?;
-                sys.free_buffer(x_buf)?;
-                return Err(e);
-            }
-        };
-        self.w_buf = w_buf;
-        self.x_buf = x_buf;
-        self.y_buf = y_buf;
-        self.spec = backend.kernel_spec(self.kind.clone(), vec![w_buf, x_buf], y_buf);
+        let mut bufs = [0u32; 3];
+        let lens = [self.w_chunk, self.act_chunk, self.out_chunk];
+        alloc_all(backend.system_mut(), &lens, &mut bufs)?;
+        [self.w_buf, self.x_buf, self.y_buf] = bufs;
+        self.spec.inputs.copy_from_slice(&bufs[..2]);
+        self.spec.output = self.y_buf;
         Ok(())
     }
 
@@ -406,7 +349,7 @@ mod tests {
         let mut be = small_backend();
         let plan = BatchPlan::gemv(&mut be, 4, 11, 7).expect("alloc");
         assert_eq!(plan.slots(), 4);
-        assert_eq!(plan.slot_dpus(), 2);
+        assert_eq!(plan.slot_dpus, 2);
         let mats: Vec<Vec<i32>> = (0i32..4)
             .map(|s| (0i32..11 * 7).map(|i| i - 3 * s).collect())
             .collect();
@@ -434,7 +377,8 @@ mod tests {
     #[test]
     fn batched_gemm_matches_the_eager_backend() {
         let mut be = small_backend();
-        let plan = BatchPlan::gemm(&mut be, 2, 6, 5, 4).expect("alloc");
+        let mut plan = BatchPlan::new(&be, 2, CnmOp::Gemm { m: 6, k: 5, n: 4 });
+        plan.reacquire(&mut be).expect("alloc");
         let a0: Vec<i32> = (0..30).map(|i| i - 7).collect();
         let a1: Vec<i32> = (0..30).map(|i| 2 * i + 1).collect();
         let b0: Vec<i32> = (0..20).collect();

@@ -1,0 +1,595 @@
+//! The one lowering table from a `cinm` op to its `cnm` form.
+//!
+//! The paper lowers a `cinm` op to a workgroup / scatter / launch / gather
+//! program **once**, below the device-agnostic level. [`CnmOp`] is that
+//! decision for the eight ops the UPMEM grid executes: [`CnmOp::geometry`]
+//! answers, for a grid of `dpus` DPUs, how each operand occupies MRAM
+//! (scattered in per-DPU chunks or broadcast), which per-DPU kernel runs,
+//! how large the per-DPU output is and how the gathered output decodes back
+//! to the logical result ([`OutputLayout::decode_into`]). Every execution
+//! layer — the eager [`crate::UpmemBackend`] methods, the
+//! [`crate::CnmCostModel`], [`crate::BatchPlan`], [`crate::ShardedBackend`]
+//! and the `cinm-core` session — reads this table instead of carrying its
+//! own copy of the chunk arithmetic.
+
+use cinm_dialects::cinm;
+use upmem_sim::{BinOp, DpuKernelKind};
+
+use crate::device::ShardShape;
+
+/// One `cinm` op with its logical shape, as the CNM level sees it. `Copy`,
+/// `Eq` and `Hash` so it doubles as a recorded graph node and as a cache
+/// key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CnmOp {
+    /// `C[m×n] = A[m×k] × B[k×n]`: row blocks of `A` scattered, `B`
+    /// broadcast.
+    Gemm {
+        /// Rows of `A` and `C`.
+        m: usize,
+        /// Inner dimension.
+        k: usize,
+        /// Columns of `B` and `C`.
+        n: usize,
+    },
+    /// `y[rows] = A[rows×cols] × x[cols]`: row blocks of `A` scattered, `x`
+    /// broadcast.
+    Gemv {
+        /// Rows of `A`.
+        rows: usize,
+        /// Columns of `A`.
+        cols: usize,
+    },
+    /// Element-wise binary op over two equally chunked vectors.
+    Elementwise {
+        /// The operator.
+        op: BinOp,
+        /// Element count.
+        len: usize,
+    },
+    /// Reduction to a scalar: per-DPU partials folded on the host.
+    Reduce {
+        /// The reduction operator.
+        op: BinOp,
+        /// Element count.
+        len: usize,
+    },
+    /// Histogram: per-DPU privatised histograms merged on the host.
+    Histogram {
+        /// Number of bins.
+        bins: usize,
+        /// Upper bound (exclusive) of the input values.
+        max_value: i32,
+        /// Element count.
+        len: usize,
+    },
+    /// Database select (`> threshold`): per-DPU selections concatenated.
+    Select {
+        /// The selection threshold.
+        threshold: i32,
+        /// Element count.
+        len: usize,
+    },
+    /// Partitioned time-series distance profile: each DPU profiles its chunk
+    /// against the chunk's leading window.
+    TimeSeries {
+        /// Window length.
+        window: usize,
+        /// Element count.
+        len: usize,
+    },
+    /// One BFS frontier expansion over pre-partitioned CSR fragments.
+    BfsStep {
+        /// Vertices per partition (one partition per DPU).
+        vertices_per_dpu: usize,
+        /// Edges stored per vertex.
+        avg_degree: usize,
+        /// Partitions holding real vertices.
+        used_dpus: usize,
+    },
+}
+
+/// How a tensor occupies MRAM in one role: a per-DPU chunk of a scattered
+/// vector, or the whole value replicated to every DPU. The payload is the
+/// per-DPU element count either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MramLayout {
+    /// Scattered: this many elements per DPU, zero-padded tail.
+    Chunk(usize),
+    /// Broadcast: the full value (this many elements) on every DPU.
+    Broadcast(usize),
+}
+
+/// How a raw grid-wide gather maps back to the logical value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OutputLayout {
+    /// Per-DPU chunks of the logical vector in DPU order — directly
+    /// consumable by any same-chunk scattered operand.
+    Chunked,
+    /// The same logical value on every DPU (broadcast operands).
+    Replicated,
+    /// Raw select output: one `(count, values…)` record per DPU.
+    SelectRaw {
+        /// The selection threshold (negative thresholds select padding).
+        threshold: i32,
+        /// Logical input length.
+        len: usize,
+        /// Input elements per DPU.
+        chunk: usize,
+    },
+    /// Per-DPU reduction partials: fold the first `used` in DPU order.
+    ReducePartials {
+        /// The reduction operator.
+        op: BinOp,
+        /// DPUs holding real data.
+        used: usize,
+    },
+    /// Per-DPU privatised histograms of `bins` bins.
+    HistPartials {
+        /// Number of bins.
+        bins: usize,
+        /// Logical input length.
+        len: usize,
+        /// Input elements per DPU.
+        chunk: usize,
+    },
+    /// Per-DPU time-series profiles: the first `used` DPUs' `positions`
+    /// (`used × positions` is the logical length).
+    Profiles {
+        /// DPUs holding real data.
+        used: usize,
+        /// Profile positions per DPU.
+        positions: usize,
+    },
+}
+
+impl OutputLayout {
+    /// Decodes `raw` (a gather of every DPU's output chunk on a grid of
+    /// `dpus`) into the logical value, replacing the contents of `out`.
+    /// `len` is the logical element count, which the layouts that decode to
+    /// a prefix of the gather (chunked, replicated, profiles) need; the
+    /// partial layouts carry their own lengths.
+    pub fn decode_into(self, raw: &[i32], dpus: usize, len: usize, out: &mut Vec<i32>) {
+        out.clear();
+        match self {
+            OutputLayout::Chunked | OutputLayout::Replicated | OutputLayout::Profiles { .. } => {
+                out.extend_from_slice(&raw[..len]);
+            }
+            OutputLayout::SelectRaw {
+                threshold,
+                len,
+                chunk,
+            } => decode_select_into(raw, chunk, len, threshold, out),
+            OutputLayout::ReducePartials { op, used } => {
+                out.push(fold_reduce_partials(op, raw, used));
+            }
+            OutputLayout::HistPartials { bins, len, chunk } => {
+                merge_histogram_partials_into(raw, bins, len, chunk, dpus, out);
+            }
+        }
+    }
+
+    /// [`decode_into`](Self::decode_into) for an owned gather: layouts whose
+    /// logical value is a prefix of the gather truncate in place instead of
+    /// copying.
+    pub(crate) fn decode(self, mut raw: Vec<i32>, dpus: usize, len: usize) -> Vec<i32> {
+        match self {
+            OutputLayout::Chunked | OutputLayout::Replicated | OutputLayout::Profiles { .. } => {
+                raw.truncate(len);
+                raw
+            }
+            _ => {
+                let mut out = Vec::new();
+                self.decode_into(&raw, dpus, len, &mut out);
+                out
+            }
+        }
+    }
+}
+
+/// The `cnm` form of one op on a grid of fixed size (see
+/// [`CnmOp::geometry`]).
+#[derive(Debug, Clone)]
+pub struct CnmGeometry {
+    /// MRAM layout of each operand (unused trailing entries are `Chunk(0)`).
+    pub inputs: [MramLayout; 3],
+    /// Per-DPU elements of the output buffer (the gather chunk).
+    pub out_chunk: usize,
+    /// How the gathered output decodes.
+    pub out_layout: OutputLayout,
+    /// Logical elements of the decoded output (an upper bound for select).
+    pub out_len: usize,
+    /// DPUs that hold real (non-padding) work.
+    pub used_dpus: usize,
+    /// The per-DPU kernel.
+    pub kernel: DpuKernelKind,
+}
+
+/// Bins assumed when a histogram is rebuilt from a [`ShardShape`] alone
+/// (cost estimation; the shape does not carry the bin count).
+const ESTIMATE_BINS: usize = 256;
+
+impl CnmOp {
+    /// Lowers the op onto a grid of `dpus` DPUs: operand layouts, per-DPU
+    /// kernel, output chunk and decode rule.
+    pub fn geometry(self, dpus: usize) -> CnmGeometry {
+        use MramLayout::{Broadcast, Chunk};
+        use OutputLayout::Chunked;
+        let unused = Chunk(0);
+        // `c`: the per-DPU share of the sharded work (rows/elements) — an
+        // even split, at least one so empty inputs still launch a
+        // well-formed kernel, and a whole window for time series. BFS
+        // arrives pre-partitioned: one partition per used DPU.
+        let work = self.work();
+        let (c, used_dpus) = match self {
+            CnmOp::BfsStep {
+                vertices_per_dpu, ..
+            } => (vertices_per_dpu, work),
+            CnmOp::TimeSeries { window, .. } => {
+                let c = work.div_ceil(dpus).max(window);
+                (c, work.div_ceil(c))
+            }
+            _ => {
+                let c = work.div_ceil(dpus).max(1);
+                (c, work.div_ceil(c))
+            }
+        };
+        let (inputs, out_chunk, out_layout, out_len, kernel) = match self {
+            CnmOp::Gemm { k, n, .. } => (
+                [Chunk(c * k), Broadcast(k * n), unused],
+                c * n,
+                Chunked,
+                work * n,
+                DpuKernelKind::Gemm { m: c, k, n },
+            ),
+            CnmOp::Gemv { cols, .. } => (
+                [Chunk(c * cols), Broadcast(cols), unused],
+                c,
+                Chunked,
+                work,
+                DpuKernelKind::Gemv { rows: c, cols },
+            ),
+            CnmOp::Elementwise { op, .. } => (
+                [Chunk(c), Chunk(c), unused],
+                c,
+                Chunked,
+                work,
+                DpuKernelKind::Elementwise { op, len: c },
+            ),
+            // The scatter's zero padding never reaches the fold: only the
+            // used DPUs' partials are read.
+            CnmOp::Reduce { op, .. } => (
+                [Chunk(c), unused, unused],
+                1,
+                OutputLayout::ReducePartials {
+                    op,
+                    used: used_dpus,
+                },
+                1,
+                DpuKernelKind::Reduce { op, len: c },
+            ),
+            CnmOp::Histogram {
+                bins, max_value, ..
+            } => (
+                [Chunk(c), unused, unused],
+                bins,
+                OutputLayout::HistPartials {
+                    bins,
+                    len: work,
+                    chunk: c,
+                },
+                bins,
+                DpuKernelKind::Histogram {
+                    bins,
+                    len: c,
+                    max_value,
+                },
+            ),
+            CnmOp::Select { threshold, .. } => (
+                [Chunk(c), unused, unused],
+                c + 1,
+                OutputLayout::SelectRaw {
+                    threshold,
+                    len: work,
+                    chunk: c,
+                },
+                work,
+                DpuKernelKind::Select { len: c, threshold },
+            ),
+            CnmOp::TimeSeries { window, .. } => {
+                let positions = c - window + 1;
+                (
+                    [Chunk(c), unused, unused],
+                    positions,
+                    OutputLayout::Profiles {
+                        used: used_dpus,
+                        positions,
+                    },
+                    used_dpus * positions,
+                    DpuKernelKind::TimeSeries { len: c, window },
+                )
+            }
+            CnmOp::BfsStep { avg_degree, .. } => (
+                [Chunk(c + 1), Chunk(c * avg_degree), Chunk(c)],
+                c,
+                Chunked,
+                work * c,
+                DpuKernelKind::BfsStep {
+                    vertices: c,
+                    avg_degree,
+                },
+            ),
+        };
+        CnmGeometry {
+            inputs,
+            out_chunk,
+            out_layout,
+            out_len,
+            used_dpus,
+            kernel,
+        }
+    }
+
+    /// The sharded work units: rows of a matmul-like op, elements of a
+    /// streaming op, partitions of a BFS step.
+    fn work_mut(&mut self) -> &mut usize {
+        match self {
+            CnmOp::Gemm { m: w, .. }
+            | CnmOp::Gemv { rows: w, .. }
+            | CnmOp::Elementwise { len: w, .. }
+            | CnmOp::Reduce { len: w, .. }
+            | CnmOp::Histogram { len: w, .. }
+            | CnmOp::Select { len: w, .. }
+            | CnmOp::TimeSeries { len: w, .. }
+            | CnmOp::BfsStep { used_dpus: w, .. } => w,
+        }
+    }
+
+    fn work(mut self) -> usize {
+        *self.work_mut()
+    }
+
+    /// The same op over a different amount of sharded work.
+    pub(crate) fn with_work(mut self, work: usize) -> CnmOp {
+        *self.work_mut() = work;
+        self
+    }
+
+    /// Number of operands.
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            CnmOp::Gemm { .. } | CnmOp::Gemv { .. } | CnmOp::Elementwise { .. } => 2,
+            CnmOp::BfsStep { .. } => 3,
+            _ => 1,
+        }
+    }
+
+    /// Short name of the op (error messages).
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            CnmOp::Gemm { .. } => "gemm",
+            CnmOp::Gemv { .. } => "gemv",
+            CnmOp::Elementwise { .. } => "elementwise",
+            CnmOp::Reduce { .. } => "reduce",
+            CnmOp::Histogram { .. } => "histogram",
+            CnmOp::Select { .. } => "select",
+            CnmOp::TimeSeries { .. } => "time_series",
+            CnmOp::BfsStep { .. } => "bfs_step",
+        }
+    }
+
+    /// The `cinm` dialect name and [`ShardShape`] of the op when it can be
+    /// shard-planned across devices; `None` for the PrIM kernels that only
+    /// the UPMEM grid executes (`select`, `time_series`, `bfs_step`).
+    pub fn shard(self) -> Option<(&'static str, ShardShape)> {
+        match self {
+            CnmOp::Gemm { m, k, n } => Some((cinm::GEMM, ShardShape::matmul(m, k, n))),
+            CnmOp::Gemv { rows, cols } => Some((cinm::GEMV, ShardShape::matmul(rows, cols, 1))),
+            CnmOp::Elementwise { op, len } => {
+                let name = match op {
+                    BinOp::Add => "cinm.add",
+                    BinOp::Sub => "cinm.sub",
+                    BinOp::Mul => "cinm.mul",
+                    BinOp::Div => "cinm.div",
+                    BinOp::Max => "cinm.max",
+                    BinOp::Min => "cinm.min",
+                    BinOp::And => "cinm.and",
+                    BinOp::Or => "cinm.or",
+                    BinOp::Xor => "cinm.xor",
+                };
+                Some((name, ShardShape::streaming(len)))
+            }
+            CnmOp::Reduce { len, .. } => Some((cinm::REDUCE, ShardShape::streaming(len))),
+            CnmOp::Histogram { len, .. } => Some((cinm::HISTOGRAM, ShardShape::streaming(len))),
+            _ => None,
+        }
+    }
+
+    /// The inverse of [`shard`](Self::shard): the op a planner names by its
+    /// `cinm` name and shard shape (value parameters the pair does not carry
+    /// take placeholders), or `None` outside the shardable subset.
+    pub(crate) fn from_shard(name: &str, shape: &ShardShape) -> Option<CnmOp> {
+        let (work, op) = (shape.work, BinOp::Add);
+        Some(match name {
+            cinm::GEMM => CnmOp::Gemm {
+                m: work,
+                k: shape.inner,
+                n: shape.out,
+            },
+            cinm::GEMV => CnmOp::Gemv {
+                rows: work,
+                cols: shape.inner,
+            },
+            cinm::REDUCE => CnmOp::Reduce { op, len: work },
+            cinm::HISTOGRAM => CnmOp::Histogram {
+                bins: ESTIMATE_BINS,
+                max_value: 0,
+                len: work,
+            },
+            _ => CnmOp::Elementwise {
+                op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
+                len: work,
+            },
+        })
+    }
+
+    /// The op with every value parameter that does not affect buffer
+    /// geometry erased (operator, threshold, histogram range, BFS
+    /// occupancy): two ops with equal erasures share device buffers.
+    pub(crate) fn erased(mut self) -> CnmOp {
+        match &mut self {
+            CnmOp::Elementwise { op, .. } | CnmOp::Reduce { op, .. } => *op = BinOp::Add,
+            CnmOp::Histogram { max_value: v, .. } | CnmOp::Select { threshold: v, .. } => *v = 0,
+            CnmOp::BfsStep { used_dpus, .. } => *used_dpus = 0,
+            _ => {}
+        }
+        self
+    }
+}
+
+/// Decodes the raw gathered output of the select kernel: each DPU
+/// contributes a `(count, values...)` record of `chunk + 1` elements; the
+/// selections of the used DPUs are concatenated in order, dropping the
+/// trailing zero-pad selections of the last chunk for negative thresholds
+/// (padding zeros never pass a non-negative threshold check).
+fn decode_select_into(raw: &[i32], chunk: usize, len: usize, threshold: i32, out: &mut Vec<i32>) {
+    let used_dpus = len.div_ceil(chunk.max(1));
+    for d in 0..used_dpus {
+        let base = d * (chunk + 1);
+        let count = raw[base].max(0) as usize;
+        let valid = if d + 1 == used_dpus {
+            let pad = chunk * used_dpus - len;
+            count.saturating_sub(if threshold < 0 { pad } else { 0 })
+        } else {
+            count
+        };
+        out.extend_from_slice(&raw[base + 1..base + 1 + valid.min(chunk)]);
+    }
+}
+
+/// Merges per-DPU privatised histograms into `out` (resized to `bins`),
+/// removing the counts contributed by the zero padding of the final chunk
+/// and by idle DPUs beyond the data.
+fn merge_histogram_partials_into(
+    partials: &[i32],
+    bins: usize,
+    len: usize,
+    chunk: usize,
+    dpus: usize,
+    out: &mut Vec<i32>,
+) {
+    out.resize(bins, 0);
+    for (i, v) in partials.iter().enumerate() {
+        out[i % bins] += v;
+    }
+    let chunk = chunk.max(1);
+    // Remove the counts contributed by zero padding of the final chunk.
+    let padded = chunk * len.div_ceil(chunk) - len;
+    out[0] -= padded as i32;
+    // Idle DPUs (beyond the data) hold all-zero chunks: subtract those too.
+    let idle = dpus - len.div_ceil(chunk);
+    out[0] -= (idle * chunk) as i32;
+}
+
+/// Folds the per-DPU reduction partials of the used DPUs in DPU order.
+fn fold_reduce_partials(op: BinOp, partials: &[i32], used_dpus: usize) -> i32 {
+    partials
+        .iter()
+        .take(used_dpus)
+        .fold(op.identity(), |acc, &v| op.apply(acc, v))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OPS: [CnmOp; 8] = [
+        CnmOp::Gemm { m: 5, k: 3, n: 2 },
+        CnmOp::Gemv { rows: 5, cols: 3 },
+        CnmOp::Elementwise {
+            op: BinOp::Max,
+            len: 9,
+        },
+        CnmOp::Reduce {
+            op: BinOp::Min,
+            len: 9,
+        },
+        CnmOp::Histogram {
+            bins: 4,
+            max_value: 64,
+            len: 9,
+        },
+        CnmOp::Select {
+            threshold: -1,
+            len: 9,
+        },
+        CnmOp::TimeSeries { window: 3, len: 9 },
+        CnmOp::BfsStep {
+            vertices_per_dpu: 2,
+            avg_degree: 3,
+            used_dpus: 2,
+        },
+    ];
+
+    #[test]
+    fn chunks_cover_the_work_on_any_grid() {
+        for op in OPS {
+            for dpus in [1usize, 3, 4, 64] {
+                let g = op.geometry(dpus);
+                let MramLayout::Chunk(c) = g.inputs[0] else {
+                    panic!("the first operand is always scattered: {op:?}");
+                };
+                assert!(g.used_dpus >= 1 && c >= 1, "{op:?} on {dpus}");
+                if !matches!(op, CnmOp::BfsStep { .. }) {
+                    assert!(g.used_dpus <= dpus, "{op:?} on {dpus}");
+                    assert!(g.out_len <= g.out_chunk * dpus, "{op:?} on {dpus}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_names_round_trip_and_erasure_keeps_the_geometry() {
+        for op in OPS {
+            if let Some((name, shape)) = op.shard() {
+                let back = CnmOp::from_shard(name, &shape).expect("shardable");
+                assert_eq!(back.shard(), Some((name, shape)), "{op:?}");
+                assert_eq!(op.with_work(7).shard().unwrap().1.work, 7);
+            }
+            let (a, b) = (op.geometry(4), op.erased().geometry(4));
+            assert_eq!((a.inputs, a.out_chunk), (b.inputs, b.out_chunk), "{op:?}");
+            assert_eq!(op.erased(), op.erased().erased());
+        }
+        assert_eq!(
+            CnmOp::from_shard("cinm.not", &ShardShape::streaming(4)),
+            None
+        );
+    }
+
+    #[test]
+    fn partial_layouts_decode_to_the_logical_value() {
+        let mut out = vec![99];
+        OutputLayout::ReducePartials {
+            op: BinOp::Add,
+            used: 2,
+        }
+        .decode_into(&[3, 4, 100], 3, 1, &mut out);
+        assert_eq!(out, [7]);
+        // Five elements on three DPUs (chunk 2): one padding zero in the
+        // last chunk, none idle.
+        OutputLayout::HistPartials {
+            bins: 2,
+            len: 5,
+            chunk: 2,
+        }
+        .decode_into(&[1, 1, 2, 0, 2, 0], 3, 2, &mut out);
+        assert_eq!(out, [4, 1]);
+        OutputLayout::SelectRaw {
+            threshold: 0,
+            len: 3,
+            chunk: 2,
+        }
+        .decode_into(&[2, 7, 8, 1, 9, 0], 2, 3, &mut out);
+        assert_eq!(out, [7, 8, 9]);
+    }
+}

@@ -43,11 +43,12 @@
 use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::CrossbarConfig;
-use upmem_sim::{kernel_launch_cost, BinOp, DpuKernelKind, KernelSpec, UpmemConfig};
+use upmem_sim::{kernel_launch_cost, BinOp, KernelSpec, UpmemConfig};
 
 use cinm_dialects::cinm;
 
 use crate::backend::{CimBackend, UpmemBackend};
+use crate::cnm_op::{CnmOp, MramLayout};
 use crate::sharded::{ShardDevice, ShardError};
 use crate::tiling::wram_tile_elems;
 
@@ -117,75 +118,43 @@ impl ShardShape {
 // Op classification shared by the default models
 // ---------------------------------------------------------------------------
 
-/// The shardable op subset the default models understand.
-fn op_kind(op: &str) -> Option<OpKind> {
-    if op == cinm::GEMM {
-        Some(OpKind::Gemm)
-    } else if op == cinm::GEMV {
-        Some(OpKind::Gemv)
-    } else if op == cinm::REDUCE {
-        Some(OpKind::Reduce)
-    } else if op == cinm::HISTOGRAM {
-        Some(OpKind::Histogram)
-    } else if cinm::ELEMENTWISE_ARITH.contains(&op) || cinm::ELEMENTWISE_LOGIC.contains(&op) {
-        Some(OpKind::Elementwise)
-    } else {
-        None
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Gemm,
-    Gemv,
-    Elementwise,
-    Reduce,
-    Histogram,
-}
-
-impl OpKind {
-    fn matmul_like(self) -> bool {
-        matches!(self, OpKind::Gemm | OpKind::Gemv)
-    }
-}
-
 /// Whether the crossbar backend can execute the op — the single source of
 /// truth for the "MVM-only" restriction used by the planner, the experiment
 /// harness and `bench-sim` (the `ShardedBackend` methods enforce the same
 /// fact at execution time).
 pub fn cim_supports(op: &str) -> bool {
-    op_kind(op).is_some_and(OpKind::matmul_like)
+    op == cinm::GEMM || op == cinm::GEMV
 }
 
-/// The `cinm` dialect name of an element-wise [`BinOp`] (used to name
-/// session/sharded element-wise ops towards the planner and the capability
-/// query).
-pub fn elementwise_op_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "cinm.add",
-        BinOp::Sub => "cinm.sub",
-        BinOp::Mul => "cinm.mul",
-        BinOp::Div => "cinm.div",
-        BinOp::Max => "cinm.max",
-        BinOp::Min => "cinm.min",
-        BinOp::And => "cinm.and",
-        BinOp::Or => "cinm.or",
-        BinOp::Xor => "cinm.xor",
-    }
-}
-
-/// Reconstructs a plausible [`ShardShape`] from the legacy scalar
-/// `(op, elements)` interface: a square-ish operand for matmul-like ops
-/// (so single-target ranking sees the real O(n³)/O(n²) work, not one MAC
-/// per element), a flat stream otherwise. Shared by every default model's
-/// scalar estimate.
-fn scalar_shape(kind: OpKind, elements: i64) -> ShardShape {
+/// The op behind the legacy scalar `(op, elements)` interface: a square-ish
+/// operand for matmul-like ops (so single-target ranking sees the real
+/// O(n³)/O(n²) work, not one MAC per element), a flat stream otherwise.
+/// Shared by every default model's scalar estimate.
+fn scalar_op(name: &str, elements: i64) -> Option<CnmOp> {
     let n = elements.max(0) as usize;
-    if kind.matmul_like() {
+    let shape = if cim_supports(name) {
         let side = (n.max(1) as f64).sqrt().ceil() as usize;
-        ShardShape::matmul(side, side, if kind == OpKind::Gemm { side } else { 1 })
+        ShardShape::matmul(side, side, if name == cinm::GEMM { side } else { 1 })
     } else {
         ShardShape::streaming(n)
+    };
+    CnmOp::from_shard(name, &shape)
+}
+
+/// The shard shape of an op rebuilt by [`CnmOp::from_shard`].
+fn shape_of(op: CnmOp) -> ShardShape {
+    op.shard().expect("shardable op").1
+}
+
+/// Host operation counts of one shardable op.
+fn host_counts(op: CnmOp) -> OpCounts {
+    match op {
+        CnmOp::Gemm { m, k, n } => OpCounts::gemm(m, k, n),
+        CnmOp::Gemv { rows, cols } => OpCounts::gemv(rows, cols),
+        CnmOp::Elementwise { len, .. } => OpCounts::elementwise(len),
+        CnmOp::Reduce { len, .. } => OpCounts::reduce(len),
+        CnmOp::Histogram { bins, len, .. } => OpCounts::histogram(len, bins),
+        _ => unreachable!("{} is not shardable", op.mnemonic()),
     }
 }
 
@@ -229,9 +198,10 @@ pub trait DeviceCost: Send {
 /// channel per rank-sized image — shard-size independent, and the dominant
 /// fixed cost for wide GEMMs). The kernel term of matmul-like ops is
 /// **calibrated against the simulator** (see the
-/// [module documentation](self)): the model builds the [`KernelSpec`] the
-/// backend would launch and asks [`upmem_sim::kernel_launch_cost`], so DMA
-/// setup inefficiency at low rows/DPU is priced in instead of ignored.
+/// [module documentation](self)): the model prices the per-DPU kernel of the
+/// op's [`CnmOp::geometry`] — the one the backend launches — with
+/// [`upmem_sim::kernel_launch_cost`], so DMA setup inefficiency at low
+/// rows/DPU is priced in instead of ignored.
 #[derive(Debug)]
 pub struct CnmCostModel {
     config: UpmemConfig,
@@ -243,129 +213,70 @@ impl CnmCostModel {
         CnmCostModel { config }
     }
 
-    fn shard_estimate(&self, kind: OpKind, shape: &ShardShape) -> f64 {
+    /// Estimated `(seconds, joules)` of one shardable op.
+    ///
+    /// Kernel: matmul-like ops take the calibrated path — the geometry's
+    /// per-DPU kernel under the `cinm-opt` configuration (WRAM-blocked, the
+    /// same tile derivation as `UpmemBackend::kernel_spec`; buffer ids are
+    /// placeholders the cost is independent of), priced by the simulator's
+    /// own launch cost model on the DPUs the shard occupies. Streaming ops
+    /// use the first-order closed form: one load-op-store stream per element
+    /// on the slowest DPU; per-unit cycles approximate retired instructions
+    /// (single-issue pipeline), each element crosses the MRAM↔WRAM interface
+    /// three times, and every DPU burns leakage while the slowest finishes.
+    ///
+    /// Transfers: the sharded operand in and the result out are
+    /// rank-parallel (reductions and histograms gather only small per-DPU
+    /// partials; element-wise ops read two operands); the stationary
+    /// operand of matmul-like ops is broadcast — every DPU receives its own
+    /// copy, and the interface energy bills each one, exactly as
+    /// [`upmem_sim::SystemStats`] accounts it.
+    fn price(&self, op: CnmOp) -> (f64, f64) {
         let cfg = &self.config;
         let i = &cfg.instr;
         let dpus = (cfg.ranks * cfg.dpus_per_rank).max(1);
         let rank_bw = cfg.host_bandwidth_per_rank_bytes_per_s * cfg.ranks.max(1) as f64;
+        let shape = shape_of(op);
         let work = shape.work as f64;
-        let kernel = if kind.matmul_like() {
-            // Calibrated path: the exact per-DPU kernel the backend launches
-            // under the `cinm-opt` configuration (WRAM-blocked, the same
-            // tile derivation as `UpmemBackend::spec`), priced by the
-            // simulator's own launch cost model. The slowest DPU owns
-            // `ceil(work / dpus)` rows; buffer ids are placeholders (the
-            // cost is independent of them).
-            let rows_per_dpu = shape.work.div_ceil(dpus).max(1);
-            let dpu_kind = if kind == OpKind::Gemm {
-                DpuKernelKind::Gemm {
-                    m: rows_per_dpu,
-                    k: shape.inner,
-                    n: shape.out,
-                }
-            } else {
-                DpuKernelKind::Gemv {
-                    rows: rows_per_dpu,
-                    cols: shape.inner,
-                }
-            };
+        let matmul_like = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
+        let geometry = op.geometry(dpus);
+        let (kernel_s, kernel_j) = if matmul_like {
             let wram = wram_tile_elems(cfg.wram_bytes, cfg.tasklets, 4);
-            let spec = KernelSpec::new(dpu_kind, vec![0, 0], 1)
+            let spec = KernelSpec::new(geometry.kernel, vec![0, 0], 1)
                 .with_tasklets(cfg.tasklets)
                 .with_wram_tile(wram)
                 .with_locality_optimization();
-            kernel_launch_cost(cfg, &spec, cfg.tasklets, 1).seconds
+            let launch = kernel_launch_cost(cfg, &spec, cfg.tasklets, geometry.used_dpus.max(1));
+            (launch.seconds, launch.energy_j)
         } else {
-            // Streaming ops: the first-order closed form (one load-op-store
-            // stream per element on the slowest DPU).
-            let units_per_dpu = (work / dpus as f64).ceil().max(1.0);
+            let (MramLayout::Chunk(units) | MramLayout::Broadcast(units)) = geometry.inputs[0];
             let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
-            units_per_dpu * cycles_per_unit / cfg.dpu_freq_hz
+            let seconds = units as f64 * cycles_per_unit / cfg.dpu_freq_hz;
+            let joules = work * cycles_per_unit * cfg.energy.pipeline_j_per_instr
+                + 3.0 * work * 4.0 * cfg.energy.dma_j_per_byte
+                + seconds * cfg.energy.static_w_per_dpu * dpus as f64;
+            (seconds, joules)
         };
-        // Transfers: the sharded operand in, the result out (rank-parallel),
-        // plus the broadcast of the stationary operand for matmul-like ops.
-        // Reductions and histograms gather only small per-DPU partials, not
-        // a result per work unit.
         let sharded_bytes = work * shape.inner as f64 * 4.0;
-        let result_bytes = match kind {
-            OpKind::Reduce | OpKind::Histogram => dpus as f64 * 4.0,
-            OpKind::Gemm | OpKind::Gemv => work * shape.out as f64 * 4.0,
-            // Element-wise ops read two operands and write one result.
-            OpKind::Elementwise => work * shape.out as f64 * 4.0 + sharded_bytes,
+        let result_bytes = match op {
+            CnmOp::Reduce { .. } | CnmOp::Histogram { .. } => dpus as f64 * 4.0,
+            CnmOp::Elementwise { .. } => work * shape.out as f64 * 4.0 + sharded_bytes,
+            _ => work * shape.out as f64 * 4.0,
         };
-        let mut transfer =
+        let mut transfer_s =
             (sharded_bytes + result_bytes) / rank_bw + 2.0 * cfg.host_transfer_latency_s;
-        if kind.matmul_like() {
+        let mut interface_bytes = sharded_bytes + result_bytes;
+        if matmul_like {
             let stationary_bytes = (shape.inner * shape.out) as f64 * 4.0;
-            transfer += stationary_bytes * cfg.dpus_per_rank as f64
+            transfer_s += stationary_bytes * cfg.dpus_per_rank as f64
                 / cfg.host_bandwidth_per_rank_bytes_per_s
                 + cfg.host_transfer_latency_s;
-        }
-        kernel + transfer
-    }
-
-    /// Energy counterpart of [`CnmCostModel::shard_estimate`], calibrated
-    /// against the simulator's [`EnergyCosts`](upmem_sim::EnergyCosts)
-    /// accounting: the matmul-like kernel term asks
-    /// [`upmem_sim::kernel_launch_cost`] for the whole-grid launch energy
-    /// (pipeline + DMA + static leakage over the launch, on the DPUs the
-    /// shard actually occupies), streaming ops use the same first-order
-    /// per-unit cycle count as the time model, and every host-interface byte
-    /// is billed at the transfer energy rate — with the stationary-operand
-    /// broadcast billed per receiving DPU, exactly as
-    /// [`upmem_sim::SystemStats`] accounts it.
-    fn shard_energy(&self, kind: OpKind, shape: &ShardShape) -> f64 {
-        let cfg = &self.config;
-        let i = &cfg.instr;
-        let dpus = (cfg.ranks * cfg.dpus_per_rank).max(1);
-        let work = shape.work as f64;
-        let kernel = if kind.matmul_like() {
-            let rows_per_dpu = shape.work.div_ceil(dpus).max(1);
-            let dpus_used = shape.work.div_ceil(rows_per_dpu).clamp(1, dpus);
-            let dpu_kind = if kind == OpKind::Gemm {
-                DpuKernelKind::Gemm {
-                    m: rows_per_dpu,
-                    k: shape.inner,
-                    n: shape.out,
-                }
-            } else {
-                DpuKernelKind::Gemv {
-                    rows: rows_per_dpu,
-                    cols: shape.inner,
-                }
-            };
-            let wram = wram_tile_elems(cfg.wram_bytes, cfg.tasklets, 4);
-            let spec = KernelSpec::new(dpu_kind, vec![0, 0], 1)
-                .with_tasklets(cfg.tasklets)
-                .with_wram_tile(wram)
-                .with_locality_optimization();
-            kernel_launch_cost(cfg, &spec, cfg.tasklets, dpus_used).energy_j
-        } else {
-            // Streaming ops: per-unit cycles approximate retired
-            // instructions (single-issue pipeline), each element crosses
-            // the MRAM↔WRAM interface three times (two loads, one store),
-            // and every DPU burns leakage while the slowest one finishes.
-            let units_per_dpu = (work / dpus as f64).ceil().max(1.0);
-            let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
-            let seconds = units_per_dpu * cycles_per_unit / cfg.dpu_freq_hz;
-            work * cycles_per_unit * cfg.energy.pipeline_j_per_instr
-                + 3.0 * work * 4.0 * cfg.energy.dma_j_per_byte
-                + seconds * cfg.energy.static_w_per_dpu * dpus as f64
-        };
-        let sharded_bytes = work * shape.inner as f64 * 4.0;
-        let result_bytes = match kind {
-            OpKind::Reduce | OpKind::Histogram => dpus as f64 * 4.0,
-            OpKind::Gemm | OpKind::Gemv => work * shape.out as f64 * 4.0,
-            OpKind::Elementwise => work * shape.out as f64 * 4.0 + sharded_bytes,
-        };
-        let mut interface_bytes = sharded_bytes + result_bytes;
-        if kind.matmul_like() {
-            // The stationary operand is broadcast: every DPU receives its
-            // own copy, and the interface energy accounting bills each one.
-            let stationary_bytes = (shape.inner * shape.out) as f64 * 4.0;
             interface_bytes += stationary_bytes * dpus as f64;
         }
-        kernel + cfg.transfer_energy_j(interface_bytes)
+        (
+            kernel_s + transfer_s,
+            kernel_j + cfg.transfer_energy_j(interface_bytes),
+        )
     }
 }
 
@@ -375,18 +286,15 @@ impl DeviceCost for CnmCostModel {
     }
 
     fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        Some(self.shard_estimate(kind, &scalar_shape(kind, elements)))
+        Some(self.price(scalar_op(op_name, elements)?).0)
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        Some(self.shard_estimate(kind, shape))
+        Some(self.price(CnmOp::from_shard(op_name, shape)?).0)
     }
 
     fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        Some(self.shard_energy(kind, shape))
+        Some(self.price(CnmOp::from_shard(op_name, shape)?).1)
     }
 }
 
@@ -408,6 +316,16 @@ impl CimCostModel {
     pub fn new(config: CrossbarConfig) -> Self {
         CimCostModel { config }
     }
+
+    /// Crossbar tiles the stationary operand of a matmul-like shard
+    /// occupies (`None` for everything the crossbar cannot execute).
+    fn tiles(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
+        let cfg = &self.config;
+        cim_supports(op_name).then(|| {
+            (shape.inner.div_ceil(cfg.tile_rows.max(1)) * shape.out.div_ceil(cfg.tile_cols.max(1)))
+                as f64
+        })
+    }
 }
 
 impl DeviceCost for CimCostModel {
@@ -416,18 +334,12 @@ impl DeviceCost for CimCostModel {
     }
 
     fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        self.estimate_shard_seconds(op_name, &scalar_shape(kind, elements))
+        self.estimate_shard_seconds(op_name, &shape_of(scalar_op(op_name, elements)?))
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        if !kind.matmul_like() {
-            return None;
-        }
         let cfg = &self.config;
-        let tiles = (shape.inner.div_ceil(cfg.tile_rows.max(1))
-            * shape.out.div_ceil(cfg.tile_cols.max(1))) as f64;
+        let tiles = self.tiles(op_name, shape)?;
         let programming = tiles * cfg.tile_program_seconds();
         let groups = (tiles / cfg.num_tiles.max(1) as f64).ceil();
         let compute = shape.work as f64 * groups * cfg.mvm_seconds();
@@ -435,17 +347,12 @@ impl DeviceCost for CimCostModel {
     }
 
     fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        if !kind.matmul_like() {
-            return None;
-        }
         // Mirrors the simulator's CimStats accounting: each tile is
         // programmed once (the shard-size independent fixed energy), then
         // every work unit issues one MVM on every tile. Tile parallelism
         // changes time, not energy.
         let cfg = &self.config;
-        let tiles = (shape.inner.div_ceil(cfg.tile_rows.max(1))
-            * shape.out.div_ceil(cfg.tile_cols.max(1))) as f64;
+        let tiles = self.tiles(op_name, shape)?;
         Some(tiles * cfg.tile_program_energy() + shape.work as f64 * tiles * cfg.mvm_energy())
     }
 }
@@ -470,31 +377,17 @@ impl DeviceCost for HostCostModel {
     }
 
     fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        self.estimate_shard_seconds(op_name, &scalar_shape(kind, elements))
+        let counts = host_counts(scalar_op(op_name, elements)?);
+        Some(self.model.execution_seconds(&counts))
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        let counts = match kind {
-            OpKind::Gemm => OpCounts::gemm(shape.work, shape.inner, shape.out),
-            OpKind::Gemv => OpCounts::gemv(shape.work, shape.inner),
-            OpKind::Elementwise => OpCounts::elementwise(shape.work),
-            OpKind::Reduce => OpCounts::reduce(shape.work),
-            OpKind::Histogram => OpCounts::histogram(shape.work, 256),
-        };
+        let counts = host_counts(CnmOp::from_shard(op_name, shape)?);
         Some(self.model.execution_seconds(&counts))
     }
 
     fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let kind = op_kind(op_name)?;
-        let counts = match kind {
-            OpKind::Gemm => OpCounts::gemm(shape.work, shape.inner, shape.out),
-            OpKind::Gemv => OpCounts::gemv(shape.work, shape.inner),
-            OpKind::Elementwise => OpCounts::elementwise(shape.work),
-            OpKind::Reduce => OpCounts::reduce(shape.work),
-            OpKind::Histogram => OpCounts::histogram(shape.work, 256),
-        };
+        let counts = host_counts(CnmOp::from_shard(op_name, shape)?);
         Some(self.model.energy_joules(&counts))
     }
 }
@@ -576,40 +469,61 @@ pub enum ShardOp<'a> {
     },
 }
 
-impl ShardOp<'_> {
+impl<'a> ShardOp<'a> {
+    /// The op as the lowering table sees it, with the shard's operand
+    /// slices (a unary op leaves the second one empty).
+    pub(crate) fn lower(&self) -> (CnmOp, [&'a [i32]; 2]) {
+        match *self {
+            ShardOp::Gemm { a, b, m, k, n } => (CnmOp::Gemm { m, k, n }, [a, b]),
+            ShardOp::Gemv { a, x, rows, cols } => (CnmOp::Gemv { rows, cols }, [a, x]),
+            ShardOp::Elementwise { op, a, b } => (CnmOp::Elementwise { op, len: a.len() }, [a, b]),
+            ShardOp::Reduce { op, a } => (CnmOp::Reduce { op, len: a.len() }, [a, &[]]),
+            ShardOp::Histogram { a, bins, max_value } => {
+                let len = a.len();
+                let op = CnmOp::Histogram {
+                    bins,
+                    max_value,
+                    len,
+                };
+                (op, [a, &[]])
+            }
+        }
+    }
+
+    /// The inverse of [`lower`](Self::lower) for the shardable subset.
+    pub(crate) fn lift(op: CnmOp, a: &'a [i32], b: &'a [i32]) -> Option<ShardOp<'a>> {
+        Some(match op {
+            CnmOp::Gemm { m, k, n } => ShardOp::Gemm { a, b, m, k, n },
+            CnmOp::Gemv { rows, cols } => ShardOp::Gemv {
+                a,
+                x: b,
+                rows,
+                cols,
+            },
+            CnmOp::Elementwise { op, .. } => ShardOp::Elementwise { op, a, b },
+            CnmOp::Reduce { op, .. } => ShardOp::Reduce { op, a },
+            CnmOp::Histogram {
+                bins, max_value, ..
+            } => ShardOp::Histogram { a, bins, max_value },
+            _ => return None,
+        })
+    }
+
     /// The `cinm` dialect name of the op (what planners and
     /// [`Device::supports_op`] reason about).
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            ShardOp::Gemm { .. } => cinm::GEMM,
-            ShardOp::Gemv { .. } => cinm::GEMV,
-            ShardOp::Elementwise { op, .. } => elementwise_op_name(*op),
-            ShardOp::Reduce { .. } => cinm::REDUCE,
-            ShardOp::Histogram { .. } => cinm::HISTOGRAM,
-        }
+    pub(crate) fn op_name(&self) -> &'static str {
+        self.lower().0.shard().expect("shardable op").0
     }
 
     /// Work units of the shard (rows for matmul-like ops, elements for
     /// streaming ops).
-    pub fn work(&self) -> usize {
-        match self {
-            ShardOp::Gemm { m, .. } => *m,
-            ShardOp::Gemv { rows, .. } => *rows,
-            ShardOp::Elementwise { a, .. }
-            | ShardOp::Reduce { a, .. }
-            | ShardOp::Histogram { a, .. } => a.len(),
-        }
+    pub(crate) fn work(&self) -> usize {
+        self.shape().work
     }
 
     /// The shard's [`ShardShape`].
-    pub fn shape(&self) -> ShardShape {
-        match self {
-            ShardOp::Gemm { m, k, n, .. } => ShardShape::matmul(*m, *k, *n),
-            ShardOp::Gemv { rows, cols, .. } => ShardShape::matmul(*rows, *cols, 1),
-            ShardOp::Elementwise { a, .. }
-            | ShardOp::Reduce { a, .. }
-            | ShardOp::Histogram { a, .. } => ShardShape::streaming(a.len()),
-        }
+    pub(crate) fn shape(&self) -> ShardShape {
+        shape_of(self.lower().0)
     }
 }
 
@@ -844,7 +758,7 @@ impl Device for UpmemDevice {
 
     fn supports_op(&self, op_name: &str) -> bool {
         // Everything the shardable subset names, per the Table 1 matrix.
-        op_kind(op_name).is_some()
+        CnmOp::from_shard(op_name, &ShardShape::streaming(0)).is_some()
     }
 
     fn cost(&self) -> Box<dyn DeviceCost> {
@@ -864,29 +778,29 @@ impl Device for UpmemDevice {
             return Ok(DeviceFuture::default());
         }
         let before = self.backend.stats().total_seconds();
-        let result = match *plan {
-            ShardOp::Gemm { a, b, m, k, n } => self.backend.try_gemm(a, b, m, k, n),
-            ShardOp::Gemv { a, x, rows, cols } => self.backend.try_gemv(a, x, rows, cols),
-            ShardOp::Elementwise { op, a, b } => self.backend.try_elementwise(op, a, b),
-            ShardOp::Reduce { op, a } => self.backend.try_reduce(op, a).map(|v| vec![v]),
-            ShardOp::Histogram { a, bins, max_value } => {
-                self.backend.try_histogram(a, bins, max_value)
-            }
-        };
-        match result {
+        let (op, operands) = plan.lower();
+        match self.backend.run_op(op, &operands[..op.arity()]) {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;
                 Ok(DeviceFuture::ready(result, sim_seconds))
             }
-            Err(e) => {
-                self.health.record_failure(e.is_permanent_fault());
-                Ok(DeviceFuture::failed(ShardError::DeviceFault {
-                    device: ShardDevice::Cnm,
-                    permanent: e.is_permanent_fault(),
-                    message: e.to_string(),
-                }))
-            }
+            Err(e) => Ok(DeviceFuture::failed(match e.mram_shortfall() {
+                // A full MRAM is a capacity refusal, not a sick device: it
+                // stays out of the health record.
+                Some((needed_bytes, available_bytes)) => ShardError::MramExhausted {
+                    needed_bytes,
+                    available_bytes,
+                },
+                None => {
+                    self.health.record_failure(e.is_permanent_fault());
+                    ShardError::DeviceFault {
+                        device: ShardDevice::Cnm,
+                        permanent: e.is_permanent_fault(),
+                        message: e.to_string(),
+                    }
+                }
+            })),
         }
     }
 
@@ -1068,28 +982,16 @@ impl Device for HostDevice {
         if plan.work() == 0 {
             return Ok(DeviceFuture::default());
         }
-        let (result, counts) = match *plan {
-            ShardOp::Gemm { a, b, m, k, n } => {
-                (kernels::matmul(a, b, m, k, n), OpCounts::gemm(m, k, n))
+        let result = match *plan {
+            ShardOp::Gemm { a, b, m, k, n } => kernels::matmul(a, b, m, k, n),
+            ShardOp::Gemv { a, x, rows, cols } => kernels::matvec(a, x, rows, cols),
+            ShardOp::Elementwise { op, a, b } => kernels::elementwise(a, b, |x, y| op.apply(x, y)),
+            ShardOp::Reduce { op, a } => {
+                vec![a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v))]
             }
-            ShardOp::Gemv { a, x, rows, cols } => (
-                kernels::matvec(a, x, rows, cols),
-                OpCounts::gemv(rows, cols),
-            ),
-            ShardOp::Elementwise { op, a, b } => (
-                kernels::elementwise(a, b, |x, y| op.apply(x, y)),
-                OpCounts::elementwise(a.len()),
-            ),
-            ShardOp::Reduce { op, a } => (
-                vec![a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v))],
-                OpCounts::reduce(a.len()),
-            ),
-            ShardOp::Histogram { a, bins, max_value } => (
-                kernels::histogram(a, bins, max_value),
-                OpCounts::histogram(a.len(), bins),
-            ),
+            ShardOp::Histogram { a, bins, max_value } => kernels::histogram(a, bins, max_value),
         };
-        let seconds = self.model.execution_seconds(&counts);
+        let seconds = self.model.execution_seconds(&host_counts(plan.lower().0));
         self.sim_seconds += seconds;
         Ok(DeviceFuture::ready(result, seconds))
     }

@@ -9,6 +9,9 @@
 //! * [`tiling`] — the generic tiling/partitioning utilities of Section 3.2.6
 //!   (box, rectangular and row-band tile shapes, interchange, WRAM tile
 //!   sizing);
+//! * [`cnm_op`] — the one lowering table from a `cinm` op to its `cnm`
+//!   scatter / launch / gather form ([`cnm_op::CnmOp::geometry`]), read by
+//!   every execution layer below;
 //! * [`backend`] — the device run-times the device dialects map onto:
 //!   [`backend::UpmemBackend`] drives the `upmem-sim` DPU-grid simulator and
 //!   [`backend::CimBackend`] drives the `memristor-sim` crossbar simulator
@@ -28,6 +31,7 @@
 
 pub mod backend;
 pub mod batch;
+pub mod cnm_op;
 pub mod convert;
 pub mod device;
 pub mod sharded;
@@ -40,8 +44,8 @@ pub use convert::{
     CnmToUpmemPass, LinalgToCinmPass, TosaToLinalgPass, UpmemLoweringOptions,
 };
 pub use device::{
-    cim_supports, elementwise_op_name, CimCostModel, CimDevice, CnmCostModel, Device, DeviceCaps,
-    DeviceCost, DeviceFuture, HostCostModel, HostDevice, ShardOp, ShardShape, UpmemDevice,
+    cim_supports, CimCostModel, CimDevice, CnmCostModel, Device, DeviceCaps, DeviceCost,
+    DeviceFuture, HostCostModel, HostDevice, ShardOp, ShardShape, UpmemDevice,
 };
 pub use sharded::{
     ShardDevice, ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions,

@@ -37,7 +37,8 @@ use memristor_sim::CrossbarConfig;
 use upmem_sim::{BinOp, UpmemConfig};
 
 use crate::backend::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
-use crate::device::{CimDevice, Device, HostDevice, ShardOp, UpmemDevice};
+use crate::cnm_op::{CnmOp, MramLayout};
+use crate::device::{cim_supports, CimDevice, Device, HostDevice, ShardOp, UpmemDevice};
 
 /// The devices a shard can be placed on, in the fixed planning order used by
 /// every `[T; 3]` in this module (`Cnm`, `Cim`, `Host`).
@@ -538,11 +539,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// behind the unified [`Device`] trait and co-executes one operation across
 /// them (see the module docs for the sharding and merge rules).
 ///
-/// Since the device-API redesign the internals are generic: every shard is a
-/// [`ShardOp`] submitted through [`Device::submit`], and the per-op methods
-/// below are **thin wrappers** that slice the operands, dispatch one submit
-/// per non-empty shard onto the pool, and merge the futures' results. The
-/// wrapped eager back-ends stay reachable ([`ShardedBackend::upmem`],
+/// Every shard is a [`ShardOp`] submitted through [`Device::submit`];
+/// [`ShardedBackend::run`] is the one dispatch (slice, submit per non-empty
+/// shard onto the pool, merge) and the per-op methods wrap it. The wrapped
+/// eager back-ends stay reachable ([`ShardedBackend::upmem`],
 /// [`ShardedBackend::cim_backend`]) as the equivalence oracle.
 #[derive(Debug)]
 pub struct ShardedBackend {
@@ -645,28 +645,6 @@ impl ShardedBackend {
         &self.pool
     }
 
-    fn validate(
-        &self,
-        split: &ShardSplit,
-        total: usize,
-        op: &'static str,
-        cim_supported: bool,
-    ) -> Result<(), ShardError> {
-        if split.total() != total {
-            return Err(ShardError::WorkMismatch {
-                expected: total,
-                got: split.total(),
-            });
-        }
-        if !cim_supported && split.cim > 0 {
-            return Err(ShardError::Unsupported {
-                device: ShardDevice::Cim,
-                op,
-            });
-        }
-        Ok(())
-    }
-
     /// Dispatches up to three shard submissions concurrently on the shared
     /// pool — one [`Device::submit`] task per non-empty shard — and folds the
     /// resolved [`crate::device::DeviceFuture`]s into the statistics.
@@ -748,6 +726,133 @@ impl ShardedBackend {
         Ok([a.result?, b.result?, c.result?])
     }
 
+    /// Co-executes one shardable op across the device set — the single
+    /// dispatch the per-op methods below and the `cinm-core` session wrap.
+    /// Scattered operands (per the op's [`CnmOp::geometry`]) are sliced by
+    /// contiguous work ranges in `[cnm, cim, host]` order, broadcast
+    /// operands go to every device whole, one [`Device::submit`] per
+    /// non-empty shard runs concurrently on the pool, and the shard results
+    /// merge by the op's rule: concatenation for `gemm`/`gemv`/element-wise,
+    /// partials folded in shard order for `reduce` (returned as a
+    /// one-element vector; every [`upmem_sim::BinOp`] is associative, so
+    /// this equals the sequential fold), per-bin sums for `histogram`. Zero
+    /// work returns the op's identity without touching a device.
+    ///
+    /// # Errors
+    ///
+    /// Mis-shaped operands, a split that does not cover the op's work, a
+    /// non-empty shard on a device that cannot execute the op (the crossbar
+    /// models analog MVM only; `select`/`time_series`/`bfs_step` are not
+    /// shardable at all), or the first failing device's execution error.
+    pub fn run(
+        &mut self,
+        op: CnmOp,
+        operands: &[&[i32]],
+        split: &ShardSplit,
+    ) -> Result<Vec<i32>, ShardError> {
+        let name = op.mnemonic();
+        let Some((cinm_name, shape)) = op.shard() else {
+            return Err(ShardError::Unsupported {
+                device: ShardDevice::Host,
+                op: name,
+            });
+        };
+        // The sharded operand holds `inner` elements per work unit; the
+        // second one is the stationary `inner × out` operand of a
+        // matmul-like op, or the equally sharded rhs of an element-wise op.
+        let matmul_like = cim_supports(cinm_name);
+        let rhs_len = if matmul_like {
+            shape.inner * shape.out
+        } else {
+            shape.work
+        };
+        let names = match op {
+            CnmOp::Gemv { .. } => ["matrix elements", "vector elements"],
+            _ => ["lhs elements", "rhs elements"],
+        };
+        shape_check(name, "operands", op.arity(), operands.len())?;
+        for ((data, expected), what) in operands
+            .iter()
+            .zip([shape.work * shape.inner, rhs_len])
+            .zip(names)
+        {
+            shape_check(name, what, expected, data.len())?;
+        }
+        if let CnmOp::Histogram { bins: 0, .. } = op {
+            return Err(ShardError::ShapeMismatch {
+                op: name,
+                what: "bins (at least one)",
+                expected: 1,
+                got: 0,
+            });
+        }
+        let total = shape.work;
+        if split.total() != total {
+            return Err(ShardError::WorkMismatch {
+                expected: total,
+                got: split.total(),
+            });
+        }
+        if !matmul_like && split.cim > 0 {
+            return Err(ShardError::Unsupported {
+                device: ShardDevice::Cim,
+                op: name,
+            });
+        }
+        if total == 0 {
+            return Ok(match op {
+                CnmOp::Reduce { op, .. } => vec![op.identity()],
+                CnmOp::Histogram { bins, .. } => vec![0; bins],
+                _ => Vec::new(),
+            });
+        }
+        /// The work range `[lo, hi)` of a scattered operand; a broadcast
+        /// operand whole.
+        fn shard_of(
+            data: &[i32],
+            layout: MramLayout,
+            total: usize,
+            lo: usize,
+            hi: usize,
+        ) -> &[i32] {
+            match layout {
+                MramLayout::Broadcast(_) => data,
+                MramLayout::Chunk(_) => {
+                    let unit = data.len() / total;
+                    &data[lo * unit..hi * unit]
+                }
+            }
+        }
+        let layouts = op.geometry(1).inputs;
+        let (a, b) = (operands[0], operands.get(1).copied().unwrap_or(&[]));
+        let mut lo = 0;
+        let shards = ShardDevice::ALL.map(|device| {
+            let hi = lo + split.get(device);
+            let shard = ShardOp::lift(
+                op.with_work(hi - lo),
+                shard_of(a, layouts[0], total, lo, hi),
+                shard_of(b, layouts[1], total, lo, hi),
+            );
+            lo = hi;
+            shard
+        });
+        let parts = self.dispatch(split, shards)?;
+        Ok(match op {
+            CnmOp::Reduce { op, .. } => {
+                let partials = parts.iter().flatten();
+                vec![partials.fold(op.identity(), |acc, &p| op.apply(acc, p))]
+            }
+            CnmOp::Histogram { bins, .. } => {
+                let mut merged = vec![0i32; bins];
+                for (i, count) in parts.iter().flat_map(|part| part.iter().enumerate()) {
+                    merged[i] += count;
+                }
+                merged
+            }
+            _ => parts.concat(),
+        })
+    }
+
     /// Sharded `C[m×n] = A[m×k] × B[k×n]`: contiguous row ranges of A/C per
     /// device, B replicated to each. Bit-identical to
     /// [`cpu_sim::kernels::matmul`].
@@ -760,38 +865,7 @@ impl ShardedBackend {
         n: usize,
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
-        shape_check("gemm", "lhs elements", m * k, a.len())?;
-        shape_check("gemm", "rhs elements", k * n, b.len())?;
-        self.validate(split, m, "gemm", true)?;
-        if m == 0 {
-            return Ok(Vec::new());
-        }
-        let (rows_cnm, rows_cim, rows_host) = (split.cnm, split.cim, split.host);
-        let a_cnm = &a[..rows_cnm * k];
-        let a_cim = &a[rows_cnm * k..(rows_cnm + rows_cim) * k];
-        let a_host = &a[(rows_cnm + rows_cim) * k..];
-        fn shard<'s>(
-            a: &'s [i32],
-            b: &'s [i32],
-            m: usize,
-            k: usize,
-            n: usize,
-        ) -> Option<ShardOp<'s>> {
-            Some(ShardOp::Gemm { a, b, m, k, n })
-        }
-        let [c_cnm, c_cim, c_host] = self.dispatch(
-            split,
-            [
-                shard(a_cnm, b, rows_cnm, k, n),
-                shard(a_cim, b, rows_cim, k, n),
-                shard(a_host, b, rows_host, k, n),
-            ],
-        )?;
-        let mut c = Vec::with_capacity(m * n);
-        c.extend_from_slice(&c_cnm);
-        c.extend_from_slice(&c_cim);
-        c.extend_from_slice(&c_host);
-        Ok(c)
+        self.run(CnmOp::Gemm { m, k, n }, &[a, b], split)
     }
 
     /// Sharded `y[rows] = A[rows×cols] × x[cols]` by contiguous row ranges.
@@ -804,32 +878,7 @@ impl ShardedBackend {
         cols: usize,
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
-        shape_check("gemv", "matrix elements", rows * cols, a.len())?;
-        shape_check("gemv", "vector elements", cols, x.len())?;
-        self.validate(split, rows, "gemv", true)?;
-        if rows == 0 {
-            return Ok(Vec::new());
-        }
-        let (r_cnm, r_cim, r_host) = (split.cnm, split.cim, split.host);
-        let a_cnm = &a[..r_cnm * cols];
-        let a_cim = &a[r_cnm * cols..(r_cnm + r_cim) * cols];
-        let a_host = &a[(r_cnm + r_cim) * cols..];
-        fn shard<'s>(a: &'s [i32], x: &'s [i32], rows: usize, cols: usize) -> Option<ShardOp<'s>> {
-            Some(ShardOp::Gemv { a, x, rows, cols })
-        }
-        let [y_cnm, y_cim, y_host] = self.dispatch(
-            split,
-            [
-                shard(a_cnm, x, r_cnm, cols),
-                shard(a_cim, x, r_cim, cols),
-                shard(a_host, x, r_host, cols),
-            ],
-        )?;
-        let mut y = Vec::with_capacity(rows);
-        y.extend_from_slice(&y_cnm);
-        y.extend_from_slice(&y_cim);
-        y.extend_from_slice(&y_host);
-        Ok(y)
+        self.run(CnmOp::Gemv { rows, cols }, &[a, x], split)
     }
 
     /// Sharded element-wise binary op by contiguous element ranges. The
@@ -843,58 +892,13 @@ impl ShardedBackend {
         b: &[i32],
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
-        shape_check("elementwise", "rhs elements", a.len(), b.len())?;
-        self.validate(split, a.len(), "elementwise", false)?;
-        if a.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n_cnm = split.cnm;
-        let (a_cnm, a_host) = a.split_at(n_cnm);
-        let (b_cnm, b_host) = b.split_at(n_cnm);
-        let [c_cnm, _, c_host] = self.dispatch(
-            split,
-            [
-                Some(ShardOp::Elementwise {
-                    op,
-                    a: a_cnm,
-                    b: b_cnm,
-                }),
-                None, // validated: no CIM shard
-                Some(ShardOp::Elementwise {
-                    op,
-                    a: a_host,
-                    b: b_host,
-                }),
-            ],
-        )?;
-        let mut c = Vec::with_capacity(a.len());
-        c.extend_from_slice(&c_cnm);
-        c.extend_from_slice(&c_host);
-        Ok(c)
+        self.run(CnmOp::Elementwise { op, len: a.len() }, &[a, b], split)
     }
 
-    /// Sharded reduction by contiguous element ranges; per-shard partials are
-    /// folded in shard order (every [`BinOp`] is associative, so this equals
-    /// the sequential fold). An empty input reduces to `op.identity()`.
+    /// Sharded reduction by contiguous element ranges. An empty input
+    /// reduces to `op.identity()`.
     pub fn reduce(&mut self, op: BinOp, a: &[i32], split: &ShardSplit) -> Result<i32, ShardError> {
-        self.validate(split, a.len(), "reduce", false)?;
-        if a.is_empty() {
-            return Ok(op.identity());
-        }
-        let (a_cnm, a_host) = a.split_at(split.cnm);
-        let [p_cnm, _, p_host] = self.dispatch(
-            split,
-            [
-                Some(ShardOp::Reduce { op, a: a_cnm }),
-                None, // validated: no CIM shard
-                Some(ShardOp::Reduce { op, a: a_host }),
-            ],
-        )?;
-        let mut acc = op.identity();
-        for partial in p_cnm.iter().chain(p_host.iter()) {
-            acc = op.apply(acc, *partial);
-        }
-        Ok(acc)
+        Ok(self.run(CnmOp::Reduce { op, len: a.len() }, &[a], split)?[0])
     }
 
     /// Sharded histogram by contiguous element ranges; per-shard histograms
@@ -906,42 +910,13 @@ impl ShardedBackend {
         max_value: i32,
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
-        if bins == 0 {
-            return Err(ShardError::ShapeMismatch {
-                op: "histogram",
-                what: "bins (at least one)",
-                expected: 1,
-                got: 0,
-            });
-        }
-        self.validate(split, a.len(), "histogram", false)?;
-        if a.is_empty() {
-            return Ok(vec![0i32; bins]);
-        }
-        let (a_cnm, a_host) = a.split_at(split.cnm);
-        let [h_cnm, _, h_host] = self.dispatch(
-            split,
-            [
-                Some(ShardOp::Histogram {
-                    a: a_cnm,
-                    bins,
-                    max_value,
-                }),
-                None, // validated: no CIM shard
-                Some(ShardOp::Histogram {
-                    a: a_host,
-                    bins,
-                    max_value,
-                }),
-            ],
-        )?;
-        let mut merged = vec![0i32; bins];
-        for shard in [&h_cnm, &h_host] {
-            for (bin, count) in shard.iter().enumerate() {
-                merged[bin] += count;
-            }
-        }
-        Ok(merged)
+        let len = a.len();
+        let op = CnmOp::Histogram {
+            bins,
+            max_value,
+            len,
+        };
+        self.run(op, &[a], split)
     }
 }
 

@@ -174,3 +174,66 @@ fn capability_matrix_matches_the_paper() {
     assert!(up.supports_op("cinm.histogram"));
     assert!(host.supports_op("cinm.simSearch"));
 }
+
+/// A full MRAM is a typed refusal on every eager surface, never a panic
+/// (regression: `UpmemBackend::context` used to `expect` its allocations).
+/// The refused context leaves nothing allocated, the refusal does not count
+/// against device health, and a shard-planned op in a capped session
+/// surfaces the same typed error instead of an `ExecutionPanic`.
+#[test]
+fn a_full_mram_is_a_typed_refusal_on_the_eager_paths() {
+    use cinm::core::{Session, SessionOptions, ShardPolicy};
+    let mut cfg = UpmemConfig::with_ranks(1);
+    cfg.dpus_per_rank = 8;
+    cfg.mram_bytes = 256;
+    let mut device = UpmemDevice::new(UpmemBackend::with_config(
+        cfg.clone(),
+        UpmemRunOptions::optimized(),
+    ));
+    // 40 elements (160 B) per DPU and buffer: the first input fits, the
+    // second does not.
+    let v = data::i32_vec(1, 320, -9, 9);
+    let err = device
+        .backend_mut()
+        .try_elementwise(BinOp::Add, &v, &v)
+        .unwrap_err();
+    assert_eq!(err.mram_shortfall(), Some((160, 96)));
+    assert_eq!(device.backend().system().mram_used_bytes(), 0);
+    assert_eq!(device.backend().cached_contexts(), 0);
+
+    let shard = ShardOp::Elementwise {
+        op: BinOp::Add,
+        a: &v,
+        b: &v,
+    };
+    let refused = device.submit(&shard).unwrap().wait().unwrap_err();
+    assert_eq!(
+        refused,
+        ShardError::MramExhausted {
+            needed_bytes: 160,
+            available_bytes: 96
+        }
+    );
+    assert!(device.is_healthy());
+    assert_eq!(device.health().total_failures, 0);
+
+    // Three 32-byte buffers fit: the device is still usable.
+    let w = &v[..64];
+    assert_eq!(
+        device.backend_mut().elementwise(BinOp::Add, w, w),
+        kernels::vector_add(w, w)
+    );
+
+    // Half of the op is planned onto the grid's eager context (20 elements
+    // = 80 B per DPU), which the 64-byte session budget cannot hold.
+    let mut sess = Session::new(
+        SessionOptions::default()
+            .with_upmem_config(cfg)
+            .with_policy(ShardPolicy::Fractions([0.5, 0.0, 0.5]))
+            .with_mram_limit_bytes(64),
+    );
+    let vt = sess.vector(&v);
+    let _sum = sess.elementwise(BinOp::Add, vt, vt);
+    let err = sess.run().unwrap_err();
+    assert!(matches!(err, ShardError::MramExhausted { .. }), "{err}");
+}

@@ -40,9 +40,68 @@ fn gen_usize(rng: &mut SplitMix64, lo: usize, hi: usize) -> usize {
 }
 
 fn small_upmem() -> UpmemBackend {
+    upmem_grid(4)
+}
+
+fn upmem_grid(dpus: usize) -> UpmemBackend {
     let mut cfg = UpmemConfig::with_ranks(1);
-    cfg.dpus_per_rank = 4;
+    cfg.dpus_per_rank = dpus;
     UpmemBackend::with_config(cfg, UpmemRunOptions::optimized())
+}
+
+/// Grid sizes the shared `CnmOp` lowering table is exercised on: the default
+/// four DPUs, a single DPU, a non-power-of-two, and a grid larger than most
+/// drawn inputs.
+const GRIDS: [usize; 4] = [4, 1, 3, 64];
+
+/// Draws a length covering the table's edge shapes on a grid of `dpus`
+/// (`lo` is 0 where empty inputs are legal): the minimum, fewer elements
+/// than DPUs, one more than a multiple of the grid, and the generic case.
+fn gen_edge_len(rng: &mut SplitMix64, dpus: usize, lo: usize, hi: usize) -> usize {
+    match gen_usize(rng, 0, 4) {
+        0 => lo,
+        1 => gen_usize(rng, lo.max(1), dpus.max(2)),
+        2 => dpus * gen_usize(rng, 1, 4) + 1,
+        _ => gen_usize(rng, lo.max(1), hi),
+    }
+}
+
+/// Host reference of the partitioned time-series profile: every chunk is
+/// profiled against its own leading window (zero-padded tail).
+fn partitioned_time_series(a: &[i32], window: usize, dpus: usize) -> Vec<i32> {
+    let chunk = a.len().div_ceil(dpus).max(window);
+    let mut padded = a.to_vec();
+    padded.resize(chunk * a.len().div_ceil(chunk), 0);
+    padded
+        .chunks(chunk)
+        .flat_map(|part| kernels::time_series_profile(part, window))
+        .collect()
+}
+
+/// A random BFS step as per-partition CSR fragments for a grid of `dpus`,
+/// with its host reference (one golden step per partition).
+fn gen_bfs(
+    rng: &mut SplitMix64,
+    vertices: usize,
+    dpus: usize,
+) -> (cinm::core::runner::BfsFragments, usize, Vec<i32>) {
+    let degree = gen_usize(rng, 1, 4);
+    let (row_offsets, cols) = data::csr_graph(rng.next_u64(), vertices, degree);
+    let frontier = data::i32_vec(rng.next_u64(), vertices, 0, 2);
+    let f =
+        cinm::core::runner::bfs_fragments(&row_offsets, &cols, &frontier, vertices, degree, dpus);
+    let vp = f.vertices_per_dpu;
+    let golden = (0..f.used_dpus)
+        .flat_map(|p| {
+            kernels::bfs_step(
+                &f.rows[p * (vp + 1)..(p + 1) * (vp + 1)],
+                &f.cols[p * vp * degree..(p + 1) * vp * degree],
+                &f.frontier[p * vp..(p + 1) * vp],
+                vp,
+            )
+        })
+        .collect();
+    (f, degree, golden)
 }
 
 /// Every tiling shape covers every iteration point exactly once.
@@ -186,36 +245,91 @@ fn cim_schedules_preserve_results() {
     });
 }
 
-/// The UPMEM backend's distributed GEMM agrees with the host reference for
-/// arbitrary shapes, with and without the locality optimisation.
+/// The UPMEM backend's distributed GEMM and GEMV agree with the host
+/// reference for arbitrary shapes on every grid size — including no rows,
+/// fewer rows than DPUs and row counts the grid does not divide.
 #[test]
 fn upmem_gemm_is_shape_generic() {
     for_cases(8, |rng| {
-        let m = gen_usize(rng, 1, 48);
+        let dpus = GRIDS[gen_usize(rng, 0, GRIDS.len())];
+        let m = gen_edge_len(rng, dpus, 0, 48);
         let k = gen_usize(rng, 1, 24);
         let n = gen_usize(rng, 1, 24);
         let seed = rng.next_u64();
         let a = data::i32_matrix(seed, m, k, -6, 6);
         let b = data::i32_matrix(seed + 7, k, n, -6, 6);
-        let reference = kernels::matmul(&a, &b, m, k, n);
-        let mut be = small_upmem();
-        assert_eq!(be.gemm(&a, &b, m, k, n), reference);
+        let mut be = upmem_grid(dpus);
+        let what = format!("dpus={dpus} m={m} k={k} n={n}");
+        assert_eq!(
+            be.gemm(&a, &b, m, k, n),
+            kernels::matmul(&a, &b, m, k, n),
+            "{what}"
+        );
+        let x = &b[..k];
+        assert_eq!(be.gemv(&a, x, m, k), kernels::matvec(&a, x, m, k), "{what}");
     });
 }
 
-/// Element-wise kernels and reductions on the DPU grid match the host fold
-/// for every operator.
+/// Every streaming op of the lowering table (element-wise, reduce,
+/// histogram, select, time series, BFS step) matches its host golden on
+/// every grid size — including empty inputs, fewer elements than DPUs and
+/// lengths the grid does not divide.
 #[test]
 fn upmem_reductions_match_host() {
     for_cases(9, |rng| {
-        let len = gen_usize(rng, 1, 400);
+        let dpus = GRIDS[gen_usize(rng, 0, GRIDS.len())];
+        let len = gen_edge_len(rng, dpus, 0, 400);
         let data = data::i32_vec(rng.next_u64(), len, -1000, 1000);
-        let mut be = small_upmem();
-        assert_eq!(be.reduce(BinOp::Add, &data), kernels::reduce_add(&data));
+        let mut be = upmem_grid(dpus);
+        let what = format!("dpus={dpus} len={len}");
+        assert_eq!(
+            be.reduce(BinOp::Add, &data),
+            kernels::reduce_add(&data),
+            "{what}"
+        );
+        assert_eq!(
+            be.reduce(BinOp::Max, &data),
+            data.iter().fold(i32::MIN, |m, &v| m.max(v)),
+            "{what}"
+        );
         let ones = vec![1i32; data.len()];
         let plus_one = be.elementwise(BinOp::Add, &data, &ones);
         let expected: Vec<i32> = data.iter().map(|&v| v.wrapping_add(1)).collect();
-        assert_eq!(plus_one, expected);
+        assert_eq!(plus_one, expected, "{what}");
+
+        let counts = data::i32_vec(rng.next_u64(), len, 0, 128);
+        let bins = gen_usize(rng, 1, 17);
+        assert_eq!(
+            be.histogram(&counts, bins, 128),
+            kernels::histogram(&counts, bins, 128),
+            "{what} bins={bins}"
+        );
+        for threshold in [-5, 0, 700] {
+            assert_eq!(
+                be.select(&data, threshold),
+                kernels::select_gt(&data, threshold),
+                "{what} threshold={threshold}"
+            );
+        }
+        let window = gen_usize(rng, 1, len.clamp(2, 9));
+        assert_eq!(
+            be.time_series(&counts, window),
+            partitioned_time_series(&counts, window, dpus),
+            "{what} window={window}"
+        );
+        let (f, degree, golden) = gen_bfs(rng, len, dpus);
+        assert_eq!(
+            be.bfs_step(
+                &f.rows,
+                &f.cols,
+                &f.frontier,
+                f.vertices_per_dpu,
+                degree,
+                f.used_dpus
+            ),
+            golden,
+            "{what} degree={degree}"
+        );
     });
 }
 
@@ -1005,8 +1119,12 @@ fn forced_fractions_error_end_to_end() {
 // ---------------------------------------------------------------------------
 
 fn session_options(residency: bool) -> cinm::core::SessionOptions {
+    session_options_on(4, residency)
+}
+
+fn session_options_on(dpus: usize, residency: bool) -> cinm::core::SessionOptions {
     let mut cfg = UpmemConfig::with_ranks(1);
-    cfg.dpus_per_rank = 4;
+    cfg.dpus_per_rank = dpus;
     cinm::core::SessionOptions::default()
         .with_upmem_config(cfg)
         .with_policy(cinm::core::ShardPolicy::Single(cinm::core::Target::Cnm))
@@ -1021,18 +1139,24 @@ fn session_options(residency: bool) -> cinm::core::SessionOptions {
 fn session_graphs_are_bit_identical_to_the_eager_oracle() {
     use cinm::core::TensorHandle;
     for_cases(40, |rng| {
-        let len = gen_usize(rng, 8, 300);
+        // Every op of the lowering table, on every grid size, over lengths
+        // (= gemm/gemv rows) below the DPU count and off its multiples.
+        let dpus = GRIDS[gen_usize(rng, 0, GRIDS.len())];
+        let len = gen_edge_len(rng, dpus, 1, 300);
         let cols = gen_usize(rng, 4, 48);
+        let n = gen_usize(rng, 1, 6);
         let a_mat = data::i32_vec(rng.next_u64(), len * cols, -8, 8);
+        let b_mat = data::i32_vec(rng.next_u64(), cols * n, -8, 8);
         let x_vec = data::i32_vec(rng.next_u64(), cols, -8, 8);
         let v0 = data::i32_vec(rng.next_u64(), len, -64, 64);
         let v1 = data::i32_vec(rng.next_u64(), len, -64, 64);
+        let (bfs, degree, _) = gen_bfs(rng, len, dpus);
         // One decision tape so both residency modes replay the same graph.
         let n_ops = gen_usize(rng, 1, 7);
         let tape: Vec<(usize, usize, usize, usize)> = (0..n_ops)
             .map(|_| {
                 (
-                    gen_usize(rng, 0, 5),
+                    gen_usize(rng, 0, 9),
                     gen_usize(rng, 0, 1000),
                     gen_usize(rng, 0, 1000),
                     gen_usize(rng, 0, 9),
@@ -1055,10 +1179,12 @@ fn session_graphs_are_bit_identical_to_the_eager_oracle() {
             // equivalence oracle against the eager per-op backend (fusion
             // would legitimately change launch counts and kernel time).
             let mut sess =
-                cinm::core::Session::new(session_options(residency).with_optimizer(false));
-            let mut eager = small_upmem();
+                cinm::core::Session::new(session_options_on(dpus, residency).with_optimizer(false));
+            let mut eager = upmem_grid(dpus);
             let at = sess.matrix(&a_mat, len, cols);
+            let bt = sess.matrix(&b_mat, cols, n);
             let xt = sess.vector(&x_vec);
+            let bfs_t = [&bfs.rows, &bfs.cols, &bfs.frontier].map(|f| sess.vector(f));
             let t0 = sess.vector(&v0);
             let t1 = sess.vector(&v1);
             let mut pool: Vec<TensorHandle> = vec![t0, t1];
@@ -1096,11 +1222,30 @@ fn session_graphs_are_bit_identical_to_the_eager_oracle() {
                         let val = eager.histogram(&host_pool[i], bins, 128);
                         fetches.push((h, val));
                     }
-                    _ => {
+                    5 => {
                         let i = pick_a % pool.len();
                         let thr = (pick_b % 21) as i32 - 10;
                         let h = sess.select(pool[i], thr);
                         let val = eager.select(&host_pool[i], thr);
+                        fetches.push((h, val));
+                    }
+                    6 => {
+                        let h = sess.gemm(at, bt);
+                        let val = eager.gemm(&a_mat, &b_mat, len, cols, n);
+                        fetches.push((h, val));
+                    }
+                    7 => {
+                        let i = pick_a % pool.len();
+                        let window = 1 + pick_b % len.min(8);
+                        let h = sess.time_series(pool[i], window);
+                        let val = eager.time_series(&host_pool[i], window);
+                        fetches.push((h, val));
+                    }
+                    _ => {
+                        let (vp, used) = (bfs.vertices_per_dpu, bfs.used_dpus);
+                        let h = sess.bfs_step(bfs_t[0], bfs_t[1], bfs_t[2], vp, degree, used);
+                        let val =
+                            eager.bfs_step(&bfs.rows, &bfs.cols, &bfs.frontier, vp, degree, used);
                         fetches.push((h, val));
                     }
                 }
@@ -1110,7 +1255,7 @@ fn session_graphs_are_bit_identical_to_the_eager_oracle() {
                 assert_eq!(
                     sess.fetch(*h),
                     *want,
-                    "residency={residency} len={len} cols={cols}"
+                    "residency={residency} dpus={dpus} len={len} cols={cols}"
                 );
             }
             if residency {
