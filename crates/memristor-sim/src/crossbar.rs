@@ -4,47 +4,55 @@ use cinm_runtime::{FaultInjector, FaultKind};
 
 use crate::config::CrossbarConfig;
 
-/// Zero-pads a validated `rows × cols` weight matrix to the full tile
-/// geometry (padding cells are still programmed, as on a real array where
-/// stale states must be overwritten). Shared by the eager
-/// [`CrossbarAccelerator::write_tile`] and the command-stream execution so
-/// the two paths can never diverge.
-pub(crate) fn pad_weights(
+/// Programs a validated `rows × cols` weight matrix: zero-padded to the full
+/// tile geometry (padding cells are still programmed, as on a real array
+/// where stale states must be overwritten), remembering how many columns are
+/// live. Shared by the eager [`CrossbarAccelerator::write_tile`] and the
+/// command-stream execution so the two paths can never diverge.
+pub(crate) fn program_tile(
     config: &CrossbarConfig,
     weights: &[i32],
     rows: usize,
     cols: usize,
-) -> Vec<i32> {
+) -> Tile {
     let mut padded = vec![0i32; config.tile_rows * config.tile_cols];
     for r in 0..rows {
         padded[r * config.tile_cols..r * config.tile_cols + cols]
             .copy_from_slice(&weights[r * cols..(r + 1) * cols]);
     }
-    padded
+    Tile {
+        weights: Some(padded),
+        cols,
+    }
 }
 
-/// The analog MVM on already-validated weights, written into caller scratch:
-/// `out[..cols] = x × W`. This is the single functional core every MVM path
-/// (eager, batched, streamed) funnels through, so results cannot diverge.
-pub(crate) fn mvm_on_weights_into(weights: &[i32], input: &[i32], cols: usize, out: &mut [i32]) {
-    let out = &mut out[..cols];
-    out.fill(0);
+/// The analog MVM on an already-validated programmed tile, written into
+/// caller scratch: `out[..tile_cols] = x × W`. Only the columns the tile was
+/// programmed with are multiplied; the padded ones hold zero weights, so
+/// their outputs are the zeros written first. This is the single functional
+/// core every MVM path (eager, batched, streamed) funnels through, so
+/// results cannot diverge.
+pub(crate) fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
+    let weights = tile.weights.as_deref().expect("validated");
+    out[..tile_cols].fill(0);
+    let out = &mut out[..tile.cols];
     for (r, &x) in input.iter().enumerate() {
         if x == 0 {
             continue;
         }
-        let w_row = &weights[r * cols..(r + 1) * cols];
+        let w_row = &weights[r * tile_cols..r * tile_cols + tile.cols];
         for (slot, &w) in out.iter_mut().zip(w_row) {
             *slot = slot.wrapping_add(x.wrapping_mul(w));
         }
     }
 }
 
-/// The analog MVM on already-validated weights: `y[cols] = x × W`
-/// (allocating convenience over [`mvm_on_weights_into`]).
-pub(crate) fn mvm_on_weights(weights: &[i32], input: &[i32], cols: usize) -> Vec<i32> {
-    let mut out = vec![0i32; cols];
-    mvm_on_weights_into(weights, input, cols, &mut out);
+/// The analog MVM on an already-validated programmed tile:
+/// `y[tile_cols] = x × W` (allocating convenience over
+/// [`mvm_on_weights_into`]).
+pub(crate) fn mvm_on_weights(tile: &Tile, input: &[i32], tile_cols: usize) -> Vec<i32> {
+    let mut out = vec![0i32; tile_cols];
+    mvm_on_weights_into(tile, input, tile_cols, &mut out);
     out
 }
 
@@ -142,6 +150,9 @@ pub(crate) struct Tile {
     /// Programmed weights, row-major `tile_rows × tile_cols`; `None` when the
     /// tile has not been programmed yet.
     pub(crate) weights: Option<Vec<i32>>,
+    /// Columns of the matrix the tile was programmed with; every column
+    /// beyond holds zero weights.
+    pub(crate) cols: usize,
 }
 
 /// The simulated memristive crossbar accelerator.
@@ -277,7 +288,7 @@ impl CrossbarAccelerator {
     ) -> CimResult<()> {
         self.validate_write(tile, weights.len(), rows, cols)?;
         self.inject_op("tile write")?;
-        self.tiles[tile].weights = Some(pad_weights(&self.config, weights, rows, cols));
+        self.tiles[tile] = program_tile(&self.config, weights, rows, cols);
         self.account_tile_write();
         Ok(())
     }
@@ -367,7 +378,7 @@ impl CrossbarAccelerator {
     /// Returns an error if the tile is not programmed or the input length
     /// exceeds the tile rows.
     pub fn mvm(&mut self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
-        self.checked_weights(tile, input)?;
+        self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
         let result = self.mvm_no_account(tile, input)?;
         self.account_mvm(1);
@@ -391,12 +402,9 @@ impl CrossbarAccelerator {
                 out.len()
             )));
         }
-        self.checked_weights(tile, input)?;
+        self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
-        {
-            let weights = self.checked_weights(tile, input).expect("validated");
-            mvm_on_weights_into(weights, input, cols, out);
-        }
+        mvm_on_weights_into(&self.tiles[tile], input, cols, out);
         self.account_mvm(1);
         Ok(())
     }
@@ -416,7 +424,7 @@ impl CrossbarAccelerator {
     /// long.
     pub fn mvm_parallel(&mut self, requests: &[(usize, &[i32])]) -> CimResult<Vec<Vec<i32>>> {
         for &(tile, input) in requests {
-            self.checked_weights(tile, input)?;
+            self.checked_tile(tile, input)?;
         }
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
@@ -429,8 +437,8 @@ impl CrossbarAccelerator {
             &mut results,
             1,
             |i, slot| {
-                let (weights, input) = checked[i];
-                slot[0] = mvm_on_weights(weights, input, cols);
+                let (tile, input) = checked[i];
+                slot[0] = mvm_on_weights(tile, input, cols);
             },
         );
         if !requests.is_empty() {
@@ -462,10 +470,10 @@ impl CrossbarAccelerator {
             )));
         }
         // Validate without collecting: the compute closure re-resolves the
-        // (already validated) weights, so the steady-state batch performs no
+        // (already validated) tiles, so the steady-state batch performs no
         // heap allocation at all.
         for &(tile, input) in requests {
-            self.checked_weights(tile, input)?;
+            self.checked_tile(tile, input)?;
         }
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
@@ -477,8 +485,7 @@ impl CrossbarAccelerator {
             cols,
             |i, slot| {
                 let (tile, input) = requests[i];
-                let weights = tiles[tile].weights.as_deref().expect("validated");
-                mvm_on_weights_into(weights, input, cols, slot);
+                mvm_on_weights_into(&tiles[tile], input, cols, slot);
             },
         );
         if !requests.is_empty() {
@@ -489,26 +496,26 @@ impl CrossbarAccelerator {
 
     /// Validates a whole MVM batch up front (so errors are deterministic and
     /// no partial state or accounting is observable), resolving each request
-    /// to its programmed weight slice for the compute loop.
+    /// to its programmed tile for the compute loop.
     fn check_batch<'s, 'i>(
         &'s self,
         requests: &[(usize, &'i [i32])],
-    ) -> CimResult<Vec<(&'s [i32], &'i [i32])>> {
+    ) -> CimResult<Vec<(&'s Tile, &'i [i32])>> {
         requests
             .iter()
-            .map(|&(tile, input)| self.checked_weights(tile, input).map(|w| (w, input)))
+            .map(|&(tile, input)| self.checked_tile(tile, input).map(|t| (t, input)))
             .collect()
     }
 
-    /// Validates a tile/input pair and returns the programmed weights.
-    pub(crate) fn checked_weights(&self, tile: usize, input: &[i32]) -> CimResult<&[i32]> {
+    /// Validates a tile/input pair and returns the programmed tile.
+    pub(crate) fn checked_tile(&self, tile: usize, input: &[i32]) -> CimResult<&Tile> {
         self.validate_mvm(tile, input.len(), |t| self.tiles[t].weights.is_some())?;
-        Ok(self.tiles[tile].weights.as_deref().expect("validated"))
+        Ok(&self.tiles[tile])
     }
 
     pub(crate) fn mvm_no_account(&self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
-        let weights = self.checked_weights(tile, input)?;
-        Ok(mvm_on_weights(weights, input, self.config.tile_cols))
+        let tile = self.checked_tile(tile, input)?;
+        Ok(mvm_on_weights(tile, input, self.config.tile_cols))
     }
 
     pub(crate) fn account_mvm(&mut self, count: usize) {

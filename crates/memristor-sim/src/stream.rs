@@ -31,7 +31,7 @@ use std::cell::UnsafeCell;
 use cinm_runtime::{execute_stream, Access, BufferId, CommandStream, StreamCommand};
 
 use crate::crossbar::{
-    mvm_on_weights, pad_weights, CimError, CimResult, CrossbarAccelerator, Tile,
+    mvm_on_weights, program_tile, CimError, CimResult, CrossbarAccelerator, Tile,
 };
 
 /// One recorded crossbar operation.
@@ -219,17 +219,16 @@ impl CrossbarAccelerator {
                             rows,
                             cols,
                         } => {
-                            let padded = pad_weights(cfg, weights, *rows, *cols);
+                            let programmed = program_tile(cfg, weights, *rows, *cols);
                             // SAFETY: sole writer of this tile right now (hazard DAG).
                             let slot = unsafe { &mut *cells_ref[*tile].0.get() };
-                            slot.weights = Some(padded);
+                            *slot = programmed;
                             XbarOutput::Written
                         }
                         XbarCommand::Mvm { tile, input } => {
                             // SAFETY: shared read; no concurrent writer (hazard DAG).
                             let tile_ref = unsafe { &*cells_ref[*tile].0.get() };
-                            let weights = tile_ref.weights.as_deref().expect("validated");
-                            XbarOutput::Mvm(mvm_on_weights(weights, input.as_ref(), cfg.tile_cols))
+                            XbarOutput::Mvm(mvm_on_weights(tile_ref, input.as_ref(), cfg.tile_cols))
                         }
                         XbarCommand::MvmGroup { requests } => {
                             let mut results: Vec<Vec<i32>> = vec![Vec::new(); requests.len()];
@@ -241,9 +240,8 @@ impl CrossbarAccelerator {
                                     let (tile, input) = &requests[i];
                                     // SAFETY: shared read (hazard DAG).
                                     let tile_ref = unsafe { &*cells_ref[*tile].0.get() };
-                                    let weights = tile_ref.weights.as_deref().expect("validated");
                                     slot[0] =
-                                        mvm_on_weights(weights, input.as_ref(), cfg.tile_cols);
+                                        mvm_on_weights(tile_ref, input.as_ref(), cfg.tile_cols);
                                 },
                             );
                             XbarOutput::MvmGroup(results)

@@ -340,6 +340,11 @@ impl KernelSpec {
         }
     }
 
+    /// Every buffer this launch writes: `output`, then `extra_outputs`.
+    pub(crate) fn outputs(&self) -> impl Iterator<Item = BufferId> + '_ {
+        std::iter::once(self.output).chain(self.extra_outputs.iter().copied())
+    }
+
     /// Sets the output buffers of stages 1.. of a fused kernel.
     ///
     /// # Panics

@@ -43,12 +43,11 @@ use std::cell::UnsafeCell;
 use cinm_runtime::{execute_stream, Access, CommandStream, StreamCommand};
 
 use crate::config::UpmemConfig;
-use crate::exec;
-use crate::kernel::{DpuKernelKind, FusedStage, KernelSpec, MAX_FUSED_STAGES};
+use crate::kernel::{KernelSpec, MAX_FUSED_STAGES};
 use crate::stats::{LaunchStats, TransferStats};
 use crate::system::{
-    broadcast_slab, gather_slab, kernel_launch_cost, launch_grid, scatter_slab, BufferId, SimError,
-    SimResult, Slab, UpmemSystem,
+    broadcast_slab, gather_slab, kernel_launch_cost, launch_slabs, scatter_slab, BufferId,
+    SimError, SimResult, Slab, UpmemSystem,
 };
 
 /// One recorded host-runtime operation.
@@ -97,15 +96,10 @@ impl StreamCommand for Command<'_> {
             Command::Scatter { buffer, .. } | Command::Broadcast { buffer, .. } => {
                 Access::writes(vec![*buffer])
             }
-            Command::Launch { spec } => {
-                let mut writes = Vec::with_capacity(1 + spec.extra_outputs.len());
-                writes.push(spec.output);
-                writes.extend_from_slice(&spec.extra_outputs);
-                Access {
-                    reads: spec.inputs.clone(),
-                    writes,
-                }
-            }
+            Command::Launch { spec } => Access {
+                reads: spec.inputs.clone(),
+                writes: spec.outputs().collect(),
+            },
             Command::Gather { buffer, .. } => Access::reads(vec![*buffer]),
         }
     }
@@ -179,11 +173,36 @@ impl<'a> StreamSession<'a> {
         self.cells.into_iter().map(|c| c.0.into_inner()).collect()
     }
 
+    /// Shared view of a buffer this command reads.
+    ///
+    /// # Safety
+    ///
+    /// No command writing `buffer` may be running (struct-level invariant).
+    unsafe fn reader(&self, buffer: BufferId) -> &Slab {
+        // SAFETY: guaranteed by the caller.
+        unsafe { &*self.cells[buffer as usize].0.get() }
+    }
+
+    /// Exclusive view of a buffer this command writes. This is the only way
+    /// a slab's storage form changes during a `sync`: the replicated →
+    /// per-DPU expansion happens inside a command the hazard DAG already
+    /// orders as a writer of that buffer.
+    ///
+    /// # Safety
+    ///
+    /// The calling command must be the only one accessing `buffer` right now
+    /// (struct-level invariant), and must not hold another view of it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn writer(&self, buffer: BufferId) -> &mut Slab {
+        // SAFETY: guaranteed by the caller.
+        unsafe { &mut *self.cells[buffer as usize].0.get() }
+    }
+
     /// Executes one (pre-validated) command functionally and returns its
     /// output and pure per-command cost. Never touches accumulated
     /// statistics — the caller folds them in program order. The operation
     /// bodies are the shared `crate::system` helpers
-    /// ([`scatter_slab`]/[`broadcast_slab`]/[`gather_slab`]/[`launch_grid`])
+    /// ([`scatter_slab`]/[`broadcast_slab`]/[`gather_slab`]/[`launch_slabs`])
     /// also used by the eager methods, so the two paths cannot drift.
     fn run(&self, cmd: &Command<'_>) -> CommandOutput {
         match cmd {
@@ -192,9 +211,8 @@ impl<'a> StreamSession<'a> {
                 data,
                 chunk,
             } => {
-                // SAFETY: this command is the sole writer of `buffer` right
-                // now (see the struct-level invariant).
-                let slab = unsafe { &mut *self.cells[*buffer as usize].0.get() };
+                // SAFETY: this command is the sole writer of `buffer`.
+                let slab = unsafe { self.writer(*buffer) };
                 CommandOutput::Transfer(scatter_slab(
                     self.config,
                     self.num_dpus,
@@ -204,25 +222,19 @@ impl<'a> StreamSession<'a> {
                 ))
             }
             Command::Broadcast { buffer, data } => {
-                // SAFETY: sole writer of `buffer` (struct-level invariant).
-                let slab = unsafe { &mut *self.cells[*buffer as usize].0.get() };
+                // SAFETY: this command is the sole writer of `buffer`.
+                let slab = unsafe { self.writer(*buffer) };
                 CommandOutput::Transfer(broadcast_slab(self.config, self.num_dpus, slab, data))
             }
             Command::Gather { buffer, chunk } => {
                 // SAFETY: readers may share the buffer; no writer is
-                // concurrent with a reader (struct-level invariant).
-                let slab = unsafe { &*self.cells[*buffer as usize].0.get() };
+                // concurrent with a reader.
+                let slab = unsafe { self.reader(*buffer) };
                 let (out, t) = gather_slab(self.config, self.num_dpus, slab, *chunk);
                 CommandOutput::Gather(out, t)
             }
             Command::Launch { spec } => {
-                if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
-                    self.launch_fused(spec, stages, *len);
-                } else if spec.inputs.contains(&spec.output) {
-                    self.launch_aliased(spec);
-                } else {
-                    self.launch_disjoint(spec);
-                }
+                self.launch(spec);
                 let tasklets = spec.tasklets.unwrap_or(self.config.tasklets);
                 CommandOutput::Launch(kernel_launch_cost(
                     self.config,
@@ -234,102 +246,33 @@ impl<'a> StreamSession<'a> {
         }
     }
 
-    /// The launch hot path: borrows the input strides and the output slab
-    /// from the cells and hands them to the shared [`launch_grid`] executor
-    /// (the same code the eager [`UpmemSystem::launch`] runs).
-    fn launch_disjoint(&self, spec: &KernelSpec) {
-        // SAFETY: sole writer of the output buffer; inputs are distinct
-        // buffers with no concurrent writer (struct-level invariant).
-        let out = unsafe { &mut *self.cells[spec.output as usize].0.get() };
-        let out_len = out.elems_per_dpu;
-        let n_inputs = spec.inputs.len();
-        debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-        let mut strides = [(&[] as &[i32], 0usize); exec::MAX_KERNEL_INPUTS];
-        for (slot, &b) in strides.iter_mut().zip(&spec.inputs) {
-            // SAFETY: shared read of an input buffer (struct-level invariant).
-            let s = unsafe { &*self.cells[b as usize].0.get() };
-            *slot = (s.data.as_slice(), s.elems_per_dpu);
+    /// Borrows the launch's output slabs mutably and its inputs shared from
+    /// the cells and hands them to the shared [`launch_slabs`] executor (the
+    /// same code the eager [`UpmemSystem::launch`] runs). The slabs stay in
+    /// their cells throughout, so a panicking kernel never strips the system
+    /// of a buffer.
+    fn launch(&self, spec: &KernelSpec) {
+        let mut unused: [Slab; MAX_FUSED_STAGES] = std::array::from_fn(|_| Slab::default());
+        let mut outs = unused.each_mut();
+        for (slot, b) in outs.iter_mut().zip(spec.outputs()) {
+            // SAFETY: this command is the sole accessor of every buffer it
+            // writes, and its outputs are pairwise distinct (a non-fused
+            // launch has one; fused outputs are validated distinct), so
+            // these mutable borrows never alias each other.
+            *slot = unsafe { self.writer(b) };
         }
-        launch_grid(
+        launch_slabs(
             self.config,
-            &spec.kind,
-            &strides[..n_inputs],
-            &mut out.data,
-            out_len,
+            self.num_dpus,
+            spec,
+            // SAFETY: `launch_slabs` resolves only inputs that are not the
+            // launch's output through this (an aliased input is read through
+            // the output borrow above), and no writer of an input runs
+            // concurrently with this command.
+            |b| unsafe { self.reader(b) },
+            &mut outs[..spec.outputs().count()],
+            &mut Vec::new(),
         );
-    }
-
-    /// The fused multi-output launch path: per DPU, borrows the input
-    /// strides and one mutable stride per stage output from the cells and
-    /// runs the whole stage chain in one pass (the same
-    /// [`exec::execute_fused`] body as the eager path). Fused outputs never
-    /// alias inputs or each other — validated before execution — so the
-    /// mutable borrows are disjoint.
-    fn launch_fused(&self, spec: &KernelSpec, stages: &[FusedStage], len: usize) {
-        let n_inputs = spec.inputs.len();
-        let n_stages = stages.len();
-        debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-        debug_assert!(n_stages <= MAX_FUSED_STAGES);
-        debug_assert_eq!(n_stages, 1 + spec.extra_outputs.len());
-        let out_id = |s: usize| {
-            if s == 0 {
-                spec.output
-            } else {
-                spec.extra_outputs[s - 1]
-            }
-        };
-        for d in 0..self.num_dpus {
-            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-            for (view, &b) in views.iter_mut().zip(&spec.inputs) {
-                // SAFETY: shared read of an input buffer (struct-level
-                // invariant).
-                let s = unsafe { &*self.cells[b as usize].0.get() };
-                let e = s.elems_per_dpu;
-                *view = &s.data[d * e..(d + 1) * e];
-            }
-            let mut outs: [&mut [i32]; MAX_FUSED_STAGES] = [&mut [], &mut [], &mut [], &mut []];
-            for (s, o) in outs.iter_mut().enumerate().take(n_stages) {
-                // SAFETY: sole writer of each output buffer, and the fused
-                // output buffers are pairwise distinct (validated), so these
-                // mutable borrows never alias.
-                let slab = unsafe { &mut *self.cells[out_id(s) as usize].0.get() };
-                let e = slab.elems_per_dpu;
-                *o = &mut slab.data[d * e..(d + 1) * e];
-            }
-            exec::execute_fused(stages, len, &views[..n_inputs], &mut outs[..n_stages]);
-        }
-    }
-
-    /// Slow path for a launch whose output buffer is also an input: clones
-    /// the input strides per DPU to preserve read-before-write semantics.
-    ///
-    /// This mirrors `UpmemSystem::launch_aliased` (the cell-based borrows
-    /// prevent literal code sharing); both copies are held bit-identical by
-    /// the property tests, which compare aliased launches on both paths
-    /// against the independent naive oracle.
-    fn launch_aliased(&self, spec: &KernelSpec) {
-        // SAFETY: this command is the only one touching its buffers right
-        // now, and within this thread reads are materialised into owned
-        // vectors before the mutable borrow of the output is created.
-        let out_elems = unsafe { (*self.cells[spec.output as usize].0.get()).elems_per_dpu };
-        for d in 0..self.num_dpus {
-            let inputs: Vec<Vec<i32>> = spec
-                .inputs
-                .iter()
-                .map(|&b| {
-                    let s = unsafe { &*self.cells[b as usize].0.get() };
-                    let e = s.elems_per_dpu;
-                    s.data[d * e..(d + 1) * e].to_vec()
-                })
-                .collect();
-            let views: Vec<&[i32]> = inputs.iter().map(|v| v.as_slice()).collect();
-            let out = unsafe { &mut *self.cells[spec.output as usize].0.get() };
-            exec::execute_kernel(
-                &spec.kind,
-                &views,
-                &mut out.data[d * out_elems..(d + 1) * out_elems],
-            );
-        }
     }
 }
 
@@ -343,7 +286,7 @@ impl UpmemSystem {
             Command::Broadcast { buffer, data } => {
                 self.validate_broadcast(*buffer, data.len()).map(|_| ())
             }
-            Command::Launch { spec } => self.validate_launch(spec).map(|_| ()),
+            Command::Launch { spec } => self.validate_launch(spec),
             Command::Gather { buffer, chunk } => self.validate_chunk(*buffer, *chunk).map(|_| ()),
         }
     }
@@ -574,12 +517,21 @@ mod tests {
             assert!(stream.is_empty());
             assert_eq!(out, eager_out, "threads = {threads}");
             assert_eq!(sys.stats(), eager.stats(), "threads = {threads}");
+            // The broadcast operand is only read by the launches, so it is
+            // still stored once; every written buffer expanded inside its
+            // writing command.
+            assert_eq!(sys.stored_len(bufs[1]), 16, "threads = {threads}");
+            for buf in [bufs[0], bufs[2], bufs[3]] {
+                assert_eq!(sys.stored_len(buf), 16 * sys.num_dpus());
+            }
             for buf in &bufs {
-                assert_eq!(
-                    sys.buffer_slab(*buf).unwrap(),
-                    eager.buffer_slab(*buf).unwrap(),
-                    "threads = {threads}"
-                );
+                for d in 0..sys.num_dpus() {
+                    assert_eq!(
+                        sys.dpu_buffer(d, *buf).unwrap(),
+                        eager.dpu_buffer(d, *buf).unwrap(),
+                        "threads = {threads}"
+                    );
+                }
             }
         }
     }

@@ -7,13 +7,20 @@
 //!
 //! # Storage layout
 //!
-//! Buffers use a *flat-slab* layout: one contiguous `Vec<i32>` per
-//! [`BufferId`] covering the whole grid, where DPU `d` owns the stride
-//! `[d * elems, (d + 1) * elems)`. Allocation is one `Vec` per buffer instead
-//! of one per DPU, scatter/gather/broadcast are bulk copies over contiguous
-//! memory, and [`UpmemSystem::launch`] borrows the input strides directly
-//! from the slabs — the hot path performs no per-DPU heap allocation and no
-//! buffer clone. Functional execution is data-parallel across DPUs (see
+//! Buffers use a *slab* layout: one `Vec<i32>` per [`BufferId`], in one of
+//! two storage forms the simulator picks from the op sequence alone.
+//! A *per-DPU* slab is contiguous over the whole grid, DPU `d` owning the
+//! stride `[d * elems, (d + 1) * elems)`; a *replicated* slab holds a single
+//! stride that every DPU reads. A fresh buffer is replicated zeros, a
+//! broadcast writes that one stride, and the first per-DPU write (a scatter,
+//! or being a launch output) expands the slab once to the per-DPU form — it
+//! never goes back. What a broadcast *costs* is unchanged: the timing model
+//! bills the full replicated volume, only the host copy is stored once.
+//! Allocation is one `Vec` per buffer instead of one per DPU,
+//! scatter/gather/broadcast are bulk copies over contiguous memory, and
+//! [`UpmemSystem::launch`] borrows the input strides directly from the slabs
+//! — the hot path performs no per-DPU heap allocation and no buffer clone.
+//! Functional execution is data-parallel across DPUs (see
 //! [`UpmemConfig::host_threads`]) with bit-identical results for any thread
 //! count. The pre-refactor storage scheme is retained in [`crate::naive`] as
 //! the equivalence oracle and benchmark baseline.
@@ -22,7 +29,7 @@ use cinm_runtime::{FaultInjector, FaultKind};
 
 use crate::config::UpmemConfig;
 use crate::exec;
-use crate::kernel::{DpuKernelKind, FusedStage, KernelSpec, MAX_FUSED_STAGES};
+use crate::kernel::{DpuKernelKind, KernelSpec, MAX_FUSED_STAGES};
 use crate::stats::{LaunchStats, SystemStats, TransferStats};
 
 /// Identifier of a buffer allocated on every DPU of the grid.
@@ -116,11 +123,102 @@ impl std::error::Error for SimError {}
 /// Convenience alias for simulator results.
 pub type SimResult<T> = Result<T, SimError>;
 
-/// One grid-wide buffer: a contiguous slab holding every DPU's stride.
+/// How the contents of a [`Slab`] are stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Storage {
+    /// Released by [`UpmemSystem::free_buffer`]: no contents, and the id is
+    /// unknown to every entry point until an allocation reuses it.
+    #[default]
+    Freed,
+    /// One stride that every DPU reads: a fresh (all-zero) buffer, or one
+    /// only ever written by broadcasts.
+    Replicated,
+    /// One stride per DPU, DPU `d` at `[d * elems, (d + 1) * elems)`.
+    PerDpu,
+}
+
+/// Read view of a slab's strides — the one accessor every transfer and
+/// launch reads through, whichever form the slab is stored in. Resolved once
+/// per op, so the per-DPU lookup is a multiply and one slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Strides<'a> {
+    data: &'a [i32],
+    /// Distance between consecutive DPUs' strides: `elems` for a per-DPU
+    /// slab, 0 for a replicated one.
+    step: usize,
+    elems: usize,
+}
+
+impl<'a> Strides<'a> {
+    const EMPTY: Strides<'static> = Strides {
+        data: &[],
+        step: 0,
+        elems: 0,
+    };
+
+    /// The stride DPU `dpu` reads.
+    pub(crate) fn of(self, dpu: usize) -> &'a [i32] {
+        let start = dpu * self.step;
+        &self.data[start..start + self.elems]
+    }
+}
+
+/// One grid-wide buffer. The storage form is private to this type: reads go
+/// through [`Slab::strides`], per-DPU writes through [`Slab::per_dpu_mut`] /
+/// [`Slab::stride_mut`], which expand a replicated slab first. The
+/// transition is one-way — collapsing a slab again would cost an allocation
+/// on the next per-DPU write, and warmed loops must stay allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Slab {
-    pub(crate) elems_per_dpu: usize,
-    pub(crate) data: Vec<i32>,
+    elems_per_dpu: usize,
+    storage: Storage,
+    data: Vec<i32>,
+}
+
+impl Slab {
+    /// A fresh all-zero buffer: replicated, so allocation costs one stride
+    /// however large the grid is.
+    fn zeroed(elems_per_dpu: usize) -> Self {
+        Slab {
+            elems_per_dpu,
+            storage: Storage::Replicated,
+            data: vec![0; elems_per_dpu],
+        }
+    }
+
+    pub(crate) fn strides(&self) -> Strides<'_> {
+        Strides {
+            data: &self.data,
+            step: match self.storage {
+                Storage::PerDpu => self.elems_per_dpu,
+                Storage::Replicated | Storage::Freed => 0,
+            },
+            elems: self.elems_per_dpu,
+        }
+    }
+
+    /// The whole grid's strides for a per-DPU write, expanding a replicated
+    /// slab first (the only place a live slab changes form). An all-zero
+    /// image expands through the allocator's zeroed path, so the scatter
+    /// target and launch output of a cold op cost one lazily-zeroed
+    /// allocation and no copy.
+    pub(crate) fn per_dpu_mut(&mut self, num_dpus: usize) -> &mut [i32] {
+        if self.storage == Storage::Replicated {
+            self.data = if self.data.iter().all(|&v| v == 0) {
+                vec![0; self.elems_per_dpu * num_dpus]
+            } else {
+                self.data.repeat(num_dpus)
+            };
+            self.storage = Storage::PerDpu;
+        }
+        &mut self.data
+    }
+
+    /// DPU `dpu`'s stride for writing (see [`per_dpu_mut`](Self::per_dpu_mut)).
+    pub(crate) fn stride_mut(&mut self, dpu: usize, num_dpus: usize) -> &mut [i32] {
+        let e = self.elems_per_dpu;
+        &mut self.per_dpu_mut(num_dpus)[dpu * e..(dpu + 1) * e]
+    }
 }
 
 /// The common host-visible surface of a simulated UPMEM machine, implemented
@@ -435,17 +533,8 @@ pub(crate) fn validate_outputs(
             )));
         }
     }
-    let total = 1 + spec.extra_outputs.len();
-    let out_at = |i: usize| {
-        if i == 0 {
-            spec.output
-        } else {
-            spec.extra_outputs[i - 1]
-        }
-    };
-    for i in 0..total {
-        let o = out_at(i);
-        if (0..i).any(|j| out_at(j) == o) {
+    for (i, o) in spec.outputs().enumerate() {
+        if spec.outputs().take(i).any(|earlier| earlier == o) {
             return Err(SimError::new(format!(
                 "fused kernel outputs must be distinct, buffer {o} repeats"
             )));
@@ -498,9 +587,10 @@ pub(crate) fn scatter_slab(
     let elems = slab.elems_per_dpu;
     let threads = transfer_threads(config.host_threads, chunk * num_dpus);
     if chunk > 0 {
+        let strides = slab.per_dpu_mut(num_dpus);
         config
             .pool
-            .for_each_chunk_mut(threads, &mut slab.data, elems, |d, stride| {
+            .for_each_chunk_mut(threads, strides, elems, |d, stride| {
                 let start = d * chunk;
                 let avail = data.len().saturating_sub(start).min(chunk);
                 if avail > 0 {
@@ -519,17 +609,21 @@ pub(crate) fn scatter_slab(
     }
 }
 
-/// Replicates `data` into every DPU stride of a slab, returning the pure
-/// broadcast cost (rank-parallel model; bytes billed per DPU).
+/// Writes `data` to the head of every DPU's stride, returning the pure
+/// broadcast cost (rank-parallel model; bytes billed per DPU). A replicated
+/// slab stores the image once — the billed volume does not depend on the
+/// storage form.
 pub(crate) fn broadcast_slab(
     config: &UpmemConfig,
     num_dpus: usize,
     slab: &mut Slab,
     data: &[i32],
 ) -> TransferStats {
-    let elems = slab.elems_per_dpu;
-    let threads = transfer_threads(config.host_threads, data.len() * num_dpus);
-    if !data.is_empty() {
+    if slab.storage == Storage::Replicated {
+        slab.data[..data.len()].copy_from_slice(data);
+    } else if !data.is_empty() {
+        let elems = slab.elems_per_dpu;
+        let threads = transfer_threads(config.host_threads, data.len() * num_dpus);
         config
             .pool
             .for_each_chunk_mut(threads, &mut slab.data, elems, |_, stride| {
@@ -557,7 +651,6 @@ pub(crate) fn gather_slab_into(
     chunk: usize,
     out: &mut Vec<i32>,
 ) -> TransferStats {
-    let elems = slab.elems_per_dpu;
     // No `clear()` first: shrinking truncates, growing zero-fills the tail,
     // and every retained element is overwritten by the copy loop below
     // whenever `chunk > 0` — clearing would just memset the whole vector
@@ -565,11 +658,11 @@ pub(crate) fn gather_slab_into(
     out.resize(chunk * num_dpus, 0);
     if chunk > 0 {
         let threads = transfer_threads(config.host_threads, out.len());
+        let src = slab.strides();
         config
             .pool
             .for_each_chunk_mut(threads, out, chunk, |d, dst| {
-                let start = d * elems;
-                dst.copy_from_slice(&slab.data[start..start + chunk]);
+                dst.copy_from_slice(&src.of(d)[..chunk]);
             });
     }
     let bytes = (out.len() * 4) as u64;
@@ -595,31 +688,120 @@ pub(crate) fn gather_slab(
     (out, t)
 }
 
-/// The launch hot path on pre-borrowed storage: `strides` holds one
-/// `(slab data, elems_per_dpu)` pair per kernel input, `out_data` is the
-/// output slab split into disjoint per-DPU chunks of `out_len` elements.
-/// Data-parallel on the pool; bit-identical for every thread count.
-pub(crate) fn launch_grid(
-    config: &UpmemConfig,
-    kind: &DpuKernelKind,
-    strides: &[(&[i32], usize)],
-    out_data: &mut [i32],
-    out_len: usize,
-) {
-    let n_inputs = strides.len();
-    debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-    config
-        .pool
-        .for_each_chunk_mut(config.host_threads, out_data, out_len, |d, out| {
-            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-            for (view, (slab, e)) in views.iter_mut().zip(strides) {
-                *view = &slab[d * e..(d + 1) * e];
-            }
-            exec::execute_kernel(kind, &views[..n_inputs], out);
-        });
+/// Points `views` at DPU `dpu`'s stride of every input. Runs once per DPU
+/// per launch, so it is kept inside the loops that call it: on grids of
+/// hundreds of DPUs with tiny kernels a call here is a measurable share.
+#[inline(always)]
+fn fill_views<'s>(ins: &[Strides<'s>], dpu: usize, views: &mut [&'s [i32]]) {
+    for (view, strides) in views.iter_mut().zip(ins) {
+        *view = strides.of(dpu);
+    }
 }
 
-/// The simulated UPMEM machine (flat-slab storage).
+/// Functional execution of one (pre-validated) launch on every DPU, on
+/// pre-borrowed storage: `outs` are the launch's output slabs in
+/// `spec.output`, `spec.extra_outputs` order, `input` resolves every other
+/// buffer, and `scratch` is the staging arena of the aliased path (grown to
+/// the launch's input footprint, never shrunk). Output slabs become per-DPU
+/// here; inputs are only ever read through their [`Strides`].
+pub(crate) fn launch_slabs<'s>(
+    config: &UpmemConfig,
+    num_dpus: usize,
+    spec: &KernelSpec,
+    input: impl Fn(BufferId) -> &'s Slab + Sync,
+    outs: &mut [&mut Slab],
+    scratch: &mut Vec<i32>,
+) {
+    let n_inputs = spec.inputs.len();
+    debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
+    let aliased = spec.inputs.contains(&spec.output);
+    // An input that is also the output is read through `outs[0]` below (the
+    // caller holds that slab mutably and `input` must not be asked for it).
+    let mut ins = [Strides::EMPTY; exec::MAX_KERNEL_INPUTS];
+    for (slot, &b) in ins.iter_mut().zip(&spec.inputs) {
+        if b != spec.output {
+            *slot = input(b).strides();
+        }
+    }
+    let ins = &ins[..n_inputs];
+    if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
+        // Fused outputs never alias inputs or each other (validated before
+        // dispatch), so each DPU runs the whole stage chain in one pass.
+        // Sequential over DPUs: the multi-output split does not fit the
+        // single-slab chunking of `for_each_chunk_mut`, and the per-element
+        // work of a fused chain is a handful of ALU ops.
+        debug_assert_eq!(stages.len(), outs.len());
+        for d in 0..num_dpus {
+            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
+            fill_views(ins, d, &mut views);
+            let mut out_views: [&mut [i32]; MAX_FUSED_STAGES] =
+                [&mut [], &mut [], &mut [], &mut []];
+            for (view, slab) in out_views.iter_mut().zip(outs.iter_mut()) {
+                *view = slab.stride_mut(d, num_dpus);
+            }
+            exec::execute_fused(
+                stages,
+                *len,
+                &views[..n_inputs],
+                &mut out_views[..stages.len()],
+            );
+        }
+        return;
+    }
+    let out = &mut *outs[0];
+    if !aliased {
+        // Hot path: input strides are borrowed straight from the slabs and
+        // the output is split into disjoint per-DPU chunks. Data-parallel on
+        // the pool; bit-identical for every thread count.
+        let out_len = out.elems_per_dpu;
+        config.pool.for_each_chunk_mut(
+            config.host_threads,
+            out.per_dpu_mut(num_dpus),
+            out_len,
+            |d, out| {
+                let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
+                fill_views(ins, d, &mut views);
+                exec::execute_kernel(&spec.kind, &views[..n_inputs], out)
+            },
+        );
+        return;
+    }
+    // Slow path for the rare launch whose output buffer is also an input:
+    // preserves read-before-write semantics by staging the input strides in
+    // the scratch arena before the output stride is mutated — functionally
+    // identical to the naive reference's per-launch clones, but without
+    // per-DPU heap allocation once the arena has grown to the launch's
+    // footprint.
+    let mut bounds = [0usize; exec::MAX_KERNEL_INPUTS + 1];
+    for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
+        let elems = if b == spec.output {
+            out.elems_per_dpu
+        } else {
+            strides.elems
+        };
+        bounds[i + 1] = bounds[i] + elems;
+    }
+    if scratch.len() < bounds[n_inputs] {
+        scratch.resize(bounds[n_inputs], 0);
+    }
+    for d in 0..num_dpus {
+        for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
+            let stride = if b == spec.output {
+                out.strides().of(d)
+            } else {
+                strides.of(d)
+            };
+            scratch[bounds[i]..bounds[i + 1]].copy_from_slice(stride);
+        }
+        let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
+        for (i, view) in views.iter_mut().enumerate().take(n_inputs) {
+            *view = &scratch[bounds[i]..bounds[i + 1]];
+        }
+        exec::execute_kernel(&spec.kind, &views[..n_inputs], out.stride_mut(d, num_dpus));
+    }
+}
+
+/// The simulated UPMEM machine (slab storage).
 #[derive(Debug, Clone)]
 pub struct UpmemSystem {
     pub(crate) config: UpmemConfig,
@@ -627,8 +809,9 @@ pub struct UpmemSystem {
     pub(crate) slabs: Vec<Slab>,
     mram_used: usize,
     mram_peak: usize,
-    /// Ids of freed slabs, reused by the next allocations so long-lived
-    /// sessions under memory pressure keep a bounded slab table.
+    /// Ids of freed slabs, reused (LIFO) by the next allocations so
+    /// long-lived sessions under memory pressure keep a bounded slab table.
+    /// Only the reuse stack: whether an id is live is the slab's own state.
     free_ids: Vec<BufferId>,
     pub(crate) stats: SystemStats,
     /// Reusable staging arena of the aliased-launch slow path: grown once to
@@ -827,9 +1010,10 @@ impl UpmemSystem {
 
     /// Allocates a buffer of `elems_per_dpu` 32-bit elements on every DPU.
     ///
-    /// One contiguous slab covers the whole grid, so this is a single host
-    /// allocation regardless of the number of DPUs. Ids of
-    /// [`free_buffer`](Self::free_buffer)ed slabs are reused.
+    /// The fresh buffer is stored as one replicated all-zero stride, so this
+    /// is a single host allocation of `elems_per_dpu` elements regardless of
+    /// the number of DPUs. Ids of [`free_buffer`](Self::free_buffer)ed slabs
+    /// are reused.
     ///
     /// # Errors
     ///
@@ -846,10 +1030,7 @@ impl UpmemSystem {
         }
         self.mram_used += bytes;
         self.mram_peak = self.mram_peak.max(self.mram_used);
-        let slab = Slab {
-            elems_per_dpu,
-            data: vec![0; elems_per_dpu * self.num_dpus],
-        };
+        let slab = Slab::zeroed(elems_per_dpu);
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.slabs[id as usize] = slab;
@@ -878,7 +1059,7 @@ impl UpmemSystem {
             .slabs
             .get_mut(id as usize)
             .ok_or_else(|| SimError::new(format!("unknown buffer {id}")))?;
-        if self.free_ids.contains(&id) {
+        if slab.storage == Storage::Freed {
             return Err(SimError::new(format!("buffer {id} already freed")));
         }
         self.mram_used -= slab.elems_per_dpu * 4;
@@ -892,7 +1073,7 @@ impl UpmemSystem {
         // naive reference, which removes freed buffers from its maps).
         self.slabs
             .get(id as usize)
-            .filter(|_| !self.free_ids.contains(&id))
+            .filter(|slab| slab.storage != Storage::Freed)
             .ok_or_else(|| SimError::new(format!("unknown buffer {id}")))
     }
 
@@ -905,14 +1086,11 @@ impl UpmemSystem {
         Ok(self.slab(id)?.elems_per_dpu)
     }
 
-    /// The whole contiguous slab of a buffer (testing/benchmarking aid): DPU
-    /// `d` owns elements `[d * elems_per_dpu, (d + 1) * elems_per_dpu)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the buffer does not exist.
-    pub fn buffer_slab(&self, id: BufferId) -> SimResult<&[i32]> {
-        Ok(&self.slab(id)?.data)
+    /// Elements the simulator actually holds for a buffer (tests pin the
+    /// storage form with it).
+    #[cfg(test)]
+    pub(crate) fn stored_len(&self, buffer: BufferId) -> usize {
+        self.slabs[buffer as usize].data.len()
     }
 
     /// Validates a scatter/gather chunk against the buffer geometry,
@@ -939,9 +1117,9 @@ impl UpmemSystem {
         Ok(elems)
     }
 
-    /// Validates kernel and buffer shapes of a launch, returning the per-DPU
-    /// output length. Performed before any state is touched.
-    pub(crate) fn validate_launch(&self, spec: &KernelSpec) -> SimResult<usize> {
+    /// Validates kernel and buffer shapes of a launch. Performed before any
+    /// state is touched.
+    pub(crate) fn validate_launch(&self, spec: &KernelSpec) -> SimResult<()> {
         validate_kernel_shape(&spec.kind)?;
         // `KernelSpec::new` asserts the arity, but the fields are public, so
         // a hand-built spec must not slip past batch validation into a
@@ -973,8 +1151,7 @@ impl UpmemSystem {
                 spec.kind.output_len()
             )));
         }
-        validate_outputs(spec, |b| self.buffer_len(b))?;
-        Ok(out_len)
+        validate_outputs(spec, |b| self.buffer_len(b))
     }
 
     /// Scatters host data across the DPUs: DPU `d` receives elements
@@ -982,7 +1159,8 @@ impl UpmemSystem {
     ///
     /// On the slab layout this is a bulk copy over contiguous memory,
     /// parallelised across DPU strides when
-    /// [`host_threads`](UpmemConfig::host_threads) allows.
+    /// [`host_threads`](UpmemConfig::host_threads) allows. A buffer still in
+    /// its replicated form is expanded to one stride per DPU first.
     ///
     /// # Errors
     ///
@@ -1015,7 +1193,9 @@ impl UpmemSystem {
     /// image through a single rank's channel — see
     /// [`UpmemConfig::broadcast_seconds`]. The time is therefore independent
     /// of the number of ranks, matching the PrIM `dpu_broadcast_to`
-    /// behaviour.
+    /// behaviour. That is what is *billed*; what the simulator *stores* for
+    /// a buffer no per-DPU write has touched is the one image, which every
+    /// DPU reads.
     ///
     /// # Errors
     ///
@@ -1092,6 +1272,8 @@ impl UpmemSystem {
     /// Returns an error if the buffer does not exist.
     pub fn zero_buffer(&mut self, buffer: BufferId) -> SimResult<()> {
         self.slab(buffer)?;
+        // In place, whichever form the slab is in: collapsing a per-DPU slab
+        // to one stride would make its next scatter or launch allocate.
         self.slabs[buffer as usize].data.fill(0);
         Ok(())
     }
@@ -1106,9 +1288,7 @@ impl UpmemSystem {
         if dpu >= self.num_dpus {
             return Err(SimError::new(format!("DPU {dpu} out of range")));
         }
-        let slab = self.slab(buffer)?;
-        let e = slab.elems_per_dpu;
-        Ok(&slab.data[dpu * e..(dpu + 1) * e])
+        Ok(self.slab(buffer)?.strides().of(dpu))
     }
 
     /// Launches a kernel on every DPU of the grid.
@@ -1129,36 +1309,28 @@ impl UpmemSystem {
     /// for the kernel shape.
     pub fn launch(&mut self, spec: &KernelSpec) -> SimResult<LaunchStats> {
         // Validate kernel and buffer shapes before touching any state.
-        let out_len = self.validate_launch(spec)?;
+        self.validate_launch(spec)?;
         self.inject_launch(spec)?;
 
-        // Functional execution on every DPU.
-        if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
-            // Fused outputs never alias inputs or each other (validated
-            // above), so all output slabs can be taken out of storage at
-            // once.
-            self.launch_fused(spec, stages, *len);
-        } else if spec.inputs.contains(&spec.output) {
-            self.launch_aliased(spec);
-        } else {
-            // Move the output slab out (no allocation) so the input slabs can
-            // be borrowed immutably while the output is mutated.
-            let mut out_data = std::mem::take(&mut self.slabs[spec.output as usize].data);
-            let n_inputs = spec.inputs.len();
-            debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-            let mut strides = [(&[] as &[i32], 0usize); exec::MAX_KERNEL_INPUTS];
-            for (slot, &b) in strides.iter_mut().zip(&spec.inputs) {
-                let s = &self.slabs[b as usize];
-                *slot = (s.data.as_slice(), s.elems_per_dpu);
-            }
-            launch_grid(
-                &self.config,
-                &spec.kind,
-                &strides[..n_inputs],
-                &mut out_data,
-                out_len,
-            );
-            self.slabs[spec.output as usize].data = out_data;
+        // Functional execution on every DPU. The output slabs move out of
+        // storage (no allocation) so the input slabs can be borrowed
+        // immutably while the outputs are mutated.
+        let mut taken: [Slab; MAX_FUSED_STAGES] = std::array::from_fn(|_| Slab::default());
+        for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
+            *slot = std::mem::take(&mut self.slabs[b as usize]);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        launch_slabs(
+            &self.config,
+            self.num_dpus,
+            spec,
+            |b| &self.slabs[b as usize],
+            &mut taken.each_mut()[..spec.outputs().count()],
+            &mut scratch,
+        );
+        self.scratch = scratch;
+        for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
+            self.slabs[b as usize] = std::mem::take(slot);
         }
 
         // Timing.
@@ -1166,90 +1338,6 @@ impl UpmemSystem {
         let stats = kernel_launch_cost(&self.config, spec, tasklets, self.num_dpus);
         self.account_launch(&stats);
         Ok(stats)
-    }
-
-    /// Slow path for the rare launch whose output buffer is also an input:
-    /// preserves read-before-write semantics by staging the input strides in
-    /// the reusable scratch arena before the output stride is mutated —
-    /// functionally identical to the naive reference's per-launch clones,
-    /// but without per-DPU heap allocation once the arena has grown to the
-    /// launch's footprint.
-    fn launch_aliased(&mut self, spec: &KernelSpec) {
-        let out_elems = self.slabs[spec.output as usize].elems_per_dpu;
-        let total: usize = spec
-            .inputs
-            .iter()
-            .map(|&b| self.slabs[b as usize].elems_per_dpu)
-            .sum();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if scratch.len() < total {
-            scratch.resize(total, 0);
-        }
-        let n_inputs = spec.inputs.len();
-        debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-        for d in 0..self.num_dpus {
-            let mut offset = 0usize;
-            for &b in &spec.inputs {
-                let s = &self.slabs[b as usize];
-                let e = s.elems_per_dpu;
-                scratch[offset..offset + e].copy_from_slice(&s.data[d * e..(d + 1) * e]);
-                offset += e;
-            }
-            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-            let mut offset = 0usize;
-            for (view, &b) in views.iter_mut().zip(&spec.inputs) {
-                let e = self.slabs[b as usize].elems_per_dpu;
-                *view = &scratch[offset..offset + e];
-                offset += e;
-            }
-            let out = &mut self.slabs[spec.output as usize].data;
-            exec::execute_kernel(
-                &spec.kind,
-                &views[..n_inputs],
-                &mut out[d * out_elems..(d + 1) * out_elems],
-            );
-        }
-        self.scratch = scratch;
-    }
-
-    /// The fused multi-output launch path: every stage's output slab is
-    /// taken out of storage at once (fused outputs never alias inputs or
-    /// each other — validated before dispatch), the input strides are
-    /// borrowed directly from the remaining slabs, and each DPU runs the
-    /// whole stage chain in one pass. No per-DPU or per-launch heap
-    /// allocation.
-    fn launch_fused(&mut self, spec: &KernelSpec, stages: &[FusedStage], len: usize) {
-        let n_stages = stages.len();
-        debug_assert!(n_stages <= MAX_FUSED_STAGES);
-        debug_assert_eq!(n_stages, 1 + spec.extra_outputs.len());
-        let mut taken: [Slab; MAX_FUSED_STAGES] = std::array::from_fn(|_| Slab::default());
-        taken[0] = std::mem::take(&mut self.slabs[spec.output as usize]);
-        for (slot, &b) in taken[1..n_stages].iter_mut().zip(&spec.extra_outputs) {
-            *slot = std::mem::take(&mut self.slabs[b as usize]);
-        }
-        let n_inputs = spec.inputs.len();
-        debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-        // Sequential over DPUs: the multi-output split does not fit the
-        // single-slab chunking of `for_each_chunk_mut`, and the per-element
-        // work of a fused chain is a handful of ALU ops.
-        for d in 0..self.num_dpus {
-            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-            for (view, &b) in views.iter_mut().zip(&spec.inputs) {
-                let s = &self.slabs[b as usize];
-                let e = s.elems_per_dpu;
-                *view = &s.data[d * e..(d + 1) * e];
-            }
-            let mut outs: [&mut [i32]; MAX_FUSED_STAGES] = [&mut [], &mut [], &mut [], &mut []];
-            for (o, slab) in outs.iter_mut().zip(taken[..n_stages].iter_mut()) {
-                let e = slab.elems_per_dpu;
-                *o = &mut slab.data[d * e..(d + 1) * e];
-            }
-            exec::execute_fused(stages, len, &views[..n_inputs], &mut outs[..n_stages]);
-        }
-        self.slabs[spec.output as usize] = std::mem::take(&mut taken[0]);
-        for (slot, &b) in taken[1..n_stages].iter_mut().zip(&spec.extra_outputs) {
-            self.slabs[b as usize] = std::mem::take(slot);
-        }
     }
 }
 
@@ -1309,6 +1397,14 @@ mod tests {
         UpmemSystem::new(cfg)
     }
 
+    /// Every DPU's stride of a buffer in DPU order (what a full-length
+    /// gather returns, untimed).
+    fn contents(sys: &UpmemSystem, buffer: BufferId) -> Vec<i32> {
+        (0..sys.num_dpus())
+            .flat_map(|d| sys.dpu_buffer(d, buffer).unwrap().to_vec())
+            .collect()
+    }
+
     #[test]
     fn alloc_checks_mram_capacity() {
         let mut sys = small_system();
@@ -1344,7 +1440,7 @@ mod tests {
         let c = sys.alloc_buffer(2).unwrap();
         assert_eq!(c, a);
         assert_eq!(sys.buffer_len(c).unwrap(), 2);
-        assert_eq!(sys.buffer_slab(c).unwrap(), &[0; 8]);
+        assert_eq!(contents(&sys, c), [0; 8]);
         assert_eq!(sys.mram_used_bytes(), 24);
         sys.free_buffer(b).unwrap();
         sys.free_buffer(c).unwrap();
@@ -1406,7 +1502,7 @@ mod tests {
         // accounts nothing.
         let stats_before = *sys.stats();
         sys.zero_buffer(buf).unwrap();
-        assert_eq!(sys.buffer_slab(buf).unwrap(), &[0; 32]);
+        assert_eq!(contents(&sys, buf), [0; 32]);
         assert_eq!(sys.stats(), &stats_before);
         assert!(sys.zero_buffer(99).is_err());
     }
@@ -1431,7 +1527,7 @@ mod tests {
         let data: Vec<i32> = (0..16).collect();
         sys.scatter_i32(buf, &data, 4).unwrap();
         // One contiguous allocation covering all DPUs, stride per DPU.
-        assert_eq!(sys.buffer_slab(buf).unwrap(), &data[..]);
+        assert_eq!(sys.slabs[buf as usize].data, data);
     }
 
     #[test]
@@ -1442,6 +1538,92 @@ mod tests {
         for d in 0..sys.num_dpus() {
             assert_eq!(sys.dpu_buffer(d, buf).unwrap(), &[5, 6, 7, 8]);
         }
+    }
+
+    #[test]
+    fn a_slab_is_stored_once_until_its_first_per_dpu_write() {
+        let mut sys = small_system();
+        let n = sys.num_dpus();
+        let a = sys.alloc_buffer(8).unwrap();
+        let b = sys.alloc_buffer(8).unwrap();
+        let c = sys.alloc_buffer(8).unwrap();
+        // Fresh buffers and broadcast targets hold one stride.
+        assert_eq!(sys.stored_len(a), 8);
+        sys.broadcast_i32(b, &[1, 2, 3]).unwrap();
+        sys.broadcast_i32(b, &[9; 8]).unwrap();
+        assert_eq!(sys.stored_len(b), 8);
+        assert_eq!(sys.dpu_buffer(n - 1, b).unwrap(), &[9; 8]);
+        // zero_buffer keeps the form it finds.
+        sys.zero_buffer(b).unwrap();
+        assert_eq!(sys.stored_len(b), 8);
+        sys.broadcast_i32(b, &[4; 8]).unwrap();
+        // The first scatter expands its target; being a launch output
+        // expands the output and leaves the (only read) inputs alone.
+        sys.scatter_i32(a, &(0..32).collect::<Vec<i32>>(), 8)
+            .unwrap();
+        assert_eq!(sys.stored_len(a), 8 * n);
+        sys.launch(&KernelSpec::new(
+            DpuKernelKind::Elementwise {
+                op: BinOp::Add,
+                len: 8,
+            },
+            vec![a, b],
+            c,
+        ))
+        .unwrap();
+        assert_eq!(sys.stored_len(b), 8);
+        assert_eq!(sys.stored_len(c), 8 * n);
+        assert_eq!(sys.dpu_buffer(1, c).unwrap()[..2], [12, 13]);
+        // A per-DPU slab never collapses: zeroing fills it in place, and a
+        // broadcast over it writes every stride.
+        sys.zero_buffer(a).unwrap();
+        assert_eq!(sys.stored_len(a), 8 * n);
+        assert_eq!(contents(&sys, a), [0; 32]);
+        sys.broadcast_i32(a, &[7, 7]).unwrap();
+        assert_eq!(sys.stored_len(a), 8 * n);
+        assert_eq!(sys.dpu_buffer(n - 1, a).unwrap()[..3], [7, 7, 0]);
+        // A zero-chunk scatter writes nothing and expands nothing.
+        let d = sys.alloc_buffer(8).unwrap();
+        sys.scatter_i32(d, &[], 0).unwrap();
+        assert_eq!(sys.stored_len(d), 8);
+    }
+
+    #[test]
+    fn an_expanding_output_keeps_its_broadcast_contents() {
+        // A launch accumulating into (or aliasing) a replicated buffer must
+        // see the broadcast image on every DPU after the expansion.
+        let mut sys = small_system();
+        let a = sys.alloc_buffer(4).unwrap();
+        sys.broadcast_i32(a, &[1, 2, 3, 4]).unwrap();
+        let scan = KernelSpec::new(
+            DpuKernelKind::Scan {
+                op: BinOp::Add,
+                len: 4,
+            },
+            vec![a],
+            a,
+        );
+        sys.launch(&scan).unwrap();
+        assert_eq!(sys.stored_len(a), 4 * sys.num_dpus());
+        for d in 0..sys.num_dpus() {
+            assert_eq!(sys.dpu_buffer(d, a).unwrap(), &[1, 3, 6, 10]);
+        }
+    }
+
+    #[test]
+    fn a_faulted_transfer_leaves_the_storage_form_as_it_was() {
+        let fault = cinm_runtime::FaultConfig::seeded(1).with_transfer_timeout_rate(1.0);
+        let mut sys = faulty_system(fault);
+        let a = sys.alloc_buffer(4).unwrap();
+        assert!(sys.broadcast_i32(a, &[1, 2, 3, 4]).is_err());
+        assert!(sys.scatter_i32(a, &[5; 16], 4).is_err());
+        assert_eq!(sys.stored_len(a), 4);
+        assert_eq!(contents(&sys, a), [0; 16]);
+        assert_eq!(sys.stats().host_to_dpu_bytes, 0);
+        // The clone the recovery layer takes over with copies what is
+        // stored, not the replicated volume.
+        let clean = sys.fault_free_clone();
+        assert_eq!(clean.stored_len(a), 4);
     }
 
     #[test]
@@ -1734,7 +1916,7 @@ mod tests {
         assert!(err.message().contains("output"));
     }
 
-    use crate::kernel::FusedArg;
+    use crate::kernel::{FusedArg, FusedStage};
 
     #[test]
     fn fused_chain_matches_separate_elementwise_launches_and_costs_less() {
@@ -1797,7 +1979,7 @@ mod tests {
         fus.launch(&spec).unwrap();
 
         for (a, b) in [(nv, nv2), (fresh, fresh2), (vnext, vnext2)] {
-            assert_eq!(sep.buffer_slab(a).unwrap(), fus.buffer_slab(b).unwrap());
+            assert_eq!(contents(&sep, a), contents(&fus, b));
         }
         assert_eq!(sep.stats().launches, 3);
         assert_eq!(fus.stats().launches, 1);
@@ -1979,8 +2161,8 @@ mod tests {
         assert_eq!(stats, oracle_stats);
         assert_eq!(sys.stats().launches, 1);
         assert_eq!(
-            sys.buffer_slab(c).unwrap(),
-            oracle.buffer_slab(c).unwrap(),
+            contents(&sys, c),
+            contents(&oracle, c),
             "recovered run must be bit-identical to fault-free"
         );
     }

@@ -52,7 +52,9 @@ fn sequential_system() -> UpmemSystem {
 }
 
 /// Steady-state kernel launches allocate nothing: the slab layout borrows
-/// input strides and splits the output in place.
+/// input strides and splits the output in place. The broadcast operand is
+/// rewritten inside the loop: it stays one replicated stride, and the
+/// output (expanded by the warm-up launch) never collapses back.
 #[test]
 fn steady_state_launch_loop_is_allocation_free() {
     let mut sys = sequential_system();
@@ -75,7 +77,8 @@ fn steady_state_launch_loop_is_allocation_free() {
     sys.launch(&gemm).unwrap();
     sys.launch(&reduce).unwrap();
     let ((), allocs) = alloc_count::count_in(|| {
-        for _ in 0..100 {
+        for i in 0..100 {
+            sys.broadcast_i32(b, &data[i..i + 64]).unwrap();
             sys.launch(&gemm).unwrap();
             sys.launch(&reduce).unwrap();
         }
@@ -110,20 +113,27 @@ fn steady_state_aliased_launch_is_allocation_free() {
 }
 
 /// Transfers with reused host buffers allocate nothing: scatter/broadcast
-/// write into the slabs, and `gather_i32_into` reuses the caller's vector.
+/// write into the slabs, and `gather_i32_into` reuses the caller's vector —
+/// on a per-DPU slab (`a`, expanded by its first scatter and zeroed in
+/// place) and on one only ever broadcast to (`b`, a single stride).
 #[test]
 fn steady_state_transfer_loop_is_allocation_free() {
     let mut sys = sequential_system();
     let a = sys.alloc_buffer(256).unwrap();
+    let b = sys.alloc_buffer(256).unwrap();
     let data: Vec<i32> = (0..256 * 8).collect();
     let mut gathered = Vec::new();
     sys.scatter_i32(a, &data, 256).unwrap();
     sys.gather_i32_into(a, 256, &mut gathered).unwrap(); // sizes the vector
     let ((), allocs) = alloc_count::count_in(|| {
-        for _ in 0..50 {
+        for i in 0..50 {
+            sys.zero_buffer(a).unwrap();
             sys.scatter_i32(a, &data, 256).unwrap();
             sys.broadcast_i32(a, &data[..256]).unwrap();
             sys.gather_i32_into(a, 256, &mut gathered).unwrap();
+            sys.zero_buffer(b).unwrap();
+            sys.broadcast_i32(b, &data[i..i + 256]).unwrap();
+            sys.gather_i32_into(b, 256, &mut gathered).unwrap();
         }
     });
     assert_eq!(allocs, 0, "steady-state transfers must not allocate");
@@ -135,8 +145,9 @@ fn steady_state_transfer_loop_is_allocation_free() {
 /// through the simulator's eager entry points), `fetch_into` the result —
 /// performs **zero** heap allocations per iteration. This is the steady
 /// state of the session's replay fast path: the matrix stays resident in
-/// MRAM, temporaries recycle through the slot free-list, and the gather
-/// scratch and host vectors are reused.
+/// MRAM, the request vector is re-broadcast into its replicated slab every
+/// iteration, temporaries recycle through the slot free-list, and the
+/// gather scratch and host vectors are reused.
 #[test]
 fn steady_state_session_loop_is_allocation_free() {
     let mut cfg = UpmemConfig::with_ranks(1).with_host_threads(1);

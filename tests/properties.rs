@@ -182,18 +182,25 @@ fn permutation_roundtrip() {
     });
 }
 
-/// The bit-sliced crossbar MVM is exact for arbitrary integer matrices.
+/// The bit-sliced crossbar MVM is exact for arbitrary integer matrices up to
+/// the tile geometry. A tile multiplies only the columns it was programmed
+/// with: outputs beyond them are zero, and results and `CimStats` equal
+/// those of the same matrix programmed at full tile width (explicit zero
+/// columns), on the allocating, scratch-writing and batched MVM forms.
 #[test]
 fn crossbar_mvm_is_exact() {
     for_cases(5, |rng| {
-        let rows = gen_usize(rng, 1, 16);
-        let cols = gen_usize(rng, 1, 16);
+        let cfg = CrossbarConfig::default();
+        let (tile_rows, tile_cols) = (cfg.tile_rows, cfg.tile_cols);
+        let rows = gen_usize(rng, 1, tile_rows + 1);
+        let cols = [1, tile_cols, gen_usize(rng, 1, tile_cols + 1)][gen_usize(rng, 0, 3)];
         let seed = rng.next_u64();
         let w = data::i32_matrix(seed, rows, cols, -100, 100);
         let x = data::i32_vec(seed.wrapping_add(1), rows, -100, 100);
-        let mut xbar = CrossbarAccelerator::new(CrossbarConfig::default());
+        let mut xbar = CrossbarAccelerator::new(cfg.clone());
         xbar.write_tile(0, &w, rows, cols).unwrap();
         let y = xbar.mvm(0, &x).unwrap();
+        assert_eq!(y.len(), tile_cols);
         for c in 0..cols {
             let mut acc = 0i32;
             for r in 0..rows {
@@ -201,6 +208,32 @@ fn crossbar_mvm_is_exact() {
             }
             assert_eq!(y[c], acc);
         }
+        assert!(y[cols..].iter().all(|&v| v == 0), "{rows}x{cols}");
+
+        // The scratch-writing forms overwrite stale scratch the same way.
+        let mut scratch = vec![-7i32; 2 * tile_cols];
+        xbar.mvm_into(0, &x, &mut scratch).unwrap();
+        assert_eq!(&scratch[..tile_cols], &y[..]);
+        scratch.fill(-7);
+        xbar.write_tile(1, &w, rows, cols).unwrap();
+        xbar.mvm_parallel_into(&[(0, &x), (1, &x)], &mut scratch)
+            .unwrap();
+        assert_eq!(&scratch[..tile_cols], &y[..]);
+        assert_eq!(&scratch[tile_cols..], &y[..]);
+
+        // Same matrix with its zero columns written out: all of them live.
+        let mut wide = vec![0i32; rows * tile_cols];
+        for r in 0..rows {
+            wide[r * tile_cols..r * tile_cols + cols].copy_from_slice(&w[r * cols..(r + 1) * cols]);
+        }
+        let mut full = CrossbarAccelerator::new(cfg);
+        full.write_tile(0, &wide, rows, tile_cols).unwrap();
+        assert_eq!(full.mvm(0, &x).unwrap(), y);
+        full.mvm_into(0, &x, &mut scratch).unwrap();
+        full.write_tile(1, &wide, rows, tile_cols).unwrap();
+        full.mvm_parallel_into(&[(0, &x), (1, &x)], &mut scratch)
+            .unwrap();
+        assert_eq!(full.stats(), xbar.stats(), "{rows}x{cols}");
     });
 }
 
@@ -696,9 +729,63 @@ fn run_eager_program(sys: &mut dyn DpuSystem, program: &[Command<'_>]) -> Vec<Co
         .collect()
 }
 
-/// `UpmemSystem::sync` produces bit-identical buffers, outputs *and*
-/// statistics to the eager `NaiveUpmemSystem` oracle, across randomized
-/// interleaved programs with aliasing buffers and thread counts {1, 2, 8}.
+/// An untimed host-side operation applied between two commands of a
+/// program.
+enum HostOp {
+    /// `zero_buffer` (the naive oracle has none: it frees and re-allocates,
+    /// which yields the same id with fresh zero contents).
+    Zero(u32),
+    /// `free_buffer` followed by `alloc_buffer` of the same length, which
+    /// must hand the freed id back.
+    Realloc(u32),
+    /// Carry on on a `fault_free_clone` of the system.
+    Clone,
+}
+
+/// Draws up to three host operations at sorted positions of a program of
+/// `n_cmds` commands over `n_bufs` buffers.
+fn gen_host_ops(rng: &mut SplitMix64, n_cmds: usize, n_bufs: usize) -> Vec<(usize, HostOp)> {
+    let mut ops: Vec<(usize, HostOp)> = (0..gen_usize(rng, 0, 4))
+        .map(|_| {
+            let buf = gen_usize(rng, 0, n_bufs) as u32;
+            let op = match gen_usize(rng, 0, 3) {
+                0 => HostOp::Zero(buf),
+                1 => HostOp::Realloc(buf),
+                _ => HostOp::Clone,
+            };
+            (gen_usize(rng, 0, n_cmds + 1), op)
+        })
+        .collect();
+    ops.sort_by_key(|(at, _)| *at);
+    ops
+}
+
+/// Runs `program` through `run` in the segments the host operations cut it
+/// into, applying each operation with `host` in between.
+fn run_with_host_ops<S>(
+    sys: &mut S,
+    program: &[Command<'static>],
+    host_ops: &[(usize, HostOp)],
+    mut run: impl FnMut(&mut S, &[Command<'static>]) -> Vec<CommandOutput>,
+    mut host: impl FnMut(&mut S, &HostOp),
+) -> Vec<CommandOutput> {
+    let mut outputs = Vec::new();
+    let mut done = 0;
+    for (at, op) in host_ops {
+        outputs.extend(run(sys, &program[done..*at]));
+        done = *at;
+        host(sys, op);
+    }
+    outputs.extend(run(sys, &program[done..]));
+    outputs
+}
+
+/// `UpmemSystem` — driven eagerly and through `sync` — produces
+/// bit-identical buffers, outputs *and* statistics to the eager
+/// `NaiveUpmemSystem` oracle, across randomized interleaved programs with
+/// aliasing buffers and thread counts {1, 2, 8}, with buffers zeroed, freed
+/// and re-allocated and the system swapped for its `fault_free_clone`
+/// mid-program (so every storage form a slab can be in meets every command).
 #[test]
 fn command_stream_is_bit_identical_to_the_eager_naive_oracle() {
     for_cases(12, |rng| {
@@ -706,37 +793,73 @@ fn command_stream_is_bit_identical_to_the_eager_naive_oracle() {
         let dpus = gen_usize(rng, 1, 9);
         let mut cfg = UpmemConfig::with_ranks(1);
         cfg.dpus_per_rank = dpus;
+        let n_cmds = program.len() - buffer_lens.len();
+        let host_ops = gen_host_ops(rng, n_cmds, buffer_lens.len());
 
         let mut naive = NaiveUpmemSystem::new(cfg.clone());
         for &len in &buffer_lens {
             naive.alloc_buffer(len).unwrap();
         }
-        let oracle = run_eager_program(&mut naive, &program);
+        let oracle = run_with_host_ops(
+            &mut naive,
+            &program,
+            &host_ops,
+            |naive, segment| run_eager_program(naive, segment),
+            |naive, op| match op {
+                HostOp::Zero(b) | HostOp::Realloc(b) => {
+                    naive.free_buffer(*b).unwrap();
+                    let again = naive.alloc_buffer(buffer_lens[*b as usize]).unwrap();
+                    assert_eq!(again, *b);
+                }
+                HostOp::Clone => {}
+            },
+        );
 
+        let slab_host = |sys: &mut UpmemSystem, op: &HostOp| match op {
+            HostOp::Zero(b) => sys.zero_buffer(*b).unwrap(),
+            HostOp::Realloc(b) => {
+                sys.free_buffer(*b).unwrap();
+                assert!(sys.buffer_len(*b).is_err(), "a freed id is unknown");
+                let again = sys.alloc_buffer(buffer_lens[*b as usize]).unwrap();
+                assert_eq!(again, *b, "freed ids are reused");
+            }
+            HostOp::Clone => *sys = sys.fault_free_clone(),
+        };
         for threads in [1usize, 2, 8] {
-            let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(threads));
-            for &len in &buffer_lens {
-                sys.alloc_buffer(len).unwrap();
-            }
-            let mut stream = CommandStream::new();
-            for cmd in &program {
-                stream.enqueue(cmd.clone());
-            }
-            let outputs = sys.sync(&mut stream).unwrap();
-            assert_eq!(outputs, oracle, "threads {threads}, dpus {dpus}");
-            assert_eq!(
-                sys.stats(),
-                naive.stats(),
-                "stats diverged at threads {threads}"
-            );
-            // Raw per-DPU views agree too.
-            for b in 0..buffer_lens.len() as u32 {
-                for d in [0, dpus - 1] {
-                    assert_eq!(
-                        naive.dpu_buffer(d, b).unwrap(),
-                        sys.dpu_buffer(d, b).unwrap(),
-                        "buffer {b} dpu {d} threads {threads}"
-                    );
+            for streamed in [false, true] {
+                let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(threads));
+                for &len in &buffer_lens {
+                    sys.alloc_buffer(len).unwrap();
+                }
+                let outputs = run_with_host_ops(
+                    &mut sys,
+                    &program,
+                    &host_ops,
+                    |sys, segment| {
+                        if !streamed {
+                            return run_eager_program(sys, segment);
+                        }
+                        let mut stream = CommandStream::new();
+                        for cmd in segment {
+                            stream.enqueue(cmd.clone());
+                        }
+                        sys.sync(&mut stream).unwrap()
+                    },
+                    slab_host,
+                );
+                let what = format!("threads {threads}, dpus {dpus}, streamed {streamed}");
+                assert_eq!(outputs, oracle, "{what}");
+                assert_eq!(sys.stats(), naive.stats(), "stats diverged at {what}");
+                assert_eq!(sys.mram_used_bytes(), naive.mram_used_bytes(), "{what}");
+                // Raw per-DPU views agree too.
+                for b in 0..buffer_lens.len() as u32 {
+                    for d in [0, dpus - 1] {
+                        assert_eq!(
+                            naive.dpu_buffer(d, b).unwrap(),
+                            sys.dpu_buffer(d, b).unwrap(),
+                            "buffer {b} dpu {d} {what}"
+                        );
+                    }
                 }
             }
         }
