@@ -45,18 +45,15 @@ pub fn cinm_pipeline() -> PassManager {
     pm
 }
 
-/// Runs a pipeline over a module and verifies the result against the full
-/// dialect registry (unregistered ops allowed for manually translated
-/// kernels).
+/// Runs a pipeline over a module and verifies the result strictly against
+/// the full dialect registry: an op no dialect table declares is an error.
 ///
 /// # Errors
 ///
 /// Returns the first pass or verification error.
 pub fn compile(module: &mut Module, pm: &PassManager) -> IrResult<PipelineStats> {
     let stats = pm.run(module)?;
-    let mut registry = register_all_dialects();
-    registry.allow_unregistered = true;
-    verify_module(module, &registry)?;
+    verify_module(module, &register_all_dialects())?;
     Ok(stats)
 }
 

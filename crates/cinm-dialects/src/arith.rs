@@ -41,26 +41,34 @@ pub const BINARY_INT_OPS: &[&str] = &[
     ADDI, SUBI, MULI, DIVSI, REMSI, MAXSI, MINSI, ANDI, ORI, XORI,
 ];
 
+/// The `arith` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(ADDF).operands(2).results(1),
+    OpConstraint::new(ADDI).operands(2).results(1),
+    OpConstraint::new(ANDI).operands(2).results(1),
+    OpConstraint::new(CMPI)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["predicate"]),
+    OpConstraint::new(CONSTANT)
+        .operands(0)
+        .results(1)
+        .required_attrs(&["value"]),
+    OpConstraint::new(DIVSI).operands(2).results(1),
+    OpConstraint::new(MAXSI).operands(2).results(1),
+    OpConstraint::new(MINSI).operands(2).results(1),
+    OpConstraint::new(MULF).operands(2).results(1),
+    OpConstraint::new(MULI).operands(2).results(1),
+    OpConstraint::new(ORI).operands(2).results(1),
+    OpConstraint::new(REMSI).operands(2).results(1),
+    OpConstraint::new(SELECT).operands(3).results(1),
+    OpConstraint::new(SUBI).operands(2).results(1),
+    OpConstraint::new(XORI).operands(2).results(1),
+];
+
 /// Registers the `arith` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(
-        OpConstraint::new(CONSTANT)
-            .operands(0)
-            .results(1)
-            .required_attr("value"),
-    );
-    for name in BINARY_INT_OPS {
-        registry.register_op(OpConstraint::new(name).operands(2).results(1));
-    }
-    registry.register_op(OpConstraint::new(ADDF).operands(2).results(1));
-    registry.register_op(OpConstraint::new(MULF).operands(2).results(1));
-    registry.register_op(
-        OpConstraint::new(CMPI)
-            .operands(2)
-            .results(1)
-            .required_attr("predicate"),
-    );
-    registry.register_op(OpConstraint::new(SELECT).operands(3).results(1));
+    registry.add_table(OPS);
 }
 
 /// Builds an `arith.constant` of the given type.

@@ -29,25 +29,26 @@ pub fn table3_ops() -> Vec<&'static str> {
     vec![ACQUIRE, WRITE, EXECUTE, READ, BARRIER, RELEASE]
 }
 
+/// The `cim` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(ACQUIRE).operands(0).results(1),
+    OpConstraint::new(BARRIER).min_operands(1).results(0),
+    OpConstraint::new(EXECUTE)
+        .min_operands(1)
+        .results(1)
+        .regions(1),
+    OpConstraint::new(READ).operands(1).results(1),
+    OpConstraint::new(RELEASE).operands(1).results(0),
+    OpConstraint::new(WRITE).operands(2).results(0),
+    OpConstraint::new(YIELD)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+];
+
 /// Registers the `cim` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(OpConstraint::new(ACQUIRE).operands(0).results(1));
-    registry.register_op(OpConstraint::new(WRITE).operands(2).results(0));
-    registry.register_op(
-        OpConstraint::new(EXECUTE)
-            .min_operands(1)
-            .results(1)
-            .regions(1),
-    );
-    registry.register_op(OpConstraint::new(READ).operands(1).results(1));
-    registry.register_op(OpConstraint::new(BARRIER).min_operands(1).results(0));
-    registry.register_op(OpConstraint::new(RELEASE).operands(1).results(0));
-    registry.register_op(
-        OpConstraint::new(YIELD)
-            .min_operands(0)
-            .results(0)
-            .terminator(),
-    );
+    registry.add_table(OPS);
 }
 
 /// Builds `cim.acquire`, returning the device id value.

@@ -43,6 +43,8 @@ pub const SCAN: &str = "cinm.scan";
 /// Op name: `cinm.compute` — structural op wrapping a region of cinm ops
 /// that should be offloaded as a unit (kernel/region granularity).
 pub const COMPUTE: &str = "cinm.compute";
+/// Op name: `cinm.yield` — terminates the region of a `cinm.compute`.
+pub const YIELD: &str = "cinm.yield";
 
 /// Which paradigms can execute an op (the ✓ columns of Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,60 +111,60 @@ pub fn table1_ops() -> Vec<&'static str> {
     ops
 }
 
+/// The `cinm` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new("cinm.add").operands(2).results(1),
+    OpConstraint::new("cinm.and").operands(2).results(1),
+    OpConstraint::new(COMPUTE).min_operands(0).regions(1),
+    OpConstraint::new("cinm.div").operands(2).results(1),
+    OpConstraint::new(GEMM).operands(2).results(1),
+    OpConstraint::new(GEMV).operands(2).results(1),
+    OpConstraint::new(HISTOGRAM)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["bins"]),
+    OpConstraint::new(MAJORITY).operands(1).results(1),
+    OpConstraint::new("cinm.max").operands(2).results(1),
+    OpConstraint::new(MERGE_PARTIAL)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["op"]),
+    OpConstraint::new("cinm.min").operands(2).results(1),
+    OpConstraint::new("cinm.mul").operands(2).results(1),
+    OpConstraint::new(NOT).operands(1).results(1),
+    OpConstraint::new("cinm.or").operands(2).results(1),
+    OpConstraint::new(POP_COUNT).operands(1).results(1),
+    OpConstraint::new(REDUCE)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["op"]),
+    OpConstraint::new(SCAN)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["op"]),
+    OpConstraint::new(SIM_SEARCH)
+        .operands(2)
+        .results(2)
+        .required_attrs(&["metric", "k"]),
+    OpConstraint::new("cinm.sub").operands(2).results(1),
+    OpConstraint::new(TOPK)
+        .operands(1)
+        .results(2)
+        .required_attrs(&["k"]),
+    OpConstraint::new(TRANSPOSE)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["perms"]),
+    OpConstraint::new("cinm.xor").operands(2).results(1),
+    OpConstraint::new(YIELD)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+];
+
 /// Registers the `cinm` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    for name in ELEMENTWISE_ARITH.iter().chain(ELEMENTWISE_LOGIC) {
-        registry.register_op(OpConstraint::new(name).operands(2).results(1));
-    }
-    registry.register_op(OpConstraint::new(NOT).operands(1).results(1));
-    registry.register_op(OpConstraint::new(GEMV).operands(2).results(1));
-    registry.register_op(OpConstraint::new(GEMM).operands(2).results(1));
-    registry.register_op(
-        OpConstraint::new(TRANSPOSE)
-            .operands(1)
-            .results(1)
-            .required_attr("perms"),
-    );
-    registry.register_op(
-        OpConstraint::new(HISTOGRAM)
-            .operands(1)
-            .results(1)
-            .required_attr("bins"),
-    );
-    registry.register_op(OpConstraint::new(MAJORITY).operands(1).results(1));
-    registry.register_op(
-        OpConstraint::new(TOPK)
-            .operands(1)
-            .results(2)
-            .required_attr("k"),
-    );
-    registry.register_op(
-        OpConstraint::new(SIM_SEARCH)
-            .operands(2)
-            .results(2)
-            .required_attr("metric")
-            .required_attr("k"),
-    );
-    registry.register_op(
-        OpConstraint::new(MERGE_PARTIAL)
-            .operands(2)
-            .results(1)
-            .required_attr("op"),
-    );
-    registry.register_op(OpConstraint::new(POP_COUNT).operands(1).results(1));
-    registry.register_op(
-        OpConstraint::new(REDUCE)
-            .operands(1)
-            .results(1)
-            .required_attr("op"),
-    );
-    registry.register_op(
-        OpConstraint::new(SCAN)
-            .operands(1)
-            .results(1)
-            .required_attr("op"),
-    );
-    registry.register_op(OpConstraint::new(COMPUTE).min_operands(0).regions(1));
+    registry.add_table(OPS);
 }
 
 fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {

@@ -37,46 +37,39 @@ pub fn table2_ops() -> Vec<&'static str> {
     vec![WORKGROUP, ALLOC, SCATTER, GATHER, LAUNCH, WAIT]
 }
 
+/// The `cnm` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(ALLOC)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["cnm.physical_space"]),
+    OpConstraint::new(FREE_WORKGROUP).operands(1).results(0),
+    OpConstraint::new(GATHER)
+        .operands(2)
+        .results(2)
+        .required_attrs(&["scatter_map"]),
+    OpConstraint::new(LAUNCH)
+        .min_operands(1)
+        .results(1)
+        .regions(1),
+    OpConstraint::new(SCATTER)
+        .operands(3)
+        .results(1)
+        .required_attrs(&["scatter_map"]),
+    OpConstraint::new(TERMINATOR)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+    OpConstraint::new(WAIT).min_operands(1).results(0),
+    OpConstraint::new(WORKGROUP)
+        .operands(0)
+        .results(1)
+        .required_attrs(&["shape"]),
+];
+
 /// Registers the `cnm` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(
-        OpConstraint::new(WORKGROUP)
-            .operands(0)
-            .results(1)
-            .required_attr("shape"),
-    );
-    registry.register_op(
-        OpConstraint::new(ALLOC)
-            .operands(1)
-            .results(1)
-            .required_attr("cnm.physical_space"),
-    );
-    registry.register_op(
-        OpConstraint::new(SCATTER)
-            .operands(3)
-            .results(1)
-            .required_attr("scatter_map"),
-    );
-    registry.register_op(
-        OpConstraint::new(GATHER)
-            .operands(2)
-            .results(2)
-            .required_attr("scatter_map"),
-    );
-    registry.register_op(
-        OpConstraint::new(LAUNCH)
-            .min_operands(1)
-            .results(1)
-            .regions(1),
-    );
-    registry.register_op(OpConstraint::new(WAIT).min_operands(1).results(0));
-    registry.register_op(
-        OpConstraint::new(TERMINATOR)
-            .min_operands(0)
-            .results(0)
-            .terminator(),
-    );
-    registry.register_op(OpConstraint::new(FREE_WORKGROUP).operands(1).results(0));
+    registry.add_table(OPS);
 }
 
 /// Builds `cnm.workgroup` with the given logical shape and physical dims.

@@ -7,19 +7,20 @@ pub const RETURN: &str = "func.return";
 /// Op name: `func.call` (callee attribute `callee`).
 pub const CALL: &str = "func.call";
 
+/// The `func` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(CALL)
+        .min_operands(0)
+        .required_attrs(&["callee"]),
+    OpConstraint::new(RETURN)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+];
+
 /// Registers the `func` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(
-        OpConstraint::new(RETURN)
-            .min_operands(0)
-            .results(0)
-            .terminator(),
-    );
-    registry.register_op(
-        OpConstraint::new(CALL)
-            .min_operands(0)
-            .required_attr("callee"),
-    );
+    registry.add_table(OPS);
 }
 
 /// Builds a `func.return`.

@@ -12,9 +12,9 @@
 //!   respective runtimes (here: the `upmem-sim` and `memristor-sim`
 //!   simulators).
 //!
-//! Each module provides op-name constants, a `register` function installing
-//! verification constraints into a [`DialectRegistry`], and typed builder
-//! helpers with shape inference.
+//! Each module provides op-name constants, a `static` table of verification
+//! constraints that its `register` function adds to a [`DialectRegistry`] by
+//! reference, and typed builder helpers with shape inference.
 //!
 //! ```
 //! use cinm_ir::prelude::*;
@@ -88,29 +88,44 @@ mod tests {
 
     #[test]
     fn all_dialects_register_without_conflicts() {
+        let tables = [
+            ("arith", arith::OPS),
+            ("func", func::OPS),
+            ("tensor", tensor::OPS),
+            ("scf", scf::OPS),
+            ("linalg", linalg::OPS),
+            ("tosa", tosa::OPS),
+            ("cinm", cinm::OPS),
+            ("cnm", cnm::OPS),
+            ("cim", cim::OPS),
+            ("upmem", upmem::OPS),
+            ("memristor", memristor::OPS),
+        ];
         let r = register_all_dialects();
-        for d in [
-            "arith",
-            "func",
-            "tensor",
-            "scf",
-            "linalg",
-            "tosa",
-            "cinm",
-            "cnm",
-            "cim",
-            "upmem",
-            "memristor",
-        ] {
-            assert!(r.has_dialect(d), "dialect {d} must be registered");
-            assert!(!r.ops_of_dialect(d).is_empty(), "dialect {d} must have ops");
+        for (dialect, ops) in tables {
+            assert!(
+                r.has_dialect(dialect),
+                "dialect {dialect} must be registered"
+            );
+            let names: Vec<&str> = ops.iter().map(|c| c.name).collect();
+            assert!(names.is_sorted());
+            assert_eq!(r.ops_of_dialect(dialect), names);
+            for c in ops {
+                assert_eq!(c.dialect(), dialect);
+                assert!(std::ptr::eq(r.constraint(c.name).unwrap(), c), "{}", c.name);
+                // One byte off is no op of any table.
+                let mut off = c.name.as_bytes().to_vec();
+                *off.last_mut().unwrap() ^= 1;
+                let off = String::from_utf8(off).unwrap();
+                assert!(r.constraint(&off).is_none(), "{off}");
+            }
+            assert!(r.constraint(dialect).is_none());
         }
-        // Sanity: the combined registry is non-trivially large.
-        assert!(
-            r.num_ops() > 70,
-            "expected > 70 registered ops, got {}",
-            r.num_ops()
-        );
+        assert!(r.constraint("").is_none());
+        assert!(r.constraint("cinm.").is_none());
+        assert!(r.constraint("nosuch.op").is_none());
+        // What the per-call registrations added up to, plus `cinm.yield`.
+        assert_eq!(r.num_ops(), 105 + 1);
     }
 
     #[test]

@@ -34,55 +34,45 @@ pub const IM2COL: &str = "linalg.im2col";
 /// Element-wise function kinds accepted by [`ELEMWISE_BINARY`].
 pub const ELEMWISE_FUNS: &[&str] = &["add", "sub", "mul", "div", "max", "min", "and", "or", "xor"];
 
+/// The `linalg` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(CONTRACT)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["einsum"]),
+    OpConstraint::new(CONV_2D_NHWC_HWCF).operands(3).results(1),
+    OpConstraint::new(ELEMWISE_BINARY)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["fun"]),
+    OpConstraint::new(ELEMWISE_UNARY)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["fun"]),
+    OpConstraint::new(FILL)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["value"]),
+    OpConstraint::new(GENERIC).min_operands(1),
+    OpConstraint::new(IM2COL)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["kernel_shape"]),
+    OpConstraint::new(MATMUL).operands(3).results(1),
+    OpConstraint::new(MATVEC).operands(3).results(1),
+    OpConstraint::new(REDUCE)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["fun", "dimensions"]),
+    OpConstraint::new(TRANSPOSE)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["permutation"]),
+];
+
 /// Registers the `linalg` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(OpConstraint::new(MATMUL).operands(3).results(1));
-    registry.register_op(OpConstraint::new(MATVEC).operands(3).results(1));
-    registry.register_op(OpConstraint::new(CONV_2D_NHWC_HWCF).operands(3).results(1));
-    registry.register_op(
-        OpConstraint::new(CONTRACT)
-            .operands(2)
-            .results(1)
-            .required_attr("einsum"),
-    );
-    registry.register_op(
-        OpConstraint::new(ELEMWISE_BINARY)
-            .operands(2)
-            .results(1)
-            .required_attr("fun"),
-    );
-    registry.register_op(
-        OpConstraint::new(ELEMWISE_UNARY)
-            .operands(1)
-            .results(1)
-            .required_attr("fun"),
-    );
-    registry.register_op(
-        OpConstraint::new(FILL)
-            .operands(1)
-            .results(1)
-            .required_attr("value"),
-    );
-    registry.register_op(
-        OpConstraint::new(TRANSPOSE)
-            .operands(1)
-            .results(1)
-            .required_attr("permutation"),
-    );
-    registry.register_op(
-        OpConstraint::new(REDUCE)
-            .operands(1)
-            .results(1)
-            .required_attr("fun")
-            .required_attr("dimensions"),
-    );
-    registry.register_op(OpConstraint::new(GENERIC).min_operands(1));
-    registry.register_op(
-        OpConstraint::new(IM2COL)
-            .operands(1)
-            .results(1)
-            .required_attr("kernel_shape"),
-    );
+    registry.add_table(OPS);
 }
 
 fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {

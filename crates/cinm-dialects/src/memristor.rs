@@ -40,49 +40,40 @@ pub mod arch {
     pub const NUM_TILES: usize = 4;
 }
 
+/// The `memristor` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(BARRIER).operands(1).results(0),
+    OpConstraint::new(CONFIGURE)
+        .operands(0)
+        .results(1)
+        .required_attrs(&["tile_rows", "tile_cols", "num_tiles"]),
+    OpConstraint::new(GEMM_TILE)
+        .min_operands(2)
+        .results(1)
+        .any_regions()
+        .required_attrs(&["tile"]),
+    OpConstraint::new(GEVM_TILE)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["tile"]),
+    OpConstraint::new(MERGE_PARTIAL)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["op"]),
+    OpConstraint::new(READ_RESULT)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["tile"]),
+    OpConstraint::new(RELEASE).operands(1).results(0),
+    OpConstraint::new(WRITE_TO_CROSSBAR)
+        .operands(2)
+        .results(0)
+        .required_attrs(&["tile"]),
+];
+
 /// Registers the `memristor` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(
-        OpConstraint::new(CONFIGURE)
-            .operands(0)
-            .results(1)
-            .required_attr("tile_rows")
-            .required_attr("tile_cols")
-            .required_attr("num_tiles"),
-    );
-    registry.register_op(
-        OpConstraint::new(WRITE_TO_CROSSBAR)
-            .operands(2)
-            .results(0)
-            .required_attr("tile"),
-    );
-    registry.register_op(
-        OpConstraint::new(GEMM_TILE)
-            .min_operands(2)
-            .results(1)
-            .any_regions()
-            .required_attr("tile"),
-    );
-    registry.register_op(
-        OpConstraint::new(GEVM_TILE)
-            .operands(2)
-            .results(1)
-            .required_attr("tile"),
-    );
-    registry.register_op(
-        OpConstraint::new(READ_RESULT)
-            .operands(1)
-            .results(1)
-            .required_attr("tile"),
-    );
-    registry.register_op(
-        OpConstraint::new(MERGE_PARTIAL)
-            .operands(2)
-            .results(1)
-            .required_attr("op"),
-    );
-    registry.register_op(OpConstraint::new(BARRIER).operands(1).results(0));
-    registry.register_op(OpConstraint::new(RELEASE).operands(1).results(0));
+    registry.add_table(OPS);
 }
 
 /// Builds `memristor.configure` and returns the device handle.

@@ -18,22 +18,23 @@ pub const IF: &str = "scf.if";
 /// Op name: `scf.parallel` — a parallel loop nest (attr `num_dims`).
 pub const PARALLEL: &str = "scf.parallel";
 
+/// The `scf` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(FOR).min_operands(3).regions(1),
+    OpConstraint::new(IF).operands(1).regions(2),
+    OpConstraint::new(PARALLEL)
+        .min_operands(0)
+        .regions(1)
+        .required_attrs(&["upper_bounds"]),
+    OpConstraint::new(YIELD)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+];
+
 /// Registers the `scf` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(OpConstraint::new(FOR).min_operands(3).regions(1));
-    registry.register_op(
-        OpConstraint::new(YIELD)
-            .min_operands(0)
-            .results(0)
-            .terminator(),
-    );
-    registry.register_op(OpConstraint::new(IF).operands(1).regions(2));
-    registry.register_op(
-        OpConstraint::new(PARALLEL)
-            .min_operands(0)
-            .regions(1)
-            .required_attr("upper_bounds"),
-    );
+    registry.add_table(OPS);
 }
 
 /// A built `scf.for` loop.

@@ -21,38 +21,32 @@ pub const PAD: &str = "tensor.pad";
 /// Op name: `tensor.splat` (attr `value`).
 pub const SPLAT: &str = "tensor.splat";
 
+/// The `tensor` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(COLLAPSE_SHAPE).operands(1).results(1),
+    OpConstraint::new(EMPTY).operands(0).results(1),
+    OpConstraint::new(EXPAND_SHAPE).operands(1).results(1),
+    OpConstraint::new(EXTRACT_SLICE)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["offsets", "sizes"]),
+    OpConstraint::new(INSERT_SLICE)
+        .operands(2)
+        .results(1)
+        .required_attrs(&["offsets", "sizes"]),
+    OpConstraint::new(PAD)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["low", "high"]),
+    OpConstraint::new(SPLAT)
+        .operands(0)
+        .results(1)
+        .required_attrs(&["value"]),
+];
+
 /// Registers the `tensor` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(OpConstraint::new(EMPTY).operands(0).results(1));
-    registry.register_op(
-        OpConstraint::new(EXTRACT_SLICE)
-            .operands(1)
-            .results(1)
-            .required_attr("offsets")
-            .required_attr("sizes"),
-    );
-    registry.register_op(
-        OpConstraint::new(INSERT_SLICE)
-            .operands(2)
-            .results(1)
-            .required_attr("offsets")
-            .required_attr("sizes"),
-    );
-    registry.register_op(OpConstraint::new(COLLAPSE_SHAPE).operands(1).results(1));
-    registry.register_op(OpConstraint::new(EXPAND_SHAPE).operands(1).results(1));
-    registry.register_op(
-        OpConstraint::new(PAD)
-            .operands(1)
-            .results(1)
-            .required_attr("low")
-            .required_attr("high"),
-    );
-    registry.register_op(
-        OpConstraint::new(SPLAT)
-            .operands(0)
-            .results(1)
-            .required_attr("value"),
-    );
+    registry.add_table(OPS);
 }
 
 /// Builds a `tensor.empty` of the given shape.

@@ -18,19 +18,21 @@ pub const CONV2D: &str = "tosa.conv2d";
 /// Op name: `tosa.clamp` (attrs `min`, `max`) — used for ReLU-style activations.
 pub const CLAMP: &str = "tosa.clamp";
 
+/// The `tosa` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(ADD).operands(2).results(1),
+    OpConstraint::new(CLAMP)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["min", "max"]),
+    OpConstraint::new(CONV2D).operands(3).results(1),
+    OpConstraint::new(FULLY_CONNECTED).operands(3).results(1),
+    OpConstraint::new(MATMUL).operands(2).results(1),
+];
+
 /// Registers the `tosa` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(OpConstraint::new(FULLY_CONNECTED).operands(3).results(1));
-    registry.register_op(OpConstraint::new(MATMUL).operands(2).results(1));
-    registry.register_op(OpConstraint::new(ADD).operands(2).results(1));
-    registry.register_op(OpConstraint::new(CONV2D).operands(3).results(1));
-    registry.register_op(
-        OpConstraint::new(CLAMP)
-            .operands(1)
-            .results(1)
-            .required_attr("min")
-            .required_attr("max"),
-    );
+    registry.add_table(OPS);
 }
 
 fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {

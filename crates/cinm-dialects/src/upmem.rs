@@ -70,78 +70,60 @@ pub mod arch {
     pub const DEFAULT_TASKLETS: usize = 16;
 }
 
+/// The `upmem` op constraints, sorted by op name.
+pub(crate) static OPS: &[OpConstraint] = &[
+    OpConstraint::new(ALLOC_DPUS)
+        .operands(0)
+        .results(1)
+        .required_attrs(&["ranks", "dpus_per_rank", "tasklets"]),
+    OpConstraint::new(ALLOC_MRAM).operands(1).results(1),
+    OpConstraint::new(BARRIER_WAIT)
+        .operands(0)
+        .results(0)
+        .required_attrs(&["barrier"]),
+    OpConstraint::new(DOT_PRODUCT).operands(3).results(0),
+    OpConstraint::new(FREE_DPUS).operands(1).results(0),
+    OpConstraint::new(GATHER)
+        .operands(2)
+        .results(2)
+        .required_attrs(&["scatter_map"]),
+    OpConstraint::new(LAUNCH)
+        .min_operands(1)
+        .results(1)
+        .regions(1)
+        .required_attrs(&["kernel", "tasklets"]),
+    OpConstraint::new(MRAM_READ)
+        .operands(3)
+        .results(0)
+        .required_attrs(&["bytes"]),
+    OpConstraint::new(MRAM_WRITE)
+        .operands(3)
+        .results(0)
+        .required_attrs(&["bytes"]),
+    OpConstraint::new(REDUCE_OP)
+        .operands(2)
+        .results(0)
+        .required_attrs(&["kind"]),
+    OpConstraint::new(SCATTER)
+        .operands(3)
+        .results(1)
+        .required_attrs(&["scatter_map"]),
+    OpConstraint::new(TASKLET_ID).operands(0).results(1),
+    OpConstraint::new(TERMINATOR)
+        .min_operands(0)
+        .results(0)
+        .terminator(),
+    OpConstraint::new(VECTOR_OP)
+        .operands(3)
+        .results(0)
+        .required_attrs(&["kind"]),
+    OpConstraint::new(WAIT).min_operands(1).results(0),
+    OpConstraint::new(WRAM_ALLOC).operands(0).results(1),
+];
+
 /// Registers the `upmem` op constraints.
 pub fn register(registry: &mut DialectRegistry) {
-    registry.register_op(
-        OpConstraint::new(ALLOC_DPUS)
-            .operands(0)
-            .results(1)
-            .required_attr("ranks")
-            .required_attr("dpus_per_rank")
-            .required_attr("tasklets"),
-    );
-    registry.register_op(OpConstraint::new(ALLOC_MRAM).operands(1).results(1));
-    registry.register_op(
-        OpConstraint::new(SCATTER)
-            .operands(3)
-            .results(1)
-            .required_attr("scatter_map"),
-    );
-    registry.register_op(
-        OpConstraint::new(GATHER)
-            .operands(2)
-            .results(2)
-            .required_attr("scatter_map"),
-    );
-    registry.register_op(
-        OpConstraint::new(LAUNCH)
-            .min_operands(1)
-            .results(1)
-            .regions(1)
-            .required_attr("kernel")
-            .required_attr("tasklets"),
-    );
-    registry.register_op(OpConstraint::new(WAIT).min_operands(1).results(0));
-    registry.register_op(OpConstraint::new(FREE_DPUS).operands(1).results(0));
-    registry.register_op(OpConstraint::new(TASKLET_ID).operands(0).results(1));
-    registry.register_op(OpConstraint::new(WRAM_ALLOC).operands(0).results(1));
-    registry.register_op(
-        OpConstraint::new(MRAM_READ)
-            .operands(3)
-            .results(0)
-            .required_attr("bytes"),
-    );
-    registry.register_op(
-        OpConstraint::new(MRAM_WRITE)
-            .operands(3)
-            .results(0)
-            .required_attr("bytes"),
-    );
-    registry.register_op(OpConstraint::new(DOT_PRODUCT).operands(3).results(0));
-    registry.register_op(
-        OpConstraint::new(VECTOR_OP)
-            .operands(3)
-            .results(0)
-            .required_attr("kind"),
-    );
-    registry.register_op(
-        OpConstraint::new(REDUCE_OP)
-            .operands(2)
-            .results(0)
-            .required_attr("kind"),
-    );
-    registry.register_op(
-        OpConstraint::new(BARRIER_WAIT)
-            .operands(0)
-            .results(0)
-            .required_attr("barrier"),
-    );
-    registry.register_op(
-        OpConstraint::new(TERMINATOR)
-            .min_operands(0)
-            .results(0)
-            .terminator(),
-    );
+    registry.add_table(OPS);
 }
 
 /// Builds `upmem.alloc_dpus` and returns the DPU-grid value

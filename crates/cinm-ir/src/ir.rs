@@ -70,6 +70,13 @@ pub struct ValueData {
     pub kind: ValueKind,
 }
 
+/// The dialect prefix of an op name (`"cinm"` for `"cinm.gemm"`).
+pub(crate) fn dialect_of(name: &str) -> &str {
+    // A byte scan: a dozen bytes do not repay the general pattern searcher.
+    let end = name.bytes().position(|b| b == b'.').unwrap_or(name.len());
+    &name[..end]
+}
+
 /// An operation: the generic unit of computation/abstraction in the IR.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
@@ -88,7 +95,7 @@ pub struct Operation {
 impl Operation {
     /// The dialect prefix of the operation name (`"cinm"` for `"cinm.gemm"`).
     pub fn dialect(&self) -> &str {
-        self.name.split('.').next().unwrap_or(&self.name)
+        dialect_of(&self.name)
     }
 
     /// The op mnemonic without the dialect prefix (`"gemm"` for `"cinm.gemm"`).
@@ -813,5 +820,20 @@ mod tests {
         );
         f.body.erase_op(op);
         let _ = f.body.op(op);
+    }
+
+    #[test]
+    fn the_verifier_rejects_an_erased_op_left_in_a_block() {
+        // `erase_op` unlinks what it erases, so only this module can build
+        // the inconsistency the verifier guards against.
+        let mut f = Func::new("bad", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let op = f
+            .body
+            .append_op(entry, "t.op", vec![], vec![], BTreeMap::new(), vec![]);
+        f.body.ops[op.0 as usize] = None;
+        let err =
+            crate::registry::verify_func(&f, &crate::registry::DialectRegistry::new()).unwrap_err();
+        assert!(err.to_string().contains("block contains erased op"));
     }
 }

@@ -1,24 +1,24 @@
 //! Dialect registry and structural verifier.
 //!
-//! Dialects (defined in the `cinm-dialects` crate) register per-operation
-//! constraints here; the [`verify_func`]/[`verify_module`] entry points check
-//! both generic SSA well-formedness and the registered constraints. This is
-//! the mechanism through which device dialects "plug into" the flow, mirroring
-//! how MLIR dialects register themselves with the context.
-
-use std::collections::{BTreeMap, HashSet};
+//! A dialect (defined in the `cinm-dialects` crate) is a `static` table of
+//! per-operation constraints; a [`DialectRegistry`] is a view over the tables
+//! added to it. The [`verify_func`]/[`verify_module`] entry points check both
+//! generic SSA well-formedness and the constraints of the registered tables.
+//! This is the mechanism through which device dialects "plug into" the flow,
+//! mirroring how MLIR dialects register themselves with the context.
 
 use crate::error::{IrError, IrResult};
-use crate::ir::{Body, Func, Module, OpId, RegionId, ValueKind};
+use crate::ir::{dialect_of, Body, Func, Module, OpId, RegionId, ValueId, ValueKind};
 
 /// A custom verification hook for a registered operation.
 pub type OpVerifier = fn(&crate::ir::Operation, &Body) -> Result<(), String>;
 
-/// Constraints describing one registered operation.
-#[derive(Debug, Clone)]
+/// Constraints describing one registered operation: one row of a dialect
+/// table, built in a `static` by the `const` methods below.
+#[derive(Debug, Clone, Copy)]
 pub struct OpConstraint {
     /// Fully qualified op name, e.g. `"cnm.scatter"`.
-    pub name: String,
+    pub name: &'static str,
     /// Exact number of operands, if fixed.
     pub num_operands: Option<usize>,
     /// Minimum number of operands (used when `num_operands` is `None`).
@@ -28,7 +28,7 @@ pub struct OpConstraint {
     /// Exact number of regions, if fixed.
     pub num_regions: Option<usize>,
     /// Attributes that must be present.
-    pub required_attrs: Vec<String>,
+    pub required_attrs: &'static [&'static str],
     /// Whether the op terminates a block.
     pub is_terminator: bool,
     /// Optional custom verifier.
@@ -37,79 +37,80 @@ pub struct OpConstraint {
 
 impl OpConstraint {
     /// Creates a permissive constraint for the given op name.
-    pub fn new(name: &str) -> Self {
+    pub const fn new(name: &'static str) -> Self {
         OpConstraint {
-            name: name.to_string(),
+            name,
             num_operands: None,
             min_operands: 0,
             num_results: None,
             num_regions: Some(0),
-            required_attrs: Vec::new(),
+            required_attrs: &[],
             is_terminator: false,
             verifier: None,
         }
     }
 
     /// Requires an exact operand count.
-    pub fn operands(mut self, n: usize) -> Self {
+    pub const fn operands(mut self, n: usize) -> Self {
         self.num_operands = Some(n);
         self
     }
 
     /// Requires at least `n` operands (and relaxes the exact count).
-    pub fn min_operands(mut self, n: usize) -> Self {
+    pub const fn min_operands(mut self, n: usize) -> Self {
         self.num_operands = None;
         self.min_operands = n;
         self
     }
 
     /// Requires an exact result count.
-    pub fn results(mut self, n: usize) -> Self {
+    pub const fn results(mut self, n: usize) -> Self {
         self.num_results = Some(n);
         self
     }
 
     /// Requires an exact region count.
-    pub fn regions(mut self, n: usize) -> Self {
+    pub const fn regions(mut self, n: usize) -> Self {
         self.num_regions = Some(n);
         self
     }
 
     /// Allows any number of regions.
-    pub fn any_regions(mut self) -> Self {
+    pub const fn any_regions(mut self) -> Self {
         self.num_regions = None;
         self
     }
 
-    /// Requires the presence of an attribute.
-    pub fn required_attr(mut self, key: &str) -> Self {
-        self.required_attrs.push(key.to_string());
+    /// Requires the presence of the given attributes.
+    pub const fn required_attrs(mut self, keys: &'static [&'static str]) -> Self {
+        self.required_attrs = keys;
         self
     }
 
     /// Marks the op as a block terminator.
-    pub fn terminator(mut self) -> Self {
+    pub const fn terminator(mut self) -> Self {
         self.is_terminator = true;
         self
     }
 
     /// Attaches a custom verifier hook.
-    pub fn with_verifier(mut self, v: OpVerifier) -> Self {
+    pub const fn with_verifier(mut self, v: OpVerifier) -> Self {
         self.verifier = Some(v);
         self
     }
 
     /// The dialect prefix of the registered op.
-    pub fn dialect(&self) -> &str {
-        self.name.split('.').next().unwrap_or(&self.name)
+    pub fn dialect(&self) -> &'static str {
+        dialect_of(self.name)
     }
 }
 
-/// Registry of dialects and their operations.
+/// Registry of dialects and their operations: references to the `static`
+/// dialect tables added to it, nothing owned per op.
 #[derive(Debug, Clone, Default)]
 pub struct DialectRegistry {
-    ops: BTreeMap<String, OpConstraint>,
-    dialects: HashSet<String>,
+    /// `(dialect, its ops sorted by name)`, in the order the tables were added.
+    tables: Vec<(&'static str, &'static [OpConstraint])>,
     /// When true, ops from unregistered dialects are accepted (MLIR's
     /// `allow-unregistered-dialect`).
     pub allow_unregistered: bool,
@@ -118,55 +119,77 @@ pub struct DialectRegistry {
 impl DialectRegistry {
     /// Creates an empty registry that rejects unknown dialects.
     pub fn new() -> Self {
-        DialectRegistry::default()
+        DialectRegistry {
+            // Room for the CINM stack and more: building a registry allocates once.
+            tables: Vec::with_capacity(16),
+            allow_unregistered: false,
+        }
     }
 
-    /// Registers one operation constraint.
+    /// Adds one dialect: a table of constraints whose names all carry the same
+    /// `dialect.` prefix, sorted by name.
     ///
     /// # Panics
     ///
-    /// Panics if the op name is already registered with different constraints.
-    pub fn register_op(&mut self, constraint: OpConstraint) {
-        self.dialects.insert(constraint.dialect().to_string());
-        let name = constraint.name.clone();
-        if let Some(existing) = self.ops.get(&name) {
-            assert_eq!(
-                existing.num_operands, constraint.num_operands,
-                "conflicting registration for {name}"
+    /// Panics, naming the op, if the table is empty, its dialect is already
+    /// registered, or its names are not one dialect's, each once, in order.
+    pub fn add_table(&mut self, ops: &'static [OpConstraint]) {
+        let first = ops.first().expect("a dialect table declares an op");
+        let dialect = first.dialect();
+        assert!(
+            !self.has_dialect(dialect),
+            "dialect '{dialect}' is already registered (adding '{}')",
+            first.name
+        );
+        for pair in ops.windows(2) {
+            assert!(
+                pair[0].name < pair[1].name,
+                "op '{}' does not sort after '{}': a table is one dialect's ops by name",
+                pair[1].name,
+                pair[0].name
             );
         }
-        self.ops.insert(name, constraint);
-    }
-
-    /// Registers many constraints at once.
-    pub fn register_all(&mut self, constraints: impl IntoIterator<Item = OpConstraint>) {
-        for c in constraints {
-            self.register_op(c);
+        // Names sorted between two names that start with `dialect.` start with
+        // it too, and only the smallest could be the bare prefix: checking the
+        // two ends checks every row.
+        for c in [first, &ops[ops.len() - 1]] {
+            let mnemonic = c.name.strip_prefix(dialect).unwrap_or("");
+            assert!(
+                mnemonic.len() > 1 && mnemonic.starts_with('.'),
+                "op '{}' is not prefixed by its table's dialect '{dialect}.'",
+                c.name
+            );
         }
+        self.tables.push((dialect, ops));
     }
 
-    /// Looks up the constraint for a fully qualified op name.
+    fn table(&self, dialect: &str) -> Option<&'static [OpConstraint]> {
+        let &(_, ops) = self.tables.iter().find(|(d, _)| *d == dialect)?;
+        Some(ops)
+    }
+
+    /// Looks up the constraint for a fully qualified op name: the table of its
+    /// dialect prefix first, then the op inside that one table.
     pub fn constraint(&self, name: &str) -> Option<&OpConstraint> {
-        self.ops.get(name)
+        let ops = self.table(dialect_of(name))?;
+        let i = ops.binary_search_by(|c| c.name.cmp(name)).ok()?;
+        Some(&ops[i])
     }
 
     /// Whether the dialect prefix has any registered op.
     pub fn has_dialect(&self, dialect: &str) -> bool {
-        self.dialects.contains(dialect)
+        self.table(dialect).is_some()
     }
 
     /// Registered op names of a dialect, sorted.
     pub fn ops_of_dialect(&self, dialect: &str) -> Vec<&str> {
-        self.ops
-            .values()
-            .filter(|c| c.dialect() == dialect)
-            .map(|c| c.name.as_str())
-            .collect()
+        let ops = self.table(dialect).unwrap_or_default();
+        ops.iter().map(|c| c.name).collect()
     }
 
     /// Total number of registered ops.
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.tables.iter().map(|(_, ops)| ops.len()).sum()
     }
 }
 
@@ -178,80 +201,104 @@ pub fn verify_module(module: &Module, registry: &DialectRegistry) -> IrResult<()
     Ok(())
 }
 
+/// The values an op may use at the current point of the walk: a flag per
+/// value of the body, plus the values flagged so far in definition order, so
+/// that leaving a region can take back exactly what the region defined.
+struct Scope {
+    visible: Vec<bool>,
+    defined: Vec<ValueId>,
+}
+
+impl Scope {
+    fn define(&mut self, v: ValueId) {
+        if !std::mem::replace(&mut self.visible[v.0 as usize], true) {
+            self.defined.push(v);
+        }
+    }
+
+    /// Hides every value defined since `self.defined` was `mark` long.
+    fn leave_region(&mut self, mark: usize) {
+        for v in self.defined.drain(mark..) {
+            self.visible[v.0 as usize] = false;
+        }
+    }
+}
+
 /// Verifies one function: SSA structure plus registered op constraints.
 pub fn verify_func(func: &Func, registry: &DialectRegistry) -> IrResult<()> {
     let body = &func.body;
     // Def-before-use, region nesting and per-op constraints, via a recursive
-    // walk that carries the set of visible values.
-    let mut visible: HashSet<crate::ir::ValueId> = HashSet::new();
-    verify_region(body, body.entry_region(), &mut visible, registry)
-        .map_err(|e| e.with_context(format!("verify @{}", func.name)))?;
-    Ok(())
+    // walk that carries the visible values. Each value is logged at most once
+    // at a time, so neither vector grows during the walk.
+    let mut scope = Scope {
+        visible: vec![false; body.num_values()],
+        defined: Vec::with_capacity(body.num_values()),
+    };
+    verify_region(body, body.entry_region(), &mut scope, registry)
+        .map_err(|e| e.with_context(format!("verify @{}", func.name)))
 }
 
 fn verify_region(
     body: &Body,
     region: RegionId,
-    visible: &mut HashSet<crate::ir::ValueId>,
+    scope: &mut Scope,
     registry: &DialectRegistry,
 ) -> IrResult<()> {
+    // Values defined in a block stay visible for sibling blocks of the same
+    // region (we do not model full dominance; single-block regions are the
+    // common case in the CINM pipeline).
     for &block in body.region_blocks(region) {
-        let mut added: Vec<crate::ir::ValueId> = Vec::new();
         for &arg in body.block_args(block) {
-            visible.insert(arg);
-            added.push(arg);
+            scope.define(arg);
         }
-        let ops = body.block_ops(block).to_vec();
+        let ops = body.block_ops(block);
         for (i, &op) in ops.iter().enumerate() {
             if !body.is_live(op) {
                 return Err(IrError::new(format!("block contains erased op {op}")));
             }
-            verify_op(body, op, visible, registry)?;
+            let constraint = verify_op(body, op, scope, registry)?;
             // Terminators must be last.
-            if let Some(c) = registry.constraint(&body.op(op).name) {
-                if c.is_terminator && i + 1 != ops.len() {
-                    return Err(IrError::new(format!(
-                        "terminator '{}' is not the last op of its block",
-                        body.op(op).name
-                    )));
-                }
+            if constraint.is_some_and(|c| c.is_terminator) && i + 1 != ops.len() {
+                return Err(IrError::new(format!(
+                    "terminator '{}' is not the last op of its block",
+                    body.op(op).name
+                )));
             }
             for &r in body.op(op).results.iter() {
-                visible.insert(r);
-                added.push(r);
+                scope.define(r);
             }
         }
-        // Values defined in this block stay visible for sibling blocks of the
-        // same region (we do not model full dominance; single-block regions
-        // are the common case in the CINM pipeline).
-        let _ = added;
     }
     Ok(())
 }
 
-fn verify_op(
+/// Verifies one op and everything nested in it; returns the constraint the
+/// registry holds for it.
+fn verify_op<'r>(
     body: &Body,
     op: OpId,
-    visible: &HashSet<crate::ir::ValueId>,
-    registry: &DialectRegistry,
-) -> IrResult<()> {
+    scope: &mut Scope,
+    registry: &'r DialectRegistry,
+) -> IrResult<Option<&'r OpConstraint>> {
     let operation = body.op(op);
     // Structural: operands must be defined and visible.
     for &operand in &operation.operands {
-        if (operand.0 as usize) >= body.num_values() {
-            return Err(IrError::new(format!(
-                "op '{}' references undefined value {operand}",
-                operation.name
-            )));
-        }
-        if !visible.contains(&operand) {
-            // Allow uses of values defined by ancestors: visible contains
-            // everything defined on the path so far, so a miss means either
-            // use-before-def or a cross-region escape.
-            return Err(IrError::new(format!(
-                "op '{}' uses value {operand} before its definition",
-                operation.name
-            )));
+        match scope.visible.get(operand.0 as usize) {
+            None => {
+                return Err(IrError::new(format!(
+                    "op '{}' references undefined value {operand}",
+                    operation.name
+                )))
+            }
+            // Everything defined on the path so far is visible, so a miss
+            // means either use-before-def or a cross-region escape.
+            Some(false) => {
+                return Err(IrError::new(format!(
+                    "op '{}' uses value {operand} before its definition",
+                    operation.name
+                )))
+            }
+            Some(true) => {}
         }
     }
     // Results must point back at this op.
@@ -267,7 +314,8 @@ fn verify_op(
         }
     }
     // Registered constraints.
-    match registry.constraint(&operation.name) {
+    let constraint = registry.constraint(&operation.name);
+    match constraint {
         Some(c) => {
             if let Some(n) = c.num_operands {
                 if operation.operands.len() != n {
@@ -303,7 +351,7 @@ fn verify_op(
                     )));
                 }
             }
-            for key in &c.required_attrs {
+            for &key in c.required_attrs {
                 if !operation.attrs.contains_key(key) {
                     return Err(IrError::new(format!(
                         "op '{}' is missing required attribute '{key}'",
@@ -336,22 +384,14 @@ fn verify_op(
             }
         }
     }
-    // Recurse into regions with a copy of visibility (values defined inside a
-    // region are not visible outside of it).
+    // Values defined inside a region are not visible outside of it, nor in a
+    // sibling region of the same op.
     for &r in &operation.regions {
-        let mut inner = visible.clone();
-        verify_nested_region(body, r, &mut inner, registry)?;
+        let mark = scope.defined.len();
+        verify_region(body, r, scope, registry)?;
+        scope.leave_region(mark);
     }
-    Ok(())
-}
-
-fn verify_nested_region(
-    body: &Body,
-    region: RegionId,
-    visible: &mut HashSet<crate::ir::ValueId>,
-    registry: &DialectRegistry,
-) -> IrResult<()> {
-    verify_region(body, region, visible, registry)
+    Ok(constraint)
 }
 
 #[cfg(test)]
@@ -362,21 +402,21 @@ mod tests {
     use crate::types::Type;
     use std::collections::BTreeMap;
 
+    static TEST_OPS: &[OpConstraint] = &[
+        OpConstraint::new("test.binary").operands(2).results(1),
+        OpConstraint::new("test.ret")
+            .min_operands(0)
+            .results(0)
+            .terminator(),
+        OpConstraint::new("test.tiled")
+            .operands(1)
+            .results(1)
+            .required_attrs(&["tile_sizes"]),
+    ];
+
     fn registry() -> DialectRegistry {
         let mut r = DialectRegistry::new();
-        r.register_op(OpConstraint::new("test.binary").operands(2).results(1));
-        r.register_op(
-            OpConstraint::new("test.ret")
-                .min_operands(0)
-                .results(0)
-                .terminator(),
-        );
-        r.register_op(
-            OpConstraint::new("test.tiled")
-                .operands(1)
-                .results(1)
-                .required_attr("tile_sizes"),
-        );
+        r.add_table(TEST_OPS);
         r
     }
 
@@ -503,5 +543,199 @@ mod tests {
         r.allow_unregistered = true;
         let err = verify_func(&f, &r).unwrap_err();
         assert!(err.to_string().contains("before its definition"));
+    }
+
+    #[test]
+    fn lookup_goes_through_the_dialect_prefix() {
+        let r = registry();
+        for c in TEST_OPS {
+            assert!(std::ptr::eq(r.constraint(c.name).unwrap(), c));
+        }
+        assert_eq!(
+            r.ops_of_dialect("test"),
+            ["test.binary", "test.ret", "test.tiled"]
+        );
+        for missing in ["test.binarz", "test.re", "test", "test.", "tes.binary", ""] {
+            assert!(r.constraint(missing).is_none(), "{missing:?}");
+        }
+        assert!(r.ops_of_dialect("other").is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dialect 'test' is already registered")]
+    fn a_dialect_is_added_once() {
+        registry().add_table(TEST_OPS);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 'test.a' does not sort after 'test.a'")]
+    fn a_duplicate_name_is_refused_whatever_else_differs() {
+        static OPS: &[OpConstraint] = &[
+            OpConstraint::new("test.a").operands(2),
+            OpConstraint::new("test.a").operands(2).results(1),
+        ];
+        DialectRegistry::new().add_table(OPS);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 'test.a' does not sort after 'test.c'")]
+    fn a_table_is_sorted_by_name() {
+        static OPS: &[OpConstraint] = &[
+            OpConstraint::new("test.a"),
+            OpConstraint::new("test.c"),
+            OpConstraint::new("test.a"),
+        ];
+        DialectRegistry::new().add_table(OPS);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 'tesu.b' is not prefixed by its table's dialect 'test.'")]
+    fn a_table_holds_one_dialect() {
+        static OPS: &[OpConstraint] = &[OpConstraint::new("test.a"), OpConstraint::new("tesu.b")];
+        DialectRegistry::new().add_table(OPS);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 'test.c' does not sort after 'tesu.b'")]
+    fn a_foreign_row_in_the_middle_breaks_the_order() {
+        static OPS: &[OpConstraint] = &[
+            OpConstraint::new("test.a"),
+            OpConstraint::new("tesu.b"),
+            OpConstraint::new("test.c"),
+        ];
+        DialectRegistry::new().add_table(OPS);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 'test' is not prefixed")]
+    fn a_bare_dialect_is_not_an_op_name() {
+        static OPS: &[OpConstraint] = &[OpConstraint::new("test")];
+        DialectRegistry::new().add_table(OPS);
+    }
+
+    /// Appends `t.region` with `regions` empty single-block regions.
+    fn region_op(f: &mut Func, block: crate::ir::BlockId, regions: usize) -> OpId {
+        f.body.append_op(
+            block,
+            "t.region",
+            vec![],
+            vec![],
+            BTreeMap::new(),
+            vec![vec![]; regions],
+        )
+    }
+
+    fn def(f: &mut Func, block: crate::ir::BlockId) -> ValueId {
+        let op = f.body.append_op(
+            block,
+            "t.def",
+            vec![],
+            vec![Type::i32()],
+            BTreeMap::new(),
+            vec![],
+        );
+        f.body.result(op, 0)
+    }
+
+    fn use_of(f: &mut Func, block: crate::ir::BlockId, v: ValueId) {
+        f.body
+            .append_op(block, "t.use", vec![v], vec![], BTreeMap::new(), vec![]);
+    }
+
+    fn scoping_error(f: &Func) -> String {
+        verify_func(f, &DialectRegistry::new())
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn a_region_value_does_not_escape_its_region() {
+        let mut f = Func::new("bad", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let holder = region_op(&mut f, entry, 1);
+        let inner = f.body.op_region_entry_block(holder, 0);
+        let v = def(&mut f, inner);
+        use_of(&mut f, inner, v);
+        assert!(verify_func(&f, &DialectRegistry::new()).is_ok());
+        use_of(&mut f, entry, v);
+        let error = scoping_error(&f);
+        assert!(error.contains("op 't.use' uses value") && error.contains("before its definition"));
+    }
+
+    #[test]
+    fn a_region_value_is_not_visible_in_a_sibling_region() {
+        let mut f = Func::new("bad", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let holder = region_op(&mut f, entry, 2);
+        let (first, second) = (
+            f.body.op_region_entry_block(holder, 0),
+            f.body.op_region_entry_block(holder, 1),
+        );
+        let v = def(&mut f, first);
+        use_of(&mut f, second, v);
+        assert!(scoping_error(&f).contains("before its definition"));
+    }
+
+    #[test]
+    fn an_outer_value_is_visible_three_regions_deep_and_after_them() {
+        let mut f = Func::new("ok", vec![Type::i32()], vec![]);
+        let entry = f.body.entry_block();
+        let (arg, v) = (f.argument(0), def(&mut f, entry));
+        let mut block = entry;
+        for _ in 0..3 {
+            let holder = region_op(&mut f, block, 1);
+            block = f.body.op_region_entry_block(holder, 0);
+            use_of(&mut f, block, v);
+        }
+        use_of(&mut f, block, arg);
+        // Leaving the regions takes back what they defined, not what was
+        // visible before them.
+        use_of(&mut f, entry, v);
+        use_of(&mut f, entry, arg);
+        assert!(verify_func(&f, &DialectRegistry::new()).is_ok());
+    }
+
+    #[test]
+    fn a_block_value_is_visible_in_the_next_block_of_its_region() {
+        let mut f = Func::new("ok", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let holder = region_op(&mut f, entry, 1);
+        let block0 = f.body.op_region_entry_block(holder, 0);
+        let block1 = f.body.add_block(f.body.block_region(block0));
+        let v = def(&mut f, block0);
+        let a = f.body.add_block_arg(block1, Type::i32());
+        use_of(&mut f, block1, v);
+        use_of(&mut f, block1, a);
+        assert!(verify_func(&f, &DialectRegistry::new()).is_ok());
+        // ... and still not outside that region.
+        use_of(&mut f, entry, a);
+        assert!(scoping_error(&f).contains("before its definition"));
+    }
+
+    #[test]
+    fn a_result_defined_elsewhere_is_rejected() {
+        let mut f = Func::new("bad", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let (a, b) = (def(&mut f, entry), def(&mut f, entry));
+        let (op_a, op_b) = (
+            f.body.defining_op(a).unwrap(),
+            f.body.defining_op(b).unwrap(),
+        );
+        f.body.op_mut(op_a).results = vec![b];
+        f.body.op_mut(op_b).results = vec![a];
+        assert!(
+            scoping_error(&f).contains("result 0 of op 't.def' has inconsistent definition record")
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_operand_is_rejected() {
+        let mut f = Func::new("bad", vec![], vec![]);
+        let entry = f.body.entry_block();
+        let v = def(&mut f, entry);
+        use_of(&mut f, entry, v);
+        let user = f.body.users(v)[0];
+        f.body.op_mut(user).operands = vec![ValueId(99)];
+        assert!(scoping_error(&f).contains("op 't.use' references undefined value"));
     }
 }

@@ -655,7 +655,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
                 let view = f.body.block_args(rb_block)[0];
                 let mut rb = OpBuilder::at_end(&mut f.body, rb_block);
                 let s = cinm::scan(&mut rb, "add", view);
-                rb.push(OpSpec::new("cinm.yield").operand(s));
+                rb.push(OpSpec::new(cinm::YIELD).operand(s));
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             func::ret(&mut b, &[out.results[0]]);
@@ -680,7 +680,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             {
                 let rb_block = f.body.op_region_entry_block(out.id, 0);
                 let mut rb = OpBuilder::at_end(&mut f.body, rb_block);
-                rb.push(OpSpec::new("cinm.yield"));
+                rb.push(OpSpec::new(cinm::YIELD));
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             func::ret(&mut b, &[out.results[0]]);
@@ -721,11 +721,7 @@ mod tests {
         let registry = register_all_dialects();
         for id in WorkloadId::all() {
             let f = build_func(id, Scale::Test);
-            // `cinm.yield` inside compute regions is not a registered op; the
-            // structural checks still run for everything else.
-            let mut r = registry.clone();
-            r.allow_unregistered = true;
-            verify_func(&f, &r).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+            verify_func(&f, &registry).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
             assert!(f.body.num_live_ops() >= 2, "{} too small", id.name());
         }
     }

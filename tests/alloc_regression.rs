@@ -454,3 +454,36 @@ fn steady_state_mvm_loop_is_allocation_free() {
     });
     assert_eq!(allocs, 0, "steady-state MVM batches must not allocate");
 }
+
+/// The compiler's front half: a dialect registry is references to `static`
+/// tables (one vector holds them), and the verifier keeps one flag and at
+/// most one log entry per value — two vectors sized up front, nothing per op
+/// and nothing per region.
+#[test]
+fn registry_and_verifier_allocations_do_not_grow_with_the_program() {
+    let (registry, allocs) = alloc_count::count_in(cinm_dialects::register_all_dialects);
+    assert!(
+        allocs <= 1,
+        "building the registry allocated {allocs} times"
+    );
+
+    let lowered = |id| {
+        let mut module = cinm_ir::Module::new("m");
+        module.add_func(cinm_workloads::build_func(id, cinm_workloads::Scale::Test));
+        cinm_core::compile(&mut module, &cinm_core::cnm_pipeline(4, true)).unwrap();
+        module
+    };
+    let (mm, mm3) = (
+        lowered(cinm_workloads::WorkloadId::Mm),
+        lowered(cinm_workloads::WorkloadId::Mm3),
+    );
+    let ops = |m: &cinm_ir::Module| m.funcs[0].body.num_live_ops();
+    assert!(
+        ops(&mm3) >= 2 * ops(&mm) && !mm.funcs[0].body.ops_with_name("upmem.launch").is_empty()
+    );
+    for module in [&mm, &mm3] {
+        let (result, allocs) = alloc_count::count_in(|| cinm_ir::verify_module(module, &registry));
+        result.unwrap();
+        assert_eq!(allocs, 2, "verifying {} ops", ops(module));
+    }
+}

@@ -71,6 +71,49 @@ fn pipelines_lower_every_idiomatic_workload_to_device_dialects() {
     }
 }
 
+/// `compile` verifies strictly: every program of the suite lowers through
+/// every pipeline into ops some dialect table declares — the benchmark's 33
+/// (program, route) pairs and the 12 it leaves out — and a misspelled op is
+/// an error, not a silently accepted unregistered one.
+#[test]
+fn every_lowered_program_verifies_without_unregistered_ops() {
+    let registry = cinm::dialects::register_all_dialects();
+    assert!(!registry.allow_unregistered);
+    let pipelines = [
+        ("cinm", cinm_pipeline()),
+        ("upmem", cnm_pipeline(8, true)),
+        ("memristor", cim_pipeline(CimLoweringOptions::optimized())),
+    ];
+    for scale in [Scale::Test, Scale::Bench] {
+        for id in WorkloadId::all() {
+            for (route, pm) in &pipelines {
+                let mut module = Module::new(id.name());
+                module.add_func(build_func(id, scale));
+                pm.run(&mut module)
+                    .unwrap_or_else(|e| panic!("{} -> {route} at {scale:?}: {e}", id.name()));
+                verify_module(&module, &registry)
+                    .unwrap_or_else(|e| panic!("{} -> {route} at {scale:?}: {e}", id.name()));
+            }
+        }
+    }
+
+    let t = Type::tensor(&[8, 8], ScalarType::I32);
+    let mut f = Func::new("typo", vec![t.clone(), t.clone()], vec![t.clone()]);
+    let (a, b) = (f.argument(0), f.argument(1));
+    let entry = f.body.entry_block();
+    let mut builder = OpBuilder::at_end(&mut f.body, entry);
+    let c = builder.push(OpSpec::new("cinm.gemmm").operands([a, b]).result(t));
+    cinm::dialects::func::ret(&mut builder, &[c.result()]);
+    let mut module = Module::new("typo");
+    module.add_func(f);
+    let err = compile(&mut module, &cinm_pipeline()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("unknown op 'cinm.gemmm' in registered dialect 'cinm'"),
+        "{err}"
+    );
+}
+
 #[test]
 fn greedy_target_selection_sends_large_gemms_to_cim_and_the_rest_to_cnm() {
     let selector = TargetSelector::new();

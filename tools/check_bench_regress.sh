@@ -15,17 +15,44 @@
 # rows are printed and not judged: one second on a shared runner says
 # nothing about them.
 #
-# Exit codes: 0 equal; 1 a deterministic metric moved or a run failed;
-# 2 bad usage or a missing tool.
+#   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <name>
+#
+# The host-clock half, measured and not judged: with the same worktree and
+# builds, runs <n> alternating base/head pairs of
+#   cinm-benchmark run --workload <name> --seed <i> --trace 0
+# (pair i uses seed i on both sides; the side that goes first flips every
+# pair; --seconds is the benchmark's own) and prints, per end-to-end metric
+# of BENCHMARK.json, both medians, both inter-quartile spreads and the pairs
+# head won. Reading it is up to the PR: a gain needs nine pairs in ten and a
+# median gap beyond the base's spread.
+#
+# Exit codes: 0 equal (or the pairs were run); 1 a deterministic metric
+# moved or a run failed; 2 bad usage or a missing tool.
 set -uo pipefail
 
-[ $# -eq 1 ] || { echo "usage: $0 <base-rev>" >&2; exit 2; }
+usage() { echo "usage: $0 <base-rev> [--pairs <n> --workload <name>]" >&2; exit 2; }
+pairs=""
+workload=""
+[ $# -ge 1 ] || usage
+base_rev="$1"
+shift
+while [ $# -gt 0 ]; do
+    case "$1" in
+    --pairs) pairs="${2:-}" ;;
+    --workload) workload="${2:-}" ;;
+    *) usage ;;
+    esac
+    shift 2 || usage
+done
+if [ -n "$pairs$workload" ]; then # both or neither, and a count
+    [ -n "$workload" ] && [ "$pairs" -gt 0 ] 2>/dev/null || usage
+fi
 for tool in git cargo jq; do
     command -v "$tool" >/dev/null || { echo "$0: $tool not found" >&2; exit 2; }
 done
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-base="$(git -C "$root" rev-parse --verify "$1^{commit}")" || exit 2
+base="$(git -C "$root" rev-parse --verify "$base_rev^{commit}")" || exit 2
 work="$(mktemp -d)"
 cleanup() {
     git -C "$root" worktree remove --force "$work/base" 2>/dev/null
@@ -40,6 +67,36 @@ bench() { # <checkout> <args...>
     shift
     (cd "$dir" && cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- "$@")
 }
+
+if [ -n "$pairs" ]; then
+    for i in $(seq 1 "$pairs"); do
+        order="base head"
+        [ $((i % 2)) -eq 0 ] && order="head base"
+        for side in $order; do
+            dir="$root"
+            [ "$side" = base ] && dir="$work/base"
+            echo "== pair $i, $side: run --workload $workload --seed $i --trace 0" >&2
+            # The last line of a run is the record the driver reads.
+            bench "$dir" run --workload "$workload" --seed "$i" --trace 0 | tail -n 1 >"$work/$side.$i.json" &&
+                [ "$(jq -r .correct "$work/$side.$i.json")" = true ] ||
+                { echo "$0: the $side run of pair $i failed" >&2; exit 1; }
+        done
+    done
+    echo "$workload: $pairs alternating pairs, base $base_rev -> head (median [q1, q3] spread; head wins)"
+    jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while read -r metric better; do
+        jq -rs --arg m "$metric" --arg better "$better" --argjson n "$pairs" '
+            def q(p): sort | . as $s | ((length - 1) * p) as $h | ($h | floor) as $l
+                | $s[$l] + ($h - $l) * (($s[$l + 1] // $s[$l]) - $s[$l]);
+            def r: . * 1e6 | round / 1e6;
+            def cell: "\(q(0.5) | r) [\(q(0.25) | r), \(q(0.75) | r)] \((q(0.75) - q(0.25)) / q(0.5) * 1000 | round / 10)%";
+            (.[:$n] | map(.metrics[$m].value)) as $base | (.[$n:] | map(.metrics[$m].value)) as $head
+            | ([range($n) | select(if $better == "lower" then $head[.] < $base[.] else $head[.] > $base[.] end)] | length) as $won
+            | "  \($m): base \($base | cell) -> head \($head | cell); median \(($head | q(0.5)) / ($base | q(0.5)) * 1000 - 1000 | round / 10)%; head wins \($won)/\($n)"
+        ' $(for side in base head; do for i in $(seq 1 "$pairs"); do echo "$work/$side.$i.json"; done; done)
+    done
+    echo "  failed ops: base $(cat "$work"/base.*.json | jq -s 'map(.failed) | add'), head $(cat "$work"/head.*.json | jq -s 'map(.failed) | add')"
+    exit 0
+fi
 
 for side in base head; do
     dir="$root"
@@ -73,5 +130,5 @@ if ! diff <(deterministic "$work/base.json") <(deterministic "$work/head.json") 
     status=1
 fi
 
-[ $status -eq 0 ] && echo "$0: every simulated-clock and count metric equals $1" >&2
+[ $status -eq 0 ] && echo "$0: every simulated-clock and count metric equals $base_rev" >&2
 exit $status
