@@ -1518,5 +1518,9 @@ mod tests {
         }
         let avg = geomean(&rows.iter().map(Table4Row::reduction).collect::<Vec<_>>());
         assert!(avg > 5.0, "average reduction {avg}");
+        // `sel` has the one region with block arguments: its `^bb0` header
+        // counts as one line, not two.
+        let sel = rows.iter().find(|r| r.application == "sel").unwrap();
+        assert_eq!(sel.cinm_loc, 8);
     }
 }

@@ -138,8 +138,8 @@ impl ServerOptions {
         self
     }
 
-    /// Caps the batch size (1 disables cross-tenant batching — the serial
-    /// baseline of `BENCH_serving.json`).
+    /// Caps the batch size (1 disables cross-tenant batching: one request
+    /// per round, as the fairness test in `tests/serving.rs` needs).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self

@@ -2578,14 +2578,6 @@ impl Session {
         }
     }
 
-    /// The memoizing shard planner the session plans on — exposes the
-    /// shard-plan cache counters and, through
-    /// [`CachedShardPlanner::planner`], the measurement-fed
-    /// [`crate::shard::ShardCalibrator`].
-    pub fn shard_planner(&self) -> &CachedShardPlanner {
-        &self.planner
-    }
-
     /// Cumulative fault-tolerance counters of everything this session
     /// executed: the backends' per-command retries and simulated backoff,
     /// permanent faults observed, and the session's own re-plans and

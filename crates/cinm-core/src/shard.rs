@@ -160,10 +160,9 @@ pub enum ShardPolicy {
 }
 
 impl ShardPolicy {
-    /// Parses the `--shard` CLI grammar shared by `cinm-experiments` and
-    /// `bench-sim`: `value` is the flag's argument
-    /// (`auto|cnm-only|cim-only|host-only|fractions`), `next` the following
-    /// token when `value` is `fractions` (`"a,b,c"`).
+    /// Parses the `--shard` CLI grammar of `cinm-experiments`: `value` is
+    /// the flag's argument (`auto|cnm-only|cim-only|host-only|fractions`),
+    /// `next` the following token when `value` is `fractions` (`"a,b,c"`).
     pub fn parse_cli(value: &str, next: Option<&str>) -> Result<ShardPolicy, String> {
         match value {
             "auto" => Ok(ShardPolicy::Auto),
@@ -191,19 +190,6 @@ impl ShardPolicy {
             other => Err(format!(
                 "invalid --shard value '{other}'; expected auto|min-energy|cnm-only|cim-only|host-only|fractions a,b,c"
             )),
-        }
-    }
-
-    /// The CLI spelling of the policy (the non-fraction variants round-trip
-    /// through [`ShardPolicy::parse_cli`]).
-    pub fn cli_name(&self) -> String {
-        match self {
-            ShardPolicy::Auto => "auto".to_string(),
-            ShardPolicy::MinimizeEnergy => "min-energy".to_string(),
-            ShardPolicy::Single(Target::Cnm) => "cnm-only".to_string(),
-            ShardPolicy::Single(Target::Cim) => "cim-only".to_string(),
-            ShardPolicy::Single(Target::Host) => "host-only".to_string(),
-            ShardPolicy::Fractions(f) => format!("fractions {},{},{}", f[0], f[1], f[2]),
         }
     }
 
@@ -1069,9 +1055,7 @@ mod tests {
             ("cim-only", ShardPolicy::Single(Target::Cim)),
             ("host-only", ShardPolicy::Single(Target::Host)),
         ] {
-            let parsed = ShardPolicy::parse_cli(value, None).unwrap();
-            assert_eq!(parsed, policy);
-            assert_eq!(parsed.cli_name(), value);
+            assert_eq!(ShardPolicy::parse_cli(value, None).unwrap(), policy);
         }
         assert_eq!(
             ShardPolicy::parse_cli("fractions", Some("0.5, 0.25,0.25")).unwrap(),
@@ -1094,8 +1078,8 @@ mod tests {
 
     #[test]
     fn min_energy_plans_never_exceed_makespan_plan_joules() {
-        // The ISSUE's acceptance criterion over the bench-sweep op/shape
-        // grid: the MinimizeEnergy plan's estimated joules are ≤ the
+        // The energy policy's contract over a grid of ops and shapes: the
+        // MinimizeEnergy plan's estimated joules are ≤ the
         // makespan-optimal (Auto) plan's joules on the same estimates.
         let auto = planner();
         let energy = planner().with_policy(ShardPolicy::MinimizeEnergy);

@@ -119,9 +119,9 @@ impl ShardShape {
 // ---------------------------------------------------------------------------
 
 /// Whether the crossbar backend can execute the op — the single source of
-/// truth for the "MVM-only" restriction used by the planner, the experiment
-/// harness and `bench-sim` (the `ShardedBackend` methods enforce the same
-/// fact at execution time).
+/// truth for the "MVM-only" restriction used by the planner and the
+/// experiment harness (the `ShardedBackend` methods enforce the same fact at
+/// execution time).
 pub fn cim_supports(op: &str) -> bool {
     op == cinm::GEMM || op == cinm::GEMV
 }

@@ -7,7 +7,8 @@
 //! contract: [`CountingAllocator`] wraps the system allocator and counts every
 //! allocation per thread, so `tests/alloc_regression.rs` can assert that a
 //! warmed-up launch+MVM loop performs **zero** heap allocations, and
-//! `bench-sim` can report allocations/op next to its wall-clock numbers.
+//! `cinm-benchmark` can report `runtime.allocs_per_op` next to its
+//! wall-clock numbers.
 //!
 //! Counters are thread-local (const-initialised, so reading them never
 //! allocates or recurses into the allocator) — a measurement window on one

@@ -21,7 +21,7 @@
 //! * [`alloc_count`] — a counting global allocator, the measurement side of
 //!   the "allocation-free hot path" contract: `tests/alloc_regression.rs`
 //!   asserts zero steady-state allocations in the launch+MVM loop with it,
-//!   and `bench-sim` reports allocations/op in `BENCH_sim.json`.
+//!   and `cinm-benchmark` reports `runtime.allocs_per_op` per workload.
 //!
 //! ```
 //! use cinm_runtime::PoolHandle;

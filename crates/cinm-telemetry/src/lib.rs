@@ -52,8 +52,7 @@ use std::sync::{Arc, Mutex};
 mod json;
 
 /// Schema identifier stamped into every exported snapshot. Bump the version
-/// when the JSON layout changes; `tools/check_bench_schema.sh`-style checks
-/// can then catch stale consumers.
+/// when the JSON layout changes, so consumers can detect a stale layout.
 pub const TELEMETRY_SCHEMA: &str = "cinm/telemetry/v1";
 
 /// Fixed log-spaced bucket upper bounds (seconds) for request/op latency

@@ -1804,6 +1804,77 @@ fn capped_session_graphs_are_typed_errors_or_bit_identical() {
     assert!(refused_cases > 0, "no case exercised the typed refusal");
 }
 
+/// A ring of 16 pinned device-only accumulators, each produced by its own
+/// run and then touched round-robin twice, under 100 / 50 / 25 % of the
+/// unlimited run's peak MRAM. The full tier fits without evicting; the
+/// quarter tier evicts pinned values and brings them back by spill or
+/// rematerialization (the random graphs above mostly free-drop); no tier
+/// overshoots its limit and every touch reads bit-equal to the unlimited
+/// run.
+#[test]
+fn pinned_accumulator_ring_is_bit_identical_at_graded_mram_limits() {
+    use cinm::core::{ResidencyStats, Session};
+    const RING: usize = 16;
+    let len = 1 << 10;
+    let base_vec = data::i32_vec(0xA11, len, -64, 64);
+    let xs: Vec<Vec<i32>> = (0..4)
+        .map(|i| data::i32_vec(90 + i, len, -64, 64))
+        .collect();
+
+    let run_tier = |limit: Option<usize>| -> (Vec<Vec<i32>>, ResidencyStats) {
+        let mut opts = session_options(true);
+        if let Some(bytes) = limit {
+            opts = opts.with_mram_limit_bytes(bytes);
+        }
+        let mut sess = Session::new(opts);
+        let x = sess.vector(&xs[0]);
+        let base = sess.vector(&base_vec);
+        // One run per accumulator: eviction is a between-runs decision, so
+        // a run's working set stays small however big the ring is.
+        let accs: Vec<_> = (0..RING)
+            .map(|j| {
+                sess.write(x, &xs[j % xs.len()]);
+                let acc = sess.elementwise(BinOp::Add, base, x);
+                sess.pin(acc);
+                sess.run().expect("one accumulator at a time fits");
+                acc
+            })
+            .collect();
+        let touched = (0..2 * RING)
+            .map(|i| {
+                sess.write(x, &xs[i % xs.len()]);
+                let z = sess.elementwise(BinOp::Add, accs[i % RING], x);
+                sess.run().expect("a capped ring restores evicted tensors");
+                sess.fetch(z)
+            })
+            .collect();
+        (touched, sess.residency_stats())
+    };
+
+    let (baseline, unlimited) = run_tier(None);
+    let tier = |percent: usize| {
+        let limit = unlimited.peak_mram_bytes * percent / 100;
+        let (touched, res) = run_tier(Some(limit));
+        assert_eq!(touched, baseline, "the {percent}% tier diverged");
+        assert!(
+            res.peak_mram_bytes <= limit,
+            "the {percent}% tier overshot {limit} bytes: {res:?}"
+        );
+        res
+    };
+    assert_eq!(tier(100).evictions, 0, "the 100% tier fits the whole ring");
+    tier(50);
+    let quarter = tier(25);
+    assert!(
+        quarter.evictions > 0,
+        "the 25% tier must evict: {quarter:?}"
+    );
+    assert!(
+        quarter.spilled_bytes > 0 || quarter.remat_ops > 0,
+        "the 25% tier must spill or rematerialize: {quarter:?}"
+    );
+}
+
 /// A multi-tenant serving mix whose shape classes do not fit the MRAM
 /// budget together stays bit-identical to the host oracle: admission and
 /// scheduling evict cold classes' reloadable weights and transparently
