@@ -9,9 +9,10 @@
 //!   are spawned once and re-used for every launch and transfer, replacing
 //!   the per-operation `std::thread::scope` spawns of the seed. The
 //!   band-scheduling helpers [`resolve_threads`] and
-//!   [`PoolHandle::for_each_chunk_mut`] live here as the single source of
-//!   truth (they were previously duplicated in `upmem_sim::par` and
-//!   `memristor_sim::crossbar`).
+//!   [`PoolHandle::for_each_band_mut`] (with the per-chunk
+//!   [`PoolHandle::for_each_chunk_mut`] on top of it) live here as the single
+//!   source of truth (they were previously duplicated in `upmem_sim::par`
+//!   and `memristor_sim::crossbar`).
 //! * [`CommandStream`] / [`execute_stream`] — a **hazard-tracked command
 //!   stream**: devices record commands with per-buffer read/write sets
 //!   ([`Access`]), [`hazard_deps`] builds a RAW/WAR/WAW dependency DAG, and

@@ -443,20 +443,24 @@ impl PoolHandle {
         self.owned.is_none()
     }
 
-    /// Applies `f` to every `chunk`-sized slice of `data`, indexed by chunk
-    /// number, distributing contiguous bands of chunks over up to `threads`
-    /// pool workers.
+    /// Splits `data` into up to `threads` contiguous *bands* of whole
+    /// `chunk`-sized slices and applies `f(first_chunk, band)` to each, where
+    /// `first_chunk` is the index of the band's first chunk. This is the one
+    /// scheduling loop of the data-parallel helpers: one thread is one band
+    /// run on the caller, `k` threads are `k` bands of the same closure on
+    /// the pool, the last one ragged when the chunks do not divide evenly.
     ///
-    /// `data.len()` must be a multiple of `chunk`; each invocation of `f`
-    /// receives a disjoint `&mut` chunk, so the parallel and sequential
-    /// schedules produce bit-identical results.
+    /// Each invocation of `f` receives a disjoint `&mut` band and the bands
+    /// partition `data` in order, so a closure whose result for a chunk
+    /// depends only on the chunk's index produces bit-identical data for
+    /// every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is zero while `data` is non-empty, or if
     /// `data.len()` is not a multiple of `chunk`; panics inside `f` are
     /// propagated after all bands have finished.
-    pub fn for_each_chunk_mut<T, F>(&self, threads: usize, data: &mut [T], chunk: usize, f: F)
+    pub fn for_each_band_mut<T, F>(&self, threads: usize, data: &mut [T], chunk: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -473,20 +477,30 @@ impl PoolHandle {
         let n_chunks = data.len() / chunk;
         let threads = resolve_threads(threads, n_chunks);
         if threads <= 1 {
-            for (i, c) in data.chunks_mut(chunk).enumerate() {
-                f(i, c);
-            }
+            // One band: no scope, no queue push, no allocation.
+            f(0, data);
             return;
         }
         let chunks_per_band = n_chunks.div_ceil(threads);
         let f = &f;
         self.get().scope(|scope| {
             for (band, band_slice) in data.chunks_mut(chunks_per_band * chunk).enumerate() {
-                scope.spawn(move |_| {
-                    for (j, c) in band_slice.chunks_mut(chunk).enumerate() {
-                        f(band * chunks_per_band + j, c);
-                    }
-                });
+                scope.spawn(move |_| f(band * chunks_per_band, band_slice));
+            }
+        });
+    }
+
+    /// Applies `f` to every `chunk`-sized slice of `data`, indexed by chunk
+    /// number, on the bands of [`for_each_band_mut`](Self::for_each_band_mut)
+    /// (same arguments, same panics).
+    pub fn for_each_chunk_mut<T, F>(&self, threads: usize, data: &mut [T], chunk: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        self.for_each_band_mut(threads, data, chunk, |first, band| {
+            for (j, c) in band.chunks_mut(chunk).enumerate() {
+                f(first + j, c);
             }
         });
     }
@@ -561,6 +575,90 @@ mod tests {
         let pool = PoolHandle::global();
         let mut data = vec![0i32; 10];
         pool.for_each_chunk_mut(2, &mut data, 4, |_, _| {});
+    }
+
+    /// The `(first_chunk, chunks)` of every band of one schedule, in order.
+    fn bands_of(
+        pool: &PoolHandle,
+        threads: usize,
+        n_chunks: usize,
+        chunk: usize,
+    ) -> Vec<[usize; 2]> {
+        let seen = Mutex::new(Vec::new());
+        let mut data = vec![0u8; n_chunks * chunk];
+        pool.for_each_band_mut(threads, &mut data, chunk, |first, band| {
+            assert_eq!(band.len() % chunk, 0, "bands hold whole chunks");
+            relock(&seen).push([first, band.len() / chunk]);
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        seen
+    }
+
+    #[test]
+    fn bands_partition_the_chunks_exactly_once() {
+        let pool = PoolHandle::with_threads(3);
+        for (n_chunks, chunk) in [(1usize, 5usize), (7, 3), (64, 1), (10, 4)] {
+            for threads in [1usize, 2, 3, 8] {
+                let bands = bands_of(&pool, threads, n_chunks, chunk);
+                assert!(bands.len() <= threads, "{bands:?}");
+                // In order, back to back, covering 0..n_chunks.
+                let mut next = 0;
+                for [first, chunks] in &bands {
+                    assert_eq!(*first, next, "{bands:?}");
+                    assert!(*chunks > 0);
+                    next += chunks;
+                }
+                assert_eq!(next, n_chunks, "{bands:?}");
+                // Only the last band may be ragged (shorter than the rest).
+                let full = bands[0][1];
+                let (last, rest) = bands.split_last().unwrap();
+                assert!(rest.iter().all(|b| b[1] == full), "{bands:?}");
+                assert!(last[1] <= full, "{bands:?}");
+            }
+        }
+        assert_eq!(bands_of(&pool, 1, 7, 3), [[0, 7]], "one thread, one band");
+    }
+
+    #[test]
+    fn banded_schedules_match_for_every_thread_count() {
+        let pool = PoolHandle::with_threads(3);
+        let chunk = 4;
+        let run = |threads: usize| {
+            let mut data = vec![0usize; 11 * chunk];
+            pool.for_each_band_mut(threads, &mut data, chunk, |first, band| {
+                for (j, c) in band.chunks_mut(chunk).enumerate() {
+                    c.fill(first + j);
+                }
+            });
+            data
+        };
+        let reference = run(1);
+        assert_eq!(reference[10 * chunk], 10);
+        for threads in [2usize, 8] {
+            assert_eq!(run(threads), reference, "threads = {threads}");
+        }
+        let mut empty: Vec<i32> = Vec::new();
+        pool.for_each_band_mut(8, &mut empty, 4, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    fn a_panicking_band_propagates_after_the_others_finish() {
+        let pool = PoolHandle::with_threads(3);
+        let n_chunks = 8;
+        let n_bands = bands_of(&pool, 8, n_chunks, 1).len();
+        let finished = AtomicUsize::new(0);
+        let mut data = vec![0u8; n_chunks];
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.for_each_band_mut(8, &mut data, 1, |first, _| {
+                if first == 0 {
+                    panic!("band failed");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        assert!(result.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), n_bands - 1);
     }
 
     #[test]

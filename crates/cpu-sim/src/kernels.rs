@@ -287,8 +287,8 @@ pub fn time_series_profile(a: &[i32], window: usize) -> Vec<i32> {
     for i in 0..positions {
         let mut acc: i64 = 0;
         for j in 0..window {
-            let d = (a[i + j] - a[j]) as i64;
-            acc += d * d;
+            let d = a[i + j].wrapping_sub(a[j]) as i64;
+            acc = acc.saturating_add(d * d);
         }
         out[i] = acc.min(i32::MAX as i64) as i32;
     }

@@ -1,24 +1,102 @@
-//! Functional semantics of the DPU kernels, shared by the flat-slab system
-//! and the retained naive reference implementation.
+//! Functional semantics of the DPU kernels on the slab layout, executed a
+//! *grid* at a time.
 //!
-//! Keeping the per-DPU computation in one place guarantees that the slab
-//! layout refactor can never diverge functionally from the reference path:
-//! both execute exactly this code on each DPU's local data, only the storage
-//! layout and the degree of host parallelism differ.
+//! Every DPU of a launch runs the same kernel on its own strides, so the
+//! host need not dispatch it once per DPU: [`execute_grid`] matches the
+//! kernel kind once per launch, resolves the operator to a monomorphic
+//! closure outside every loop, and then runs one kind-specific loop over the
+//! band of DPUs it was given. It is the only implementation of kernel
+//! semantics in the slab system — every thread count, the eager and the
+//! command-stream path and the aliased-output staging all run it; the
+//! retained seed executor in [`crate::naive`] is the independent oracle
+//! `tests/properties.rs` compares it against.
 
-use crate::kernel::{DpuKernelKind, FusedArg, FusedStage};
+use std::ops::Range;
+
+use crate::kernel::{BinOp, DpuKernelKind};
+use crate::system::Strides;
 
 /// Upper bound on the number of input buffers any kernel kind consumes
 /// (see [`DpuKernelKind::num_inputs`]); lets the launch hot path keep its
-/// per-DPU input views in a stack array instead of a heap allocation.
+/// input strides in a stack array instead of a heap allocation.
 /// Fused element-wise kernels are validated against this bound too.
 pub(crate) const MAX_KERNEL_INPUTS: usize = 4;
 
-/// Functional semantics of one DPU executing the kernel on local data.
+/// Evaluates `$body` with `$f` bound to the closure of `$op`, one
+/// monomorphic copy per operator: the nine-way `match` of [`BinOp::apply`]
+/// runs once here instead of once per element, so the loops in `$body`
+/// vectorise.
+macro_rules! with_op {
+    ($op:expr, |$f:ident| $body:expr) => {
+        with_op!(@arms $op, $f, $body, Add Sub Mul Div Max Min And Or Xor)
+    };
+    (@arms $op:expr, $f:ident, $body:expr, $($variant:ident)*) => {
+        match $op {
+            $(BinOp::$variant => {
+                let $f = |a: i32, b: i32| BinOp::$variant.apply(a, b);
+                $body
+            })*
+        }
+    };
+}
+
+/// Runs `body(inputs, output)` on every DPU of the band: `out` holds the
+/// `out_elems`-element output strides of the DPUs `dpus`, and DPU `d` reads
+/// input `i` through `ins[i].of(d)`.
+#[inline(always)]
+fn per_dpu<const N: usize>(
+    ins: &[Strides<'_>],
+    out: &mut [i32],
+    out_elems: usize,
+    dpus: Range<usize>,
+    mut body: impl FnMut([&[i32]; N], &mut [i32]),
+) {
+    let ins: [Strides<'_>; N] = std::array::from_fn(|i| ins[i]);
+    for (d, out) in dpus.zip(out.chunks_exact_mut(out_elems)) {
+        body(ins.map(|s| s.of(d)), out);
+    }
+}
+
+/// `out[i] = a[i] op b[i]` for the first `len` elements of every DPU of the
+/// band — the body of [`DpuKernelKind::Elementwise`] and of each stage of a
+/// [`DpuKernelKind::FusedElementwise`] launch (whose operands are launch
+/// inputs or the already-written outputs of earlier stages).
 ///
-/// `inputs` are borrowed views of the DPU's input buffers (in slab strides or
-/// cloned naive buffers — the semantics are identical), `output` is the DPU's
-/// local output buffer.
+/// Where both operands and the output are stored per DPU and *tight*
+/// ([`Strides::flat`]) the DPU boundaries carry no meaning and the band is
+/// one flat loop over `dpus.len() * len` elements; a padded or replicated
+/// operand takes the loop over DPUs.
+pub(crate) fn elementwise_grid(
+    op: BinOp,
+    len: usize,
+    a: Strides<'_>,
+    b: Strides<'_>,
+    out: &mut [i32],
+    out_elems: usize,
+    dpus: Range<usize>,
+) {
+    let flat = if out_elems == len {
+        a.flat(len, dpus.clone()).zip(b.flat(len, dpus.clone()))
+    } else {
+        None
+    };
+    with_op!(op, |f| match flat {
+        Some((a, b)) => {
+            for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
+                *o = f(av, bv);
+            }
+        }
+        None => per_dpu(&[a, b], out, out_elems, dpus, |[a, b], out| {
+            for ((o, &av), &bv) in out[..len].iter_mut().zip(a).zip(b) {
+                *o = f(av, bv);
+            }
+        }),
+    })
+}
+
+/// Functional semantics of the DPUs `dpus` executing the kernel on their
+/// local data: `ins` are the launch's input strides, `out` the band of the
+/// output slab those DPUs own (`out_elems` elements each).
 ///
 /// The dense loop nests are written in an autovectorisation-friendly form
 /// (row-wise `zip` iteration, GEMM in i-p-j order). Where this reorders an
@@ -26,13 +104,18 @@ pub(crate) const MAX_KERNEL_INPUTS: usize = 4;
 /// bit-identical, because all arithmetic is wrapping 32-bit (exact mod 2³²,
 /// hence order-independent) — `tests/properties.rs` asserts the equivalence
 /// against the retained seed executor over randomized cases.
-pub(crate) fn execute_kernel(kind: &DpuKernelKind, inputs: &[&[i32]], output: &mut [i32]) {
-    match kind {
-        DpuKernelKind::Gemm { m, k, n } => {
-            let (a, b) = (inputs[0], inputs[1]);
-            for i in 0..*m {
+pub(crate) fn execute_grid(
+    kind: &DpuKernelKind,
+    ins: &[Strides<'_>],
+    out: &mut [i32],
+    out_elems: usize,
+    dpus: Range<usize>,
+) {
+    match *kind {
+        DpuKernelKind::Gemm { m, k, n } => per_dpu(ins, out, out_elems, dpus, |[a, b], out| {
+            for i in 0..m {
                 let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut output[i * n..(i + 1) * n];
+                let c_row = &mut out[i * n..(i + 1) * n];
                 for (p, &av) in a_row.iter().enumerate() {
                     let b_row = &b[p * n..(p + 1) * n];
                     for (cv, &bv) in c_row.iter_mut().zip(b_row) {
@@ -40,133 +123,97 @@ pub(crate) fn execute_kernel(kind: &DpuKernelKind, inputs: &[&[i32]], output: &m
                     }
                 }
             }
-        }
-        DpuKernelKind::Gemv { rows, cols } => {
-            let (a, x) = (inputs[0], inputs[1]);
-            for i in 0..*rows {
+        }),
+        DpuKernelKind::Gemv { rows, cols } => per_dpu(ins, out, out_elems, dpus, |[a, x], out| {
+            for (i, o) in out[..rows].iter_mut().enumerate() {
                 let a_row = &a[i * cols..(i + 1) * cols];
                 let mut acc: i32 = 0;
                 for (&av, &xv) in a_row.iter().zip(x) {
                     acc = acc.wrapping_add(av.wrapping_mul(xv));
                 }
-                output[i] = output[i].wrapping_add(acc);
+                *o = o.wrapping_add(acc);
             }
-        }
+        }),
         DpuKernelKind::Elementwise { op, len } => {
-            let (a, b) = (inputs[0], inputs[1]);
-            let op = *op;
-            for ((o, &av), &bv) in output[..*len].iter_mut().zip(a).zip(b) {
-                *o = op.apply(av, bv);
-            }
+            elementwise_grid(op, len, ins[0], ins[1], out, out_elems, dpus)
         }
-        DpuKernelKind::Reduce { op, len } => {
-            let a = inputs[0];
-            let mut acc = op.identity();
-            for &v in &a[..*len] {
-                acc = op.apply(acc, v);
-            }
-            output[0] = acc;
-        }
+        DpuKernelKind::Reduce { op, len } => with_op!(op, |f| {
+            per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                out[0] = a[..len].iter().fold(op.identity(), |acc, &v| f(acc, v));
+            })
+        }),
         DpuKernelKind::Histogram {
             bins,
             len,
             max_value,
         } => {
-            let a = inputs[0];
-            for slot in output.iter_mut().take(*bins) {
-                *slot = 0;
-            }
-            let max = (*max_value).max(1) as i64;
-            for &v in &a[..*len] {
-                let clamped = (v.max(0) as i64).min(max - 1);
-                let bin = (clamped * *bins as i64 / max) as usize;
-                output[bin] += 1;
-            }
+            let max = max_value.max(1) as i64;
+            per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                out[..bins].fill(0);
+                for &v in &a[..len] {
+                    let clamped = (v.max(0) as i64).min(max - 1);
+                    let bin = (clamped * bins as i64 / max) as usize;
+                    out[bin] += 1;
+                }
+            })
         }
-        DpuKernelKind::Scan { op, len } => {
-            let a = inputs[0];
-            let mut acc = op.identity();
-            for i in 0..*len {
-                acc = op.apply(acc, a[i]);
-                output[i] = acc;
-            }
-        }
+        DpuKernelKind::Scan { op, len } => with_op!(op, |f| {
+            per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                let mut acc = op.identity();
+                for (o, &v) in out[..len].iter_mut().zip(a) {
+                    acc = f(acc, v);
+                    *o = acc;
+                }
+            })
+        }),
         DpuKernelKind::Select { len, threshold } => {
-            let a = inputs[0];
-            let mut count = 0usize;
-            for &v in &a[..*len] {
-                if v > *threshold {
-                    output[1 + count] = v;
-                    count += 1;
-                }
-            }
-            output[0] = count as i32;
-        }
-        DpuKernelKind::TimeSeries { len, window } => {
-            let a = inputs[0];
-            let positions = len.saturating_sub(*window) + 1;
-            for i in 0..positions {
-                let mut acc: i64 = 0;
-                for j in 0..*window {
-                    let d = (a[i + j] - a[j]) as i64;
-                    acc += d * d;
-                }
-                output[i] = acc.min(i32::MAX as i64) as i32;
-            }
-        }
-        DpuKernelKind::BfsStep { vertices, .. } => {
-            let (row_off, cols, frontier) = (inputs[0], inputs[1], inputs[2]);
-            for slot in output.iter_mut().take(*vertices) {
-                *slot = 0;
-            }
-            for v in 0..*vertices {
-                if frontier[v] == 0 {
-                    continue;
-                }
-                let start = row_off[v] as usize;
-                let hi = (row_off[v + 1] as usize).min(cols.len());
-                if start < hi {
-                    for &edge in &cols[start..hi] {
-                        let dst = (edge as usize) % *vertices;
-                        output[dst] = 1;
+            per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                let mut count = 0usize;
+                for &v in &a[..len] {
+                    if v > threshold {
+                        out[1 + count] = v;
+                        count += 1;
                     }
                 }
-            }
+                out[0] = count as i32;
+            })
         }
+        DpuKernelKind::TimeSeries { len, window } => {
+            let positions = len.saturating_sub(window) + 1;
+            per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                for (i, o) in out[..positions].iter_mut().enumerate() {
+                    let mut acc: i64 = 0;
+                    for (&v, &w) in a[i..i + window].iter().zip(a) {
+                        let d = v.wrapping_sub(w) as i64;
+                        acc = acc.saturating_add(d * d);
+                    }
+                    *o = acc.min(i32::MAX as i64) as i32;
+                }
+            })
+        }
+        DpuKernelKind::BfsStep { vertices, .. } => per_dpu(
+            ins,
+            out,
+            out_elems,
+            dpus,
+            |[row_off, cols, frontier], out| {
+                out[..vertices].fill(0);
+                for v in 0..vertices {
+                    if frontier[v] == 0 {
+                        continue;
+                    }
+                    let start = row_off[v] as usize;
+                    let hi = (row_off[v + 1] as usize).min(cols.len());
+                    if start < hi {
+                        for &edge in &cols[start..hi] {
+                            out[(edge as usize) % vertices] = 1;
+                        }
+                    }
+                }
+            },
+        ),
         DpuKernelKind::FusedElementwise { .. } => {
-            unreachable!("fused launches are dispatched to execute_fused, which takes all outputs")
-        }
-    }
-}
-
-/// Functional semantics of one DPU executing a fused element-wise kernel:
-/// stage `s` computes `outputs[s][i] = lhs[i] op rhs[i]` where each operand
-/// resolves to an external input view or the output of an earlier stage.
-/// Stage order is dependency order ([`FusedArg::Stage`] only references
-/// earlier stages — enforced by launch validation), so a single forward pass
-/// suffices. Results are bit-identical to launching the stages as separate
-/// [`DpuKernelKind::Elementwise`] kernels in order.
-pub(crate) fn execute_fused(
-    stages: &[FusedStage],
-    len: usize,
-    inputs: &[&[i32]],
-    outputs: &mut [&mut [i32]],
-) {
-    debug_assert_eq!(stages.len(), outputs.len());
-    for (s, stage) in stages.iter().enumerate() {
-        let (done, rest) = outputs.split_at_mut(s);
-        let out = &mut *rest[0];
-        let lhs: &[i32] = match stage.lhs {
-            FusedArg::Input(i) => inputs[i as usize],
-            FusedArg::Stage(t) => &done[t as usize][..],
-        };
-        let rhs: &[i32] = match stage.rhs {
-            FusedArg::Input(i) => inputs[i as usize],
-            FusedArg::Stage(t) => &done[t as usize][..],
-        };
-        let op = stage.op;
-        for ((o, &a), &b) in out[..len].iter_mut().zip(lhs).zip(rhs) {
-            *o = op.apply(a, b);
+            unreachable!("a fused launch runs its stages through elementwise_grid, one output each")
         }
     }
 }
@@ -174,7 +221,7 @@ pub(crate) fn execute_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::BinOp;
+    use crate::kernel::{FusedArg, FusedStage};
 
     #[test]
     fn max_inputs_covers_every_kernel_kind() {
@@ -223,39 +270,56 @@ mod tests {
 
     #[test]
     fn fused_stages_match_separate_elementwise_launches() {
-        let a: Vec<i32> = (0..8).collect();
-        let b: Vec<i32> = (0..8).map(|i| 3 - i).collect();
+        use crate::{KernelSpec, UpmemConfig, UpmemSystem};
+        let (dpus, len) = (4, 8);
+        let a: Vec<i32> = (0..(dpus * len) as i32).collect();
+        let b: Vec<i32> = (0..len as i32).map(|i| 3 - i).collect();
         // s0 = a + b; s1 = s0 * a; s2 = s1 ^ b
         let stages = [
-            FusedStage {
-                op: BinOp::Add,
-                lhs: FusedArg::Input(0),
-                rhs: FusedArg::Input(1),
-            },
-            FusedStage {
-                op: BinOp::Mul,
-                lhs: FusedArg::Stage(0),
-                rhs: FusedArg::Input(0),
-            },
-            FusedStage {
-                op: BinOp::Xor,
-                lhs: FusedArg::Stage(1),
-                rhs: FusedArg::Input(1),
-            },
+            (BinOp::Add, FusedArg::Input(0), FusedArg::Input(1)),
+            (BinOp::Mul, FusedArg::Stage(0), FusedArg::Input(0)),
+            (BinOp::Xor, FusedArg::Stage(1), FusedArg::Input(1)),
         ];
-        let mut o0 = vec![0i32; 8];
-        let mut o1 = vec![0i32; 8];
-        let mut o2 = vec![0i32; 8];
-        {
-            let mut outs: [&mut [i32]; 3] = [&mut o0, &mut o1, &mut o2];
-            execute_fused(&stages, 8, &[&a, &b], &mut outs);
+        let mut cfg = UpmemConfig::with_ranks(1);
+        cfg.dpus_per_rank = dpus;
+        let mut sys = UpmemSystem::new(cfg);
+        // `a` is per-DPU and tight, `b` replicated: stage 0 takes the loop
+        // over DPUs, stage 1 (two tight per-DPU operands) the flat loop.
+        let ia = sys.alloc_buffer(len).unwrap();
+        let ib = sys.alloc_buffer(len).unwrap();
+        sys.scatter_i32(ia, &a, len).unwrap();
+        sys.broadcast_i32(ib, &b).unwrap();
+        let fused: Vec<_> = (0..3).map(|_| sys.alloc_buffer(len).unwrap()).collect();
+        let separate: Vec<_> = (0..3).map(|_| sys.alloc_buffer(len).unwrap()).collect();
+        let kind = DpuKernelKind::FusedElementwise {
+            stages: stages
+                .iter()
+                .map(|&(op, lhs, rhs)| FusedStage { op, lhs, rhs })
+                .collect(),
+            len,
+            arity: 2,
+        };
+        let mut spec = KernelSpec::new(kind, vec![ia, ib], fused[0]);
+        spec.extra_outputs = fused[1..].to_vec();
+        sys.launch(&spec).unwrap();
+        for (s, &(op, lhs, rhs)) in stages.iter().enumerate() {
+            let buffer = |arg| match arg {
+                FusedArg::Input(i) => [ia, ib][i as usize],
+                FusedArg::Stage(t) => separate[t as usize],
+            };
+            let kind = DpuKernelKind::Elementwise { op, len };
+            let spec = KernelSpec::new(kind, vec![buffer(lhs), buffer(rhs)], separate[s]);
+            sys.launch(&spec).unwrap();
         }
-        for i in 0..8 {
-            let s0 = a[i].wrapping_add(b[i]);
-            let s1 = s0.wrapping_mul(a[i]);
-            assert_eq!(o0[i], s0);
-            assert_eq!(o1[i], s1);
-            assert_eq!(o2[i], s1 ^ b[i]);
+        for (f, s) in fused.iter().zip(&separate) {
+            let (f, _) = sys.gather_i32(*f, len).unwrap();
+            let (s, _) = sys.gather_i32(*s, len).unwrap();
+            assert_eq!(f, s);
+        }
+        let (last, _) = sys.gather_i32(fused[2], len).unwrap();
+        for (i, &v) in last.iter().enumerate() {
+            let (av, bv) = (a[i], b[i % len]);
+            assert_eq!(v, av.wrapping_add(bv).wrapping_mul(av) ^ bv);
         }
     }
 }

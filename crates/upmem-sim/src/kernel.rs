@@ -33,6 +33,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Applies the operator to two scalars.
+    #[inline]
     pub fn apply(self, a: i32, b: i32) -> i32 {
         match self {
             BinOp::Add => a.wrapping_add(b),

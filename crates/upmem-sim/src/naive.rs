@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use crate::config::UpmemConfig;
-use crate::kernel::{DpuKernelKind, KernelSpec};
+use crate::kernel::{DpuKernelKind, FusedArg, FusedStage, KernelSpec};
 use crate::stats::{LaunchStats, SystemStats, TransferStats};
 use crate::system::{
     kernel_launch_cost, validate_kernel_shape, validate_outputs, BufferId, DpuSystem, SimError,
@@ -107,8 +107,8 @@ fn seed_execute_kernel(kind: &DpuKernelKind, inputs: &[Vec<i32>], output: &mut [
             for i in 0..positions {
                 let mut acc: i64 = 0;
                 for j in 0..*window {
-                    let d = (a[i + j] - a[j]) as i64;
-                    acc += d * d;
+                    let d = a[i + j].wrapping_sub(a[j]) as i64;
+                    acc = acc.saturating_add(d * d);
                 }
                 output[i] = acc.min(i32::MAX as i64) as i32;
             }
@@ -134,6 +134,32 @@ fn seed_execute_kernel(kind: &DpuKernelKind, inputs: &[Vec<i32>], output: &mut [
         // dispatched in `launch` before reaching the seed executor.
         DpuKernelKind::FusedElementwise { .. } => {
             unreachable!("fused launches are dispatched to execute_fused, which takes all outputs")
+        }
+    }
+}
+
+/// Reference semantics of one DPU executing a fused element-wise kernel
+/// (a post-seed kind, so there is no seed loop to keep): stage `s` computes
+/// `outputs[s][i] = lhs[i] op rhs[i]` where each operand resolves to an
+/// external input view or the output of an earlier stage. Stage order is
+/// dependency order ([`FusedArg::Stage`] only references earlier stages —
+/// enforced by launch validation), so a single forward pass suffices.
+fn execute_fused(stages: &[FusedStage], len: usize, inputs: &[&[i32]], outputs: &mut [&mut [i32]]) {
+    debug_assert_eq!(stages.len(), outputs.len());
+    for (s, stage) in stages.iter().enumerate() {
+        let (done, rest) = outputs.split_at_mut(s);
+        let out = &mut *rest[0];
+        let lhs: &[i32] = match stage.lhs {
+            FusedArg::Input(i) => inputs[i as usize],
+            FusedArg::Stage(t) => &done[t as usize][..],
+        };
+        let rhs: &[i32] = match stage.rhs {
+            FusedArg::Input(i) => inputs[i as usize],
+            FusedArg::Stage(t) => &done[t as usize][..],
+        };
+        let op = stage.op;
+        for ((o, &a), &b) in out[..len].iter_mut().zip(lhs).zip(rhs) {
+            *o = op.apply(a, b);
         }
     }
 }
@@ -463,7 +489,7 @@ impl NaiveUpmemSystem {
         // Functional execution on every DPU, inputs cloned per launch.
         if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
             // Post-seed multi-output kind: clone the per-DPU output buffers
-            // too (naive-layout style), run the shared fused executor and
+            // too (naive-layout style), run the reference fused executor and
             // store the results back.
             for dpu in &mut self.dpus {
                 let inputs: Vec<Vec<i32>> = spec
@@ -481,7 +507,7 @@ impl NaiveUpmemSystem {
                     .collect();
                 let mut out_views: Vec<&mut [i32]> =
                     outs.iter_mut().map(|v| v.as_mut_slice()).collect();
-                crate::exec::execute_fused(stages, *len, &views, &mut out_views);
+                execute_fused(stages, *len, &views, &mut out_views);
                 for (b, v) in out_ids.into_iter().zip(outs) {
                     dpu.buffers.insert(b, v);
                 }

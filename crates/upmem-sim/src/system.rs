@@ -25,11 +25,13 @@
 //! count. The pre-refactor storage scheme is retained in [`crate::naive`] as
 //! the equivalence oracle and benchmark baseline.
 
+use std::ops::Range;
+
 use cinm_runtime::{FaultInjector, FaultKind};
 
 use crate::config::UpmemConfig;
 use crate::exec;
-use crate::kernel::{DpuKernelKind, KernelSpec, MAX_FUSED_STAGES};
+use crate::kernel::{DpuKernelKind, FusedArg, KernelSpec, MAX_FUSED_STAGES};
 use crate::stats::{LaunchStats, SystemStats, TransferStats};
 
 /// Identifier of a buffer allocated on every DPU of the grid.
@@ -161,11 +163,21 @@ impl<'a> Strides<'a> {
         let start = dpu * self.step;
         &self.data[start..start + self.elems]
     }
+
+    /// The strides of the DPUs `dpus` as one contiguous run of `len`-element
+    /// rows — only for a per-DPU slab that is *tight* (`elems_per_dpu ==
+    /// len`), where one DPU's data directly follows the previous one's. A
+    /// padded or replicated slab has no such run and is read through
+    /// [`of`](Self::of).
+    pub(crate) fn flat(self, len: usize, dpus: Range<usize>) -> Option<&'a [i32]> {
+        (self.step == len && self.elems == len)
+            .then(|| &self.data[dpus.start * len..dpus.end * len])
+    }
 }
 
 /// One grid-wide buffer. The storage form is private to this type: reads go
-/// through [`Slab::strides`], per-DPU writes through [`Slab::per_dpu_mut`] /
-/// [`Slab::stride_mut`], which expand a replicated slab first. The
+/// through [`Slab::strides`], per-DPU writes through [`Slab::per_dpu_mut`],
+/// which expands a replicated slab first. The
 /// transition is one-way — collapsing a slab again would cost an allocation
 /// on the next per-DPU write, and warmed loops must stay allocation-free.
 #[derive(Debug, Clone, Default)]
@@ -212,12 +224,6 @@ impl Slab {
             self.storage = Storage::PerDpu;
         }
         &mut self.data
-    }
-
-    /// DPU `dpu`'s stride for writing (see [`per_dpu_mut`](Self::per_dpu_mut)).
-    pub(crate) fn stride_mut(&mut self, dpu: usize, num_dpus: usize) -> &mut [i32] {
-        let e = self.elems_per_dpu;
-        &mut self.per_dpu_mut(num_dpus)[dpu * e..(dpu + 1) * e]
     }
 }
 
@@ -587,16 +593,25 @@ pub(crate) fn scatter_slab(
     let elems = slab.elems_per_dpu;
     let threads = transfer_threads(config.host_threads, chunk * num_dpus);
     if chunk > 0 {
+        // `dst` takes the `data` elements from `start` on, zero-padded.
+        let fill = |dst: &mut [i32], start: usize| {
+            let src = &data[start.min(data.len())..];
+            let avail = src.len().min(dst.len());
+            dst[..avail].copy_from_slice(&src[..avail]);
+            dst[avail..].fill(0);
+        };
         let strides = slab.per_dpu_mut(num_dpus);
         config
             .pool
-            .for_each_chunk_mut(threads, strides, elems, |d, stride| {
-                let start = d * chunk;
-                let avail = data.len().saturating_sub(start).min(chunk);
-                if avail > 0 {
-                    stride[..avail].copy_from_slice(&data[start..start + avail]);
+            .for_each_band_mut(threads, strides, elems, |first, band| {
+                if chunk == elems {
+                    // Tight: the band's strides are one run of `data`.
+                    fill(band, first * chunk);
+                } else {
+                    for (d, stride) in (first..).zip(band.chunks_exact_mut(elems)) {
+                        fill(&mut stride[..chunk], d * chunk);
+                    }
                 }
-                stride[avail..chunk].fill(0);
             });
     }
     let bytes = (data.len() * 4) as u64;
@@ -651,14 +666,19 @@ pub(crate) fn gather_slab_into(
     chunk: usize,
     out: &mut Vec<i32>,
 ) -> TransferStats {
-    // No `clear()` first: shrinking truncates, growing zero-fills the tail,
-    // and every retained element is overwritten by the copy loop below
-    // whenever `chunk > 0` — clearing would just memset the whole vector
-    // twice per gather.
-    out.resize(chunk * num_dpus, 0);
-    if chunk > 0 {
+    let src = slab.strides();
+    if let Some(flat) = src.flat(chunk, 0..num_dpus) {
+        // Tight: the slab is the gathered vector. One copy, and a fresh
+        // vector is not zero-filled first.
+        out.clear();
+        out.extend_from_slice(flat);
+    } else {
+        // No `clear()` first: shrinking truncates, growing zero-fills the
+        // tail, and every retained element is overwritten by the copy loop
+        // below whenever `chunk > 0` — clearing would just memset the whole
+        // vector twice per gather.
+        out.resize(chunk * num_dpus, 0);
         let threads = transfer_threads(config.host_threads, out.len());
-        let src = slab.strides();
         config
             .pool
             .for_each_chunk_mut(threads, out, chunk, |d, dst| {
@@ -688,22 +708,16 @@ pub(crate) fn gather_slab(
     (out, t)
 }
 
-/// Points `views` at DPU `dpu`'s stride of every input. Runs once per DPU
-/// per launch, so it is kept inside the loops that call it: on grids of
-/// hundreds of DPUs with tiny kernels a call here is a measurable share.
-#[inline(always)]
-fn fill_views<'s>(ins: &[Strides<'s>], dpu: usize, views: &mut [&'s [i32]]) {
-    for (view, strides) in views.iter_mut().zip(ins) {
-        *view = strides.of(dpu);
-    }
-}
-
-/// Functional execution of one (pre-validated) launch on every DPU, on
+/// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
 /// `spec.output`, `spec.extra_outputs` order, `input` resolves every other
 /// buffer, and `scratch` is the staging arena of the aliased path (grown to
 /// the launch's input footprint, never shrunk). Output slabs become per-DPU
 /// here; inputs are only ever read through their [`Strides`].
+///
+/// The kernel is dispatched once per band of DPUs ([`exec::execute_grid`]),
+/// not once per DPU: one band for `host_threads = 1`, `k` bands of the same
+/// code on the pool for `k` threads — bit-identical for every thread count.
 pub(crate) fn launch_slabs<'s>(
     config: &UpmemConfig,
     num_dpus: usize,
@@ -714,7 +728,6 @@ pub(crate) fn launch_slabs<'s>(
 ) {
     let n_inputs = spec.inputs.len();
     debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-    let aliased = spec.inputs.contains(&spec.output);
     // An input that is also the output is read through `outs[0]` below (the
     // caller holds that slab mutably and `input` must not be asked for it).
     let mut ins = [Strides::EMPTY; exec::MAX_KERNEL_INPUTS];
@@ -726,56 +739,61 @@ pub(crate) fn launch_slabs<'s>(
     let ins = &ins[..n_inputs];
     if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
         // Fused outputs never alias inputs or each other (validated before
-        // dispatch), so each DPU runs the whole stage chain in one pass.
-        // Sequential over DPUs: the multi-output split does not fit the
-        // single-slab chunking of `for_each_chunk_mut`, and the per-element
-        // work of a fused chain is a handful of ALU ops.
+        // dispatch), so the chain runs stage by stage over the whole grid:
+        // each stage is an element-wise grid op writing one output slab and
+        // reading launch inputs or the slabs earlier stages wrote. Its work
+        // is proportional to its volume, so small stages stay on the caller
+        // like small transfers do.
         debug_assert_eq!(stages.len(), outs.len());
-        for d in 0..num_dpus {
-            let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-            fill_views(ins, d, &mut views);
-            let mut out_views: [&mut [i32]; MAX_FUSED_STAGES] =
-                [&mut [], &mut [], &mut [], &mut []];
-            for (view, slab) in out_views.iter_mut().zip(outs.iter_mut()) {
-                *view = slab.stride_mut(d, num_dpus);
-            }
-            exec::execute_fused(
-                stages,
-                *len,
-                &views[..n_inputs],
-                &mut out_views[..stages.len()],
+        let threads = transfer_threads(config.host_threads, len * num_dpus);
+        for (s, stage) in stages.iter().enumerate() {
+            let (done, rest) = outs.split_at_mut(s);
+            let operand = |arg| match arg {
+                FusedArg::Input(i) => ins[i as usize],
+                FusedArg::Stage(t) => done[t as usize].strides(),
+            };
+            let (lhs, rhs) = (operand(stage.lhs), operand(stage.rhs));
+            let out_elems = rest[0].elems_per_dpu;
+            config.pool.for_each_band_mut(
+                threads,
+                rest[0].per_dpu_mut(num_dpus),
+                out_elems,
+                |first, band| {
+                    let dpus = first..first + band.len() / out_elems;
+                    exec::elementwise_grid(stage.op, *len, lhs, rhs, band, out_elems, dpus)
+                },
             );
         }
         return;
     }
-    let out = &mut *outs[0];
-    if !aliased {
+    let out_elems = outs[0].elems_per_dpu;
+    let out = outs[0].per_dpu_mut(num_dpus);
+    if out.is_empty() {
+        // Nothing to write, and no strides to split into bands.
+        return;
+    }
+    if !spec.inputs.contains(&spec.output) {
         // Hot path: input strides are borrowed straight from the slabs and
-        // the output is split into disjoint per-DPU chunks. Data-parallel on
-        // the pool; bit-identical for every thread count.
-        let out_len = out.elems_per_dpu;
-        config.pool.for_each_chunk_mut(
-            config.host_threads,
-            out.per_dpu_mut(num_dpus),
-            out_len,
-            |d, out| {
-                let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-                fill_views(ins, d, &mut views);
-                exec::execute_kernel(&spec.kind, &views[..n_inputs], out)
-            },
-        );
+        // the output is split into disjoint bands of per-DPU strides.
+        config
+            .pool
+            .for_each_band_mut(config.host_threads, out, out_elems, |first, band| {
+                let dpus = first..first + band.len() / out_elems;
+                exec::execute_grid(&spec.kind, ins, band, out_elems, dpus)
+            });
         return;
     }
     // Slow path for the rare launch whose output buffer is also an input:
-    // preserves read-before-write semantics by staging the input strides in
-    // the scratch arena before the output stride is mutated — functionally
+    // preserves read-before-write semantics by staging each DPU's input
+    // strides in the scratch arena before its output stride is mutated, then
+    // running the same grid executor on that one-DPU band — functionally
     // identical to the naive reference's per-launch clones, but without
     // per-DPU heap allocation once the arena has grown to the launch's
     // footprint.
     let mut bounds = [0usize; exec::MAX_KERNEL_INPUTS + 1];
     for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
         let elems = if b == spec.output {
-            out.elems_per_dpu
+            out_elems
         } else {
             strides.elems
         };
@@ -784,20 +802,24 @@ pub(crate) fn launch_slabs<'s>(
     if scratch.len() < bounds[n_inputs] {
         scratch.resize(bounds[n_inputs], 0);
     }
-    for d in 0..num_dpus {
+    for (d, out) in out.chunks_exact_mut(out_elems).enumerate() {
         for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
             let stride = if b == spec.output {
-                out.strides().of(d)
+                &*out
             } else {
                 strides.of(d)
             };
             scratch[bounds[i]..bounds[i + 1]].copy_from_slice(stride);
         }
-        let mut views: [&[i32]; exec::MAX_KERNEL_INPUTS] = [&[]; exec::MAX_KERNEL_INPUTS];
-        for (i, view) in views.iter_mut().enumerate().take(n_inputs) {
-            *view = &scratch[bounds[i]..bounds[i + 1]];
+        let mut staged = [Strides::EMPTY; exec::MAX_KERNEL_INPUTS];
+        for (i, slot) in staged.iter_mut().enumerate().take(n_inputs) {
+            *slot = Strides {
+                data: &scratch[bounds[i]..bounds[i + 1]],
+                step: 0,
+                elems: bounds[i + 1] - bounds[i],
+            };
         }
-        exec::execute_kernel(&spec.kind, &views[..n_inputs], out.stride_mut(d, num_dpus));
+        exec::execute_grid(&spec.kind, &staged[..n_inputs], out, out_elems, d..d + 1);
     }
 }
 
@@ -1298,9 +1320,10 @@ impl UpmemSystem {
     /// work here, so any DPU is critical).
     ///
     /// Hot path: input strides are borrowed directly from the slabs and the
-    /// output slab is split into disjoint per-DPU chunks, so no per-DPU heap
-    /// allocation or buffer clone happens; execution is data-parallel across
-    /// DPUs (see [`UpmemConfig::host_threads`]) with bit-identical results
+    /// output slab is split into disjoint bands of per-DPU strides, so no
+    /// per-DPU heap allocation, buffer clone or kernel dispatch happens — the
+    /// kernel is dispatched once per band; execution is data-parallel across
+    /// bands (see [`UpmemConfig::host_threads`]) with bit-identical results
     /// for any thread count.
     ///
     /// # Errors

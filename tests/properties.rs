@@ -17,8 +17,8 @@ use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
 use cinm::runtime::CommandStream;
 use cinm::telemetry::Telemetry;
 use cinm::upmem::{
-    BinOp, Command, CommandOutput, DpuKernelKind, DpuSystem, KernelSpec, NaiveUpmemSystem,
-    UpmemConfig, UpmemSystem,
+    BinOp, Command, CommandOutput, DpuKernelKind, DpuSystem, FusedArg, FusedStage, KernelSpec,
+    NaiveUpmemSystem, UpmemConfig, UpmemSystem, MAX_FUSED_STAGES,
 };
 use cinm::workloads::data::{self, SplitMix64};
 use cpu_sim::kernels;
@@ -366,6 +366,45 @@ fn upmem_reductions_match_host() {
     });
 }
 
+/// Window differences beyond ±2³⁰ wrap in 32 bits and a window of them
+/// saturates its 64-bit sum — in a debug build too, where the plain `i32`
+/// subtraction and `i64` addition used to panic — and the eager backend, a
+/// session and the host golden agree on the profile.
+#[test]
+fn time_series_differences_wrap_in_every_build() {
+    let a = [
+        i32::MIN,
+        i32::MAX,
+        0,
+        -1,
+        i32::MAX,
+        i32::MIN,
+        1 << 30,
+        -(1 << 30),
+        7,
+        i32::MIN,
+    ];
+    // i32::MAX - i32::MIN wraps to -1: distance 1, not a saturated i32::MAX.
+    assert_eq!(kernels::time_series_profile(&a, 1)[..2], [0, 1]);
+    // Two differences of -2³¹ (positions 2 and 3 against 0 and 1) sum to 2⁶³.
+    assert_eq!(kernels::time_series_profile(&a, 2)[2], i32::MAX);
+    for dpus in [1, 4] {
+        for window in [1, 2, 3] {
+            let golden = partitioned_time_series(&a, window, dpus);
+            assert_eq!(
+                upmem_grid(dpus).time_series(&a, window),
+                golden,
+                "dpus={dpus} window={window}"
+            );
+            let mut sess = cinm::core::Session::new(session_options_on(dpus, true));
+            let t = sess.vector(&a);
+            let profile = sess.time_series(t, window);
+            sess.run().expect("cnm placement");
+            assert_eq!(sess.fetch(profile), golden, "dpus={dpus} window={window}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Flat-slab vs naive reference equivalence
 // ---------------------------------------------------------------------------
@@ -373,7 +412,7 @@ fn upmem_reductions_match_host() {
 /// Picks a random kernel kind with small random shapes, returning the kind
 /// plus the required per-DPU input and output buffer lengths.
 fn random_kernel(rng: &mut SplitMix64) -> (DpuKernelKind, Vec<usize>, usize) {
-    let kind = match gen_usize(rng, 0, 9) {
+    let kind = match gen_usize(rng, 0, 10) {
         0 => DpuKernelKind::Gemm {
             m: gen_usize(rng, 1, 9),
             k: gen_usize(rng, 1, 9),
@@ -411,10 +450,31 @@ fn random_kernel(rng: &mut SplitMix64) -> (DpuKernelKind, Vec<usize>, usize) {
                 window,
             }
         }
-        _ => DpuKernelKind::BfsStep {
+        8 => DpuKernelKind::BfsStep {
             vertices: gen_usize(rng, 1, 17),
             avg_degree: gen_usize(rng, 1, 5),
         },
+        _ => {
+            // A 1-4-stage chain: every operand is a launch input or the
+            // output of an earlier stage.
+            let arity = gen_usize(rng, 1, 5);
+            let stages = (0..gen_usize(rng, 1, MAX_FUSED_STAGES + 1))
+                .map(|s| {
+                    let mut arg = || match gen_usize(rng, 0, arity + s) {
+                        i if i < arity => FusedArg::Input(i as u8),
+                        t => FusedArg::Stage((t - arity) as u8),
+                    };
+                    let (lhs, rhs) = (arg(), arg());
+                    let op = [BinOp::Add, BinOp::Mul, BinOp::Xor, BinOp::Min][gen_usize(rng, 0, 4)];
+                    FusedStage { op, lhs, rhs }
+                })
+                .collect();
+            DpuKernelKind::FusedElementwise {
+                stages,
+                len: gen_usize(rng, 1, 65),
+                arity,
+            }
+        }
     };
     let inputs: Vec<usize> = (0..kind.num_inputs()).map(|i| kind.input_len(i)).collect();
     let out_len = kind.output_len();
@@ -424,6 +484,16 @@ fn random_kernel(rng: &mut SplitMix64) -> (DpuKernelKind, Vec<usize>, usize) {
 /// Runs one randomized scatter/broadcast → launch* → gather flow on any
 /// [`DpuSystem`], returning every observable output: gathered buffers, raw
 /// per-DPU buffer contents and the accumulated statistics.
+///
+/// The storage layout is drawn from `data_seed` (so two systems driven with
+/// the same seed see the same flow). A *tight* buffer is exactly as long as
+/// the kernel needs and, as an input, scattered; a *loose* one is
+/// over-allocated by a pad of 1 or 7 elements and/or, as an input,
+/// broadcast — so operands reach the launch tight per-DPU, padded per-DPU
+/// and replicated. A third of the flows keep every buffer tight, a third
+/// loosen exactly one (the layouts next to the flat fast path), the rest
+/// draw each buffer independently; an `Elementwise` launch sometimes writes
+/// into its own first input.
 fn drive_random_flow(
     sys: &mut dyn DpuSystem,
     kind: &DpuKernelKind,
@@ -432,70 +502,105 @@ fn drive_random_flow(
     data_seed: u64,
     launches: usize,
 ) -> (Vec<Vec<i32>>, cinm::upmem::SystemStats) {
+    let rng = &mut SplitMix64::seed_from_u64(data_seed);
+    let mode = gen_usize(rng, 0, 3);
+    let odd_one = gen_usize(rng, 0, input_lens.len() + kind.num_outputs());
+    let loose = |rng: &mut SplitMix64, index: usize| match mode {
+        0 => false,
+        1 => index == odd_one,
+        _ => gen_usize(rng, 0, 2) == 0,
+    };
     let mut buffers = Vec::new();
     for (i, &len) in input_lens.iter().enumerate() {
-        let buf = sys.alloc_buffer(len).unwrap();
+        // (pad, broadcast): a loose input is at least one of the two.
+        let (pad, broadcast) = match loose(rng, i) {
+            false => (0, false),
+            true => [(1, false), (7, false), (0, true), (7, true)][gen_usize(rng, 0, 4)],
+        };
+        let buf = sys.alloc_buffer(len + pad).unwrap();
         let payload = data::i32_vec(data_seed + i as u64, len * sys.num_dpus(), -40, 40);
-        if i % 2 == 0 {
-            sys.scatter_i32(buf, &payload, len).unwrap();
-        } else {
+        if broadcast {
             sys.broadcast_i32(buf, &payload[..len]).unwrap();
+        } else {
+            // Sometimes short of the grid: the tail DPUs are zero-filled.
+            let short = gen_usize(rng, 0, 2) * (len / 2);
+            sys.scatter_i32(buf, &payload[..payload.len() - short], len)
+                .unwrap();
         }
         buffers.push(buf);
     }
-    let out = sys.alloc_buffer(out_len).unwrap();
-    let spec = KernelSpec::new(kind.clone(), buffers.clone(), out);
+    let outs: Vec<u32> = (0..kind.num_outputs())
+        .map(|s| {
+            let pad = match loose(rng, input_lens.len() + s) {
+                false => 0,
+                true => [1, 7][gen_usize(rng, 0, 2)],
+            };
+            sys.alloc_buffer(out_len + pad).unwrap()
+        })
+        .collect();
+    let aliased = matches!(kind, DpuKernelKind::Elementwise { .. }) && gen_usize(rng, 0, 3) == 0;
+    let out = if aliased { buffers[0] } else { outs[0] };
+    let spec =
+        KernelSpec::new(kind.clone(), buffers.clone(), out).with_extra_outputs(outs[1..].to_vec());
     for _ in 0..launches {
         sys.launch(&spec).unwrap();
     }
-    let mut observed = Vec::new();
-    for &buf in buffers.iter().chain(std::iter::once(&out)) {
-        let (gathered, _) = sys.gather_i32(buf, sys.buffer_len(buf).unwrap()).unwrap();
-        observed.push(gathered);
+    let observed = buffers
+        .iter()
+        .zip(input_lens)
+        .map(|(&buf, &len)| (buf, len))
+        .chain(outs.iter().map(|&buf| (buf, out_len)));
+    let mut gathered = Vec::new();
+    for (buf, len) in observed {
+        // The whole (possibly padded) stride, then the kernel's share of it.
+        for chunk in [sys.buffer_len(buf).unwrap(), len] {
+            gathered.push(sys.gather_i32(buf, chunk).unwrap().0);
+        }
     }
-    (observed, *sys.stats())
+    (gathered, *sys.stats())
 }
 
 /// The flat-slab layout produces bit-identical buffers *and* statistics to
 /// the retained naive reference path, across randomized shapes, DPU counts,
-/// kernel kinds and host-thread counts.
+/// kernel kinds, storage layouts and host-thread counts.
 #[test]
 fn slab_layout_is_bit_identical_to_the_naive_reference() {
     for_cases(10, |rng| {
         let (kind, input_lens, out_len) = random_kernel(rng);
-        let dpus = gen_usize(rng, 1, 13);
-        let data_seed = rng.next_u64();
+        let dpus = match gen_usize(rng, 0, 2) {
+            0 => gen_usize(rng, 1, 13),
+            _ => [1, 3, 64][gen_usize(rng, 0, 3)],
+        };
         let launches = gen_usize(rng, 1, 4);
-        let threads = [1usize, 2, 3, 5][gen_usize(rng, 0, 4)];
-
+        let threads = [1usize, 2, 3, 5, 8][gen_usize(rng, 0, 5)];
         let mut cfg = UpmemConfig::with_ranks(1);
         cfg.dpus_per_rank = dpus;
-        let mut naive = NaiveUpmemSystem::new(cfg.clone());
-        let mut slab = UpmemSystem::new(cfg.clone().with_host_threads(threads));
+        // Several storage layouts (and payloads) per kernel and grid.
+        for _ in 0..8 {
+            let data_seed = rng.next_u64();
+            let mut naive = NaiveUpmemSystem::new(cfg.clone());
+            let mut slab = UpmemSystem::new(cfg.clone().with_host_threads(threads));
 
-        let (naive_out, naive_stats) =
-            drive_random_flow(&mut naive, &kind, &input_lens, out_len, data_seed, launches);
-        let (slab_out, slab_stats) =
-            drive_random_flow(&mut slab, &kind, &input_lens, out_len, data_seed, launches);
+            let (naive_out, naive_stats) =
+                drive_random_flow(&mut naive, &kind, &input_lens, out_len, data_seed, launches);
+            let (slab_out, slab_stats) =
+                drive_random_flow(&mut slab, &kind, &input_lens, out_len, data_seed, launches);
 
-        assert_eq!(
-            naive_out,
-            slab_out,
-            "kind {} dpus {dpus} threads {threads}",
-            kind.name()
-        );
-        assert_eq!(
-            naive_stats,
-            slab_stats,
-            "kind {} stats diverged",
-            kind.name()
-        );
-        // Per-DPU views agree too (exercises the stride indexing directly).
-        for d in [0, dpus / 2, dpus - 1] {
-            assert_eq!(
-                naive.dpu_buffer(d, 0).unwrap(),
-                slab.dpu_buffer(d, 0).unwrap()
+            let what = format!(
+                "kind {} dpus {dpus} threads {threads} seed {data_seed}",
+                kind.name()
             );
+            // Not `assert_eq!`: a mismatch would print every buffer twice.
+            assert!(naive_out == slab_out, "{what}: buffers diverged");
+            assert_eq!(naive_stats, slab_stats, "{what}: stats diverged");
+            // Per-DPU views agree too (exercises the stride indexing directly).
+            for d in [0, dpus / 2, dpus - 1] {
+                assert_eq!(
+                    naive.dpu_buffer(d, 0).unwrap(),
+                    slab.dpu_buffer(d, 0).unwrap(),
+                    "{what}"
+                );
+            }
         }
     });
 }
@@ -532,6 +637,27 @@ fn every_kernel_kind_matches_the_naive_reference() {
         DpuKernelKind::BfsStep {
             vertices: 11,
             avg_degree: 2,
+        },
+        DpuKernelKind::FusedElementwise {
+            stages: vec![
+                FusedStage {
+                    op: BinOp::Sub,
+                    lhs: FusedArg::Input(0),
+                    rhs: FusedArg::Input(1),
+                },
+                FusedStage {
+                    op: BinOp::Mul,
+                    lhs: FusedArg::Stage(0),
+                    rhs: FusedArg::Input(0),
+                },
+                FusedStage {
+                    op: BinOp::Max,
+                    lhs: FusedArg::Stage(1),
+                    rhs: FusedArg::Stage(0),
+                },
+            ],
+            len: 27,
+            arity: 2,
         },
     ];
     for (i, kind) in kinds.into_iter().enumerate() {
@@ -647,18 +773,25 @@ fn telemetry_is_observationally_transparent() {
 /// Returns the per-buffer lengths and the program.
 fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<Command<'static>>) {
     let (kind, input_lens, out_len) = random_kernel(rng);
-    // Buffer pool: the kernel inputs, its output, and one spare of the same
-    // length as the output (gives scatters/gathers unrelated targets).
+    // Buffer pool: the kernel inputs, its outputs (one per fused stage), and
+    // one spare of the same length as the output (gives scatters/gathers
+    // unrelated targets).
     let mut buffer_lens = input_lens.clone();
-    buffer_lens.push(out_len);
-    buffer_lens.push(out_len);
     let out_buf = input_lens.len() as u32;
+    let extra_outs: Vec<u32> = (1..kind.num_outputs() as u32)
+        .map(|s| out_buf + s)
+        .collect();
+    buffer_lens.resize(buffer_lens.len() + kind.num_outputs() + 1, out_len);
 
     // An aliased variant writes into one of its own inputs when the shapes
-    // allow it (input long enough to hold the output).
+    // allow it (input long enough to hold the output) and the kind does (a
+    // fused launch is validated alias-free).
     let alias_candidate = input_lens
         .iter()
         .position(|&len| len >= out_len)
+        .filter(|_| {
+            extra_outs.is_empty() && !matches!(kind, DpuKernelKind::FusedElementwise { .. })
+        })
         .map(|i| i as u32);
 
     let inputs: Vec<u32> = (0..input_lens.len() as u32).collect();
@@ -691,7 +824,8 @@ fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<Command<'static>>) {
                 });
             }
             _ => program.push(Command::Launch {
-                spec: KernelSpec::new(kind.clone(), inputs.clone(), out_buf),
+                spec: KernelSpec::new(kind.clone(), inputs.clone(), out_buf)
+                    .with_extra_outputs(extra_outs.clone()),
             }),
         }
     }

@@ -5,7 +5,7 @@
 #
 #   tools/check_bench_regress.sh <base-rev>
 #
-# Checks <base-rev> out into a temporary `git worktree`, runs
+# Unpacks <base-rev> (`git archive`) into a temporary directory, runs
 #   cinm-benchmark run --workload all --seed 1 --seconds 1
 # there and in this checkout (each builds its own benchmark crate), then
 # reads `cinm-benchmark compare` on the two result files. Fails when a row
@@ -15,24 +15,39 @@
 # rows are printed and not judged: one second on a shared runner says
 # nothing about them.
 #
-#   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <name>
+#   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <name> [--claim <metric>]
 #
-# The host-clock half, measured and not judged: with the same worktree and
-# builds, runs <n> alternating base/head pairs of
+# The host-clock half: with the same base copy and builds, runs <n>
+# alternating base/head pairs of
 #   cinm-benchmark run --workload <name> --seed <i> --trace 0
 # (pair i uses seed i on both sides; the side that goes first flips every
 # pair; --seconds is the benchmark's own) and prints, per end-to-end metric
 # of BENCHMARK.json, both medians, both inter-quartile spreads and the pairs
-# head won. Reading it is up to the PR: a gain needs nine pairs in ten and a
-# median gap beyond the base's spread.
+# head won. Without --claim that is all: measured, not judged.
 #
-# Exit codes: 0 equal (or the pairs were run); 1 a deterministic metric
-# moved or a run failed; 2 bad usage or a missing tool.
+# With --claim <metric> (an end-to-end metric of BENCHMARK.json) every row
+# also gets a verdict, and the exit code judges them:
+#   * the claimed metric is `claim met` only when head wins at least nine
+#     tenths of the pairs (a tie is a win for neither) and its median is
+#     better than base's by more than the distance between base's quartiles;
+#   * every other metric is `REGRESSED` when head's median is worse than
+#     base's by more than the metric's `bound`; otherwise `unresolved` when
+#     either side's quartile spread is wider than the bound (the pairs cannot
+#     tell, which by itself does not fail), else `ok`;
+#   * more failed ops on head than on base fail too.
+#
+# Exit codes: 0 equal (or the pairs were run and, with --claim, every
+# verdict holds); 1 a deterministic metric moved, a run failed, the claim is
+# not met or a metric regressed; 2 bad usage or a missing tool.
 set -uo pipefail
 
-usage() { echo "usage: $0 <base-rev> [--pairs <n> --workload <name>]" >&2; exit 2; }
+usage() {
+    echo "usage: $0 <base-rev> [--pairs <n> --workload <name> [--claim <metric>]]" >&2
+    exit 2
+}
 pairs=""
 workload=""
+claim=""
 [ $# -ge 1 ] || usage
 base_rev="$1"
 shift
@@ -40,11 +55,12 @@ while [ $# -gt 0 ]; do
     case "$1" in
     --pairs) pairs="${2:-}" ;;
     --workload) workload="${2:-}" ;;
+    --claim) claim="${2:-}" ;;
     *) usage ;;
     esac
     shift 2 || usage
 done
-if [ -n "$pairs$workload" ]; then # both or neither, and a count
+if [ -n "$pairs$workload$claim" ]; then # both or neither, and a count
     [ -n "$workload" ] && [ "$pairs" -gt 0 ] 2>/dev/null || usage
 fi
 for tool in git cargo jq; do
@@ -53,14 +69,14 @@ done
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 base="$(git -C "$root" rev-parse --verify "$base_rev^{commit}")" || exit 2
+if [ -n "$claim" ]; then
+    jq -e --arg m "$claim" 'any(.end_to_end[]; .name == $m)' "$root/BENCHMARK.json" >/dev/null ||
+        { echo "$0: --claim $claim is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
+fi
 work="$(mktemp -d)"
-cleanup() {
-    git -C "$root" worktree remove --force "$work/base" 2>/dev/null
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git -C "$root" worktree add --quiet --detach "$work/base" "$base" || exit 2
+mkdir "$work/base" && git -C "$root" archive "$base" | tar -x -C "$work/base" || exit 2
 
 bench() { # <checkout> <args...>
     local dir="$1"
@@ -83,19 +99,45 @@ if [ -n "$pairs" ]; then
         done
     done
     echo "$workload: $pairs alternating pairs, base $base_rev -> head (median [q1, q3] spread; head wins)"
-    jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while read -r metric better; do
-        jq -rs --arg m "$metric" --arg better "$better" --argjson n "$pairs" '
-            def q(p): sort | . as $s | ((length - 1) * p) as $h | ($h | floor) as $l
-                | $s[$l] + ($h - $l) * (($s[$l + 1] // $s[$l]) - $s[$l]);
-            def r: . * 1e6 | round / 1e6;
-            def cell: "\(q(0.5) | r) [\(q(0.25) | r), \(q(0.75) | r)] \((q(0.75) - q(0.25)) / q(0.5) * 1000 | round / 10)%";
-            (.[:$n] | map(.metrics[$m].value)) as $base | (.[$n:] | map(.metrics[$m].value)) as $head
-            | ([range($n) | select(if $better == "lower" then $head[.] < $base[.] else $head[.] > $base[.] end)] | length) as $won
-            | "  \($m): base \($base | cell) -> head \($head | cell); median \(($head | q(0.5)) / ($base | q(0.5)) * 1000 - 1000 | round / 10)%; head wins \($won)/\($n)"
-        ' $(for side in base head; do for i in $(seq 1 "$pairs"); do echo "$work/$side.$i.json"; done; done)
-    done
-    echo "  failed ops: base $(cat "$work"/base.*.json | jq -s 'map(.failed) | add'), head $(cat "$work"/head.*.json | jq -s 'map(.failed) | add')"
-    exit 0
+    # shellcheck disable=SC2046 # the file list is meant to split
+    report="$(jq -rs --slurpfile manifest "$root/BENCHMARK.json" --arg claim "$claim" --argjson n "$pairs" '
+        def q(p): sort | . as $s | ((length - 1) * p) as $h | ($h | floor) as $l
+            | $s[$l] + ($h - $l) * (($s[$l + 1] // $s[$l]) - $s[$l]);
+        def iqr: q(0.75) - q(0.25);
+        def ratio(a; b): if b != 0 then a / b elif a == 0 then 0 else 1e9 end;
+        def r: . * 1e6 | round / 1e6;
+        def pct: . * 1000 | round / 10;
+        def cell: "\(q(0.5) | r) [\(q(0.25) | r), \(q(0.75) | r)] \(ratio(iqr; q(0.5)) | pct)%";
+        . as $runs | $manifest[0].end_to_end[] | . as $e | .name as $m
+        | (if .better == "lower" then 1 else -1 end) as $sign
+        | ($runs[:$n] | map(.metrics[$m].value)) as $base | ($runs[$n:] | map(.metrics[$m].value)) as $head
+        | ([range($n) | select(($head[.] - $base[.]) * $sign < 0)] | length) as $won
+        # How much worse the head median reads, in the unit of the metric (negative: better).
+        | ((($head | q(0.5)) - ($base | q(0.5))) * $sign) as $worse
+        | (if $claim == "" then ""
+           elif $m == $claim then
+               if $won * 10 >= $n * 9 and -$worse > ($base | iqr) then "; claim met"
+               else "; claim NOT met (needs \($n * 9 / 10 | ceil)/\($n) pairs and a gap beyond base\u0027s quartile spread \($base | iqr | r))" end
+           elif ratio($worse; $base | q(0.5)) > $e.bound then "; REGRESSED beyond the bound of \($e.bound | pct)%"
+           elif ([$base, $head | ratio(iqr; q(0.5))] | max) > $e.bound then "; unresolved (spread wider than the bound of \($e.bound | pct)%)"
+           else "; ok" end) as $verdict
+        | "  \($m): base \($base | cell) -> head \($head | cell); median \(ratio($worse * $sign; $base | q(0.5)) | pct)%; head wins \($won)/\($n)\($verdict)"
+    ' $(for side in base head; do for i in $(seq 1 "$pairs"); do echo "$work/$side.$i.json"; done; done))"
+    echo "$report"
+    failed_base="$(cat "$work"/base.*.json | jq -s 'map(.failed) | add')"
+    failed_head="$(cat "$work"/head.*.json | jq -s 'map(.failed) | add')"
+    echo "  failed ops: base $failed_base, head $failed_head"
+    [ -n "$claim" ] || exit 0
+    status=0
+    if grep -q 'claim NOT met\|REGRESSED' <<<"$report"; then
+        status=1
+    fi
+    if [ "$failed_head" -gt "$failed_base" ]; then
+        echo "$0: head failed more ops than base" >&2
+        status=1
+    fi
+    [ $status -eq 0 ] && echo "$0: the claim on $claim holds and nothing else regressed" >&2
+    exit $status
 fi
 
 for side in base head; do
