@@ -96,7 +96,7 @@
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
@@ -616,6 +616,93 @@ struct Compiled {
     cmds: Vec<CnmCmd>,
 }
 
+/// The graph optimizer of one session: its two pass pipelines, built once,
+/// and the index tables of an [`Session::optimize`] call, kept between calls
+/// so that a cold run pays for the graph it optimizes and not for the
+/// optimizer. Nothing here outlives a call as a *result*: every table is
+/// cleared and refilled from the graph at hand.
+#[derive(Debug)]
+struct GraphOptimizer {
+    /// Pass 1: CSE, then DCE.
+    cleanup: PassManager,
+    /// Pass 2: element-wise fusion over the annotated graph.
+    fuse: PassManager,
+    /// Per canonical slot: is it an op output, which op kind produces it,
+    /// which IR value carries it, did its producer survive, and the virtual
+    /// residency the placement pass evolves.
+    is_output: Vec<bool>,
+    kind_of: Vec<Option<CnmOp>>,
+    val_of: Vec<Option<ValueId>>,
+    survives: Vec<bool>,
+    resident: Vec<Residency>,
+    /// Canonical slots that are graph inputs, in function-argument order.
+    arg_cslots: Vec<u32>,
+    /// IR value → canonical slot, dense over `Body::num_values()`.
+    cslot_of: Vec<Option<u32>>,
+}
+
+impl GraphOptimizer {
+    fn new() -> Self {
+        let mut cleanup = PassManager::new();
+        cleanup.add_pass(Box::new(PatternRewritePass::new(
+            "cse",
+            vec![Box::new(CsePattern::new())],
+        )));
+        cleanup.add_pass(Box::new(DcePass));
+        let mut fuse = PassManager::new();
+        fuse.add_pass(Box::new(PatternRewritePass::new(
+            "fuse-elementwise",
+            vec![
+                Box::new(ElementwiseChainFusion),
+                Box::new(ElementwiseRootMerge),
+            ],
+        )));
+        GraphOptimizer {
+            cleanup,
+            fuse,
+            is_output: Vec::new(),
+            kind_of: Vec::new(),
+            val_of: Vec::new(),
+            survives: Vec::new(),
+            resident: Vec::new(),
+            arg_cslots: Vec::new(),
+            cslot_of: Vec::new(),
+        }
+    }
+
+    /// The canonical slot an IR value carries.
+    fn cslot(&self, v: ValueId) -> Option<u32> {
+        *self.cslot_of.get(v.0 as usize)?
+    }
+
+    /// Records the canonical slot of an IR value (growing the table over
+    /// values the fusion pass created).
+    fn set_cslot(&mut self, v: ValueId, cslot: u32) {
+        let i = v.0 as usize;
+        if i >= self.cslot_of.len() {
+            self.cslot_of.resize(i + 1, None);
+        }
+        self.cslot_of[i] = Some(cslot);
+    }
+
+    /// Reads one plain IR op back into a canonical node: its tag is the
+    /// canonical slot of its output, which names the recorded op it came
+    /// from.
+    fn node_of(&self, o: &cinm_ir::Operation) -> Option<OpNode> {
+        let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
+        let mut node = OpNode {
+            kind: (*self.kind_of.get(tag as usize)?)?,
+            inputs: [0u32; 3],
+            n_inputs: o.operands.len() as u8,
+            output: tag,
+        };
+        for (slot, &v) in node.inputs.iter_mut().zip(&o.operands) {
+            *slot = self.cslot(v)?;
+        }
+        Some(node)
+    }
+}
+
 /// Counters of the graph optimizer (see [`Session::optimizer_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
@@ -739,7 +826,8 @@ pub struct Session {
     backend: ShardedBackend,
     planner: CachedShardPlanner,
     residency: bool,
-    optimizer: bool,
+    /// `None` when [`SessionOptions::optimizer`] is off.
+    optimizer: Option<GraphOptimizer>,
     slots: Vec<Slot>,
     free: VecDeque<u32>,
     ops: Vec<OpNode>,
@@ -853,7 +941,7 @@ impl Session {
             backend,
             planner: CachedShardPlanner::new(planner),
             residency,
-            optimizer,
+            optimizer: optimizer.then(GraphOptimizer::new),
             slots: Vec::new(),
             free: VecDeque::new(),
             ops: Vec::new(),
@@ -1496,6 +1584,7 @@ impl Session {
     /// those resurface identically through the plain path).
     fn optimize(
         &mut self,
+        opt: &mut GraphOptimizer,
         canon: &[OpNode],
         discards: &[bool],
         binding: &[u32],
@@ -1505,14 +1594,25 @@ impl Session {
         }
         let dpus = self.backend.num_dpus();
         let n_cslots = binding.len();
-        let mut is_output = vec![false; n_cslots];
-        for op in canon {
-            is_output[op.output as usize] = true;
+        for table in [&mut opt.is_output, &mut opt.survives] {
+            table.clear();
+            table.resize(n_cslots, false);
         }
-        let arg_cslots: Vec<u32> = (0..n_cslots as u32)
-            .filter(|&c| !is_output[c as usize])
-            .collect();
-        let arg_types: Vec<Type> = arg_cslots
+        opt.kind_of.clear();
+        opt.kind_of.resize(n_cslots, None);
+        opt.val_of.clear();
+        opt.val_of.resize(n_cslots, None);
+        // Every IR op carries the canonical slot of its output as its tag,
+        // which names the recorded op it came from.
+        for op in canon {
+            opt.is_output[op.output as usize] = true;
+            opt.kind_of[op.output as usize] = Some(op.kind);
+        }
+        opt.arg_cslots.clear();
+        opt.arg_cslots
+            .extend((0..n_cslots as u32).filter(|&c| !opt.is_output[c as usize]));
+        let arg_types: Vec<Type> = opt
+            .arg_cslots
             .iter()
             .map(|&c| {
                 let len = self.slots[binding[c as usize] as usize]
@@ -1522,11 +1622,12 @@ impl Session {
             })
             .collect();
         let mut func = Func::new("session_graph", arg_types, vec![]);
-        let args = func.arguments();
         let entry = func.body.entry_block();
-        let mut val_of: Vec<Option<ValueId>> = vec![None; n_cslots];
-        for (i, &c) in arg_cslots.iter().enumerate() {
-            val_of[c as usize] = Some(args[i]);
+        opt.cslot_of.clear();
+        for i in 0..opt.arg_cslots.len() {
+            let (arg, c) = (func.argument(i), opt.arg_cslots[i]);
+            opt.val_of[c as usize] = Some(arg);
+            opt.set_cslot(arg, c);
         }
         {
             let mut b = OpBuilder::at_end(&mut func.body, entry);
@@ -1546,10 +1647,10 @@ impl Session {
                     spec = spec.attr(fusion::ATTR_LIVE_OUT, Attribute::Int(1));
                 }
                 for &inp in op.inputs() {
-                    spec = spec.operand(val_of[inp as usize]?);
+                    spec = spec.operand(opt.val_of[inp as usize]?);
                 }
                 let built = b.push(spec);
-                val_of[op.output as usize] = Some(built.result());
+                opt.val_of[op.output as usize] = Some(built.result());
             }
         }
         let mut module = Module::new("session");
@@ -1558,56 +1659,24 @@ impl Session {
         // Pass 1: structural cleanup. Duplicates whose output the user
         // observes survive CSE (their uses are rewired); discarded ones and
         // dead chains are erased.
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(PatternRewritePass::new(
-            "cse",
-            vec![Box::new(CsePattern::new())],
-        )));
-        pm.add_pass(Box::new(DcePass));
-        pm.run(&mut module).ok()?;
-
-        // Every surviving IR op still carries the canonical slot of its
-        // output as its tag, which names the recorded op it came from.
-        let mut kind_of: Vec<Option<CnmOp>> = vec![None; n_cslots];
-        for op in canon {
-            kind_of[op.output as usize] = Some(op.kind);
-        }
-        let mut cslot_of: HashMap<ValueId, u32> = HashMap::new();
-        for (i, &c) in arg_cslots.iter().enumerate() {
-            cslot_of.insert(args[i], c);
-        }
-        // Reads one plain IR op back into a canonical node.
-        let node_of = |o: &cinm_ir::Operation, cslot_of: &HashMap<ValueId, u32>| {
-            let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
-            let mut node = OpNode {
-                kind: kind_of[tag as usize]?,
-                inputs: [0u32; 3],
-                n_inputs: o.operands.len() as u8,
-                output: tag,
-            };
-            for (slot, v) in node.inputs.iter_mut().zip(&o.operands) {
-                *slot = *cslot_of.get(v)?;
-            }
-            Some(node)
-        };
+        opt.cleanup.run(&mut module).ok()?;
 
         // Placement pass: place the cleaned graph exactly as `compile` will
         // (same `place`, same `bind_resident` transitions) and mark every
         // segment-placed element-wise op as fusion-eligible.
         {
             let func = &mut module.funcs[fi];
-            let entry = func.body.entry_block();
-            let mut resident: Vec<Residency> = binding
-                .iter()
-                .map(|&p| self.slots[p as usize].residency())
-                .collect();
-            let op_ids: Vec<cinm_ir::OpId> = func.body.block_ops(entry).to_vec();
-            for id in op_ids {
-                let node = node_of(func.body.op(id), &cslot_of)?;
-                cslot_of.insert(func.body.result(id, 0), node.output);
+            opt.resident.clear();
+            opt.resident
+                .extend(binding.iter().map(|&p| self.slots[p as usize].residency()));
+            // Nothing is inserted or erased here: positions stay valid.
+            for at in 0..func.body.block_ops(entry).len() {
+                let id = func.body.block_ops(entry)[at];
+                let node = opt.node_of(func.body.op(id))?;
+                opt.set_cslot(func.body.result(id, 0), node.output);
                 let geometry = node.kind.geometry(dpus);
-                if self.place(&node, &geometry, &resident).ok()?.is_some() {
-                    resident[node.output as usize] = None;
+                if self.place(&node, &geometry, &opt.resident).ok()?.is_some() {
+                    opt.resident[node.output as usize] = None;
                     continue;
                 }
                 if let CnmOp::Elementwise { op, len } = node.kind {
@@ -1617,52 +1686,42 @@ impl Session {
                         (fusion::ATTR_CODE, op as i64),
                         (fusion::ATTR_LEN, len as i64),
                     ] {
-                        o.attrs.insert(key.to_string(), Attribute::Int(value));
+                        o.attrs.insert(key, Attribute::Int(value));
                     }
                 }
                 for (&inp, key) in node.inputs().iter().zip(geometry.inputs) {
-                    bind_resident(&mut resident[inp as usize], key, true);
+                    bind_resident(&mut opt.resident[inp as usize], key, true);
                 }
-                resident[node.output as usize] = Some((geometry.out_chunk, geometry.out_layout));
+                opt.resident[node.output as usize] =
+                    Some((geometry.out_chunk, geometry.out_layout));
             }
         }
 
         // Pass 2: element-wise fusion over the annotated graph.
-        let mut pm2 = PassManager::new();
-        pm2.add_pass(Box::new(PatternRewritePass::new(
-            "fuse-elementwise",
-            vec![
-                Box::new(ElementwiseChainFusion),
-                Box::new(ElementwiseRootMerge),
-            ],
-        )));
-        pm2.run(&mut module).ok()?;
+        opt.fuse.run(&mut module).ok()?;
 
         // Extraction: read the optimized block back into canonical nodes
         // and a lowering schedule.
         let func = &module.funcs[fi];
-        let entry = func.body.entry_block();
-        let mut ops: Vec<OpNode> = Vec::new();
-        let mut sched: Vec<SchedItem> = Vec::new();
-        let mut survives = vec![false; n_cslots];
+        let block_ops = func.body.block_ops(entry);
+        let mut ops: Vec<OpNode> = Vec::with_capacity(canon.len());
+        let mut sched: Vec<SchedItem> = Vec::with_capacity(block_ops.len());
         let mut fused_groups = 0u64;
         let mut ops_fused = 0u64;
-        for &id in func.body.block_ops(entry) {
+        for &id in block_ops {
             let o = func.body.op(id);
             if o.name == fusion::FUSED_OP {
                 let flat = o.int_array_attr(fusion::ATTR_STAGES)?;
-                let tags = o.int_array_attr(fusion::ATTR_TAGS)?.to_vec();
+                let tags = o.int_array_attr(fusion::ATTR_TAGS)?;
                 let len = o.int_attr(fusion::ATTR_LEN)? as usize;
-                let externals: Option<Vec<u32>> = o
-                    .operands
-                    .iter()
-                    .map(|v| cslot_of.get(v).copied())
-                    .collect();
+                let externals: Option<Vec<u32>> =
+                    o.operands.iter().map(|&v| opt.cslot(v)).collect();
                 let externals = externals?;
                 let start = ops.len();
                 let mut stages: Vec<FusedStage> = Vec::with_capacity(tags.len());
                 for (s, words) in flat.chunks(fusion::STAGE_WORDS).enumerate() {
-                    let CnmOp::Elementwise { op, .. } = kind_of[*tags.get(s)? as usize]? else {
+                    let out_c = *tags.get(s)? as u32;
+                    let CnmOp::Elementwise { op, .. } = (*opt.kind_of.get(out_c as usize)?)? else {
                         return None;
                     };
                     let resolve = |kind: i64, v: i64| -> Option<(FusedArg, u32)> {
@@ -1674,7 +1733,6 @@ impl Session {
                     };
                     let (lhs, lc) = resolve(words[1], words[2])?;
                     let (rhs, rc) = resolve(words[3], words[4])?;
-                    let out_c = *tags.get(s)? as u32;
                     ops.push(OpNode {
                         kind: CnmOp::Elementwise { op, len },
                         inputs: [lc, rc, 0],
@@ -1682,10 +1740,10 @@ impl Session {
                         output: out_c,
                     });
                     stages.push(FusedStage { op, lhs, rhs });
-                    survives[out_c as usize] = true;
+                    opt.survives[out_c as usize] = true;
                 }
                 for (s, &t) in tags.iter().enumerate() {
-                    cslot_of.insert(func.body.result(id, s), t as u32);
+                    opt.set_cslot(func.body.result(id, s), t as u32);
                 }
                 ops_fused += stages.len() as u64;
                 fused_groups += 1;
@@ -1695,17 +1753,16 @@ impl Session {
                     externals,
                 });
             } else {
-                let node = node_of(o, &cslot_of)?;
-                let tag = node.output;
-                cslot_of.insert(func.body.result(id, 0), tag);
-                survives[tag as usize] = true;
+                let node = opt.node_of(o)?;
+                opt.set_cslot(func.body.result(id, 0), node.output);
+                opt.survives[node.output as usize] = true;
                 sched.push(SchedItem::Plain(ops.len()));
                 ops.push(node);
             }
         }
         let eliminated: Vec<u32> = canon
             .iter()
-            .filter(|op| !survives[op.output as usize])
+            .filter(|op| !opt.survives[op.output as usize])
             .map(|op| op.output)
             .collect();
         self.opt_stats.graphs_optimized += 1;
@@ -1731,8 +1788,15 @@ impl Session {
         self.ops.clear();
         self.discarded.clear();
 
-        let optimized = if self.optimizer && residency {
-            self.optimize(&canon_src, &discards, &binding)
+        let optimized = if residency {
+            // Detached while it runs: it calls back into the session's own
+            // placement.
+            let mut opt = self.optimizer.take();
+            let optimized = opt
+                .as_mut()
+                .and_then(|opt| self.optimize(opt, &canon_src, &discards, &binding));
+            self.optimizer = opt;
+            optimized
         } else {
             None
         };

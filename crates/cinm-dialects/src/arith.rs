@@ -82,7 +82,7 @@ pub fn constant(b: &mut OpBuilder<'_>, value: i64, ty: Type) -> ValueId {
 /// # Panics
 ///
 /// Panics if `name` is not one of [`BINARY_INT_OPS`].
-pub fn binary(b: &mut OpBuilder<'_>, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub fn binary(b: &mut OpBuilder<'_>, name: &'static str, lhs: ValueId, rhs: ValueId) -> ValueId {
     assert!(
         BINARY_INT_OPS.contains(&name),
         "'{name}' is not an arith binary op"

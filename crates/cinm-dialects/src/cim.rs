@@ -100,7 +100,7 @@ pub fn execute(
     let operand_views = b.body().block_args(body_block).to_vec();
     Execute {
         op: built.id,
-        result: built.results[0],
+        result: built.result_at(0),
         body_block,
         operand_views,
     }

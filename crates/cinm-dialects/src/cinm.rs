@@ -167,6 +167,16 @@ pub fn register(registry: &mut DialectRegistry) {
     registry.add_table(OPS);
 }
 
+/// The name of the `cinm` op with the given mnemonic (`"add"` →
+/// `"cinm.add"`) as the dialect table holds it, or `None` if the dialect has
+/// no such op. This is how a mnemonic read from an attribute becomes an op
+/// name: names are `'static`, so it can only name an op that exists.
+pub fn op_named(mnemonic: &str) -> Option<&'static str> {
+    let rest = |c: &OpConstraint| c.name.strip_prefix("cinm.").unwrap_or("");
+    let i = OPS.binary_search_by(|c| rest(c).cmp(mnemonic)).ok()?;
+    Some(OPS[i].name)
+}
+
 fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
     let ty = b.body().value_type(v);
     (
@@ -180,7 +190,12 @@ fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
 /// # Panics
 ///
 /// Panics if the op is not element-wise or the shapes differ.
-pub fn elementwise(b: &mut OpBuilder<'_>, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub fn elementwise(
+    b: &mut OpBuilder<'_>,
+    name: &'static str,
+    lhs: ValueId,
+    rhs: ValueId,
+) -> ValueId {
     assert!(
         ELEMENTWISE_ARITH.contains(&name) || ELEMENTWISE_LOGIC.contains(&name),
         "'{name}' is not an element-wise cinm op"
@@ -272,7 +287,7 @@ pub fn topk(b: &mut OpBuilder<'_>, input: ValueId, k: i64) -> (ValueId, ValueId)
             .result(Type::tensor(&[k], e))
             .result(Type::tensor(&[k], ScalarType::Index)),
     );
-    (built.results[0], built.results[1])
+    (built.result_at(0), built.result_at(1))
 }
 
 /// Builds `cinm.simSearch #metric #k (%query, %database)`, returning
@@ -293,7 +308,7 @@ pub fn sim_search(
             .result(Type::tensor(&[k], e))
             .result(Type::tensor(&[k], ScalarType::Index)),
     );
-    (built.results[0], built.results[1])
+    (built.result_at(0), built.result_at(1))
 }
 
 /// Builds `cinm.mergePartial #op (%lhs, %rhs)`.
@@ -345,6 +360,18 @@ mod tests {
         register(&mut r);
         for op in table1_ops() {
             assert!(r.constraint(op).is_some(), "{op} must be registered");
+        }
+    }
+
+    #[test]
+    fn mnemonics_resolve_through_the_table() {
+        for c in OPS {
+            let mnemonic = c.name.strip_prefix("cinm.").unwrap();
+            assert_eq!(op_named(mnemonic), Some(c.name));
+        }
+        assert_eq!(op_named("xor"), Some("cinm.xor"));
+        for absent in ["", "pow", "cinm.add", "ad", "addd"] {
+            assert_eq!(op_named(absent), None, "{absent:?}");
         }
     }
 

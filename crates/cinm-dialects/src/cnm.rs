@@ -150,7 +150,7 @@ pub fn gather(
             .result(Type::tensor(result_shape, elem))
             .result(Type::Token),
     );
-    (built.results[0], built.results[1])
+    (built.result_at(0), built.result_at(1))
 }
 
 /// A built `cnm.launch` operation.
@@ -190,7 +190,7 @@ pub fn launch(b: &mut OpBuilder<'_>, wg: ValueId, buffers: &[ValueId]) -> Launch
     let buffer_views = b.body().block_args(body_block).to_vec();
     Launch {
         op: built.id,
-        token: built.results[0],
+        token: built.result_at(0),
         body_block,
         buffer_views,
     }

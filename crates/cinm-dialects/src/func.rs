@@ -62,7 +62,7 @@ mod tests {
         let a = f.argument(0);
         let mut b = OpBuilder::at_end(&mut f.body, entry);
         let c = call(&mut b, "helper", &[a], vec![Type::i32()]);
-        ret(&mut b, &[c.results[0]]);
+        ret(&mut b, &[c.result_at(0)]);
         let mut r = DialectRegistry::new();
         register(&mut r);
         verify_func(&f, &r).unwrap();

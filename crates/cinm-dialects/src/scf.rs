@@ -84,7 +84,7 @@ pub fn for_loop(
         body_block,
         induction_var: args[0],
         iter_args: args[1..].to_vec(),
-        results: built.results,
+        results: b.body().op(built.id).results.clone(),
     }
 }
 

@@ -134,7 +134,12 @@ pub fn expand_shape(b: &mut OpBuilder<'_>, source: ValueId, result_shape: &[i64]
     reshape(b, EXPAND_SHAPE, source, result_shape)
 }
 
-fn reshape(b: &mut OpBuilder<'_>, op: &str, source: ValueId, result_shape: &[i64]) -> ValueId {
+fn reshape(
+    b: &mut OpBuilder<'_>,
+    op: &'static str,
+    source: ValueId,
+    result_shape: &[i64],
+) -> ValueId {
     let src_ty = b.body().value_type(source).clone();
     let elem = src_ty
         .element_type()

@@ -191,7 +191,7 @@ pub fn gather(
             .result(Type::tensor(result_shape, elem))
             .result(Type::Token),
     );
-    (built.results[0], built.results[1])
+    (built.result_at(0), built.result_at(1))
 }
 
 /// A built `upmem.launch`.
@@ -234,7 +234,7 @@ pub fn launch(
     let mram_views = b.body().block_args(body_block).to_vec();
     Launch {
         op: built.id,
-        token: built.results[0],
+        token: built.result_at(0),
         body_block,
         mram_views,
     }

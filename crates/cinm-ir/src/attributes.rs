@@ -149,6 +149,72 @@ impl From<Type> for Attribute {
     }
 }
 
+/// The attributes of one operation or function: `(key, value)` pairs in one
+/// list kept sorted by key.
+///
+/// Keys are `&'static str` — every attribute key in the tree is a literal or
+/// a dialect `const` — so the map owns no key and an op with no attributes
+/// owns no heap memory for them. Iteration is in ascending byte order of the
+/// keys, the order of a `BTreeMap<String, _>`: the printer writes attributes
+/// in iteration order, so printed IR depends on this.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AttrMap {
+    entries: Vec<(&'static str, Attribute)>,
+}
+
+impl AttrMap {
+    /// Creates an empty map (no allocation).
+    pub const fn new() -> Self {
+        AttrMap {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Sets `key` to `value`; returns the value it replaces, if any.
+    pub fn insert(&mut self, key: &'static str, value: Attribute) -> Option<Attribute> {
+        match self.entries.binary_search_by(|(k, _)| (*k).cmp(key)) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Looks up an attribute by key.
+    ///
+    /// A scan, not a search: an op has a handful of attributes, and string
+    /// equality rejects a key of another length without reading it; the same
+    /// `'static` string (the usual case: a dialect `const` on both sides) is
+    /// accepted by address.
+    pub fn get(&self, key: &str) -> Option<&Attribute> {
+        self.entries
+            .iter()
+            .find(|(k, _)| std::ptr::eq(*k, key) || *k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Whether an attribute with this key is present.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// The attributes in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Attribute)> + '_ {
+        self.entries.iter().map(|(k, v)| (*k, v))
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the map holds no attribute.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 impl fmt::Display for Attribute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -240,5 +306,61 @@ mod tests {
             values: vec![0],
         };
         assert_eq!(d.to_string(), "dense<0> : tensor<16x16xi64>");
+    }
+
+    /// The printer writes attributes in iteration order, so the order must be
+    /// the one `BTreeMap<String, _>` gave: byte order of the keys, whatever
+    /// order they were inserted in.
+    #[test]
+    fn attr_map_iterates_in_btreemap_order() {
+        let keys = [
+            "tile",
+            "cnm.wram_tile",
+            "cim.tile_size",
+            "Z",
+            "cnm.op_kind",
+            "cim.kernel",
+            "a",
+            "cnm",
+            "fuse.len",
+            "cim.min_writes",
+            "value",
+            "",
+        ];
+        let mut map = AttrMap::new();
+        let mut reference = std::collections::BTreeMap::<String, Attribute>::new();
+        for (i, key) in keys.into_iter().enumerate() {
+            assert_eq!(map.insert(key, Attribute::Int(i as i64)), None);
+            reference.insert(key.to_string(), Attribute::Int(i as i64));
+        }
+        assert_eq!(map.len(), keys.len());
+        let got: Vec<(&str, &Attribute)> = map.iter().collect();
+        let want: Vec<(&str, &Attribute)> =
+            reference.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn attr_map_insert_replaces_and_lookups_miss_cleanly() {
+        let mut map = AttrMap::new();
+        assert!(map.is_empty());
+        assert_eq!(map.get("k"), None);
+        assert!(!map.contains_key("k"));
+        assert_eq!(map.insert("k", Attribute::Int(1)), None);
+        assert_eq!(map.insert("k", Attribute::Int(2)), Some(Attribute::Int(1)));
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.get("k"), Some(&Attribute::Int(2)));
+        // Absent keys on either side of a present one.
+        assert_eq!(map.get("j"), None);
+        assert_eq!(map.get("l"), None);
+        assert!(!map.contains_key("kk"));
+        assert!(map.contains_key("k"));
+        // Equality is by content, not by insertion history.
+        let mut other = AttrMap::new();
+        other.insert("a", Attribute::Unit);
+        assert_ne!(map, other);
+        let mut other = AttrMap::new();
+        other.insert("k", Attribute::Int(2));
+        assert_eq!(map, other);
     }
 }

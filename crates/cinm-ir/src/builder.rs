@@ -22,32 +22,34 @@
 //!         .operands([args[0], args[1]])
 //!         .result(Type::tensor(&[64, 64], ScalarType::I32)),
 //! );
-//! b.push(OpSpec::new("func.return").operands([gemm.results[0]]));
+//! b.push(OpSpec::new("func.return").operands([gemm.result()]));
 //! assert_eq!(func.body.num_live_ops(), 2);
 //! ```
 
-use std::collections::BTreeMap;
-
-use crate::attributes::Attribute;
+use crate::attributes::{AttrMap, Attribute};
 use crate::ir::{BlockId, Body, OpId, ValueId};
 use crate::types::Type;
 
-/// A declarative description of an operation about to be created.
-#[derive(Debug, Clone, Default)]
+/// A declarative description of an operation about to be created. Pushing
+/// the spec moves its operands, result types and attributes into the op.
+#[derive(Debug, Clone)]
 pub struct OpSpec {
-    name: String,
+    name: &'static str,
     operands: Vec<ValueId>,
     result_types: Vec<Type>,
-    attrs: BTreeMap<String, Attribute>,
+    attrs: AttrMap,
     region_entry_args: Vec<Vec<Type>>,
 }
 
 impl OpSpec {
     /// Starts a spec for the op with the given fully qualified name.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &'static str) -> Self {
         OpSpec {
-            name: name.to_string(),
-            ..Default::default()
+            name,
+            operands: Vec::new(),
+            result_types: Vec::new(),
+            attrs: AttrMap::new(),
+            region_entry_args: Vec::new(),
         }
     }
 
@@ -76,14 +78,14 @@ impl OpSpec {
     }
 
     /// Attaches an attribute.
-    pub fn attr(mut self, key: &str, value: impl Into<Attribute>) -> Self {
-        self.attrs.insert(key.to_string(), value.into());
+    pub fn attr(mut self, key: &'static str, value: impl Into<Attribute>) -> Self {
+        self.attrs.insert(key, value.into());
         self
     }
 
     /// Attaches a unit (flag) attribute.
-    pub fn flag(mut self, key: &str) -> Self {
-        self.attrs.insert(key.to_string(), Attribute::Unit);
+    pub fn flag(mut self, key: &'static str) -> Self {
+        self.attrs.insert(key, Attribute::Unit);
         self
     }
 
@@ -95,21 +97,54 @@ impl OpSpec {
     }
 
     /// The op name this spec will create.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 }
 
-/// The result of materialising an [`OpSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The result of materialising an [`OpSpec`]: the op and its result values.
+///
+/// The results of one op are numbered consecutively, so this is three words
+/// and `Copy`, not a copy of the op's result list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuiltOp {
     /// The created operation.
     pub id: OpId,
-    /// Its result values, in declaration order.
-    pub results: Vec<ValueId>,
+    first_result: ValueId,
+    num_results: usize,
 }
 
 impl BuiltOp {
+    fn of(body: &Body, id: OpId) -> Self {
+        let results = &body.op(id).results;
+        // `Body::insert_op` creates the results of an op back to back.
+        debug_assert!(results.windows(2).all(|w| w[1].0 == w[0].0 + 1));
+        BuiltOp {
+            id,
+            first_result: results.first().copied().unwrap_or(ValueId(0)),
+            num_results: results.len(),
+        }
+    }
+
+    /// Number of results of the op.
+    pub fn num_results(&self) -> usize {
+        self.num_results
+    }
+
+    /// The `index`-th result of the op, in declaration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op has no such result.
+    pub fn result_at(&self, index: usize) -> ValueId {
+        assert!(
+            index < self.num_results,
+            "result {index} of an op with {} results",
+            self.num_results
+        );
+        ValueId(self.first_result.0 + index as u32)
+    }
+
     /// The single result of the op.
     ///
     /// # Panics
@@ -117,12 +152,11 @@ impl BuiltOp {
     /// Panics if the op does not have exactly one result.
     pub fn result(&self) -> ValueId {
         assert_eq!(
-            self.results.len(),
-            1,
+            self.num_results, 1,
             "expected exactly one result, found {}",
-            self.results.len()
+            self.num_results
         );
-        self.results[0]
+        self.first_result
     }
 }
 
@@ -163,16 +197,13 @@ impl<'b> OpBuilder<'b> {
     pub fn push(&mut self, spec: OpSpec) -> BuiltOp {
         let id = self.body.append_op(
             self.block,
-            &spec.name,
+            spec.name,
             spec.operands,
             spec.result_types,
             spec.attrs,
             spec.region_entry_args,
         );
-        BuiltOp {
-            id,
-            results: self.body.op(id).results.clone(),
-        }
+        BuiltOp::of(self.body, id)
     }
 
     /// Materialises the spec at a specific index inside the insertion block.
@@ -180,16 +211,13 @@ impl<'b> OpBuilder<'b> {
         let id = self.body.insert_op(
             self.block,
             index,
-            &spec.name,
+            spec.name,
             spec.operands,
             spec.result_types,
             spec.attrs,
             spec.region_entry_args,
         );
-        BuiltOp {
-            id,
-            results: self.body.op(id).results.clone(),
-        }
+        BuiltOp::of(self.body, id)
     }
 
     /// Creates an `arith.constant` with an integer value of the given type.
@@ -228,7 +256,11 @@ mod tests {
                 .result(Type::tensor(&[8], ScalarType::I32))
                 .result(Type::tensor(&[8], ScalarType::Index)),
         );
-        assert_eq!(op.results.len(), 2);
+        assert_eq!(op.num_results(), 2);
+        assert_eq!(
+            [op.result_at(0), op.result_at(1)],
+            f.body.op(op.id).results[..]
+        );
         assert_eq!(f.body.op(op.id).int_attr("k"), Some(8));
         assert!(f.body.op(op.id).has_attr("cinm.stable"));
     }

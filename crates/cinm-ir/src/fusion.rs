@@ -26,11 +26,9 @@
 //! result per constituent stage, and the stage dataflow encoded in the
 //! [`ATTR_STAGES`] integer array (see [`stage_encoding`]).
 
-use std::collections::BTreeMap;
-
-use crate::attributes::Attribute;
+use crate::attributes::{AttrMap, Attribute};
 use crate::error::IrResult;
-use crate::ir::{Body, Func, OpId, Operation, ValueId, ValueKind};
+use crate::ir::{BlockId, Body, Func, OpId, ValueId, ValueKind};
 use crate::pass::{Pass, PassResult};
 use crate::rewrite::RewritePattern;
 
@@ -80,65 +78,83 @@ pub mod stage_encoding {}
 /// Number of integers encoding one stage in [`ATTR_STAGES`].
 pub const STAGE_WORDS: usize = 5;
 
-/// A fusable op or an existing fused group, normalised to stage form.
-struct FusionUnit {
-    op: OpId,
-    len: i64,
-    /// `[code, lhs_kind, lhs_index, rhs_kind, rhs_index]` per stage, with
-    /// [`ARG_INPUT`] indices relative to `operands`.
-    stages: Vec<[i64; STAGE_WORDS]>,
-    tags: Vec<i64>,
-    operands: Vec<ValueId>,
-    results: Vec<ValueId>,
+/// The stages of a fusable unit: the one implied stage of a plain op, or
+/// the attribute arrays of an existing group, borrowed.
+enum Stages<'a> {
+    Plain {
+        words: [i64; STAGE_WORDS],
+        tag: [i64; 1],
+    },
+    Group {
+        flat: &'a [i64],
+        tags: &'a [i64],
+    },
 }
 
-/// Normalises `op` into stage form if it is fusable: either a binary
-/// element-wise op carrying the `fuse.*` attributes, or a previously fused
-/// [`FUSED_OP`] group.
-fn unit_of(body: &Body, op: OpId) -> Option<FusionUnit> {
+/// A fusable op or an existing fused group, normalised to stage form. A view
+/// of the op: nothing of it is copied.
+struct FusionUnit<'a> {
+    op: OpId,
+    len: i64,
+    stages: Stages<'a>,
+    operands: &'a [ValueId],
+    results: &'a [ValueId],
+}
+
+impl FusionUnit<'_> {
+    /// `[code, lhs_kind, lhs_index, rhs_kind, rhs_index]` per stage, with
+    /// [`ARG_INPUT`] indices relative to `operands`.
+    fn flat(&self) -> &[i64] {
+        match &self.stages {
+            Stages::Plain { words, .. } => words,
+            Stages::Group { flat, .. } => flat,
+        }
+    }
+
+    fn tags(&self) -> &[i64] {
+        match &self.stages {
+            Stages::Plain { tag, .. } => tag,
+            Stages::Group { tags, .. } => tags,
+        }
+    }
+}
+
+/// Views `op` in stage form if it is fusable: either a binary element-wise
+/// op carrying the `fuse.*` attributes, or a previously fused [`FUSED_OP`]
+/// group. Most ops a pattern probes are neither, and cost two lookups.
+fn unit_of(body: &Body, op: OpId) -> Option<FusionUnit<'_>> {
     let o = body.op(op);
     if !o.regions.is_empty() {
         return None;
     }
-    if o.name == FUSED_OP {
+    let stages = if o.name == FUSED_OP {
         let flat = o.int_array_attr(ATTR_STAGES)?;
-        if flat.len() % STAGE_WORDS != 0 {
+        let tags = o.int_array_attr(ATTR_TAGS)?;
+        if flat.len() != tags.len() * STAGE_WORDS || o.results.len() != tags.len() {
             return None;
         }
-        let stages: Vec<[i64; STAGE_WORDS]> = flat
-            .chunks(STAGE_WORDS)
-            .map(|c| [c[0], c[1], c[2], c[3], c[4]])
-            .collect();
-        let tags = o.int_array_attr(ATTR_TAGS)?.to_vec();
-        if tags.len() != stages.len() || o.results.len() != stages.len() {
-            return None;
-        }
-        Some(FusionUnit {
-            op,
-            len: o.int_attr(ATTR_LEN)?,
-            stages,
-            tags,
-            operands: o.operands.clone(),
-            results: o.results.clone(),
-        })
+        Stages::Group { flat, tags }
     } else {
         if !o.has_attr(ATTR_ELIGIBLE) || o.operands.len() != 2 || o.results.len() != 1 {
             return None;
         }
-        Some(FusionUnit {
-            op,
-            len: o.int_attr(ATTR_LEN)?,
-            stages: vec![[o.int_attr(ATTR_CODE)?, ARG_INPUT, 0, ARG_INPUT, 1]],
-            tags: vec![o.int_attr(ATTR_TAG).unwrap_or(-1)],
-            operands: o.operands.clone(),
-            results: o.results.clone(),
-        })
-    }
+        Stages::Plain {
+            words: [o.int_attr(ATTR_CODE)?, ARG_INPUT, 0, ARG_INPUT, 1],
+            tag: [o.int_attr(ATTR_TAG).unwrap_or(-1)],
+        }
+    };
+    Some(FusionUnit {
+        op,
+        len: o.int_attr(ATTR_LEN)?,
+        stages,
+        operands: &o.operands,
+        results: &o.results,
+    })
 }
 
 /// True if `v` is usable as an operand of an op inserted at `index` in
 /// `block`: a block argument, or the result of an earlier op of the block.
-fn defined_before(body: &Body, v: ValueId, block: crate::ir::BlockId, index: usize) -> bool {
+fn defined_before(body: &Body, v: ValueId, block: BlockId, index: usize) -> bool {
     match body.value_kind(v) {
         ValueKind::BlockArg { .. } => true,
         ValueKind::OpResult { op, .. } => {
@@ -147,114 +163,146 @@ fn defined_before(body: &Body, v: ValueId, block: crate::ir::BlockId, index: usi
     }
 }
 
-/// Merges two fusable units into one [`FUSED_OP`] group placed at `first`'s
-/// position, or returns `None` if the merge is illegal (length mismatch,
+/// A legal merge of two units, ready to be applied: the group op's pieces
+/// (moved into it) and the ops it replaces.
+struct Merge {
+    block: BlockId,
+    at: usize,
+    ops: [OpId; 2],
+    externals: Vec<ValueId>,
+    old_results: Vec<ValueId>,
+    attrs: AttrMap,
+}
+
+/// Plans the merge of two fusable units of `block` — `first` at position
+/// `at`, `second` somewhere after it — into one [`FUSED_OP`] group placed at
+/// `at`, or returns `None` if the merge is illegal (length mismatch,
 /// stage/operand caps exceeded, or an operand of `second` not defined before
 /// `first`). `second` may consume results of `first` (chain fusion) — those
 /// operands become [`ARG_STAGE`] references; a pair with no such dataflow
-/// merges too (independent roots sharing one launch).
-///
-/// On success both original ops are erased and every old result is replaced
-/// by the corresponding group result (result order: `first`'s stages, then
-/// `second`'s).
-fn merge_units(body: &mut Body, first: &FusionUnit, second: &FusionUnit) -> Option<OpId> {
+/// merges too (independent roots sharing one launch). Nothing is allocated
+/// before the merge is known to be legal.
+fn plan_merge(
+    body: &Body,
+    block: BlockId,
+    at: usize,
+    first: &FusionUnit<'_>,
+    second: &FusionUnit<'_>,
+) -> Option<Merge> {
     if first.len != second.len {
         return None;
     }
-    let n_stages = first.stages.len() + second.stages.len();
-    if n_stages > MAX_FUSED_STAGES {
-        return None;
-    }
-    let block = body.op_block(first.op);
-    if body.op_block(second.op) != block {
-        return None;
-    }
-    let at = body.op_index_in_block(first.op);
-    if body.op_index_in_block(second.op) <= at {
+    let n_stages = first.tags().len() + second.tags().len();
+    if n_stages > MAX_FUSED_STAGES
+        || first.operands.len() > MAX_FUSED_OPERANDS
+        || second.operands.len() > MAX_FUSED_OPERANDS
+    {
         return None;
     }
 
     // Combined deduplicated external operand list, and per-unit remappings
-    // of old operand indices into it.
-    let mut externals: Vec<ValueId> = Vec::new();
-    fn external_index(externals: &mut Vec<ValueId>, v: ValueId) -> i64 {
-        match externals.iter().position(|&e| e == v) {
-            Some(i) => i as i64,
-            None => {
-                externals.push(v);
-                (externals.len() - 1) as i64
-            }
-        }
+    // of old operand indices into it. A unit has at most
+    // `MAX_FUSED_OPERANDS` operands, so both fit fixed arrays.
+    let mut externals = [ValueId(0); 2 * MAX_FUSED_OPERANDS];
+    let mut n_externals = 0;
+    let mut external_index = |v: ValueId| -> i64 {
+        let known = externals[..n_externals].iter().position(|&e| e == v);
+        let i = known.unwrap_or_else(|| {
+            externals[n_externals] = v;
+            n_externals += 1;
+            n_externals - 1
+        });
+        i as i64
+    };
+    let mut first_map = [0i64; MAX_FUSED_OPERANDS];
+    for (slot, &v) in first_map.iter_mut().zip(first.operands) {
+        *slot = external_index(v);
     }
-    let first_map: Vec<i64> = first
-        .operands
-        .iter()
-        .map(|&v| external_index(&mut externals, v))
-        .collect();
-    let mut second_map: Vec<(i64, i64)> = Vec::with_capacity(second.operands.len());
-    for &v in &second.operands {
-        if let Some(k) = first.results.iter().position(|&r| r == v) {
+    let mut second_map = [(ARG_INPUT, 0i64); MAX_FUSED_OPERANDS];
+    for (slot, &v) in second_map.iter_mut().zip(second.operands) {
+        *slot = if let Some(k) = first.results.iter().position(|&r| r == v) {
             // Chained operand: reads a stage of `first`.
-            second_map.push((ARG_STAGE, k as i64));
+            (ARG_STAGE, k as i64)
         } else {
             // Hoisting `second` to `first`'s position must not break SSA
             // dominance for its remaining operands.
             if !defined_before(body, v, block, at) {
                 return None;
             }
-            second_map.push((ARG_INPUT, external_index(&mut externals, v)));
-        }
+            (ARG_INPUT, external_index(v))
+        };
     }
-    if externals.len() > MAX_FUSED_OPERANDS {
+    if n_externals > MAX_FUSED_OPERANDS {
         return None;
     }
 
     let mut flat: Vec<i64> = Vec::with_capacity(n_stages * STAGE_WORDS);
-    for st in &first.stages {
+    for st in first.flat().chunks_exact(STAGE_WORDS) {
         flat.push(st[0]);
         for (kind, val) in [(st[1], st[2]), (st[3], st[4])] {
             if kind == ARG_INPUT {
-                flat.extend([ARG_INPUT, first_map[val as usize]]);
+                flat.extend([ARG_INPUT, *first_map.get(val as usize)?]);
             } else {
                 flat.extend([ARG_STAGE, val]);
             }
         }
     }
-    let offset = first.stages.len() as i64;
-    for st in &second.stages {
+    let offset = first.tags().len() as i64;
+    for st in second.flat().chunks_exact(STAGE_WORDS) {
         flat.push(st[0]);
         for (kind, val) in [(st[1], st[2]), (st[3], st[4])] {
             if kind == ARG_INPUT {
-                let (k, v) = second_map[val as usize];
+                let (k, v) = *second_map.get(val as usize)?;
                 flat.extend([k, v]);
             } else {
                 flat.extend([ARG_STAGE, val + offset]);
             }
         }
     }
-    let tags: Vec<i64> = first.tags.iter().chain(&second.tags).copied().collect();
+    let tags: Vec<i64> = first.tags().iter().chain(second.tags()).copied().collect();
+    let mut attrs = AttrMap::new();
+    attrs.insert(ATTR_STAGES, Attribute::IntArray(flat));
+    attrs.insert(ATTR_TAGS, Attribute::IntArray(tags));
+    attrs.insert(ATTR_LEN, Attribute::Int(first.len));
+    Some(Merge {
+        block,
+        at,
+        ops: [first.op, second.op],
+        externals: externals[..n_externals].to_vec(),
+        old_results: first
+            .results
+            .iter()
+            .chain(second.results)
+            .copied()
+            .collect(),
+        attrs,
+    })
+}
 
-    let old_results: Vec<ValueId> = first
-        .results
-        .iter()
-        .chain(&second.results)
-        .copied()
-        .collect();
-    let result_types = old_results
+/// Applies a planned merge: inserts the group, replaces every old result by
+/// the corresponding group result (result order: `first`'s stages, then
+/// `second`'s) and erases both original ops.
+fn apply_merge(body: &mut Body, merge: Merge) {
+    let result_types = merge
+        .old_results
         .iter()
         .map(|&r| body.value_type(r).clone())
         .collect();
-    let mut attrs = BTreeMap::new();
-    attrs.insert(ATTR_STAGES.to_string(), Attribute::IntArray(flat));
-    attrs.insert(ATTR_TAGS.to_string(), Attribute::IntArray(tags));
-    attrs.insert(ATTR_LEN.to_string(), Attribute::Int(first.len));
-    let group = body.insert_op(block, at, FUSED_OP, externals, result_types, attrs, vec![]);
-    for (i, &old) in old_results.iter().enumerate() {
+    let group = body.insert_op(
+        merge.block,
+        merge.at,
+        FUSED_OP,
+        merge.externals,
+        result_types,
+        merge.attrs,
+        vec![],
+    );
+    for (i, &old) in merge.old_results.iter().enumerate() {
         body.replace_all_uses(old, body.result(group, i));
     }
-    body.erase_op(first.op);
-    body.erase_op(second.op);
-    Some(group)
+    for op in merge.ops {
+        body.erase_op(op);
+    }
 }
 
 /// Fuses a fusable op into the unit producing one of its operands.
@@ -266,26 +314,34 @@ fn merge_units(body: &mut Body, first: &FusionUnit, second: &FusionUnit) -> Opti
 pub struct ElementwiseChainFusion;
 
 impl RewritePattern for ElementwiseChainFusion {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "fuse-elementwise-chain"
     }
 
     fn match_and_rewrite(&self, op: OpId, body: &mut Body) -> IrResult<bool> {
-        let Some(consumer) = unit_of(body, op) else {
+        let view: &Body = body;
+        let Some(consumer) = unit_of(view, op) else {
             return Ok(false);
         };
-        for &v in &consumer.operands {
-            let Some(p) = body.defining_op(v) else {
-                continue;
-            };
-            let Some(producer) = unit_of(body, p) else {
-                continue;
-            };
-            if merge_units(body, &producer, &consumer).is_some() {
-                return Ok(true);
+        let block = view.op_block(op);
+        let merge = consumer.operands.iter().find_map(|&v| {
+            let p = view.defining_op(v)?;
+            if view.op_block(p) != block {
+                return None;
             }
-        }
-        Ok(false)
+            let producer = unit_of(view, p)?;
+            let at = view.op_index_in_block(p);
+            // The group takes the producer's place: the consumer must follow it.
+            if at >= view.op_index_in_block(op) {
+                return None;
+            }
+            plan_merge(view, block, at, &producer, &consumer)
+        });
+        let Some(merge) = merge else {
+            return Ok(false);
+        };
+        apply_merge(body, merge);
+        Ok(true)
     }
 }
 
@@ -299,26 +355,26 @@ impl RewritePattern for ElementwiseChainFusion {
 pub struct ElementwiseRootMerge;
 
 impl RewritePattern for ElementwiseRootMerge {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "fuse-elementwise-roots"
     }
 
     fn match_and_rewrite(&self, op: OpId, body: &mut Body) -> IrResult<bool> {
-        let Some(second) = unit_of(body, op) else {
+        let view: &Body = body;
+        let Some(second) = unit_of(view, op) else {
             return Ok(false);
         };
-        let block = body.op_block(op);
-        let index = body.op_index_in_block(op);
-        let earlier: Vec<OpId> = body.block_ops(block)[..index].to_vec();
-        for &cand in earlier.iter().rev() {
-            let Some(first) = unit_of(body, cand) else {
-                continue;
-            };
-            if merge_units(body, &first, &second).is_some() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let block = view.op_block(op);
+        let earlier = &view.block_ops(block)[..view.op_index_in_block(op)];
+        let merge = earlier.iter().enumerate().rev().find_map(|(at, &cand)| {
+            let first = unit_of(view, cand)?;
+            plan_merge(view, block, at, &first, &second)
+        });
+        let Some(merge) = merge else {
+            return Ok(false);
+        };
+        apply_merge(body, merge);
+        Ok(true)
     }
 }
 
@@ -333,7 +389,7 @@ impl RewritePattern for ElementwiseRootMerge {
 /// carries [`ATTR_LIVE_OUT`] (the frontend observes its result, which lives
 /// in separate storage, so the op must still execute).
 pub struct CsePattern {
-    ignored: Vec<String>,
+    ignored: Vec<&'static str>,
 }
 
 impl Default for CsePattern {
@@ -351,31 +407,29 @@ impl CsePattern {
     }
 
     /// Adds frontend-specific attribute keys to ignore when comparing ops.
-    pub fn ignoring<I, S>(keys: I) -> Self
+    pub fn ignoring<I>(keys: I) -> Self
     where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
+        I: IntoIterator<Item = &'static str>,
     {
         CsePattern {
-            ignored: keys.into_iter().map(Into::into).collect(),
+            ignored: keys.into_iter().collect(),
         }
     }
 
-    fn significant_attrs<'a>(&self, op: &'a Operation) -> BTreeMap<&'a str, &'a Attribute> {
-        op.attrs
-            .iter()
-            .filter(|(k, _)| {
-                k.as_str() != ATTR_TAG
-                    && k.as_str() != ATTR_LIVE_OUT
-                    && !self.ignored.iter().any(|ig| ig == k.as_str())
-            })
-            .map(|(k, v)| (k.as_str(), v))
-            .collect()
+    /// Whether two ops agree on every attribute CSE compares: both sorted
+    /// lists walked once, in place.
+    fn same_significant_attrs(&self, a: &AttrMap, b: &AttrMap) -> bool {
+        let significant = |(k, _): &(&str, &Attribute)| {
+            *k != ATTR_TAG && *k != ATTR_LIVE_OUT && !self.ignored.iter().any(|ig| ig == k)
+        };
+        a.iter()
+            .filter(significant)
+            .eq(b.iter().filter(significant))
     }
 }
 
 impl RewritePattern for CsePattern {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "cse"
     }
 
@@ -386,32 +440,29 @@ impl RewritePattern for CsePattern {
         }
         let block = body.op_block(op);
         let index = body.op_index_in_block(op);
-        let dup_attrs = self.significant_attrs(o);
-        let mut found = None;
-        for &cand in &body.block_ops(block)[..index] {
-            let c = body.op(cand);
-            if c.name == o.name
-                && c.operands == o.operands
-                && c.results.len() == o.results.len()
-                && c.regions.is_empty()
-                && self.significant_attrs(c) == dup_attrs
-            {
-                found = Some(cand);
-                break;
-            }
-        }
+        let found = body.block_ops(block)[..index]
+            .iter()
+            .copied()
+            .find(|&cand| {
+                let c = body.op(cand);
+                c.name == o.name
+                    && c.operands == o.operands
+                    && c.results.len() == o.results.len()
+                    && c.regions.is_empty()
+                    && self.same_significant_attrs(&c.attrs, &o.attrs)
+            });
         let Some(first) = found else {
             return Ok(false);
         };
-        let live_out = body.op(op).has_attr(ATTR_LIVE_OUT);
-        let results: Vec<ValueId> = body.op(op).results.clone();
-        if live_out && !results.iter().any(|&r| body.has_uses(r)) {
+        let live_out = o.has_attr(ATTR_LIVE_OUT);
+        let n_results = o.results.len();
+        if live_out && !o.results.iter().any(|&r| body.has_uses(r)) {
             // Already rewired on an earlier application; the op survives
             // only to produce its observed output. Nothing left to do.
             return Ok(false);
         }
-        for (i, &r) in results.iter().enumerate() {
-            body.replace_all_uses(r, body.result(first, i));
+        for i in 0..n_results {
+            body.replace_all_uses(body.result(op, i), body.result(first, i));
         }
         if !live_out {
             body.erase_op(op);
@@ -427,7 +478,7 @@ impl RewritePattern for CsePattern {
 pub struct DcePass;
 
 impl Pass for DcePass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "dce"
     }
 
@@ -473,7 +524,7 @@ mod tests {
         Type::tensor(&[n], ScalarType::I32)
     }
 
-    fn fusable(name: &str, code: i64, len: i64, tag: i64) -> OpSpec {
+    fn fusable(name: &'static str, code: i64, len: i64, tag: i64) -> OpSpec {
         OpSpec::new(name)
             .attr(ATTR_ELIGIBLE, Attribute::Int(1))
             .attr(ATTR_CODE, Attribute::Int(code))

@@ -8,10 +8,10 @@
 //! (replace-all-uses, op erasure, op insertion) simple and fast without
 //! reference counting.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
-use crate::attributes::Attribute;
+use crate::attributes::{AttrMap, Attribute};
 use crate::types::Type;
 
 /// Identifier of an SSA value inside a [`Body`].
@@ -77,33 +77,82 @@ pub(crate) fn dialect_of(name: &str) -> &str {
     &name[..end]
 }
 
+/// The fully qualified name of an operation, e.g. `"cinm.gemm"`.
+///
+/// Every op name is a dialect `const` (and a row of that dialect's static
+/// table), so an op borrows its name for `'static` instead of owning a copy:
+/// creating, renaming and comparing ops never touches the heap. Derefs to
+/// `str` and compares with string slices directly.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct OpName(&'static str);
+
+impl OpName {
+    /// The name as a string slice.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl Deref for OpName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl From<&'static str> for OpName {
+    fn from(name: &'static str) -> Self {
+        OpName(name)
+    }
+}
+
+impl PartialEq<&str> for OpName {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl fmt::Debug for OpName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for OpName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
 /// An operation: the generic unit of computation/abstraction in the IR.
+///
+/// An op owns its operand and result lists and its attribute values; its
+/// name and its attribute keys are `'static`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
     /// Fully qualified name, e.g. `"cinm.gemm"` or `"cnm.launch"`.
-    pub name: String,
+    pub name: OpName,
     /// SSA operands.
     pub operands: Vec<ValueId>,
     /// SSA results.
     pub results: Vec<ValueId>,
     /// Compile-time attributes.
-    pub attrs: BTreeMap<String, Attribute>,
+    pub attrs: AttrMap,
     /// Nested regions (e.g. the body of a `cnm.launch`).
     pub regions: Vec<RegionId>,
 }
 
 impl Operation {
     /// The dialect prefix of the operation name (`"cinm"` for `"cinm.gemm"`).
-    pub fn dialect(&self) -> &str {
-        dialect_of(&self.name)
+    pub fn dialect(&self) -> &'static str {
+        dialect_of(self.name.as_str())
     }
 
     /// The op mnemonic without the dialect prefix (`"gemm"` for `"cinm.gemm"`).
-    pub fn mnemonic(&self) -> &str {
-        match self.name.split_once('.') {
-            Some((_, rest)) => rest,
-            None => &self.name,
-        }
+    pub fn mnemonic(&self) -> &'static str {
+        let name = self.name.as_str();
+        name.split_once('.').map_or(name, |(_, rest)| rest)
     }
 
     /// Looks up an attribute by key.
@@ -236,10 +285,10 @@ impl Body {
     pub fn append_op(
         &mut self,
         block: BlockId,
-        name: &str,
+        name: &'static str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: AttrMap,
         region_entry_args: Vec<Vec<Type>>,
     ) -> OpId {
         let index = self.blocks[block.0 as usize].ops.len();
@@ -265,10 +314,10 @@ impl Body {
         &mut self,
         block: BlockId,
         index: usize,
-        name: &str,
+        name: &'static str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: AttrMap,
         region_entry_args: Vec<Vec<Type>>,
     ) -> OpId {
         for v in &operands {
@@ -282,7 +331,7 @@ impl Body {
             "insertion index {index} out of range"
         );
         let op_id = OpId(self.ops.len() as u32);
-        // Results.
+        // Results, numbered consecutively (`BuiltOp` relies on it).
         let mut results = Vec::with_capacity(result_types.len());
         for (i, ty) in result_types.into_iter().enumerate() {
             results.push(self.push_value(
@@ -296,7 +345,7 @@ impl Body {
         // Reserve the slot before creating regions so region parent ids are valid.
         self.ops.push(Some(OpSlot {
             op: Operation {
-                name: name.to_string(),
+                name: OpName(name),
                 operands,
                 results,
                 attrs,
@@ -499,7 +548,8 @@ impl Body {
 
     /// Pre-order walk of all live operations reachable from the entry region.
     pub fn walk(&self) -> Vec<OpId> {
-        let mut out = Vec::new();
+        // Sized for every op ever created: one allocation, never a regrowth.
+        let mut out = Vec::with_capacity(self.ops.len());
         self.walk_region(self.entry_region(), &mut out);
         out
     }
@@ -552,12 +602,11 @@ impl Body {
 pub struct Func {
     /// Symbol name.
     pub name: String,
-    /// Input types; the entry block has one argument per input.
-    pub input_types: Vec<Type>,
-    /// Result types.
+    /// Result types. (The input types are the types of the entry block's
+    /// arguments: see [`Func::arguments`].)
     pub result_types: Vec<Type>,
     /// Function-level attributes (e.g. the selected offload target).
-    pub attrs: BTreeMap<String, Attribute>,
+    pub attrs: AttrMap,
     /// The function body arena.
     pub body: Body,
 }
@@ -568,14 +617,13 @@ impl Func {
     pub fn new(name: &str, input_types: Vec<Type>, result_types: Vec<Type>) -> Self {
         let mut body = Body::new();
         let entry = body.entry_block();
-        for ty in &input_types {
-            body.add_block_arg(entry, ty.clone());
+        for ty in input_types {
+            body.add_block_arg(entry, ty);
         }
         Func {
             name: name.to_string(),
-            input_types,
             result_types,
-            attrs: BTreeMap::new(),
+            attrs: AttrMap::new(),
             body,
         }
     }
@@ -587,12 +635,12 @@ impl Func {
 
     /// The `i`-th function argument.
     pub fn argument(&self, i: usize) -> ValueId {
-        self.arguments()[i]
+        self.body.block_args(self.body.entry_block())[i]
     }
 
     /// Sets a function attribute, returning `self` for chaining.
-    pub fn with_attr(mut self, key: &str, value: Attribute) -> Self {
-        self.attrs.insert(key.to_string(), value);
+    pub fn with_attr(mut self, key: &'static str, value: Attribute) -> Self {
+        self.attrs.insert(key, value);
         self
     }
 }
@@ -666,7 +714,7 @@ mod tests {
             "cinm.add",
             vec![arg, arg],
             vec![i32_tensor(&[4])],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         assert_eq!(f.body.op(op).name, "cinm.add");
@@ -689,7 +737,7 @@ mod tests {
             "cnm.launch",
             vec![],
             vec![Type::Token],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![vec![Type::memref(&[16, 16], ScalarType::I32)]],
         );
         let inner_block = f.body.op_region_entry_block(launch, 0);
@@ -699,7 +747,7 @@ mod tests {
             "arith.addi",
             vec![inner_arg, inner_arg],
             vec![Type::memref(&[16, 16], ScalarType::I32)],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         let walked = f.body.walk();
@@ -721,7 +769,7 @@ mod tests {
             "cnm.launch",
             vec![],
             vec![],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![vec![]],
         );
         let inner_block = f.body.op_region_entry_block(launch, 0);
@@ -730,7 +778,7 @@ mod tests {
             "arith.constant",
             vec![],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         assert_eq!(f.body.num_live_ops(), 2);
@@ -753,7 +801,7 @@ mod tests {
             "arith.addi",
             vec![a, a],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         assert_eq!(f.body.users(a), vec![add]);
@@ -775,7 +823,7 @@ mod tests {
             "arith.muli",
             vec![a, a],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         let first = f.body.insert_op(
@@ -784,7 +832,7 @@ mod tests {
             "arith.addi",
             vec![a, a],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         assert_eq!(f.body.block_ops(entry), &[first, second]);
@@ -801,7 +849,7 @@ mod tests {
         m.func_mut("b")
             .unwrap()
             .attrs
-            .insert("cinm.target".into(), Attribute::Str("upmem".into()));
+            .insert("cinm.target", Attribute::Str("upmem".into()));
         assert_eq!(m.func("b").unwrap().attrs.len(), 1);
     }
 
@@ -815,7 +863,7 @@ mod tests {
             "arith.constant",
             vec![],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         f.body.erase_op(op);
@@ -830,7 +878,7 @@ mod tests {
         let entry = f.body.entry_block();
         let op = f
             .body
-            .append_op(entry, "t.op", vec![], vec![], BTreeMap::new(), vec![]);
+            .append_op(entry, "t.op", vec![], vec![], AttrMap::new(), vec![]);
         f.body.ops[op.0 as usize] = None;
         let err =
             crate::registry::verify_func(&f, &crate::registry::DialectRegistry::new()).unwrap_err();

@@ -51,11 +51,11 @@ pub mod rewrite;
 pub mod types;
 
 pub use affine::{AffineExpr, AffineMap};
-pub use attributes::Attribute;
+pub use attributes::{AttrMap, Attribute};
 pub use builder::{BuiltOp, OpBuilder, OpSpec};
 pub use error::{IrError, IrResult};
 pub use fusion::{CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge};
-pub use ir::{BlockId, Body, Func, Module, OpId, Operation, RegionId, ValueId, ValueKind};
+pub use ir::{BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind};
 pub use pass::{Pass, PassManager, PassResult, PipelineStats};
 pub use printer::{func_lines_of_code, print_func, print_module};
 pub use registry::{verify_func, verify_module, DialectRegistry, OpConstraint};
@@ -67,12 +67,12 @@ pub use types::{
 /// Commonly used items, for glob import in downstream crates and examples.
 pub mod prelude {
     pub use crate::affine::{AffineExpr, AffineMap};
-    pub use crate::attributes::Attribute;
+    pub use crate::attributes::{AttrMap, Attribute};
     pub use crate::builder::{BuiltOp, OpBuilder, OpSpec};
     pub use crate::error::{IrError, IrResult};
     pub use crate::fusion::{CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge};
     pub use crate::ir::{
-        BlockId, Body, Func, Module, OpId, Operation, RegionId, ValueId, ValueKind,
+        BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind,
     };
     pub use crate::pass::{Pass, PassManager, PassResult};
     pub use crate::printer::{func_lines_of_code, print_func, print_module};

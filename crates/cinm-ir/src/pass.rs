@@ -36,7 +36,7 @@ impl PassResult {
 /// A transformation applied to one function at a time.
 pub trait Pass {
     /// Stable pass name used in diagnostics and pipeline descriptions.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Runs the pass on one function.
     ///
@@ -50,7 +50,7 @@ pub trait Pass {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// `(pass name, number of functions changed)` per executed pass.
-    pub pass_changes: Vec<(String, usize)>,
+    pub pass_changes: Vec<(&'static str, usize)>,
 }
 
 impl PipelineStats {
@@ -114,7 +114,7 @@ impl PassManager {
     }
 
     /// The names of the registered passes, in order.
-    pub fn pass_names(&self) -> Vec<&str> {
+    pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
@@ -125,7 +125,9 @@ impl PassManager {
     /// Returns the first pass or verification error encountered, annotated
     /// with the pass and function name.
     pub fn run(&self, module: &mut Module) -> IrResult<PipelineStats> {
-        let mut stats = PipelineStats::default();
+        let mut stats = PipelineStats {
+            pass_changes: Vec::with_capacity(self.passes.len()),
+        };
         for pass in &self.passes {
             let mut changed_funcs = 0;
             for func in module.funcs.iter_mut() {
@@ -152,9 +154,7 @@ impl PassManager {
                     );
                 }
             }
-            stats
-                .pass_changes
-                .push((pass.name().to_string(), changed_funcs));
+            stats.pass_changes.push((pass.name(), changed_funcs));
         }
         Ok(stats)
     }
@@ -170,7 +170,7 @@ mod tests {
     struct RenamePass;
 
     impl Pass for RenamePass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "rename-a-to-b"
         }
 
@@ -178,7 +178,7 @@ mod tests {
             let mut changed = false;
             for op in func.body.walk() {
                 if func.body.op(op).name == "a.op" {
-                    func.body.op_mut(op).name = "b.op".to_string();
+                    func.body.op_mut(op).name = "b.op".into();
                     changed = true;
                 }
             }
@@ -190,7 +190,7 @@ mod tests {
     struct FailingPass;
 
     impl Pass for FailingPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "always-fail"
         }
 
@@ -217,9 +217,9 @@ mod tests {
         pm.add_pass(Box::new(RenamePass));
         let stats = pm.run(&mut m).unwrap();
         assert_eq!(stats.pass_changes.len(), 2);
-        assert_eq!(stats.pass_changes[0], ("rename-a-to-b".to_string(), 1));
+        assert_eq!(stats.pass_changes[0], ("rename-a-to-b", 1));
         // Second run finds nothing to rename.
-        assert_eq!(stats.pass_changes[1], ("rename-a-to-b".to_string(), 0));
+        assert_eq!(stats.pass_changes[1], ("rename-a-to-b", 0));
         assert_eq!(stats.total_changes(), 1);
         assert_eq!(m.funcs[0].body.ops_with_name("b.op").len(), 1);
     }

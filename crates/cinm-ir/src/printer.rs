@@ -139,7 +139,7 @@ impl<'a> Printer<'a> {
 
     fn print_op(&mut self, op: OpId, indent: usize) {
         let pad = "  ".repeat(indent);
-        let operation = self.body.op(op).clone();
+        let operation = self.body.op(op);
         let mut line = String::new();
         // Results.
         if !operation.results.is_empty() {

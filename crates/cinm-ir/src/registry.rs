@@ -397,10 +397,10 @@ fn verify_op<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attributes::AttrMap;
     use crate::builder::{OpBuilder, OpSpec};
     use crate::ir::Func;
     use crate::types::Type;
-    use std::collections::BTreeMap;
 
     static TEST_OPS: &[OpConstraint] = &[
         OpConstraint::new("test.binary").operands(2).results(1),
@@ -487,7 +487,7 @@ mod tests {
             "test.unknown",
             vec![],
             vec![],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         let err = verify_func(&f, &registry()).unwrap_err();
@@ -499,7 +499,7 @@ mod tests {
         let mut f = Func::new("ok", vec![], vec![]);
         let entry = f.body.entry_block();
         f.body
-            .append_op(entry, "other.op", vec![], vec![], BTreeMap::new(), vec![]);
+            .append_op(entry, "other.op", vec![], vec![], AttrMap::new(), vec![]);
         let mut r = registry();
         assert!(verify_func(&f, &r).is_err());
         r.allow_unregistered = true;
@@ -511,7 +511,7 @@ mod tests {
         let mut f = Func::new("ok", vec![], vec![]);
         let entry = f.body.entry_block();
         f.body
-            .append_op(entry, "any.op", vec![], vec![], BTreeMap::new(), vec![]);
+            .append_op(entry, "any.op", vec![], vec![], AttrMap::new(), vec![]);
         assert!(verify_func(&f, &DialectRegistry::new()).is_ok());
     }
 
@@ -526,7 +526,7 @@ mod tests {
             "test.ret",
             vec![],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         let v = f.body.result(def, 0);
@@ -536,7 +536,7 @@ mod tests {
             "test.binary",
             vec![v, v],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         let mut r = DialectRegistry::new();
@@ -620,7 +620,7 @@ mod tests {
             "t.region",
             vec![],
             vec![],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![vec![]; regions],
         )
     }
@@ -631,7 +631,7 @@ mod tests {
             "t.def",
             vec![],
             vec![Type::i32()],
-            BTreeMap::new(),
+            AttrMap::new(),
             vec![],
         );
         f.body.result(op, 0)
@@ -639,7 +639,7 @@ mod tests {
 
     fn use_of(f: &mut Func, block: crate::ir::BlockId, v: ValueId) {
         f.body
-            .append_op(block, "t.use", vec![v], vec![], BTreeMap::new(), vec![]);
+            .append_op(block, "t.use", vec![v], vec![], AttrMap::new(), vec![]);
     }
 
     fn scoping_error(f: &Func) -> String {

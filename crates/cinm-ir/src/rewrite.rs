@@ -12,7 +12,7 @@ use crate::pass::{Pass, PassResult};
 /// A single rewrite rule.
 pub trait RewritePattern {
     /// Stable pattern name for diagnostics.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Attempts to match and rewrite the operation.
     ///
@@ -36,8 +36,38 @@ pub struct RewriteStats {
     pub converged: bool,
 }
 
+/// One sweep of the greedy driver: offers every live op to the patterns in
+/// order, first match wins. Returns whether any pattern applied.
+fn sweep(
+    body: &mut Body,
+    patterns: &[Box<dyn RewritePattern>],
+    stats: &mut RewriteStats,
+) -> IrResult<bool> {
+    let mut changed = false;
+    // Snapshot the ops: patterns may erase/create ops while we iterate.
+    for op in body.walk() {
+        for pattern in patterns {
+            if !body.is_live(op) {
+                break;
+            }
+            let applied = pattern
+                .match_and_rewrite(op, body)
+                .map_err(|e| e.with_context(format!("pattern '{}'", pattern.name())))?;
+            if applied {
+                stats.applications += 1;
+                changed = true;
+                break;
+            }
+        }
+    }
+    Ok(changed)
+}
+
 /// Applies the patterns to every op of the body until no pattern matches or
-/// the iteration budget is exhausted.
+/// the iteration budget is exhausted. A pattern set whose last permitted
+/// iteration still changed the IR gets one final sweep: it has converged if
+/// that sweep finds nothing to do (the sweep is not counted as an iteration;
+/// what it applies, if anything, is counted as applications).
 ///
 /// # Errors
 ///
@@ -50,49 +80,27 @@ pub fn apply_patterns_greedily(
     let mut stats = RewriteStats::default();
     for _ in 0..max_iterations {
         stats.iterations += 1;
-        let mut changed = false;
-        // Snapshot the ops: patterns may erase/create ops while we iterate.
-        let ops = body.walk();
-        for op in ops {
-            if !body.is_live(op) {
-                continue;
-            }
-            for pattern in patterns {
-                if !body.is_live(op) {
-                    break;
-                }
-                let applied = pattern
-                    .match_and_rewrite(op, body)
-                    .map_err(|e| e.with_context(format!("pattern '{}'", pattern.name())))?;
-                if applied {
-                    stats.applications += 1;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
+        if !sweep(body, patterns, &mut stats)? {
             stats.converged = true;
             return Ok(stats);
         }
     }
-    // One extra check: converged if a final sweep does not change anything.
-    stats.converged = false;
+    stats.converged = !sweep(body, patterns, &mut stats)?;
     Ok(stats)
 }
 
 /// Wraps a set of rewrite patterns as a [`Pass`].
 pub struct PatternRewritePass {
-    name: String,
+    name: &'static str,
     patterns: Vec<Box<dyn RewritePattern>>,
     max_iterations: usize,
 }
 
 impl PatternRewritePass {
     /// Creates a pass from a pattern set.
-    pub fn new(name: &str, patterns: Vec<Box<dyn RewritePattern>>) -> Self {
+    pub fn new(name: &'static str, patterns: Vec<Box<dyn RewritePattern>>) -> Self {
         PatternRewritePass {
-            name: name.to_string(),
+            name,
             patterns,
             max_iterations: 32,
         }
@@ -106,8 +114,8 @@ impl PatternRewritePass {
 }
 
 impl Pass for PatternRewritePass {
-    fn name(&self) -> &str {
-        &self.name
+    fn name(&self) -> &'static str {
+        self.name
     }
 
     fn run_on_func(&self, func: &mut Func) -> IrResult<PassResult> {
@@ -125,16 +133,16 @@ impl Pass for PatternRewritePass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attributes::AttrMap;
     use crate::builder::{OpBuilder, OpSpec};
     use crate::ir::Func;
     use crate::types::Type;
-    use std::collections::BTreeMap;
 
     /// Rewrites `x.double` into two chained `x.single` ops.
     struct ExpandDouble;
 
     impl RewritePattern for ExpandDouble {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "expand-double"
         }
 
@@ -153,7 +161,7 @@ mod tests {
                 "x.single",
                 vec![operand],
                 vec![ty.clone()],
-                BTreeMap::new(),
+                AttrMap::new(),
                 vec![],
             );
             let second = body.insert_op(
@@ -162,7 +170,7 @@ mod tests {
                 "x.single",
                 vec![body.result(first, 0)],
                 vec![ty],
-                BTreeMap::new(),
+                AttrMap::new(),
                 vec![],
             );
             let new_result = body.result(second, 0);
@@ -177,12 +185,12 @@ mod tests {
     struct PingPong;
 
     impl RewritePattern for PingPong {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "ping-pong"
         }
 
         fn match_and_rewrite(&self, op: OpId, body: &mut Body) -> IrResult<bool> {
-            let name = body.op(op).name.clone();
+            let name = body.op(op).name;
             let new = if name == "p.ping" {
                 "p.pong"
             } else if name == "p.pong" {
@@ -190,12 +198,12 @@ mod tests {
             } else {
                 return Ok(false);
             };
-            body.op_mut(op).name = new.to_string();
+            body.op_mut(op).name = new.into();
             Ok(true)
         }
     }
 
-    fn func_with(name: &str) -> Func {
+    fn func_with(name: &'static str) -> Func {
         let mut f = Func::new("t", vec![Type::i32()], vec![]);
         let entry = f.body.entry_block();
         let a = f.argument(0);
@@ -227,6 +235,23 @@ mod tests {
         let stats = apply_patterns_greedily(&mut f.body, &patterns, 5).unwrap();
         assert!(!stats.converged);
         assert_eq!(stats.iterations, 5);
+    }
+
+    /// A set that reaches its fixpoint on the last permitted iteration has
+    /// converged: the final sweep finds nothing to do.
+    #[test]
+    fn a_fixpoint_reached_on_the_last_iteration_is_convergence() {
+        let mut f = func_with("x.double");
+        let patterns: Vec<Box<dyn RewritePattern>> = vec![Box::new(ExpandDouble)];
+        let stats = apply_patterns_greedily(&mut f.body, &patterns, 1).unwrap();
+        assert!(stats.converged);
+        assert_eq!((stats.iterations, stats.applications), (1, 1));
+
+        let mut f = func_with("x.double");
+        let pass =
+            PatternRewritePass::new("expand", vec![Box::new(ExpandDouble)]).with_max_iterations(1);
+        assert_eq!(pass.run_on_func(&mut f).unwrap(), PassResult::Changed);
+        assert_eq!(f.body.ops_with_name("x.single").len(), 2);
     }
 
     #[test]

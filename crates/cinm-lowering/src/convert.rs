@@ -25,7 +25,7 @@ use crate::tiling::wram_tile_elems;
 pub struct TosaToLinalgPass;
 
 impl Pass for TosaToLinalgPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-tosa-to-linalg"
     }
 
@@ -35,8 +35,7 @@ impl Pass for TosaToLinalgPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
-            match name.as_str() {
+            match func.body.op(op).name.as_str() {
                 tosa::FULLY_CONNECTED => {
                     rewrite_fully_connected(&mut func.body, op)?;
                     changed = true;
@@ -191,7 +190,7 @@ fn rewrite_fully_connected(body: &mut Body, op: OpId) -> IrResult<()> {
 pub struct LinalgToCinmPass;
 
 impl Pass for LinalgToCinmPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-linalg-to-cinm"
     }
 
@@ -201,8 +200,7 @@ impl Pass for LinalgToCinmPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
-            match name.as_str() {
+            match func.body.op(op).name.as_str() {
                 linalg::MATMUL => {
                     let ops = func.body.op(op).operands.clone();
                     let result = func.body.op(op).results[0];
@@ -243,24 +241,22 @@ impl Pass for LinalgToCinmPass {
                     changed = true;
                 }
                 linalg::ELEMWISE_BINARY => {
-                    let fun = func
-                        .body
-                        .op(op)
-                        .str_attr("fun")
-                        .unwrap_or("add")
-                        .to_string();
+                    let fun = func.body.op(op).str_attr("fun").unwrap_or("add");
+                    let cinm_name = cinm::op_named(fun).ok_or_else(|| {
+                        IrError::new(format!(
+                            "{}: fun = \"{fun}\" names no op of the cinm dialect",
+                            linalg::ELEMWISE_BINARY
+                        ))
+                    })?;
                     let ops = func.body.op(op).operands.clone();
                     let result = func.body.op(op).results[0];
                     let ty = func.body.value_type(result).clone();
                     let block = func.body.op_block(op);
                     let index = func.body.op_index_in_block(op);
                     let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let cinm_name = format!("cinm.{fun}");
                     let new = b.push_at(
                         index,
-                        OpSpec::new(&cinm_name)
-                            .operands([ops[0], ops[1]])
-                            .result(ty),
+                        OpSpec::new(cinm_name).operands([ops[0], ops[1]]).result(ty),
                     );
                     let new_result = new.result();
                     func.body.replace_all_uses(result, new_result);
@@ -548,7 +544,7 @@ impl CinmToCnmPass {
 }
 
 impl Pass for CinmToCnmPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-cinm-to-cnm"
     }
 
@@ -558,7 +554,7 @@ impl Pass for CinmToCnmPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
+            let name = func.body.op(op).name;
             if cinm::paradigm_support(&name).map(|p| p.cnm) != Some(true) {
                 continue;
             }
@@ -573,7 +569,7 @@ impl Pass for CinmToCnmPass {
 }
 
 fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions) -> IrResult<()> {
-    let op_name = body.op(op).name.clone();
+    let op_name = body.op(op).name;
     let operands = body.op(op).operands.clone();
     let result = body.op(op).results[0];
     let result_ty = body.value_type(result).clone();
@@ -705,13 +701,13 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
     );
     at += 1;
     let mut wait_tokens = tokens;
-    wait_tokens.push(launch.results[0]);
-    wait_tokens.push(gather.results[1]);
+    wait_tokens.push(launch.result_at(0));
+    wait_tokens.push(gather.result_at(1));
     b.push_at(at, OpSpec::new(cnm::WAIT).operands(wait_tokens));
     at += 1;
     b.push_at(at, OpSpec::new(cnm::FREE_WORKGROUP).operand(wg.result()));
 
-    let new_result = gather.results[0];
+    let new_result = gather.result_at(0);
     body.replace_all_uses(result, new_result);
     // The original op still references its operands; erase it last.
     body.erase_op(op);
@@ -772,7 +768,7 @@ impl CinmToCimPass {
 }
 
 impl Pass for CinmToCimPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-cinm-to-cim"
     }
 
@@ -782,7 +778,7 @@ impl Pass for CinmToCimPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
+            let name = func.body.op(op).name;
             if name != cinm::GEMM && name != cinm::GEMV {
                 continue;
             }
@@ -794,7 +790,7 @@ impl Pass for CinmToCimPass {
 }
 
 fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions) -> IrResult<()> {
-    let op_name = body.op(op).name.clone();
+    let op_name = body.op(op).name;
     let operands = body.op(op).operands.clone();
     let result = body.op(op).results[0];
     let result_ty = body.value_type(result).clone();
@@ -829,7 +825,7 @@ fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions)
         let views = b.body().block_args(exec_block).to_vec();
         let mut eb = OpBuilder::at_end(b.body_mut(), exec_block);
         let inner = eb.push(
-            OpSpec::new(&op_name)
+            OpSpec::new(op_name.as_str())
                 .operands(views.iter().copied())
                 .result(result_ty.clone()),
         );
@@ -844,7 +840,7 @@ fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions)
         OpSpec::new(cim::RELEASE).operand(device.result()),
     );
 
-    let new_result = exec.results[0];
+    let new_result = exec.result_at(0);
     body.replace_all_uses(result, new_result);
     body.erase_op(op);
     Ok(())
@@ -886,7 +882,7 @@ impl CnmToUpmemPass {
 }
 
 impl Pass for CnmToUpmemPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-cnm-to-upmem"
     }
 
@@ -896,8 +892,7 @@ impl Pass for CnmToUpmemPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
-            let new_name = match name.as_str() {
+            let new_name = match func.body.op(op).name.as_str() {
                 cnm::WORKGROUP => Some(upmem::ALLOC_DPUS),
                 cnm::ALLOC => Some(upmem::ALLOC_MRAM),
                 cnm::SCATTER => Some(upmem::SCATTER),
@@ -910,31 +905,29 @@ impl Pass for CnmToUpmemPass {
             };
             if let Some(new_name) = new_name {
                 let operation = func.body.op_mut(op);
-                operation.name = new_name.to_string();
+                operation.name = new_name.into();
                 match new_name {
                     upmem::ALLOC_DPUS => {
                         operation
                             .attrs
-                            .insert("ranks".into(), Attribute::Int(self.options.ranks));
+                            .insert("ranks", Attribute::Int(self.options.ranks));
                         operation.attrs.insert(
-                            "dpus_per_rank".into(),
+                            "dpus_per_rank",
                             Attribute::Int(upmem::arch::DPUS_PER_DIMM as i64),
                         );
                         operation
                             .attrs
-                            .insert("tasklets".into(), Attribute::Int(self.options.tasklets));
+                            .insert("tasklets", Attribute::Int(self.options.tasklets));
                     }
                     upmem::LAUNCH => {
                         let kernel = operation
                             .str_attr("cnm.op_kind")
                             .unwrap_or("generic")
                             .to_string();
+                        operation.attrs.insert("kernel", Attribute::Str(kernel));
                         operation
                             .attrs
-                            .insert("kernel".into(), Attribute::Str(kernel));
-                        operation
-                            .attrs
-                            .insert("tasklets".into(), Attribute::Int(self.options.tasklets));
+                            .insert("tasklets", Attribute::Int(self.options.tasklets));
                     }
                     _ => {}
                 }
@@ -949,7 +942,7 @@ impl Pass for CnmToUpmemPass {
 pub struct CimToMemristorPass;
 
 impl Pass for CimToMemristorPass {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "convert-cim-to-memristor"
     }
 
@@ -959,26 +952,25 @@ impl Pass for CimToMemristorPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name.clone();
-            match name.as_str() {
+            match func.body.op(op).name.as_str() {
                 cim::ACQUIRE => {
                     let operation = func.body.op_mut(op);
-                    operation.name = memristor::CONFIGURE.to_string();
+                    operation.name = memristor::CONFIGURE.into();
                     operation.attrs.insert(
-                        "tile_rows".into(),
+                        "tile_rows",
                         Attribute::Int(memristor::arch::TILE_ROWS as i64),
                     );
                     operation.attrs.insert(
-                        "tile_cols".into(),
+                        "tile_cols",
                         Attribute::Int(memristor::arch::TILE_COLS as i64),
                     );
                     operation.attrs.insert(
-                        "num_tiles".into(),
+                        "num_tiles",
                         Attribute::Int(memristor::arch::NUM_TILES as i64),
                     );
                     operation
                         .attrs
-                        .insert("write_mode".into(), Attribute::Str("write-verify".into()));
+                        .insert("write_mode", Attribute::Str("write-verify".into()));
                     changed = true;
                 }
                 cim::EXECUTE => {
@@ -986,16 +978,16 @@ impl Pass for CimToMemristorPass {
                     // generator; at the IR level the op becomes the
                     // memristor GEMM entry point carrying the same attributes.
                     let operation = func.body.op_mut(op);
-                    operation.name = memristor::GEMM_TILE.to_string();
-                    operation.attrs.insert("tile".into(), Attribute::Int(0));
+                    operation.name = memristor::GEMM_TILE.into();
+                    operation.attrs.insert("tile", Attribute::Int(0));
                     changed = true;
                 }
                 cim::BARRIER => {
-                    func.body.op_mut(op).name = memristor::BARRIER.to_string();
+                    func.body.op_mut(op).name = memristor::BARRIER.into();
                     changed = true;
                 }
                 cim::RELEASE => {
-                    func.body.op_mut(op).name = memristor::RELEASE.to_string();
+                    func.body.op_mut(op).name = memristor::RELEASE.into();
                     changed = true;
                 }
                 _ => {}
@@ -1057,6 +1049,54 @@ mod tests {
         // Init tensor was a function argument (not a zero splat), so the
         // bias-accumulate survives as cinm.add.
         assert_eq!(f.body.ops_with_name("cinm.add").len(), 1);
+    }
+
+    /// An op name is `'static`, so `fun` can only become the name of an op
+    /// the `cinm` table declares: anything else is an error at the rewrite
+    /// that names the pass, the function and the value — not an unregistered
+    /// `cinm.<fun>` left for a later verifier to find, or not.
+    #[test]
+    fn an_unknown_elemwise_fun_is_an_error_at_the_rewrite() {
+        let build = |fun: &'static str| {
+            let mut f = Func::new("ew", vec![i32t(&[8]), i32t(&[8])], vec![i32t(&[8])]);
+            let args = f.arguments();
+            let entry = f.body.entry_block();
+            let mut b = OpBuilder::at_end(&mut f.body, entry);
+            let r = b
+                .push(
+                    OpSpec::new(linalg::ELEMWISE_BINARY)
+                        .operands([args[0], args[1]])
+                        .attr("fun", fun)
+                        .result(i32t(&[8])),
+                )
+                .result();
+            cinm_dialects::func::ret(&mut b, &[r]);
+            let mut module = Module::new("m");
+            module.add_func(f);
+            module
+        };
+        let mut pm = PassManager::new();
+        pm.add_pass(Box::new(LinalgToCinmPass));
+
+        let mut known = build("xor");
+        pm.run(&mut known).unwrap();
+        assert_eq!(known.funcs[0].body.ops_with_name("cinm.xor").len(), 1);
+
+        let mut unknown = build("pow");
+        let before = unknown.clone();
+        let err = pm.run(&mut unknown).unwrap_err().to_string();
+        for part in [
+            "convert-linalg-to-cinm",
+            "@ew",
+            "fun = \"pow\"",
+            "cinm dialect",
+        ] {
+            assert!(err.contains(part), "{err:?} does not mention {part:?}");
+        }
+        assert_eq!(
+            unknown, before,
+            "the failed rewrite left the function as it was"
+        );
     }
 
     #[test]

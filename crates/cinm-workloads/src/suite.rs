@@ -658,7 +658,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
                 rb.push(OpSpec::new(cinm::YIELD).operand(s));
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
-            func::ret(&mut b, &[out.results[0]]);
+            func::ret(&mut b, &[out.result_at(0)]);
             f
         }
         (WorkloadId::Bfs, WorkloadParams::Bfs { vertices, degree }) => {
@@ -683,7 +683,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
                 rb.push(OpSpec::new(cinm::YIELD));
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
-            func::ret(&mut b, &[out.results[0]]);
+            func::ret(&mut b, &[out.result_at(0)]);
             f
         }
         (WorkloadId::Ts, WorkloadParams::TimeSeries { len, window }) => {

@@ -487,3 +487,128 @@ fn registry_and_verifier_allocations_do_not_grow_with_the_program() {
         assert_eq!(allocs, 2, "verifying {} ops", ops(module));
     }
 }
+
+/// The benchmark's `session_cold` op — write an activation, record `gemv →
+/// select`, `xor → and → or`, `reduce`, run, fetch — over more shapes than
+/// the plan cache holds, under the auto policy on 256 DPUs: every run
+/// misses, so the graph optimizer, the shard planner and compile all run.
+/// Returns the heap allocations of one such op on this thread.
+fn cold_session_op_allocations() -> u64 {
+    use cinm_lowering::ShardedRunOptions;
+    use cinm_runtime::PoolHandle;
+
+    const SHAPES: usize = 12;
+    let pool = PoolHandle::with_threads(1);
+    let mut sess = Session::new(
+        SessionOptions::default()
+            .with_policy(ShardPolicy::Auto)
+            .with_sharded(
+                ShardedRunOptions::default()
+                    .with_ranks(2)
+                    .with_pool(pool)
+                    .with_host_threads(1),
+            ),
+    );
+    let cols = 16usize;
+    let models: Vec<_> = (0..SHAPES)
+        .map(|i| {
+            let rows = 32 + 16 * i;
+            let w: Vec<i32> = (0..rows * cols).map(|e| (e % 17) as i32 - 8).collect();
+            let masks: Vec<Vec<i32>> = (0..3)
+                .map(|m| (0..rows).map(|e| ((e * 5 + m) % 4096) as i32).collect())
+                .collect();
+            (
+                sess.matrix(&w, rows, cols),
+                sess.vector(&vec![1; cols]),
+                [
+                    sess.vector(&masks[0]),
+                    sess.vector(&masks[1]),
+                    sess.vector(&masks[2]),
+                ],
+            )
+        })
+        .collect();
+    let x: Vec<i32> = (0..cols).map(|e| (e % 5) as i32 - 2).collect();
+    let (mut selected, mut chain) = (Vec::new(), Vec::new());
+    let mut op = |sess: &mut Session, tick: usize| {
+        let (weights, xt, masks) = models[tick % SHAPES];
+        sess.write(xt, &x);
+        let y = sess.gemv(weights, xt);
+        let sel = sess.select(y, 0);
+        let t1 = sess.elementwise(BinOp::Xor, y, masks[0]);
+        let t2 = sess.elementwise(BinOp::And, t1, masks[1]);
+        let ch = sess.elementwise(BinOp::Or, t2, masks[2]);
+        let sum = sess.reduce(BinOp::Add, ch);
+        sess.run().expect("the graph places");
+        sess.fetch_into(sel, &mut selected);
+        sess.fetch_into(ch, &mut chain);
+        std::hint::black_box(sess.fetch_scalar(sum));
+    };
+    // Two cycles: buffers exist, inputs are resident, host vectors are sized.
+    for tick in 0..2 * SHAPES {
+        op(&mut sess, tick);
+    }
+    let before = sess.plan_cache_stats();
+    let ((), allocs) = alloc_count::count_in(|| {
+        for tick in 0..SHAPES {
+            op(&mut sess, tick);
+        }
+    });
+    let after = sess.plan_cache_stats();
+    assert_eq!(
+        after.misses - before.misses,
+        SHAPES as u64,
+        "every run is cold"
+    );
+    assert!(sess.optimizer_stats().fused_groups >= 1);
+    allocs / SHAPES as u64
+}
+
+/// Heap allocations per program of building and `pipeline::compile`-ing the
+/// benchmark's 33 (program, route) pairs at its scale.
+fn compile_allocations_per_program() -> u64 {
+    use cinm_core::{cim_pipeline, cinm_pipeline, cnm_pipeline, compile};
+    use cinm_lowering::CimLoweringOptions;
+    use cinm_workloads::{build_func, Scale, WorkloadId};
+
+    let routes = [
+        (WorkloadId::all(), cinm_pipeline()),
+        (WorkloadId::upmem_opt_suite(), cnm_pipeline(8, true)),
+        (
+            WorkloadId::cim_suite(),
+            cim_pipeline(CimLoweringOptions::optimized()),
+        ),
+    ];
+    let (mut programs, mut allocs) = (0, 0);
+    for (ids, pm) in &routes {
+        for &id in ids {
+            let (result, n) = alloc_count::count_in(|| {
+                let mut module = cinm_ir::Module::new(id.name());
+                module.add_func(build_func(id, Scale::Bench));
+                compile(&mut module, pm).map(|_| module)
+            });
+            result.unwrap();
+            programs += 1;
+            allocs += n;
+        }
+    }
+    assert_eq!(programs, 33);
+    allocs / programs
+}
+
+/// Two ceilings from the measurement that made the IR allocation-light
+/// (static op names, one sorted attribute list, borrow-only pattern
+/// matching, per-session pass managers): a cold session op fell from 247
+/// allocations to 112, a built and compiled program from 258 to 151. A
+/// per-op `String`, a per-probe `Vec` or a map per comparison coming back
+/// shows here before it shows on a clock.
+#[test]
+fn cold_runs_and_compiles_stay_under_their_allocation_ceilings() {
+    let cold = cold_session_op_allocations();
+    assert!(cold <= 120, "a cold session op allocated {cold} times");
+    let compile = compile_allocations_per_program();
+    assert!(
+        compile <= 160,
+        "building and compiling allocated {compile} times per program"
+    );
+}

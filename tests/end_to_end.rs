@@ -170,3 +170,77 @@ fn lines_of_code_table_shows_conciseness_of_the_cinm_representation() {
         );
     }
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `print_module` of the benchmark's 33 lowered (program, route) pairs at
+/// its scale, hashed at the commit before attribute maps became sorted lists
+/// and op names `'static`: the printer's attribute order and every name are
+/// byte-identical to it.
+const PRINTED_IR_HASHES: [(&str, &str, u64); 33] = [
+    ("cinm", "mm", 0xe3130ac72b5877e1),
+    ("cinm", "2mm", 0x760d063546d5732e),
+    ("cinm", "3mm", 0x581561b9dde76480),
+    ("cinm", "conv", 0x7fa9f48fe9bb08f1),
+    ("cinm", "contrl", 0xad89207dcd881ec3),
+    ("cinm", "contrs1", 0x14564e65cd375a77),
+    ("cinm", "contrs2", 0x2217fb1da9831a32),
+    ("cinm", "mlp", 0x57912e87052ae7e1),
+    ("cinm", "mv", 0x14072094c82d2eef),
+    ("cinm", "va", 0x55ea5b130ea3d65b),
+    ("cinm", "sel", 0x3ec5a6c7b85f2f85),
+    ("cinm", "bfs", 0xfec8a8d20eec03da),
+    ("cinm", "hst-l", 0x95cbe0b6d19b8b7c),
+    ("cinm", "red", 0x167b89febae55be1),
+    ("cinm", "ts", 0x8f55b72a7c6ec3db),
+    ("upmem", "mm", 0x1deb2e243ce83642),
+    ("upmem", "2mm", 0x3e35ffb80170349d),
+    ("upmem", "3mm", 0x1ff995800be9d4a6),
+    ("upmem", "conv", 0xab71d18923d5cecb),
+    ("upmem", "contrl", 0xd95f9a764a3cf244),
+    ("upmem", "contrs1", 0x2495abef4ac6cb85),
+    ("upmem", "contrs2", 0x964e251c572a576c),
+    ("upmem", "mlp", 0x8253f69f7eb7c7b0),
+    ("upmem", "mv", 0xceeeb7baaa67192d),
+    ("memristor", "mv", 0xab9eb59826073c20),
+    ("memristor", "mm", 0x1220be813bc16cff),
+    ("memristor", "2mm", 0xbd281db3cad67e88),
+    ("memristor", "3mm", 0x0a1b7e4f53912b14),
+    ("memristor", "conv", 0x8490b2582125a5c1),
+    ("memristor", "contrl", 0x523aa9bf35dd9986),
+    ("memristor", "contrs1", 0x2117b4ccd1b30706),
+    ("memristor", "contrs2", 0x7dfced301d5f0aa1),
+    ("memristor", "mlp", 0x7562a9f67b7b04a0),
+];
+
+#[test]
+fn printed_ir_of_every_lowered_program_is_byte_identical_to_the_pinned_hashes() {
+    let routes = [
+        ("cinm", WorkloadId::all(), cinm_pipeline()),
+        (
+            "upmem",
+            WorkloadId::upmem_opt_suite(),
+            cnm_pipeline(8, true),
+        ),
+        (
+            "memristor",
+            WorkloadId::cim_suite(),
+            cim_pipeline(CimLoweringOptions::optimized()),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (route, ids, pm) in &routes {
+        for &id in ids {
+            let mut module = Module::new(id.name());
+            module.add_func(build_func(id, Scale::Bench));
+            compile(&mut module, pm).unwrap_or_else(|e| panic!("{} -> {route}: {e}", id.name()));
+            got.push((*route, id.name(), fnv1a(&print_module(&module))));
+        }
+    }
+    assert_eq!(got, PRINTED_IR_HASHES);
+}

@@ -15,10 +15,11 @@
 # rows are printed and not judged: one second on a shared runner says
 # nothing about them.
 #
-#   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <name> [--claim <metric>]
+#   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <a>[,<b>,...] [--claim <metric>]
 #
-# The host-clock half: with the same base copy and builds, runs <n>
-# alternating base/head pairs of
+# The host-clock half: with the same base copy and builds, runs, for each
+# workload of the comma-separated list in turn, <n> alternating base/head
+# pairs of
 #   cinm-benchmark run --workload <name> --seed <i> --trace 0
 # (pair i uses seed i on both sides; the side that goes first flips every
 # pair; --seconds is the benchmark's own) and prints, per end-to-end metric
@@ -26,23 +27,28 @@
 # head won. Without --claim that is all: measured, not judged.
 #
 # With --claim <metric> (an end-to-end metric of BENCHMARK.json) every row
-# also gets a verdict, and the exit code judges them:
-#   * the claimed metric is `claim met` only when head wins at least nine
-#     tenths of the pairs (a tie is a win for neither) and its median is
-#     better than base's by more than the distance between base's quartiles;
-#   * every other metric is `REGRESSED` when head's median is worse than
-#     base's by more than the metric's `bound`; otherwise `unresolved` when
-#     either side's quartile spread is wider than the bound (the pairs cannot
-#     tell, which by itself does not fail), else `ok`;
-#   * more failed ops on head than on base fail too.
+# also gets a verdict, and the exit code judges them. The claim is made on
+# the first workload of the list; the others are its controls, so one
+# invocation judges the claimed workload and the ones that must not move:
+#   * the claimed metric on the first workload is `claim met` only when head
+#     wins at least nine tenths of the pairs (a tie is a win for neither) and
+#     its median is better than base's by more than the distance between
+#     base's quartiles;
+#   * every other metric there, and every metric of every control workload,
+#     is `REGRESSED` when head's median is worse than base's by more than
+#     the metric's `bound`; otherwise `unresolved` when either side's
+#     quartile spread is wider than the bound (the pairs cannot tell, which
+#     by itself does not fail), else `ok`;
+#   * more failed ops on head than on base, on any workload, fail too.
 #
 # Exit codes: 0 equal (or the pairs were run and, with --claim, every
-# verdict holds); 1 a deterministic metric moved, a run failed, the claim is
-# not met or a metric regressed; 2 bad usage or a missing tool.
+# verdict on every workload holds); 1 a deterministic metric moved, a run
+# failed, the claim is not met or a metric regressed; 2 bad usage or a
+# missing tool.
 set -uo pipefail
 
 usage() {
-    echo "usage: $0 <base-rev> [--pairs <n> --workload <name> [--claim <metric>]]" >&2
+    echo "usage: $0 <base-rev> [--pairs <n> --workload <a>[,<b>,...] [--claim <metric>]]" >&2
     exit 2
 }
 pairs=""
@@ -84,23 +90,29 @@ bench() { # <checkout> <args...>
     (cd "$dir" && cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- "$@")
 }
 
-if [ -n "$pairs" ]; then
+# Runs the pairs of one workload and prints its rows. With --claim, judges
+# them: <claimed> is the claimed metric on the first workload and empty on a
+# control, where every metric falls under the bound rule. Returns 1 if a
+# verdict fails.
+pairs_of() { # <workload> <claimed>
+    local workload="$1" claimed="$2" judge=false status=0
+    [ -n "$claim" ] && judge=true
     for i in $(seq 1 "$pairs"); do
         order="base head"
         [ $((i % 2)) -eq 0 ] && order="head base"
         for side in $order; do
             dir="$root"
             [ "$side" = base ] && dir="$work/base"
-            echo "== pair $i, $side: run --workload $workload --seed $i --trace 0" >&2
+            echo "== $workload pair $i, $side: run --workload $workload --seed $i --trace 0" >&2
             # The last line of a run is the record the driver reads.
-            bench "$dir" run --workload "$workload" --seed "$i" --trace 0 | tail -n 1 >"$work/$side.$i.json" &&
-                [ "$(jq -r .correct "$work/$side.$i.json")" = true ] ||
-                { echo "$0: the $side run of pair $i failed" >&2; exit 1; }
+            bench "$dir" run --workload "$workload" --seed "$i" --trace 0 | tail -n 1 >"$work/$workload.$side.$i.json" &&
+                [ "$(jq -r .correct "$work/$workload.$side.$i.json")" = true ] ||
+                { echo "$0: the $side run of $workload pair $i failed" >&2; exit 1; }
         done
     done
     echo "$workload: $pairs alternating pairs, base $base_rev -> head (median [q1, q3] spread; head wins)"
     # shellcheck disable=SC2046 # the file list is meant to split
-    report="$(jq -rs --slurpfile manifest "$root/BENCHMARK.json" --arg claim "$claim" --argjson n "$pairs" '
+    report="$(jq -rs --slurpfile manifest "$root/BENCHMARK.json" --arg claim "$claimed" --argjson judge "$judge" --argjson n "$pairs" '
         def q(p): sort | . as $s | ((length - 1) * p) as $h | ($h | floor) as $l
             | $s[$l] + ($h - $l) * (($s[$l + 1] // $s[$l]) - $s[$l]);
         def iqr: q(0.75) - q(0.25);
@@ -114,7 +126,7 @@ if [ -n "$pairs" ]; then
         | ([range($n) | select(($head[.] - $base[.]) * $sign < 0)] | length) as $won
         # How much worse the head median reads, in the unit of the metric (negative: better).
         | ((($head | q(0.5)) - ($base | q(0.5))) * $sign) as $worse
-        | (if $claim == "" then ""
+        | (if $judge | not then ""
            elif $m == $claim then
                if $won * 10 >= $n * 9 and -$worse > ($base | iqr) then "; claim met"
                else "; claim NOT met (needs \($n * 9 / 10 | ceil)/\($n) pairs and a gap beyond base\u0027s quartile spread \($base | iqr | r))" end
@@ -122,21 +134,33 @@ if [ -n "$pairs" ]; then
            elif ([$base, $head | ratio(iqr; q(0.5))] | max) > $e.bound then "; unresolved (spread wider than the bound of \($e.bound | pct)%)"
            else "; ok" end) as $verdict
         | "  \($m): base \($base | cell) -> head \($head | cell); median \(ratio($worse * $sign; $base | q(0.5)) | pct)%; head wins \($won)/\($n)\($verdict)"
-    ' $(for side in base head; do for i in $(seq 1 "$pairs"); do echo "$work/$side.$i.json"; done; done))"
+    ' $(for side in base head; do for i in $(seq 1 "$pairs"); do echo "$work/$workload.$side.$i.json"; done; done))"
     echo "$report"
-    failed_base="$(cat "$work"/base.*.json | jq -s 'map(.failed) | add')"
-    failed_head="$(cat "$work"/head.*.json | jq -s 'map(.failed) | add')"
+    failed_base="$(cat "$work/$workload".base.*.json | jq -s 'map(.failed) | add')"
+    failed_head="$(cat "$work/$workload".head.*.json | jq -s 'map(.failed) | add')"
     echo "  failed ops: base $failed_base, head $failed_head"
-    [ -n "$claim" ] || exit 0
-    status=0
+    $judge || return 0
     if grep -q 'claim NOT met\|REGRESSED' <<<"$report"; then
         status=1
     fi
     if [ "$failed_head" -gt "$failed_base" ]; then
-        echo "$0: head failed more ops than base" >&2
+        echo "$0: head failed more ops than base on $workload" >&2
         status=1
     fi
-    [ $status -eq 0 ] && echo "$0: the claim on $claim holds and nothing else regressed" >&2
+    return $status
+}
+
+if [ -n "$pairs" ]; then
+    IFS=, read -ra workloads <<<"$workload"
+    status=0
+    claimed="$claim" # the claim is made on the first workload only
+    for name in "${workloads[@]}"; do
+        [ -n "$name" ] || usage
+        pairs_of "$name" "$claimed" || status=1
+        claimed=""
+    done
+    [ -n "$claim" ] && [ $status -eq 0 ] &&
+        echo "$0: the claim on $claim (${workloads[0]}) holds and nothing regressed on $workload" >&2
     exit $status
 fi
 
