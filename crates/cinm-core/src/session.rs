@@ -2942,8 +2942,9 @@ fn run_segment(
 }
 
 /// Executes one shard-planned op across the device set via the sharded
-/// backend (one `Device::submit` per non-empty shard, concurrently on the
-/// shared pool).
+/// backend: one `Device::submit` per non-empty shard, the first on this
+/// thread and the others concurrently on the shared pool — an op placed
+/// whole on one device runs here without touching the pool's queue.
 fn run_planned(
     backend: &mut ShardedBackend,
     slots: &mut [Slot],

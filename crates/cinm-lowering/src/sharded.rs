@@ -11,12 +11,16 @@
 //! shard sizes come from a [`ShardSplit`] (typically produced by the
 //! `cinm-core` shard planner from registered cost models).
 //!
-//! The three device shards are dispatched **concurrently** onto the shared
-//! [`cinm_runtime::WorkerPool`]: one pool task per non-empty shard, each
-//! driving its own device back-end (and, inside, its own command stream).
-//! Nested pool scopes are deadlock-free by construction (helping waits), so
-//! a device task fanning its functional simulation out over the same pool is
-//! fine. Results are merged exactly as the single-device paths would produce
+//! The non-empty device shards are dispatched **concurrently** in one scope
+//! of the shared [`cinm_runtime::WorkerPool`], each driving its own device
+//! back-end (and, inside, its own command stream). The dispatching thread is
+//! the scope's first worker: it runs the first non-empty shard itself and
+//! only the others become pool tasks, so an op placed whole on one device —
+//! what the planner chooses for every small op — never touches the queue or
+//! another thread. Nested pool scopes are deadlock-free by construction
+//! (helping waits), so a device task fanning its functional simulation out
+//! over the same pool is fine. Results are merged exactly as the
+//! single-device paths would produce
 //! them, so sharded execution is **bit-identical** to the
 //! `cpu_sim::kernels` goldens:
 //!
@@ -645,8 +649,9 @@ impl ShardedBackend {
         &self.pool
     }
 
-    /// Dispatches up to three shard submissions concurrently on the shared
-    /// pool — one [`Device::submit`] task per non-empty shard — and folds the
+    /// Dispatches up to three shard submissions concurrently in one pool
+    /// scope — one [`Device::submit`] per non-empty shard, the first of them
+    /// on the calling thread and the others on pool workers — and folds the
     /// resolved [`crate::device::DeviceFuture`]s into the statistics.
     ///
     /// Failures are contained per shard: an execution fault resolves through
@@ -731,7 +736,8 @@ impl ShardedBackend {
     /// Scattered operands (per the op's [`CnmOp::geometry`]) are sliced by
     /// contiguous work ranges in `[cnm, cim, host]` order, broadcast
     /// operands go to every device whole, one [`Device::submit`] per
-    /// non-empty shard runs concurrently on the pool, and the shard results
+    /// non-empty shard runs concurrently (the first on the caller, the rest
+    /// on the pool), and the shard results
     /// merge by the op's rule: concatenation for `gemm`/`gemv`/element-wise,
     /// partials folded in shard order for `reduce` (returned as a
     /// one-element vector; every [`upmem_sim::BinOp`] is associative, so
@@ -836,7 +842,7 @@ impl ShardedBackend {
             lo = hi;
             shard
         });
-        let parts = self.dispatch(split, shards)?;
+        let mut parts = self.dispatch(split, shards)?;
         Ok(match op {
             CnmOp::Reduce { op, .. } => {
                 let partials = parts.iter().flatten();
@@ -849,7 +855,11 @@ impl ShardedBackend {
                 }
                 merged
             }
-            _ => parts.concat(),
+            // A device that took all the work holds the whole result.
+            _ => match ShardDevice::ALL.iter().find(|d| split.get(**d) == total) {
+                Some(whole) => std::mem::take(&mut parts[whole.index()]),
+                None => parts.concat(),
+            },
         })
     }
 

@@ -6,7 +6,10 @@
 //! that with a **persistent pool**: worker threads are spawned once, live
 //! behind a channel-style work queue, and execute borrowed (scoped) tasks
 //! submitted through [`WorkerPool::scope`]. Dispatching a task is a queue
-//! push instead of a thread spawn.
+//! push instead of a thread spawn — and the thread that opens a scope is its
+//! first worker: the first task spawned from the scope body never enters the
+//! queue, the opener runs it itself, so a one-task scope touches neither the
+//! queue nor another thread.
 //!
 //! Determinism: the pool only changes *which OS thread* runs a task, never
 //! what the task computes or which memory it owns. Every helper here hands
@@ -15,11 +18,13 @@
 //! argument (and the same property tests) as the seed's scoped
 //! implementation.
 
+use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Locks a pool mutex, recovering the data if a panicking thread poisoned it.
@@ -54,46 +59,101 @@ pub fn resolve_threads(requested: usize, work_items: usize) -> usize {
     threads.clamp(1, work_items.max(1))
 }
 
-/// A unit of queued work. Tasks are lifetime-erased in [`Scope::spawn`]; the
-/// scope guarantees they never outlive the borrows they capture.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+type PanicPayload = Box<dyn Any + Send>;
+
+/// One spawned task and the scope it was counted in. The body is
+/// lifetime-erased in [`Scope::spawn`]; the scope guarantees it never
+/// outlives the borrows it captures.
+struct Job {
+    core: Arc<ScopeCore>,
+    label: Option<&'static str>,
+    body: Box<dyn FnOnce(&Scope<'static>) + Send + 'static>,
+}
+
+impl Job {
+    /// Runs the task with occupancy accounting and completes it in its
+    /// scope — on a worker, a helping waiter, or (the kept first task) the
+    /// thread that opened the scope.
+    fn run(self) {
+        let Job { core, label, body } = self;
+        // Follow-up tasks spawned from a task are always queued: only the
+        // scope body's first task is kept.
+        let scope = Scope {
+            core,
+            keep_next: Cell::new(false),
+            kept: Cell::new(None),
+            _env: PhantomData,
+        };
+        let shared = &scope.core.shared;
+        shared.busy.fetch_add(1, Ordering::Relaxed);
+        // The inner catch records the task's panic; the outer one contains a
+        // defective payload that panics on the way out (while it is labelled
+        // and dropped), so a poisoned task can never take a worker thread
+        // down with it or leave its scope waiting for a completion.
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+            let result = panic::catch_unwind(AssertUnwindSafe(|| body(&scope)));
+            result.err().map(|p| match label {
+                Some(label) => {
+                    let message = payload_message(p.as_ref());
+                    Box::new(format!("task '{label}' panicked: {message}")) as PanicPayload
+                }
+                None => p,
+            })
+        }))
+        .unwrap_or_else(Some);
+        // Accounted before the completion, so both readings are settled when
+        // `WorkerPool::scope` returns.
+        shared.busy.fetch_sub(1, Ordering::Relaxed);
+        shared.executed.fetch_add(1, Ordering::Relaxed);
+        scope.core.complete(payload);
+    }
+}
 
 struct PoolState {
     queue: VecDeque<Job>,
     shutdown: bool,
+    /// Workers blocked on `work_available`.
+    idle_workers: usize,
+    /// Scope openers blocked on `scope_event`.
+    parked_openers: usize,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
+    /// Idle workers sleep here; a push wakes one.
     work_available: Condvar,
-    /// Jobs currently executing on any thread (workers + helping waiters).
-    /// Updated with relaxed atomics around each job — occupancy telemetry,
-    /// never consulted for scheduling.
+    /// Openers whose scope is unfinished and who found the queue empty sleep
+    /// here: a push wakes one when no worker is idle (helping waits), the
+    /// last completion of a scope whose opener is parked wakes them all —
+    /// idle workers never hear about completions.
+    scope_event: Condvar,
+    /// Jobs currently executing on any thread (workers, helping waiters and
+    /// openers running their kept task). Updated with relaxed atomics around
+    /// each job — occupancy telemetry, never consulted for scheduling.
     busy: AtomicUsize,
     /// Total jobs ever executed on this pool.
     executed: AtomicU64,
-}
-
-/// Runs one popped job with occupancy accounting (shared by the worker loop
-/// and the helping waiter in [`WorkerPool::scope`]).
-fn run_job(shared: &PoolShared, job: Job) {
-    shared.busy.fetch_add(1, Ordering::Relaxed);
-    // Jobs carry their own catch (scope tasks record panics in their
-    // scope), but a defective payload can still panic on the way out —
-    // contain it here so a poisoned job can never take a worker thread
-    // down with it (the scope that owned the job has already observed the
-    // original panic) and the busy count always drops back.
-    let _ = panic::catch_unwind(AssertUnwindSafe(job));
-    shared.busy.fetch_sub(1, Ordering::Relaxed);
-    shared.executed.fetch_add(1, Ordering::Relaxed);
+    /// Sleepers woken for a queued job (read only by this module's tests).
+    wakeups: AtomicU64,
 }
 
 impl PoolShared {
+    /// Queues a job and wakes exactly one sleeper for it, if there is one: an
+    /// idle worker, else a parked opener (which helps). Awake threads need
+    /// no signal — every one of them returns to the queue before it sleeps.
     fn push(&self, job: Job) {
         let mut state = relock(&self.state);
         state.queue.push_back(job);
+        let sleepers = if state.idle_workers > 0 {
+            &self.work_available
+        } else if state.parked_openers > 0 {
+            &self.scope_event
+        } else {
+            return;
+        };
         drop(state);
-        self.work_available.notify_one();
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        sleepers.notify_one();
     }
 }
 
@@ -108,13 +168,15 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 if state.shutdown {
                     return;
                 }
+                state.idle_workers += 1;
                 state = shared
                     .work_available
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.idle_workers -= 1;
             }
         };
-        run_job(&shared, job);
+        job.run();
     }
 }
 
@@ -122,10 +184,11 @@ fn worker_loop(shared: Arc<PoolShared>) {
 ///
 /// Workers are spawned once in [`WorkerPool::new`] and live until the pool is
 /// dropped; work is submitted through [`WorkerPool::scope`]. The thread that
-/// opens a scope *helps*: while waiting for its tasks it drains the queue, so
-/// nested scopes (a pool task that itself fans work out over the same pool)
-/// make progress even when every worker is busy — the pool can never
-/// deadlock on its own queue.
+/// opens a scope is its first worker — it runs the first task spawned from
+/// the scope body itself — and then *helps*: while waiting for the remaining
+/// tasks it drains the queue, so nested scopes (a pool task that itself fans
+/// work out over the same pool) make progress even when every worker is
+/// busy — the pool can never deadlock on its own queue.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -156,10 +219,14 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 shutdown: false,
+                idle_workers: 0,
+                parked_openers: 0,
             }),
             work_available: Condvar::new(),
+            scope_event: Condvar::new(),
             busy: AtomicUsize::new(0),
             executed: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -178,14 +245,15 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Jobs currently executing (occupancy): queued tasks being run by
-    /// workers or by helping waiters. A telemetry reading — instantaneous
-    /// and racy by nature, never used for scheduling.
+    /// Jobs currently executing (occupancy): tasks being run by workers, by
+    /// helping waiters or by the thread that opened their scope. A telemetry
+    /// reading — instantaneous and racy by nature, never used for
+    /// scheduling.
     pub fn busy_workers(&self) -> usize {
         self.shared.busy.load(Ordering::Relaxed)
     }
 
-    /// Total tasks this pool has ever executed.
+    /// Total tasks this pool has ever executed, on any thread.
     pub fn tasks_executed(&self) -> u64 {
         self.shared.executed.load(Ordering::Relaxed)
     }
@@ -194,63 +262,101 @@ impl WorkerPool {
     /// does not return until every task spawned on the scope (including tasks
     /// spawned by other tasks) has completed.
     ///
-    /// While waiting, the calling thread executes queued jobs itself, so a
-    /// scope opened from *inside* a pool task still completes even if all
-    /// workers are occupied.
+    /// The calling thread is the scope's first worker. The first task `f`
+    /// spawns is kept for it — never queued, waking nobody — and runs when
+    /// `f` returns; every later task is queued and wakes one sleeping worker.
+    /// A one-task scope therefore runs entirely on the caller, and `k` tasks
+    /// cost `k − 1` wake-ups. No task is guaranteed to start before `f`
+    /// returns, so **`f` must not block on the tasks it spawned**.
+    ///
+    /// After its own task the calling thread executes queued jobs while it
+    /// waits, so a scope opened from *inside* a pool task still completes
+    /// even if all workers are occupied.
     ///
     /// # Panics
     ///
     /// If `f` or any spawned task panics, the panic is resumed here — after
-    /// all tasks of the scope have finished, so borrowed data is never
-    /// observable by a still-running task during unwinding.
+    /// all tasks of the scope (the kept one included) have finished, so
+    /// borrowed data is never observable by a still-running task during
+    /// unwinding.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'env>) -> R,
     {
-        let core = Arc::new(ScopeCore {
-            shared: Arc::clone(&self.shared),
-            pending: Mutex::new(0),
-            panic: Mutex::new(None),
-        });
         let scope = Scope {
-            core: Arc::clone(&core),
+            core: Arc::new(ScopeCore {
+                shared: Arc::clone(&self.shared),
+                pending: AtomicUsize::new(0),
+                parked: AtomicBool::new(false),
+                panicked: AtomicBool::new(false),
+                panic: Mutex::new(None),
+            }),
+            keep_next: Cell::new(true),
+            kept: Cell::new(None),
             _env: PhantomData,
         };
         // Catch a panic in the body so already-spawned tasks are always
-        // waited for before unwinding past the borrowed environment.
+        // run and waited for before unwinding past the borrowed environment.
         let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Help: drain the queue until every task of this scope completed,
-        // blocking on the shared condvar while idle (the final
-        // `ScopeCore::complete` of the scope wakes it — see that method for
-        // the missed-wakeup argument).
+        let Scope { core, kept, .. } = scope;
+        if let Some(job) = kept.into_inner() {
+            job.run();
+        }
+        self.help_until_done(&core);
+        if core.panicked.load(Ordering::SeqCst) {
+            if let Some(payload) = relock(&core.panic).take() {
+                panic::resume_unwind(payload);
+            }
+        }
+        match result {
+            Ok(r) => r,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// Drains the queue until every task of `core`'s scope has completed,
+    /// sleeping on `scope_event` while the queue is empty. A scope whose
+    /// tasks all ran on the opener is done on arrival and takes no lock.
+    ///
+    /// Missed-wakeup argument, for the scope's last completion: the opener
+    /// raises `parked` and re-reads `pending` while it holds the state lock,
+    /// and releases that lock only inside `wait`. The completing thread
+    /// zeroes `pending` and then reads `parked` (both `SeqCst`, so one of the
+    /// two sees the other's store): either the opener sees the scope done
+    /// and does not sleep, or the completer sees `parked`, takes the state
+    /// lock — which it can only get once the opener is waiting — and
+    /// notifies. For a push: the job is queued and the sleeper counts are
+    /// read under the same lock the opener holds from its queue check to its
+    /// `wait`.
+    fn help_until_done(&self, core: &ScopeCore) {
+        if core.is_done() {
+            return;
+        }
         loop {
             let job = {
                 let mut state = relock(&self.shared.state);
                 loop {
                     if core.is_done() {
-                        break None;
+                        return;
                     }
                     if let Some(job) = state.queue.pop_front() {
-                        break Some(job);
+                        break job;
                     }
+                    core.parked.store(true, Ordering::SeqCst);
+                    if core.is_done() {
+                        return;
+                    }
+                    state.parked_openers += 1;
                     state = self
                         .shared
-                        .work_available
+                        .scope_event
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
+                    state.parked_openers -= 1;
+                    core.parked.store(false, Ordering::SeqCst);
                 }
             };
-            match job {
-                Some(job) => run_job(&self.shared, job),
-                None => break,
-            }
-        }
-        if let Some(payload) = relock(&core.panic).take() {
-            panic::resume_unwind(payload);
-        }
-        match result {
-            Ok(r) => r,
-            Err(payload) => panic::resume_unwind(payload),
+            job.run();
         }
     }
 }
@@ -269,49 +375,43 @@ impl Drop for WorkerPool {
 /// first panic payload, if any.
 struct ScopeCore {
     shared: Arc<PoolShared>,
-    pending: Mutex<usize>,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Spawned tasks that have not completed. A task is counted before it
+    /// can run and follow-ups are counted before their parent completes, so
+    /// the count reaches zero exactly once.
+    pending: AtomicUsize,
+    /// The opener is asleep on `scope_event` (or about to be): the last
+    /// completion must wake it. See [`WorkerPool::help_until_done`].
+    parked: AtomicBool,
+    /// `panic` holds a payload — lets the opener skip the lock otherwise.
+    panicked: AtomicBool,
+    panic: Mutex<Option<PanicPayload>>,
 }
 
 impl ScopeCore {
-    fn increment(&self) {
-        *relock(&self.pending) += 1;
-    }
-
-    fn complete(&self, panic_payload: Option<Box<dyn std::any::Any + Send>>) {
+    fn complete(&self, panic_payload: Option<PanicPayload>) {
         if let Some(payload) = panic_payload {
-            let mut slot = relock(&self.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
+            relock(&self.panic).get_or_insert(payload);
+            self.panicked.store(true, Ordering::SeqCst);
         }
-        let mut pending = relock(&self.pending);
-        *pending -= 1;
-        let now_done = *pending == 0;
-        drop(pending);
-        if now_done {
-            // Wake the scope's helping waiter, which blocks on the shared
-            // `work_available` condvar. Missed-wakeup argument: the waiter
-            // only sleeps while holding the state lock between its
-            // `is_done` check and `wait`; acquiring (and releasing) that
-            // lock here before notifying means this notification cannot
-            // fire inside that window, so the waiter either re-checks
-            // `is_done` as true or is already waiting when notified. No
-            // other lock is held here, so the state/pending lock orders
+        let last = self.pending.fetch_sub(1, Ordering::SeqCst) == 1;
+        if last && self.parked.load(Ordering::SeqCst) {
+            // Passing through the state lock orders this notification after
+            // the opener's `wait` (it holds the lock from raising `parked`
+            // until it sleeps). No other lock is held here, so lock orders
             // cannot invert.
             drop(relock(&self.shared.state));
-            self.shared.work_available.notify_all();
+            self.shared.scope_event.notify_all();
         }
     }
 
     fn is_done(&self) -> bool {
-        *relock(&self.pending) == 0
+        self.pending.load(Ordering::SeqCst) == 0
     }
 }
 
 /// Renders a panic payload's message, if it carries one (the payloads of
 /// `panic!` with a literal or a formatted string do).
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
+fn payload_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -327,11 +427,21 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// dependents as commands complete).
 pub struct Scope<'env> {
     core: Arc<ScopeCore>,
+    /// Whether the next spawn is kept for the opening thread: true on the
+    /// scope handed to the body until its first spawn, never on the scopes
+    /// handed to tasks.
+    keep_next: Cell<bool>,
+    kept: Cell<Option<Job>>,
     _env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'env> Scope<'env> {
     /// Spawns a task that may borrow from `'env`.
+    ///
+    /// The first task spawned from the scope body is kept for the thread
+    /// that opened the scope and starts when the body returns; every other
+    /// task — later ones from the body, and all follow-ups spawned by tasks —
+    /// is queued for the workers and may start at once.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'env>) + Send + 'env,
@@ -340,10 +450,11 @@ impl<'env> Scope<'env> {
     }
 
     /// Spawns a task carrying a diagnostic label (a device name, a shard
-    /// identifier). If the task panics, the payload propagated out of
-    /// [`WorkerPool::scope`] is rewritten to name the label and the original
-    /// panic message, instead of rethrowing the bare payload — so a panic
-    /// deep in a sharded dispatch reports *which* device's task died.
+    /// identifier), under the start rule of [`spawn`](Self::spawn). If the
+    /// task panics, the payload propagated out of [`WorkerPool::scope`] is
+    /// rewritten to name the label and the original panic message, instead
+    /// of rethrowing the bare payload — so a panic deep in a sharded
+    /// dispatch reports *which* device's task died.
     pub fn spawn_labeled<F>(&self, label: &'static str, f: F)
     where
         F: FnOnce(&Scope<'env>) + Send + 'env,
@@ -355,34 +466,23 @@ impl<'env> Scope<'env> {
     where
         F: FnOnce(&Scope<'env>) + Send + 'env,
     {
-        self.core.increment();
-        let core = Arc::clone(&self.core);
-        let boxed: Box<dyn FnOnce(&Scope<'env>) + Send + 'env> = Box::new(f);
+        self.core.pending.fetch_add(1, Ordering::SeqCst);
+        let body: Box<dyn FnOnce(&Scope<'env>) + Send + 'env> = Box::new(f);
         // SAFETY: lifetime erasure. The task (and everything it borrows from
         // `'env`) is guaranteed to finish before `WorkerPool::scope` returns:
-        // the scope's pending count was incremented above and `scope` blocks
-        // until it reaches zero, resuming panics only afterwards. Tasks can
-        // only be spawned through a `&Scope<'env>`, which exists solely
-        // inside that window.
-        let boxed: Box<dyn FnOnce(&Scope<'static>) + Send + 'static> =
-            unsafe { std::mem::transmute(boxed) };
-        let shared = Arc::clone(&self.core.shared);
-        shared.push(Box::new(move || {
-            let scope = Scope {
-                core: Arc::clone(&core),
-                _env: PhantomData,
-            };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| boxed(&scope)));
-            let payload = result.err().map(|p| match label {
-                Some(label) => {
-                    let message = payload_message(p.as_ref());
-                    Box::new(format!("task '{label}' panicked: {message}"))
-                        as Box<dyn std::any::Any + Send>
-                }
-                None => p,
-            });
-            core.complete(payload);
-        }));
+        // the scope's pending count was incremented above and `scope` runs
+        // the kept task and blocks until the count reaches zero, resuming
+        // panics only afterwards. Tasks can only be spawned through a
+        // `&Scope<'env>`, which exists solely inside that window.
+        let body: Box<dyn FnOnce(&Scope<'static>) + Send + 'static> =
+            unsafe { std::mem::transmute(body) };
+        let core = Arc::clone(&self.core);
+        let job = Job { core, label, body };
+        if self.keep_next.replace(false) {
+            self.kept.set(Some(job));
+        } else {
+            self.core.shared.push(job);
+        }
     }
 }
 
@@ -401,7 +501,8 @@ fn global_pool() -> &'static WorkerPool {
 /// configurations.
 ///
 /// The default handle points at a lazily-created **process-global** pool
-/// (sized to the available cores), so simulators work out of the box;
+/// (one worker per available core, at least two), so simulators work out of
+/// the box;
 /// [`PoolHandle::with_threads`] creates a dedicated pool shared by everything
 /// the handle is cloned into — the experiment and bench harnesses construct
 /// one per sweep.
@@ -447,8 +548,9 @@ impl PoolHandle {
     /// `chunk`-sized slices and applies `f(first_chunk, band)` to each, where
     /// `first_chunk` is the index of the band's first chunk. This is the one
     /// scheduling loop of the data-parallel helpers: one thread is one band
-    /// run on the caller, `k` threads are `k` bands of the same closure on
-    /// the pool, the last one ragged when the chunks do not divide evenly.
+    /// run on the caller, `k` threads are `k` bands of the same closure in
+    /// one scope of the pool (the caller takes band 0, the workers the
+    /// rest), the last one ragged when the chunks do not divide evenly.
     ///
     /// Each invocation of `f` receives a disjoint `&mut` band and the bands
     /// partition `data` in order, so a closure whose result for a chunk
@@ -783,6 +885,171 @@ mod tests {
         });
         assert_eq!(done.load(Ordering::SeqCst), 16);
         assert_eq!(pool.workers(), 2);
+    }
+
+    /// Blocks until `n` workers of `pool` sleep on the queue, so the next
+    /// pushes each find a sleeper to wake.
+    fn wait_for_idle_workers(pool: &WorkerPool, n: usize) {
+        while relock(&pool.shared.state).idle_workers < n {
+            std::thread::yield_now();
+        }
+    }
+
+    fn wakeups(pool: &WorkerPool) -> u64 {
+        pool.shared.wakeups.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_lone_task_runs_on_the_opening_thread_and_wakes_nobody() {
+        let pool = WorkerPool::new(2);
+        wait_for_idle_workers(&pool, 2);
+        let opener = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        pool.scope(|s| {
+            s.spawn(|_| *relock(&ran_on) = Some(std::thread::current().id()));
+            // Kept, not started: no task runs before the body returns.
+            assert_eq!(*relock(&ran_on), None);
+        });
+        assert_eq!(ran_on.into_inner().unwrap(), Some(opener));
+        assert_eq!(wakeups(&pool), 0);
+        assert_eq!(relock(&pool.shared.state).idle_workers, 2);
+    }
+
+    #[test]
+    fn k_tasks_on_k_idle_workers_run_once_each_with_k_minus_one_wakeups() {
+        const K: usize = 3;
+        let pool = WorkerPool::new(K);
+        wait_for_idle_workers(&pool, K);
+        let opener = std::thread::current().id();
+        let runs: [AtomicUsize; K] = Default::default();
+        let first_ran_on = Mutex::new(None);
+        pool.scope(|s| {
+            for (i, run) in runs.iter().enumerate() {
+                let first_ran_on = &first_ran_on;
+                s.spawn(move |_| {
+                    run.fetch_add(1, Ordering::SeqCst);
+                    if i == 0 {
+                        *relock(first_ran_on) = Some(std::thread::current().id());
+                    }
+                });
+            }
+        });
+        for run in &runs {
+            assert_eq!(run.load(Ordering::SeqCst), 1);
+        }
+        assert_eq!(first_ran_on.into_inner().unwrap(), Some(opener));
+        assert_eq!(wakeups(&pool), K as u64 - 1);
+    }
+
+    #[test]
+    fn a_labeled_panic_in_the_kept_task_propagates_after_the_queued_tasks() {
+        let pool = WorkerPool::new(2);
+        let opener = std::thread::current().id();
+        let done = AtomicUsize::new(0);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn_labeled("first-shard", move |_| {
+                    assert_eq!(std::thread::current().id(), opener, "kept for the opener");
+                    panic!("MRAM exhausted");
+                });
+                for _ in 0..4 {
+                    let done = &done;
+                    s.spawn(move |_| {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        }));
+        let payload = result.unwrap_err();
+        let message = payload_message(payload.as_ref());
+        assert!(
+            message.contains("first-shard") && message.contains("MRAM exhausted"),
+            "{message:?}"
+        );
+        assert_eq!(done.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn a_panicking_body_still_runs_its_kept_task_before_unwinding() {
+        let pool = WorkerPool::new(1);
+        let ran = AtomicUsize::new(0);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                let ran = &ran;
+                s.spawn(move |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                panic!("body failed");
+            })
+        }));
+        let payload = result.unwrap_err();
+        assert_eq!(payload_message(payload.as_ref()), "body failed");
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn follow_ups_of_the_kept_task_complete_on_one_worker() {
+        // The DAG scheduler's shape: one ready node, whose completion
+        // releases dependents, which release theirs.
+        fn node<'env>(s: &Scope<'env>, depth: usize, count: &'env AtomicUsize) {
+            count.fetch_add(1, Ordering::SeqCst);
+            if depth > 0 {
+                for _ in 0..3 {
+                    s.spawn(move |s| node(s, depth - 1, count));
+                }
+            }
+        }
+        let pool = WorkerPool::new(1);
+        let count = AtomicUsize::new(0);
+        pool.scope(|s| {
+            let count = &count;
+            s.spawn(move |s| node(s, 3, count));
+        });
+        assert_eq!(count.load(Ordering::SeqCst), 1 + 3 + 9 + 27);
+        assert_eq!(pool.tasks_executed(), 40);
+    }
+
+    #[test]
+    fn nested_scopes_of_the_kept_and_the_queued_task_share_one_worker() {
+        // The barrier holds the opener (in its kept task) and the one worker
+        // (in the queued task) inside the outer scope at once; both then
+        // open a scope on the same pool whose queued tasks nobody else can
+        // take — each opener must help.
+        let pool = WorkerPool::new(1);
+        let both_running = std::sync::Barrier::new(2);
+        let total = AtomicUsize::new(0);
+        pool.scope(|s| {
+            for _ in 0..2 {
+                let (pool, both_running, total) = (&pool, &both_running, &total);
+                s.spawn(move |_| {
+                    both_running.wait();
+                    pool.scope(|inner| {
+                        for _ in 0..4 {
+                            inner.spawn(move |_| {
+                                total.fetch_add(1, Ordering::SeqCst);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn occupancy_settles_and_kept_tasks_are_counted() {
+        let pool = WorkerPool::new(2);
+        pool.scope(|s| {
+            let pool = &pool;
+            s.spawn(move |_| assert_eq!(pool.busy_workers(), 1));
+        });
+        assert_eq!((pool.busy_workers(), pool.tasks_executed()), (0, 1));
+        pool.scope(|s| {
+            for _ in 0..5 {
+                s.spawn(|_| {});
+            }
+        });
+        assert_eq!((pool.busy_workers(), pool.tasks_executed()), (0, 6));
     }
 
     #[test]

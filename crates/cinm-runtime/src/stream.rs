@@ -239,7 +239,10 @@ where
 /// means "as many as the DAG allows". Otherwise the hazard DAG is scheduled
 /// dynamically on the pool with at most `threads` commands in flight: every
 /// command whose dependencies have completed is eligible to run, and
-/// completions release their dependents. The cap bounds *command-level*
+/// completions release their dependents. The first ready command runs on
+/// the calling thread (see [`crate::WorkerPool::scope`]); the other initially
+/// ready ones and every released dependent are queued for the workers. The
+/// cap bounds *command-level*
 /// concurrency only; it is deliberately not tied to the physical core count
 /// — overlap cannot change results (see the module documentation), and the
 /// pool's worker count bounds actual parallelism.

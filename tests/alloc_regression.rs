@@ -601,11 +601,14 @@ fn compile_allocations_per_program() -> u64 {
 /// matching, per-session pass managers): a cold session op fell from 247
 /// allocations to 112, a built and compiled program from 258 to 151. A
 /// per-op `String`, a per-probe `Vec` or a map per comparison coming back
-/// shows here before it shows on a clock.
+/// shows here before it shows on a clock. The cold op is at 110 since its
+/// one-shard dispatch runs on this thread (a scope and one box per task
+/// instead of a scope and two, and the lone shard's result is moved, not
+/// concatenated) — and wherever the shard runs, it is counted here.
 #[test]
 fn cold_runs_and_compiles_stay_under_their_allocation_ceilings() {
     let cold = cold_session_op_allocations();
-    assert!(cold <= 120, "a cold session op allocated {cold} times");
+    assert!(cold <= 118, "a cold session op allocated {cold} times");
     let compile = compile_allocations_per_program();
     assert!(
         compile <= 160,

@@ -1083,11 +1083,29 @@ fn gen_split_no_cim(rng: &mut SplitMix64, total: usize) -> cinm::lowering::Shard
     }
 }
 
+/// Runs `case` on a fresh sharded backend over a pool of one worker and over
+/// a pool of three, and asserts the simulated-clock statistics agree: with
+/// one worker most shards of a dispatch run on the dispatching thread, with
+/// three each can have its own, and neither may change what is accounted.
+fn on_pools_of_1_and_3(case: impl Fn(&mut cinm::lowering::ShardedBackend)) {
+    let [narrow, wide] = [1, 3].map(|workers| {
+        let pool = cinm::runtime::PoolHandle::with_threads(workers);
+        let mut be = small_sharded(&pool);
+        case(&mut be);
+        let stats = be.stats();
+        // Work fractions always cover the dispatched work.
+        let f = stats.fractions();
+        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{f:?}");
+        (stats.work, stats.sim_seconds, stats.sim_makespan_seconds)
+    });
+    assert_eq!(narrow, wide, "1 vs 3 workers");
+}
+
 /// Sharded GEMM/GEMV are bit-identical to the golden host kernels for any
-/// shape and any three-way split, including empty shards.
+/// shape and any three-way split, including empty shards, wherever each
+/// shard ran.
 #[test]
 fn sharded_matmul_matches_golden_over_randomized_shapes_and_fractions() {
-    let pool = cinm::runtime::PoolHandle::with_threads(3);
     for_cases(21, |rng| {
         let m = gen_usize(rng, 1, 48);
         let k = gen_usize(rng, 1, 24);
@@ -1095,53 +1113,48 @@ fn sharded_matmul_matches_golden_over_randomized_shapes_and_fractions() {
         let a = data::i32_vec(rng.next_u64(), m * k, -9, 9);
         let b = data::i32_vec(rng.next_u64(), k * n, -9, 9);
         let split = gen_split(rng, m);
-        let mut be = small_sharded(&pool);
-        let c = be.gemm(&a, &b, m, k, n, &split).unwrap();
-        assert_eq!(
-            c,
-            kernels::matmul(&a, &b, m, k, n),
-            "gemm {m}x{k}x{n} {split:?}"
-        );
-
         let x = data::i32_vec(rng.next_u64(), k, -9, 9);
         let vsplit = gen_split(rng, m);
-        let y = be.gemv(&a, &x, m, k, &vsplit).unwrap();
-        assert_eq!(y, kernels::matvec(&a, &x, m, k), "gemv {m}x{k} {vsplit:?}");
-
-        // Work fractions in the stats always cover the dispatched work.
-        let f = be.stats().fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{f:?}");
+        on_pools_of_1_and_3(|be| {
+            let c = be.gemm(&a, &b, m, k, n, &split).unwrap();
+            assert_eq!(
+                c,
+                kernels::matmul(&a, &b, m, k, n),
+                "gemm {m}x{k}x{n} {split:?}"
+            );
+            let y = be.gemv(&a, &x, m, k, &vsplit).unwrap();
+            assert_eq!(y, kernels::matvec(&a, &x, m, k), "gemv {m}x{k} {vsplit:?}");
+        });
     });
 }
 
 /// Sharded element-wise/reduce/histogram ops are bit-identical to the
-/// goldens for any length and any CNM/host split.
+/// goldens for any length and any CNM/host split, wherever each shard ran.
 #[test]
 fn sharded_streaming_ops_match_golden_over_randomized_splits() {
-    let pool = cinm::runtime::PoolHandle::with_threads(3);
     for_cases(22, |rng| {
         let len = gen_usize(rng, 1, 700);
         let a = data::i32_vec(rng.next_u64(), len, -100, 400);
         let b = data::i32_vec(rng.next_u64(), len, -100, 400);
-        let mut be = small_sharded(&pool);
-
         let split = gen_split_no_cim(rng, len);
-        for op in [BinOp::Add, BinOp::Max] {
-            let got = be.elementwise(op, &a, &b, &split).unwrap();
-            let want = kernels::elementwise(&a, &b, |x, y| op.apply(x, y));
-            assert_eq!(got, want, "elementwise {op:?} len {len} {split:?}");
-        }
-        assert_eq!(
-            be.reduce(BinOp::Add, &a, &split).unwrap(),
-            kernels::reduce_add(&a),
-            "reduce len {len} {split:?}"
-        );
         let bins = gen_usize(rng, 1, 32);
-        assert_eq!(
-            be.histogram(&a, bins, 400, &split).unwrap(),
-            kernels::histogram(&a, bins, 400),
-            "histogram len {len} bins {bins} {split:?}"
-        );
+        on_pools_of_1_and_3(|be| {
+            for op in [BinOp::Add, BinOp::Max] {
+                let got = be.elementwise(op, &a, &b, &split).unwrap();
+                let want = kernels::elementwise(&a, &b, |x, y| op.apply(x, y));
+                assert_eq!(got, want, "elementwise {op:?} len {len} {split:?}");
+            }
+            assert_eq!(
+                be.reduce(BinOp::Add, &a, &split).unwrap(),
+                kernels::reduce_add(&a),
+                "reduce len {len} {split:?}"
+            );
+            assert_eq!(
+                be.histogram(&a, bins, 400, &split).unwrap(),
+                kernels::histogram(&a, bins, 400),
+                "histogram len {len} bins {bins} {split:?}"
+            );
+        });
     });
 }
 
