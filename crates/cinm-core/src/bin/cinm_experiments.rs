@@ -28,6 +28,8 @@
 //! forces explicit work fractions (must sum to 1 — the harness errors
 //! instead of renormalising).
 
+#![forbid(unsafe_code)]
+
 use cinm_core::experiments;
 use cinm_core::ShardPolicy;
 use cinm_runtime::PoolHandle;

@@ -24,6 +24,7 @@
 //! cargo run -p cinm-core --release --bin cinm-experiments -- fig11 --scale bench
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

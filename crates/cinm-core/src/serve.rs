@@ -25,10 +25,9 @@
 //! * **Futures over the existing machinery.** [`submit`](SessionServer::submit)
 //!   returns a [`RequestTicket`]; execution happens in deterministic
 //!   scheduling rounds ([`step`](SessionServer::step), driven on demand by
-//!   [`wait_into`](SessionServer::wait_into)). A single-batch round runs the
-//!   allocation-free eager path; a multi-shape round records every batch
-//!   into one hazard-tracked `CommandStream` so disjoint shape classes
-//!   overlap on the worker pool within one sync.
+//!   [`wait_into`](SessionServer::wait_into)). A round runs its batches
+//!   one after the other through the allocation-free eager path, whether it
+//!   holds one shape class or several.
 //! * **Fault isolation.** Batches run under the retrying backend; a
 //!   transient fault that outlives the retry budget re-runs the batch (a
 //!   faulted command commits nothing), and a permanent grid fault fails
@@ -49,8 +48,8 @@ use std::time::Instant;
 
 use cinm_lowering::cnm_op::CnmOp;
 use cinm_lowering::{BatchPlan, UpmemBackend, UpmemRunOptions};
-use cinm_runtime::{AdmissionError, CommandStream, FairQueue, FaultConfig, FaultStats};
-use upmem_sim::{CommandOutput, SimError, SystemStats, UpmemConfig};
+use cinm_runtime::{AdmissionError, FairQueue, FaultConfig, FaultStats};
+use upmem_sim::{SimError, SystemStats, UpmemConfig};
 
 use crate::session::single_op_signature;
 
@@ -337,8 +336,6 @@ pub struct ServerStats {
     pub batched_requests: u64,
     /// Largest batch fused so far.
     pub largest_batch: u64,
-    /// Rounds that fused multiple shape classes into one command stream.
-    pub stream_rounds: u64,
     /// Batch re-executions after a fault escaped the retry budget.
     pub recoveries: u64,
     /// Spare-grid failovers after a permanent device fault.
@@ -1044,11 +1041,10 @@ impl SessionServer {
     /// Executes one scheduling round: picks the fairest head request, fills
     /// its batch with the fairest compatible heads of other tenants (one
     /// batch per shape class per round, one request per tenant per batch),
-    /// and dispatches — eagerly for a single batch (the allocation-free
-    /// steady-state path), through one hazard-tracked command stream when
-    /// multiple shape classes fused in the same round. Returns the number of
-    /// requests that finished (0 when idle). Device failures fail the
-    /// affected batch's requests, never the server.
+    /// and dispatches the batches one after the other through the
+    /// allocation-free eager path. Returns the number of requests that
+    /// finished (0 when idle). Device failures fail the affected batch's
+    /// requests, never the server.
     pub fn step(&mut self) -> usize {
         let picked = self.form_round();
         if picked == 0 {
@@ -1075,13 +1071,10 @@ impl SessionServer {
             return picked;
         }
         self.stage_round();
-        if self.round_groups.len() == 1 {
-            let gi = self.round_groups[0] as usize;
+        for i in 0..self.round_groups.len() {
+            let gi = self.round_groups[i] as usize;
             let result = self.run_batch_direct(gi);
             self.finish_batch(gi, result);
-        } else {
-            self.stats.stream_rounds += 1;
-            self.run_round_stream();
         }
         self.round_groups.clear();
         if let Some(t) = &self.tele {
@@ -1193,49 +1186,6 @@ impl SessionServer {
             } = &mut s.groups[gi];
             plan.execute(&mut s.backend, x_stage, y_scratch)
         })
-    }
-
-    /// Stream dispatch of a multi-shape round: every batch's commands in one
-    /// hazard-tracked sync (disjoint buffers — the shape classes overlap on
-    /// the worker pool). A faulted sync applies nothing, so re-syncing after
-    /// recovery is safe.
-    fn run_round_stream(&mut self) {
-        let round = std::mem::take(&mut self.round_groups);
-        let result = self.with_recovery(|s| {
-            // Fresh-output semantics per attempt, matching the direct path.
-            for &gi in round.iter() {
-                s.groups[gi as usize].plan.zero_output(&mut s.backend)?;
-            }
-            let mut stream = CommandStream::new();
-            for &gi in round.iter() {
-                let g = &s.groups[gi as usize];
-                g.plan.push_commands(&g.x_stage, &mut stream);
-            }
-            s.backend.try_sync(&mut stream)
-        });
-        match result {
-            Ok(outputs) => {
-                // Three outputs per batch, in enqueue order; the third
-                // carries the batch's gathered grid-wide output.
-                let mut outputs = outputs.into_iter();
-                for &gi in round.iter() {
-                    let _scatter = outputs.next();
-                    let _launch = outputs.next();
-                    let y = outputs
-                        .next()
-                        .and_then(CommandOutput::into_gathered)
-                        .expect("stream round yields one gather per batch");
-                    self.groups[gi as usize].y_scratch = y;
-                    self.finish_batch(gi as usize, Ok(()));
-                }
-            }
-            Err(e) => {
-                for &gi in round.iter() {
-                    self.finish_batch(gi as usize, Err(e.clone()));
-                }
-            }
-        }
-        self.round_groups = round;
     }
 
     /// Distributes one executed (or failed) batch to its member requests.
@@ -1497,23 +1447,46 @@ mod tests {
     }
 
     #[test]
-    fn a_mixed_shape_round_fuses_into_one_stream_sync() {
-        let mut server = SessionServer::new(tiny_options());
-        let ta = server.register_tenant(TenantSpec::new("gemv-tenant"));
-        let tb = server.register_tenant(TenantSpec::new("gemm-tenant"));
+    fn a_mixed_shape_round_serves_both_classes_bit_identically() {
         let a = ramp(8 * 5, 2, 3);
         let x = ramp(5, 3, -1);
         let b_w = ramp(6 * 4, 1, -2);
         let b_x = ramp(4 * 3, 2, 5);
-        let ma = server.load_gemv_weights(ta, &a, 8, 5).unwrap();
-        let mb = server.load_gemm_weights(tb, &b_w, 6, 4, 3).unwrap();
-        let qa = server.submit(ma, &x).unwrap();
-        let qb = server.submit(mb, &b_x).unwrap();
-        assert_eq!(server.step(), 2);
-        assert_eq!(server.stats().stream_rounds, 1);
-        assert_eq!(server.shape_groups(), 2);
-        assert_eq!(server.wait(qa).unwrap(), host_gemv(&a, &x, 8, 5));
-        assert_eq!(server.wait(qb).unwrap(), host_gemm(&b_w, &b_x, 6, 4, 3));
+        // One round holding a gemv batch and a gemm batch: both results, the
+        // simulated device statistics and the retries the round absorbed.
+        let serve_round = |options: ServerOptions| {
+            let mut server = SessionServer::new(options);
+            let ta = server.register_tenant(TenantSpec::new("gemv-tenant"));
+            let tb = server.register_tenant(TenantSpec::new("gemm-tenant"));
+            let ma = server.load_gemv_weights(ta, &a, 8, 5).unwrap();
+            let mb = server.load_gemm_weights(tb, &b_w, 6, 4, 3).unwrap();
+            let qa = server.submit(ma, &x).unwrap();
+            let qb = server.submit(mb, &b_x).unwrap();
+            assert_eq!(server.step(), 2);
+            assert_eq!(server.shape_groups(), 2);
+            assert_eq!((server.stats().rounds, server.stats().batches), (1, 2));
+            let ya = server.wait(qa).unwrap();
+            let yb = server.wait(qb).unwrap();
+            let retries = server.fault_stats().transient_retries;
+            (ya, yb, *server.upmem_stats(), retries)
+        };
+        let (ya, yb, clean_stats, _) = serve_round(tiny_options());
+        assert_eq!(ya, host_gemv(&a, &x, 8, 5));
+        assert_eq!(yb, host_gemm(&b_w, &b_x, 6, 4, 3));
+
+        // Seeded transient schedules: wherever in the round a fault falls,
+        // results and simulated statistics equal the fault-free round.
+        let mut retries = 0;
+        for seed in 0..8u64 {
+            let fault = FaultConfig::seeded(seed)
+                .with_launch_fault_rate(0.3)
+                .with_transfer_timeout_rate(0.2);
+            let (fa, fb, stats, r) = serve_round(tiny_options().with_fault(fault));
+            assert_eq!((&fa, &fb), (&ya, &yb), "seed {seed}");
+            assert_eq!(stats, clean_stats, "seed {seed}");
+            retries += r;
+        }
+        assert!(retries > 0, "the schedules should have injected faults");
     }
 
     #[test]

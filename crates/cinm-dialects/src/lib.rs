@@ -32,6 +32,7 @@
 //! verify_func(&f, &registry).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

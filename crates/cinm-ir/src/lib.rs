@@ -35,6 +35,7 @@
 //! assert!(text.contains("linalg.matmul"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -398,11 +398,10 @@ impl UpmemBackend {
     }
 
     /// Runs one op eagerly through its [`CnmOp::geometry`]: the generated
-    /// host program is one command stream — the operand transfers (scatter
-    /// or broadcast, per the table) are hazard-independent and overlap, the
-    /// launch waits on all of them, the gather waits on the launch — and the
-    /// gathered output is decoded by the geometry's layout. Transient
-    /// injected faults are retried internally (see
+    /// host program is one recorded batch — the operand transfers (scatter
+    /// or broadcast, per the table), the launch, the gather, applied in that
+    /// order — and the gathered output is decoded by the geometry's layout.
+    /// Transient injected faults are retried internally (see
     /// [`try_sync`](Self::try_sync)); the op is one transactional sync, so
     /// an error leaves nothing partially applied.
     pub(crate) fn run_op(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
@@ -592,8 +591,7 @@ impl UpmemBackend {
         self.run_op(CnmOp::TimeSeries { window, len }, &[a])
     }
 
-    /// One BFS frontier expansion with partitioned CSR fragments (the three
-    /// fragment transfers are independent and overlap).
+    /// One BFS frontier expansion with partitioned CSR fragments.
     #[allow(clippy::too_many_arguments)]
     pub fn bfs_step(
         &mut self,
@@ -1155,13 +1153,12 @@ impl CimBackend {
         // leaves the backend reusable.
         let mut failure: Option<CimError> = None;
 
-        // The generated host program is a command stream per outer step:
-        // tile programming and the MVMs that consume it are hazard-ordered
-        // (RAW on the tile index), re-programming waits for earlier readers
-        // (WAR), and MVMs on distinct tiles overlap. Each stream is built in
-        // two passes — stage every payload into the arena, then enqueue
-        // commands borrowing arena slices — because recording borrows the
-        // arena immutably.
+        // The generated host program is one recorded batch per outer step:
+        // tile programming, then the MVMs that consume it, applied in that
+        // order as one transactional sync. Each batch is built in two passes
+        // — stage every payload into the arena, then enqueue commands
+        // borrowing arena slices — because recording borrows the arena
+        // immutably.
         if self.options.min_writes {
             // Tile-stationary order: program each batch once and reuse it for
             // every output row band (the loop interchange of Section 3.2.4).

@@ -15,19 +15,13 @@
 //! fixed costs: N tenants share one launch (one dispatch, one DMA setup per
 //! DPU, one host round-trip) instead of paying them N times.
 //!
-//! A [`BatchPlan`] owns the geometry and device buffers of one shape class.
-//! It exposes both execution paths the serving layer uses:
-//!
-//! * [`execute`](BatchPlan::execute) — direct eager calls through
-//!   [`UpmemBackend::try_op`]; allocation-free once staging capacity is
-//!   warmed (the steady-state path, pinned by `tests/alloc_regression.rs`);
-//! * [`push_commands`](BatchPlan::push_commands) — records the same three
-//!   commands into a hazard-tracked [`CommandStream`], so batches of
-//!   *different* shape classes overlap within one sync (the burst path).
+//! A [`BatchPlan`] owns the geometry and device buffers of one shape class;
+//! [`execute`](BatchPlan::execute) runs one batch through direct eager calls
+//! ([`UpmemBackend::try_op`]), allocation-free once staging capacity is
+//! warmed (pinned by `tests/alloc_regression.rs`). A round holding several
+//! shape classes is one `execute` per class, in order.
 
-use cinm_runtime::CommandStream;
-use std::borrow::Cow;
-use upmem_sim::{Command, KernelSpec, SimError, UpmemSystem};
+use upmem_sim::{KernelSpec, SimError, UpmemSystem};
 
 use crate::backend::{alloc_all, UpmemBackend};
 use crate::cnm_op::{CnmOp, MramLayout};
@@ -272,37 +266,6 @@ impl BatchPlan {
         backend.try_op(|sys: &mut UpmemSystem| sys.launch(&self.spec))?;
         backend.try_op(|sys| sys.gather_i32_into(y_buf, out, y))?;
         Ok(())
-    }
-
-    /// Records the same batched launch into a hazard-tracked command stream
-    /// (the burst path: batches of different shape classes touch disjoint
-    /// buffers, so one sync overlaps them). The caller zeroes outputs via
-    /// [`zero_output`](Self::zero_output) before syncing and reads the
-    /// gathered outputs from the sync's third `CommandOutput` per batch.
-    pub fn push_commands<'a>(&self, x_stage: &'a [i32], stream: &mut CommandStream<Command<'a>>) {
-        stream.enqueue(Command::Scatter {
-            buffer: self.x_buf,
-            data: Cow::Borrowed(x_stage),
-            chunk: self.act_chunk,
-        });
-        stream.enqueue(Command::Launch {
-            spec: self.spec.clone(),
-        });
-        stream.enqueue(Command::Gather {
-            buffer: self.y_buf,
-            chunk: self.out_chunk,
-        });
-    }
-
-    /// Functionally zeroes the shared output buffer (untimed, exactly like a
-    /// fresh allocation) — the stream path's counterpart of the zero inside
-    /// [`execute`](Self::execute).
-    ///
-    /// # Errors
-    ///
-    /// Unknown buffer (cannot happen for a live plan).
-    pub fn zero_output(&self, backend: &mut UpmemBackend) -> Result<(), SimError> {
-        backend.system_mut().zero_buffer(self.y_buf)
     }
 
     /// Extracts one slot's logical output from a gathered grid-wide output

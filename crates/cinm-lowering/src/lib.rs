@@ -26,6 +26,7 @@
 //!   [`device::Device`]s concurrently on the shared `cinm_runtime` worker
 //!   pool, merging results bit-identically to the golden host kernels.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

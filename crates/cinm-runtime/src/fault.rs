@@ -257,42 +257,6 @@ impl FaultInjector {
     }
 }
 
-/// Typed errors of the command-stream executor (replacing the previous
-/// `unwrap`/`expect` aborts): a scheduled node that never produced a result,
-/// or a result slot poisoned by a panicking task.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommandError {
-    /// The DAG executor finished without running this command (a scheduling
-    /// invariant violation — reported, not aborted on).
-    Unexecuted {
-        /// Enqueue index of the command.
-        index: usize,
-    },
-    /// The command's result slot was poisoned by a panic in a worker task.
-    Poisoned {
-        /// Enqueue index of the command.
-        index: usize,
-    },
-}
-
-impl fmt::Display for CommandError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommandError::Unexecuted { index } => {
-                write!(f, "command {index} was scheduled but never executed")
-            }
-            CommandError::Poisoned { index } => {
-                write!(
-                    f,
-                    "result slot of command {index} was poisoned by a panicking task"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CommandError {}
-
 /// Capped exponential backoff with a bounded attempt budget. Backoff is
 /// accounted in *simulated* seconds — the policy never sleeps, so retries
 /// stay deterministic and free of wall-clock effects.

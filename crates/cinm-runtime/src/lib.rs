@@ -13,16 +13,24 @@
 //!   [`PoolHandle::for_each_chunk_mut`] on top of it) live here as the single
 //!   source of truth (they were previously duplicated in `upmem_sim::par`
 //!   and `memristor_sim::crossbar`).
-//! * [`CommandStream`] / [`execute_stream`] — a **hazard-tracked command
-//!   stream**: devices record commands with per-buffer read/write sets
-//!   ([`Access`]), [`hazard_deps`] builds a RAW/WAR/WAW dependency DAG, and
-//!   the stream executes on the pool with independent commands overlapping
-//!   while dependent chains stay ordered. Results and accounted statistics
-//!   are bit-identical to eager sequential execution for any thread count.
+//! * [`CommandStream`] — a **recorded command batch**: devices record
+//!   commands and their `sync` validates the batch, draws its fault
+//!   decisions and applies it in program order, so results and accounted
+//!   statistics equal the eager call sequence by construction.
+//!   ([`hazard_deps`] and [`Access`] are retained for one benchmark probe
+//!   only — see [`stream`].)
 //! * [`alloc_count`] — a counting global allocator, the measurement side of
 //!   the "allocation-free hot path" contract: `tests/alloc_regression.rs`
 //!   asserts zero steady-state allocations in the launch+MVM loop with it,
 //!   and `cinm-benchmark` reports `runtime.allocs_per_op` per workload.
+//!
+//! # `unsafe`
+//!
+//! Every other workspace crate is `#![forbid(unsafe_code)]`; this one keeps
+//! six `unsafe` lines, each with its `SAFETY` argument next to it: the
+//! `GlobalAlloc` pass-through of [`alloc_count`] (the `unsafe impl` and its
+//! four `unsafe fn`s) and the one lifetime-erasing `transmute` behind
+//! [`WorkerPool::scope`] in [`pool`].
 //!
 //! ```
 //! use cinm_runtime::PoolHandle;
@@ -48,9 +56,8 @@ pub mod queue;
 pub mod stream;
 
 pub use fault::{
-    CommandError, FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, RetryLog,
-    RetryPolicy,
+    FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, RetryLog, RetryPolicy,
 };
 pub use pool::{resolve_threads, PoolHandle, Scope, WorkerPool};
 pub use queue::{AdmissionError, FairQueue};
-pub use stream::{execute_stream, hazard_deps, Access, BufferId, CommandStream, StreamCommand};
+pub use stream::{hazard_deps, Access, BufferId, CommandStream};

@@ -43,6 +43,7 @@
 //! assert_eq!(cinm_telemetry::TelemetrySnapshot::parse_json(&json).unwrap(), snap);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -8,6 +8,7 @@
 //! the manually translated PrIM kernels), generates deterministic input data
 //! and records the hand-written UPMEM C/C++ lines of code of Table 4.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -7,14 +7,8 @@ use crate::config::CrossbarConfig;
 /// Programs a validated `rows × cols` weight matrix: zero-padded to the full
 /// tile geometry (padding cells are still programmed, as on a real array
 /// where stale states must be overwritten), remembering how many columns are
-/// live. Shared by the eager [`CrossbarAccelerator::write_tile`] and the
-/// command-stream execution so the two paths can never diverge.
-pub(crate) fn program_tile(
-    config: &CrossbarConfig,
-    weights: &[i32],
-    rows: usize,
-    cols: usize,
-) -> Tile {
+/// live. A pure function of the configuration and the weights.
+fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usize) -> Tile {
     let mut padded = vec![0i32; config.tile_rows * config.tile_cols];
     for r in 0..rows {
         padded[r * config.tile_cols..r * config.tile_cols + cols]
@@ -30,9 +24,9 @@ pub(crate) fn program_tile(
 /// caller scratch: `out[..tile_cols] = x × W`. Only the columns the tile was
 /// programmed with are multiplied; the padded ones hold zero weights, so
 /// their outputs are the zeros written first. This is the single functional
-/// core every MVM path (eager, batched, streamed) funnels through, so
-/// results cannot diverge.
-pub(crate) fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
+/// core every MVM path (eager, batched, synced) funnels through, so results
+/// cannot diverge.
+fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
     let weights = tile.weights.as_deref().expect("validated");
     out[..tile_cols].fill(0);
     let out = &mut out[..tile.cols];
@@ -50,7 +44,7 @@ pub(crate) fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, 
 /// The analog MVM on an already-validated programmed tile:
 /// `y[tile_cols] = x × W` (allocating convenience over
 /// [`mvm_on_weights_into`]).
-pub(crate) fn mvm_on_weights(tile: &Tile, input: &[i32], tile_cols: usize) -> Vec<i32> {
+fn mvm_on_weights(tile: &Tile, input: &[i32], tile_cols: usize) -> Vec<i32> {
     let mut out = vec![0i32; tile_cols];
     mvm_on_weights_into(tile, input, tile_cols, &mut out);
     out
@@ -146,21 +140,21 @@ impl std::error::Error for CimError {}
 pub type CimResult<T> = Result<T, CimError>;
 
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Tile {
+struct Tile {
     /// Programmed weights, row-major `tile_rows × tile_cols`; `None` when the
     /// tile has not been programmed yet.
-    pub(crate) weights: Option<Vec<i32>>,
+    weights: Option<Vec<i32>>,
     /// Columns of the matrix the tile was programmed with; every column
     /// beyond holds zero weights.
-    pub(crate) cols: usize,
+    cols: usize,
 }
 
 /// The simulated memristive crossbar accelerator.
 #[derive(Debug, Clone)]
 pub struct CrossbarAccelerator {
-    pub(crate) config: CrossbarConfig,
-    pub(crate) tiles: Vec<Tile>,
-    pub(crate) stats: CimStats,
+    config: CrossbarConfig,
+    tiles: Vec<Tile>,
+    stats: CimStats,
     /// Deterministic fault injector; `None` when the accelerator is
     /// fault-free.
     fault: Option<FaultInjector>,
@@ -288,9 +282,22 @@ impl CrossbarAccelerator {
     ) -> CimResult<()> {
         self.validate_write(tile, weights.len(), rows, cols)?;
         self.inject_op("tile write")?;
+        self.apply_write(tile, weights, rows, cols);
+        Ok(())
+    }
+
+    /// The tile write itself, validated and past its fault draw: the one
+    /// body [`write_tile`](Self::write_tile) and [`sync`](Self::sync) both
+    /// run.
+    pub(crate) fn apply_write(&mut self, tile: usize, weights: &[i32], rows: usize, cols: usize) {
         self.tiles[tile] = program_tile(&self.config, weights, rows, cols);
         self.account_tile_write();
-        Ok(())
+    }
+
+    /// Which tiles are programmed right now (the starting point of the
+    /// [`sync`](Self::sync) batch validation).
+    pub(crate) fn programmed_tiles(&self) -> Vec<bool> {
+        self.tiles.iter().map(|t| t.weights.is_some()).collect()
     }
 
     /// Validates the shape of a tile-programming request (index, geometry
@@ -352,10 +359,8 @@ impl CrossbarAccelerator {
         Ok(())
     }
 
-    /// Accounts the cost of programming one full tile. Shared by the eager
-    /// [`write_tile`](Self::write_tile) and the command-stream statistics
-    /// fold, so the two paths stay bit-identical.
-    pub(crate) fn account_tile_write(&mut self) {
+    /// Accounts the cost of programming one full tile.
+    fn account_tile_write(&mut self) {
         let c = &self.config;
         let cells = (c.tile_rows * c.tile_cols * c.slices_per_weight()) as u64;
         self.stats.tile_writes += 1;
@@ -380,9 +385,15 @@ impl CrossbarAccelerator {
     pub fn mvm(&mut self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
         self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
-        let result = self.mvm_no_account(tile, input)?;
+        Ok(self.apply_mvm(tile, input))
+    }
+
+    /// The MVM itself (validated, past its fault draw), shared with
+    /// [`sync`](Self::sync).
+    pub(crate) fn apply_mvm(&mut self, tile: usize, input: &[i32]) -> Vec<i32> {
+        let result = mvm_on_weights(&self.tiles[tile], input, self.config.tile_cols);
         self.account_mvm(1);
-        Ok(result)
+        result
     }
 
     /// Issues one analog MVM writing the result into caller scratch:
@@ -429,22 +440,28 @@ impl CrossbarAccelerator {
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
         }
-        let checked = self.check_batch(requests).expect("validated");
-        let mut results: Vec<Vec<i32>> = vec![Vec::new(); checked.len()];
-        let cols = self.config.tile_cols;
-        self.config.pool.for_each_chunk_mut(
-            self.config.host_threads,
-            &mut results,
-            1,
-            |i, slot| {
-                let (tile, input) = checked[i];
-                slot[0] = mvm_on_weights(tile, input, cols);
-            },
-        );
+        Ok(self.apply_mvm_parallel(requests))
+    }
+
+    /// The parallel MVM batch itself (validated, past its fault draw), shared
+    /// with [`sync`](Self::sync), whose recorded requests own or borrow their
+    /// inputs — hence the `AsRef`.
+    pub(crate) fn apply_mvm_parallel<I: AsRef<[i32]> + Sync>(
+        &mut self,
+        requests: &[(usize, I)],
+    ) -> Vec<Vec<i32>> {
+        let mut results: Vec<Vec<i32>> = vec![Vec::new(); requests.len()];
+        let (config, tiles) = (&self.config, &self.tiles);
+        config
+            .pool
+            .for_each_chunk_mut(config.host_threads, &mut results, 1, |i, slot| {
+                let (tile, input) = &requests[i];
+                slot[0] = mvm_on_weights(&tiles[*tile], input.as_ref(), config.tile_cols);
+            });
         if !requests.is_empty() {
             self.account_parallel_mvm(requests.len());
         }
-        Ok(results)
+        results
     }
 
     /// The allocation-free form of [`mvm_parallel`](Self::mvm_parallel):
@@ -494,31 +511,12 @@ impl CrossbarAccelerator {
         Ok(())
     }
 
-    /// Validates a whole MVM batch up front (so errors are deterministic and
-    /// no partial state or accounting is observable), resolving each request
-    /// to its programmed tile for the compute loop.
-    fn check_batch<'s, 'i>(
-        &'s self,
-        requests: &[(usize, &'i [i32])],
-    ) -> CimResult<Vec<(&'s Tile, &'i [i32])>> {
-        requests
-            .iter()
-            .map(|&(tile, input)| self.checked_tile(tile, input).map(|t| (t, input)))
-            .collect()
+    /// Validates a tile/input pair against the current tile state.
+    fn checked_tile(&self, tile: usize, input: &[i32]) -> CimResult<()> {
+        self.validate_mvm(tile, input.len(), |t| self.tiles[t].weights.is_some())
     }
 
-    /// Validates a tile/input pair and returns the programmed tile.
-    pub(crate) fn checked_tile(&self, tile: usize, input: &[i32]) -> CimResult<&Tile> {
-        self.validate_mvm(tile, input.len(), |t| self.tiles[t].weights.is_some())?;
-        Ok(&self.tiles[tile])
-    }
-
-    pub(crate) fn mvm_no_account(&self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
-        let tile = self.checked_tile(tile, input)?;
-        Ok(mvm_on_weights(tile, input, self.config.tile_cols))
-    }
-
-    pub(crate) fn account_mvm(&mut self, count: usize) {
+    fn account_mvm(&mut self, count: usize) {
         let c = &self.config;
         let conversions = (c.tile_cols * c.slices_per_weight() * count) as u64;
         self.stats.mvm_ops += count as u64;
@@ -531,7 +529,7 @@ impl CrossbarAccelerator {
         }
     }
 
-    pub(crate) fn account_parallel_mvm(&mut self, tiles: usize) {
+    fn account_parallel_mvm(&mut self, tiles: usize) {
         let c = &self.config;
         let conversions = (c.tile_cols * c.slices_per_weight() * tiles) as u64;
         self.stats.mvm_ops += tiles as u64;

@@ -2,23 +2,18 @@
 //! commands into a [`CommandStream`] and executing them with
 //! [`CrossbarAccelerator::sync`].
 //!
-//! Commands are hazard-tracked on **tile indices**: a
-//! [`XbarCommand::WriteTile`] writes its tile, [`XbarCommand::Mvm`] and
-//! [`XbarCommand::MvmGroup`] read theirs. The RAW/WAR/WAW dependency DAG
-//! from `cinm-runtime` orders programming against the MVMs that consume the
-//! weights (and against later re-programming), while MVMs on distinct tiles
-//! — or any number of MVMs on the *same* programmed tile — overlap on the
-//! shared worker pool.
+//! `sync` applies the recorded commands **in program order**, each through
+//! the body its eager method runs ([`WriteTile`] ↦ one `write_tile`, [`Mvm`]
+//! ↦ one `mvm`, [`MvmGroup`] ↦ one `mvm_parallel` batch with single-MVM
+//! latency and per-tile energy), so results and accounted statistics equal
+//! the eager call sequence by construction. A [`MvmGroup`] is data-parallel
+//! across [`host_threads`](crate::CrossbarConfig::host_threads) inside the
+//! command.
 //!
-//! Accounted statistics are folded in **program order** after the batch and
-//! are bit-identical to issuing the same calls eagerly: each command's cost
-//! is a pure function of the configuration ([`WriteTile`] ↦ one
-//! `write_tile`, [`Mvm`] ↦ one `mvm`, [`MvmGroup`] ↦ one `mvm_parallel`
-//! batch with single-MVM latency and per-tile energy).
-//!
-//! Like [`UpmemSystem::sync`] the batch is transactional on validation
-//! errors: the program is checked in order (tracking which tiles earlier
-//! `WriteTile` commands program) before anything executes.
+//! Like [`UpmemSystem::sync`] the batch is transactional: the program is
+//! validated in order (tracking which tiles earlier `WriteTile` commands
+//! program) and its fault decisions are drawn in order before anything is
+//! applied.
 //!
 //! [`WriteTile`]: XbarCommand::WriteTile
 //! [`Mvm`]: XbarCommand::Mvm
@@ -26,13 +21,10 @@
 //! [`UpmemSystem::sync`]: https://docs.rs/upmem-sim
 
 use std::borrow::Cow;
-use std::cell::UnsafeCell;
 
-use cinm_runtime::{execute_stream, Access, BufferId, CommandStream, StreamCommand};
+use cinm_runtime::CommandStream;
 
-use crate::crossbar::{
-    mvm_on_weights, program_tile, CimError, CimResult, CrossbarAccelerator, Tile,
-};
+use crate::crossbar::{CimResult, CrossbarAccelerator};
 
 /// One recorded crossbar operation.
 ///
@@ -72,18 +64,6 @@ pub enum XbarCommand<'a> {
     },
 }
 
-impl StreamCommand for XbarCommand<'_> {
-    fn access(&self) -> Access {
-        match self {
-            XbarCommand::WriteTile { tile, .. } => Access::writes(vec![*tile as BufferId]),
-            XbarCommand::Mvm { tile, .. } => Access::reads(vec![*tile as BufferId]),
-            XbarCommand::MvmGroup { requests } => {
-                Access::reads(requests.iter().map(|(t, _)| *t as BufferId).collect())
-            }
-        }
-    }
-}
-
 /// The per-command result of a synced stream, in enqueue order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum XbarOutput {
@@ -104,14 +84,6 @@ impl XbarOutput {
         }
     }
 }
-
-/// A tile with interior mutability so hazard-independent commands can run
-/// concurrently; same invariant as the UPMEM slab session — the hazard DAG
-/// guarantees one writer XOR any number of readers per tile at any moment.
-struct TileCell(UnsafeCell<Tile>);
-
-// SAFETY: access is coordinated by the hazard DAG — see `TileCell`.
-unsafe impl Sync for TileCell {}
 
 impl CrossbarAccelerator {
     /// Validates one command against the geometry and the set of tiles that
@@ -148,15 +120,44 @@ impl CrossbarAccelerator {
         }
     }
 
-    /// Executes every command recorded in `stream` and returns one
-    /// [`XbarOutput`] per command, in enqueue order.
+    /// Draws the fault decision of one command — one per issued command, as
+    /// the eager methods do (an empty `MvmGroup` issues nothing).
+    fn inject_xbar_command(&mut self, cmd: &XbarCommand<'_>) -> CimResult<()> {
+        match cmd {
+            XbarCommand::WriteTile { .. } => self.inject_op("tile write"),
+            XbarCommand::Mvm { .. } => self.inject_op("mvm"),
+            XbarCommand::MvmGroup { requests } if requests.is_empty() => Ok(()),
+            XbarCommand::MvmGroup { .. } => self.inject_op("parallel mvm"),
+        }
+    }
+
+    /// Applies one validated command past its fault draw, through the body
+    /// its eager method runs (functional effect and accounting together).
+    fn apply_xbar_command(&mut self, cmd: &XbarCommand<'_>) -> XbarOutput {
+        match cmd {
+            XbarCommand::WriteTile {
+                tile,
+                weights,
+                rows,
+                cols,
+            } => {
+                self.apply_write(*tile, weights, *rows, *cols);
+                XbarOutput::Written
+            }
+            XbarCommand::Mvm { tile, input } => XbarOutput::Mvm(self.apply_mvm(*tile, input)),
+            XbarCommand::MvmGroup { requests } => {
+                XbarOutput::MvmGroup(self.apply_mvm_parallel(requests))
+            }
+        }
+    }
+
+    /// Executes every command recorded in `stream`, in enqueue order, and
+    /// returns one [`XbarOutput`] per command in that order.
     ///
-    /// Hazard-independent commands execute concurrently on the configured
-    /// worker pool — at most
-    /// [`host_threads`](crate::CrossbarConfig::host_threads) commands in
-    /// flight (`0` = as many as the DAG allows); results and accounted
-    /// [`CimStats`](crate::CimStats) are bit-identical to issuing the same
-    /// operations eagerly in enqueue order.
+    /// Results and accounted [`CimStats`](crate::CimStats) are bit-identical
+    /// to issuing the same operations eagerly in enqueue order — each command
+    /// runs the eager method's own body — for every
+    /// [`host_threads`](crate::CrossbarConfig::host_threads).
     ///
     /// # Errors
     ///
@@ -171,114 +172,20 @@ impl CrossbarAccelerator {
         &mut self,
         stream: &mut CommandStream<XbarCommand<'_>>,
     ) -> CimResult<Vec<XbarOutput>> {
-        // Validate before draining: on error the recorded program stays in
-        // the stream, so the caller can inspect or resubmit it. Fault
-        // decisions are drawn in the same pass (one per command, in program
-        // order — matching the eager issue sequence), so the batch stays
-        // transactional under injected faults too.
-        let mut programmed: Vec<bool> = self.tiles.iter().map(|t| t.weights.is_some()).collect();
+        // Validate and draw before draining: on error the recorded program
+        // stays in the stream, so the caller can inspect or resubmit it.
+        let mut programmed = self.programmed_tiles();
         for cmd in stream.commands() {
             self.validate_xbar_command(cmd, &mut programmed)?;
         }
         for cmd in stream.commands() {
-            match cmd {
-                XbarCommand::WriteTile { .. } => self.inject_op("tile write")?,
-                XbarCommand::Mvm { .. } => self.inject_op("mvm")?,
-                XbarCommand::MvmGroup { requests } => {
-                    if !requests.is_empty() {
-                        self.inject_op("parallel mvm")?;
-                    }
-                }
-            }
+            self.inject_xbar_command(cmd)?;
         }
         let commands = stream.take_commands();
-        if commands.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        let config = self.config.clone();
-        let cells: Vec<TileCell> = std::mem::take(&mut self.tiles)
-            .into_iter()
-            .map(|t| TileCell(UnsafeCell::new(t)))
-            .collect();
-        let cells_ref = &cells;
-        let cfg = &config;
-        // Catch panics from command bodies so the tile storage taken above
-        // is always restored — a panicking batch may leave partially
-        // programmed tiles, but never strips the accelerator of its array.
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_stream(
-                &config.pool,
-                config.host_threads,
-                &commands,
-                move |_, cmd| {
-                    let out = match cmd {
-                        XbarCommand::WriteTile {
-                            tile,
-                            weights,
-                            rows,
-                            cols,
-                        } => {
-                            let programmed = program_tile(cfg, weights, *rows, *cols);
-                            // SAFETY: sole writer of this tile right now (hazard DAG).
-                            let slot = unsafe { &mut *cells_ref[*tile].0.get() };
-                            *slot = programmed;
-                            XbarOutput::Written
-                        }
-                        XbarCommand::Mvm { tile, input } => {
-                            // SAFETY: shared read; no concurrent writer (hazard DAG).
-                            let tile_ref = unsafe { &*cells_ref[*tile].0.get() };
-                            XbarOutput::Mvm(mvm_on_weights(tile_ref, input.as_ref(), cfg.tile_cols))
-                        }
-                        XbarCommand::MvmGroup { requests } => {
-                            let mut results: Vec<Vec<i32>> = vec![Vec::new(); requests.len()];
-                            cfg.pool.for_each_chunk_mut(
-                                cfg.host_threads,
-                                &mut results,
-                                1,
-                                |i, slot| {
-                                    let (tile, input) = &requests[i];
-                                    // SAFETY: shared read (hazard DAG).
-                                    let tile_ref = unsafe { &*cells_ref[*tile].0.get() };
-                                    slot[0] =
-                                        mvm_on_weights(tile_ref, input.as_ref(), cfg.tile_cols);
-                                },
-                            );
-                            XbarOutput::MvmGroup(results)
-                        }
-                    };
-                    Ok::<XbarOutput, std::convert::Infallible>(out)
-                },
-            )
-        }));
-        self.tiles = cells.into_iter().map(|c| c.0.into_inner()).collect();
-        let results = match results {
-            Ok(r) => r,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        // Scheduler-level failures (a slot left unexecuted or poisoned) can
-        // only follow a command panic, which was re-raised above; surface
-        // them as errors rather than panicking if that invariant ever bends.
-        let results = results.map_err(|e| CimError::new(format!("command stream: {e}")))?;
-
-        let outputs: Vec<XbarOutput> = results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| match e {}))
-            .collect();
-
-        // Fold statistics in program order (bit-identical to eager calls).
-        for out in &outputs {
-            match out {
-                XbarOutput::Written => self.account_tile_write(),
-                XbarOutput::Mvm(_) => self.account_mvm(1),
-                XbarOutput::MvmGroup(results) => {
-                    if !results.is_empty() {
-                        self.account_parallel_mvm(results.len());
-                    }
-                }
-            }
-        }
-        Ok(outputs)
+        Ok(commands
+            .iter()
+            .map(|cmd| self.apply_xbar_command(cmd))
+            .collect())
     }
 }
 
@@ -305,7 +212,7 @@ mod tests {
                 rows: 2,
                 cols: 2,
             },
-            // Independent MVMs on distinct tiles: overlap.
+            // MVMs on distinct tiles.
             XbarCommand::Mvm {
                 tile: 0,
                 input: vec![1, 1].into(),
@@ -314,7 +221,7 @@ mod tests {
                 tile: 1,
                 input: vec![2, -1].into(),
             },
-            // Re-program tile 0 (WAR against the MVM above) and re-issue.
+            // Re-program tile 0 (which the MVM above read) and re-issue.
             XbarCommand::WriteTile {
                 tile: 0,
                 weights: vec![-1, 0, 0, -1].into(),
@@ -408,5 +315,67 @@ mod tests {
         let out = x.sync(&mut stream).unwrap();
         let y = out[m].clone().into_mvm().unwrap();
         assert_eq!(&y[..2], &[20, 40]);
+    }
+
+    #[test]
+    fn faulted_sync_is_transactional_and_resubmission_recovers() {
+        let program = demo_program();
+        let mut oracle = xbar(1);
+        let eager_out = run_eager(&mut oracle, &program);
+
+        // 20% faults per issued command over several seeds: every run must
+        // converge to the fault-free result, and at least one sync across
+        // the sweep must actually fault.
+        let mut total_faults = 0;
+        for seed in 0..8u64 {
+            let fault = cinm_runtime::FaultConfig::seeded(seed).with_transfer_timeout_rate(0.2);
+            let config = CrossbarConfig::default()
+                .with_host_threads(2)
+                .with_fault(fault);
+            let mut x = CrossbarAccelerator::new(config);
+            // Prior weights in both tiles, so an applied write would show
+            // (statistics are reset before the batch).
+            for tile in 0..2 {
+                while let Err(e) = x.write_tile(tile, &[9, 8, 7, 6], 2, 2) {
+                    assert!(e.is_transient_fault(), "{e}");
+                }
+            }
+            x.reset_stats();
+            let before = x.clone();
+            let mut stream = CommandStream::new();
+            for c in &program {
+                stream.enqueue(c.clone());
+            }
+            let mut attempts = 0;
+            let out = loop {
+                attempts += 1;
+                assert!(attempts <= 256, "sync never succeeded (seed {seed})");
+                match x.sync(&mut stream) {
+                    Ok(out) => break out,
+                    Err(e) => {
+                        assert!(e.is_transient_fault(), "{e}");
+                        // Transactional: the program is still enqueued, no
+                        // statistic was accounted and no tile was
+                        // re-programmed — wherever in the batch the fault fell.
+                        assert_eq!(stream.commands().len(), program.len());
+                        assert_eq!(x.stats(), before.stats(), "seed {seed}");
+                        for tile in 0..x.num_tiles() {
+                            assert_eq!(
+                                x.tile_weights(tile),
+                                before.tile_weights(tile),
+                                "seed {seed}: tile {tile} after a faulted sync"
+                            );
+                        }
+                        total_faults += 1;
+                    }
+                }
+            };
+            assert_eq!(out, eager_out, "seed {seed}");
+            assert_eq!(x.stats(), oracle.stats(), "seed {seed}");
+        }
+        assert!(
+            total_faults > 0,
+            "the sweep should inject at least one fault"
+        );
     }
 }

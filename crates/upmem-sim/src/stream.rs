@@ -1,54 +1,35 @@
 //! The batched host API: recording UPMEM commands into a
 //! [`CommandStream`] and executing them with [`UpmemSystem::sync`].
 //!
-//! PrIM-style host programs and the UPMEM SDK model the host side as an
-//! asynchronous command queue with explicit synchronisation; this module is
-//! that queue for the simulator. Commands ([`Command::Scatter`],
-//! [`Command::Broadcast`], [`Command::Launch`], [`Command::Gather`]) are
-//! recorded with per-buffer read/write sets, `cinm-runtime` builds a
-//! RAW/WAR/WAW hazard DAG over the [`BufferId`]s, and [`UpmemSystem::sync`]
-//! executes ready commands concurrently on the shared worker pool — so
-//! independent kernels on disjoint buffers overlap while dependent chains
-//! stay ordered.
-//!
-//! # Determinism
-//!
-//! Results and statistics are **bit-identical to eager sequential
-//! execution** for any thread count:
-//!
-//! * every command's functional effect depends only on the contents of the
-//!   buffers it accesses, and the hazard edges reproduce exactly the buffer
-//!   contents the command would observe under in-order execution;
-//! * every command's cost is a pure function of the configuration and its
-//!   own payload, and the accumulated [`SystemStats`](crate::SystemStats) are
-//!   folded in
-//!   **program order** after the batch completes — the same f64 additions in
-//!   the same order as the eager path.
-//!
-//! `tests/properties.rs` asserts this against the eager
-//! [`NaiveUpmemSystem`](crate::NaiveUpmemSystem) oracle over randomized
-//! interleaved programs with aliasing buffers at thread counts {1, 2, 8}.
+//! A PrIM-style host program is a scatter → launch → gather sequence with
+//! synchronous launches; this module records such a sequence
+//! ([`Command::Scatter`], [`Command::Broadcast`], [`Command::Launch`],
+//! [`Command::Gather`]) and [`UpmemSystem::sync`] applies it **in program
+//! order**, each command through the body its eager method runs. Results and
+//! [`SystemStats`](crate::SystemStats) therefore equal the eager call
+//! sequence by construction, for every
+//! [`host_threads`](crate::UpmemConfig::host_threads) (which only sets the
+//! data parallelism inside a command). `tests/properties.rs` pins this
+//! against the eager [`NaiveUpmemSystem`](crate::NaiveUpmemSystem) oracle
+//! over randomized interleaved programs with aliasing buffers at thread
+//! counts {1, 2, 8}.
 //!
 //! # Error semantics
 //!
-//! `sync` validates the whole batch in program order *before* executing
-//! anything: on a validation error (unknown buffer, oversized chunk, bad
-//! kernel shape) no buffer is modified and no statistic is accounted — the
+//! `sync` validates the whole batch in program order and then draws its
+//! fault decisions in program order *before* applying anything: on a
+//! validation error (unknown buffer, oversized chunk, bad kernel shape) or an
+//! injected fault no buffer is modified and no statistic is accounted — the
 //! batch is transactional. (The eager methods instead apply every command
 //! preceding the failing one.)
 
 use std::borrow::Cow;
-use std::cell::UnsafeCell;
 
-use cinm_runtime::{execute_stream, Access, CommandStream, StreamCommand};
+use cinm_runtime::CommandStream;
 
-use crate::config::UpmemConfig;
-use crate::kernel::{KernelSpec, MAX_FUSED_STAGES};
+use crate::kernel::KernelSpec;
 use crate::stats::{LaunchStats, TransferStats};
-use crate::system::{
-    broadcast_slab, gather_slab, kernel_launch_cost, launch_slabs, scatter_slab, BufferId,
-    SimError, SimResult, Slab, UpmemSystem,
-};
+use crate::system::{BufferId, SimResult, UpmemSystem};
 
 /// One recorded host-runtime operation.
 ///
@@ -90,21 +71,6 @@ pub enum Command<'a> {
     },
 }
 
-impl StreamCommand for Command<'_> {
-    fn access(&self) -> Access {
-        match self {
-            Command::Scatter { buffer, .. } | Command::Broadcast { buffer, .. } => {
-                Access::writes(vec![*buffer])
-            }
-            Command::Launch { spec } => Access {
-                reads: spec.inputs.clone(),
-                writes: spec.outputs().collect(),
-            },
-            Command::Gather { buffer, .. } => Access::reads(vec![*buffer]),
-        }
-    }
-}
-
 /// The per-command result of a synced stream, in enqueue order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommandOutput {
@@ -134,167 +100,22 @@ impl CommandOutput {
     }
 }
 
-/// A slab with interior mutability, so hazard-independent commands can
-/// execute concurrently against disjoint buffers of one system.
-struct SlabCell(UnsafeCell<Slab>);
-
-// SAFETY: access is coordinated by the hazard DAG — see `StreamSession`.
-unsafe impl Sync for SlabCell {}
-
-/// Shared view of the system state during one `sync`.
-///
-/// # Safety invariant
-///
-/// The hazard scheduler (`cinm_runtime::execute_stream`) guarantees that at
-/// any moment each buffer is accessed either by a single writing command or
-/// by any number of reading commands — RAW/WAR/WAW edges order every
-/// conflicting pair, and a command only starts after all its dependencies
-/// completed (with a happens-before edge through the scheduler lock). All
-/// `unsafe` dereferences below rely on exactly that invariant.
-struct StreamSession<'a> {
-    config: &'a UpmemConfig,
-    num_dpus: usize,
-    cells: Vec<SlabCell>,
-}
-
-impl<'a> StreamSession<'a> {
-    fn new(config: &'a UpmemConfig, num_dpus: usize, slabs: Vec<Slab>) -> Self {
-        StreamSession {
-            config,
-            num_dpus,
-            cells: slabs
-                .into_iter()
-                .map(|s| SlabCell(UnsafeCell::new(s)))
-                .collect(),
-        }
-    }
-
-    fn into_slabs(self) -> Vec<Slab> {
-        self.cells.into_iter().map(|c| c.0.into_inner()).collect()
-    }
-
-    /// Shared view of a buffer this command reads.
-    ///
-    /// # Safety
-    ///
-    /// No command writing `buffer` may be running (struct-level invariant).
-    unsafe fn reader(&self, buffer: BufferId) -> &Slab {
-        // SAFETY: guaranteed by the caller.
-        unsafe { &*self.cells[buffer as usize].0.get() }
-    }
-
-    /// Exclusive view of a buffer this command writes. This is the only way
-    /// a slab's storage form changes during a `sync`: the replicated →
-    /// per-DPU expansion happens inside a command the hazard DAG already
-    /// orders as a writer of that buffer.
-    ///
-    /// # Safety
-    ///
-    /// The calling command must be the only one accessing `buffer` right now
-    /// (struct-level invariant), and must not hold another view of it.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn writer(&self, buffer: BufferId) -> &mut Slab {
-        // SAFETY: guaranteed by the caller.
-        unsafe { &mut *self.cells[buffer as usize].0.get() }
-    }
-
-    /// Executes one (pre-validated) command functionally and returns its
-    /// output and pure per-command cost. Never touches accumulated
-    /// statistics — the caller folds them in program order. The operation
-    /// bodies are the shared `crate::system` helpers
-    /// ([`scatter_slab`]/[`broadcast_slab`]/[`gather_slab`]/[`launch_slabs`])
-    /// also used by the eager methods, so the two paths cannot drift.
-    fn run(&self, cmd: &Command<'_>) -> CommandOutput {
-        match cmd {
-            Command::Scatter {
-                buffer,
-                data,
-                chunk,
-            } => {
-                // SAFETY: this command is the sole writer of `buffer`.
-                let slab = unsafe { self.writer(*buffer) };
-                CommandOutput::Transfer(scatter_slab(
-                    self.config,
-                    self.num_dpus,
-                    slab,
-                    data,
-                    *chunk,
-                ))
-            }
-            Command::Broadcast { buffer, data } => {
-                // SAFETY: this command is the sole writer of `buffer`.
-                let slab = unsafe { self.writer(*buffer) };
-                CommandOutput::Transfer(broadcast_slab(self.config, self.num_dpus, slab, data))
-            }
-            Command::Gather { buffer, chunk } => {
-                // SAFETY: readers may share the buffer; no writer is
-                // concurrent with a reader.
-                let slab = unsafe { self.reader(*buffer) };
-                let (out, t) = gather_slab(self.config, self.num_dpus, slab, *chunk);
-                CommandOutput::Gather(out, t)
-            }
-            Command::Launch { spec } => {
-                self.launch(spec);
-                let tasklets = spec.tasklets.unwrap_or(self.config.tasklets);
-                CommandOutput::Launch(kernel_launch_cost(
-                    self.config,
-                    spec,
-                    tasklets,
-                    self.num_dpus,
-                ))
-            }
-        }
-    }
-
-    /// Borrows the launch's output slabs mutably and its inputs shared from
-    /// the cells and hands them to the shared [`launch_slabs`] executor (the
-    /// same code the eager [`UpmemSystem::launch`] runs). The slabs stay in
-    /// their cells throughout, so a panicking kernel never strips the system
-    /// of a buffer.
-    fn launch(&self, spec: &KernelSpec) {
-        let mut unused: [Slab; MAX_FUSED_STAGES] = std::array::from_fn(|_| Slab::default());
-        let mut outs = unused.each_mut();
-        for (slot, b) in outs.iter_mut().zip(spec.outputs()) {
-            // SAFETY: this command is the sole accessor of every buffer it
-            // writes, and its outputs are pairwise distinct (a non-fused
-            // launch has one; fused outputs are validated distinct), so
-            // these mutable borrows never alias each other.
-            *slot = unsafe { self.writer(b) };
-        }
-        launch_slabs(
-            self.config,
-            self.num_dpus,
-            spec,
-            // SAFETY: `launch_slabs` resolves only inputs that are not the
-            // launch's output through this (an aliased input is read through
-            // the output borrow above), and no writer of an input runs
-            // concurrently with this command.
-            |b| unsafe { self.reader(b) },
-            &mut outs[..spec.outputs().count()],
-            &mut Vec::new(),
-        );
-    }
-}
-
 impl UpmemSystem {
     /// Validates one recorded command without executing it.
     fn validate_command(&self, cmd: &Command<'_>) -> SimResult<()> {
         match cmd {
-            Command::Scatter { buffer, chunk, .. } => {
-                self.validate_chunk(*buffer, *chunk).map(|_| ())
+            Command::Scatter { buffer, chunk, .. } | Command::Gather { buffer, chunk } => {
+                self.validate_chunk(*buffer, *chunk)
             }
-            Command::Broadcast { buffer, data } => {
-                self.validate_broadcast(*buffer, data.len()).map(|_| ())
-            }
+            Command::Broadcast { buffer, data } => self.validate_broadcast(*buffer, data.len()),
             Command::Launch { spec } => self.validate_launch(spec),
-            Command::Gather { buffer, chunk } => self.validate_chunk(*buffer, *chunk).map(|_| ()),
         }
     }
 
     /// Draws the fault decision for one command. Called in program order
-    /// during the pre-execution validation pass, so the injector consumes
-    /// exactly the same event sequence as the eager methods would for the
-    /// same program — and a faulted batch leaves the system untouched.
+    /// before anything is applied, so the injector consumes exactly the same
+    /// event sequence as the eager methods would for the same program — and
+    /// a faulted batch leaves the system untouched.
     fn inject_command(&mut self, cmd: &Command<'_>) -> SimResult<()> {
         match cmd {
             Command::Scatter { .. } => self.inject_transfer("scatter"),
@@ -304,17 +125,35 @@ impl UpmemSystem {
         }
     }
 
-    /// Executes every command recorded in `stream` and returns one
-    /// [`CommandOutput`] per command, in enqueue order.
+    /// Applies one validated command past its fault draw, through the body
+    /// its eager method runs (functional effect and accounting together).
+    fn apply_command(&mut self, cmd: &Command<'_>) -> CommandOutput {
+        match cmd {
+            Command::Scatter {
+                buffer,
+                data,
+                chunk,
+            } => CommandOutput::Transfer(self.apply_scatter(*buffer, data, *chunk)),
+            Command::Broadcast { buffer, data } => {
+                CommandOutput::Transfer(self.apply_broadcast(*buffer, data))
+            }
+            Command::Launch { spec } => CommandOutput::Launch(self.apply_launch(spec)),
+            Command::Gather { buffer, chunk } => {
+                let mut out = Vec::new();
+                let t = self.apply_gather(*buffer, *chunk, &mut out);
+                CommandOutput::Gather(out, t)
+            }
+        }
+    }
+
+    /// Executes every command recorded in `stream`, in enqueue order, and
+    /// returns one [`CommandOutput`] per command in that order.
     ///
-    /// The stream is drained; hazard-independent commands execute
-    /// concurrently on the configured worker pool — at most
-    /// [`host_threads`](UpmemConfig::host_threads) commands in flight (`0` =
-    /// as many as the DAG allows) — while dependent chains stay ordered.
-    /// Buffers and accumulated [`SystemStats`](crate::SystemStats) end up
-    /// **bit-identical** to calling the eager methods in enqueue order, for
-    /// every thread count — see the [module documentation](self) for the
-    /// argument.
+    /// The stream is drained. Buffers and accumulated
+    /// [`SystemStats`](crate::SystemStats) end up **bit-identical** to
+    /// calling the eager methods in enqueue order — each command runs the
+    /// eager method's own body — for every
+    /// [`host_threads`](crate::UpmemConfig::host_threads).
     ///
     /// # Errors
     ///
@@ -329,10 +168,8 @@ impl UpmemSystem {
         &mut self,
         stream: &mut CommandStream<Command<'_>>,
     ) -> SimResult<Vec<CommandOutput>> {
-        // Validate before draining: on error the recorded program stays in
-        // the stream, so the caller can inspect or resubmit it. Fault
-        // decisions are drawn in the same pass so the batch stays
-        // transactional under injected faults too.
+        // Validate and draw before draining: on error the recorded program
+        // stays in the stream, so the caller can inspect or resubmit it.
         for cmd in stream.commands() {
             self.validate_command(cmd)?;
         }
@@ -340,68 +177,14 @@ impl UpmemSystem {
             self.inject_command(cmd)?;
         }
         let commands = stream.take_commands();
-        if commands.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // Command-level concurrency follows `host_threads` (`0` = as many
-        // commands in flight as the DAG allows). Deliberately not capped at
-        // the physical core count — overlap cannot change results, and
-        // single-core hosts still exercise the concurrent machinery.
-        let session =
-            StreamSession::new(&self.config, self.num_dpus, std::mem::take(&mut self.slabs));
-        // Catch panics from command bodies so the slab storage taken above
-        // is always restored — a panicking batch may leave partially written
-        // *contents*, but never strips the system of its buffers.
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_stream(
-                &self.config.pool,
-                self.config.host_threads,
-                &commands,
-                |_, cmd| Ok::<CommandOutput, std::convert::Infallible>(session.run(cmd)),
-            )
-        }));
-        self.slabs = session.into_slabs();
-        let results = match results {
-            Ok(r) => r,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        // Scheduler-level failures (a slot left unexecuted or poisoned) can
-        // only follow a command panic, which was re-raised above; surface
-        // them as errors rather than panicking if that invariant ever bends.
-        let results = results.map_err(|e| SimError::new(format!("command stream: {e}")))?;
-
-        let outputs: Vec<CommandOutput> = results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| match e {}))
-            .collect();
-
-        // Fold statistics in program order through the same accounting
-        // bodies as the eager methods (bit-identical, telemetry included).
-        for (cmd, out) in commands.iter().zip(&outputs) {
-            match (cmd, out) {
-                (Command::Scatter { .. }, CommandOutput::Transfer(t)) => {
-                    self.account_scatter(t);
-                }
-                (Command::Broadcast { .. }, CommandOutput::Transfer(t)) => {
-                    self.account_broadcast(t);
-                }
-                (Command::Gather { .. }, CommandOutput::Gather(_, t)) => {
-                    self.account_gather(t);
-                }
-                (Command::Launch { .. }, CommandOutput::Launch(l)) => {
-                    self.account_launch(l);
-                }
-                _ => unreachable!("command/output kinds always correspond"),
-            }
-        }
-        Ok(outputs)
+        Ok(commands.iter().map(|cmd| self.apply_command(cmd)).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::UpmemConfig;
     use crate::kernel::{BinOp, DpuKernelKind};
 
     fn small_config(threads: usize) -> UpmemConfig {
@@ -454,8 +237,7 @@ mod tests {
                     c,
                 ),
             },
-            // Independent kernel on disjoint buffers: overlaps with the one
-            // above.
+            // Independent kernel on disjoint buffers.
             Command::Launch {
                 spec: KernelSpec::new(
                     DpuKernelKind::Scan {
@@ -474,7 +256,7 @@ mod tests {
                 buffer: d,
                 chunk: 16,
             },
-            // Rewrite an input (WAR against the launches) and reduce over it.
+            // Rewrite an input the launches above read, and reduce over it.
             Command::Scatter {
                 buffer: a,
                 data: data.iter().rev().copied().collect::<Vec<i32>>().into(),
@@ -572,8 +354,8 @@ mod tests {
                 data: data[..16].to_vec().into(),
             },
             Command::Launch { spec: fused },
-            // Reads both fused outputs: the hazard DAG must order this after
-            // the fused launch via its full write set (incl. extra_outputs).
+            // Reads both fused outputs (incl. extra_outputs) of the launch
+            // above.
             Command::Launch {
                 spec: KernelSpec::new(
                     DpuKernelKind::Elementwise {
@@ -705,6 +487,16 @@ mod tests {
             for _ in 0..4 {
                 sys.alloc_buffer(16).unwrap();
             }
+            // Distinct pre-batch contents per buffer and DPU, so an applied
+            // command would show (statistics are reset before the batch).
+            for b in 0..4u32 {
+                let prior: Vec<i32> = (0..64).map(|i| i * 7 + b as i32 * 1000 - 99).collect();
+                while let Err(e) = sys.scatter_i32(b, &prior, 16) {
+                    assert!(e.is_transient_fault(), "{e}");
+                }
+            }
+            sys.reset_stats();
+            let before = sys.clone();
             let mut stream = CommandStream::new();
             for c in &program {
                 stream.enqueue(c.clone());
@@ -717,10 +509,20 @@ mod tests {
                     Ok(out) => break out,
                     Err(e) => {
                         assert!(e.is_transient_fault(), "{e}");
-                        // Transactional: the program is still enqueued and
-                        // no statistic was accounted.
+                        // Transactional: the program is still enqueued, no
+                        // statistic was accounted and no buffer of any DPU
+                        // changed — wherever in the batch the fault fell.
                         assert_eq!(stream.commands().len(), program.len());
-                        assert_eq!(sys.stats().launches, 0);
+                        assert_eq!(sys.stats(), before.stats(), "seed {seed}");
+                        for b in 0..4u32 {
+                            for d in 0..sys.num_dpus() {
+                                assert_eq!(
+                                    sys.dpu_buffer(d, b).unwrap(),
+                                    before.dpu_buffer(d, b).unwrap(),
+                                    "seed {seed}: buffer {b} of DPU {d} after a faulted sync"
+                                );
+                            }
+                        }
                         total_faults += 1;
                     }
                 }

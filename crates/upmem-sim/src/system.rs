@@ -181,7 +181,7 @@ impl<'a> Strides<'a> {
 /// transition is one-way — collapsing a slab again would cost an allocation
 /// on the next per-DPU write, and warmed loops must stay allocation-free.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Slab {
+struct Slab {
     elems_per_dpu: usize,
     storage: Storage,
     data: Vec<i32>,
@@ -572,168 +572,33 @@ pub(crate) fn transfer_threads(host_threads: usize, total_elems: usize) -> usize
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared operation bodies
-//
-// One implementation of every (pre-validated) slab operation and its pure
-// cost, shared by the eager methods below and the command-stream session in
-// `crate::stream` — so the two paths can never diverge functionally and the
-// "bit-identical to eager" invariant cannot rot in one copy.
-// ---------------------------------------------------------------------------
-
-/// Scatters `data` into a slab in `chunk`-element strides (zero-padded at
-/// the tail), returning the pure transfer cost. No statistics accumulation.
-pub(crate) fn scatter_slab(
-    config: &UpmemConfig,
-    num_dpus: usize,
-    slab: &mut Slab,
-    data: &[i32],
-    chunk: usize,
-) -> TransferStats {
-    let elems = slab.elems_per_dpu;
-    let threads = transfer_threads(config.host_threads, chunk * num_dpus);
-    if chunk > 0 {
-        // `dst` takes the `data` elements from `start` on, zero-padded.
-        let fill = |dst: &mut [i32], start: usize| {
-            let src = &data[start.min(data.len())..];
-            let avail = src.len().min(dst.len());
-            dst[..avail].copy_from_slice(&src[..avail]);
-            dst[avail..].fill(0);
-        };
-        let strides = slab.per_dpu_mut(num_dpus);
-        config
-            .pool
-            .for_each_band_mut(threads, strides, elems, |first, band| {
-                if chunk == elems {
-                    // Tight: the band's strides are one run of `data`.
-                    fill(band, first * chunk);
-                } else {
-                    for (d, stride) in (first..).zip(band.chunks_exact_mut(elems)) {
-                        fill(&mut stride[..chunk], d * chunk);
-                    }
-                }
-            });
-    }
-    let bytes = (data.len() * 4) as u64;
-    let seconds = config.host_transfer_seconds(bytes as f64);
-    let energy_j = config.transfer_energy_j(bytes as f64);
-    TransferStats {
-        bytes,
-        seconds,
-        energy_j,
-    }
-}
-
-/// Writes `data` to the head of every DPU's stride, returning the pure
-/// broadcast cost (rank-parallel model; bytes billed per DPU). A replicated
-/// slab stores the image once — the billed volume does not depend on the
-/// storage form.
-pub(crate) fn broadcast_slab(
-    config: &UpmemConfig,
-    num_dpus: usize,
-    slab: &mut Slab,
-    data: &[i32],
-) -> TransferStats {
-    if slab.storage == Storage::Replicated {
-        slab.data[..data.len()].copy_from_slice(data);
-    } else if !data.is_empty() {
-        let elems = slab.elems_per_dpu;
-        let threads = transfer_threads(config.host_threads, data.len() * num_dpus);
-        config
-            .pool
-            .for_each_chunk_mut(threads, &mut slab.data, elems, |_, stride| {
-                stride[..data.len()].copy_from_slice(data);
-            });
-    }
-    let bytes = (data.len() * 4 * num_dpus) as u64;
-    let seconds = config.broadcast_seconds((data.len() * 4) as f64);
-    let energy_j = config.transfer_energy_j(bytes as f64);
-    TransferStats {
-        bytes,
-        seconds,
-        energy_j,
-    }
-}
-
-/// Gathers `chunk` elements from every DPU stride of a slab into a
-/// caller-provided host vector (cleared and resized — a reused vector of
-/// sufficient capacity makes the gather allocation-free), returning the pure
-/// transfer cost.
-pub(crate) fn gather_slab_into(
-    config: &UpmemConfig,
-    num_dpus: usize,
-    slab: &Slab,
-    chunk: usize,
-    out: &mut Vec<i32>,
-) -> TransferStats {
-    let src = slab.strides();
-    if let Some(flat) = src.flat(chunk, 0..num_dpus) {
-        // Tight: the slab is the gathered vector. One copy, and a fresh
-        // vector is not zero-filled first.
-        out.clear();
-        out.extend_from_slice(flat);
-    } else {
-        // No `clear()` first: shrinking truncates, growing zero-fills the
-        // tail, and every retained element is overwritten by the copy loop
-        // below whenever `chunk > 0` — clearing would just memset the whole
-        // vector twice per gather.
-        out.resize(chunk * num_dpus, 0);
-        let threads = transfer_threads(config.host_threads, out.len());
-        config
-            .pool
-            .for_each_chunk_mut(threads, out, chunk, |d, dst| {
-                dst.copy_from_slice(&src.of(d)[..chunk]);
-            });
-    }
-    let bytes = (out.len() * 4) as u64;
-    let seconds = config.host_transfer_seconds(bytes as f64);
-    let energy_j = config.transfer_energy_j(bytes as f64);
-    TransferStats {
-        bytes,
-        seconds,
-        energy_j,
-    }
-}
-
-/// Gathers `chunk` elements from every DPU stride of a slab into one fresh
-/// host vector (allocating convenience over [`gather_slab_into`]).
-pub(crate) fn gather_slab(
-    config: &UpmemConfig,
-    num_dpus: usize,
-    slab: &Slab,
-    chunk: usize,
-) -> (Vec<i32>, TransferStats) {
-    let mut out = Vec::new();
-    let t = gather_slab_into(config, num_dpus, slab, chunk, &mut out);
-    (out, t)
-}
-
 /// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
-/// `spec.output`, `spec.extra_outputs` order, `input` resolves every other
-/// buffer, and `scratch` is the staging arena of the aliased path (grown to
-/// the launch's input footprint, never shrunk). Output slabs become per-DPU
-/// here; inputs are only ever read through their [`Strides`].
+/// `spec.output`, `spec.extra_outputs` order (moved out of `slabs` by the
+/// caller), every other buffer is read from `slabs`, and `scratch` is the
+/// staging arena of the aliased path (grown to the launch's input footprint,
+/// never shrunk). Output slabs become per-DPU here; inputs are only ever read
+/// through their [`Strides`].
 ///
 /// The kernel is dispatched once per band of DPUs ([`exec::execute_grid`]),
 /// not once per DPU: one band for `host_threads = 1`, `k` bands of the same
 /// code on the pool for `k` threads — bit-identical for every thread count.
-pub(crate) fn launch_slabs<'s>(
+fn launch_slabs(
     config: &UpmemConfig,
     num_dpus: usize,
     spec: &KernelSpec,
-    input: impl Fn(BufferId) -> &'s Slab + Sync,
+    slabs: &[Slab],
     outs: &mut [&mut Slab],
     scratch: &mut Vec<i32>,
 ) {
     let n_inputs = spec.inputs.len();
     debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
     // An input that is also the output is read through `outs[0]` below (the
-    // caller holds that slab mutably and `input` must not be asked for it).
+    // caller moved that slab out of `slabs`).
     let mut ins = [Strides::EMPTY; exec::MAX_KERNEL_INPUTS];
     for (slot, &b) in ins.iter_mut().zip(&spec.inputs) {
         if b != spec.output {
-            *slot = input(b).strides();
+            *slot = slabs[b as usize].strides();
         }
     }
     let ins = &ins[..n_inputs];
@@ -826,16 +691,16 @@ pub(crate) fn launch_slabs<'s>(
 /// The simulated UPMEM machine (slab storage).
 #[derive(Debug, Clone)]
 pub struct UpmemSystem {
-    pub(crate) config: UpmemConfig,
-    pub(crate) num_dpus: usize,
-    pub(crate) slabs: Vec<Slab>,
+    config: UpmemConfig,
+    num_dpus: usize,
+    slabs: Vec<Slab>,
     mram_used: usize,
     mram_peak: usize,
     /// Ids of freed slabs, reused (LIFO) by the next allocations so
     /// long-lived sessions under memory pressure keep a bounded slab table.
     /// Only the reuse stack: whether an id is live is the slab's own state.
     free_ids: Vec<BufferId>,
-    pub(crate) stats: SystemStats,
+    stats: SystemStats,
     /// Reusable staging arena of the aliased-launch slow path: grown once to
     /// the largest input-stride footprint seen, then reused, so repeated
     /// aliased launches perform no per-DPU (or per-launch) heap allocation.
@@ -974,12 +839,11 @@ impl UpmemSystem {
         self.stats = SystemStats::default();
     }
 
-    // One accounting body per operation kind, shared by the eager methods
-    // and the command-stream fold in `crate::stream` — statistics and
-    // telemetry can never diverge between the two paths. Telemetry is
-    // atomics-only (no allocation, no lock) and never affects `stats`.
+    // One accounting body per operation kind, called from its apply body
+    // below. Telemetry is atomics-only (no allocation, no lock) and never
+    // affects `stats`.
 
-    pub(crate) fn account_scatter(&mut self, t: &TransferStats) {
+    fn account_scatter(&mut self, t: &TransferStats) {
         self.stats.host_to_dpu_bytes += t.bytes;
         self.stats.host_to_dpu_seconds += t.seconds;
         self.stats.host_to_dpu_energy_j += t.energy_j;
@@ -989,7 +853,7 @@ impl UpmemSystem {
         }
     }
 
-    pub(crate) fn account_broadcast(&mut self, t: &TransferStats) {
+    fn account_broadcast(&mut self, t: &TransferStats) {
         self.stats.host_to_dpu_bytes += t.bytes;
         self.stats.host_to_dpu_seconds += t.seconds;
         self.stats.host_to_dpu_energy_j += t.energy_j;
@@ -999,7 +863,7 @@ impl UpmemSystem {
         }
     }
 
-    pub(crate) fn account_gather(&mut self, t: &TransferStats) {
+    fn account_gather(&mut self, t: &TransferStats) {
         self.stats.dpu_to_host_bytes += t.bytes;
         self.stats.dpu_to_host_seconds += t.seconds;
         self.stats.dpu_to_host_energy_j += t.energy_j;
@@ -1009,7 +873,7 @@ impl UpmemSystem {
         }
     }
 
-    pub(crate) fn account_launch(&mut self, l: &LaunchStats) {
+    fn account_launch(&mut self, l: &LaunchStats) {
         self.stats.kernel_seconds += l.seconds;
         self.stats.kernel_energy_j += l.energy_j;
         self.stats.launches += 1;
@@ -1115,28 +979,28 @@ impl UpmemSystem {
         self.slabs[buffer as usize].data.len()
     }
 
-    /// Validates a scatter/gather chunk against the buffer geometry,
-    /// returning the per-DPU buffer length (shared by the eager methods and
-    /// the [`sync`](Self::sync) batch validation so both fail identically).
-    pub(crate) fn validate_chunk(&self, buffer: BufferId, chunk: usize) -> SimResult<usize> {
+    /// Validates a scatter/gather chunk against the buffer geometry (shared
+    /// by the eager methods and the [`sync`](Self::sync) batch validation so
+    /// both fail identically).
+    pub(crate) fn validate_chunk(&self, buffer: BufferId, chunk: usize) -> SimResult<()> {
         let elems = self.buffer_len(buffer)?;
         if chunk > elems {
             return Err(SimError::new(format!(
                 "chunk of {chunk} elements exceeds per-DPU buffer of {elems}"
             )));
         }
-        Ok(elems)
+        Ok(())
     }
 
-    /// Validates a broadcast payload, returning the per-DPU buffer length.
-    pub(crate) fn validate_broadcast(&self, buffer: BufferId, len: usize) -> SimResult<usize> {
+    /// Validates a broadcast payload against the per-DPU buffer length.
+    pub(crate) fn validate_broadcast(&self, buffer: BufferId, len: usize) -> SimResult<()> {
         let elems = self.buffer_len(buffer)?;
         if len > elems {
             return Err(SimError::new(format!(
                 "broadcast of {len} elements exceeds per-DPU buffer of {elems}"
             )));
         }
-        Ok(elems)
+        Ok(())
     }
 
     /// Validates kernel and buffer shapes of a launch. Performed before any
@@ -1196,15 +1060,51 @@ impl UpmemSystem {
     ) -> SimResult<TransferStats> {
         self.validate_chunk(buffer, chunk)?;
         self.inject_transfer("scatter")?;
-        let t = scatter_slab(
-            &self.config,
-            self.num_dpus,
-            &mut self.slabs[buffer as usize],
-            data,
-            chunk,
-        );
+        Ok(self.apply_scatter(buffer, data, chunk))
+    }
+
+    /// The scatter itself, validated and past its fault draw: the one body
+    /// [`scatter_i32`](Self::scatter_i32) and [`sync`](Self::sync) both run.
+    pub(crate) fn apply_scatter(
+        &mut self,
+        buffer: BufferId,
+        data: &[i32],
+        chunk: usize,
+    ) -> TransferStats {
+        let (config, num_dpus) = (&self.config, self.num_dpus);
+        let slab = &mut self.slabs[buffer as usize];
+        let elems = slab.elems_per_dpu;
+        let threads = transfer_threads(config.host_threads, chunk * num_dpus);
+        if chunk > 0 {
+            // `dst` takes the `data` elements from `start` on, zero-padded.
+            let fill = |dst: &mut [i32], start: usize| {
+                let src = &data[start.min(data.len())..];
+                let avail = src.len().min(dst.len());
+                dst[..avail].copy_from_slice(&src[..avail]);
+                dst[avail..].fill(0);
+            };
+            let strides = slab.per_dpu_mut(num_dpus);
+            config
+                .pool
+                .for_each_band_mut(threads, strides, elems, |first, band| {
+                    if chunk == elems {
+                        // Tight: the band's strides are one run of `data`.
+                        fill(band, first * chunk);
+                    } else {
+                        for (d, stride) in (first..).zip(band.chunks_exact_mut(elems)) {
+                            fill(&mut stride[..chunk], d * chunk);
+                        }
+                    }
+                });
+        }
+        let bytes = (data.len() * 4) as u64;
+        let t = TransferStats {
+            bytes,
+            seconds: config.host_transfer_seconds(bytes as f64),
+            energy_j: config.transfer_energy_j(bytes as f64),
+        };
         self.account_scatter(&t);
-        Ok(t)
+        t
     }
 
     /// Copies the same host data to the buffer of every DPU (broadcast).
@@ -1225,14 +1125,34 @@ impl UpmemSystem {
     pub fn broadcast_i32(&mut self, buffer: BufferId, data: &[i32]) -> SimResult<TransferStats> {
         self.validate_broadcast(buffer, data.len())?;
         self.inject_transfer("broadcast")?;
-        let t = broadcast_slab(
-            &self.config,
-            self.num_dpus,
-            &mut self.slabs[buffer as usize],
-            data,
-        );
+        Ok(self.apply_broadcast(buffer, data))
+    }
+
+    /// The broadcast itself (validated, past its fault draw), shared with
+    /// [`sync`](Self::sync). A replicated slab stores the image once — the
+    /// billed volume does not depend on the storage form.
+    pub(crate) fn apply_broadcast(&mut self, buffer: BufferId, data: &[i32]) -> TransferStats {
+        let (config, num_dpus) = (&self.config, self.num_dpus);
+        let slab = &mut self.slabs[buffer as usize];
+        if slab.storage == Storage::Replicated {
+            slab.data[..data.len()].copy_from_slice(data);
+        } else if !data.is_empty() {
+            let elems = slab.elems_per_dpu;
+            let threads = transfer_threads(config.host_threads, data.len() * num_dpus);
+            config
+                .pool
+                .for_each_chunk_mut(threads, &mut slab.data, elems, |_, stride| {
+                    stride[..data.len()].copy_from_slice(data);
+                });
+        }
+        let bytes = (data.len() * 4 * num_dpus) as u64;
+        let t = TransferStats {
+            bytes,
+            seconds: config.broadcast_seconds((data.len() * 4) as f64),
+            energy_j: config.transfer_energy_j(bytes as f64),
+        };
         self.account_broadcast(&t);
-        Ok(t)
+        t
     }
 
     /// Gathers `chunk` elements from every DPU back into one host vector
@@ -1270,15 +1190,45 @@ impl UpmemSystem {
     ) -> SimResult<TransferStats> {
         self.validate_chunk(buffer, chunk)?;
         self.inject_transfer("gather")?;
-        let t = gather_slab_into(
-            &self.config,
-            self.num_dpus,
-            &self.slabs[buffer as usize],
-            chunk,
-            out,
-        );
+        Ok(self.apply_gather(buffer, chunk, out))
+    }
+
+    /// The gather itself (validated, past its fault draw), shared with
+    /// [`sync`](Self::sync).
+    pub(crate) fn apply_gather(
+        &mut self,
+        buffer: BufferId,
+        chunk: usize,
+        out: &mut Vec<i32>,
+    ) -> TransferStats {
+        let (config, num_dpus) = (&self.config, self.num_dpus);
+        let src = self.slabs[buffer as usize].strides();
+        if let Some(flat) = src.flat(chunk, 0..num_dpus) {
+            // Tight: the slab is the gathered vector. One copy, and a fresh
+            // vector is not zero-filled first.
+            out.clear();
+            out.extend_from_slice(flat);
+        } else {
+            // No `clear()` first: shrinking truncates, growing zero-fills the
+            // tail, and every retained element is overwritten by the copy
+            // loop below whenever `chunk > 0` — clearing would just memset
+            // the whole vector twice per gather.
+            out.resize(chunk * num_dpus, 0);
+            let threads = transfer_threads(config.host_threads, out.len());
+            config
+                .pool
+                .for_each_chunk_mut(threads, out, chunk, |d, dst| {
+                    dst.copy_from_slice(&src.of(d)[..chunk]);
+                });
+        }
+        let bytes = (out.len() * 4) as u64;
+        let t = TransferStats {
+            bytes,
+            seconds: config.host_transfer_seconds(bytes as f64),
+            energy_j: config.transfer_energy_j(bytes as f64),
+        };
         self.account_gather(&t);
-        Ok(t)
+        t
     }
 
     /// Functionally resets a buffer to the all-zero contents of a fresh
@@ -1334,7 +1284,12 @@ impl UpmemSystem {
         // Validate kernel and buffer shapes before touching any state.
         self.validate_launch(spec)?;
         self.inject_launch(spec)?;
+        Ok(self.apply_launch(spec))
+    }
 
+    /// The launch itself (validated, past its fault draw), shared with
+    /// [`sync`](Self::sync).
+    pub(crate) fn apply_launch(&mut self, spec: &KernelSpec) -> LaunchStats {
         // Functional execution on every DPU. The output slabs move out of
         // storage (no allocation) so the input slabs can be borrowed
         // immutably while the outputs are mutated.
@@ -1342,16 +1297,14 @@ impl UpmemSystem {
         for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
             *slot = std::mem::take(&mut self.slabs[b as usize]);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
         launch_slabs(
             &self.config,
             self.num_dpus,
             spec,
-            |b| &self.slabs[b as usize],
+            &self.slabs,
             &mut taken.each_mut()[..spec.outputs().count()],
-            &mut scratch,
+            &mut self.scratch,
         );
-        self.scratch = scratch;
         for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
             self.slabs[b as usize] = std::mem::take(slot);
         }
@@ -1360,7 +1313,7 @@ impl UpmemSystem {
         let tasklets = spec.tasklets.unwrap_or(self.config.tasklets);
         let stats = kernel_launch_cost(&self.config, spec, tasklets, self.num_dpus);
         self.account_launch(&stats);
-        Ok(stats)
+        stats
     }
 }
 

@@ -94,8 +94,8 @@ fn main() {
 
     let stats = server.stats();
     println!(
-        "served {} requests in {} launches (largest batch {}, {} stream rounds, {} recoveries)",
-        stats.completed, stats.batches, stats.largest_batch, stats.stream_rounds, stats.recoveries,
+        "served {} requests in {} launches (largest batch {}, {} recoveries)",
+        stats.completed, stats.batches, stats.largest_batch, stats.recoveries,
     );
     for &t in &tenants {
         let s = server.tenant_stats(t);

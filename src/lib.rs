@@ -10,7 +10,7 @@
 //!   abstractions and the `upmem`/`memristor` device dialects);
 //! * [`lowering`] — the progressive-lowering passes and the device back-ends;
 //! * [`runtime`] — the shared host runtime: the persistent worker pool and
-//!   the hazard-tracked command streams both simulators execute on;
+//!   the recorded command batches both simulators apply in program order;
 //! * [`telemetry`] — the lock-light production metrics registry (counters,
 //!   gauges, histograms; atomics on the hot path) every layer above exports
 //!   per-op, per-tenant and energy series into;
@@ -24,6 +24,8 @@
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+
+#![forbid(unsafe_code)]
 
 pub use cinm_core as core;
 pub use cinm_dialects as dialects;

@@ -17,7 +17,9 @@ use cinm_core::session::{Session, SessionOptions};
 use cinm_core::{ShardPolicy, Target};
 use cinm_runtime::alloc_count::{self, CountingAllocator};
 use memristor_sim::{CrossbarAccelerator, CrossbarConfig};
-use upmem_sim::{BinOp, DpuKernelKind, KernelSpec, UpmemConfig, UpmemSystem};
+use upmem_sim::{
+    BinOp, Command, CommandStream, DpuKernelKind, KernelSpec, UpmemConfig, UpmemSystem,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -88,7 +90,8 @@ fn steady_state_launch_loop_is_allocation_free() {
 
 /// The aliased-launch slow path stages its inputs in the reusable scratch
 /// arena: after the arena has grown once, repeated aliased launches are
-/// allocation-free too.
+/// allocation-free too — eager or recorded and synced, which run one body
+/// on the one arena.
 #[test]
 fn steady_state_aliased_launch_is_allocation_free() {
     let mut sys = sequential_system();
@@ -110,6 +113,17 @@ fn steady_state_aliased_launch_is_allocation_free() {
         }
     });
     assert_eq!(allocs, 0, "aliased launches must reuse the scratch arena");
+
+    let mut stream = CommandStream::new();
+    for _ in 0..50 {
+        stream.enqueue(Command::Launch { spec: scan.clone() });
+    }
+    let (outputs, allocs) = alloc_count::count_in(|| sys.sync(&mut stream).unwrap());
+    assert_eq!(outputs.len(), 50);
+    assert_eq!(
+        allocs, 1,
+        "a synced batch allocates its output vector and nothing per aliased launch"
+    );
 }
 
 /// Transfers with reused host buffers allocate nothing: scatter/broadcast

@@ -763,12 +763,13 @@ fn telemetry_is_observationally_transparent() {
 }
 
 // ---------------------------------------------------------------------------
-// Command-stream hazards vs the eager oracle
+// Command streams vs the eager oracle
 // ---------------------------------------------------------------------------
 
 /// Randomized command program over a small buffer pool: interleaved
 /// scatter/broadcast/launch/gather commands, including launches whose output
-/// aliases an input, so every hazard class (RAW, WAR, WAW) occurs.
+/// aliases an input, so every ordering between two commands on one buffer
+/// (read after write, write after read, write after write) occurs.
 ///
 /// Returns the per-buffer lengths and the program.
 fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<Command<'static>>) {
@@ -1001,8 +1002,8 @@ fn command_stream_is_bit_identical_to_the_eager_naive_oracle() {
 }
 
 /// Splitting a program across several `sync` calls at arbitrary points is
-/// equivalent to one big batch (the stream is a pure recording; hazards are
-/// per-batch but the inter-batch order is program order anyway).
+/// equivalent to one big batch (the stream is a pure recording, applied in
+/// program order).
 #[test]
 fn command_stream_batch_boundaries_do_not_matter() {
     for_cases(13, |rng| {
