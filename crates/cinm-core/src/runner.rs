@@ -340,7 +340,8 @@ pub fn run_upmem(
 /// intermediates instead of the eager path's gather + re-scatter. Host-side
 /// preparation (im2col, contraction regrouping, MLP weight transposes) runs
 /// on the host exactly as in the eager path, so results are bit-identical to
-/// [`run_upmem`] (pinned by the oracle test).
+/// [`run_upmem`] (pinned by the oracle test). The result is moved out of the
+/// session ([`Session::take`]), so the result handle is stale afterwards.
 pub fn run_session(
     id: WorkloadId,
     scale: Scale,
@@ -355,7 +356,7 @@ pub fn run_session(
             let bb = s.matrix(&b[1], k, n);
             let c = s.gemm(a, bb);
             s.run().expect("session plan");
-            s.fetch(c)
+            s.take(c)
         }
         WorkloadParams::Gemm2 { m, k, n, p } => {
             let a = s.matrix(&b[0], m, k);
@@ -364,7 +365,7 @@ pub fn run_session(
             let d = s.gemm(a, bb);
             let e = s.gemm(d, cc);
             s.run().expect("session plan");
-            s.fetch(e)
+            s.take(e)
         }
         WorkloadParams::Gemm3 { m, k, n, p } => {
             let a = s.matrix(&b[0], m, k);
@@ -375,7 +376,7 @@ pub fn run_session(
             let f = s.gemm(cc, dd);
             let g = s.gemm(e, f);
             s.run().expect("session plan");
-            s.fetch(g)
+            s.take(g)
         }
         WorkloadParams::Conv2d { h, w, c, kh, kw, f } => {
             // conv is rewritten as im2col + GEMM (Figure 5); the host
@@ -386,7 +387,7 @@ pub fn run_session(
             let bb = s.matrix(&b[1], kh * kw * c, f);
             let out = s.gemm(a, bb);
             s.run().expect("session plan");
-            s.fetch(out)
+            s.take(out)
         }
         WorkloadParams::ContractL {
             a,
@@ -402,7 +403,7 @@ pub fn run_session(
             let bt = s.matrix(&b_mat, e * f, c * d);
             let out = s.gemm(at, bt);
             s.run().expect("session plan");
-            reorder_contrl_output(&s.fetch(out), a, bb, c, d)
+            reorder_contrl_output(&s.take(out), a, bb, c, d)
         }
         WorkloadParams::ContractS1 { a, b: bb, c, d } => {
             let a_mat = regroup_contrs1_a(&b[0], a, c, d);
@@ -411,14 +412,14 @@ pub fn run_session(
             let bt = s.matrix(&b_mat, c * d, bb);
             let out = s.gemm(at, bt);
             s.run().expect("session plan");
-            s.fetch(out)
+            s.take(out)
         }
         WorkloadParams::ContractS2 { a, b: bb, c, d } => {
             let at = s.matrix(&b[0], a * c, d);
             let bt = s.matrix(&b[1], d, bb);
             let out = s.gemm(at, bt);
             s.run().expect("session plan");
-            reorder_contrs2_output(&s.fetch(out), a, bb, c)
+            reorder_contrs2_output(&s.take(out), a, bb, c)
         }
         WorkloadParams::Mlp { batch, layers } => {
             // The weight transposes and bias replication are host-side data
@@ -453,14 +454,14 @@ pub fn run_session(
             }
             let _ = x; // the last layer's view feeds no further gemm
             s.run().expect("session plan");
-            s.fetch(out.expect("mlp has layers"))
+            s.take(out.expect("mlp has layers"))
         }
         WorkloadParams::Gemv { rows, cols } => {
             let a = s.matrix(&b[0], rows, cols);
             let x = s.vector(&b[1]);
             let y = s.gemv(a, x);
             s.run().expect("session plan");
-            s.fetch(y)
+            s.take(y)
         }
         WorkloadParams::Vector { .. } => {
             let a = s.vector(&b[0]);
@@ -474,7 +475,7 @@ pub fn run_session(
                     let bb = s.vector(&b[1]);
                     let c = s.elementwise(BinOp::Add, a, bb);
                     s.run().expect("session plan");
-                    s.fetch(c)
+                    s.take(c)
                 }
             }
         }
@@ -482,7 +483,7 @@ pub fn run_session(
             let a = s.vector(&b[0]);
             let sel = s.select(a, threshold);
             s.run().expect("session plan");
-            s.fetch(sel)
+            s.take(sel)
         }
         WorkloadParams::Bfs { vertices, degree } => {
             let f = bfs_fragments(&b[0], &b[1], &b[2], vertices, degree, s.num_dpus());
@@ -498,7 +499,7 @@ pub fn run_session(
                 f.used_dpus,
             );
             s.run().expect("session plan");
-            s.fetch(next)
+            s.take(next)
         }
         WorkloadParams::Histogram {
             bins, max_value, ..
@@ -506,13 +507,13 @@ pub fn run_session(
             let a = s.vector(&b[0]);
             let h = s.histogram(a, bins, max_value);
             s.run().expect("session plan");
-            s.fetch(h)
+            s.take(h)
         }
         WorkloadParams::TimeSeries { window, .. } => {
             let a = s.vector(&b[0]);
             let t = s.time_series(a, window);
             s.run().expect("session plan");
-            s.fetch(t)
+            s.take(t)
         }
     }
 }

@@ -377,7 +377,8 @@ struct Slot {
     /// Device buffers of this slot, keyed by role layout. Kept across
     /// recycling (same-shaped successors reuse the MRAM).
     bufs: Vec<(MramLayout, u32)>,
-    /// Raw gather scratch for decoding (reused across fetches).
+    /// Raw gather of the partial layouts (select, reduce, histogram), which
+    /// decode into `host`; a prefix layout gathers straight into `host`.
     scratch: Vec<i32>,
     /// Run token of the last run that bound this slot — the LRU recency the
     /// eviction policy orders victims by.
@@ -409,12 +410,15 @@ impl Slot {
 
 /// Recycles slot `id`: its handle goes stale and the id returns to the free
 /// list; host storage and device buffers stay attached for the next tenant.
+/// Its recompute recipe dies with it — a free slot, invalid on both sides,
+/// must not look like a dropped tensor to `remat_dependents_of`.
 fn recycle_slot(slots: &mut [Slot], free: &mut VecDeque<u32>, id: u32) {
     let slot = &mut slots[id as usize];
     slot.gen = slot.gen.wrapping_add(1);
     slot.host_valid = false;
     slot.device_valid = false;
     slot.resident = None;
+    slot.recipe = None;
     free.push_back(id);
 }
 
@@ -507,16 +511,10 @@ enum CnmCmd {
         slot: u32,
         resident: Resident,
     },
-    /// Gathers the slot's resident buffer into its scratch (residency-off
-    /// mode gathers every op output, mirroring the eager program).
-    Gather {
-        cslot: u32,
-        slot: u32,
-        buf: u32,
-        chunk: usize,
-    },
-    /// Decodes the slot's scratch into its host copy.
-    Decode { cslot: u32, slot: u32 },
+    /// Gathers and decodes the slot's resident buffer into its host copy
+    /// (residency-off mode does so for every op output, mirroring the eager
+    /// program).
+    Materialize { cslot: u32, slot: u32 },
 }
 
 /// Canonical source of one buffer argument of a compiled kernel spec.
@@ -986,7 +984,6 @@ impl Session {
                 slot.trips = 0;
                 slot.last_use = 0;
                 slot.protected = 0;
-                slot.recipe = None;
                 slot.recipe_gens = [0; 3];
                 id
             }
@@ -1045,21 +1042,26 @@ impl Session {
     pub fn write(&mut self, h: TensorHandle, data: &[i32]) {
         self.check(h);
         assert_eq!(data.len(), h.shape.len(), "write length mismatch");
-        // An evicted dependent would later rematerialize from the *new*
-        // contents: recompute it now, then kill every recipe reading the
-        // rewritten tensor (including this slot's own producer recipe).
-        self.remat_dependents_of(h.id);
-        for s in self.slots.iter_mut() {
-            if s.recipe.is_some_and(|r| r.inputs().contains(&h.id)) {
-                s.recipe = None;
-            }
-        }
+        self.kill_recipes_reading(h.id);
         let slot = &mut self.slots[h.id as usize];
         slot.recipe = None;
         slot.host.clear();
         slot.host.extend_from_slice(data);
         slot.host_valid = true;
         slot.device_valid = false;
+    }
+
+    /// Retires every recompute recipe that reads tensor `id`, whose contents
+    /// are about to change or leave the session. An evicted dependent would
+    /// later rematerialize from the wrong contents, so it is recomputed
+    /// first.
+    fn kill_recipes_reading(&mut self, id: u32) {
+        self.remat_dependents_of(id);
+        for s in self.slots.iter_mut() {
+            if s.recipe.is_some_and(|r| r.inputs().contains(&id)) {
+                s.recipe = None;
+            }
+        }
     }
 
     /// Pins an op output so it survives future runs even when unreferenced.
@@ -1375,12 +1377,6 @@ impl Session {
                     slot,
                     buf,
                     chunk,
-                }
-                | CnmCmd::Gather {
-                    cslot,
-                    slot,
-                    buf,
-                    chunk,
                 } => {
                     *slot = binding[*cslot as usize];
                     *buf = buf_of(*slot, MramLayout::Chunk(*chunk))?;
@@ -1415,7 +1411,7 @@ impl Session {
                     *slot = binding[*cslot as usize];
                     resident.buf = buf_of(*slot, MramLayout::Chunk(resident.gather_chunk))?;
                 }
-                CnmCmd::Decode { cslot, slot } => {
+                CnmCmd::Materialize { cslot, slot } => {
                     *slot = binding[*cslot as usize];
                 }
             }
@@ -2035,14 +2031,9 @@ impl Session {
             // Mirror the eager program: gather and decode every op output
             // immediately.
             let slot = low.binding[out as usize];
-            let cmds = &mut self.compiled[low.idx].cmds;
-            cmds.push(CnmCmd::Gather {
-                cslot: out,
-                slot,
-                buf: out_buf,
-                chunk: geometry.out_chunk,
-            });
-            cmds.push(CnmCmd::Decode { cslot: out, slot });
+            self.compiled[low.idx]
+                .cmds
+                .push(CnmCmd::Materialize { cslot: out, slot });
             low.host[out as usize] = true;
         }
         Ok(())
@@ -2507,27 +2498,17 @@ impl Session {
 
     // -- results ------------------------------------------------------------
 
-    /// Fetches a tensor to the host, materialising it from its device copy
-    /// if needed — **the only point data returns to the host**. For select
-    /// outputs the returned vector has the data-dependent actual length.
-    pub fn fetch(&mut self, h: TensorHandle) -> Vec<i32> {
-        let mut out = Vec::new();
-        self.fetch_into(h, &mut out);
-        out
-    }
-
-    /// The allocation-reusing form of [`Session::fetch`]: the result
-    /// replaces the contents of `out` (a vector reused across fetches of the
-    /// same shape never re-allocates).
-    pub fn fetch_into(&mut self, h: TensorHandle, out: &mut Vec<i32>) {
+    /// Makes the host copy of `h` current — rematerialising a tensor dropped
+    /// under MRAM pressure from its recipe, then gathering the device copy —
+    /// and returns its slot. A host copy that is already current bills
+    /// nothing.
+    fn host_copy(&mut self, h: TensorHandle) -> &mut Slot {
         self.check(h);
         let dpus = self.backend.num_dpus();
-        {
-            let slot = &self.slots[h.id as usize];
-            if !slot.host_valid && !slot.device_valid && slot.recipe.is_some() {
-                // Dropped under MRAM pressure: recompute it from its recipe.
-                self.remat_slot(h.id);
-            }
+        let slot = &self.slots[h.id as usize];
+        if !slot.host_valid && !slot.device_valid && slot.recipe.is_some() {
+            // Dropped under MRAM pressure: recompute it from its recipe.
+            self.remat_slot(h.id);
         }
         let slot = &mut self.slots[h.id as usize];
         if !slot.host_valid {
@@ -2540,28 +2521,54 @@ impl Session {
             materialize_slot(&mut self.backend, slot, dpus)
                 .expect("rescue gather outlived the transient retry budget");
         }
-        out.clear();
-        out.extend_from_slice(&slot.host);
+        slot
+    }
+
+    /// Fetches a tensor to the host, materialising it from its device copy
+    /// if needed — **the only point data returns to the host**. For select
+    /// outputs the returned vector has the data-dependent actual length. The
+    /// session keeps its host copy (a second fetch gathers nothing), so the
+    /// value is copied out; [`take`](Self::take) moves it out instead.
+    pub fn fetch(&mut self, h: TensorHandle) -> Vec<i32> {
+        self.host_copy(h).host.clone()
+    }
+
+    /// The allocation-reusing form of [`Session::fetch`]: the result
+    /// replaces the contents of `out` (a vector reused across fetches of the
+    /// same shape never re-allocates).
+    pub fn fetch_into(&mut self, h: TensorHandle, out: &mut Vec<i32>) {
+        out.clone_from(&self.host_copy(h).host);
+    }
+
+    /// Fetches a tensor and releases it: the session's host vector is moved
+    /// out instead of copied, so a result gathered from the device crosses
+    /// host memory once. The handle (and every reshape of it) goes stale and
+    /// the slot is recycled; recompute recipes reading the tensor die as in
+    /// [`write`](Self::write).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale handle, on a tensor with no valid copy (an output of
+    /// the pending graph included), and when an op of the pending (not yet
+    /// run) graph reads the tensor.
+    pub fn take(&mut self, h: TensorHandle) -> Vec<i32> {
+        self.host_copy(h);
+        assert!(
+            !self.ops.iter().any(|o| o.inputs().contains(&h.id)),
+            "take of a tensor the pending graph reads; run() it first"
+        );
+        self.kill_recipes_reading(h.id);
+        self.live_temps.retain(|&t| t != h.id);
+        self.discarded.retain(|&d| d != h.id);
+        let out = std::mem::take(&mut self.slots[h.id as usize].host);
+        recycle_slot(&mut self.slots, &mut self.free, h.id);
+        out
     }
 
     /// Fetches a scalar tensor (reduction results).
     pub fn fetch_scalar(&mut self, h: TensorHandle) -> i32 {
         assert_eq!(h.shape(), TensorShape::Scalar, "not a scalar tensor");
-        self.check(h);
-        let dpus = self.backend.num_dpus();
-        {
-            let slot = &self.slots[h.id as usize];
-            if !slot.host_valid && !slot.device_valid && slot.recipe.is_some() {
-                self.remat_slot(h.id);
-            }
-        }
-        let slot = &mut self.slots[h.id as usize];
-        if !slot.host_valid {
-            assert!(slot.device_valid, "tensor has no valid copy");
-            materialize_slot(&mut self.backend, slot, dpus)
-                .expect("rescue gather outlived the transient retry budget");
-        }
-        slot.host[0]
+        self.host_copy(h).host[0]
     }
 
     // -- introspection ------------------------------------------------------
@@ -2802,34 +2809,39 @@ fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> Shar
     }
 }
 
-/// Gathers a resident tensor and decodes it into the slot's host copy.
+/// Gathers a resident tensor into the slot's host copy — the one body of
+/// `fetch`/`take`, the segment-boundary step, the residency-off in-run
+/// command and the spill. A [prefix](OutputLayout::is_prefix) layout is
+/// gathered straight into `slot.host` and truncated to the logical length, so
+/// the value is written once; the partial layouts gather into `slot.scratch`
+/// and decode from there. The host copy is stale on entry, so a gather that
+/// fails has clobbered nothing that was valid.
 fn materialize_slot(
     backend: &mut ShardedBackend,
     slot: &mut Slot,
     dpus: usize,
 ) -> Result<(), ShardError> {
     let resident = slot.resident.expect("materialize needs a resident copy");
-    let mut scratch = std::mem::take(&mut slot.scratch);
-    let gathered = backend
-        .upmem_mut()
-        .try_op(|sys| sys.gather_i32_into(resident.buf, resident.gather_chunk, &mut scratch));
-    slot.scratch = scratch;
-    if let Err(e) = gathered {
-        return Err(cnm_failure(backend, "resident gather", e));
-    }
-    decode_slot(slot, dpus);
-    Ok(())
-}
-
-/// Decodes `slot.scratch` (a raw gather of the resident buffer) into the
-/// logical host value by the resident layout's rule.
-fn decode_slot(slot: &mut Slot, dpus: usize) {
-    let resident = slot.resident.expect("decode needs a resident descriptor");
     let len = slot.shape.expect("live slot has a shape").len();
-    resident
-        .layout
-        .decode_into(&slot.scratch, dpus, len, &mut slot.host);
+    let direct = resident.layout.is_prefix();
+    let raw = if direct {
+        &mut slot.host
+    } else {
+        &mut slot.scratch
+    };
+    backend
+        .upmem_mut()
+        .try_op(|sys| sys.gather_i32_into(resident.buf, resident.gather_chunk, raw))
+        .map_err(|e| cnm_failure(backend, "resident gather", e))?;
+    if direct {
+        slot.host.truncate(len);
+    } else {
+        resident
+            .layout
+            .decode_into(&slot.scratch, dpus, len, &mut slot.host);
+    }
     slot.host_valid = true;
+    Ok(())
 }
 
 /// Applies the state effect of one command to its slot (runs in command
@@ -2863,8 +2875,8 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
             s.device_valid = residency;
             s.host_valid = false;
         }
-        CnmCmd::Zero { .. } | CnmCmd::Launch { .. } | CnmCmd::Gather { .. } => {}
-        CnmCmd::Decode { .. } => {} // decode sets host_valid itself
+        // Materialize sets `host_valid` itself.
+        CnmCmd::Zero { .. } | CnmCmd::Launch { .. } | CnmCmd::Materialize { .. } => {}
     }
 }
 
@@ -2913,22 +2925,8 @@ fn run_segment(
                 .upmem_mut()
                 .try_op(|sys| sys.launch(spec))
                 .map(|_| ()),
-            CnmCmd::Gather {
-                slot, buf, chunk, ..
-            } => {
-                let s = &mut slots[*slot as usize];
-                let mut scratch = std::mem::take(&mut s.scratch);
-                let gathered = backend
-                    .upmem_mut()
-                    .try_op(|sys| sys.gather_i32_into(*buf, *chunk, &mut scratch));
-                s.scratch = scratch;
-                gathered.map(|_| ())
-            }
-            CnmCmd::Decode { slot, .. } => {
-                decode_slot(&mut slots[*slot as usize], dpus);
-                if !residency {
-                    slots[*slot as usize].device_valid = false;
-                }
+            CnmCmd::Materialize { slot, .. } => {
+                materialize_slot(backend, &mut slots[*slot as usize], dpus)?;
                 Ok(())
             }
             CnmCmd::SetOutput { .. } => Ok(()),
@@ -3090,6 +3088,67 @@ mod tests {
         assert_eq!(got1, expect1, "rematerialized fetch must be bit-identical");
         assert_eq!(got2, expect2);
         assert!(sess.residency_stats().remat_ops >= 1);
+    }
+
+    #[test]
+    fn taking_a_recipe_input_rematerializes_its_dropped_dependents_first() {
+        // The scenario above, but the source the dropped output would be
+        // recomputed from leaves the session.
+        let len = 256usize;
+        let x_src: Vec<i32> = (0..len).map(|i| (i % 23) as i32 - 11).collect();
+        let mut sess = capped_cnm_session(320);
+        let xt = sess.vector(&x_src);
+        let z1 = sess.elementwise(BinOp::Add, xt, xt);
+        sess.pin(z1);
+        sess.run().unwrap();
+        let z2 = sess.elementwise(BinOp::Mul, xt, xt);
+        sess.pin(z2);
+        sess.run().unwrap();
+        assert!(sess.residency_stats().remat_drops >= 1);
+        let before = sess.residency_stats().remat_ops;
+        assert_eq!(sess.take(xt), x_src);
+        assert!(sess.residency_stats().remat_ops > before);
+        let expect1: Vec<i32> = x_src.iter().map(|&e| e + e).collect();
+        assert_eq!(sess.take(z1), expect1);
+        // The freed slots serve the next tensors.
+        let y = sess.vector(&[7; 4]);
+        assert_eq!(sess.fetch(y), vec![7; 4]);
+    }
+
+    #[test]
+    fn a_recycled_slot_keeps_no_recipe_for_a_later_write_to_rematerialize() {
+        // `write(x); z = op(x, w); run(); take(z)` in a loop: the slot `take`
+        // frees must not answer the next `write(x)` as a dropped dependent.
+        let len = 256usize;
+        let w_src: Vec<i32> = (0..len).map(|i| (i % 13) as i32 - 6).collect();
+        let rounds = |take: bool| {
+            let mut sess = cnm_session(true);
+            let x = sess.vector(&vec![0; len]);
+            let w = sess.vector(&w_src);
+            let mut outs = Vec::new();
+            for round in 0..3 {
+                let x_src: Vec<i32> = (0..len).map(|i| (i % 11) as i32 - round).collect();
+                sess.write(x, &x_src);
+                let z = sess.elementwise(BinOp::Add, x, w);
+                sess.run().unwrap();
+                let got = if take { sess.take(z) } else { sess.fetch(z) };
+                let expect: Vec<i32> = x_src.iter().zip(&w_src).map(|(a, b)| a + b).collect();
+                assert_eq!(got, expect, "round {round} take={take}");
+                outs.push(got);
+            }
+            assert_eq!(sess.residency_stats().remat_ops, 0, "take={take}");
+            (outs, *sess.upmem_stats())
+        };
+        assert_eq!(rounds(true), rounds(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "the pending graph reads")]
+    fn taking_an_input_of_the_pending_graph_panics() {
+        let mut sess = cnm_session(true);
+        let a = sess.vector(&[1, 2, 3]);
+        let _sum = sess.elementwise(BinOp::Add, a, a);
+        sess.take(a);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //!   functionally zeroed (untimed, exactly like a fresh `alloc_buffer`), so
 //!   results, gathered bytes and simulated statistics are **bit-identical**
 //!   to allocating per op — and per-DPU MRAM no longer grows with every op.
-//! * [`CimBackend`] caches the B-tile decomposition (traversal order and
-//!   parallel grouping) keyed by the stationary operand's shape, and stages
-//!   all weight blocks and input rows of a command stream in a reusable
-//!   arena; the recorded [`XbarCommand`]s *borrow* their payloads from that
-//!   arena instead of owning freshly allocated vectors.
+//! * [`CimBackend`] caches the B-tile decomposition (traversal order,
+//!   crossbar slots and parallel grouping) keyed by the stationary operand's
+//!   shape, and stages the weight blocks of a command stream in a reusable
+//!   arena. The recorded [`XbarCommand`]s *borrow* their payloads — weight
+//!   blocks from that arena, MVM input rows in place from `A` — and the MVMs
+//!   accumulate straight into `C`: nothing is allocated per MVM.
 //!
 //! Contexts never change what is simulated — only host-side allocation and
 //! copying. `tests/properties.rs` asserts reused-context streams of ops
@@ -38,7 +39,7 @@ use std::collections::HashMap;
 use cinm_runtime::{CommandStream, FaultStats, PoolHandle, RetryPolicy};
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::{
-    CimError, CimStats, CrossbarAccelerator, CrossbarConfig, XbarCommand, XbarOutput,
+    BandTile, CimError, CimStats, CrossbarAccelerator, CrossbarConfig, XbarCommand,
 };
 use upmem_sim::{
     BinOp, Command, CommandOutput, DpuKernelKind, KernelSpec, SimError, SystemStats, UpmemConfig,
@@ -455,7 +456,8 @@ impl UpmemBackend {
     /// are retried internally (see [`try_sync`](Self::try_sync)); permanent
     /// faults, exhausted retry budgets and a full MRAM surface as errors
     /// with nothing partially applied (each op is one transactional stream
-    /// sync).
+    /// sync). An empty product (`m == 0`) is returned without touching the
+    /// device.
     ///
     /// # Errors
     ///
@@ -471,6 +473,9 @@ impl UpmemBackend {
     ) -> Result<Vec<i32>, SimError> {
         assert_eq!(a.len(), m * k, "lhs shape mismatch");
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
+        if m == 0 {
+            return Ok(Vec::new());
+        }
         self.run_op(CnmOp::Gemm { m, k, n }, &[a, b])
     }
 
@@ -714,209 +719,48 @@ impl CimRunStats {
     }
 }
 
-/// Where the result of one issued MVM lands in the output matrix: partials
-/// of row `row` accumulate into columns `[col, col + cols)`.
-#[derive(Debug, Clone, Copy)]
-struct MergeTarget {
-    row: usize,
-    col: usize,
-    cols: usize,
-}
-
-/// Bookkeeping for one enqueued crossbar command, used to merge the stream
-/// outputs into the output matrix (`cinm.mergePartial`).
-#[derive(Debug, Clone)]
-enum Issued {
-    Write,
-    Mvm(MergeTarget),
-    Group(Vec<MergeTarget>),
-}
-
-/// Accumulates one MVM result vector into its output-band target.
-fn merge_one(c: &mut [i32], n: usize, target: &MergeTarget, result: &[i32]) {
-    for cc in 0..target.cols {
-        let dst = &mut c[target.row * n + (target.col + cc)];
-        *dst = dst.wrapping_add(result[cc]);
-    }
-}
-
-/// Merges the outputs of a synced crossbar stream into the output matrix.
-fn merge_outputs(outputs: &[XbarOutput], issued: &[Issued], c: &mut [i32], n: usize) {
-    debug_assert_eq!(outputs.len(), issued.len());
-    for (out, iss) in outputs.iter().zip(issued) {
-        match (out, iss) {
-            (XbarOutput::Written, Issued::Write) => {}
-            (XbarOutput::Mvm(result), Issued::Mvm(target)) => merge_one(c, n, target, result),
-            (XbarOutput::MvmGroup(results), Issued::Group(targets)) => {
-                for (result, target) in results.iter().zip(targets) {
-                    merge_one(c, n, target, result);
-                }
-            }
-            _ => unreachable!("command/output kinds always correspond"),
-        }
-    }
-}
-
 /// Cached B-tile decomposition of one stationary-operand shape: the tile
-/// traversal order (interchanged under `cim-min-writes`) and the number of
+/// traversal order (interchanged under `cim-min-writes`), each tile already
+/// bound to the crossbar slot its batch programs it into, and the number of
 /// tiles per parallel batch. Both depend only on `(k, n)` and the fixed
 /// backend options, so the plan is computed once per shape and reused by
-/// every repeated op.
+/// every repeated op; a batch is a `group`-sized chunk of `tiles`, which the
+/// recorded [`XbarCommand::MvmBand`]s borrow as is.
 #[derive(Debug, Clone)]
 struct TilePlan {
-    tiles: Vec<crate::tiling::Tile>,
+    tiles: Vec<BandTile>,
     group: usize,
 }
 
-/// Stages the weight block of each tile of `batch` (row-major
-/// `rows × cols`, read out of the stationary operand `b`) into the arena,
-/// recording one span per tile.
-fn stage_program(
-    arena: &mut Vec<i32>,
-    spans: &mut Vec<(usize, usize)>,
-    batch: &[crate::tiling::Tile],
-    b: &[i32],
-    n: usize,
-) {
-    for t in batch {
-        let start = arena.len();
-        for r in 0..t.rows {
-            let row = (t.row + r) * n + t.col;
-            arena.extend_from_slice(&b[row..row + t.cols]);
-        }
-        spans.push((start, arena.len()));
-    }
-}
-
-/// Whether a band's MVMs are issued as one grouped command per input row
-/// (`cim-parallel` across several tiles) instead of individual MVMs. The
-/// single source of truth for the branch taken by **both** [`stage_band`]
-/// and [`enqueue_band`] — the two passes must visit requests in the same
-/// order for the span-to-command binding to hold.
-fn band_is_grouped(batch_len: usize, parallel: bool) -> bool {
-    parallel && batch_len > 1
-}
-
-/// Stages the MVM input rows of one output row band against `batch` into
-/// the arena, in exactly the order [`enqueue_band`] consumes them (row-major
-/// across tiles when [`band_is_grouped`], tile-major otherwise).
-#[allow(clippy::too_many_arguments)]
-fn stage_band(
-    arena: &mut Vec<i32>,
-    spans: &mut Vec<(usize, usize)>,
-    batch: &[crate::tiling::Tile],
-    a: &[i32],
-    band: usize,
-    tile: usize,
-    m: usize,
-    k: usize,
-    parallel: bool,
-) {
-    let row0 = band * tile;
-    let rows = tile.min(m - row0);
-    let mut stage = |r: usize, t: &crate::tiling::Tile| {
-        let start = arena.len();
-        let base = (row0 + r) * k + t.row;
-        arena.extend_from_slice(&a[base..base + t.rows]);
-        spans.push((start, arena.len()));
-    };
-    if band_is_grouped(batch.len(), parallel) {
-        for r in 0..rows {
-            for t in batch {
-                stage(r, t);
-            }
-        }
-    } else {
-        for t in batch {
-            for r in 0..rows {
-                stage(r, t);
-            }
-        }
-    }
-}
-
-/// Enqueues the programming commands of a tile batch (one
-/// [`XbarCommand::WriteTile`] per crossbar slot), borrowing each weight
-/// block from the staging arena via its next span.
+/// Records the programming commands of a tile batch (one
+/// [`XbarCommand::WriteTile`] per crossbar slot). Each weight block
+/// (row-major `rows × cols`, read out of the stationary operand `b`) is a
+/// span of the staging arena, in batch order from `*cursor` on.
 fn enqueue_program<'a>(
     stream: &mut CommandStream<XbarCommand<'a>>,
-    issued: &mut Vec<Issued>,
     arena: &'a [i32],
-    spans: &[(usize, usize)],
     cursor: &mut usize,
-    batch: &[crate::tiling::Tile],
+    batch: &[BandTile],
 ) {
-    for (slot, t) in batch.iter().enumerate() {
-        let (start, end) = spans[*cursor];
-        *cursor += 1;
+    for t in batch {
+        let len = t.rows * t.cols;
         stream.enqueue(XbarCommand::WriteTile {
-            tile: slot,
-            weights: Cow::Borrowed(&arena[start..end]),
+            tile: t.tile,
+            weights: Cow::Borrowed(&arena[*cursor..*cursor + len]),
             rows: t.rows,
             cols: t.cols,
         });
-        issued.push(Issued::Write);
+        *cursor += len;
     }
 }
 
-/// Enqueues the MVMs of one output row band against a programmed batch: one
-/// [`XbarCommand::MvmGroup`] per input row under `cim-parallel` (single-MVM
-/// latency across the batch), individual [`XbarCommand::Mvm`]s otherwise.
-/// Inputs are borrowed from the staging arena in [`stage_band`] order.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_band<'a>(
-    stream: &mut CommandStream<XbarCommand<'a>>,
-    issued: &mut Vec<Issued>,
-    arena: &'a [i32],
-    spans: &[(usize, usize)],
-    cursor: &mut usize,
-    batch: &[crate::tiling::Tile],
-    band: usize,
-    tile: usize,
-    m: usize,
-    parallel: bool,
-) {
-    let row0 = band * tile;
-    let rows = tile.min(m - row0);
-    if band_is_grouped(batch.len(), parallel) {
-        // Issue one input row at a time across all tiles in parallel.
-        for r in 0..rows {
-            let requests: Vec<(usize, Cow<'a, [i32]>)> = batch
-                .iter()
-                .enumerate()
-                .map(|(slot, _)| {
-                    let (start, end) = spans[*cursor];
-                    *cursor += 1;
-                    (slot, Cow::Borrowed(&arena[start..end]))
-                })
-                .collect();
-            stream.enqueue(XbarCommand::MvmGroup { requests });
-            issued.push(Issued::Group(
-                batch
-                    .iter()
-                    .map(|t| MergeTarget {
-                        row: row0 + r,
-                        col: t.col,
-                        cols: t.cols,
-                    })
-                    .collect(),
-            ));
-        }
-    } else {
-        for (slot, t) in batch.iter().enumerate() {
-            for r in 0..rows {
-                let (start, end) = spans[*cursor];
-                *cursor += 1;
-                stream.enqueue(XbarCommand::Mvm {
-                    tile: slot,
-                    input: Cow::Borrowed(&arena[start..end]),
-                });
-                issued.push(Issued::Mvm(MergeTarget {
-                    row: row0 + r,
-                    col: t.col,
-                    cols: t.cols,
-                }));
-            }
+/// Stages the weight block of each tile of `batch` into the arena, in the
+/// order [`enqueue_program`] reads them back.
+fn stage_program(arena: &mut Vec<i32>, batch: &[BandTile], b: &[i32], n: usize) {
+    for t in batch {
+        for r in 0..t.rows {
+            let row = (t.row + r) * n + t.col;
+            arena.extend_from_slice(&b[row..row + t.cols]);
         }
     }
 }
@@ -934,15 +778,12 @@ pub struct CimBackend {
     /// Cached B-tile decompositions keyed by the stationary operand shape
     /// `(k, n)` (see [`TilePlan`]).
     tile_plans: HashMap<(usize, usize), TilePlan>,
-    /// Staging arena for weight blocks and MVM input rows: the recorded
-    /// stream commands borrow slices of this arena, so steady-state ops
-    /// stop allocating (and copying into) one fresh `Vec` per command.
+    /// Staging arena for the weight blocks of one recorded batch (they are
+    /// strided in `B`; a tile write takes them contiguous): the recorded
+    /// writes borrow slices of it, so steady-state ops stop allocating one
+    /// fresh `Vec` per tile. MVM input rows are contiguous in `A` and are
+    /// borrowed from there.
     arena: Vec<i32>,
-    /// Reusable span bookkeeping of the arena (one `(start, end)` per staged
-    /// payload, consumed in staging order by the enqueue pass).
-    spans: Vec<(usize, usize)>,
-    /// Reusable bookkeeping of enqueued commands for partial-result merging.
-    issued: Vec<Issued>,
     /// Retry policy for transient injected faults on stream syncs.
     retry: RetryPolicy,
     /// Fault-tolerance counters, separate from the simulated statistics.
@@ -973,31 +814,40 @@ impl CimBackend {
             command_overhead_s: 50.0e-9,
             tile_plans: HashMap::new(),
             arena: Vec::new(),
-            spans: Vec::new(),
-            issued: Vec::new(),
             retry: RetryPolicy::default(),
             fault_stats: FaultStats::default(),
         }
     }
 
-    /// Runs a recorded crossbar command stream with transient injected
-    /// faults retried under the backend's [`RetryPolicy`]. The crossbar sync
-    /// is transactional under faults (nothing is applied, the program stays
-    /// in the stream), so resubmission is safe and bit-identical. Retries
-    /// and simulated backoff accumulate in [`fault_stats`](Self::fault_stats).
+    /// Issues a recorded crossbar command stream — its MVM bands accumulate
+    /// into the output matrix `c` — with transient injected faults retried
+    /// under the backend's [`RetryPolicy`]. The crossbar sync is
+    /// transactional under faults (nothing is applied, the program stays in
+    /// the stream), so resubmission is safe and bit-identical. Retries and
+    /// simulated backoff accumulate in [`fault_stats`](Self::fault_stats).
+    ///
+    /// The host issue overhead of every device command the batch stands for
+    /// ([`XbarCommand::issues`]) is charged first, once and one command at a
+    /// time — the same f64 accumulation sequence as charging during enqueue,
+    /// so statistics stay bit-identical to the eager order.
     ///
     /// # Errors
     ///
     /// A permanent device fault (e.g. stuck-at tiles), a transient fault that
     /// outlived the retry budget, or an invalid program.
-    pub fn try_sync(
+    fn try_sync(
         &mut self,
         stream: &mut CommandStream<XbarCommand<'_>>,
-    ) -> Result<Vec<XbarOutput>, CimError> {
+        c: &mut [i32],
+    ) -> Result<(), CimError> {
+        let issues: usize = stream.commands().iter().map(XbarCommand::issues).sum();
+        for _ in 0..issues {
+            self.charge_command(1);
+        }
         let retry = self.retry;
         let (result, log) = retry.run(
             |e: &CimError| e.is_transient_fault(),
-            || self.xbar.sync(stream),
+            || self.xbar.sync(stream, c),
         );
         self.fault_stats.absorb(&log);
         if let Err(e) = &result {
@@ -1035,7 +885,7 @@ impl CimBackend {
         }
         let tile = self.xbar.config().tile_rows;
         let b_tiles = tile_2d(k, n, TileShape::Box { tile });
-        let tiles = if self.options.min_writes {
+        let order = if self.options.min_writes {
             interchange(&b_tiles)
         } else {
             b_tiles
@@ -1045,6 +895,18 @@ impl CimBackend {
         } else {
             1
         };
+        // Batch `i / group` programs its tiles into slots `0..group`.
+        let tiles = order
+            .iter()
+            .enumerate()
+            .map(|(i, t)| BandTile {
+                tile: i % group,
+                row: t.row,
+                rows: t.rows,
+                col: t.col,
+                cols: t.cols,
+            })
+            .collect();
         TilePlan { tiles, group }
     }
 
@@ -1060,15 +922,6 @@ impl CimBackend {
     /// The crossbar configuration driving this backend.
     pub fn crossbar_config(&self) -> &CrossbarConfig {
         self.xbar.config()
-    }
-
-    /// Charges the host issue overhead of `count` device commands, one
-    /// command at a time — the same f64 accumulation sequence as charging
-    /// during enqueue, so statistics stay bit-identical to the eager order.
-    fn charge_commands(&mut self, count: usize) {
-        for _ in 0..count {
-            self.charge_command(1);
-        }
     }
 
     /// Accumulated run statistics.
@@ -1120,11 +973,13 @@ impl CimBackend {
     /// sync is retried in place (results and simulated statistics stay
     /// bit-identical to a fault-free run), while a permanent fault — e.g. a
     /// stuck-at tile — aborts the op so the caller can re-plan around the
+    /// device. An empty product (`m == 0`) is returned without touching the
     /// device.
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// A permanent device fault (e.g. stuck-at tiles), a transient fault that
+    /// outlived the retry budget, or an invalid program.
     pub fn try_gemm(
         &mut self,
         a: &[i32],
@@ -1135,6 +990,9 @@ impl CimBackend {
     ) -> Result<Vec<i32>, CimError> {
         assert_eq!(a.len(), m * k, "lhs shape mismatch");
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
+        if m == 0 {
+            return Ok(Vec::new());
+        }
         let tile = self.xbar.config().tile_rows;
         let parallel = self.options.parallel_tiles;
         let mut c = vec![0i32; m * n];
@@ -1144,111 +1002,69 @@ impl CimBackend {
         // rows. Batches borrow chunks of the plan's tile order — no per-op
         // copies of the decomposition.
         let plan = self.take_tile_plan(k, n);
-        let row_bands = m.div_ceil(tile).max(1);
         let mut arena = std::mem::take(&mut self.arena);
-        let mut spans = std::mem::take(&mut self.spans);
-        let mut issued = std::mem::take(&mut self.issued);
-        // On a permanent fault the loop stops here and the error is returned
-        // only after the scratch state has been put back, so a failed op
-        // leaves the backend reusable.
-        let mut failure: Option<CimError> = None;
+        // One band of output rows against a programmed batch: a single
+        // command, whose MVMs read their input rows in place from `a` and
+        // accumulate into `c` (`cinm.mergePartial`) when the batch is synced.
+        // A batch of several tiles under `cim-parallel` issues each row on
+        // all of them at once (single-MVM latency).
+        let band_of = |batch, row0: usize| XbarCommand::MvmBand {
+            a,
+            k,
+            n,
+            row0,
+            rows: tile.min(m - row0),
+            tiles: batch,
+            parallel: parallel && <[BandTile]>::len(batch) > 1,
+        };
+        let bands = m.div_ceil(tile);
 
         // The generated host program is one recorded batch per outer step:
         // tile programming, then the MVMs that consume it, applied in that
-        // order as one transactional sync. Each batch is built in two passes
-        // — stage every payload into the arena, then enqueue commands
-        // borrowing arena slices — because recording borrows the arena
-        // immutably.
+        // order as one transactional sync. The weight blocks of a batch are
+        // staged before any command is recorded, because recording borrows
+        // the arena immutably. On a permanent fault the loop stops and the
+        // error is returned only after the scratch state has been put back,
+        // so a failed op leaves the backend reusable.
+        let mut outcome = Ok(());
         if self.options.min_writes {
             // Tile-stationary order: program each batch once and reuse it for
             // every output row band (the loop interchange of Section 3.2.4).
             for batch in plan.tiles.chunks(plan.group) {
                 arena.clear();
-                spans.clear();
-                issued.clear();
-                stage_program(&mut arena, &mut spans, batch, b, n);
-                for band in 0..row_bands {
-                    stage_band(&mut arena, &mut spans, batch, a, band, tile, m, k, parallel);
+                stage_program(&mut arena, batch, b, n);
+                let mut stream = CommandStream::with_capacity(batch.len() + bands);
+                enqueue_program(&mut stream, &arena, &mut 0, batch);
+                for row0 in (0..m).step_by(tile) {
+                    stream.enqueue(band_of(batch, row0));
                 }
-                let mut stream = CommandStream::new();
-                let mut cursor = 0usize;
-                enqueue_program(&mut stream, &mut issued, &arena, &spans, &mut cursor, batch);
-                for band in 0..row_bands {
-                    enqueue_band(
-                        &mut stream,
-                        &mut issued,
-                        &arena,
-                        &spans,
-                        &mut cursor,
-                        batch,
-                        band,
-                        tile,
-                        m,
-                        parallel,
-                    );
-                }
-                // Hard check (also in release): every staged span must have
-                // been bound to exactly one command, or the two-pass
-                // protocol drifted.
-                assert_eq!(cursor, spans.len(), "stage/enqueue span mismatch");
-                self.charge_commands(issued.len());
-                match self.try_sync(&mut stream) {
-                    Ok(outputs) => merge_outputs(&outputs, &issued, &mut c, n),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+                outcome = self.try_sync(&mut stream, &mut c);
+                if outcome.is_err() {
+                    break;
                 }
             }
         } else {
             // Naive order: for every output row band, walk (and re-program)
             // all B tiles.
-            for band in 0..row_bands {
-                arena.clear();
-                spans.clear();
-                issued.clear();
+            arena.clear();
+            stage_program(&mut arena, &plan.tiles, b, n);
+            let batches = plan.tiles.len().div_ceil(plan.group);
+            for row0 in (0..m).step_by(tile) {
+                let mut stream = CommandStream::with_capacity(plan.tiles.len() + batches);
+                let mut cursor = 0;
                 for batch in plan.tiles.chunks(plan.group) {
-                    stage_program(&mut arena, &mut spans, batch, b, n);
-                    stage_band(&mut arena, &mut spans, batch, a, band, tile, m, k, parallel);
+                    enqueue_program(&mut stream, &arena, &mut cursor, batch);
+                    stream.enqueue(band_of(batch, row0));
                 }
-                let mut stream = CommandStream::new();
-                let mut cursor = 0usize;
-                for batch in plan.tiles.chunks(plan.group) {
-                    enqueue_program(&mut stream, &mut issued, &arena, &spans, &mut cursor, batch);
-                    enqueue_band(
-                        &mut stream,
-                        &mut issued,
-                        &arena,
-                        &spans,
-                        &mut cursor,
-                        batch,
-                        band,
-                        tile,
-                        m,
-                        parallel,
-                    );
-                }
-                // Hard check (also in release): every staged span must have
-                // been bound to exactly one command, or the two-pass
-                // protocol drifted.
-                assert_eq!(cursor, spans.len(), "stage/enqueue span mismatch");
-                self.charge_commands(issued.len());
-                match self.try_sync(&mut stream) {
-                    Ok(outputs) => merge_outputs(&outputs, &issued, &mut c, n),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+                outcome = self.try_sync(&mut stream, &mut c);
+                if outcome.is_err() {
+                    break;
                 }
             }
         }
         self.arena = arena;
-        self.spans = spans;
-        self.issued = issued;
         self.restore_tile_plan(k, n, plan);
-        if let Some(e) = failure {
-            return Err(e);
-        }
+        outcome?;
         // Partial-result merging happens in the column periphery /
         // mergePartial units; charge a small host pass over the output.
         self.host_fallback(OpCounts {
@@ -1269,7 +1085,7 @@ impl CimBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync).
+    /// See [`try_gemm`](Self::try_gemm).
     pub fn try_gemv(
         &mut self,
         a: &[i32],
@@ -1469,6 +1285,17 @@ mod tests {
             fresh.gemm(&a, &b, m, k, n);
             assert_eq!(reused.stats(), fresh.stats());
         }
+    }
+
+    #[test]
+    fn empty_products_return_before_touching_a_device() {
+        let b = vec![1i32; 64 * 64];
+        let mut cim = CimBackend::new(CimRunOptions::optimized());
+        assert!(cim.gemm(&[], &b, 0, 64, 64).is_empty());
+        assert_eq!(cim.stats(), CimRunStats::default());
+        let mut upmem = small_upmem(1, UpmemRunOptions::default());
+        assert!(upmem.gemm(&[], &b, 0, 64, 64).is_empty());
+        assert_eq!(*upmem.stats(), SystemStats::default());
     }
 
     #[test]

@@ -144,17 +144,34 @@ pub enum OutputLayout {
 }
 
 impl OutputLayout {
-    /// Decodes `raw` (a gather of every DPU's output chunk on a grid of
-    /// `dpus`) into the logical value, replacing the contents of `out`.
-    /// `len` is the logical element count, which the layouts that decode to
-    /// a prefix of the gather (chunked, replicated, profiles) need; the
-    /// partial layouts carry their own lengths.
-    pub fn decode_into(self, raw: &[i32], dpus: usize, len: usize, out: &mut Vec<i32>) {
-        out.clear();
+    /// Whether the logical value is a prefix of the raw gather (chunked,
+    /// replicated, profiles): decoding is then a truncation, so a gather
+    /// written straight into its destination needs no second buffer. The one
+    /// statement of the rule — [`decode_into`](Self::decode_into), the owned
+    /// `decode` and the session's direct gather all ask it.
+    pub fn is_prefix(self) -> bool {
         match self {
             OutputLayout::Chunked | OutputLayout::Replicated | OutputLayout::Profiles { .. } => {
-                out.extend_from_slice(&raw[..len]);
+                true
             }
+            OutputLayout::SelectRaw { .. }
+            | OutputLayout::ReducePartials { .. }
+            | OutputLayout::HistPartials { .. } => false,
+        }
+    }
+
+    /// Decodes `raw` (a gather of every DPU's output chunk on a grid of
+    /// `dpus`) into the logical value, replacing the contents of `out`.
+    /// `len` is the logical element count, which the
+    /// [prefix](Self::is_prefix) layouts need; the partial layouts carry
+    /// their own lengths.
+    pub fn decode_into(self, raw: &[i32], dpus: usize, len: usize, out: &mut Vec<i32>) {
+        out.clear();
+        if self.is_prefix() {
+            out.extend_from_slice(&raw[..len]);
+            return;
+        }
+        match self {
             OutputLayout::SelectRaw {
                 threshold,
                 len,
@@ -166,24 +183,21 @@ impl OutputLayout {
             OutputLayout::HistPartials { bins, len, chunk } => {
                 merge_histogram_partials_into(raw, bins, len, chunk, dpus, out);
             }
+            _ => unreachable!("prefix layouts returned above"),
         }
     }
 
-    /// [`decode_into`](Self::decode_into) for an owned gather: layouts whose
-    /// logical value is a prefix of the gather truncate in place instead of
+    /// [`decode_into`](Self::decode_into) for an owned gather: a
+    /// [prefix](Self::is_prefix) layout truncates in place instead of
     /// copying.
     pub(crate) fn decode(self, mut raw: Vec<i32>, dpus: usize, len: usize) -> Vec<i32> {
-        match self {
-            OutputLayout::Chunked | OutputLayout::Replicated | OutputLayout::Profiles { .. } => {
-                raw.truncate(len);
-                raw
-            }
-            _ => {
-                let mut out = Vec::new();
-                self.decode_into(&raw, dpus, len, &mut out);
-                out
-            }
+        if self.is_prefix() {
+            raw.truncate(len);
+            return raw;
         }
+        let mut out = Vec::new();
+        self.decode_into(&raw, dpus, len, &mut out);
+        out
     }
 }
 

@@ -842,7 +842,7 @@ impl ShardedBackend {
             lo = hi;
             shard
         });
-        let mut parts = self.dispatch(split, shards)?;
+        let parts = self.dispatch(split, shards)?;
         Ok(match op {
             CnmOp::Reduce { op, .. } => {
                 let partials = parts.iter().flatten();
@@ -855,11 +855,20 @@ impl ShardedBackend {
                 }
                 merged
             }
-            // A device that took all the work holds the whole result.
-            _ => match ShardDevice::ALL.iter().find(|d| split.get(**d) == total) {
-                Some(whole) => std::mem::take(&mut parts[whole.index()]),
-                None => parts.concat(),
-            },
+            // The shards are contiguous work ranges in device order: the
+            // later ones are appended onto the first non-empty part, so a
+            // device that took all the work hands its result through
+            // untouched and nothing is copied into a fresh vector.
+            _ => {
+                let len: usize = parts.iter().map(Vec::len).sum();
+                let mut rest = parts.into_iter().skip_while(Vec::is_empty);
+                let mut out = rest.next().unwrap_or_default();
+                out.reserve_exact(len - out.len());
+                for part in rest {
+                    out.extend_from_slice(&part);
+                }
+                out
+            }
         })
     }
 

@@ -49,6 +49,14 @@ impl<C> CommandStream<C> {
         }
     }
 
+    /// Creates an empty stream with room for `commands` commands, so
+    /// recording a batch of known size allocates once.
+    pub fn with_capacity(commands: usize) -> Self {
+        CommandStream {
+            commands: Vec::with_capacity(commands),
+        }
+    }
+
     /// Records a command, returning its index (the position of its output in
     /// the `sync` result).
     pub fn enqueue(&mut self, command: C) -> usize {

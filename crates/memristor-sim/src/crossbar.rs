@@ -3,6 +3,7 @@
 use cinm_runtime::{FaultInjector, FaultKind};
 
 use crate::config::CrossbarConfig;
+use crate::stream::BandTile;
 
 /// Programs a validated `rows × cols` weight matrix: zero-padded to the full
 /// tile geometry (padding cells are still programmed, as on a real array
@@ -20,25 +21,33 @@ fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usi
     }
 }
 
-/// The analog MVM on an already-validated programmed tile, written into
-/// caller scratch: `out[..tile_cols] = x × W`. Only the columns the tile was
-/// programmed with are multiplied; the padded ones hold zero weights, so
-/// their outputs are the zeros written first. This is the single functional
-/// core every MVM path (eager, batched, synced) funnels through, so results
-/// cannot diverge.
-fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
+/// The analog MVM on an already-validated programmed tile, accumulated into
+/// the caller's output: `out += x × W` (wrapping) over the leading columns of
+/// the tile that `out` covers. Only the columns the tile was programmed with
+/// are multiplied; the padded ones hold zero weights and add nothing. This is
+/// the single functional core every MVM path (eager, batched, synced)
+/// funnels through, so results cannot diverge.
+fn mvm_accumulate(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
     let weights = tile.weights.as_deref().expect("validated");
-    out[..tile_cols].fill(0);
-    let out = &mut out[..tile.cols];
+    let live = tile.cols.min(out.len());
+    let out = &mut out[..live];
     for (r, &x) in input.iter().enumerate() {
         if x == 0 {
             continue;
         }
-        let w_row = &weights[r * tile_cols..r * tile_cols + tile.cols];
+        let w_row = &weights[r * tile_cols..r * tile_cols + live];
         for (slot, &w) in out.iter_mut().zip(w_row) {
             *slot = slot.wrapping_add(x.wrapping_mul(w));
         }
     }
+}
+
+/// The analog MVM written into caller scratch: `out[..tile_cols] = x × W`
+/// ([`mvm_accumulate`] onto zeros).
+fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
+    let out = &mut out[..tile_cols];
+    out.fill(0);
+    mvm_accumulate(tile, input, tile_cols, out);
 }
 
 /// The analog MVM on an already-validated programmed tile:
@@ -385,15 +394,9 @@ impl CrossbarAccelerator {
     pub fn mvm(&mut self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
         self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
-        Ok(self.apply_mvm(tile, input))
-    }
-
-    /// The MVM itself (validated, past its fault draw), shared with
-    /// [`sync`](Self::sync).
-    pub(crate) fn apply_mvm(&mut self, tile: usize, input: &[i32]) -> Vec<i32> {
         let result = mvm_on_weights(&self.tiles[tile], input, self.config.tile_cols);
         self.account_mvm(1);
-        result
+        Ok(result)
     }
 
     /// Issues one analog MVM writing the result into caller scratch:
@@ -440,28 +443,60 @@ impl CrossbarAccelerator {
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
         }
-        Ok(self.apply_mvm_parallel(requests))
-    }
-
-    /// The parallel MVM batch itself (validated, past its fault draw), shared
-    /// with [`sync`](Self::sync), whose recorded requests own or borrow their
-    /// inputs — hence the `AsRef`.
-    pub(crate) fn apply_mvm_parallel<I: AsRef<[i32]> + Sync>(
-        &mut self,
-        requests: &[(usize, I)],
-    ) -> Vec<Vec<i32>> {
         let mut results: Vec<Vec<i32>> = vec![Vec::new(); requests.len()];
         let (config, tiles) = (&self.config, &self.tiles);
         config
             .pool
             .for_each_chunk_mut(config.host_threads, &mut results, 1, |i, slot| {
-                let (tile, input) = &requests[i];
-                slot[0] = mvm_on_weights(&tiles[*tile], input.as_ref(), config.tile_cols);
+                let (tile, input) = requests[i];
+                slot[0] = mvm_on_weights(&tiles[tile], input, config.tile_cols);
             });
         if !requests.is_empty() {
             self.account_parallel_mvm(requests.len());
         }
-        results
+        Ok(results)
+    }
+
+    /// The MVMs of one [`MvmBand`](crate::XbarCommand::MvmBand) (validated,
+    /// past their fault draws), run by [`sync`](Self::sync): each of the
+    /// `rows` rows of `a` (`k` columns) times every tile of `tiles`,
+    /// accumulated in place into the same row of `band` (`n` columns) — rows
+    /// are data-parallel across host threads — then accounted row by row
+    /// exactly as the eager calls would: one
+    /// [`mvm_parallel`](Self::mvm_parallel) issue per row when `parallel`,
+    /// one [`mvm`](Self::mvm) per tile and row otherwise.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn apply_mvm_band(
+        &mut self,
+        a: &[i32],
+        k: usize,
+        band: &mut [i32],
+        n: usize,
+        rows: usize,
+        tiles: &[BandTile],
+        parallel: bool,
+    ) {
+        let (config, programmed) = (&self.config, &self.tiles);
+        config
+            .pool
+            .for_each_chunk_mut(config.host_threads, band, n, |r, c_row| {
+                let a_row = &a[r * k..(r + 1) * k];
+                for t in tiles {
+                    mvm_accumulate(
+                        &programmed[t.tile],
+                        &a_row[t.row..t.row + t.rows],
+                        config.tile_cols,
+                        &mut c_row[t.col..t.col + t.cols],
+                    );
+                }
+            });
+        for _ in 0..rows {
+            if !parallel {
+                tiles.iter().for_each(|_| self.account_mvm(1));
+            } else if !tiles.is_empty() {
+                self.account_parallel_mvm(tiles.len());
+            }
+        }
     }
 
     /// The allocation-free form of [`mvm_parallel`](Self::mvm_parallel):

@@ -41,7 +41,7 @@ pub use cinm_runtime::{
 
 pub use config::CrossbarConfig;
 pub use crossbar::{CimError, CimResult, CimStats, CrossbarAccelerator};
-pub use stream::{XbarCommand, XbarOutput};
+pub use stream::{BandTile, XbarCommand};
 
 #[cfg(test)]
 mod tests {

@@ -629,3 +629,62 @@ fn cold_runs_and_compiles_stay_under_their_allocation_ceilings() {
         "building and compiling allocated {compile} times per program"
     );
 }
+
+/// A crossbar `gemm` records one band command per (tile batch × 64 output
+/// rows); its MVMs read their input rows in place and accumulate into `C`.
+/// Eight times the rows is eight times the MVMs and not one allocation more:
+/// a vector per MVM, per row group or per band coming back fails here.
+#[test]
+fn crossbar_gemm_allocations_do_not_grow_with_the_mvm_count() {
+    use cinm_lowering::{CimBackend, CimRunOptions};
+
+    let gemm = |m: usize| {
+        let (k, n) = (128usize, 96usize);
+        let a: Vec<i32> = (0..m * k).map(|i| (i % 13) as i32 - 6).collect();
+        let b: Vec<i32> = (0..k * n).map(|i| (i % 7) as i32 - 3).collect();
+        let mut be = CimBackend::new(CimRunOptions::optimized().with_host_threads(1));
+        let (c, allocs) = alloc_count::count_in(|| be.gemm(&a, &b, m, k, n));
+        assert_eq!(c, cpu_sim::kernels::matmul(&a, &b, m, k, n));
+        (allocs, be.stats().xbar.mvm_ops)
+    };
+    gemm(1); // process-wide one-time set-up (the core-count probe) is not the op's
+    let (small, small_mvms) = gemm(64);
+    let (large, large_mvms) = gemm(512);
+    assert_eq!(large_mvms, 8 * small_mvms);
+    assert_eq!(
+        large, small,
+        "{large_mvms} MVMs allocated {large} times, {small_mvms} MVMs {small} times"
+    );
+}
+
+/// A cold one-kernel paper run — a fresh CNM session on one DIMM, `va` over
+/// `1 << 16` elements recorded, compiled, run and its result taken — measured
+/// at 90 allocations: the result is gathered once into the session's host
+/// vector and moved out, so a copy per fetch (or a scratch vector per gather)
+/// coming back shows as a count before it shows on a clock.
+#[test]
+fn a_cold_session_run_stays_under_its_allocation_ceiling() {
+    use cinm_core::runner::{self, WorkloadInputs};
+    use cinm_lowering::UpmemRunOptions;
+    use cinm_workloads::{Scale, WorkloadId};
+
+    let len = 1usize << 16;
+    let inp = WorkloadInputs {
+        buffers: vec![
+            (0..len).map(|i| (i % 29) as i32 - 14).collect(),
+            (0..len).map(|i| (i % 31) as i32 - 15).collect(),
+        ],
+    };
+    let want: Vec<i32> = (0..len)
+        .map(|i| inp.buffers[0][i] + inp.buffers[1][i])
+        .collect();
+    let cold_run = || {
+        let mut s = runner::cnm_session(1, UpmemRunOptions::optimized().with_host_threads(1));
+        // The vector workloads take their length from the inputs.
+        runner::run_session(WorkloadId::Va, Scale::Test, &inp, &mut s)
+    };
+    cold_run(); // process-wide one-time set-up is not the run's
+    let (out, allocs) = alloc_count::count_in(cold_run);
+    assert_eq!(out, want);
+    assert!(allocs <= 90, "a cold va run allocated {allocs} times");
+}

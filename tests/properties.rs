@@ -1599,6 +1599,128 @@ fn session_replay_is_bit_identical_to_fresh_compilation() {
 }
 
 // ---------------------------------------------------------------------------
+// The result path: fetch, fetch_into and take
+// ---------------------------------------------------------------------------
+
+/// `fetch`, `fetch_into` and `take` are three ways out of the same host copy:
+/// for every output layout of the lowering table (element-wise, gemv and gemm
+/// chunks, time-series profiles, raw select records, reduce and histogram
+/// partials), on grids of 1, 3 and 8 DPUs, over lengths whose gather is longer
+/// than the logical value, with residency on and off, fault-free and under a
+/// seeded transient schedule, they return the same vector — the eager
+/// backend's — and leave bit-equal simulated statistics and fault counters. A
+/// second `fetch` bills no second gather.
+#[test]
+fn fetch_fetch_into_and_take_agree_for_every_output_layout() {
+    use cinm::core::{Session, TensorHandle};
+    use cinm::runtime::FaultConfig;
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Fetch,
+        FetchInto,
+        Take,
+    }
+    let mut retries = 0;
+    for dpus in [1usize, 3, 8] {
+        for len in [1usize, 7, 8, 9, 37, 100] {
+            let (cols, n) = (5, 3);
+            let a_mat = data::i32_vec(len as u64, len * cols, -8, 8);
+            let b_mat = data::i32_vec(11, cols * n, -8, 8);
+            let x_vec = data::i32_vec(12, cols, -8, 8);
+            let v0 = data::i32_vec(13 + len as u64, len, -64, 64);
+            let v1 = data::i32_vec(14 + len as u64, len, -64, 64);
+            let window = len.min(3);
+            let mut eager = upmem_grid(dpus);
+            let want = [
+                eager.elementwise(BinOp::Add, &v0, &v1),
+                eager.gemv(&a_mat, &x_vec, len, cols),
+                eager.gemm(&a_mat, &b_mat, len, cols, n),
+                eager.time_series(&v0, window),
+                eager.select(&v0, 0),
+                vec![eager.reduce(BinOp::Add, &v1)],
+                eager.histogram(&v0, 7, 128),
+            ];
+            for residency in [false, true] {
+                for faulted in [false, true] {
+                    let run = |via: Via| {
+                        let mut opts = session_options_on(dpus, residency);
+                        if faulted {
+                            opts = opts.with_fault(
+                                FaultConfig::seeded(97 + len as u64)
+                                    .with_launch_fault_rate(0.08)
+                                    .with_transfer_timeout_rate(0.05)
+                                    .with_transfer_corruption_rate(0.05),
+                            );
+                        }
+                        let mut sess = Session::new(opts);
+                        let at = sess.matrix(&a_mat, len, cols);
+                        let bt = sess.matrix(&b_mat, cols, n);
+                        let xt = sess.vector(&x_vec);
+                        let (t0, t1) = (sess.vector(&v0), sess.vector(&v1));
+                        let outs: [TensorHandle; 7] = [
+                            sess.elementwise(BinOp::Add, t0, t1),
+                            sess.gemv(at, xt),
+                            sess.gemm(at, bt),
+                            sess.time_series(t0, window),
+                            sess.select(t0, 0),
+                            sess.reduce(BinOp::Add, t1),
+                            sess.histogram(t0, 7, 128),
+                        ];
+                        sess.run().expect("cnm placement");
+                        let mut reused = vec![-1; 3];
+                        let got = outs.map(|h| match via {
+                            Via::Fetch => {
+                                let first = sess.fetch(h);
+                                let billed = *sess.upmem_stats();
+                                assert_eq!(sess.fetch(h), first);
+                                assert_eq!(*sess.upmem_stats(), billed, "a second fetch gathered");
+                                first
+                            }
+                            Via::FetchInto => {
+                                sess.fetch_into(h, &mut reused);
+                                reused.clone()
+                            }
+                            Via::Take => sess.take(h),
+                        });
+                        (got, *sess.upmem_stats(), sess.fault_stats())
+                    };
+                    let case =
+                        format!("dpus={dpus} len={len} residency={residency} faulted={faulted}");
+                    let (fetched, stats, faults) = run(Via::Fetch);
+                    assert_eq!(fetched, want, "{case}");
+                    retries += faults.transient_retries;
+                    for via in [Via::FetchInto, Via::Take] {
+                        let (got, via_stats, via_faults) = run(via);
+                        assert_eq!(got, want, "{case} via {via:?}");
+                        assert_eq!(via_stats, stats, "{case} via {via:?}");
+                        assert_eq!(via_faults, faults, "{case} via {via:?}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(retries > 0, "the fault schedules never fired");
+}
+
+/// `take` releases the tensor: the handle is stale afterwards, exactly like a
+/// recycled temporary's.
+#[test]
+#[should_panic(expected = "stale tensor handle")]
+fn a_handle_is_stale_after_take() {
+    let mut sess = cinm::core::Session::new(session_options(true));
+    let a = sess.vector(&[1, 2, 3, 4, 5]);
+    let b = sess.vector(&[5, 4, 3, 2, 1]);
+    let sum = sess.elementwise(BinOp::Add, a, b);
+    sess.run().expect("cnm placement");
+    assert_eq!(sess.take(sum), vec![6; 5]);
+    // The source tensors are untouched and the session stays usable.
+    let again = sess.elementwise(BinOp::Sub, a, b);
+    sess.run().expect("cnm placement");
+    assert_eq!(sess.fetch(again), vec![-4, -2, 0, 2, 4]);
+    sess.fetch(sum);
+}
+
+// ---------------------------------------------------------------------------
 // Fault tolerance: recovered session runs vs the fault-free oracle
 // ---------------------------------------------------------------------------
 
