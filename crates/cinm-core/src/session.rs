@@ -109,7 +109,8 @@ use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, MramLayout, OutputLayout};
 use cinm_lowering::{ShardDevice, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
 use cinm_runtime::{FaultConfig, FaultStats};
 use upmem_sim::{
-    BinOp, DpuKernelKind, FusedArg, FusedStage, KernelSpec, SimError, SystemStats, UpmemConfig,
+    BinOp, DpuKernelKind, FusedArg, FusedStage, HostImage, KernelSpec, SimError, SystemStats,
+    UpmemConfig,
 };
 
 use crate::shard::{CachedShardPlanner, ShardPlanner, ShardPolicy};
@@ -363,9 +364,11 @@ fn bind_resident(resident: &mut Residency, key: MramLayout, residency: bool) -> 
 struct Slot {
     gen: u32,
     shape: Option<TensorShape>,
-    /// Host copy (valid when `host_valid`). Storage is retained across
-    /// recycling so steady-state loops never re-allocate.
-    host: Vec<i32>,
+    /// Host copy (valid when `host_valid`) — the tensor's one image, which
+    /// a cold upload or download shares with the simulator's slab instead of
+    /// copying (the rule is `upmem_sim::system`'s). Storage is retained
+    /// across recycling so steady-state loops never re-allocate.
+    host: HostImage,
     host_valid: bool,
     /// Whether the resident device copy is current.
     device_valid: bool,
@@ -975,7 +978,6 @@ impl Session {
             Some(id) => {
                 let slot = &mut self.slots[id as usize];
                 slot.shape = Some(shape);
-                slot.host.clear();
                 slot.host_valid = false;
                 slot.device_valid = false;
                 slot.resident = None;
@@ -1045,8 +1047,9 @@ impl Session {
         self.kill_recipes_reading(h.id);
         let slot = &mut self.slots[h.id as usize];
         slot.recipe = None;
-        slot.host.clear();
-        slot.host.extend_from_slice(data);
+        let host = slot.host.overwrite();
+        host.clear();
+        host.extend_from_slice(data);
         slot.host_valid = true;
         slot.device_valid = false;
     }
@@ -2530,14 +2533,14 @@ impl Session {
     /// session keeps its host copy (a second fetch gathers nothing), so the
     /// value is copied out; [`take`](Self::take) moves it out instead.
     pub fn fetch(&mut self, h: TensorHandle) -> Vec<i32> {
-        self.host_copy(h).host.clone()
+        self.host_copy(h).host.to_vec()
     }
 
     /// The allocation-reusing form of [`Session::fetch`]: the result
     /// replaces the contents of `out` (a vector reused across fetches of the
     /// same shape never re-allocates).
     pub fn fetch_into(&mut self, h: TensorHandle, out: &mut Vec<i32>) {
-        out.clone_from(&self.host_copy(h).host);
+        self.host_copy(h).host[..].clone_into(out);
     }
 
     /// Fetches a tensor and releases it: the session's host vector is moved
@@ -2560,7 +2563,18 @@ impl Session {
         self.kill_recipes_reading(h.id);
         self.live_temps.retain(|&t| t != h.id);
         self.discarded.retain(|&d| d != h.id);
-        let out = std::mem::take(&mut self.slots[h.id as usize].host);
+        let slot = &mut self.slots[h.id as usize];
+        if let (true, Some(resident)) = (slot.host.is_shared(), slot.resident) {
+            // The device copy dies with the handle: its buffer goes back to
+            // the fresh form (untimed, as the zeroing its next tenant starts
+            // with), so the image is the slot's alone and moves out.
+            self.backend
+                .upmem_mut()
+                .system_mut()
+                .zero_buffer(resident.buf)
+                .expect("resident buffer of a live slot");
+        }
+        let out = std::mem::take(&mut slot.host).into_vec();
         recycle_slot(&mut self.slots, &mut self.free, h.id);
         out
     }
@@ -2812,10 +2826,12 @@ fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> Shar
 /// Gathers a resident tensor into the slot's host copy — the one body of
 /// `fetch`/`take`, the segment-boundary step, the residency-off in-run
 /// command and the spill. A [prefix](OutputLayout::is_prefix) layout is
-/// gathered straight into `slot.host` and truncated to the logical length, so
-/// the value is written once; the partial layouts gather into `slot.scratch`
-/// and decode from there. The host copy is stale on entry, so a gather that
-/// fails has clobbered nothing that was valid.
+/// gathered straight into `slot.host` at the logical length — a slot with no
+/// storage of that size shares the slab's image instead of receiving a copy
+/// (`UpmemSystem::gather_image`), so a spill followed by the buffer's
+/// release moves no bytes on the host; the partial layouts gather into
+/// `slot.scratch` and decode from there. The host copy is stale on entry, so
+/// a gather that fails has clobbered nothing that was valid.
 fn materialize_slot(
     backend: &mut ShardedBackend,
     slot: &mut Slot,
@@ -2823,22 +2839,22 @@ fn materialize_slot(
 ) -> Result<(), ShardError> {
     let resident = slot.resident.expect("materialize needs a resident copy");
     let len = slot.shape.expect("live slot has a shape").len();
+    let (buf, chunk) = (resident.buf, resident.gather_chunk);
     let direct = resident.layout.is_prefix();
-    let raw = if direct {
-        &mut slot.host
-    } else {
-        &mut slot.scratch
-    };
     backend
         .upmem_mut()
-        .try_op(|sys| sys.gather_i32_into(resident.buf, resident.gather_chunk, raw))
+        .try_op(|sys| {
+            if direct {
+                sys.gather_image(buf, chunk, len, &mut slot.host)
+            } else {
+                sys.gather_i32_into(buf, chunk, &mut slot.scratch)
+            }
+        })
         .map_err(|e| cnm_failure(backend, "resident gather", e))?;
-    if direct {
-        slot.host.truncate(len);
-    } else {
+    if !direct {
         resident
             .layout
-            .decode_into(&slot.scratch, dpus, len, &mut slot.host);
+            .decode_into(&slot.scratch, dpus, len, slot.host.overwrite());
     }
     slot.host_valid = true;
     Ok(())
@@ -2898,10 +2914,12 @@ fn run_segment(
             CnmCmd::Scatter {
                 slot, buf, chunk, ..
             } => {
-                let host = &slots[*slot as usize].host;
+                // A cold upload (and the re-upload of a free-dropped tensor)
+                // hands the image over; a warmed one copies into the slab.
+                let host = &mut slots[*slot as usize].host;
                 backend
                     .upmem_mut()
-                    .try_op(|sys| sys.scatter_i32(*buf, host, *chunk))
+                    .try_op(|sys| sys.scatter_image(*buf, host, *chunk))
                     .map(|_| ())
             }
             CnmCmd::Broadcast { slot, buf, .. } => {
@@ -2955,7 +2973,7 @@ fn run_planned(
     let operands = [host(0), host(1)];
     let result = backend.run(node.kind, &operands[..node.inputs().len()], split)?;
     let out = &mut slots[phys(node.output)];
-    out.host = result;
+    out.host = result.into();
     out.host_valid = true;
     out.device_valid = false;
     out.resident = None;

@@ -42,8 +42,8 @@ use memristor_sim::{
     BandTile, CimError, CimStats, CrossbarAccelerator, CrossbarConfig, XbarCommand,
 };
 use upmem_sim::{
-    BinOp, Command, CommandOutput, DpuKernelKind, KernelSpec, SimError, SystemStats, UpmemConfig,
-    UpmemSystem,
+    validate_kernel_shape, BinOp, Command, CommandOutput, DpuKernelKind, KernelSpec, SimError,
+    SystemStats, UpmemConfig, UpmemSystem,
 };
 
 use crate::cnm_op::{CnmGeometry, CnmOp, MramLayout};
@@ -404,7 +404,11 @@ impl UpmemBackend {
     /// order — and the gathered output is decoded by the geometry's layout.
     /// Transient injected faults are retried internally (see
     /// [`try_sync`](Self::try_sync)); the op is one transactional sync, so
-    /// an error leaves nothing partially applied.
+    /// an error leaves nothing partially applied. An op with nothing to
+    /// compute — no output elements, or an empty operand — is answered on
+    /// the host with the value the kernels would produce (the reduction's
+    /// identity, zeros otherwise) and touches no device: no buffer, no
+    /// transfer, no launch, no simulated time.
     pub(crate) fn run_op(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
         debug_assert_eq!(operands.len(), op.arity());
         let dpus = self.system.num_dpus();
@@ -416,6 +420,13 @@ impl UpmemBackend {
             kernel,
             ..
         } = op.geometry(dpus);
+        if out_len == 0 || operands.iter().any(|o| o.is_empty()) {
+            let fill = match op {
+                CnmOp::Reduce { op, .. } => op.identity(),
+                _ => 0,
+            };
+            return Ok(vec![fill; out_len]);
+        }
         let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
         let bufs = &ctx.bufs[..operands.len()];
         let spec = self.kernel_spec(kernel, bufs.to_vec(), ctx.output());
@@ -456,8 +467,8 @@ impl UpmemBackend {
     /// are retried internally (see [`try_sync`](Self::try_sync)); permanent
     /// faults, exhausted retry budgets and a full MRAM surface as errors
     /// with nothing partially applied (each op is one transactional stream
-    /// sync). An empty product (`m == 0`) is returned without touching the
-    /// device.
+    /// sync). An op with nothing to compute (here `m`, `k` or `n` of zero)
+    /// is answered without touching the device — true of every eager op.
     ///
     /// # Errors
     ///
@@ -473,9 +484,6 @@ impl UpmemBackend {
     ) -> Result<Vec<i32>, SimError> {
         assert_eq!(a.len(), m * k, "lhs shape mismatch");
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        if m == 0 {
-            return Ok(Vec::new());
-        }
         self.run_op(CnmOp::Gemm { m, k, n }, &[a, b])
     }
 
@@ -590,9 +598,15 @@ impl UpmemBackend {
     ///
     /// # Errors
     ///
-    /// See [`try_gemm`](Self::try_gemm).
+    /// See [`try_gemm`](Self::try_gemm); also the simulator's launch-shape
+    /// error when the window is longer than a (non-empty) series.
     pub fn try_time_series(&mut self, a: &[i32], window: usize) -> Result<Vec<i32>, SimError> {
         let len = a.len();
+        if len > 0 {
+            // The per-DPU chunks are padded up to a whole window, so the
+            // launch itself would pass: the logical shape is what is wrong.
+            validate_kernel_shape(&DpuKernelKind::TimeSeries { len, window })?;
+        }
         self.run_op(CnmOp::TimeSeries { window, len }, &[a])
     }
 
@@ -973,8 +987,8 @@ impl CimBackend {
     /// sync is retried in place (results and simulated statistics stay
     /// bit-identical to a fault-free run), while a permanent fault — e.g. a
     /// stuck-at tile — aborts the op so the caller can re-plan around the
-    /// device. An empty product (`m == 0`) is returned without touching the
-    /// device.
+    /// device. A product with nothing to compute (`m`, `k` or `n` of zero) is
+    /// answered without touching the device, the merge pass included.
     ///
     /// # Errors
     ///
@@ -990,8 +1004,8 @@ impl CimBackend {
     ) -> Result<Vec<i32>, CimError> {
         assert_eq!(a.len(), m * k, "lhs shape mismatch");
         assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        if m == 0 {
-            return Ok(Vec::new());
+        if a.is_empty() || b.is_empty() {
+            return Ok(vec![0; m * n]);
         }
         let tile = self.xbar.config().tile_rows;
         let parallel = self.options.parallel_tiles;
@@ -1290,12 +1304,48 @@ mod tests {
     #[test]
     fn empty_products_return_before_touching_a_device() {
         let b = vec![1i32; 64 * 64];
+        let x = vec![1i32; 64];
         let mut cim = CimBackend::new(CimRunOptions::optimized());
-        assert!(cim.gemm(&[], &b, 0, 64, 64).is_empty());
-        assert_eq!(cim.stats(), CimRunStats::default());
         let mut upmem = small_upmem(1, UpmemRunOptions::default());
+        // Every way a product can have nothing to compute, on both devices:
+        // no rows, no columns, and an empty inner dimension (all zeros).
+        assert!(cim.gemm(&[], &b, 0, 64, 64).is_empty());
+        assert!(cim.gemm(&b, &[], 64, 64, 0).is_empty());
+        assert_eq!(cim.gemm(&[], &[], 3, 0, 2), [0; 6]);
+        assert!(cim.gemv(&[], &x, 0, 64).is_empty());
+        assert_eq!(cim.gemv(&[], &[], 3, 0), [0; 3]);
+        assert_eq!(cim.stats(), CimRunStats::default());
         assert!(upmem.gemm(&[], &b, 0, 64, 64).is_empty());
+        assert!(upmem.gemm(&b, &[], 64, 64, 0).is_empty());
+        assert_eq!(upmem.gemm(&[], &[], 3, 0, 2), [0; 6]);
+        assert!(upmem.gemv(&[], &x, 0, 64).is_empty());
+        assert_eq!(upmem.gemv(&[], &[], 3, 0), [0; 3]);
+        // The streaming ops over an empty vector: the kernels' value on no
+        // input, from the host.
+        assert!(upmem.elementwise(BinOp::Add, &[], &[]).is_empty());
+        assert!(upmem.select(&[], 0).is_empty());
+        assert!(upmem.time_series(&[], 3).is_empty());
+        assert!(upmem.time_series(&[], 0).is_empty());
+        assert!(upmem.bfs_step(&[], &[], &[], 4, 2, 0).is_empty());
+        assert_eq!(upmem.histogram(&[], 4, 16), [0; 4]);
+        for op in [BinOp::Add, BinOp::Mul, BinOp::Min, BinOp::Max] {
+            assert_eq!(upmem.reduce(op, &[]), op.identity());
+        }
         assert_eq!(*upmem.stats(), SystemStats::default());
+        assert_eq!(upmem.system().mram_used_bytes(), 0);
+        assert_eq!(upmem.cached_contexts(), 0);
+    }
+
+    #[test]
+    fn a_window_longer_than_the_series_is_a_launch_shape_error() {
+        let mut upmem = small_upmem(1, UpmemRunOptions::default());
+        let err = upmem.try_time_series(&[1, 2], 4).unwrap_err();
+        assert!(err.fault_kind().is_none() && !err.is_mram_exhausted());
+        assert!(err.message().contains("window 4 exceeds"), "{err}");
+        assert_eq!(*upmem.stats(), SystemStats::default());
+        // Chunks shorter than the window are padded, not rejected.
+        let series: Vec<i32> = (0..9).collect();
+        assert_eq!(upmem.try_time_series(&series, 9).unwrap(), [0]);
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl CnmOp {
                 vertices_per_dpu, ..
             } => (vertices_per_dpu, work),
             CnmOp::TimeSeries { window, .. } => {
-                let c = work.div_ceil(dpus).max(window);
+                let c = work.div_ceil(dpus).max(window).max(1);
                 (c, work.div_ceil(c))
             }
             _ => {

@@ -5,10 +5,11 @@
 //! arenas and shape-keyed execution contexts instead of allocating fresh
 //! `Vec`s per operation. This module provides the measurement side of that
 //! contract: [`CountingAllocator`] wraps the system allocator and counts every
-//! allocation per thread, so `tests/alloc_regression.rs` can assert that a
-//! warmed-up launch+MVM loop performs **zero** heap allocations, and
-//! `cinm-benchmark` can report `runtime.allocs_per_op` next to its
-//! wall-clock numbers.
+//! allocation (the call and the bytes it asked for) per thread, so
+//! `tests/alloc_regression.rs` can assert that a warmed-up launch+MVM loop
+//! performs **zero** heap allocations and that a cold run stays under a byte
+//! ceiling, and `cinm-benchmark` can report `runtime.allocs_per_op` next to
+//! its wall-clock numbers.
 //!
 //! Counters are thread-local (const-initialised, so reading them never
 //! allocates or recurses into the allocator) — a measurement window on one
@@ -35,6 +36,8 @@ thread_local! {
     /// Allocations performed by the current thread (const-init: reading or
     /// bumping this cell can never itself allocate).
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its growth).
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Process-wide allocation count (all threads). Non-zero once any allocation
@@ -52,12 +55,12 @@ pub struct CountingAllocator;
 // which can allocate or panic.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -66,16 +69,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[inline]
-fn record() {
+fn record(bytes: usize) {
     // `try_with`: during thread teardown the TLS slot may be gone; missing a
     // count there is fine (measurement windows never span thread exit).
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -103,6 +107,16 @@ pub fn count_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, thread_allocations() - before)
 }
 
+/// [`count_in`] in bytes: runs `f` and returns its result together with the
+/// number of bytes the **current thread** asked the allocator for inside it
+/// (every `alloc`'s size plus every `realloc`'s growth; frees are not
+/// subtracted, so this is allocation traffic, not a high-water mark).
+pub fn bytes_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = THREAD_BYTES.with(Cell::get);
+    let result = f();
+    (result, THREAD_BYTES.with(Cell::get) - before)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,8 +137,11 @@ mod tests {
     #[test]
     fn record_bumps_thread_and_total_counters() {
         let t0 = thread_allocations();
-        record();
-        record();
+        let ((), bytes) = bytes_in(|| {
+            record(24);
+            record(8);
+        });
+        assert_eq!(bytes, 32);
         assert_eq!(thread_allocations(), t0 + 2);
         assert!(installed());
     }

@@ -65,7 +65,10 @@ pub use kernel::{BinOp, DpuKernelKind, FusedArg, FusedStage, KernelSpec, MAX_FUS
 pub use naive::NaiveUpmemSystem;
 pub use stats::{LaunchStats, SystemStats, TransferStats};
 pub use stream::{Command, CommandOutput};
-pub use system::{kernel_launch_cost, BufferId, DpuSystem, SimError, SimResult, UpmemSystem};
+pub use system::{
+    kernel_launch_cost, validate_kernel_shape, BufferId, DpuSystem, HostImage, SimError, SimResult,
+    UpmemSystem,
+};
 
 #[cfg(test)]
 mod tests {

@@ -7,25 +7,56 @@
 //!
 //! # Storage layout
 //!
-//! Buffers use a *slab* layout: one `Vec<i32>` per [`BufferId`], in one of
-//! two storage forms the simulator picks from the op sequence alone.
+//! Buffers use a *slab* layout: one [`HostImage`] per [`BufferId`], in one
+//! of two storage forms the simulator picks from the op sequence alone.
 //! A *per-DPU* slab is contiguous over the whole grid, DPU `d` owning the
 //! stride `[d * elems, (d + 1) * elems)`; a *replicated* slab holds a single
 //! stride that every DPU reads. A fresh buffer is replicated zeros, a
 //! broadcast writes that one stride, and the first per-DPU write (a scatter,
-//! or being a launch output) expands the slab once to the per-DPU form — it
-//! never goes back. What a broadcast *costs* is unchanged: the timing model
-//! bills the full replicated volume, only the host copy is stored once.
-//! Allocation is one `Vec` per buffer instead of one per DPU,
+//! or being a launch output) expands the slab once to the per-DPU form. What
+//! a broadcast *costs* is unchanged: the timing model bills the full
+//! replicated volume, only the host copy is stored once.
+//!
+//! The same separation of what is *billed* from what is *stored* holds for a
+//! tensor the device keeps verbatim. A per-DPU slab whose strides are tight
+//! is element for element the host vector it was scattered from (or will be
+//! gathered into), so the two can be **one image**: [`HostImage`] is a
+//! vector that is either uniquely owned or shared between a slab and a host
+//! holder. One rule decides, stated here and nowhere else:
+//!
+//! * **adopt** — a transfer whose host vector is exactly the slab image
+//!   (tight chunk, full grid, no padding) and whose destination would
+//!   otherwise have to allocate shares the image instead of copying it:
+//!   [`UpmemSystem::scatter_image`] into a slab still in its replicated
+//!   form, [`UpmemSystem::gather_image`] into an image with no storage of
+//!   that size;
+//! * **copy** — a destination that already owns its storage is copied into,
+//!   exactly as the borrowed [`UpmemSystem::scatter_i32`] /
+//!   [`UpmemSystem::gather_i32_into`] do, so a warmed loop neither allocates
+//!   nor trades allocations back and forth;
+//! * **detach** — whoever writes a shared image first takes its own: a
+//!   launch output, a partial scatter or a broadcast clones (the last holder
+//!   left simply keeps the vector), while a full overwrite replaces the
+//!   image without cloning it and [`UpmemSystem::zero_buffer`] puts the slab
+//!   back in its fresh replicated form.
+//!
+//! Validation, the fault draw and the accounting run before anything is
+//! handed over, so every simulated second, byte and joule — and every
+//! [`FaultInjector`] draw — is the same whichever way the data moved. A
+//! uniquely owned image costs no atomic and no allocation: the hot path
+//! never sees the shared form.
+//!
+//! Allocation is one vector per buffer instead of one per DPU,
 //! scatter/gather/broadcast are bulk copies over contiguous memory, and
 //! [`UpmemSystem::launch`] borrows the input strides directly from the slabs
 //! — the hot path performs no per-DPU heap allocation and no buffer clone.
 //! Functional execution is data-parallel across DPUs (see
 //! [`UpmemConfig::host_threads`]) with bit-identical results for any thread
 //! count. The pre-refactor storage scheme is retained in [`crate::naive`] as
-//! the equivalence oracle and benchmark baseline.
+//! the equivalence oracle and benchmark baseline; it always copies.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use cinm_runtime::{FaultInjector, FaultKind};
 
@@ -125,6 +156,95 @@ impl std::error::Error for SimError {}
 /// Convenience alias for simulator results.
 pub type SimResult<T> = Result<T, SimError>;
 
+/// The host-side image of one tensor: a vector that is either uniquely owned
+/// or shared between a slab of the simulator and a host-side holder (see the
+/// [module docs](self) for the adopt / copy / detach rule). Reading never
+/// distinguishes the two; a uniquely owned image is a plain `Vec` — no
+/// atomic, no allocation — and only [`UpmemSystem::scatter_image`] and
+/// [`UpmemSystem::gather_image`] ever make one shared.
+#[derive(Debug, Clone, Default)]
+pub struct HostImage(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Owned(Vec<i32>),
+    Shared(Arc<Vec<i32>>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Owned(Vec::new())
+    }
+}
+
+impl HostImage {
+    /// Whether another holder may still see this image (it was adopted by, or
+    /// from, a slab and nobody has written it since).
+    pub fn is_shared(&self) -> bool {
+        matches!(self.0, Repr::Shared(_))
+    }
+
+    /// The vector of this image as its only owner. A shared image detaches
+    /// first: the last holder left keeps the vector, anyone else gets a
+    /// clone when `keep` (the write is partial) and an empty vector when not
+    /// (a full overwrite replaces, it never clones).
+    fn detach(&mut self, keep: bool) -> &mut Vec<i32> {
+        if let Repr::Shared(arc) = &mut self.0 {
+            let owned = match Arc::get_mut(arc) {
+                Some(last) => std::mem::take(last),
+                None if keep => arc.to_vec(),
+                None => Vec::new(),
+            };
+            self.0 = Repr::Owned(owned);
+        }
+        match &mut self.0 {
+            Repr::Owned(v) => v,
+            Repr::Shared(_) => unreachable!("detached above"),
+        }
+    }
+
+    /// The vector to **fully overwrite** this image through: its contents on
+    /// return are unspecified (a shared image is left to its other holders,
+    /// not cloned) and everything the caller stores becomes the image.
+    pub fn overwrite(&mut self) -> &mut Vec<i32> {
+        self.detach(false)
+    }
+
+    /// A second handle to this image, which becomes shared.
+    fn share(&mut self) -> HostImage {
+        if let Repr::Owned(v) = &mut self.0 {
+            self.0 = Repr::Shared(Arc::new(std::mem::take(v)));
+        }
+        self.clone()
+    }
+
+    /// Moves the vector out — without a copy unless another holder still
+    /// shares it.
+    pub fn into_vec(self) -> Vec<i32> {
+        match self.0 {
+            Repr::Owned(v) => v,
+            Repr::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| arc.to_vec()),
+        }
+    }
+}
+
+impl Deref for HostImage {
+    type Target = [i32];
+
+    fn deref(&self) -> &[i32] {
+        match &self.0 {
+            Repr::Owned(v) => v,
+            Repr::Shared(arc) => arc,
+        }
+    }
+}
+
+impl From<Vec<i32>> for HostImage {
+    fn from(v: Vec<i32>) -> Self {
+        HostImage(Repr::Owned(v))
+    }
+}
+
 /// How the contents of a [`Slab`] are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Storage {
@@ -177,14 +297,16 @@ impl<'a> Strides<'a> {
 
 /// One grid-wide buffer. The storage form is private to this type: reads go
 /// through [`Slab::strides`], per-DPU writes through [`Slab::per_dpu_mut`],
-/// which expands a replicated slab first. The
-/// transition is one-way — collapsing a slab again would cost an allocation
-/// on the next per-DPU write, and warmed loops must stay allocation-free.
+/// which expands a replicated slab and detaches a shared image first. A slab
+/// only goes back to the replicated form when [`UpmemSystem::zero_buffer`]
+/// finds its image shared — collapsing a slab that owns its storage would
+/// cost an allocation on the next per-DPU write, and warmed loops must stay
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 struct Slab {
     elems_per_dpu: usize,
     storage: Storage,
-    data: Vec<i32>,
+    data: HostImage,
 }
 
 impl Slab {
@@ -194,7 +316,7 @@ impl Slab {
         Slab {
             elems_per_dpu,
             storage: Storage::Replicated,
-            data: vec![0; elems_per_dpu],
+            data: vec![0; elems_per_dpu].into(),
         }
     }
 
@@ -209,21 +331,30 @@ impl Slab {
         }
     }
 
-    /// The whole grid's strides for a per-DPU write, expanding a replicated
-    /// slab first (the only place a live slab changes form). An all-zero
-    /// image expands through the allocator's zeroed path, so the scatter
-    /// target and launch output of a cold op cost one lazily-zeroed
-    /// allocation and no copy.
-    pub(crate) fn per_dpu_mut(&mut self, num_dpus: usize) -> &mut [i32] {
+    /// The whole grid's strides for a per-DPU write, uniquely owned:
+    /// a replicated slab is expanded and a shared image detached first (the
+    /// only place a live slab changes form). `overwrite` promises that the
+    /// caller stores every element, so nothing is carried over — neither
+    /// repeated nor cloned. An all-zero image expands through the allocator's
+    /// zeroed path, so the scatter target and launch output of a cold op
+    /// cost one lazily-zeroed allocation and no copy.
+    pub(crate) fn per_dpu_mut(&mut self, num_dpus: usize, overwrite: bool) -> &mut [i32] {
+        let grid = self.elems_per_dpu * num_dpus;
         if self.storage == Storage::Replicated {
-            self.data = if self.data.iter().all(|&v| v == 0) {
-                vec![0; self.elems_per_dpu * num_dpus]
+            self.data = if overwrite || self.data.iter().all(|&v| v == 0) {
+                vec![0; grid]
             } else {
                 self.data.repeat(num_dpus)
-            };
+            }
+            .into();
             self.storage = Storage::PerDpu;
         }
-        &mut self.data
+        let data = self.data.detach(!overwrite);
+        if data.len() != grid {
+            // An overwritten image other holders still share stayed theirs.
+            *data = vec![0; grid];
+        }
+        data
     }
 }
 
@@ -462,7 +593,10 @@ pub fn kernel_launch_cost(
 /// malformed [`DpuKernelKind::FusedElementwise`] stage list would index out
 /// of the launch's operand views (shared by the slab and naive launch paths
 /// so both fail identically, before any state is touched).
-pub(crate) fn validate_kernel_shape(kind: &DpuKernelKind) -> SimResult<()> {
+///
+/// Public so a lowering that pads per-DPU shapes can reject a malformed
+/// *logical* shape with the error the launch would have raised.
+pub fn validate_kernel_shape(kind: &DpuKernelKind) -> SimResult<()> {
     match kind {
         DpuKernelKind::TimeSeries { len, window } if window > len => {
             return Err(SimError::new(format!(
@@ -621,7 +755,7 @@ fn launch_slabs(
             let out_elems = rest[0].elems_per_dpu;
             config.pool.for_each_band_mut(
                 threads,
-                rest[0].per_dpu_mut(num_dpus),
+                rest[0].per_dpu_mut(num_dpus, false),
                 out_elems,
                 |first, band| {
                     let dpus = first..first + band.len() / out_elems;
@@ -632,7 +766,7 @@ fn launch_slabs(
         return;
     }
     let out_elems = outs[0].elems_per_dpu;
-    let out = outs[0].per_dpu_mut(num_dpus);
+    let out = outs[0].per_dpu_mut(num_dpus, false);
     if out.is_empty() {
         // Nothing to write, and no strides to split into bands.
         return;
@@ -843,7 +977,20 @@ impl UpmemSystem {
     // below. Telemetry is atomics-only (no allocation, no lock) and never
     // affects `stats`.
 
-    fn account_scatter(&mut self, t: &TransferStats) {
+    /// The cost of moving `elems` host elements through the chunked transfer
+    /// path (what a scatter or gather bills, whether or not the simulator's
+    /// host had to copy them).
+    fn chunked_transfer(&self, elems: usize) -> TransferStats {
+        let bytes = (elems * 4) as u64;
+        TransferStats {
+            bytes,
+            seconds: self.config.host_transfer_seconds(bytes as f64),
+            energy_j: self.config.transfer_energy_j(bytes as f64),
+        }
+    }
+
+    fn account_scatter(&mut self, elems: usize) -> TransferStats {
+        let t = self.chunked_transfer(elems);
         self.stats.host_to_dpu_bytes += t.bytes;
         self.stats.host_to_dpu_seconds += t.seconds;
         self.stats.host_to_dpu_energy_j += t.energy_j;
@@ -851,6 +998,7 @@ impl UpmemSystem {
             tele.scatter_bytes.add(t.bytes);
             tele.energy_j.add(t.energy_j);
         }
+        t
     }
 
     fn account_broadcast(&mut self, t: &TransferStats) {
@@ -863,7 +1011,8 @@ impl UpmemSystem {
         }
     }
 
-    fn account_gather(&mut self, t: &TransferStats) {
+    fn account_gather(&mut self, elems: usize) -> TransferStats {
+        let t = self.chunked_transfer(elems);
         self.stats.dpu_to_host_bytes += t.bytes;
         self.stats.dpu_to_host_seconds += t.seconds;
         self.stats.dpu_to_host_energy_j += t.energy_j;
@@ -871,6 +1020,7 @@ impl UpmemSystem {
             tele.gather_bytes.add(t.bytes);
             tele.energy_j.add(t.energy_j);
         }
+        t
     }
 
     fn account_launch(&mut self, l: &LaunchStats) {
@@ -1083,7 +1233,7 @@ impl UpmemSystem {
                 dst[..avail].copy_from_slice(&src[..avail]);
                 dst[avail..].fill(0);
             };
-            let strides = slab.per_dpu_mut(num_dpus);
+            let strides = slab.per_dpu_mut(num_dpus, chunk == elems);
             config
                 .pool
                 .for_each_band_mut(threads, strides, elems, |first, band| {
@@ -1097,14 +1247,41 @@ impl UpmemSystem {
                     }
                 });
         }
-        let bytes = (data.len() * 4) as u64;
-        let t = TransferStats {
-            bytes,
-            seconds: config.host_transfer_seconds(bytes as f64),
-            energy_j: config.transfer_energy_j(bytes as f64),
-        };
-        self.account_scatter(&t);
-        t
+        self.account_scatter(data.len())
+    }
+
+    /// [`scatter_i32`](Self::scatter_i32) from a [`HostImage`], which the
+    /// slab **adopts** instead of copying when the image is exactly what the
+    /// slab would hold (`chunk` is the per-DPU buffer length and the image
+    /// covers the whole grid) and the slab is still in its replicated form,
+    /// so the copy would have been into freshly allocated memory. `image`
+    /// then reads as before but is shared with the slab until either side
+    /// writes. Every other shape is the copying scatter. Validation, the
+    /// fault draw, the billed transfer and the resulting buffer contents are
+    /// those of the borrowed form in both cases.
+    ///
+    /// # Errors
+    ///
+    /// As [`scatter_i32`](Self::scatter_i32); a failed scatter adopts nothing.
+    pub fn scatter_image(
+        &mut self,
+        buffer: BufferId,
+        image: &mut HostImage,
+        chunk: usize,
+    ) -> SimResult<TransferStats> {
+        self.validate_chunk(buffer, chunk)?;
+        self.inject_transfer("scatter")?;
+        let num_dpus = self.num_dpus;
+        let slab = &mut self.slabs[buffer as usize];
+        if slab.storage == Storage::Replicated
+            && chunk == slab.elems_per_dpu
+            && image.len() == chunk * num_dpus
+        {
+            slab.data = image.share();
+            slab.storage = Storage::PerDpu;
+            return Ok(self.account_scatter(image.len()));
+        }
+        Ok(self.apply_scatter(buffer, image, chunk))
     }
 
     /// Copies the same host data to the buffer of every DPU (broadcast).
@@ -1134,14 +1311,16 @@ impl UpmemSystem {
     pub(crate) fn apply_broadcast(&mut self, buffer: BufferId, data: &[i32]) -> TransferStats {
         let (config, num_dpus) = (&self.config, self.num_dpus);
         let slab = &mut self.slabs[buffer as usize];
+        // A partial write: a shared image is cloned, not replaced.
+        let stored = slab.data.detach(true);
         if slab.storage == Storage::Replicated {
-            slab.data[..data.len()].copy_from_slice(data);
+            stored[..data.len()].copy_from_slice(data);
         } else if !data.is_empty() {
             let elems = slab.elems_per_dpu;
             let threads = transfer_threads(config.host_threads, data.len() * num_dpus);
             config
                 .pool
-                .for_each_chunk_mut(threads, &mut slab.data, elems, |_, stride| {
+                .for_each_chunk_mut(threads, stored, elems, |_, stride| {
                     stride[..data.len()].copy_from_slice(data);
                 });
         }
@@ -1221,14 +1400,49 @@ impl UpmemSystem {
                     dst.copy_from_slice(&src.of(d)[..chunk]);
                 });
         }
-        let bytes = (out.len() * 4) as u64;
-        let t = TransferStats {
-            bytes,
-            seconds: config.host_transfer_seconds(bytes as f64),
-            energy_j: config.transfer_energy_j(bytes as f64),
-        };
-        self.account_gather(&t);
-        t
+        self.account_gather(out.len())
+    }
+
+    /// [`gather_i32_into`](Self::gather_i32_into) a [`HostImage`], truncated
+    /// to the first `len` elements (the tensor's logical length). `out`
+    /// **adopts** the slab's image instead of receiving a copy when the
+    /// gathered vector is exactly that image (`chunk` is the per-DPU buffer
+    /// length of a per-DPU slab and `len` covers the whole grid) and `out`
+    /// has no storage of that size, so the copy would have been into freshly
+    /// allocated memory; `out` is then shared with the slab until either side
+    /// writes. An `out` that owns enough storage is copied into, so a loop
+    /// gathering into the same image allocates once, not once per round.
+    /// Validation, the fault draw, the billed transfer (`chunk` elements per
+    /// DPU, whatever `len`) and the resulting contents are those of the
+    /// borrowed form in both cases.
+    ///
+    /// # Errors
+    ///
+    /// As [`gather_i32_into`](Self::gather_i32_into); a failed gather leaves
+    /// `out` as it was.
+    pub fn gather_image(
+        &mut self,
+        buffer: BufferId,
+        chunk: usize,
+        len: usize,
+        out: &mut HostImage,
+    ) -> SimResult<TransferStats> {
+        self.validate_chunk(buffer, chunk)?;
+        self.inject_transfer("gather")?;
+        let num_dpus = self.num_dpus;
+        let slab = &mut self.slabs[buffer as usize];
+        let dst = out.overwrite();
+        if dst.capacity() < len
+            && slab.storage == Storage::PerDpu
+            && chunk == slab.elems_per_dpu
+            && len == chunk * num_dpus
+        {
+            *out = slab.data.share();
+            return Ok(self.account_gather(len));
+        }
+        let t = self.apply_gather(buffer, chunk, dst);
+        dst.truncate(len);
+        Ok(t)
     }
 
     /// Functionally resets a buffer to the all-zero contents of a fresh
@@ -1237,16 +1451,26 @@ impl UpmemSystem {
     /// `cinm-lowering` execution contexts use this when reusing a cached
     /// buffer in place of a fresh per-op allocation, so the reusing path
     /// stays bit-identical (results, gathered bytes and statistics) to the
-    /// eager alloc-per-op path.
+    /// eager alloc-per-op path. A slab that owns its storage is filled in
+    /// place; one whose image is shared with a host holder goes back to the
+    /// fresh replicated form and leaves the image to that holder.
     ///
     /// # Errors
     ///
     /// Returns an error if the buffer does not exist.
     pub fn zero_buffer(&mut self, buffer: BufferId) -> SimResult<()> {
         self.slab(buffer)?;
-        // In place, whichever form the slab is in: collapsing a per-DPU slab
-        // to one stride would make its next scatter or launch allocate.
-        self.slabs[buffer as usize].data.fill(0);
+        let slab = &mut self.slabs[buffer as usize];
+        if slab.data.is_shared() {
+            // The image stays with its other holders (the last one simply
+            // owns it): zeroing a clone would copy what nobody reads again.
+            *slab = Slab::zeroed(slab.elems_per_dpu);
+        } else {
+            // In place, whichever form the slab is in: collapsing a slab
+            // that owns its storage would make its next scatter or launch
+            // allocate.
+            slab.data.overwrite().fill(0);
+        }
         Ok(())
     }
 
@@ -1503,7 +1727,7 @@ mod tests {
         let data: Vec<i32> = (0..16).collect();
         sys.scatter_i32(buf, &data, 4).unwrap();
         // One contiguous allocation covering all DPUs, stride per DPU.
-        assert_eq!(sys.slabs[buf as usize].data, data);
+        assert_eq!(*sys.slabs[buf as usize].data, data[..]);
     }
 
     #[test]
@@ -1600,6 +1824,211 @@ mod tests {
         // stored, not the replicated volume.
         let clean = sys.fault_free_clone();
         assert_eq!(clean.stored_len(a), 4);
+    }
+
+    /// A 4-DPU system with one 8-element buffer a 32-element image was
+    /// scattered into through the shared form, and the image.
+    fn adopted() -> (UpmemSystem, BufferId, HostImage, Vec<i32>) {
+        let mut sys = small_system();
+        let buf = sys.alloc_buffer(8).unwrap();
+        let data: Vec<i32> = (0..32).map(|i| i * 5 % 17 - 8).collect();
+        let mut image = HostImage::from(data.clone());
+        sys.scatter_image(buf, &mut image, 8).unwrap();
+        (sys, buf, image, data)
+    }
+
+    /// Whether the slab and `image` are one allocation.
+    fn is_one_image(sys: &UpmemSystem, buf: BufferId, image: &HostImage) -> bool {
+        std::ptr::eq(sys.slabs[buf as usize].data.as_ptr(), image.as_ptr())
+    }
+
+    #[test]
+    fn a_cold_exact_transfer_hands_the_image_over_and_bills_the_copy() {
+        let (mut sys, buf, image, data) = adopted();
+        let mut copying = small_system();
+        copying.alloc_buffer(8).unwrap();
+        let t = copying.scatter_i32(buf, &data, 8).unwrap();
+        assert!(image.is_shared() && is_one_image(&sys, buf, &image));
+        assert_eq!((contents(&sys, buf), &image[..]), (data.clone(), &data[..]));
+        assert_eq!(sys.stats(), copying.stats());
+        assert_eq!(sys.stats().host_to_dpu_bytes, t.bytes);
+        // A cold gather of the whole slab adopts; one into an image that owns
+        // room for it copies, round after round.
+        let mut cold = HostImage::default();
+        let mut warm = HostImage::from(vec![7; 40]);
+        let t_cold = sys.gather_image(buf, 8, 32, &mut cold).unwrap();
+        let t_warm = sys.gather_image(buf, 8, 32, &mut warm).unwrap();
+        let (want, t_copy) = copying.gather_i32(buf, 8).unwrap();
+        copying.gather_i32(buf, 8).unwrap();
+        assert!(cold.is_shared() && is_one_image(&sys, buf, &cold));
+        assert!(!warm.is_shared() && !is_one_image(&sys, buf, &warm));
+        assert_eq!((&cold[..], &warm[..]), (&want[..], &want[..]));
+        assert_eq!((t_cold, t_warm), (t_copy, t_copy));
+        assert_eq!(sys.stats(), copying.stats());
+        // The last holder left simply owns the vector again.
+        drop(cold);
+        sys.free_buffer(buf).unwrap();
+        assert_eq!(image.into_vec(), data);
+    }
+
+    #[test]
+    fn a_device_write_to_an_adopted_slab_leaves_the_host_image_alone() {
+        type Write = fn(&mut dyn DpuSystem, BufferId);
+        let writes: [(&str, Write); 4] = [
+            ("aliased launch", |sys, a| {
+                let scan = DpuKernelKind::Scan {
+                    op: BinOp::Add,
+                    len: 8,
+                };
+                sys.launch(&KernelSpec::new(scan, vec![a], a)).unwrap();
+            }),
+            ("second scatter", |sys, a| {
+                sys.scatter_i32(a, &[3; 32], 8).unwrap();
+            }),
+            ("partial scatter", |sys, a| {
+                sys.scatter_i32(a, &[4; 10], 3).unwrap();
+            }),
+            ("broadcast", |sys, a| {
+                sys.broadcast_i32(a, &[9, 9]).unwrap();
+            }),
+        ];
+        for (what, write) in writes {
+            let (mut sys, buf, image, data) = adopted();
+            let mut naive = crate::naive::NaiveUpmemSystem::new(sys.config().clone());
+            naive.alloc_buffer(8).unwrap();
+            naive.scatter_i32(buf, &data, 8).unwrap();
+            write(&mut sys, buf);
+            write(&mut naive, buf);
+            assert_eq!(&image[..], &data[..], "{what}: the host image");
+            assert!(!is_one_image(&sys, buf, &image), "{what}");
+            assert_eq!(
+                sys.gather_i32(buf, 8).unwrap(),
+                naive.gather_i32(buf, 8).unwrap(),
+                "{what}: the slab"
+            );
+            assert_eq!(sys.stats(), naive.stats(), "{what}");
+        }
+        // Zeroing a shared slab drops back to the fresh form without touching
+        // (or cloning) the image; a slab that owns its storage keeps it.
+        let (mut sys, buf, image, data) = adopted();
+        sys.zero_buffer(buf).unwrap();
+        assert_eq!(sys.stored_len(buf), 8);
+        assert_eq!(contents(&sys, buf), [0; 32]);
+        assert_eq!(&image[..], &data[..]);
+        sys.scatter_i32(buf, &data, 8).unwrap();
+        sys.zero_buffer(buf).unwrap();
+        assert_eq!(sys.stored_len(buf), 32);
+        // The host side detaches by replacing: its storage is new, the
+        // slab's is what it was.
+        let (sys, buf, mut image, data) = adopted();
+        image.overwrite().clear();
+        image.overwrite().extend_from_slice(&[1; 32]);
+        assert_eq!(contents(&sys, buf), data);
+        assert!(!image.is_shared());
+    }
+
+    #[test]
+    fn a_clone_of_a_system_holding_shared_images_diverges_independently() {
+        let (mut sys, buf, image, data) = adopted();
+        let mut twin = sys.clone();
+        twin.scatter_i32(buf, &[1; 10], 2).unwrap();
+        assert_eq!(contents(&sys, buf), data);
+        sys.broadcast_i32(buf, &[6]).unwrap();
+        assert_eq!(twin.dpu_buffer(1, buf).unwrap()[..3], [1, 1, data[10]]);
+        assert_eq!(sys.dpu_buffer(1, buf).unwrap()[..3], [6, data[9], data[10]]);
+        assert_eq!(&image[..], &data[..]);
+    }
+
+    #[test]
+    fn a_faulted_shared_transfer_adopts_nothing_and_its_retry_matches_the_borrowed_form() {
+        // Seed 5 at 50 %: the first draws time out, a later one passes.
+        let fault = cinm_runtime::FaultConfig::seeded(5).with_transfer_timeout_rate(0.5);
+        let retry = cinm_runtime::RetryPolicy {
+            max_attempts: 64,
+            ..Default::default()
+        };
+        let data: Vec<i32> = (0..32).collect();
+        let run = |shared: bool| {
+            let mut sys = faulty_system(fault.clone());
+            let buf = sys.alloc_buffer(8).unwrap();
+            let mut image = HostImage::from(data.clone());
+            let mut out = HostImage::default();
+            let mut faults = cinm_runtime::FaultStats::default();
+            let mut faulted = 0;
+            let mut step = |sys: &mut UpmemSystem, gather: bool| {
+                let (result, log) = retry.run(SimError::is_transient_fault, || {
+                    let before = (contents(sys, buf), sys.stored_len(buf), *sys.stats());
+                    let r = match (gather, shared) {
+                        (false, true) => sys.scatter_image(buf, &mut image, 8),
+                        (false, false) => sys.scatter_i32(buf, &image, 8),
+                        (true, true) => sys.gather_image(buf, 8, 32, &mut out),
+                        (true, false) => sys.gather_i32_into(buf, 8, out.overwrite()),
+                    };
+                    if r.is_err() {
+                        faulted += 1;
+                        let after = (contents(sys, buf), sys.stored_len(buf), *sys.stats());
+                        assert_eq!(before, after, "a faulted transfer applied something");
+                        assert!(!image.is_shared() || gather);
+                        assert!(!out.is_shared() && out.is_empty());
+                    }
+                    r
+                });
+                faults.absorb(&log);
+                result.unwrap()
+            };
+            step(&mut sys, false);
+            step(&mut sys, true);
+            assert_eq!((image.is_shared(), out.is_shared()), (shared, shared));
+            let events = sys.fault_injector().unwrap().events();
+            (out.into_vec(), *sys.stats(), faults, events, faulted)
+        };
+        let (shared, borrowed) = (run(true), run(false));
+        assert_eq!(shared, borrowed);
+        assert_eq!(shared.0, data);
+        assert!(shared.4 > 0, "the schedule should fault at least once");
+    }
+
+    #[test]
+    fn inexact_shared_transfers_copy_and_match_the_naive_reference() {
+        let data: Vec<i32> = (0..32).map(|i| i * 3 % 11 - 5).collect();
+        // (scatter chunk, gather chunk, logical length, target expanded first)
+        let cases = [
+            (8, 8, 29, false), // ragged tail
+            (5, 5, 20, false), // chunk < elems_per_dpu
+            (8, 8, 32, true),  // exact, but the slab already owns its storage
+            (8, 3, 12, true),  // gathered chunk < elems_per_dpu
+        ];
+        for (chunk, gchunk, len, expanded) in cases {
+            let case = format!("chunk {chunk}/{gchunk}, len {len}, expanded {expanded}");
+            let mut sys = small_system();
+            let mut naive = crate::naive::NaiveUpmemSystem::new(sys.config().clone());
+            let src = data[..len].to_vec();
+            let buf = sys.alloc_buffer(8).unwrap();
+            naive.alloc_buffer(8).unwrap();
+            if expanded {
+                sys.scatter_i32(buf, &[1; 32], 8).unwrap();
+                naive.scatter_i32(buf, &[1; 32], 8).unwrap();
+            }
+            let mut image = HostImage::from(src.clone());
+            sys.scatter_image(buf, &mut image, chunk).unwrap();
+            naive.scatter_i32(buf, &src, chunk).unwrap();
+            assert!(!image.is_shared(), "{case}");
+            assert_eq!(sys.stored_len(buf), 32, "{case}");
+            for d in 0..4 {
+                assert_eq!(
+                    sys.dpu_buffer(d, buf).unwrap(),
+                    naive.dpu_buffer(d, buf).unwrap()
+                );
+            }
+            let mut out = HostImage::default();
+            sys.gather_image(buf, gchunk, len, &mut out).unwrap();
+            let (mut want, _) = naive.gather_i32(buf, gchunk).unwrap();
+            want.truncate(len);
+            // Only the whole tight grid is the slab's image.
+            assert_eq!(out.is_shared(), (gchunk, len) == (8, 32), "{case}");
+            assert_eq!(&out[..], &want[..], "{case}");
+            assert_eq!(sys.stats(), naive.stats(), "{case}");
+        }
     }
 
     #[test]

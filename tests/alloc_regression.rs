@@ -659,9 +659,15 @@ fn crossbar_gemm_allocations_do_not_grow_with_the_mvm_count() {
 
 /// A cold one-kernel paper run — a fresh CNM session on one DIMM, `va` over
 /// `1 << 16` elements recorded, compiled, run and its result taken — measured
-/// at 90 allocations: the result is gathered once into the session's host
-/// vector and moved out, so a copy per fetch (or a scratch vector per gather)
-/// coming back shows as a count before it shows on a clock.
+/// at 91 allocations and 3.07 vectors' worth of bytes (6.06 before): each tensor has one
+/// host-side image, so the run allocates the two input mirrors (which the
+/// scatters hand to the device) and the one result slab (which `take` moves
+/// out). The count is one above the 90 it had when every transfer copied:
+/// three image boxes and the fresh stride `take` leaves the dead buffer with
+/// came, three slabs and the gathered vector went. A copy per upload, fetch or
+/// gather coming back shows as a vector's worth of bytes before it shows on a
+/// clock (six vectors' worth when scatter, launch and gather each faulted in
+/// a slab of their own).
 #[test]
 fn a_cold_session_run_stays_under_its_allocation_ceiling() {
     use cinm_core::runner::{self, WorkloadInputs};
@@ -684,7 +690,77 @@ fn a_cold_session_run_stays_under_its_allocation_ceiling() {
         runner::run_session(WorkloadId::Va, Scale::Test, &inp, &mut s)
     };
     cold_run(); // process-wide one-time set-up is not the run's
-    let (out, allocs) = alloc_count::count_in(cold_run);
+    let ((out, bytes), allocs) = alloc_count::count_in(|| alloc_count::bytes_in(cold_run));
     assert_eq!(out, want);
-    assert!(allocs <= 90, "a cold va run allocated {allocs} times");
+    assert!(allocs <= 91, "a cold va run allocated {allocs} times");
+    let vector = (len * 4) as f64;
+    assert!(
+        bytes as f64 <= 3.25 * vector,
+        "a cold va run allocated {:.2} vectors' worth of bytes",
+        bytes as f64 / vector
+    );
+}
+
+/// One image per tensor, seen through the allocator: with 128 DPUs and
+/// `1 << 16` elements (a 256 KB vector filling the grid exactly) an upload
+/// hands the session's mirror to the device, `take` moves the result slab out,
+/// and under an MRAM limit neither a spill nor the re-upload of a tensor that
+/// was dropped for free allocates a vector — each step stays within a quarter
+/// of a vector of what it must allocate (a result slab per run, a mirror per
+/// new tensor). A length that leaves a padded tail is copied as before: two
+/// more slabs for the two operands, a gathered vector for the result.
+#[test]
+fn an_operand_the_device_stores_verbatim_is_never_copied() {
+    let src =
+        |len: usize, k: usize| -> Vec<i32> { (0..len).map(|i| ((i * k) % 29) as i32).collect() };
+    let session = |limit: Option<usize>| {
+        let cfg = UpmemConfig::with_ranks(1).with_host_threads(1);
+        let opts = SessionOptions::default()
+            .with_upmem_config(cfg)
+            .with_policy(ShardPolicy::Single(Target::Cnm));
+        Session::new(match limit {
+            Some(bytes) => opts.with_mram_limit_bytes(bytes),
+            None => opts,
+        })
+    };
+    let vectors = |bytes: u64| bytes as f64 / (4 << 16) as f64;
+    // The bytes a cold `z = x + w; run(); take(z)` allocates, step by step.
+    let cold = |len: usize| {
+        let mut sess = session(None);
+        let (x, w) = (sess.vector(&src(len, 3)), sess.vector(&src(len, 5)));
+        let z = sess.elementwise(BinOp::Add, x, w);
+        let ((), run) = alloc_count::bytes_in(|| sess.run().expect("cnm placement"));
+        let (out, take) = alloc_count::bytes_in(|| sess.take(z));
+        assert_eq!(out[7], 21 + 6, "7 * 3 % 29 + 7 * 5 % 29");
+        (vectors(run), vectors(take))
+    };
+    cold(1 << 16); // process-wide one-time set-up is not the run's
+    let (run, take) = cold(1 << 16);
+    assert!(run <= 1.25 && take <= 0.25, "exact: {run:.2} + {take:.2}");
+    let (run, take) = cold((1 << 16) - 3);
+    assert!(run >= 3.0 && take >= 1.0, "padded: {run:.2} + {take:.2}");
+
+    // Room for two and a half of the 2 KB per-DPU chunk buffers.
+    let mut sess = session(Some(5 << 10));
+    let y = sess.vector(&src(1 << 16, 7));
+    let z1 = sess.elementwise(BinOp::Add, y, y);
+    sess.pin(z1);
+    sess.run().expect("cnm placement");
+    let x = sess.vector(&src(1 << 16, 3));
+    let z2 = sess.elementwise(BinOp::Mul, x, x);
+    sess.pin(z2);
+    // `y` is dropped for free and `z1` spilled to make room for `x`, `z2`.
+    let ((), spilling) = alloc_count::bytes_in(|| sess.run().expect("cnm placement"));
+    let stats = sess.residency_stats();
+    assert_eq!((stats.evictions, stats.spills), (2, 1), "{stats:?}");
+    let z3 = sess.elementwise(BinOp::Sub, y, y);
+    let ((), reupload) = alloc_count::bytes_in(|| sess.run().expect("cnm placement"));
+    assert!(sess.residency_stats().evictions > 2);
+    let (spilling, reupload) = (vectors(spilling), vectors(reupload));
+    assert!(
+        spilling <= 1.25 && reupload <= 1.25,
+        "{spilling:.2}, {reupload:.2}"
+    );
+    assert_eq!(sess.fetch(z3), vec![0; 1 << 16]);
+    assert_eq!(sess.fetch(z1)[5], 2 * (5 * 7 % 29));
 }

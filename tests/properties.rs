@@ -1606,10 +1606,14 @@ fn session_replay_is_bit_identical_to_fresh_compilation() {
 /// for every output layout of the lowering table (element-wise, gemv and gemm
 /// chunks, time-series profiles, raw select records, reduce and histogram
 /// partials), on grids of 1, 3 and 8 DPUs, over lengths whose gather is longer
-/// than the logical value, with residency on and off, fault-free and under a
-/// seeded transient schedule, they return the same vector — the eager
-/// backend's — and leave bit-equal simulated statistics and fault counters. A
-/// second `fetch` bills no second gather.
+/// than the logical value and lengths that fill the grid exactly (where an
+/// upload or download hands the image over instead of copying it), with
+/// residency on and off, fault-free and under a seeded transient schedule,
+/// they return the same vector — the eager backend's — and leave bit-equal
+/// simulated statistics and fault counters, over three rounds of `write → run
+/// → result` on the same input handles (the first cold, the second detaching
+/// what the first shared, the third warm). A second `fetch` bills no second
+/// gather.
 #[test]
 fn fetch_fetch_into_and_take_agree_for_every_output_layout() {
     use cinm::core::{Session, TensorHandle};
@@ -1620,26 +1624,32 @@ fn fetch_fetch_into_and_take_agree_for_every_output_layout() {
         FetchInto,
         Take,
     }
+    const ROUNDS: u64 = 3;
     let mut retries = 0;
     for dpus in [1usize, 3, 8] {
-        for len in [1usize, 7, 8, 9, 37, 100] {
+        for len in [1usize, 7, 8, 9, 24, 37, 96, 100] {
             let (cols, n) = (5, 3);
             let a_mat = data::i32_vec(len as u64, len * cols, -8, 8);
             let b_mat = data::i32_vec(11, cols * n, -8, 8);
             let x_vec = data::i32_vec(12, cols, -8, 8);
-            let v0 = data::i32_vec(13 + len as u64, len, -64, 64);
-            let v1 = data::i32_vec(14 + len as u64, len, -64, 64);
+            let v0 = |round: u64| data::i32_vec(13 + len as u64 + 1000 * round, len, -64, 64);
+            let v1 = |round: u64| data::i32_vec(14 + len as u64 + 1000 * round, len, -64, 64);
             let window = len.min(3);
             let mut eager = upmem_grid(dpus);
-            let want = [
-                eager.elementwise(BinOp::Add, &v0, &v1),
-                eager.gemv(&a_mat, &x_vec, len, cols),
-                eager.gemm(&a_mat, &b_mat, len, cols, n),
-                eager.time_series(&v0, window),
-                eager.select(&v0, 0),
-                vec![eager.reduce(BinOp::Add, &v1)],
-                eager.histogram(&v0, 7, 128),
-            ];
+            let want: Vec<[Vec<i32>; 7]> = (0..ROUNDS)
+                .map(|round| {
+                    let (v0, v1) = (v0(round), v1(round));
+                    [
+                        eager.elementwise(BinOp::Add, &v0, &v1),
+                        eager.gemv(&a_mat, &x_vec, len, cols),
+                        eager.gemm(&a_mat, &b_mat, len, cols, n),
+                        eager.time_series(&v0, window),
+                        eager.select(&v0, 0),
+                        vec![eager.reduce(BinOp::Add, &v1)],
+                        eager.histogram(&v0, 7, 128),
+                    ]
+                })
+                .collect();
             for residency in [false, true] {
                 for faulted in [false, true] {
                     let run = |via: Via| {
@@ -1656,32 +1666,44 @@ fn fetch_fetch_into_and_take_agree_for_every_output_layout() {
                         let at = sess.matrix(&a_mat, len, cols);
                         let bt = sess.matrix(&b_mat, cols, n);
                         let xt = sess.vector(&x_vec);
-                        let (t0, t1) = (sess.vector(&v0), sess.vector(&v1));
-                        let outs: [TensorHandle; 7] = [
-                            sess.elementwise(BinOp::Add, t0, t1),
-                            sess.gemv(at, xt),
-                            sess.gemm(at, bt),
-                            sess.time_series(t0, window),
-                            sess.select(t0, 0),
-                            sess.reduce(BinOp::Add, t1),
-                            sess.histogram(t0, 7, 128),
-                        ];
-                        sess.run().expect("cnm placement");
+                        let (t0, t1) = (sess.vector(&v0(0)), sess.vector(&v1(0)));
                         let mut reused = vec![-1; 3];
-                        let got = outs.map(|h| match via {
-                            Via::Fetch => {
-                                let first = sess.fetch(h);
-                                let billed = *sess.upmem_stats();
-                                assert_eq!(sess.fetch(h), first);
-                                assert_eq!(*sess.upmem_stats(), billed, "a second fetch gathered");
-                                first
-                            }
-                            Via::FetchInto => {
-                                sess.fetch_into(h, &mut reused);
-                                reused.clone()
-                            }
-                            Via::Take => sess.take(h),
-                        });
+                        let got: Vec<[Vec<i32>; 7]> = (0..ROUNDS)
+                            .map(|round| {
+                                if round > 0 {
+                                    sess.write(t0, &v0(round));
+                                    sess.write(t1, &v1(round));
+                                }
+                                let outs: [TensorHandle; 7] = [
+                                    sess.elementwise(BinOp::Add, t0, t1),
+                                    sess.gemv(at, xt),
+                                    sess.gemm(at, bt),
+                                    sess.time_series(t0, window),
+                                    sess.select(t0, 0),
+                                    sess.reduce(BinOp::Add, t1),
+                                    sess.histogram(t0, 7, 128),
+                                ];
+                                sess.run().expect("cnm placement");
+                                outs.map(|h| match via {
+                                    Via::Fetch => {
+                                        let first = sess.fetch(h);
+                                        let billed = *sess.upmem_stats();
+                                        assert_eq!(sess.fetch(h), first);
+                                        assert_eq!(
+                                            *sess.upmem_stats(),
+                                            billed,
+                                            "a second fetch gathered"
+                                        );
+                                        first
+                                    }
+                                    Via::FetchInto => {
+                                        sess.fetch_into(h, &mut reused);
+                                        reused.clone()
+                                    }
+                                    Via::Take => sess.take(h),
+                                })
+                            })
+                            .collect();
                         (got, *sess.upmem_stats(), sess.fault_stats())
                     };
                     let case =

@@ -8,12 +8,20 @@
 #   tools/check_api.sh            # verify (CI mode)
 #   tools/check_api.sh --update   # regenerate API.txt after an intended change
 #
+# The surface is also on a budget (ROADMAP aim 2: "`API.txt` should go
+# down"): `--check` fails when the snapshot has more lines than `budget`
+# below, so the public surface cannot grow past it unless the PR changes the
+# number on purpose — down after a pruning, up with every addition named in
+# the PR text.
+#
 # The snapshot is source-derived (grep over declaration lines) rather than
 # rustdoc-derived so it is stable across toolchain versions and needs no
 # nightly rustdoc-json; it deliberately includes `pub use` re-exports, since
 # those are API surface too. Lines are normalised (collapsed whitespace,
 # bodies/where-clauses stripped) and prefixed with their file path.
 set -euo pipefail
+
+budget=1241 # public items; lower it when the surface shrinks
 
 cd "$(dirname "$0")/.."
 snapshot_file="API.txt"
@@ -31,7 +39,7 @@ snapshot() {
 case "${1:---check}" in
 --update)
     snapshot >"$snapshot_file"
-    echo "regenerated $snapshot_file ($(wc -l <"$snapshot_file") public items)"
+    echo "regenerated $snapshot_file ($(wc -l <"$snapshot_file") public items, budget $budget)"
     ;;
 --check)
     [ -f "$snapshot_file" ] || {
@@ -47,7 +55,14 @@ case "${1:---check}" in
         exit 1
     fi
     rm -f /tmp/api_diff.$$
-    echo "OK: public API surface matches $snapshot_file"
+    count="$(wc -l <"$snapshot_file")"
+    if [ "$count" -gt "$budget" ]; then
+        echo "error: the public API surface has $count items, over its budget of $budget."
+        echo "       Prune it, or raise \`budget\` in tools/check_api.sh on purpose and name"
+        echo "       every addition in the PR text."
+        exit 1
+    fi
+    echo "OK: public API surface matches $snapshot_file ($count public items, budget $budget)"
     ;;
 *)
     echo "usage: tools/check_api.sh [--check|--update]"
