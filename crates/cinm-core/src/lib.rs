@@ -29,6 +29,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+mod fusion;
 pub mod pipeline;
 pub mod runner;
 pub mod serve;

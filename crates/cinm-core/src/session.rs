@@ -30,16 +30,17 @@
 //!
 //! # The graph optimizer
 //!
-//! Between recording and compilation the session runs the recorded graph
-//! through `cinm-ir`'s pass machinery ([`cinm_ir::PassManager`] over
-//! [`cinm_ir::fusion`] patterns): duplicate ops are CSE'd, dead ops (only
-//! possible after [`Session::discard`]) are eliminated, and chains of
-//! shape-compatible element-wise ops placed on the UPMEM grid are **fused
-//! into one multi-output kernel launch** (`DpuKernelKind::FusedElementwise`)
-//! — the BFS epilogue's three launches per iteration become one. The
-//! optimizer never changes results: every constituent's output still
-//! materialises under its own handle, bit-identically to the unoptimized
-//! program ([`SessionOptions::with_optimizer`]`(false)`, property-tested).
+//! On a plan-cache miss the session optimizes the graph it recorded, in the
+//! form it recorded it — the canonical `OpNode`s, with per-slot scratch kept
+//! between calls (`crate::fusion` has the passes and the fusion rule):
+//! duplicate ops are CSE'd, dead ops (only possible after
+//! [`Session::discard`]) are eliminated, a placement pass marks the
+//! element-wise ops that stay on the UPMEM grid, and those are **fused into
+//! multi-output kernel launches** (`DpuKernelKind::FusedElementwise`) — the
+//! BFS epilogue's three launches per iteration become one. The optimizer
+//! never changes results: every constituent's output still materialises
+//! under its own handle, bit-identically to the unoptimized program
+//! ([`SessionOptions::with_optimizer`]`(false)`, property-tested).
 //!
 //! # Replay (the allocation-free hot path)
 //!
@@ -100,25 +101,16 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-use cinm_ir::fusion;
-use cinm_ir::{
-    Attribute, CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge, Func, Module,
-    OpBuilder, OpSpec, PassManager, PatternRewritePass, ScalarType, Type, ValueId,
-};
 use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, MramLayout, OutputLayout};
 use cinm_lowering::{ShardDevice, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
 use cinm_runtime::{FaultConfig, FaultStats};
 use upmem_sim::{
-    BinOp, DpuKernelKind, FusedArg, FusedStage, HostImage, KernelSpec, SimError, SystemStats,
-    UpmemConfig,
+    BinOp, DpuKernelKind, FusedStage, HostImage, KernelSpec, SimError, SystemStats, UpmemConfig,
 };
 
+use crate::fusion::{self, SchedItem};
 use crate::shard::{CachedShardPlanner, ShardPlanner, ShardPolicy};
 use crate::target::Target;
-
-// The IR fusion patterns and the simulator's fused kernel share one stage
-// cap; the session lowers fused groups directly into fused kernel specs.
-const _: () = assert!(fusion::MAX_FUSED_STAGES == upmem_sim::MAX_FUSED_STAGES);
 
 /// Options of a [`Session`].
 #[derive(Debug, Clone)]
@@ -429,15 +421,15 @@ fn recycle_slot(slots: &mut [Slot], free: &mut VecDeque<u32>, id: u32) {
 /// check is a plain slice comparison with no allocation; `Hash` feeds the
 /// canonical graph signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OpNode {
-    kind: CnmOp,
-    inputs: [u32; 3],
-    n_inputs: u8,
-    output: u32,
+pub(crate) struct OpNode {
+    pub(crate) kind: CnmOp,
+    pub(crate) inputs: [u32; 3],
+    pub(crate) n_inputs: u8,
+    pub(crate) output: u32,
 }
 
 impl OpNode {
-    fn inputs(&self) -> &[u32] {
+    pub(crate) fn inputs(&self) -> &[u32] {
         &self.inputs[..self.n_inputs as usize]
     }
 }
@@ -472,10 +464,6 @@ pub(crate) fn single_op_signature(kind: CnmOp) -> u64 {
     };
     canonical_signature(&[node], &[false], true)
 }
-
-/// The optimizer-IR name of every session op — the `"kind"` attribute
-/// (which CSE compares) carries the structural identity.
-const IR_OP: &str = "sess.op";
 
 /// One compiled UPMEM command of a segment.
 ///
@@ -558,19 +546,6 @@ struct Precond {
     resident: Residency,
 }
 
-/// One schedule item of an optimized graph (compile-local).
-enum SchedItem {
-    /// Lower `ops[i]` through the standard per-op path.
-    Plain(usize),
-    /// Lower a fused element-wise group: `ops` indexes the flattened
-    /// per-stage nodes, `stages`/`externals` describe the fused kernel.
-    Fused {
-        ops: Range<usize>,
-        stages: Vec<FusedStage>,
-        externals: Vec<u32>,
-    },
-}
-
 /// Compile-local lowering state of one plan: the virtual state of every
 /// canonical slot as placement evolves it (the actual slots only change at
 /// execution time), which slots the schedule has produced / recorded
@@ -617,91 +592,19 @@ struct Compiled {
     cmds: Vec<CnmCmd>,
 }
 
-/// The graph optimizer of one session: its two pass pipelines, built once,
-/// and the index tables of an [`Session::optimize`] call, kept between calls
-/// so that a cold run pays for the graph it optimizes and not for the
-/// optimizer. Nothing here outlives a call as a *result*: every table is
-/// cleared and refilled from the graph at hand.
-#[derive(Debug)]
+/// The graph optimizer of one session: the scratch of an
+/// [`Session::optimize`] call, kept between calls so that a cold run pays
+/// for the graph it optimizes and not for the optimizer. Nothing here
+/// outlives a call as a *result*: every table is cleared and refilled from
+/// the graph at hand.
+#[derive(Debug, Default)]
 struct GraphOptimizer {
-    /// Pass 1: CSE, then DCE.
-    cleanup: PassManager,
-    /// Pass 2: element-wise fusion over the annotated graph.
-    fuse: PassManager,
-    /// Per canonical slot: is it an op output, which op kind produces it,
-    /// which IR value carries it, did its producer survive, and the virtual
-    /// residency the placement pass evolves.
-    is_output: Vec<bool>,
-    kind_of: Vec<Option<CnmOp>>,
-    val_of: Vec<Option<ValueId>>,
-    survives: Vec<bool>,
+    /// CSE, DCE and fusion (`crate::fusion`).
+    graph: fusion::Graph,
+    /// The placement pass's virtual residency per canonical slot, and its
+    /// verdict per surviving op: may it fuse.
     resident: Vec<Residency>,
-    /// Canonical slots that are graph inputs, in function-argument order.
-    arg_cslots: Vec<u32>,
-    /// IR value → canonical slot, dense over `Body::num_values()`.
-    cslot_of: Vec<Option<u32>>,
-}
-
-impl GraphOptimizer {
-    fn new() -> Self {
-        let mut cleanup = PassManager::new();
-        cleanup.add_pass(Box::new(PatternRewritePass::new(
-            "cse",
-            vec![Box::new(CsePattern::new())],
-        )));
-        cleanup.add_pass(Box::new(DcePass));
-        let mut fuse = PassManager::new();
-        fuse.add_pass(Box::new(PatternRewritePass::new(
-            "fuse-elementwise",
-            vec![
-                Box::new(ElementwiseChainFusion),
-                Box::new(ElementwiseRootMerge),
-            ],
-        )));
-        GraphOptimizer {
-            cleanup,
-            fuse,
-            is_output: Vec::new(),
-            kind_of: Vec::new(),
-            val_of: Vec::new(),
-            survives: Vec::new(),
-            resident: Vec::new(),
-            arg_cslots: Vec::new(),
-            cslot_of: Vec::new(),
-        }
-    }
-
-    /// The canonical slot an IR value carries.
-    fn cslot(&self, v: ValueId) -> Option<u32> {
-        *self.cslot_of.get(v.0 as usize)?
-    }
-
-    /// Records the canonical slot of an IR value (growing the table over
-    /// values the fusion pass created).
-    fn set_cslot(&mut self, v: ValueId, cslot: u32) {
-        let i = v.0 as usize;
-        if i >= self.cslot_of.len() {
-            self.cslot_of.resize(i + 1, None);
-        }
-        self.cslot_of[i] = Some(cslot);
-    }
-
-    /// Reads one plain IR op back into a canonical node: its tag is the
-    /// canonical slot of its output, which names the recorded op it came
-    /// from.
-    fn node_of(&self, o: &cinm_ir::Operation) -> Option<OpNode> {
-        let tag = o.int_attr(fusion::ATTR_TAG)? as u32;
-        let mut node = OpNode {
-            kind: (*self.kind_of.get(tag as usize)?)?,
-            inputs: [0u32; 3],
-            n_inputs: o.operands.len() as u8,
-            output: tag,
-        };
-        for (slot, &v) in node.inputs.iter_mut().zip(&o.operands) {
-            *slot = self.cslot(v)?;
-        }
-        Some(node)
-    }
+    fusable: Vec<bool>,
 }
 
 /// Counters of the graph optimizer (see [`Session::optimizer_stats`]).
@@ -942,7 +845,7 @@ impl Session {
             backend,
             planner: CachedShardPlanner::new(planner),
             residency,
-            optimizer: optimizer.then(GraphOptimizer::new),
+            optimizer: optimizer.then(GraphOptimizer::default),
             slots: Vec::new(),
             free: VecDeque::new(),
             ops: Vec::new(),
@@ -1573,14 +1476,14 @@ impl Session {
         }
     }
 
-    /// Runs the recorded (canonical) graph through the `cinm-ir` pass
-    /// pipeline: CSE + DCE first, then a placement simulation that marks
-    /// segment-placed element-wise ops fusable, then the element-wise
-    /// fusion patterns. Returns the post-optimization canonical ops (fused
+    /// Optimizes the recorded (canonical) graph as recorded: CSE + DCE
+    /// first, then a placement pass that marks the segment-placed
+    /// element-wise ops fusable, then element-wise fusion (`crate::fusion`
+    /// states the rule). Returns the post-optimization canonical ops (fused
     /// groups flattened to one node per stage), the lowering schedule, and
     /// the canonical slots of eliminated source outputs — or `None` to fall
-    /// back to the identity schedule (unsupported graphs, planner errors —
-    /// those resurface identically through the plain path).
+    /// back to the identity schedule (planner errors resurface identically
+    /// through the plain path).
     fn optimize(
         &mut self,
         opt: &mut GraphOptimizer,
@@ -1591,179 +1494,43 @@ impl Session {
         if canon.is_empty() {
             return None;
         }
-        let dpus = self.backend.num_dpus();
-        let n_cslots = binding.len();
-        for table in [&mut opt.is_output, &mut opt.survives] {
-            table.clear();
-            table.resize(n_cslots, false);
-        }
-        opt.kind_of.clear();
-        opt.kind_of.resize(n_cslots, None);
-        opt.val_of.clear();
-        opt.val_of.resize(n_cslots, None);
-        // Every IR op carries the canonical slot of its output as its tag,
-        // which names the recorded op it came from.
-        for op in canon {
-            opt.is_output[op.output as usize] = true;
-            opt.kind_of[op.output as usize] = Some(op.kind);
-        }
-        opt.arg_cslots.clear();
-        opt.arg_cslots
-            .extend((0..n_cslots as u32).filter(|&c| !opt.is_output[c as usize]));
-        let arg_types: Vec<Type> = opt
-            .arg_cslots
-            .iter()
-            .map(|&c| {
-                let len = self.slots[binding[c as usize] as usize]
-                    .shape
-                    .map_or(1, |s| s.len());
-                Type::tensor(&[len as i64], ScalarType::I32)
-            })
-            .collect();
-        let mut func = Func::new("session_graph", arg_types, vec![]);
-        let entry = func.body.entry_block();
-        opt.cslot_of.clear();
-        for i in 0..opt.arg_cslots.len() {
-            let (arg, c) = (func.argument(i), opt.arg_cslots[i]);
-            opt.val_of[c as usize] = Some(arg);
-            opt.set_cslot(arg, c);
-        }
-        {
-            let mut b = OpBuilder::at_end(&mut func.body, entry);
-            for (oi, op) in canon.iter().enumerate() {
-                // Structural identity for CSE: ops of equal kind share the
-                // index of the first of them.
-                let kind_id = canon.iter().position(|o| o.kind == op.kind);
-                let out_len = op.kind.geometry(dpus).out_len;
-                let mut spec = OpSpec::new(IR_OP)
-                    .attr(
-                        "kind",
-                        Attribute::Int(kind_id.expect("op is recorded") as i64),
-                    )
-                    .attr(fusion::ATTR_TAG, Attribute::Int(op.output as i64))
-                    .result(Type::tensor(&[out_len as i64], ScalarType::I32));
-                if !discards[oi] {
-                    spec = spec.attr(fusion::ATTR_LIVE_OUT, Attribute::Int(1));
-                }
-                for &inp in op.inputs() {
-                    spec = spec.operand(opt.val_of[inp as usize]?);
-                }
-                let built = b.push(spec);
-                opt.val_of[op.output as usize] = Some(built.result());
-            }
-        }
-        let mut module = Module::new("session");
-        let fi = module.add_func(func);
-
-        // Pass 1: structural cleanup. Duplicates whose output the user
-        // observes survive CSE (their uses are rewired); discarded ones and
-        // dead chains are erased.
-        opt.cleanup.run(&mut module).ok()?;
+        let GraphOptimizer {
+            graph,
+            resident,
+            fusable,
+        } = opt;
+        let eliminated = graph.eliminate(canon, discards, binding.len());
 
         // Placement pass: place the cleaned graph exactly as `compile` will
-        // (same `place`, same `bind_resident` transitions) and mark every
-        // segment-placed element-wise op as fusion-eligible.
-        {
-            let func = &mut module.funcs[fi];
-            opt.resident.clear();
-            opt.resident
-                .extend(binding.iter().map(|&p| self.slots[p as usize].residency()));
-            // Nothing is inserted or erased here: positions stay valid.
-            for at in 0..func.body.block_ops(entry).len() {
-                let id = func.body.block_ops(entry)[at];
-                let node = opt.node_of(func.body.op(id))?;
-                opt.set_cslot(func.body.result(id, 0), node.output);
-                let geometry = node.kind.geometry(dpus);
-                if self.place(&node, &geometry, &opt.resident).ok()?.is_some() {
-                    opt.resident[node.output as usize] = None;
-                    continue;
-                }
-                if let CnmOp::Elementwise { op, len } = node.kind {
-                    let o = func.body.op_mut(id);
-                    for (key, value) in [
-                        (fusion::ATTR_ELIGIBLE, 1),
-                        (fusion::ATTR_CODE, op as i64),
-                        (fusion::ATTR_LEN, len as i64),
-                    ] {
-                        o.attrs.insert(key, Attribute::Int(value));
-                    }
-                }
-                for (&inp, key) in node.inputs().iter().zip(geometry.inputs) {
-                    bind_resident(&mut opt.resident[inp as usize], key, true);
-                }
-                opt.resident[node.output as usize] =
-                    Some((geometry.out_chunk, geometry.out_layout));
+        // (same `place`, same `bind_resident` transitions); an element-wise
+        // op left in the UPMEM segment may fuse.
+        let dpus = self.backend.num_dpus();
+        resident.clear();
+        resident.extend(binding.iter().map(|&p| self.slots[p as usize].residency()));
+        fusable.clear();
+        for node in graph.ops() {
+            let geometry = node.kind.geometry(dpus);
+            if self.place(node, &geometry, resident).ok()?.is_some() {
+                fusable.push(false);
+                resident[node.output as usize] = None;
+                continue;
             }
+            fusable.push(matches!(node.kind, CnmOp::Elementwise { .. }));
+            for (&inp, key) in node.inputs().iter().zip(geometry.inputs) {
+                bind_resident(&mut resident[inp as usize], key, true);
+            }
+            resident[node.output as usize] = Some((geometry.out_chunk, geometry.out_layout));
         }
 
-        // Pass 2: element-wise fusion over the annotated graph.
-        opt.fuse.run(&mut module).ok()?;
-
-        // Extraction: read the optimized block back into canonical nodes
-        // and a lowering schedule.
-        let func = &module.funcs[fi];
-        let block_ops = func.body.block_ops(entry);
-        let mut ops: Vec<OpNode> = Vec::with_capacity(canon.len());
-        let mut sched: Vec<SchedItem> = Vec::with_capacity(block_ops.len());
+        let (ops, sched) = graph.fuse(fusable);
         let mut fused_groups = 0u64;
         let mut ops_fused = 0u64;
-        for &id in block_ops {
-            let o = func.body.op(id);
-            if o.name == fusion::FUSED_OP {
-                let flat = o.int_array_attr(fusion::ATTR_STAGES)?;
-                let tags = o.int_array_attr(fusion::ATTR_TAGS)?;
-                let len = o.int_attr(fusion::ATTR_LEN)? as usize;
-                let externals: Option<Vec<u32>> =
-                    o.operands.iter().map(|&v| opt.cslot(v)).collect();
-                let externals = externals?;
-                let start = ops.len();
-                let mut stages: Vec<FusedStage> = Vec::with_capacity(tags.len());
-                for (s, words) in flat.chunks(fusion::STAGE_WORDS).enumerate() {
-                    let out_c = *tags.get(s)? as u32;
-                    let CnmOp::Elementwise { op, .. } = (*opt.kind_of.get(out_c as usize)?)? else {
-                        return None;
-                    };
-                    let resolve = |kind: i64, v: i64| -> Option<(FusedArg, u32)> {
-                        if kind == fusion::ARG_INPUT {
-                            Some((FusedArg::Input(v as u8), *externals.get(v as usize)?))
-                        } else {
-                            Some((FusedArg::Stage(v as u8), *tags.get(v as usize)? as u32))
-                        }
-                    };
-                    let (lhs, lc) = resolve(words[1], words[2])?;
-                    let (rhs, rc) = resolve(words[3], words[4])?;
-                    ops.push(OpNode {
-                        kind: CnmOp::Elementwise { op, len },
-                        inputs: [lc, rc, 0],
-                        n_inputs: 2,
-                        output: out_c,
-                    });
-                    stages.push(FusedStage { op, lhs, rhs });
-                    opt.survives[out_c as usize] = true;
-                }
-                for (s, &t) in tags.iter().enumerate() {
-                    opt.set_cslot(func.body.result(id, s), t as u32);
-                }
-                ops_fused += stages.len() as u64;
+        for item in &sched {
+            if let SchedItem::Fused { ops, .. } = item {
                 fused_groups += 1;
-                sched.push(SchedItem::Fused {
-                    ops: start..ops.len(),
-                    stages,
-                    externals,
-                });
-            } else {
-                let node = opt.node_of(o)?;
-                opt.set_cslot(func.body.result(id, 0), node.output);
-                opt.survives[node.output as usize] = true;
-                sched.push(SchedItem::Plain(ops.len()));
-                ops.push(node);
+                ops_fused += ops.len() as u64;
             }
         }
-        let eliminated: Vec<u32> = canon
-            .iter()
-            .filter(|op| !opt.survives[op.output as usize])
-            .map(|op| op.output)
-            .collect();
         self.opt_stats.graphs_optimized += 1;
         self.opt_stats.ops_eliminated += eliminated.len() as u64;
         self.opt_stats.fused_groups += fused_groups;
@@ -3262,68 +3029,185 @@ mod tests {
         assert_eq!(bytes_per_iter[2], bytes_per_iter[4]);
     }
 
+    /// Records a graph on the session and returns the handles to fetch
+    /// after the run.
+    type Recording = fn(&mut Session) -> Vec<TensorHandle>;
+
+    /// A vector of `len` elements cycling through `period` values.
+    fn ramp(sess: &mut Session, len: i32, period: i32) -> TensorHandle {
+        let v: Vec<i32> = (0..len).map(|i| i % period - period / 2).collect();
+        sess.vector(&v)
+    }
+
+    /// Runs `graph` once with the optimizer and once without it (the
+    /// oracle), checks that every handle it returns fetches the same values,
+    /// and returns the optimizer's counters and the launches of both runs.
+    fn optimized(graph: Recording) -> (OptimizerStats, u64, u64) {
+        let run = |optimizer: bool| {
+            let mut sess = Session::new(
+                SessionOptions::default()
+                    .with_upmem_config(small_cfg())
+                    .with_policy(ShardPolicy::Single(Target::Cnm))
+                    .with_optimizer(optimizer),
+            );
+            let handles = graph(&mut sess);
+            sess.run().unwrap();
+            let values: Vec<Vec<i32>> = handles.iter().map(|&h| sess.fetch(h)).collect();
+            (values, sess.optimizer_stats(), sess.upmem_stats().launches)
+        };
+        let (want, _, unfused) = run(false);
+        let (got, stats, launches) = run(true);
+        assert_eq!(got, want, "the optimizer changed a result");
+        (stats, launches, unfused)
+    }
+
     #[test]
     fn elementwise_chains_fuse_into_one_launch() {
-        let len = 96;
-        let a: Vec<i32> = (0..len).map(|i| (i % 17) - 8).collect();
-        let b: Vec<i32> = (0..len).map(|i| (i % 13) - 6).collect();
-        let c: Vec<i32> = (0..len).map(|i| (i % 7) - 3).collect();
-        let d: Vec<i32> = (0..len).map(|i| (i % 5) - 2).collect();
-        let mut sess = cnm_session(true);
-        let at = sess.vector(&a);
-        let bt = sess.vector(&b);
-        let ct = sess.vector(&c);
-        let dt = sess.vector(&d);
-        // The BFS-epilogue shape: a three-op element-wise chain.
-        let t0 = sess.elementwise(BinOp::Xor, at, bt);
-        let t1 = sess.elementwise(BinOp::And, t0, ct);
-        let t2 = sess.elementwise(BinOp::Or, t1, dt);
-        sess.run().unwrap();
-
-        let mut eager = oracle();
-        let r0 = eager.elementwise(BinOp::Xor, &a, &b);
-        let r1 = eager.elementwise(BinOp::And, &r0, &c);
-        let r2 = eager.elementwise(BinOp::Or, &r1, &d);
-        assert_eq!(sess.fetch(t2), r2);
-        // Every fused stage's output stays observable.
-        assert_eq!(sess.fetch(t0), r0);
-        assert_eq!(sess.fetch(t1), r1);
-        // Three ops, one launch (the eager oracle takes three).
-        assert_eq!(sess.upmem_stats().launches, 1);
-        assert_eq!(eager.stats().launches, 3);
-        let stats = sess.optimizer_stats();
-        assert_eq!(stats.graphs_optimized, 1);
-        assert_eq!(stats.fused_groups, 1);
-        assert_eq!(stats.ops_fused, 3);
-        assert_eq!(stats.launches_saved, 2);
+        // (case, graph, fused groups, ops fused, launches with / without
+        // the optimizer)
+        let cases: [(&str, Recording, u64, u64, u64, u64); 5] = [
+            (
+                "three-op chain",
+                |s| {
+                    let [a, b, c, d] = [17, 13, 7, 5].map(|p| ramp(s, 96, p));
+                    let t0 = s.elementwise(BinOp::Xor, a, b);
+                    let t1 = s.elementwise(BinOp::And, t0, c);
+                    let t2 = s.elementwise(BinOp::Or, t1, d);
+                    // Every fused stage's output stays observable.
+                    vec![t0, t1, t2]
+                },
+                1,
+                3,
+                1,
+                3,
+            ),
+            (
+                "BFS epilogue: one three-stage group over three inputs",
+                |s| {
+                    let [visited, ones, raw] = [3, 1, 5].map(|p| ramp(s, 64, p));
+                    let nv = s.elementwise(BinOp::Xor, visited, ones);
+                    let fresh = s.elementwise(BinOp::And, raw, nv);
+                    let vnext = s.elementwise(BinOp::Or, visited, raw);
+                    vec![nv, fresh, vnext]
+                },
+                1,
+                3,
+                1,
+                3,
+            ),
+            (
+                "five-op chain: a four-stage group plus one launch",
+                |s| {
+                    let (x, y) = (ramp(s, 40, 9), ramp(s, 40, 4));
+                    let mut t = x;
+                    (0..5)
+                        .map(|_| {
+                            t = s.elementwise(BinOp::Add, t, y);
+                            t
+                        })
+                        .collect()
+                },
+                1,
+                4,
+                2,
+                5,
+            ),
+            (
+                "ops of different lengths never merge",
+                |s| {
+                    let [a, b] = [7, 3].map(|p| ramp(s, 96, p));
+                    let [c, d] = [5, 11].map(|p| ramp(s, 64, p));
+                    vec![
+                        s.elementwise(BinOp::Add, a, b),
+                        s.elementwise(BinOp::Mul, c, d),
+                    ]
+                },
+                0,
+                0,
+                2,
+                2,
+            ),
+            (
+                "an operand defined after the producer blocks the chain",
+                |s| {
+                    let [a, b] = [7, 3].map(|p| ramp(s, 32, p));
+                    let m = s.matrix(&[1; 32 * 4], 32, 4);
+                    let x = ramp(s, 4, 3);
+                    let p = s.elementwise(BinOp::Add, a, b);
+                    let r = s.gemv(m, x);
+                    vec![s.elementwise(BinOp::Sub, p, r)]
+                },
+                0,
+                0,
+                3,
+                3,
+            ),
+        ];
+        for (case, graph, groups, fused, launches, unfused) in cases {
+            let (stats, got_launches, got_unfused) = optimized(graph);
+            assert_eq!(
+                (stats.graphs_optimized, stats.fused_groups, stats.ops_fused),
+                (1, groups, fused),
+                "{case}"
+            );
+            assert_eq!(stats.launches_saved, fused - groups, "{case}");
+            assert_eq!((got_launches, got_unfused), (launches, unfused), "{case}");
+        }
     }
 
     #[test]
     fn duplicate_and_dead_ops_are_eliminated() {
-        let len = 64;
-        let a: Vec<i32> = (0..len).map(|i| (i % 11) - 5).collect();
-        let b: Vec<i32> = (0..len).map(|i| (i % 9) - 4).collect();
-        let mut sess = cnm_session(true);
-        let at = sess.vector(&a);
-        let bt = sess.vector(&b);
-        let s1 = sess.elementwise(BinOp::Add, at, bt);
-        // A structural twin of s1 whose output the caller gives up on: CSE
-        // folds it into s1.
-        let s2 = sess.elementwise(BinOp::Add, at, bt);
-        sess.discard(s2);
-        // Dead: discarded and unconsumed, DCE erases it.
-        let dead = sess.elementwise(BinOp::Mul, at, bt);
-        sess.discard(dead);
-        let keep = sess.elementwise(BinOp::Sub, s1, bt);
-        sess.run().unwrap();
-
-        let mut eager = oracle();
-        let r1 = eager.elementwise(BinOp::Add, &a, &b);
-        let rk = eager.elementwise(BinOp::Sub, &r1, &b);
-        assert_eq!(sess.fetch(keep), rk);
-        assert_eq!(sess.fetch(s1), r1);
-        let stats = sess.optimizer_stats();
-        assert_eq!(stats.ops_eliminated, 2, "the CSE'd twin and the dead op");
+        // (case, graph, ops eliminated, launches)
+        let cases: [(&str, Recording, u64, u64); 3] = [
+            (
+                "a discarded twin and a dead op",
+                |s| {
+                    let (a, b) = (ramp(s, 64, 11), ramp(s, 64, 9));
+                    let s1 = s.elementwise(BinOp::Add, a, b);
+                    // A structural twin of s1 whose output the caller gives
+                    // up on: CSE folds it into s1.
+                    let s2 = s.elementwise(BinOp::Add, a, b);
+                    s.discard(s2);
+                    // Dead: discarded and unconsumed, DCE erases it.
+                    let dead = s.elementwise(BinOp::Mul, a, b);
+                    s.discard(dead);
+                    let keep = s.elementwise(BinOp::Sub, s1, b);
+                    vec![keep, s1]
+                },
+                2,
+                1,
+            ),
+            (
+                "a fetched duplicate survives CSE",
+                |s| {
+                    let (a, b) = (ramp(s, 64, 11), ramp(s, 64, 9));
+                    let s1 = s.elementwise(BinOp::Add, a, b);
+                    let s2 = s.elementwise(BinOp::Add, a, b);
+                    let k = s.elementwise(BinOp::Sub, s2, b);
+                    vec![s1, s2, k]
+                },
+                0,
+                1,
+            ),
+            (
+                "a discarded dead chain is erased",
+                |s| {
+                    let a = ramp(s, 64, 11);
+                    let d1 = s.elementwise(BinOp::Add, a, a);
+                    let d2 = s.elementwise(BinOp::Mul, d1, a);
+                    s.discard(d1);
+                    s.discard(d2);
+                    vec![s.elementwise(BinOp::Sub, a, a)]
+                },
+                2,
+                1,
+            ),
+        ];
+        for (case, graph, eliminated, launches) in cases {
+            let (stats, got_launches, _) = optimized(graph);
+            assert_eq!(stats.ops_eliminated, eliminated, "{case}");
+            assert_eq!(got_launches, launches, "{case}");
+        }
     }
 
     #[test]

@@ -512,14 +512,6 @@ impl Body {
         users
     }
 
-    /// Returns true if the value has at least one live user.
-    pub fn has_uses(&self, v: ValueId) -> bool {
-        self.ops
-            .iter()
-            .flatten()
-            .any(|slot| slot.op.operands.contains(&v))
-    }
-
     /// Erases an operation (and, recursively, every operation nested in its
     /// regions) from the IR.
     ///
@@ -805,12 +797,11 @@ mod tests {
             vec![],
         );
         assert_eq!(f.body.users(a), vec![add]);
-        assert!(f.body.has_uses(a));
-        assert!(!f.body.has_uses(b));
+        assert!(f.body.users(b).is_empty());
         let n = f.body.replace_all_uses(a, b);
         assert_eq!(n, 2);
         assert_eq!(f.body.op(add).operands, vec![b, b]);
-        assert!(!f.body.has_uses(a));
+        assert!(f.body.users(a).is_empty());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! typed SSA values, operations with attributes and nested regions, blocks,
 //! functions and modules, plus the infrastructure the Cinnamon compilation
 //! flow needs on top of it — a builder, a textual printer, a dialect
-//! registry with a structural verifier, a pass manager and a greedy
-//! pattern-rewrite driver.
+//! registry with a structural verifier and a pass manager.
 //!
 //! The paper's contribution (the `cinm`/`cnm`/`cim` abstractions and their
 //! progressive lowering) is defined in the `cinm-dialects` and
@@ -43,24 +42,20 @@ pub mod affine;
 pub mod attributes;
 pub mod builder;
 pub mod error;
-pub mod fusion;
 pub mod ir;
 pub mod pass;
 pub mod printer;
 pub mod registry;
-pub mod rewrite;
 pub mod types;
 
 pub use affine::{AffineExpr, AffineMap};
 pub use attributes::{AttrMap, Attribute};
 pub use builder::{BuiltOp, OpBuilder, OpSpec};
 pub use error::{IrError, IrResult};
-pub use fusion::{CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge};
 pub use ir::{BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind};
 pub use pass::{Pass, PassManager, PassResult, PipelineStats};
 pub use printer::{func_lines_of_code, print_func, print_module};
 pub use registry::{verify_func, verify_module, DialectRegistry, OpConstraint};
-pub use rewrite::{apply_patterns_greedily, PatternRewritePass, RewritePattern, RewriteStats};
 pub use types::{
     CnmBufferType, CnmWorkgroupType, MemRefType, MemorySpace, ScalarType, TensorType, Type,
 };
@@ -71,14 +66,12 @@ pub mod prelude {
     pub use crate::attributes::{AttrMap, Attribute};
     pub use crate::builder::{BuiltOp, OpBuilder, OpSpec};
     pub use crate::error::{IrError, IrResult};
-    pub use crate::fusion::{CsePattern, DcePass, ElementwiseChainFusion, ElementwiseRootMerge};
     pub use crate::ir::{
         BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind,
     };
     pub use crate::pass::{Pass, PassManager, PassResult};
     pub use crate::printer::{func_lines_of_code, print_func, print_module};
     pub use crate::registry::{verify_func, verify_module, DialectRegistry, OpConstraint};
-    pub use crate::rewrite::{apply_patterns_greedily, PatternRewritePass, RewritePattern};
     pub use crate::types::{MemorySpace, ScalarType, Type};
 }
 
