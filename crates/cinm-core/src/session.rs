@@ -372,9 +372,6 @@ struct Slot {
     /// Device buffers of this slot, keyed by role layout. Kept across
     /// recycling (same-shaped successors reuse the MRAM).
     bufs: Vec<(MramLayout, u32)>,
-    /// Raw gather of the partial layouts (select, reduce, histogram), which
-    /// decode into `host`; a prefix layout gathers straight into `host`.
-    scratch: Vec<i32>,
     /// Run token of the last run that bound this slot — the LRU recency the
     /// eviction policy orders victims by.
     last_use: u64,
@@ -2596,9 +2593,10 @@ fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> Shar
 /// gathered straight into `slot.host` at the logical length — a slot with no
 /// storage of that size shares the slab's image instead of receiving a copy
 /// (`UpmemSystem::gather_image`), so a spill followed by the buffer's
-/// release moves no bytes on the host; the partial layouts gather into
-/// `slot.scratch` and decode from there. The host copy is stale on entry, so
-/// a gather that fails has clobbered nothing that was valid.
+/// release moves no bytes on the host; the partial layouts decode straight
+/// from the gathered elements `UpmemSystem::gather_with` lends. The host copy
+/// is stale on entry, so a gather that fails has clobbered nothing that was
+/// valid.
 fn materialize_slot(
     backend: &mut ShardedBackend,
     slot: &mut Slot,
@@ -2606,23 +2604,20 @@ fn materialize_slot(
 ) -> Result<(), ShardError> {
     let resident = slot.resident.expect("materialize needs a resident copy");
     let len = slot.shape.expect("live slot has a shape").len();
-    let (buf, chunk) = (resident.buf, resident.gather_chunk);
-    let direct = resident.layout.is_prefix();
+    let (buf, chunk, layout) = (resident.buf, resident.gather_chunk, resident.layout);
+    let host = &mut slot.host;
     backend
         .upmem_mut()
         .try_op(|sys| {
-            if direct {
-                sys.gather_image(buf, chunk, len, &mut slot.host)
+            if layout.is_prefix() {
+                sys.gather_image(buf, chunk, len, host).map(|_| ())
             } else {
-                sys.gather_i32_into(buf, chunk, &mut slot.scratch)
+                sys.gather_with(buf, chunk, |raw| {
+                    layout.decode_into(raw, dpus, len, host.overwrite())
+                })
             }
         })
         .map_err(|e| cnm_failure(backend, "resident gather", e))?;
-    if !direct {
-        resident
-            .layout
-            .decode_into(&slot.scratch, dpus, len, slot.host.overwrite());
-    }
     slot.host_valid = true;
     Ok(())
 }

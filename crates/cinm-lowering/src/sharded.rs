@@ -1089,34 +1089,4 @@ mod tests {
         assert!(be.reduce(BinOp::Add, &v, &with_cim).is_err());
         assert!(be.histogram(&v, 4, 64, &with_cim).is_err());
     }
-
-    #[test]
-    fn device_tasks_run_concurrently_on_the_shared_pool() {
-        // A dedicated pool with three workers gives every device task its
-        // own worker; large-ish shards keep the tasks alive long enough to
-        // observe genuine overlap. Retried because overlap is a wall-clock
-        // property — a single observation of max_concurrent >= 2 proves the
-        // back-ends co-execute.
-        let pool = PoolHandle::with_threads(4);
-        let (m, k, n) = (192, 96, 64);
-        let a: Vec<i32> = (0..m * k).map(|i| (i % 9) as i32 - 4).collect();
-        let b: Vec<i32> = (0..k * n).map(|i| (i % 5) as i32 - 2).collect();
-        let split = ShardSplit {
-            cnm: 64,
-            cim: 64,
-            host: 64,
-        };
-        let golden = kernels::matmul(&a, &b, m, k, n);
-        for _attempt in 0..25 {
-            let mut cfg = UpmemConfig::with_ranks(1);
-            cfg.dpus_per_rank = 8;
-            let mut be = ShardedBackend::with_upmem_config(cfg, small_options(pool.clone()));
-            let c = be.gemm(&a, &b, m, k, n, &split).unwrap();
-            assert_eq!(c, golden);
-            if be.stats().max_concurrent >= 2 {
-                return;
-            }
-        }
-        panic!("device shards never overlapped across 25 attempts");
-    }
 }

@@ -633,6 +633,7 @@ impl PartialEq for PoolHandle {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn resolve_threads_clamps_and_resolves_auto() {
@@ -939,6 +940,42 @@ mod tests {
         }
         assert_eq!(first_ran_on.into_inner().unwrap(), Some(opener));
         assert_eq!(wakeups(&pool), K as u64 - 1);
+    }
+
+    #[test]
+    fn three_tasks_of_one_scope_run_at_once() {
+        // Each task waits until all three have arrived, so the scope can only
+        // finish if the opener and both workers run its tasks concurrently.
+        // A pool that ran them one after another would leave the first
+        // waiting forever; the deadline turns that into a failure.
+        const TASKS: usize = 3;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let pool = WorkerPool::new(TASKS - 1);
+        let (arrived, all_here) = (Mutex::new(0usize), Condvar::new());
+        let met = AtomicUsize::new(0);
+        pool.scope(|s| {
+            for _ in 0..TASKS {
+                let (arrived, all_here, met) = (&arrived, &all_here, &met);
+                s.spawn(move |_| {
+                    let mut n = relock(arrived);
+                    *n += 1;
+                    all_here.notify_all();
+                    while *n < TASKS {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return;
+                        }
+                        n = all_here.wait_timeout(n, left).expect("rendezvous lock").0;
+                    }
+                    met.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(
+            met.load(Ordering::SeqCst),
+            TASKS,
+            "the scope's tasks never ran at the same time"
+        );
     }
 
     #[test]

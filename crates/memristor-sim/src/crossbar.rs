@@ -5,18 +5,46 @@ use cinm_runtime::{FaultInjector, FaultKind};
 use crate::config::CrossbarConfig;
 use crate::stream::BandTile;
 
+/// A tile programmed with fewer live columns than this is stored
+/// column-major and multiplied as one contiguous dot product per column;
+/// a wider one is stored row-major and multiplied as one saxpy per input
+/// row. The crossover is measured (EXPERIMENTS.md, "Grid-level kernel
+/// execution"): the dot product is faster at every width below 16 and the
+/// saxpy at 16 and at the widths that fill whole vectors beyond it.
+const DOT_PRODUCT_BELOW_COLS: usize = 16;
+
+/// Whether a tile programmed with `cols` live columns is stored column-major.
+fn column_major(cols: usize) -> bool {
+    cols < DOT_PRODUCT_BELOW_COLS
+}
+
 /// Programs a validated `rows × cols` weight matrix: zero-padded to the full
-/// tile geometry (padding cells are still programmed, as on a real array
-/// where stale states must be overwritten), remembering how many columns are
-/// live. A pure function of the configuration and the weights.
+/// tile rows (padding cells are still programmed, as on a real array where
+/// stale states must be overwritten), remembering how many columns are live.
+/// A narrow matrix ([`column_major`]) is stored as its `cols` live columns of
+/// `tile_rows` weights each; a wide one as the full row-major
+/// `tile_rows × tile_cols` array. A pure function of the configuration and
+/// the weights; [`mvm_accumulate`] is the only reader of the layout.
 fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usize) -> Tile {
-    let mut padded = vec![0i32; config.tile_rows * config.tile_cols];
-    for r in 0..rows {
-        padded[r * config.tile_cols..r * config.tile_cols + cols]
-            .copy_from_slice(&weights[r * cols..(r + 1) * cols]);
-    }
+    let (tile_rows, tile_cols) = (config.tile_rows, config.tile_cols);
+    let stored = if column_major(cols) {
+        let mut columns = vec![0i32; cols * tile_rows];
+        for r in 0..rows {
+            for c in 0..cols {
+                columns[c * tile_rows + r] = weights[r * cols + c];
+            }
+        }
+        columns
+    } else {
+        let mut padded = vec![0i32; tile_rows * tile_cols];
+        for r in 0..rows {
+            padded[r * tile_cols..r * tile_cols + cols]
+                .copy_from_slice(&weights[r * cols..(r + 1) * cols]);
+        }
+        padded
+    };
     Tile {
-        weights: Some(padded),
+        weights: Some(stored),
         cols,
     }
 }
@@ -24,13 +52,27 @@ fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usi
 /// The analog MVM on an already-validated programmed tile, accumulated into
 /// the caller's output: `out += x × W` (wrapping) over the leading columns of
 /// the tile that `out` covers. Only the columns the tile was programmed with
-/// are multiplied; the padded ones hold zero weights and add nothing. This is
-/// the single functional core every MVM path (eager, batched, synced)
-/// funnels through, so results cannot diverge.
-fn mvm_accumulate(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
+/// are multiplied; the padded ones hold zero weights and add nothing. Both
+/// layouts sum the same products mod 2³², so the order they sum them in
+/// cannot show. This is the single functional core every MVM path (eager,
+/// batched, synced) funnels through, so results cannot diverge.
+fn mvm_accumulate(config: &CrossbarConfig, tile: &Tile, input: &[i32], out: &mut [i32]) {
     let weights = tile.weights.as_deref().expect("validated");
     let live = tile.cols.min(out.len());
     let out = &mut out[..live];
+    if column_major(tile.cols) {
+        let tile_rows = config.tile_rows;
+        for (c, slot) in out.iter_mut().enumerate() {
+            let column = &weights[c * tile_rows..c * tile_rows + input.len()];
+            let dot = column
+                .iter()
+                .zip(input)
+                .fold(0i32, |acc, (&w, &x)| acc.wrapping_add(w.wrapping_mul(x)));
+            *slot = slot.wrapping_add(dot);
+        }
+        return;
+    }
+    let tile_cols = config.tile_cols;
     for (r, &x) in input.iter().enumerate() {
         if x == 0 {
             continue;
@@ -44,18 +86,18 @@ fn mvm_accumulate(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32])
 
 /// The analog MVM written into caller scratch: `out[..tile_cols] = x × W`
 /// ([`mvm_accumulate`] onto zeros).
-fn mvm_on_weights_into(tile: &Tile, input: &[i32], tile_cols: usize, out: &mut [i32]) {
-    let out = &mut out[..tile_cols];
+fn mvm_on_weights_into(config: &CrossbarConfig, tile: &Tile, input: &[i32], out: &mut [i32]) {
+    let out = &mut out[..config.tile_cols];
     out.fill(0);
-    mvm_accumulate(tile, input, tile_cols, out);
+    mvm_accumulate(config, tile, input, out);
 }
 
 /// The analog MVM on an already-validated programmed tile:
 /// `y[tile_cols] = x × W` (allocating convenience over
 /// [`mvm_on_weights_into`]).
-fn mvm_on_weights(tile: &Tile, input: &[i32], tile_cols: usize) -> Vec<i32> {
-    let mut out = vec![0i32; tile_cols];
-    mvm_on_weights_into(tile, input, tile_cols, &mut out);
+fn mvm_on_weights(config: &CrossbarConfig, tile: &Tile, input: &[i32]) -> Vec<i32> {
+    let mut out = vec![0i32; config.tile_cols];
+    mvm_on_weights_into(config, tile, input, &mut out);
     out
 }
 
@@ -150,8 +192,8 @@ pub type CimResult<T> = Result<T, CimError>;
 
 #[derive(Debug, Clone, Default)]
 struct Tile {
-    /// Programmed weights, row-major `tile_rows × tile_cols`; `None` when the
-    /// tile has not been programmed yet.
+    /// Programmed weights in the layout [`program_tile`] chose for `cols`;
+    /// `None` when the tile has not been programmed yet.
     weights: Option<Vec<i32>>,
     /// Columns of the matrix the tile was programmed with; every column
     /// beyond holds zero weights.
@@ -394,7 +436,7 @@ impl CrossbarAccelerator {
     pub fn mvm(&mut self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
         self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
-        let result = mvm_on_weights(&self.tiles[tile], input, self.config.tile_cols);
+        let result = mvm_on_weights(&self.config, &self.tiles[tile], input);
         self.account_mvm(1);
         Ok(result)
     }
@@ -418,7 +460,7 @@ impl CrossbarAccelerator {
         }
         self.checked_tile(tile, input)?;
         self.inject_op("mvm")?;
-        mvm_on_weights_into(&self.tiles[tile], input, cols, out);
+        mvm_on_weights_into(&self.config, &self.tiles[tile], input, out);
         self.account_mvm(1);
         Ok(())
     }
@@ -449,7 +491,7 @@ impl CrossbarAccelerator {
             .pool
             .for_each_chunk_mut(config.host_threads, &mut results, 1, |i, slot| {
                 let (tile, input) = requests[i];
-                slot[0] = mvm_on_weights(&tiles[tile], input, config.tile_cols);
+                slot[0] = mvm_on_weights(config, &tiles[tile], input);
             });
         if !requests.is_empty() {
             self.account_parallel_mvm(requests.len());
@@ -483,9 +525,9 @@ impl CrossbarAccelerator {
                 let a_row = &a[r * k..(r + 1) * k];
                 for t in tiles {
                     mvm_accumulate(
+                        config,
                         &programmed[t.tile],
                         &a_row[t.row..t.row + t.rows],
-                        config.tile_cols,
                         &mut c_row[t.col..t.col + t.cols],
                     );
                 }
@@ -530,14 +572,14 @@ impl CrossbarAccelerator {
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
         }
-        let tiles = &self.tiles;
-        self.config.pool.for_each_chunk_mut(
-            self.config.host_threads,
+        let (config, tiles) = (&self.config, &self.tiles);
+        config.pool.for_each_chunk_mut(
+            config.host_threads,
             &mut out[..requests.len() * cols],
             cols,
             |i, slot| {
                 let (tile, input) = requests[i];
-                mvm_on_weights_into(&tiles[tile], input, cols, slot);
+                mvm_on_weights_into(config, &tiles[tile], input, slot);
             },
         );
         if !requests.is_empty() {
@@ -600,7 +642,9 @@ impl CrossbarAccelerator {
         Ok(out)
     }
 
-    /// Returns the programmed weights of a tile (testing aid).
+    /// Returns the programmed weights of a tile as stored (testing aid): a
+    /// wide tile row-major `tile_rows × tile_cols`, a narrow one column-major,
+    /// `tile_rows` weights per programmed column.
     pub fn tile_weights(&self, tile: usize) -> Option<&[i32]> {
         self.tiles.get(tile).and_then(|t| t.weights.as_deref())
     }

@@ -147,15 +147,32 @@ pub(crate) fn execute_grid(
             len,
             max_value,
         } => {
-            let max = max_value.max(1) as i64;
-            per_dpu(ins, out, out_elems, dpus, |[a], out| {
-                out[..bins].fill(0);
-                for &v in &a[..len] {
-                    let clamped = (v.max(0) as i64).min(max - 1);
-                    let bin = (clamped * bins as i64 / max) as usize;
-                    out[bin] += 1;
-                }
-            })
+            let max = max_value.max(1) as u64;
+            if (bins as u64).saturating_mul(max) <= 1 << 32 {
+                // Every numerator `clamped · bins` is below `max · bins ≤ 2³²`
+                // and `max < 2³¹`, so the quotient is exactly the high word of
+                // the numerator times the reciprocal `⌊(2⁶⁴ − 1) / max⌋ + 1`
+                // (Lemire, Kaser & Kurz 2019). For `max = 1` it wraps to 0,
+                // which is right: the only numerator is then 0.
+                let reciprocal = (u64::MAX / max).wrapping_add(1);
+                per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                    out[..bins].fill(0);
+                    for &v in &a[..len] {
+                        let n = (v.max(0) as u64).min(max - 1) * bins as u64;
+                        out[((reciprocal as u128 * n as u128) >> 64) as usize] += 1;
+                    }
+                })
+            } else {
+                let max = max as i64;
+                per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                    out[..bins].fill(0);
+                    for &v in &a[..len] {
+                        let clamped = (v.max(0) as i64).min(max - 1);
+                        let bin = (clamped * bins as i64 / max) as usize;
+                        out[bin] += 1;
+                    }
+                })
+            }
         }
         DpuKernelKind::Scan { op, len } => with_op!(op, |f| {
             per_dpu(ins, out, out_elems, dpus, |[a], out| {
@@ -168,20 +185,44 @@ pub(crate) fn execute_grid(
         }),
         DpuKernelKind::Select { len, threshold } => {
             per_dpu(ins, out, out_elems, dpus, |[a], out| {
+                // Branch-free: every element is stored at the next free slot
+                // and kept only if it passes. `count` never exceeds the
+                // element's own index, so the store stays in the stride.
+                let (head, kept) = out[..=len].split_at_mut(1);
                 let mut count = 0usize;
                 for &v in &a[..len] {
-                    if v > threshold {
-                        out[1 + count] = v;
-                        count += 1;
-                    }
+                    kept[count] = v;
+                    count += (v > threshold) as usize;
                 }
-                out[0] = count as i32;
+                kept[count..].fill(0);
+                head[0] = count as i32;
             })
         }
         DpuKernelKind::TimeSeries { len, window } => {
             let positions = len.saturating_sub(window) + 1;
             per_dpu(ins, out, out_elems, dpus, |[a], out| {
-                for (i, o) in out[..positions].iter_mut().enumerate() {
+                let (a, out) = (&a[..len], &mut out[..positions]);
+                let (lo, hi) = a
+                    .iter()
+                    .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                let spread = (hi as i64 - lo as i64).max(0) as u64;
+                let exact = (spread * spread)
+                    .checked_mul(window as u64)
+                    .is_some_and(|bound| bound <= i32::MAX as u64);
+                if exact {
+                    // No difference wraps and no sum exceeds `i32::MAX`, so
+                    // plain `i32` sums equal the saturating ones below;
+                    // position innermost, they vectorise.
+                    out.fill(0);
+                    for (j, &w) in a[..window].iter().enumerate() {
+                        for (o, &v) in out.iter_mut().zip(&a[j..]) {
+                            let d = v - w;
+                            *o += d * d;
+                        }
+                    }
+                    return;
+                }
+                for (i, o) in out.iter_mut().enumerate() {
                     let mut acc: i64 = 0;
                     for (&v, &w) in a[i..i + window].iter().zip(a) {
                         let d = v.wrapping_sub(w) as i64;
@@ -266,6 +307,42 @@ mod tests {
         ] {
             assert!(kind.num_inputs() <= MAX_KERNEL_INPUTS, "{}", kind.name());
         }
+    }
+
+    #[test]
+    fn select_writes_its_whole_output_stride_on_both_systems() {
+        use crate::naive::NaiveUpmemSystem;
+        use crate::system::DpuSystem;
+        use crate::{KernelSpec, UpmemConfig, UpmemSystem};
+        let (dpus, len) = (3, 5);
+        let a = [4, -1, 9, 2, 7, 0, 0, 0, 0, 0, 8, 8, 8, 8, 8];
+        let mut cfg = UpmemConfig::with_ranks(1);
+        cfg.dpus_per_rank = dpus;
+        let mut naive = NaiveUpmemSystem::new(cfg.clone());
+        let mut slab = UpmemSystem::new(cfg);
+        let mut strides = Vec::new();
+        for sys in [&mut naive as &mut dyn DpuSystem, &mut slab] {
+            let input = sys.alloc_buffer(len).unwrap();
+            // One element beyond the kernel's `len + 1`, which it leaves be.
+            let output = sys.alloc_buffer(len + 2).unwrap();
+            sys.scatter_i32(input, &a, len).unwrap();
+            sys.scatter_i32(output, &[-5; 21], len + 2).unwrap();
+            let spec = KernelSpec::new(
+                DpuKernelKind::Select { len, threshold: 3 },
+                vec![input],
+                output,
+            );
+            sys.launch(&spec).unwrap();
+            strides.push(sys.gather_i32(output, len + 2).unwrap().0);
+        }
+        #[rustfmt::skip]
+        let want = [
+            3, 4, 9, 7, 0, 0, -5,
+            0, 0, 0, 0, 0, 0, -5,
+            5, 8, 8, 8, 8, 8, -5,
+        ];
+        assert_eq!(strides[0], want);
+        assert_eq!(strides[1], want);
     }
 
     #[test]

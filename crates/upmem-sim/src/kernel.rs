@@ -159,7 +159,9 @@ pub enum DpuKernelKind {
         /// Elements per DPU.
         len: usize,
     },
-    /// Database select: keep elements `> threshold` (PrIM `sel`).
+    /// Database select: keep elements `> threshold` (PrIM `sel`). The
+    /// output stride of `len + 1` elements is fully written: the count of
+    /// kept elements, the kept elements in input order, then zeros.
     Select {
         /// Elements per DPU.
         len: usize,

@@ -100,6 +100,11 @@ fn seed_execute_kernel(kind: &DpuKernelKind, inputs: &[Vec<i32>], output: &mut [
                 }
             }
             output[0] = count as i32;
+            // Post-seed: the record is the whole stride, zero after the kept
+            // values (the seed left whatever the buffer held there).
+            for slot in &mut output[1 + count..=*len] {
+                *slot = 0;
+            }
         }
         DpuKernelKind::TimeSeries { len, window } => {
             let a = &inputs[0];

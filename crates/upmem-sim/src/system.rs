@@ -40,6 +40,10 @@
 //!   image without cloning it and [`UpmemSystem::zero_buffer`] puts the slab
 //!   back in its fresh replicated form.
 //!
+//! A caller that only *reads* a gather needs no image at all:
+//! [`UpmemSystem::gather_with`] lends it the tight slab itself (or a copy in
+//! the system's scratch) for the duration of one call.
+//!
 //! Validation, the fault draw and the accounting run before anything is
 //! handed over, so every simulated second, byte and joule — and every
 //! [`FaultInjector`] draw — is the same whichever way the data moved. A
@@ -706,6 +710,29 @@ pub(crate) fn transfer_threads(host_threads: usize, total_elems: usize) -> usize
     }
 }
 
+/// Copies the first `chunk` elements of every DPU's stride into `out`, in DPU
+/// order (resized to `chunk × num_dpus`) — the gather of a slab whose strides
+/// are not one tight run.
+fn copy_strides(
+    config: &UpmemConfig,
+    num_dpus: usize,
+    src: Strides<'_>,
+    chunk: usize,
+    out: &mut Vec<i32>,
+) {
+    // No `clear()` first: shrinking truncates, growing zero-fills the tail,
+    // and every retained element is overwritten by the copy loop below
+    // whenever `chunk > 0` — clearing would just memset the whole vector
+    // twice per gather.
+    out.resize(chunk * num_dpus, 0);
+    let threads = transfer_threads(config.host_threads, out.len());
+    config
+        .pool
+        .for_each_chunk_mut(threads, out, chunk, |d, dst| {
+            dst.copy_from_slice(&src.of(d)[..chunk]);
+        });
+}
+
 /// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
 /// `spec.output`, `spec.extra_outputs` order (moved out of `slabs` by the
@@ -835,9 +862,11 @@ pub struct UpmemSystem {
     /// Only the reuse stack: whether an id is live is the slab's own state.
     free_ids: Vec<BufferId>,
     stats: SystemStats,
-    /// Reusable staging arena of the aliased-launch slow path: grown once to
-    /// the largest input-stride footprint seen, then reused, so repeated
-    /// aliased launches perform no per-DPU (or per-launch) heap allocation.
+    /// Reusable staging arena of the aliased-launch slow path and of a
+    /// [`gather_with`](Self::gather_with) from strides that are not one tight
+    /// run: grown to the largest footprint seen, then reused, so repeated
+    /// aliased launches and lent gathers perform no per-DPU (or per-op) heap
+    /// allocation.
     scratch: Vec<i32>,
     /// Deterministic fault injector; `None` when the system is fault-free.
     fault: Option<FaultInjector>,
@@ -1388,19 +1417,43 @@ impl UpmemSystem {
             out.clear();
             out.extend_from_slice(flat);
         } else {
-            // No `clear()` first: shrinking truncates, growing zero-fills the
-            // tail, and every retained element is overwritten by the copy
-            // loop below whenever `chunk > 0` — clearing would just memset
-            // the whole vector twice per gather.
-            out.resize(chunk * num_dpus, 0);
-            let threads = transfer_threads(config.host_threads, out.len());
-            config
-                .pool
-                .for_each_chunk_mut(threads, out, chunk, |d, dst| {
-                    dst.copy_from_slice(&src.of(d)[..chunk]);
-                });
+            copy_strides(config, num_dpus, src, chunk, out);
         }
         self.account_gather(out.len())
+    }
+
+    /// [`gather_i32_into`](Self::gather_i32_into) without a destination of
+    /// the caller's: validates, draws the fault and bills exactly like it,
+    /// then lends the gathered `chunk × num_dpus` elements to `read` — the
+    /// slab itself when its strides are one tight run, otherwise a copy in
+    /// the system's own scratch (grown to the largest such gather, then
+    /// reused). A caller that only decodes the gather (select records,
+    /// reduction and histogram partials) thus writes its result once and
+    /// keeps no buffer of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`gather_i32_into`](Self::gather_i32_into); `read` is not called
+    /// when the gather fails.
+    pub fn gather_with<R>(
+        &mut self,
+        buffer: BufferId,
+        chunk: usize,
+        read: impl FnOnce(&[i32]) -> R,
+    ) -> SimResult<R> {
+        self.validate_chunk(buffer, chunk)?;
+        self.inject_transfer("gather")?;
+        let (config, num_dpus) = (&self.config, self.num_dpus);
+        let src = self.slabs[buffer as usize].strides();
+        let result = match src.flat(chunk, 0..num_dpus) {
+            Some(flat) => read(flat),
+            None => {
+                copy_strides(config, num_dpus, src, chunk, &mut self.scratch);
+                read(&self.scratch)
+            }
+        };
+        self.account_gather(chunk * num_dpus);
+        Ok(result)
     }
 
     /// [`gather_i32_into`](Self::gather_i32_into) a [`HostImage`], truncated
@@ -1698,6 +1751,14 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!(t_into, t_alloc);
         assert_eq!(sys.stats(), fresh.stats());
+        // A lent gather reads the same elements and bills the same transfer,
+        // from the tight slab itself and, for a partial chunk, from scratch.
+        for chunk in [8, 5] {
+            let lent = sys.gather_with(buf, chunk, <[i32]>::to_vec).unwrap();
+            assert_eq!(lent, fresh.gather_i32(fbuf, chunk).unwrap().0);
+            assert_eq!(sys.stats(), fresh.stats());
+        }
+        assert!(sys.gather_with(buf, 9, |_| panic!("not lent")).is_err());
         // zero_buffer restores the all-zero fresh-allocation contents and
         // accounts nothing.
         let stats_before = *sys.stats();

@@ -678,6 +678,172 @@ fn every_kernel_kind_matches_the_naive_reference() {
     }
 }
 
+/// Launches `kind` on a grid whose DPU `d` holds `strides[d]` (all of the
+/// kernel's input length), into an output buffer pre-filled with garbage, on
+/// the naive reference and on the slab system at 1, 2 and 8 host threads.
+/// Asserts that every system leaves the same output strides and statistics,
+/// and returns the output strides.
+fn launch_on_every_system(kind: &DpuKernelKind, strides: &[Vec<i32>]) -> Vec<Vec<i32>> {
+    let (len, out_len) = (kind.input_len(0), kind.output_len());
+    let input: Vec<i32> = strides.concat();
+    let mut cfg = UpmemConfig::with_ranks(1);
+    cfg.dpus_per_rank = strides.len();
+    let run = |sys: &mut dyn DpuSystem| {
+        let a = sys.alloc_buffer(len).unwrap();
+        let out = sys.alloc_buffer(out_len).unwrap();
+        sys.scatter_i32(a, &input, len).unwrap();
+        sys.scatter_i32(out, &vec![-7; out_len * strides.len()], out_len)
+            .unwrap();
+        sys.launch(&KernelSpec::new(kind.clone(), vec![a], out))
+            .unwrap();
+        (sys.gather_i32(out, out_len).unwrap().0, *sys.stats())
+    };
+    let oracle = run(&mut NaiveUpmemSystem::new(cfg.clone()));
+    for threads in [1usize, 2, 8] {
+        let slab = run(&mut UpmemSystem::new(
+            cfg.clone().with_host_threads(threads),
+        ));
+        assert!(slab == oracle, "{kind:?} at {threads} threads");
+    }
+    oracle
+        .0
+        .chunks(out_len.max(1))
+        .map(<[i32]>::to_vec)
+        .collect()
+}
+
+/// The branch-free select writes the whole record: the count, the kept
+/// values in input order, then zeros — for all, none, every other and a
+/// single element passing.
+#[test]
+fn select_records_match_the_oracles_at_the_edges() {
+    let ramp: Vec<i32> = (0..9).map(|i| i * 3 - 12).collect();
+    let cases: [(Vec<Vec<i32>>, i32); 5] = [
+        (vec![ramp.clone(), vec![i32::MAX; 9]], i32::MIN),
+        (vec![ramp.clone(), vec![i32::MIN; 9]], i32::MAX),
+        (vec![(0..9).map(|i| [-1, 1][i % 2]).collect(); 3], 0),
+        (vec![vec![5], vec![-5], vec![i32::MAX], vec![i32::MIN]], 0),
+        (vec![ramp, (-4..5).collect()], 0),
+    ];
+    for (strides, threshold) in cases {
+        let len = strides[0].len();
+        let kind = DpuKernelKind::Select { len, threshold };
+        for (stride, record) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+            let kept = kernels::select_gt(stride, threshold);
+            let mut want = vec![kept.len() as i32];
+            want.extend(&kept);
+            want.resize(len + 1, 0);
+            assert_eq!(record, want, "{stride:?} > {threshold}");
+        }
+    }
+}
+
+/// The reciprocal-multiply histogram bins equal the division on both sides of
+/// `bins × max_value = 2³²`, for values below zero, at `max − 1`, at and above
+/// `max`, and at the `i32` extremes.
+#[test]
+fn histogram_bins_match_the_oracles_on_both_sides_of_the_reciprocal_bound() {
+    let cases = [
+        (256, 1 << 22),
+        (1 << 10, 1 << 22),
+        ((1 << 10) + 1, 1 << 22),
+        (2, i32::MAX),
+        (3, i32::MAX),
+        (8, i32::MAX),
+        (7, 1),
+        (5, 0),
+        (4, -3),
+        (1000, 3),
+    ];
+    for (bins, max_value) in cases {
+        let max = max_value.max(1);
+        let edges = vec![
+            -5,
+            i32::MIN,
+            i32::MAX,
+            0,
+            max - 1,
+            max,
+            max.saturating_add(1),
+            max / 2,
+            // The reciprocal bins this one wrong for (8, i32::MAX), past 2³².
+            1_879_048_191,
+        ];
+        let mut rng = SplitMix64::seed_from_u64(bins as u64 ^ max as u64);
+        let random: Vec<i32> = (0..9).map(|_| rng.gen_range_i32(0, max)).collect();
+        let kind = DpuKernelKind::Histogram {
+            bins,
+            len: 9,
+            max_value,
+        };
+        let strides = [edges, random];
+        for (stride, hist) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+            assert_eq!(
+                hist,
+                kernels::histogram(stride, bins, max_value),
+                "bins={bins} max_value={max_value} {stride:?}"
+            );
+        }
+    }
+}
+
+/// The plain-`i32` time-series sums equal the saturating ones: window 1 and
+/// window = len, strides just inside and just outside `window × spread² ≤
+/// i32::MAX`, and strides whose sums saturate.
+#[test]
+fn time_series_profiles_match_the_oracles_on_both_sides_of_the_exact_bound() {
+    // 4 × 23 170² ≤ i32::MAX < 4 × 23 171².
+    let (inside, outside) = (23_170, 23_171);
+    let strides = vec![
+        vec![0, 0, 0, 0, inside, inside, inside, inside],
+        vec![0, 0, 0, 0, outside, outside, outside, outside],
+        vec![-64, 63, 0, -1, 17, -64, 63, 5],
+        vec![
+            i32::MIN,
+            i32::MAX,
+            0,
+            -1,
+            i32::MAX,
+            i32::MIN,
+            1 << 30,
+            -(1 << 30),
+        ],
+    ];
+    for window in [1, 4, 8] {
+        let kind = DpuKernelKind::TimeSeries { len: 8, window };
+        for (stride, profile) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+            assert_eq!(
+                profile,
+                kernels::time_series_profile(stride, window),
+                "window={window} {stride:?}"
+            );
+        }
+    }
+}
+
+/// Narrow tiles (column-major, one dot product per column) and wide ones
+/// (row-major saxpy) multiply bit-identically to the host golden, on both
+/// sides of the layout crossover and with zero inputs, at 1, 2 and 8 host
+/// threads.
+#[test]
+fn crossbar_tiles_of_every_width_match_the_golden() {
+    let (m, k) = (9, 70);
+    let a: Vec<i32> = (0..m * k)
+        .map(|i| match (i / k, i % 3) {
+            (4, _) | (_, 0) => 0,
+            _ => (i as i32 * 7) % 23 - 11,
+        })
+        .collect();
+    for n in [1, 7, 8, 9, 15, 16, 64, 70] {
+        let b = data::i32_matrix(n as u64, k, n, -9, 9);
+        let golden = kernels::matmul(&a, &b, m, k, n);
+        for threads in [1usize, 2, 8] {
+            let mut be = CimBackend::new(CimRunOptions::optimized().with_host_threads(threads));
+            assert_eq!(be.gemm(&a, &b, m, k, n), golden, "n={n} threads={threads}");
+        }
+    }
+}
+
 /// The UPMEM backend produces identical results and simulated statistics for
 /// any host-thread count (the knob only changes simulator wall-clock time).
 #[test]

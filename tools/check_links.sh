@@ -8,7 +8,7 @@
 #     matches the anchor;
 #   * backticked repo paths (`crates/.../file.rs`, `tools/x.sh`, ...) —
 #     any backticked token that contains a `/` and a known source/doc
-#     extension must exist.
+#     extension must exist, unless git ignores it (see below).
 #
 # Usage: tools/check_links.sh [files...]   (default: EXPERIMENTS.md ARCHITECTURE.md)
 
@@ -21,6 +21,22 @@ if [ ${#files[@]} -eq 0 ]; then
 fi
 
 errors=0
+
+# A path the repo's .gitignore covers (a build or benchmark output such as
+# `benchmark/out/trace_figures.json`) is made by running the tools and never
+# committed, so a clean checkout cannot have it: the docs may name it, and it
+# is not checked. Outside a git work tree (an unpacked `git archive`) a
+# throwaway repository reads the same .gitignore files.
+git_args=()
+if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    scratch_repo="$(mktemp -d)"
+    trap 'rm -rf "$scratch_repo"' EXIT
+    git init -q "$scratch_repo"
+    git_args=(--git-dir="$scratch_repo/.git" --work-tree=.)
+fi
+ignored() {
+    git "${git_args[@]}" check-ignore -q -- "$1" 2>/dev/null
+}
 
 # GitHub-style heading slug: lowercase, drop everything but alnum/space/
 # hyphen, spaces to hyphens.
@@ -73,7 +89,7 @@ for doc in "${files[@]}"; do
 
     # Backticked repo paths.
     while IFS= read -r path; do
-        if [ ! -e "$path" ]; then
+        if [ ! -e "$path" ] && ! ignored "$path"; then
             echo "error: $doc references missing path '$path'"
             errors=$((errors + 1))
         fi
