@@ -2441,9 +2441,10 @@ impl Session {
 
 /// The device buffer backing `slot` under role `key`, allocating it on first
 /// use. Buffers stay attached to the slot across recycling, so a replayed
-/// plan's lookups are allocation-free. Under MRAM pressure the allocation
-/// evicts cold resident tensors (spill-to-host or drop-and-rematerialize)
-/// one at a time until the request fits; the typed
+/// plan's lookups are allocation-free. Under MRAM pressure cold resident
+/// tensors are evicted (spill-to-host or drop-and-rematerialize) one at a
+/// time *before* the allocation, until the request fits — so the simulator
+/// never builds an error for the expected case; the typed
 /// [`ShardError::MramExhausted`] surfaces only when every remaining
 /// resident is part of the in-flight run's working set.
 #[allow(clippy::too_many_arguments)]
@@ -2461,26 +2462,32 @@ fn ensure_buf_in(
         return Ok(buf);
     }
     let (MramLayout::Chunk(elems) | MramLayout::Broadcast(elems)) = key;
+    let needed_bytes = elems * 4;
     loop {
-        match backend.upmem_mut().system_mut().alloc_buffer(elems) {
-            Ok(buf) => {
-                slots[slot as usize].bufs.push((key, buf));
-                return Ok(buf);
-            }
-            Err(e) if e.is_mram_exhausted() => {
-                let (needed_bytes, available_bytes) = e.mram_shortfall().unwrap_or((elems * 4, 0));
-                if !evict_one(backend, slots, live_temps, slot, protect, counters, dpus)? {
-                    return Err(ShardError::MramExhausted {
-                        needed_bytes,
-                        available_bytes,
-                    });
-                }
-            }
-            // Non-capacity allocation failures are compiler bugs, exactly
-            // as before the capacity layer.
-            Err(e) => panic!("MRAM alloc: {e}"),
+        let sys = backend.upmem().system();
+        let available_bytes = sys
+            .config()
+            .mram_bytes
+            .saturating_sub(sys.mram_used_bytes());
+        if needed_bytes <= available_bytes {
+            break;
+        }
+        if !evict_one(backend, slots, live_temps, slot, protect, counters, dpus)? {
+            return Err(ShardError::MramExhausted {
+                needed_bytes,
+                available_bytes,
+            });
         }
     }
+    // The request fits, so a failure here is a compiler bug, exactly as
+    // before the capacity layer.
+    let buf = backend
+        .upmem_mut()
+        .system_mut()
+        .alloc_buffer(elems)
+        .unwrap_or_else(|e| panic!("MRAM alloc: {e}"));
+    slots[slot as usize].bufs.push((key, buf));
+    Ok(buf)
 }
 
 /// Evicts the coldest unprotected tensor's device buffers to relieve MRAM

@@ -13,9 +13,52 @@ use crate::stream::BandTile;
 /// saxpy at 16 and at the widths that fill whole vectors beyond it.
 const DOT_PRODUCT_BELOW_COLS: usize = 16;
 
+/// A tile programmed with at least this many live columns, all of whose
+/// weights fit `i16`, also keeps an `i16` copy of them. On a one-column tile
+/// the narrow dot product is no faster than the `i32` one (EXPERIMENTS.md,
+/// "Narrow multiply-accumulate"), so the copy would only add programming
+/// work.
+const NARROW_FROM_COLS: usize = 2;
+
+/// The shortest input that is multiplied with a tile's `i16` copy (when it
+/// fits `i16`). A shorter one keeps the `i32` loops: against a wide tile's
+/// row-major saxpy, the horizontal sum every narrow dot product pays costs
+/// more than its narrow products save (same measurement).
+const NARROW_FROM_ROWS: usize = 16;
+
 /// Whether a tile programmed with `cols` live columns is stored column-major.
 fn column_major(cols: usize) -> bool {
     cols < DOT_PRODUCT_BELOW_COLS
+}
+
+/// Whether every element of `v` lies in `i16`'s `[−2¹⁵, 2¹⁵)`: adding 2¹⁵
+/// maps that range, and only it, onto `[0, 2¹⁶)`, so the OR of the shifted
+/// values has no bit above the low sixteen. Branch-free, so it vectorises.
+fn fits_i16(v: &[i32]) -> bool {
+    v.iter()
+        .fold(0u32, |wide, &e| wide | (e as u32).wrapping_add(0x8000))
+        >> 16
+        == 0
+}
+
+/// The wrapping dot product of `a` and `b` (of `a`'s length) for an `a`
+/// whose elements fit `i16`. Each `a[i] as i16` is then exact and no product
+/// of two `i16`s overflows `i32`, so the wrapping sum equals the `i32` loop's
+/// in any order. LLVM lowers the whole groups of eight to SSE2 `pmaddwd` on
+/// the low halves of `a`'s lanes. The up to seven elements left over take
+/// plain `i32` products, equal for an `a` that fits and cheaper than a
+/// truncated scalar one.
+fn dot_narrow(a: &[i32], b: &[i16]) -> i32 {
+    let body = a.len() / 8 * 8;
+    let head = a[..body].iter().zip(b).fold(0, |acc: i32, (&a, &b)| {
+        acc.wrapping_add(a as i16 as i32 * b as i32)
+    });
+    a[body..]
+        .iter()
+        .zip(&b[body..])
+        .fold(head, |acc, (&a, &b)| {
+            acc.wrapping_add(a.wrapping_mul(b as i32))
+        })
 }
 
 /// Programs a validated `rows × cols` weight matrix: zero-padded to the full
@@ -23,10 +66,22 @@ fn column_major(cols: usize) -> bool {
 /// stale states must be overwritten), remembering how many columns are live.
 /// A narrow matrix ([`column_major`]) is stored as its `cols` live columns of
 /// `tile_rows` weights each; a wide one as the full row-major
-/// `tile_rows × tile_cols` array. A pure function of the configuration and
-/// the weights; [`mvm_accumulate`] is the only reader of the layout.
+/// `tile_rows × tile_cols` array. Weights that all fit `i16` on a tile of
+/// [`NARROW_FROM_COLS`] or more columns are kept a second time, as `i16`
+/// live columns of `tile_rows` each. A pure function of the configuration
+/// and the weights; [`mvm_wide`] and [`mvm_narrow`] are the only readers of
+/// the layouts.
 fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usize) -> Tile {
     let (tile_rows, tile_cols) = (config.tile_rows, config.tile_cols);
+    let narrow = (cols >= NARROW_FROM_COLS && fits_i16(weights)).then(|| {
+        let mut columns = vec![0i16; cols * tile_rows];
+        for r in 0..rows {
+            for c in 0..cols {
+                columns[c * tile_rows + r] = weights[r * cols + c] as i16;
+            }
+        }
+        columns
+    });
     let stored = if column_major(cols) {
         let mut columns = vec![0i32; cols * tile_rows];
         for r in 0..rows {
@@ -45,23 +100,52 @@ fn program_tile(config: &CrossbarConfig, weights: &[i32], rows: usize, cols: usi
     };
     Tile {
         weights: Some(stored),
+        narrow,
         cols,
     }
 }
 
+/// The narrow MVM on a tile's `i16` copy `columns`: one [`dot_narrow`] per
+/// column of `out`, accumulated. Returns `false`, having done nothing, when
+/// `input` is shorter than [`NARROW_FROM_ROWS`] or does not fit `i16`.
+fn mvm_narrow(columns: &[i16], tile_rows: usize, input: &[i32], out: &mut [i32]) -> bool {
+    if input.len() < NARROW_FROM_ROWS || !fits_i16(input) {
+        return false;
+    }
+    for (c, slot) in out.iter_mut().enumerate() {
+        let column = &columns[c * tile_rows..c * tile_rows + input.len()];
+        *slot = slot.wrapping_add(dot_narrow(input, column));
+    }
+    true
+}
+
 /// The analog MVM on an already-validated programmed tile, accumulated into
 /// the caller's output: `out += x × W` (wrapping) over the leading columns of
-/// the tile that `out` covers. Only the columns the tile was programmed with
-/// are multiplied; the padded ones hold zero weights and add nothing. Both
-/// layouts sum the same products mod 2³², so the order they sum them in
-/// cannot show. This is the single functional core every MVM path (eager,
-/// batched, synced) funnels through, so results cannot diverge.
+/// the tile that `out` covers. A tile with an `i16` copy tries
+/// [`mvm_narrow`] first; everything else is [`mvm_wide`]. Every layout sums
+/// the same products mod 2³², so the order they sum them in cannot show.
+/// This is the single functional core every MVM path (eager, batched,
+/// synced) funnels through, so results cannot diverge.
 fn mvm_accumulate(config: &CrossbarConfig, tile: &Tile, input: &[i32], out: &mut [i32]) {
+    if let Some(columns) = tile.narrow.as_deref() {
+        let live = tile.cols.min(out.len());
+        if mvm_narrow(columns, config.tile_rows, input, &mut out[..live]) {
+            return;
+        }
+    }
+    mvm_wide(config, tile, input, out);
+}
+
+/// [`mvm_accumulate`] on the `i32` weights: only the columns the tile was
+/// programmed with are multiplied; the padded ones hold zero weights and add
+/// nothing.
+#[inline(always)]
+fn mvm_wide(config: &CrossbarConfig, tile: &Tile, input: &[i32], out: &mut [i32]) {
     let weights = tile.weights.as_deref().expect("validated");
     let live = tile.cols.min(out.len());
     let out = &mut out[..live];
+    let tile_rows = config.tile_rows;
     if column_major(tile.cols) {
-        let tile_rows = config.tile_rows;
         for (c, slot) in out.iter_mut().enumerate() {
             let column = &weights[c * tile_rows..c * tile_rows + input.len()];
             let dot = column
@@ -99,6 +183,27 @@ fn mvm_on_weights(config: &CrossbarConfig, tile: &Tile, input: &[i32]) -> Vec<i3
     let mut out = vec![0i32; config.tile_cols];
     mvm_on_weights_into(config, tile, input, &mut out);
     out
+}
+
+/// The MVMs of one band row: `a_row` times every tile of `tiles`, each
+/// accumulated into its columns of `c_row` by `mvm`.
+#[inline(always)]
+fn band_row(
+    mvm: impl Fn(&CrossbarConfig, &Tile, &[i32], &mut [i32]),
+    config: &CrossbarConfig,
+    programmed: &[Tile],
+    tiles: &[BandTile],
+    a_row: &[i32],
+    c_row: &mut [i32],
+) {
+    for t in tiles {
+        mvm(
+            config,
+            &programmed[t.tile],
+            &a_row[t.row..t.row + t.rows],
+            &mut c_row[t.col..t.col + t.cols],
+        );
+    }
 }
 
 /// Accumulated statistics of the accelerator.
@@ -195,6 +300,9 @@ struct Tile {
     /// Programmed weights in the layout [`program_tile`] chose for `cols`;
     /// `None` when the tile has not been programmed yet.
     weights: Option<Vec<i32>>,
+    /// The live columns again as `i16`, `tile_rows` each, when
+    /// [`program_tile`] found every weight to fit.
+    narrow: Option<Vec<i16>>,
     /// Columns of the matrix the tile was programmed with; every column
     /// beyond holds zero weights.
     cols: usize,
@@ -519,19 +627,34 @@ impl CrossbarAccelerator {
         parallel: bool,
     ) {
         let (config, programmed) = (&self.config, &self.tiles);
-        config
-            .pool
-            .for_each_chunk_mut(config.host_threads, band, n, |r, c_row| {
-                let a_row = &a[r * k..(r + 1) * k];
-                for t in tiles {
-                    mvm_accumulate(
-                        config,
-                        &programmed[t.tile],
-                        &a_row[t.row..t.row + t.rows],
-                        &mut c_row[t.col..t.col + t.cols],
-                    );
-                }
+        // A band none of whose tiles keeps an `i16` copy (the GEMV's
+        // one-column tiles) runs the `i32` body alone: a narrow branch in
+        // that loop measurably slowed the one-column MVMs (≈ 18 ns each) of
+        // the crossbar `mv` run.
+        let (pool, threads) = (&config.pool, config.host_threads);
+        if tiles.iter().any(|t| programmed[t.tile].narrow.is_some()) {
+            pool.for_each_chunk_mut(threads, band, n, |r, c_row| {
+                band_row(
+                    mvm_accumulate,
+                    config,
+                    programmed,
+                    tiles,
+                    &a[r * k..(r + 1) * k],
+                    c_row,
+                )
             });
+        } else {
+            pool.for_each_chunk_mut(threads, band, n, |r, c_row| {
+                band_row(
+                    mvm_wide,
+                    config,
+                    programmed,
+                    tiles,
+                    &a[r * k..(r + 1) * k],
+                    c_row,
+                )
+            });
+        }
         for _ in 0..rows {
             if !parallel {
                 tiles.iter().for_each(|_| self.account_mvm(1));

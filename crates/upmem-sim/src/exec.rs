@@ -57,6 +57,115 @@ fn per_dpu<const N: usize>(
     }
 }
 
+/// `wide | (v + 2¹⁵)` as `u32`. OR-ed over a row from 0, the result is below
+/// 2¹⁶ exactly when every `v` lies in `i16`'s `[−2¹⁵, 2¹⁵)`: adding 2¹⁵ maps
+/// that range, and only it, onto `[0, 2¹⁶)`. Branch-free, so it vectorises.
+#[inline(always)]
+fn or_offset(wide: u32, v: i32) -> u32 {
+    wide | (v as u32).wrapping_add(0x8000)
+}
+
+/// Whether every element of `v` fits `i16` (see [`or_offset`]).
+fn fits_i16(v: &[i32]) -> bool {
+    v.iter().fold(0, |wide, &e| or_offset(wide, e)) >> 16 == 0
+}
+
+/// The narrow product of one element pair: `a as i16` is exact for an `a`
+/// that fits, and no product of two `i16`s overflows `i32`.
+#[inline(always)]
+fn mul_narrow(a: i32, b: i16) -> i32 {
+    a as i16 as i32 * b as i32
+}
+
+/// The wrapping dot product of `a` and `b` (of `a`'s length) for an `a`
+/// whose elements fit `i16`: the wrapping sum of [`mul_narrow`]s equals the
+/// `i32` loop's in any order. LLVM lowers the whole groups of eight to SSE2
+/// `pmaddwd` on the low halves of `a`'s lanes. The up to seven elements left
+/// over take plain `i32` products, equal for an `a` that fits and cheaper
+/// than a truncated scalar one.
+fn dot_narrow(a: &[i32], b: &[i16]) -> i32 {
+    let body = a.len() / 8 * 8;
+    let head = a[..body]
+        .iter()
+        .zip(b)
+        .fold(0, |acc: i32, (&a, &b)| acc.wrapping_add(mul_narrow(a, b)));
+    a[body..]
+        .iter()
+        .zip(&b[body..])
+        .fold(head, |acc, (&a, &b)| {
+            acc.wrapping_add(a.wrapping_mul(b as i32))
+        })
+}
+
+/// [`dot_narrow`] and [`fits_i16`] of `a` in one pass, split the same way:
+/// the dot product when `a` fits, `None` (and a wasted pass the caller
+/// repeats in `i32`) when not. A `gemv` row is used once per launch, so a
+/// separate fit test would read every row twice.
+fn dot_narrow_checked(a: &[i32], b: &[i16]) -> Option<i32> {
+    let body = a.len() / 8 * 8;
+    let (acc, wide) = a[..body]
+        .iter()
+        .zip(b)
+        .fold((0, 0), |(acc, wide): (i32, u32), (&a, &b)| {
+            (acc.wrapping_add(mul_narrow(a, b)), or_offset(wide, a))
+        });
+    let (acc, wide) =
+        a[body..]
+            .iter()
+            .zip(&b[body..])
+            .fold((acc, wide), |(acc, wide), (&a, &b)| {
+                (
+                    acc.wrapping_add(a.wrapping_mul(b as i32)),
+                    or_offset(wide, a),
+                )
+            });
+    (wide >> 16 == 0).then_some(acc)
+}
+
+/// The shortest `gemm` row (`k`) that takes [`dot_narrow`]. Below it the
+/// `i32` saxpy over the `n` columns is faster, because every narrow dot
+/// product pays a horizontal sum (EXPERIMENTS.md, "Narrow
+/// multiply-accumulate").
+const NARROW_GEMM_FROM_K: usize = 16;
+
+/// The shortest `gemv` row (`cols`) that takes [`dot_narrow_checked`]. Below
+/// it the two horizontal sums of the fused pass cost more than its narrow
+/// products save (same measurement).
+const NARROW_GEMV_FROM_COLS: usize = 40;
+
+/// Narrows the right-hand operand of a `gemm` or `gemv` launch into
+/// `scratch` (grown to fit, never shrunk), once for the whole launch: `B` of
+/// a `gemm` is stored transposed, column `j` at `[j · k, (j + 1) · k)`, and
+/// `x` of a `gemv` as is. `None` when the kernel has no such operand, its
+/// rows are shorter than the kernel's narrow crossover, or the operand is
+/// stored per DPU or holds a value outside `i16`; the launch then runs the
+/// `i32` loops alone.
+pub(crate) fn narrow_operand<'s>(
+    kind: &DpuKernelKind,
+    ins: &[Strides<'_>],
+    scratch: &'s mut Vec<i16>,
+) -> Option<&'s [i16]> {
+    let (k, n) = match *kind {
+        DpuKernelKind::Gemm { k, n, .. } if k >= NARROW_GEMM_FROM_K => (k, n),
+        DpuKernelKind::Gemv { cols, .. } if cols >= NARROW_GEMV_FROM_COLS => (cols, 1),
+        _ => return None,
+    };
+    let rhs = &ins[1].replicated()?[..k * n];
+    if !fits_i16(rhs) {
+        return None;
+    }
+    if scratch.len() < rhs.len() {
+        scratch.resize(rhs.len(), 0);
+    }
+    let narrow = &mut scratch[..rhs.len()];
+    for (j, column) in narrow.chunks_exact_mut(k).enumerate() {
+        for (p, v) in column.iter_mut().enumerate() {
+            *v = rhs[p * n + j] as i16;
+        }
+    }
+    Some(narrow)
+}
+
 /// `out[i] = a[i] op b[i]` for the first `len` elements of every DPU of the
 /// band — the body of [`DpuKernelKind::Elementwise`] and of each stage of a
 /// [`DpuKernelKind::FusedElementwise`] launch (whose operands are launch
@@ -96,17 +205,21 @@ pub(crate) fn elementwise_grid(
 
 /// Functional semantics of the DPUs `dpus` executing the kernel on their
 /// local data: `ins` are the launch's input strides, `out` the band of the
-/// output slab those DPUs own (`out_elems` elements each).
+/// output slab those DPUs own (`out_elems` elements each), and `narrow` the
+/// launch's [`narrow_operand`].
 ///
 /// The dense loop nests are written in an autovectorisation-friendly form
 /// (row-wise `zip` iteration, GEMM in i-p-j order). Where this reorders an
 /// accumulation relative to the seed implementation the result is still
 /// bit-identical, because all arithmetic is wrapping 32-bit (exact mod 2³²,
 /// hence order-independent) — `tests/properties.rs` asserts the equivalence
-/// against the retained seed executor over randomized cases.
+/// against the retained seed executor over randomized cases. A `gemm` or
+/// `gemv` row whose elements fit `i16` against a narrowed operand takes
+/// [`dot_narrow`], which sums the same products.
 pub(crate) fn execute_grid(
     kind: &DpuKernelKind,
     ins: &[Strides<'_>],
+    narrow: Option<&[i16]>,
     out: &mut [i32],
     out_elems: usize,
     dpus: Range<usize>,
@@ -116,6 +229,12 @@ pub(crate) fn execute_grid(
             for i in 0..m {
                 let a_row = &a[i * k..(i + 1) * k];
                 let c_row = &mut out[i * n..(i + 1) * n];
+                if let Some(columns) = narrow.filter(|_| fits_i16(a_row)) {
+                    for (cv, column) in c_row.iter_mut().zip(columns.chunks_exact(k)) {
+                        *cv = cv.wrapping_add(dot_narrow(a_row, column));
+                    }
+                    continue;
+                }
                 for (p, &av) in a_row.iter().enumerate() {
                     let b_row = &b[p * n..(p + 1) * n];
                     for (cv, &bv) in c_row.iter_mut().zip(b_row) {
@@ -127,10 +246,13 @@ pub(crate) fn execute_grid(
         DpuKernelKind::Gemv { rows, cols } => per_dpu(ins, out, out_elems, dpus, |[a, x], out| {
             for (i, o) in out[..rows].iter_mut().enumerate() {
                 let a_row = &a[i * cols..(i + 1) * cols];
-                let mut acc: i32 = 0;
-                for (&av, &xv) in a_row.iter().zip(x) {
-                    acc = acc.wrapping_add(av.wrapping_mul(xv));
-                }
+                let acc = narrow
+                    .and_then(|x| dot_narrow_checked(a_row, x))
+                    .unwrap_or_else(|| {
+                        a_row.iter().zip(x).fold(0, |acc: i32, (&av, &xv)| {
+                            acc.wrapping_add(av.wrapping_mul(xv))
+                        })
+                    });
                 *o = o.wrapping_add(acc);
             }
         }),

@@ -297,6 +297,11 @@ impl<'a> Strides<'a> {
         (self.step == len && self.elems == len)
             .then(|| &self.data[dpus.start * len..dpus.end * len])
     }
+
+    /// The one stride every DPU reads, for a replicated slab.
+    pub(crate) fn replicated(self) -> Option<&'a [i32]> {
+        (self.step == 0).then(|| self.of(0))
+    }
 }
 
 /// One grid-wide buffer. The storage form is private to this type: reads go
@@ -736,10 +741,11 @@ fn copy_strides(
 /// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
 /// `spec.output`, `spec.extra_outputs` order (moved out of `slabs` by the
-/// caller), every other buffer is read from `slabs`, and `scratch` is the
+/// caller), every other buffer is read from `slabs`, `scratch` is the
 /// staging arena of the aliased path (grown to the launch's input footprint,
-/// never shrunk). Output slabs become per-DPU here; inputs are only ever read
-/// through their [`Strides`].
+/// never shrunk) and `narrow` holds the hot path's [`exec::narrow_operand`]
+/// (grown the same way). Output slabs become per-DPU here; inputs are only
+/// ever read through their [`Strides`].
 ///
 /// The kernel is dispatched once per band of DPUs ([`exec::execute_grid`]),
 /// not once per DPU: one band for `host_threads = 1`, `k` bands of the same
@@ -751,6 +757,7 @@ fn launch_slabs(
     slabs: &[Slab],
     outs: &mut [&mut Slab],
     scratch: &mut Vec<i32>,
+    narrow: &mut Vec<i16>,
 ) {
     let n_inputs = spec.inputs.len();
     debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
@@ -801,11 +808,12 @@ fn launch_slabs(
     if !spec.inputs.contains(&spec.output) {
         // Hot path: input strides are borrowed straight from the slabs and
         // the output is split into disjoint bands of per-DPU strides.
+        let narrow = exec::narrow_operand(&spec.kind, ins, narrow);
         config
             .pool
             .for_each_band_mut(config.host_threads, out, out_elems, |first, band| {
                 let dpus = first..first + band.len() / out_elems;
-                exec::execute_grid(&spec.kind, ins, band, out_elems, dpus)
+                exec::execute_grid(&spec.kind, ins, narrow, band, out_elems, dpus)
             });
         return;
     }
@@ -845,7 +853,14 @@ fn launch_slabs(
                 elems: bounds[i + 1] - bounds[i],
             };
         }
-        exec::execute_grid(&spec.kind, &staged[..n_inputs], out, out_elems, d..d + 1);
+        exec::execute_grid(
+            &spec.kind,
+            &staged[..n_inputs],
+            None,
+            out,
+            out_elems,
+            d..d + 1,
+        );
     }
 }
 
@@ -868,6 +883,10 @@ pub struct UpmemSystem {
     /// aliased launches and lent gathers perform no per-DPU (or per-op) heap
     /// allocation.
     scratch: Vec<i32>,
+    /// The `i16` copy of a launch's replicated `gemm`/`gemv` operand
+    /// ([`exec::narrow_operand`]): grown to the largest operand seen, then
+    /// reused, so warm launches narrow without allocating.
+    narrow: Vec<i16>,
     /// Deterministic fault injector; `None` when the system is fault-free.
     fault: Option<FaultInjector>,
     /// Per-op telemetry handles, resolved once at construction when the
@@ -921,6 +940,7 @@ impl UpmemSystem {
             free_ids: Vec::new(),
             stats: SystemStats::default(),
             scratch: Vec::new(),
+            narrow: Vec::new(),
             fault,
             tele,
         }
@@ -1581,6 +1601,7 @@ impl UpmemSystem {
             &self.slabs,
             &mut taken.each_mut()[..spec.outputs().count()],
             &mut self.scratch,
+            &mut self.narrow,
         );
         for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
             self.slabs[b as usize] = std::mem::take(slot);

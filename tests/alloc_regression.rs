@@ -88,6 +88,41 @@ fn steady_state_launch_loop_is_allocation_free() {
     assert_eq!(allocs, 0, "steady-state launches must not allocate");
 }
 
+/// The narrow multiply-accumulate keeps its `i16` operand in scratch the
+/// system owns: once the first launch has grown it, a narrow gemm (every
+/// operand fits `i16`), a wide one (one `B` element does not) and a narrow
+/// gemv with a smaller operand launch without allocating. The rows are as
+/// long as each kernel's narrow crossover (`k` = 16, `cols` = 40), and one
+/// output buffer serves all three, so the first launch also expands the
+/// only output.
+#[test]
+fn steady_state_narrow_and_wide_launches_are_allocation_free() {
+    let mut sys = sequential_system();
+    let a = sys.alloc_buffer(64).unwrap();
+    let b = sys.alloc_buffer(64).unwrap();
+    let x = sys.alloc_buffer(40).unwrap();
+    let c = sys.alloc_buffer(8).unwrap();
+    let data: Vec<i32> = (0..64 * 8).map(|i| i * 31 % 97 - 40).collect();
+    let mut wide = data[..64].to_vec();
+    wide[17] = 1 << 20;
+    sys.scatter_i32(a, &data, 64).unwrap();
+    sys.broadcast_i32(b, &data[..64]).unwrap();
+    sys.broadcast_i32(x, &data[..40]).unwrap();
+    let gemm = KernelSpec::new(DpuKernelKind::Gemm { m: 2, k: 16, n: 4 }, vec![a, b], c);
+    let gemv = KernelSpec::new(DpuKernelKind::Gemv { rows: 1, cols: 40 }, vec![a, x], c);
+    sys.launch(&gemm).unwrap();
+    let ((), allocs) = alloc_count::count_in(|| {
+        for i in 0..50 {
+            sys.broadcast_i32(b, &data[i..i + 64]).unwrap();
+            sys.launch(&gemm).unwrap();
+            sys.launch(&gemv).unwrap();
+            sys.broadcast_i32(b, &wide).unwrap();
+            sys.launch(&gemm).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "narrow and wide launches must not allocate");
+}
+
 /// The aliased-launch slow path stages its inputs in the reusable scratch
 /// arena: after the arena has grown once, repeated aliased launches are
 /// allocation-free too — eager or recorded and synced, which run one body
@@ -310,6 +345,91 @@ fn steady_state_session_loop_under_a_limit_is_allocation_free() {
     assert!(!out.is_empty());
 }
 
+/// The benchmark's `session_pressure` op in small: six weight matrices under
+/// half the MRAM they need, so every op evicts. Each eviction here drops a
+/// tensor whose host copy is current, and bringing one back costs exactly
+/// one allocation — the restored slab's zeroed stride; the upload adopts the
+/// session's image. So an op allocates once per eviction and for nothing
+/// else: a failed allocation that formats its error before the session
+/// evicts would double the count.
+#[test]
+fn an_op_that_evicts_under_a_limit_allocates_only_the_slabs_it_restores() {
+    use cinm_core::session::TensorHandle;
+
+    let (rows, cols, ring) = (64usize, 32usize, 6usize);
+    let session = |limit: Option<usize>| {
+        let mut cfg = UpmemConfig::with_ranks(1).with_host_threads(1);
+        cfg.dpus_per_rank = 8;
+        let opts = SessionOptions::default()
+            .with_upmem_config(cfg)
+            .with_policy(ShardPolicy::Single(Target::Cnm));
+        let mut sess = Session::new(match limit {
+            Some(bytes) => opts.with_mram_limit_bytes(bytes),
+            None => opts,
+        });
+        let models: Vec<(TensorHandle, TensorHandle, [TensorHandle; 3])> = (0..ring)
+            .map(|m| {
+                let w: Vec<i32> = (0..rows * cols)
+                    .map(|i| ((i + m) % 13) as i32 - 6)
+                    .collect();
+                let mask = |j: usize| -> Vec<i32> {
+                    (0..rows).map(|i| ((i * 5 + j + m) % 4096) as i32).collect()
+                };
+                (
+                    sess.matrix(&w, rows, cols),
+                    sess.vector(&vec![1; cols]),
+                    [
+                        sess.vector(&mask(0)),
+                        sess.vector(&mask(1)),
+                        sess.vector(&mask(2)),
+                    ],
+                )
+            })
+            .collect();
+        (sess, models)
+    };
+    let x: Vec<i32> = (0..cols).map(|e| (e % 5) as i32 - 2).collect();
+    let (mut selected, mut chain) = (Vec::new(), Vec::new());
+    let mut op = |sess: &mut Session,
+                  models: &[(TensorHandle, TensorHandle, [TensorHandle; 3])],
+                  tick: usize| {
+        let (weights, xt, masks) = models[tick % ring];
+        sess.write(xt, &x);
+        let y = sess.gemv(weights, xt);
+        let sel = sess.select(y, 0);
+        let t1 = sess.elementwise(BinOp::Xor, y, masks[0]);
+        let t2 = sess.elementwise(BinOp::And, t1, masks[1]);
+        let ch = sess.elementwise(BinOp::Or, t2, masks[2]);
+        let sum = sess.reduce(BinOp::Add, ch);
+        sess.run().expect("cnm placement");
+        sess.fetch_into(sel, &mut selected);
+        sess.fetch_into(ch, &mut chain);
+        std::hint::black_box(sess.fetch_scalar(sum));
+    };
+    // Half of what the ring peaks at with no limit, as the benchmark sets it.
+    let (mut unlimited, models) = session(None);
+    for tick in 0..ring {
+        op(&mut unlimited, &models, tick);
+    }
+    let peak = unlimited.residency_stats().peak_mram_bytes;
+    let (mut sess, models) = session(Some(peak / 2));
+    for tick in 0..2 * ring {
+        op(&mut sess, &models, tick);
+    }
+    for tick in 0..2 * ring {
+        let before = sess.residency_stats();
+        let ((), allocs) = alloc_count::count_in(|| op(&mut sess, &models, tick));
+        let after = sess.residency_stats();
+        let evictions = after.evictions - before.evictions;
+        assert!(evictions > 0, "op {tick} ran without pressure");
+        assert_eq!(after.spills, before.spills, "every victim has a host copy");
+        assert_eq!(
+            allocs, evictions,
+            "op {tick}: {allocs} allocations for {evictions} restored slabs"
+        );
+    }
+}
+
 /// The warmed multi-tenant *serving* loop — two tenants submitting
 /// same-shaped gemv requests that the `SessionServer` fuses into one
 /// batched launch per round, then redeeming their tickets — performs
@@ -467,6 +587,34 @@ fn steady_state_mvm_loop_is_allocation_free() {
         }
     });
     assert_eq!(allocs, 0, "steady-state MVM batches must not allocate");
+}
+
+/// Every MVM form of the crossbar — a tile with an `i16` copy against an
+/// input that fits and one that does not, and a tile whose weights do not
+/// fit — runs on the weights programmed once: no form builds a vector.
+#[test]
+fn steady_state_narrow_and_wide_mvms_are_allocation_free() {
+    let mut xbar = CrossbarAccelerator::new(CrossbarConfig::default().with_host_threads(1));
+    let dim = xbar.config().tile_rows;
+    let mut w: Vec<i32> = (0..dim * dim).map(|i| (i % 17) as i32 - 8).collect();
+    xbar.write_tile(0, &w, dim, dim).unwrap();
+    w[5] = i32::MIN;
+    xbar.write_tile(1, &w, dim, dim).unwrap();
+    let narrow: Vec<i32> = (0..dim).map(|i| (i % 5) as i32 - 2).collect();
+    let mut wide = narrow.clone();
+    wide[3] = 40_000;
+    let mut out = vec![0i32; 2 * xbar.config().tile_cols];
+    xbar.mvm_into(0, &narrow, &mut out).unwrap(); // warm-up
+    let ((), allocs) = alloc_count::count_in(|| {
+        for input in [&narrow, &wide, &narrow] {
+            for tile in 0..2 {
+                xbar.mvm_into(tile, input, &mut out).unwrap();
+            }
+            xbar.mvm_parallel_into(&[(0, input), (1, input)], &mut out)
+                .unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "narrow and wide MVMs must not allocate");
 }
 
 /// The compiler's front half: a dialect registry is references to `static`

@@ -679,11 +679,16 @@ fn every_kernel_kind_matches_the_naive_reference() {
 }
 
 /// Launches `kind` on a grid whose DPU `d` holds `strides[d]` (all of the
-/// kernel's input length), into an output buffer pre-filled with garbage, on
+/// kernel's first input length) and every DPU the same `replicated` further
+/// inputs (broadcast), into an output buffer pre-filled with garbage, on
 /// the naive reference and on the slab system at 1, 2 and 8 host threads.
 /// Asserts that every system leaves the same output strides and statistics,
 /// and returns the output strides.
-fn launch_on_every_system(kind: &DpuKernelKind, strides: &[Vec<i32>]) -> Vec<Vec<i32>> {
+fn launch_on_every_system(
+    kind: &DpuKernelKind,
+    strides: &[Vec<i32>],
+    replicated: &[&[i32]],
+) -> Vec<Vec<i32>> {
     let (len, out_len) = (kind.input_len(0), kind.output_len());
     let input: Vec<i32> = strides.concat();
     let mut cfg = UpmemConfig::with_ranks(1);
@@ -692,9 +697,15 @@ fn launch_on_every_system(kind: &DpuKernelKind, strides: &[Vec<i32>]) -> Vec<Vec
         let a = sys.alloc_buffer(len).unwrap();
         let out = sys.alloc_buffer(out_len).unwrap();
         sys.scatter_i32(a, &input, len).unwrap();
+        let mut inputs = vec![a];
+        for data in replicated {
+            let b = sys.alloc_buffer(data.len()).unwrap();
+            sys.broadcast_i32(b, data).unwrap();
+            inputs.push(b);
+        }
         sys.scatter_i32(out, &vec![-7; out_len * strides.len()], out_len)
             .unwrap();
-        sys.launch(&KernelSpec::new(kind.clone(), vec![a], out))
+        sys.launch(&KernelSpec::new(kind.clone(), inputs, out))
             .unwrap();
         (sys.gather_i32(out, out_len).unwrap().0, *sys.stats())
     };
@@ -728,7 +739,10 @@ fn select_records_match_the_oracles_at_the_edges() {
     for (strides, threshold) in cases {
         let len = strides[0].len();
         let kind = DpuKernelKind::Select { len, threshold };
-        for (stride, record) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+        for (stride, record) in strides
+            .iter()
+            .zip(launch_on_every_system(&kind, &strides, &[]))
+        {
             let kept = kernels::select_gt(stride, threshold);
             let mut want = vec![kept.len() as i32];
             want.extend(&kept);
@@ -777,7 +791,10 @@ fn histogram_bins_match_the_oracles_on_both_sides_of_the_reciprocal_bound() {
             max_value,
         };
         let strides = [edges, random];
-        for (stride, hist) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+        for (stride, hist) in strides
+            .iter()
+            .zip(launch_on_every_system(&kind, &strides, &[]))
+        {
             assert_eq!(
                 hist,
                 kernels::histogram(stride, bins, max_value),
@@ -811,7 +828,10 @@ fn time_series_profiles_match_the_oracles_on_both_sides_of_the_exact_bound() {
     ];
     for window in [1, 4, 8] {
         let kind = DpuKernelKind::TimeSeries { len: 8, window };
-        for (stride, profile) in strides.iter().zip(launch_on_every_system(&kind, &strides)) {
+        for (stride, profile) in strides
+            .iter()
+            .zip(launch_on_every_system(&kind, &strides, &[]))
+        {
             assert_eq!(
                 profile,
                 kernels::time_series_profile(stride, window),
@@ -819,6 +839,123 @@ fn time_series_profiles_match_the_oracles_on_both_sides_of_the_exact_bound() {
             );
         }
     }
+}
+
+/// Rows of `len` elements at the edges of `i16`: a row that fits, with both
+/// extremes −32768 and 32767 among small values; a row of −32768 only, whose
+/// products with another such row pair up to 2³¹ and must wrap; and rows
+/// that mix narrow and wide values — one value outside `i16` at the front,
+/// middle or back of a fitting row. Each wide value sits among fitting
+/// values of its own sign only (−32769 and `i32::MIN` next to −32768, 32768
+/// and `i32::MAX` next to 32767), so a fit bound off by one towards it
+/// accepts the whole row.
+fn i16_edge_rows(len: usize) -> Vec<Vec<i32>> {
+    let row = |lanes: [i32; 7]| -> Vec<i32> { (0..len).map(|i| lanes[i % 7]).collect() };
+    let (low, high) = (
+        row([-32768, -3, 5, 0, 1, -1, 2]),
+        row([32767, -3, 5, 0, 1, -1, 2]),
+    );
+    let mut rows = vec![row([-32768, 32767, -3, 5, 0, 1, -1]), vec![-32768; len]];
+    if len > 0 {
+        for (base, wide, at) in [
+            (&low, -32769, 0),
+            (&high, 32768, len / 2),
+            (&low, i32::MIN, len - 1),
+            (&high, i32::MAX, 0),
+        ] {
+            let mut mixed = base.clone();
+            mixed[at] = wide;
+            rows.push(mixed);
+        }
+    }
+    rows
+}
+
+/// A `k × n` matrix whose every row and column cycles through `row`.
+fn cycled(row: &[i32], k: usize, n: usize) -> Vec<i32> {
+    (0..k * n).map(|i| row[(i / n + i % n) % k]).collect()
+}
+
+/// The exact narrow multiply-accumulate of the UPMEM `gemm` and `gemv`
+/// equals the naive reference and the `cpu_sim` golden at the `i16` edges
+/// ([`i16_edge_rows`] as the rows of `A` — two per DPU, so every DPU mixes
+/// two kinds — and as the broadcast `B`/`x`), at 1, 2 and 8 host threads.
+/// The row lengths sit on both sides of the two crossovers (`gemm` narrow
+/// from `k` = 16, `gemv` from 40), on and off whole 8-element groups, and at
+/// zero. The mutations each case kills: −32769 a fit offset of `0x8001`,
+/// 32768 one of `0x7fff`, `i32::MIN`/`i32::MAX` a fit test that reads only
+/// bits 16–23, a wide value at the front a `gemv` fit test that keeps only
+/// the last element's bits, wide `A` rows a `gemm` that tests only `B`, the
+/// all −32768 rows a saturating dot product, `k` = 17, 31, 41 and 47 a dot
+/// product that drops the elements after the last whole group of eight,
+/// `n` = 3 an untransposed `B`, and `k` = 0 a crossover of zero (a
+/// zero-length column cannot be split off).
+#[test]
+fn narrow_gemm_and_gemv_match_the_oracles_at_the_i16_edges() {
+    let (m, n) = (2, 3);
+    for k in [0, 1, 15, 16, 17, 31, 39, 40, 41, 47] {
+        let rows = i16_edge_rows(k);
+        let strides: Vec<Vec<i32>> = (0..rows.len())
+            .map(|d| [&rows[d][..], &rows[(d + 1) % rows.len()][..]].concat())
+            .collect();
+        for rhs in &rows {
+            let b = cycled(rhs, k, n);
+            let kinds = [
+                (DpuKernelKind::Gemm { m, k, n }, &b[..]),
+                (DpuKernelKind::Gemv { rows: m, cols: k }, &rhs[..]),
+            ];
+            for (kind, operand) in kinds {
+                let outputs = launch_on_every_system(&kind, &strides, &[operand]);
+                for (a, out) in strides.iter().zip(outputs) {
+                    let product = match kind {
+                        DpuKernelKind::Gemm { .. } => kernels::matmul(a, &b, m, k, n),
+                        _ => kernels::matvec(a, rhs, m, k),
+                    };
+                    let want: Vec<i32> = product.iter().map(|v| v.wrapping_add(-7)).collect();
+                    assert_eq!(out, want, "{kind:?}: {a:?} x {operand:?}");
+                }
+            }
+        }
+    }
+}
+
+/// The crossbar's narrow MVMs equal the `cpu_sim` golden at the `i16` edges
+/// ([`i16_edge_rows`] as the rows of `A` and as the stationary operand), at
+/// 1, 2 and 8 host threads, on tiles one column wide (below the narrow
+/// crossover of two columns: no `i16` copy), two, 16 and 64, with inputs on
+/// both sides of the narrow crossover of 16 rows, on and off whole 8-element
+/// groups; an empty input multiplies to zeros. The mutations each case
+/// kills: −32769 and 32768 a fit offset off by one, `i32::MIN`/`i32::MAX` a
+/// fit test that reads only bits 16–23, wide weights an `i16` copy
+/// programmed without the fit test, wide rows of `A` an MVM that skips the
+/// input's fit test, the all −32768 rows a saturating dot product, `k` = 17
+/// and 31 a dot product that drops the elements after the last whole group
+/// of eight, and two or more columns an `i16` copy stored row-major.
+#[test]
+fn narrow_crossbar_mvms_match_the_golden_at_the_i16_edges() {
+    for n in [1, 2, 16, 64] {
+        for k in [1, 15, 16, 17, 31, 64] {
+            let rows = i16_edge_rows(k);
+            let (a, m) = (rows.concat(), rows.len());
+            for rhs in &rows {
+                let b = cycled(rhs, k, n);
+                let (gemm, gemv) = (
+                    kernels::matmul(&a, &b, m, k, n),
+                    kernels::matvec(&a, rhs, m, k),
+                );
+                for threads in [1usize, 2, 8] {
+                    let mut be =
+                        CimBackend::new(CimRunOptions::optimized().with_host_threads(threads));
+                    let case = format!("n={n} k={k} threads={threads} B from {rhs:?}");
+                    assert_eq!(be.gemm(&a, &b, m, k, n), gemm, "{case}");
+                    assert_eq!(be.gemv(&a, rhs, m, k), gemv, "{case}");
+                }
+            }
+        }
+    }
+    let mut xbar = CrossbarAccelerator::new(CrossbarConfig::default());
+    xbar.write_tile(0, &[-32768, 32767, 3, -4], 2, 2).unwrap();
+    assert!(xbar.mvm(0, &[]).unwrap().iter().all(|&v| v == 0));
 }
 
 /// Narrow tiles (column-major, one dot product per column) and wide ones
