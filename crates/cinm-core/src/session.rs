@@ -2164,7 +2164,7 @@ impl Session {
     }
 
     /// Recovers from one device failure. A failed command commits nothing
-    /// (single commands are transactional, and shard dispatch discards
+    /// (one command is the unit of fault atomicity, and shard dispatch discards
     /// partial merges) and the commands of its segment that did run are
     /// idempotent, so re-executing the failed step from its start is safe —
     /// external inputs keep their host copies, and every transfer/launch

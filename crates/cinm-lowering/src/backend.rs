@@ -23,27 +23,34 @@
 //!   to allocating per op — and per-DPU MRAM no longer grows with every op.
 //! * [`CimBackend`] caches the B-tile decomposition (traversal order,
 //!   crossbar slots and parallel grouping) keyed by the stationary operand's
-//!   shape, and stages the weight blocks of a command stream in a reusable
-//!   arena. The recorded [`XbarCommand`]s *borrow* their payloads — weight
-//!   blocks from that arena, MVM input rows in place from `A` — and the MVMs
-//!   accumulate straight into `C`: nothing is allocated per MVM.
+//!   shape, and stages the weight blocks of a tile batch in a reusable arena.
+//!   Tile writes read their blocks from that arena, each band of MVMs
+//!   ([`CrossbarAccelerator::mvm_band`]) reads its input rows in place from
+//!   `A` and accumulates straight into `C`: nothing is allocated per MVM.
 //!
 //! Contexts never change what is simulated — only host-side allocation and
 //! copying. `tests/properties.rs` asserts reused-context streams of ops
 //! bit-identical to fresh per-op backends, and `tests/alloc_regression.rs`
 //! asserts the underlying launch+MVM loop allocates nothing in steady state.
+//!
+//! # One command is the unit of fault atomicity
+//!
+//! Both back-ends issue every device command — a transfer, a launch, a tile
+//! write, a band of MVMs — as one direct call under the backend's
+//! [`RetryPolicy`]. Each command validates and draws its fault decisions
+//! before it mutates anything, so a faulted command applies nothing and its
+//! retry is bit-identical to a fault-free issue. An op that fails for good
+//! (a permanent fault, an exhausted retry budget) stops at the failing
+//! command; the layers above re-execute whole steps, which are idempotent.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use cinm_runtime::{CommandStream, FaultStats, PoolHandle, RetryPolicy};
+use cinm_runtime::{FaultStats, PoolHandle, RetryPolicy};
 use cpu_sim::model::{CpuModel, OpCounts};
-use memristor_sim::{
-    BandTile, CimError, CimStats, CrossbarAccelerator, CrossbarConfig, XbarCommand,
-};
+use memristor_sim::{BandTile, CimError, CimStats, CrossbarAccelerator, CrossbarConfig};
 use upmem_sim::{
-    validate_kernel_shape, BinOp, Command, CommandOutput, DpuKernelKind, KernelSpec, SimError,
-    SystemStats, UpmemConfig, UpmemSystem,
+    validate_kernel_shape, BinOp, DpuKernelKind, KernelSpec, SimError, SystemStats, UpmemConfig,
+    UpmemSystem,
 };
 
 use crate::cnm_op::{CnmGeometry, CnmOp, MramLayout};
@@ -179,7 +186,7 @@ pub struct UpmemBackend {
     /// reuse is bit-identical to allocating per op).
     contexts: HashMap<CnmOp, UpmemContext>,
     /// Retry policy for transient injected faults (see
-    /// [`try_sync`](Self::try_sync)).
+    /// [`try_op`](Self::try_op)).
     retry: RetryPolicy,
     /// Cumulative retry/backoff counters of this backend.
     fault_stats: FaultStats,
@@ -268,10 +275,10 @@ impl UpmemBackend {
     /// Mutable access to the underlying simulated machine.
     ///
     /// This is the advanced surface the `cinm-core` session compiler drives:
-    /// it manages *tensor-keyed* device buffers and multi-op command streams
-    /// directly on the system, while this backend's own eager methods keep
-    /// using their shape-keyed contexts. Statistics accumulate on the shared
-    /// system either way.
+    /// it manages *tensor-keyed* device buffers directly on the system (its
+    /// commands go through [`try_op`](Self::try_op)), while this backend's
+    /// own eager methods keep using their shape-keyed contexts. Statistics
+    /// accumulate on the shared system either way.
     pub fn system_mut(&mut self) -> &mut UpmemSystem {
         &mut self.system
     }
@@ -304,40 +311,13 @@ impl UpmemBackend {
         spec
     }
 
-    /// Runs a recorded command stream on the backend's system, retrying
-    /// transient injected faults with the backend's capped-backoff
-    /// [`RetryPolicy`] (the faulted sync applies nothing, so resubmission is
-    /// always safe and bit-identical). Retries and simulated backoff are
-    /// accumulated in [`fault_stats`](Self::fault_stats).
-    ///
-    /// # Errors
-    ///
-    /// A permanent device fault, a transient fault that outlived the retry
-    /// budget, or an invalid program.
-    pub fn try_sync(
-        &mut self,
-        stream: &mut CommandStream<Command<'_>>,
-    ) -> Result<Vec<CommandOutput>, SimError> {
-        let retry = self.retry;
-        let (result, log) = retry.run(
-            |e: &SimError| e.is_transient_fault(),
-            || self.system.sync(stream),
-        );
-        self.fault_stats.absorb(&log);
-        if let Err(e) = &result {
-            if e.is_permanent_fault() {
-                self.fault_stats.permanent_faults += 1;
-            }
-        }
-        result
-    }
-
-    /// Runs one operation against the wrapped [`UpmemSystem`] under the same
-    /// transient-fault retry policy as [`try_sync`](Self::try_sync). The
-    /// session's direct (allocation-free) replay path drives individual
-    /// scatters/launches/gathers through this instead of a stream, so its
-    /// per-command retries are accounted in the same
-    /// [`fault_stats`](Self::fault_stats) counters.
+    /// Runs one device command against the wrapped [`UpmemSystem`],
+    /// retrying transient injected faults with the backend's capped-backoff
+    /// [`RetryPolicy`]. A faulted command applies nothing, so re-issuing it
+    /// is always safe and bit-identical. The commands of this backend's own
+    /// ops and of the session's replay all go through here, so their retries
+    /// and simulated backoff accumulate in one
+    /// [`fault_stats`](Self::fault_stats).
     ///
     /// # Errors
     ///
@@ -399,12 +379,11 @@ impl UpmemBackend {
     }
 
     /// Runs one op eagerly through its [`CnmOp::geometry`]: the generated
-    /// host program is one recorded batch — the operand transfers (scatter
-    /// or broadcast, per the table), the launch, the gather, applied in that
-    /// order — and the gathered output is decoded by the geometry's layout.
-    /// Transient injected faults are retried internally (see
-    /// [`try_sync`](Self::try_sync)); the op is one transactional sync, so
-    /// an error leaves nothing partially applied. An op with nothing to
+    /// host program — the operand transfers (scatter or broadcast, per the
+    /// table), the launch, the gather — is issued one command after another,
+    /// and the gathered output is decoded by the geometry's layout. Each
+    /// command's transient injected faults are retried in place (see
+    /// [`try_op`](Self::try_op)). An op with nothing to
     /// compute — no output elements, or an empty operand — is answered on
     /// the host with the value the kernels would produce (the reduction's
     /// identity, zeros otherwise) and touches no device: no buffer, no
@@ -430,30 +409,14 @@ impl UpmemBackend {
         let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
         let bufs = &ctx.bufs[..operands.len()];
         let spec = self.kernel_spec(kernel, bufs.to_vec(), ctx.output());
-        let mut stream = CommandStream::new();
         for ((&buffer, layout), &data) in bufs.iter().zip(inputs).zip(operands) {
-            stream.enqueue(match layout {
-                MramLayout::Chunk(chunk) => Command::Scatter {
-                    buffer,
-                    data: data.into(),
-                    chunk,
-                },
-                MramLayout::Broadcast(_) => Command::Broadcast {
-                    buffer,
-                    data: data.into(),
-                },
-            });
+            match layout {
+                MramLayout::Chunk(chunk) => self.try_op(|sys| sys.scatter_i32(buffer, data, chunk)),
+                MramLayout::Broadcast(_) => self.try_op(|sys| sys.broadcast_i32(buffer, data)),
+            }?;
         }
-        stream.enqueue(Command::Launch { spec });
-        let g = stream.enqueue(Command::Gather {
-            buffer: ctx.output(),
-            chunk: out_chunk,
-        });
-        let mut outputs = self.try_sync(&mut stream)?;
-        let raw = outputs
-            .swap_remove(g)
-            .into_gathered()
-            .expect("gather output");
+        self.try_op(|sys| sys.launch(&spec))?;
+        let (raw, _) = self.try_op(|sys| sys.gather_i32(ctx.output(), out_chunk))?;
         Ok(out_layout.decode(raw, dpus, out_len))
     }
 
@@ -464,15 +427,15 @@ impl UpmemBackend {
     }
 
     /// The fallible form of [`gemm`](Self::gemm): transient injected faults
-    /// are retried internally (see [`try_sync`](Self::try_sync)); permanent
-    /// faults, exhausted retry budgets and a full MRAM surface as errors
-    /// with nothing partially applied (each op is one transactional stream
-    /// sync). An op with nothing to compute (here `m`, `k` or `n` of zero)
-    /// is answered without touching the device — true of every eager op.
+    /// are retried per command (see [`try_op`](Self::try_op)); permanent
+    /// faults, exhausted retry budgets and a full MRAM surface as errors. A
+    /// full MRAM refuses the op before any command runs. An op with nothing
+    /// to compute (here `m`, `k` or `n` of zero) is answered without
+    /// touching the device — true of every eager op.
     ///
     /// # Errors
     ///
-    /// See [`try_sync`](Self::try_sync); also typed MRAM exhaustion
+    /// See [`try_op`](Self::try_op); also typed MRAM exhaustion
     /// ([`SimError::is_mram_exhausted`]) when the op's buffers do not fit.
     pub fn try_gemm(
         &mut self,
@@ -738,38 +701,17 @@ impl CimRunStats {
 /// bound to the crossbar slot its batch programs it into, and the number of
 /// tiles per parallel batch. Both depend only on `(k, n)` and the fixed
 /// backend options, so the plan is computed once per shape and reused by
-/// every repeated op; a batch is a `group`-sized chunk of `tiles`, which the
-/// recorded [`XbarCommand::MvmBand`]s borrow as is.
+/// every repeated op; a batch is a `group`-sized chunk of `tiles`, which
+/// [`CrossbarAccelerator::mvm_band`] takes as is.
 #[derive(Debug, Clone)]
 struct TilePlan {
     tiles: Vec<BandTile>,
     group: usize,
 }
 
-/// Records the programming commands of a tile batch (one
-/// [`XbarCommand::WriteTile`] per crossbar slot). Each weight block
-/// (row-major `rows × cols`, read out of the stationary operand `b`) is a
-/// span of the staging arena, in batch order from `*cursor` on.
-fn enqueue_program<'a>(
-    stream: &mut CommandStream<XbarCommand<'a>>,
-    arena: &'a [i32],
-    cursor: &mut usize,
-    batch: &[BandTile],
-) {
-    for t in batch {
-        let len = t.rows * t.cols;
-        stream.enqueue(XbarCommand::WriteTile {
-            tile: t.tile,
-            weights: Cow::Borrowed(&arena[*cursor..*cursor + len]),
-            rows: t.rows,
-            cols: t.cols,
-        });
-        *cursor += len;
-    }
-}
-
-/// Stages the weight block of each tile of `batch` into the arena, in the
-/// order [`enqueue_program`] reads them back.
+/// Stages the weight block of each tile of `batch` (row-major
+/// `rows × cols`, read out of the stationary operand `b`) into the arena, in
+/// the order [`CimBackend::program`] reads them back.
 fn stage_program(arena: &mut Vec<i32>, batch: &[BandTile], b: &[i32], n: usize) {
     for t in batch {
         for r in 0..t.rows {
@@ -792,13 +734,12 @@ pub struct CimBackend {
     /// Cached B-tile decompositions keyed by the stationary operand shape
     /// `(k, n)` (see [`TilePlan`]).
     tile_plans: HashMap<(usize, usize), TilePlan>,
-    /// Staging arena for the weight blocks of one recorded batch (they are
-    /// strided in `B`; a tile write takes them contiguous): the recorded
-    /// writes borrow slices of it, so steady-state ops stop allocating one
-    /// fresh `Vec` per tile. MVM input rows are contiguous in `A` and are
-    /// borrowed from there.
+    /// Staging arena for the weight blocks of a tile batch (they are strided
+    /// in `B`; a tile write takes them contiguous): the writes read slices
+    /// of it, so steady-state ops stop allocating one fresh `Vec` per tile.
+    /// MVM input rows are contiguous in `A` and are read from there.
     arena: Vec<i32>,
-    /// Retry policy for transient injected faults on stream syncs.
+    /// Retry policy for transient injected faults (see [`CimBackend::try_op`]).
     retry: RetryPolicy,
     /// Fault-tolerance counters, separate from the simulated statistics.
     fault_stats: FaultStats,
@@ -833,36 +774,29 @@ impl CimBackend {
         }
     }
 
-    /// Issues a recorded crossbar command stream — its MVM bands accumulate
-    /// into the output matrix `c` — with transient injected faults retried
-    /// under the backend's [`RetryPolicy`]. The crossbar sync is
-    /// transactional under faults (nothing is applied, the program stays in
-    /// the stream), so resubmission is safe and bit-identical. Retries and
-    /// simulated backoff accumulate in [`fault_stats`](Self::fault_stats).
+    /// Issues one crossbar command, retrying transient injected faults under
+    /// the backend's [`RetryPolicy`]: a faulted command applies nothing, so
+    /// re-issuing it is safe and bit-identical. Retries and simulated backoff
+    /// accumulate in [`fault_stats`](Self::fault_stats).
     ///
-    /// The host issue overhead of every device command the batch stands for
-    /// ([`XbarCommand::issues`]) is charged first, once and one command at a
-    /// time — the same f64 accumulation sequence as charging during enqueue,
-    /// so statistics stay bit-identical to the eager order.
+    /// The host issue overhead of the `issues` device commands it stands for
+    /// is charged first, once, one command at a time — the accumulation
+    /// sequence of charging each call as it is made.
     ///
     /// # Errors
     ///
     /// A permanent device fault (e.g. stuck-at tiles), a transient fault that
-    /// outlived the retry budget, or an invalid program.
-    fn try_sync(
+    /// outlived the retry budget, or an invalid command.
+    fn try_op(
         &mut self,
-        stream: &mut CommandStream<XbarCommand<'_>>,
-        c: &mut [i32],
+        issues: usize,
+        mut op: impl FnMut(&mut CrossbarAccelerator) -> Result<(), CimError>,
     ) -> Result<(), CimError> {
-        let issues: usize = stream.commands().iter().map(XbarCommand::issues).sum();
         for _ in 0..issues {
             self.charge_command(1);
         }
         let retry = self.retry;
-        let (result, log) = retry.run(
-            |e: &CimError| e.is_transient_fault(),
-            || self.xbar.sync(stream, c),
-        );
+        let (result, log) = retry.run(|e: &CimError| e.is_transient_fault(), || op(&mut self.xbar));
         self.fault_stats.absorb(&log);
         if let Err(e) = &result {
             if e.is_permanent_fault() {
@@ -870,6 +804,41 @@ impl CimBackend {
             }
         }
         result
+    }
+
+    /// Programs each tile of `batch` with its weight block, taken in batch
+    /// order from the front of `staged` (which is advanced past them): one
+    /// tile write per crossbar slot.
+    fn program(&mut self, staged: &mut &[i32], batch: &[BandTile]) -> Result<(), CimError> {
+        for t in batch {
+            let (weights, rest) = staged.split_at(t.rows * t.cols);
+            *staged = rest;
+            self.try_op(1, |x| x.write_tile(t.tile, weights, t.rows, t.cols))?;
+        }
+        Ok(())
+    }
+
+    /// The MVMs of output rows `row0..` (one band of at most `tile_rows`
+    /// rows) of `c = a × B` against a programmed batch, as one
+    /// [`CrossbarAccelerator::mvm_band`] command: its MVMs read their input
+    /// rows in place from `a` (`k` columns) and accumulate into `c` (`n`
+    /// columns; `cinm.mergePartial`). A batch of several tiles under
+    /// `cim-parallel` issues each row on all of them at once (single-MVM
+    /// latency).
+    fn band(
+        &mut self,
+        (a, k): (&[i32], usize),
+        (c, n): (&mut [i32], usize),
+        row0: usize,
+        batch: &[BandTile],
+    ) -> Result<(), CimError> {
+        let rows = self.xbar.config().tile_rows.min(c.len() / n - row0);
+        let parallel = self.options.parallel_tiles && batch.len() > 1;
+        // The band's issues: one per row in parallel, one per tile and row
+        // otherwise.
+        let issues = if parallel { rows } else { rows * batch.len() };
+        let (a, band) = (&a[row0 * k..], &mut c[row0 * n..(row0 + rows) * n]);
+        self.try_op(issues, |x| x.mvm_band(a, k, band, n, batch, parallel))
     }
 
     /// The retry policy applied to transient faults.
@@ -982,9 +951,9 @@ impl CimBackend {
         self.try_gemm(a, b, m, k, n).expect("CIM gemm")
     }
 
-    /// The fallible form of [`gemm`](Self::gemm). The op issues one
-    /// transactional stream sync per tile batch; a transient fault on any
-    /// sync is retried in place (results and simulated statistics stay
+    /// The fallible form of [`gemm`](Self::gemm). The op issues its tile
+    /// writes and MVM bands one command at a time; a transient fault on any
+    /// command is retried in place (results and simulated statistics stay
     /// bit-identical to a fault-free run), while a permanent fault — e.g. a
     /// stuck-at tile — aborts the op so the caller can re-plan around the
     /// device. A product with nothing to compute (`m`, `k` or `n` of zero) is
@@ -1008,7 +977,6 @@ impl CimBackend {
             return Ok(vec![0; m * n]);
         }
         let tile = self.xbar.config().tile_rows;
-        let parallel = self.options.parallel_tiles;
         let mut c = vec![0i32; m * n];
 
         // Compulsory tiling of the stationary B matrix over the (k, n) space
@@ -1017,65 +985,36 @@ impl CimBackend {
         // copies of the decomposition.
         let plan = self.take_tile_plan(k, n);
         let mut arena = std::mem::take(&mut self.arena);
-        // One band of output rows against a programmed batch: a single
-        // command, whose MVMs read their input rows in place from `a` and
-        // accumulate into `c` (`cinm.mergePartial`) when the batch is synced.
-        // A batch of several tiles under `cim-parallel` issues each row on
-        // all of them at once (single-MVM latency).
-        let band_of = |batch, row0: usize| XbarCommand::MvmBand {
-            a,
-            k,
-            n,
-            row0,
-            rows: tile.min(m - row0),
-            tiles: batch,
-            parallel: parallel && <[BandTile]>::len(batch) > 1,
-        };
-        let bands = m.div_ceil(tile);
 
-        // The generated host program is one recorded batch per outer step:
-        // tile programming, then the MVMs that consume it, applied in that
-        // order as one transactional sync. The weight blocks of a batch are
-        // staged before any command is recorded, because recording borrows
-        // the arena immutably. On a permanent fault the loop stops and the
-        // error is returned only after the scratch state has been put back,
-        // so a failed op leaves the backend reusable.
-        let mut outcome = Ok(());
-        if self.options.min_writes {
+        // The generated host program: tile programming, then the MVM bands
+        // that consume it, one command after another. On a permanent fault
+        // the program stops and the error is returned only after the scratch
+        // state has been put back, so a failed op leaves the backend
+        // reusable.
+        let outcome = if self.options.min_writes {
             // Tile-stationary order: program each batch once and reuse it for
             // every output row band (the loop interchange of Section 3.2.4).
-            for batch in plan.tiles.chunks(plan.group) {
+            plan.tiles.chunks(plan.group).try_for_each(|batch| {
                 arena.clear();
                 stage_program(&mut arena, batch, b, n);
-                let mut stream = CommandStream::with_capacity(batch.len() + bands);
-                enqueue_program(&mut stream, &arena, &mut 0, batch);
-                for row0 in (0..m).step_by(tile) {
-                    stream.enqueue(band_of(batch, row0));
-                }
-                outcome = self.try_sync(&mut stream, &mut c);
-                if outcome.is_err() {
-                    break;
-                }
-            }
+                self.program(&mut &arena[..], batch)?;
+                (0..m)
+                    .step_by(tile)
+                    .try_for_each(|row0| self.band((a, k), (&mut c, n), row0, batch))
+            })
         } else {
             // Naive order: for every output row band, walk (and re-program)
             // all B tiles.
             arena.clear();
             stage_program(&mut arena, &plan.tiles, b, n);
-            let batches = plan.tiles.len().div_ceil(plan.group);
-            for row0 in (0..m).step_by(tile) {
-                let mut stream = CommandStream::with_capacity(plan.tiles.len() + batches);
-                let mut cursor = 0;
-                for batch in plan.tiles.chunks(plan.group) {
-                    enqueue_program(&mut stream, &arena, &mut cursor, batch);
-                    stream.enqueue(band_of(batch, row0));
-                }
-                outcome = self.try_sync(&mut stream, &mut c);
-                if outcome.is_err() {
-                    break;
-                }
-            }
-        }
+            (0..m).step_by(tile).try_for_each(|row0| {
+                let mut staged = &arena[..];
+                plan.tiles.chunks(plan.group).try_for_each(|batch| {
+                    self.program(&mut staged, batch)?;
+                    self.band((a, k), (&mut c, n), row0, batch)
+                })
+            })
+        };
         self.arena = arena;
         self.restore_tile_plan(k, n, plan);
         outcome?;

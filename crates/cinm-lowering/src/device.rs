@@ -599,7 +599,7 @@ impl DeviceFuture {
 ///
 /// A device is unhealthy once it reports a permanent fault, or once
 /// [`CONSECUTIVE_FAILURE_LIMIT`](Self::CONSECUTIVE_FAILURE_LIMIT) shard
-/// executions fail back-to-back (a transient storm that outlives per-stream
+/// executions fail back-to-back (a transient storm that outlives per-command
 /// retries). Any successful shard resets the consecutive counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceHealth {

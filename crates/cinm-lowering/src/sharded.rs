@@ -13,7 +13,7 @@
 //!
 //! The non-empty device shards are dispatched **concurrently** in one scope
 //! of the shared [`cinm_runtime::WorkerPool`], each driving its own device
-//! back-end (and, inside, its own command stream). The dispatching thread is
+//! back-end one command after another. The dispatching thread is
 //! the scope's first worker: it runs the first non-empty shard itself and
 //! only the others become pool tasks, so an op placed whole on one device —
 //! what the planner chooses for every small op — never touches the queue or
@@ -122,7 +122,7 @@ pub enum ShardError {
         got: usize,
     },
     /// A device reported an execution fault while running its shard: an
-    /// injected transient that outlived the per-stream retry budget, or a
+    /// injected transient that outlived the per-command retry budget, or a
     /// permanent hardware fault. The device's
     /// [`health`](crate::device::Device::health) records the failure;
     /// permanent faults are what re-planning routes around.

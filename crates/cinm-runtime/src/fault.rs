@@ -11,11 +11,12 @@
 //! thread count (decisions are drawn in the sequential validation phase of
 //! each operation, never inside worker tasks).
 //!
-//! Faults are **injected before any state is touched**: a faulted launch or
-//! transfer mutates nothing and accounts nothing, mirroring the transactional
-//! validation the command streams already perform. Retrying the operation is
-//! therefore always safe, and results after recovery are bit-identical to a
-//! fault-free run.
+//! Faults are **injected before any state is touched**: every device
+//! command — a transfer, a launch, a tile write, a band of MVMs — validates
+//! and draws its fault decisions first, so a faulted command mutates nothing
+//! and accounts nothing. One command is the unit of fault atomicity:
+//! retrying it is always safe, and results after recovery are bit-identical
+//! to a fault-free run.
 //!
 //! The retry side lives here too: [`RetryPolicy`] implements capped
 //! exponential backoff with a bounded attempt budget. Backoff is *simulated*

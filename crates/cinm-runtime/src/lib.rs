@@ -1,9 +1,9 @@
 //! # cinm-runtime — the shared host runtime of the CINM simulators
 //!
 //! The paper's Figure 4 flow ends in device back-ends that drive a host
-//! runtime; PrIM-style host programs and the UPMEM SDK both model that host
-//! side as an asynchronous command queue with explicit synchronisation. This
-//! crate provides the two building blocks both simulators share:
+//! runtime; a PrIM-style host program is a synchronous scatter → launch →
+//! gather sequence, one call after another. This crate provides the building
+//! blocks both simulators share:
 //!
 //! * [`WorkerPool`] / [`PoolHandle`] — a **persistent worker pool**: threads
 //!   are spawned once and re-used for every launch and transfer, replacing
@@ -13,10 +13,10 @@
 //!   [`PoolHandle::for_each_chunk_mut`] on top of it) live here as the single
 //!   source of truth (they were previously duplicated in `upmem_sim::par`
 //!   and `memristor_sim::crossbar`).
-//! * [`CommandStream`] — a **recorded command batch**: devices record
-//!   commands and their `sync` validates the batch, draws its fault
-//!   decisions and applies it in program order, so results and accounted
-//!   statistics equal the eager call sequence by construction.
+//! * [`FaultInjector`] / [`RetryPolicy`] — deterministic fault injection
+//!   and capped-backoff retries. Every device command validates and draws
+//!   its faults before it mutates anything, so one command is the unit of
+//!   fault atomicity and retrying it is always safe (see [`fault`]).
 //!   ([`hazard_deps`] and [`Access`] are retained for one benchmark probe
 //!   only — see [`stream`].)
 //! * [`alloc_count`] — a counting global allocator, the measurement side of
@@ -60,4 +60,4 @@ pub use fault::{
 };
 pub use pool::{resolve_threads, PoolHandle, Scope, WorkerPool};
 pub use queue::{AdmissionError, FairQueue};
-pub use stream::{hazard_deps, Access, BufferId, CommandStream};
+pub use stream::{hazard_deps, Access, BufferId};

@@ -423,8 +423,7 @@ fn payload_message(payload: &(dyn Any + Send)) -> &str {
 
 /// Handle for spawning borrowed tasks onto a [`WorkerPool`]; see
 /// [`WorkerPool::scope`]. Task bodies receive the scope again so they can
-/// spawn follow-up tasks (the command-stream scheduler uses this to release
-/// dependents as commands complete).
+/// spawn follow-up tasks.
 pub struct Scope<'env> {
     core: Arc<ScopeCore>,
     /// Whether the next spawn is kept for the opening thread: true on the

@@ -1,21 +1,9 @@
-//! Recorded command batches.
-//!
-//! A [`CommandStream`] records device commands instead of executing them
-//! eagerly; the device's `sync` entry point (`UpmemSystem::sync`,
-//! `CrossbarAccelerator::sync`) validates the whole batch, draws its fault
-//! decisions and then applies the commands **in program order**, each through
-//! the body its eager method runs. Order is the recording order, so results
-//! and statistics equal the eager call sequence by construction; parallelism
-//! lives inside a command (see [`PoolHandle::for_each_band_mut`]).
-//!
-//! [`hazard_deps`], [`Access`] and [`BufferId`] are what is left of the
-//! RAW/WAR/WAW scheduler that used to run batches as a DAG. Nothing in the
-//! workspace calls them: they are retained only because
+//! What is left of the RAW/WAW/WAR scheduler that used to run recorded
+//! command batches as a DAG: [`hazard_deps`], [`Access`] and [`BufferId`].
+//! Nothing in the workspace calls them: they are retained only because
 //! `benchmark/src/workloads/probes.rs` times [`hazard_deps`] for its
 //! `runtime.hazard_deps_us` row, and go when that probe does (ROADMAP
 //! item 1(d)).
-//!
-//! [`PoolHandle::for_each_band_mut`]: crate::PoolHandle::for_each_band_mut
 
 /// Identifier of a device buffer (matches `upmem_sim::BufferId`). Retained
 /// for the benchmark's [`hazard_deps`] probe only.
@@ -29,60 +17,6 @@ pub struct Access {
     pub reads: Vec<BufferId>,
     /// Buffers the command writes.
     pub writes: Vec<BufferId>,
-}
-
-/// An ordered record of device commands awaiting execution.
-///
-/// `enqueue` records a command and returns its index; the device's `sync`
-/// entry point (e.g. `UpmemSystem::sync`) drains the stream, applies it in
-/// enqueue order, and returns one output per command in that order.
-#[derive(Debug, Default)]
-pub struct CommandStream<C> {
-    commands: Vec<C>,
-}
-
-impl<C> CommandStream<C> {
-    /// Creates an empty stream.
-    pub fn new() -> Self {
-        CommandStream {
-            commands: Vec::new(),
-        }
-    }
-
-    /// Creates an empty stream with room for `commands` commands, so
-    /// recording a batch of known size allocates once.
-    pub fn with_capacity(commands: usize) -> Self {
-        CommandStream {
-            commands: Vec::with_capacity(commands),
-        }
-    }
-
-    /// Records a command, returning its index (the position of its output in
-    /// the `sync` result).
-    pub fn enqueue(&mut self, command: C) -> usize {
-        self.commands.push(command);
-        self.commands.len() - 1
-    }
-
-    /// Number of recorded commands.
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
-    }
-
-    /// The recorded commands, in enqueue order.
-    pub fn commands(&self) -> &[C] {
-        &self.commands
-    }
-
-    /// Drains the recorded commands (the stream can be reused afterwards).
-    pub fn take_commands(&mut self) -> Vec<C> {
-        std::mem::take(&mut self.commands)
-    }
 }
 
 /// Builds the dependency lists of a recorded program: `deps[i]` holds the

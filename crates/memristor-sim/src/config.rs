@@ -47,8 +47,8 @@ pub struct CrossbarConfig {
     /// bit-identical for every value.
     pub host_threads: usize,
     /// The persistent worker pool executing the functional simulation
-    /// (batched MVMs and command-level concurrency in
-    /// [`CrossbarAccelerator::sync`](crate::CrossbarAccelerator::sync)).
+    /// (batched MVMs and the rows of
+    /// [`CrossbarAccelerator::mvm_band`](crate::CrossbarAccelerator::mvm_band)).
     /// Defaults to the process-global pool; harnesses construct one shared
     /// pool per sweep. Never affects results or accounted statistics.
     pub pool: cinm_runtime::PoolHandle,

@@ -3,7 +3,6 @@
 use cinm_runtime::{FaultInjector, FaultKind};
 
 use crate::config::CrossbarConfig;
-use crate::stream::BandTile;
 
 /// A tile programmed with fewer live columns than this is stored
 /// column-major and multiplied as one contiguous dot product per column;
@@ -124,8 +123,8 @@ fn mvm_narrow(columns: &[i16], tile_rows: usize, input: &[i32], out: &mut [i32])
 /// the tile that `out` covers. A tile with an `i16` copy tries
 /// [`mvm_narrow`] first; everything else is [`mvm_wide`]. Every layout sums
 /// the same products mod 2³², so the order they sum them in cannot show.
-/// This is the single functional core every MVM path (eager, batched,
-/// synced) funnels through, so results cannot diverge.
+/// This is the single functional core every MVM path (single, parallel,
+/// band) funnels through, so results cannot diverge.
 fn mvm_accumulate(config: &CrossbarConfig, tile: &Tile, input: &[i32], out: &mut [i32]) {
     if let Some(columns) = tile.narrow.as_deref() {
         let live = tile.cols.min(out.len());
@@ -204,6 +203,26 @@ fn band_row(
             &mut c_row[t.col..t.col + t.cols],
         );
     }
+}
+
+/// One tile's share of a band of MVMs
+/// ([`CrossbarAccelerator::mvm_band`]): the block
+/// `[row, row + rows) × [col, col + cols)` of the stationary operand that
+/// crossbar tile `tile` holds. Input row `r` of the band feeds the tile
+/// `a[r * k + row..][..rows]`, and the tile's MVM accumulates into columns
+/// `[col, col + cols)` of output row `r`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BandTile {
+    /// The programmed crossbar tile.
+    pub tile: usize,
+    /// First input column the tile consumes.
+    pub row: usize,
+    /// Input elements per MVM (`<= tile_rows`).
+    pub rows: usize,
+    /// First output column the tile produces.
+    pub col: usize,
+    /// Output columns per MVM.
+    pub cols: usize,
 }
 
 /// Accumulated statistics of the accelerator.
@@ -388,7 +407,7 @@ impl CrossbarAccelerator {
     /// faulted operation leaves the accelerator untouched. One decision is
     /// drawn per issued command — a parallel MVM batch is a single analog
     /// issue and consumes a single event.
-    pub(crate) fn inject_op(&mut self, what: &str) -> CimResult<()> {
+    fn inject_op(&mut self, what: &str) -> CimResult<()> {
         if let Some(inj) = self.fault.as_mut() {
             if let Err(ev) = inj.check_transfer() {
                 if let Some(tele) = &self.tele {
@@ -441,29 +460,14 @@ impl CrossbarAccelerator {
     ) -> CimResult<()> {
         self.validate_write(tile, weights.len(), rows, cols)?;
         self.inject_op("tile write")?;
-        self.apply_write(tile, weights, rows, cols);
+        self.tiles[tile] = program_tile(&self.config, weights, rows, cols);
+        self.account_tile_write();
         Ok(())
     }
 
-    /// The tile write itself, validated and past its fault draw: the one
-    /// body [`write_tile`](Self::write_tile) and [`sync`](Self::sync) both
-    /// run.
-    pub(crate) fn apply_write(&mut self, tile: usize, weights: &[i32], rows: usize, cols: usize) {
-        self.tiles[tile] = program_tile(&self.config, weights, rows, cols);
-        self.account_tile_write();
-    }
-
-    /// Which tiles are programmed right now (the starting point of the
-    /// [`sync`](Self::sync) batch validation).
-    pub(crate) fn programmed_tiles(&self) -> Vec<bool> {
-        self.tiles.iter().map(|t| t.weights.is_some()).collect()
-    }
-
     /// Validates the shape of a tile-programming request (index, geometry
-    /// fit, weight-buffer length). Shared by the eager
-    /// [`write_tile`](Self::write_tile) and the command-stream batch
-    /// validation so both paths fail identically.
-    pub(crate) fn validate_write(
+    /// fit, weight-buffer length).
+    fn validate_write(
         &self,
         tile: usize,
         weights_len: usize,
@@ -490,21 +494,14 @@ impl CrossbarAccelerator {
         Ok(())
     }
 
-    /// Validates an MVM request (index, programmed-ness, input length) in
-    /// the eager error order. The `is_programmed` predicate lets the
-    /// command-stream validation account for tiles programmed earlier in
-    /// the same batch; the eager path passes the current tile state.
-    pub(crate) fn validate_mvm(
-        &self,
-        tile: usize,
-        input_len: usize,
-        is_programmed: impl Fn(usize) -> bool,
-    ) -> CimResult<()> {
+    /// Validates an MVM request (index, programmed-ness, input length)
+    /// against the current tile state.
+    fn validate_mvm(&self, tile: usize, input_len: usize) -> CimResult<()> {
         if tile >= self.tiles.len() {
             return Err(CimError::new(format!("tile {tile} out of range")));
         }
         self.check_stuck(tile)?;
-        if !is_programmed(tile) {
+        if self.tiles[tile].weights.is_none() {
             return Err(CimError::new(format!(
                 "tile {tile} has not been programmed"
             )));
@@ -542,7 +539,7 @@ impl CrossbarAccelerator {
     /// Returns an error if the tile is not programmed or the input length
     /// exceeds the tile rows.
     pub fn mvm(&mut self, tile: usize, input: &[i32]) -> CimResult<Vec<i32>> {
-        self.checked_tile(tile, input)?;
+        self.validate_mvm(tile, input.len())?;
         self.inject_op("mvm")?;
         let result = mvm_on_weights(&self.config, &self.tiles[tile], input);
         self.account_mvm(1);
@@ -566,7 +563,7 @@ impl CrossbarAccelerator {
                 out.len()
             )));
         }
-        self.checked_tile(tile, input)?;
+        self.validate_mvm(tile, input.len())?;
         self.inject_op("mvm")?;
         mvm_on_weights_into(&self.config, &self.tiles[tile], input, out);
         self.account_mvm(1);
@@ -588,7 +585,7 @@ impl CrossbarAccelerator {
     /// long.
     pub fn mvm_parallel(&mut self, requests: &[(usize, &[i32])]) -> CimResult<Vec<Vec<i32>>> {
         for &(tile, input) in requests {
-            self.checked_tile(tile, input)?;
+            self.validate_mvm(tile, input.len())?;
         }
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
@@ -607,25 +604,63 @@ impl CrossbarAccelerator {
         Ok(results)
     }
 
-    /// The MVMs of one [`MvmBand`](crate::XbarCommand::MvmBand) (validated,
-    /// past their fault draws), run by [`sync`](Self::sync): each of the
-    /// `rows` rows of `a` (`k` columns) times every tile of `tiles`,
-    /// accumulated in place into the same row of `band` (`n` columns) — rows
-    /// are data-parallel across host threads — then accounted row by row
-    /// exactly as the eager calls would: one
-    /// [`mvm_parallel`](Self::mvm_parallel) issue per row when `parallel`,
-    /// one [`mvm`](Self::mvm) per tile and row otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_mvm_band(
+    /// Issues the analog MVMs of one band of output rows: every row `r` of
+    /// `band` (row-major, `n` columns) accumulates
+    /// `band[r, t.col..][..t.cols] += a[r, t.row..][..t.rows] × W[t.tile]`
+    /// for every tile `t` of `tiles`, where `a` is row-major with `k`
+    /// columns and holds at least as many rows as `band`. The MVMs read
+    /// their input rows in place and accumulate straight into `band`, so
+    /// nothing is allocated per MVM; rows are data-parallel across
+    /// [`host_threads`](CrossbarConfig::host_threads).
+    ///
+    /// The band stands for the calls it replaces — one
+    /// [`mvm_parallel`](Self::mvm_parallel) issue per row when `parallel`
+    /// (none when `tiles` is empty), one [`mvm`](Self::mvm) per tile and row
+    /// otherwise — and draws one fault decision and accounts one issue for
+    /// each, so results and statistics equal that call sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `band` is not whole rows of `n`, `a` holds fewer
+    /// rows, a block lies outside the `k × n` operand, or a tile would be
+    /// rejected by [`mvm`](Self::mvm); or, with a
+    /// [`FaultConfig`](cinm_runtime::FaultConfig) attached, when any issue
+    /// draws a fault. Validation and every draw come first, so a failed band
+    /// applies nothing: `band`, the tiles and the statistics are untouched.
+    pub fn mvm_band(
         &mut self,
         a: &[i32],
         k: usize,
         band: &mut [i32],
         n: usize,
-        rows: usize,
         tiles: &[BandTile],
         parallel: bool,
-    ) {
+    ) -> CimResult<()> {
+        let rows = band.len().checked_div(n).unwrap_or(0);
+        if rows * n != band.len() || rows * k > a.len() {
+            return Err(CimError::new(format!(
+                "a band of {} output elements (n = {n}) exceeds whole rows or the \
+                 {}-element input (k = {k})",
+                band.len(),
+                a.len()
+            )));
+        }
+        for t in tiles {
+            self.validate_mvm(t.tile, t.rows)?;
+            if t.row + t.rows > k || t.col + t.cols > n {
+                return Err(CimError::new(format!(
+                    "tile {} block {}+{} x {}+{} exceeds the {k} x {n} operand",
+                    t.tile, t.row, t.rows, t.col, t.cols
+                )));
+            }
+        }
+        let (what, issues) = if parallel {
+            ("parallel mvm", rows * usize::from(!tiles.is_empty()))
+        } else {
+            ("mvm", rows * tiles.len())
+        };
+        (0..issues).try_for_each(|_| self.inject_op(what))?;
+
         let (config, programmed) = (&self.config, &self.tiles);
         // A band none of whose tiles keeps an `i16` copy (the GEMV's
         // one-column tiles) runs the `i32` body alone: a narrow branch in
@@ -662,6 +697,7 @@ impl CrossbarAccelerator {
                 self.account_parallel_mvm(tiles.len());
             }
         }
+        Ok(())
     }
 
     /// The allocation-free form of [`mvm_parallel`](Self::mvm_parallel):
@@ -690,7 +726,7 @@ impl CrossbarAccelerator {
         // (already validated) tiles, so the steady-state batch performs no
         // heap allocation at all.
         for &(tile, input) in requests {
-            self.checked_tile(tile, input)?;
+            self.validate_mvm(tile, input.len())?;
         }
         if !requests.is_empty() {
             self.inject_op("parallel mvm")?;
@@ -709,11 +745,6 @@ impl CrossbarAccelerator {
             self.account_parallel_mvm(requests.len());
         }
         Ok(())
-    }
-
-    /// Validates a tile/input pair against the current tile state.
-    fn checked_tile(&self, tile: usize, input: &[i32]) -> CimResult<()> {
-        self.validate_mvm(tile, input.len(), |t| self.tiles[t].weights.is_some())
     }
 
     fn account_mvm(&mut self, count: usize) {
@@ -1034,5 +1065,349 @@ mod tests {
         };
         assert_eq!(got, want, "recovered MVM must be bit-identical");
         assert_eq!(faulty.stats(), oracle.stats());
+    }
+
+    fn threaded(threads: usize) -> CrossbarAccelerator {
+        CrossbarAccelerator::new(CrossbarConfig::default().with_host_threads(threads))
+    }
+
+    /// A 3×4 input matrix (`k = 4`) and the two 2×2 blocks of a 4×2 operand
+    /// (`n = 2`): both tiles feed the same output columns from different
+    /// input columns, so every band accumulates.
+    const A: [i32; 12] = [1, 1, 2, -1, 3, 4, 1, 0, -2, 5, 0, 7];
+    const TILES: [BandTile; 2] = [
+        BandTile {
+            tile: 0,
+            row: 0,
+            rows: 2,
+            col: 0,
+            cols: 2,
+        },
+        BandTile {
+            tile: 1,
+            row: 2,
+            rows: 2,
+            col: 0,
+            cols: 2,
+        },
+    ];
+
+    /// The calls a band stands for, as its oracle: one `mvm_parallel` per
+    /// row (`parallel`) or one `mvm` per tile and row (tile-major), each
+    /// result added into `band`.
+    fn per_tile_band(
+        x: &mut CrossbarAccelerator,
+        (a, k): (&[i32], usize),
+        (band, n): (&mut [i32], usize),
+        tiles: &[BandTile],
+        parallel: bool,
+    ) {
+        let merge = |band: &mut [i32], r: usize, t: &BandTile, y: &[i32]| {
+            for (dst, v) in band[r * n + t.col..][..t.cols].iter_mut().zip(y) {
+                *dst = dst.wrapping_add(*v);
+            }
+        };
+        let input = |r: usize, t: &BandTile| &a[r * k + t.row..][..t.rows];
+        let rows = band.len() / n;
+        if parallel {
+            for r in 0..rows {
+                let requests: Vec<(usize, &[i32])> =
+                    tiles.iter().map(|t| (t.tile, input(r, t))).collect();
+                let results = x.mvm_parallel(&requests).unwrap();
+                for (t, y) in tiles.iter().zip(&results) {
+                    merge(band, r, t, y);
+                }
+            }
+        } else {
+            for t in tiles {
+                for r in 0..rows {
+                    let y = x.mvm(t.tile, input(r, t)).unwrap();
+                    merge(band, r, t, &y);
+                }
+            }
+        }
+    }
+
+    /// One step of a test program over [`A`]: a 2×2 tile write, or the band
+    /// of output rows `[row0, row0 + rows)` against some of [`TILES`].
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Write(usize, [i32; 4]),
+        Band(usize, usize, &'static [BandTile], bool),
+    }
+
+    const PROGRAM: [Step; 7] = [
+        Step::Write(0, [1, 2, 3, 4]),
+        Step::Write(1, [5, 6, 7, 8]),
+        // Single MVMs, tile-major, on a two-row band and on each tile alone.
+        Step::Band(0, 2, &TILES, false),
+        Step::Band(2, 1, &TILES_FIRST, false),
+        Step::Band(2, 1, &TILES_SECOND, true),
+        // Re-program tile 0 (which the MVMs above read) and re-issue every
+        // row on both tiles in parallel.
+        Step::Write(0, [-1, 0, 0, -1]),
+        Step::Band(0, 3, &TILES, true),
+    ];
+    const TILES_FIRST: [BandTile; 1] = [TILES[0]];
+    const TILES_SECOND: [BandTile; 1] = [TILES[1]];
+
+    /// Runs one step into the 3×2 output `c`: through `mvm_band`, or through
+    /// the per-tile calls it stands for.
+    fn run_step(
+        x: &mut CrossbarAccelerator,
+        step: Step,
+        c: &mut [i32],
+        via_band: bool,
+    ) -> CimResult<()> {
+        match step {
+            Step::Write(tile, w) => x.write_tile(tile, &w, 2, 2),
+            Step::Band(row0, rows, tiles, parallel) => {
+                let (a, band) = (&A[row0 * 4..], &mut c[row0 * 2..(row0 + rows) * 2]);
+                if !via_band {
+                    per_tile_band(x, (a, 4), (band, 2), tiles, parallel);
+                    return Ok(());
+                }
+                x.mvm_band(a, 4, band, 2, tiles, parallel)
+            }
+        }
+    }
+
+    #[test]
+    fn mvm_bands_match_the_per_tile_mvms_for_all_thread_counts() {
+        let mut oracle = threaded(1);
+        let mut want = vec![100i32; 6];
+        for step in PROGRAM {
+            run_step(&mut oracle, step, &mut want, false).unwrap();
+        }
+        assert_ne!(want, vec![100i32; 6]);
+        for threads in [1usize, 2, 8, 0] {
+            let mut x = threaded(threads);
+            let mut c = vec![100i32; 6];
+            for step in PROGRAM {
+                run_step(&mut x, step, &mut c, true).unwrap();
+            }
+            assert_eq!(c, want, "threads = {threads}");
+            assert_eq!(x.stats(), oracle.stats(), "threads = {threads}");
+            assert_eq!(x.tile_weights(0), oracle.tile_weights(0));
+            assert_eq!(x.tile_weights(1), oracle.tile_weights(1));
+        }
+    }
+
+    /// Bands against the per-tile `mvm` / `mvm_parallel` sequence on a real
+    /// decomposition: a 150×100 input against a 100×70 operand in 64×64
+    /// tiles (ragged in every dimension, the last band 22 rows), in batches
+    /// of one and of four tiles, grouped and not — with one fault decision
+    /// drawn per issue the band stands for.
+    #[test]
+    fn mvm_bands_match_the_per_tile_mvm_sequence_for_grouped_and_ungrouped_batches() {
+        let (m, k, n, tile) = (150usize, 100usize, 70usize, 64usize);
+        let a: Vec<i32> = (0..m * k).map(|i| (i * 7 % 23) as i32 - 11).collect();
+        let b: Vec<i32> = (0..k * n).map(|i| (i * 5 % 17) as i32 - 8).collect();
+        let blocks: Vec<BandTile> = (0..k.div_ceil(tile))
+            .flat_map(|bi| (0..n.div_ceil(tile)).map(move |bj| (bi * tile, bj * tile)))
+            .enumerate()
+            .map(|(slot, (row, col))| BandTile {
+                tile: slot,
+                row,
+                rows: tile.min(k - row),
+                col,
+                cols: tile.min(n - col),
+            })
+            .collect();
+        assert_eq!(blocks.len(), 4);
+        let weights: Vec<Vec<i32>> = blocks
+            .iter()
+            .map(|t| {
+                (0..t.rows)
+                    .flat_map(|r| b[(t.row + r) * n + t.col..][..t.cols].to_vec())
+                    .collect()
+            })
+            .collect();
+        let product: Vec<i32> = (0..m * n)
+            .map(|i| {
+                (0..k).fold(0i32, |acc, l| {
+                    acc.wrapping_add(a[i / n * k + l].wrapping_mul(b[l * n + i % n]))
+                })
+            })
+            .collect();
+        // A schedule that never fires but counts its draws.
+        let counting =
+            cinm_runtime::FaultConfig::seeded(0).with_transfer_timeout_rate(f64::MIN_POSITIVE);
+        for (group, parallel) in [(1usize, false), (4, false), (4, true), (1, true)] {
+            // Batches of `group` tiles: program them into slots 0..group,
+            // then one band per 64 output rows.
+            let batches: Vec<Vec<BandTile>> = blocks
+                .chunks(group)
+                .map(|batch| {
+                    batch
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, t)| BandTile { tile: slot, ..*t })
+                        .collect()
+                })
+                .collect();
+            let run = |x: &mut CrossbarAccelerator, via_band: bool| {
+                let mut c = vec![0i32; m * n];
+                for (bi, batch) in batches.iter().enumerate() {
+                    for (slot, t) in batch.iter().enumerate() {
+                        let w = &weights[bi * group + slot];
+                        x.write_tile(slot, w, t.rows, t.cols).unwrap();
+                    }
+                    for row0 in (0..m).step_by(tile) {
+                        let rows = tile.min(m - row0);
+                        let (a, band) = (&a[row0 * k..], &mut c[row0 * n..(row0 + rows) * n]);
+                        if via_band {
+                            x.mvm_band(a, k, band, n, batch, parallel).unwrap();
+                        } else {
+                            per_tile_band(x, (a, k), (band, n), batch, parallel);
+                        }
+                    }
+                }
+                c
+            };
+            let mut oracle = threaded(1);
+            let want = run(&mut oracle, false);
+            assert_eq!(want, product);
+            for threads in [1usize, 2, 8, 0] {
+                let config = CrossbarConfig::default()
+                    .with_host_threads(threads)
+                    .with_fault(counting.clone());
+                let mut x = CrossbarAccelerator::new(config);
+                let case = format!("group {group}, parallel {parallel}, threads {threads}");
+                assert_eq!(run(&mut x, true), want, "{case}");
+                assert_eq!(x.stats(), oracle.stats(), "{case}");
+                // One draw per tile write, per parallel row, or per MVM.
+                let issues = if parallel && group > 1 {
+                    (m * batches.len()) as u64
+                } else {
+                    oracle.stats().mvm_ops
+                };
+                assert_eq!(
+                    x.fault_injector().unwrap().events(),
+                    oracle.stats().tile_writes + issues,
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mvm_band_on_an_unprogrammed_tile_is_rejected_whole() {
+        let mut x = threaded(2);
+        x.write_tile(0, &[1, 2, 3, 4], 2, 2).unwrap();
+        let before = *x.stats();
+        let mut c = vec![7i32; 2];
+        // Tile 1 is never programmed: tile 0's MVM must not run either.
+        let err = x.mvm_band(&A, 4, &mut c, 2, &TILES, false).unwrap_err();
+        assert!(err.message().contains("not been programmed"), "{err}");
+        assert_eq!(x.stats(), &before);
+        assert_eq!(c, vec![7i32; 2]);
+    }
+
+    #[test]
+    fn bands_outside_their_matrices_are_rejected_before_anything_runs() {
+        const WIDE: [BandTile; 1] = [BandTile {
+            tile: 0,
+            row: 3,
+            rows: 2,
+            col: 0,
+            cols: 2,
+        }];
+        const RIGHT: [BandTile; 1] = [BandTile {
+            tile: 0,
+            row: 0,
+            rows: 2,
+            col: 1,
+            cols: 2,
+        }];
+        for (what, row0, band_len, tiles) in [
+            ("rows 2..4 of a 3-row input", 2, 4, &TILES_FIRST),
+            ("a band of half a row", 0, 3, &TILES_FIRST),
+            ("input columns 3..5 of 4", 0, 2, &WIDE),
+            ("output columns 1..3 of 2", 0, 2, &RIGHT),
+        ] {
+            for parallel in [false, true] {
+                let mut x = threaded(1);
+                x.write_tile(0, &[1, 2, 3, 4], 2, 2).unwrap();
+                let before = *x.stats();
+                let mut band = vec![0i32; band_len];
+                let err = x
+                    .mvm_band(&A[row0 * 4..], 4, &mut band, 2, tiles, parallel)
+                    .unwrap_err();
+                assert!(err.fault_kind().is_none(), "{what}: {err}");
+                assert!(err.message().contains("exceeds"), "{what}: {err}");
+                assert_eq!(x.stats(), &before, "{what}");
+                assert!(band.iter().all(|&v| v == 0), "{what}");
+            }
+        }
+        // An empty band issues nothing.
+        let mut x = threaded(1);
+        x.write_tile(0, &[1, 2, 3, 4], 2, 2).unwrap();
+        x.mvm_band(&A[12..], 4, &mut [], 2, &TILES_FIRST, true)
+            .unwrap();
+        assert_eq!(x.stats().tile_writes, 1);
+        assert_eq!(x.stats().mvm_ops, 0);
+    }
+
+    #[test]
+    fn mvm_band_after_a_write_sees_the_new_weights() {
+        const ONE: [BandTile; 1] = [BandTile {
+            tile: 2,
+            row: 0,
+            rows: 2,
+            col: 0,
+            cols: 2,
+        }];
+        let mut x = threaded(8);
+        let mut y = [0i32; 2];
+        x.write_tile(2, &[2, 0, 0, 2], 2, 2).unwrap();
+        x.mvm_band(&[10, 20], 2, &mut y, 2, &ONE, false).unwrap();
+        assert_eq!(y, [20, 40]);
+        x.write_tile(2, &[0, 1, 1, 0], 2, 2).unwrap();
+        x.mvm_band(&[10, 20], 2, &mut y, 2, &ONE, true).unwrap();
+        assert_eq!(y, [40, 50]);
+    }
+
+    /// Every step of a program under 20% faults per issue: a faulted write
+    /// or band applies nothing — no tile, no statistic and no element of the
+    /// output changes, wherever among the band's issues the fault fell — and
+    /// retrying the step recovers the fault-free result and statistics.
+    #[test]
+    fn a_faulted_band_applies_nothing_and_its_retry_recovers() {
+        let mut oracle = threaded(1);
+        let mut want = vec![-5i32; 6];
+        for step in PROGRAM {
+            run_step(&mut oracle, step, &mut want, false).unwrap();
+        }
+        let mut band_faults = 0;
+        for seed in 0..8u64 {
+            let fault = cinm_runtime::FaultConfig::seeded(seed).with_transfer_timeout_rate(0.2);
+            let config = CrossbarConfig::default()
+                .with_host_threads(2)
+                .with_fault(fault);
+            let mut x = CrossbarAccelerator::new(config);
+            let mut c = vec![-5i32; 6];
+            for step in PROGRAM {
+                let mut attempts = 0;
+                loop {
+                    let (before, before_c) = (x.clone(), c.clone());
+                    let Err(e) = run_step(&mut x, step, &mut c, true) else {
+                        break;
+                    };
+                    attempts += 1;
+                    assert!(attempts <= 256, "{step:?} never succeeded (seed {seed})");
+                    assert!(e.is_transient_fault(), "{e}");
+                    assert_eq!(x.stats(), before.stats(), "seed {seed}: {step:?}");
+                    assert_eq!(c, before_c, "seed {seed}: {step:?} reached the output");
+                    for tile in 0..x.num_tiles() {
+                        assert_eq!(x.tile_weights(tile), before.tile_weights(tile));
+                    }
+                    band_faults += usize::from(matches!(step, Step::Band(..)));
+                }
+            }
+            assert_eq!(c, want, "seed {seed}");
+            assert_eq!(x.stats(), oracle.stats(), "seed {seed}");
+        }
+        assert!(band_faults > 0, "the sweep should fault at least one band");
     }
 }

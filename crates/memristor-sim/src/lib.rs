@@ -12,7 +12,9 @@
 //! `memristor.write_to_crossbar` → [`CrossbarAccelerator::write_tile`],
 //! `memristor.gemm_tile`/`gevm_tile` → [`CrossbarAccelerator::gemm_tile`] /
 //! [`CrossbarAccelerator::mvm`], and unrolled parallel tiles →
-//! [`CrossbarAccelerator::mvm_parallel`].
+//! [`CrossbarAccelerator::mvm_parallel`]. A band of output rows against a
+//! batch of programmed tiles — what the tiled GEMM issues per step — is one
+//! [`CrossbarAccelerator::mvm_band`] call.
 //!
 //! ```
 //! use memristor_sim::{CrossbarAccelerator, CrossbarConfig};
@@ -33,15 +35,11 @@
 
 pub mod config;
 pub mod crossbar;
-pub mod stream;
 
-pub use cinm_runtime::{
-    resolve_threads, CommandStream, FaultConfig, FaultInjector, FaultKind, PoolHandle,
-};
+pub use cinm_runtime::{resolve_threads, FaultConfig, FaultInjector, FaultKind, PoolHandle};
 
 pub use config::CrossbarConfig;
-pub use crossbar::{CimError, CimResult, CimStats, CrossbarAccelerator};
-pub use stream::{BandTile, XbarCommand};
+pub use crossbar::{BandTile, CimError, CimResult, CimStats, CrossbarAccelerator};
 
 #[cfg(test)]
 mod tests {

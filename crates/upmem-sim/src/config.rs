@@ -104,8 +104,7 @@ pub struct UpmemConfig {
     /// and statistics are bit-identical for every value.
     pub host_threads: usize,
     /// The persistent worker pool executing the functional simulation (data
-    /// parallelism inside launches/transfers and command-level concurrency in
-    /// [`UpmemSystem::sync`](crate::UpmemSystem::sync)). Defaults to the
+    /// parallelism inside launches and transfers). Defaults to the
     /// process-global pool; harnesses construct one shared pool per sweep.
     /// Never affects simulated results or statistics.
     pub pool: cinm_runtime::PoolHandle,

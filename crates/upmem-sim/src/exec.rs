@@ -6,8 +6,8 @@
 //! kernel kind once per launch, resolves the operator to a monomorphic
 //! closure outside every loop, and then runs one kind-specific loop over the
 //! band of DPUs it was given. It is the only implementation of kernel
-//! semantics in the slab system — every thread count, eager and synced
-//! launches and the aliased-output staging all run it; the
+//! semantics in the slab system — every thread count, every launch and the
+//! aliased-output staging all run it; the
 //! retained seed executor in [`crate::naive`] is the independent oracle
 //! `tests/properties.rs` compares it against.
 

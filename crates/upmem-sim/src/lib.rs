@@ -49,22 +49,19 @@ mod exec;
 pub mod kernel;
 pub mod naive;
 pub mod stats;
-pub mod stream;
 pub mod system;
 
 // The band-scheduling helpers previously duplicated here (`par`) and in
 // `memristor_sim::crossbar` now live in `cinm-runtime`; the canonical
 // `resolve_threads` is re-exported for downstream users.
 pub use cinm_runtime::{
-    resolve_threads, CommandStream, FaultConfig, FaultInjector, FaultKind, PoolHandle, RetryPolicy,
-    WorkerPool,
+    resolve_threads, FaultConfig, FaultInjector, FaultKind, PoolHandle, RetryPolicy, WorkerPool,
 };
 
 pub use config::{InstrCosts, UpmemConfig};
 pub use kernel::{BinOp, DpuKernelKind, FusedArg, FusedStage, KernelSpec, MAX_FUSED_STAGES};
 pub use naive::NaiveUpmemSystem;
 pub use stats::{LaunchStats, SystemStats, TransferStats};
-pub use stream::{Command, CommandOutput};
 pub use system::{
     kernel_launch_cost, validate_kernel_shape, BufferId, DpuSystem, HostImage, SimError, SimResult,
     UpmemSystem,

@@ -967,7 +967,7 @@ impl UpmemSystem {
     /// Draws the next transfer-fault decision (timeout, then corruption).
     /// Called after validation and before any slab or stats mutation, so a
     /// faulted transfer leaves the system untouched.
-    pub(crate) fn inject_transfer(&mut self, what: &str) -> SimResult<()> {
+    fn inject_transfer(&mut self, what: &str) -> SimResult<()> {
         if let Some(inj) = self.fault.as_mut() {
             if let Err(ev) = inj.check_transfer() {
                 if let Some(tele) = &self.tele {
@@ -987,7 +987,7 @@ impl UpmemSystem {
     /// untouched. Permanent faults model a dead compute path: every later
     /// launch fails too, while transfers keep working (MRAM stays readable,
     /// so the layers above can rescue resident data and re-plan).
-    pub(crate) fn inject_launch(&mut self, spec: &KernelSpec) -> SimResult<()> {
+    fn inject_launch(&mut self, spec: &KernelSpec) -> SimResult<()> {
         if let Some(inj) = self.fault.as_mut() {
             if let Err(ev) = inj.check_launch() {
                 if let Some(tele) = &self.tele {
@@ -1022,8 +1022,8 @@ impl UpmemSystem {
         self.stats = SystemStats::default();
     }
 
-    // One accounting body per operation kind, called from its apply body
-    // below. Telemetry is atomics-only (no allocation, no lock) and never
+    // One accounting body per operation kind, called from the operation's
+    // body below. Telemetry is atomics-only (no allocation, no lock) and never
     // affects `stats`.
 
     /// The cost of moving `elems` host elements through the chunked transfer
@@ -1179,9 +1179,8 @@ impl UpmemSystem {
     }
 
     /// Validates a scatter/gather chunk against the buffer geometry (shared
-    /// by the eager methods and the [`sync`](Self::sync) batch validation so
-    /// both fail identically).
-    pub(crate) fn validate_chunk(&self, buffer: BufferId, chunk: usize) -> SimResult<()> {
+    /// by every scatter and gather form, so all of them fail identically).
+    fn validate_chunk(&self, buffer: BufferId, chunk: usize) -> SimResult<()> {
         let elems = self.buffer_len(buffer)?;
         if chunk > elems {
             return Err(SimError::new(format!(
@@ -1191,25 +1190,13 @@ impl UpmemSystem {
         Ok(())
     }
 
-    /// Validates a broadcast payload against the per-DPU buffer length.
-    pub(crate) fn validate_broadcast(&self, buffer: BufferId, len: usize) -> SimResult<()> {
-        let elems = self.buffer_len(buffer)?;
-        if len > elems {
-            return Err(SimError::new(format!(
-                "broadcast of {len} elements exceeds per-DPU buffer of {elems}"
-            )));
-        }
-        Ok(())
-    }
-
     /// Validates kernel and buffer shapes of a launch. Performed before any
     /// state is touched.
-    pub(crate) fn validate_launch(&self, spec: &KernelSpec) -> SimResult<()> {
+    fn validate_launch(&self, spec: &KernelSpec) -> SimResult<()> {
         validate_kernel_shape(&spec.kind)?;
         // `KernelSpec::new` asserts the arity, but the fields are public, so
-        // a hand-built spec must not slip past batch validation into a
-        // mid-execution panic (sync documents launch-shape errors as
-        // transactional).
+        // a hand-built spec must not slip past validation into a
+        // mid-execution panic (a rejected launch touches nothing).
         if spec.inputs.len() != spec.kind.num_inputs() {
             return Err(SimError::new(format!(
                 "kernel '{}' expects {} inputs, spec has {}",
@@ -1263,13 +1250,9 @@ impl UpmemSystem {
     }
 
     /// The scatter itself, validated and past its fault draw: the one body
-    /// [`scatter_i32`](Self::scatter_i32) and [`sync`](Self::sync) both run.
-    pub(crate) fn apply_scatter(
-        &mut self,
-        buffer: BufferId,
-        data: &[i32],
-        chunk: usize,
-    ) -> TransferStats {
+    /// [`scatter_i32`](Self::scatter_i32) and
+    /// [`scatter_image`](Self::scatter_image) both run.
+    fn apply_scatter(&mut self, buffer: BufferId, data: &[i32], chunk: usize) -> TransferStats {
         let (config, num_dpus) = (&self.config, self.num_dpus);
         let slab = &mut self.slabs[buffer as usize];
         let elems = slab.elems_per_dpu;
@@ -1349,15 +1332,16 @@ impl UpmemSystem {
     ///
     /// Returns an error if the buffer does not exist or the data does not fit.
     pub fn broadcast_i32(&mut self, buffer: BufferId, data: &[i32]) -> SimResult<TransferStats> {
-        self.validate_broadcast(buffer, data.len())?;
+        let elems = self.buffer_len(buffer)?;
+        if data.len() > elems {
+            return Err(SimError::new(format!(
+                "broadcast of {} elements exceeds per-DPU buffer of {elems}",
+                data.len()
+            )));
+        }
         self.inject_transfer("broadcast")?;
-        Ok(self.apply_broadcast(buffer, data))
-    }
-
-    /// The broadcast itself (validated, past its fault draw), shared with
-    /// [`sync`](Self::sync). A replicated slab stores the image once — the
-    /// billed volume does not depend on the storage form.
-    pub(crate) fn apply_broadcast(&mut self, buffer: BufferId, data: &[i32]) -> TransferStats {
+        // A replicated slab stores the image once — the billed volume does
+        // not depend on the storage form.
         let (config, num_dpus) = (&self.config, self.num_dpus);
         let slab = &mut self.slabs[buffer as usize];
         // A partial write: a shared image is cloned, not replaced.
@@ -1380,7 +1364,7 @@ impl UpmemSystem {
             energy_j: config.transfer_energy_j(bytes as f64),
         };
         self.account_broadcast(&t);
-        t
+        Ok(t)
     }
 
     /// Gathers `chunk` elements from every DPU back into one host vector
@@ -1421,9 +1405,10 @@ impl UpmemSystem {
         Ok(self.apply_gather(buffer, chunk, out))
     }
 
-    /// The gather itself (validated, past its fault draw), shared with
-    /// [`sync`](Self::sync).
-    pub(crate) fn apply_gather(
+    /// The gather itself (validated, past its fault draw), shared by
+    /// [`gather_i32_into`](Self::gather_i32_into) and
+    /// [`gather_image`](Self::gather_image).
+    fn apply_gather(
         &mut self,
         buffer: BufferId,
         chunk: usize,
@@ -1581,12 +1566,6 @@ impl UpmemSystem {
         // Validate kernel and buffer shapes before touching any state.
         self.validate_launch(spec)?;
         self.inject_launch(spec)?;
-        Ok(self.apply_launch(spec))
-    }
-
-    /// The launch itself (validated, past its fault draw), shared with
-    /// [`sync`](Self::sync).
-    pub(crate) fn apply_launch(&mut self, spec: &KernelSpec) -> LaunchStats {
         // Functional execution on every DPU. The output slabs move out of
         // storage (no allocation) so the input slabs can be borrowed
         // immutably while the outputs are mutated.
@@ -1611,7 +1590,7 @@ impl UpmemSystem {
         let tasklets = spec.tasklets.unwrap_or(self.config.tasklets);
         let stats = kernel_launch_cost(&self.config, spec, tasklets, self.num_dpus);
         self.account_launch(&stats);
-        stats
+        Ok(stats)
     }
 }
 
@@ -2190,6 +2169,30 @@ mod tests {
     }
 
     #[test]
+    fn an_aliased_launch_on_a_broadcast_reads_pre_launch_state_for_all_thread_counts() {
+        // The broadcast is stored once; the aliased scan expands it per DPU
+        // while still reading every DPU's pre-launch copy.
+        for threads in [1usize, 2, 8, 0] {
+            let mut cfg = UpmemConfig::with_ranks(1).with_host_threads(threads);
+            cfg.dpus_per_rank = 4;
+            let mut sys = UpmemSystem::new(cfg);
+            let a = sys.alloc_buffer(4).unwrap();
+            sys.broadcast_i32(a, &[1, 2, 3, 4]).unwrap();
+            let spec = KernelSpec::new(
+                DpuKernelKind::Scan {
+                    op: BinOp::Add,
+                    len: 4,
+                },
+                vec![a],
+                a,
+            );
+            sys.launch(&spec).unwrap();
+            let (gathered, _) = sys.gather_i32(a, 4).unwrap();
+            assert_eq!(gathered, [1, 3, 6, 10].repeat(4), "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn elementwise_reduce_scan_histogram_select() {
         let mut sys = small_system();
         let a = sys.alloc_buffer(8).unwrap();
@@ -2403,6 +2406,25 @@ mod tests {
         assert!(err.message().contains("output"));
     }
 
+    #[test]
+    fn launch_rejects_hand_built_specs_with_wrong_arity() {
+        let mut sys = small_system();
+        let a = sys.alloc_buffer(8).unwrap();
+        // Bypass the KernelSpec::new arity assert via the public fields.
+        let mut spec = KernelSpec::new(
+            DpuKernelKind::Reduce {
+                op: BinOp::Add,
+                len: 8,
+            },
+            vec![a],
+            a,
+        );
+        spec.inputs.clear();
+        let err = sys.launch(&spec).unwrap_err();
+        assert!(err.message().contains("expects 1 inputs"), "{err}");
+        assert_eq!(sys.stats().launches, 0);
+    }
+
     use crate::kernel::{FusedArg, FusedStage};
 
     #[test]
@@ -2580,6 +2602,62 @@ mod tests {
             assert_eq!(from_naive, from_slab, "buffer {buf}");
         }
         assert_eq!(naive.stats(), slab.stats());
+    }
+
+    #[test]
+    fn a_launch_reading_both_fused_outputs_matches_the_naive_reference_for_all_thread_counts() {
+        let data: Vec<i32> = (0..64).map(|i| i * 19 % 41 - 20).collect();
+        let fused = KernelSpec::new(
+            DpuKernelKind::FusedElementwise {
+                stages: vec![
+                    FusedStage {
+                        op: BinOp::Mul,
+                        lhs: FusedArg::Input(0),
+                        rhs: FusedArg::Input(1),
+                    },
+                    FusedStage {
+                        op: BinOp::Add,
+                        lhs: FusedArg::Stage(0),
+                        rhs: FusedArg::Input(0),
+                    },
+                ],
+                len: 16,
+                arity: 2,
+            },
+            vec![0, 1],
+            2,
+        )
+        .with_extra_outputs(vec![3]);
+        // Reads both outputs of the fused launch, incl. its extra output.
+        let add = KernelSpec::new(
+            DpuKernelKind::Elementwise {
+                op: BinOp::Add,
+                len: 16,
+            },
+            vec![2, 3],
+            4,
+        );
+        let run = |sys: &mut dyn DpuSystem| {
+            for _ in 0..5 {
+                sys.alloc_buffer(16).unwrap();
+            }
+            sys.scatter_i32(0, &data, 16).unwrap();
+            sys.broadcast_i32(1, &data[..16]).unwrap();
+            sys.launch(&fused).unwrap();
+            sys.launch(&add).unwrap();
+            let (out, _) = sys.gather_i32(4, 16).unwrap();
+            (out, *sys.stats())
+        };
+
+        let mut cfg = UpmemConfig::with_ranks(1);
+        cfg.dpus_per_rank = 4;
+        let (ref_out, ref_stats) = run(&mut crate::naive::NaiveUpmemSystem::new(cfg.clone()));
+        for threads in [1usize, 2, 8, 0] {
+            let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(threads));
+            let (out, stats) = run(&mut sys);
+            assert_eq!(out, ref_out, "threads = {threads}");
+            assert_eq!(stats, ref_stats, "threads = {threads}");
+        }
     }
 
     fn faulty_system(fault: cinm_runtime::FaultConfig) -> UpmemSystem {

@@ -14,11 +14,10 @@ use cinm::lowering::{
     tile_2d, CimBackend, CimRunOptions, Tile, TileShape, UpmemBackend, UpmemRunOptions,
 };
 use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
-use cinm::runtime::CommandStream;
 use cinm::telemetry::Telemetry;
 use cinm::upmem::{
-    BinOp, Command, CommandOutput, DpuKernelKind, DpuSystem, FusedArg, FusedStage, KernelSpec,
-    NaiveUpmemSystem, UpmemConfig, UpmemSystem, MAX_FUSED_STAGES,
+    BinOp, DpuKernelKind, DpuSystem, FusedArg, FusedStage, KernelSpec, LaunchStats,
+    NaiveUpmemSystem, TransferStats, UpmemConfig, UpmemSystem, MAX_FUSED_STAGES,
 };
 use cinm::workloads::data::{self, SplitMix64};
 use cpu_sim::kernels;
@@ -1066,16 +1065,33 @@ fn telemetry_is_observationally_transparent() {
 }
 
 // ---------------------------------------------------------------------------
-// Command streams vs the eager oracle
+// Eager host programs vs the naive oracle
 // ---------------------------------------------------------------------------
 
-/// Randomized command program over a small buffer pool: interleaved
-/// scatter/broadcast/launch/gather commands, including launches whose output
-/// aliases an input, so every ordering between two commands on one buffer
+/// One host-runtime call of a randomized program.
+#[derive(Debug, Clone)]
+enum HostCall {
+    Scatter(u32, Vec<i32>, usize),
+    Broadcast(u32, Vec<i32>),
+    Launch(KernelSpec),
+    Gather(u32, usize),
+}
+
+/// What one [`HostCall`] returned.
+#[derive(Debug, Clone, PartialEq)]
+enum CallOutput {
+    Transfer(TransferStats),
+    Launch(LaunchStats),
+    Gather(Vec<i32>, TransferStats),
+}
+
+/// Randomized host program over a small buffer pool: interleaved
+/// scatter/broadcast/launch/gather calls, including launches whose output
+/// aliases an input, so every ordering between two calls on one buffer
 /// (read after write, write after read, write after write) occurs.
 ///
 /// Returns the per-buffer lengths and the program.
-fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<Command<'static>>) {
+fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<HostCall>) {
     let (kind, input_lens, out_len) = random_kernel(rng);
     // Buffer pool: the kernel inputs, its outputs (one per fused stage), and
     // one spare of the same length as the output (gives scatters/gathers
@@ -1099,76 +1115,64 @@ fn random_program(rng: &mut SplitMix64) -> (Vec<usize>, Vec<Command<'static>>) {
         .map(|i| i as u32);
 
     let inputs: Vec<u32> = (0..input_lens.len() as u32).collect();
-    let n_cmds = 4 + gen_usize(rng, 0, 8);
+    let n_calls = 4 + gen_usize(rng, 0, 8);
     let mut program = Vec::new();
-    for _ in 0..n_cmds {
+    for _ in 0..n_calls {
         let buf = gen_usize(rng, 0, buffer_lens.len()) as u32;
         let len = buffer_lens[buf as usize];
-        match gen_usize(rng, 0, 6) {
-            0 => program.push(Command::Scatter {
-                buffer: buf,
-                // Deliberately sometimes shorter / longer than the grid needs,
-                // exercising zero padding.
-                data: data::i32_vec(rng.next_u64(), gen_usize(rng, 0, 4 * len + 2), -40, 40).into(),
-                chunk: gen_usize(rng, 0, len + 1),
-            }),
-            1 => program.push(Command::Broadcast {
-                buffer: buf,
-                data: data::i32_vec(rng.next_u64(), gen_usize(rng, 0, len + 1), -40, 40).into(),
-            }),
-            2 => program.push(Command::Gather {
-                buffer: buf,
-                chunk: gen_usize(rng, 0, len + 1),
-            }),
-            3 if alias_candidate.is_some() && gen_usize(rng, 0, 2) == 0 => {
-                // Aliased launch: output is one of the inputs (RAW + WAW on
-                // the same buffer inside one command).
-                program.push(Command::Launch {
-                    spec: KernelSpec::new(kind.clone(), inputs.clone(), alias_candidate.unwrap()),
-                });
-            }
-            _ => program.push(Command::Launch {
-                spec: KernelSpec::new(kind.clone(), inputs.clone(), out_buf)
+        program.push(match gen_usize(rng, 0, 6) {
+            // Deliberately sometimes shorter / longer than the grid needs,
+            // exercising zero padding.
+            0 => HostCall::Scatter(
+                buf,
+                data::i32_vec(rng.next_u64(), gen_usize(rng, 0, 4 * len + 2), -40, 40),
+                gen_usize(rng, 0, len + 1),
+            ),
+            1 => HostCall::Broadcast(
+                buf,
+                data::i32_vec(rng.next_u64(), gen_usize(rng, 0, len + 1), -40, 40),
+            ),
+            2 => HostCall::Gather(buf, gen_usize(rng, 0, len + 1)),
+            // Aliased launch: output is one of the inputs (RAW + WAW on the
+            // same buffer inside one call).
+            3 if alias_candidate.is_some() && gen_usize(rng, 0, 2) == 0 => HostCall::Launch(
+                KernelSpec::new(kind.clone(), inputs.clone(), alias_candidate.unwrap()),
+            ),
+            _ => HostCall::Launch(
+                KernelSpec::new(kind.clone(), inputs.clone(), out_buf)
                     .with_extra_outputs(extra_outs.clone()),
-            }),
-        }
+            ),
+        });
     }
     // Always end with a gather of every buffer so the final state is fully
-    // observable through command outputs alone.
+    // observable through call outputs alone.
     for (b, &len) in buffer_lens.iter().enumerate() {
-        program.push(Command::Gather {
-            buffer: b as u32,
-            chunk: len,
-        });
+        program.push(HostCall::Gather(b as u32, len));
     }
     (buffer_lens, program)
 }
 
-/// Applies a command program eagerly, one call at a time, to the given
-/// system — the oracle semantics of `UpmemSystem::sync`.
-fn run_eager_program(sys: &mut dyn DpuSystem, program: &[Command<'_>]) -> Vec<CommandOutput> {
+/// Applies a host program, one call at a time, to the given system.
+fn run_program(sys: &mut dyn DpuSystem, program: &[HostCall]) -> Vec<CallOutput> {
     program
         .iter()
-        .map(|cmd| match cmd {
-            Command::Scatter {
-                buffer,
-                data,
-                chunk,
-            } => CommandOutput::Transfer(sys.scatter_i32(*buffer, data, *chunk).unwrap()),
-            Command::Broadcast { buffer, data } => {
-                CommandOutput::Transfer(sys.broadcast_i32(*buffer, data).unwrap())
+        .map(|call| match call {
+            HostCall::Scatter(buffer, data, chunk) => {
+                CallOutput::Transfer(sys.scatter_i32(*buffer, data, *chunk).unwrap())
             }
-            Command::Launch { spec } => CommandOutput::Launch(sys.launch(spec).unwrap()),
-            Command::Gather { buffer, chunk } => {
+            HostCall::Broadcast(buffer, data) => {
+                CallOutput::Transfer(sys.broadcast_i32(*buffer, data).unwrap())
+            }
+            HostCall::Launch(spec) => CallOutput::Launch(sys.launch(spec).unwrap()),
+            HostCall::Gather(buffer, chunk) => {
                 let (data, t) = sys.gather_i32(*buffer, *chunk).unwrap();
-                CommandOutput::Gather(data, t)
+                CallOutput::Gather(data, t)
             }
         })
         .collect()
 }
 
-/// An untimed host-side operation applied between two commands of a
-/// program.
+/// An untimed host-side operation applied between two calls of a program.
 enum HostOp {
     /// `zero_buffer` (the naive oracle has none: it frees and re-allocates,
     /// which yields the same id with fresh zero contents).
@@ -1181,8 +1185,8 @@ enum HostOp {
 }
 
 /// Draws up to three host operations at sorted positions of a program of
-/// `n_cmds` commands over `n_bufs` buffers.
-fn gen_host_ops(rng: &mut SplitMix64, n_cmds: usize, n_bufs: usize) -> Vec<(usize, HostOp)> {
+/// `n_calls` calls over `n_bufs` buffers.
+fn gen_host_ops(rng: &mut SplitMix64, n_calls: usize, n_bufs: usize) -> Vec<(usize, HostOp)> {
     let mut ops: Vec<(usize, HostOp)> = (0..gen_usize(rng, 0, 4))
         .map(|_| {
             let buf = gen_usize(rng, 0, n_bufs) as u32;
@@ -1191,152 +1195,188 @@ fn gen_host_ops(rng: &mut SplitMix64, n_cmds: usize, n_bufs: usize) -> Vec<(usiz
                 1 => HostOp::Realloc(buf),
                 _ => HostOp::Clone,
             };
-            (gen_usize(rng, 0, n_cmds + 1), op)
+            (gen_usize(rng, 0, n_calls + 1), op)
         })
         .collect();
     ops.sort_by_key(|(at, _)| *at);
     ops
 }
 
-/// Runs `program` through `run` in the segments the host operations cut it
-/// into, applying each operation with `host` in between.
-fn run_with_host_ops<S>(
+/// Runs `program` in the segments the host operations cut it into, applying
+/// each operation with `host` in between.
+fn run_with_host_ops<S: DpuSystem>(
     sys: &mut S,
-    program: &[Command<'static>],
+    program: &[HostCall],
     host_ops: &[(usize, HostOp)],
-    mut run: impl FnMut(&mut S, &[Command<'static>]) -> Vec<CommandOutput>,
     mut host: impl FnMut(&mut S, &HostOp),
-) -> Vec<CommandOutput> {
+) -> Vec<CallOutput> {
     let mut outputs = Vec::new();
     let mut done = 0;
     for (at, op) in host_ops {
-        outputs.extend(run(sys, &program[done..*at]));
+        outputs.extend(run_program(sys, &program[done..*at]));
         done = *at;
         host(sys, op);
     }
-    outputs.extend(run(sys, &program[done..]));
+    outputs.extend(run_program(sys, &program[done..]));
     outputs
 }
 
-/// `UpmemSystem` — driven eagerly and through `sync` — produces
-/// bit-identical buffers, outputs *and* statistics to the eager
-/// `NaiveUpmemSystem` oracle, across randomized interleaved programs with
-/// aliasing buffers and thread counts {1, 2, 8}, with buffers zeroed, freed
-/// and re-allocated and the system swapped for its `fault_free_clone`
-/// mid-program (so every storage form a slab can be in meets every command).
+/// `UpmemSystem` produces bit-identical buffers, outputs *and* statistics to
+/// the `NaiveUpmemSystem` oracle, across randomized interleaved programs
+/// with aliasing buffers and thread counts {1, 2, 8}, with buffers zeroed,
+/// freed and re-allocated and the system swapped for its `fault_free_clone`
+/// mid-program (so every storage form a slab can be in meets every call).
 #[test]
-fn command_stream_is_bit_identical_to_the_eager_naive_oracle() {
+fn eager_upmem_system_is_bit_identical_to_the_naive_oracle() {
     for_cases(12, |rng| {
         let (buffer_lens, program) = random_program(rng);
         let dpus = gen_usize(rng, 1, 9);
         let mut cfg = UpmemConfig::with_ranks(1);
         cfg.dpus_per_rank = dpus;
-        let n_cmds = program.len() - buffer_lens.len();
-        let host_ops = gen_host_ops(rng, n_cmds, buffer_lens.len());
+        let n_calls = program.len() - buffer_lens.len();
+        let host_ops = gen_host_ops(rng, n_calls, buffer_lens.len());
 
         let mut naive = NaiveUpmemSystem::new(cfg.clone());
         for &len in &buffer_lens {
             naive.alloc_buffer(len).unwrap();
         }
-        let oracle = run_with_host_ops(
-            &mut naive,
-            &program,
-            &host_ops,
-            |naive, segment| run_eager_program(naive, segment),
-            |naive, op| match op {
-                HostOp::Zero(b) | HostOp::Realloc(b) => {
-                    naive.free_buffer(*b).unwrap();
-                    let again = naive.alloc_buffer(buffer_lens[*b as usize]).unwrap();
-                    assert_eq!(again, *b);
-                }
-                HostOp::Clone => {}
-            },
-        );
-
-        let slab_host = |sys: &mut UpmemSystem, op: &HostOp| match op {
-            HostOp::Zero(b) => sys.zero_buffer(*b).unwrap(),
-            HostOp::Realloc(b) => {
-                sys.free_buffer(*b).unwrap();
-                assert!(sys.buffer_len(*b).is_err(), "a freed id is unknown");
-                let again = sys.alloc_buffer(buffer_lens[*b as usize]).unwrap();
-                assert_eq!(again, *b, "freed ids are reused");
+        let oracle = run_with_host_ops(&mut naive, &program, &host_ops, |naive, op| match op {
+            HostOp::Zero(b) | HostOp::Realloc(b) => {
+                naive.free_buffer(*b).unwrap();
+                let again = naive.alloc_buffer(buffer_lens[*b as usize]).unwrap();
+                assert_eq!(again, *b);
             }
-            HostOp::Clone => *sys = sys.fault_free_clone(),
-        };
+            HostOp::Clone => {}
+        });
+
         for threads in [1usize, 2, 8] {
-            for streamed in [false, true] {
-                let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(threads));
-                for &len in &buffer_lens {
-                    sys.alloc_buffer(len).unwrap();
+            let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(threads));
+            for &len in &buffer_lens {
+                sys.alloc_buffer(len).unwrap();
+            }
+            let outputs = run_with_host_ops(&mut sys, &program, &host_ops, |sys, op| match op {
+                HostOp::Zero(b) => sys.zero_buffer(*b).unwrap(),
+                HostOp::Realloc(b) => {
+                    sys.free_buffer(*b).unwrap();
+                    assert!(sys.buffer_len(*b).is_err(), "a freed id is unknown");
+                    let again = sys.alloc_buffer(buffer_lens[*b as usize]).unwrap();
+                    assert_eq!(again, *b, "freed ids are reused");
                 }
-                let outputs = run_with_host_ops(
-                    &mut sys,
-                    &program,
-                    &host_ops,
-                    |sys, segment| {
-                        if !streamed {
-                            return run_eager_program(sys, segment);
-                        }
-                        let mut stream = CommandStream::new();
-                        for cmd in segment {
-                            stream.enqueue(cmd.clone());
-                        }
-                        sys.sync(&mut stream).unwrap()
-                    },
-                    slab_host,
-                );
-                let what = format!("threads {threads}, dpus {dpus}, streamed {streamed}");
-                assert_eq!(outputs, oracle, "{what}");
-                assert_eq!(sys.stats(), naive.stats(), "stats diverged at {what}");
-                assert_eq!(sys.mram_used_bytes(), naive.mram_used_bytes(), "{what}");
-                // Raw per-DPU views agree too.
-                for b in 0..buffer_lens.len() as u32 {
-                    for d in [0, dpus - 1] {
-                        assert_eq!(
-                            naive.dpu_buffer(d, b).unwrap(),
-                            sys.dpu_buffer(d, b).unwrap(),
-                            "buffer {b} dpu {d} {what}"
-                        );
-                    }
+                HostOp::Clone => *sys = sys.fault_free_clone(),
+            });
+            let what = format!("threads {threads}, dpus {dpus}");
+            assert_eq!(outputs, oracle, "{what}");
+            assert_eq!(sys.stats(), naive.stats(), "stats diverged at {what}");
+            assert_eq!(sys.mram_used_bytes(), naive.mram_used_bytes(), "{what}");
+            // Raw per-DPU views agree too.
+            for b in 0..buffer_lens.len() as u32 {
+                for d in [0, dpus - 1] {
+                    assert_eq!(
+                        naive.dpu_buffer(d, b).unwrap(),
+                        sys.dpu_buffer(d, b).unwrap(),
+                        "buffer {b} dpu {d} {what}"
+                    );
                 }
             }
         }
     });
 }
 
-/// Splitting a program across several `sync` calls at arbitrary points is
-/// equivalent to one big batch (the stream is a pure recording, applied in
-/// program order).
+/// One command is the unit of fault atomicity: every command the eager
+/// back-ends issue validates and draws its faults before it mutates
+/// anything, so retrying each one in place recovers exactly the fault-free
+/// run. Randomized transient schedules — launch and transfer faults up to
+/// 10 % on the UPMEM grid, tile-write and MVM faults on the crossbar — over
+/// every streaming and dense UPMEM op and the crossbar GEMM/GEMV in all four
+/// `min_writes` × `parallel_tiles` configurations: results *and* simulated
+/// statistics equal a fault-free backend's, and the sweep really retried.
 #[test]
-fn command_stream_batch_boundaries_do_not_matter() {
-    for_cases(13, |rng| {
-        let (buffer_lens, program) = random_program(rng);
+fn every_eager_command_is_atomic_under_transient_faults() {
+    use cinm::runtime::{FaultConfig, RetryPolicy};
+    // Room for the longest band (40 rows here, one fault draw each) to get
+    // through; the budget only changes the recovery counters.
+    let patient = RetryPolicy {
+        max_attempts: 256,
+        ..RetryPolicy::default()
+    };
+    let mut retries = 0;
+    for_cases(29, |rng| {
+        let percent = |rng: &mut SplitMix64, hi: usize| gen_usize(rng, 0, hi + 1) as f64 / 100.0;
+        let upmem_fault = FaultConfig::seeded(rng.next_u64())
+            .with_launch_fault_rate(percent(rng, 10))
+            .with_transfer_timeout_rate(percent(rng, 5))
+            .with_transfer_corruption_rate(percent(rng, 5));
         let mut cfg = UpmemConfig::with_ranks(1);
-        cfg.dpus_per_rank = 4;
+        cfg.dpus_per_rank = GRIDS[gen_usize(rng, 0, GRIDS.len())];
+        let mut clean = UpmemBackend::with_config(cfg.clone(), UpmemRunOptions::optimized());
+        let mut faulty =
+            UpmemBackend::with_config(cfg.with_fault(upmem_fault), UpmemRunOptions::optimized());
+        faulty.set_retry_policy(patient);
 
-        let run_split = |split_points: &[usize]| {
-            let mut sys = UpmemSystem::new(cfg.clone().with_host_threads(8));
-            for &len in &buffer_lens {
-                sys.alloc_buffer(len).unwrap();
-            }
-            let mut outputs = Vec::new();
-            let mut stream = CommandStream::new();
-            for (i, cmd) in program.iter().enumerate() {
-                stream.enqueue(cmd.clone());
-                if split_points.contains(&i) {
-                    outputs.extend(sys.sync(&mut stream).unwrap());
-                }
-            }
-            outputs.extend(sys.sync(&mut stream).unwrap());
-            (outputs, *sys.stats())
+        let (m, k, n) = (
+            gen_usize(rng, 1, 20),
+            gen_usize(rng, 1, 20),
+            gen_usize(rng, 1, 20),
+        );
+        let a = data::i32_vec(rng.next_u64(), m * k, -20, 20);
+        let b = data::i32_vec(rng.next_u64(), k * n, -20, 20);
+        let v = data::i32_vec(rng.next_u64(), gen_usize(rng, 1, 300), -60, 60);
+        let w = data::i32_vec(rng.next_u64(), v.len(), -60, 60);
+        let window = gen_usize(rng, 1, v.len().min(8) + 1);
+        let upmem_ops = |be: &mut UpmemBackend| {
+            vec![
+                be.gemm(&a, &b, m, k, n),
+                be.gemv(&a, &b[..k], m, k),
+                be.elementwise(BinOp::Sub, &v, &w),
+                vec![be.reduce(BinOp::Add, &v)],
+                be.histogram(&v, 7, 64),
+                be.select(&v, 3),
+                be.time_series(&v, window),
+            ]
         };
+        let want = upmem_ops(&mut clean);
+        assert_eq!(upmem_ops(&mut faulty), want, "upmem results");
+        assert_eq!(faulty.stats(), clean.stats(), "upmem statistics");
+        retries += faulty.fault_stats().transient_retries;
 
-        let (one_batch, one_stats) = run_split(&[]);
-        let split = gen_usize(rng, 0, program.len());
-        let (two_batches, two_stats) = run_split(&[split]);
-        assert_eq!(one_batch, two_batches, "split at {split}");
-        assert_eq!(one_stats, two_stats, "split at {split}");
+        // Several 64×64 tiles in each direction, and bands of up to 40 rows.
+        let xbar_fault = FaultConfig::seeded(rng.next_u64())
+            .with_transfer_timeout_rate(percent(rng, 3))
+            .with_transfer_corruption_rate(percent(rng, 2));
+        let (m, k, n) = (
+            gen_usize(rng, 1, 41),
+            gen_usize(rng, 1, 150),
+            gen_usize(rng, 1, 150),
+        );
+        let a = data::i32_vec(rng.next_u64(), m * k, -20, 20);
+        let b = data::i32_vec(rng.next_u64(), k * n, -20, 20);
+        for (min_writes, parallel_tiles) in
+            [(false, false), (true, false), (false, true), (true, true)]
+        {
+            let opts = CimRunOptions {
+                min_writes,
+                parallel_tiles,
+                ..Default::default()
+            };
+            let mut clean = CimBackend::new(opts.clone());
+            let mut faulty = CimBackend::with_config(
+                CrossbarConfig::default().with_fault(xbar_fault.clone()),
+                opts,
+            );
+            faulty.set_retry_policy(patient);
+            let cim_ops =
+                |be: &mut CimBackend| [be.gemm(&a, &b, m, k, n), be.gemv(&a, &b[..k], m, k)];
+            let what = format!("min_writes {min_writes}, parallel_tiles {parallel_tiles}");
+            assert_eq!(
+                cim_ops(&mut faulty),
+                cim_ops(&mut clean),
+                "cim results, {what}"
+            );
+            assert_eq!(faulty.stats(), clean.stats(), "cim statistics, {what}");
+            retries += faulty.fault_stats().transient_retries;
+        }
     });
+    assert!(retries > 0, "the schedules should inject transient faults");
 }
 
 #[test]
