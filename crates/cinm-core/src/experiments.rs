@@ -56,19 +56,13 @@ pub struct Fig10Row {
 /// The Figure 10 reproduction: speedups of the four CIM configurations over
 /// the ARM in-order host, plus write-reduction and energy columns.
 pub fn figure10(scale: Scale) -> Vec<Fig10Row> {
-    figure10_with_threads(scale, 1)
+    figure10_with_runtime(scale, 1, &PoolHandle::with_threads(1))
 }
 
 /// [`figure10`] with an explicit host-thread count for the functional
-/// simulation: the sweep runs faster on multicore hosts, the reproduced
-/// numbers are bit-identical. One worker pool is constructed for the whole
-/// sweep and shared by every configuration.
-pub fn figure10_with_threads(scale: Scale, host_threads: usize) -> Vec<Fig10Row> {
-    figure10_with_runtime(scale, host_threads, &PoolHandle::with_threads(host_threads))
-}
-
-/// [`figure10_with_threads`] on an explicit shared worker pool (the
-/// `cinm-experiments` binary constructs one pool for all figures).
+/// simulation, on an explicit shared worker pool (the `cinm-experiments`
+/// binary constructs one pool for all figures): the sweep runs faster on
+/// multicore hosts, the reproduced numbers are bit-identical.
 pub fn figure10_with_runtime(
     scale: Scale,
     host_threads: usize,
@@ -191,16 +185,12 @@ impl EnergyRow {
 
 /// The energy study over the Figure 10 workload suite.
 pub fn energy(scale: Scale) -> Vec<EnergyRow> {
-    energy_with_threads(scale, 1)
+    energy_with_runtime(scale, 1, &PoolHandle::with_threads(1))
 }
 
 /// [`energy`] with an explicit host-thread count for the functional
-/// simulation; the reproduced joule figures are bit-identical.
-pub fn energy_with_threads(scale: Scale, host_threads: usize) -> Vec<EnergyRow> {
-    energy_with_runtime(scale, host_threads, &PoolHandle::with_threads(host_threads))
-}
-
-/// [`energy_with_threads`] on an explicit shared worker pool.
+/// simulation, on an explicit shared worker pool; the reproduced joule
+/// figures are bit-identical.
 pub fn energy_with_runtime(scale: Scale, host_threads: usize, pool: &PoolHandle) -> Vec<EnergyRow> {
     let arm = CpuModel::arm_host();
     WorkloadId::cim_suite()
@@ -286,18 +276,12 @@ impl Fig11Row {
 
 /// The Figure 11 reproduction: `cinm-{4,8,16}d` vs `cinm-opt-{4,8,16}d`.
 pub fn figure11(scale: Scale) -> Vec<Fig11Row> {
-    figure11_with_threads(scale, 1)
+    figure11_with_runtime(scale, 1, &PoolHandle::with_threads(1))
 }
 
 /// [`figure11`] with an explicit host-thread count for the functional
-/// simulation: the sweep runs faster on multicore hosts, the reproduced
-/// numbers are bit-identical. One worker pool is constructed for the whole
-/// sweep and shared by every configuration.
-pub fn figure11_with_threads(scale: Scale, host_threads: usize) -> Vec<Fig11Row> {
-    figure11_with_runtime(scale, host_threads, &PoolHandle::with_threads(host_threads))
-}
-
-/// [`figure11_with_threads`] on an explicit shared worker pool.
+/// simulation, on an explicit shared worker pool: the sweep runs faster on
+/// multicore hosts, the reproduced numbers are bit-identical.
 pub fn figure11_with_runtime(
     scale: Scale,
     host_threads: usize,
@@ -415,18 +399,12 @@ fn prim_options(id: WorkloadId, host_threads: usize, pool: &PoolHandle) -> Upmem
 
 /// The Figure 12 reproduction.
 pub fn figure12(scale: Scale) -> Vec<Fig12Row> {
-    figure12_with_threads(scale, 1)
+    figure12_with_runtime(scale, 1, &PoolHandle::with_threads(1))
 }
 
 /// [`figure12`] with an explicit host-thread count for the functional
-/// simulation: the sweep runs faster on multicore hosts, the reproduced
-/// numbers are bit-identical. One worker pool is constructed for the whole
-/// sweep and shared by every configuration.
-pub fn figure12_with_threads(scale: Scale, host_threads: usize) -> Vec<Fig12Row> {
-    figure12_with_runtime(scale, host_threads, &PoolHandle::with_threads(host_threads))
-}
-
-/// [`figure12_with_threads`] on an explicit shared worker pool.
+/// simulation, on an explicit shared worker pool: the sweep runs faster on
+/// multicore hosts, the reproduced numbers are bit-identical.
 pub fn figure12_with_runtime(
     scale: Scale,
     host_threads: usize,

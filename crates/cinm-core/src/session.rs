@@ -102,7 +102,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, MramLayout, OutputLayout};
-use cinm_lowering::{ShardDevice, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
+use cinm_lowering::{ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
 use cinm_runtime::{FaultConfig, FaultStats};
 use upmem_sim::{
     BinOp, DpuKernelKind, FusedStage, HostImage, KernelSpec, SimError, SystemStats, UpmemConfig,
@@ -835,7 +835,7 @@ impl Session {
             None => ShardedBackend::new(sharded),
         };
         let mut planner = ShardPlanner::new().with_policy(policy);
-        for device in ShardDevice::ALL {
+        for device in Target::ALL {
             planner.register_device(backend.device(device));
         }
         Session {
@@ -1893,7 +1893,7 @@ impl Session {
             )
             // Plans built after a grid failure must not route chains back
             // onto the unhealthy device.
-            && self.backend.device(ShardDevice::Cnm).is_healthy();
+            && self.backend.device(Target::Cnm).is_healthy();
         let resident_chain = chain_ok
             && node
                 .inputs()
@@ -2169,7 +2169,7 @@ impl Session {
     /// idempotent, so re-executing the failed step from its start is safe —
     /// external inputs keep their host copies, and every transfer/launch
     /// rewrites its own buffers with the same data.
-    fn recover(&mut self, device: ShardDevice, idx: usize) -> Result<Recovery, ShardError> {
+    fn recover(&mut self, device: Target, idx: usize) -> Result<Recovery, ShardError> {
         self.fault_stats.replans += 1;
         if self.backend.device(device).is_healthy() {
             // A transient fault outlived the per-command retry budget but
@@ -2179,7 +2179,7 @@ impl Session {
         // The device is out of service (permanent fault, or a transient
         // storm past the consecutive-failure limit).
         self.fault_stats.degradations += 1;
-        if device == ShardDevice::Cnm && self.graph_needs_cnm(idx) {
+        if device == Target::Cnm && self.graph_needs_cnm(idx) {
             // The graph cannot leave the grid (non-plannable ops, or a
             // CNM-forced policy): swap in a spare. The replacement carries
             // the failed grid's memory image — resident tensors survive
@@ -2187,7 +2187,7 @@ impl Session {
             // plan resumes unchanged.
             let spare = self.backend.upmem().system().fault_free_clone();
             *self.backend.upmem_mut().system_mut() = spare;
-            self.backend.device_mut(ShardDevice::Cnm).reset_health();
+            self.backend.device_mut(Target::Cnm).reset_health();
             return Ok(Recovery::Resume);
         }
         // Re-plan the graph across the surviving devices (degrading to
@@ -2254,7 +2254,7 @@ impl Session {
         let mut planner = ShardPlanner::new().with_policy(old.policy);
         planner.granularity = old.granularity;
         planner.calibrator = old.calibrator.clone();
-        for device in ShardDevice::ALL {
+        for device in Target::ALL {
             let d = self.backend.device(device);
             if d.is_healthy() {
                 planner.register_device(d);
@@ -2586,9 +2586,9 @@ fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> Shar
         panic!("{context}: {e}");
     }
     let permanent = e.is_permanent_fault();
-    backend.device_mut(ShardDevice::Cnm).note_failure(permanent);
+    backend.device_mut(Target::Cnm).note_failure(permanent);
     ShardError::DeviceFault {
-        device: ShardDevice::Cnm,
+        device: Target::Cnm,
         permanent,
         message: e.to_string(),
     }

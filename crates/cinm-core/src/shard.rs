@@ -51,8 +51,7 @@
 
 use std::collections::HashMap;
 
-use cinm_lowering::device::DeviceCost;
-use cinm_lowering::{Device, ShardDevice, ShardError, ShardSplit};
+use cinm_lowering::{Device, ShardError, ShardSplit};
 use cpu_sim::model::CpuModel;
 use memristor_sim::CrossbarConfig;
 use upmem_sim::UpmemConfig;
@@ -68,73 +67,6 @@ use crate::target::{CostModel, Target};
 pub use cinm_lowering::device::{
     cim_supports, CimCostModel, CnmCostModel, HostCostModel, ShardShape,
 };
-
-/// The planner-side [`Target`] of a [`ShardDevice`] (the two enums share the
-/// `[cnm, cim, host]` order; `Target` predates the device layer).
-pub fn device_target(device: ShardDevice) -> Target {
-    match device {
-        ShardDevice::Cnm => Target::Cnm,
-        ShardDevice::Cim => Target::Cim,
-        ShardDevice::Host => Target::Host,
-    }
-}
-
-/// Adapts a device's cost hookup ([`Device::cost`]) to the planner's
-/// [`CostModel`] registry, so a planner can be assembled *from a device set*
-/// instead of hard-coding model structs — the session does exactly that.
-pub struct DeviceCostAdapter(Box<dyn DeviceCost>);
-
-impl DeviceCostAdapter {
-    /// Wraps a device cost hookup.
-    pub fn new(cost: Box<dyn DeviceCost>) -> Self {
-        DeviceCostAdapter(cost)
-    }
-
-    /// Snapshots the cost hookup of a device.
-    pub fn of(device: &dyn Device) -> Self {
-        DeviceCostAdapter(device.cost())
-    }
-}
-
-impl CostModel for DeviceCostAdapter {
-    fn target(&self) -> Target {
-        device_target(self.0.device())
-    }
-
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        self.0.estimate_seconds(op_name, elements)
-    }
-
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.0.estimate_shard_seconds(op_name, shape)
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.0.estimate_shard_joules(op_name, shape)
-    }
-}
-
-// Every device-level cost model is a planner cost model by construction
-// (the target is the device's shard slot), so the concrete models —
-// `CnmCostModel`, `CimCostModel`, `HostCostModel` and any future device
-// hookup — register into the planner without per-type glue.
-impl<T: DeviceCost> CostModel for T {
-    fn target(&self) -> Target {
-        device_target(self.device())
-    }
-
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        <T as DeviceCost>::estimate_seconds(self, op_name, elements)
-    }
-
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        <T as DeviceCost>::estimate_shard_seconds(self, op_name, shape)
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        <T as DeviceCost>::estimate_shard_joules(self, op_name, shape)
-    }
-}
 
 /// How the planner assigns work to devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -390,28 +322,41 @@ impl ShardPlanner {
         self.models.push(model);
     }
 
-    /// Registers the cost hookup of a [`Device`] (see [`DeviceCostAdapter`]):
-    /// the planner sizes shards for exactly the device set that will execute
+    /// Registers the cost hookup of a [`Device`] ([`Device::cost`]): the
+    /// planner sizes shards for exactly the device set that will execute
     /// them.
     pub fn register_device(&mut self, device: &dyn Device) {
-        self.register_model(Box::new(DeviceCostAdapter::of(device)));
+        self.register_model(device.cost());
+    }
+
+    /// Number of registered cost models.
+    pub(crate) fn num_models(&self) -> usize {
+        self.models.len()
+    }
+
+    /// The smallest of the target's registered model outputs — the one
+    /// place model outputs enter the planner. A value that is not finite
+    /// and non-negative counts as no estimate, so a broken model can
+    /// neither panic a comparison nor win one.
+    fn model_min(
+        &self,
+        target: Target,
+        output: impl Fn(&dyn CostModel) -> Option<f64>,
+    ) -> Option<f64> {
+        self.models
+            .iter()
+            .filter(|m| m.target() == target)
+            .filter_map(|m| output(m.as_ref()))
+            .filter(|v| v.is_finite() && *v >= 0.0)
+            .min_by(f64::total_cmp)
     }
 
     /// Full-shard estimate of a target, or `None` if no registered model
     /// supports the op on that target. Model estimates are corrected by the
     /// calibrator's learned `(op, device)` scale.
     fn estimate(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
-        let device = match target {
-            Target::Cnm => 0,
-            Target::Cim => 1,
-            Target::Host => 2,
-        };
-        self.models
-            .iter()
-            .filter(|m| m.target() == target)
-            .filter_map(|m| m.estimate_shard_seconds(op, shape))
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
-            .map(|t| t * self.calibrator.scale(op, device))
+        self.model_min(target, |m| m.estimate_shard_seconds(op, shape))
+            .map(|t| t * self.calibrator.scale(op, target.index()))
     }
 
     /// Full-shard *energy* estimate of a target in joules, or `None` if no
@@ -420,11 +365,19 @@ impl ShardPlanner {
     /// learns measured/estimated *time* ratios, and no measured energy
     /// exists to correct against.
     pub fn estimate_joules(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
-        self.models
-            .iter()
-            .filter(|m| m.target() == target)
-            .filter_map(|m| m.estimate_shard_joules(op, shape))
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
+        self.model_min(target, |m| m.estimate_shard_joules(op, shape))
+    }
+
+    /// Full-shard estimates of every target, in `[cnm, cim, host]` order.
+    fn estimates(&self, op: &str, shape: &ShardShape) -> [Option<f64>; 3] {
+        Target::ALL.map(|target| self.estimate(target, op, shape))
+    }
+
+    /// The device with the fastest full-shard estimate for the op, or `None`
+    /// when no registered model prices it — the single-target choice of the
+    /// `Auto` policy, and what [`crate::target::TargetSelector`] selects.
+    pub(crate) fn fastest(&self, op: &str, shape: &ShardShape) -> Option<Target> {
+        fastest_of(&self.estimates(op, shape))
     }
 
     fn split_device_count(split: &ShardSplit) -> usize {
@@ -437,11 +390,7 @@ impl ShardPlanner {
     /// Plans a shard assignment for one op of the given [`ShardShape`].
     pub fn plan(&self, op: &str, shape: ShardShape) -> Result<ShardPlan, ShardError> {
         let work = shape.work;
-        let estimates: [Option<f64>; 3] = [
-            self.estimate(Target::Cnm, op, &shape),
-            self.estimate(Target::Cim, op, &shape),
-            self.estimate(Target::Host, op, &shape),
-        ];
+        let estimates = self.estimates(op, &shape);
         if work == 0 {
             // Zero-work ops plan to empty splits, but an infeasible forced
             // policy is still an error (fractions are validated even when
@@ -466,7 +415,7 @@ impl ShardPlanner {
                 let split = ShardSplit::from_fractions(work, fractions)?;
                 if split.cim > 0 && estimates[1].is_none() {
                     return Err(ShardError::Unsupported {
-                        device: cinm_lowering::ShardDevice::Cim,
+                        device: Target::Cim,
                         op: "forced-fraction shard",
                     });
                 }
@@ -490,20 +439,16 @@ impl ShardPlanner {
         estimates: &[Option<f64>; 3],
     ) -> Result<ShardPlan, ShardError> {
         let work = shape.work;
-        let best = estimates
-            .iter()
-            .enumerate()
+        let best = Target::ALL
+            .into_iter()
+            .zip(estimates)
             .filter(|(_, t)| t.is_some())
-            .filter_map(|(i, _)| {
-                self.estimate_joules(index_target(i), op, shape)
-                    .map(|j| (i, j))
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let Some((device, _)) = best else {
+            .filter_map(|(target, _)| self.estimate_joules(target, op, shape).map(|j| (target, j)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((target, _)) = best else {
             let split = ShardSplit::all_host(work);
             return Ok(self.finish(op, shape, split, Some(Target::Host)));
         };
-        let target = index_target(device);
         let split = self.single_split(op, work, target, estimates)?;
         Ok(self.finish(op, shape, split, Some(target)))
     }
@@ -527,13 +472,8 @@ impl ShardPlanner {
             Target::Host => true,
         };
         if !supported {
-            let device = match target {
-                Target::Cnm => cinm_lowering::ShardDevice::Cnm,
-                Target::Cim => cinm_lowering::ShardDevice::Cim,
-                Target::Host => cinm_lowering::ShardDevice::Host,
-            };
             return Err(ShardError::Unsupported {
-                device,
+                device: target,
                 op: "forced single-target shard",
             });
         }
@@ -576,36 +516,29 @@ impl ShardPlanner {
     ) -> Result<ShardPlan, ShardError> {
         let work = shape.work;
         let granularity = self.granularity.max(1);
-        // Candidate devices: those with a model-backed estimate.
-        let candidates: Vec<(usize, f64)> = estimates
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (i, t.max(1e-12))))
-            .collect();
         // No model supports the op: everything stays on the host (the
         // paper's catch-all for ops outside the offloadable set).
-        if candidates.is_empty() {
+        let Some(fastest) = fastest_of(estimates) else {
             let split = ShardSplit::all_host(work);
             return Ok(self.finish(op, shape, split, Some(Target::Host)));
-        }
-        let fastest = candidates
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|&(i, _)| i)
-            .unwrap();
+        };
+        // Candidate devices: those with a model-backed estimate.
+        let candidates: Vec<Target> = Target::ALL
+            .into_iter()
+            .filter(|t| estimates[t.index()].is_some())
+            .collect();
         // Too small to shard, or nothing to share it with.
         if work < 2 * granularity || candidates.len() == 1 {
-            let target = index_target(fastest);
-            let split = self.single_split(op, work, target, estimates)?;
-            return Ok(self.finish(op, shape, split, Some(target)));
+            let split = self.single_split(op, work, fastest, estimates)?;
+            return Ok(self.finish(op, shape, split, Some(fastest)));
         }
         // Water-fill over affine costs: drop every device whose fixed
         // overhead exceeds the balanced makespan of the remaining set.
         let mut active: Vec<(usize, AffineCost)> = candidates
             .iter()
-            .filter_map(|&(i, _)| {
-                self.affine_estimate(index_target(i), op, shape)
-                    .map(|a| (i, a))
+            .filter_map(|&target| {
+                self.affine_estimate(target, op, shape)
+                    .map(|a| (target.index(), a))
             })
             .collect();
         let makespan = loop {
@@ -618,7 +551,7 @@ impl ShardPlanner {
                 let (worst_pos, worst) = active
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| a.1 .1.fixed.partial_cmp(&b.1 .1.fixed).unwrap())
+                    .max_by(|a, b| a.1 .1.fixed.total_cmp(&b.1 .1.fixed))
                     .map(|(p, &(_, a))| (p, a))
                     .unwrap();
                 if worst.fixed >= t {
@@ -669,10 +602,10 @@ impl ShardPlanner {
                         estimates[a].unwrap_or(f64::INFINITY),
                         estimates[b].unwrap_or(f64::INFINITY),
                     );
-                    tb.partial_cmp(&ta).unwrap()
+                    tb.total_cmp(&ta)
                 })
             })
-            .unwrap_or(fastest);
+            .unwrap_or(fastest.index());
         units[remainder_to] += work - assigned;
         debug_assert_eq!(units.iter().sum::<usize>(), work);
         let split = ShardSplit {
@@ -683,9 +616,12 @@ impl ShardPlanner {
         let fallback = if Self::split_device_count(&split) > 1 {
             None
         } else {
-            Some(index_target(
-                units.iter().position(|&u| u > 0).unwrap_or(fastest),
-            ))
+            Some(
+                units
+                    .iter()
+                    .position(|&u| u > 0)
+                    .map_or(fastest, |i| Target::ALL[i]),
+            )
         };
         Ok(self.finish(op, shape, split, fallback))
     }
@@ -699,12 +635,13 @@ impl ShardPlanner {
     ) -> ShardPlan {
         let mut estimated_seconds = [0.0f64; 3];
         let mut estimated_joules = [0.0f64; 3];
-        for (i, &w) in [split.cnm, split.cim, split.host].iter().enumerate() {
+        for target in Target::ALL {
+            let (i, w) = (target.index(), split.get(target));
             if w > 0 {
-                if let Some(t) = self.estimate(index_target(i), op, &shape.with_work(w)) {
+                if let Some(t) = self.estimate(target, op, &shape.with_work(w)) {
                     estimated_seconds[i] = t;
                 }
-                if let Some(j) = self.estimate_joules(index_target(i), op, &shape.with_work(w)) {
+                if let Some(j) = self.estimate_joules(target, op, &shape.with_work(w)) {
                     estimated_joules[i] = j;
                 }
             }
@@ -902,12 +839,16 @@ struct AffineCost {
     per_unit: f64,
 }
 
-fn index_target(i: usize) -> Target {
-    match i {
-        0 => Target::Cnm,
-        1 => Target::Cim,
-        _ => Target::Host,
-    }
+/// The device with the smallest of `estimates` (`[cnm, cim, host]`
+/// seconds, clamped to 1 ps so sub-picosecond estimates tie), the earlier
+/// device on ties; `None` when no device has an estimate.
+fn fastest_of(estimates: &[Option<f64>; 3]) -> Option<Target> {
+    Target::ALL
+        .into_iter()
+        .zip(estimates)
+        .filter_map(|(target, t)| t.map(|t| (target, t.max(1e-12))))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(target, _)| target)
 }
 
 #[cfg(test)]
@@ -929,8 +870,8 @@ mod tests {
         fn target(&self) -> Target {
             self.target
         }
-        fn estimate_seconds(&self, _op: &str, elements: i64) -> Option<f64> {
-            Some(elements.max(0) as f64 * self.seconds_per_element)
+        fn estimate_shard_seconds(&self, _op: &str, shape: &ShardShape) -> Option<f64> {
+            Some((shape.work * shape.inner) as f64 * self.seconds_per_element)
         }
     }
 
@@ -1206,8 +1147,60 @@ mod tests {
         assert_eq!(plan.fallback, Some(Target::Host));
     }
 
-    /// Disambiguates between the planner-trait and device-trait methods of
-    /// the concrete models (both are in scope in this module).
+    /// A broken cost model answering every estimate with one fixed value.
+    struct Broken(Target, f64);
+
+    impl CostModel for Broken {
+        fn target(&self) -> Target {
+            self.0
+        }
+        fn estimate_shard_seconds(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
+            Some(self.1)
+        }
+        fn estimate_shard_joules(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
+            Some(self.1)
+        }
+    }
+
+    #[test]
+    fn estimates_that_are_not_finite_and_non_negative_count_as_none() {
+        // A second CNM model returning NaN (or a negative or infinite
+        // value) beside the defaults changes no plan under any policy.
+        let cases = [
+            (cinm::GEMM, ShardShape::matmul(4096, 256, 128)),
+            (cinm::GEMV, ShardShape::matmul(4096, 1024, 1)),
+            ("cinm.add", ShardShape::streaming(1 << 21)),
+            (cinm::REDUCE, ShardShape::streaming(100)),
+        ];
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            for policy in [
+                ShardPolicy::Auto,
+                ShardPolicy::MinimizeEnergy,
+                ShardPolicy::Single(Target::Cnm),
+                ShardPolicy::Fractions([0.5, 0.0, 0.5]),
+            ] {
+                let reference = planner().with_policy(policy);
+                let mut broken = planner().with_policy(policy);
+                broken.register_model(Box::new(Broken(Target::Cnm, bad)));
+                for (op, shape) in cases {
+                    assert_eq!(
+                        broken.plan(op, shape),
+                        reference.plan(op, shape),
+                        "{bad} under {policy:?}: {op}"
+                    );
+                }
+            }
+            // As the only model of its device, a broken model must not make
+            // that device the fastest.
+            let mut p = ShardPlanner::new();
+            p.register_model(Box::new(Broken(Target::Cnm, bad)));
+            p.register_model(Box::new(HostCostModel::new(CpuModel::arm_host())));
+            let plan = p.plan(cinm::GEMM, ShardShape::matmul(8, 8, 8)).unwrap();
+            assert_eq!(plan.split, ShardSplit::all_host(8), "{bad}");
+            assert_eq!(plan.fallback, Some(Target::Host), "{bad}");
+        }
+    }
+
     fn shard_est(m: &dyn CostModel, op: &str, shape: ShardShape) -> Option<f64> {
         m.estimate_shard_seconds(op, &shape)
     }
@@ -1228,10 +1221,6 @@ mod tests {
         let cim = CimCostModel::new(CrossbarConfig::default());
         assert!(shard_est(&cim, cinm::GEMM, ShardShape::matmul(1024, 256, 128)).is_some());
         assert!(shard_est(&cim, "cinm.add", shape).is_none());
-        // The legacy scalar interface stays usable for TargetSelector.
-        let cim_model: &dyn CostModel = &cim;
-        assert!(cim_model.estimate_seconds(cinm::GEMM, 1 << 20).is_some());
-        assert!(cim_model.estimate_seconds("cinm.add", 1 << 20).is_none());
     }
 
     #[test]

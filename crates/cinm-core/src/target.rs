@@ -1,123 +1,50 @@
-//! Target selection and the cost-model interface (paper Sections 3.2.2, 3.3).
+//! Single-target selection (paper Sections 3.2.2, 3.3).
 //!
 //! The `cinm` abstraction delegates each kernel to a suitable device — or,
-//! since the sharded execution layer, to **several at once**. Two policies
-//! build on the same [`CostModel`] registry:
+//! since the sharded execution layer, to **several at once**. Both policies
+//! ask one [`ShardPlanner`] over the same [`CostModel`] registry (the
+//! [`Target`] enum and the cost-model trait live with the devices in
+//! `cinm_lowering::device`; this module re-exports them):
 //!
 //! * **Single-target selection** ([`TargetSelector`], this module): each op
-//!   goes to exactly one device. Registered cost models take precedence
-//!   (fastest estimate wins); in their absence the greedy default policy of
-//!   the paper applies — matmul-like operations whose dimensions exceed a
-//!   threshold go to the CIM crossbar, every other operation in the `cinm`
-//!   op set goes to UPMEM, and anything that cannot be expressed in the
-//!   Table 1 op set stays on the host.
-//! * **Sharded placement** ([`crate::shard::ShardPlanner`]): one op is
-//!   split into per-device shards (GEMM/GEMV by output rows, element-wise/
-//!   reduce/histogram by elements). The balancing rule sizes each device's
-//!   shard proportionally to its processing rate `1/t_i` from the cost-model
-//!   estimates, so all devices are predicted to finish simultaneously; a
-//!   device whose model returns `None` for the op receives zero work. The
-//!   resulting [`crate::shard::ShardPlan`] records the split, the fractions
-//!   and the per-device time estimates, and is executed by
-//!   `cinm_lowering::ShardedBackend`. The planner **falls back to
-//!   single-target placement** (all work on the fastest supporting device)
-//!   when the op has fewer than two granules of work, when only one device
-//!   supports it, or when the policy forces a single target — so tiny or
-//!   host-only ops behave exactly as under the selector.
+//!   goes to exactly one device. With registered cost models, the selector
+//!   reads the op's real [`ShardShape`] from its operand types and returns
+//!   the device the planner estimates fastest — the rule the planner's own
+//!   single-device fallback uses. For ops no model prices (and with no
+//!   models at all) the greedy default policy of the paper applies —
+//!   matmul-like operations whose dimensions exceed a threshold go to the
+//!   CIM crossbar, every other operation in the `cinm` op set goes to UPMEM,
+//!   and anything that cannot be expressed in the Table 1 op set stays on
+//!   the host.
+//! * **Sharded placement** ([`ShardPlanner`]): one op is split into
+//!   per-device shards (GEMM/GEMV by output rows, element-wise/reduce/
+//!   histogram by elements), sized so all devices are predicted to finish
+//!   simultaneously; see [`crate::shard`].
 
 use std::collections::BTreeMap;
 
 use cinm_dialects::cinm;
 use cinm_ir::prelude::*;
 
-/// An offload target of the heterogeneous system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Target {
-    /// Memristive crossbar CIM accelerator.
-    Cim,
-    /// UPMEM compute-near-memory system.
-    Cnm,
-    /// Host CPU.
-    Host,
-}
+pub use cinm_lowering::device::{CostModel, Target};
 
-impl std::fmt::Display for Target {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Target::Cim => "cim",
-            Target::Cnm => "cnm (upmem)",
-            Target::Host => "host",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A device cost model, registered by a device dialect.
-pub trait CostModel {
-    /// The target the model describes.
-    fn target(&self) -> Target;
-
-    /// Estimated execution time in seconds of a `cinm` operation with the
-    /// given name and operand element count, or `None` if the device cannot
-    /// execute the op.
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64>;
-
-    /// Estimated execution time in seconds of a *shard* of a `cinm`
-    /// operation with the given shape (see [`crate::shard::ShardShape`]), or
-    /// `None` if the device cannot execute the op. The shard planner samples
-    /// this at several shard sizes to separate fixed per-dispatch overheads
-    /// (broadcasts, tile programming, launch latency) from marginal
-    /// per-unit cost. The default implementation falls back to
-    /// [`CostModel::estimate_seconds`] over the shard's operand elements.
-    fn estimate_shard_seconds(
-        &self,
-        op_name: &str,
-        shape: &crate::shard::ShardShape,
-    ) -> Option<f64> {
-        self.estimate_seconds(op_name, shape.sharded_elements())
-    }
-
-    /// Estimated *energy* in joules of a shard of a `cinm` operation, or
-    /// `None` when the device cannot execute the op or the model carries no
-    /// energy calibration. Drives energy-aware placement
-    /// ([`crate::shard::ShardPolicy::MinimizeEnergy`]); models without an
-    /// energy figure simply drop out of energy-based plans while remaining
-    /// fully usable for latency-based planning.
-    fn estimate_shard_joules(
-        &self,
-        op_name: &str,
-        shape: &crate::shard::ShardShape,
-    ) -> Option<f64> {
-        let _ = (op_name, shape);
-        None
-    }
-}
+use crate::shard::{ShardPlanner, ShardShape};
 
 /// Registry of cost models plus the greedy fallback policy.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct TargetSelector {
-    models: Vec<Box<dyn CostModel>>,
+    planner: ShardPlanner,
     /// Minimum matmul-like operand elements for greedy CIM offload.
     pub cim_threshold_elements: i64,
     /// Optional user override (the "command line" option of the paper).
     pub user_override: Option<Target>,
 }
 
-impl std::fmt::Debug for TargetSelector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TargetSelector")
-            .field("models", &self.models.len())
-            .field("cim_threshold_elements", &self.cim_threshold_elements)
-            .field("user_override", &self.user_override)
-            .finish()
-    }
-}
-
 impl TargetSelector {
     /// Creates a selector with the default threshold (a 64×64 operand).
     pub fn new() -> Self {
         TargetSelector {
-            models: Vec::new(),
+            planner: ShardPlanner::new(),
             cim_threshold_elements: 64 * 64,
             user_override: None,
         }
@@ -125,12 +52,12 @@ impl TargetSelector {
 
     /// Registers a device cost model.
     pub fn register_model(&mut self, model: Box<dyn CostModel>) {
-        self.models.push(model);
+        self.planner.register_model(model);
     }
 
     /// Number of registered cost models.
     pub fn num_models(&self) -> usize {
-        self.models.len()
+        self.planner.num_models()
     }
 
     /// Selects a target for one `cinm` operation.
@@ -139,25 +66,15 @@ impl TargetSelector {
             return t;
         }
         let operation = body.op(op);
-        let elements = operation
-            .operands
-            .iter()
-            .map(|&v| body.value_type(v).num_elements())
-            .max()
-            .unwrap_or(0);
-        // Registered cost models take precedence: pick the fastest estimate.
-        let mut best: Option<(Target, f64)> = None;
-        for model in &self.models {
-            if let Some(est) = model.estimate_seconds(&operation.name, elements) {
-                if best.map(|(_, t)| est < t).unwrap_or(true) {
-                    best = Some((model.target(), est));
-                }
-            }
-        }
-        if let Some((target, _)) = best {
+        // Registered cost models take precedence: the planner's fastest
+        // estimate for the op's real shape.
+        if let Some(target) = shard_shape(body, operation)
+            .and_then(|shape| self.planner.fastest(&operation.name, &shape))
+        {
             return target;
         }
         // Greedy default policy.
+        let elements = operand_elements(body, operation);
         match cinm::paradigm_support(&operation.name) {
             Some(support) => {
                 let matmul_like = operation.name == cinm::GEMM || operation.name == cinm::GEMV;
@@ -190,10 +107,45 @@ impl TargetSelector {
     }
 }
 
+/// Elements of the op's largest operand.
+fn operand_elements(body: &Body, op: &Operation) -> i64 {
+    op.operands
+        .iter()
+        .map(|&v| body.value_type(v).num_elements())
+        .max()
+        .unwrap_or(0)
+}
+
+/// The [`ShardShape`] of a `cinm` op read from its operand types: `gemm`
+/// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, any other op streaming over its
+/// largest operand. `None` when a matmul-like op's operands do not have
+/// those ranks.
+fn shard_shape(body: &Body, op: &Operation) -> Option<ShardShape> {
+    let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
+    let size = |d: i64| usize::try_from(d).ok();
+    match op.name.as_str() {
+        cinm::GEMM => match (dims(0)?, dims(1)?) {
+            (&[m, k], &[_, n]) => Some(ShardShape::matmul(size(m)?, size(k)?, size(n)?)),
+            _ => None,
+        },
+        cinm::GEMV => match dims(0)? {
+            &[rows, cols] => Some(ShardShape::matmul(size(rows)?, size(cols)?, 1)),
+            _ => None,
+        },
+        _ => Some(ShardShape::streaming(size(operand_elements(body, op))?)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cinm_dialects::cinm as cinm_ops;
+    use cinm_workloads::{build_func, Scale, WorkloadId};
+    use cpu_sim::model::CpuModel;
+    use memristor_sim::CrossbarConfig;
+    use upmem_sim::UpmemConfig;
+
+    use crate::shard::{CimCostModel, CnmCostModel, HostCostModel};
 
     struct AlwaysCheapCnm;
 
@@ -201,7 +153,7 @@ mod tests {
         fn target(&self) -> Target {
             Target::Cnm
         }
-        fn estimate_seconds(&self, _op: &str, _elements: i64) -> Option<f64> {
+        fn estimate_shard_seconds(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
             Some(1e-9)
         }
     }
@@ -264,5 +216,59 @@ mod tests {
         let counts = selector.select_for_func(&f);
         assert_eq!(counts.get(&Target::Cim), Some(&1));
         assert_eq!(counts.values().sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn selection_with_models_picks_the_planners_fastest_device() {
+        // With the three default models, every cinm op of every workload
+        // goes to the device whose model estimates its real shape fastest;
+        // ops no model prices keep the greedy choice.
+        let models = || -> [Box<dyn CostModel>; 3] {
+            [
+                Box::new(CnmCostModel::new(UpmemConfig::with_ranks(4))),
+                Box::new(CimCostModel::new(CrossbarConfig::default())),
+                Box::new(HostCostModel::new(CpuModel::arm_host())),
+            ]
+        };
+        let mut selector = TargetSelector::new();
+        for model in models() {
+            selector.register_model(model);
+        }
+        let oracle = models();
+        let greedy = TargetSelector::new();
+        let mut priced = 0;
+        for id in WorkloadId::all() {
+            let mut module = Module::new("m");
+            module.add_func(build_func(id, Scale::Test));
+            crate::compile(&mut module, &crate::cinm_pipeline()).unwrap();
+            let body = &module.funcs[0].body;
+            for op in body.walk() {
+                let operation = body.op(op);
+                if operation.dialect() != "cinm" {
+                    continue;
+                }
+                let fastest = shard_shape(body, operation).and_then(|shape| {
+                    oracle
+                        .iter()
+                        .filter_map(|m| {
+                            Some((
+                                m.target(),
+                                m.estimate_shard_seconds(&operation.name, &shape)?,
+                            ))
+                        })
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .map(|(t, _)| t)
+                });
+                let chosen = selector.select_for_op(body, op);
+                match fastest {
+                    Some(t) => {
+                        priced += 1;
+                        assert_eq!(chosen, t, "{id:?}: {}", operation.name);
+                    }
+                    None => assert_eq!(chosen, greedy.select_for_op(body, op)),
+                }
+            }
+        }
+        assert!(priced > 0, "some workload op must be priced");
     }
 }

@@ -8,13 +8,11 @@
 //! own calling convention. [`Device`] is the single interface the execution
 //! layers (the sharded backend, the `cinm-core` session) program against:
 //!
-//! * **capabilities** — [`Device::caps`] reports the device kind, whether
-//!   intermediates can stay device-resident, and [`Device::supports_op`]
-//!   answers the Table 1 support question per `cinm` op;
-//! * **cost hookup** — [`Device::estimate_shard_seconds`] exposes the
-//!   device's own first-order cost model (the same models the `cinm-core`
-//!   shard planner registers), so planners can be built *from* a device set
-//!   instead of hard-coding model structs;
+//! * **cost hookup** — [`Device::cost`] hands out the device's own
+//!   first-order [`CostModel`] (the same models the `cinm-core` shard planner
+//!   and target selector register), so planners are built *from* a device
+//!   set instead of hard-coding model structs. The model is also the support
+//!   rule: a device supports an op exactly when its model prices it;
 //! * **submission** — [`Device::submit`] takes one [`ShardOp`] (an op plus
 //!   the contiguous shard of work assigned to this device) and returns a
 //!   [`DeviceFuture`] resolving to the shard result and the simulated
@@ -28,6 +26,10 @@
 //! [`crate::ShardedBackend`] now drives all three executors exclusively
 //! through this trait, and `cinm_core::session::Session` builds its shard
 //! planner from [`Device::cost`].
+//!
+//! The device vocabulary is stated once, here: [`Target`] names the three
+//! devices in their fixed planning order and [`CostModel`] is the one cost
+//! interface; `cinm-core` re-exports both.
 //!
 //! # Cost-model calibration
 //!
@@ -49,8 +51,45 @@ use cinm_dialects::cinm;
 
 use crate::backend::{CimBackend, UpmemBackend};
 use crate::cnm_op::{CnmOp, MramLayout};
-use crate::sharded::{ShardDevice, ShardError};
+use crate::sharded::ShardError;
 use crate::tiling::wram_tile_elems;
+
+// ---------------------------------------------------------------------------
+// Targets
+// ---------------------------------------------------------------------------
+
+/// An offload target of the heterogeneous system, in the fixed planning
+/// order used by every `[T; 3]` of the planning and execution layers
+/// (`Cnm`, `Cim`, `Host`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Target {
+    /// The UPMEM compute-near-memory grid.
+    Cnm,
+    /// The memristive crossbar accelerator.
+    Cim,
+    /// The host CPU (golden kernels under a roofline model).
+    Host,
+}
+
+impl Target {
+    /// All targets in planning order.
+    pub const ALL: [Target; 3] = [Target::Cnm, Target::Cim, Target::Host];
+
+    /// Index of the target in the fixed `[cnm, cim, host]` order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl std::fmt::Display for Target {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Target::Cnm => "cnm",
+            Target::Cim => "cim",
+            Target::Host => "host",
+        })
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Shard shapes (moved here from cinm-core so devices can estimate costs
@@ -101,17 +140,6 @@ impl ShardShape {
         self.work = work;
         self
     }
-
-    /// Elements of the sharded operand (`work × inner`) — what the legacy
-    /// scalar cost interface estimates over.
-    pub fn sharded_elements(&self) -> i64 {
-        (self.work as i64).saturating_mul(self.inner as i64)
-    }
-
-    /// Scalar multiply-accumulate / element operations of the shard.
-    pub fn scalar_ops(&self) -> f64 {
-        self.work as f64 * self.inner as f64 * self.out as f64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -126,22 +154,7 @@ pub fn cim_supports(op: &str) -> bool {
     op == cinm::GEMM || op == cinm::GEMV
 }
 
-/// The op behind the legacy scalar `(op, elements)` interface: a square-ish
-/// operand for matmul-like ops (so single-target ranking sees the real
-/// O(n³)/O(n²) work, not one MAC per element), a flat stream otherwise.
-/// Shared by every default model's scalar estimate.
-fn scalar_op(name: &str, elements: i64) -> Option<CnmOp> {
-    let n = elements.max(0) as usize;
-    let shape = if cim_supports(name) {
-        let side = (n.max(1) as f64).sqrt().ceil() as usize;
-        ShardShape::matmul(side, side, if name == cinm::GEMM { side } else { 1 })
-    } else {
-        ShardShape::streaming(n)
-    };
-    CnmOp::from_shard(name, &shape)
-}
-
-/// The shard shape of an op rebuilt by [`CnmOp::from_shard`].
+/// The shard shape of a shardable op.
 fn shape_of(op: CnmOp) -> ShardShape {
     op.shard().expect("shardable op").1
 }
@@ -162,17 +175,14 @@ fn host_counts(op: CnmOp) -> OpCounts {
 // The per-device cost models (the "cost hookup" of the Device trait)
 // ---------------------------------------------------------------------------
 
-/// A device-level cost estimate, independent of the `cinm-core` planner
-/// machinery. `cinm_core::target::CostModel` is implemented for each of the
-/// concrete models below by thin delegation, and planners can be built from
-/// a device set via [`Device::cost`].
-pub trait DeviceCost: Send {
+/// A device cost model, registered by a device dialect (paper Section 3.3):
+/// the one estimate the shard planner sizes shards by and the target
+/// selector ranks devices by. A device supports an op exactly when its
+/// model prices it (returns `Some`). Planners are built from a device set
+/// via [`Device::cost`].
+pub trait CostModel: Send {
     /// The device the estimate describes.
-    fn device(&self) -> ShardDevice;
-
-    /// Estimated execution seconds of a whole op with the given operand
-    /// element count, or `None` if the device cannot execute it.
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64>;
+    fn target(&self) -> Target;
 
     /// Estimated execution seconds of a *shard* of an op, or `None` if the
     /// device cannot execute it. Planners sample this at several shard sizes
@@ -280,13 +290,9 @@ impl CnmCostModel {
     }
 }
 
-impl DeviceCost for CnmCostModel {
-    fn device(&self) -> ShardDevice {
-        ShardDevice::Cnm
-    }
-
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        Some(self.price(scalar_op(op_name, elements)?).0)
+impl CostModel for CnmCostModel {
+    fn target(&self) -> Target {
+        Target::Cnm
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
@@ -328,13 +334,9 @@ impl CimCostModel {
     }
 }
 
-impl DeviceCost for CimCostModel {
-    fn device(&self) -> ShardDevice {
-        ShardDevice::Cim
-    }
-
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        self.estimate_shard_seconds(op_name, &shape_of(scalar_op(op_name, elements)?))
+impl CostModel for CimCostModel {
+    fn target(&self) -> Target {
+        Target::Cim
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
@@ -371,14 +373,9 @@ impl HostCostModel {
     }
 }
 
-impl DeviceCost for HostCostModel {
-    fn device(&self) -> ShardDevice {
-        ShardDevice::Host
-    }
-
-    fn estimate_seconds(&self, op_name: &str, elements: i64) -> Option<f64> {
-        let counts = host_counts(scalar_op(op_name, elements)?);
-        Some(self.model.execution_seconds(&counts))
+impl CostModel for HostCostModel {
+    fn target(&self) -> Target {
+        Target::Host
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
@@ -395,19 +392,6 @@ impl DeviceCost for HostCostModel {
 // ---------------------------------------------------------------------------
 // The Device trait
 // ---------------------------------------------------------------------------
-
-/// Static capabilities of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceCaps {
-    /// The device kind (its slot in the fixed `[cnm, cim, host]` order).
-    pub device: ShardDevice,
-    /// Human-readable name for reports.
-    pub name: &'static str,
-    /// Whether intermediates can stay device-resident between submitted ops
-    /// (the session keeps tensors in DPU MRAM on such devices instead of
-    /// gathering and re-scattering between every op).
-    pub resident_intermediates: bool,
-}
 
 /// One operation shard bound to concrete operand slices: the unit of work a
 /// [`Device`] executes. The slices are the *shard's* view (e.g. the
@@ -509,8 +493,8 @@ impl<'a> ShardOp<'a> {
         })
     }
 
-    /// The `cinm` dialect name of the op (what planners and
-    /// [`Device::supports_op`] reason about).
+    /// The `cinm` dialect name of the op (what planners and cost models
+    /// reason about).
     pub(crate) fn op_name(&self) -> &'static str {
         self.lower().0.shard().expect("shardable op").0
     }
@@ -638,33 +622,13 @@ impl DeviceHealth {
     }
 }
 
-/// A heterogeneous execution device: capability reporting, a cost hookup and
-/// a single submission entry point (see the [module documentation](self)).
+/// A heterogeneous execution device: a cost hookup and a single submission
+/// entry point (see the [module documentation](self)).
 pub trait Device: Send {
-    /// Static capabilities.
-    fn caps(&self) -> DeviceCaps;
-
-    /// Whether the device can execute shards of the named `cinm` op.
-    fn supports_op(&self, op_name: &str) -> bool;
-
     /// An owned snapshot of the device's cost model (the "cost hookup"):
-    /// planners register this to size shards for the device.
-    fn cost(&self) -> Box<dyn DeviceCost>;
-
-    /// Estimated seconds of one shard on this device (`None` when the op is
-    /// unsupported). Default: asks [`Device::cost`]; implementations keep a
-    /// model instance to avoid the per-call box.
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost().estimate_shard_seconds(op_name, shape)
-    }
-
-    /// Estimated joules of one shard on this device (`None` when the op is
-    /// unsupported or the cost model carries no energy calibration).
-    /// Default: asks [`Device::cost`]; implementations keep a model instance
-    /// to avoid the per-call box.
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost().estimate_shard_joules(op_name, shape)
-    }
+    /// planners register this to size shards for the device. The device
+    /// supports exactly the ops the model prices.
+    fn cost(&self) -> Box<dyn CostModel>;
 
     /// Executes one shard. Empty shards (`plan.work() == 0`) resolve to an
     /// empty result at zero cost without touching the device; unsupported
@@ -705,13 +669,6 @@ pub trait Device: Send {
     fn reset_stats(&mut self);
 }
 
-fn unsupported(device: ShardDevice, plan: &ShardOp<'_>) -> ShardError {
-    ShardError::Unsupported {
-        device,
-        op: plan.op_name(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // UPMEM device
 // ---------------------------------------------------------------------------
@@ -720,17 +677,14 @@ fn unsupported(device: ShardDevice, plan: &ShardOp<'_>) -> ShardError {
 #[derive(Debug)]
 pub struct UpmemDevice {
     backend: UpmemBackend,
-    cost: CnmCostModel,
     health: DeviceHealth,
 }
 
 impl UpmemDevice {
     /// Wraps an UPMEM backend.
     pub fn new(backend: UpmemBackend) -> Self {
-        let cost = CnmCostModel::new(backend.system().config().clone());
         UpmemDevice {
             backend,
-            cost,
             health: DeviceHealth::default(),
         }
     }
@@ -748,29 +702,8 @@ impl UpmemDevice {
 }
 
 impl Device for UpmemDevice {
-    fn caps(&self) -> DeviceCaps {
-        DeviceCaps {
-            device: ShardDevice::Cnm,
-            name: "upmem",
-            resident_intermediates: true,
-        }
-    }
-
-    fn supports_op(&self, op_name: &str) -> bool {
-        // Everything the shardable subset names, per the Table 1 matrix.
-        CnmOp::from_shard(op_name, &ShardShape::streaming(0)).is_some()
-    }
-
-    fn cost(&self) -> Box<dyn DeviceCost> {
+    fn cost(&self) -> Box<dyn CostModel> {
         Box::new(CnmCostModel::new(self.backend.system().config().clone()))
-    }
-
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost.estimate_shard_seconds(op_name, shape)
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost.estimate_shard_joules(op_name, shape)
     }
 
     fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
@@ -795,7 +728,7 @@ impl Device for UpmemDevice {
                 None => {
                     self.health.record_failure(e.is_permanent_fault());
                     ShardError::DeviceFault {
-                        device: ShardDevice::Cnm,
+                        device: Target::Cnm,
                         permanent: e.is_permanent_fault(),
                         message: e.to_string(),
                     }
@@ -834,17 +767,14 @@ impl Device for UpmemDevice {
 #[derive(Debug)]
 pub struct CimDevice {
     backend: CimBackend,
-    cost: CimCostModel,
     health: DeviceHealth,
 }
 
 impl CimDevice {
     /// Wraps a crossbar backend.
     pub fn new(backend: CimBackend) -> Self {
-        let cost = CimCostModel::new(backend.crossbar_config().clone());
         CimDevice {
             backend,
-            cost,
             health: DeviceHealth::default(),
         }
     }
@@ -861,28 +791,8 @@ impl CimDevice {
 }
 
 impl Device for CimDevice {
-    fn caps(&self) -> DeviceCaps {
-        DeviceCaps {
-            device: ShardDevice::Cim,
-            name: "crossbar",
-            resident_intermediates: false,
-        }
-    }
-
-    fn supports_op(&self, op_name: &str) -> bool {
-        cim_supports(op_name)
-    }
-
-    fn cost(&self) -> Box<dyn DeviceCost> {
+    fn cost(&self) -> Box<dyn CostModel> {
         Box::new(CimCostModel::new(self.backend.crossbar_config().clone()))
-    }
-
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost.estimate_shard_seconds(op_name, shape)
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        self.cost.estimate_shard_joules(op_name, shape)
     }
 
     fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
@@ -893,7 +803,12 @@ impl Device for CimDevice {
         let result = match *plan {
             ShardOp::Gemm { a, b, m, k, n } => self.backend.try_gemm(a, b, m, k, n),
             ShardOp::Gemv { a, x, rows, cols } => self.backend.try_gemv(a, x, rows, cols),
-            _ => return Err(unsupported(ShardDevice::Cim, plan)),
+            _ => {
+                return Err(ShardError::Unsupported {
+                    device: Target::Cim,
+                    op: plan.op_name(),
+                })
+            }
         };
         match result {
             Ok(result) => {
@@ -904,7 +819,7 @@ impl Device for CimDevice {
             Err(e) => {
                 self.health.record_failure(e.is_permanent_fault());
                 Ok(DeviceFuture::failed(ShardError::DeviceFault {
-                    device: ShardDevice::Cim,
+                    device: Target::Cim,
                     permanent: e.is_permanent_fault(),
                     message: e.to_string(),
                 }))
@@ -961,20 +876,7 @@ impl HostDevice {
 }
 
 impl Device for HostDevice {
-    fn caps(&self) -> DeviceCaps {
-        DeviceCaps {
-            device: ShardDevice::Host,
-            name: "host",
-            resident_intermediates: true,
-        }
-    }
-
-    fn supports_op(&self, _op_name: &str) -> bool {
-        // The host executes anything (the paper's catch-all target).
-        true
-    }
-
-    fn cost(&self) -> Box<dyn DeviceCost> {
+    fn cost(&self) -> Box<dyn CostModel> {
         Box::new(HostCostModel::new(self.model.clone()))
     }
 
@@ -1041,28 +943,52 @@ mod tests {
 
     #[test]
     fn devices_report_their_capabilities() {
-        let up = small_upmem_device();
-        let cim = CimDevice::new(CimBackend::new(CimRunOptions::optimized()));
-        let host = HostDevice::new(CpuModel::arm_host());
-        assert_eq!(up.caps().device, ShardDevice::Cnm);
-        assert!(up.caps().resident_intermediates);
-        assert_eq!(cim.caps().device, ShardDevice::Cim);
-        assert!(!cim.caps().resident_intermediates);
-        assert_eq!(host.caps().device, ShardDevice::Host);
-        assert!(up.supports_op(cinm::REDUCE));
-        assert!(!cim.supports_op(cinm::REDUCE));
-        assert!(cim.supports_op(cinm::GEMV));
-        assert!(host.supports_op("cinm.simSearch"));
-        // The cost hookup mirrors the support matrix.
-        let shape = ShardShape::streaming(1024);
-        assert!(up
-            .cost()
-            .estimate_shard_seconds("cinm.add", &shape)
-            .is_some());
-        assert!(cim
-            .cost()
-            .estimate_shard_seconds("cinm.add", &shape)
-            .is_none());
+        // One support rule: the cost hookup prices an op exactly when
+        // `submit` accepts it.
+        let v = vec![1i32; 16];
+        let shards = [
+            ShardOp::Gemv {
+                a: &v,
+                x: &v[..4],
+                rows: 4,
+                cols: 4,
+            },
+            ShardOp::Reduce {
+                op: BinOp::Add,
+                a: &v,
+            },
+            ShardOp::Elementwise {
+                op: BinOp::Add,
+                a: &v,
+                b: &v,
+            },
+        ];
+        let devices: [(Box<dyn Device>, Target); 3] = [
+            (Box::new(small_upmem_device()), Target::Cnm),
+            (
+                Box::new(CimDevice::new(CimBackend::new(CimRunOptions::optimized()))),
+                Target::Cim,
+            ),
+            (
+                Box::new(HostDevice::new(CpuModel::arm_host())),
+                Target::Host,
+            ),
+        ];
+        for (mut device, target) in devices {
+            let cost = device.cost();
+            assert_eq!(cost.target(), target);
+            for shard in &shards {
+                let priced = cost
+                    .estimate_shard_seconds(shard.op_name(), &shard.shape())
+                    .is_some();
+                assert_eq!(
+                    device.submit(shard).is_ok(),
+                    priced,
+                    "{target}: {}",
+                    shard.op_name()
+                );
+            }
+        }
     }
 
     #[test]

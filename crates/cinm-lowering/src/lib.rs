@@ -16,9 +16,10 @@
 //!   [`backend::UpmemBackend`] drives the `upmem-sim` DPU-grid simulator and
 //!   [`backend::CimBackend`] drives the `memristor-sim` crossbar simulator
 //!   with an ARM orchestration host, both functionally exact and timed;
-//! * [`device`] — the **unified device abstraction**: the [`device::Device`]
-//!   trait (capability reporting, cost hookup, `submit(plan) → future`)
-//!   implemented by [`device::UpmemDevice`], [`device::CimDevice`] and
+//! * [`device`] — the **unified device abstraction**: the [`device::Target`]
+//!   enum, the [`device::CostModel`] trait and the [`device::Device`] trait
+//!   (cost hookup, `submit(plan) → future`) implemented by
+//!   [`device::UpmemDevice`], [`device::CimDevice`] and
 //!   [`device::HostDevice`], plus the per-device first-order cost models
 //!   (the CNM model is calibrated against `upmem_sim::kernel_launch_cost`);
 //! * [`sharded`] — heterogeneous sharded execution:
@@ -45,10 +46,8 @@ pub use convert::{
     CnmToUpmemPass, LinalgToCinmPass, TosaToLinalgPass, UpmemLoweringOptions,
 };
 pub use device::{
-    cim_supports, CimCostModel, CimDevice, CnmCostModel, Device, DeviceCaps, DeviceCost,
-    DeviceFuture, HostCostModel, HostDevice, ShardOp, ShardShape, UpmemDevice,
+    cim_supports, CimCostModel, CimDevice, CnmCostModel, CostModel, Device, DeviceFuture,
+    HostCostModel, HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
 };
-pub use sharded::{
-    ShardDevice, ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions,
-};
+pub use sharded::{ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions};
 pub use tiling::{interchange, split_even, tile_2d, wram_tile_elems, Tile, TileShape};

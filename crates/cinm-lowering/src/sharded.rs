@@ -42,43 +42,7 @@ use upmem_sim::{BinOp, UpmemConfig};
 
 use crate::backend::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
 use crate::cnm_op::{CnmOp, MramLayout};
-use crate::device::{cim_supports, CimDevice, Device, HostDevice, ShardOp, UpmemDevice};
-
-/// The devices a shard can be placed on, in the fixed planning order used by
-/// every `[T; 3]` in this module (`Cnm`, `Cim`, `Host`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShardDevice {
-    /// The UPMEM compute-near-memory grid.
-    Cnm,
-    /// The memristive crossbar accelerator.
-    Cim,
-    /// The host CPU (golden kernels under a roofline model).
-    Host,
-}
-
-impl ShardDevice {
-    /// All devices in planning order.
-    pub const ALL: [ShardDevice; 3] = [ShardDevice::Cnm, ShardDevice::Cim, ShardDevice::Host];
-
-    /// Index of the device in the fixed `[cnm, cim, host]` order.
-    pub fn index(self) -> usize {
-        match self {
-            ShardDevice::Cnm => 0,
-            ShardDevice::Cim => 1,
-            ShardDevice::Host => 2,
-        }
-    }
-}
-
-impl std::fmt::Display for ShardDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardDevice::Cnm => "cnm",
-            ShardDevice::Cim => "cim",
-            ShardDevice::Host => "host",
-        })
-    }
-}
+use crate::device::{cim_supports, CimDevice, Device, HostDevice, ShardOp, Target, UpmemDevice};
 
 /// Errors of sharded planning/execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +69,7 @@ pub enum ShardError {
     /// (e.g. an element-wise shard on the MVM-only crossbar backend).
     Unsupported {
         /// The device the shard was assigned to.
-        device: ShardDevice,
+        device: Target,
         /// Name of the operation.
         op: &'static str,
     },
@@ -128,7 +92,7 @@ pub enum ShardError {
     /// permanent faults are what re-planning routes around.
     DeviceFault {
         /// The faulting device.
-        device: ShardDevice,
+        device: Target,
         /// Whether the fault is permanent (the device will not recover).
         permanent: bool,
         /// The device's error message.
@@ -139,7 +103,7 @@ pub enum ShardError {
     /// surfaced as a typed error instead of tearing the process down.
     ExecutionPanic {
         /// The panicking device.
-        device: ShardDevice,
+        device: Target,
         /// The panic payload, if it was a string.
         message: String,
     },
@@ -168,7 +132,7 @@ impl ShardError {
     }
 
     /// The faulting device of a device failure.
-    pub fn failed_device(&self) -> Option<ShardDevice> {
+    pub fn failed_device(&self) -> Option<Target> {
         match self {
             ShardError::DeviceFault { device, .. } | ShardError::ExecutionPanic { device, .. } => {
                 Some(*device)
@@ -275,11 +239,11 @@ impl ShardSplit {
     }
 
     /// Work units of a device.
-    pub fn get(&self, device: ShardDevice) -> usize {
+    pub fn get(&self, device: Target) -> usize {
         match device {
-            ShardDevice::Cnm => self.cnm,
-            ShardDevice::Cim => self.cim,
-            ShardDevice::Host => self.host,
+            Target::Cnm => self.cnm,
+            Target::Cim => self.cim,
+            Target::Host => self.host,
         }
     }
 
@@ -289,11 +253,7 @@ impl ShardSplit {
         if total == 0 {
             return [0.0; 3];
         }
-        [
-            self.cnm as f64 / total as f64,
-            self.cim as f64 / total as f64,
-            self.host as f64 / total as f64,
-        ]
+        [self.cnm, self.cim, self.host].map(|w| w as f64 / total as f64)
     }
 
     /// Builds a split of `total` work units from user-provided fractions in
@@ -440,11 +400,7 @@ impl ShardStats {
         if total == 0 {
             return [0.0; 3];
         }
-        [
-            self.work[0] as f64 / total as f64,
-            self.work[1] as f64 / total as f64,
-            self.work[2] as f64 / total as f64,
-        ]
+        self.work.map(|w| w as f64 / total as f64)
     }
 
     /// Per-device utilisation: simulated busy time over the simulated
@@ -453,11 +409,7 @@ impl ShardStats {
         if self.sim_makespan_seconds <= 0.0 {
             return [0.0; 3];
         }
-        [
-            self.sim_seconds[0] / self.sim_makespan_seconds,
-            self.sim_seconds[1] / self.sim_makespan_seconds,
-            self.sim_seconds[2] / self.sim_makespan_seconds,
-        ]
+        self.sim_seconds.map(|s| s / self.sim_makespan_seconds)
     }
 }
 
@@ -606,20 +558,20 @@ impl ShardedBackend {
     }
 
     /// The device of a shard slot, behind the unified trait.
-    pub fn device(&self, device: ShardDevice) -> &dyn Device {
+    pub fn device(&self, device: Target) -> &dyn Device {
         match device {
-            ShardDevice::Cnm => &self.cnm,
-            ShardDevice::Cim => &self.cim,
-            ShardDevice::Host => &self.host,
+            Target::Cnm => &self.cnm,
+            Target::Cim => &self.cim,
+            Target::Host => &self.host,
         }
     }
 
     /// Mutable access to the device of a shard slot.
-    pub fn device_mut(&mut self, device: ShardDevice) -> &mut dyn Device {
+    pub fn device_mut(&mut self, device: Target) -> &mut dyn Device {
         match device {
-            ShardDevice::Cnm => &mut self.cnm,
-            ShardDevice::Cim => &mut self.cim,
-            ShardDevice::Host => &mut self.host,
+            Target::Cnm => &mut self.cnm,
+            Target::Cim => &mut self.cim,
+            Target::Host => &mut self.host,
         }
     }
 
@@ -675,17 +627,13 @@ impl ShardedBackend {
                     .into_iter()
                     .zip(&ops)
                     .zip(outcomes.iter_mut())
-                    .zip(ShardDevice::ALL)
+                    .zip(Target::ALL)
                 {
                     let Some(op) = op else { continue };
                     if op.work() == 0 {
                         continue;
                     }
-                    let label = match slot {
-                        ShardDevice::Cnm => "cnm-shard",
-                        ShardDevice::Cim => "cim-shard",
-                        ShardDevice::Host => "host-shard",
-                    };
+                    let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
                     s.spawn_labeled(label, move |_| {
                         let _in_flight = tracker.enter();
                         let start = Instant::now();
@@ -716,7 +664,7 @@ impl ShardedBackend {
         self.stats.wall_seconds += op_start.elapsed().as_secs_f64();
         self.stats.max_concurrent = self.stats.max_concurrent.max(tracker.max_seen());
         let mut makespan = 0.0f64;
-        for (i, device) in ShardDevice::ALL.iter().enumerate() {
+        for (i, device) in Target::ALL.iter().enumerate() {
             // Failed shards contribute no completed work (their partial
             // simulated time is still real and stays accounted).
             if outcomes[i].result.is_ok() {
@@ -759,7 +707,7 @@ impl ShardedBackend {
         let name = op.mnemonic();
         let Some((cinm_name, shape)) = op.shard() else {
             return Err(ShardError::Unsupported {
-                device: ShardDevice::Host,
+                device: Target::Host,
                 op: name,
             });
         };
@@ -801,7 +749,7 @@ impl ShardedBackend {
         }
         if !matmul_like && split.cim > 0 {
             return Err(ShardError::Unsupported {
-                device: ShardDevice::Cim,
+                device: Target::Cim,
                 op: name,
             });
         }
@@ -832,7 +780,7 @@ impl ShardedBackend {
         let layouts = op.geometry(1).inputs;
         let (a, b) = (operands[0], operands.get(1).copied().unwrap_or(&[]));
         let mut lo = 0;
-        let shards = ShardDevice::ALL.map(|device| {
+        let shards = Target::ALL.map(|device| {
             let hi = lo + split.get(device);
             let shard = ShardOp::lift(
                 op.with_work(hi - lo),
@@ -1082,7 +1030,7 @@ mod tests {
         assert_eq!(
             be.elementwise(BinOp::Add, &v, &v, &with_cim),
             Err(ShardError::Unsupported {
-                device: ShardDevice::Cim,
+                device: Target::Cim,
                 op: "elementwise"
             })
         );

@@ -8,8 +8,7 @@
 //!
 //! Run with `cargo run --release --example fault_tolerant_gemv`.
 
-use cinm::core::{Session, SessionOptions, ShardPolicy};
-use cinm::lowering::ShardDevice;
+use cinm::core::{Session, SessionOptions, ShardPolicy, Target};
 use cinm::runtime::FaultConfig;
 use cinm::telemetry::Telemetry;
 use cinm::upmem::UpmemConfig;
@@ -69,7 +68,7 @@ fn main() {
     println!("  permanent faults  : {}", stats.permanent_faults);
     println!("  re-plans          : {}", stats.replans);
     println!("  degradations      : {}", stats.degradations);
-    for device in [ShardDevice::Cnm, ShardDevice::Cim, ShardDevice::Host] {
+    for device in Target::ALL {
         let h = sess.backend().device(device).health();
         println!(
             "  {device:?}: healthy={} total_failures={} permanent={}",

@@ -1,8 +1,8 @@
 //! Generic conformance suite of the unified `Device` trait, run against all
 //! three implementations (UPMEM grid, memristive crossbar, host roofline).
 //!
-//! Every device must: report coherent capabilities (the support matrix, the
-//! cost hookup and `submit` must agree op-for-op), resolve empty shards for
+//! Every device must: obey the one support rule (its cost hookup prices an op
+//! exactly when `submit` accepts it), resolve empty shards for
 //! free without touching statistics, execute supported shards bit-identically
 //! to the `cpu_sim` goldens while accumulating simulated seconds, reject
 //! unsupported shards with `ShardError::Unsupported` without side effects,
@@ -17,44 +17,65 @@ use cinm::lowering::{
 use cinm::upmem::{BinOp, UpmemConfig};
 use cinm::workloads::data;
 
-/// The op sample the suite probes: one representative per shardable kind,
-/// with a matching [`ShardShape`].
-fn probe_ops() -> Vec<(&'static str, ShardShape)> {
-    vec![
-        ("cinm.gemm", ShardShape::matmul(16, 8, 8)),
-        ("cinm.gemv", ShardShape::matmul(16, 8, 1)),
-        ("cinm.add", ShardShape::streaming(64)),
-        ("cinm.reduce", ShardShape::streaming(64)),
-        ("cinm.histogram", ShardShape::streaming(64)),
+/// The op sample the suite probes: one representative shard per shardable
+/// kind, with its name and matching [`ShardShape`].
+fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(&'static str, ShardShape, ShardOp<'a>); 5] {
+    let add = BinOp::Add;
+    [
+        ("cinm.gemm", ShardShape::matmul(16, 8, 8), {
+            let (m, k, n) = (16, 8, 8);
+            ShardOp::Gemm { a, b, m, k, n }
+        }),
+        ("cinm.gemv", ShardShape::matmul(16, 8, 1), {
+            let x = &b[..8];
+            ShardOp::Gemv {
+                a,
+                x,
+                rows: 16,
+                cols: 8,
+            }
+        }),
+        ("cinm.add", ShardShape::streaming(64), {
+            ShardOp::Elementwise {
+                op: add,
+                a: &a[..64],
+                b,
+            }
+        }),
+        ("cinm.reduce", ShardShape::streaming(64), {
+            ShardOp::Reduce {
+                op: add,
+                a: &a[..64],
+            }
+        }),
+        ("cinm.histogram", ShardShape::streaming(64), {
+            ShardOp::Histogram {
+                a: &a[..64],
+                bins: 8,
+                max_value: 8,
+            }
+        }),
     ]
 }
 
 /// Runs the whole conformance suite against one device.
 fn conformance(device: &mut dyn Device) {
-    let caps = device.caps();
-    let name = caps.name;
-    assert!(!name.is_empty(), "devices must name themselves");
-
-    // 1. Capability reporting: the support matrix, the cost hookup and the
-    //    owned cost-model snapshot must agree per op.
     let cost = device.cost();
-    assert_eq!(cost.device(), caps.device, "{name}: cost hookup device");
-    for (op, shape) in probe_ops() {
-        let supports = device.supports_op(op);
-        assert_eq!(
-            device.estimate_shard_seconds(op, &shape).is_some(),
-            supports,
-            "{name}: estimate/support disagree on {op}"
-        );
-        assert_eq!(
-            cost.estimate_shard_seconds(op, &shape).is_some(),
-            supports,
-            "{name}: cost snapshot/support disagree on {op}"
-        );
-        if supports {
-            let t = device.estimate_shard_seconds(op, &shape).unwrap();
+    let name = cost.target();
+
+    // 1. The one support rule: the cost hookup prices an op exactly when
+    //    `submit` accepts it, and every price is positive.
+    let (a, b) = (data::i32_vec(5, 128, 0, 8), data::i32_vec(6, 64, 0, 8));
+    for (op, shape, shard) in probe_ops(&a, &b) {
+        let priced = cost.estimate_shard_seconds(op, &shape);
+        if let Some(t) = priced {
             assert!(t > 0.0, "{name}: {op} estimate must be positive");
         }
+        assert_eq!(
+            device.submit(&shard).is_ok(),
+            priced.is_some(),
+            "{name}: cost hookup and submit disagree on {op}"
+        );
     }
 
     // 2. Empty-shard submit: resolved immediately, no statistics.
@@ -99,7 +120,10 @@ fn conformance(device: &mut dyn Device) {
 
     // 4. Unsupported shards error without touching statistics.
     let v = data::i32_vec(9, 32, -4, 4);
-    if !device.supports_op("cinm.add") {
+    if cost
+        .estimate_shard_seconds("cinm.add", &ShardShape::streaming(v.len()))
+        .is_none()
+    {
         let before = device.sim_seconds();
         let err = device
             .submit(&ShardOp::Elementwise {
@@ -154,25 +178,26 @@ fn host_device_conforms() {
     conformance(&mut HostDevice::new(CpuModel::arm_host()));
 }
 
-/// The three devices expose the expected capability matrix.
+/// The three devices price the expected capability matrix.
 #[test]
 fn capability_matrix_matches_the_paper() {
-    use cinm::lowering::ShardDevice;
-    let up = upmem_device();
-    let cim = CimDevice::new(CimBackend::new(CimRunOptions::optimized()));
-    let host = HostDevice::new(CpuModel::arm_host());
-    assert_eq!(up.caps().device, ShardDevice::Cnm);
-    assert_eq!(cim.caps().device, ShardDevice::Cim);
-    assert_eq!(host.caps().device, ShardDevice::Host);
-    // The CNM grid and the host keep intermediates resident; the crossbar
-    // holds weights, not activations.
-    assert!(up.caps().resident_intermediates);
-    assert!(!cim.caps().resident_intermediates);
-    assert!(host.caps().resident_intermediates);
-    // MVM-only crossbar; the host is the catch-all.
-    assert!(!cim.supports_op("cinm.histogram"));
-    assert!(up.supports_op("cinm.histogram"));
-    assert!(host.supports_op("cinm.simSearch"));
+    use cinm::lowering::Target;
+    let up = upmem_device().cost();
+    let cim = CimDevice::new(CimBackend::new(CimRunOptions::optimized())).cost();
+    let host = HostDevice::new(CpuModel::arm_host()).cost();
+    assert_eq!(up.target(), Target::Cnm);
+    assert_eq!(cim.target(), Target::Cim);
+    assert_eq!(host.target(), Target::Host);
+    // MVM-only crossbar; the grid and the host run every shardable op.
+    let (hist, gemv) = (ShardShape::streaming(64), ShardShape::matmul(16, 8, 1));
+    assert!(cim
+        .estimate_shard_seconds("cinm.histogram", &hist)
+        .is_none());
+    assert!(cim.estimate_shard_seconds("cinm.gemv", &gemv).is_some());
+    assert!(up.estimate_shard_seconds("cinm.histogram", &hist).is_some());
+    assert!(host
+        .estimate_shard_seconds("cinm.histogram", &hist)
+        .is_some());
 }
 
 /// A full MRAM is a typed refusal on every eager surface, never a panic

@@ -5,8 +5,7 @@
 
 use cinm::core::{runner, Session, SessionOptions, ShardPolicy, Target};
 use cinm::lowering::{
-    Device, ShardDevice, ShardError, ShardOp, ShardedRunOptions, UpmemBackend, UpmemDevice,
-    UpmemRunOptions,
+    Device, ShardError, ShardOp, ShardedRunOptions, UpmemBackend, UpmemDevice, UpmemRunOptions,
 };
 use cinm::memristor::CrossbarConfig;
 use cinm::runtime::FaultConfig;
@@ -57,7 +56,7 @@ fn retry_exhaustion_surfaces_a_typed_error() {
             permanent,
             ..
         } => {
-            assert_eq!(d, ShardDevice::Cnm);
+            assert_eq!(d, Target::Cnm);
             assert!(!permanent, "transient exhaustion is not a permanent fault");
         }
         other => panic!("wrong error kind: {other:?}"),
@@ -120,10 +119,10 @@ fn permanent_cim_failure_replans_around_the_crossbar() {
         "the CIM death must be counted: {stats:?}"
     );
     assert!(
-        !sess.backend().device(ShardDevice::Cim).is_healthy(),
+        !sess.backend().device(Target::Cim).is_healthy(),
         "the dead crossbar must be marked unhealthy"
     );
-    assert!(sess.backend().device(ShardDevice::Cnm).is_healthy());
+    assert!(sess.backend().device(Target::Cnm).is_healthy());
 }
 
 /// A permanently failed UPMEM grid under a CNM-forced policy (including
@@ -163,7 +162,7 @@ fn permanent_cnm_failure_fails_over_to_a_spare_grid() {
         "the grid death and failover must be counted: {stats:?}"
     );
     assert!(
-        sess.backend().device(ShardDevice::Cnm).is_healthy(),
+        sess.backend().device(Target::Cnm).is_healthy(),
         "the swapped-in spare starts healthy"
     );
 }
@@ -213,7 +212,7 @@ fn dead_accelerators_degrade_to_host_only_execution() {
         "the degradation chain must be counted: {stats:?}"
     );
     assert!(
-        !sess.backend().device(ShardDevice::Cnm).is_healthy(),
+        !sess.backend().device(Target::Cnm).is_healthy(),
         "the grid died for good — no spare exists for plannable graphs"
     );
 }
