@@ -68,13 +68,13 @@ impl TargetSelector {
         let operation = body.op(op);
         // Registered cost models take precedence: the planner's fastest
         // estimate for the op's real shape.
-        if let Some(target) = shard_shape(body, operation)
+        if let Some(target) = shard_shape(body, &operation)
             .and_then(|shape| self.planner.fastest(&operation.name, &shape))
         {
             return target;
         }
         // Greedy default policy.
-        let elements = operand_elements(body, operation);
+        let elements = operand_elements(body, &operation);
         match cinm::paradigm_support(&operation.name) {
             Some(support) => {
                 let matmul_like = operation.name == cinm::GEMM || operation.name == cinm::GEMV;
@@ -108,7 +108,7 @@ impl TargetSelector {
 }
 
 /// Elements of the op's largest operand.
-fn operand_elements(body: &Body, op: &Operation) -> i64 {
+fn operand_elements(body: &Body, op: &Operation<'_>) -> i64 {
     op.operands
         .iter()
         .map(|&v| body.value_type(v).num_elements())
@@ -120,7 +120,7 @@ fn operand_elements(body: &Body, op: &Operation) -> i64 {
 /// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, any other op streaming over its
 /// largest operand. `None` when a matmul-like op's operands do not have
 /// those ranks.
-fn shard_shape(body: &Body, op: &Operation) -> Option<ShardShape> {
+fn shard_shape(body: &Body, op: &Operation<'_>) -> Option<ShardShape> {
     let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
     let size = |d: i64| usize::try_from(d).ok();
     match op.name.as_str() {
@@ -160,7 +160,7 @@ mod tests {
 
     fn gemm_func(dim: i64) -> Func {
         let t = Type::tensor(&[dim, dim], ScalarType::I32);
-        let mut f = Func::new("g", vec![t.clone(), t.clone()], vec![t]);
+        let mut f = Func::new("g", vec![t, t], vec![t]);
         let args = f.arguments();
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn cnm_only_and_cim_only_ops_respect_the_support_matrix() {
         let t = Type::tensor(&[1024], ScalarType::I32);
-        let mut f = Func::new("x", vec![t.clone()], vec![]);
+        let mut f = Func::new("x", vec![t], vec![]);
         let a = f.argument(0);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -247,7 +247,7 @@ mod tests {
                 if operation.dialect() != "cinm" {
                     continue;
                 }
-                let fastest = shard_shape(body, operation).and_then(|shape| {
+                let fastest = shard_shape(body, &operation).and_then(|shape| {
                     oracle
                         .iter()
                         .filter_map(|m| {

@@ -73,7 +73,10 @@ pub fn register(registry: &mut DialectRegistry) {
 
 /// Builds an `arith.constant` of the given type.
 pub fn constant(b: &mut OpBuilder<'_>, value: i64, ty: Type) -> ValueId {
-    b.push(OpSpec::new(CONSTANT).attr("value", value).result(ty))
+    b.op(CONSTANT)
+        .attr("value", value)
+        .result(ty)
+        .push()
         .result()
 }
 
@@ -87,9 +90,8 @@ pub fn binary(b: &mut OpBuilder<'_>, name: &'static str, lhs: ValueId, rhs: Valu
         BINARY_INT_OPS.contains(&name),
         "'{name}' is not an arith binary op"
     );
-    let ty = b.body().value_type(lhs).clone();
-    b.push(OpSpec::new(name).operands([lhs, rhs]).result(ty))
-        .result()
+    let ty = *b.body().value_type(lhs);
+    b.op(name).operands([lhs, rhs]).result(ty).push().result()
 }
 
 /// Builds `arith.addi`.

@@ -53,13 +53,12 @@ pub fn register(registry: &mut DialectRegistry) {
 
 /// Builds `cim.acquire`, returning the device id value.
 pub fn acquire(b: &mut OpBuilder<'_>) -> ValueId {
-    b.push(OpSpec::new(ACQUIRE).result(Type::CimDeviceId))
-        .result()
+    b.op(ACQUIRE).result(Type::CimDeviceId).push().result()
 }
 
 /// Builds `cim.write %tensor to %device`.
 pub fn write(b: &mut OpBuilder<'_>, device: ValueId, tensor: ValueId) -> OpId {
-    b.push(OpSpec::new(WRITE).operands([device, tensor])).id
+    b.op(WRITE).operands([device, tensor]).push().id
 }
 
 /// A built `cim.execute` operation.
@@ -84,18 +83,14 @@ pub fn execute(
     operands: &[ValueId],
     result_type: Type,
 ) -> Execute {
-    let region_args: Vec<Type> = operands
-        .iter()
-        .map(|v| b.body().value_type(*v).clone())
-        .collect();
-    let mut all_operands = vec![device];
-    all_operands.extend_from_slice(operands);
-    let built = b.push(
-        OpSpec::new(EXECUTE)
-            .operands(all_operands)
-            .result(result_type)
-            .region(region_args),
-    );
+    let region_args: Vec<Type> = operands.iter().map(|v| *b.body().value_type(*v)).collect();
+    let built = b
+        .op(EXECUTE)
+        .operand(device)
+        .operands(operands.iter().copied())
+        .result(result_type)
+        .region(region_args)
+        .push();
     let body_block = b.body().op_region_entry_block(built.id, 0);
     let operand_views = b.body().block_args(body_block).to_vec();
     Execute {
@@ -108,25 +103,26 @@ pub fn execute(
 
 /// Builds `cim.read %device` returning a tensor of `result_type`.
 pub fn read(b: &mut OpBuilder<'_>, device: ValueId, result_type: Type) -> ValueId {
-    b.push(OpSpec::new(READ).operand(device).result(result_type))
+    b.op(READ)
+        .operand(device)
+        .result(result_type)
+        .push()
         .result()
 }
 
 /// Builds `cim.barrier` on the device (and optional extra dependency values).
 pub fn barrier(b: &mut OpBuilder<'_>, deps: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(BARRIER).operands(deps.iter().copied()))
-        .id
+    b.op(BARRIER).operands(deps.iter().copied()).push().id
 }
 
 /// Builds `cim.release %device`.
 pub fn release(b: &mut OpBuilder<'_>, device: ValueId) -> OpId {
-    b.push(OpSpec::new(RELEASE).operand(device)).id
+    b.op(RELEASE).operand(device).push().id
 }
 
 /// Builds the `cim.yield` terminator of an execute region.
 pub fn yield_op(b: &mut OpBuilder<'_>, values: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(YIELD).operands(values.iter().copied()))
-        .id
+    b.op(YIELD).operands(values.iter().copied()).push().id
 }
 
 #[cfg(test)]
@@ -151,13 +147,13 @@ mod tests {
         //   %c  = cim.execute(%id, %a, %b) { cinm.gemm ...; cim.yield }
         //   cim.release %id
         let t16 = Type::tensor(&[16, 16], ScalarType::I16);
-        let mut f = Func::new("tile", vec![t16.clone(), t16.clone()], vec![t16.clone()]);
+        let mut f = Func::new("tile", vec![t16, t16], vec![t16]);
         let (a, b_) = (f.argument(0), f.argument(1));
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
         let id = acquire(&mut b);
         assert_eq!(b.body().value_type(id), &Type::CimDeviceId);
-        let exec = execute(&mut b, id, &[a, b_], t16.clone());
+        let exec = execute(&mut b, id, &[a, b_], t16);
         assert_eq!(exec.operand_views.len(), 2);
         // Fill the region with the gemm + yield.
         let mut rb = OpBuilder::at_end(&mut f.body, exec.body_block);
@@ -180,13 +176,13 @@ mod tests {
     #[test]
     fn write_read_barrier_builders() {
         let t = Type::tensor(&[64, 64], ScalarType::I32);
-        let mut f = Func::new("t", vec![t.clone()], vec![]);
+        let mut f = Func::new("t", vec![t], vec![]);
         let a = f.argument(0);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
         let id = acquire(&mut b);
         write(&mut b, id, a);
-        let r = read(&mut b, id, t.clone());
+        let r = read(&mut b, id, t);
         assert_eq!(b.body().value_type(r), &t);
         barrier(&mut b, &[id]);
         release(&mut b, id);

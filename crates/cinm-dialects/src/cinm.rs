@@ -177,10 +177,10 @@ pub fn op_named(mnemonic: &str) -> Option<&'static str> {
     Some(OPS[i].name)
 }
 
-fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
+fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Shape, ScalarType) {
     let ty = b.body().value_type(v);
     (
-        ty.shape().expect("cinm operand must be shaped").to_vec(),
+        Shape::new(ty.shape().expect("cinm operand must be shaped")),
         ty.element_type().expect("shaped type has an element type"),
     )
 }
@@ -203,12 +203,11 @@ pub fn elementwise(
     let (sl, el) = shaped(b, lhs);
     let (sr, _) = shaped(b, rhs);
     assert_eq!(sl, sr, "element-wise operands must have identical shapes");
-    b.push(
-        OpSpec::new(name)
-            .operands([lhs, rhs])
-            .result(Type::tensor(&sl, el)),
-    )
-    .result()
+    b.op(name)
+        .operands([lhs, rhs])
+        .result(Type::tensor(&sl, el))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.gemm %a, %b : (m×k, k×n) -> m×n`.
@@ -218,12 +217,11 @@ pub fn gemm(b: &mut OpBuilder<'_>, a: ValueId, rhs: ValueId) -> ValueId {
     assert_eq!(sa.len(), 2, "gemm lhs must be 2-D");
     assert_eq!(sb.len(), 2, "gemm rhs must be 2-D");
     assert_eq!(sa[1], sb[0], "gemm inner dimensions must agree");
-    b.push(
-        OpSpec::new(GEMM)
-            .operands([a, rhs])
-            .result(Type::tensor(&[sa[0], sb[1]], ea)),
-    )
-    .result()
+    b.op(GEMM)
+        .operands([a, rhs])
+        .result(Type::tensor(&[sa[0], sb[1]], ea))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.gemv %a, %x : (m×n, n) -> m`.
@@ -233,60 +231,56 @@ pub fn gemv(b: &mut OpBuilder<'_>, a: ValueId, x: ValueId) -> ValueId {
     assert_eq!(sa.len(), 2, "gemv matrix must be 2-D");
     assert_eq!(sx.len(), 1, "gemv vector must be 1-D");
     assert_eq!(sa[1], sx[0], "gemv inner dimensions must agree");
-    b.push(
-        OpSpec::new(GEMV)
-            .operands([a, x])
-            .result(Type::tensor(&[sa[0]], ea)),
-    )
-    .result()
+    b.op(GEMV)
+        .operands([a, x])
+        .result(Type::tensor(&[sa[0]], ea))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.reduce #op (%in)`, producing a single-element tensor.
-pub fn reduce(b: &mut OpBuilder<'_>, op: &str, input: ValueId) -> ValueId {
+pub fn reduce(b: &mut OpBuilder<'_>, op: &'static str, input: ValueId) -> ValueId {
     let (_, e) = shaped(b, input);
-    b.push(
-        OpSpec::new(REDUCE)
-            .operand(input)
-            .attr("op", op)
-            .result(Type::tensor(&[1], e)),
-    )
-    .result()
+    b.op(REDUCE)
+        .operand(input)
+        .attr("op", op)
+        .result(Type::tensor(&[1], e))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.scan #op (%in)` (inclusive scan, same shape as input).
-pub fn scan(b: &mut OpBuilder<'_>, op: &str, input: ValueId) -> ValueId {
+pub fn scan(b: &mut OpBuilder<'_>, op: &'static str, input: ValueId) -> ValueId {
     let (s, e) = shaped(b, input);
-    b.push(
-        OpSpec::new(SCAN)
-            .operand(input)
-            .attr("op", op)
-            .result(Type::tensor(&s, e)),
-    )
-    .result()
+    b.op(SCAN)
+        .operand(input)
+        .attr("op", op)
+        .result(Type::tensor(&s, e))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.histogram (%in)` with `bins` output buckets.
 pub fn histogram(b: &mut OpBuilder<'_>, input: ValueId, bins: i64) -> ValueId {
     let (_, e) = shaped(b, input);
-    b.push(
-        OpSpec::new(HISTOGRAM)
-            .operand(input)
-            .attr("bins", bins)
-            .result(Type::tensor(&[bins], e)),
-    )
-    .result()
+    b.op(HISTOGRAM)
+        .operand(input)
+        .attr("bins", bins)
+        .result(Type::tensor(&[bins], e))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.topk #k (%in)`, returning `(values, indices)`.
 pub fn topk(b: &mut OpBuilder<'_>, input: ValueId, k: i64) -> (ValueId, ValueId) {
     let (_, e) = shaped(b, input);
-    let built = b.push(
-        OpSpec::new(TOPK)
-            .operand(input)
-            .attr("k", k)
-            .result(Type::tensor(&[k], e))
-            .result(Type::tensor(&[k], ScalarType::Index)),
-    );
+    let built = b
+        .op(TOPK)
+        .operand(input)
+        .attr("k", k)
+        .result(Type::tensor(&[k], e))
+        .result(Type::tensor(&[k], ScalarType::Index))
+        .push();
     (built.result_at(0), built.result_at(1))
 }
 
@@ -294,56 +288,58 @@ pub fn topk(b: &mut OpBuilder<'_>, input: ValueId, k: i64) -> (ValueId, ValueId)
 /// `(values, indices)`.
 pub fn sim_search(
     b: &mut OpBuilder<'_>,
-    metric: &str,
+    metric: &'static str,
     k: i64,
     query: ValueId,
     database: ValueId,
 ) -> (ValueId, ValueId) {
     let (_, e) = shaped(b, query);
-    let built = b.push(
-        OpSpec::new(SIM_SEARCH)
-            .operands([query, database])
-            .attr("metric", metric)
-            .attr("k", k)
-            .result(Type::tensor(&[k], e))
-            .result(Type::tensor(&[k], ScalarType::Index)),
-    );
+    let built = b
+        .op(SIM_SEARCH)
+        .operands([query, database])
+        .attr("metric", metric)
+        .attr("k", k)
+        .result(Type::tensor(&[k], e))
+        .result(Type::tensor(&[k], ScalarType::Index))
+        .push();
     (built.result_at(0), built.result_at(1))
 }
 
 /// Builds `cinm.mergePartial #op (%lhs, %rhs)`.
-pub fn merge_partial(b: &mut OpBuilder<'_>, op: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
-    let ty = b.body().value_type(lhs).clone();
-    b.push(
-        OpSpec::new(MERGE_PARTIAL)
-            .operands([lhs, rhs])
-            .attr("op", op)
-            .result(ty),
-    )
-    .result()
+pub fn merge_partial(
+    b: &mut OpBuilder<'_>,
+    op: &'static str,
+    lhs: ValueId,
+    rhs: ValueId,
+) -> ValueId {
+    let ty = *b.body().value_type(lhs);
+    b.op(MERGE_PARTIAL)
+        .operands([lhs, rhs])
+        .attr("op", op)
+        .result(ty)
+        .push()
+        .result()
 }
 
 /// Builds `cinm.transpose (%in, perms)`.
 pub fn transpose(b: &mut OpBuilder<'_>, input: ValueId, perms: &[i64]) -> ValueId {
     let (s, e) = shaped(b, input);
     let out: Vec<i64> = perms.iter().map(|&p| s[p as usize]).collect();
-    b.push(
-        OpSpec::new(TRANSPOSE)
-            .operand(input)
-            .attr("perms", perms.to_vec())
-            .result(Type::tensor(&out, e)),
-    )
-    .result()
+    b.op(TRANSPOSE)
+        .operand(input)
+        .attr("perms", perms)
+        .result(Type::tensor(&out, e))
+        .push()
+        .result()
 }
 
 /// Builds `cinm.popCount (%in)` returning an index count.
 pub fn pop_count(b: &mut OpBuilder<'_>, input: ValueId) -> ValueId {
-    b.push(
-        OpSpec::new(POP_COUNT)
-            .operand(input)
-            .result(Type::tensor(&[1], ScalarType::I64)),
-    )
-    .result()
+    b.op(POP_COUNT)
+        .operand(input)
+        .result(Type::tensor(&[1], ScalarType::I64))
+        .push()
+        .result()
 }
 
 #[cfg(test)]

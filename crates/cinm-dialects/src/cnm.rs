@@ -76,22 +76,22 @@ pub fn register(registry: &mut DialectRegistry) {
 ///
 /// `physical_dims` names the hardware level each workgroup dimension maps to,
 /// e.g. `["dpu", "thread"]` in the paper's Figure 6a.
-pub fn workgroup(b: &mut OpBuilder<'_>, shape: &[i64], physical_dims: &[&str]) -> ValueId {
+pub fn workgroup(
+    b: &mut OpBuilder<'_>,
+    shape: &[i64],
+    physical_dims: &'static [&'static str],
+) -> ValueId {
     assert_eq!(
         shape.len(),
         physical_dims.len(),
         "one physical dimension name per workgroup dimension"
     );
-    b.push(
-        OpSpec::new(WORKGROUP)
-            .attr("shape", shape.to_vec())
-            .attr(
-                "cnm.physical_dims",
-                Attribute::StrArray(physical_dims.iter().map(|s| s.to_string()).collect()),
-            )
-            .result(Type::cnm_workgroup(shape)),
-    )
-    .result()
+    b.op(WORKGROUP)
+        .attr("shape", shape)
+        .attr("cnm.physical_dims", Attribute::StrArray(physical_dims))
+        .result(Type::cnm_workgroup(shape))
+        .push()
+        .result()
 }
 
 /// Builds `cnm.alloc` of a per-PU buffer of `shape`/`elem` at tree `level` in
@@ -102,15 +102,14 @@ pub fn alloc(
     shape: &[i64],
     elem: ScalarType,
     level: u32,
-    physical_space: &str,
+    physical_space: &'static str,
 ) -> ValueId {
-    b.push(
-        OpSpec::new(ALLOC)
-            .operand(wg)
-            .attr("cnm.physical_space", physical_space)
-            .result(Type::cnm_buffer(shape, elem, level)),
-    )
-    .result()
+    b.op(ALLOC)
+        .operand(wg)
+        .attr("cnm.physical_space", physical_space)
+        .result(Type::cnm_buffer(shape, elem, level))
+        .push()
+        .result()
 }
 
 /// Builds `cnm.scatter %tensor into %buffer of %wg [map]`, returning a token.
@@ -121,13 +120,12 @@ pub fn scatter(
     wg: ValueId,
     map: AffineMap,
 ) -> ValueId {
-    b.push(
-        OpSpec::new(SCATTER)
-            .operands([tensor, buffer, wg])
-            .attr("scatter_map", map)
-            .result(Type::Token),
-    )
-    .result()
+    b.op(SCATTER)
+        .operands([tensor, buffer, wg])
+        .attr("scatter_map", map)
+        .result(Type::Token)
+        .push()
+        .result()
 }
 
 /// Builds `cnm.gather %buffer of %wg [map]`, returning `(tensor, token)`.
@@ -143,13 +141,13 @@ pub fn gather(
         .value_type(buffer)
         .element_type()
         .expect("gather source must be a buffer");
-    let built = b.push(
-        OpSpec::new(GATHER)
-            .operands([buffer, wg])
-            .attr("scatter_map", map)
-            .result(Type::tensor(result_shape, elem))
-            .result(Type::Token),
-    );
+    let built = b
+        .op(GATHER)
+        .operands([buffer, wg])
+        .attr("scatter_map", map)
+        .result(Type::tensor(result_shape, elem))
+        .result(Type::Token)
+        .push();
     (built.result_at(0), built.result_at(1))
 }
 
@@ -171,21 +169,20 @@ pub struct Launch {
 pub fn launch(b: &mut OpBuilder<'_>, wg: ValueId, buffers: &[ValueId]) -> Launch {
     let mut region_args = Vec::with_capacity(buffers.len());
     for &buf in buffers {
-        let ty = b.body().value_type(buf).clone();
+        let ty = *b.body().value_type(buf);
         let (shape, elem) = match &ty {
-            Type::CnmBuffer(t) => (t.shape.clone(), t.elem),
+            Type::CnmBuffer(t) => (t.shape, t.elem),
             other => panic!("cnm.launch operand must be a !cnm.buffer, got {other}"),
         };
         region_args.push(Type::memref_in(&shape, elem, MemorySpace::PuPrivate));
     }
-    let mut operands = vec![wg];
-    operands.extend_from_slice(buffers);
-    let built = b.push(
-        OpSpec::new(LAUNCH)
-            .operands(operands)
-            .result(Type::Token)
-            .region(region_args),
-    );
+    let built = b
+        .op(LAUNCH)
+        .operand(wg)
+        .operands(buffers.iter().copied())
+        .result(Type::Token)
+        .region(region_args)
+        .push();
     let body_block = b.body().op_region_entry_block(built.id, 0);
     let buffer_views = b.body().block_args(body_block).to_vec();
     Launch {
@@ -198,18 +195,17 @@ pub fn launch(b: &mut OpBuilder<'_>, wg: ValueId, buffers: &[ValueId]) -> Launch
 
 /// Builds `cnm.wait` on the given tokens.
 pub fn wait(b: &mut OpBuilder<'_>, tokens: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(WAIT).operands(tokens.iter().copied()))
-        .id
+    b.op(WAIT).operands(tokens.iter().copied()).push().id
 }
 
 /// Builds the `cnm.terminator` of a launch region.
 pub fn terminator(b: &mut OpBuilder<'_>) -> OpId {
-    b.push(OpSpec::new(TERMINATOR)).id
+    b.op(TERMINATOR).push().id
 }
 
 /// Builds `cnm.free_workgroup %wg`.
 pub fn free_workgroup(b: &mut OpBuilder<'_>, wg: ValueId) -> OpId {
-    b.push(OpSpec::new(FREE_WORKGROUP).operand(wg)).id
+    b.op(FREE_WORKGROUP).operand(wg).push().id
 }
 
 #[cfg(test)]

@@ -25,23 +25,21 @@ pub fn register(registry: &mut DialectRegistry) {
 
 /// Builds a `func.return`.
 pub fn ret(b: &mut OpBuilder<'_>, values: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(RETURN).operands(values.iter().copied()))
-        .id
+    b.op(RETURN).operands(values.iter().copied()).push().id
 }
 
 /// Builds a `func.call` to `callee` returning values of `result_types`.
 pub fn call(
     b: &mut OpBuilder<'_>,
-    callee: &str,
+    callee: &'static str,
     args: &[ValueId],
     result_types: Vec<Type>,
 ) -> BuiltOp {
-    b.push(
-        OpSpec::new(CALL)
-            .operands(args.iter().copied())
-            .results(result_types)
-            .attr("callee", callee),
-    )
+    b.op(CALL)
+        .operands(args.iter().copied())
+        .results(result_types)
+        .attr("callee", callee)
+        .push()
 }
 
 #[cfg(test)]

@@ -75,10 +75,10 @@ pub fn register(registry: &mut DialectRegistry) {
     registry.add_table(OPS);
 }
 
-fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
+fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Shape, ScalarType) {
     let ty = b.body().value_type(v);
     (
-        ty.shape().expect("linalg operand must be shaped").to_vec(),
+        Shape::new(ty.shape().expect("linalg operand must be shaped")),
         ty.element_type().expect("shaped type has an element type"),
     )
 }
@@ -95,13 +95,12 @@ pub fn matmul(b: &mut OpBuilder<'_>, a: ValueId, rhs: ValueId, init: ValueId) ->
     assert_eq!(sa.len(), 2, "matmul lhs must be 2-D");
     assert_eq!(sb.len(), 2, "matmul rhs must be 2-D");
     assert_eq!(sa[1], sb[0], "matmul inner dimensions must agree");
-    assert_eq!(sc, vec![sa[0], sb[1]], "matmul init shape mismatch");
-    b.push(
-        OpSpec::new(MATMUL)
-            .operands([a, rhs, init])
-            .result(Type::tensor(&[sa[0], sb[1]], ea)),
-    )
-    .result()
+    assert_eq!(sc[..], [sa[0], sb[1]], "matmul init shape mismatch");
+    b.op(MATMUL)
+        .operands([a, rhs, init])
+        .result(Type::tensor(&[sa[0], sb[1]], ea))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.matvec %a, %x outs(%y)`.
@@ -115,12 +114,11 @@ pub fn matvec(b: &mut OpBuilder<'_>, a: ValueId, x: ValueId, init: ValueId) -> V
     assert_eq!(sa.len(), 2, "matvec matrix must be 2-D");
     assert_eq!(sx.len(), 1, "matvec vector must be 1-D");
     assert_eq!(sa[1], sx[0], "matvec inner dimensions must agree");
-    b.push(
-        OpSpec::new(MATVEC)
-            .operands([a, x, init])
-            .result(Type::tensor(&[sa[0]], ea)),
-    )
-    .result()
+    b.op(MATVEC)
+        .operands([a, x, init])
+        .result(Type::tensor(&[sa[0]], ea))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.conv_2d_nhwc_hwcf %img, %filter outs(%init)`.
@@ -138,34 +136,32 @@ pub fn conv_2d_nhwc_hwcf(
     assert_eq!(si.len(), 4, "conv image must be N×H×W×C");
     assert_eq!(sf.len(), 4, "conv filter must be KH×KW×C×F");
     assert_eq!(si[3], sf[2], "conv channel dimensions must agree");
-    let out = vec![si[0], si[1] - sf[0] + 1, si[2] - sf[1] + 1, sf[3]];
+    let out = [si[0], si[1] - sf[0] + 1, si[2] - sf[1] + 1, sf[3]];
     let (sc, _) = shaped(b, init);
-    assert_eq!(sc, out, "conv init shape mismatch");
-    b.push(
-        OpSpec::new(CONV_2D_NHWC_HWCF)
-            .operands([img, filter, init])
-            .result(Type::tensor(&out, ei)),
-    )
-    .result()
+    assert_eq!(sc[..], out, "conv init shape mismatch");
+    b.op(CONV_2D_NHWC_HWCF)
+        .operands([img, filter, init])
+        .result(Type::tensor(&out, ei))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.contract` for the einsum `spec` (e.g. `"aebf,dfce->abcd"`),
 /// with an explicitly provided result shape.
 pub fn contract(
     b: &mut OpBuilder<'_>,
-    spec: &str,
+    spec: &'static str,
     a: ValueId,
     rhs: ValueId,
     result_shape: &[i64],
 ) -> ValueId {
     let (_, ea) = shaped(b, a);
-    b.push(
-        OpSpec::new(CONTRACT)
-            .operands([a, rhs])
-            .attr("einsum", spec)
-            .result(Type::tensor(result_shape, ea)),
-    )
-    .result()
+    b.op(CONTRACT)
+        .operands([a, rhs])
+        .attr("einsum", spec)
+        .result(Type::tensor(result_shape, ea))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.elemwise_binary` with the given function name.
@@ -173,7 +169,12 @@ pub fn contract(
 /// # Panics
 ///
 /// Panics if `fun` is not in [`ELEMWISE_FUNS`] or the shapes differ.
-pub fn elemwise_binary(b: &mut OpBuilder<'_>, fun: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
+pub fn elemwise_binary(
+    b: &mut OpBuilder<'_>,
+    fun: &'static str,
+    lhs: ValueId,
+    rhs: ValueId,
+) -> ValueId {
     assert!(
         ELEMWISE_FUNS.contains(&fun),
         "'{fun}' is not a supported element-wise function"
@@ -181,59 +182,64 @@ pub fn elemwise_binary(b: &mut OpBuilder<'_>, fun: &str, lhs: ValueId, rhs: Valu
     let (sl, el) = shaped(b, lhs);
     let (sr, _) = shaped(b, rhs);
     assert_eq!(sl, sr, "element-wise operands must have identical shapes");
-    b.push(
-        OpSpec::new(ELEMWISE_BINARY)
-            .operands([lhs, rhs])
-            .attr("fun", fun)
-            .result(Type::tensor(&sl, el)),
-    )
-    .result()
+    b.op(ELEMWISE_BINARY)
+        .operands([lhs, rhs])
+        .attr("fun", fun)
+        .result(Type::tensor(&sl, el))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.fill` of `init` with constant `value`.
 pub fn fill(b: &mut OpBuilder<'_>, value: i64, init: ValueId) -> ValueId {
-    let ty = b.body().value_type(init).clone();
-    b.push(
-        OpSpec::new(FILL)
-            .operand(init)
-            .attr("value", value)
-            .result(ty),
-    )
-    .result()
+    let ty = *b.body().value_type(init);
+    b.op(FILL)
+        .operand(init)
+        .attr("value", value)
+        .result(ty)
+        .push()
+        .result()
 }
 
 /// Builds `linalg.transpose` with the given permutation.
 pub fn transpose(b: &mut OpBuilder<'_>, input: ValueId, permutation: &[i64]) -> ValueId {
     let (s, e) = shaped(b, input);
     assert_eq!(s.len(), permutation.len(), "permutation rank mismatch");
-    let out: Vec<i64> = permutation.iter().map(|&p| s[p as usize]).collect();
-    b.push(
-        OpSpec::new(TRANSPOSE)
-            .operand(input)
-            .attr("permutation", permutation.to_vec())
-            .result(Type::tensor(&out, e)),
-    )
-    .result()
+    let mut out = s;
+    for (d, &p) in out.iter_mut().zip(permutation) {
+        *d = s[p as usize];
+    }
+    b.op(TRANSPOSE)
+        .operand(input)
+        .attr("permutation", permutation)
+        .result(Type::tensor(&out, e))
+        .push()
+        .result()
 }
 
 /// Builds `linalg.reduce` over the given dimensions.
-pub fn reduce(b: &mut OpBuilder<'_>, fun: &str, input: ValueId, dimensions: &[i64]) -> ValueId {
+pub fn reduce(
+    b: &mut OpBuilder<'_>,
+    fun: &'static str,
+    input: ValueId,
+    dimensions: &[i64],
+) -> ValueId {
     let (s, e) = shaped(b, input);
-    let out: Vec<i64> = s
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dimensions.contains(&(*i as i64)))
-        .map(|(_, &d)| d)
-        .collect();
-    let result_shape = if out.is_empty() { vec![1] } else { out };
-    b.push(
-        OpSpec::new(REDUCE)
-            .operand(input)
-            .attr("fun", fun)
-            .attr("dimensions", dimensions.to_vec())
-            .result(Type::tensor(&result_shape, e)),
-    )
-    .result()
+    let (mut kept, mut rank) = (s, 0);
+    for (i, &d) in s.iter().enumerate() {
+        if !dimensions.contains(&(i as i64)) {
+            kept[rank] = d;
+            rank += 1;
+        }
+    }
+    let result_shape = if rank == 0 { &[1][..] } else { &kept[..rank] };
+    b.op(REDUCE)
+        .operand(input)
+        .attr("fun", fun)
+        .attr("dimensions", dimensions)
+        .result(Type::tensor(result_shape, e))
+        .push()
+        .result()
 }
 
 #[cfg(test)]
@@ -243,10 +249,7 @@ mod tests {
     fn func_with_tensors(shapes: &[&[i64]]) -> Func {
         Func::new(
             "t",
-            shapes
-                .iter()
-                .map(|s| Type::tensor(s, ScalarType::I32))
-                .collect(),
+            shapes.iter().map(|s| Type::tensor(s, ScalarType::I32)),
             vec![],
         )
     }

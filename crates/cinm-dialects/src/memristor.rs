@@ -82,17 +82,16 @@ pub fn configure(
     tile_rows: i64,
     tile_cols: i64,
     num_tiles: i64,
-    write_mode: &str,
+    write_mode: &'static str,
 ) -> ValueId {
-    b.push(
-        OpSpec::new(CONFIGURE)
-            .attr("tile_rows", tile_rows)
-            .attr("tile_cols", tile_cols)
-            .attr("num_tiles", num_tiles)
-            .attr("write_mode", write_mode)
-            .result(Type::CimDeviceId),
-    )
-    .result()
+    b.op(CONFIGURE)
+        .attr("tile_rows", tile_rows)
+        .attr("tile_cols", tile_cols)
+        .attr("num_tiles", num_tiles)
+        .attr("write_mode", write_mode)
+        .result(Type::CimDeviceId)
+        .push()
+        .result()
 }
 
 /// Builds `memristor.write_to_crossbar %device, %matrix_tile {tile}`.
@@ -102,12 +101,11 @@ pub fn write_to_crossbar(
     matrix: ValueId,
     tile: i64,
 ) -> OpId {
-    b.push(
-        OpSpec::new(WRITE_TO_CROSSBAR)
-            .operands([device, matrix])
-            .attr("tile", tile),
-    )
-    .id
+    b.op(WRITE_TO_CROSSBAR)
+        .operands([device, matrix])
+        .attr("tile", tile)
+        .push()
+        .id
 }
 
 /// Builds `memristor.gemm_tile %device, %input {tile}` returning the
@@ -124,13 +122,12 @@ pub fn gemm_tile(
         .value_type(input)
         .element_type()
         .expect("gemm_tile input must be shaped");
-    b.push(
-        OpSpec::new(GEMM_TILE)
-            .operands([device, input])
-            .attr("tile", tile)
-            .result(Type::tensor(result_shape, elem)),
-    )
-    .result()
+    b.op(GEMM_TILE)
+        .operands([device, input])
+        .attr("tile", tile)
+        .result(Type::tensor(result_shape, elem))
+        .push()
+        .result()
 }
 
 /// Builds `memristor.gevm_tile %device, %input {tile}`.
@@ -146,35 +143,38 @@ pub fn gevm_tile(
         .value_type(input)
         .element_type()
         .expect("gevm_tile input must be shaped");
-    b.push(
-        OpSpec::new(GEVM_TILE)
-            .operands([device, input])
-            .attr("tile", tile)
-            .result(Type::tensor(&[result_len], elem)),
-    )
-    .result()
+    b.op(GEVM_TILE)
+        .operands([device, input])
+        .attr("tile", tile)
+        .result(Type::tensor(&[result_len], elem))
+        .push()
+        .result()
 }
 
 /// Builds `memristor.merge_partial #op (%acc, %partial)`.
-pub fn merge_partial(b: &mut OpBuilder<'_>, op: &str, acc: ValueId, partial: ValueId) -> ValueId {
-    let ty = b.body().value_type(acc).clone();
-    b.push(
-        OpSpec::new(MERGE_PARTIAL)
-            .operands([acc, partial])
-            .attr("op", op)
-            .result(ty),
-    )
-    .result()
+pub fn merge_partial(
+    b: &mut OpBuilder<'_>,
+    op: &'static str,
+    acc: ValueId,
+    partial: ValueId,
+) -> ValueId {
+    let ty = *b.body().value_type(acc);
+    b.op(MERGE_PARTIAL)
+        .operands([acc, partial])
+        .attr("op", op)
+        .result(ty)
+        .push()
+        .result()
 }
 
 /// Builds `memristor.barrier %device`.
 pub fn barrier(b: &mut OpBuilder<'_>, device: ValueId) -> OpId {
-    b.push(OpSpec::new(BARRIER).operand(device)).id
+    b.op(BARRIER).operand(device).push().id
 }
 
 /// Builds `memristor.release %device`.
 pub fn release(b: &mut OpBuilder<'_>, device: ValueId) -> OpId {
-    b.push(OpSpec::new(RELEASE).operand(device)).id
+    b.op(RELEASE).operand(device).push().id
 }
 
 #[cfg(test)]
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn tiled_gemm_sequence_builds_and_verifies() {
         let t = Type::tensor(&[64, 64], ScalarType::I32);
-        let mut f = Func::new("xbar_gemm", vec![t.clone(), t.clone()], vec![]);
+        let mut f = Func::new("xbar_gemm", vec![t, t], vec![]);
         let (a, b_mat) = (f.argument(0), f.argument(1));
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);

@@ -49,7 +49,7 @@ pub struct ForLoop {
     /// Iteration-carried arguments inside the body.
     pub iter_args: Vec<ValueId>,
     /// Results of the loop (final iter arg values).
-    pub results: Vec<ValueId>,
+    pub results: IdRange<ValueId>,
 }
 
 /// Builds an `scf.for %iv = %lower to %upper step %step iter_args(...)`.
@@ -63,20 +63,14 @@ pub fn for_loop(
     step: ValueId,
     init_args: &[ValueId],
 ) -> ForLoop {
-    let iter_types: Vec<Type> = init_args
-        .iter()
-        .map(|v| b.body().value_type(*v).clone())
-        .collect();
-    let mut region_args = vec![Type::index()];
-    region_args.extend(iter_types.iter().cloned());
-    let mut operands = vec![lower, upper, step];
-    operands.extend_from_slice(init_args);
-    let built = b.push(
-        OpSpec::new(FOR)
-            .operands(operands)
-            .results(iter_types)
-            .region(region_args),
-    );
+    let iter_types: Vec<Type> = init_args.iter().map(|&v| *b.body().value_type(v)).collect();
+    let built = b
+        .op(FOR)
+        .operands([lower, upper, step])
+        .operands(init_args.iter().copied())
+        .results(iter_types.iter().copied())
+        .region(std::iter::once(Type::index()).chain(iter_types.iter().copied()))
+        .push();
     let body_block = b.body().op_region_entry_block(built.id, 0);
     let args = b.body().block_args(body_block).to_vec();
     ForLoop {
@@ -84,14 +78,13 @@ pub fn for_loop(
         body_block,
         induction_var: args[0],
         iter_args: args[1..].to_vec(),
-        results: b.body().op(built.id).results.clone(),
+        results: b.body().op(built.id).results,
     }
 }
 
 /// Builds the `scf.yield` terminator.
 pub fn yield_values(b: &mut OpBuilder<'_>, values: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(YIELD).operands(values.iter().copied()))
-        .id
+    b.op(YIELD).operands(values.iter().copied()).push().id
 }
 
 #[cfg(test)]

@@ -51,18 +51,19 @@ pub fn register(registry: &mut DialectRegistry) {
 
 /// Builds a `tensor.empty` of the given shape.
 pub fn empty(b: &mut OpBuilder<'_>, shape: &[i64], elem: ScalarType) -> ValueId {
-    b.push(OpSpec::new(EMPTY).result(Type::tensor(shape, elem)))
+    b.op(EMPTY)
+        .result(Type::tensor(shape, elem))
+        .push()
         .result()
 }
 
 /// Builds a `tensor.splat` filled with `value`.
 pub fn splat(b: &mut OpBuilder<'_>, value: i64, shape: &[i64], elem: ScalarType) -> ValueId {
-    b.push(
-        OpSpec::new(SPLAT)
-            .attr("value", value)
-            .result(Type::tensor(shape, elem)),
-    )
-    .result()
+    b.op(SPLAT)
+        .attr("value", value)
+        .result(Type::tensor(shape, elem))
+        .push()
+        .result()
 }
 
 /// Builds a static `tensor.extract_slice`.
@@ -76,7 +77,7 @@ pub fn extract_slice(
     offsets: &[i64],
     sizes: &[i64],
 ) -> ValueId {
-    let src_ty = b.body().value_type(source).clone();
+    let src_ty = *b.body().value_type(source);
     let shape = src_ty.shape().expect("extract_slice source must be shaped");
     assert_eq!(shape.len(), offsets.len(), "offsets rank mismatch");
     assert_eq!(shape.len(), sizes.len(), "sizes rank mismatch");
@@ -87,14 +88,13 @@ pub fn extract_slice(
         );
     }
     let elem = src_ty.element_type().expect("shaped type has element type");
-    b.push(
-        OpSpec::new(EXTRACT_SLICE)
-            .operand(source)
-            .attr("offsets", offsets.to_vec())
-            .attr("sizes", sizes.to_vec())
-            .result(Type::tensor(sizes, elem)),
-    )
-    .result()
+    b.op(EXTRACT_SLICE)
+        .operand(source)
+        .attr("offsets", offsets)
+        .attr("sizes", sizes)
+        .result(Type::tensor(sizes, elem))
+        .push()
+        .result()
 }
 
 /// Builds a static `tensor.insert_slice` of `slice` into `dest`.
@@ -105,15 +105,14 @@ pub fn insert_slice(
     offsets: &[i64],
     sizes: &[i64],
 ) -> ValueId {
-    let dest_ty = b.body().value_type(dest).clone();
-    b.push(
-        OpSpec::new(INSERT_SLICE)
-            .operands([slice, dest])
-            .attr("offsets", offsets.to_vec())
-            .attr("sizes", sizes.to_vec())
-            .result(dest_ty),
-    )
-    .result()
+    let dest_ty = *b.body().value_type(dest);
+    b.op(INSERT_SLICE)
+        .operands([slice, dest])
+        .attr("offsets", offsets)
+        .attr("sizes", sizes)
+        .result(dest_ty)
+        .push()
+        .result()
 }
 
 /// Builds a `tensor.collapse_shape` to the given result shape.
@@ -140,7 +139,7 @@ fn reshape(
     source: ValueId,
     result_shape: &[i64],
 ) -> ValueId {
-    let src_ty = b.body().value_type(source).clone();
+    let src_ty = *b.body().value_type(source);
     let elem = src_ty
         .element_type()
         .expect("reshape source must be shaped");
@@ -149,17 +148,16 @@ fn reshape(
         result_shape.iter().product::<i64>(),
         "reshape must preserve the number of elements"
     );
-    b.push(
-        OpSpec::new(op)
-            .operand(source)
-            .result(Type::tensor(result_shape, elem)),
-    )
-    .result()
+    b.op(op)
+        .operand(source)
+        .result(Type::tensor(result_shape, elem))
+        .push()
+        .result()
 }
 
 /// Builds a `tensor.pad` with per-dimension low/high padding.
 pub fn pad(b: &mut OpBuilder<'_>, source: ValueId, low: &[i64], high: &[i64]) -> ValueId {
-    let src_ty = b.body().value_type(source).clone();
+    let src_ty = *b.body().value_type(source);
     let shape = src_ty.shape().expect("pad source must be shaped");
     assert_eq!(shape.len(), low.len());
     assert_eq!(shape.len(), high.len());
@@ -169,14 +167,13 @@ pub fn pad(b: &mut OpBuilder<'_>, source: ValueId, low: &[i64], high: &[i64]) ->
         .map(|(&d, (&l, &h))| d + l + h)
         .collect();
     let elem = src_ty.element_type().unwrap();
-    b.push(
-        OpSpec::new(PAD)
-            .operand(source)
-            .attr("low", low.to_vec())
-            .attr("high", high.to_vec())
-            .result(Type::tensor(&new_shape, elem)),
-    )
-    .result()
+    b.op(PAD)
+        .operand(source)
+        .attr("low", low)
+        .attr("high", high)
+        .result(Type::tensor(&new_shape, elem))
+        .push()
+        .result()
 }
 
 #[cfg(test)]

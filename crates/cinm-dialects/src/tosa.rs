@@ -35,10 +35,10 @@ pub fn register(registry: &mut DialectRegistry) {
     registry.add_table(OPS);
 }
 
-fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
+fn shaped(b: &OpBuilder<'_>, v: ValueId) -> (Shape, ScalarType) {
     let ty = b.body().value_type(v);
     (
-        ty.shape().expect("tosa operand must be shaped").to_vec(),
+        Shape::new(ty.shape().expect("tosa operand must be shaped")),
         ty.element_type().expect("shaped type has an element type"),
     )
 }
@@ -59,13 +59,12 @@ pub fn fully_connected(
     assert_eq!(si.len(), 2, "fully_connected input must be 2-D");
     assert_eq!(sw.len(), 2, "fully_connected weight must be 2-D");
     assert_eq!(si[1], sw[1], "input feature dim must match weight");
-    assert_eq!(sb, vec![sw[0]], "bias must match the output features");
-    b.push(
-        OpSpec::new(FULLY_CONNECTED)
-            .operands([input, weight, bias])
-            .result(Type::tensor(&[si[0], sw[0]], ei)),
-    )
-    .result()
+    assert_eq!(sb[..], [sw[0]], "bias must match the output features");
+    b.op(FULLY_CONNECTED)
+        .operands([input, weight, bias])
+        .result(Type::tensor(&[si[0], sw[0]], ei))
+        .push()
+        .result()
 }
 
 /// Builds `tosa.matmul %a, %b` on 2-D tensors.
@@ -73,12 +72,11 @@ pub fn matmul(b: &mut OpBuilder<'_>, a: ValueId, rhs: ValueId) -> ValueId {
     let (sa, ea) = shaped(b, a);
     let (sb, _) = shaped(b, rhs);
     assert_eq!(sa[1], sb[0], "matmul inner dimensions must agree");
-    b.push(
-        OpSpec::new(MATMUL)
-            .operands([a, rhs])
-            .result(Type::tensor(&[sa[0], sb[1]], ea)),
-    )
-    .result()
+    b.op(MATMUL)
+        .operands([a, rhs])
+        .result(Type::tensor(&[sa[0], sb[1]], ea))
+        .push()
+        .result()
 }
 
 /// Builds `tosa.add %a, %b` (element-wise, equal shapes).
@@ -86,25 +84,23 @@ pub fn add(b: &mut OpBuilder<'_>, lhs: ValueId, rhs: ValueId) -> ValueId {
     let (sl, el) = shaped(b, lhs);
     let (sr, _) = shaped(b, rhs);
     assert_eq!(sl, sr, "tosa.add operands must have identical shapes");
-    b.push(
-        OpSpec::new(ADD)
-            .operands([lhs, rhs])
-            .result(Type::tensor(&sl, el)),
-    )
-    .result()
+    b.op(ADD)
+        .operands([lhs, rhs])
+        .result(Type::tensor(&sl, el))
+        .push()
+        .result()
 }
 
 /// Builds `tosa.clamp` with integer bounds.
 pub fn clamp(b: &mut OpBuilder<'_>, input: ValueId, min: i64, max: i64) -> ValueId {
-    let ty = b.body().value_type(input).clone();
-    b.push(
-        OpSpec::new(CLAMP)
-            .operand(input)
-            .attr("min", min)
-            .attr("max", max)
-            .result(ty),
-    )
-    .result()
+    let ty = *b.body().value_type(input);
+    b.op(CLAMP)
+        .operand(input)
+        .attr("min", min)
+        .attr("max", max)
+        .result(ty)
+        .push()
+        .result()
 }
 
 #[cfg(test)]

@@ -129,14 +129,13 @@ pub fn register(registry: &mut DialectRegistry) {
 /// Builds `upmem.alloc_dpus` and returns the DPU-grid value
 /// (`!cnm.workgroup<num_dpus x tasklets>`).
 pub fn alloc_dpus(b: &mut OpBuilder<'_>, ranks: i64, dpus_per_rank: i64, tasklets: i64) -> ValueId {
-    b.push(
-        OpSpec::new(ALLOC_DPUS)
-            .attr("ranks", ranks)
-            .attr("dpus_per_rank", dpus_per_rank)
-            .attr("tasklets", tasklets)
-            .result(Type::cnm_workgroup(&[ranks * dpus_per_rank, tasklets])),
-    )
-    .result()
+    b.op(ALLOC_DPUS)
+        .attr("ranks", ranks)
+        .attr("dpus_per_rank", dpus_per_rank)
+        .attr("tasklets", tasklets)
+        .result(Type::cnm_workgroup(&[ranks * dpus_per_rank, tasklets]))
+        .push()
+        .result()
 }
 
 /// Builds `upmem.alloc_mram` of a per-DPU MRAM slice.
@@ -146,12 +145,11 @@ pub fn alloc_mram(
     shape: &[i64],
     elem: ScalarType,
 ) -> ValueId {
-    b.push(
-        OpSpec::new(ALLOC_MRAM)
-            .operand(grid)
-            .result(Type::memref_in(shape, elem, MemorySpace::Mram)),
-    )
-    .result()
+    b.op(ALLOC_MRAM)
+        .operand(grid)
+        .result(Type::memref_in(shape, elem, MemorySpace::Mram))
+        .push()
+        .result()
 }
 
 /// Builds `upmem.scatter %tensor into %mram of %grid`, returning a token.
@@ -162,13 +160,12 @@ pub fn scatter(
     grid: ValueId,
     map: AffineMap,
 ) -> ValueId {
-    b.push(
-        OpSpec::new(SCATTER)
-            .operands([tensor, mram, grid])
-            .attr("scatter_map", map)
-            .result(Type::Token),
-    )
-    .result()
+    b.op(SCATTER)
+        .operands([tensor, mram, grid])
+        .attr("scatter_map", map)
+        .result(Type::Token)
+        .push()
+        .result()
 }
 
 /// Builds `upmem.gather %mram of %grid`, returning `(tensor, token)`.
@@ -184,13 +181,13 @@ pub fn gather(
         .value_type(mram)
         .element_type()
         .expect("gather source must be shaped");
-    let built = b.push(
-        OpSpec::new(GATHER)
-            .operands([mram, grid])
-            .attr("scatter_map", map)
-            .result(Type::tensor(result_shape, elem))
-            .result(Type::Token),
-    );
+    let built = b
+        .op(GATHER)
+        .operands([mram, grid])
+        .attr("scatter_map", map)
+        .result(Type::tensor(result_shape, elem))
+        .result(Type::Token)
+        .push();
     (built.result_at(0), built.result_at(1))
 }
 
@@ -213,23 +210,22 @@ pub fn launch(
     b: &mut OpBuilder<'_>,
     grid: ValueId,
     mram_buffers: &[ValueId],
-    kernel: &str,
+    kernel: &'static str,
     tasklets: i64,
 ) -> Launch {
     let region_args: Vec<Type> = mram_buffers
         .iter()
-        .map(|v| b.body().value_type(*v).clone())
+        .map(|v| *b.body().value_type(*v))
         .collect();
-    let mut operands = vec![grid];
-    operands.extend_from_slice(mram_buffers);
-    let built = b.push(
-        OpSpec::new(LAUNCH)
-            .operands(operands)
-            .attr("kernel", kernel)
-            .attr("tasklets", tasklets)
-            .result(Type::Token)
-            .region(region_args),
-    );
+    let built = b
+        .op(LAUNCH)
+        .operand(grid)
+        .operands(mram_buffers.iter().copied())
+        .attr("kernel", kernel)
+        .attr("tasklets", tasklets)
+        .result(Type::Token)
+        .region(region_args)
+        .push();
     let body_block = b.body().op_region_entry_block(built.id, 0);
     let mram_views = b.body().block_args(body_block).to_vec();
     Launch {
@@ -242,25 +238,25 @@ pub fn launch(
 
 /// Builds `upmem.wait` on tokens.
 pub fn wait(b: &mut OpBuilder<'_>, tokens: &[ValueId]) -> OpId {
-    b.push(OpSpec::new(WAIT).operands(tokens.iter().copied()))
-        .id
+    b.op(WAIT).operands(tokens.iter().copied()).push().id
 }
 
 /// Builds `upmem.free_dpus %grid`.
 pub fn free_dpus(b: &mut OpBuilder<'_>, grid: ValueId) -> OpId {
-    b.push(OpSpec::new(FREE_DPUS).operand(grid)).id
+    b.op(FREE_DPUS).operand(grid).push().id
 }
 
 /// Builds `upmem.wram_alloc` of a WRAM scratchpad buffer.
 pub fn wram_alloc(b: &mut OpBuilder<'_>, shape: &[i64], elem: ScalarType) -> ValueId {
-    b.push(OpSpec::new(WRAM_ALLOC).result(Type::memref_in(shape, elem, MemorySpace::Wram)))
+    b.op(WRAM_ALLOC)
+        .result(Type::memref_in(shape, elem, MemorySpace::Wram))
+        .push()
         .result()
 }
 
 /// Builds `upmem.tasklet_id`.
 pub fn tasklet_id(b: &mut OpBuilder<'_>) -> ValueId {
-    b.push(OpSpec::new(TASKLET_ID).result(Type::index()))
-        .result()
+    b.op(TASKLET_ID).result(Type::index()).push().result()
 }
 
 /// Builds `upmem.mram_read %mram[%offset] -> %wram` moving `bytes` bytes.
@@ -271,12 +267,11 @@ pub fn mram_read(
     offset: ValueId,
     bytes: i64,
 ) -> OpId {
-    b.push(
-        OpSpec::new(MRAM_READ)
-            .operands([mram, wram, offset])
-            .attr("bytes", bytes),
-    )
-    .id
+    b.op(MRAM_READ)
+        .operands([mram, wram, offset])
+        .attr("bytes", bytes)
+        .push()
+        .id
 }
 
 /// Builds `upmem.mram_write %wram -> %mram[%offset]` moving `bytes` bytes.
@@ -287,44 +282,41 @@ pub fn mram_write(
     offset: ValueId,
     bytes: i64,
 ) -> OpId {
-    b.push(
-        OpSpec::new(MRAM_WRITE)
-            .operands([wram, mram, offset])
-            .attr("bytes", bytes),
-    )
-    .id
+    b.op(MRAM_WRITE)
+        .operands([wram, mram, offset])
+        .attr("bytes", bytes)
+        .push()
+        .id
 }
 
 /// Builds `upmem.dot_product %a, %b into %acc`.
 pub fn dot_product(b: &mut OpBuilder<'_>, a: ValueId, rhs: ValueId, acc: ValueId) -> OpId {
-    b.push(OpSpec::new(DOT_PRODUCT).operands([a, rhs, acc])).id
+    b.op(DOT_PRODUCT).operands([a, rhs, acc]).push().id
 }
 
 /// Builds `upmem.vector_op #kind %a, %b into %out`.
 pub fn vector_op(
     b: &mut OpBuilder<'_>,
-    kind: &str,
+    kind: &'static str,
     a: ValueId,
     rhs: ValueId,
     out: ValueId,
 ) -> OpId {
-    b.push(
-        OpSpec::new(VECTOR_OP)
-            .operands([a, rhs, out])
-            .attr("kind", kind),
-    )
-    .id
+    b.op(VECTOR_OP)
+        .operands([a, rhs, out])
+        .attr("kind", kind)
+        .push()
+        .id
 }
 
 /// Builds `upmem.barrier_wait` on the named barrier.
-pub fn barrier_wait(b: &mut OpBuilder<'_>, barrier: &str) -> OpId {
-    b.push(OpSpec::new(BARRIER_WAIT).attr("barrier", barrier))
-        .id
+pub fn barrier_wait(b: &mut OpBuilder<'_>, barrier: &'static str) -> OpId {
+    b.op(BARRIER_WAIT).attr("barrier", barrier).push().id
 }
 
 /// Builds the launch-region terminator.
 pub fn terminator(b: &mut OpBuilder<'_>) -> OpId {
-    b.push(OpSpec::new(TERMINATOR)).id
+    b.op(TERMINATOR).push().id
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
 //! Compile-time attributes attached to operations.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::affine::AffineMap;
-use crate::types::Type;
+use crate::types::{Shape, Type};
 
 /// A compile-time constant attached to an operation under a string key.
+///
+/// Only `Map`, `DenseInt` and a `Str` built from a `String` own heap memory:
+/// a string literal is borrowed for `'static`, an integer array is inline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Attribute {
     /// A unit attribute (presence-only flag).
@@ -16,20 +20,21 @@ pub enum Attribute {
     Int(i64),
     /// A 64-bit float.
     Float(f64),
-    /// A string.
-    Str(String),
+    /// A string: borrowed when it is a literal, owned when it was computed.
+    Str(Cow<'static, str>),
     /// A type attribute.
     TypeAttr(Type),
-    /// An array of integers (e.g. tile sizes, workgroup shapes, permutations).
-    IntArray(Vec<i64>),
+    /// An array of at most [`MAX_RANK`](crate::types::MAX_RANK) integers
+    /// (e.g. tile sizes, workgroup shapes, permutations).
+    IntArray(Shape),
     /// An array of strings (e.g. `cnm.physical_dims = ["dpu", "thread"]`).
-    StrArray(Vec<String>),
+    StrArray(&'static [&'static str]),
     /// An affine map (e.g. scatter/gather maps).
     Map(AffineMap),
     /// A dense constant of 64-bit integers with a shape (splat or full).
     DenseInt {
         /// Shape of the constant.
-        shape: Vec<i64>,
+        shape: Shape,
         /// Row-major values; a single element means a splat.
         values: Vec<i64>,
     },
@@ -71,13 +76,13 @@ impl Attribute {
     /// Returns the integer-array payload if this is an [`Attribute::IntArray`].
     pub fn as_int_array(&self) -> Option<&[i64]> {
         match self {
-            Attribute::IntArray(v) => Some(v),
+            Attribute::IntArray(v) => Some(&v[..]),
             _ => None,
         }
     }
 
     /// Returns the string-array payload if this is an [`Attribute::StrArray`].
-    pub fn as_str_array(&self) -> Option<&[String]> {
+    pub fn as_str_array(&self) -> Option<&'static [&'static str]> {
         match self {
             Attribute::StrArray(v) => Some(v),
             _ => None,
@@ -119,21 +124,27 @@ impl From<f64> for Attribute {
     }
 }
 
-impl From<&str> for Attribute {
-    fn from(value: &str) -> Self {
-        Attribute::Str(value.to_string())
+impl From<&'static str> for Attribute {
+    fn from(value: &'static str) -> Self {
+        Attribute::Str(Cow::Borrowed(value))
     }
 }
 
 impl From<String> for Attribute {
     fn from(value: String) -> Self {
-        Attribute::Str(value)
+        Attribute::Str(Cow::Owned(value))
     }
 }
 
-impl From<Vec<i64>> for Attribute {
-    fn from(value: Vec<i64>) -> Self {
-        Attribute::IntArray(value)
+impl From<&[i64]> for Attribute {
+    fn from(value: &[i64]) -> Self {
+        Attribute::IntArray(Shape::new(value))
+    }
+}
+
+impl<const N: usize> From<[i64; N]> for Attribute {
+    fn from(value: [i64; N]) -> Self {
+        Attribute::IntArray(Shape::new(&value))
     }
 }
 
@@ -172,26 +183,12 @@ impl AttrMap {
 
     /// Sets `key` to `value`; returns the value it replaces, if any.
     pub fn insert(&mut self, key: &'static str, value: Attribute) -> Option<Attribute> {
-        match self.entries.binary_search_by(|(k, _)| (*k).cmp(key)) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            Err(i) => {
-                self.entries.insert(i, (key, value));
-                None
-            }
-        }
+        insert_sorted(&mut self.entries, 0, key, value)
     }
 
     /// Looks up an attribute by key.
-    ///
-    /// A scan, not a search: an op has a handful of attributes, and string
-    /// equality rejects a key of another length without reading it; the same
-    /// `'static` string (the usual case: a dialect `const` on both sides) is
-    /// accepted by address.
     pub fn get(&self, key: &str) -> Option<&Attribute> {
-        self.entries
-            .iter()
-            .find(|(k, _)| std::ptr::eq(*k, key) || *k == key)
-            .map(|(_, v)| v)
+        lookup(&self.entries, key)
     }
 
     /// Whether an attribute with this key is present.
@@ -212,6 +209,39 @@ impl AttrMap {
     /// Whether the map holds no attribute.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The value of `key` in a list sorted by key.
+///
+/// A scan, not a search: an op has a handful of attributes, and string
+/// equality rejects a key of another length without reading it; the same
+/// `'static` string (the usual case: a dialect `const` on both sides) is
+/// accepted by address.
+pub(crate) fn lookup<'a>(
+    entries: &'a [(&'static str, Attribute)],
+    key: &str,
+) -> Option<&'a Attribute> {
+    entries
+        .iter()
+        .find(|(k, _)| std::ptr::eq(*k, key) || *k == key)
+        .map(|(_, v)| v)
+}
+
+/// Sets `key` to `value` in `entries[from..]`, a list sorted by key that
+/// ends `entries`; returns the value it replaces, if any.
+pub(crate) fn insert_sorted(
+    entries: &mut Vec<(&'static str, Attribute)>,
+    from: usize,
+    key: &'static str,
+    value: Attribute,
+) -> Option<Attribute> {
+    match entries[from..].binary_search_by(|(k, _)| (*k).cmp(key)) {
+        Ok(i) => Some(std::mem::replace(&mut entries[from + i].1, value)),
+        Err(i) => {
+            entries.insert(from + i, (key, value));
+            None
+        }
     }
 }
 
@@ -252,7 +282,7 @@ impl fmt::Display for Attribute {
                     write!(f, "dense<[..{} values..]> : ", values.len())?;
                 }
                 write!(f, "tensor<")?;
-                for d in shape {
+                for d in shape.iter() {
                     write!(f, "{d}x")?;
                 }
                 write!(f, "i64>")
@@ -274,11 +304,11 @@ mod tests {
         assert_eq!(Attribute::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Attribute::Str("x".into()).as_str(), Some("x"));
         assert_eq!(
-            Attribute::IntArray(vec![1, 2]).as_int_array(),
+            Attribute::from([1, 2]).as_int_array(),
             Some(&[1_i64, 2][..])
         );
         let t = Type::tensor(&[2], ScalarType::I32);
-        assert_eq!(Attribute::TypeAttr(t.clone()).as_type(), Some(&t));
+        assert_eq!(Attribute::TypeAttr(t).as_type(), Some(&t));
     }
 
     #[test]
@@ -287,8 +317,8 @@ mod tests {
         assert_eq!(Attribute::from(true), Attribute::Bool(true));
         assert_eq!(Attribute::from("dpu"), Attribute::Str("dpu".into()));
         assert_eq!(
-            Attribute::from(vec![16_i64, 16]),
-            Attribute::IntArray(vec![16, 16])
+            Attribute::from([16, 16]),
+            Attribute::IntArray(Shape::new(&[16, 16]))
         );
     }
 
@@ -296,13 +326,13 @@ mod tests {
     fn display_forms() {
         assert_eq!(Attribute::Int(7).to_string(), "7");
         assert_eq!(Attribute::Str("dpu".into()).to_string(), "\"dpu\"");
-        assert_eq!(Attribute::IntArray(vec![8, 2]).to_string(), "[8, 2]");
+        assert_eq!(Attribute::from([8, 2]).to_string(), "[8, 2]");
         assert_eq!(
-            Attribute::StrArray(vec!["dpu".into(), "thread".into()]).to_string(),
+            Attribute::StrArray(&["dpu", "thread"]).to_string(),
             "[\"dpu\", \"thread\"]"
         );
         let d = Attribute::DenseInt {
-            shape: vec![16, 16],
+            shape: Shape::new(&[16, 16]),
             values: vec![0],
         };
         assert_eq!(d.to_string(), "dense<0> : tensor<16x16xi64>");

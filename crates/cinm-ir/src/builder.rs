@@ -1,8 +1,9 @@
 //! Ergonomic construction of operations.
 //!
-//! [`OpSpec`] is a consuming builder describing one operation; [`OpBuilder`]
-//! owns an insertion point inside a [`Body`] and materialises specs into
-//! operations.
+//! [`OpBuilder`] owns an insertion point inside a [`Body`]; [`OpBuilder::op`]
+//! starts an [`OpSpec`], a consuming builder that writes the op's operands,
+//! attributes and results straight into the body's arenas, and `push`
+//! creates the op.
 //!
 //! # Examples
 //!
@@ -17,118 +18,123 @@
 //! let args = func.arguments();
 //! let entry = func.body.entry_block();
 //! let mut b = OpBuilder::at_end(&mut func.body, entry);
-//! let gemm = b.push(
-//!     OpSpec::new("cinm.gemm")
-//!         .operands([args[0], args[1]])
-//!         .result(Type::tensor(&[64, 64], ScalarType::I32)),
-//! );
-//! b.push(OpSpec::new("func.return").operands([gemm.result()]));
+//! let gemm = b
+//!     .op("cinm.gemm")
+//!     .operands([args[0], args[1]])
+//!     .result(Type::tensor(&[64, 64], ScalarType::I32))
+//!     .push();
+//! b.op("func.return").operand(gemm.result()).push();
 //! assert_eq!(func.body.num_live_ops(), 2);
 //! ```
 
-use crate::attributes::{AttrMap, Attribute};
-use crate::ir::{BlockId, Body, OpId, ValueId};
+use crate::attributes::Attribute;
+use crate::ir::{BlockId, Body, IdRange, OpId, PendingOp, ValueId};
 use crate::types::Type;
 
-/// A declarative description of an operation about to be created. Pushing
-/// the spec moves its operands, result types and attributes into the op.
-#[derive(Debug, Clone)]
-pub struct OpSpec {
+/// An operation under construction, holding its body exclusively: each call
+/// appends to the body's arenas (no list of its own), and [`OpSpec::push`] or
+/// [`OpSpec::push_at`] creates the op. Results are numbered in the order
+/// they are added; regions are created when the op is. A spec dropped
+/// without a push leaves what it appended behind, unused.
+#[must_use = "an op is created by `push` or `push_at`"]
+#[derive(Debug)]
+pub struct OpSpec<'a> {
+    body: &'a mut Body,
+    block: BlockId,
     name: &'static str,
-    operands: Vec<ValueId>,
-    result_types: Vec<Type>,
-    attrs: AttrMap,
-    region_entry_args: Vec<Vec<Type>>,
+    op: PendingOp,
 }
 
-impl OpSpec {
-    /// Starts a spec for the op with the given fully qualified name.
-    pub fn new(name: &'static str) -> Self {
-        OpSpec {
-            name,
-            operands: Vec::new(),
-            result_types: Vec::new(),
-            attrs: AttrMap::new(),
-            region_entry_args: Vec::new(),
-        }
-    }
-
+impl OpSpec<'_> {
     /// Adds one operand.
-    pub fn operand(mut self, v: ValueId) -> Self {
-        self.operands.push(v);
-        self
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value does not exist in the body.
+    pub fn operand(self, v: ValueId) -> Self {
+        self.operands([v])
     }
 
     /// Adds several operands.
-    pub fn operands<I: IntoIterator<Item = ValueId>>(mut self, vs: I) -> Self {
-        self.operands.extend(vs);
+    pub fn operands<I: IntoIterator<Item = ValueId>>(self, vs: I) -> Self {
+        for v in vs {
+            self.body.stage_operand(v);
+        }
         self
     }
 
-    /// Adds one result type.
-    pub fn result(mut self, ty: Type) -> Self {
-        self.result_types.push(ty);
-        self
+    /// Adds one result of the given type.
+    pub fn result(self, ty: Type) -> Self {
+        self.results([ty])
     }
 
-    /// Adds several result types.
-    pub fn results<I: IntoIterator<Item = Type>>(mut self, tys: I) -> Self {
-        self.result_types.extend(tys);
+    /// Adds several results.
+    pub fn results<I: IntoIterator<Item = Type>>(self, tys: I) -> Self {
+        for ty in tys {
+            self.body.stage_result(&self.op, ty);
+        }
         self
     }
 
     /// Attaches an attribute.
-    pub fn attr(mut self, key: &'static str, value: impl Into<Attribute>) -> Self {
-        self.attrs.insert(key, value.into());
+    pub fn attr(self, key: &'static str, value: impl Into<Attribute>) -> Self {
+        self.body.stage_attr(&self.op, key, value.into());
         self
     }
 
     /// Attaches a unit (flag) attribute.
-    pub fn flag(mut self, key: &'static str) -> Self {
-        self.attrs.insert(key, Attribute::Unit);
-        self
+    pub fn flag(self, key: &'static str) -> Self {
+        self.attr(key, Attribute::Unit)
     }
 
     /// Adds a nested region whose entry block takes arguments of the given
     /// types.
-    pub fn region(mut self, entry_arg_types: Vec<Type>) -> Self {
-        self.region_entry_args.push(entry_arg_types);
+    pub fn region<I: IntoIterator<Item = Type>>(self, entry_arg_types: I) -> Self {
+        self.body.stage_region(entry_arg_types);
         self
     }
 
-    /// The op name this spec will create.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// Creates the op at the end of the insertion block.
+    pub fn push(self) -> BuiltOp {
+        let id = self.body.finish_op(self.op, self.name, self.block, None);
+        BuiltOp::of(self.body, id)
+    }
+
+    /// Creates the op at position `index` of the insertion block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is greater than the number of ops in the block.
+    pub fn push_at(self, index: usize) -> BuiltOp {
+        let id = self
+            .body
+            .finish_op(self.op, self.name, self.block, Some(index));
+        BuiltOp::of(self.body, id)
     }
 }
 
-/// The result of materialising an [`OpSpec`]: the op and its result values.
+/// The result of creating an op: the op and its result values.
 ///
-/// The results of one op are numbered consecutively, so this is three words
-/// and `Copy`, not a copy of the op's result list.
+/// The results of one op are numbered consecutively, so this is `Copy`, not
+/// a copy of the op's result list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuiltOp {
     /// The created operation.
     pub id: OpId,
-    first_result: ValueId,
-    num_results: usize,
+    results: IdRange<ValueId>,
 }
 
 impl BuiltOp {
     fn of(body: &Body, id: OpId) -> Self {
-        let results = &body.op(id).results;
-        // `Body::insert_op` creates the results of an op back to back.
-        debug_assert!(results.windows(2).all(|w| w[1].0 == w[0].0 + 1));
         BuiltOp {
             id,
-            first_result: results.first().copied().unwrap_or(ValueId(0)),
-            num_results: results.len(),
+            results: body.op(id).results,
         }
     }
 
     /// Number of results of the op.
     pub fn num_results(&self) -> usize {
-        self.num_results
+        self.results.len()
     }
 
     /// The `index`-th result of the op, in declaration order.
@@ -137,12 +143,7 @@ impl BuiltOp {
     ///
     /// Panics if the op has no such result.
     pub fn result_at(&self, index: usize) -> ValueId {
-        assert!(
-            index < self.num_results,
-            "result {index} of an op with {} results",
-            self.num_results
-        );
-        ValueId(self.first_result.0 + index as u32)
+        self.results.get(index)
     }
 
     /// The single result of the op.
@@ -152,11 +153,12 @@ impl BuiltOp {
     /// Panics if the op does not have exactly one result.
     pub fn result(&self) -> ValueId {
         assert_eq!(
-            self.num_results, 1,
+            self.results.len(),
+            1,
             "expected exactly one result, found {}",
-            self.num_results
+            self.results.len()
         );
-        self.first_result
+        self.results.get(0)
     }
 }
 
@@ -173,16 +175,6 @@ impl<'b> OpBuilder<'b> {
         OpBuilder { body, block }
     }
 
-    /// The current insertion block.
-    pub fn block(&self) -> BlockId {
-        self.block
-    }
-
-    /// Moves the insertion point to the end of another block.
-    pub fn set_block(&mut self, block: BlockId) {
-        self.block = block;
-    }
-
     /// Read access to the underlying body.
     pub fn body(&self) -> &Body {
         self.body
@@ -193,41 +185,25 @@ impl<'b> OpBuilder<'b> {
         self.body
     }
 
-    /// Materialises the spec at the end of the insertion block.
-    pub fn push(&mut self, spec: OpSpec) -> BuiltOp {
-        let id = self.body.append_op(
-            self.block,
-            spec.name,
-            spec.operands,
-            spec.result_types,
-            spec.attrs,
-            spec.region_entry_args,
-        );
-        BuiltOp::of(self.body, id)
-    }
-
-    /// Materialises the spec at a specific index inside the insertion block.
-    pub fn push_at(&mut self, index: usize, spec: OpSpec) -> BuiltOp {
-        let id = self.body.insert_op(
-            self.block,
-            index,
-            spec.name,
-            spec.operands,
-            spec.result_types,
-            spec.attrs,
-            spec.region_entry_args,
-        );
-        BuiltOp::of(self.body, id)
+    /// Starts the op with the given fully qualified name, to be created in
+    /// the insertion block.
+    pub fn op(&mut self, name: &'static str) -> OpSpec<'_> {
+        let op = self.body.begin_op();
+        OpSpec {
+            body: self.body,
+            block: self.block,
+            name,
+            op,
+        }
     }
 
     /// Creates an `arith.constant` with an integer value of the given type.
     pub fn const_int(&mut self, value: i64, ty: Type) -> ValueId {
-        self.push(
-            OpSpec::new("arith.constant")
-                .attr("value", value)
-                .result(ty),
-        )
-        .result()
+        self.op("arith.constant")
+            .attr("value", value)
+            .result(ty)
+            .push()
+            .result()
     }
 
     /// Creates an `arith.constant` index value.
@@ -248,19 +224,21 @@ mod tests {
         let entry = f.body.entry_block();
         let arg = f.argument(0);
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let op = b.push(
-            OpSpec::new("cinm.topk")
-                .operand(arg)
-                .attr("k", 8_i64)
-                .flag("cinm.stable")
-                .result(Type::tensor(&[8], ScalarType::I32))
-                .result(Type::tensor(&[8], ScalarType::Index)),
-        );
+        let op = b
+            .op("cinm.topk")
+            .operand(arg)
+            .attr("k", 8_i64)
+            .flag("cinm.stable")
+            .result(Type::tensor(&[8], ScalarType::I32))
+            .result(Type::tensor(&[8], ScalarType::Index))
+            .push();
         assert_eq!(op.num_results(), 2);
-        assert_eq!(
-            [op.result_at(0), op.result_at(1)],
-            f.body.op(op.id).results[..]
-        );
+        assert!(f
+            .body
+            .op(op.id)
+            .results
+            .iter()
+            .eq([op.result_at(0), op.result_at(1)]));
         assert_eq!(f.body.op(op.id).int_attr("k"), Some(8));
         assert!(f.body.op(op.id).has_attr("cinm.stable"));
     }
@@ -270,11 +248,11 @@ mod tests {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let launch = b.push(
-            OpSpec::new("cnm.launch")
-                .result(Type::Token)
-                .region(vec![Type::memref(&[16], ScalarType::I32)]),
-        );
+        let launch = b
+            .op("cnm.launch")
+            .result(Type::Token)
+            .region(vec![Type::memref(&[16], ScalarType::I32)])
+            .push();
         let inner = f.body.op_region_entry_block(launch.id, 0);
         assert_eq!(f.body.block_args(inner).len(), 1);
     }
@@ -297,7 +275,7 @@ mod tests {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let op = b.push(OpSpec::new("func.return"));
+        let op = b.op("func.return").push();
         let _ = op.result();
     }
 
@@ -306,8 +284,8 @@ mod tests {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let second = b.push(OpSpec::new("b.op"));
-        let first = b.push_at(0, OpSpec::new("a.op"));
+        let second = b.op("b.op").push();
+        let first = b.op("a.op").push_at(0);
         assert_eq!(f.body.block_ops(entry), &[first.id, second.id]);
     }
 }

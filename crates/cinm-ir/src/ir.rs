@@ -9,9 +9,10 @@
 //! reference counting.
 
 use std::fmt;
-use std::ops::Deref;
+use std::marker::PhantomData;
+use std::ops::{Deref, Range};
 
-use crate::attributes::{AttrMap, Attribute};
+use crate::attributes::{insert_sorted, lookup, AttrMap, Attribute};
 use crate::types::Type;
 
 /// Identifier of an SSA value inside a [`Body`].
@@ -62,12 +63,12 @@ pub enum ValueKind {
 }
 
 /// Definition record of an SSA value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueData {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ValueData {
     /// Static type of the value.
-    pub ty: Type,
+    ty: Type,
     /// How the value is produced.
-    pub kind: ValueKind,
+    kind: ValueKind,
 }
 
 /// The dialect prefix of an op name (`"cinm"` for `"cinm.gemm"`).
@@ -125,25 +126,102 @@ impl fmt::Display for OpName {
     }
 }
 
-/// An operation: the generic unit of computation/abstraction in the IR.
+/// Consecutive ids `start .. start + len`: the results of an op (values) or
+/// its regions, which [`OpSpec::push`](crate::OpSpec::push) creates back to
+/// back. Three words and `Copy`, so an op stores no list of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdRange<T> {
+    start: u32,
+    len: u32,
+    kind: PhantomData<T>,
+}
+
+impl<T: From<u32>> IdRange<T> {
+    fn new(start: usize, len: usize) -> Self {
+        IdRange {
+            start: start as u32,
+            len: len as u32,
+            kind: PhantomData,
+        }
+    }
+
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the range is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `index`-th id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`IdRange::len`].
+    pub fn get(&self, index: usize) -> T {
+        assert!(
+            index < self.len(),
+            "id {index} of a range of {} ids",
+            self.len
+        );
+        T::from(self.start + index as u32)
+    }
+
+    /// The ids as indices.
+    fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// The ids in order.
+    pub fn iter(&self) -> std::iter::Map<Range<u32>, fn(u32) -> T> {
+        (self.start..self.start + self.len).map(T::from)
+    }
+}
+
+impl<T: From<u32>> IntoIterator for IdRange<T> {
+    type Item = T;
+    type IntoIter = std::iter::Map<Range<u32>, fn(u32) -> T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<u32> for ValueId {
+    fn from(id: u32) -> Self {
+        ValueId(id)
+    }
+}
+
+impl From<u32> for RegionId {
+    fn from(id: u32) -> Self {
+        RegionId(id)
+    }
+}
+
+/// An operation: the generic unit of computation/abstraction in the IR, as
+/// [`Body::op`] shows it — a `Copy` view into the body's arenas.
 ///
-/// An op owns its operand and result lists and its attribute values; its
-/// name and its attribute keys are `'static`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Operation {
+/// The body stores an op as one fixed-size row: its name, ranges into the
+/// body's operand and attribute pools, and the id ranges of its results and
+/// regions. Nothing of an op lives on the heap by itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Operation<'a> {
     /// Fully qualified name, e.g. `"cinm.gemm"` or `"cnm.launch"`.
     pub name: OpName,
     /// SSA operands.
-    pub operands: Vec<ValueId>,
+    pub operands: &'a [ValueId],
     /// SSA results.
-    pub results: Vec<ValueId>,
-    /// Compile-time attributes.
-    pub attrs: AttrMap,
+    pub results: IdRange<ValueId>,
+    /// Compile-time attributes, in ascending key order.
+    pub attrs: &'a [(&'static str, Attribute)],
     /// Nested regions (e.g. the body of a `cnm.launch`).
-    pub regions: Vec<RegionId>,
+    pub regions: IdRange<RegionId>,
 }
 
-impl Operation {
+impl<'a> Operation<'a> {
     /// The dialect prefix of the operation name (`"cinm"` for `"cinm.gemm"`).
     pub fn dialect(&self) -> &'static str {
         dialect_of(self.name.as_str())
@@ -156,74 +234,115 @@ impl Operation {
     }
 
     /// Looks up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&Attribute> {
-        self.attrs.get(key)
+    pub fn attr(&self, key: &str) -> Option<&'a Attribute> {
+        lookup(self.attrs, key)
     }
 
     /// Looks up an integer attribute by key.
     pub fn int_attr(&self, key: &str) -> Option<i64> {
-        self.attrs.get(key).and_then(Attribute::as_int)
+        self.attr(key).and_then(Attribute::as_int)
     }
 
     /// Looks up a string attribute by key.
-    pub fn str_attr(&self, key: &str) -> Option<&str> {
-        self.attrs.get(key).and_then(Attribute::as_str)
+    pub fn str_attr(&self, key: &str) -> Option<&'a str> {
+        self.attr(key).and_then(Attribute::as_str)
     }
 
     /// Looks up an integer-array attribute by key.
-    pub fn int_array_attr(&self, key: &str) -> Option<&[i64]> {
-        self.attrs.get(key).and_then(Attribute::as_int_array)
+    pub fn int_array_attr(&self, key: &str) -> Option<&'a [i64]> {
+        self.attr(key).and_then(Attribute::as_int_array)
     }
 
     /// Returns true if the op carries a unit/flag attribute with this key.
     pub fn has_attr(&self, key: &str) -> bool {
-        self.attrs.contains_key(key)
+        self.attr(key).is_some()
     }
+}
+
+/// The row of one operation in the body arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OpData {
+    name: OpName,
+    /// The block that contains the op.
+    block: BlockId,
+    /// Range of [`Body::operands`].
+    operands: IdRange<u32>,
+    /// Range of [`Body::attrs`], sorted by key.
+    attrs: IdRange<u32>,
+    results: IdRange<ValueId>,
+    regions: IdRange<RegionId>,
 }
 
 /// A basic block: a list of operations plus block arguments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockData {
+struct BlockData {
     /// Block arguments (SSA values).
-    pub args: Vec<ValueId>,
+    args: Vec<ValueId>,
     /// Operations in program order.
-    pub ops: Vec<OpId>,
+    ops: Vec<OpId>,
     /// The region this block belongs to.
-    pub region: RegionId,
+    region: RegionId,
 }
 
 /// A region: an ordered list of blocks owned by an operation (or the function
 /// entry).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegionData {
+struct RegionData {
     /// Blocks of the region; the first one is the entry block.
-    pub blocks: Vec<BlockId>,
+    blocks: Vec<BlockId>,
     /// The operation owning the region, or `None` for the function body.
-    pub parent_op: Option<OpId>,
+    parent_op: Option<OpId>,
 }
 
-/// Internal storage slot of an operation (keeps the owning block).
-#[derive(Debug, Clone, PartialEq)]
-struct OpSlot {
-    op: Operation,
-    block: BlockId,
+/// Where the lists of an op under construction start in the body's arenas
+/// (see [`Body::begin_op`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PendingOp {
+    operands: usize,
+    attrs: usize,
+    results: usize,
 }
 
 /// The arena holding every op/value/block/region of one function.
+///
+/// Operand and attribute lists live in two pools shared by every op of the
+/// body, each op holding one range of each. A rewrite that adds an attribute
+/// to an op moves the op's list to the end of the pool (the old range stays
+/// behind, unused) unless it is there already; `replace_all_uses` edits the
+/// lists in place. Once the arenas have grown, creating, rewriting and
+/// erasing an op allocates nothing. Equality compares the arenas, unused
+/// ranges included.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Body {
-    ops: Vec<Option<OpSlot>>,
+    ops: Vec<Option<OpData>>,
     values: Vec<ValueData>,
     blocks: Vec<BlockData>,
     regions: Vec<RegionData>,
+    operands: Vec<ValueId>,
+    attrs: Vec<(&'static str, Attribute)>,
+    /// Entry-argument types of the regions of the op under construction, and
+    /// how many each region takes.
+    region_args: Vec<Type>,
+    region_lens: Vec<u32>,
 }
 
 impl Body {
-    /// Creates a body with an empty entry region and entry block.
+    /// Creates a body with an empty entry region and entry block, its arenas
+    /// sized for a lowered program of the benchmark suite (up to about 50
+    /// ops) so that building and lowering one rarely regrows them.
     pub fn new() -> Self {
-        let mut body = Body::default();
+        let mut body = Body {
+            ops: Vec::with_capacity(64),
+            values: Vec::with_capacity(64),
+            blocks: Vec::with_capacity(8),
+            regions: Vec::with_capacity(8),
+            operands: Vec::with_capacity(128),
+            attrs: Vec::with_capacity(64),
+            ..Body::default()
+        };
         let region = body.push_region(None);
-        body.push_block(region);
+        let entry = body.push_block(region);
+        body.blocks[entry.0 as usize].ops.reserve(64);
         body
     }
 
@@ -277,125 +396,162 @@ impl Body {
         id
     }
 
-    /// Creates an operation at the end of `block`.
-    ///
-    /// `region_entry_args` describes, for each nested region to create, the
-    /// argument types of its entry block. Result values are created
-    /// automatically from `result_types`.
-    pub fn append_op(
-        &mut self,
-        block: BlockId,
-        name: &'static str,
-        operands: Vec<ValueId>,
-        result_types: Vec<Type>,
-        attrs: AttrMap,
-        region_entry_args: Vec<Vec<Type>>,
-    ) -> OpId {
-        let index = self.blocks[block.0 as usize].ops.len();
-        self.insert_op(
-            block,
-            index,
-            name,
-            operands,
-            result_types,
-            attrs,
-            region_entry_args,
-        )
+    /// Starts an op: its operands, attributes and results are appended to the
+    /// arenas by the `stage_*` methods, and [`Body::finish_op`] creates it.
+    /// Only [`OpSpec`](crate::OpSpec) calls these, holding the body
+    /// exclusively in between, so the lists of one op stay contiguous.
+    pub(crate) fn begin_op(&mut self) -> PendingOp {
+        self.region_args.clear();
+        self.region_lens.clear();
+        PendingOp {
+            operands: self.operands.len(),
+            attrs: self.attrs.len(),
+            results: self.values.len(),
+        }
     }
 
-    /// Creates an operation at position `index` inside `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is greater than the number of ops in the block or if
-    /// any operand id is out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_op(
-        &mut self,
-        block: BlockId,
-        index: usize,
-        name: &'static str,
-        operands: Vec<ValueId>,
-        result_types: Vec<Type>,
-        attrs: AttrMap,
-        region_entry_args: Vec<Vec<Type>>,
-    ) -> OpId {
-        for v in &operands {
-            assert!(
-                (v.0 as usize) < self.values.len(),
-                "operand {v} does not exist in this body"
-            );
-        }
+    pub(crate) fn stage_operand(&mut self, v: ValueId) {
         assert!(
-            index <= self.blocks[block.0 as usize].ops.len(),
-            "insertion index {index} out of range"
+            (v.0 as usize) < self.values.len(),
+            "operand {v} does not exist in this body"
         );
-        let op_id = OpId(self.ops.len() as u32);
-        // Results, numbered consecutively (`BuiltOp` relies on it).
-        let mut results = Vec::with_capacity(result_types.len());
-        for (i, ty) in result_types.into_iter().enumerate() {
-            results.push(self.push_value(
-                ty,
-                ValueKind::OpResult {
-                    op: op_id,
-                    index: i,
-                },
-            ));
-        }
-        // Reserve the slot before creating regions so region parent ids are valid.
-        self.ops.push(Some(OpSlot {
-            op: Operation {
-                name: OpName(name),
-                operands,
-                results,
-                attrs,
-                regions: Vec::new(),
-            },
-            block,
-        }));
-        // Regions with their entry blocks and args.
-        let mut regions = Vec::with_capacity(region_entry_args.len());
-        for arg_tys in region_entry_args {
-            let r = self.push_region(Some(op_id));
-            let b = self.push_block(r);
-            for ty in arg_tys {
-                self.add_block_arg(b, ty);
-            }
-            regions.push(r);
-        }
-        if let Some(slot) = self.ops[op_id.0 as usize].as_mut() {
-            slot.op.regions = regions;
-        }
-        self.blocks[block.0 as usize].ops.insert(index, op_id);
-        op_id
+        self.operands.push(v);
     }
 
-    /// Returns the operation data.
+    pub(crate) fn stage_attr(&mut self, op: &PendingOp, key: &'static str, value: Attribute) {
+        insert_sorted(&mut self.attrs, op.attrs, key, value);
+    }
+
+    /// Creates the next result: results are numbered consecutively, and the
+    /// op takes the next op id when it is finished.
+    pub(crate) fn stage_result(&mut self, op: &PendingOp, ty: Type) {
+        let kind = ValueKind::OpResult {
+            op: OpId(self.ops.len() as u32),
+            index: self.values.len() - op.results,
+        };
+        self.push_value(ty, kind);
+    }
+
+    pub(crate) fn stage_region(&mut self, entry_arg_types: impl IntoIterator<Item = Type>) {
+        let before = self.region_args.len();
+        self.region_args.extend(entry_arg_types);
+        self.region_lens
+            .push((self.region_args.len() - before) as u32);
+    }
+
+    /// Creates the op staged since `op` at position `index` of `block` (at
+    /// its end for `None`), with its regions and their entry blocks.
     ///
     /// # Panics
     ///
-    /// Panics if the operation has been erased.
-    pub fn op(&self, id: OpId) -> &Operation {
-        &self
-            .ops
+    /// Panics if `index` is greater than the number of ops in the block.
+    pub(crate) fn finish_op(
+        &mut self,
+        op: PendingOp,
+        name: &'static str,
+        block: BlockId,
+        index: Option<usize>,
+    ) -> OpId {
+        let len = self.blocks[block.0 as usize].ops.len();
+        let index = index.unwrap_or(len);
+        assert!(index <= len, "insertion index {index} out of range");
+        let id = OpId(self.ops.len() as u32);
+        let regions = IdRange::new(self.regions.len(), self.region_lens.len());
+        self.ops.push(Some(OpData {
+            name: OpName(name),
+            block,
+            operands: IdRange::new(op.operands, self.operands.len() - op.operands),
+            attrs: IdRange::new(op.attrs, self.attrs.len() - op.attrs),
+            results: IdRange::new(op.results, self.values.len() - op.results),
+            regions,
+        }));
+        // Regions are created back to back; their blocks and entry arguments
+        // go to the other arenas.
+        let mut arg = 0;
+        for r in 0..self.region_lens.len() {
+            let region = self.push_region(Some(id));
+            let entry = self.push_block(region);
+            for _ in 0..self.region_lens[r] {
+                let ty = self.region_args[arg];
+                self.add_block_arg(entry, ty);
+                arg += 1;
+            }
+        }
+        self.region_args.clear();
+        self.region_lens.clear();
+        self.blocks[block.0 as usize].ops.insert(index, id);
+        id
+    }
+
+    fn data(&self, id: OpId) -> &OpData {
+        self.ops
             .get(id.0 as usize)
             .and_then(|s| s.as_ref())
             .unwrap_or_else(|| panic!("{id} does not exist (erased?)"))
-            .op
     }
 
-    /// Mutable access to an operation.
+    fn data_mut(&mut self, id: OpId) -> &mut OpData {
+        self.ops
+            .get_mut(id.0 as usize)
+            .and_then(|s| s.as_mut())
+            .unwrap_or_else(|| panic!("{id} does not exist (erased?)"))
+    }
+
+    /// Returns the operation.
     ///
     /// # Panics
     ///
     /// Panics if the operation has been erased.
-    pub fn op_mut(&mut self, id: OpId) -> &mut Operation {
-        &mut self
-            .ops
-            .get_mut(id.0 as usize)
-            .and_then(|s| s.as_mut())
-            .unwrap_or_else(|| panic!("{id} does not exist (erased?)"))
-            .op
+    pub fn op(&self, id: OpId) -> Operation<'_> {
+        let d = self.data(id);
+        Operation {
+            name: d.name,
+            operands: &self.operands[d.operands.range()],
+            results: d.results,
+            attrs: &self.attrs[d.attrs.range()],
+            regions: d.regions,
+        }
+    }
+
+    /// Renames an operation (the dialect conversions map ops one to one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation has been erased.
+    pub fn rename_op(&mut self, id: OpId, name: &'static str) {
+        self.data_mut(id).name = OpName(name);
+    }
+
+    /// Sets attribute `key` of an operation to `value`; returns the value it
+    /// replaces, if any. A new key moves the op's attribute list to the end
+    /// of the pool, unless it is there already, and inserts it in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation has been erased.
+    pub fn set_attr(&mut self, id: OpId, key: &'static str, value: Attribute) -> Option<Attribute> {
+        let span = self.data(id).attrs;
+        let entries = &mut self.attrs[span.range()];
+        if let Some((_, slot)) = entries.iter_mut().find(|(k, _)| *k == key) {
+            return Some(std::mem::replace(slot, value));
+        }
+        let start = if span.range().end == self.attrs.len() {
+            span.start as usize
+        } else {
+            // Move, not clone: the abandoned entries keep nothing.
+            let start = self.attrs.len();
+            for i in span.range() {
+                let entry = (
+                    self.attrs[i].0,
+                    std::mem::replace(&mut self.attrs[i].1, Attribute::Unit),
+                );
+                self.attrs.push(entry);
+            }
+            start
+        };
+        insert_sorted(&mut self.attrs, start, key, value);
+        self.data_mut(id).attrs = IdRange::new(start, self.attrs.len() - start);
+        None
     }
 
     /// Returns true if the op id refers to a live (non-erased) operation.
@@ -426,7 +582,7 @@ impl Body {
 
     /// The `index`-th result value of an operation.
     pub fn result(&self, id: OpId, index: usize) -> ValueId {
-        self.op(id).results[index]
+        self.data(id).results.get(index)
     }
 
     /// The type of a value.
@@ -479,7 +635,7 @@ impl Body {
 
     /// Entry block of the `region_idx`-th region of an operation.
     pub fn op_region_entry_block(&self, op: OpId, region_idx: usize) -> BlockId {
-        let r = self.op(op).regions[region_idx];
+        let r = self.data(op).regions.get(region_idx);
         self.regions[r.0 as usize].blocks[0]
     }
 
@@ -488,8 +644,8 @@ impl Body {
     /// Returns the number of operand slots that were rewritten.
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) -> usize {
         let mut count = 0;
-        for slot in self.ops.iter_mut().flatten() {
-            for operand in slot.op.operands.iter_mut() {
+        for d in self.ops.iter().flatten() {
+            for operand in &mut self.operands[d.operands.range()] {
                 if *operand == old {
                     *operand = new;
                     count += 1;
@@ -502,9 +658,9 @@ impl Body {
     /// Returns the live operations that use a value as an operand.
     pub fn users(&self, v: ValueId) -> Vec<OpId> {
         let mut users = Vec::new();
-        for (i, slot) in self.ops.iter().enumerate() {
-            if let Some(slot) = slot {
-                if slot.op.operands.contains(&v) {
+        for (i, d) in self.ops.iter().enumerate() {
+            if let Some(d) = d {
+                if self.operands[d.operands.range()].contains(&v) {
                     users.push(OpId(i as u32));
                 }
             }
@@ -518,21 +674,20 @@ impl Body {
     /// The results of the erased op must not have remaining uses; this is not
     /// checked here but will be caught by the verifier.
     pub fn erase_op(&mut self, id: OpId) {
-        let Some(slot) = self.ops[id.0 as usize].take() else {
+        let Some(d) = self.ops[id.0 as usize].take() else {
             return;
         };
-        // Recursively erase nested ops.
-        for r in &slot.op.regions {
-            let blocks = self.regions[r.0 as usize].blocks.clone();
-            for b in blocks {
-                let ops = self.blocks[b.0 as usize].ops.clone();
-                for nested in ops {
+        // Recursively erase nested ops; their blocks die with the op.
+        for r in d.regions {
+            for b in 0..self.regions[r.0 as usize].blocks.len() {
+                let block = self.regions[r.0 as usize].blocks[b];
+                for nested in std::mem::take(&mut self.blocks[block.0 as usize].ops) {
                     self.erase_op(nested);
                 }
             }
         }
         // Unlink from the owning block.
-        let block_ops = &mut self.blocks[slot.block.0 as usize].ops;
+        let block_ops = &mut self.blocks[d.block.0 as usize].ops;
         if let Some(pos) = block_ops.iter().position(|&o| o == id) {
             block_ops.remove(pos);
         }
@@ -542,26 +697,21 @@ impl Body {
     pub fn walk(&self) -> Vec<OpId> {
         // Sized for every op ever created: one allocation, never a regrowth.
         let mut out = Vec::with_capacity(self.ops.len());
-        self.walk_region(self.entry_region(), &mut out);
+        self.visit(self.entry_region(), &mut |op| out.push(op));
         out
     }
 
-    /// Pre-order walk of all live operations in one region (recursive).
-    pub fn walk_region_ops(&self, region: RegionId) -> Vec<OpId> {
-        let mut out = Vec::new();
-        self.walk_region(region, &mut out);
-        out
-    }
-
-    fn walk_region(&self, region: RegionId, out: &mut Vec<OpId>) {
+    /// Calls `f` on every live op of `region` and of the regions nested in
+    /// it, in pre-order.
+    fn visit(&self, region: RegionId, f: &mut impl FnMut(OpId)) {
         for &b in &self.regions[region.0 as usize].blocks {
             for &op in &self.blocks[b.0 as usize].ops {
-                if !self.is_live(op) {
+                let Some(d) = &self.ops[op.0 as usize] else {
                     continue;
-                }
-                out.push(op);
-                for &r in &self.op(op).regions {
-                    self.walk_region(r, out);
+                };
+                f(op);
+                for r in d.regions {
+                    self.visit(r, f);
                 }
             }
         }
@@ -569,23 +719,41 @@ impl Body {
 
     /// All live ops with the given fully qualified name, in walk order.
     pub fn ops_with_name(&self, name: &str) -> Vec<OpId> {
-        self.walk()
-            .into_iter()
-            .filter(|&op| self.op(op).name == name)
-            .collect()
+        let mut out = Vec::new();
+        self.visit(self.entry_region(), &mut |op| {
+            if self.data(op).name == name {
+                out.push(op);
+            }
+        });
+        out
     }
 
     /// All live ops belonging to the given dialect, in walk order.
     pub fn ops_in_dialect(&self, dialect: &str) -> Vec<OpId> {
-        self.walk()
-            .into_iter()
-            .filter(|&op| self.op(op).dialect() == dialect)
-            .collect()
+        let mut out = Vec::new();
+        self.visit(self.entry_region(), &mut |op| {
+            if dialect_of(&self.data(op).name) == dialect {
+                out.push(op);
+            }
+        });
+        out
     }
 
     /// Number of live operations (including nested ones).
     pub fn num_live_ops(&self) -> usize {
-        self.walk().len()
+        let mut n = 0;
+        self.visit(self.entry_region(), &mut |_| n += 1);
+        n
+    }
+}
+
+#[cfg(test)]
+impl Body {
+    /// An op's result range and operand list, writable, so that tests can
+    /// build the inconsistencies the verifier guards against.
+    pub(crate) fn raw_parts_mut(&mut self, id: OpId) -> (&mut IdRange<ValueId>, &mut [ValueId]) {
+        let d = self.ops[id.0 as usize].as_mut().expect("a live op");
+        (&mut d.results, &mut self.operands[d.operands.range()])
     }
 }
 
@@ -606,7 +774,11 @@ pub struct Func {
 impl Func {
     /// Creates a function; the entry block receives one argument per input
     /// type.
-    pub fn new(name: &str, input_types: Vec<Type>, result_types: Vec<Type>) -> Self {
+    pub fn new(
+        name: &str,
+        input_types: impl IntoIterator<Item = Type>,
+        result_types: Vec<Type>,
+    ) -> Self {
         let mut body = Body::new();
         let entry = body.entry_block();
         for ty in input_types {
@@ -675,6 +847,7 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::OpBuilder;
     use crate::types::ScalarType;
 
     fn i32_tensor(shape: &[i64]) -> Type {
@@ -701,14 +874,12 @@ mod tests {
         let mut f = Func::new("t", vec![i32_tensor(&[4])], vec![]);
         let entry = f.body.entry_block();
         let arg = f.argument(0);
-        let op = f.body.append_op(
-            entry,
-            "cinm.add",
-            vec![arg, arg],
-            vec![i32_tensor(&[4])],
-            AttrMap::new(),
-            vec![],
-        );
+        let op = OpBuilder::at_end(&mut f.body, entry)
+            .op("cinm.add")
+            .operands([arg, arg])
+            .result(i32_tensor(&[4]))
+            .push()
+            .id;
         assert_eq!(f.body.op(op).name, "cinm.add");
         assert_eq!(f.body.op(op).dialect(), "cinm");
         assert_eq!(f.body.op(op).mnemonic(), "add");
@@ -724,29 +895,25 @@ mod tests {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
         // Op with one region whose entry block takes a memref argument.
-        let launch = f.body.append_op(
-            entry,
-            "cnm.launch",
-            vec![],
-            vec![Type::Token],
-            AttrMap::new(),
-            vec![vec![Type::memref(&[16, 16], ScalarType::I32)]],
-        );
+        let launch = OpBuilder::at_end(&mut f.body, entry)
+            .op("cnm.launch")
+            .result(Type::Token)
+            .region([Type::memref(&[16, 16], ScalarType::I32)])
+            .push()
+            .id;
         let inner_block = f.body.op_region_entry_block(launch, 0);
         let inner_arg = f.body.block_args(inner_block)[0];
-        let inner = f.body.append_op(
-            inner_block,
-            "arith.addi",
-            vec![inner_arg, inner_arg],
-            vec![Type::memref(&[16, 16], ScalarType::I32)],
-            AttrMap::new(),
-            vec![],
-        );
+        let inner = OpBuilder::at_end(&mut f.body, inner_block)
+            .op("arith.addi")
+            .operands([inner_arg, inner_arg])
+            .result(Type::memref(&[16, 16], ScalarType::I32))
+            .push()
+            .id;
         let walked = f.body.walk();
         assert_eq!(walked, vec![launch, inner]);
         assert_eq!(f.body.ops_in_dialect("arith"), vec![inner]);
         assert_eq!(
-            f.body.region_parent(f.body.op(launch).regions[0]),
+            f.body.region_parent(f.body.op(launch).regions.get(0)),
             Some(launch)
         );
         assert_eq!(f.body.num_live_ops(), 2);
@@ -756,23 +923,17 @@ mod tests {
     fn erase_op_is_recursive_and_unlinks() {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
-        let launch = f.body.append_op(
-            entry,
-            "cnm.launch",
-            vec![],
-            vec![],
-            AttrMap::new(),
-            vec![vec![]],
-        );
+        let launch = OpBuilder::at_end(&mut f.body, entry)
+            .op("cnm.launch")
+            .region([])
+            .push()
+            .id;
         let inner_block = f.body.op_region_entry_block(launch, 0);
-        let inner = f.body.append_op(
-            inner_block,
-            "arith.constant",
-            vec![],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let inner = OpBuilder::at_end(&mut f.body, inner_block)
+            .op("arith.constant")
+            .result(Type::i32())
+            .push()
+            .id;
         assert_eq!(f.body.num_live_ops(), 2);
         f.body.erase_op(launch);
         assert_eq!(f.body.num_live_ops(), 0);
@@ -788,14 +949,12 @@ mod tests {
         let mut f = Func::new("t", vec![Type::i32(), Type::i32()], vec![]);
         let entry = f.body.entry_block();
         let (a, b) = (f.argument(0), f.argument(1));
-        let add = f.body.append_op(
-            entry,
-            "arith.addi",
-            vec![a, a],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let add = OpBuilder::at_end(&mut f.body, entry)
+            .op("arith.addi")
+            .operands([a, a])
+            .result(Type::i32())
+            .push()
+            .id;
         assert_eq!(f.body.users(a), vec![add]);
         assert!(f.body.users(b).is_empty());
         let n = f.body.replace_all_uses(a, b);
@@ -809,23 +968,18 @@ mod tests {
         let mut f = Func::new("t", vec![Type::i32()], vec![]);
         let entry = f.body.entry_block();
         let a = f.argument(0);
-        let second = f.body.append_op(
-            entry,
-            "arith.muli",
-            vec![a, a],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
-        let first = f.body.insert_op(
-            entry,
-            0,
-            "arith.addi",
-            vec![a, a],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let second = OpBuilder::at_end(&mut f.body, entry)
+            .op("arith.muli")
+            .operands([a, a])
+            .result(Type::i32())
+            .push()
+            .id;
+        let first = OpBuilder::at_end(&mut f.body, entry)
+            .op("arith.addi")
+            .operands([a, a])
+            .result(Type::i32())
+            .push_at(0)
+            .id;
         assert_eq!(f.body.block_ops(entry), &[first, second]);
         assert_eq!(f.body.op_index_in_block(second), 1);
     }
@@ -849,14 +1003,11 @@ mod tests {
     fn accessing_erased_op_panics() {
         let mut f = Func::new("t", vec![], vec![]);
         let entry = f.body.entry_block();
-        let op = f.body.append_op(
-            entry,
-            "arith.constant",
-            vec![],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let op = OpBuilder::at_end(&mut f.body, entry)
+            .op("arith.constant")
+            .result(Type::i32())
+            .push()
+            .id;
         f.body.erase_op(op);
         let _ = f.body.op(op);
     }
@@ -867,9 +1018,7 @@ mod tests {
         // the inconsistency the verifier guards against.
         let mut f = Func::new("bad", vec![], vec![]);
         let entry = f.body.entry_block();
-        let op = f
-            .body
-            .append_op(entry, "t.op", vec![], vec![], AttrMap::new(), vec![]);
+        let op = OpBuilder::at_end(&mut f.body, entry).op("t.op").push().id;
         f.body.ops[op.0 as usize] = None;
         let err =
             crate::registry::verify_func(&f, &crate::registry::DialectRegistry::new()).unwrap_err();

@@ -17,16 +17,16 @@
 //!
 //! // Build the device-agnostic GEMM of the paper's Figure 3b.
 //! let t = Type::tensor(&[64, 64], ScalarType::I32);
-//! let mut func = Func::new("matmul", vec![t.clone(), t.clone(), t.clone()], vec![t.clone()]);
+//! let mut func = Func::new("matmul", [t, t, t], vec![t]);
 //! let args = func.arguments();
 //! let entry = func.body.entry_block();
 //! let mut b = OpBuilder::at_end(&mut func.body, entry);
-//! let d = b.push(
-//!     OpSpec::new("linalg.matmul")
-//!         .operands([args[0], args[1], args[2]])
-//!         .result(t),
-//! );
-//! b.push(OpSpec::new("func.return").operand(d.result()));
+//! let d = b
+//!     .op("linalg.matmul")
+//!     .operands([args[0], args[1], args[2]])
+//!     .result(t)
+//!     .push();
+//! b.op("func.return").operand(d.result()).push();
 //!
 //! let mut module = Module::new("example");
 //! module.add_func(func);
@@ -52,12 +52,15 @@ pub use affine::{AffineExpr, AffineMap};
 pub use attributes::{AttrMap, Attribute};
 pub use builder::{BuiltOp, OpBuilder, OpSpec};
 pub use error::{IrError, IrResult};
-pub use ir::{BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind};
+pub use ir::{
+    BlockId, Body, Func, IdRange, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind,
+};
 pub use pass::{Pass, PassManager, PassResult, PipelineStats};
 pub use printer::{func_lines_of_code, print_func, print_module};
 pub use registry::{verify_func, verify_module, DialectRegistry, OpConstraint};
 pub use types::{
-    CnmBufferType, CnmWorkgroupType, MemRefType, MemorySpace, ScalarType, TensorType, Type,
+    CnmBufferType, CnmWorkgroupType, MemRefType, MemorySpace, ScalarType, Shape, TensorType, Type,
+    MAX_RANK,
 };
 
 /// Commonly used items, for glob import in downstream crates and examples.
@@ -67,12 +70,12 @@ pub mod prelude {
     pub use crate::builder::{BuiltOp, OpBuilder, OpSpec};
     pub use crate::error::{IrError, IrResult};
     pub use crate::ir::{
-        BlockId, Body, Func, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind,
+        BlockId, Body, Func, IdRange, Module, OpId, OpName, Operation, RegionId, ValueId, ValueKind,
     };
     pub use crate::pass::{Pass, PassManager, PassResult};
     pub use crate::printer::{func_lines_of_code, print_func, print_module};
     pub use crate::registry::{verify_func, verify_module, DialectRegistry, OpConstraint};
-    pub use crate::types::{MemorySpace, ScalarType, Type};
+    pub use crate::types::{MemorySpace, ScalarType, Shape, Type};
 }
 
 #[cfg(test)]

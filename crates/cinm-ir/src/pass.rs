@@ -163,7 +163,7 @@ impl PassManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{OpBuilder, OpSpec};
+    use crate::builder::OpBuilder;
     use crate::types::Type;
 
     /// A pass that renames every `a.op` to `b.op`.
@@ -178,7 +178,7 @@ mod tests {
             let mut changed = false;
             for op in func.body.walk() {
                 if func.body.op(op).name == "a.op" {
-                    func.body.op_mut(op).name = "b.op".into();
+                    func.body.rename_op(op, "b.op");
                     changed = true;
                 }
             }
@@ -204,7 +204,7 @@ mod tests {
         let mut f = Func::new("f", vec![], vec![]);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        b.push(OpSpec::new("a.op").result(Type::i32()));
+        b.op("a.op").result(Type::i32()).push();
         m.add_func(f);
         m
     }

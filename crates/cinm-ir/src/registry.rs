@@ -11,7 +11,7 @@ use crate::error::{IrError, IrResult};
 use crate::ir::{dialect_of, Body, Func, Module, OpId, RegionId, ValueId, ValueKind};
 
 /// A custom verification hook for a registered operation.
-pub type OpVerifier = fn(&crate::ir::Operation, &Body) -> Result<(), String>;
+pub type OpVerifier = fn(&crate::ir::Operation<'_>, &Body) -> Result<(), String>;
 
 /// Constraints describing one registered operation: one row of a dialect
 /// table, built in a `static` by the `const` methods below.
@@ -264,7 +264,7 @@ fn verify_region(
                     body.op(op).name
                 )));
             }
-            for &r in body.op(op).results.iter() {
+            for r in body.op(op).results {
                 scope.define(r);
             }
         }
@@ -282,7 +282,7 @@ fn verify_op<'r>(
 ) -> IrResult<Option<&'r OpConstraint>> {
     let operation = body.op(op);
     // Structural: operands must be defined and visible.
-    for &operand in &operation.operands {
+    for &operand in operation.operands {
         match scope.visible.get(operand.0 as usize) {
             None => {
                 return Err(IrError::new(format!(
@@ -302,7 +302,7 @@ fn verify_op<'r>(
         }
     }
     // Results must point back at this op.
-    for (i, &r) in operation.results.iter().enumerate() {
+    for (i, r) in operation.results.iter().enumerate() {
         match body.value_kind(r) {
             ValueKind::OpResult { op: def, index } if def == op && index == i => {}
             _ => {
@@ -352,7 +352,7 @@ fn verify_op<'r>(
                 }
             }
             for &key in c.required_attrs {
-                if !operation.attrs.contains_key(key) {
+                if !operation.has_attr(key) {
                     return Err(IrError::new(format!(
                         "op '{}' is missing required attribute '{key}'",
                         operation.name
@@ -360,7 +360,7 @@ fn verify_op<'r>(
                 }
             }
             if let Some(v) = c.verifier {
-                v(operation, body).map_err(|m| {
+                v(&operation, body).map_err(|m| {
                     IrError::new(format!("op '{}' failed verification: {m}", operation.name))
                 })?;
             }
@@ -386,7 +386,7 @@ fn verify_op<'r>(
     }
     // Values defined inside a region are not visible outside of it, nor in a
     // sibling region of the same op.
-    for &r in &operation.regions {
+    for r in operation.regions {
         let mark = scope.defined.len();
         verify_region(body, r, scope, registry)?;
         scope.leave_region(mark);
@@ -397,8 +397,7 @@ fn verify_op<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attributes::AttrMap;
-    use crate::builder::{OpBuilder, OpSpec};
+    use crate::builder::OpBuilder;
     use crate::ir::Func;
     use crate::types::Type;
 
@@ -436,12 +435,12 @@ mod tests {
         let entry = f.body.entry_block();
         let args = f.arguments();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let add = b.push(
-            OpSpec::new("test.binary")
-                .operands([args[0], args[1]])
-                .result(Type::i32()),
-        );
-        b.push(OpSpec::new("test.ret").operand(add.result()));
+        let add = b
+            .op("test.binary")
+            .operands([args[0], args[1]])
+            .result(Type::i32())
+            .push();
+        b.op("test.ret").operand(add.result()).push();
         assert!(verify_func(&f, &registry()).is_ok());
     }
 
@@ -451,7 +450,7 @@ mod tests {
         let entry = f.body.entry_block();
         let a = f.argument(0);
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        b.push(OpSpec::new("test.binary").operand(a).result(Type::i32()));
+        b.op("test.binary").operand(a).result(Type::i32()).push();
         let err = verify_func(&f, &registry()).unwrap_err();
         assert!(err.to_string().contains("expects 2 operands"));
     }
@@ -462,7 +461,7 @@ mod tests {
         let entry = f.body.entry_block();
         let a = f.argument(0);
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        b.push(OpSpec::new("test.tiled").operand(a).result(Type::i32()));
+        b.op("test.tiled").operand(a).result(Type::i32()).push();
         let err = verify_func(&f, &registry()).unwrap_err();
         assert!(err.to_string().contains("missing required attribute"));
     }
@@ -472,8 +471,8 @@ mod tests {
         let mut f = Func::new("bad", vec![], vec![]);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        b.push(OpSpec::new("test.ret"));
-        b.push(OpSpec::new("test.ret"));
+        b.op("test.ret").push();
+        b.op("test.ret").push();
         let err = verify_func(&f, &registry()).unwrap_err();
         assert!(err.to_string().contains("not the last op"));
     }
@@ -482,14 +481,9 @@ mod tests {
     fn rejects_unknown_op_in_registered_dialect() {
         let mut f = Func::new("bad", vec![], vec![]);
         let entry = f.body.entry_block();
-        f.body.append_op(
-            entry,
-            "test.unknown",
-            vec![],
-            vec![],
-            AttrMap::new(),
-            vec![],
-        );
+        OpBuilder::at_end(&mut f.body, entry)
+            .op("test.unknown")
+            .push();
         let err = verify_func(&f, &registry()).unwrap_err();
         assert!(err.to_string().contains("unknown op"));
     }
@@ -498,8 +492,7 @@ mod tests {
     fn allows_unregistered_when_configured() {
         let mut f = Func::new("ok", vec![], vec![]);
         let entry = f.body.entry_block();
-        f.body
-            .append_op(entry, "other.op", vec![], vec![], AttrMap::new(), vec![]);
+        OpBuilder::at_end(&mut f.body, entry).op("other.op").push();
         let mut r = registry();
         assert!(verify_func(&f, &r).is_err());
         r.allow_unregistered = true;
@@ -510,8 +503,7 @@ mod tests {
     fn empty_registry_accepts_everything() {
         let mut f = Func::new("ok", vec![], vec![]);
         let entry = f.body.entry_block();
-        f.body
-            .append_op(entry, "any.op", vec![], vec![], AttrMap::new(), vec![]);
+        OpBuilder::at_end(&mut f.body, entry).op("any.op").push();
         assert!(verify_func(&f, &DialectRegistry::new()).is_ok());
     }
 
@@ -521,24 +513,17 @@ mod tests {
         let entry = f.body.entry_block();
         // Create the def first so the value id exists, then move the use in
         // front of it.
-        let def = f.body.append_op(
-            entry,
-            "test.ret",
-            vec![],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let def = OpBuilder::at_end(&mut f.body, entry)
+            .op("test.ret")
+            .result(Type::i32())
+            .push()
+            .id;
         let v = f.body.result(def, 0);
-        f.body.insert_op(
-            entry,
-            0,
-            "test.binary",
-            vec![v, v],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        OpBuilder::at_end(&mut f.body, entry)
+            .op("test.binary")
+            .operands([v, v])
+            .result(Type::i32())
+            .push_at(0);
         let mut r = DialectRegistry::new();
         r.allow_unregistered = true;
         let err = verify_func(&f, &r).unwrap_err();
@@ -615,31 +600,28 @@ mod tests {
 
     /// Appends `t.region` with `regions` empty single-block regions.
     fn region_op(f: &mut Func, block: crate::ir::BlockId, regions: usize) -> OpId {
-        f.body.append_op(
-            block,
-            "t.region",
-            vec![],
-            vec![],
-            AttrMap::new(),
-            vec![vec![]; regions],
-        )
+        let mut b = OpBuilder::at_end(&mut f.body, block);
+        let mut spec = b.op("t.region");
+        for _ in 0..regions {
+            spec = spec.region([]);
+        }
+        spec.push().id
     }
 
     fn def(f: &mut Func, block: crate::ir::BlockId) -> ValueId {
-        let op = f.body.append_op(
-            block,
-            "t.def",
-            vec![],
-            vec![Type::i32()],
-            AttrMap::new(),
-            vec![],
-        );
+        let op = OpBuilder::at_end(&mut f.body, block)
+            .op("t.def")
+            .result(Type::i32())
+            .push()
+            .id;
         f.body.result(op, 0)
     }
 
     fn use_of(f: &mut Func, block: crate::ir::BlockId, v: ValueId) {
-        f.body
-            .append_op(block, "t.use", vec![v], vec![], AttrMap::new(), vec![]);
+        OpBuilder::at_end(&mut f.body, block)
+            .op("t.use")
+            .operands([v])
+            .push();
     }
 
     fn scoping_error(f: &Func) -> String {
@@ -721,8 +703,9 @@ mod tests {
             f.body.defining_op(a).unwrap(),
             f.body.defining_op(b).unwrap(),
         );
-        f.body.op_mut(op_a).results = vec![b];
-        f.body.op_mut(op_b).results = vec![a];
+        let (ra, rb) = (f.body.op(op_a).results, f.body.op(op_b).results);
+        *f.body.raw_parts_mut(op_a).0 = rb;
+        *f.body.raw_parts_mut(op_b).0 = ra;
         assert!(
             scoping_error(&f).contains("result 0 of op 't.def' has inconsistent definition record")
         );
@@ -735,7 +718,7 @@ mod tests {
         let v = def(&mut f, entry);
         use_of(&mut f, entry, v);
         let user = f.body.users(v)[0];
-        f.body.op_mut(user).operands = vec![ValueId(99)];
+        f.body.raw_parts_mut(user).1[0] = ValueId(99);
         assert!(scoping_error(&f).contains("op 't.use' references undefined value"));
     }
 }

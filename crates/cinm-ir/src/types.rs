@@ -83,11 +83,68 @@ impl fmt::Display for ScalarType {
     }
 }
 
+/// The most dimensions a [`Shape`] holds. The deepest rank any workload
+/// builds, at any scale, is 6 (the `im2col` patches of a convolution).
+pub const MAX_RANK: usize = 8;
+
+/// The dimensions of a shaped type, inline: at most [`MAX_RANK`] of them in a
+/// fixed array, so a type is `Copy` and owns no heap. Derefs to the `[i64]` of
+/// its dimensions (dimensions past the rank are kept zero, so the derived
+/// equality and hash compare the dimensions alone). Also the payload of
+/// [`Attribute::IntArray`](crate::Attribute::IntArray): tile sizes,
+/// permutations, workgroup extents.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    dims: [i64; MAX_RANK],
+    rank: u8,
+}
+
+impl Shape {
+    /// A shape with the given dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_RANK`] dimensions.
+    pub fn new(dims: &[i64]) -> Self {
+        assert!(
+            dims.len() <= MAX_RANK,
+            "rank {} exceeds the limit of {MAX_RANK} dimensions: {dims:?}",
+            dims.len()
+        );
+        let mut shape = Shape {
+            dims: [0; MAX_RANK],
+            rank: dims.len() as u8,
+        };
+        shape.dims[..dims.len()].copy_from_slice(dims);
+        shape
+    }
+}
+
+impl std::ops::Deref for Shape {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        &self.dims[..self.rank as usize]
+    }
+}
+
+impl std::ops::DerefMut for Shape {
+    fn deref_mut(&mut self) -> &mut [i64] {
+        &mut self.dims[..self.rank as usize]
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A ranked tensor type `tensor<d0 x d1 x ... x elem>`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorType {
     /// Dimension sizes. All dimensions are static in this reproduction.
-    pub shape: Vec<i64>,
+    pub shape: Shape,
     /// Element type.
     pub elem: ScalarType,
 }
@@ -97,13 +154,17 @@ impl TensorType {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is negative.
-    pub fn new(shape: Vec<i64>, elem: ScalarType) -> Self {
+    /// Panics if any dimension is negative or there are more than
+    /// [`MAX_RANK`] of them.
+    pub fn new(shape: &[i64], elem: ScalarType) -> Self {
         assert!(
             shape.iter().all(|&d| d >= 0),
             "tensor dimensions must be non-negative, got {shape:?}"
         );
-        TensorType { shape, elem }
+        TensorType {
+            shape: Shape::new(shape),
+            elem,
+        }
     }
 
     /// Rank of the tensor (number of dimensions).
@@ -125,7 +186,7 @@ impl TensorType {
 impl fmt::Display for TensorType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tensor<")?;
-        for d in &self.shape {
+        for d in self.shape.iter() {
             write!(f, "{d}x")?;
         }
         write!(f, "{}>", self.elem)
@@ -136,10 +197,10 @@ impl fmt::Display for TensorType {
 ///
 /// In the device dialects memrefs model device-local memory (e.g. a WRAM
 /// slice inside a `cnm.launch` body).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRefType {
     /// Dimension sizes.
-    pub shape: Vec<i64>,
+    pub shape: Shape,
     /// Element type.
     pub elem: ScalarType,
     /// Memory space this memref lives in (host, MRAM, WRAM, crossbar, ...).
@@ -148,17 +209,21 @@ pub struct MemRefType {
 
 impl MemRefType {
     /// Creates a memref type in the default (host) memory space.
-    pub fn new(shape: Vec<i64>, elem: ScalarType) -> Self {
+    pub fn new(shape: &[i64], elem: ScalarType) -> Self {
         Self::with_space(shape, elem, MemorySpace::Host)
     }
 
     /// Creates a memref type in an explicit memory space.
-    pub fn with_space(shape: Vec<i64>, elem: ScalarType, space: MemorySpace) -> Self {
+    pub fn with_space(shape: &[i64], elem: ScalarType, space: MemorySpace) -> Self {
         assert!(
             shape.iter().all(|&d| d >= 0),
             "memref dimensions must be non-negative, got {shape:?}"
         );
-        MemRefType { shape, elem, space }
+        MemRefType {
+            shape: Shape::new(shape),
+            elem,
+            space,
+        }
     }
 
     /// Total number of elements.
@@ -175,7 +240,7 @@ impl MemRefType {
 impl fmt::Display for MemRefType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "memref<")?;
-        for d in &self.shape {
+        for d in self.shape.iter() {
             write!(f, "{d}x")?;
         }
         write!(f, "{}", self.elem)?;
@@ -219,10 +284,10 @@ impl fmt::Display for MemorySpace {
 
 /// The `!cnm.buffer` type: an opaque, level-tagged buffer living in the
 /// workgroup memory tree (paper Section 3.2.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CnmBufferType {
     /// Shape of the per-PU slice.
-    pub shape: Vec<i64>,
+    pub shape: Shape,
     /// Element type.
     pub elem: ScalarType,
     /// Level in the workgroup memory tree (0 = PU-private leaf).
@@ -232,7 +297,7 @@ pub struct CnmBufferType {
 impl fmt::Display for CnmBufferType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "!cnm.buffer<")?;
-        for d in &self.shape {
+        for d in self.shape.iter() {
             write!(f, "{d}x")?;
         }
         write!(f, "{}, level {}>", self.elem, self.level)
@@ -240,11 +305,11 @@ impl fmt::Display for CnmBufferType {
 }
 
 /// The `!cnm.workgroup` type: a logical grid of processing units.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CnmWorkgroupType {
     /// Extent of every workgroup dimension, e.g. `[8, 2]` for 8 DPUs with 2
     /// tasklets each.
-    pub shape: Vec<i64>,
+    pub shape: Shape,
 }
 
 impl CnmWorkgroupType {
@@ -258,7 +323,7 @@ impl fmt::Display for CnmWorkgroupType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "!cnm.workgroup<")?;
         let mut first = true;
-        for d in &self.shape {
+        for d in self.shape.iter() {
             if !first {
                 write!(f, "x")?;
             }
@@ -269,8 +334,8 @@ impl fmt::Display for CnmWorkgroupType {
     }
 }
 
-/// A type in the CINM IR.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A type in the CINM IR: `Copy`, and never owns heap memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A scalar value.
     Scalar(ScalarType),
@@ -291,11 +356,6 @@ pub enum Type {
 }
 
 impl Type {
-    /// Convenience constructor for a scalar type.
-    pub fn scalar(s: ScalarType) -> Self {
-        Type::Scalar(s)
-    }
-
     /// Convenience constructor for `i32`.
     pub fn i32() -> Self {
         Type::Scalar(ScalarType::I32)
@@ -308,23 +368,23 @@ impl Type {
 
     /// Convenience constructor for a ranked tensor type.
     pub fn tensor(shape: &[i64], elem: ScalarType) -> Self {
-        Type::Tensor(TensorType::new(shape.to_vec(), elem))
+        Type::Tensor(TensorType::new(shape, elem))
     }
 
     /// Convenience constructor for a host memref type.
     pub fn memref(shape: &[i64], elem: ScalarType) -> Self {
-        Type::MemRef(MemRefType::new(shape.to_vec(), elem))
+        Type::MemRef(MemRefType::new(shape, elem))
     }
 
     /// Convenience constructor for a memref in a given memory space.
     pub fn memref_in(shape: &[i64], elem: ScalarType, space: MemorySpace) -> Self {
-        Type::MemRef(MemRefType::with_space(shape.to_vec(), elem, space))
+        Type::MemRef(MemRefType::with_space(shape, elem, space))
     }
 
     /// Convenience constructor for a `!cnm.buffer`.
     pub fn cnm_buffer(shape: &[i64], elem: ScalarType, level: u32) -> Self {
         Type::CnmBuffer(CnmBufferType {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             elem,
             level,
         })
@@ -333,16 +393,16 @@ impl Type {
     /// Convenience constructor for a `!cnm.workgroup`.
     pub fn cnm_workgroup(shape: &[i64]) -> Self {
         Type::CnmWorkgroup(CnmWorkgroupType {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
         })
     }
 
     /// Returns the shape if this is a shaped type (tensor, memref, buffer).
     pub fn shape(&self) -> Option<&[i64]> {
         match self {
-            Type::Tensor(t) => Some(&t.shape),
-            Type::MemRef(m) => Some(&m.shape),
-            Type::CnmBuffer(b) => Some(&b.shape),
+            Type::Tensor(t) => Some(&t.shape[..]),
+            Type::MemRef(m) => Some(&m.shape[..]),
+            Type::CnmBuffer(b) => Some(&b.shape[..]),
             _ => None,
         }
     }
@@ -435,7 +495,7 @@ mod tests {
 
     #[test]
     fn tensor_type_properties() {
-        let t = TensorType::new(vec![64, 64], ScalarType::I32);
+        let t = TensorType::new(&[64, 64], ScalarType::I32);
         assert_eq!(t.rank(), 2);
         assert_eq!(t.num_elements(), 4096);
         assert_eq!(t.byte_size(), 16384);
@@ -445,14 +505,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn tensor_type_rejects_negative_dims() {
-        TensorType::new(vec![-1, 4], ScalarType::I32);
+        TensorType::new(&[-1, 4], ScalarType::I32);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 9 exceeds the limit of 8 dimensions")]
+    fn tensor_type_rejects_a_rank_past_the_limit() {
+        TensorType::new(&[1; MAX_RANK + 1], ScalarType::I32);
     }
 
     #[test]
     fn memref_display_includes_space() {
-        let m = MemRefType::with_space(vec![16, 16], ScalarType::I16, MemorySpace::Wram);
+        let m = MemRefType::with_space(&[16, 16], ScalarType::I16, MemorySpace::Wram);
         assert_eq!(m.to_string(), "memref<16x16xi16, wram>");
-        let host = MemRefType::new(vec![8], ScalarType::F32);
+        let host = MemRefType::new(&[8], ScalarType::F32);
         assert_eq!(host.to_string(), "memref<8xf32>");
     }
 
@@ -486,7 +552,7 @@ mod tests {
     fn conversion_traits() {
         let t: Type = ScalarType::I32.into();
         assert_eq!(t, Type::i32());
-        let t: Type = TensorType::new(vec![2], ScalarType::F32).into();
+        let t: Type = TensorType::new(&[2], ScalarType::F32).into();
         assert!(matches!(t, Type::Tensor(_)));
     }
 }

@@ -35,151 +35,122 @@ impl Pass for TosaToLinalgPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            match func.body.op(op).name.as_str() {
-                tosa::FULLY_CONNECTED => {
-                    rewrite_fully_connected(&mut func.body, op)?;
-                    changed = true;
-                }
+            let body = &mut func.body;
+            let new_result = match body.op(op).name.as_str() {
+                tosa::FULLY_CONNECTED => rewrite_fully_connected(body, op)?,
                 tosa::MATMUL => {
-                    let operands = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let result_ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let (shape, elem) = shaped_of(&b, result);
-                    let _ = shape;
-                    let init = b.push_at(
-                        index,
-                        OpSpec::new(tensor::SPLAT)
-                            .attr("value", 0_i64)
-                            .result(result_ty.clone()),
-                    );
-                    let mm = b.push_at(
-                        index + 1,
-                        OpSpec::new(linalg::MATMUL)
-                            .operands([operands[0], operands[1], init.result()])
-                            .result(result_ty),
-                    );
-                    let _ = elem;
-                    let new_result = mm.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    let ([lhs, rhs], _, ty) = unpack(body, op);
+                    let (block, index) = (body.op_block(op), body.op_index_in_block(op));
+                    let mut b = OpBuilder::at_end(body, block);
+                    let init = b
+                        .op(tensor::SPLAT)
+                        .attr("value", 0_i64)
+                        .result(ty)
+                        .push_at(index);
+                    b.op(linalg::MATMUL)
+                        .operands([lhs, rhs, init.result()])
+                        .result(ty)
+                        .push_at(index + 1)
+                        .result()
                 }
                 tosa::ADD => {
-                    let operands = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let result_ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let add = b.push_at(
-                        index,
-                        OpSpec::new(linalg::ELEMWISE_BINARY)
-                            .operands([operands[0], operands[1]])
-                            .attr("fun", "add")
-                            .result(result_ty),
-                    );
-                    let new_result = add.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    let ([lhs, rhs], _, ty) = unpack(body, op);
+                    let (block, index) = (body.op_block(op), body.op_index_in_block(op));
+                    OpBuilder::at_end(body, block)
+                        .op(linalg::ELEMWISE_BINARY)
+                        .operands([lhs, rhs])
+                        .attr("fun", "add")
+                        .result(ty)
+                        .push_at(index)
+                        .result()
                 }
                 tosa::CLAMP => {
-                    let operands = func.body.op(op).operands.clone();
-                    let min = func.body.op(op).int_attr("min").unwrap_or(0);
-                    let result = func.body.op(op).results[0];
-                    let result_ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let relu = b.push_at(
-                        index,
-                        OpSpec::new(linalg::ELEMWISE_UNARY)
-                            .operand(operands[0])
-                            .attr("fun", "clamp_min")
-                            .attr("min", min)
-                            .result(result_ty),
-                    );
-                    let new_result = relu.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    let ([input], _, ty) = unpack(body, op);
+                    let min = body.op(op).int_attr("min").unwrap_or(0);
+                    let (block, index) = (body.op_block(op), body.op_index_in_block(op));
+                    OpBuilder::at_end(body, block)
+                        .op(linalg::ELEMWISE_UNARY)
+                        .operand(input)
+                        .attr("fun", "clamp_min")
+                        .attr("min", min)
+                        .result(ty)
+                        .push_at(index)
+                        .result()
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            replace_op(body, op, new_result);
+            changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
 }
 
-fn shaped_of(b: &OpBuilder<'_>, v: ValueId) -> (Vec<i64>, ScalarType) {
-    let ty = b.body().value_type(v);
-    (
-        ty.shape().expect("operand must be shaped").to_vec(),
-        ty.element_type().expect("shaped type has element type"),
-    )
+/// The first `N` operands of an op, its first result and that result's type.
+fn unpack<const N: usize>(body: &Body, op: OpId) -> ([ValueId; N], ValueId, Type) {
+    let operation = body.op(op);
+    let operands = std::array::from_fn(|i| operation.operands[i]);
+    let result = operation.results.get(0);
+    (operands, result, *body.value_type(result))
+}
+
+/// Redirects the uses of `op`'s (single) result to `new_result` and erases
+/// `op`.
+fn replace_op(body: &mut Body, op: OpId, new_result: ValueId) {
+    body.replace_all_uses(body.result(op, 0), new_result);
+    body.erase_op(op);
+}
+
+/// The shape of a shaped value.
+fn shape_of(body: &Body, v: ValueId, what: &str) -> IrResult<Shape> {
+    let shape = body
+        .value_type(v)
+        .shape()
+        .ok_or_else(|| IrError::new(format!("{what} must be shaped")))?;
+    Ok(Shape::new(shape))
 }
 
 /// `tosa.fully_connected(x, w, bias)` becomes, as in the paper (Section
 /// 3.2.2): transpose of the weights, a matmul and a bias addition.
-fn rewrite_fully_connected(body: &mut Body, op: OpId) -> IrResult<()> {
-    let operands = body.op(op).operands.clone();
-    let result = body.op(op).results[0];
-    let result_ty = body.value_type(result).clone();
+fn rewrite_fully_connected(body: &mut Body, op: OpId) -> IrResult<ValueId> {
+    let ([x, w, bias], result, _) = unpack(body, op);
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
-    let (x, w, bias) = (operands[0], operands[1], operands[2]);
 
-    let w_shape = body
-        .value_type(w)
-        .shape()
-        .ok_or_else(|| IrError::new("fully_connected weight must be shaped"))?
-        .to_vec();
+    let w_shape = shape_of(body, w, "fully_connected weight")?;
     let elem = body
         .value_type(w)
         .element_type()
         .ok_or_else(|| IrError::new("fully_connected weight must have element type"))?;
-    let out_shape = result_ty
-        .shape()
-        .ok_or_else(|| IrError::new("fully_connected result must be shaped"))?
-        .to_vec();
+    let out_shape = shape_of(body, result, "fully_connected result")?;
 
     let mut b = OpBuilder::at_end(body, block);
     // Transpose OxI -> IxO.
-    let wt = b.push_at(
-        index,
-        OpSpec::new(linalg::TRANSPOSE)
-            .operand(w)
-            .attr("permutation", vec![1_i64, 0])
-            .result(Type::tensor(&[w_shape[1], w_shape[0]], elem)),
-    );
-    let init = b.push_at(
-        index + 1,
-        OpSpec::new(tensor::SPLAT)
-            .attr("value", 0_i64)
-            .result(Type::tensor(&out_shape, elem)),
-    );
-    let mm = b.push_at(
-        index + 2,
-        OpSpec::new(linalg::MATMUL)
-            .operands([x, wt.result(), init.result()])
-            .result(Type::tensor(&out_shape, elem)),
-    );
+    let wt = b
+        .op(linalg::TRANSPOSE)
+        .operand(w)
+        .attr("permutation", [1, 0])
+        .result(Type::tensor(&[w_shape[1], w_shape[0]], elem))
+        .push_at(index);
+    let init = b
+        .op(tensor::SPLAT)
+        .attr("value", 0_i64)
+        .result(Type::tensor(&out_shape, elem))
+        .push_at(index + 1);
+    let mm = b
+        .op(linalg::MATMUL)
+        .operands([x, wt.result(), init.result()])
+        .result(Type::tensor(&out_shape, elem))
+        .push_at(index + 2);
     // Bias addition expressed as a generic/elementwise op on the broadcast
     // bias, as in the paper's MLP example.
-    let bias_add = b.push_at(
-        index + 3,
-        OpSpec::new(linalg::GENERIC)
-            .operands([mm.result(), bias])
-            .attr("library_call", "broadcast_bias_add")
-            .result(Type::tensor(&out_shape, elem)),
-    );
-    let new_result = bias_add.result();
-    body.replace_all_uses(result, new_result);
-    body.erase_op(op);
-    Ok(())
+    let bias_add = b
+        .op(linalg::GENERIC)
+        .operands([mm.result(), bias])
+        .attr("library_call", "broadcast_bias_add")
+        .result(Type::tensor(&out_shape, elem))
+        .push_at(index + 3);
+    Ok(bias_add.result())
 }
 
 // ---------------------------------------------------------------------------
@@ -200,129 +171,73 @@ impl Pass for LinalgToCinmPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            match func.body.op(op).name.as_str() {
+            let body = &mut func.body;
+            let operation = body.op(op);
+            // The cinm op replacing a one-to-one linalg op, with the attribute
+            // it carries over (moved, not copied: a literal stays borrowed).
+            let (name, attr) = match operation.name.as_str() {
                 linalg::MATMUL => {
-                    let ops = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let ty = func.body.value_type(result).clone();
-                    replace_with_gemm_plus_init(
-                        &mut func.body,
-                        op,
-                        ops[0],
-                        ops[1],
-                        Some(ops[2]),
-                        result,
-                        ty,
-                    );
+                    let ([a, b, init], _, ty) = unpack(body, op);
+                    replace_with_gemm_plus_init(body, op, a, b, Some(init), ty);
                     changed = true;
+                    continue;
                 }
                 linalg::MATVEC => {
-                    let ops = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let gemv = b.push_at(
-                        index,
-                        OpSpec::new(cinm::GEMV)
-                            .operands([ops[0], ops[1]])
-                            .result(ty.clone()),
-                    );
-                    let add = b.push_at(
-                        index + 1,
-                        OpSpec::new("cinm.add")
-                            .operands([gemv.result(), ops[2]])
-                            .result(ty),
-                    );
-                    let new_result = add.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
+                    let ([a, x, init], _, ty) = unpack(body, op);
+                    let (block, index) = (body.op_block(op), body.op_index_in_block(op));
+                    let mut b = OpBuilder::at_end(body, block);
+                    let gemv = b.op(cinm::GEMV).operands([a, x]).result(ty).push_at(index);
+                    let add = b
+                        .op("cinm.add")
+                        .operands([gemv.result(), init])
+                        .result(ty)
+                        .push_at(index + 1);
+                    replace_op(body, op, add.result());
                     changed = true;
+                    continue;
                 }
                 linalg::ELEMWISE_BINARY => {
-                    let fun = func.body.op(op).str_attr("fun").unwrap_or("add");
+                    let fun = operation.str_attr("fun").unwrap_or("add");
                     let cinm_name = cinm::op_named(fun).ok_or_else(|| {
                         IrError::new(format!(
                             "{}: fun = \"{fun}\" names no op of the cinm dialect",
                             linalg::ELEMWISE_BINARY
                         ))
                     })?;
-                    let ops = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let new = b.push_at(
-                        index,
-                        OpSpec::new(cinm_name).operands([ops[0], ops[1]]).result(ty),
-                    );
-                    let new_result = new.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    (cinm_name, None)
                 }
                 linalg::REDUCE => {
-                    let fun = func
-                        .body
-                        .op(op)
-                        .str_attr("fun")
-                        .unwrap_or("add")
-                        .to_string();
-                    let ops = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let new = b.push_at(
-                        index,
-                        OpSpec::new(cinm::REDUCE)
-                            .operand(ops[0])
-                            .attr("op", fun.as_str())
-                            .result(ty),
-                    );
-                    let new_result = new.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    let fun = operation.attr("fun").cloned();
+                    (cinm::REDUCE, Some(("op", fun.unwrap_or("add".into()))))
                 }
                 linalg::TRANSPOSE => {
-                    let perm = func
-                        .body
-                        .op(op)
-                        .int_array_attr("permutation")
-                        .unwrap_or(&[])
-                        .to_vec();
-                    let ops = func.body.op(op).operands.clone();
-                    let result = func.body.op(op).results[0];
-                    let ty = func.body.value_type(result).clone();
-                    let block = func.body.op_block(op);
-                    let index = func.body.op_index_in_block(op);
-                    let mut b = OpBuilder::at_end(&mut func.body, block);
-                    let new = b.push_at(
-                        index,
-                        OpSpec::new(cinm::TRANSPOSE)
-                            .operand(ops[0])
-                            .attr("perms", perm)
-                            .result(ty),
-                    );
-                    let new_result = new.result();
-                    func.body.replace_all_uses(result, new_result);
-                    func.body.erase_op(op);
-                    changed = true;
+                    let perm = operation.int_array_attr("permutation").unwrap_or(&[]);
+                    (cinm::TRANSPOSE, Some(("perms", perm.into())))
                 }
                 linalg::CONV_2D_NHWC_HWCF => {
-                    rewrite_conv_as_gemm(&mut func.body, op)?;
+                    rewrite_conv_as_gemm(body, op)?;
                     changed = true;
+                    continue;
                 }
                 linalg::CONTRACT => {
-                    rewrite_contract_as_gemm(&mut func.body, op)?;
+                    rewrite_contract_as_gemm(body, op)?;
                     changed = true;
+                    continue;
                 }
-                _ => {}
+                _ => continue,
+            };
+            // Element-wise ops keep both operands; reduce and transpose have one.
+            let ([input], _, ty) = unpack(body, op);
+            let rhs = attr.is_none().then(|| body.op(op).operands[1]);
+            let (block, index) = (body.op_block(op), body.op_index_in_block(op));
+            let mut b = OpBuilder::at_end(body, block);
+            let mut spec = b.op(name).operand(input).operands(rhs);
+            if let Some((key, value)) = attr {
+                spec = spec.attr(key, value);
             }
+            let new = spec.result(ty).push_at(index);
+            replace_op(body, op, new.result());
+            changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
@@ -334,7 +249,6 @@ fn replace_with_gemm_plus_init(
     a: ValueId,
     b_val: ValueId,
     init: Option<ValueId>,
-    result: ValueId,
     ty: Type,
 ) {
     let block = body.op_block(op);
@@ -344,93 +258,68 @@ fn replace_with_gemm_plus_init(
         .map(|d| body.op(d).name == tensor::SPLAT && body.op(d).int_attr("value") == Some(0))
         .unwrap_or(false);
     let mut builder = OpBuilder::at_end(body, block);
-    let gemm = builder.push_at(
-        index,
-        OpSpec::new(cinm::GEMM)
-            .operands([a, b_val])
-            .result(ty.clone()),
-    );
+    let gemm = builder
+        .op(cinm::GEMM)
+        .operands([a, b_val])
+        .result(ty)
+        .push_at(index);
     let new_result = if let (Some(init), false) = (init, init_is_zero_splat) {
-        let add = builder.push_at(
-            index + 1,
-            OpSpec::new("cinm.add")
-                .operands([gemm.result(), init])
-                .result(ty),
-        );
+        let add = builder
+            .op("cinm.add")
+            .operands([gemm.result(), init])
+            .result(ty)
+            .push_at(index + 1);
         add.result()
     } else {
         gemm.result()
     };
-    body.replace_all_uses(result, new_result);
-    body.erase_op(op);
+    replace_op(body, op, new_result);
 }
 
 /// The Figure 5 rewrite: `conv2d(img, flt)` → `im2col(img)` collapsed to a
 /// matrix, `cinm.gemm` against the flattened filter, and an expand back to
 /// the NHWC result shape.
 fn rewrite_conv_as_gemm(body: &mut Body, op: OpId) -> IrResult<()> {
-    let operands = body.op(op).operands.clone();
-    let (img, flt) = (operands[0], operands[1]);
-    let result = body.op(op).results[0];
-    let out_shape = body
-        .value_type(result)
-        .shape()
-        .ok_or_else(|| IrError::new("conv result must be shaped"))?
-        .to_vec();
-    let img_shape = body
-        .value_type(img)
-        .shape()
-        .ok_or_else(|| IrError::new("conv image must be shaped"))?
-        .to_vec();
-    let flt_shape = body
-        .value_type(flt)
-        .shape()
-        .ok_or_else(|| IrError::new("conv filter must be shaped"))?
-        .to_vec();
+    let ([img, flt], result, _) = unpack(body, op);
+    let out_shape = shape_of(body, result, "conv result")?;
+    shape_of(body, img, "conv image")?;
+    let flt_shape = shape_of(body, flt, "conv filter")?;
     let elem = body.value_type(img).element_type().unwrap();
     let (n, oh, ow, f) = (out_shape[0], out_shape[1], out_shape[2], out_shape[3]);
     let (kh, kw, c) = (flt_shape[0], flt_shape[1], flt_shape[2]);
     let rows = n * oh * ow;
     let cols = kh * kw * c;
-    let _ = img_shape;
 
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
     let mut b = OpBuilder::at_end(body, block);
-    let patches = b.push_at(
-        index,
-        OpSpec::new(linalg::IM2COL)
-            .operand(img)
-            .attr("kernel_shape", vec![kh, kw])
-            .result(Type::tensor(&[n, oh, ow, kh, kw, c], elem)),
-    );
-    let collapsed = b.push_at(
-        index + 1,
-        OpSpec::new(tensor::COLLAPSE_SHAPE)
-            .operand(patches.result())
-            .result(Type::tensor(&[rows, cols], elem)),
-    );
-    let flt_mat = b.push_at(
-        index + 2,
-        OpSpec::new(tensor::COLLAPSE_SHAPE)
-            .operand(flt)
-            .result(Type::tensor(&[cols, f], elem)),
-    );
-    let gemm = b.push_at(
-        index + 3,
-        OpSpec::new(cinm::GEMM)
-            .operands([collapsed.result(), flt_mat.result()])
-            .result(Type::tensor(&[rows, f], elem)),
-    );
-    let expanded = b.push_at(
-        index + 4,
-        OpSpec::new(tensor::EXPAND_SHAPE)
-            .operand(gemm.result())
-            .result(Type::tensor(&out_shape, elem)),
-    );
-    let new_result = expanded.result();
-    body.replace_all_uses(result, new_result);
-    body.erase_op(op);
+    let patches = b
+        .op(linalg::IM2COL)
+        .operand(img)
+        .attr("kernel_shape", [kh, kw])
+        .result(Type::tensor(&[n, oh, ow, kh, kw, c], elem))
+        .push_at(index);
+    let collapsed = b
+        .op(tensor::COLLAPSE_SHAPE)
+        .operand(patches.result())
+        .result(Type::tensor(&[rows, cols], elem))
+        .push_at(index + 1);
+    let flt_mat = b
+        .op(tensor::COLLAPSE_SHAPE)
+        .operand(flt)
+        .result(Type::tensor(&[cols, f], elem))
+        .push_at(index + 2);
+    let gemm = b
+        .op(cinm::GEMM)
+        .operands([collapsed.result(), flt_mat.result()])
+        .result(Type::tensor(&[rows, f], elem))
+        .push_at(index + 3);
+    let expanded = b
+        .op(tensor::EXPAND_SHAPE)
+        .operand(gemm.result())
+        .result(Type::tensor(&out_shape, elem))
+        .push_at(index + 4);
+    replace_op(body, op, expanded.result());
     Ok(())
 }
 
@@ -438,21 +327,17 @@ fn rewrite_conv_as_gemm(body: &mut Body, op: OpId) -> IrResult<()> {
 /// analysis the paper reuses): the free indices of each operand collapse to
 /// the GEMM rows/columns and the contracted indices to the shared dimension.
 fn rewrite_contract_as_gemm(body: &mut Body, op: OpId) -> IrResult<()> {
-    let operands = body.op(op).operands.clone();
+    let ([lhs, rhs], result, _) = unpack(body, op);
     let spec = body
         .op(op)
-        .str_attr("einsum")
-        .ok_or_else(|| IrError::new("contract needs an einsum attribute"))?
-        .to_string();
-    let result = body.op(op).results[0];
-    let out_shape = body
-        .value_type(result)
-        .shape()
-        .ok_or_else(|| IrError::new("contract result must be shaped"))?
-        .to_vec();
+        .attr("einsum")
+        .filter(|a| a.as_str().is_some())
+        .cloned()
+        .ok_or_else(|| IrError::new("contract needs an einsum attribute"))?;
+    let out_shape = shape_of(body, result, "contract result")?;
     let elem = body.value_type(result).element_type().unwrap();
-    let a_elems = body.value_type(operands[0]).num_elements();
-    let b_elems = body.value_type(operands[1]).num_elements();
+    let a_elems = body.value_type(lhs).num_elements();
+    let b_elems = body.value_type(rhs).num_elements();
     let out_elems: i64 = out_shape.iter().product();
 
     // Determine the GEMM dimensions from the element counts: with
@@ -461,7 +346,8 @@ fn rewrite_contract_as_gemm(body: &mut Body, op: OpId) -> IrResult<()> {
     let k = k2.sqrt().round() as i64;
     if k <= 0 || a_elems % k != 0 || b_elems % k != 0 {
         return Err(IrError::new(format!(
-            "cannot rewrite contraction '{spec}' as a GEMM (|A|={a_elems}, |B|={b_elems}, |C|={out_elems})"
+            "cannot rewrite contraction '{}' as a GEMM (|A|={a_elems}, |B|={b_elems}, |C|={out_elems})",
+            spec.as_str().unwrap_or_default()
         )));
     }
     let m = a_elems / k;
@@ -470,34 +356,28 @@ fn rewrite_contract_as_gemm(body: &mut Body, op: OpId) -> IrResult<()> {
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
     let mut b = OpBuilder::at_end(body, block);
-    let a_mat = b.push_at(
-        index,
-        OpSpec::new(tensor::COLLAPSE_SHAPE)
-            .operand(operands[0])
-            .result(Type::tensor(&[m, k], elem)),
-    );
-    let b_mat = b.push_at(
-        index + 1,
-        OpSpec::new(tensor::COLLAPSE_SHAPE)
-            .operand(operands[1])
-            .result(Type::tensor(&[k, n], elem)),
-    );
-    let gemm = b.push_at(
-        index + 2,
-        OpSpec::new(cinm::GEMM)
-            .operands([a_mat.result(), b_mat.result()])
-            .attr("einsum", spec.as_str())
-            .result(Type::tensor(&[m, n], elem)),
-    );
-    let expanded = b.push_at(
-        index + 3,
-        OpSpec::new(tensor::EXPAND_SHAPE)
-            .operand(gemm.result())
-            .result(Type::tensor(&out_shape, elem)),
-    );
-    let new_result = expanded.result();
-    body.replace_all_uses(result, new_result);
-    body.erase_op(op);
+    let a_mat = b
+        .op(tensor::COLLAPSE_SHAPE)
+        .operand(lhs)
+        .result(Type::tensor(&[m, k], elem))
+        .push_at(index);
+    let b_mat = b
+        .op(tensor::COLLAPSE_SHAPE)
+        .operand(rhs)
+        .result(Type::tensor(&[k, n], elem))
+        .push_at(index + 1);
+    let gemm = b
+        .op(cinm::GEMM)
+        .operands([a_mat.result(), b_mat.result()])
+        .attr("einsum", spec)
+        .result(Type::tensor(&[m, n], elem))
+        .push_at(index + 2);
+    let expanded = b
+        .op(tensor::EXPAND_SHAPE)
+        .operand(gemm.result())
+        .result(Type::tensor(&out_shape, elem))
+        .push_at(index + 3);
+    replace_op(body, op, expanded.result());
     Ok(())
 }
 
@@ -570,13 +450,11 @@ impl Pass for CinmToCnmPass {
 
 fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions) -> IrResult<()> {
     let op_name = body.op(op).name;
-    let operands = body.op(op).operands.clone();
-    let result = body.op(op).results[0];
-    let result_ty = body.value_type(result).clone();
+    let num_operands = body.op(op).operands.len();
+    let result_ty = *body.value_type(body.result(op, 0));
     let result_shape = result_ty
         .shape()
-        .ok_or_else(|| IrError::new(format!("{op_name} result must be shaped")))?
-        .to_vec();
+        .ok_or_else(|| IrError::new(format!("{op_name} result must be shaped")))?;
     let elem = result_ty.element_type().unwrap();
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
@@ -585,7 +463,7 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
     // Per-PU tile of the result: split the leading dimension across PUs.
     let lead = result_shape[0].max(1);
     let rows_per_pu = (lead + num_pus - 1) / num_pus;
-    let mut tile_shape = result_shape.clone();
+    let mut tile_shape = Shape::new(result_shape);
     tile_shape[0] = rows_per_pu.max(1);
 
     let wram_tile = if options.optimize_locality {
@@ -600,118 +478,112 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
 
     let mut b = OpBuilder::at_end(body, block);
     let mut at = index;
-    let wg = b.push_at(
-        at,
-        OpSpec::new(cnm::WORKGROUP)
-            .attr("shape", options.workgroup.clone())
-            .attr(
-                "cnm.physical_dims",
-                Attribute::StrArray(vec!["dpu".into(), "thread".into()]),
-            )
-            .result(Type::cnm_workgroup(&options.workgroup)),
-    );
+    let wg = b
+        .op(cnm::WORKGROUP)
+        .attr("shape", options.workgroup.as_slice())
+        .attr("cnm.physical_dims", Attribute::StrArray(&["dpu", "thread"]))
+        .result(Type::cnm_workgroup(&options.workgroup))
+        .push_at(at);
     at += 1;
 
-    // One buffer + scatter per operand.
-    let mut buffers = Vec::new();
-    let mut tokens = Vec::new();
-    for &operand in &operands {
-        let oshape = b
-            .body()
-            .value_type(operand)
-            .shape()
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| vec![1]);
-        let oelem = b.body().value_type(operand).element_type().unwrap_or(elem);
-        let mut otile = oshape.clone();
-        otile[0] = ((oshape[0] + num_pus - 1) / num_pus).max(1);
-        let buf = b.push_at(
-            at,
-            OpSpec::new(cnm::ALLOC)
-                .operand(wg.result())
-                .attr("cnm.physical_space", "global")
-                .result(Type::cnm_buffer(&otile, oelem, 0)),
-        );
-        at += 1;
-        let map = AffineMap::tiling(&otile.iter().map(|&x| x.max(1)).collect::<Vec<_>>());
-        let tok = b.push_at(
-            at,
-            OpSpec::new(cnm::SCATTER)
-                .operands([operand, buf.result(), wg.result()])
-                .attr("scatter_map", map)
-                .result(Type::Token),
-        );
-        at += 1;
-        buffers.push(buf.result());
-        tokens.push(tok.result());
+    // One buffer and one scatter per operand, created in turn. Values are
+    // numbered in creation order, so the buffer of operand `i` is value
+    // `first + 2i` and its scatter token `first + 2i + 1`.
+    let first = b.body().num_values() as u32;
+    let buffer = |i: usize| ValueId(first + 2 * i as u32);
+    let token = |i: usize| ValueId(first + 2 * i as u32 + 1);
+    for i in 0..num_operands {
+        let operand = b.body().op(op).operands[i];
+        let ty = *b.body().value_type(operand);
+        let mut otile = Shape::new(ty.shape().unwrap_or(&[1]));
+        otile[0] = ((otile[0] + num_pus - 1) / num_pus).max(1);
+        let buf = b
+            .op(cnm::ALLOC)
+            .operand(wg.result())
+            .attr("cnm.physical_space", "global")
+            .result(Type::cnm_buffer(
+                &otile,
+                ty.element_type().unwrap_or(elem),
+                0,
+            ))
+            .push_at(at);
+        let tok = b
+            .op(cnm::SCATTER)
+            .operands([operand, buf.result(), wg.result()])
+            .attr("scatter_map", tiling_map(otile))
+            .result(Type::Token)
+            .push_at(at + 1);
+        at += 2;
+        debug_assert!(buf.result() == buffer(i) && tok.result() == token(i));
     }
 
     // Output buffer.
-    let out_buf = b.push_at(
-        at,
-        OpSpec::new(cnm::ALLOC)
-            .operand(wg.result())
-            .attr("cnm.physical_space", "global")
-            .result(Type::cnm_buffer(&tile_shape, elem, 0)),
-    );
+    let out_buf = b
+        .op(cnm::ALLOC)
+        .operand(wg.result())
+        .attr("cnm.physical_space", "global")
+        .result(Type::cnm_buffer(&tile_shape, elem, 0))
+        .push_at(at);
     at += 1;
 
     // Launch with the kernel annotated for the device code generator.
-    let mut launch_operands = vec![wg.result()];
-    launch_operands.extend(buffers.iter().copied());
-    launch_operands.push(out_buf.result());
-    let region_args: Vec<Type> = launch_operands[1..]
-        .iter()
-        .map(|v| {
-            let ty = b.body().value_type(*v).clone();
-            match ty {
-                Type::CnmBuffer(t) => Type::memref_in(&t.shape, t.elem, MemorySpace::PuPrivate),
-                other => other,
-            }
-        })
-        .collect();
-    let mut launch_spec = OpSpec::new(cnm::LAUNCH)
-        .operands(launch_operands)
+    let mut launch = b
+        .op(cnm::LAUNCH)
+        .operand(wg.result())
+        .operands((0..num_operands).map(buffer))
+        .operand(out_buf.result())
         .attr("cnm.op_kind", op_name.as_str())
-        .attr("cnm.tile_shape", tile_shape.clone())
+        .attr("cnm.tile_shape", Attribute::IntArray(tile_shape))
         .attr("cnm.wram_tile", wram_tile)
         .result(Type::Token)
-        .region(region_args);
+        .region([]);
     if options.optimize_locality {
-        launch_spec = launch_spec.flag("cnm.locality_optimized");
+        launch = launch.flag("cnm.locality_optimized");
     }
-    let launch = b.push_at(at, launch_spec);
+    let launch = launch.push_at(at);
     at += 1;
-    // Terminate the kernel region.
-    {
-        let kernel_block = b.body().op_region_entry_block(launch.id, 0);
-        let mut kb = OpBuilder::at_end(b.body_mut(), kernel_block);
-        kb.push(OpSpec::new(cnm::TERMINATOR));
+    // The kernel region sees every buffer as PU-private memory, and is
+    // terminated.
+    let kernel_block = b.body().op_region_entry_block(launch.id, 0);
+    for v in (0..num_operands).map(buffer).chain([out_buf.result()]) {
+        let ty = match *b.body().value_type(v) {
+            Type::CnmBuffer(t) => Type::memref_in(&t.shape, t.elem, MemorySpace::PuPrivate),
+            other => other,
+        };
+        b.body_mut().add_block_arg(kernel_block, ty);
     }
+    OpBuilder::at_end(b.body_mut(), kernel_block)
+        .op(cnm::TERMINATOR)
+        .push();
 
     // Gather the result and synchronise.
-    let gather_map = AffineMap::tiling(&tile_shape.iter().map(|&x| x.max(1)).collect::<Vec<_>>());
-    let gather = b.push_at(
-        at,
-        OpSpec::new(cnm::GATHER)
-            .operands([out_buf.result(), wg.result()])
-            .attr("scatter_map", gather_map)
-            .result(result_ty.clone())
-            .result(Type::Token),
-    );
-    at += 1;
-    let mut wait_tokens = tokens;
-    wait_tokens.push(launch.result_at(0));
-    wait_tokens.push(gather.result_at(1));
-    b.push_at(at, OpSpec::new(cnm::WAIT).operands(wait_tokens));
-    at += 1;
-    b.push_at(at, OpSpec::new(cnm::FREE_WORKGROUP).operand(wg.result()));
+    let gather = b
+        .op(cnm::GATHER)
+        .operands([out_buf.result(), wg.result()])
+        .attr("scatter_map", tiling_map(tile_shape))
+        .result(result_ty)
+        .result(Type::Token)
+        .push_at(at);
+    b.op(cnm::WAIT)
+        .operands((0..num_operands).map(token))
+        .operands([launch.result_at(0), gather.result_at(1)])
+        .push_at(at + 1);
+    b.op(cnm::FREE_WORKGROUP)
+        .operand(wg.result())
+        .push_at(at + 2);
 
-    let new_result = gather.result_at(0);
-    body.replace_all_uses(result, new_result);
     // The original op still references its operands; erase it last.
-    body.erase_op(op);
+    replace_op(body, op, gather.result_at(0));
     Ok(())
+}
+
+/// The map that tiles a tensor into per-PU tiles of `tile` (an empty extent
+/// counts as one).
+fn tiling_map(mut tile: Shape) -> AffineMap {
+    for d in tile.iter_mut() {
+        *d = (*d).max(1);
+    }
+    AffineMap::tiling(&tile)
 }
 
 // ---------------------------------------------------------------------------
@@ -791,58 +663,53 @@ impl Pass for CinmToCimPass {
 
 fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions) -> IrResult<()> {
     let op_name = body.op(op).name;
-    let operands = body.op(op).operands.clone();
-    let result = body.op(op).results[0];
-    let result_ty = body.value_type(result).clone();
+    if body.op(op).operands.len() != 2 {
+        return Err(IrError::new(format!("{op_name} expects 2 operands")));
+    }
+    let (operands, _, result_ty) = unpack::<2>(body, op);
+    let arg_types = operands.map(|v| *body.value_type(v));
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
 
     let mut b = OpBuilder::at_end(body, block);
-    let device = b.push_at(index, OpSpec::new(cim::ACQUIRE).result(Type::CimDeviceId));
-    let mut exec_spec = OpSpec::new(cim::EXECUTE)
+    let device = b.op(cim::ACQUIRE).result(Type::CimDeviceId).push_at(index);
+    let mut exec = b
+        .op(cim::EXECUTE)
         .operand(device.result())
-        .operands(operands.iter().copied())
+        .operands(operands)
         .attr("cim.kernel", op_name.as_str())
         .attr("cim.tile_size", options.tile_size)
         .attr("cim.num_tiles", options.num_tiles)
-        .result(result_ty.clone())
-        .region(
-            operands
-                .iter()
-                .map(|v| b.body().value_type(*v).clone())
-                .collect(),
-        );
+        .result(result_ty)
+        .region(arg_types);
     if options.min_writes {
-        exec_spec = exec_spec.flag("cim.min_writes");
+        exec = exec.flag("cim.min_writes");
     }
     if options.parallel_tiles {
-        exec_spec = exec_spec.flag("cim.parallel_tiles");
+        exec = exec.flag("cim.parallel_tiles");
     }
-    let exec = b.push_at(index + 1, exec_spec);
+    let exec = exec.push_at(index + 1);
     // Region: the original cinm op on the region views, yielded.
     {
         let exec_block = b.body().op_region_entry_block(exec.id, 0);
-        let views = b.body().block_args(exec_block).to_vec();
+        let views = b.body().block_args(exec_block);
+        let views = [views[0], views[1]];
         let mut eb = OpBuilder::at_end(b.body_mut(), exec_block);
-        let inner = eb.push(
-            OpSpec::new(op_name.as_str())
-                .operands(views.iter().copied())
-                .result(result_ty.clone()),
-        );
-        eb.push(OpSpec::new(cim::YIELD).operand(inner.result()));
+        let inner = eb
+            .op(op_name.as_str())
+            .operands(views)
+            .result(result_ty)
+            .push();
+        eb.op(cim::YIELD).operand(inner.result()).push();
     }
-    b.push_at(
-        index + 2,
-        OpSpec::new(cim::BARRIER).operand(device.result()),
-    );
-    b.push_at(
-        index + 3,
-        OpSpec::new(cim::RELEASE).operand(device.result()),
-    );
+    b.op(cim::BARRIER)
+        .operand(device.result())
+        .push_at(index + 2);
+    b.op(cim::RELEASE)
+        .operand(device.result())
+        .push_at(index + 3);
 
-    let new_result = exec.result_at(0);
-    body.replace_all_uses(result, new_result);
-    body.erase_op(op);
+    replace_op(body, op, exec.result_at(0));
     Ok(())
 }
 
@@ -904,30 +771,25 @@ impl Pass for CnmToUpmemPass {
                 _ => None,
             };
             if let Some(new_name) = new_name {
-                let operation = func.body.op_mut(op);
-                operation.name = new_name.into();
+                let body = &mut func.body;
+                body.rename_op(op, new_name);
                 match new_name {
                     upmem::ALLOC_DPUS => {
-                        operation
-                            .attrs
-                            .insert("ranks", Attribute::Int(self.options.ranks));
-                        operation.attrs.insert(
+                        body.set_attr(op, "ranks", Attribute::Int(self.options.ranks));
+                        body.set_attr(
+                            op,
                             "dpus_per_rank",
                             Attribute::Int(upmem::arch::DPUS_PER_DIMM as i64),
                         );
-                        operation
-                            .attrs
-                            .insert("tasklets", Attribute::Int(self.options.tasklets));
+                        body.set_attr(op, "tasklets", Attribute::Int(self.options.tasklets));
                     }
                     upmem::LAUNCH => {
-                        let kernel = operation
-                            .str_attr("cnm.op_kind")
-                            .unwrap_or("generic")
-                            .to_string();
-                        operation.attrs.insert("kernel", Attribute::Str(kernel));
-                        operation
-                            .attrs
-                            .insert("tasklets", Attribute::Int(self.options.tasklets));
+                        // The kernel is the op kind the launch carries: its
+                        // name is `'static`, so copying the attribute is free.
+                        let kernel = body.op(op).attr("cnm.op_kind").cloned();
+                        let kernel = kernel.unwrap_or("generic".into());
+                        body.set_attr(op, "kernel", kernel);
+                        body.set_attr(op, "tasklets", Attribute::Int(self.options.tasklets));
                     }
                     _ => {}
                 }
@@ -952,46 +814,31 @@ impl Pass for CimToMemristorPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            match func.body.op(op).name.as_str() {
+            let body = &mut func.body;
+            match body.op(op).name.as_str() {
                 cim::ACQUIRE => {
-                    let operation = func.body.op_mut(op);
-                    operation.name = memristor::CONFIGURE.into();
-                    operation.attrs.insert(
-                        "tile_rows",
-                        Attribute::Int(memristor::arch::TILE_ROWS as i64),
-                    );
-                    operation.attrs.insert(
-                        "tile_cols",
-                        Attribute::Int(memristor::arch::TILE_COLS as i64),
-                    );
-                    operation.attrs.insert(
-                        "num_tiles",
-                        Attribute::Int(memristor::arch::NUM_TILES as i64),
-                    );
-                    operation
-                        .attrs
-                        .insert("write_mode", Attribute::Str("write-verify".into()));
-                    changed = true;
+                    body.rename_op(op, memristor::CONFIGURE);
+                    for (key, value) in [
+                        ("tile_rows", memristor::arch::TILE_ROWS),
+                        ("tile_cols", memristor::arch::TILE_COLS),
+                        ("num_tiles", memristor::arch::NUM_TILES),
+                    ] {
+                        body.set_attr(op, key, Attribute::Int(value as i64));
+                    }
+                    body.set_attr(op, "write_mode", "write-verify".into());
                 }
                 cim::EXECUTE => {
                     // The tiled execution is materialised by the device code
                     // generator; at the IR level the op becomes the
                     // memristor GEMM entry point carrying the same attributes.
-                    let operation = func.body.op_mut(op);
-                    operation.name = memristor::GEMM_TILE.into();
-                    operation.attrs.insert("tile", Attribute::Int(0));
-                    changed = true;
+                    body.rename_op(op, memristor::GEMM_TILE);
+                    body.set_attr(op, "tile", Attribute::Int(0));
                 }
-                cim::BARRIER => {
-                    func.body.op_mut(op).name = memristor::BARRIER.into();
-                    changed = true;
-                }
-                cim::RELEASE => {
-                    func.body.op_mut(op).name = memristor::RELEASE.into();
-                    changed = true;
-                }
-                _ => {}
+                cim::BARRIER => body.rename_op(op, memristor::BARRIER),
+                cim::RELEASE => body.rename_op(op, memristor::RELEASE),
+                _ => continue,
             }
+            changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
@@ -1063,12 +910,11 @@ mod tests {
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             let r = b
-                .push(
-                    OpSpec::new(linalg::ELEMWISE_BINARY)
-                        .operands([args[0], args[1]])
-                        .attr("fun", fun)
-                        .result(i32t(&[8])),
-                )
+                .op(linalg::ELEMWISE_BINARY)
+                .operands([args[0], args[1]])
+                .attr("fun", fun)
+                .result(i32t(&[8]))
+                .push()
                 .result();
             cinm_dialects::func::ret(&mut b, &[r]);
             let mut module = Module::new("m");
@@ -1146,7 +992,7 @@ mod tests {
         assert!(f.body.ops_with_name(linalg::CONTRACT).is_empty());
         let gemms = f.body.ops_with_name(cinm::GEMM);
         assert_eq!(gemms.len(), 1);
-        let lhs_ty = f.body.value_type(f.body.op(gemms[0]).operands[0]).clone();
+        let lhs_ty = *f.body.value_type(f.body.op(gemms[0]).operands[0]);
         assert_eq!(lhs_ty, i32t(&[64, 16]));
     }
 

@@ -421,18 +421,15 @@ pub enum WorkloadParams {
 pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
     let p = id.params(scale);
     let t = |shape: &[usize]| {
-        Type::tensor(
-            &shape.iter().map(|&x| x as i64).collect::<Vec<_>>(),
-            ScalarType::I32,
-        )
+        let mut dims = Shape::new(&[0; cinm_ir::MAX_RANK][..shape.len()]);
+        for (d, &x) in dims.iter_mut().zip(shape) {
+            *d = x as i64;
+        }
+        Type::tensor(&dims, ScalarType::I32)
     };
     match (id, p) {
         (WorkloadId::Mm, WorkloadParams::Gemm { m, k, n }) => {
-            let mut f = Func::new(
-                "mm",
-                vec![t(&[m, k]), t(&[k, n]), t(&[m, n])],
-                vec![t(&[m, n])],
-            );
+            let mut f = Func::new("mm", [t(&[m, k]), t(&[k, n]), t(&[m, n])], vec![t(&[m, n])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -443,7 +440,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Mm2, WorkloadParams::Gemm2 { m, k, n, p }) => {
             let mut f = Func::new(
                 "two_mm",
-                vec![t(&[m, k]), t(&[k, n]), t(&[n, p]), t(&[m, n]), t(&[m, p])],
+                [t(&[m, k]), t(&[k, n]), t(&[n, p]), t(&[m, n]), t(&[m, p])],
                 vec![t(&[m, p])],
             );
             let args = f.arguments();
@@ -457,7 +454,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Mm3, WorkloadParams::Gemm3 { m, k, n, p }) => {
             let mut f = Func::new(
                 "three_mm",
-                vec![
+                [
                     t(&[m, k]),
                     t(&[k, n]),
                     t(&[n, k]),
@@ -492,7 +489,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             let ow = w - kw + 1;
             let mut f = Func::new(
                 "conv",
-                vec![t(&[1, h, w, c]), t(&[kh, kw, c, of]), t(&[1, oh, ow, of])],
+                [t(&[1, h, w, c]), t(&[kh, kw, c, of]), t(&[1, oh, ow, of])],
                 vec![t(&[1, oh, ow, of])],
             );
             let args = f.arguments();
@@ -515,7 +512,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         ) => {
             let mut f = Func::new(
                 "contrl",
-                vec![t(&[a, e, bb, ff]), t(&[d, ff, c, e])],
+                [t(&[a, e, bb, ff]), t(&[d, ff, c, e])],
                 vec![t(&[a, bb, c, d])],
             );
             let args = f.arguments();
@@ -534,7 +531,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Contrs1, WorkloadParams::ContractS1 { a, b: bb, c, d }) => {
             let mut f = Func::new(
                 "contrs1",
-                vec![t(&[a, c, d]), t(&[d, bb, c])],
+                [t(&[a, c, d]), t(&[d, bb, c])],
                 vec![t(&[a, bb])],
             );
             let args = f.arguments();
@@ -553,7 +550,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Contrs2, WorkloadParams::ContractS2 { a, b: bb, c, d }) => {
             let mut f = Func::new(
                 "contrs2",
-                vec![t(&[a, c, d]), t(&[d, bb])],
+                [t(&[a, c, d]), t(&[d, bb])],
                 vec![t(&[a, bb, c])],
             );
             let args = f.arguments();
@@ -572,7 +569,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Mlp, WorkloadParams::Mlp { batch, layers }) => {
             let mut f = Func::new(
                 "mlp",
-                vec![
+                [
                     t(&[batch, layers[0]]),
                     t(&[layers[1], layers[0]]),
                     t(&[layers[1]]),
@@ -597,7 +594,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Mv, WorkloadParams::Gemv { rows, cols }) => {
             let mut f = Func::new(
                 "mv",
-                vec![t(&[rows, cols]), t(&[cols]), t(&[rows])],
+                [t(&[rows, cols]), t(&[cols]), t(&[rows])],
                 vec![t(&[rows])],
             );
             let args = f.arguments();
@@ -608,7 +605,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             f
         }
         (WorkloadId::Va, WorkloadParams::Vector { len }) => {
-            let mut f = Func::new("va", vec![t(&[len]), t(&[len])], vec![t(&[len])]);
+            let mut f = Func::new("va", [t(&[len]), t(&[len])], vec![t(&[len])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -617,7 +614,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             f
         }
         (WorkloadId::Red, WorkloadParams::Vector { len }) => {
-            let mut f = Func::new("red", vec![t(&[len])], vec![t(&[1])]);
+            let mut f = Func::new("red", [t(&[len])], vec![t(&[1])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -628,7 +625,7 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::HstL, WorkloadParams::Histogram { len, bins, .. }) => {
             // Manually translated (non-idiomatic PrIM benchmark): entered
             // directly at the cinm level, as described in Section 4.1.1.
-            let mut f = Func::new("hst_l", vec![t(&[len])], vec![t(&[bins])]);
+            let mut f = Func::new("hst_l", [t(&[len])], vec![t(&[bins])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
@@ -637,25 +634,25 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             f
         }
         (WorkloadId::Sel, WorkloadParams::Select { len, threshold }) => {
-            let mut f = Func::new("sel", vec![t(&[len])], vec![t(&[len])]);
+            let mut f = Func::new("sel", [t(&[len])], vec![t(&[len])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             // Select is expressed as a compute region over the cinm op set.
-            let out = b.push(
-                OpSpec::new(cinm::COMPUTE)
-                    .operand(args[0])
-                    .attr("kind", "select")
-                    .attr("threshold", threshold as i64)
-                    .result(t(&[len]))
-                    .region(vec![t(&[len])]),
-            );
+            let out = b
+                .op(cinm::COMPUTE)
+                .operand(args[0])
+                .attr("kind", "select")
+                .attr("threshold", threshold as i64)
+                .result(t(&[len]))
+                .region([t(&[len])])
+                .push();
             {
                 let rb_block = f.body.op_region_entry_block(out.id, 0);
                 let view = f.body.block_args(rb_block)[0];
                 let mut rb = OpBuilder::at_end(&mut f.body, rb_block);
                 let s = cinm::scan(&mut rb, "add", view);
-                rb.push(OpSpec::new(cinm::YIELD).operand(s));
+                rb.op(cinm::YIELD).operand(s).push();
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             func::ret(&mut b, &[out.result_at(0)]);
@@ -664,30 +661,30 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
         (WorkloadId::Bfs, WorkloadParams::Bfs { vertices, degree }) => {
             let mut f = Func::new(
                 "bfs",
-                vec![t(&[vertices + 1]), t(&[vertices * degree]), t(&[vertices])],
+                [t(&[vertices + 1]), t(&[vertices * degree]), t(&[vertices])],
                 vec![t(&[vertices])],
             );
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
-            let out = b.push(
-                OpSpec::new(cinm::COMPUTE)
-                    .operands([args[0], args[1], args[2]])
-                    .attr("kind", "bfs_step")
-                    .result(t(&[vertices]))
-                    .region(vec![]),
-            );
+            let out = b
+                .op(cinm::COMPUTE)
+                .operands([args[0], args[1], args[2]])
+                .attr("kind", "bfs_step")
+                .result(t(&[vertices]))
+                .region([])
+                .push();
             {
                 let rb_block = f.body.op_region_entry_block(out.id, 0);
                 let mut rb = OpBuilder::at_end(&mut f.body, rb_block);
-                rb.push(OpSpec::new(cinm::YIELD));
+                rb.op(cinm::YIELD).push();
             }
             let mut b = OpBuilder::at_end(&mut f.body, entry);
             func::ret(&mut b, &[out.result_at(0)]);
             f
         }
         (WorkloadId::Ts, WorkloadParams::TimeSeries { len, window }) => {
-            let mut f = Func::new("ts", vec![t(&[len])], vec![t(&[len - window + 1])]);
+            let mut f = Func::new("ts", [t(&[len])], vec![t(&[len - window + 1])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);

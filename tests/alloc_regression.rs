@@ -712,28 +712,39 @@ fn cold_session_op_allocations() -> u64 {
     allocs / SHAPES as u64
 }
 
-/// Heap allocations per program of building and `pipeline::compile`-ing the
-/// benchmark's 33 (program, route) pairs at its scale.
-fn compile_allocations_per_program() -> u64 {
-    use cinm_core::{cim_pipeline, cinm_pipeline, cnm_pipeline, compile};
+/// The benchmark's 33 (program, route) pairs at its scale: every workload
+/// through the front end, the UPMEM optimisation suite through
+/// `cinm -> cnm -> upmem` on 8 ranks, and the CIM suite through
+/// `cinm -> cim -> memristor`.
+fn compile_routes() -> [(Vec<cinm_workloads::WorkloadId>, cinm_ir::PassManager); 3] {
+    use cinm_core::{cim_pipeline, cinm_pipeline, cnm_pipeline};
     use cinm_lowering::CimLoweringOptions;
-    use cinm_workloads::{build_func, Scale, WorkloadId};
-
-    let routes = [
+    use cinm_workloads::WorkloadId;
+    [
         (WorkloadId::all(), cinm_pipeline()),
         (WorkloadId::upmem_opt_suite(), cnm_pipeline(8, true)),
         (
             WorkloadId::cim_suite(),
             cim_pipeline(CimLoweringOptions::optimized()),
         ),
-    ];
+    ]
+}
+
+fn build(id: cinm_workloads::WorkloadId) -> cinm_ir::Module {
+    let mut module = cinm_ir::Module::new(id.name());
+    module.add_func(cinm_workloads::build_func(id, cinm_workloads::Scale::Bench));
+    module
+}
+
+/// Heap allocations per program of building and `pipeline::compile`-ing the
+/// benchmark's 33 (program, route) pairs.
+fn compile_allocations_per_program() -> u64 {
     let (mut programs, mut allocs) = (0, 0);
-    for (ids, pm) in &routes {
+    for (ids, pm) in &compile_routes() {
         for &id in ids {
             let (result, n) = alloc_count::count_in(|| {
-                let mut module = cinm_ir::Module::new(id.name());
-                module.add_func(build_func(id, Scale::Bench));
-                compile(&mut module, pm).map(|_| module)
+                let mut module = build(id);
+                cinm_core::compile(&mut module, pm).map(|_| module)
             });
             result.unwrap();
             programs += 1;
@@ -744,24 +755,171 @@ fn compile_allocations_per_program() -> u64 {
     allocs / programs
 }
 
+/// The same 33 programs stage by stage, each stage summed over the programs
+/// that run it: building, each of the six passes run alone through a
+/// `PassManager`, and verifying against the full registry.
+fn compile_allocations_by_stage() -> [(&'static str, u64); 8] {
+    use cinm_ir::{Pass, PassManager};
+    use cinm_lowering::*;
+    let pass = |pass: Box<dyn Pass>| {
+        let mut pm = PassManager::new();
+        pm.add_pass(pass);
+        pm
+    };
+    let front = || {
+        [
+            pass(Box::new(TosaToLinalgPass)),
+            pass(Box::new(LinalgToCinmPass)),
+        ]
+    };
+    let [tosa, linalg] = front();
+    let cnm = CnmLoweringOptions {
+        workgroup: vec![8 * 128, 16],
+        optimize_locality: true,
+        ..Default::default()
+    };
+    let upmem = UpmemLoweringOptions {
+        ranks: 8,
+        tasklets: 16,
+    };
+    let routes = [
+        (WorkloadId::all(), vec![tosa, linalg]),
+        (WorkloadId::upmem_opt_suite(), {
+            let [tosa, linalg] = front();
+            let cnm = pass(Box::new(CinmToCnmPass::new(cnm)));
+            vec![
+                tosa,
+                linalg,
+                cnm,
+                pass(Box::new(CnmToUpmemPass::new(upmem))),
+            ]
+        }),
+        (WorkloadId::cim_suite(), {
+            let [tosa, linalg] = front();
+            let cim = CinmToCimPass::new(CimLoweringOptions::optimized());
+            vec![
+                tosa,
+                linalg,
+                pass(Box::new(cim)),
+                pass(Box::new(CimToMemristorPass)),
+            ]
+        }),
+    ];
+    use cinm_workloads::WorkloadId;
+    let mut stages = STAGES.map(|stage| (stage, 0));
+    let mut add = |stage: &str, n: u64| {
+        let i = STAGES.iter().position(|s| *s == stage).unwrap();
+        stages[i].1 += n;
+    };
+    for (ids, passes) in &routes {
+        for &id in ids {
+            let (mut module, n) = alloc_count::count_in(|| build(id));
+            add("build", n);
+            for pm in passes {
+                let (result, n) = alloc_count::count_in(|| pm.run(&mut module));
+                result.unwrap();
+                add(pm.pass_names()[0], n);
+            }
+            let (result, n) = alloc_count::count_in(|| {
+                cinm_ir::verify_module(&module, &cinm_dialects::register_all_dialects())
+            });
+            result.unwrap();
+            add("verify", n);
+        }
+    }
+    stages
+}
+
+/// The stages of [`compile_allocations_by_stage`], in pipeline order.
+const STAGES: [&str; 8] = [
+    "build",
+    "convert-tosa-to-linalg",
+    "convert-linalg-to-cinm",
+    "convert-cinm-to-cnm",
+    "convert-cnm-to-upmem",
+    "convert-cinm-to-cim",
+    "convert-cim-to-memristor",
+    "verify",
+];
+
 /// Two ceilings. A built and compiled program fell from 258 allocations to
 /// 151 when the IR became allocation-light (static op names, one sorted
-/// attribute list, per-session pass managers): a per-op `String` or a map
-/// per comparison coming back shows here before it shows on a clock. A cold
-/// session op fell from 247 to 112 with it, to 110 when its one-shard
-/// dispatch moved onto this thread (wherever the shard runs, it is counted
-/// here), and to 31 when the optimizer stopped encoding every cold graph
-/// into a throwaway IR function and ran on the recorded ops instead: an IR
-/// copy, or a vector per recorded op, coming back fails here.
+/// attribute list, per-session pass managers), and to 36 when
+/// it stopped allocating per op at all (inline shapes, `Copy` types, operand
+/// and attribute lists in per-body pools, borrowed `'static` strings): a
+/// per-op vector or `String` coming back shows here before it shows on a
+/// clock. A cold session op fell from 247 to 112 with it, to 110 when its
+/// one-shard dispatch moved onto this thread (wherever the shard runs, it
+/// is counted here), and to 31 when the optimizer stopped encoding every
+/// cold graph into a throwaway IR function and ran on the recorded ops
+/// instead: an IR copy, or a vector per recorded op, coming back fails here.
 #[test]
 fn cold_runs_and_compiles_stay_under_their_allocation_ceilings() {
     let cold = cold_session_op_allocations();
     assert!(cold <= 39, "a cold session op allocated {cold} times");
     let compile = compile_allocations_per_program();
     assert!(
-        compile <= 160,
+        compile <= PROGRAM_CEILING,
         "building and compiling allocated {compile} times per program"
     );
+}
+
+/// The whole-program ceiling of building and compiling one of the 33.
+const PROGRAM_CEILING: u64 = 36;
+
+/// Each stage of the 33 programs, summed over the programs that run it, is
+/// pinned at its measured count plus at most 5 %: which stage a
+/// reintroduced allocation sits in shows by name.
+#[test]
+fn every_compiler_stage_stays_under_its_allocation_pin() {
+    const PINS: [u64; 8] = [502, 69, 69, 464, 22, 81, 19, 103];
+    for ((stage, got), pin) in compile_allocations_by_stage().into_iter().zip(PINS) {
+        assert!(
+            got <= pin,
+            "{stage} allocated {got} times over its programs, pinned at {pin}"
+        );
+    }
+}
+
+/// Once a body's arenas have grown, creating an op is writes into them: a
+/// one-result op with four operands and `'static` attributes (a literal
+/// string, an integer, an inline integer array and a flag) allocates
+/// nothing, and neither does reading it back.
+#[test]
+fn pushing_an_op_into_a_body_with_room_allocates_nothing() {
+    use cinm_ir::{Func, OpBuilder, ScalarType, Type};
+    let t = Type::tensor(&[64, 64], ScalarType::I32);
+    let mut f = Func::new("room", [t; 4], vec![]);
+    let args = f.arguments();
+    let entry = f.body.entry_block();
+    let push = |f: &mut Func| {
+        OpBuilder::at_end(&mut f.body, entry)
+            .op("t.op")
+            .operands([args[0], args[1], args[2], args[3]])
+            .attr("kind", "select")
+            .attr("n", 4_i64)
+            .attr("tile", [8, 2])
+            .flag("t.flag")
+            .result(t)
+            .push()
+    };
+    // 40 ops grow every arena to twice what 40 ops need (4 operands and 4
+    // attributes each; 44 values): the next 8 ops fit.
+    for _ in 0..40 {
+        push(&mut f);
+    }
+    let (last, allocs) = alloc_count::count_in(|| {
+        let mut last = push(&mut f);
+        for _ in 1..8 {
+            last = push(&mut f);
+        }
+        let op = f.body.op(last.id);
+        assert_eq!(op.str_attr("kind"), Some("select"));
+        assert_eq!(op.int_array_attr("tile"), Some(&[8_i64, 2][..]));
+        last
+    });
+    assert_eq!(allocs, 0, "pushing 8 ops into a body with room");
+    assert_eq!(f.body.op(last.id).operands, &args[..]);
 }
 
 /// A crossbar `gemm` issues one band command per (tile batch × 64 output

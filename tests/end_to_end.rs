@@ -98,11 +98,11 @@ fn every_lowered_program_verifies_without_unregistered_ops() {
     }
 
     let t = Type::tensor(&[8, 8], ScalarType::I32);
-    let mut f = Func::new("typo", vec![t.clone(), t.clone()], vec![t.clone()]);
+    let mut f = Func::new("typo", vec![t, t], vec![t]);
     let (a, b) = (f.argument(0), f.argument(1));
     let entry = f.body.entry_block();
     let mut builder = OpBuilder::at_end(&mut f.body, entry);
-    let c = builder.push(OpSpec::new("cinm.gemmm").operands([a, b]).result(t));
+    let c = builder.op("cinm.gemmm").operands([a, b]).result(t).push();
     cinm::dialects::func::ret(&mut builder, &[c.result()]);
     let mut module = Module::new("typo");
     module.add_func(f);
