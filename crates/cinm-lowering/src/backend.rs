@@ -21,10 +21,9 @@
 //!   functionally zeroed (untimed, exactly like a fresh `alloc_buffer`), so
 //!   results, gathered bytes and simulated statistics are **bit-identical**
 //!   to allocating per op — and per-DPU MRAM no longer grows with every op.
-//! * [`CimBackend`] caches the B-tile decomposition (traversal order,
-//!   crossbar slots and parallel grouping) keyed by the stationary operand's
-//!   shape, and stages the weight blocks of a tile batch in a reusable arena.
-//!   Tile writes read their blocks from that arena, each band of MVMs
+//! * [`CimBackend`] walks the crossbar schedule (a few integers, computed
+//!   per op) and stages the weight block of each tile write in a reusable
+//!   arena. Tile writes read their blocks from that arena, each band of MVMs
 //!   ([`CrossbarAccelerator::mvm_band`]) reads its input rows in place from
 //!   `A` and accumulates straight into `C`: nothing is allocated per MVM.
 //!
@@ -44,6 +43,7 @@
 //! command; the layers above re-execute whole steps, which are idempotent.
 
 use std::collections::HashMap;
+use std::mem::take;
 
 use cinm_runtime::{FaultStats, PoolHandle, RetryPolicy};
 use cpu_sim::model::{CpuModel, OpCounts};
@@ -53,8 +53,9 @@ use upmem_sim::{
     UpmemSystem,
 };
 
+use crate::cim_schedule::CimSchedule;
 use crate::cnm_op::{CnmGeometry, CnmOp, MramLayout};
-use crate::tiling::{interchange, tile_2d, wram_tile_elems, TileShape};
+use crate::tiling::wram_tile_elems;
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
 /// `0` means "all cores" and wins; otherwise the larger explicit request
@@ -696,49 +697,22 @@ impl CimRunStats {
     }
 }
 
-/// Cached B-tile decomposition of one stationary-operand shape: the tile
-/// traversal order (interchanged under `cim-min-writes`), each tile already
-/// bound to the crossbar slot its batch programs it into, and the number of
-/// tiles per parallel batch. Both depend only on `(k, n)` and the fixed
-/// backend options, so the plan is computed once per shape and reused by
-/// every repeated op; a batch is a `group`-sized chunk of `tiles`, which
-/// [`CrossbarAccelerator::mvm_band`] takes as is.
-#[derive(Debug, Clone)]
-struct TilePlan {
-    tiles: Vec<BandTile>,
-    group: usize,
-}
-
-/// Stages the weight block of each tile of `batch` (row-major
-/// `rows × cols`, read out of the stationary operand `b`) into the arena, in
-/// the order [`CimBackend::program`] reads them back.
-fn stage_program(arena: &mut Vec<i32>, batch: &[BandTile], b: &[i32], n: usize) {
-    for t in batch {
-        for r in 0..t.rows {
-            let row = (t.row + r) * n + t.col;
-            arena.extend_from_slice(&b[row..row + t.cols]);
-        }
-    }
-}
-
 /// Runtime backend driving the crossbar simulator with an ARM host.
 #[derive(Debug)]
 pub struct CimBackend {
     xbar: CrossbarAccelerator,
     host: CpuModel,
-    options: CimRunOptions,
+    pub(crate) options: CimRunOptions,
     host_seconds: f64,
     host_energy_j: f64,
     /// Host cycles charged per device command issue.
     command_overhead_s: f64,
-    /// Cached B-tile decompositions keyed by the stationary operand shape
-    /// `(k, n)` (see [`TilePlan`]).
-    tile_plans: HashMap<(usize, usize), TilePlan>,
-    /// Staging arena for the weight blocks of a tile batch (they are strided
-    /// in `B`; a tile write takes them contiguous): the writes read slices
-    /// of it, so steady-state ops stop allocating one fresh `Vec` per tile.
+    /// Staging arena for the weight block of a tile write (it is strided in
+    /// `B`; a tile write takes it contiguous), reused by every write.
     /// MVM input rows are contiguous in `A` and are read from there.
     arena: Vec<i32>,
+    /// The tiles of the programmed batch, reused by every batch.
+    batch: Vec<BandTile>,
     /// Retry policy for transient injected faults (see [`CimBackend::try_op`]).
     retry: RetryPolicy,
     /// Fault-tolerance counters, separate from the simulated statistics.
@@ -767,8 +741,8 @@ impl CimBackend {
             host_seconds: 0.0,
             host_energy_j: 0.0,
             command_overhead_s: 50.0e-9,
-            tile_plans: HashMap::new(),
             arena: Vec::new(),
+            batch: Vec::new(),
             retry: RetryPolicy::default(),
             fault_stats: FaultStats::default(),
         }
@@ -793,7 +767,8 @@ impl CimBackend {
         mut op: impl FnMut(&mut CrossbarAccelerator) -> Result<(), CimError>,
     ) -> Result<(), CimError> {
         for _ in 0..issues {
-            self.charge_command(1);
+            self.host_seconds += self.command_overhead_s;
+            self.host_energy_j += self.command_overhead_s * self.host.active_power_w;
         }
         let retry = self.retry;
         let (result, log) = retry.run(|e: &CimError| e.is_transient_fault(), || op(&mut self.xbar));
@@ -804,41 +779,6 @@ impl CimBackend {
             }
         }
         result
-    }
-
-    /// Programs each tile of `batch` with its weight block, taken in batch
-    /// order from the front of `staged` (which is advanced past them): one
-    /// tile write per crossbar slot.
-    fn program(&mut self, staged: &mut &[i32], batch: &[BandTile]) -> Result<(), CimError> {
-        for t in batch {
-            let (weights, rest) = staged.split_at(t.rows * t.cols);
-            *staged = rest;
-            self.try_op(1, |x| x.write_tile(t.tile, weights, t.rows, t.cols))?;
-        }
-        Ok(())
-    }
-
-    /// The MVMs of output rows `row0..` (one band of at most `tile_rows`
-    /// rows) of `c = a × B` against a programmed batch, as one
-    /// [`CrossbarAccelerator::mvm_band`] command: its MVMs read their input
-    /// rows in place from `a` (`k` columns) and accumulate into `c` (`n`
-    /// columns; `cinm.mergePartial`). A batch of several tiles under
-    /// `cim-parallel` issues each row on all of them at once (single-MVM
-    /// latency).
-    fn band(
-        &mut self,
-        (a, k): (&[i32], usize),
-        (c, n): (&mut [i32], usize),
-        row0: usize,
-        batch: &[BandTile],
-    ) -> Result<(), CimError> {
-        let rows = self.xbar.config().tile_rows.min(c.len() / n - row0);
-        let parallel = self.options.parallel_tiles && batch.len() > 1;
-        // The band's issues: one per row in parallel, one per tile and row
-        // otherwise.
-        let issues = if parallel { rows } else { rows * batch.len() };
-        let (a, band) = (&a[row0 * k..], &mut c[row0 * n..(row0 + rows) * n]);
-        self.try_op(issues, |x| x.mvm_band(a, k, band, n, batch, parallel))
     }
 
     /// The retry policy applied to transient faults.
@@ -856,50 +796,6 @@ impl CimBackend {
     /// [`stats`](Self::stats), which stay bit-identical to a fault-free run.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
-    }
-
-    /// Takes the cached tile plan of a stationary operand shape out of the
-    /// context map (computing it on first use); the caller puts it back with
-    /// [`restore_tile_plan`](Self::restore_tile_plan) after the op, so the
-    /// map's entry allocation is reused across repeated ops.
-    fn take_tile_plan(&mut self, k: usize, n: usize) -> TilePlan {
-        if let Some(plan) = self.tile_plans.remove(&(k, n)) {
-            return plan;
-        }
-        let tile = self.xbar.config().tile_rows;
-        let b_tiles = tile_2d(k, n, TileShape::Box { tile });
-        let order = if self.options.min_writes {
-            interchange(&b_tiles)
-        } else {
-            b_tiles
-        };
-        let group = if self.options.parallel_tiles {
-            self.xbar.num_tiles().max(1)
-        } else {
-            1
-        };
-        // Batch `i / group` programs its tiles into slots `0..group`.
-        let tiles = order
-            .iter()
-            .enumerate()
-            .map(|(i, t)| BandTile {
-                tile: i % group,
-                row: t.row,
-                rows: t.rows,
-                col: t.col,
-                cols: t.cols,
-            })
-            .collect();
-        TilePlan { tiles, group }
-    }
-
-    fn restore_tile_plan(&mut self, k: usize, n: usize, plan: TilePlan) {
-        self.tile_plans.insert((k, n), plan);
-    }
-
-    /// Number of cached tile plans (distinct stationary shapes seen).
-    pub fn cached_tile_plans(&self) -> usize {
-        self.tile_plans.len()
     }
 
     /// The crossbar configuration driving this backend.
@@ -931,16 +827,11 @@ impl CimBackend {
         self.host_energy_j += self.host.energy_joules(&ops);
     }
 
-    fn charge_command(&mut self, commands: usize) {
-        let t = commands as f64 * self.command_overhead_s;
-        self.host_seconds += t;
-        self.host_energy_j += t * self.host.active_power_w;
-    }
-
     /// `C[m×n] = A[m×k] × B[k×n]` on the crossbar: B is partitioned into
-    /// `tile × tile` blocks (compulsory tiling), each block is programmed
-    /// into a crossbar tile and multiplied with the corresponding A column
-    /// block; partial results are merged on the fly (`cinm.mergePartial`).
+    /// `tile_rows × tile_cols` blocks (compulsory tiling), each block is
+    /// programmed into a crossbar tile and multiplied with the corresponding
+    /// A column block; partial results are merged on the fly
+    /// (`cinm.mergePartial`).
     ///
     /// The traversal order of the B blocks depends on
     /// [`CimRunOptions::min_writes`]: the baseline re-programs a tile for
@@ -976,47 +867,33 @@ impl CimBackend {
         if a.is_empty() || b.is_empty() {
             return Ok(vec![0; m * n]);
         }
-        let tile = self.xbar.config().tile_rows;
         let mut c = vec![0i32; m * n];
 
-        // Compulsory tiling of the stationary B matrix over the (k, n) space
-        // (cached per shape) and of the output rows into bands of `tile`
-        // rows. Batches borrow chunks of the plan's tile order — no per-op
-        // copies of the decomposition.
-        let plan = self.take_tile_plan(k, n);
-        let mut arena = std::mem::take(&mut self.arena);
-
-        // The generated host program: tile programming, then the MVM bands
-        // that consume it, one command after another. On a permanent fault
-        // the program stops and the error is returned only after the scratch
-        // state has been put back, so a failed op leaves the backend
-        // reusable.
-        let outcome = if self.options.min_writes {
-            // Tile-stationary order: program each batch once and reuse it for
-            // every output row band (the loop interchange of Section 3.2.4).
-            plan.tiles.chunks(plan.group).try_for_each(|batch| {
-                arena.clear();
-                stage_program(&mut arena, batch, b, n);
-                self.program(&mut &arena[..], batch)?;
-                (0..m)
-                    .step_by(tile)
-                    .try_for_each(|row0| self.band((a, k), (&mut c, n), row0, batch))
-            })
-        } else {
-            // Naive order: for every output row band, walk (and re-program)
-            // all B tiles.
-            arena.clear();
-            stage_program(&mut arena, &plan.tiles, b, n);
-            (0..m).step_by(tile).try_for_each(|row0| {
-                let mut staged = &arena[..];
-                plan.tiles.chunks(plan.group).try_for_each(|batch| {
-                    self.program(&mut staged, batch)?;
-                    self.band((a, k), (&mut c, n), row0, batch)
-                })
-            })
-        };
-        self.arena = arena;
-        self.restore_tile_plan(k, n, plan);
+        // The generated host program walks the schedule one command after
+        // another: a program step writes the batch's tiles (each block staged
+        // in the arena), then one `mvm_band` (one issue per row) accumulates
+        // the step's rows into `c`. On a permanent fault the walk stops, and
+        // the scratch is put back first so the backend stays reusable.
+        let flags = (self.options.min_writes, self.options.parallel_tiles);
+        let schedule = CimSchedule::new((m, k, n), self.xbar.config(), flags);
+        let (mut arena, mut batch) = (take(&mut self.arena), take(&mut self.batch));
+        let outcome = schedule.steps().try_for_each(|(i, band, program)| {
+            if program {
+                batch.clear();
+                batch.extend(schedule.batch(i));
+                for t in &batch {
+                    arena.clear();
+                    for r in t.row..t.row + t.rows {
+                        arena.extend_from_slice(&b[r * n + t.col..][..t.cols]);
+                    }
+                    self.try_op(1, |x| x.write_tile(t.tile, &arena, t.rows, t.cols))?;
+                }
+            }
+            let (row0, rows) = schedule.band(band);
+            let (a, c) = (&a[row0 * k..], &mut c[row0 * n..(row0 + rows) * n]);
+            self.try_op(rows, |x| x.mvm_band(a, k, c, n, &batch, batch.len() > 1))
+        });
+        (self.arena, self.batch) = (arena, batch);
         outcome?;
         // Partial-result merging happens in the column periphery /
         // mergePartial units; charge a small host pass over the output.
@@ -1046,10 +923,7 @@ impl CimBackend {
         rows: usize,
         cols: usize,
     ) -> Result<Vec<i32>, CimError> {
-        // A[rows×cols] × x[cols] = (x as 1×cols row) × Aᵀ — the crossbar holds
-        // A tiles directly, so we compute row by row: treat x as the
-        // stationary operand is not possible; instead compute C = A × X with
-        // X = x as a cols×1 matrix.
+        // C = A × X with X = x as a cols×1 stationary matrix.
         self.try_gemm(a, x, rows, cols, 1)
     }
 }
@@ -1129,14 +1003,31 @@ mod tests {
         let a: Vec<i32> = (0..m * k).map(|i| (i % 9) as i32 - 4).collect();
         let b: Vec<i32> = (0..k * n).map(|i| (i % 6) as i32 - 2).collect();
         let reference = kernels::matmul(&a, &b, m, k, n);
-        for (mw, pt) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut be = CimBackend::new(CimRunOptions {
-                min_writes: mw,
-                parallel_tiles: pt,
-                ..Default::default()
-            });
-            let c = be.gemm(&a, &b, m, k, n);
-            assert_eq!(c, reference, "min_writes={mw} parallel={pt}");
+        // The host's merge pass over the output, billed after the commands.
+        let merge = OpCounts {
+            bytes_read: (m * n * 4) as f64,
+            ..OpCounts::elementwise(m * n)
+        };
+        let merge = CpuModel::arm_host().execution_seconds(&merge);
+        for geometry in [(64, 64, 4), (64, 32, 4), (32, 64, 4), (64, 64, 1)] {
+            let mut config = CrossbarConfig::default();
+            (config.tile_rows, config.tile_cols, config.num_tiles) = geometry;
+            for (mw, pt) in [(false, false), (true, false), (false, true), (true, true)] {
+                let what = format!("{geometry:?} min_writes={mw} parallel={pt}");
+                let mut options = CimRunOptions::default();
+                (options.min_writes, options.parallel_tiles) = (mw, pt);
+                let mut be = CimBackend::with_config(config.clone(), options);
+                assert_eq!(be.gemm(&a, &b, m, k, n), reference, "{what}");
+                let schedule = CimSchedule::new((m, k, n), &config, (mw, pt));
+                let (xbar, billed) = (be.stats().xbar, be.stats().host_seconds);
+                let counts = (schedule.tile_writes() as u64, schedule.mvms() as u64);
+                assert_eq!((xbar.tile_writes, xbar.mvm_ops), counts, "{what}");
+                let host = schedule.host_issues() as f64 * be.command_overhead_s + merge;
+                assert!(
+                    (billed - host).abs() <= 1e-12 * host,
+                    "{what}: {billed} vs {host}"
+                );
+            }
         }
     }
 
@@ -1228,7 +1119,6 @@ mod tests {
                 assert_eq!(c_reused, c_fresh, "round {round}");
                 assert_eq!(c_reused, kernels::matmul(&a, &b, m, k, n), "round {round}");
             }
-            assert_eq!(reused.cached_tile_plans(), 1);
             // Per-op stats of the reusing backend match a fresh backend's.
             let a = vec![1i32; m * k];
             let b = vec![1i32; k * n];

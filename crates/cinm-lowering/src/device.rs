@@ -50,6 +50,7 @@ use upmem_sim::{kernel_launch_cost, BinOp, KernelSpec, UpmemConfig};
 use cinm_dialects::cinm;
 
 use crate::backend::{CimBackend, UpmemBackend};
+use crate::cim_schedule::CimSchedule;
 use crate::cnm_op::{CnmOp, MramLayout};
 use crate::sharded::ShardError;
 use crate::tiling::wram_tile_elems;
@@ -304,33 +305,34 @@ impl CostModel for CnmCostModel {
     }
 }
 
-/// First-order cost model of the crossbar, mirroring the backend's command
-/// structure under `cim-opt`: the stationary operand is tiled into
-/// `⌈inner/tile_rows⌉ × ⌈out/tile_cols⌉` crossbar tiles, each programmed
-/// once (shard-size independent — the fixed cost), then every work unit
-/// issues one MVM per tile with `num_tiles` tiles computing in parallel.
+/// Cost model of the crossbar: the price of the crate's one crossbar
+/// schedule, the one [`CimBackend::try_gemm`] walks. Its tile writes, MVMs
+/// and MVM latencies times the simulator's own `tile_program_seconds`,
+/// `mvm_seconds` and energies are exactly what `CimStats` bills, up to f64
+/// summation order; the host's issue overhead and merge pass are not priced.
 /// Only matmul-like ops are supported — everything else returns `None` (the
 /// backend models analog MVM only), which is exactly how a whole device
 /// drops out of a plan.
 #[derive(Debug)]
 pub struct CimCostModel {
     config: CrossbarConfig,
+    /// `(min_writes, parallel_tiles)` of the priced schedule.
+    flags: (bool, bool),
 }
 
 impl CimCostModel {
-    /// Creates the model from a crossbar configuration.
+    /// Creates the model of the `cim-opt` schedule (both optimisations on)
+    /// from a crossbar configuration.
     pub fn new(config: CrossbarConfig) -> Self {
-        CimCostModel { config }
+        let flags = (true, true);
+        CimCostModel { config, flags }
     }
 
-    /// Crossbar tiles the stationary operand of a matmul-like shard
-    /// occupies (`None` for everything the crossbar cannot execute).
-    fn tiles(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let cfg = &self.config;
-        cim_supports(op_name).then(|| {
-            (shape.inner.div_ceil(cfg.tile_rows.max(1)) * shape.out.div_ceil(cfg.tile_cols.max(1)))
-                as f64
-        })
+    /// The schedule of a matmul-like shard (`None` for everything the
+    /// crossbar cannot execute).
+    fn schedule(&self, op_name: &str, shape: &ShardShape) -> Option<CimSchedule> {
+        let dims = (shape.work, shape.inner, shape.out);
+        cim_supports(op_name).then(|| CimSchedule::new(dims, &self.config, self.flags))
     }
 }
 
@@ -340,22 +342,11 @@ impl CostModel for CimCostModel {
     }
 
     fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let cfg = &self.config;
-        let tiles = self.tiles(op_name, shape)?;
-        let programming = tiles * cfg.tile_program_seconds();
-        let groups = (tiles / cfg.num_tiles.max(1) as f64).ceil();
-        let compute = shape.work as f64 * groups * cfg.mvm_seconds();
-        Some(programming + compute)
+        Some(self.schedule(op_name, shape)?.seconds(&self.config))
     }
 
     fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        // Mirrors the simulator's CimStats accounting: each tile is
-        // programmed once (the shard-size independent fixed energy), then
-        // every work unit issues one MVM on every tile. Tile parallelism
-        // changes time, not energy.
-        let cfg = &self.config;
-        let tiles = self.tiles(op_name, shape)?;
-        Some(tiles * cfg.tile_program_energy() + shape.work as f64 * tiles * cfg.mvm_energy())
+        Some(self.schedule(op_name, shape)?.joules(&self.config))
     }
 }
 
@@ -792,7 +783,12 @@ impl CimDevice {
 
 impl Device for CimDevice {
     fn cost(&self) -> Box<dyn CostModel> {
-        Box::new(CimCostModel::new(self.backend.crossbar_config().clone()))
+        let config = self.backend.crossbar_config().clone();
+        let flags = (
+            self.backend.options.min_writes,
+            self.backend.options.parallel_tiles,
+        );
+        Box::new(CimCostModel { config, flags })
     }
 
     fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {

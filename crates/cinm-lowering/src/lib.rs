@@ -7,8 +7,7 @@
 //!   (`tosa → linalg → cinm → {cnm, cim} → {upmem, memristor}`) including the
 //!   conv→GEMM and contraction→GEMM rewrites of Figure 5;
 //! * [`tiling`] — the generic tiling/partitioning utilities of Section 3.2.6
-//!   (box, rectangular and row-band tile shapes, interchange, WRAM tile
-//!   sizing);
+//!   (box, rectangular and row-band tile shapes, WRAM tile sizing);
 //! * [`cnm_op`] — the one lowering table from a `cinm` op to its `cnm`
 //!   scatter / launch / gather form ([`cnm_op::CnmOp::geometry`]), read by
 //!   every execution layer below;
@@ -33,6 +32,7 @@
 
 pub mod backend;
 pub mod batch;
+mod cim_schedule;
 pub mod cnm_op;
 pub mod convert;
 pub mod device;
@@ -50,4 +50,4 @@ pub use device::{
     HostCostModel, HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
 };
 pub use sharded::{ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions};
-pub use tiling::{interchange, split_even, tile_2d, wram_tile_elems, Tile, TileShape};
+pub use tiling::{split_even, tile_2d, wram_tile_elems, Tile, TileShape};

@@ -90,17 +90,6 @@ pub fn tile_2d(m: usize, n: usize, shape: TileShape) -> Vec<Tile> {
     tiles
 }
 
-/// Interchanges the tile traversal order from row-major to column-major.
-///
-/// This is the loop-interchange the `cim` abstraction applies to minimise
-/// crossbar writes: visiting all row tiles of one column tile consecutively
-/// lets the crossbar keep the programmed weight tile.
-pub fn interchange(tiles: &[Tile]) -> Vec<Tile> {
-    let mut out = tiles.to_vec();
-    out.sort_by_key(|t| (t.col, t.row));
-    out
-}
-
 /// Splits a flat iteration count into `parts` contiguous chunks whose sizes
 /// differ by at most one element (the DPU workload split).
 pub fn split_even(total: usize, parts: usize) -> Vec<(usize, usize)> {
@@ -154,22 +143,6 @@ mod tests {
             4
         );
         assert_eq!(tile_2d(64, 64, TileShape::RowBand { rows: 8 }).len(), 8);
-    }
-
-    #[test]
-    fn interchange_reorders_column_major() {
-        let tiles = tile_2d(4, 4, TileShape::Box { tile: 2 });
-        let ic = interchange(&tiles);
-        assert_eq!(tiles.len(), ic.len());
-        assert_eq!((ic[0].row, ic[0].col), (0, 0));
-        assert_eq!((ic[1].row, ic[1].col), (2, 0));
-        assert_eq!((ic[2].row, ic[2].col), (0, 2));
-        // Same tile set, different order.
-        let mut a = tiles.clone();
-        let mut b = ic.clone();
-        a.sort_by_key(|t| (t.row, t.col));
-        b.sort_by_key(|t| (t.row, t.col));
-        assert_eq!(a, b);
     }
 
     #[test]

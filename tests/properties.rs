@@ -11,7 +11,8 @@
 
 use cinm::ir::{AffineExpr, AffineMap};
 use cinm::lowering::{
-    tile_2d, CimBackend, CimRunOptions, Tile, TileShape, UpmemBackend, UpmemRunOptions,
+    tile_2d, CimBackend, CimDevice, CimRunOptions, Device, ShardShape, Tile, TileShape,
+    UpmemBackend, UpmemRunOptions,
 };
 use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
 use cinm::telemetry::Telemetry;
@@ -273,6 +274,75 @@ fn cim_schedules_preserve_results() {
         ] {
             let mut be = CimBackend::new(opts);
             assert_eq!(be.gemm(&a, &b, m, k, n), reference);
+        }
+    });
+}
+
+/// The crossbar's planner price is its bill: for gemm and gemv shapes
+/// (including no rows, one-column tiles, and `k`/`n` below the tile size or
+/// not a multiple of it), all four `{min_writes, parallel_tiles}` schedules
+/// and square, non-square and single-tile geometries, the seconds and joules
+/// of `CimDevice::cost()` equal the `CimStats` the backend bills. The only
+/// slack is f64 summation order (the bill adds one command at a time):
+/// relative 1e-12.
+#[test]
+fn cim_cost_model_prices_what_the_backend_bills() {
+    let geometries = [(64, 64, 4), (64, 32, 4), (32, 64, 4), (64, 64, 1)];
+    let flags = [(false, false), (true, false), (false, true), (true, true)];
+    let close = |priced: f64, billed: f64| (priced - billed).abs() <= 1e-12 * billed.abs();
+    // The edges first (no rows, one-column gemms), then random shapes.
+    let mut edges = [(false, 0, 64, 64), (true, 0, 30, 1), (false, 9, 20, 1)].into_iter();
+    for_cases(41, |rng| {
+        let (gemv, m, k, n) = edges.next().unwrap_or_else(|| {
+            let gemv = rng.next_u64() % 2 == 0;
+            let (m, k) = (gen_usize(rng, 0, 70), gen_usize(rng, 1, 140));
+            (gemv, m, k, if gemv { 1 } else { gen_usize(rng, 1, 80) })
+        });
+        let seed = rng.next_u64();
+        let a = data::i32_matrix(seed, m, k, -5, 5);
+        let b = data::i32_matrix(seed + 1, k, n, -5, 5);
+        for (tile_rows, tile_cols, num_tiles) in geometries {
+            for (min_writes, parallel_tiles) in flags {
+                let config = CrossbarConfig {
+                    tile_rows,
+                    tile_cols,
+                    num_tiles,
+                    ..CrossbarConfig::default()
+                };
+                let options = CimRunOptions {
+                    min_writes,
+                    parallel_tiles,
+                    ..Default::default()
+                };
+                let mut device = CimDevice::new(CimBackend::with_config(config, options));
+                let cost = device.cost();
+                let shape = ShardShape::matmul(m, k, n);
+                let (op, c) = if gemv {
+                    let c = device.backend_mut().try_gemv(&a, &b, m, k);
+                    (cinm::dialects::cinm::GEMV, c)
+                } else {
+                    let c = device.backend_mut().try_gemm(&a, &b, m, k, n);
+                    (cinm::dialects::cinm::GEMM, c)
+                };
+                let what = format!(
+                    "{op} {m}x{k}x{n} on {tile_rows}x{tile_cols}x{num_tiles}, \
+                     min_writes={min_writes} parallel={parallel_tiles}"
+                );
+                assert_eq!(c.unwrap(), kernels::matmul(&a, &b, m, k, n), "{what}");
+                let billed = device.backend().stats().xbar;
+                let seconds = cost.estimate_shard_seconds(op, &shape).unwrap();
+                let joules = cost.estimate_shard_joules(op, &shape).unwrap();
+                assert!(
+                    close(seconds, billed.total_seconds()),
+                    "{what}: priced {seconds} s, billed {} s",
+                    billed.total_seconds()
+                );
+                assert!(
+                    close(joules, billed.total_energy_j()),
+                    "{what}: priced {joules} J, billed {} J",
+                    billed.total_energy_j()
+                );
+            }
         }
     });
 }
@@ -1601,7 +1671,7 @@ fn upmem_context_reuse_matches_fresh_backends_over_shape_repeats() {
     });
 }
 
-/// One warm [`CimBackend`] (cached tile plans, staging arena) reused over
+/// One warm [`CimBackend`] (staging arena, batch scratch) reused over
 /// repeated stationary shapes is bit-identical to fresh per-op backends in
 /// every schedule configuration.
 #[test]
