@@ -389,7 +389,6 @@ fn prim_options(id: WorkloadId, host_threads: usize, pool: &PoolHandle) -> Upmem
     };
     UpmemRunOptions {
         locality_optimized: true,
-        tasklets: 16,
         instruction_overhead: overhead,
         wram_tile_elems: Some(256),
         host_threads,

@@ -54,8 +54,7 @@ use upmem_sim::{
 };
 
 use crate::cim_schedule::CimSchedule;
-use crate::cnm_op::{CnmGeometry, CnmOp, MramLayout};
-use crate::tiling::wram_tile_elems;
+use crate::cnm_op::{CnmGeometry, CnmOp, KernelCodegen, MramLayout};
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
 /// `0` means "all cores" and wins; otherwise the larger explicit request
@@ -79,13 +78,17 @@ fn effective_pool(config: &PoolHandle, options: &PoolHandle) -> PoolHandle {
     }
 }
 
-/// Options describing how CINM generated the UPMEM code.
+/// How the UPMEM code was generated — the locality optimisation, the code
+/// generator's instruction overhead and an optional WRAM tile — and how the
+/// host runs the simulation. The tasklets per DPU and the WRAM size are the
+/// machine's ([`UpmemConfig`]); the backend derives each launch's
+/// [`KernelSpec`] from both with the same rule the `cinm → cnm` lowering
+/// annotates its launches with and the [`crate::CnmCostModel`] of an
+/// [`crate::UpmemDevice`] prices.
 #[derive(Debug, Clone)]
 pub struct UpmemRunOptions {
     /// WRAM tiling + loop interchange (the `cinm-opt` configuration).
     pub locality_optimized: bool,
-    /// Tasklets per DPU.
-    pub tasklets: usize,
     /// Multiplier modelling a different code generator (e.g. the PrIM
     /// hand-written kernels); `1.0` for CINM output.
     pub instruction_overhead: f64,
@@ -107,7 +110,6 @@ impl Default for UpmemRunOptions {
     fn default() -> Self {
         UpmemRunOptions {
             locality_optimized: false,
-            tasklets: 16,
             instruction_overhead: 1.0,
             wram_tile_elems: None,
             host_threads: 1,
@@ -197,7 +199,6 @@ impl UpmemBackend {
     /// Creates a backend for a machine with the given number of DIMMs.
     pub fn new(ranks: usize, options: UpmemRunOptions) -> Self {
         let config = UpmemConfig::with_ranks(ranks)
-            .with_tasklets(options.tasklets)
             .with_host_threads(options.host_threads)
             .with_pool(options.pool.clone());
         UpmemBackend {
@@ -289,27 +290,26 @@ impl UpmemBackend {
         &self.options
     }
 
+    /// How this backend's kernels are generated: the backend options on the
+    /// machine's tasklets and WRAM (see [`KernelCodegen::new`]).
+    pub(crate) fn codegen(&self) -> KernelCodegen {
+        let (o, config) = (&self.options, self.system.config());
+        KernelCodegen::new(
+            o.locality_optimized,
+            o.instruction_overhead,
+            o.wram_tile_elems,
+            config.tasklets,
+            config.wram_bytes,
+        )
+    }
+
     /// Builds the [`KernelSpec`] this backend launches for a kernel kind on
     /// the given buffers — tasklets, WRAM tiling, locality optimisation and
-    /// instruction overhead all follow the backend options. Public so the
-    /// session compiler emits bit-identical launches for its tensor-keyed
-    /// buffers.
+    /// instruction overhead all follow the backend options and the machine.
+    /// Public so the session compiler emits bit-identical launches for its
+    /// tensor-keyed buffers.
     pub fn kernel_spec(&self, kind: DpuKernelKind, inputs: Vec<u32>, output: u32) -> KernelSpec {
-        let wram = self.options.wram_tile_elems.unwrap_or_else(|| {
-            if self.options.locality_optimized {
-                wram_tile_elems(self.system.config().wram_bytes, self.options.tasklets, 4)
-            } else {
-                64
-            }
-        });
-        let mut spec = KernelSpec::new(kind, inputs, output)
-            .with_tasklets(self.options.tasklets)
-            .with_wram_tile(wram)
-            .with_instruction_overhead(self.options.instruction_overhead);
-        if self.options.locality_optimized {
-            spec = spec.with_locality_optimization();
-        }
-        spec
+        self.codegen().spec(kind, inputs, output)
     }
 
     /// Runs one device command against the wrapped [`UpmemSystem`],
@@ -934,7 +934,7 @@ mod tests {
     use cpu_sim::kernels;
 
     fn small_upmem(ranks: usize, opts: UpmemRunOptions) -> UpmemBackend {
-        let mut cfg = UpmemConfig::with_ranks(ranks).with_tasklets(opts.tasklets);
+        let mut cfg = UpmemConfig::with_ranks(ranks);
         cfg.dpus_per_rank = 8;
         UpmemBackend::with_config(cfg, opts)
     }

@@ -10,10 +10,14 @@
 //! layer — the eager [`crate::UpmemBackend`] methods, the
 //! [`crate::CnmCostModel`], [`crate::BatchPlan`], [`crate::ShardedBackend`]
 //! and the `cinm-core` session — reads this table instead of carrying its
-//! own copy of the chunk arithmetic.
+//! own copy of the chunk arithmetic. How the per-DPU kernel is generated
+//! (tasklets, WRAM tile, locality optimisation, instruction overhead) is
+//! derived once too, by the crate's `KernelCodegen::new`: the `cinm → cnm`
+//! pass annotates its launches with it, the backend launches it and the
+//! cost model prices it.
 
 use cinm_dialects::cinm;
-use upmem_sim::{BinOp, DpuKernelKind};
+use upmem_sim::{BinOp, BufferId, DpuKernelKind, KernelSpec};
 
 use crate::device::ShardShape;
 
@@ -217,6 +221,65 @@ pub struct CnmGeometry {
     pub used_dpus: usize,
     /// The per-DPU kernel.
     pub kernel: DpuKernelKind,
+}
+
+/// How CINM generated a DPU kernel: the four code-generation fields of a
+/// [`KernelSpec`], independent of the op and its buffers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelCodegen {
+    /// Tasklets per DPU.
+    pub(crate) tasklets: usize,
+    /// WRAM tile in 4-byte words.
+    pub(crate) wram_tile: usize,
+    /// WRAM tiling + loop interchange (the `cinm-opt` configuration).
+    pub(crate) locality_optimized: bool,
+    /// Instruction-count multiplier of the code generator (`1.0` = CINM).
+    pub(crate) instruction_overhead: f64,
+}
+
+impl KernelCodegen {
+    /// The code the lowering generates for `tasklets` tasklets on a DPU
+    /// with `wram_bytes` of WRAM: unless `wram_tile` overrides it, under the
+    /// locality optimisation a WRAM tile of a third of WRAM per operand
+    /// stream, divided among the tasklets and rounded down to a multiple of
+    /// 64 words (at least 64); 64 words without it.
+    pub(crate) fn new(
+        locality_optimized: bool,
+        instruction_overhead: f64,
+        wram_tile: Option<usize>,
+        tasklets: usize,
+        wram_bytes: usize,
+    ) -> Self {
+        let wram_tile = wram_tile.unwrap_or(if locality_optimized {
+            (wram_bytes / 3 / tasklets.max(1) / 4 / 64 * 64).max(64)
+        } else {
+            64
+        });
+        KernelCodegen {
+            tasklets,
+            wram_tile,
+            locality_optimized,
+            instruction_overhead,
+        }
+    }
+
+    /// The launch of `kind` on the given buffers with this code.
+    pub(crate) fn spec(
+        self,
+        kind: DpuKernelKind,
+        inputs: Vec<BufferId>,
+        output: BufferId,
+    ) -> KernelSpec {
+        let spec = KernelSpec::new(kind, inputs, output)
+            .with_tasklets(self.tasklets)
+            .with_wram_tile(self.wram_tile)
+            .with_instruction_overhead(self.instruction_overhead);
+        if self.locality_optimized {
+            spec.with_locality_optimization()
+        } else {
+            spec
+        }
+    }
 }
 
 /// Bins assumed when a histogram is rebuilt from a [`ShardShape`] alone
@@ -577,6 +640,25 @@ mod tests {
         assert_eq!(
             CnmOp::from_shard("cinm.not", &ShardShape::streaming(4)),
             None
+        );
+    }
+
+    #[test]
+    fn wram_tile_is_bounded_and_aligned() {
+        const WRAM: usize = 64 * 1024;
+        let tile = |tasklets| KernelCodegen::new(true, 1.0, None, tasklets, WRAM).wram_tile;
+        let t = tile(16);
+        assert!(t >= 64);
+        assert_eq!(t % 64, 0);
+        assert!(t * 4 * 16 * 3 <= 64 * 1024 + 64 * 4 * 16 * 3);
+        // One tasklet gets a bigger tile than sixteen.
+        assert!(tile(1) >= tile(16));
+        // Without the locality optimisation the tile is 64 words, and an
+        // override wins either way.
+        assert_eq!(KernelCodegen::new(false, 1.0, None, 16, WRAM).wram_tile, 64);
+        assert_eq!(
+            KernelCodegen::new(true, 1.0, Some(256), 16, WRAM).wram_tile,
+            256
         );
     }
 

@@ -15,7 +15,7 @@
 use cinm_dialects::{cim, cinm, cnm, linalg, memristor, tensor, tosa, upmem};
 use cinm_ir::prelude::*;
 
-use crate::tiling::wram_tile_elems;
+use crate::cnm_op::KernelCodegen;
 
 // ---------------------------------------------------------------------------
 // tosa -> linalg
@@ -429,6 +429,11 @@ impl Pass for CinmToCnmPass {
     }
 
     fn run_on_func(&self, func: &mut Func) -> IrResult<PassResult> {
+        // The kernels are generated for the workgroup's tasklets and the
+        // DPU's WRAM by the rule the backend launches them with.
+        let o = &self.options;
+        let tasklets = *o.workgroup.last().unwrap_or(&16) as usize;
+        let codegen = KernelCodegen::new(o.optimize_locality, 1.0, None, tasklets, o.wram_bytes);
         let mut changed = false;
         for op in func.body.walk() {
             if !func.body.is_live(op) {
@@ -441,14 +446,19 @@ impl Pass for CinmToCnmPass {
             if func.body.op(op).results.is_empty() {
                 continue;
             }
-            lower_cinm_op_to_cnm(&mut func.body, op, &self.options)?;
+            lower_cinm_op_to_cnm(&mut func.body, op, &self.options.workgroup, codegen)?;
             changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
 }
 
-fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions) -> IrResult<()> {
+fn lower_cinm_op_to_cnm(
+    body: &mut Body,
+    op: OpId,
+    workgroup: &[i64],
+    codegen: KernelCodegen,
+) -> IrResult<()> {
     let op_name = body.op(op).name;
     let num_operands = body.op(op).operands.len();
     let result_ty = *body.value_type(body.result(op, 0));
@@ -458,7 +468,7 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
     let elem = result_ty.element_type().unwrap();
     let block = body.op_block(op);
     let index = body.op_index_in_block(op);
-    let num_pus: i64 = options.workgroup.iter().product();
+    let num_pus: i64 = workgroup.iter().product();
 
     // Per-PU tile of the result: split the leading dimension across PUs.
     let lead = result_shape[0].max(1);
@@ -466,23 +476,13 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
     let mut tile_shape = Shape::new(result_shape);
     tile_shape[0] = rows_per_pu.max(1);
 
-    let wram_tile = if options.optimize_locality {
-        wram_tile_elems(
-            options.wram_bytes,
-            *options.workgroup.last().unwrap_or(&16) as usize,
-            elem.byte_width(),
-        ) as i64
-    } else {
-        64
-    };
-
     let mut b = OpBuilder::at_end(body, block);
     let mut at = index;
     let wg = b
         .op(cnm::WORKGROUP)
-        .attr("shape", options.workgroup.as_slice())
+        .attr("shape", workgroup)
         .attr("cnm.physical_dims", Attribute::StrArray(&["dpu", "thread"]))
-        .result(Type::cnm_workgroup(&options.workgroup))
+        .result(Type::cnm_workgroup(workgroup))
         .push_at(at);
     at += 1;
 
@@ -534,10 +534,10 @@ fn lower_cinm_op_to_cnm(body: &mut Body, op: OpId, options: &CnmLoweringOptions)
         .operand(out_buf.result())
         .attr("cnm.op_kind", op_name.as_str())
         .attr("cnm.tile_shape", Attribute::IntArray(tile_shape))
-        .attr("cnm.wram_tile", wram_tile)
+        .attr("cnm.wram_tile", codegen.wram_tile as i64)
         .result(Type::Token)
         .region([]);
-    if options.optimize_locality {
+    if codegen.locality_optimized {
         launch = launch.flag("cnm.locality_optimized");
     }
     let launch = launch.push_at(at);
@@ -590,29 +590,15 @@ fn tiling_map(mut tile: Shape) -> AffineMap {
 // cinm -> cim
 // ---------------------------------------------------------------------------
 
-/// Options of the `cinm → cim` lowering.
-#[derive(Debug, Clone)]
+/// Options of the `cinm → cim` lowering. The crossbar geometry the kernels
+/// are tiled for is the architecture's (`memristor::arch`).
+#[derive(Debug, Clone, Default)]
 pub struct CimLoweringOptions {
-    /// Crossbar tile edge (compulsory tiling size).
-    pub tile_size: i64,
-    /// Number of crossbar tiles available for unrolling.
-    pub num_tiles: i64,
     /// Interchange the tile loops to minimise crossbar writes
     /// (`cim-min-writes`).
     pub min_writes: bool,
     /// Unroll the inner tile loop across crossbar tiles (`cim-parallel`).
     pub parallel_tiles: bool,
-}
-
-impl Default for CimLoweringOptions {
-    fn default() -> Self {
-        CimLoweringOptions {
-            tile_size: memristor::arch::TILE_ROWS as i64,
-            num_tiles: memristor::arch::NUM_TILES as i64,
-            min_writes: false,
-            parallel_tiles: false,
-        }
-    }
 }
 
 impl CimLoweringOptions {
@@ -621,7 +607,6 @@ impl CimLoweringOptions {
         CimLoweringOptions {
             min_writes: true,
             parallel_tiles: true,
-            ..Default::default()
         }
     }
 }
@@ -678,8 +663,8 @@ fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions)
         .operand(device.result())
         .operands(operands)
         .attr("cim.kernel", op_name.as_str())
-        .attr("cim.tile_size", options.tile_size)
-        .attr("cim.num_tiles", options.num_tiles)
+        .attr("cim.tile_size", memristor::arch::TILE_ROWS as i64)
+        .attr("cim.num_tiles", memristor::arch::NUM_TILES as i64)
         .result(result_ty)
         .region(arg_types);
     if options.min_writes {

@@ -34,26 +34,27 @@
 //! # Cost-model calibration
 //!
 //! [`CnmCostModel`] is **calibrated against the simulator**: for matmul-like
-//! ops it builds the exact [`KernelSpec`] the UPMEM backend would launch for
-//! the shard (locality-optimised `cinm-opt` configuration, the same WRAM
-//! tile derivation) and asks [`upmem_sim::kernel_launch_cost`] for the
-//! slowest-DPU kernel time — including the per-transfer DMA setup cost that
-//! the previous closed form ignored and that dominates at one row per DPU.
+//! ops it builds the exact [`upmem_sim::KernelSpec`] the UPMEM backend
+//! launches for the shard — the kernel of the op's [`CnmOp::geometry`],
+//! generated by the same derivation as [`UpmemBackend::kernel_spec`] — and
+//! asks [`upmem_sim::kernel_launch_cost`] for its time and energy on every
+//! DPU of the grid, exactly as the simulator bills a launch. The model an
+//! [`UpmemDevice`] hands out prices the code its backend runs (baseline,
+//! `cinm-opt` or PrIM options); [`CnmCostModel::new`] prices `cinm-opt`.
 //! The transfer terms (rank-parallel bulk transfers, the shard-size
-//! independent broadcast of the stationary operand) are unchanged.
+//! independent broadcast of the stationary operand) are first-order.
 
 use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::CrossbarConfig;
-use upmem_sim::{kernel_launch_cost, BinOp, KernelSpec, UpmemConfig};
+use upmem_sim::{kernel_launch_cost, BinOp, UpmemConfig};
 
 use cinm_dialects::cinm;
 
 use crate::backend::{CimBackend, UpmemBackend};
 use crate::cim_schedule::CimSchedule;
-use crate::cnm_op::{CnmOp, MramLayout};
+use crate::cnm_op::{CnmOp, KernelCodegen, MramLayout};
 use crate::sharded::ShardError;
-use crate::tiling::wram_tile_elems;
 
 // ---------------------------------------------------------------------------
 // Targets
@@ -210,31 +211,64 @@ pub trait CostModel: Send {
 /// fixed cost for wide GEMMs). The kernel term of matmul-like ops is
 /// **calibrated against the simulator** (see the
 /// [module documentation](self)): the model prices the per-DPU kernel of the
-/// op's [`CnmOp::geometry`] — the one the backend launches — with
-/// [`upmem_sim::kernel_launch_cost`], so DMA setup inefficiency at low
-/// rows/DPU is priced in instead of ignored.
+/// op's [`CnmOp::geometry`] — the one the backend launches, with the code the
+/// backend generates — with [`upmem_sim::kernel_launch_cost`], so DMA setup
+/// inefficiency at low rows/DPU is priced in instead of ignored.
 #[derive(Debug)]
 pub struct CnmCostModel {
     config: UpmemConfig,
+    /// How the priced kernels are generated.
+    codegen: KernelCodegen,
 }
 
 impl CnmCostModel {
-    /// Creates the model from a machine configuration.
+    /// Creates the model of the `cinm-opt` code (locality-optimised, derived
+    /// WRAM tile, no instruction overhead) from a machine configuration.
     pub fn new(config: UpmemConfig) -> Self {
-        CnmCostModel { config }
+        let codegen = KernelCodegen::new(true, 1.0, None, config.tasklets, config.wram_bytes);
+        CnmCostModel { config, codegen }
     }
 
-    /// Estimated `(seconds, joules)` of one shardable op.
-    ///
-    /// Kernel: matmul-like ops take the calibrated path — the geometry's
-    /// per-DPU kernel under the `cinm-opt` configuration (WRAM-blocked, the
-    /// same tile derivation as `UpmemBackend::kernel_spec`; buffer ids are
-    /// placeholders the cost is independent of), priced by the simulator's
-    /// own launch cost model on the DPUs the shard occupies. Streaming ops
-    /// use the first-order closed form: one load-op-store stream per element
-    /// on the slowest DPU; per-unit cycles approximate retired instructions
-    /// (single-issue pipeline), each element crosses the MRAM↔WRAM interface
-    /// three times, and every DPU burns leakage while the slowest finishes.
+    /// The model of the kernels `backend` launches, on its machine.
+    pub(crate) fn of(backend: &UpmemBackend) -> Self {
+        let config = backend.system().config().clone();
+        let codegen = backend.codegen();
+        CnmCostModel { config, codegen }
+    }
+
+    /// `(seconds, joules)` of the op's kernel term. Matmul-like ops take the
+    /// calibrated path: the geometry's per-DPU kernel under this model's
+    /// code generation (buffer ids are placeholders the cost is independent
+    /// of), priced by the simulator's own launch cost on every DPU of the
+    /// grid with the launch's tasklets — bit for bit what a launch bills.
+    /// Streaming ops use the first-order closed form: one load-op-store
+    /// stream per element on the slowest DPU; per-unit cycles approximate
+    /// retired instructions (single-issue pipeline), each element crosses
+    /// the MRAM↔WRAM interface three times, and every DPU burns leakage
+    /// while the slowest finishes.
+    fn kernel(&self, op: CnmOp) -> (f64, f64) {
+        let cfg = &self.config;
+        let i = &cfg.instr;
+        let dpus = cfg.num_dpus().max(1);
+        let geometry = op.geometry(dpus);
+        if matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. }) {
+            let spec = self.codegen.spec(geometry.kernel, vec![0, 0], 1);
+            let tasklets = spec.tasklets.unwrap_or(cfg.tasklets);
+            let launch = kernel_launch_cost(cfg, &spec, tasklets, dpus);
+            return (launch.seconds, launch.energy_j);
+        }
+        let work = shape_of(op).work as f64;
+        let (MramLayout::Chunk(units) | MramLayout::Broadcast(units)) = geometry.inputs[0];
+        let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
+        let seconds = units as f64 * cycles_per_unit / cfg.dpu_freq_hz;
+        let joules = work * cycles_per_unit * cfg.energy.pipeline_j_per_instr
+            + 3.0 * work * 4.0 * cfg.energy.dma_j_per_byte
+            + seconds * cfg.energy.static_w_per_dpu * dpus as f64;
+        (seconds, joules)
+    }
+
+    /// Estimated `(seconds, joules)` of one shardable op: the
+    /// [kernel term](Self::kernel) plus the transfers.
     ///
     /// Transfers: the sharded operand in and the result out are
     /// rank-parallel (reductions and histograms gather only small per-DPU
@@ -244,30 +278,12 @@ impl CnmCostModel {
     /// [`upmem_sim::SystemStats`] accounts it.
     fn price(&self, op: CnmOp) -> (f64, f64) {
         let cfg = &self.config;
-        let i = &cfg.instr;
-        let dpus = (cfg.ranks * cfg.dpus_per_rank).max(1);
+        let dpus = cfg.num_dpus().max(1);
         let rank_bw = cfg.host_bandwidth_per_rank_bytes_per_s * cfg.ranks.max(1) as f64;
         let shape = shape_of(op);
         let work = shape.work as f64;
         let matmul_like = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
-        let geometry = op.geometry(dpus);
-        let (kernel_s, kernel_j) = if matmul_like {
-            let wram = wram_tile_elems(cfg.wram_bytes, cfg.tasklets, 4);
-            let spec = KernelSpec::new(geometry.kernel, vec![0, 0], 1)
-                .with_tasklets(cfg.tasklets)
-                .with_wram_tile(wram)
-                .with_locality_optimization();
-            let launch = kernel_launch_cost(cfg, &spec, cfg.tasklets, geometry.used_dpus.max(1));
-            (launch.seconds, launch.energy_j)
-        } else {
-            let (MramLayout::Chunk(units) | MramLayout::Broadcast(units)) = geometry.inputs[0];
-            let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
-            let seconds = units as f64 * cycles_per_unit / cfg.dpu_freq_hz;
-            let joules = work * cycles_per_unit * cfg.energy.pipeline_j_per_instr
-                + 3.0 * work * 4.0 * cfg.energy.dma_j_per_byte
-                + seconds * cfg.energy.static_w_per_dpu * dpus as f64;
-            (seconds, joules)
-        };
+        let (kernel_s, kernel_j) = self.kernel(op);
         let sharded_bytes = work * shape.inner as f64 * 4.0;
         let result_bytes = match op {
             CnmOp::Reduce { .. } | CnmOp::Histogram { .. } => dpus as f64 * 4.0,
@@ -694,7 +710,7 @@ impl UpmemDevice {
 
 impl Device for UpmemDevice {
     fn cost(&self) -> Box<dyn CostModel> {
-        Box::new(CnmCostModel::new(self.backend.system().config().clone()))
+        Box::new(CnmCostModel::of(&self.backend))
     }
 
     fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
@@ -1017,26 +1033,44 @@ mod tests {
 
     #[test]
     fn cnm_calibration_matches_the_simulated_kernel_time() {
-        // The calibrated model must price the kernel term of a gemv shard
-        // exactly like the simulator's launch cost (that is the whole point
-        // of calibrating): compare against a real backend run.
-        let (rows, cols) = (4096usize, 1024usize);
-        let cfg = UpmemConfig::with_ranks(16);
-        let model = CnmCostModel::new(cfg.clone());
-        let est = model
-            .estimate_shard_seconds(cinm::GEMV, &ShardShape::matmul(rows, cols, 1))
-            .unwrap();
-        let mut backend =
-            UpmemBackend::with_config(cfg, UpmemRunOptions::optimized().with_host_threads(1));
-        let a = vec![1i32; rows * cols];
-        let x = vec![1i32; cols];
-        backend.gemv(&a, &x, rows, cols);
-        let sim = backend.stats().total_seconds();
-        let ratio = est / sim;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "estimate {est} vs simulated {sim} (ratio {ratio})"
-        );
+        // A device's model prices the kernel term of gemm and gemv bit for
+        // bit as the simulator bills the launch, whatever code the device
+        // runs (baseline, `cinm-opt`, PrIM at two overheads) and however the
+        // rows fall on the grid: fewer rows than DPUs, one row per DPU, and
+        // a row count that is not a multiple of the DPU count.
+        let mut cfg = UpmemConfig::with_ranks(1);
+        cfg.dpus_per_rank = 8;
+        let prim = |instruction_overhead| UpmemRunOptions {
+            instruction_overhead,
+            wram_tile_elems: Some(256),
+            ..UpmemRunOptions::optimized()
+        };
+        let options = [
+            UpmemRunOptions::default(),
+            UpmemRunOptions::optimized(),
+            prim(1.7),
+            prim(3.4),
+        ];
+        let (k, n) = (40, 3);
+        let b = vec![1i32; k * n];
+        for opts in options {
+            for rows in [3, 8, 21] {
+                let a = vec![1i32; rows * k];
+                for op in [CnmOp::Gemm { m: rows, k, n }, CnmOp::Gemv { rows, cols: k }] {
+                    let mut backend = UpmemBackend::with_config(cfg.clone(), opts.clone());
+                    match op {
+                        CnmOp::Gemm { .. } => backend.gemm(&a, &b, rows, k, n),
+                        _ => backend.gemv(&a, &b[..k], rows, k),
+                    };
+                    let billed = backend.stats();
+                    assert_eq!(
+                        CnmCostModel::of(&backend).kernel(op),
+                        (billed.kernel_seconds, billed.kernel_energy_j),
+                        "{op:?} under {opts:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! * [`convert`] — the dialect-conversion passes of Figure 4
 //!   (`tosa → linalg → cinm → {cnm, cim} → {upmem, memristor}`) including the
 //!   conv→GEMM and contraction→GEMM rewrites of Figure 5;
-//! * [`tiling`] — the generic tiling/partitioning utilities of Section 3.2.6
-//!   (box, rectangular and row-band tile shapes, WRAM tile sizing);
 //! * [`cnm_op`] — the one lowering table from a `cinm` op to its `cnm`
 //!   scatter / launch / gather form ([`cnm_op::CnmOp::geometry`]), read by
-//!   every execution layer below;
+//!   every execution layer below, and the one derivation of how a DPU
+//!   kernel is generated (tasklets, WRAM tile, locality optimisation,
+//!   instruction overhead), shared by the pass, the backend and the cost
+//!   model;
 //! * [`backend`] — the device run-times the device dialects map onto:
 //!   [`backend::UpmemBackend`] drives the `upmem-sim` DPU-grid simulator and
 //!   [`backend::CimBackend`] drives the `memristor-sim` crossbar simulator
@@ -37,7 +38,6 @@ pub mod cnm_op;
 pub mod convert;
 pub mod device;
 pub mod sharded;
-pub mod tiling;
 
 pub use backend::{CimBackend, CimRunOptions, CimRunStats, UpmemBackend, UpmemRunOptions};
 pub use batch::BatchPlan;
@@ -50,4 +50,3 @@ pub use device::{
     HostCostModel, HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
 };
 pub use sharded::{ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions};
-pub use tiling::{split_even, tile_2d, wram_tile_elems, Tile, TileShape};

@@ -6,6 +6,7 @@ use cinm::core::runner;
 use cinm::core::{cim_pipeline, cinm_pipeline, cnm_pipeline, compile, Target, TargetSelector};
 use cinm::ir::prelude::*;
 use cinm::lowering::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
+use cinm::upmem::DpuKernelKind;
 use cinm::workloads::{build_func, Scale, WorkloadId};
 use cinm_lowering::CimLoweringOptions;
 
@@ -68,6 +69,49 @@ fn pipelines_lower_every_idiomatic_workload_to_device_dialects() {
             "{}",
             id.name()
         );
+    }
+}
+
+/// The first place the lowered IR meets the simulator: every `upmem.launch`
+/// of the upmem-route programs carries the WRAM tile, locality flag and
+/// tasklets of the kernel spec `UpmemBackend` launches under the matching
+/// options — the `cinm-opt` lowering with `optimized()`, the baseline
+/// lowering with `default()`.
+#[test]
+fn every_upmem_launch_carries_the_kernel_spec_the_backend_launches() {
+    let lowerings = [
+        (true, UpmemRunOptions::optimized()),
+        (false, UpmemRunOptions::default()),
+    ];
+    for (optimize_locality, options) in lowerings {
+        let spec = UpmemBackend::new(8, options).kernel_spec(
+            DpuKernelKind::Gemv { rows: 1, cols: 1 },
+            vec![0, 1],
+            2,
+        );
+        let want = (
+            Some(spec.wram_tile_elems as i64),
+            spec.locality_optimized,
+            spec.tasklets.map(|t| t as i64),
+        );
+        let pm = cnm_pipeline(8, optimize_locality);
+        for id in WorkloadId::upmem_opt_suite() {
+            let mut module = Module::new(id.name());
+            module.add_func(build_func(id, Scale::Test));
+            compile(&mut module, &pm).expect("cnm pipeline");
+            let f = &module.funcs[0];
+            let launches = f.body.ops_with_name("upmem.launch");
+            assert!(!launches.is_empty(), "{}", id.name());
+            for launch in launches {
+                let op = f.body.op(launch);
+                let got = (
+                    op.int_attr("cnm.wram_tile"),
+                    op.has_attr("cnm.locality_optimized"),
+                    op.int_attr("tasklets"),
+                );
+                assert_eq!(got, want, "{} (locality {optimize_locality})", id.name());
+            }
+        }
     }
 }
 

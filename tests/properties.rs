@@ -1,5 +1,5 @@
-//! Property-based tests of the core invariants: tiling coverage, workgroup
-//! scatter/gather round-trips, affine-map semantics, crossbar MVM exactness,
+//! Property-based tests of the core invariants: workgroup scatter/gather
+//! round-trips, affine-map semantics, crossbar MVM exactness,
 //! loop-interchange result preservation, and bit-identical equivalence of the
 //! flat-slab DPU storage against the retained naive reference path.
 //!
@@ -11,8 +11,7 @@
 
 use cinm::ir::{AffineExpr, AffineMap};
 use cinm::lowering::{
-    tile_2d, CimBackend, CimDevice, CimRunOptions, Device, ShardShape, Tile, TileShape,
-    UpmemBackend, UpmemRunOptions,
+    CimBackend, CimDevice, CimRunOptions, Device, ShardShape, UpmemBackend, UpmemRunOptions,
 };
 use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
 use cinm::telemetry::Telemetry;
@@ -102,32 +101,6 @@ fn gen_bfs(
         })
         .collect();
     (f, degree, golden)
-}
-
-/// Every tiling shape covers every iteration point exactly once.
-#[test]
-fn tiling_partitions_the_iteration_space() {
-    for_cases(1, |rng| {
-        let m = gen_usize(rng, 1, 200);
-        let n = gen_usize(rng, 1, 200);
-        let tile = gen_usize(rng, 1, 96);
-        let rect_rows = gen_usize(rng, 1, 48);
-        for shape in [
-            TileShape::Box { tile },
-            TileShape::Rectangular {
-                rows: rect_rows,
-                cols: tile,
-            },
-            TileShape::RowBand { rows: rect_rows },
-        ] {
-            let tiles = tile_2d(m, n, shape);
-            let covered: usize = tiles.iter().map(Tile::points).sum();
-            assert_eq!(covered, m * n, "{shape:?} over {m}x{n}");
-            for t in &tiles {
-                assert!(t.row + t.rows <= m && t.col + t.cols <= n);
-            }
-        }
-    });
 }
 
 /// The scatter/gather pair of the cnm abstraction is a lossless round-trip
