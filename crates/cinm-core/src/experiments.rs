@@ -568,9 +568,6 @@ pub fn sharded_with_runtime(
     };
     let mut rows = Vec::new();
     for id in sharded_suite() {
-        if policy.requires_cim() && !crate::shard::cim_supports(sharded_op_name(id)) {
-            continue;
-        }
         let inp = runner::inputs(id, scale);
         let b = &inp.buffers;
         // (op name, shard shape, golden, runner)
@@ -616,6 +613,11 @@ pub fn sharded_with_runtime(
             ),
             other => panic!("{} ({other:?}) is not in the sharded suite", id.name()),
         };
+        // The crossbar runs exactly the ops its cost model prices.
+        let cim_supported = planner.estimate(Target::Cim, op, &shape).is_some();
+        if policy.requires_cim() && !cim_supported {
+            continue;
+        }
         let work = shape.work;
 
         // Single-device baselines (each on a fresh backend for clean stats).
@@ -627,7 +629,7 @@ pub fn sharded_with_runtime(
         };
         let cnm_ms = single_ms(ShardSplit::all_cnm(work));
         let host_ms = single_ms(ShardSplit::all_host(work));
-        let cim_ms = crate::shard::cim_supports(op).then(|| single_ms(ShardSplit::all_cim(work)));
+        let cim_ms = cim_supported.then(|| single_ms(ShardSplit::all_cim(work)));
 
         // The sharded run under the requested policy.
         let plan = planner.plan(op, shape)?;

@@ -47,5 +47,5 @@ pub use session::{
     OptimizerStats, PlanCacheStats, ResidencyStats, Session, SessionOptions, TensorHandle,
     TensorShape,
 };
-pub use shard::{ShardCalibrator, ShardPlan, ShardPlanner, ShardPolicy};
+pub use shard::{ShardPlan, ShardPlanner, ShardPolicy};
 pub use target::{CostModel, Target, TargetSelector};

@@ -57,14 +57,6 @@
 //! (cold transfers, then once more with the inputs observed resident — at
 //! most two compilations); every later iteration replays.
 //!
-//! # Measurement-fed shard planning
-//!
-//! Every shard-dispatched step feeds its measured per-device simulated
-//! seconds back into the planner's [`crate::shard::ShardCalibrator`]; when a
-//! correction moves significantly the memoized shard plans and compiled
-//! session plans are invalidated, so later runs re-plan against the
-//! calibrated models.
-//!
 //! # Equivalence
 //!
 //! With residency disabled ([`SessionOptions::with_residency`]`(false)`)
@@ -747,9 +739,6 @@ pub struct Session {
     canon_scratch: Vec<OpNode>,
     discard_scratch: Vec<bool>,
     sig_scratch: u64,
-    /// Set when planner feedback invalidated the shard-plan cache; compiled
-    /// plans embedding the stale splits are dropped at the next run.
-    planner_feedback_dirty: bool,
     runs: u64,
     replays: u64,
     cache_hits: u64,
@@ -855,7 +844,6 @@ impl Session {
             canon_scratch: Vec::new(),
             discard_scratch: Vec::new(),
             sig_scratch: 0,
-            planner_feedback_dirty: false,
             runs: 0,
             replays: 0,
             cache_hits: 0,
@@ -1934,13 +1922,6 @@ impl Session {
             self.discarded.clear();
             return Ok(());
         }
-        if self.planner_feedback_dirty {
-            // Calibration moved the planner's estimates past the
-            // significance threshold: compiled plans embed splits of the
-            // stale model, so they all go.
-            self.planner_feedback_dirty = false;
-            self.compiled.clear();
-        }
         self.run_token += 1;
         self.remat_evicted_inputs();
         if !self.in_remat {
@@ -1988,9 +1969,8 @@ impl Session {
         self.runs += 1;
         let mut from = 0usize;
         let mut attempts = 0u32;
-        let mut feedback_dirty = false;
         let outcome = loop {
-            match self.execute(idx, from, &mut feedback_dirty) {
+            match self.execute(idx, from) {
                 Ok(()) => break Ok(()),
                 Err((step, error)) => {
                     // Panics and validation errors are bugs, not faults: no
@@ -2022,12 +2002,6 @@ impl Session {
                 }
             }
         };
-        if feedback_dirty {
-            // Invalidation is deferred to the next run(): the plan that just
-            // executed stays replayable for this graph shape, and the next
-            // compile sees the recalibrated estimates.
-            self.planner_feedback_dirty = true;
-        }
         // Track this graph's surviving outputs as live temporaries (unless a
         // failed re-plan already discarded the graph and recycled them).
         // Discarded survivors and optimizer-eliminated outputs are recycled
@@ -2106,23 +2080,14 @@ impl Session {
     }
 
     /// Executes the compiled plan `idx` from step `from`; a failure reports
-    /// the step it happened in so recovery can resume there. Planned steps
-    /// feed their measured per-device times back into the shard
-    /// calibrator; `dirty` is set when calibration moved an estimate enough
-    /// that the compiled plans should be rebuilt.
-    fn execute(
-        &mut self,
-        idx: usize,
-        from: usize,
-        dirty: &mut bool,
-    ) -> Result<(), (usize, ShardError)> {
+    /// the step it happened in so recovery can resume there.
+    fn execute(&mut self, idx: usize, from: usize) -> Result<(), (usize, ShardError)> {
         let residency = self.residency;
         let dpus = self.backend.num_dpus();
         let Session {
             backend,
             slots,
             compiled,
-            planner,
             ..
         } = self;
         let compiled = &compiled[idx];
@@ -2139,21 +2104,7 @@ impl Session {
                     dpus,
                 ),
                 Step::Planned { op, split } => {
-                    let node = &compiled.ops[*op];
-                    let before = backend.stats().sim_seconds;
-                    let result = run_planned(backend, slots, &compiled.binding, node, split);
-                    if result.is_ok() {
-                        if let Some((name, shape)) = node.kind.shard() {
-                            let after = backend.stats().sim_seconds;
-                            let measured = [
-                                after[0] - before[0],
-                                after[1] - before[1],
-                                after[2] - before[2],
-                            ];
-                            *dirty |= planner.feedback(name, shape, measured);
-                        }
-                    }
-                    result
+                    run_planned(backend, slots, &compiled.binding, &compiled.ops[*op], split)
                 }
             };
             if let Err(e) = step_result {
@@ -2246,14 +2197,13 @@ impl Session {
     }
 
     /// Rebuilds the shard planner over the devices that are still healthy,
-    /// keeping the policy, granularity and accumulated calibration.
+    /// keeping the policy and granularity.
     /// Unhealthy devices simply stop being registered, so `Auto` plans
     /// route their work to the survivors.
     fn rebuild_planner(&mut self) {
         let old = self.planner.planner();
         let mut planner = ShardPlanner::new().with_policy(old.policy);
         planner.granularity = old.granularity;
-        planner.calibrator = old.calibrator.clone();
         for device in Target::ALL {
             let d = self.backend.device(device);
             if d.is_healthy() {
@@ -3279,9 +3229,8 @@ mod tests {
     }
 
     #[test]
-    fn planner_feedback_recalibrates_and_converges() {
-        // Forced fractions guarantee shard-planned (multi-device) steps, so
-        // every run feeds measured per-device times into the calibrator.
+    fn shard_planned_loops_replay_once_warm() {
+        // Forced fractions guarantee shard-planned (multi-device) steps.
         let (rows, cols) = (60, 24);
         let a: Vec<i32> = (0..rows * cols).map(|i| (i % 13) as i32 - 6).collect();
         let mut sess = Session::new(
@@ -3303,15 +3252,40 @@ mod tests {
             let want = kernels::matvec(&a, &x, rows, cols);
             assert_eq!(got, want, "round {round}");
         }
-        // Calibration converges (the measured/estimated ratio is a fixed
-        // point of the EMA), after which plans replay again.
-        let (runs, replays) = sess.run_counts();
-        assert_eq!(runs, 12);
-        assert!(
-            replays >= 1,
-            "feedback must converge and let warmed plans replay"
-        );
-        assert!(!sess.planner.planner().calibrator.is_empty());
+        // The first run compiles; every later one replays its plan.
+        assert_eq!(sess.run_counts(), (12, 11));
+    }
+
+    #[test]
+    fn shard_plans_do_not_depend_on_session_history() {
+        // A shard plan is a function of the op, its shape, the policy and
+        // the registered devices: what the session ran before moves nothing.
+        fn gemv_work(sess: &mut Session, rows: usize, cols: usize) -> [u64; 3] {
+            let a: Vec<i32> = (0..rows * cols).map(|i| (i % 11) as i32 - 5).collect();
+            let x: Vec<i32> = (0..cols).map(|i| (i % 5) as i32 - 2).collect();
+            let before = sess.shard_stats().work;
+            let at = sess.matrix(&a, rows, cols);
+            let xt = sess.vector(&x);
+            let yt = sess.gemv(at, xt);
+            sess.run().unwrap();
+            assert_eq!(sess.fetch(yt), kernels::matvec(&a, &x, rows, cols));
+            let after = sess.shard_stats().work;
+            [0, 1, 2].map(|d| after[d] - before[d])
+        }
+        let auto = || {
+            Session::new(
+                SessionOptions::default()
+                    .with_upmem_config(small_cfg())
+                    .with_policy(ShardPolicy::Auto),
+            )
+        };
+        let fresh = gemv_work(&mut auto(), 800, 96);
+        assert_eq!(fresh, [32, 96, 672]);
+        let mut warmed = auto();
+        for _ in 0..6 {
+            gemv_work(&mut warmed, 640, 96);
+        }
+        assert_eq!(gemv_work(&mut warmed, 800, 96), fresh);
     }
 
     #[test]

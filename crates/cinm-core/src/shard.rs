@@ -64,9 +64,7 @@ use crate::target::{CostModel, Target};
 // `cinm_lowering::device` with the unified `Device` trait (so devices can
 // expose their own cost hookup without a crate cycle); they are re-exported
 // here so planner users keep their import paths.
-pub use cinm_lowering::device::{
-    cim_supports, CimCostModel, CnmCostModel, HostCostModel, ShardShape,
-};
+pub use cinm_lowering::device::{CimCostModel, CnmCostModel, HostCostModel, ShardShape};
 
 /// How the planner assigns work to devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,92 +181,6 @@ pub struct ShardPlanner {
     pub granularity: usize,
     /// The assignment policy.
     pub policy: ShardPolicy,
-    /// Online per-`(op, device)` correction factors learned from measured
-    /// shard times (see [`ShardCalibrator`]). Applied multiplicatively on
-    /// every model estimate.
-    pub calibrator: ShardCalibrator,
-}
-
-/// Online calibration of the planner's cost models against *measured*
-/// per-device shard times.
-///
-/// First-order cost models are systematically off (cache effects, launch
-/// overheads the roofline misses); the calibrator keeps one multiplicative
-/// correction `scale` per `(op, device)` pair and nudges it toward the
-/// observed `measured / estimated` ratio with an exponential moving average.
-/// A fresh calibrator scales everything by `1.0`, so planners without
-/// feedback behave exactly as before.
-///
-/// [`ShardCalibrator::observe`] reports whether the correction moved
-/// *significantly* (relative move above [`ShardCalibrator::THRESHOLD`]);
-/// callers use that to invalidate memoized plans. Because each observation
-/// moves the scale by at most `ALPHA · |ratio − 1|` relative and the EMA
-/// converges geometrically to a stable ratio, a steady workload triggers
-/// only finitely many invalidations.
-#[derive(Debug, Clone, Default)]
-pub struct ShardCalibrator {
-    /// `(op name, device index, scale)` — linear scan; the op set is tiny.
-    entries: Vec<(String, usize, f64)>,
-}
-
-impl ShardCalibrator {
-    /// EMA weight of one observation.
-    pub const ALPHA: f64 = 0.25;
-    /// Relative scale move above which an observation counts as significant
-    /// (and cached plans should be invalidated).
-    pub const THRESHOLD: f64 = 0.15;
-
-    /// Current correction factor for `(op, device)` (`1.0` when unobserved).
-    pub fn scale(&self, op: &str, device: usize) -> f64 {
-        self.entries
-            .iter()
-            .find(|(o, d, _)| o == op && *d == device)
-            .map_or(1.0, |&(_, _, s)| s)
-    }
-
-    /// Feeds one measured/estimated ratio for `(op, device)`; returns whether
-    /// the correction moved significantly. The estimate that produced the
-    /// ratio already included the current scale, so the EMA target is
-    /// `scale · ratio` (the scale that would have made the estimate exact).
-    pub fn observe(&mut self, op: &str, device: usize, ratio: f64) -> bool {
-        if !ratio.is_finite() || ratio <= 0.0 {
-            return false;
-        }
-        let idx = match self
-            .entries
-            .iter()
-            .position(|(o, d, _)| o == op && *d == device)
-        {
-            Some(i) => i,
-            None => {
-                self.entries.push((op.to_string(), device, 1.0));
-                self.entries.len() - 1
-            }
-        };
-        let old = self.entries[idx].2;
-        let target = old * ratio;
-        let new = (old * (1.0 - Self::ALPHA) + target * Self::ALPHA).clamp(1e-3, 1e3);
-        self.entries[idx].2 = new;
-        let rel_move = (new - old).abs() / old;
-        rel_move > Self::THRESHOLD
-    }
-
-    /// Number of `(op, device)` pairs calibrated so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The learned `(op, device index, scale)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, usize, f64)> + '_ {
-        self.entries
-            .iter()
-            .map(|(op, dev, s)| (op.as_str(), *dev, *s))
-    }
-
-    /// Whether no observation has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl std::fmt::Debug for ShardPlanner {
@@ -295,7 +207,6 @@ impl ShardPlanner {
             models: Vec::new(),
             granularity: 16,
             policy: ShardPolicy::Auto,
-            calibrator: ShardCalibrator::default(),
         }
     }
 
@@ -352,18 +263,14 @@ impl ShardPlanner {
     }
 
     /// Full-shard estimate of a target, or `None` if no registered model
-    /// supports the op on that target. Model estimates are corrected by the
-    /// calibrator's learned `(op, device)` scale.
-    fn estimate(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
+    /// supports the op on that target.
+    pub(crate) fn estimate(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
         self.model_min(target, |m| m.estimate_shard_seconds(op, shape))
-            .map(|t| t * self.calibrator.scale(op, target.index()))
     }
 
     /// Full-shard *energy* estimate of a target in joules, or `None` if no
     /// registered model carries an energy calibration for the op on that
-    /// target. Uncalibrated by the [`ShardCalibrator`] — the calibrator
-    /// learns measured/estimated *time* ratios, and no measured energy
-    /// exists to correct against.
+    /// target.
     pub fn estimate_joules(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
         self.model_min(target, |m| m.estimate_shard_joules(op, shape))
     }
@@ -793,40 +700,6 @@ impl CachedShardPlanner {
         shape: ShardShape,
     ) -> Result<ShardSplit, ShardError> {
         self.plan(op, shape).map(|p| p.split)
-    }
-
-    /// Feeds measured per-device execution seconds of one shard-dispatched
-    /// `(op, shape)` back into the planner's [`ShardCalibrator`].
-    ///
-    /// `measured` is `[cnm, cim, host]` simulated seconds of the dispatch.
-    /// Each device that actually ran work (`split > 0`) and has a positive
-    /// plan estimate contributes one `measured / estimated` observation.
-    /// Returns `true` — after clearing the memoized plans — when any
-    /// correction moved significantly, so future planning resamples the
-    /// (now recalibrated) models; insignificant drift keeps the cache.
-    pub fn feedback(&mut self, op: &'static str, shape: ShardShape, measured: [f64; 3]) -> bool {
-        let key = PlanKey {
-            op,
-            work: shape.work,
-            inner: shape.inner,
-            out: shape.out,
-        };
-        let Some(plan) = self.cache.get(&key) else {
-            return false;
-        };
-        let splits = [plan.split.cnm, plan.split.cim, plan.split.host];
-        let estimates = plan.estimated_seconds;
-        let mut significant = false;
-        for device in 0..3 {
-            if splits[device] > 0 && estimates[device] > 0.0 && measured[device] > 0.0 {
-                let ratio = measured[device] / estimates[device];
-                significant |= self.planner.calibrator.observe(op, device, ratio);
-            }
-        }
-        if significant {
-            self.cache.clear();
-        }
-        significant
     }
 }
 
@@ -1300,88 +1173,5 @@ mod tests {
                 .plan("cinm.add", ShardShape::streaming(1 << 21))
                 .unwrap()
         );
-    }
-
-    #[test]
-    fn calibrator_ema_converges_to_the_measured_ratio() {
-        let mut cal = ShardCalibrator::default();
-        assert_eq!(cal.scale("gemv", 0), 1.0);
-        // The device consistently runs 3x slower than estimated. Each
-        // observation is measured/estimated where the estimate already
-        // includes the current scale, so the fixed point is 3.0.
-        let mut significant_rounds = 0;
-        for _ in 0..40 {
-            let ratio = 3.0 / cal.scale("gemv", 0);
-            if cal.observe("gemv", 0, ratio) {
-                significant_rounds += 1;
-            }
-        }
-        assert!((cal.scale("gemv", 0) - 3.0).abs() < 1e-3);
-        // Early corrections are significant, late ones converge quiet.
-        assert!(significant_rounds >= 1);
-        let ratio = 3.0 / cal.scale("gemv", 0);
-        assert!(!cal.observe("gemv", 0, ratio), "converged EMA stays quiet");
-        // Other (op, device) entries are untouched.
-        assert_eq!(cal.scale("gemv", 1), 1.0);
-        assert_eq!(cal.scale("gemm", 0), 1.0);
-        // Degenerate observations are rejected.
-        assert!(!cal.observe("gemv", 0, 0.0));
-        assert!(!cal.observe("gemv", 0, f64::NAN));
-        assert!(!cal.observe("gemv", 0, f64::INFINITY));
-    }
-
-    #[test]
-    fn calibrated_estimates_scale_the_model_minimum() {
-        let mut p = ShardPlanner::new();
-        p.register_model(Box::new(FlatRate {
-            target: Target::Cnm,
-            seconds_per_element: 1.0e-6,
-        }));
-        let shape = ShardShape::streaming(1000);
-        let base = p.estimate(Target::Cnm, "cinm.add", &shape).unwrap();
-        // Push the CNM scale up to ~2x and the estimate follows.
-        for _ in 0..40 {
-            let ratio = 2.0 / p.calibrator.scale("cinm.add", 0);
-            p.calibrator.observe("cinm.add", 0, ratio);
-        }
-        let scaled = p.estimate(Target::Cnm, "cinm.add", &shape).unwrap();
-        assert!((scaled / base - 2.0).abs() < 1e-3, "{scaled} vs {base}");
-    }
-
-    #[test]
-    fn feedback_invalidates_cached_plans_only_on_significant_moves() {
-        let mut p = ShardPlanner::new();
-        for (target, rate) in [
-            (Target::Cnm, 1.0e-6),
-            (Target::Cim, 1.5e-6),
-            (Target::Host, 2.0e-6),
-        ] {
-            p.register_model(Box::new(FlatRate {
-                target,
-                seconds_per_element: rate,
-            }));
-        }
-        let mut cached = CachedShardPlanner::new(p);
-        let shape = ShardShape::streaming(100_000);
-        let plan = cached.plan("cinm.add", shape).unwrap().clone();
-        assert_eq!(cached.cache_stats(), (0, 1));
-        // Accurate measurements (ratio 1.0): cache survives.
-        assert!(!cached.feedback("cinm.add", shape, plan.estimated_seconds));
-        assert_eq!(cached.cached_plans(), 1);
-        // CNM turns out 5x slower than modeled: significant, cache cleared,
-        // and the replan shifts work away from CNM.
-        let mut measured = plan.estimated_seconds;
-        measured[0] *= 5.0;
-        assert!(cached.feedback("cinm.add", shape, measured));
-        assert_eq!(cached.cached_plans(), 0);
-        let replanned = cached.plan("cinm.add", shape).unwrap();
-        assert!(
-            replanned.split.cnm < plan.split.cnm,
-            "recalibration must shift work off the slow device ({} vs {})",
-            replanned.split.cnm,
-            plan.split.cnm
-        );
-        // Feedback for a shape that was never planned is a no-op.
-        assert!(!cached.feedback("cinm.add", ShardShape::streaming(77), [1.0; 3]));
     }
 }

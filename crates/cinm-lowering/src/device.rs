@@ -148,14 +148,6 @@ impl ShardShape {
 // Op classification shared by the default models
 // ---------------------------------------------------------------------------
 
-/// Whether the crossbar backend can execute the op — the single source of
-/// truth for the "MVM-only" restriction used by the planner and the
-/// experiment harness (the `ShardedBackend` methods enforce the same fact at
-/// execution time).
-pub fn cim_supports(op: &str) -> bool {
-    op == cinm::GEMM || op == cinm::GEMV
-}
-
 /// The shard shape of a shardable op.
 fn shape_of(op: CnmOp) -> ShardShape {
     op.shard().expect("shardable op").1
@@ -348,7 +340,8 @@ impl CimCostModel {
     /// crossbar cannot execute).
     fn schedule(&self, op_name: &str, shape: &ShardShape) -> Option<CimSchedule> {
         let dims = (shape.work, shape.inner, shape.out);
-        cim_supports(op_name).then(|| CimSchedule::new(dims, &self.config, self.flags))
+        let matmul_like = op_name == cinm::GEMM || op_name == cinm::GEMV;
+        matmul_like.then(|| CimSchedule::new(dims, &self.config, self.flags))
     }
 }
 

@@ -46,7 +46,7 @@ pub use convert::{
     CnmToUpmemPass, LinalgToCinmPass, TosaToLinalgPass, UpmemLoweringOptions,
 };
 pub use device::{
-    cim_supports, CimCostModel, CimDevice, CnmCostModel, CostModel, Device, DeviceFuture,
-    HostCostModel, HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
+    CimCostModel, CimDevice, CnmCostModel, CostModel, Device, DeviceFuture, HostCostModel,
+    HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
 };
 pub use sharded::{ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions};

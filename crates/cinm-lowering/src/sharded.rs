@@ -42,7 +42,7 @@ use upmem_sim::{BinOp, UpmemConfig};
 
 use crate::backend::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
 use crate::cnm_op::{CnmOp, MramLayout};
-use crate::device::{cim_supports, CimDevice, Device, HostDevice, ShardOp, Target, UpmemDevice};
+use crate::device::{CimDevice, Device, HostDevice, ShardOp, Target, UpmemDevice};
 
 /// Errors of sharded planning/execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -705,7 +705,7 @@ impl ShardedBackend {
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
         let name = op.mnemonic();
-        let Some((cinm_name, shape)) = op.shard() else {
+        let Some((_, shape)) = op.shard() else {
             return Err(ShardError::Unsupported {
                 device: Target::Host,
                 op: name,
@@ -714,7 +714,7 @@ impl ShardedBackend {
         // The sharded operand holds `inner` elements per work unit; the
         // second one is the stationary `inner × out` operand of a
         // matmul-like op, or the equally sharded rhs of an element-wise op.
-        let matmul_like = cim_supports(cinm_name);
+        let matmul_like = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
         let rhs_len = if matmul_like {
             shape.inner * shape.out
         } else {
