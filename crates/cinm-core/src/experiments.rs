@@ -2,8 +2,8 @@
 //! evaluation (Section 4), plus the heterogeneous-sharding study
 //! (`EXPERIMENTS.md`).
 
-use cinm_dialects::cinm;
 use cinm_ir::printer::func_lines_of_code;
+use cinm_lowering::cnm_op::CnmOp;
 use cinm_lowering::{
     CimRunOptions, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions, UpmemBackend,
     UpmemRunOptions,
@@ -17,7 +17,7 @@ use upmem_sim::BinOp;
 use crate::runner;
 use crate::serve::{ServeError, ServerOptions, SessionServer, TenantSpec};
 use crate::session::{Session, SessionOptions};
-use crate::shard::{ShardPlanner, ShardPolicy, ShardShape};
+use crate::shard::{ShardPlanner, ShardPolicy};
 use crate::target::Target;
 
 /// Geometric mean of a slice of positive values.
@@ -528,17 +528,6 @@ pub fn sharded_suite() -> Vec<WorkloadId> {
     ]
 }
 
-/// The `cinm` op a sharded-suite workload maps onto.
-fn sharded_op_name(id: WorkloadId) -> &'static str {
-    match id {
-        WorkloadId::Mm => cinm::GEMM,
-        WorkloadId::Mv => cinm::GEMV,
-        WorkloadId::Red => cinm::REDUCE,
-        WorkloadId::HstL => cinm::HISTOGRAM,
-        _ => "cinm.add",
-    }
-}
-
 /// The heterogeneous-sharding study with the auto-balancing policy.
 pub fn sharded(scale: Scale) -> Vec<ShardedRow> {
     sharded_with_runtime(scale, 1, &PoolHandle::with_threads(1), ShardPolicy::Auto)
@@ -570,35 +559,34 @@ pub fn sharded_with_runtime(
     for id in sharded_suite() {
         let inp = runner::inputs(id, scale);
         let b = &inp.buffers;
-        // (op name, shard shape, golden, runner)
-        type Run<'a> =
-            Box<dyn Fn(&mut ShardedBackend, &ShardSplit) -> Result<Vec<i32>, ShardError> + 'a>;
-        let (op, shape, golden, run): (&str, ShardShape, Vec<i32>, Run<'_>) = match id.params(scale)
-        {
+        let (a, rhs) = (&b[0][..], b.get(1).map_or(&[][..], Vec::as_slice));
+        let (op, golden, operands): (CnmOp, Vec<i32>, Vec<&[i32]>) = match id.params(scale) {
             WorkloadParams::Gemm { m, k, n } => (
-                sharded_op_name(id),
-                ShardShape::matmul(m, k, n),
-                kernels::matmul(&b[0], &b[1], m, k, n),
-                Box::new(move |be, split| be.gemm(&b[0], &b[1], m, k, n, split)),
+                CnmOp::Gemm { m, k, n },
+                kernels::matmul(a, rhs, m, k, n),
+                vec![a, rhs],
             ),
             WorkloadParams::Gemv { rows, cols } => (
-                sharded_op_name(id),
-                ShardShape::matmul(rows, cols, 1),
-                kernels::matvec(&b[0], &b[1], rows, cols),
-                Box::new(move |be, split| be.gemv(&b[0], &b[1], rows, cols, split)),
+                CnmOp::Gemv { rows, cols },
+                kernels::matvec(a, rhs, rows, cols),
+                vec![a, rhs],
             ),
             WorkloadParams::Vector { len } => match id {
                 WorkloadId::Red => (
-                    sharded_op_name(id),
-                    ShardShape::streaming(len),
-                    vec![kernels::reduce_add(&b[0])],
-                    Box::new(move |be, split| be.reduce(BinOp::Add, &b[0], split).map(|v| vec![v])),
+                    CnmOp::Reduce {
+                        op: BinOp::Add,
+                        len,
+                    },
+                    vec![kernels::reduce_add(a)],
+                    vec![a],
                 ),
                 _ => (
-                    sharded_op_name(id),
-                    ShardShape::streaming(len),
-                    kernels::vector_add(&b[0], &b[1]),
-                    Box::new(move |be, split| be.elementwise(BinOp::Add, &b[0], &b[1], split)),
+                    CnmOp::Elementwise {
+                        op: BinOp::Add,
+                        len,
+                    },
+                    kernels::vector_add(a, rhs),
+                    vec![a, rhs],
                 ),
             },
             WorkloadParams::Histogram {
@@ -606,19 +594,23 @@ pub fn sharded_with_runtime(
                 bins,
                 max_value,
             } => (
-                sharded_op_name(id),
-                ShardShape::streaming(len),
-                kernels::histogram(&b[0], bins, max_value),
-                Box::new(move |be, split| be.histogram(&b[0], bins, max_value, split)),
+                CnmOp::Histogram {
+                    bins,
+                    max_value,
+                    len,
+                },
+                kernels::histogram(a, bins, max_value),
+                vec![a],
             ),
             other => panic!("{} ({other:?}) is not in the sharded suite", id.name()),
         };
+        let run = |be: &mut ShardedBackend, split: &ShardSplit| be.run(op, &operands, split);
         // The crossbar runs exactly the ops its cost model prices.
-        let cim_supported = planner.estimate(Target::Cim, op, &shape).is_some();
+        let cim_supported = planner.estimate(Target::Cim, op).is_some();
         if policy.requires_cim() && !cim_supported {
             continue;
         }
-        let work = shape.work;
+        let work = op.work();
 
         // Single-device baselines (each on a fresh backend for clean stats).
         let single_ms = |split: ShardSplit| -> f64 {
@@ -632,7 +624,7 @@ pub fn sharded_with_runtime(
         let cim_ms = cim_supported.then(|| single_ms(ShardSplit::all_cim(work)));
 
         // The sharded run under the requested policy.
-        let plan = planner.plan(op, shape)?;
+        let plan = planner.plan_op(op)?;
         let mut be = ShardedBackend::new(options());
         let got = run(&mut be, &plan.split)?;
         assert_eq!(got, golden, "{} sharded result", id.name());

@@ -19,7 +19,7 @@
 //!    ([`cinm_lowering::cnm_op::CnmOp::geometry`]). Consecutive UPMEM-placed
 //!    ops become one **segment**: their scatter / broadcast / zero / launch
 //!    commands in program order, executed through the simulator's eager
-//!    entry points. Sharded ops dispatch one `submit` per device
+//!    entry points. Sharded ops dispatch one `Device::run` per device
 //!    concurrently on the shared worker pool via [`ShardedBackend::run`].
 //! 3. **Residency.** Intermediate tensors stay in DPU MRAM between ops:
 //!    a `gemv → select` chain launches both kernels against the same
@@ -1871,9 +1871,9 @@ impl Session {
         geometry: &CnmGeometry,
         resident: &[Residency],
     ) -> Result<Option<ShardSplit>, ShardError> {
-        let Some((name, shape)) = node.kind.shard() else {
+        if node.kind.shard_shape().is_none() {
             return Ok(None);
-        };
+        }
         let chain_ok = self.residency
             && matches!(
                 self.planner.planner().policy,
@@ -1891,7 +1891,7 @@ impl Session {
         if resident_chain {
             return Ok(None);
         }
-        let split = self.planner.split_for(name, shape)?;
+        let split = self.planner.plan_op(node.kind)?.split;
         Ok((split.cnm != split.total()).then_some(split))
     }
 
@@ -2193,7 +2193,7 @@ impl Session {
             || self.compiled[idx]
                 .ops
                 .iter()
-                .any(|op| op.kind.shard().is_none())
+                .any(|op| op.kind.shard_shape().is_none())
     }
 
     /// Rebuilds the shard planner over the devices that are still healthy,
@@ -2528,7 +2528,7 @@ fn evict_one(
 
 /// Converts a simulator error of the session's direct UPMEM path into the
 /// typed shard error, recording the failure on the CNM device's health (the
-/// session bypasses `Device::submit`, which would otherwise record it).
+/// session bypasses `Device::run`, which would otherwise record it).
 /// Non-fault errors are session/compiler invariant violations and stay
 /// loud panics, exactly as before the fault layer.
 fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> ShardError {
@@ -2677,7 +2677,7 @@ fn run_segment(
 }
 
 /// Executes one shard-planned op across the device set via the sharded
-/// backend: one `Device::submit` per non-empty shard, the first on this
+/// backend: one `Device::run` per non-empty shard, the first on this
 /// thread and the others concurrently on the shared pool — an op placed
 /// whole on one device runs here without touching the pool's queue.
 fn run_planned(
@@ -3286,6 +3286,39 @@ mod tests {
             gemv_work(&mut warmed, 640, 96);
         }
         assert_eq!(gemv_work(&mut warmed, 800, 96), fresh);
+    }
+
+    #[test]
+    fn histogram_plans_are_keyed_by_bin_count() {
+        // Two histograms of one length with 16 and 4096 bins are two ops:
+        // each has its own plan, priced with its own bins (the host writes
+        // `bins × 4` bytes).
+        let mut sess = Session::new(
+            SessionOptions::default()
+                .with_upmem_config(small_cfg())
+                .with_policy(ShardPolicy::Auto),
+        );
+        let (len, max_value) = (256, 4096);
+        let v: Vec<i32> = (0..len).map(|i| (i * 37 % 4096) as i32).collect();
+        let (at, bt) = (sess.vector(&v), sess.vector(&v));
+        let small = sess.histogram(at, 16, max_value);
+        let large = sess.histogram(bt, 4096, max_value);
+        sess.run().unwrap();
+        assert_eq!(sess.fetch(small), kernels::histogram(&v, 16, max_value));
+        assert_eq!(sess.fetch(large), kernels::histogram(&v, 4096, max_value));
+        assert_eq!(sess.planner.cached_plans(), 2);
+        let [small_host, large_host] = [16, 4096].map(|bins| {
+            let op = CnmOp::Histogram {
+                bins,
+                max_value,
+                len,
+            };
+            sess.planner.plan_op(op).unwrap().estimated_seconds[Target::Host.index()]
+        });
+        assert!(
+            small_host > 0.0 && large_host > small_host,
+            "host seconds: {small_host} (16 bins), {large_host} (4096 bins)"
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! plus a fixed per-device overhead that does *not* shrink with the shard —
 //! broadcasting the stationary GEMM operand to every DPU, programming
 //! crossbar tiles, bulk-transfer driver latency. The planner recovers both
-//! terms by sampling each cost model ([`CostModel::estimate_shard_seconds`])
-//! at the full and at half the shard size, fitting the affine cost
+//! terms by pricing the op on each device ([`CostModel::price`]) at the full
+//! and at half the shard size, fitting the affine cost
 //! `t_i(w) = a_i + b_i·w`, and then **water-fills**: the balanced makespan
 //! over the active device set `S` is
 //!
@@ -47,14 +47,20 @@
 //!
 //! Zero-work ops produce an all-empty plan with no fallback. User-forced
 //! fractions that do not sum to 1 are an **error** ([`ShardError`]), never
-//! silently renormalised.
+//! silently renormalised, and so is forcing work onto an accelerator whose
+//! model does not price the op.
+//!
+//! The planner prices one typed [`CnmOp`] per (device, shard size). The
+//! public entries that name an op by its `cinm` name and [`ShardShape`]
+//! decode the pair into that op first.
 
 use std::collections::HashMap;
 
-use cinm_lowering::{Device, ShardError, ShardSplit};
+use cinm_lowering::cnm_op::CnmOp;
+use cinm_lowering::{Cost, Device, ShardError, ShardSplit};
 use cpu_sim::model::CpuModel;
 use memristor_sim::CrossbarConfig;
-use upmem_sim::UpmemConfig;
+use upmem_sim::{BinOp, UpmemConfig};
 
 use cinm_dialects::cinm;
 
@@ -72,14 +78,13 @@ pub enum ShardPolicy {
     /// Balance estimated completion times across all supporting devices.
     Auto,
     /// Minimise estimated *energy* instead of makespan: place all work on
-    /// the device whose full-work joule estimate
-    /// ([`CostModel::estimate_shard_joules`]) is smallest. Single-device
-    /// placement is provably optimal here — every model's fixed energy
-    /// (broadcasts, tile programming, static leakage over the launch) is
-    /// non-negative and amortises with shard size, so `e_i(w) ≥ (w/W)·e_i(W)`
-    /// and any split's total energy `Σ e_i(w_i) ≥ min_i e_i(W)`. Splitting
-    /// can only add fixed costs; unlike makespan, energy gains nothing from
-    /// concurrency.
+    /// the device whose full-work joule estimate ([`CostModel::price`]) is
+    /// smallest. Single-device placement is provably optimal here — every
+    /// model's fixed energy (broadcasts, tile programming, static leakage
+    /// over the launch) is non-negative and amortises with shard size, so
+    /// `e_i(w) ≥ (w/W)·e_i(W)` and any split's total energy
+    /// `Σ e_i(w_i) ≥ min_i e_i(W)`. Splitting can only add fixed costs;
+    /// unlike makespan, energy gains nothing from concurrency.
     MinimizeEnergy,
     /// Place all work on one device (the `--shard cnm-only` / `cim-only` /
     /// `host-only` knobs).
@@ -138,8 +143,6 @@ impl ShardPolicy {
 /// A computed shard assignment for one operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// The `cinm` op the plan is for.
-    pub op: String,
     /// Total work units (rows or elements).
     pub work: usize,
     /// Work units per device.
@@ -245,46 +248,41 @@ impl ShardPlanner {
         self.models.len()
     }
 
-    /// The smallest of the target's registered model outputs — the one
-    /// place model outputs enter the planner. A value that is not finite
-    /// and non-negative counts as no estimate, so a broken model can
-    /// neither panic a comparison nor win one.
-    fn model_min(
-        &self,
-        target: Target,
-        output: impl Fn(&dyn CostModel) -> Option<f64>,
-    ) -> Option<f64> {
+    /// The target's price of an op: the smallest seconds and the smallest
+    /// joules its registered models answer — the one place model outputs
+    /// enter the planner. A price whose seconds or joules are not finite and
+    /// non-negative counts as none, so a broken model can neither panic a
+    /// comparison nor win one.
+    pub(crate) fn estimate(&self, target: Target, op: CnmOp) -> Option<Cost> {
+        let valid = |v: f64| v.is_finite() && v >= 0.0;
         self.models
             .iter()
             .filter(|m| m.target() == target)
-            .filter_map(|m| output(m.as_ref()))
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .min_by(f64::total_cmp)
+            .filter_map(|m| m.price(op))
+            .filter(|c| valid(c.seconds) && valid(c.joules))
+            .reduce(|a, b| Cost {
+                seconds: a.seconds.min(b.seconds),
+                joules: a.joules.min(b.joules),
+            })
     }
 
-    /// Full-shard estimate of a target, or `None` if no registered model
-    /// supports the op on that target.
-    pub(crate) fn estimate(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
-        self.model_min(target, |m| m.estimate_shard_seconds(op, shape))
-    }
-
-    /// Full-shard *energy* estimate of a target in joules, or `None` if no
-    /// registered model carries an energy calibration for the op on that
-    /// target.
+    /// Full-shard *energy* estimate of a target in joules for an op named
+    /// by its `cinm` name and shape, or `None` if no registered model prices
+    /// the op on that target.
     pub fn estimate_joules(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
-        self.model_min(target, |m| m.estimate_shard_joules(op, shape))
+        Some(self.estimate(target, op_from_name(op, shape)?)?.joules)
     }
 
-    /// Full-shard estimates of every target, in `[cnm, cim, host]` order.
-    fn estimates(&self, op: &str, shape: &ShardShape) -> [Option<f64>; 3] {
-        Target::ALL.map(|target| self.estimate(target, op, shape))
+    /// Full-shard prices of every target, in `[cnm, cim, host]` order.
+    fn estimates(&self, op: CnmOp) -> [Option<Cost>; 3] {
+        Target::ALL.map(|target| self.estimate(target, op))
     }
 
     /// The device with the fastest full-shard estimate for the op, or `None`
     /// when no registered model prices it — the single-target choice of the
     /// `Auto` policy, and what [`crate::target::TargetSelector`] selects.
-    pub(crate) fn fastest(&self, op: &str, shape: &ShardShape) -> Option<Target> {
-        fastest_of(&self.estimates(op, shape))
+    pub(crate) fn fastest(&self, op: CnmOp) -> Option<Target> {
+        fastest_of(&self.estimates(op))
     }
 
     fn split_device_count(split: &ShardSplit) -> usize {
@@ -294,30 +292,26 @@ impl ShardPlanner {
             .count()
     }
 
-    /// Plans a shard assignment for one op of the given [`ShardShape`].
+    /// Plans a shard assignment for one op named by its `cinm` name and
+    /// [`ShardShape`]. A name no [`CnmOp`] stands for plans like an op no
+    /// model prices (on the host, unless the policy forces it elsewhere).
     pub fn plan(&self, op: &str, shape: ShardShape) -> Result<ShardPlan, ShardError> {
-        let work = shape.work;
-        let estimates = self.estimates(op, &shape);
-        if work == 0 {
+        self.plan_work(op_from_name(op, &shape), shape.work)
+    }
+
+    /// Plans a shard assignment for one op.
+    pub(crate) fn plan_op(&self, op: CnmOp) -> Result<ShardPlan, ShardError> {
+        self.plan_work(Some(op), op.work())
+    }
+
+    /// The one planning path over `work` units of `op` (`None`: an op no
+    /// model prices).
+    fn plan_work(&self, op: Option<CnmOp>, work: usize) -> Result<ShardPlan, ShardError> {
+        let estimates = op.map_or([None; 3], |op| self.estimates(op));
+        let (split, fallback) = match self.policy {
             // Zero-work ops plan to empty splits, but an infeasible forced
             // policy is still an error (fractions are validated even when
             // they apportion nothing).
-            match self.policy {
-                ShardPolicy::Fractions(fractions) => {
-                    ShardSplit::from_fractions(0, fractions)?;
-                }
-                ShardPolicy::Single(target) => {
-                    self.single_split(op, 0, target, &estimates)?;
-                }
-                ShardPolicy::Auto | ShardPolicy::MinimizeEnergy => {}
-            }
-            return Ok(self.finish(op, &shape, ShardSplit::default(), None));
-        }
-        match self.policy {
-            ShardPolicy::Single(target) => {
-                let split = self.single_split(op, work, target, &estimates)?;
-                Ok(self.finish(op, &shape, split, Some(target)))
-            }
             ShardPolicy::Fractions(fractions) => {
                 let split = ShardSplit::from_fractions(work, fractions)?;
                 if split.cim > 0 && estimates[1].is_none() {
@@ -326,81 +320,61 @@ impl ShardPlanner {
                         op: "forced-fraction shard",
                     });
                 }
-                Ok(self.finish(op, &shape, split, None))
+                (split, None)
             }
-            ShardPolicy::Auto => self.plan_auto(op, &shape, &estimates),
-            ShardPolicy::MinimizeEnergy => self.plan_min_energy(op, &shape, &estimates),
-        }
+            ShardPolicy::Single(target) => {
+                let split = Self::single_split(work, target, &estimates)?;
+                (split, (work > 0).then_some(target))
+            }
+            _ if work == 0 => (ShardSplit::default(), None),
+            ShardPolicy::Auto => self.plan_auto(op, work, &estimates),
+            ShardPolicy::MinimizeEnergy => Self::plan_min_energy(work, &estimates),
+        };
+        Ok(self.finish(op, work, split, fallback, &estimates))
     }
 
     /// The `MinimizeEnergy` policy: all work goes to the device with the
     /// smallest full-work joule estimate (see [`ShardPolicy::MinimizeEnergy`]
     /// for why single-device placement is optimal under amortising fixed
-    /// energy costs). Devices without an energy-calibrated model — or
-    /// without support for the op at all — drop out; with no energy
-    /// candidate anywhere the op stays on the host, the catch-all target.
-    fn plan_min_energy(
-        &self,
-        op: &str,
-        shape: &ShardShape,
-        estimates: &[Option<f64>; 3],
-    ) -> Result<ShardPlan, ShardError> {
-        let work = shape.work;
-        let best = Target::ALL
+    /// energy costs). Devices without support for the op drop out; with no
+    /// priced device the op stays on the host, the catch-all target.
+    fn plan_min_energy(work: usize, estimates: &[Option<Cost>; 3]) -> (ShardSplit, Option<Target>) {
+        let target = Target::ALL
             .into_iter()
             .zip(estimates)
-            .filter(|(_, t)| t.is_some())
-            .filter_map(|(target, _)| self.estimate_joules(target, op, shape).map(|j| (target, j)))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        let Some((target, _)) = best else {
-            let split = ShardSplit::all_host(work);
-            return Ok(self.finish(op, shape, split, Some(Target::Host)));
-        };
-        let split = self.single_split(op, work, target, estimates)?;
-        Ok(self.finish(op, shape, split, Some(target)))
+            .filter_map(|(target, c)| c.map(|c| (target, c.joules)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(Target::Host, |(target, _)| target);
+        (all_on(target, work), Some(target))
     }
 
-    /// Checks a forced single-target placement against the support matrix.
+    /// Checks a forced single-target placement: an accelerator must price
+    /// the op (a registered model's price is the support rule); the host
+    /// executes anything.
     fn single_split(
-        &self,
-        op: &str,
         work: usize,
         target: Target,
-        estimates: &[Option<f64>; 3],
+        estimates: &[Option<Cost>; 3],
     ) -> Result<ShardSplit, ShardError> {
-        // A registered model's `Some` estimate is authoritative; without a
-        // model, fall back to the Table 1 paradigm-support matrix (the host
-        // executes anything).
-        let supported = match target {
-            Target::Cnm => {
-                estimates[0].is_some() || cinm::paradigm_support(op).is_some_and(|s| s.cnm)
-            }
-            Target::Cim => estimates[1].is_some(),
-            Target::Host => true,
-        };
-        if !supported {
+        if target != Target::Host && estimates[target.index()].is_none() {
             return Err(ShardError::Unsupported {
                 device: target,
                 op: "forced single-target shard",
             });
         }
-        Ok(match target {
-            Target::Cnm => ShardSplit::all_cnm(work),
-            Target::Cim => ShardSplit::all_cim(work),
-            Target::Host => ShardSplit::all_host(work),
-        })
+        Ok(all_on(target, work))
     }
 
     /// Fits the affine cost `t_i(w) = fixed + per_unit · w` (seconds over
-    /// work units) of one device by sampling its model at the full and at
-    /// half the shard size.
-    fn affine_estimate(&self, target: Target, op: &str, shape: &ShardShape) -> Option<AffineCost> {
-        let work = shape.work;
-        let t_full = self.estimate(target, op, shape)?.max(0.0);
+    /// work units) of one device from its full-shard price `full` and a
+    /// price at half the shard size.
+    fn affine_estimate(&self, target: Target, op: CnmOp, full: Cost) -> AffineCost {
+        let work = op.work();
+        let t_full = full.seconds;
         let half = work / 2;
         let t_half = if half > 0 {
-            self.estimate(target, op, &shape.with_work(half))
-                .unwrap_or(t_full / 2.0)
+            self.estimate(target, op.with_work(half))
+                .map_or(t_full / 2.0, |c| c.seconds)
         } else {
             t_full / 2.0
         };
@@ -410,43 +384,38 @@ impl ShardPlanner {
             1e-15
         };
         let fixed = (t_full - per_unit * work as f64).max(0.0);
-        Some(AffineCost { fixed, per_unit })
+        AffineCost { fixed, per_unit }
     }
 
     /// The `Auto` policy: balance estimated completion times with affine
     /// per-device costs (water-filling; see the module docs).
     fn plan_auto(
         &self,
-        op: &str,
-        shape: &ShardShape,
-        estimates: &[Option<f64>; 3],
-    ) -> Result<ShardPlan, ShardError> {
-        let work = shape.work;
+        op: Option<CnmOp>,
+        work: usize,
+        estimates: &[Option<Cost>; 3],
+    ) -> (ShardSplit, Option<Target>) {
         let granularity = self.granularity.max(1);
         // No model supports the op: everything stays on the host (the
         // paper's catch-all for ops outside the offloadable set).
-        let Some(fastest) = fastest_of(estimates) else {
-            let split = ShardSplit::all_host(work);
-            return Ok(self.finish(op, shape, split, Some(Target::Host)));
+        let (Some(op), Some(fastest)) = (op, fastest_of(estimates)) else {
+            return (ShardSplit::all_host(work), Some(Target::Host));
         };
         // Candidate devices: those with a model-backed estimate.
-        let candidates: Vec<Target> = Target::ALL
+        let candidates: Vec<(Target, Cost)> = Target::ALL
             .into_iter()
-            .filter(|t| estimates[t.index()].is_some())
+            .zip(estimates)
+            .filter_map(|(target, c)| Some((target, (*c)?)))
             .collect();
         // Too small to shard, or nothing to share it with.
         if work < 2 * granularity || candidates.len() == 1 {
-            let split = self.single_split(op, work, fastest, estimates)?;
-            return Ok(self.finish(op, shape, split, Some(fastest)));
+            return (all_on(fastest, work), Some(fastest));
         }
         // Water-fill over affine costs: drop every device whose fixed
         // overhead exceeds the balanced makespan of the remaining set.
         let mut active: Vec<(usize, AffineCost)> = candidates
             .iter()
-            .filter_map(|&target| {
-                self.affine_estimate(target, op, shape)
-                    .map(|a| (target.index(), a))
-            })
+            .map(|&(target, full)| (target.index(), self.affine_estimate(target, op, full)))
             .collect();
         let makespan = loop {
             let inv_sum: f64 = active.iter().map(|(_, a)| 1.0 / a.per_unit).sum();
@@ -505,10 +474,8 @@ impl ShardPlanner {
             .map(|&(i, _)| i)
             .max_by(|&a, &b| {
                 units[a].cmp(&units[b]).then_with(|| {
-                    let (ta, tb) = (
-                        estimates[a].unwrap_or(f64::INFINITY),
-                        estimates[b].unwrap_or(f64::INFINITY),
-                    );
+                    let seconds = |i: usize| estimates[i].map_or(f64::INFINITY, |c| c.seconds);
+                    let (ta, tb) = (seconds(a), seconds(b));
                     tb.total_cmp(&ta)
                 })
             })
@@ -530,32 +497,35 @@ impl ShardPlanner {
                     .map_or(fastest, |i| Target::ALL[i]),
             )
         };
-        Ok(self.finish(op, shape, split, fallback))
+        (split, fallback)
     }
 
+    /// The plan of a split: the estimates of every device's shard (a shard
+    /// of the whole work reuses its full-shard price).
     fn finish(
         &self,
-        op: &str,
-        shape: &ShardShape,
+        op: Option<CnmOp>,
+        work: usize,
         split: ShardSplit,
         fallback: Option<Target>,
+        estimates: &[Option<Cost>; 3],
     ) -> ShardPlan {
         let mut estimated_seconds = [0.0f64; 3];
         let mut estimated_joules = [0.0f64; 3];
         for target in Target::ALL {
             let (i, w) = (target.index(), split.get(target));
-            if w > 0 {
-                if let Some(t) = self.estimate(target, op, &shape.with_work(w)) {
-                    estimated_seconds[i] = t;
-                }
-                if let Some(j) = self.estimate_joules(target, op, &shape.with_work(w)) {
-                    estimated_joules[i] = j;
-                }
+            let cost = match (w, op) {
+                (0, _) | (_, None) => None,
+                _ if w == work => estimates[i],
+                (_, Some(op)) => self.estimate(target, op.with_work(w)),
+            };
+            if let Some(c) = cost {
+                estimated_seconds[i] = c.seconds;
+                estimated_joules[i] = c.joules;
             }
         }
         ShardPlan {
-            op: op.to_string(),
-            work: shape.work,
+            work,
             fractions: split.fractions(),
             split,
             estimated_seconds,
@@ -565,25 +535,52 @@ impl ShardPlanner {
     }
 }
 
-/// Cache key of a memoized [`ShardPlan`]: the op name plus the full
-/// [`ShardShape`]. The policy and the registered device set are fixed per
-/// wrapped planner — together with this key they fully determine the plan —
-/// so they are invalidation events (the cache is cleared), not key fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    op: &'static str,
-    work: usize,
-    inner: usize,
-    out: usize,
+/// Bins of a histogram named by its `cinm` name and [`ShardShape`] alone
+/// (the pair does not carry the bin count).
+const ESTIMATE_BINS: usize = 256;
+
+/// The op a `cinm` name and [`ShardShape`] stand for — the decode of the
+/// string planner entries. Value parameters the pair does not carry take
+/// placeholders ([`ESTIMATE_BINS`] bins, the `add` reduction); `None` for a
+/// name no [`CnmOp`] stands for.
+fn op_from_name(name: &str, shape: &ShardShape) -> Option<CnmOp> {
+    let work = shape.work;
+    Some(match name {
+        cinm::GEMM => CnmOp::Gemm {
+            m: work,
+            k: shape.inner,
+            n: shape.out,
+        },
+        cinm::GEMV => CnmOp::Gemv {
+            rows: work,
+            cols: shape.inner,
+        },
+        cinm::REDUCE => CnmOp::Reduce {
+            op: BinOp::Add,
+            len: work,
+        },
+        cinm::HISTOGRAM => CnmOp::Histogram {
+            bins: ESTIMATE_BINS,
+            max_value: 0,
+            len: work,
+        },
+        _ => CnmOp::Elementwise {
+            op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
+            len: work,
+        },
+    })
 }
 
 /// A memoizing wrapper around [`ShardPlanner`].
 ///
-/// Re-planning the same `(op, shape)` is pure repeated work — the planner
-/// samples every cost model twice and water-fills — yet exactly that happens
-/// in any serving loop issuing same-shaped ops. `CachedShardPlanner` caches
-/// each computed [`ShardPlan`] keyed by op name and shape; lookups are
-/// allocation-free.
+/// Re-planning the same op is pure repeated work — the planner prices it on
+/// every device twice and water-fills — yet exactly that happens in any
+/// serving loop issuing same-shaped ops. `CachedShardPlanner` caches each
+/// computed [`ShardPlan`] keyed by the [`CnmOp`] itself (shape and value
+/// parameters: histograms of different bin counts are different plans);
+/// lookups are allocation-free. The policy and the registered device set are
+/// fixed per wrapped planner — together with the op they fully determine
+/// the plan — so they are invalidation events, not key fields.
 ///
 /// **Invalidation rule:** any reconfiguration of the planning inputs — a
 /// policy change ([`set_policy`](Self::set_policy)), a newly registered cost
@@ -592,17 +589,12 @@ struct PlanKey {
 /// are the only ways cost-model configuration can change, so a cached plan
 /// can never go stale. Planning *errors* (infeasible forced policies) are
 /// not cached.
-///
-/// The ops the sharded layer executes are named by `'static` dialect
-/// constants (`cinm_dialects::cinm::GEMM`, …), which is what the key
-/// borrows.
 pub struct CachedShardPlanner {
     planner: ShardPlanner,
-    cache: HashMap<PlanKey, ShardPlan>,
+    cache: HashMap<CnmOp, ShardPlan>,
     hits: u64,
     misses: u64,
 }
-
 impl std::fmt::Debug for CachedShardPlanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedShardPlanner")
@@ -666,40 +658,45 @@ impl CachedShardPlanner {
         self.cache.len()
     }
 
-    /// Plans a shard assignment, returning the memoized plan when the same
-    /// `(op, shape)` was planned before under the current configuration —
-    /// bit-identical to calling [`ShardPlanner::plan`] directly (the planner
-    /// is deterministic; `tests/properties.rs` asserts the equivalence over
-    /// randomized shape streams with repeats).
+    /// Plans a shard assignment for an op named by its `cinm` name and
+    /// shape, returning the memoized plan when the same op was planned
+    /// before under the current configuration — bit-identical to calling
+    /// [`ShardPlanner::plan`] directly (the planner is deterministic;
+    /// `tests/properties.rs` asserts the equivalence over randomized shape
+    /// streams with repeats).
     ///
     /// # Errors
     ///
-    /// Propagates [`ShardPlanner::plan`] errors (never cached).
+    /// Propagates [`ShardPlanner::plan`] errors (never cached), and refuses
+    /// a name no [`CnmOp`] stands for ([`ShardError::Unsupported`]: no
+    /// device runs it).
     pub fn plan(&mut self, op: &'static str, shape: ShardShape) -> Result<&ShardPlan, ShardError> {
-        let key = PlanKey {
+        let unknown = ShardError::Unsupported {
+            device: Target::Host,
             op,
-            work: shape.work,
-            inner: shape.inner,
-            out: shape.out,
         };
-        if self.cache.contains_key(&key) {
-            self.hits += 1;
-        } else {
-            let plan = self.planner.plan(op, shape)?;
-            self.misses += 1;
-            self.cache.insert(key, plan);
-        }
-        Ok(&self.cache[&key])
+        self.plan_op(op_from_name(op, &shape).ok_or(unknown)?)
     }
 
-    /// Convenience: the memoized split alone (a `Copy`, so callers avoid
-    /// borrowing the cache across execution).
-    pub fn split_for(
-        &mut self,
-        op: &'static str,
-        shape: ShardShape,
-    ) -> Result<ShardSplit, ShardError> {
-        self.plan(op, shape).map(|p| p.split)
+    /// [`plan`](Self::plan) for a typed op.
+    pub(crate) fn plan_op(&mut self, op: CnmOp) -> Result<&ShardPlan, ShardError> {
+        if self.cache.contains_key(&op) {
+            self.hits += 1;
+        } else {
+            let plan = self.planner.plan_op(op)?;
+            self.misses += 1;
+            self.cache.insert(op, plan);
+        }
+        Ok(&self.cache[&op])
+    }
+}
+
+/// All `work` units on one device.
+fn all_on(target: Target, work: usize) -> ShardSplit {
+    match target {
+        Target::Cnm => ShardSplit::all_cnm(work),
+        Target::Cim => ShardSplit::all_cim(work),
+        Target::Host => ShardSplit::all_host(work),
     }
 }
 
@@ -715,11 +712,11 @@ struct AffineCost {
 /// The device with the smallest of `estimates` (`[cnm, cim, host]`
 /// seconds, clamped to 1 ps so sub-picosecond estimates tie), the earlier
 /// device on ties; `None` when no device has an estimate.
-fn fastest_of(estimates: &[Option<f64>; 3]) -> Option<Target> {
+fn fastest_of(estimates: &[Option<Cost>; 3]) -> Option<Target> {
     Target::ALL
         .into_iter()
         .zip(estimates)
-        .filter_map(|(target, t)| t.map(|t| (target, t.max(1e-12))))
+        .filter_map(|(target, c)| c.map(|c| (target, c.seconds.max(1e-12))))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(target, _)| target)
 }
@@ -727,6 +724,8 @@ fn fastest_of(estimates: &[Option<f64>; 3]) -> Option<Target> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn planner() -> ShardPlanner {
         ShardPlanner::with_default_models(4)
@@ -743,8 +742,13 @@ mod tests {
         fn target(&self) -> Target {
             self.target
         }
-        fn estimate_shard_seconds(&self, _op: &str, shape: &ShardShape) -> Option<f64> {
-            Some((shape.work * shape.inner) as f64 * self.seconds_per_element)
+        fn price(&self, op: CnmOp) -> Option<Cost> {
+            let shape = op.shard_shape()?;
+            let seconds = (shape.work * shape.inner) as f64 * self.seconds_per_element;
+            Some(Cost {
+                seconds,
+                joules: seconds,
+            })
         }
     }
 
@@ -840,9 +844,10 @@ mod tests {
         cached
             .plan(cinm::GEMM, ShardShape::matmul(128, 64, 64))
             .unwrap();
-        assert_eq!(cached.cached_plans(), 2);
-        // split_for returns the cached plan's split by value.
-        assert_eq!(cached.split_for(cinm::GEMM, shape).unwrap(), fresh.split);
+        // The string entry and the typed one share the entry of the op.
+        let op = op_from_name(cinm::GEMM, &shape).unwrap();
+        assert_eq!(cached.plan_op(op).unwrap(), &fresh);
+        assert_eq!((cached.cache_stats(), cached.cached_plans()), ((2, 2), 2));
         // Policy changes invalidate: the new plan reflects the new policy.
         cached.set_policy(ShardPolicy::Single(Target::Host));
         assert_eq!(cached.cached_plans(), 0);
@@ -929,25 +934,78 @@ mod tests {
 
     #[test]
     fn energy_estimates_exist_for_every_supporting_device() {
-        // Every default model now carries an energy calibration: wherever a
-        // seconds estimate exists, a joules estimate must too (and both are
-        // positive), so energy-aware planning sees the same candidate set.
+        // Every price carries seconds and joules, both positive, and the
+        // string entry reads the joules of the op its name decodes to.
         let p = planner();
-        for (op, shape) in [
+        for (name, shape) in [
             (cinm::GEMM, ShardShape::matmul(1024, 256, 128)),
             (cinm::GEMV, ShardShape::matmul(4096, 1024, 1)),
             ("cinm.add", ShardShape::streaming(1 << 16)),
             (cinm::REDUCE, ShardShape::streaming(1 << 16)),
         ] {
-            for target in [Target::Cnm, Target::Cim, Target::Host] {
-                let secs = p.estimate(target, op, &shape);
-                let joules = p.estimate_joules(target, op, &shape);
-                assert_eq!(secs.is_some(), joules.is_some(), "{op} on {target}");
-                if let Some(j) = joules {
-                    assert!(j > 0.0, "{op} on {target}: {j}");
+            let op = op_from_name(name, &shape).unwrap();
+            for target in Target::ALL {
+                let cost = p.estimate(target, op);
+                if let Some(c) = cost {
+                    assert!(
+                        c.seconds > 0.0 && c.joules > 0.0,
+                        "{name} on {target}: {c:?}"
+                    );
                 }
+                let joules = p.estimate_joules(target, name, &shape);
+                assert_eq!(joules, cost.map(|c| c.joules), "{name} on {target}");
             }
         }
+    }
+
+    #[test]
+    fn op_names_decode_to_the_op_they_stand_for() {
+        let (rows, len9) = (ShardShape::matmul(7, 5, 3), ShardShape::streaming(9));
+        let gemm = CnmOp::Gemm { m: 7, k: 5, n: 3 };
+        assert_eq!(op_from_name(cinm::GEMM, &rows), Some(gemm));
+        assert_eq!(op_from_name(cinm::GEMV, &rows).map(CnmOp::work), Some(7));
+        let xor = CnmOp::Elementwise {
+            op: BinOp::Xor,
+            len: 9,
+        };
+        assert_eq!(op_from_name("cinm.xor", &len9), Some(xor));
+        let hist = op_from_name(cinm::HISTOGRAM, &len9).unwrap();
+        assert!(matches!(hist, CnmOp::Histogram { bins: 256, .. }));
+        for name in [cinm::SIM_SEARCH, cinm::TOPK, cinm::NOT] {
+            assert_eq!(op_from_name(name, &len9), None, "{name}");
+        }
+    }
+
+    /// A cost model counting the prices it answers.
+    struct Counting(Box<dyn CostModel>, Arc<AtomicUsize>);
+
+    impl CostModel for Counting {
+        fn target(&self) -> Target {
+            self.0.target()
+        }
+        fn price(&self, op: CnmOp) -> Option<Cost> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.price(op)
+        }
+    }
+
+    #[test]
+    fn an_auto_plan_prices_each_device_and_shard_size_once() {
+        // Per device: the whole op, half of it (the affine fit) and its
+        // planned shard unless that is the whole op: at most 9 prices.
+        let (priced, shape) = (
+            Arc::new(AtomicUsize::new(0)),
+            ShardShape::matmul(4096, 256, 128),
+        );
+        let mut p = ShardPlanner::new();
+        for model in planner().models {
+            p.register_model(Box::new(Counting(model, priced.clone())));
+        }
+        let plan = p.plan(cinm::GEMM, shape).unwrap();
+        assert_eq!(plan, planner().plan(cinm::GEMM, shape).unwrap());
+        let devices = ShardPlanner::split_device_count(&plan.split);
+        assert!(devices > 1, "{plan:?}");
+        assert_eq!(priced.load(Ordering::Relaxed), 3 + 3 + devices);
     }
 
     #[test]
@@ -1000,6 +1058,20 @@ mod tests {
             single.plan(cinm::REDUCE, ShardShape::streaming(100)),
             Err(ShardError::Unsupported { .. })
         ));
+        // Ops no device runs cannot be forced onto the grid either.
+        let cnm = planner().with_policy(ShardPolicy::Single(Target::Cnm));
+        for op in [cinm::SIM_SEARCH, cinm::TOPK, cinm::NOT] {
+            assert!(
+                matches!(
+                    cnm.plan(op, ShardShape::streaming(100)),
+                    Err(ShardError::Unsupported {
+                        device: Target::Cnm,
+                        ..
+                    })
+                ),
+                "{op}"
+            );
+        }
         // Single-target CNM/host placements of supported ops are fine.
         for target in [Target::Cnm, Target::Host] {
             let plan = planner()
@@ -1027,11 +1099,11 @@ mod tests {
         fn target(&self) -> Target {
             self.0
         }
-        fn estimate_shard_seconds(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
-            Some(self.1)
-        }
-        fn estimate_shard_joules(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
-            Some(self.1)
+        fn price(&self, _op: CnmOp) -> Option<Cost> {
+            Some(Cost {
+                seconds: self.1,
+                joules: self.1,
+            })
         }
     }
 
@@ -1074,26 +1146,32 @@ mod tests {
         }
     }
 
-    fn shard_est(m: &dyn CostModel, op: &str, shape: ShardShape) -> Option<f64> {
-        m.estimate_shard_seconds(op, &shape)
+    fn shard_est(m: &dyn CostModel, op: CnmOp) -> Option<f64> {
+        Some(m.price(op)?.seconds)
     }
 
     #[test]
     fn estimates_scale_with_problem_size_and_rank_count() {
         let small = CnmCostModel::new(UpmemConfig::with_ranks(4));
         let big = CnmCostModel::new(UpmemConfig::with_ranks(16));
-        let shape = ShardShape::streaming(1 << 22);
-        let t_small = shard_est(&small, "cinm.add", shape).unwrap();
-        let t_big = shard_est(&big, "cinm.add", shape).unwrap();
+        let add = CnmOp::Elementwise {
+            op: BinOp::Add,
+            len: 1 << 22,
+        };
+        let t_small = shard_est(&small, add).unwrap();
+        let t_big = shard_est(&big, add).unwrap();
         assert!(t_big < t_small, "more ranks must be faster");
         let host = HostCostModel::new(CpuModel::arm_host());
-        assert!(
-            shard_est(&host, cinm::GEMM, ShardShape::matmul(4096, 64, 64)).unwrap()
-                > shard_est(&host, cinm::GEMM, ShardShape::matmul(64, 64, 64)).unwrap()
-        );
+        let gemm = |m| CnmOp::Gemm { m, k: 64, n: 64 };
+        assert!(shard_est(&host, gemm(4096)).unwrap() > shard_est(&host, gemm(64)).unwrap());
         let cim = CimCostModel::new(CrossbarConfig::default());
-        assert!(shard_est(&cim, cinm::GEMM, ShardShape::matmul(1024, 256, 128)).is_some());
-        assert!(shard_est(&cim, "cinm.add", shape).is_none());
+        let wide = CnmOp::Gemm {
+            m: 1024,
+            k: 256,
+            n: 128,
+        };
+        assert!(shard_est(&cim, wide).is_some());
+        assert!(shard_est(&cim, add).is_none());
     }
 
     #[test]
@@ -1101,8 +1179,9 @@ mod tests {
         // The stationary-operand broadcast must appear as a *fixed* cost:
         // halving the shard must less-than-halve the estimate.
         let m = CnmCostModel::new(UpmemConfig::with_ranks(16));
-        let full = shard_est(&m, cinm::GEMM, ShardShape::matmul(1024, 256, 128)).unwrap();
-        let half = shard_est(&m, cinm::GEMM, ShardShape::matmul(512, 256, 128)).unwrap();
+        let gemm = |m| CnmOp::Gemm { m, k: 256, n: 128 };
+        let full = shard_est(&m, gemm(1024)).unwrap();
+        let half = shard_est(&m, gemm(512)).unwrap();
         assert!(half > full / 2.0, "full {full} half {half}");
     }
 

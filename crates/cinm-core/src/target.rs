@@ -8,7 +8,7 @@
 //!
 //! * **Single-target selection** ([`TargetSelector`], this module): each op
 //!   goes to exactly one device. With registered cost models, the selector
-//!   reads the op's real [`ShardShape`] from its operand types and returns
+//!   builds the op's [`CnmOp`] from its operand and result types and returns
 //!   the device the planner estimates fastest — the rule the planner's own
 //!   single-device fallback uses. For ops no model prices (and with no
 //!   models at all) the greedy default policy of the paper applies —
@@ -25,10 +25,12 @@ use std::collections::BTreeMap;
 
 use cinm_dialects::cinm;
 use cinm_ir::prelude::*;
+use cinm_lowering::cnm_op::CnmOp;
+use upmem_sim::BinOp;
 
 pub use cinm_lowering::device::{CostModel, Target};
 
-use crate::shard::{ShardPlanner, ShardShape};
+use crate::shard::ShardPlanner;
 
 /// Registry of cost models plus the greedy fallback policy.
 #[derive(Debug, Default)]
@@ -67,10 +69,8 @@ impl TargetSelector {
         }
         let operation = body.op(op);
         // Registered cost models take precedence: the planner's fastest
-        // estimate for the op's real shape.
-        if let Some(target) = shard_shape(body, &operation)
-            .and_then(|shape| self.planner.fastest(&operation.name, &shape))
-        {
+        // estimate for the op.
+        if let Some(target) = cnm_op(body, &operation).and_then(|op| self.planner.fastest(op)) {
             return target;
         }
         // Greedy default policy.
@@ -116,24 +116,45 @@ fn operand_elements(body: &Body, op: &Operation<'_>) -> i64 {
         .unwrap_or(0)
 }
 
-/// The [`ShardShape`] of a `cinm` op read from its operand types: `gemm`
-/// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, any other op streaming over its
-/// largest operand. `None` when a matmul-like op's operands do not have
-/// those ranks.
-fn shard_shape(body: &Body, op: &Operation<'_>) -> Option<ShardShape> {
+/// The [`CnmOp`] of a `cinm` op read from its operand and result types:
+/// `gemm` `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, `histogram` with its result's
+/// bins, `reduce` with its `op` attribute, the element-wise ops over their
+/// largest operand. `None` for any other op, and for a matmul-like op whose
+/// operands do not have those ranks.
+fn cnm_op(body: &Body, op: &Operation<'_>) -> Option<CnmOp> {
     let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
     let size = |d: i64| usize::try_from(d).ok();
-    match op.name.as_str() {
+    let len = || size(operand_elements(body, op));
+    Some(match op.name.as_str() {
         cinm::GEMM => match (dims(0)?, dims(1)?) {
-            (&[m, k], &[_, n]) => Some(ShardShape::matmul(size(m)?, size(k)?, size(n)?)),
-            _ => None,
+            (&[m, k], &[_, n]) => CnmOp::Gemm {
+                m: size(m)?,
+                k: size(k)?,
+                n: size(n)?,
+            },
+            _ => return None,
         },
         cinm::GEMV => match dims(0)? {
-            &[rows, cols] => Some(ShardShape::matmul(size(rows)?, size(cols)?, 1)),
-            _ => None,
+            &[rows, cols] => CnmOp::Gemv {
+                rows: size(rows)?,
+                cols: size(cols)?,
+            },
+            _ => return None,
         },
-        _ => Some(ShardShape::streaming(size(operand_elements(body, op))?)),
-    }
+        cinm::REDUCE => CnmOp::Reduce {
+            op: BinOp::parse(op.str_attr("op")?)?,
+            len: len()?,
+        },
+        cinm::HISTOGRAM => CnmOp::Histogram {
+            bins: size(body.value_type(op.results.iter().next()?).num_elements())?,
+            max_value: 0,
+            len: len()?,
+        },
+        name => CnmOp::Elementwise {
+            op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
+            len: len()?,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -146,6 +167,7 @@ mod tests {
     use upmem_sim::UpmemConfig;
 
     use crate::shard::{CimCostModel, CnmCostModel, HostCostModel};
+    use cinm_lowering::Cost;
 
     struct AlwaysCheapCnm;
 
@@ -153,8 +175,11 @@ mod tests {
         fn target(&self) -> Target {
             Target::Cnm
         }
-        fn estimate_shard_seconds(&self, _op: &str, _shape: &ShardShape) -> Option<f64> {
-            Some(1e-9)
+        fn price(&self, _op: CnmOp) -> Option<Cost> {
+            Some(Cost {
+                seconds: 1e-9,
+                joules: 1e-9,
+            })
         }
     }
 
@@ -247,15 +272,10 @@ mod tests {
                 if operation.dialect() != "cinm" {
                     continue;
                 }
-                let fastest = shard_shape(body, &operation).and_then(|shape| {
+                let fastest = cnm_op(body, &operation).and_then(|op| {
                     oracle
                         .iter()
-                        .filter_map(|m| {
-                            Some((
-                                m.target(),
-                                m.estimate_shard_seconds(&operation.name, &shape)?,
-                            ))
-                        })
+                        .filter_map(|m| Some((m.target(), m.price(op)?.seconds)))
                         .min_by(|a, b| a.1.total_cmp(&b.1))
                         .map(|(t, _)| t)
                 });

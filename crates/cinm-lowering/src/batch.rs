@@ -85,7 +85,7 @@ impl BatchPlan {
             dpus,
             slot_dpus,
             slots,
-            shape: op.shard().expect("matmul-like ops shard").1,
+            shape: op.shard_shape().expect("matmul-like ops shard"),
             w_chunk,
             act_chunk,
             out_chunk: geometry.out_chunk,

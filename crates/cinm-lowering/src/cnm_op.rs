@@ -16,7 +16,6 @@
 //! pass annotates its launches with it, the backend launches it and the
 //! cost model prices it.
 
-use cinm_dialects::cinm;
 use upmem_sim::{BinOp, BufferId, DpuKernelKind, KernelSpec};
 
 use crate::device::ShardShape;
@@ -282,10 +281,6 @@ impl KernelCodegen {
     }
 }
 
-/// Bins assumed when a histogram is rebuilt from a [`ShardShape`] alone
-/// (cost estimation; the shape does not carry the bin count).
-const ESTIMATE_BINS: usize = 256;
-
 impl CnmOp {
     /// Lowers the op onto a grid of `dpus` DPUs: operand layouts, per-DPU
     /// kernel, output chunk and decode rule.
@@ -407,8 +402,6 @@ impl CnmOp {
         }
     }
 
-    /// The sharded work units: rows of a matmul-like op, elements of a
-    /// streaming op, partitions of a BFS step.
     fn work_mut(&mut self) -> &mut usize {
         match self {
             CnmOp::Gemm { m: w, .. }
@@ -422,12 +415,14 @@ impl CnmOp {
         }
     }
 
-    fn work(mut self) -> usize {
+    /// The sharded work units: rows of a matmul-like op, elements of a
+    /// streaming op, partitions of a BFS step.
+    pub fn work(mut self) -> usize {
         *self.work_mut()
     }
 
     /// The same op over a different amount of sharded work.
-    pub(crate) fn with_work(mut self, work: usize) -> CnmOp {
+    pub fn with_work(mut self, work: usize) -> CnmOp {
         *self.work_mut() = work;
         self
     }
@@ -455,59 +450,18 @@ impl CnmOp {
         }
     }
 
-    /// The `cinm` dialect name and [`ShardShape`] of the op when it can be
-    /// shard-planned across devices; `None` for the PrIM kernels that only
-    /// the UPMEM grid executes (`select`, `time_series`, `bfs_step`).
-    pub fn shard(self) -> Option<(&'static str, ShardShape)> {
+    /// The [`ShardShape`] of the op when it can be shard-planned across
+    /// devices; `None` for the PrIM kernels that only the UPMEM grid executes
+    /// (`select`, `time_series`, `bfs_step`).
+    pub fn shard_shape(self) -> Option<ShardShape> {
         match self {
-            CnmOp::Gemm { m, k, n } => Some((cinm::GEMM, ShardShape::matmul(m, k, n))),
-            CnmOp::Gemv { rows, cols } => Some((cinm::GEMV, ShardShape::matmul(rows, cols, 1))),
-            CnmOp::Elementwise { op, len } => {
-                let name = match op {
-                    BinOp::Add => "cinm.add",
-                    BinOp::Sub => "cinm.sub",
-                    BinOp::Mul => "cinm.mul",
-                    BinOp::Div => "cinm.div",
-                    BinOp::Max => "cinm.max",
-                    BinOp::Min => "cinm.min",
-                    BinOp::And => "cinm.and",
-                    BinOp::Or => "cinm.or",
-                    BinOp::Xor => "cinm.xor",
-                };
-                Some((name, ShardShape::streaming(len)))
-            }
-            CnmOp::Reduce { len, .. } => Some((cinm::REDUCE, ShardShape::streaming(len))),
-            CnmOp::Histogram { len, .. } => Some((cinm::HISTOGRAM, ShardShape::streaming(len))),
+            CnmOp::Gemm { m, k, n } => Some(ShardShape::matmul(m, k, n)),
+            CnmOp::Gemv { rows, cols } => Some(ShardShape::matmul(rows, cols, 1)),
+            CnmOp::Elementwise { len, .. }
+            | CnmOp::Reduce { len, .. }
+            | CnmOp::Histogram { len, .. } => Some(ShardShape::streaming(len)),
             _ => None,
         }
-    }
-
-    /// The inverse of [`shard`](Self::shard): the op a planner names by its
-    /// `cinm` name and shard shape (value parameters the pair does not carry
-    /// take placeholders), or `None` outside the shardable subset.
-    pub(crate) fn from_shard(name: &str, shape: &ShardShape) -> Option<CnmOp> {
-        let (work, op) = (shape.work, BinOp::Add);
-        Some(match name {
-            cinm::GEMM => CnmOp::Gemm {
-                m: work,
-                k: shape.inner,
-                n: shape.out,
-            },
-            cinm::GEMV => CnmOp::Gemv {
-                rows: work,
-                cols: shape.inner,
-            },
-            cinm::REDUCE => CnmOp::Reduce { op, len: work },
-            cinm::HISTOGRAM => CnmOp::Histogram {
-                bins: ESTIMATE_BINS,
-                max_value: 0,
-                len: work,
-            },
-            _ => CnmOp::Elementwise {
-                op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
-                len: work,
-            },
-        })
     }
 
     /// The op with every value parameter that does not affect buffer
@@ -626,21 +580,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_names_round_trip_and_erasure_keeps_the_geometry() {
+    fn shard_shapes_follow_the_work_and_erasure_keeps_the_geometry() {
         for op in OPS {
-            if let Some((name, shape)) = op.shard() {
-                let back = CnmOp::from_shard(name, &shape).expect("shardable");
-                assert_eq!(back.shard(), Some((name, shape)), "{op:?}");
-                assert_eq!(op.with_work(7).shard().unwrap().1.work, 7);
+            if let Some(shape) = op.shard_shape() {
+                assert_eq!(shape.work, op.work(), "{op:?}");
+                assert_eq!(op.with_work(7).shard_shape().unwrap().work, 7);
             }
             let (a, b) = (op.geometry(4), op.erased().geometry(4));
             assert_eq!((a.inputs, a.out_chunk), (b.inputs, b.out_chunk), "{op:?}");
             assert_eq!(op.erased(), op.erased().erased());
         }
-        assert_eq!(
-            CnmOp::from_shard("cinm.not", &ShardShape::streaming(4)),
-            None
-        );
     }
 
     #[test]

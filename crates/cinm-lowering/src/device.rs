@@ -11,13 +11,15 @@
 //! * **cost hookup** — [`Device::cost`] hands out the device's own
 //!   first-order [`CostModel`] (the same models the `cinm-core` shard planner
 //!   and target selector register), so planners are built *from* a device
-//!   set instead of hard-coding model structs. The model is also the support
-//!   rule: a device supports an op exactly when its model prices it;
-//! * **submission** — [`Device::submit`] takes one [`ShardOp`] (an op plus
-//!   the contiguous shard of work assigned to this device) and returns a
-//!   [`DeviceFuture`] resolving to the shard result and the simulated
-//!   seconds it cost. Empty shards resolve immediately without touching the
-//!   device.
+//!   set instead of hard-coding model structs. [`CostModel::price`] answers
+//!   seconds and joules of one [`CnmOp`] in one call. The model is also the
+//!   support rule: a device supports an op exactly when its model prices it;
+//! * **execution** — [`Device::run`] takes the same [`CnmOp`] (usually the
+//!   contiguous shard of work assigned to this device) with its operand
+//!   slices and returns the result and the simulated seconds it cost. Empty
+//!   ops return immediately without touching the device.
+//!   [`Device::submit`] is the same call for a [`ShardOp`] behind a
+//!   [`DeviceFuture`].
 //!
 //! The three implementations wrap the existing executors: [`UpmemDevice`]
 //! (CNM grid), [`CimDevice`] (memristive crossbar, MVM-only) and
@@ -48,8 +50,6 @@ use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::CrossbarConfig;
 use upmem_sim::{kernel_launch_cost, BinOp, UpmemConfig};
-
-use cinm_dialects::cinm;
 
 use crate::backend::{CimBackend, UpmemBackend};
 use crate::cim_schedule::CimSchedule;
@@ -94,14 +94,12 @@ impl std::fmt::Display for Target {
 }
 
 // ---------------------------------------------------------------------------
-// Shard shapes (moved here from cinm-core so devices can estimate costs
-// without a dependency cycle; cinm_core::shard re-exports this type).
+// Shard shapes (`cinm_core::shard` re-exports this type)
 // ---------------------------------------------------------------------------
 
-/// Shape of one shardable operation, as planners and the per-device cost
-/// models see it. The sharded dimension is `work`; each work unit consumes
-/// `inner` elements of the sharded operand and produces `out` result
-/// elements:
+/// Shape of one shardable operation ([`CnmOp::shard_shape`]). The sharded
+/// dimension is `work`; each work unit consumes `inner` elements of the
+/// sharded operand and produces `out` result elements:
 ///
 /// * GEMM `C[m×n] = A[m×k]·B[k×n]` sharded by rows: `work = m`,
 ///   `inner = k`, `out = n` (so the stationary operand has `inner × out`
@@ -136,38 +134,44 @@ impl ShardShape {
             out: 1,
         }
     }
-
-    /// The same op at a different shard size.
-    pub fn with_work(mut self, work: usize) -> Self {
-        self.work = work;
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Op classification shared by the default models
 // ---------------------------------------------------------------------------
 
-/// The shard shape of a shardable op.
-fn shape_of(op: CnmOp) -> ShardShape {
-    op.shard().expect("shardable op").1
-}
-
-/// Host operation counts of one shardable op.
-fn host_counts(op: CnmOp) -> OpCounts {
-    match op {
+/// Host operation counts of one shardable op (`None` for the rest).
+fn host_counts(op: CnmOp) -> Option<OpCounts> {
+    Some(match op {
         CnmOp::Gemm { m, k, n } => OpCounts::gemm(m, k, n),
         CnmOp::Gemv { rows, cols } => OpCounts::gemv(rows, cols),
         CnmOp::Elementwise { len, .. } => OpCounts::elementwise(len),
         CnmOp::Reduce { len, .. } => OpCounts::reduce(len),
         CnmOp::Histogram { bins, len, .. } => OpCounts::histogram(len, bins),
-        _ => unreachable!("{} is not shardable", op.mnemonic()),
+        _ => return None,
+    })
+}
+
+/// The refusal of a device to run an op its cost model does not price.
+fn unsupported(device: Target, op: CnmOp) -> ShardError {
+    ShardError::Unsupported {
+        device,
+        op: op.mnemonic(),
     }
 }
 
 // ---------------------------------------------------------------------------
 // The per-device cost models (the "cost hookup" of the Device trait)
 // ---------------------------------------------------------------------------
+
+/// The estimated price of one op on one device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cost {
+    /// Execution seconds.
+    pub seconds: f64,
+    /// Energy in joules.
+    pub joules: f64,
+}
 
 /// A device cost model, registered by a device dialect (paper Section 3.3):
 /// the one estimate the shard planner sizes shards by and the target
@@ -178,22 +182,12 @@ pub trait CostModel: Send {
     /// The device the estimate describes.
     fn target(&self) -> Target;
 
-    /// Estimated execution seconds of a *shard* of an op, or `None` if the
-    /// device cannot execute it. Planners sample this at several shard sizes
-    /// to separate fixed per-dispatch overheads from marginal per-unit cost.
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64>;
-
-    /// Estimated *energy* in joules of a shard of an op, or `None` if the
-    /// device cannot execute it or the model carries no energy calibration.
-    /// Planners sample this exactly like the seconds estimate (at several
-    /// shard sizes, fitting an affine `fixed + per-unit` form) to drive
-    /// energy-aware placement (`ShardPolicy::MinimizeEnergy`). The default
-    /// reports no estimate, which drops the device out of energy-based
-    /// plans without affecting latency-based planning.
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let _ = (op_name, shape);
-        None
-    }
+    /// Estimated seconds and joules of an op (usually one shard of a larger
+    /// op), or `None` if the device cannot execute it. Planners sample this
+    /// at several shard sizes ([`CnmOp::with_work`]) to separate fixed
+    /// per-dispatch overheads from marginal per-unit cost, and place by
+    /// seconds or joules (`ShardPolicy::MinimizeEnergy`) from the same call.
+    fn price(&self, op: CnmOp) -> Option<Cost>;
 }
 
 /// First-order cost model of the UPMEM grid, mirroring the simulator's cost
@@ -249,7 +243,7 @@ impl CnmCostModel {
             let launch = kernel_launch_cost(cfg, &spec, tasklets, dpus);
             return (launch.seconds, launch.energy_j);
         }
-        let work = shape_of(op).work as f64;
+        let work = op.work() as f64;
         let (MramLayout::Chunk(units) | MramLayout::Broadcast(units)) = geometry.inputs[0];
         let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
         let seconds = units as f64 * cycles_per_unit / cfg.dpu_freq_hz;
@@ -258,9 +252,15 @@ impl CnmCostModel {
             + seconds * cfg.energy.static_w_per_dpu * dpus as f64;
         (seconds, joules)
     }
+}
 
-    /// Estimated `(seconds, joules)` of one shardable op: the
-    /// [kernel term](Self::kernel) plus the transfers.
+impl CostModel for CnmCostModel {
+    fn target(&self) -> Target {
+        Target::Cnm
+    }
+
+    /// The kernel term (see `CnmCostModel::kernel`) of a shardable op plus
+    /// its transfers.
     ///
     /// Transfers: the sharded operand in and the result out are
     /// rank-parallel (reductions and histograms gather only small per-DPU
@@ -268,11 +268,11 @@ impl CnmCostModel {
     /// operand of matmul-like ops is broadcast — every DPU receives its own
     /// copy, and the interface energy bills each one, exactly as
     /// [`upmem_sim::SystemStats`] accounts it.
-    fn price(&self, op: CnmOp) -> (f64, f64) {
+    fn price(&self, op: CnmOp) -> Option<Cost> {
         let cfg = &self.config;
         let dpus = cfg.num_dpus().max(1);
         let rank_bw = cfg.host_bandwidth_per_rank_bytes_per_s * cfg.ranks.max(1) as f64;
-        let shape = shape_of(op);
+        let shape = op.shard_shape()?;
         let work = shape.work as f64;
         let matmul_like = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
         let (kernel_s, kernel_j) = self.kernel(op);
@@ -292,24 +292,10 @@ impl CnmCostModel {
                 + cfg.host_transfer_latency_s;
             interface_bytes += stationary_bytes * dpus as f64;
         }
-        (
-            kernel_s + transfer_s,
-            kernel_j + cfg.transfer_energy_j(interface_bytes),
-        )
-    }
-}
-
-impl CostModel for CnmCostModel {
-    fn target(&self) -> Target {
-        Target::Cnm
-    }
-
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        Some(self.price(CnmOp::from_shard(op_name, shape)?).0)
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        Some(self.price(CnmOp::from_shard(op_name, shape)?).1)
+        Some(Cost {
+            seconds: kernel_s + transfer_s,
+            joules: kernel_j + cfg.transfer_energy_j(interface_bytes),
+        })
     }
 }
 
@@ -335,14 +321,6 @@ impl CimCostModel {
         let flags = (true, true);
         CimCostModel { config, flags }
     }
-
-    /// The schedule of a matmul-like shard (`None` for everything the
-    /// crossbar cannot execute).
-    fn schedule(&self, op_name: &str, shape: &ShardShape) -> Option<CimSchedule> {
-        let dims = (shape.work, shape.inner, shape.out);
-        let matmul_like = op_name == cinm::GEMM || op_name == cinm::GEMV;
-        matmul_like.then(|| CimSchedule::new(dims, &self.config, self.flags))
-    }
 }
 
 impl CostModel for CimCostModel {
@@ -350,12 +328,17 @@ impl CostModel for CimCostModel {
         Target::Cim
     }
 
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        Some(self.schedule(op_name, shape)?.seconds(&self.config))
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        Some(self.schedule(op_name, shape)?.joules(&self.config))
+    fn price(&self, op: CnmOp) -> Option<Cost> {
+        let dims = match op {
+            CnmOp::Gemm { m, k, n } => (m, k, n),
+            CnmOp::Gemv { rows, cols } => (rows, cols, 1),
+            _ => return None,
+        };
+        let schedule = CimSchedule::new(dims, &self.config, self.flags);
+        Some(Cost {
+            seconds: schedule.seconds(&self.config),
+            joules: schedule.joules(&self.config),
+        })
     }
 }
 
@@ -378,14 +361,12 @@ impl CostModel for HostCostModel {
         Target::Host
     }
 
-    fn estimate_shard_seconds(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let counts = host_counts(CnmOp::from_shard(op_name, shape)?);
-        Some(self.model.execution_seconds(&counts))
-    }
-
-    fn estimate_shard_joules(&self, op_name: &str, shape: &ShardShape) -> Option<f64> {
-        let counts = host_counts(CnmOp::from_shard(op_name, shape)?);
-        Some(self.model.energy_joules(&counts))
+    fn price(&self, op: CnmOp) -> Option<Cost> {
+        let counts = host_counts(op)?;
+        Some(Cost {
+            seconds: self.model.execution_seconds(&counts),
+            joules: self.model.energy_joules(&counts),
+        })
     }
 }
 
@@ -393,10 +374,10 @@ impl CostModel for HostCostModel {
 // The Device trait
 // ---------------------------------------------------------------------------
 
-/// One operation shard bound to concrete operand slices: the unit of work a
-/// [`Device`] executes. The slices are the *shard's* view (e.g. the
-/// contiguous row range of `A` assigned to this device), produced by the
-/// sharded backend or a session from a [`crate::ShardSplit`].
+/// One operation shard bound to concrete operand slices, the form
+/// [`Device::submit`] takes. The slices are the *shard's* view (e.g. the
+/// contiguous row range of `A` assigned to this device). [`Device::run`]
+/// takes the same op as a [`CnmOp`] plus the slices.
 #[derive(Debug, Clone, Copy)]
 pub enum ShardOp<'a> {
     /// `C[m×n] = A[m×k] × B[k×n]` over the shard's `m` rows.
@@ -473,108 +454,33 @@ impl<'a> ShardOp<'a> {
             }
         }
     }
-
-    /// The inverse of [`lower`](Self::lower) for the shardable subset.
-    pub(crate) fn lift(op: CnmOp, a: &'a [i32], b: &'a [i32]) -> Option<ShardOp<'a>> {
-        Some(match op {
-            CnmOp::Gemm { m, k, n } => ShardOp::Gemm { a, b, m, k, n },
-            CnmOp::Gemv { rows, cols } => ShardOp::Gemv {
-                a,
-                x: b,
-                rows,
-                cols,
-            },
-            CnmOp::Elementwise { op, .. } => ShardOp::Elementwise { op, a, b },
-            CnmOp::Reduce { op, .. } => ShardOp::Reduce { op, a },
-            CnmOp::Histogram {
-                bins, max_value, ..
-            } => ShardOp::Histogram { a, bins, max_value },
-            _ => return None,
-        })
-    }
-
-    /// The `cinm` dialect name of the op (what planners and cost models
-    /// reason about).
-    pub(crate) fn op_name(&self) -> &'static str {
-        self.lower().0.shard().expect("shardable op").0
-    }
-
-    /// Work units of the shard (rows for matmul-like ops, elements for
-    /// streaming ops).
-    pub(crate) fn work(&self) -> usize {
-        self.shape().work
-    }
-
-    /// The shard's [`ShardShape`].
-    pub(crate) fn shape(&self) -> ShardShape {
-        shape_of(self.lower().0)
-    }
 }
 
-/// The completion handle of one submitted shard.
-///
-/// The simulators execute synchronously, so the future is resolved by the
-/// time `submit` returns; the submission/completion split is kept in the API
-/// so an asynchronous device (or a remote one) can defer without changing
-/// callers — and so the sharded layers can move the *whole* submit call onto
-/// a worker-pool task and overlap devices.
-///
-/// A future resolves to a `Result`: device-side *execution* faults (injected
-/// transients that outlived the retry budget, permanent hardware faults)
-/// surface here at [`wait`](DeviceFuture::wait), while submission-time
-/// classification errors (unsupported ops) are returned by
-/// [`Device::submit`] itself.
+/// The completion handle of one submitted shard: the outcome of
+/// [`Device::run`], resolved by the time [`Device::submit`] returns.
+/// Execution faults (injected transients that outlived the retry budget,
+/// permanent hardware faults) surface at [`wait`](DeviceFuture::wait), while
+/// unsupported ops are refused by `submit` itself.
 #[derive(Debug)]
 pub struct DeviceFuture {
-    result: Result<Vec<i32>, ShardError>,
-    sim_seconds: f64,
-}
-
-impl Default for DeviceFuture {
-    fn default() -> Self {
-        DeviceFuture {
-            result: Ok(Vec::new()),
-            sim_seconds: 0.0,
-        }
-    }
+    result: Result<(Vec<i32>, f64), ShardError>,
 }
 
 impl DeviceFuture {
-    /// An immediately-resolved future (empty shards).
+    /// An immediately-resolved future.
     pub fn ready(result: Vec<i32>, sim_seconds: f64) -> Self {
         DeviceFuture {
-            result: Ok(result),
-            sim_seconds,
+            result: Ok((result, sim_seconds)),
         }
     }
 
-    /// A future resolved to an execution fault.
-    pub fn failed(error: ShardError) -> Self {
-        DeviceFuture {
-            result: Err(error),
-            sim_seconds: 0.0,
-        }
-    }
-
-    /// Whether the shard failed (without consuming the future).
-    pub fn is_failed(&self) -> bool {
-        self.result.is_err()
-    }
-
-    /// Waits for completion, returning the shard result and the simulated
-    /// seconds the device spent on it.
+    /// The shard result and the simulated seconds the device spent on it.
     ///
     /// # Errors
     ///
     /// The execution fault that killed the shard.
     pub fn wait(self) -> Result<(Vec<i32>, f64), ShardError> {
-        let sim_seconds = self.sim_seconds;
-        self.result.map(|result| (result, sim_seconds))
-    }
-
-    /// The simulated seconds without consuming the result.
-    pub fn sim_seconds(&self) -> f64 {
-        self.sim_seconds
+        self.result
     }
 }
 
@@ -622,7 +528,7 @@ impl DeviceHealth {
     }
 }
 
-/// A heterogeneous execution device: a cost hookup and a single submission
+/// A heterogeneous execution device: a cost hookup and a single execution
 /// entry point (see the [module documentation](self)).
 pub trait Device: Send {
     /// An owned snapshot of the device's cost model (the "cost hookup"):
@@ -630,13 +536,25 @@ pub trait Device: Send {
     /// supports exactly the ops the model prices.
     fn cost(&self) -> Box<dyn CostModel>;
 
-    /// Executes one shard. Empty shards (`plan.work() == 0`) resolve to an
-    /// empty result at zero cost without touching the device; unsupported
-    /// ops return [`ShardError::Unsupported`]. Device-side *execution*
-    /// faults do not error here — they resolve through the returned future
-    /// (see [`DeviceFuture::wait`]) and are recorded in the device's
-    /// [`health`](Device::health).
-    fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError>;
+    /// Runs one op (usually one shard of a larger op) on its operand
+    /// slices, returning the result and the simulated seconds it cost. Ops
+    /// the cost model does not price return [`ShardError::Unsupported`]; an
+    /// empty op (`op.work() == 0`) returns an empty result at zero cost
+    /// without touching the device. Execution faults return their typed
+    /// error and are recorded in the device's [`health`](Device::health).
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError>;
+
+    /// [`run`](Device::run) for a [`ShardOp`]: unsupported ops return
+    /// [`ShardError::Unsupported`] here, everything else resolves through
+    /// the returned future (see [`DeviceFuture::wait`]).
+    fn submit(&mut self, shard: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
+        let (op, operands) = shard.lower();
+        let result = self.run(op, &operands[..op.arity()]);
+        if let Err(e @ ShardError::Unsupported { .. }) = result {
+            return Err(e);
+        }
+        Ok(DeviceFuture { result })
+    }
 
     /// Failure-tracking snapshot. Devices that cannot fail (the host golden
     /// kernels) report the default, always-healthy state.
@@ -656,7 +574,7 @@ pub trait Device: Send {
     fn reset_health(&mut self) {}
 
     /// Records an execution failure observed by a layer driving the device
-    /// *outside* [`submit`](Device::submit) (the session's resident-tensor
+    /// *outside* [`run`](Device::run) (the session's resident-tensor
     /// compiler talks to the UPMEM backend directly). Health-tracking
     /// devices fold it into the same counters a failed shard would hit;
     /// devices that cannot fail ignore it.
@@ -706,19 +624,21 @@ impl Device for UpmemDevice {
         Box::new(CnmCostModel::of(&self.backend))
     }
 
-    fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
-        if plan.work() == 0 {
-            return Ok(DeviceFuture::default());
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+        if op.shard_shape().is_none() {
+            return Err(unsupported(Target::Cnm, op));
+        }
+        if op.work() == 0 {
+            return Ok((Vec::new(), 0.0));
         }
         let before = self.backend.stats().total_seconds();
-        let (op, operands) = plan.lower();
-        match self.backend.run_op(op, &operands[..op.arity()]) {
+        match self.backend.run_op(op, operands) {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;
-                Ok(DeviceFuture::ready(result, sim_seconds))
+                Ok((result, sim_seconds))
             }
-            Err(e) => Ok(DeviceFuture::failed(match e.mram_shortfall() {
+            Err(e) => Err(match e.mram_shortfall() {
                 // A full MRAM is a capacity refusal, not a sick device: it
                 // stays out of the health record.
                 Some((needed_bytes, available_bytes)) => ShardError::MramExhausted {
@@ -733,7 +653,7 @@ impl Device for UpmemDevice {
                         message: e.to_string(),
                     }
                 }
-            })),
+            }),
         }
     }
 
@@ -800,34 +720,33 @@ impl Device for CimDevice {
         Box::new(CimCostModel { config, flags })
     }
 
-    fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
-        if plan.work() == 0 {
-            return Ok(DeviceFuture::default());
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+        if !matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. }) {
+            return Err(unsupported(Target::Cim, op));
+        }
+        if op.work() == 0 {
+            return Ok((Vec::new(), 0.0));
         }
         let before = self.backend.stats().total_seconds();
-        let result = match *plan {
-            ShardOp::Gemm { a, b, m, k, n } => self.backend.try_gemm(a, b, m, k, n),
-            ShardOp::Gemv { a, x, rows, cols } => self.backend.try_gemv(a, x, rows, cols),
-            _ => {
-                return Err(ShardError::Unsupported {
-                    device: Target::Cim,
-                    op: plan.op_name(),
-                })
-            }
+        let (a, b) = (operands[0], operands[1]);
+        let result = match op {
+            CnmOp::Gemm { m, k, n } => self.backend.try_gemm(a, b, m, k, n),
+            CnmOp::Gemv { rows, cols } => self.backend.try_gemv(a, b, rows, cols),
+            _ => unreachable!("the crossbar runs matmul-like ops only"),
         };
         match result {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;
-                Ok(DeviceFuture::ready(result, sim_seconds))
+                Ok((result, sim_seconds))
             }
             Err(e) => {
                 self.health.record_failure(e.is_permanent_fault());
-                Ok(DeviceFuture::failed(ShardError::DeviceFault {
+                Err(ShardError::DeviceFault {
                     device: Target::Cim,
                     permanent: e.is_permanent_fault(),
                     message: e.to_string(),
-                }))
+                })
             }
         }
     }
@@ -873,11 +792,6 @@ impl HostDevice {
             sim_seconds: 0.0,
         }
     }
-
-    /// The roofline model timing this device.
-    pub fn model(&self) -> &CpuModel {
-        &self.model
-    }
 }
 
 impl Device for HostDevice {
@@ -885,22 +799,31 @@ impl Device for HostDevice {
         Box::new(HostCostModel::new(self.model.clone()))
     }
 
-    fn submit(&mut self, plan: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
-        if plan.work() == 0 {
-            return Ok(DeviceFuture::default());
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+        let Some(counts) = host_counts(op) else {
+            return Err(unsupported(Target::Host, op));
+        };
+        if op.work() == 0 {
+            return Ok((Vec::new(), 0.0));
         }
-        let result = match *plan {
-            ShardOp::Gemm { a, b, m, k, n } => kernels::matmul(a, b, m, k, n),
-            ShardOp::Gemv { a, x, rows, cols } => kernels::matvec(a, x, rows, cols),
-            ShardOp::Elementwise { op, a, b } => kernels::elementwise(a, b, |x, y| op.apply(x, y)),
-            ShardOp::Reduce { op, a } => {
+        let a = operands[0];
+        let result = match op {
+            CnmOp::Gemm { m, k, n } => kernels::matmul(a, operands[1], m, k, n),
+            CnmOp::Gemv { rows, cols } => kernels::matvec(a, operands[1], rows, cols),
+            CnmOp::Elementwise { op, .. } => {
+                kernels::elementwise(a, operands[1], |x, y| op.apply(x, y))
+            }
+            CnmOp::Reduce { op, .. } => {
                 vec![a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v))]
             }
-            ShardOp::Histogram { a, bins, max_value } => kernels::histogram(a, bins, max_value),
+            CnmOp::Histogram {
+                bins, max_value, ..
+            } => kernels::histogram(a, bins, max_value),
+            _ => unreachable!("the host prices the shardable ops only"),
         };
-        let seconds = self.model.execution_seconds(&host_counts(plan.lower().0));
+        let seconds = self.model.execution_seconds(&counts);
         self.sim_seconds += seconds;
-        Ok(DeviceFuture::ready(result, seconds))
+        Ok((result, seconds))
     }
 
     fn sim_seconds(&self) -> f64 {
@@ -926,47 +849,59 @@ mod tests {
     #[test]
     fn shard_op_metadata_is_consistent() {
         let a = vec![1i32; 12];
-        let b = vec![1i32; 12];
-        let op = ShardOp::Gemm {
+        let b = vec![2i32; 12];
+        let gemm = ShardOp::Gemm {
             a: &a,
             b: &b,
             m: 3,
             k: 4,
             n: 3,
         };
-        assert_eq!(op.op_name(), cinm::GEMM);
-        assert_eq!(op.work(), 3);
-        assert_eq!(op.shape(), ShardShape::matmul(3, 4, 3));
+        let (op, [lhs, rhs]) = gemm.lower();
+        assert_eq!(op, CnmOp::Gemm { m: 3, k: 4, n: 3 });
+        assert_eq!(op.shard_shape(), Some(ShardShape::matmul(3, 4, 3)));
+        assert_eq!((lhs, rhs), (&a[..], &b[..]));
         let e = ShardOp::Elementwise {
             op: BinOp::Max,
             a: &a,
             b: &b,
         };
-        assert_eq!(e.op_name(), "cinm.max");
-        assert_eq!(e.work(), 12);
+        let max = CnmOp::Elementwise {
+            op: BinOp::Max,
+            len: 12,
+        };
+        assert_eq!(e.lower().0, max);
+        assert_eq!(max.work(), 12);
     }
 
     #[test]
     fn devices_report_their_capabilities() {
-        // One support rule: the cost hookup prices an op exactly when
-        // `submit` accepts it.
+        // One support rule: the cost hookup prices an op exactly when `run`
+        // accepts it, and `select` (a CNM-only PrIM kernel) is not plannable.
         let v = vec![1i32; 16];
-        let shards = [
-            ShardOp::Gemv {
-                a: &v,
-                x: &v[..4],
-                rows: 4,
-                cols: 4,
-            },
-            ShardOp::Reduce {
-                op: BinOp::Add,
-                a: &v,
-            },
-            ShardOp::Elementwise {
-                op: BinOp::Add,
-                a: &v,
-                b: &v,
-            },
+        let ops: [(CnmOp, &[&[i32]]); 4] = [
+            (CnmOp::Gemv { rows: 4, cols: 4 }, &[&v, &v[..4]]),
+            (
+                CnmOp::Reduce {
+                    op: BinOp::Add,
+                    len: 16,
+                },
+                &[&v],
+            ),
+            (
+                CnmOp::Elementwise {
+                    op: BinOp::Add,
+                    len: 16,
+                },
+                &[&v, &v],
+            ),
+            (
+                CnmOp::Select {
+                    threshold: 0,
+                    len: 16,
+                },
+                &[&v],
+            ),
         ];
         let devices: [(Box<dyn Device>, Target); 3] = [
             (Box::new(small_upmem_device()), Target::Cnm),
@@ -982,16 +917,10 @@ mod tests {
         for (mut device, target) in devices {
             let cost = device.cost();
             assert_eq!(cost.target(), target);
-            for shard in &shards {
-                let priced = cost
-                    .estimate_shard_seconds(shard.op_name(), &shard.shape())
-                    .is_some();
-                assert_eq!(
-                    device.submit(shard).is_ok(),
-                    priced,
-                    "{target}: {}",
-                    shard.op_name()
-                );
+            for (op, operands) in ops {
+                let ran = device.run(op, operands);
+                let refused = matches!(ran, Err(ShardError::Unsupported { .. }));
+                assert_eq!(cost.price(op).is_some(), !refused, "{target}: {op:?}");
             }
         }
     }
@@ -1076,8 +1005,9 @@ mod tests {
         let cols = 1024usize;
         let model = CnmCostModel::new(cfg.clone());
         let est = model
-            .estimate_shard_seconds(cinm::GEMV, &ShardShape::matmul(dpus, cols, 1))
-            .unwrap();
+            .price(CnmOp::Gemv { rows: dpus, cols })
+            .unwrap()
+            .seconds;
         let mut backend =
             UpmemBackend::with_config(cfg, UpmemRunOptions::optimized().with_host_threads(1));
         let a = vec![1i32; dpus * cols];

@@ -17,8 +17,9 @@
 //!   [`backend::CimBackend`] drives the `memristor-sim` crossbar simulator
 //!   with an ARM orchestration host, both functionally exact and timed;
 //! * [`device`] — the **unified device abstraction**: the [`device::Target`]
-//!   enum, the [`device::CostModel`] trait and the [`device::Device`] trait
-//!   (cost hookup, `submit(plan) → future`) implemented by
+//!   enum, the [`device::CostModel`] trait (`price(op) → {seconds, joules}`)
+//!   and the [`device::Device`] trait (cost hookup, `run(op, operands)`)
+//!   implemented by
 //!   [`device::UpmemDevice`], [`device::CimDevice`] and
 //!   [`device::HostDevice`], plus the per-device first-order cost models
 //!   (the CNM model is calibrated against `upmem_sim::kernel_launch_cost`);
@@ -46,7 +47,7 @@ pub use convert::{
     CnmToUpmemPass, LinalgToCinmPass, TosaToLinalgPass, UpmemLoweringOptions,
 };
 pub use device::{
-    CimCostModel, CimDevice, CnmCostModel, CostModel, Device, DeviceFuture, HostCostModel,
+    CimCostModel, CimDevice, CnmCostModel, Cost, CostModel, Device, DeviceFuture, HostCostModel,
     HostDevice, ShardOp, ShardShape, Target, UpmemDevice,
 };
 pub use sharded::{ShardError, ShardSplit, ShardStats, ShardedBackend, ShardedRunOptions};

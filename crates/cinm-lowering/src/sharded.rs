@@ -42,7 +42,7 @@ use upmem_sim::{BinOp, UpmemConfig};
 
 use crate::backend::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
 use crate::cnm_op::{CnmOp, MramLayout};
-use crate::device::{CimDevice, Device, HostDevice, ShardOp, Target, UpmemDevice};
+use crate::device::{CimDevice, Device, HostDevice, Target, UpmemDevice};
 
 /// Errors of sharded planning/execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -495,11 +495,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// behind the unified [`Device`] trait and co-executes one operation across
 /// them (see the module docs for the sharding and merge rules).
 ///
-/// Every shard is a [`ShardOp`] submitted through [`Device::submit`];
-/// [`ShardedBackend::run`] is the one dispatch (slice, submit per non-empty
-/// shard onto the pool, merge) and the per-op methods wrap it. The wrapped
-/// eager back-ends stay reachable ([`ShardedBackend::upmem`],
-/// [`ShardedBackend::cim_backend`]) as the equivalence oracle.
+/// Every shard is the op's [`CnmOp`] at the shard's work, handed to
+/// [`Device::run`] with its operand slices; [`ShardedBackend::run`] is the
+/// one dispatch (slice, run each non-empty shard on the pool, merge) and the
+/// per-op methods wrap it. The wrapped eager back-ends stay reachable
+/// ([`ShardedBackend::upmem`], [`ShardedBackend::cim_backend`]) as the
+/// equivalence oracle.
 #[derive(Debug)]
 pub struct ShardedBackend {
     cnm: UpmemDevice,
@@ -591,30 +592,20 @@ impl ShardedBackend {
         self.cim.backend()
     }
 
-    /// The roofline model timing the host device.
-    pub fn host_model(&self) -> &CpuModel {
-        self.host.model()
-    }
-
-    /// The shared worker pool the device tasks are dispatched onto.
-    pub fn pool(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// Dispatches up to three shard submissions concurrently in one pool
-    /// scope — one [`Device::submit`] per non-empty shard, the first of them
-    /// on the calling thread and the others on pool workers — and folds the
-    /// resolved [`crate::device::DeviceFuture`]s into the statistics.
+    /// Runs up to three shards concurrently in one pool scope — one
+    /// [`Device::run`] per non-empty shard, the first of them on the calling
+    /// thread and the others on pool workers — and folds their outcomes into
+    /// the statistics.
     ///
-    /// Failures are contained per shard: an execution fault resolves through
-    /// the shard's future as a typed [`ShardError`], and a panicking device
-    /// task is caught and converted to [`ShardError::ExecutionPanic`] — the
-    /// other shards still run (and are accounted) before the first failing
-    /// device's error, in `[cnm, cim, host]` order, is returned.
+    /// Failures are contained per shard: an execution fault is the shard's
+    /// typed [`ShardError`], and a panicking device task is caught and
+    /// converted to [`ShardError::ExecutionPanic`] — the other shards still
+    /// run (and are accounted) before the first failing device's error, in
+    /// `[cnm, cim, host]` order, is returned.
     fn dispatch(
         &mut self,
         work: &ShardSplit,
-        ops: [Option<ShardOp<'_>>; 3],
+        shards: [(CnmOp, [&[i32]; 2]); 3],
     ) -> Result<[Vec<i32>; 3], ShardError> {
         let tracker = ConcurrencyTracker::default();
         let mut outcomes: [ShardOutcome; 3] = Default::default();
@@ -623,31 +614,30 @@ impl ShardedBackend {
             let devices: [&mut dyn Device; 3] = [&mut self.cnm, &mut self.cim, &mut self.host];
             let tracker = &tracker;
             self.pool.get().scope(|s| {
-                for (((device, op), outcome), slot) in devices
+                for (((device, (op, operands)), outcome), slot) in devices
                     .into_iter()
-                    .zip(&ops)
+                    .zip(&shards)
                     .zip(outcomes.iter_mut())
                     .zip(Target::ALL)
                 {
-                    let Some(op) = op else { continue };
                     if op.work() == 0 {
                         continue;
                     }
+                    let operands = &operands[..op.arity()];
                     let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
                     s.spawn_labeled(label, move |_| {
                         let _in_flight = tracker.enter();
                         let start = Instant::now();
-                        let submitted =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                device.submit(op)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(ShardError::ExecutionPanic {
-                                    device: slot,
-                                    message: panic_message(payload.as_ref()),
-                                })
-                            });
-                        let (result, sim_seconds) = match submitted.and_then(|f| f.wait()) {
+                        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            device.run(*op, operands)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(ShardError::ExecutionPanic {
+                                device: slot,
+                                message: panic_message(payload.as_ref()),
+                            })
+                        });
+                        let (result, sim_seconds) = match ran {
                             Ok((result, sim_seconds)) => (Ok(result), sim_seconds),
                             Err(e) => (Err(e), 0.0),
                         };
@@ -683,7 +673,7 @@ impl ShardedBackend {
     /// dispatch the per-op methods below and the `cinm-core` session wrap.
     /// Scattered operands (per the op's [`CnmOp::geometry`]) are sliced by
     /// contiguous work ranges in `[cnm, cim, host]` order, broadcast
-    /// operands go to every device whole, one [`Device::submit`] per
+    /// operands go to every device whole, one [`Device::run`] per
     /// non-empty shard runs concurrently (the first on the caller, the rest
     /// on the pool), and the shard results
     /// merge by the op's rule: concatenation for `gemm`/`gemv`/element-wise,
@@ -705,7 +695,7 @@ impl ShardedBackend {
         split: &ShardSplit,
     ) -> Result<Vec<i32>, ShardError> {
         let name = op.mnemonic();
-        let Some((_, shape)) = op.shard() else {
+        let Some(shape) = op.shard_shape() else {
             return Err(ShardError::Unsupported {
                 device: Target::Host,
                 op: name,
@@ -782,10 +772,12 @@ impl ShardedBackend {
         let mut lo = 0;
         let shards = Target::ALL.map(|device| {
             let hi = lo + split.get(device);
-            let shard = ShardOp::lift(
+            let shard = (
                 op.with_work(hi - lo),
-                shard_of(a, layouts[0], total, lo, hi),
-                shard_of(b, layouts[1], total, lo, hi),
+                [
+                    shard_of(a, layouts[0], total, lo, hi),
+                    shard_of(b, layouts[1], total, lo, hi),
+                ],
             );
             lo = hi;
             shard

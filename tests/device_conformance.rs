@@ -2,60 +2,71 @@
 //! three implementations (UPMEM grid, memristive crossbar, host roofline).
 //!
 //! Every device must: obey the one support rule (its cost hookup prices an op
-//! exactly when `submit` accepts it), resolve empty shards for
-//! free without touching statistics, execute supported shards bit-identically
-//! to the `cpu_sim` goldens while accumulating simulated seconds, reject
-//! unsupported shards with `ShardError::Unsupported` without side effects,
-//! and fully clear its statistics on `reset_stats`.
+//! exactly when `run` accepts it), answer `submit` exactly as `run`, resolve
+//! empty shards for free without touching statistics, execute supported
+//! shards bit-identically to the `cpu_sim` goldens while accumulating
+//! simulated seconds, reject unsupported shards with
+//! `ShardError::Unsupported` without side effects, and fully clear its
+//! statistics on `reset_stats`.
 
 use cinm::cpu::kernels;
 use cinm::cpu::model::CpuModel;
+use cinm::lowering::cnm_op::CnmOp;
 use cinm::lowering::{
-    CimBackend, CimDevice, CimRunOptions, Device, HostDevice, ShardError, ShardOp, ShardShape,
-    UpmemBackend, UpmemDevice, UpmemRunOptions,
+    CimBackend, CimDevice, CimRunOptions, Device, HostDevice, ShardError, ShardOp, UpmemBackend,
+    UpmemDevice, UpmemRunOptions,
 };
 use cinm::upmem::{BinOp, UpmemConfig};
 use cinm::workloads::data;
 
 /// The op sample the suite probes: one representative shard per shardable
-/// kind, with its name and matching [`ShardShape`].
-fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(&'static str, ShardShape, ShardOp<'a>); 5] {
-    let add = BinOp::Add;
+/// kind, as the typed op and as the matching [`ShardOp`].
+fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(CnmOp, ShardOp<'a>); 5] {
+    let (add, a64) = (BinOp::Add, &a[..64]);
     [
-        ("cinm.gemm", ShardShape::matmul(16, 8, 8), {
+        (CnmOp::Gemm { m: 16, k: 8, n: 8 }, {
             let (m, k, n) = (16, 8, 8);
             ShardOp::Gemm { a, b, m, k, n }
         }),
-        ("cinm.gemv", ShardShape::matmul(16, 8, 1), {
-            let x = &b[..8];
+        (
+            CnmOp::Gemv { rows: 16, cols: 8 },
             ShardOp::Gemv {
                 a,
-                x,
+                x: &b[..8],
                 rows: 16,
                 cols: 8,
-            }
-        }),
-        ("cinm.add", ShardShape::streaming(64), {
-            ShardOp::Elementwise {
-                op: add,
-                a: &a[..64],
-                b,
-            }
-        }),
-        ("cinm.reduce", ShardShape::streaming(64), {
-            ShardOp::Reduce {
-                op: add,
-                a: &a[..64],
-            }
-        }),
-        ("cinm.histogram", ShardShape::streaming(64), {
-            ShardOp::Histogram {
-                a: &a[..64],
+            },
+        ),
+        (
+            CnmOp::Elementwise { op: add, len: 64 },
+            ShardOp::Elementwise { op: add, a: a64, b },
+        ),
+        (
+            CnmOp::Reduce { op: add, len: 64 },
+            ShardOp::Reduce { op: add, a: a64 },
+        ),
+        (
+            CnmOp::Histogram {
                 bins: 8,
                 max_value: 8,
-            }
-        }),
+                len: 64,
+            },
+            ShardOp::Histogram {
+                a: a64,
+                bins: 8,
+                max_value: 8,
+            },
+        ),
     ]
+}
+
+/// The operand slices of a shard, in the order [`Device::run`] takes them.
+fn operands<'a>(shard: &ShardOp<'a>) -> Vec<&'a [i32]> {
+    match *shard {
+        ShardOp::Gemm { a, b, .. } | ShardOp::Elementwise { a, b, .. } => vec![a, b],
+        ShardOp::Gemv { a, x, .. } => vec![a, x],
+        ShardOp::Reduce { a, .. } | ShardOp::Histogram { a, .. } => vec![a],
+    }
 }
 
 /// Runs the whole conformance suite against one device.
@@ -64,18 +75,29 @@ fn conformance(device: &mut dyn Device) {
     let name = cost.target();
 
     // 1. The one support rule: the cost hookup prices an op exactly when
-    //    `submit` accepts it, and every price is positive.
+    //    `run` accepts it, every price is positive, and the pinned `submit`
+    //    answers bit for bit what `run` does (each from cleared statistics:
+    //    a device bills a shard as the growth of its running total).
     let (a, b) = (data::i32_vec(5, 128, 0, 8), data::i32_vec(6, 64, 0, 8));
-    for (op, shape, shard) in probe_ops(&a, &b) {
-        let priced = cost.estimate_shard_seconds(op, &shape);
-        if let Some(t) = priced {
-            assert!(t > 0.0, "{name}: {op} estimate must be positive");
+    for (op, shard) in probe_ops(&a, &b) {
+        let priced = cost.price(op);
+        if let Some(c) = priced {
+            assert!(
+                c.seconds > 0.0 && c.joules > 0.0,
+                "{name}: {op:?} price must be positive"
+            );
         }
+        device.reset_stats();
+        let ran = device.run(op, &operands(&shard));
+        let refused = matches!(ran, Err(ShardError::Unsupported { .. }));
         assert_eq!(
-            device.submit(&shard).is_ok(),
             priced.is_some(),
-            "{name}: cost hookup and submit disagree on {op}"
+            !refused,
+            "{name}: cost hookup and run disagree on {op:?}"
         );
+        device.reset_stats();
+        let submitted = device.submit(&shard).and_then(|future| future.wait());
+        assert_eq!(submitted, ran, "{name}: submit and run disagree on {op:?}");
     }
 
     // 2. Empty-shard submit: resolved immediately, no statistics.
@@ -120,10 +142,11 @@ fn conformance(device: &mut dyn Device) {
 
     // 4. Unsupported shards error without touching statistics.
     let v = data::i32_vec(9, 32, -4, 4);
-    if cost
-        .estimate_shard_seconds("cinm.add", &ShardShape::streaming(v.len()))
-        .is_none()
-    {
+    let add = CnmOp::Elementwise {
+        op: BinOp::Add,
+        len: v.len(),
+    };
+    if cost.price(add).is_none() {
         let before = device.sim_seconds();
         let err = device
             .submit(&ShardOp::Elementwise {
@@ -189,15 +212,15 @@ fn capability_matrix_matches_the_paper() {
     assert_eq!(cim.target(), Target::Cim);
     assert_eq!(host.target(), Target::Host);
     // MVM-only crossbar; the grid and the host run every shardable op.
-    let (hist, gemv) = (ShardShape::streaming(64), ShardShape::matmul(16, 8, 1));
-    assert!(cim
-        .estimate_shard_seconds("cinm.histogram", &hist)
-        .is_none());
-    assert!(cim.estimate_shard_seconds("cinm.gemv", &gemv).is_some());
-    assert!(up.estimate_shard_seconds("cinm.histogram", &hist).is_some());
-    assert!(host
-        .estimate_shard_seconds("cinm.histogram", &hist)
-        .is_some());
+    let hist = CnmOp::Histogram {
+        bins: 8,
+        max_value: 8,
+        len: 64,
+    };
+    assert!(cim.price(hist).is_none());
+    assert!(cim.price(CnmOp::Gemv { rows: 16, cols: 8 }).is_some());
+    assert!(up.price(hist).is_some());
+    assert!(host.price(hist).is_some());
 }
 
 /// A full MRAM is a typed refusal on every eager surface, never a panic

@@ -10,8 +10,9 @@
 //! reproducible.
 
 use cinm::ir::{AffineExpr, AffineMap};
+use cinm::lowering::cnm_op::CnmOp;
 use cinm::lowering::{
-    CimBackend, CimDevice, CimRunOptions, Device, ShardShape, UpmemBackend, UpmemRunOptions,
+    CimBackend, CimDevice, CimRunOptions, Cost, Device, UpmemBackend, UpmemRunOptions,
 };
 use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
 use cinm::telemetry::Telemetry;
@@ -289,22 +290,20 @@ fn cim_cost_model_prices_what_the_backend_bills() {
                 };
                 let mut device = CimDevice::new(CimBackend::with_config(config, options));
                 let cost = device.cost();
-                let shape = ShardShape::matmul(m, k, n);
                 let (op, c) = if gemv {
                     let c = device.backend_mut().try_gemv(&a, &b, m, k);
-                    (cinm::dialects::cinm::GEMV, c)
+                    (CnmOp::Gemv { rows: m, cols: k }, c)
                 } else {
                     let c = device.backend_mut().try_gemm(&a, &b, m, k, n);
-                    (cinm::dialects::cinm::GEMM, c)
+                    (CnmOp::Gemm { m, k, n }, c)
                 };
                 let what = format!(
-                    "{op} {m}x{k}x{n} on {tile_rows}x{tile_cols}x{num_tiles}, \
+                    "{op:?} on {tile_rows}x{tile_cols}x{num_tiles}, \
                      min_writes={min_writes} parallel={parallel_tiles}"
                 );
                 assert_eq!(c.unwrap(), kernels::matmul(&a, &b, m, k, n), "{what}");
                 let billed = device.backend().stats().xbar;
-                let seconds = cost.estimate_shard_seconds(op, &shape).unwrap();
-                let joules = cost.estimate_shard_joules(op, &shape).unwrap();
+                let Cost { seconds, joules } = cost.price(op).unwrap();
                 assert!(
                     close(seconds, billed.total_seconds()),
                     "{what}: priced {seconds} s, billed {} s",
