@@ -30,6 +30,7 @@
 
 pub mod experiments;
 mod fusion;
+mod pinned;
 pub mod pipeline;
 pub mod runner;
 pub mod serve;

@@ -50,9 +50,10 @@
 //! silently renormalised, and so is forcing work onto an accelerator whose
 //! model does not price the op.
 //!
-//! The planner prices one typed [`CnmOp`] per (device, shard size). The
-//! public entries that name an op by its `cinm` name and [`ShardShape`]
-//! decode the pair into that op first.
+//! The planner has one entry, [`ShardPlanner::plan_op`] (memoized by
+//! [`CachedShardPlanner::plan_op`]): it plans one typed [`CnmOp`] and prices
+//! it once per (device, shard size). The entries `benchmark/` still calls by
+//! `cinm` name and [`ShardShape`] live in the crate's private `pinned` module.
 
 use std::collections::HashMap;
 
@@ -60,9 +61,7 @@ use cinm_lowering::cnm_op::CnmOp;
 use cinm_lowering::{Cost, Device, ShardError, ShardSplit};
 use cpu_sim::model::CpuModel;
 use memristor_sim::CrossbarConfig;
-use upmem_sim::{BinOp, UpmemConfig};
-
-use cinm_dialects::cinm;
+use upmem_sim::UpmemConfig;
 
 use crate::target::{CostModel, Target};
 
@@ -266,13 +265,6 @@ impl ShardPlanner {
             })
     }
 
-    /// Full-shard *energy* estimate of a target in joules for an op named
-    /// by its `cinm` name and shape, or `None` if no registered model prices
-    /// the op on that target.
-    pub fn estimate_joules(&self, target: Target, op: &str, shape: &ShardShape) -> Option<f64> {
-        Some(self.estimate(target, op_from_name(op, shape)?)?.joules)
-    }
-
     /// Full-shard prices of every target, in `[cnm, cim, host]` order.
     fn estimates(&self, op: CnmOp) -> [Option<Cost>; 3] {
         Target::ALL.map(|target| self.estimate(target, op))
@@ -292,22 +284,11 @@ impl ShardPlanner {
             .count()
     }
 
-    /// Plans a shard assignment for one op named by its `cinm` name and
-    /// [`ShardShape`]. A name no [`CnmOp`] stands for plans like an op no
-    /// model prices (on the host, unless the policy forces it elsewhere).
-    pub fn plan(&self, op: &str, shape: ShardShape) -> Result<ShardPlan, ShardError> {
-        self.plan_work(op_from_name(op, &shape), shape.work)
-    }
-
-    /// Plans a shard assignment for one op.
-    pub(crate) fn plan_op(&self, op: CnmOp) -> Result<ShardPlan, ShardError> {
-        self.plan_work(Some(op), op.work())
-    }
-
-    /// The one planning path over `work` units of `op` (`None`: an op no
-    /// model prices).
-    fn plan_work(&self, op: Option<CnmOp>, work: usize) -> Result<ShardPlan, ShardError> {
-        let estimates = op.map_or([None; 3], |op| self.estimates(op));
+    /// Plans a shard assignment for one op. An op no registered model
+    /// prices stays on the host, unless the policy forces it elsewhere.
+    pub fn plan_op(&self, op: CnmOp) -> Result<ShardPlan, ShardError> {
+        let work = op.work();
+        let estimates = self.estimates(op);
         let (split, fallback) = match self.policy {
             // Zero-work ops plan to empty splits, but an infeasible forced
             // policy is still an error (fractions are validated even when
@@ -327,10 +308,10 @@ impl ShardPlanner {
                 (split, (work > 0).then_some(target))
             }
             _ if work == 0 => (ShardSplit::default(), None),
-            ShardPolicy::Auto => self.plan_auto(op, work, &estimates),
+            ShardPolicy::Auto => self.plan_auto(op, &estimates),
             ShardPolicy::MinimizeEnergy => Self::plan_min_energy(work, &estimates),
         };
-        Ok(self.finish(op, work, split, fallback, &estimates))
+        Ok(self.finish(op, split, fallback, &estimates))
     }
 
     /// The `MinimizeEnergy` policy: all work goes to the device with the
@@ -389,16 +370,11 @@ impl ShardPlanner {
 
     /// The `Auto` policy: balance estimated completion times with affine
     /// per-device costs (water-filling; see the module docs).
-    fn plan_auto(
-        &self,
-        op: Option<CnmOp>,
-        work: usize,
-        estimates: &[Option<Cost>; 3],
-    ) -> (ShardSplit, Option<Target>) {
-        let granularity = self.granularity.max(1);
+    fn plan_auto(&self, op: CnmOp, estimates: &[Option<Cost>; 3]) -> (ShardSplit, Option<Target>) {
+        let (work, granularity) = (op.work(), self.granularity.max(1));
         // No model supports the op: everything stays on the host (the
         // paper's catch-all for ops outside the offloadable set).
-        let (Some(op), Some(fastest)) = (op, fastest_of(estimates)) else {
+        let Some(fastest) = fastest_of(estimates) else {
             return (ShardSplit::all_host(work), Some(Target::Host));
         };
         // Candidate devices: those with a model-backed estimate.
@@ -504,20 +480,20 @@ impl ShardPlanner {
     /// of the whole work reuses its full-shard price).
     fn finish(
         &self,
-        op: Option<CnmOp>,
-        work: usize,
+        op: CnmOp,
         split: ShardSplit,
         fallback: Option<Target>,
         estimates: &[Option<Cost>; 3],
     ) -> ShardPlan {
+        let work = op.work();
         let mut estimated_seconds = [0.0f64; 3];
         let mut estimated_joules = [0.0f64; 3];
         for target in Target::ALL {
             let (i, w) = (target.index(), split.get(target));
-            let cost = match (w, op) {
-                (0, _) | (_, None) => None,
+            let cost = match w {
+                0 => None,
                 _ if w == work => estimates[i],
-                (_, Some(op)) => self.estimate(target, op.with_work(w)),
+                _ => self.estimate(target, op.with_work(w)),
             };
             if let Some(c) = cost {
                 estimated_seconds[i] = c.seconds;
@@ -533,42 +509,6 @@ impl ShardPlanner {
             fallback,
         }
     }
-}
-
-/// Bins of a histogram named by its `cinm` name and [`ShardShape`] alone
-/// (the pair does not carry the bin count).
-const ESTIMATE_BINS: usize = 256;
-
-/// The op a `cinm` name and [`ShardShape`] stand for — the decode of the
-/// string planner entries. Value parameters the pair does not carry take
-/// placeholders ([`ESTIMATE_BINS`] bins, the `add` reduction); `None` for a
-/// name no [`CnmOp`] stands for.
-fn op_from_name(name: &str, shape: &ShardShape) -> Option<CnmOp> {
-    let work = shape.work;
-    Some(match name {
-        cinm::GEMM => CnmOp::Gemm {
-            m: work,
-            k: shape.inner,
-            n: shape.out,
-        },
-        cinm::GEMV => CnmOp::Gemv {
-            rows: work,
-            cols: shape.inner,
-        },
-        cinm::REDUCE => CnmOp::Reduce {
-            op: BinOp::Add,
-            len: work,
-        },
-        cinm::HISTOGRAM => CnmOp::Histogram {
-            bins: ESTIMATE_BINS,
-            max_value: 0,
-            len: work,
-        },
-        _ => CnmOp::Elementwise {
-            op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
-            len: work,
-        },
-    })
 }
 
 /// A memoizing wrapper around [`ShardPlanner`].
@@ -658,28 +598,16 @@ impl CachedShardPlanner {
         self.cache.len()
     }
 
-    /// Plans a shard assignment for an op named by its `cinm` name and
-    /// shape, returning the memoized plan when the same op was planned
-    /// before under the current configuration — bit-identical to calling
-    /// [`ShardPlanner::plan`] directly (the planner is deterministic;
-    /// `tests/properties.rs` asserts the equivalence over randomized shape
-    /// streams with repeats).
+    /// Plans a shard assignment for one op, returning the memoized plan
+    /// when the same op was planned before under the current configuration
+    /// — bit-identical to calling [`ShardPlanner::plan_op`] directly (the
+    /// planner is deterministic; `tests/properties.rs` asserts the
+    /// equivalence over randomized op streams with repeats).
     ///
     /// # Errors
     ///
-    /// Propagates [`ShardPlanner::plan`] errors (never cached), and refuses
-    /// a name no [`CnmOp`] stands for ([`ShardError::Unsupported`]: no
-    /// device runs it).
-    pub fn plan(&mut self, op: &'static str, shape: ShardShape) -> Result<&ShardPlan, ShardError> {
-        let unknown = ShardError::Unsupported {
-            device: Target::Host,
-            op,
-        };
-        self.plan_op(op_from_name(op, &shape).ok_or(unknown)?)
-    }
-
-    /// [`plan`](Self::plan) for a typed op.
-    pub(crate) fn plan_op(&mut self, op: CnmOp) -> Result<&ShardPlan, ShardError> {
+    /// Propagates [`ShardPlanner::plan_op`] errors, which are never cached.
+    pub fn plan_op(&mut self, op: CnmOp) -> Result<&ShardPlan, ShardError> {
         if self.cache.contains_key(&op) {
             self.hits += 1;
         } else {
@@ -726,9 +654,32 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use upmem_sim::BinOp;
 
     fn planner() -> ShardPlanner {
         ShardPlanner::with_default_models(4)
+    }
+
+    fn gemm(m: usize, k: usize, n: usize) -> CnmOp {
+        CnmOp::Gemm { m, k, n }
+    }
+
+    fn gemv(rows: usize, cols: usize) -> CnmOp {
+        CnmOp::Gemv { rows, cols }
+    }
+
+    fn add(len: usize) -> CnmOp {
+        CnmOp::Elementwise {
+            op: BinOp::Add,
+            len,
+        }
+    }
+
+    fn reduce(len: usize) -> CnmOp {
+        CnmOp::Reduce {
+            op: BinOp::Add,
+            len,
+        }
     }
 
     /// A linear-cost model with a fixed per-element rate, for planner tests
@@ -768,7 +719,7 @@ mod tests {
                 seconds_per_element: rate,
             }));
         }
-        let plan = p.plan(cinm::GEMM, ShardShape::matmul(45, 1, 1)).unwrap();
+        let plan = p.plan_op(gemm(45, 1, 1)).unwrap();
         assert_eq!(plan.split.total(), 45);
         assert_eq!(plan.split.cnm, 45, "{plan:?}");
         assert_eq!(plan.fallback, Some(Target::Cnm), "{plan:?}");
@@ -777,9 +728,7 @@ mod tests {
     #[test]
     fn auto_plans_use_multiple_devices_and_cover_all_work() {
         let p = planner();
-        let plan = p
-            .plan(cinm::GEMM, ShardShape::matmul(4096, 256, 128))
-            .unwrap();
+        let plan = p.plan_op(gemm(4096, 256, 128)).unwrap();
         assert_eq!(plan.split.total(), 4096);
         assert!(plan.is_sharded(), "{plan:?}");
         assert!(plan.fallback.is_none());
@@ -794,10 +743,9 @@ mod tests {
 
     #[test]
     fn devices_estimating_none_get_zero_work() {
-        let p = planner();
         // The crossbar backend cannot execute element-wise ops: its model
         // returns None and the plan must give it nothing.
-        let plan = p.plan("cinm.add", ShardShape::streaming(1 << 21)).unwrap();
+        let plan = planner().plan_op(add(1 << 21)).unwrap();
         assert_eq!(plan.split.cim, 0);
         assert_eq!(plan.split.total(), 1 << 21);
         assert!(plan.split.cnm > 0, "{plan:?}");
@@ -805,9 +753,7 @@ mod tests {
 
     #[test]
     fn zero_work_ops_plan_to_empty_splits() {
-        let plan = planner()
-            .plan(cinm::GEMM, ShardShape::matmul(0, 0, 0))
-            .unwrap();
+        let plan = planner().plan_op(gemm(0, 0, 0)).unwrap();
         assert_eq!(plan.split, ShardSplit::default());
         assert_eq!(plan.fractions, [0.0; 3]);
         assert!(plan.fallback.is_none());
@@ -817,13 +763,13 @@ mod tests {
         assert!(matches!(
             planner()
                 .with_policy(ShardPolicy::Fractions([0.8, 0.0, 0.1]))
-                .plan(cinm::GEMM, ShardShape::matmul(0, 0, 0)),
+                .plan_op(gemm(0, 0, 0)),
             Err(ShardError::FractionSum { .. })
         ));
         assert!(matches!(
             planner()
                 .with_policy(ShardPolicy::Single(Target::Cim))
-                .plan(cinm::REDUCE, ShardShape::streaming(0)),
+                .plan_op(reduce(0)),
             Err(ShardError::Unsupported { .. })
         ));
     }
@@ -831,27 +777,23 @@ mod tests {
     #[test]
     fn cached_planner_memoizes_and_invalidates_on_reconfiguration() {
         let mut cached = CachedShardPlanner::with_default_models(4);
-        let shape = ShardShape::matmul(4096, 256, 128);
-        let fresh = planner().plan(cinm::GEMM, shape).unwrap();
-        let first = cached.plan(cinm::GEMM, shape).unwrap().clone();
+        let op = gemm(4096, 256, 128);
+        let fresh = planner().plan_op(op).unwrap();
+        let first = cached.plan_op(op).unwrap().clone();
         assert_eq!(first, fresh);
         // Second identical request is a hit and returns the same plan.
-        let second = cached.plan(cinm::GEMM, shape).unwrap().clone();
+        let second = cached.plan_op(op).unwrap().clone();
         assert_eq!(second, fresh);
         assert_eq!(cached.cache_stats(), (1, 1));
         assert_eq!(cached.cached_plans(), 1);
-        // A different shape is a distinct entry.
-        cached
-            .plan(cinm::GEMM, ShardShape::matmul(128, 64, 64))
-            .unwrap();
-        // The string entry and the typed one share the entry of the op.
-        let op = op_from_name(cinm::GEMM, &shape).unwrap();
+        // A different shape is a distinct entry, and the first still hits.
+        cached.plan_op(gemm(128, 64, 64)).unwrap();
         assert_eq!(cached.plan_op(op).unwrap(), &fresh);
         assert_eq!((cached.cache_stats(), cached.cached_plans()), ((2, 2), 2));
         // Policy changes invalidate: the new plan reflects the new policy.
         cached.set_policy(ShardPolicy::Single(Target::Host));
         assert_eq!(cached.cached_plans(), 0);
-        let host_only = cached.plan(cinm::GEMM, shape).unwrap();
+        let host_only = cached.plan_op(op).unwrap();
         assert_eq!(host_only.split, ShardSplit::all_host(4096));
         // Registering a model invalidates too.
         cached.register_model(Box::new(FlatRate {
@@ -861,7 +803,7 @@ mod tests {
         assert_eq!(cached.cached_plans(), 0);
         // Errors are propagated and never cached.
         cached.set_policy(ShardPolicy::Fractions([0.5, 0.2, 0.2]));
-        assert!(cached.plan(cinm::GEMM, shape).is_err());
+        assert!(cached.plan_op(op).is_err());
         assert_eq!(cached.cached_plans(), 0);
     }
 
@@ -902,20 +844,25 @@ mod tests {
         // makespan-optimal (Auto) plan's joules on the same estimates.
         let auto = planner();
         let energy = planner().with_policy(ShardPolicy::MinimizeEnergy);
-        let cases: [(&str, ShardShape); 8] = [
-            (cinm::GEMV, ShardShape::matmul(4096, 1024, 1)),
-            (cinm::GEMV, ShardShape::matmul(256, 256, 1)),
-            (cinm::GEMM, ShardShape::matmul(4096, 256, 128)),
-            (cinm::GEMM, ShardShape::matmul(64, 64, 64)),
-            ("cinm.add", ShardShape::streaming(1 << 21)),
-            ("cinm.add", ShardShape::streaming(1 << 12)),
-            (cinm::REDUCE, ShardShape::streaming(1 << 20)),
-            (cinm::HISTOGRAM, ShardShape::streaming(1 << 20)),
+        let histogram = CnmOp::Histogram {
+            bins: 256,
+            max_value: 0,
+            len: 1 << 20,
+        };
+        let ops = [
+            gemv(4096, 1024),
+            gemv(256, 256),
+            gemm(4096, 256, 128),
+            gemm(64, 64, 64),
+            add(1 << 21),
+            add(1 << 12),
+            reduce(1 << 20),
+            histogram,
         ];
-        for (op, shape) in cases {
-            let auto_plan = auto.plan(op, shape).unwrap();
-            let energy_plan = energy.plan(op, shape).unwrap();
-            assert_eq!(energy_plan.split.total(), shape.work);
+        for op in ops {
+            let auto_plan = auto.plan_op(op).unwrap();
+            let energy_plan = energy.plan_op(op).unwrap();
+            assert_eq!(energy_plan.split.total(), op.work());
             assert!(
                 !energy_plan.is_sharded(),
                 "energy placement is single-device by construction: {energy_plan:?}"
@@ -924,55 +871,32 @@ mod tests {
                 energy_plan.total_estimated_joules(),
                 auto_plan.total_estimated_joules(),
             );
-            assert!(e > 0.0, "{op}: energy plan must carry a joule estimate");
+            assert!(e > 0.0, "{op:?}: energy plan must carry a joule estimate");
             assert!(
                 e <= a * (1.0 + 1e-9),
-                "{op} {shape:?}: min-energy {e} J must not exceed auto {a} J"
+                "{op:?}: min-energy {e} J must not exceed auto {a} J"
             );
         }
     }
 
     #[test]
     fn energy_estimates_exist_for_every_supporting_device() {
-        // Every price carries seconds and joules, both positive, and the
-        // string entry reads the joules of the op its name decodes to.
+        // Every price carries seconds and joules, both positive.
         let p = planner();
-        for (name, shape) in [
-            (cinm::GEMM, ShardShape::matmul(1024, 256, 128)),
-            (cinm::GEMV, ShardShape::matmul(4096, 1024, 1)),
-            ("cinm.add", ShardShape::streaming(1 << 16)),
-            (cinm::REDUCE, ShardShape::streaming(1 << 16)),
+        for op in [
+            gemm(1024, 256, 128),
+            gemv(4096, 1024),
+            add(1 << 16),
+            reduce(1 << 16),
         ] {
-            let op = op_from_name(name, &shape).unwrap();
             for target in Target::ALL {
-                let cost = p.estimate(target, op);
-                if let Some(c) = cost {
+                if let Some(c) = p.estimate(target, op) {
                     assert!(
                         c.seconds > 0.0 && c.joules > 0.0,
-                        "{name} on {target}: {c:?}"
+                        "{op:?} on {target}: {c:?}"
                     );
                 }
-                let joules = p.estimate_joules(target, name, &shape);
-                assert_eq!(joules, cost.map(|c| c.joules), "{name} on {target}");
             }
-        }
-    }
-
-    #[test]
-    fn op_names_decode_to_the_op_they_stand_for() {
-        let (rows, len9) = (ShardShape::matmul(7, 5, 3), ShardShape::streaming(9));
-        let gemm = CnmOp::Gemm { m: 7, k: 5, n: 3 };
-        assert_eq!(op_from_name(cinm::GEMM, &rows), Some(gemm));
-        assert_eq!(op_from_name(cinm::GEMV, &rows).map(CnmOp::work), Some(7));
-        let xor = CnmOp::Elementwise {
-            op: BinOp::Xor,
-            len: 9,
-        };
-        assert_eq!(op_from_name("cinm.xor", &len9), Some(xor));
-        let hist = op_from_name(cinm::HISTOGRAM, &len9).unwrap();
-        assert!(matches!(hist, CnmOp::Histogram { bins: 256, .. }));
-        for name in [cinm::SIM_SEARCH, cinm::TOPK, cinm::NOT] {
-            assert_eq!(op_from_name(name, &len9), None, "{name}");
         }
     }
 
@@ -993,16 +917,13 @@ mod tests {
     fn an_auto_plan_prices_each_device_and_shard_size_once() {
         // Per device: the whole op, half of it (the affine fit) and its
         // planned shard unless that is the whole op: at most 9 prices.
-        let (priced, shape) = (
-            Arc::new(AtomicUsize::new(0)),
-            ShardShape::matmul(4096, 256, 128),
-        );
+        let (priced, op) = (Arc::new(AtomicUsize::new(0)), gemm(4096, 256, 128));
         let mut p = ShardPlanner::new();
         for model in planner().models {
             p.register_model(Box::new(Counting(model, priced.clone())));
         }
-        let plan = p.plan(cinm::GEMM, shape).unwrap();
-        assert_eq!(plan, planner().plan(cinm::GEMM, shape).unwrap());
+        let plan = p.plan_op(op).unwrap();
+        assert_eq!(plan, planner().plan_op(op).unwrap());
         let devices = ShardPlanner::split_device_count(&plan.split);
         assert!(devices > 1, "{plan:?}");
         assert_eq!(priced.load(Ordering::Relaxed), 3 + 3 + devices);
@@ -1012,9 +933,7 @@ mod tests {
     fn ops_under_the_granularity_fall_back_to_one_device() {
         let p = planner();
         let work = p.granularity * 2 - 1;
-        let plan = p
-            .plan(cinm::GEMM, ShardShape::matmul(work, 64, 64))
-            .unwrap();
+        let plan = p.plan_op(gemm(work, 64, 64)).unwrap();
         assert!(!plan.is_sharded());
         assert!(plan.fallback.is_some(), "{plan:?}");
         assert_eq!(plan.split.total(), work);
@@ -1024,9 +943,7 @@ mod tests {
     fn small_streaming_ops_collapse_onto_the_cheapest_device() {
         // At tiny sizes the grid's fixed transfer latencies dominate: the
         // water-filling step must drop the CNM device entirely.
-        let plan = planner()
-            .plan("cinm.add", ShardShape::streaming(1 << 12))
-            .unwrap();
+        let plan = planner().plan_op(add(1 << 12)).unwrap();
         assert_eq!(plan.split.cnm, 0, "{plan:?}");
         assert_eq!(plan.split.host, 1 << 12);
     }
@@ -1034,13 +951,13 @@ mod tests {
     #[test]
     fn forced_fractions_must_sum_to_one() {
         let p = planner().with_policy(ShardPolicy::Fractions([0.6, 0.3, 0.3]));
-        match p.plan(cinm::GEMM, ShardShape::matmul(100, 64, 64)) {
+        match p.plan_op(gemm(100, 64, 64)) {
             Err(ShardError::FractionSum { sum }) => assert!((sum - 1.2).abs() < 1e-9),
             other => panic!("expected FractionSum, got {other:?}"),
         }
         let ok = planner()
             .with_policy(ShardPolicy::Fractions([0.5, 0.25, 0.25]))
-            .plan(cinm::GEMM, ShardShape::matmul(100, 64, 64))
+            .plan_op(gemm(100, 64, 64))
             .unwrap();
         assert_eq!(ok.split.total(), 100);
         assert_eq!(ok.split.cnm, 50);
@@ -1050,46 +967,61 @@ mod tests {
     fn forced_cim_work_on_unsupported_ops_is_an_error() {
         let p = planner().with_policy(ShardPolicy::Fractions([0.5, 0.25, 0.25]));
         assert!(matches!(
-            p.plan("cinm.add", ShardShape::streaming(100)),
+            p.plan_op(add(100)),
             Err(ShardError::Unsupported { .. })
         ));
         let single = planner().with_policy(ShardPolicy::Single(Target::Cim));
         assert!(matches!(
-            single.plan(cinm::REDUCE, ShardShape::streaming(100)),
+            single.plan_op(reduce(100)),
             Err(ShardError::Unsupported { .. })
         ));
-        // Ops no device runs cannot be forced onto the grid either.
+        // Ops no model prices cannot be forced onto the grid either.
         let cnm = planner().with_policy(ShardPolicy::Single(Target::Cnm));
-        for op in [cinm::SIM_SEARCH, cinm::TOPK, cinm::NOT] {
+        for op in [
+            CnmOp::Select {
+                threshold: 0,
+                len: 100,
+            },
+            CnmOp::TimeSeries {
+                window: 4,
+                len: 100,
+            },
+        ] {
             assert!(
                 matches!(
-                    cnm.plan(op, ShardShape::streaming(100)),
+                    cnm.plan_op(op),
                     Err(ShardError::Unsupported {
                         device: Target::Cnm,
                         ..
                     })
                 ),
-                "{op}"
+                "{op:?}"
             );
         }
         // Single-target CNM/host placements of supported ops are fine.
         for target in [Target::Cnm, Target::Host] {
             let plan = planner()
                 .with_policy(ShardPolicy::Single(target))
-                .plan(cinm::REDUCE, ShardShape::streaming(100))
+                .plan_op(reduce(100))
                 .unwrap();
             assert_eq!(plan.fallback, Some(target));
             assert_eq!(plan.split.total(), 100);
         }
     }
 
+    /// An op no model prices stays on the host, the catch-all target.
     #[test]
     fn unknown_ops_stay_on_the_host() {
-        let plan = planner()
-            .plan("cinm.simSearch", ShardShape::streaming(4096))
-            .unwrap();
-        assert_eq!(plan.split.host, 4096);
-        assert_eq!(plan.fallback, Some(Target::Host));
+        let select = CnmOp::Select {
+            threshold: 0,
+            len: 4096,
+        };
+        for policy in [ShardPolicy::Auto, ShardPolicy::MinimizeEnergy] {
+            let plan = planner().with_policy(policy).plan_op(select).unwrap();
+            assert_eq!(plan.split, ShardSplit::all_host(4096), "{policy:?}");
+            assert_eq!(plan.fallback, Some(Target::Host), "{policy:?}");
+            assert_eq!(plan.estimated_seconds, [0.0; 3], "{policy:?}");
+        }
     }
 
     /// A broken cost model answering every estimate with one fixed value.
@@ -1111,11 +1043,11 @@ mod tests {
     fn estimates_that_are_not_finite_and_non_negative_count_as_none() {
         // A second CNM model returning NaN (or a negative or infinite
         // value) beside the defaults changes no plan under any policy.
-        let cases = [
-            (cinm::GEMM, ShardShape::matmul(4096, 256, 128)),
-            (cinm::GEMV, ShardShape::matmul(4096, 1024, 1)),
-            ("cinm.add", ShardShape::streaming(1 << 21)),
-            (cinm::REDUCE, ShardShape::streaming(100)),
+        let ops = [
+            gemm(4096, 256, 128),
+            gemv(4096, 1024),
+            add(1 << 21),
+            reduce(100),
         ];
         for bad in [f64::NAN, -1.0, f64::INFINITY] {
             for policy in [
@@ -1127,11 +1059,11 @@ mod tests {
                 let reference = planner().with_policy(policy);
                 let mut broken = planner().with_policy(policy);
                 broken.register_model(Box::new(Broken(Target::Cnm, bad)));
-                for (op, shape) in cases {
+                for op in ops {
                     assert_eq!(
-                        broken.plan(op, shape),
-                        reference.plan(op, shape),
-                        "{bad} under {policy:?}: {op}"
+                        broken.plan_op(op),
+                        reference.plan_op(op),
+                        "{bad} under {policy:?}: {op:?}"
                     );
                 }
             }
@@ -1140,7 +1072,7 @@ mod tests {
             let mut p = ShardPlanner::new();
             p.register_model(Box::new(Broken(Target::Cnm, bad)));
             p.register_model(Box::new(HostCostModel::new(CpuModel::arm_host())));
-            let plan = p.plan(cinm::GEMM, ShardShape::matmul(8, 8, 8)).unwrap();
+            let plan = p.plan_op(gemm(8, 8, 8)).unwrap();
             assert_eq!(plan.split, ShardSplit::all_host(8), "{bad}");
             assert_eq!(plan.fallback, Some(Target::Host), "{bad}");
         }
@@ -1154,24 +1086,16 @@ mod tests {
     fn estimates_scale_with_problem_size_and_rank_count() {
         let small = CnmCostModel::new(UpmemConfig::with_ranks(4));
         let big = CnmCostModel::new(UpmemConfig::with_ranks(16));
-        let add = CnmOp::Elementwise {
-            op: BinOp::Add,
-            len: 1 << 22,
-        };
-        let t_small = shard_est(&small, add).unwrap();
-        let t_big = shard_est(&big, add).unwrap();
+        let long = add(1 << 22);
+        let t_small = shard_est(&small, long).unwrap();
+        let t_big = shard_est(&big, long).unwrap();
         assert!(t_big < t_small, "more ranks must be faster");
         let host = HostCostModel::new(CpuModel::arm_host());
-        let gemm = |m| CnmOp::Gemm { m, k: 64, n: 64 };
-        assert!(shard_est(&host, gemm(4096)).unwrap() > shard_est(&host, gemm(64)).unwrap());
+        let (tall, short) = (gemm(4096, 64, 64), gemm(64, 64, 64));
+        assert!(shard_est(&host, tall).unwrap() > shard_est(&host, short).unwrap());
         let cim = CimCostModel::new(CrossbarConfig::default());
-        let wide = CnmOp::Gemm {
-            m: 1024,
-            k: 256,
-            n: 128,
-        };
-        assert!(shard_est(&cim, wide).is_some());
-        assert!(shard_est(&cim, add).is_none());
+        assert!(shard_est(&cim, gemm(1024, 256, 128)).is_some());
+        assert!(shard_est(&cim, long).is_none());
     }
 
     #[test]
@@ -1179,9 +1103,8 @@ mod tests {
         // The stationary-operand broadcast must appear as a *fixed* cost:
         // halving the shard must less-than-halve the estimate.
         let m = CnmCostModel::new(UpmemConfig::with_ranks(16));
-        let gemm = |m| CnmOp::Gemm { m, k: 256, n: 128 };
-        let full = shard_est(&m, gemm(1024)).unwrap();
-        let half = shard_est(&m, gemm(512)).unwrap();
+        let full = shard_est(&m, gemm(1024, 256, 128)).unwrap();
+        let half = shard_est(&m, gemm(512, 256, 128)).unwrap();
         assert!(half > full / 2.0, "full {full} half {half}");
     }
 
@@ -1195,10 +1118,7 @@ mod tests {
         // on its own estimates: it genuinely shards, and the estimated
         // completion times of the active devices balance (water-filling
         // succeeded on trustworthy numbers).
-        let p = planner(); // the same default models, 4 ranks
-        let plan = p
-            .plan(cinm::GEMV, ShardShape::matmul(4096, 1024, 1))
-            .unwrap();
+        let plan = planner().plan_op(gemv(4096, 1024)).unwrap(); // 4 ranks
         assert!(plan.is_sharded(), "{plan:?}");
         let active: Vec<f64> = plan
             .estimated_seconds
@@ -1235,22 +1155,12 @@ mod tests {
         from_devices.register_device(&upmem);
         from_devices.register_device(&cim);
         from_devices.register_device(&host);
-        for shape in [
-            ShardShape::matmul(4096, 256, 128),
-            ShardShape::matmul(64, 64, 64),
-        ] {
+        for op in [gemm(4096, 256, 128), gemm(64, 64, 64), add(1 << 21)] {
             assert_eq!(
-                from_devices.plan(cinm::GEMM, shape).unwrap(),
-                reference.plan(cinm::GEMM, shape).unwrap()
+                from_devices.plan_op(op).unwrap(),
+                reference.plan_op(op).unwrap(),
+                "{op:?}"
             );
         }
-        assert_eq!(
-            from_devices
-                .plan("cinm.add", ShardShape::streaming(1 << 21))
-                .unwrap(),
-            reference
-                .plan("cinm.add", ShardShape::streaming(1 << 21))
-                .unwrap()
-        );
     }
 }

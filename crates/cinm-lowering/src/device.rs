@@ -18,8 +18,6 @@
 //!   contiguous shard of work assigned to this device) with its operand
 //!   slices and returns the result and the simulated seconds it cost. Empty
 //!   ops return immediately without touching the device.
-//!   [`Device::submit`] is the same call for a [`ShardOp`] behind a
-//!   [`DeviceFuture`].
 //!
 //! The three implementations wrap the existing executors: [`UpmemDevice`]
 //! (CNM grid), [`CimDevice`] (memristive crossbar, MVM-only) and
@@ -49,11 +47,12 @@
 use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::CrossbarConfig;
-use upmem_sim::{kernel_launch_cost, BinOp, UpmemConfig};
+use upmem_sim::{kernel_launch_cost, UpmemConfig};
 
 use crate::backend::{CimBackend, UpmemBackend};
 use crate::cim_schedule::CimSchedule;
 use crate::cnm_op::{CnmOp, KernelCodegen, MramLayout};
+pub use crate::pinned::{DeviceFuture, ShardOp};
 use crate::sharded::ShardError;
 
 // ---------------------------------------------------------------------------
@@ -374,116 +373,6 @@ impl CostModel for HostCostModel {
 // The Device trait
 // ---------------------------------------------------------------------------
 
-/// One operation shard bound to concrete operand slices, the form
-/// [`Device::submit`] takes. The slices are the *shard's* view (e.g. the
-/// contiguous row range of `A` assigned to this device). [`Device::run`]
-/// takes the same op as a [`CnmOp`] plus the slices.
-#[derive(Debug, Clone, Copy)]
-pub enum ShardOp<'a> {
-    /// `C[m×n] = A[m×k] × B[k×n]` over the shard's `m` rows.
-    Gemm {
-        /// Row block of the sharded operand.
-        a: &'a [i32],
-        /// The stationary operand (replicated to every device).
-        b: &'a [i32],
-        /// Rows of the shard.
-        m: usize,
-        /// Inner dimension.
-        k: usize,
-        /// Columns.
-        n: usize,
-    },
-    /// `y[rows] = A[rows×cols] × x[cols]` over the shard's rows.
-    Gemv {
-        /// Row block of the sharded matrix.
-        a: &'a [i32],
-        /// The full input vector.
-        x: &'a [i32],
-        /// Rows of the shard.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
-    /// Element-wise binary op over the shard's element range.
-    Elementwise {
-        /// The operator.
-        op: BinOp,
-        /// Left operand range.
-        a: &'a [i32],
-        /// Right operand range.
-        b: &'a [i32],
-    },
-    /// Reduction over the shard's element range (the device returns its
-    /// partial as a one-element result; shard order folding is the
-    /// caller's job).
-    Reduce {
-        /// The reduction operator.
-        op: BinOp,
-        /// Element range.
-        a: &'a [i32],
-    },
-    /// Histogram over the shard's element range (per-device partial
-    /// histograms; per-bin summation is the caller's job).
-    Histogram {
-        /// Element range.
-        a: &'a [i32],
-        /// Number of bins.
-        bins: usize,
-        /// Upper bound (exclusive) of the input values.
-        max_value: i32,
-    },
-}
-
-impl<'a> ShardOp<'a> {
-    /// The op as the lowering table sees it, with the shard's operand
-    /// slices (a unary op leaves the second one empty).
-    pub(crate) fn lower(&self) -> (CnmOp, [&'a [i32]; 2]) {
-        match *self {
-            ShardOp::Gemm { a, b, m, k, n } => (CnmOp::Gemm { m, k, n }, [a, b]),
-            ShardOp::Gemv { a, x, rows, cols } => (CnmOp::Gemv { rows, cols }, [a, x]),
-            ShardOp::Elementwise { op, a, b } => (CnmOp::Elementwise { op, len: a.len() }, [a, b]),
-            ShardOp::Reduce { op, a } => (CnmOp::Reduce { op, len: a.len() }, [a, &[]]),
-            ShardOp::Histogram { a, bins, max_value } => {
-                let len = a.len();
-                let op = CnmOp::Histogram {
-                    bins,
-                    max_value,
-                    len,
-                };
-                (op, [a, &[]])
-            }
-        }
-    }
-}
-
-/// The completion handle of one submitted shard: the outcome of
-/// [`Device::run`], resolved by the time [`Device::submit`] returns.
-/// Execution faults (injected transients that outlived the retry budget,
-/// permanent hardware faults) surface at [`wait`](DeviceFuture::wait), while
-/// unsupported ops are refused by `submit` itself.
-#[derive(Debug)]
-pub struct DeviceFuture {
-    result: Result<(Vec<i32>, f64), ShardError>,
-}
-
-impl DeviceFuture {
-    /// An immediately-resolved future.
-    pub fn ready(result: Vec<i32>, sim_seconds: f64) -> Self {
-        DeviceFuture {
-            result: Ok((result, sim_seconds)),
-        }
-    }
-
-    /// The shard result and the simulated seconds the device spent on it.
-    ///
-    /// # Errors
-    ///
-    /// The execution fault that killed the shard.
-    pub fn wait(self) -> Result<(Vec<i32>, f64), ShardError> {
-        self.result
-    }
-}
-
 /// Failure-tracking state of a device: how execution faults accumulate into
 /// an *unhealthy* verdict that drops the device out of shard plans.
 ///
@@ -544,16 +433,11 @@ pub trait Device: Send {
     /// error and are recorded in the device's [`health`](Device::health).
     fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError>;
 
-    /// [`run`](Device::run) for a [`ShardOp`]: unsupported ops return
-    /// [`ShardError::Unsupported`] here, everything else resolves through
-    /// the returned future (see [`DeviceFuture::wait`]).
+    /// The benchmark's pinned form of [`run`](Device::run), kept in the
+    /// crate's `pinned` module until the benchmark calls `run` itself.
+    #[doc(hidden)]
     fn submit(&mut self, shard: &ShardOp<'_>) -> Result<DeviceFuture, ShardError> {
-        let (op, operands) = shard.lower();
-        let result = self.run(op, &operands[..op.arity()]);
-        if let Err(e @ ShardError::Unsupported { .. }) = result {
-            return Err(e);
-        }
-        Ok(DeviceFuture { result })
+        crate::pinned::submit(self, shard)
     }
 
     /// Failure-tracking snapshot. Devices that cannot fail (the host golden
@@ -839,6 +723,7 @@ impl Device for HostDevice {
 mod tests {
     use super::*;
     use crate::backend::{CimRunOptions, UpmemRunOptions};
+    use upmem_sim::BinOp;
 
     fn small_upmem_device() -> UpmemDevice {
         let mut cfg = UpmemConfig::with_ranks(1);
@@ -848,30 +733,22 @@ mod tests {
 
     #[test]
     fn shard_op_metadata_is_consistent() {
-        let a = vec![1i32; 12];
-        let b = vec![2i32; 12];
-        let gemm = ShardOp::Gemm {
-            a: &a,
-            b: &b,
-            m: 3,
-            k: 4,
-            n: 3,
-        };
-        let (op, [lhs, rhs]) = gemm.lower();
-        assert_eq!(op, CnmOp::Gemm { m: 3, k: 4, n: 3 });
-        assert_eq!(op.shard_shape(), Some(ShardShape::matmul(3, 4, 3)));
-        assert_eq!((lhs, rhs), (&a[..], &b[..]));
-        let e = ShardOp::Elementwise {
-            op: BinOp::Max,
-            a: &a,
-            b: &b,
-        };
+        // A shard's op carries its shard shape, work and operand count.
+        let gemm = CnmOp::Gemm { m: 3, k: 4, n: 3 };
+        assert_eq!(gemm.shard_shape(), Some(ShardShape::matmul(3, 4, 3)));
+        assert_eq!((gemm.work(), gemm.arity()), (3, 2));
+        assert_eq!(gemm.with_work(7), CnmOp::Gemm { m: 7, k: 4, n: 3 });
         let max = CnmOp::Elementwise {
             op: BinOp::Max,
             len: 12,
         };
-        assert_eq!(e.lower().0, max);
-        assert_eq!(max.work(), 12);
+        assert_eq!(max.shard_shape(), Some(ShardShape::streaming(12)));
+        assert_eq!((max.work(), max.arity()), (12, 2));
+        let sum = CnmOp::Reduce {
+            op: BinOp::Add,
+            len: 12,
+        };
+        assert_eq!((sum.work(), sum.arity()), (12, 1));
     }
 
     #[test]
@@ -929,25 +806,16 @@ mod tests {
     fn unsupported_submissions_error_and_empty_shards_are_free() {
         let mut cim = CimDevice::new(CimBackend::new(CimRunOptions::optimized()));
         let v = vec![1i32; 8];
-        let err = cim
-            .submit(&ShardOp::Elementwise {
-                op: BinOp::Add,
-                a: &v,
-                b: &v,
-            })
-            .unwrap_err();
+        let add = CnmOp::Elementwise {
+            op: BinOp::Add,
+            len: 8,
+        };
+        let err = cim.run(add, &[&v, &v]).unwrap_err();
         assert!(matches!(err, ShardError::Unsupported { .. }));
         // Empty shards resolve without touching the device.
         let before = cim.sim_seconds();
-        let fut = cim
-            .submit(&ShardOp::Gemv {
-                a: &[],
-                x: &v,
-                rows: 0,
-                cols: 8,
-            })
-            .unwrap();
-        let (result, secs) = fut.wait().unwrap();
+        let empty = CnmOp::Gemv { rows: 0, cols: 8 };
+        let (result, secs) = cim.run(empty, &[&[], &v]).unwrap();
         assert!(result.is_empty());
         assert_eq!(secs, 0.0);
         assert_eq!(cim.sim_seconds(), before);

@@ -38,6 +38,7 @@ mod cim_schedule;
 pub mod cnm_op;
 pub mod convert;
 pub mod device;
+mod pinned;
 pub mod sharded;
 
 pub use backend::{CimBackend, CimRunOptions, CimRunStats, UpmemBackend, UpmemRunOptions};

@@ -120,18 +120,10 @@ pub enum ShardError {
 }
 
 impl ShardError {
-    /// Whether the error is a device fault that re-planning around the
-    /// device can recover from (any [`ShardError::DeviceFault`] or
-    /// [`ShardError::ExecutionPanic`]; validation errors are not
-    /// recoverable by re-planning).
-    pub fn is_device_failure(&self) -> bool {
-        matches!(
-            self,
-            ShardError::DeviceFault { .. } | ShardError::ExecutionPanic { .. }
-        )
-    }
-
-    /// The faulting device of a device failure.
+    /// The faulting device of a device failure — a
+    /// [`ShardError::DeviceFault`] or [`ShardError::ExecutionPanic`], which
+    /// re-planning around the device recovers from; `None` for validation
+    /// errors, which re-planning cannot recover from.
     pub fn failed_device(&self) -> Option<Target> {
         match self {
             ShardError::DeviceFault { device, .. } | ShardError::ExecutionPanic { device, .. } => {

@@ -17,12 +17,15 @@
 //!   and capped-backoff retries. Every device command validates and draws
 //!   its faults before it mutates anything, so one command is the unit of
 //!   fault atomicity and retrying it is always safe (see [`fault`]).
-//!   ([`hazard_deps`] and [`Access`] are retained for one benchmark probe
-//!   only — see [`stream`].)
 //! * [`alloc_count`] — a counting global allocator, the measurement side of
 //!   the "allocation-free hot path" contract: `tests/alloc_regression.rs`
 //!   asserts zero steady-state allocations in the launch+MVM loop with it,
 //!   and `cinm-benchmark` reports `runtime.allocs_per_op` per workload.
+//!
+//! The private `stream` module, the remains of a hazard-DAG scheduler, is
+//! the benchmark's one pin in this crate: its items are re-exported at the
+//! root for one `benchmark/` probe, nothing else calls them
+//! (`tools/check_pins.sh`), and ROADMAP item 1(d) deletes the module.
 //!
 //! # `unsafe`
 //!
@@ -53,7 +56,7 @@ pub mod alloc_count;
 pub mod fault;
 pub mod pool;
 pub mod queue;
-pub mod stream;
+mod stream;
 
 pub use fault::{
     FaultConfig, FaultEvent, FaultInjector, FaultKind, FaultStats, RetryLog, RetryPolicy,

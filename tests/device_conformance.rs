@@ -2,71 +2,40 @@
 //! three implementations (UPMEM grid, memristive crossbar, host roofline).
 //!
 //! Every device must: obey the one support rule (its cost hookup prices an op
-//! exactly when `run` accepts it), answer `submit` exactly as `run`, resolve
-//! empty shards for free without touching statistics, execute supported
-//! shards bit-identically to the `cpu_sim` goldens while accumulating
-//! simulated seconds, reject unsupported shards with
-//! `ShardError::Unsupported` without side effects, and fully clear its
-//! statistics on `reset_stats`.
+//! exactly when `run` accepts it), resolve empty shards for free without
+//! touching statistics, execute supported shards bit-identically to the
+//! `cpu_sim` goldens while accumulating simulated seconds, reject
+//! unsupported shards with `ShardError::Unsupported` without side effects,
+//! and fully clear its statistics on `reset_stats`.
 
 use cinm::cpu::kernels;
 use cinm::cpu::model::CpuModel;
 use cinm::lowering::cnm_op::CnmOp;
 use cinm::lowering::{
-    CimBackend, CimDevice, CimRunOptions, Device, HostDevice, ShardError, ShardOp, UpmemBackend,
+    CimBackend, CimDevice, CimRunOptions, Device, HostDevice, ShardError, UpmemBackend,
     UpmemDevice, UpmemRunOptions,
 };
 use cinm::upmem::{BinOp, UpmemConfig};
 use cinm::workloads::data;
 
 /// The op sample the suite probes: one representative shard per shardable
-/// kind, as the typed op and as the matching [`ShardOp`].
-fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(CnmOp, ShardOp<'a>); 5] {
+/// kind, with its operand slices in the order [`Device::run`] takes them.
+fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(CnmOp, Vec<&'a [i32]>); 5] {
     let (add, a64) = (BinOp::Add, &a[..64]);
     [
-        (CnmOp::Gemm { m: 16, k: 8, n: 8 }, {
-            let (m, k, n) = (16, 8, 8);
-            ShardOp::Gemm { a, b, m, k, n }
-        }),
-        (
-            CnmOp::Gemv { rows: 16, cols: 8 },
-            ShardOp::Gemv {
-                a,
-                x: &b[..8],
-                rows: 16,
-                cols: 8,
-            },
-        ),
-        (
-            CnmOp::Elementwise { op: add, len: 64 },
-            ShardOp::Elementwise { op: add, a: a64, b },
-        ),
-        (
-            CnmOp::Reduce { op: add, len: 64 },
-            ShardOp::Reduce { op: add, a: a64 },
-        ),
+        (CnmOp::Gemm { m: 16, k: 8, n: 8 }, vec![a, b]),
+        (CnmOp::Gemv { rows: 16, cols: 8 }, vec![a, &b[..8]]),
+        (CnmOp::Elementwise { op: add, len: 64 }, vec![a64, b]),
+        (CnmOp::Reduce { op: add, len: 64 }, vec![a64]),
         (
             CnmOp::Histogram {
                 bins: 8,
                 max_value: 8,
                 len: 64,
             },
-            ShardOp::Histogram {
-                a: a64,
-                bins: 8,
-                max_value: 8,
-            },
+            vec![a64],
         ),
     ]
-}
-
-/// The operand slices of a shard, in the order [`Device::run`] takes them.
-fn operands<'a>(shard: &ShardOp<'a>) -> Vec<&'a [i32]> {
-    match *shard {
-        ShardOp::Gemm { a, b, .. } | ShardOp::Elementwise { a, b, .. } => vec![a, b],
-        ShardOp::Gemv { a, x, .. } => vec![a, x],
-        ShardOp::Reduce { a, .. } | ShardOp::Histogram { a, .. } => vec![a],
-    }
 }
 
 /// Runs the whole conformance suite against one device.
@@ -75,11 +44,9 @@ fn conformance(device: &mut dyn Device) {
     let name = cost.target();
 
     // 1. The one support rule: the cost hookup prices an op exactly when
-    //    `run` accepts it, every price is positive, and the pinned `submit`
-    //    answers bit for bit what `run` does (each from cleared statistics:
-    //    a device bills a shard as the growth of its running total).
+    //    `run` accepts it, and every price is positive.
     let (a, b) = (data::i32_vec(5, 128, 0, 8), data::i32_vec(6, 64, 0, 8));
-    for (op, shard) in probe_ops(&a, &b) {
+    for (op, operands) in probe_ops(&a, &b) {
         let priced = cost.price(op);
         if let Some(c) = priced {
             assert!(
@@ -87,31 +54,21 @@ fn conformance(device: &mut dyn Device) {
                 "{name}: {op:?} price must be positive"
             );
         }
-        device.reset_stats();
-        let ran = device.run(op, &operands(&shard));
+        let ran = device.run(op, &operands);
         let refused = matches!(ran, Err(ShardError::Unsupported { .. }));
         assert_eq!(
             priced.is_some(),
             !refused,
             "{name}: cost hookup and run disagree on {op:?}"
         );
-        device.reset_stats();
-        let submitted = device.submit(&shard).and_then(|future| future.wait());
-        assert_eq!(submitted, ran, "{name}: submit and run disagree on {op:?}");
     }
 
-    // 2. Empty-shard submit: resolved immediately, no statistics.
+    // 2. An empty shard: resolved immediately, no statistics.
     let x = data::i32_vec(7, 8, -4, 4);
     let before = device.sim_seconds();
-    let future = device
-        .submit(&ShardOp::Gemv {
-            a: &[],
-            x: &x,
-            rows: 0,
-            cols: 8,
-        })
+    let (result, seconds) = device
+        .run(CnmOp::Gemv { rows: 0, cols: 8 }, &[&[], &x])
         .expect("empty shards always succeed");
-    let (result, seconds) = future.wait().expect("empty shards never fault");
     assert!(result.is_empty(), "{name}: empty shard result");
     assert_eq!(seconds, 0.0, "{name}: empty shard cost");
     assert_eq!(before, device.sim_seconds(), "{name}: empty shard stats");
@@ -120,15 +77,9 @@ fn conformance(device: &mut dyn Device) {
     //    accumulates simulated time.
     let (rows, cols) = (16usize, 8usize);
     let a = data::i32_vec(8, rows * cols, -8, 8);
-    let future = device
-        .submit(&ShardOp::Gemv {
-            a: &a,
-            x: &x,
-            rows,
-            cols,
-        })
-        .expect("gemv is universally supported");
-    let (result, seconds) = future.wait().expect("fault-free gemv shard");
+    let (result, seconds) = device
+        .run(CnmOp::Gemv { rows, cols }, &[&a, &x])
+        .expect("gemv is universally supported and fault-free");
     assert_eq!(
         result,
         kernels::matvec(&a, &x, rows, cols),
@@ -148,28 +99,16 @@ fn conformance(device: &mut dyn Device) {
     };
     if cost.price(add).is_none() {
         let before = device.sim_seconds();
-        let err = device
-            .submit(&ShardOp::Elementwise {
-                op: BinOp::Add,
-                a: &v,
-                b: &v,
-            })
-            .unwrap_err();
+        let err = device.run(add, &[&v, &v]).unwrap_err();
         assert!(
             matches!(err, ShardError::Unsupported { .. }),
             "{name}: wrong error kind"
         );
-        assert_eq!(before, device.sim_seconds(), "{name}: failed submit stats");
+        assert_eq!(before, device.sim_seconds(), "{name}: failed run stats");
     } else {
         let (result, _) = device
-            .submit(&ShardOp::Elementwise {
-                op: BinOp::Add,
-                a: &v,
-                b: &v,
-            })
-            .expect("supported elementwise")
-            .wait()
-            .expect("fault-free elementwise shard");
+            .run(add, &[&v, &v])
+            .expect("supported, fault-free elementwise shard");
         assert_eq!(result, kernels::vector_add(&v, &v), "{name}: elementwise");
     }
 
@@ -249,12 +188,11 @@ fn a_full_mram_is_a_typed_refusal_on_the_eager_paths() {
     assert_eq!(device.backend().system().mram_used_bytes(), 0);
     assert_eq!(device.backend().cached_contexts(), 0);
 
-    let shard = ShardOp::Elementwise {
+    let add = CnmOp::Elementwise {
         op: BinOp::Add,
-        a: &v,
-        b: &v,
+        len: v.len(),
     };
-    let refused = device.submit(&shard).unwrap().wait().unwrap_err();
+    let refused = device.run(add, &[&v, &v]).unwrap_err();
     assert_eq!(
         refused,
         ShardError::MramExhausted {

@@ -4,8 +4,9 @@
 //! for the full workload suite under deterministic fault schedules.
 
 use cinm::core::{runner, Session, SessionOptions, ShardPolicy, Target};
+use cinm::lowering::cnm_op::CnmOp;
 use cinm::lowering::{
-    Device, ShardError, ShardOp, ShardedRunOptions, UpmemBackend, UpmemDevice, UpmemRunOptions,
+    Device, ShardError, ShardedRunOptions, UpmemBackend, UpmemDevice, UpmemRunOptions,
 };
 use cinm::memristor::CrossbarConfig;
 use cinm::runtime::FaultConfig;
@@ -27,7 +28,7 @@ fn session_with(policy: ShardPolicy, cfg: UpmemConfig) -> Session {
 }
 
 /// A transient fault storm that outlives the retry budget surfaces as a
-/// typed, non-permanent `DeviceFault` through the device future — never a
+/// typed, non-permanent `DeviceFault` from `Device::run` — never a
 /// panic — and the retries taken are accounted in the fault counters.
 #[test]
 fn retry_exhaustion_surfaces_a_typed_error() {
@@ -41,14 +42,7 @@ fn retry_exhaustion_surfaces_a_typed_error() {
     let a = data::i32_vec(1, rows * cols, -8, 8);
     let x = data::i32_vec(2, cols, -8, 8);
     let err = device
-        .submit(&ShardOp::Gemv {
-            a: &a,
-            x: &x,
-            rows,
-            cols,
-        })
-        .expect("submission itself succeeds")
-        .wait()
+        .run(CnmOp::Gemv { rows, cols }, &[&a, &x])
         .expect_err("a 100% launch fault rate must exhaust the retry budget");
     match err {
         ShardError::DeviceFault {

@@ -1548,7 +1548,7 @@ fn sharded_streaming_ops_match_golden_over_randomized_splits() {
 /// stats report the planned fractions.
 #[test]
 fn planned_auto_shards_execute_bit_identically() {
-    use cinm::core::shard::{ShardPlanner, ShardShape};
+    use cinm::core::shard::ShardPlanner;
     let pool = cinm::runtime::PoolHandle::with_threads(3);
     let planner = ShardPlanner::with_default_models(1);
     for_cases(23, |rng| {
@@ -1557,9 +1557,7 @@ fn planned_auto_shards_execute_bit_identically() {
         let n = gen_usize(rng, 1, 24);
         let a = data::i32_vec(rng.next_u64(), m * k, -9, 9);
         let b = data::i32_vec(rng.next_u64(), k * n, -9, 9);
-        let plan = planner
-            .plan(cinm::dialects::cinm::GEMM, ShardShape::matmul(m, k, n))
-            .unwrap();
+        let plan = planner.plan_op(CnmOp::Gemm { m, k, n }).unwrap();
         assert_eq!(plan.split.total(), m, "{plan:?}");
         let mut be = small_sharded(&pool);
         let c = be.gemm(&a, &b, m, k, n, &plan.split).unwrap();
@@ -1684,28 +1682,31 @@ fn cim_context_reuse_matches_fresh_backends_over_shape_repeats() {
 }
 
 /// The memoizing shard planner returns plans bit-identical to the uncached
-/// planner over randomized shape streams with repeats, and actually hits.
+/// planner over randomized op streams with repeats, and actually hits.
 #[test]
 fn cached_shard_plans_are_identical_to_fresh_plans() {
-    use cinm::core::shard::{CachedShardPlanner, ShardPlanner, ShardShape};
+    use cinm::core::shard::{CachedShardPlanner, ShardPlanner};
     let planner = ShardPlanner::with_default_models(2);
     let mut cached = CachedShardPlanner::with_default_models(2);
-    let ops = [
-        cinm::dialects::cinm::GEMM,
-        cinm::dialects::cinm::GEMV,
-        cinm::dialects::cinm::REDUCE,
-    ];
     for_cases(33, |rng| {
-        let op = ops[gen_usize(rng, 0, ops.len())];
+        let kind = gen_usize(rng, 0, 3);
         // Coarse shape grid so repeats occur across cases.
-        let shape = ShardShape::matmul(
+        let (m, k, n) = (
             gen_usize(rng, 1, 5) * 64,
             gen_usize(rng, 1, 3) * 32,
             gen_usize(rng, 1, 3) * 16,
         );
-        let fresh = planner.plan(op, shape).unwrap();
-        let memo = cached.plan(op, shape).unwrap();
-        assert_eq!(memo, &fresh, "{op} {shape:?}");
+        let op = [
+            CnmOp::Gemm { m, k, n },
+            CnmOp::Gemv { rows: m, cols: k },
+            CnmOp::Reduce {
+                op: BinOp::Add,
+                len: m,
+            },
+        ][kind];
+        let fresh = planner.plan_op(op).unwrap();
+        let memo = cached.plan_op(op).unwrap();
+        assert_eq!(memo, &fresh, "{op:?}");
     });
     let (hits, misses) = cached.cache_stats();
     assert_eq!(hits + misses, CASES);
@@ -1749,7 +1750,7 @@ fn sharded_backend_reuse_matches_goldens_over_repeated_ops() {
 /// (planner and split construction), never renormalising silently.
 #[test]
 fn forced_fractions_error_end_to_end() {
-    use cinm::core::shard::{ShardPlanner, ShardPolicy, ShardShape};
+    use cinm::core::shard::{ShardPlanner, ShardPolicy};
     for_cases(24, |rng| {
         let total = gen_usize(rng, 1, 1000);
         let f0 = gen_usize(rng, 0, 100) as f64 / 100.0;
@@ -1759,7 +1760,11 @@ fn forced_fractions_error_end_to_end() {
         let split = cinm::lowering::ShardSplit::from_fractions(total, [f0, f1, f2]);
         let planner =
             ShardPlanner::with_default_models(1).with_policy(ShardPolicy::Fractions([f0, f1, f2]));
-        let plan = planner.plan(cinm::dialects::cinm::GEMM, ShardShape::matmul(total, 8, 8));
+        let plan = planner.plan_op(CnmOp::Gemm {
+            m: total,
+            k: 8,
+            n: 8,
+        });
         if (sum - 1.0).abs() > 1e-6 {
             assert!(split.is_err(), "sum {sum} must be rejected");
             assert!(plan.is_err(), "sum {sum} must be rejected by the planner");
