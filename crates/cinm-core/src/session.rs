@@ -3280,7 +3280,7 @@ mod tests {
             )
         };
         let fresh = gemv_work(&mut auto(), 800, 96);
-        assert_eq!(fresh, [32, 96, 672]);
+        assert_eq!(fresh, [32, 80, 688]);
         let mut warmed = auto();
         for _ in 0..6 {
             gemv_work(&mut warmed, 640, 96);

@@ -65,7 +65,7 @@ use upmem_sim::UpmemConfig;
 
 use crate::target::{CostModel, Target};
 
-// The shard shapes and the per-device first-order cost models moved into
+// The shard shapes and the per-device cost models moved into
 // `cinm_lowering::device` with the unified `Device` trait (so devices can
 // expose their own cost hookup without a crate cycle); they are re-exported
 // here so planner users keep their import paths.
@@ -212,7 +212,7 @@ impl ShardPlanner {
         }
     }
 
-    /// Creates a planner with the default first-order cost models of all
+    /// Creates a planner with the default cost models of all
     /// three devices: [`CnmCostModel`] for a machine with `ranks` DIMMs,
     /// [`CimCostModel`] for the default four-tile crossbar and
     /// [`HostCostModel`] for the in-order ARM host.

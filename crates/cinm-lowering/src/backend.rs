@@ -53,8 +53,8 @@ use upmem_sim::{
     UpmemSystem,
 };
 
-use crate::cim_schedule::CimSchedule;
-use crate::cnm_op::{CnmGeometry, CnmOp, KernelCodegen, MramLayout};
+use crate::cim_schedule::{CimSchedule, SECONDS_PER_COMMAND};
+use crate::cnm_op::{CnmGeometry, CnmOp, Command, KernelCodegen, MramLayout};
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
 /// `0` means "all cores" and wins; otherwise the larger explicit request
@@ -379,16 +379,16 @@ impl UpmemBackend {
         self.system.num_dpus()
     }
 
-    /// Runs one op eagerly through its [`CnmOp::geometry`]: the generated
-    /// host program — the operand transfers (scatter or broadcast, per the
-    /// table), the launch, the gather — is issued one command after another,
-    /// and the gathered output is decoded by the geometry's layout. Each
-    /// command's transient injected faults are retried in place (see
-    /// [`try_op`](Self::try_op)). An op with nothing to
-    /// compute — no output elements, or an empty operand — is answered on
-    /// the host with the value the kernels would produce (the reduction's
-    /// identity, zeros otherwise) and touches no device: no buffer, no
-    /// transfer, no launch, no simulated time.
+    /// Runs one op eagerly: the generated host program of
+    /// [`CnmOp::commands`] — the operand transfers (scatter or broadcast,
+    /// per the geometry), the launch, the gather — is issued one command
+    /// after another, and the gathered output is decoded by the
+    /// [`CnmOp::geometry`]'s layout. Each command's transient injected
+    /// faults are retried in place (see [`try_op`](Self::try_op)). An op with
+    /// nothing to compute issues no command: it is answered on the host with
+    /// the value the kernels would produce (the reduction's identity, zeros
+    /// otherwise) and touches no device — no buffer, no transfer, no launch,
+    /// no simulated time.
     pub(crate) fn run_op(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
         debug_assert_eq!(operands.len(), op.arity());
         let dpus = self.system.num_dpus();
@@ -397,10 +397,10 @@ impl UpmemBackend {
             out_chunk,
             out_layout,
             out_len,
-            kernel,
             ..
         } = op.geometry(dpus);
-        if out_len == 0 || operands.iter().any(|o| o.is_empty()) {
+        let mut commands = op.commands(dpus).peekable();
+        if commands.peek().is_none() {
             let fill = match op {
                 CnmOp::Reduce { op, .. } => op.identity(),
                 _ => 0,
@@ -409,15 +409,24 @@ impl UpmemBackend {
         }
         let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
         let bufs = &ctx.bufs[..operands.len()];
-        let spec = self.kernel_spec(kernel, bufs.to_vec(), ctx.output());
-        for ((&buffer, layout), &data) in bufs.iter().zip(inputs).zip(operands) {
-            match layout {
-                MramLayout::Chunk(chunk) => self.try_op(|sys| sys.scatter_i32(buffer, data, chunk)),
-                MramLayout::Broadcast(_) => self.try_op(|sys| sys.broadcast_i32(buffer, data)),
-            }?;
+        let mut raw = Vec::new();
+        for command in commands {
+            match command {
+                Command::Scatter { input, chunk, .. } => {
+                    self.try_op(|sys| sys.scatter_i32(bufs[input], operands[input], chunk))?;
+                }
+                Command::Broadcast { input, .. } => {
+                    self.try_op(|sys| sys.broadcast_i32(bufs[input], operands[input]))?;
+                }
+                Command::Launch(kind) => {
+                    let spec = self.kernel_spec(kind, bufs.to_vec(), ctx.output());
+                    self.try_op(|sys| sys.launch(&spec))?;
+                }
+                Command::Gather { chunk } => {
+                    raw = self.try_op(|sys| sys.gather_i32(ctx.output(), chunk))?.0;
+                }
+            }
         }
-        self.try_op(|sys| sys.launch(&spec))?;
-        let (raw, _) = self.try_op(|sys| sys.gather_i32(ctx.output(), out_chunk))?;
         Ok(out_layout.decode(raw, dpus, out_len))
     }
 
@@ -701,12 +710,10 @@ impl CimRunStats {
 #[derive(Debug)]
 pub struct CimBackend {
     xbar: CrossbarAccelerator,
-    host: CpuModel,
+    pub(crate) host: CpuModel,
     pub(crate) options: CimRunOptions,
     host_seconds: f64,
     host_energy_j: f64,
-    /// Host cycles charged per device command issue.
-    command_overhead_s: f64,
     /// Staging arena for the weight block of a tile write (it is strided in
     /// `B`; a tile write takes it contiguous), reused by every write.
     /// MVM input rows are contiguous in `A` and are read from there.
@@ -740,7 +747,6 @@ impl CimBackend {
             options,
             host_seconds: 0.0,
             host_energy_j: 0.0,
-            command_overhead_s: 50.0e-9,
             arena: Vec::new(),
             batch: Vec::new(),
             retry: RetryPolicy::default(),
@@ -767,8 +773,8 @@ impl CimBackend {
         mut op: impl FnMut(&mut CrossbarAccelerator) -> Result<(), CimError>,
     ) -> Result<(), CimError> {
         for _ in 0..issues {
-            self.host_seconds += self.command_overhead_s;
-            self.host_energy_j += self.command_overhead_s * self.host.active_power_w;
+            self.host_seconds += SECONDS_PER_COMMAND;
+            self.host_energy_j += SECONDS_PER_COMMAND * self.host.active_power_w;
         }
         let retry = self.retry;
         let (result, log) = retry.run(|e: &CimError| e.is_transient_fault(), || op(&mut self.xbar));
@@ -896,13 +902,10 @@ impl CimBackend {
         (self.arena, self.batch) = (arena, batch);
         outcome?;
         // Partial-result merging happens in the column periphery /
-        // mergePartial units; charge a small host pass over the output.
-        self.host_fallback(OpCounts {
-            int_ops: (m * n) as f64,
-            mul_ops: 0.0,
-            bytes_read: (m * n * 4) as f64,
-            bytes_written: (m * n * 4) as f64,
-        });
+        // mergePartial units; charge the host's pass over the output.
+        if let Some(merge) = schedule.merge() {
+            self.host_fallback(merge);
+        }
         Ok(c)
     }
 
@@ -1022,7 +1025,7 @@ mod tests {
                 let (xbar, billed) = (be.stats().xbar, be.stats().host_seconds);
                 let counts = (schedule.tile_writes() as u64, schedule.mvms() as u64);
                 assert_eq!((xbar.tile_writes, xbar.mvm_ops), counts, "{what}");
-                let host = schedule.host_issues() as f64 * be.command_overhead_s + merge;
+                let host = schedule.host_issues() as f64 * SECONDS_PER_COMMAND + merge;
                 assert!(
                     (billed - host).abs() <= 1e-12 * host,
                     "{what}: {billed} vs {host}"

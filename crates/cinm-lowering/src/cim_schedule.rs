@@ -5,9 +5,16 @@
 //! `tile_rows × tile_cols` blocks, programmed row-major, or column-major
 //! under `cim-min-writes` (the loop interchange), in batches of `num_tiles`
 //! under `cim-parallel` (one tile otherwise); output rows go in bands of
-//! `tile_rows`. It is a few integers, and every count is closed-form.
+//! `tile_rows`. It is a few integers, and every count is closed-form. The
+//! orchestrating ARM host is part of the schedule too: it issues every
+//! command ([`SECONDS_PER_COMMAND`] each) and merges the partial results in one
+//! pass over the output ([`CimSchedule::merge`]).
 
+use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::{BandTile, CrossbarConfig};
+
+/// Host seconds charged per crossbar command issue.
+pub(crate) const SECONDS_PER_COMMAND: f64 = 50.0e-9;
 
 /// The crossbar schedule of one GEMM (see the [module documentation](self)).
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +41,7 @@ impl CimSchedule {
         (min_writes, parallel_tiles): (bool, bool),
     ) -> Self {
         let edge = (config.tile_rows.max(1), config.tile_cols.max(1));
+        let m = if k == 0 || n == 0 { 0 } else { m };
         let (k, n) = if m == 0 { (0, 0) } else { (k, n) };
         CimSchedule {
             m,
@@ -74,9 +82,21 @@ impl CimSchedule {
     }
 
     /// Host command issues: one per tile write and per MVM latency.
-    #[cfg(test)]
     pub(crate) fn host_issues(&self) -> usize {
         self.tile_writes() + self.latency_mvms()
+    }
+
+    /// The host's pass over the `m × n` output that merges the partial
+    /// results (`cinm.mergePartial`), or `None` for a product with nothing
+    /// to compute.
+    pub(crate) fn merge(&self) -> Option<OpCounts> {
+        let out = (self.m * self.b.1) as f64;
+        (out > 0.0).then_some(OpCounts {
+            int_ops: out,
+            mul_ops: 0.0,
+            bytes_read: out * 4.0,
+            bytes_written: out * 4.0,
+        })
     }
 
     /// The walk in command order, as `(batch, row band, program the batch
@@ -122,18 +142,25 @@ impl CimSchedule {
         (first, self.edge.0.min(self.m - first))
     }
 
-    /// Simulated seconds the crossbar bills for the schedule: the tile
-    /// writes and MVM latencies times the simulator's own per-command times.
-    /// The host's issue overhead and merge pass are not part of it.
-    pub(crate) fn seconds(&self, config: &CrossbarConfig) -> f64 {
+    /// Simulated seconds the schedule bills: the tile writes and MVM
+    /// latencies times the crossbar's own per-command times, then the host's
+    /// issue overhead and merge pass on `host`.
+    pub(crate) fn seconds(&self, config: &CrossbarConfig, host: &CpuModel) -> f64 {
         self.tile_writes() as f64 * config.tile_program_seconds()
             + self.latency_mvms() as f64 * config.mvm_seconds()
+            + self.host_issues() as f64 * SECONDS_PER_COMMAND
+            + self
+                .merge()
+                .map_or(0.0, |merge| host.execution_seconds(&merge))
     }
 
-    /// Simulated joules the crossbar bills for the schedule: the tile writes
-    /// and MVMs times the simulator's own per-command energies.
-    pub(crate) fn joules(&self, config: &CrossbarConfig) -> f64 {
+    /// Simulated joules the schedule bills: the tile writes and MVMs times
+    /// the crossbar's own per-command energies, then the host's issue time
+    /// at its active power and its merge pass on `host`.
+    pub(crate) fn joules(&self, config: &CrossbarConfig, host: &CpuModel) -> f64 {
         self.tile_writes() as f64 * config.tile_program_energy()
             + self.mvms() as f64 * config.mvm_energy()
+            + self.host_issues() as f64 * SECONDS_PER_COMMAND * host.active_power_w
+            + self.merge().map_or(0.0, |merge| host.energy_joules(&merge))
     }
 }

@@ -222,6 +222,25 @@ pub struct CnmGeometry {
     pub kernel: DpuKernelKind,
 }
 
+/// One host command of an op's program on the grid (see
+/// [`CnmOp::commands`]).
+#[derive(Debug)]
+pub(crate) enum Command {
+    /// Scatter operand `input` (`elems` logical elements, which is what the
+    /// scatter bills) in per-DPU chunks of `chunk`.
+    Scatter {
+        input: usize,
+        chunk: usize,
+        elems: usize,
+    },
+    /// Broadcast operand `input` (`elems` elements) to every DPU.
+    Broadcast { input: usize, elems: usize },
+    /// Launch the per-DPU kernel on the operands' buffers.
+    Launch(DpuKernelKind),
+    /// Gather `chunk` elements from every DPU.
+    Gather { chunk: usize },
+}
+
 /// How CINM generated a DPU kernel: the four code-generation fields of a
 /// [`KernelSpec`], independent of the op and its buffers.
 #[derive(Debug, Clone, Copy)]
@@ -400,6 +419,55 @@ impl CnmOp {
             used_dpus,
             kernel,
         }
+    }
+
+    /// The host program of the op on a grid of `dpus` DPUs, in issue
+    /// order: one scatter per `Chunk` operand and one broadcast per
+    /// `Broadcast` operand of its [`geometry`](Self::geometry), the launch of
+    /// the geometry's kernel and the gather of its output chunk. The backend
+    /// issues exactly this list and the cost model prices it. An op with
+    /// nothing to compute — no output elements, or an empty operand — issues
+    /// nothing.
+    pub(crate) fn commands(self, dpus: usize) -> impl Iterator<Item = Command> {
+        let geometry = self.geometry(dpus);
+        // Logical element counts of the operands (BFS: pre-partitioned CSR
+        // rows, columns and frontier of every used partition).
+        let elems = match self {
+            CnmOp::Gemm { m, k, n } => [m * k, k * n, 0],
+            CnmOp::Gemv { rows, cols } => [rows * cols, cols, 0],
+            CnmOp::Elementwise { len, .. } => [len, len, 0],
+            CnmOp::Reduce { len, .. }
+            | CnmOp::Histogram { len, .. }
+            | CnmOp::Select { len, .. }
+            | CnmOp::TimeSeries { len, .. } => [len, 0, 0],
+            CnmOp::BfsStep {
+                vertices_per_dpu: c,
+                avg_degree,
+                used_dpus,
+            } => [c + 1, c * avg_degree, c].map(|per_dpu| per_dpu * used_dpus),
+        };
+        let arity = self.arity();
+        let empty = geometry.out_len == 0 || elems[..arity].contains(&0);
+        let transfers = (0..arity).map(move |input| match geometry.inputs[input] {
+            MramLayout::Chunk(chunk) => Command::Scatter {
+                input,
+                chunk,
+                elems: elems[input],
+            },
+            MramLayout::Broadcast(_) => Command::Broadcast {
+                input,
+                elems: elems[input],
+            },
+        });
+        let tail = [
+            Command::Launch(geometry.kernel),
+            Command::Gather {
+                chunk: geometry.out_chunk,
+            },
+        ];
+        transfers
+            .chain(tail)
+            .take(if empty { 0 } else { arity + 2 })
     }
 
     fn work_mut(&mut self) -> &mut usize {

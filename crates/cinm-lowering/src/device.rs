@@ -9,7 +9,7 @@
 //! layers (the sharded backend, the `cinm-core` session) program against:
 //!
 //! * **cost hookup** — [`Device::cost`] hands out the device's own
-//!   first-order [`CostModel`] (the same models the `cinm-core` shard planner
+//!   [`CostModel`] (the same models the `cinm-core` shard planner
 //!   and target selector register), so planners are built *from* a device
 //!   set instead of hard-coding model structs. [`CostModel::price`] answers
 //!   seconds and joules of one [`CnmOp`] in one call. The model is also the
@@ -33,25 +33,27 @@
 //!
 //! # Cost-model calibration
 //!
-//! [`CnmCostModel`] is **calibrated against the simulator**: for matmul-like
-//! ops it builds the exact [`upmem_sim::KernelSpec`] the UPMEM backend
-//! launches for the shard — the kernel of the op's [`CnmOp::geometry`],
-//! generated by the same derivation as [`UpmemBackend::kernel_spec`] — and
-//! asks [`upmem_sim::kernel_launch_cost`] for its time and energy on every
-//! DPU of the grid, exactly as the simulator bills a launch. The model an
-//! [`UpmemDevice`] hands out prices the code its backend runs (baseline,
-//! `cinm-opt` or PrIM options); [`CnmCostModel::new`] prices `cinm-opt`.
-//! The transfer terms (rank-parallel bulk transfers, the shard-size
-//! independent broadcast of the stationary operand) are first-order.
+//! Every model prices an op at what running it bills, by construction: it
+//! sums the simulator's own charges for the commands its device issues.
+//! [`CnmCostModel`] walks `CnmOp::commands` — a scatter or broadcast per
+//! operand, the launch of the kernel the backend generates (the derivation
+//! of [`UpmemBackend::kernel_spec`]) and the gather — and adds the
+//! [`UpmemConfig`] transfer charges and [`upmem_sim::kernel_launch_cost`]
+//! in the order [`upmem_sim::SystemStats`] totals them, so its price is the
+//! bill of a fresh device bit for bit. The model an [`UpmemDevice`] hands
+//! out prices the code its backend runs (baseline, `cinm-opt` or PrIM
+//! options); [`CnmCostModel::new`] prices `cinm-opt`. [`CimCostModel`]
+//! prices the crossbar schedule the backend walks, the host's command
+//! issues and merge pass included, up to f64 summation order.
 
 use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use memristor_sim::CrossbarConfig;
-use upmem_sim::{kernel_launch_cost, UpmemConfig};
+use upmem_sim::{kernel_launch_cost, SystemStats, UpmemConfig};
 
 use crate::backend::{CimBackend, UpmemBackend};
 use crate::cim_schedule::CimSchedule;
-use crate::cnm_op::{CnmOp, KernelCodegen, MramLayout};
+use crate::cnm_op::{CnmOp, Command, KernelCodegen};
 pub use crate::pinned::{DeviceFuture, ShardOp};
 use crate::sharded::ShardError;
 
@@ -139,6 +141,13 @@ impl ShardShape {
 // Op classification shared by the default models
 // ---------------------------------------------------------------------------
 
+/// Whether the op can be shard-planned across devices: exactly the ops the
+/// host runs. The PrIM kernels `select`, `time_series` and `bfs_step` run on
+/// the UPMEM grid only, as whole ops.
+fn shardable(op: CnmOp) -> bool {
+    host_counts(op).is_some()
+}
+
 /// Host operation counts of one shardable op (`None` for the rest).
 fn host_counts(op: CnmOp) -> Option<OpCounts> {
     Some(match op {
@@ -189,16 +198,15 @@ pub trait CostModel: Send {
     fn price(&self, op: CnmOp) -> Option<Cost>;
 }
 
-/// First-order cost model of the UPMEM grid, mirroring the simulator's cost
-/// structure: bulk transfers of the sharded operand are rank-parallel, the
-/// stationary matmul operand is **broadcast** (replicated through one rank's
-/// channel per rank-sized image — shard-size independent, and the dominant
-/// fixed cost for wide GEMMs). The kernel term of matmul-like ops is
-/// **calibrated against the simulator** (see the
-/// [module documentation](self)): the model prices the per-DPU kernel of the
-/// op's [`CnmOp::geometry`] — the one the backend launches, with the code the
-/// backend generates — with [`upmem_sim::kernel_launch_cost`], so DMA setup
-/// inefficiency at low rows/DPU is priced in instead of ignored.
+/// Cost model of the UPMEM grid: the bill of the op's host program. The
+/// model walks the commands the backend issues for the op
+/// (`CnmOp::commands`) and sums, per command, the charge the simulator
+/// bills for it: [`UpmemConfig::chunked_transfer`] for a scatter or a
+/// gather, [`UpmemConfig::broadcast_transfer`] for a broadcast, and
+/// [`upmem_sim::kernel_launch_cost`] for the launch of the kernel the
+/// backend generates (see the [module documentation](self)). The terms add
+/// up in the order [`upmem_sim::SystemStats`] totals them, so the price of
+/// an op equals what running it bills on a fresh device, bit for bit.
 #[derive(Debug)]
 pub struct CnmCostModel {
     config: UpmemConfig,
@@ -220,37 +228,6 @@ impl CnmCostModel {
         let codegen = backend.codegen();
         CnmCostModel { config, codegen }
     }
-
-    /// `(seconds, joules)` of the op's kernel term. Matmul-like ops take the
-    /// calibrated path: the geometry's per-DPU kernel under this model's
-    /// code generation (buffer ids are placeholders the cost is independent
-    /// of), priced by the simulator's own launch cost on every DPU of the
-    /// grid with the launch's tasklets — bit for bit what a launch bills.
-    /// Streaming ops use the first-order closed form: one load-op-store
-    /// stream per element on the slowest DPU; per-unit cycles approximate
-    /// retired instructions (single-issue pipeline), each element crosses
-    /// the MRAM↔WRAM interface three times, and every DPU burns leakage
-    /// while the slowest finishes.
-    fn kernel(&self, op: CnmOp) -> (f64, f64) {
-        let cfg = &self.config;
-        let i = &cfg.instr;
-        let dpus = cfg.num_dpus().max(1);
-        let geometry = op.geometry(dpus);
-        if matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. }) {
-            let spec = self.codegen.spec(geometry.kernel, vec![0, 0], 1);
-            let tasklets = spec.tasklets.unwrap_or(cfg.tasklets);
-            let launch = kernel_launch_cost(cfg, &spec, tasklets, dpus);
-            return (launch.seconds, launch.energy_j);
-        }
-        let work = op.work() as f64;
-        let (MramLayout::Chunk(units) | MramLayout::Broadcast(units)) = geometry.inputs[0];
-        let cycles_per_unit = 3.0 * i.wram_access + i.alu + 0.5 * i.branch;
-        let seconds = units as f64 * cycles_per_unit / cfg.dpu_freq_hz;
-        let joules = work * cycles_per_unit * cfg.energy.pipeline_j_per_instr
-            + 3.0 * work * 4.0 * cfg.energy.dma_j_per_byte
-            + seconds * cfg.energy.static_w_per_dpu * dpus as f64;
-        (seconds, joules)
-    }
 }
 
 impl CostModel for CnmCostModel {
@@ -258,42 +235,44 @@ impl CostModel for CnmCostModel {
         Target::Cnm
     }
 
-    /// The kernel term (see `CnmCostModel::kernel`) of a shardable op plus
-    /// its transfers.
-    ///
-    /// Transfers: the sharded operand in and the result out are
-    /// rank-parallel (reductions and histograms gather only small per-DPU
-    /// partials; element-wise ops read two operands); the stationary
-    /// operand of matmul-like ops is broadcast — every DPU receives its own
-    /// copy, and the interface energy bills each one, exactly as
-    /// [`upmem_sim::SystemStats`] accounts it.
     fn price(&self, op: CnmOp) -> Option<Cost> {
+        if !shardable(op) {
+            return None;
+        }
         let cfg = &self.config;
         let dpus = cfg.num_dpus().max(1);
-        let rank_bw = cfg.host_bandwidth_per_rank_bytes_per_s * cfg.ranks.max(1) as f64;
-        let shape = op.shard_shape()?;
-        let work = shape.work as f64;
-        let matmul_like = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
-        let (kernel_s, kernel_j) = self.kernel(op);
-        let sharded_bytes = work * shape.inner as f64 * 4.0;
-        let result_bytes = match op {
-            CnmOp::Reduce { .. } | CnmOp::Histogram { .. } => dpus as f64 * 4.0,
-            CnmOp::Elementwise { .. } => work * shape.out as f64 * 4.0 + sharded_bytes,
-            _ => work * shape.out as f64 * 4.0,
-        };
-        let mut transfer_s =
-            (sharded_bytes + result_bytes) / rank_bw + 2.0 * cfg.host_transfer_latency_s;
-        let mut interface_bytes = sharded_bytes + result_bytes;
-        if matmul_like {
-            let stationary_bytes = (shape.inner * shape.out) as f64 * 4.0;
-            transfer_s += stationary_bytes * cfg.dpus_per_rank as f64
-                / cfg.host_bandwidth_per_rank_bytes_per_s
-                + cfg.host_transfer_latency_s;
-            interface_bytes += stationary_bytes * dpus as f64;
+        let mut bill = SystemStats::default();
+        for command in op.commands(dpus) {
+            match command {
+                Command::Scatter { elems, .. } => {
+                    let t = cfg.chunked_transfer(elems);
+                    bill.host_to_dpu_seconds += t.seconds;
+                    bill.host_to_dpu_energy_j += t.energy_j;
+                }
+                Command::Broadcast { elems, .. } => {
+                    let t = cfg.broadcast_transfer(elems);
+                    bill.host_to_dpu_seconds += t.seconds;
+                    bill.host_to_dpu_energy_j += t.energy_j;
+                }
+                Command::Launch(kind) => {
+                    // Buffer ids are placeholders the cost is independent of.
+                    let inputs = vec![0; kind.num_inputs()];
+                    let spec = self.codegen.spec(kind, inputs, 0);
+                    let tasklets = spec.tasklets.unwrap_or(cfg.tasklets);
+                    let launch = kernel_launch_cost(cfg, &spec, tasklets, dpus);
+                    bill.kernel_seconds += launch.seconds;
+                    bill.kernel_energy_j += launch.energy_j;
+                }
+                Command::Gather { chunk } => {
+                    let t = cfg.chunked_transfer(chunk * dpus);
+                    bill.dpu_to_host_seconds += t.seconds;
+                    bill.dpu_to_host_energy_j += t.energy_j;
+                }
+            }
         }
         Some(Cost {
-            seconds: kernel_s + transfer_s,
-            joules: kernel_j + cfg.transfer_energy_j(interface_bytes),
+            seconds: bill.total_seconds(),
+            joules: bill.total_energy_j(),
         })
     }
 }
@@ -301,24 +280,42 @@ impl CostModel for CnmCostModel {
 /// Cost model of the crossbar: the price of the crate's one crossbar
 /// schedule, the one [`CimBackend::try_gemm`] walks. Its tile writes, MVMs
 /// and MVM latencies times the simulator's own `tile_program_seconds`,
-/// `mvm_seconds` and energies are exactly what `CimStats` bills, up to f64
-/// summation order; the host's issue overhead and merge pass are not priced.
-/// Only matmul-like ops are supported — everything else returns `None` (the
-/// backend models analog MVM only), which is exactly how a whole device
-/// drops out of a plan.
+/// `mvm_seconds` and energies, plus the host's issue overhead and merge pass
+/// on the backend's host model, are exactly what [`CimBackend::stats`]
+/// bills, up to f64 summation order. Only matmul-like ops are supported —
+/// everything else returns `None` (the backend models analog MVM only),
+/// which is exactly how a whole device drops out of a plan.
 #[derive(Debug)]
 pub struct CimCostModel {
     config: CrossbarConfig,
     /// `(min_writes, parallel_tiles)` of the priced schedule.
     flags: (bool, bool),
+    /// The orchestrating host.
+    host: CpuModel,
 }
 
 impl CimCostModel {
     /// Creates the model of the `cim-opt` schedule (both optimisations on)
-    /// from a crossbar configuration.
+    /// from a crossbar configuration, orchestrated by an ARM host.
     pub fn new(config: CrossbarConfig) -> Self {
-        let flags = (true, true);
-        CimCostModel { config, flags }
+        let (flags, host) = ((true, true), CpuModel::arm_host());
+        CimCostModel {
+            config,
+            flags,
+            host,
+        }
+    }
+
+    /// The model of the schedule `backend` walks, on its crossbar and host.
+    fn of(backend: &CimBackend) -> Self {
+        let config = backend.crossbar_config().clone();
+        let flags = (backend.options.min_writes, backend.options.parallel_tiles);
+        let host = backend.host.clone();
+        CimCostModel {
+            config,
+            flags,
+            host,
+        }
     }
 }
 
@@ -335,8 +332,8 @@ impl CostModel for CimCostModel {
         };
         let schedule = CimSchedule::new(dims, &self.config, self.flags);
         Some(Cost {
-            seconds: schedule.seconds(&self.config),
-            joules: schedule.joules(&self.config),
+            seconds: schedule.seconds(&self.config, &self.host),
+            joules: schedule.joules(&self.config, &self.host),
         })
     }
 }
@@ -509,7 +506,7 @@ impl Device for UpmemDevice {
     }
 
     fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
-        if op.shard_shape().is_none() {
+        if !shardable(op) {
             return Err(unsupported(Target::Cnm, op));
         }
         if op.work() == 0 {
@@ -596,12 +593,7 @@ impl CimDevice {
 
 impl Device for CimDevice {
     fn cost(&self) -> Box<dyn CostModel> {
-        let config = self.backend.crossbar_config().clone();
-        let flags = (
-            self.backend.options.min_writes,
-            self.backend.options.parallel_tiles,
-        );
-        Box::new(CimCostModel { config, flags })
+        Box::new(CimCostModel::of(&self.backend))
     }
 
     fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
@@ -819,72 +811,5 @@ mod tests {
         assert!(result.is_empty());
         assert_eq!(secs, 0.0);
         assert_eq!(cim.sim_seconds(), before);
-    }
-
-    #[test]
-    fn cnm_calibration_matches_the_simulated_kernel_time() {
-        // A device's model prices the kernel term of gemm and gemv bit for
-        // bit as the simulator bills the launch, whatever code the device
-        // runs (baseline, `cinm-opt`, PrIM at two overheads) and however the
-        // rows fall on the grid: fewer rows than DPUs, one row per DPU, and
-        // a row count that is not a multiple of the DPU count.
-        let mut cfg = UpmemConfig::with_ranks(1);
-        cfg.dpus_per_rank = 8;
-        let prim = |instruction_overhead| UpmemRunOptions {
-            instruction_overhead,
-            wram_tile_elems: Some(256),
-            ..UpmemRunOptions::optimized()
-        };
-        let options = [
-            UpmemRunOptions::default(),
-            UpmemRunOptions::optimized(),
-            prim(1.7),
-            prim(3.4),
-        ];
-        let (k, n) = (40, 3);
-        let b = vec![1i32; k * n];
-        for opts in options {
-            for rows in [3, 8, 21] {
-                let a = vec![1i32; rows * k];
-                for op in [CnmOp::Gemm { m: rows, k, n }, CnmOp::Gemv { rows, cols: k }] {
-                    let mut backend = UpmemBackend::with_config(cfg.clone(), opts.clone());
-                    match op {
-                        CnmOp::Gemm { .. } => backend.gemm(&a, &b, rows, k, n),
-                        _ => backend.gemv(&a, &b[..k], rows, k),
-                    };
-                    let billed = backend.stats();
-                    assert_eq!(
-                        CnmCostModel::of(&backend).kernel(op),
-                        (billed.kernel_seconds, billed.kernel_energy_j),
-                        "{op:?} under {opts:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cnm_estimate_does_not_underestimate_at_one_row_per_dpu() {
-        // ROADMAP item: the old closed form ignored per-transfer DMA setup,
-        // underestimating matmul-like kernels at 1 row/DPU. The calibrated
-        // model prices the same kernel the simulator charges.
-        let cfg = UpmemConfig::with_ranks(16);
-        let dpus = cfg.num_dpus();
-        let cols = 1024usize;
-        let model = CnmCostModel::new(cfg.clone());
-        let est = model
-            .price(CnmOp::Gemv { rows: dpus, cols })
-            .unwrap()
-            .seconds;
-        let mut backend =
-            UpmemBackend::with_config(cfg, UpmemRunOptions::optimized().with_host_threads(1));
-        let a = vec![1i32; dpus * cols];
-        let x = vec![1i32; cols];
-        backend.gemv(&a, &x, dpus, cols);
-        let sim = backend.stats().total_seconds();
-        assert!(
-            est >= 0.5 * sim,
-            "calibrated estimate {est} still underestimates simulated {sim}"
-        );
     }
 }

@@ -21,8 +21,8 @@
 //!   and the [`device::Device`] trait (cost hookup, `run(op, operands)`)
 //!   implemented by
 //!   [`device::UpmemDevice`], [`device::CimDevice`] and
-//!   [`device::HostDevice`], plus the per-device first-order cost models
-//!   (the CNM model is calibrated against `upmem_sim::kernel_launch_cost`);
+//!   [`device::HostDevice`], plus the per-device cost models (each the sum
+//!   of the simulator's own charges for the commands its device issues);
 //! * [`sharded`] — heterogeneous sharded execution:
 //!   [`sharded::ShardedBackend`] co-executes one `cinm` op across all three
 //!   [`device::Device`]s concurrently on the shared `cinm_runtime` worker

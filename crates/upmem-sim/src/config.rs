@@ -6,6 +6,8 @@
 //! multithreaded pipeline (fully utilised at ≥ 11 tasklets), 64 kB WRAM,
 //! 64 MB MRAM, and DMA/host-transfer bandwidths in the ranges PrIM reports.
 
+use crate::stats::TransferStats;
+
 /// Per-instruction cycle costs of the DPU ISA (32-bit RISC, no hardware
 /// 32-bit multiplier — multiplications are emulated and therefore expensive).
 #[derive(Debug, Clone, PartialEq)]
@@ -221,34 +223,44 @@ impl UpmemConfig {
         self.dma_setup_cycles + bytes / bytes_per_cycle
     }
 
-    /// Host transfer time in seconds for moving `total_bytes` between the host
-    /// and the MRAM of the DPUs, assuming the transfer is spread across all
-    /// ranks in parallel.
-    pub fn host_transfer_seconds(&self, total_bytes: f64) -> f64 {
+    /// What a scatter or gather of `elems` host elements bills: `elems × 4`
+    /// bytes spread across all ranks in parallel, plus one transfer latency.
+    pub fn chunked_transfer(&self, elems: usize) -> TransferStats {
+        let bytes = (elems * 4) as u64;
         let bw = self.host_bandwidth_per_rank_bytes_per_s * self.ranks as f64;
-        self.host_transfer_latency_s + total_bytes / bw
+        TransferStats {
+            bytes,
+            seconds: self.host_transfer_latency_s + bytes as f64 / bw,
+            energy_j: self.transfer_energy_j(bytes as f64),
+        }
     }
 
-    /// Host broadcast time in seconds for replicating `bytes_per_dpu` bytes
-    /// into the MRAM of every DPU.
-    ///
-    /// The replicated image is pushed to all ranks in parallel (PrIM-style
-    /// `dpu_broadcast_to`), so the time is that of writing one rank's worth
-    /// of copies — `bytes_per_dpu × dpus_per_rank` — through a single rank's
-    /// channel, independent of the number of ranks. Note this deliberately
-    /// does *not* go through [`host_transfer_seconds`](Self::host_transfer_seconds),
-    /// whose model spreads *distinct* data across ranks; a broadcast sends
-    /// the *same* data to every rank.
-    pub fn broadcast_seconds(&self, bytes_per_dpu: f64) -> f64 {
-        let rank_image = bytes_per_dpu * self.dpus_per_rank as f64;
-        self.host_transfer_latency_s + rank_image / self.host_bandwidth_per_rank_bytes_per_s
+    /// What a broadcast of `elems` elements into the MRAM of every DPU
+    /// bills. Every replica crosses the host interface (`elems × 4 ×
+    /// num_dpus` bytes and their energy), but the replicated image is pushed
+    /// to all ranks in parallel (PrIM-style `dpu_broadcast_to`), so the time
+    /// is that of writing one rank's worth of copies — `elems × 4 ×
+    /// dpus_per_rank` bytes — through a single rank's channel, independent
+    /// of the number of ranks. Unlike
+    /// [`chunked_transfer`](Self::chunked_transfer), which spreads
+    /// *distinct* data across ranks, a broadcast sends the *same* data to
+    /// every rank.
+    pub fn broadcast_transfer(&self, elems: usize) -> TransferStats {
+        let bytes = (elems * 4 * self.num_dpus()) as u64;
+        let rank_image = (elems * 4) as f64 * self.dpus_per_rank as f64;
+        TransferStats {
+            bytes,
+            seconds: self.host_transfer_latency_s
+                + rank_image / self.host_bandwidth_per_rank_bytes_per_s,
+            energy_j: self.transfer_energy_j(bytes as f64),
+        }
     }
 
     /// Host↔MRAM transfer energy in joules for the given *billed* bytes
-    /// (for a broadcast that is `bytes_per_dpu × num_dpus`, matching the
-    /// byte accounting of [`SystemStats`](crate::SystemStats) — every
-    /// replica is physically written into a DPU's MRAM).
-    pub fn transfer_energy_j(&self, bytes: f64) -> f64 {
+    /// (for a broadcast that is every replica, matching the byte accounting
+    /// of [`SystemStats`](crate::SystemStats) — every replica is physically
+    /// written into a DPU's MRAM).
+    fn transfer_energy_j(&self, bytes: f64) -> f64 {
         bytes * self.energy.host_j_per_byte
     }
 }
@@ -291,9 +303,9 @@ mod tests {
         // Fixed setup cost dominates tiny transfers.
         assert!(c.dma_cycles(8.0) > 70.0);
         // Host transfers scale with ranks: 16 ranks move data 4x faster than 4.
-        let t4 = UpmemConfig::with_ranks(4).host_transfer_seconds(1.0e9);
-        let t16 = UpmemConfig::with_ranks(16).host_transfer_seconds(1.0e9);
-        assert!(t4 > 3.0 * t16);
+        let t4 = UpmemConfig::with_ranks(4).chunked_transfer(250_000_000);
+        let t16 = UpmemConfig::with_ranks(16).chunked_transfer(250_000_000);
+        assert!(t4.seconds > 3.0 * t16.seconds);
     }
 
     #[test]

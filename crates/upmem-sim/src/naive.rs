@@ -339,17 +339,11 @@ impl NaiveUpmemSystem {
                 dst[i] = data.get(start + i).copied().unwrap_or(0);
             }
         }
-        let bytes = (data.len() * 4) as u64;
-        let seconds = self.config.host_transfer_seconds(bytes as f64);
-        let energy_j = self.config.transfer_energy_j(bytes as f64);
-        self.stats.host_to_dpu_bytes += bytes;
-        self.stats.host_to_dpu_seconds += seconds;
-        self.stats.host_to_dpu_energy_j += energy_j;
-        Ok(TransferStats {
-            bytes,
-            seconds,
-            energy_j,
-        })
+        let t = self.config.chunked_transfer(data.len());
+        self.stats.host_to_dpu_bytes += t.bytes;
+        self.stats.host_to_dpu_seconds += t.seconds;
+        self.stats.host_to_dpu_energy_j += t.energy_j;
+        Ok(t)
     }
 
     /// Copies the same host data to the buffer of every DPU (broadcast),
@@ -377,17 +371,11 @@ impl NaiveUpmemSystem {
                 .expect("buffer exists on every DPU");
             dst[..data.len()].copy_from_slice(data);
         }
-        let bytes = (data.len() * 4 * self.num_dpus()) as u64;
-        let seconds = self.config.broadcast_seconds((data.len() * 4) as f64);
-        let energy_j = self.config.transfer_energy_j(bytes as f64);
-        self.stats.host_to_dpu_bytes += bytes;
-        self.stats.host_to_dpu_seconds += seconds;
-        self.stats.host_to_dpu_energy_j += energy_j;
-        Ok(TransferStats {
-            bytes,
-            seconds,
-            energy_j,
-        })
+        let t = self.config.broadcast_transfer(data.len());
+        self.stats.host_to_dpu_bytes += t.bytes;
+        self.stats.host_to_dpu_seconds += t.seconds;
+        self.stats.host_to_dpu_energy_j += t.energy_j;
+        Ok(t)
     }
 
     /// Gathers `chunk` elements from every DPU back into one host vector.
@@ -419,20 +407,11 @@ impl NaiveUpmemSystem {
                 .expect("buffer exists on every DPU");
             out.extend_from_slice(&src[..chunk]);
         }
-        let bytes = (out.len() * 4) as u64;
-        let seconds = self.config.host_transfer_seconds(bytes as f64);
-        let energy_j = self.config.transfer_energy_j(bytes as f64);
-        self.stats.dpu_to_host_bytes += bytes;
-        self.stats.dpu_to_host_seconds += seconds;
-        self.stats.dpu_to_host_energy_j += energy_j;
-        Ok((
-            out,
-            TransferStats {
-                bytes,
-                seconds,
-                energy_j,
-            },
-        ))
+        let t = self.config.chunked_transfer(out.len());
+        self.stats.dpu_to_host_bytes += t.bytes;
+        self.stats.dpu_to_host_seconds += t.seconds;
+        self.stats.dpu_to_host_energy_j += t.energy_j;
+        Ok((out, t))
     }
 
     /// Reads the buffer contents of one DPU (testing aid, not timed).

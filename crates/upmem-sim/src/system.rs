@@ -408,10 +408,11 @@ pub trait DpuSystem {
 /// First-order cost model of one launch, shared between the slab system and
 /// the naive reference so both report identical statistics.
 ///
-/// Public so cost models can **calibrate against the simulator directly**:
-/// `cinm_lowering`'s CNM shard cost model builds the [`KernelSpec`] the
-/// backend would launch and asks this function for the per-DPU kernel time
-/// instead of re-deriving an (approximate) closed form. The returned
+/// Public so cost models price **the simulator's own charge**:
+/// `cinm_lowering`'s CNM cost model builds the [`KernelSpec`] the backend
+/// launches and asks this function for the launch's time and energy, as it
+/// asks [`UpmemConfig::chunked_transfer`] and
+/// [`UpmemConfig::broadcast_transfer`] for the transfers'. The returned
 /// [`LaunchStats::seconds`] is the slowest-DPU launch time; the
 /// `instructions`/`dma_bytes` totals scale with `num_dpus`.
 pub fn kernel_launch_cost(
@@ -1026,20 +1027,8 @@ impl UpmemSystem {
     // body below. Telemetry is atomics-only (no allocation, no lock) and never
     // affects `stats`.
 
-    /// The cost of moving `elems` host elements through the chunked transfer
-    /// path (what a scatter or gather bills, whether or not the simulator's
-    /// host had to copy them).
-    fn chunked_transfer(&self, elems: usize) -> TransferStats {
-        let bytes = (elems * 4) as u64;
-        TransferStats {
-            bytes,
-            seconds: self.config.host_transfer_seconds(bytes as f64),
-            energy_j: self.config.transfer_energy_j(bytes as f64),
-        }
-    }
-
     fn account_scatter(&mut self, elems: usize) -> TransferStats {
-        let t = self.chunked_transfer(elems);
+        let t = self.config.chunked_transfer(elems);
         self.stats.host_to_dpu_bytes += t.bytes;
         self.stats.host_to_dpu_seconds += t.seconds;
         self.stats.host_to_dpu_energy_j += t.energy_j;
@@ -1061,7 +1050,7 @@ impl UpmemSystem {
     }
 
     fn account_gather(&mut self, elems: usize) -> TransferStats {
-        let t = self.chunked_transfer(elems);
+        let t = self.config.chunked_transfer(elems);
         self.stats.dpu_to_host_bytes += t.bytes;
         self.stats.dpu_to_host_seconds += t.seconds;
         self.stats.dpu_to_host_energy_j += t.energy_j;
@@ -1322,7 +1311,7 @@ impl UpmemSystem {
     /// DPU (`data.len() * 4 * num_dpus` bytes are accounted), but ranks are
     /// written in parallel, so the transfer time is that of one rank-sized
     /// image through a single rank's channel — see
-    /// [`UpmemConfig::broadcast_seconds`]. The time is therefore independent
+    /// [`UpmemConfig::broadcast_transfer`]. The time is therefore independent
     /// of the number of ranks, matching the PrIM `dpu_broadcast_to`
     /// behaviour. That is what is *billed*; what the simulator *stores* for
     /// a buffer no per-DPU write has touched is the one image, which every
@@ -1357,12 +1346,7 @@ impl UpmemSystem {
                     stride[..data.len()].copy_from_slice(data);
                 });
         }
-        let bytes = (data.len() * 4 * num_dpus) as u64;
-        let t = TransferStats {
-            bytes,
-            seconds: config.broadcast_seconds((data.len() * 4) as f64),
-            energy_j: config.transfer_energy_j(bytes as f64),
-        };
+        let t = config.broadcast_transfer(data.len());
         self.account_broadcast(&t);
         Ok(t)
     }

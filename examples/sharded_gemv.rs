@@ -5,17 +5,18 @@
 //! estimated completion times, then the sharded backend dispatches the
 //! per-device row shards concurrently onto one shared worker pool and
 //! concatenates the results — bit-identical to the single-threaded golden
-//! kernel.
+//! kernel. Every device's planned seconds must be the seconds its shard
+//! billed (relative 1e-12): the example fails otherwise.
 //!
 //! Run with `cargo run --release --example sharded_gemv`.
 
 use cinm::core::shard::ShardPlanner;
 use cinm::cpu::kernels;
 use cinm::lowering::cnm_op::CnmOp;
-use cinm::lowering::{ShardedBackend, ShardedRunOptions};
+use cinm::lowering::{ShardedBackend, ShardedRunOptions, Target};
 use cinm::runtime::PoolHandle;
 
-fn main() {
+fn main() -> Result<(), String> {
     // One persistent pool shared by the dispatcher and both simulators.
     let pool = PoolHandle::with_threads(4);
     let ranks = 16;
@@ -76,5 +77,11 @@ fn main() {
         planned[2] * 1e3,
         billed[2] * 1e3,
     );
+    for (target, (p, b)) in Target::ALL.iter().zip(planned.iter().zip(billed)) {
+        if (p - b).abs() > 1e-12 * b.abs() {
+            return Err(format!("{target}: planned {p} s, billed {b} s"));
+        }
+    }
     println!("result verified against the golden host kernel ✔");
+    Ok(())
 }

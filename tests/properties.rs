@@ -12,7 +12,7 @@
 use cinm::ir::{AffineExpr, AffineMap};
 use cinm::lowering::cnm_op::CnmOp;
 use cinm::lowering::{
-    CimBackend, CimDevice, CimRunOptions, Cost, Device, UpmemBackend, UpmemRunOptions,
+    CimBackend, CimDevice, CimRunOptions, Cost, Device, UpmemBackend, UpmemDevice, UpmemRunOptions,
 };
 use cinm::memristor::{CrossbarAccelerator, CrossbarConfig};
 use cinm::telemetry::Telemetry;
@@ -256,9 +256,10 @@ fn cim_schedules_preserve_results() {
 /// (including no rows, one-column tiles, and `k`/`n` below the tile size or
 /// not a multiple of it), all four `{min_writes, parallel_tiles}` schedules
 /// and square, non-square and single-tile geometries, the seconds and joules
-/// of `CimDevice::cost()` equal the `CimStats` the backend bills. The only
-/// slack is f64 summation order (the bill adds one command at a time):
-/// relative 1e-12.
+/// of `CimDevice::cost()` equal the `CimRunStats` totals the backend bills —
+/// the crossbar's tile writes and MVMs, the host's command issues and its
+/// merge pass. The only slack is f64 summation order (the bill adds one
+/// command at a time): relative 1e-12.
 #[test]
 fn cim_cost_model_prices_what_the_backend_bills() {
     let geometries = [(64, 64, 4), (64, 32, 4), (32, 64, 4), (64, 64, 1)];
@@ -302,7 +303,7 @@ fn cim_cost_model_prices_what_the_backend_bills() {
                      min_writes={min_writes} parallel={parallel_tiles}"
                 );
                 assert_eq!(c.unwrap(), kernels::matmul(&a, &b, m, k, n), "{what}");
-                let billed = device.backend().stats().xbar;
+                let billed = device.backend().stats();
                 let Cost { seconds, joules } = cost.price(op).unwrap();
                 assert!(
                     close(seconds, billed.total_seconds()),
@@ -317,6 +318,98 @@ fn cim_cost_model_prices_what_the_backend_bills() {
             }
         }
     });
+}
+
+/// The UPMEM grid's planner price is its bill: for every op kind the planner
+/// shards, at work sizes 0, 1, fewer units than DPUs, exactly one per DPU
+/// and a non-multiple of the DPU count, under the baseline, `cinm-opt` and
+/// PrIM code on 1, 4 and 16 ranks, `UpmemDevice::cost()` prices an op at
+/// exactly the seconds and joules that running it adds to a fresh device's
+/// `SystemStats`, bit for bit. The PrIM-only kernels are not priced.
+#[test]
+fn cnm_cost_model_prices_what_the_backend_bills() {
+    let prim = UpmemRunOptions {
+        instruction_overhead: 1.7,
+        wram_tile_elems: Some(256),
+        ..UpmemRunOptions::optimized()
+    };
+    let options = [
+        UpmemRunOptions::default(),
+        UpmemRunOptions::optimized(),
+        prim,
+    ];
+    let (k, n, bins) = (7, 3, 16);
+    for ranks in [1, 4, 16] {
+        let config = UpmemConfig::with_ranks(ranks);
+        let dpus = config.num_dpus();
+        for work in [0, 1, dpus / 2 + 1, dpus, 3 * dpus + 5] {
+            let a = data::i32_vec(work as u64, work * k, -9, 9);
+            let b = data::i32_vec(7, k * n, -9, 9);
+            let values = data::i32_vec(work as u64 + 1, work, 0, 64);
+            let ops: [(CnmOp, Vec<&[i32]>); 5] = [
+                (CnmOp::Gemm { m: work, k, n }, vec![&a, &b]),
+                (
+                    CnmOp::Gemv {
+                        rows: work,
+                        cols: k,
+                    },
+                    vec![&a, &b[..k]],
+                ),
+                (
+                    CnmOp::Elementwise {
+                        op: BinOp::Max,
+                        len: work,
+                    },
+                    vec![&a[..work], &values],
+                ),
+                (
+                    CnmOp::Reduce {
+                        op: BinOp::Add,
+                        len: work,
+                    },
+                    vec![&values],
+                ),
+                (
+                    CnmOp::Histogram {
+                        bins,
+                        max_value: 64,
+                        len: work,
+                    },
+                    vec![&values],
+                ),
+            ];
+            for opts in &options {
+                for (op, operands) in &ops {
+                    let backend = UpmemBackend::with_config(config.clone(), opts.clone());
+                    let mut device = UpmemDevice::new(backend);
+                    let Cost { seconds, joules } = device.cost().price(*op).unwrap();
+                    let before = *device.backend().stats();
+                    device.run(*op, operands).unwrap();
+                    let after = *device.backend().stats();
+                    let what = format!("{op:?} on {ranks} ranks under {opts:?}");
+                    let billed = after.total_seconds() - before.total_seconds();
+                    assert_eq!(seconds, billed, "{what}: seconds");
+                    let billed = after.total_energy_j() - before.total_energy_j();
+                    assert_eq!(joules, billed, "{what}: joules");
+                }
+            }
+        }
+        let cost = UpmemDevice::new(UpmemBackend::with_config(config, options[1].clone())).cost();
+        for op in [
+            CnmOp::Select {
+                threshold: 0,
+                len: 64,
+            },
+            CnmOp::TimeSeries { window: 4, len: 64 },
+            CnmOp::BfsStep {
+                vertices_per_dpu: 2,
+                avg_degree: 3,
+                used_dpus: 4,
+            },
+        ] {
+            assert_eq!(cost.price(op), None, "{op:?}");
+        }
+    }
 }
 
 /// The UPMEM backend's distributed GEMM and GEMV agree with the host

@@ -15,6 +15,15 @@
 # rows are printed and not judged: one second on a shared runner says
 # nothing about them.
 #
+# A change that moves simulated rows on purpose declares them in the
+# committed `tools/bench_moves.txt`, one `<workload> <metric>` per line
+# (`#` starts a comment). The declaration counts only when the file differs
+# between <base-rev> and HEAD, so a change that moves rows rewrites it and
+# says why in its comments; an unchanged file declares nothing and the gate
+# is the one above. A declared row must differ from the base (in the result
+# files), and every row it does not name must stay equal, the compare
+# table's 0.1% rows included.
+#
 #   tools/check_bench_regress.sh <base-rev> --pairs <n> --workload <a>[,<b>,...] [--claim <metric>]
 #
 # The host-clock half: with the same base copy and builds, runs, for each
@@ -78,6 +87,12 @@ base="$(git -C "$root" rev-parse --verify "$base_rev^{commit}")" || exit 2
 if [ -n "$claim" ]; then
     jq -e --arg m "$claim" 'any(.end_to_end[]; .name == $m)' "$root/BENCHMARK.json" >/dev/null ||
         { echo "$0: --claim $claim is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
+fi
+# The rows declared to move (empty: none; see the header).
+moves=""
+if ! git -C "$root" diff --quiet "$base" HEAD -- tools/bench_moves.txt; then
+    moves="$(git -C "$root" show HEAD:tools/bench_moves.txt 2>/dev/null |
+        sed 's/#.*//' | awk 'NF == 2 { print $1, $2 }' | sort -u)"
 fi
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -176,9 +191,18 @@ done
 bench "$root" compare "$work/base.json" "$work/head.json" >"$work/table.md"
 cat "$work/table.md"
 
+# Drops the "<workload> <metric> ..." lines of stdin that are declared moves.
+undeclared() {
+    awk -v moves="$moves" '
+        BEGIN { n = split(moves, l, "\n"); for (i = 1; i <= n; i++) m[l[i]] = 1 }
+        !(($1 " " $2) in m)'
+}
+
 status=0
 # | workload | metric | A cell | B cell | B vs A | spread | bound | verdict |
-moved="$(awk -F'|' '$8 ~ /^ *0\.1% *$/ && $4 != $5 { print "  " $2 $3 ":" $4 "->" $5 }' "$work/table.md")"
+moved="$(awk -F'|' '$8 ~ /^ *0\.1% *$/ && $4 != $5 {
+        w = $2; gsub(/ /, "", w); m = $3; sub(/^[^`]*`/, "", m); sub(/`.*$/, "", m)
+        print w, m, ":" $4 "->" $5 }' "$work/table.md" | undeclared | sed 's/^/  /')"
 if [ -n "$moved" ]; then
     echo "$0: compare reports deterministic metrics that moved:" >&2
     echo "$moved" >&2
@@ -190,11 +214,24 @@ deterministic() {
            | select(.value.clock == "sim" or .value.clock == "count")
            | "\($w) \(.key) \(.value.value)"' "$1" | sort
 }
-if ! diff <(deterministic "$work/base.json") <(deterministic "$work/head.json") >"$work/diff.txt"; then
+deterministic "$work/base.json" >"$work/base.rows"
+deterministic "$work/head.json" >"$work/head.rows"
+if ! diff <(undeclared <"$work/base.rows") <(undeclared <"$work/head.rows") >"$work/diff.txt"; then
     echo "$0: simulated-clock or count metrics differ (< base, > head):" >&2
     cat "$work/diff.txt" >&2
     status=1
 fi
+while read -r workload metric; do
+    [ -n "$workload" ] || continue
+    was="$(awk -v w="$workload" -v m="$metric" '$1 == w && $2 == m { print $3 }' "$work/base.rows")"
+    now="$(awk -v w="$workload" -v m="$metric" '$1 == w && $2 == m { print $3 }' "$work/head.rows")"
+    if [ -z "$was" ] || [ "$was" = "$now" ]; then
+        echo "$0: tools/bench_moves.txt declares $workload $metric, which did not move (${was:-no such row} -> ${now:-no such row})" >&2
+        status=1
+    else
+        echo "declared move: $workload $metric $was -> $now" >&2
+    fi
+done <<<"$moves"
 
-[ $status -eq 0 ] && echo "$0: every simulated-clock and count metric equals $base_rev" >&2
+[ $status -eq 0 ] && echo "$0: every simulated-clock and count metric equals $base_rev${moves:+, apart from the declared moves}" >&2
 exit $status
