@@ -22,8 +22,8 @@
 //! wall-clock time of the sweep changes. One persistent worker pool is
 //! constructed up front and shared by every figure of the sweep.
 //!
-//! `--shard` selects the policy of the `sharded` experiment: `auto` balances
-//! estimated completion times across UPMEM + crossbar + host, `cnm-only` /
+//! `--shard` selects the policy of the `sharded` experiment: `auto` plans
+//! the least estimated makespan across UPMEM + crossbar + host, `cnm-only` /
 //! `cim-only` / `host-only` force a single device, and `fractions a,b,c`
 //! forces explicit work fractions (must sum to 1 — the harness errors
 //! instead of renormalising).

@@ -2197,13 +2197,11 @@ impl Session {
     }
 
     /// Rebuilds the shard planner over the devices that are still healthy,
-    /// keeping the policy and granularity.
+    /// keeping the policy.
     /// Unhealthy devices simply stop being registered, so `Auto` plans
     /// route their work to the survivors.
     fn rebuild_planner(&mut self) {
-        let old = self.planner.planner();
-        let mut planner = ShardPlanner::new().with_policy(old.policy);
-        planner.granularity = old.granularity;
+        let mut planner = ShardPlanner::new().with_policy(self.planner.planner().policy);
         for device in Target::ALL {
             let d = self.backend.device(device);
             if d.is_healthy() {
@@ -3280,7 +3278,7 @@ mod tests {
             )
         };
         let fresh = gemv_work(&mut auto(), 800, 96);
-        assert_eq!(fresh, [32, 80, 688]);
+        assert_eq!(fresh, [48, 80, 672]);
         let mut warmed = auto();
         for _ in 0..6 {
             gemv_work(&mut warmed, 640, 96);

@@ -191,10 +191,11 @@ pub trait CostModel: Send {
     fn target(&self) -> Target;
 
     /// Estimated seconds and joules of an op (usually one shard of a larger
-    /// op), or `None` if the device cannot execute it. Planners sample this
-    /// at several shard sizes ([`CnmOp::with_work`]) to separate fixed
-    /// per-dispatch overheads from marginal per-unit cost, and place by
-    /// seconds or joules (`ShardPolicy::MinimizeEnergy`) from the same call.
+    /// op), or `None` if the device cannot execute it. The shard planner
+    /// searches these prices over shard sizes ([`CnmOp::with_work`]), which
+    /// is exact only because the seconds never fall as the work grows and
+    /// support does not depend on the work; it places by seconds or joules
+    /// (`ShardPolicy::MinimizeEnergy`) from the same call.
     fn price(&self, op: CnmOp) -> Option<Cost>;
 }
 

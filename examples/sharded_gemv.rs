@@ -1,8 +1,8 @@
 //! One GEMV co-executed across UPMEM + the crossbar + the host.
 //!
 //! Demonstrates the heterogeneous sharded execution layer: the shard
-//! planner fits affine cost models for all three devices and balances their
-//! estimated completion times, then the sharded backend dispatches the
+//! planner searches the three devices' prices for the split of least
+//! makespan, then the sharded backend dispatches the
 //! per-device row shards concurrently onto one shared worker pool and
 //! concatenates the results — bit-identical to the single-threaded golden
 //! kernel. Every device's planned seconds must be the seconds its shard
@@ -24,7 +24,7 @@ fn main() -> Result<(), String> {
     let a: Vec<i32> = (0..m * k).map(|i| (i % 17) as i32 - 8).collect();
     let x: Vec<i32> = (0..k).map(|i| (i % 13) as i32 - 6).collect();
 
-    // Plan: balance estimated completion times across the devices.
+    // Plan: the split of least estimated makespan across the devices.
     let planner = ShardPlanner::with_default_models(ranks);
     let plan = planner
         .plan_op(CnmOp::Gemv { rows: m, cols: k })

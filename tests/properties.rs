@@ -1806,6 +1806,263 @@ fn cached_shard_plans_are_identical_to_fresh_plans() {
     assert!(hits > 0, "no repeats hit the cache ({hits}/{misses})");
 }
 
+/// Work units per granule of an `Auto` shard plan (the planner's constant
+/// is private).
+const GRANULE: usize = 16;
+
+/// The ops of the five sharded workloads (`cinm-experiments sharded`).
+fn sharded_ops(scale: cinm::workloads::Scale) -> Vec<CnmOp> {
+    use cinm::workloads::{WorkloadId, WorkloadParams};
+    cinm::core::experiments::sharded_suite()
+        .into_iter()
+        .map(|id| match id.params(scale) {
+            WorkloadParams::Gemm { m, k, n } => CnmOp::Gemm { m, k, n },
+            WorkloadParams::Gemv { rows, cols } => CnmOp::Gemv { rows, cols },
+            WorkloadParams::Vector { len } if id == WorkloadId::Red => CnmOp::Reduce {
+                op: BinOp::Add,
+                len,
+            },
+            WorkloadParams::Vector { len } => CnmOp::Elementwise {
+                op: BinOp::Add,
+                len,
+            },
+            WorkloadParams::Histogram {
+                len,
+                bins,
+                max_value,
+            } => CnmOp::Histogram {
+                bins,
+                max_value,
+                len,
+            },
+            other => panic!("{other:?} is not sharded"),
+        })
+        .collect()
+}
+
+/// Every model's price is non-decreasing in work, and whether it prices an
+/// op does not depend on the work: the premise that makes the shard
+/// planner's search exact. Checked for the sharded workloads' ops at their
+/// test and bench shapes, on the UPMEM grid under the baseline, `cinm-opt`
+/// and PrIM code on 1, 4 and 16 ranks, on the crossbar under its four flag
+/// pairs and on the host, at every work up to 2048 and then in steps of
+/// 1/64 up to the largest bench op.
+#[test]
+fn every_price_is_non_decreasing_in_work() {
+    use cinm::core::CostModel;
+    use cinm::workloads::Scale;
+    let prim = UpmemRunOptions {
+        instruction_overhead: 1.7,
+        wram_tile_elems: Some(256),
+        ..UpmemRunOptions::optimized()
+    };
+    let mut models: Vec<(String, Box<dyn CostModel>)> = Vec::new();
+    for ranks in [1, 4, 16] {
+        for opts in [
+            UpmemRunOptions::default(),
+            UpmemRunOptions::optimized(),
+            prim.clone(),
+        ] {
+            let backend = UpmemBackend::with_config(UpmemConfig::with_ranks(ranks), opts.clone());
+            let name = format!("upmem {ranks} ranks {opts:?}");
+            models.push((name, UpmemDevice::new(backend).cost()));
+        }
+    }
+    for (min_writes, parallel_tiles) in [(false, false), (true, false), (false, true), (true, true)]
+    {
+        let options = CimRunOptions {
+            min_writes,
+            parallel_tiles,
+            ..Default::default()
+        };
+        let name = format!("crossbar min_writes={min_writes} parallel={parallel_tiles}");
+        models.push((name, CimDevice::new(CimBackend::new(options)).cost()));
+    }
+    let host = cinm::lowering::HostDevice::new(cpu_sim::model::CpuModel::arm_host());
+    models.push(("host".to_string(), host.cost()));
+    let mut works: Vec<usize> = (0..=2048).collect();
+    while let Some(&w) = works.last().filter(|&&w| w < 1 << 22) {
+        works.push(w + w / 64);
+    }
+    for op in [Scale::Test, Scale::Bench]
+        .into_iter()
+        .flat_map(sharded_ops)
+    {
+        for (name, model) in &models {
+            let supported = model.price(op).is_some();
+            let mut last = 0.0f64;
+            for &work in &works {
+                let price = model.price(op.with_work(work));
+                assert_eq!(price.is_some(), supported, "{name}: {op:?} at {work}");
+                if let Some(Cost { seconds, .. }) = price {
+                    assert!(
+                        seconds >= last,
+                        "{name}: {op:?} at {work} costs {seconds} s, less than {last} s"
+                    );
+                    last = seconds;
+                }
+            }
+        }
+    }
+}
+
+/// A fake device billing `fixed + per_step · ⌈work / step⌉` seconds (and
+/// nothing for no work): monotone step costs with a fixed overhead.
+struct StepCost {
+    target: cinm::core::Target,
+    fixed: f64,
+    per_step: f64,
+    step: usize,
+}
+
+impl cinm::core::CostModel for StepCost {
+    fn target(&self) -> cinm::core::Target {
+        self.target
+    }
+    fn price(&self, op: CnmOp) -> Option<Cost> {
+        let work = op.work();
+        let seconds = match work {
+            0 => 0.0,
+            _ => self.fixed + self.per_step * work.div_ceil(self.step) as f64,
+        };
+        Some(Cost {
+            seconds,
+            joules: seconds,
+        })
+    }
+}
+
+/// The least makespan over the splits an `Auto` plan can take (every
+/// non-empty shard whole granules, one of them also the remainder), by
+/// trying every split; `models` are one per device in `[cnm, cim, host]`
+/// order.
+fn brute_force_makespan(models: &[Box<dyn cinm::core::CostModel>], op: CnmOp) -> f64 {
+    let (granules, rest) = (op.work() / GRANULE, op.work() % GRANULE);
+    let price = |device: usize, work: usize| match work {
+        0 => 0.0,
+        _ => models[device]
+            .price(op.with_work(work))
+            .map_or(f64::INFINITY, |c| c.seconds),
+    };
+    let plain: Vec<[f64; 3]> = (0..=granules)
+        .map(|g| [0, 1, 2].map(|d| price(d, g * GRANULE)))
+        .collect();
+    let held: Vec<[f64; 3]> = (0..=granules)
+        .map(|g| [0, 1, 2].map(|d| price(d, g * GRANULE + rest)))
+        .collect();
+    let mut best = f64::INFINITY;
+    for (holder, others) in [(0, [1, 2]), (1, [0, 2]), (2, [0, 1])] {
+        for (a, held) in held.iter().enumerate().skip(1) {
+            for b in 0..=granules - a {
+                let c = granules - a - b;
+                let makespan = held[holder]
+                    .max(plain[b][others[0]])
+                    .max(plain[c][others[1]]);
+                best = best.min(makespan);
+            }
+        }
+    }
+    best
+}
+
+/// On every op of 2 to 64 granules (every remainder) over three devices, the
+/// `Auto` plan's makespan equals the brute-force least makespan exactly —
+/// with the real models (one rank) on small gemm and gemv shapes, and with
+/// random step-cost fakes whose integral parameters make ties common.
+#[test]
+fn auto_plans_match_brute_force_on_every_small_op() {
+    use cinm::core::{CostModel, ShardPlanner, Target};
+    let check = |models: &dyn Fn() -> Vec<Box<dyn CostModel>>, op: CnmOp| {
+        for work in 2 * GRANULE..65 * GRANULE {
+            let op = op.with_work(work);
+            let mut planner = ShardPlanner::new();
+            for model in models() {
+                planner.register_model(model);
+            }
+            let plan = planner.plan_op(op).unwrap();
+            assert_eq!(plan.split.total(), work, "{op:?}");
+            let planned = plan
+                .estimated_seconds
+                .iter()
+                .fold(0.0, |a: f64, &b| a.max(b));
+            assert_eq!(
+                planned,
+                brute_force_makespan(&models(), op),
+                "{op:?}: {plan:?}"
+            );
+        }
+    };
+    let real = || -> Vec<Box<dyn CostModel>> {
+        vec![
+            Box::new(cinm::core::shard::CnmCostModel::new(
+                UpmemConfig::with_ranks(1),
+            )),
+            Box::new(cinm::core::shard::CimCostModel::new(
+                CrossbarConfig::default(),
+            )),
+            Box::new(cinm::core::shard::HostCostModel::new(
+                cpu_sim::model::CpuModel::arm_host(),
+            )),
+        ]
+    };
+    check(&real, CnmOp::Gemm { m: 0, k: 32, n: 24 });
+    check(&real, CnmOp::Gemv { rows: 0, cols: 48 });
+    let mut rng = SplitMix64::seed_from_u64(39);
+    for _ in 0..3 {
+        let fakes: Vec<(f64, f64, usize)> = (0..3)
+            .map(|_| {
+                let fixed = gen_usize(&mut rng, 0, 4) as f64 * 100e-6;
+                let per_step = gen_usize(&mut rng, 1, 20) as f64 * 1e-6;
+                (fixed, per_step, gen_usize(&mut rng, 1, 40))
+            })
+            .collect();
+        let models = || -> Vec<Box<dyn CostModel>> {
+            Target::ALL
+                .into_iter()
+                .zip(&fakes)
+                .map(|(target, &(fixed, per_step, step))| {
+                    Box::new(StepCost {
+                        target,
+                        fixed,
+                        per_step,
+                        step,
+                    }) as Box<dyn CostModel>
+                })
+                .collect()
+        };
+        check(&models, CnmOp::Gemv { rows: 0, cols: 1 });
+    }
+}
+
+/// An `Auto` plan finishes no later than any one device alone on each of
+/// the five sharded workloads at test and bench scale (16 ranks, as in
+/// `cinm-experiments sharded`).
+#[test]
+fn auto_plans_are_no_slower_than_the_best_single_device() {
+    use cinm::core::{ShardPlanner, ShardPolicy, Target};
+    use cinm::workloads::Scale;
+    let planner = |policy| ShardPlanner::with_default_models(16).with_policy(policy);
+    for op in [Scale::Test, Scale::Bench]
+        .into_iter()
+        .flat_map(sharded_ops)
+    {
+        let plan = planner(ShardPolicy::Auto).plan_op(op).unwrap();
+        let makespan = plan
+            .estimated_seconds
+            .iter()
+            .fold(0.0, |a: f64, &b| a.max(b));
+        for target in Target::ALL {
+            if let Ok(single) = planner(ShardPolicy::Single(target)).plan_op(op) {
+                let alone = single.estimated_seconds[target.index()];
+                assert!(
+                    makespan <= alone,
+                    "{op:?}: auto {makespan} s, {target} alone {alone} s ({plan:?})"
+                );
+            }
+        }
+    }
+}
+
 /// One warm [`ShardedBackend`] reused over a randomized stream of sharded
 /// ops (warm UPMEM/CIM contexts underneath) stays bit-identical to the host
 /// goldens.
