@@ -8,21 +8,23 @@ use cinm_lowering::{
     CimLoweringOptions, CimToMemristorPass, CinmToCimPass, CinmToCnmPass, CnmLoweringOptions,
     CnmToUpmemPass, LinalgToCinmPass, TosaToLinalgPass, UpmemLoweringOptions,
 };
+use upmem_sim::UpmemConfig;
 
-/// Builds the `tosa/linalg → cinm → cnm → upmem` pipeline.
+/// Builds the `tosa/linalg → cinm → cnm → upmem` pipeline onto every DPU
+/// of a machine of `ranks` ranks, with the machine's tasklets.
 pub fn cnm_pipeline(ranks: i64, optimize_locality: bool) -> PassManager {
+    let machine = UpmemConfig::with_ranks(ranks as usize);
+    let tasklets = machine.tasklets as i64;
     let mut pm = PassManager::new();
     pm.add_pass(Box::new(TosaToLinalgPass));
     pm.add_pass(Box::new(LinalgToCinmPass));
     pm.add_pass(Box::new(CinmToCnmPass::new(CnmLoweringOptions {
-        workgroup: vec![ranks * 128, 16],
+        workgroup: vec![machine.num_dpus() as i64, tasklets],
         optimize_locality,
-        ..Default::default()
+        wram_bytes: machine.wram_bytes,
     })));
-    pm.add_pass(Box::new(CnmToUpmemPass::new(UpmemLoweringOptions {
-        ranks,
-        tasklets: 16,
-    })));
+    let upmem = UpmemLoweringOptions { ranks, tasklets };
+    pm.add_pass(Box::new(CnmToUpmemPass::new(upmem)));
     pm
 }
 
@@ -60,58 +62,6 @@ pub fn compile(module: &mut Module, pm: &PassManager) -> IrResult<PipelineStats>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cinm_workloads::{build_func, Scale, WorkloadId};
-
-    #[test]
-    fn cnm_pipeline_lowers_every_idiomatic_workload() {
-        for id in WorkloadId::upmem_opt_suite() {
-            let mut module = Module::new(id.name());
-            module.add_func(build_func(id, Scale::Test));
-            let pm = cnm_pipeline(4, true);
-            compile(&mut module, &pm).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-            let f = &module.funcs[0];
-            assert!(
-                !f.body.ops_with_name("upmem.launch").is_empty(),
-                "{} should contain at least one upmem.launch",
-                id.name()
-            );
-            // Operators with no cinm counterpart (the bias-add generic and the
-            // clamp of the MLP, plus the im2col data rearrangement) remain for
-            // the host, exactly as described in Section 3.2.2.
-            assert!(f.body.ops_in_dialect("linalg").iter().all(|&op| {
-                matches!(
-                    f.body.op(op).name.as_str(),
-                    "linalg.im2col" | "linalg.generic" | "linalg.elemwise_unary"
-                )
-            }));
-        }
-    }
-
-    #[test]
-    fn cim_pipeline_lowers_matmul_like_workloads() {
-        for id in [
-            WorkloadId::Mm,
-            WorkloadId::Conv,
-            WorkloadId::Contrs2,
-            WorkloadId::Mlp,
-        ] {
-            let mut module = Module::new(id.name());
-            module.add_func(build_func(id, Scale::Test));
-            let pm = cim_pipeline(CimLoweringOptions::optimized());
-            compile(&mut module, &pm).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
-            let f = &module.funcs[0];
-            assert!(
-                !f.body.ops_with_name("memristor.gemm_tile").is_empty(),
-                "{} should target the crossbar",
-                id.name()
-            );
-            assert!(
-                !f.body.ops_with_name("memristor.configure").is_empty(),
-                "{} should configure the device",
-                id.name()
-            );
-        }
-    }
 
     #[test]
     fn pipelines_report_their_pass_order() {

@@ -8,7 +8,7 @@
 //!
 //! * **Single-target selection** ([`TargetSelector`], this module): each op
 //!   goes to exactly one device. With registered cost models, the selector
-//!   builds the op's [`CnmOp`] from its operand and result types and returns
+//!   decodes the op's [`CnmOp`] ([`CnmOp::from_cinm`]) and returns
 //!   the device the planner estimates fastest — the rule the planner's own
 //!   single-device fallback uses. For ops no model prices (and with no
 //!   models at all) the greedy default policy of the paper applies —
@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 use cinm_dialects::cinm;
 use cinm_ir::prelude::*;
 use cinm_lowering::cnm_op::CnmOp;
-use upmem_sim::BinOp;
 
 pub use cinm_lowering::device::{CostModel, Target};
 
@@ -67,14 +66,15 @@ impl TargetSelector {
         if let Some(t) = self.user_override {
             return t;
         }
-        let operation = body.op(op);
         // Registered cost models take precedence: the planner's fastest
         // estimate for the op.
-        if let Some(target) = cnm_op(body, &operation).and_then(|op| self.planner.fastest(op)) {
+        if let Some(target) = CnmOp::from_cinm(body, op).and_then(|op| self.planner.fastest(op)) {
             return target;
         }
-        // Greedy default policy.
-        let elements = operand_elements(body, &operation);
+        // Greedy default policy, on the op's largest operand.
+        let operation = body.op(op);
+        let elements = |v: &ValueId| body.value_type(*v).num_elements();
+        let elements = operation.operands.iter().map(elements).max().unwrap_or(0);
         match cinm::paradigm_support(&operation.name) {
             Some(support) => {
                 let matmul_like = operation.name == cinm::GEMM || operation.name == cinm::GEMV;
@@ -105,56 +105,6 @@ impl TargetSelector {
         }
         counts
     }
-}
-
-/// Elements of the op's largest operand.
-fn operand_elements(body: &Body, op: &Operation<'_>) -> i64 {
-    op.operands
-        .iter()
-        .map(|&v| body.value_type(v).num_elements())
-        .max()
-        .unwrap_or(0)
-}
-
-/// The [`CnmOp`] of a `cinm` op read from its operand and result types:
-/// `gemm` `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, `histogram` with its result's
-/// bins, `reduce` with its `op` attribute, the element-wise ops over their
-/// largest operand. `None` for any other op, and for a matmul-like op whose
-/// operands do not have those ranks.
-fn cnm_op(body: &Body, op: &Operation<'_>) -> Option<CnmOp> {
-    let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
-    let size = |d: i64| usize::try_from(d).ok();
-    let len = || size(operand_elements(body, op));
-    Some(match op.name.as_str() {
-        cinm::GEMM => match (dims(0)?, dims(1)?) {
-            (&[m, k], &[_, n]) => CnmOp::Gemm {
-                m: size(m)?,
-                k: size(k)?,
-                n: size(n)?,
-            },
-            _ => return None,
-        },
-        cinm::GEMV => match dims(0)? {
-            &[rows, cols] => CnmOp::Gemv {
-                rows: size(rows)?,
-                cols: size(cols)?,
-            },
-            _ => return None,
-        },
-        cinm::REDUCE => CnmOp::Reduce {
-            op: BinOp::parse(op.str_attr("op")?)?,
-            len: len()?,
-        },
-        cinm::HISTOGRAM => CnmOp::Histogram {
-            bins: size(body.value_type(op.results.iter().next()?).num_elements())?,
-            max_value: 0,
-            len: len()?,
-        },
-        name => CnmOp::Elementwise {
-            op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
-            len: len()?,
-        },
-    })
 }
 
 #[cfg(test)]
@@ -272,7 +222,7 @@ mod tests {
                 if operation.dialect() != "cinm" {
                     continue;
                 }
-                let fastest = cnm_op(body, &operation).and_then(|op| {
+                let fastest = CnmOp::from_cinm(body, op).and_then(|op| {
                     oracle
                         .iter()
                         .filter_map(|m| Some((m.target(), m.price(op)?.seconds)))

@@ -29,17 +29,6 @@ pub const BARRIER: &str = "memristor.barrier";
 /// Op name: `memristor.release` — releases the accelerator.
 pub const RELEASE: &str = "memristor.release";
 
-/// Default crossbar geometry of the paper's evaluation (a PCM-based
-/// four-tile accelerator, each tile 64×64).
-pub mod arch {
-    /// Rows of one crossbar tile.
-    pub const TILE_ROWS: usize = 64;
-    /// Columns of one crossbar tile.
-    pub const TILE_COLS: usize = 64;
-    /// Number of crossbar tiles in the accelerator.
-    pub const NUM_TILES: usize = 4;
-}
-
 /// The `memristor` op constraints, sorted by op name.
 pub(crate) static OPS: &[OpConstraint] = &[
     OpConstraint::new(BARRIER).operands(1).results(0),
@@ -187,13 +176,6 @@ mod tests {
         register(&mut r);
         assert_eq!(r.ops_of_dialect("memristor").len(), 8);
         assert!(r.constraint(WRITE_TO_CROSSBAR).is_some());
-    }
-
-    #[test]
-    fn default_geometry_matches_paper() {
-        assert_eq!(arch::TILE_ROWS, 64);
-        assert_eq!(arch::TILE_COLS, 64);
-        assert_eq!(arch::NUM_TILES, 4);
     }
 
     #[test]

@@ -51,25 +51,6 @@ pub const BARRIER_WAIT: &str = "upmem.barrier_wait";
 /// Op name: `upmem.terminator` — terminator of a launch region.
 pub const TERMINATOR: &str = "upmem.terminator";
 
-/// Hardware constants of the UPMEM architecture used across the flow
-/// (values from the paper's experimental setup and the PrIM characterisation).
-pub mod arch {
-    /// DPU clock frequency in Hz (350 MHz).
-    pub const DPU_FREQ_HZ: u64 = 350_000_000;
-    /// WRAM size per DPU in bytes (64 kB).
-    pub const WRAM_BYTES: usize = 64 * 1024;
-    /// MRAM size per DPU in bytes (64 MB).
-    pub const MRAM_BYTES: usize = 64 * 1024 * 1024;
-    /// IRAM size per DPU in bytes (4 kB).
-    pub const IRAM_BYTES: usize = 4 * 1024;
-    /// DPUs per DIMM (16 chips × 8 DPUs).
-    pub const DPUS_PER_DIMM: usize = 128;
-    /// Maximum hardware tasklets per DPU.
-    pub const MAX_TASKLETS: usize = 24;
-    /// Default tasklets used by CINM for large tensors (paper Section 3.2.5).
-    pub const DEFAULT_TASKLETS: usize = 16;
-}
-
 /// The `upmem` op constraints, sorted by op name.
 pub(crate) static OPS: &[OpConstraint] = &[
     OpConstraint::new(ALLOC_DPUS)
@@ -333,22 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn arch_constants_match_paper_setup() {
-        assert_eq!(arch::DPU_FREQ_HZ, 350_000_000);
-        assert_eq!(arch::WRAM_BYTES, 65_536);
-        assert_eq!(arch::MRAM_BYTES, 67_108_864);
-        assert_eq!(arch::DPUS_PER_DIMM, 128);
-        assert_eq!(arch::DEFAULT_TASKLETS, 16);
-    }
-
-    #[test]
     fn host_kernel_roundtrip_builds_and_verifies() {
         let t = Type::tensor(&[2048, 64], ScalarType::I32);
         let mut f = Func::new("mv_host", vec![t], vec![]);
         let a = f.argument(0);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let grid = alloc_dpus(&mut b, 4, arch::DPUS_PER_DIMM as i64, 16);
+        let grid = alloc_dpus(&mut b, 4, 128, 16);
         assert_eq!(b.body().value_type(grid), &Type::cnm_workgroup(&[512, 16]));
         let mram = alloc_mram(&mut b, grid, &[4, 64], ScalarType::I32);
         let map = AffineMap::tiling(&[4, 64]);

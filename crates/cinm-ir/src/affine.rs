@@ -101,9 +101,22 @@ impl fmt::Display for AffineExpr {
             AffineExpr::Dim(i) => write!(f, "d{i}"),
             AffineExpr::Const(c) => write!(f, "{c}"),
             AffineExpr::Add(a, b) => write!(f, "{a} + {b}"),
-            AffineExpr::Mul(a, b) => write!(f, "{a} * {b}"),
-            AffineExpr::FloorDiv(a, d) => write!(f, "{a} floordiv {d}"),
-            AffineExpr::Mod(a, d) => write!(f, "{a} mod {d}"),
+            AffineExpr::Mul(a, b) => write!(f, "{} * {}", Tight(a), Tight(b)),
+            AffineExpr::FloorDiv(a, d) => write!(f, "{} floordiv {d}", Tight(a)),
+            AffineExpr::Mod(a, d) => write!(f, "{} mod {d}", Tight(a)),
+        }
+    }
+}
+
+/// An operand of `*`, `floordiv` or `mod`, which bind tighter than `+`:
+/// printed in parentheses unless it is a dimension or a constant.
+struct Tight<'a>(&'a AffineExpr);
+
+impl fmt::Display for Tight<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            AffineExpr::Dim(_) | AffineExpr::Const(_) => write!(f, "{}", self.0),
+            e => write!(f, "({e})"),
         }
     }
 }
@@ -248,6 +261,10 @@ mod tests {
         assert_eq!(e.eval(&[5, 7]), 10 + 1);
         assert_eq!(e.num_dims(), 2);
         assert_eq!(e.to_string(), "d0 * 2 + d1 mod 3");
+        // A sum under `floordiv` prints in parentheses.
+        let sum = AffineExpr::dim(0).mul(AffineExpr::constant(48));
+        let e = sum.add(AffineExpr::dim(1)).floor_div(48);
+        assert_eq!(e.to_string(), "(d0 * 48 + d1) floordiv 48");
     }
 
     #[test]

@@ -53,6 +53,12 @@ impl CimSchedule {
         }
     }
 
+    /// `(tile rows, tiles per batch)`: the tile edge the product is blocked
+    /// by and how many tiles are programmed and run together.
+    pub(crate) fn blocking(&self) -> (usize, usize) {
+        (self.edge.0, self.group)
+    }
+
     /// Crossbar tiles `B` occupies.
     fn tiles(&self) -> usize {
         self.grid.0 * self.grid.1

@@ -14,8 +14,12 @@
 //! (tasklets, WRAM tile, locality optimisation, instruction overhead) is
 //! derived once too, by the crate's `KernelCodegen::new`: the `cinm → cnm`
 //! pass annotates its launches with it, the backend launches it and the
-//! cost model prices it.
+//! cost model prices it. Which `cinm` ops the table covers is decided once
+//! as well, by [`CnmOp::from_cinm`]: target selection prices what it
+//! decodes and the `cinm → cnm` pass lowers what it decodes.
 
+use cinm_dialects::cinm;
+use cinm_ir::prelude::*;
 use upmem_sim::{BinOp, BufferId, DpuKernelKind, KernelSpec};
 
 use crate::device::ShardShape;
@@ -301,6 +305,61 @@ impl KernelCodegen {
 }
 
 impl CnmOp {
+    /// Decodes a `cinm` op from its operand and result types: `gemm`
+    /// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, `histogram` with its result's bins,
+    /// `reduce` with its `op` attribute, the element-wise ops over their
+    /// largest operand. `None` for any other op (which stays at the `cinm`
+    /// level for the host), for a matmul-like op whose operands do not have
+    /// those ranks and for an op with the wrong operand or result count.
+    pub fn from_cinm(body: &Body, op: OpId) -> Option<CnmOp> {
+        let op = body.op(op);
+        let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
+        let size = |d: i64| usize::try_from(d).ok();
+        let elements = |v: &ValueId| body.value_type(*v).num_elements();
+        let len = || size(op.operands.iter().map(elements).max().unwrap_or(0));
+        let decoded = match op.name.as_str() {
+            cinm::GEMM => match (dims(0)?, dims(1)?) {
+                (&[m, k], &[_, n]) => CnmOp::Gemm {
+                    m: size(m)?,
+                    k: size(k)?,
+                    n: size(n)?,
+                },
+                _ => return None,
+            },
+            cinm::GEMV => match dims(0)? {
+                &[rows, cols] => CnmOp::Gemv {
+                    rows: size(rows)?,
+                    cols: size(cols)?,
+                },
+                _ => return None,
+            },
+            cinm::REDUCE => CnmOp::Reduce {
+                op: BinOp::parse(op.str_attr("op")?)?,
+                len: len()?,
+            },
+            cinm::HISTOGRAM => CnmOp::Histogram {
+                bins: size(elements(&op.results.iter().next()?))?,
+                max_value: 0,
+                len: len()?,
+            },
+            name => CnmOp::Elementwise {
+                op: name.strip_prefix("cinm.").and_then(BinOp::parse)?,
+                len: len()?,
+            },
+        };
+        (op.operands.len() == decoded.arity() && op.results.len() == 1).then_some(decoded)
+    }
+
+    /// `(m, k, n)` of a matmul-like op (a GEMV is `n = 1`), the shape the
+    /// crossbar schedule tiles.
+    pub(crate) fn matmul_dims(self) -> Option<(usize, usize, usize)> {
+        match self {
+            CnmOp::Gemm { m, k, n } => Some((m, k, n)),
+            CnmOp::Gemv { rows, cols } => Some((rows, cols, 1)),
+            _ => None,
+        }
+    }
+
     /// Lowers the op onto a grid of `dpus` DPUs: operand layouts, per-DPU
     /// kernel, output chunk and decode rule.
     pub fn geometry(self, dpus: usize) -> CnmGeometry {

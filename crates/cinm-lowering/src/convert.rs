@@ -15,7 +15,11 @@
 use cinm_dialects::{cim, cinm, cnm, linalg, memristor, tensor, tosa, upmem};
 use cinm_ir::prelude::*;
 
-use crate::cnm_op::KernelCodegen;
+use memristor_sim::CrossbarConfig;
+use upmem_sim::{BinOp, DpuKernelKind, UpmemConfig};
+
+use crate::cim_schedule::CimSchedule;
+use crate::cnm_op::{CnmOp, KernelCodegen, MramLayout, OutputLayout};
 
 // ---------------------------------------------------------------------------
 // tosa -> linalg
@@ -398,19 +402,21 @@ pub struct CnmLoweringOptions {
 }
 
 impl Default for CnmLoweringOptions {
+    /// Every DPU of a 4-rank machine with its tasklets and WRAM.
     fn default() -> Self {
+        let machine = UpmemConfig::with_ranks(4);
         CnmLoweringOptions {
-            workgroup: vec![
-                (upmem::arch::DPUS_PER_DIMM * 4) as i64,
-                upmem::arch::DEFAULT_TASKLETS as i64,
-            ],
+            workgroup: vec![machine.num_dpus() as i64, machine.tasklets as i64],
             optimize_locality: false,
-            wram_bytes: upmem::arch::WRAM_BYTES,
+            wram_bytes: machine.wram_bytes,
         }
     }
 }
 
-/// Lowers `cinm` compute ops to the `cnm` abstraction.
+/// Lowers every `cinm` op the one lowering table covers
+/// ([`CnmOp::from_cinm`]) to the `cnm` program of its
+/// [`CnmOp::geometry`] on the workgroup's DPUs; every other op stays at the
+/// `cinm` level for the host.
 pub struct CinmToCnmPass {
     /// Lowering options.
     pub options: CnmLoweringOptions,
@@ -432,166 +438,205 @@ impl Pass for CinmToCnmPass {
         // The kernels are generated for the workgroup's tasklets and the
         // DPU's WRAM by the rule the backend launches them with.
         let o = &self.options;
-        let tasklets = *o.workgroup.last().unwrap_or(&16) as usize;
-        let codegen = KernelCodegen::new(o.optimize_locality, 1.0, None, tasklets, o.wram_bytes);
+        let grid @ [_, tasklets] = match o.workgroup[..] {
+            [dpus, tasklets] if dpus > 0 && tasklets > 0 => [dpus, tasklets],
+            _ => return Err(IrError::new("the workgroup must be [dpus, tasklets]")),
+        };
+        let wram = o.wram_bytes;
+        let codegen = KernelCodegen::new(o.optimize_locality, 1.0, None, tasklets as usize, wram);
         let mut changed = false;
         for op in func.body.walk() {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name;
-            if cinm::paradigm_support(&name).map(|p| p.cnm) != Some(true) {
-                continue;
+            if let Some(cnm_op) = CnmOp::from_cinm(&func.body, op) {
+                lower_cinm_op_to_cnm(&mut func.body, op, cnm_op, grid, codegen);
+                changed = true;
             }
-            if func.body.op(op).results.is_empty() {
-                continue;
-            }
-            lower_cinm_op_to_cnm(&mut func.body, op, &self.options.workgroup, codegen)?;
-            changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
 }
 
+/// Replaces `op` with its workgroup / scatter / launch / gather program: one
+/// buffer and one scatter per operand in the layout of its geometry — a
+/// per-DPU chunk, or the whole operand broadcast to every DPU — an output
+/// buffer of the per-DPU output chunk, a launch of the geometry's kernel and
+/// a gather that names the partials the host still has to combine.
 fn lower_cinm_op_to_cnm(
     body: &mut Body,
     op: OpId,
-    workgroup: &[i64],
+    cnm_op: CnmOp,
+    workgroup: [i64; 2],
     codegen: KernelCodegen,
-) -> IrResult<()> {
-    let op_name = body.op(op).name;
-    let num_operands = body.op(op).operands.len();
+) {
+    let geometry = cnm_op.geometry(workgroup[0] as usize);
+    let arity = cnm_op.arity();
     let result_ty = *body.value_type(body.result(op, 0));
-    let result_shape = result_ty
-        .shape()
-        .ok_or_else(|| IrError::new(format!("{op_name} result must be shaped")))?;
-    let elem = result_ty.element_type().unwrap();
-    let block = body.op_block(op);
-    let index = body.op_index_in_block(op);
-    let num_pus: i64 = workgroup.iter().product();
-
-    // Per-PU tile of the result: split the leading dimension across PUs.
-    let lead = result_shape[0].max(1);
-    let rows_per_pu = (lead + num_pus - 1) / num_pus;
-    let mut tile_shape = Shape::new(result_shape);
-    tile_shape[0] = rows_per_pu.max(1);
-
+    let (block, mut at) = (body.op_block(op), body.op_index_in_block(op));
     let mut b = OpBuilder::at_end(body, block);
-    let mut at = index;
     let wg = b
         .op(cnm::WORKGROUP)
         .attr("shape", workgroup)
         .attr("cnm.physical_dims", Attribute::StrArray(&["dpu", "thread"]))
-        .result(Type::cnm_workgroup(workgroup))
-        .push_at(at);
-    at += 1;
+        .result(Type::cnm_workgroup(&workgroup))
+        .push_at(at)
+        .result();
+    // A buffer of `shape` on every PU, for a value of type `ty`.
+    let alloc = |b: &mut OpBuilder<'_>, ty: Type, shape: &[i64], at| {
+        let elem = ty.element_type().unwrap_or(ScalarType::I32);
+        b.op(cnm::ALLOC)
+            .operand(wg)
+            .attr("cnm.physical_space", "global")
+            .result(Type::cnm_buffer(shape, elem, 0))
+            .push_at(at)
+            .result()
+    };
 
-    // One buffer and one scatter per operand, created in turn. Values are
-    // numbered in creation order, so the buffer of operand `i` is value
-    // `first + 2i` and its scatter token `first + 2i + 1`.
-    let first = b.body().num_values() as u32;
-    let buffer = |i: usize| ValueId(first + 2 * i as u32);
-    let token = |i: usize| ValueId(first + 2 * i as u32 + 1);
-    for i in 0..num_operands {
+    // One buffer and one scatter per operand, in the layout of its geometry.
+    let (mut buffers, mut tokens) = ([wg; 4], [wg; 3]);
+    for (i, &layout) in geometry.inputs[..arity].iter().enumerate() {
         let operand = b.body().op(op).operands[i];
         let ty = *b.body().value_type(operand);
-        let mut otile = Shape::new(ty.shape().unwrap_or(&[1]));
-        otile[0] = ((otile[0] + num_pus - 1) / num_pus).max(1);
-        let buf = b
-            .op(cnm::ALLOC)
-            .operand(wg.result())
-            .attr("cnm.physical_space", "global")
-            .result(Type::cnm_buffer(
-                &otile,
-                ty.element_type().unwrap_or(elem),
-                0,
-            ))
-            .push_at(at);
-        let tok = b
+        let shape = ty.shape().unwrap_or(&[]);
+        let (buffer_shape, map) = match layout {
+            MramLayout::Chunk(chunk) => chunk_layout(shape, chunk),
+            MramLayout::Broadcast(_) => (Shape::new(shape), AffineMap::identity(shape.len())),
+        };
+        buffers[i] = alloc(&mut b, ty, &buffer_shape, at + 1);
+        let mut scatter = b
             .op(cnm::SCATTER)
-            .operands([operand, buf.result(), wg.result()])
-            .attr("scatter_map", tiling_map(otile))
-            .result(Type::Token)
-            .push_at(at + 1);
+            .operands([operand, buffers[i], wg])
+            .attr("scatter_map", map)
+            .result(Type::Token);
+        if matches!(layout, MramLayout::Broadcast(_)) {
+            scatter = scatter.flag("cnm.broadcast");
+        }
+        tokens[i] = scatter.push_at(at + 2).result();
         at += 2;
-        debug_assert!(buf.result() == buffer(i) && tok.result() == token(i));
     }
+    let (out_shape, out_map) = chunk_layout(result_ty.shape().unwrap_or(&[]), geometry.out_chunk);
+    buffers[arity] = alloc(&mut b, result_ty, &out_shape, at + 1);
+    let buffers = &buffers[..=arity];
 
-    // Output buffer.
-    let out_buf = b
-        .op(cnm::ALLOC)
-        .operand(wg.result())
-        .attr("cnm.physical_space", "global")
-        .result(Type::cnm_buffer(&tile_shape, elem, 0))
-        .push_at(at);
-    at += 1;
-
-    // Launch with the kernel annotated for the device code generator.
+    // Launch the geometry's kernel, generated by the rule the backend
+    // launches it with. The kernel region sees every buffer as PU-private
+    // memory, and is terminated.
+    let (args, kernel_op) = kernel_args(&geometry.kernel);
     let mut launch = b
         .op(cnm::LAUNCH)
-        .operand(wg.result())
-        .operands((0..num_operands).map(buffer))
-        .operand(out_buf.result())
-        .attr("cnm.op_kind", op_name.as_str())
-        .attr("cnm.tile_shape", Attribute::IntArray(tile_shape))
+        .operand(wg)
+        .operands(buffers.iter().copied())
+        .attr("cnm.kernel", geometry.kernel.name())
+        .attr("cnm.kernel_args", Attribute::IntArray(args))
         .attr("cnm.wram_tile", codegen.wram_tile as i64)
         .result(Type::Token)
         .region([]);
+    if let Some(kernel_op) = kernel_op {
+        launch = launch.attr("cnm.kernel_op", kernel_op);
+    }
     if codegen.locality_optimized {
         launch = launch.flag("cnm.locality_optimized");
     }
-    let launch = launch.push_at(at);
-    at += 1;
-    // The kernel region sees every buffer as PU-private memory, and is
-    // terminated.
+    let launch = launch.push_at(at + 2);
     let kernel_block = b.body().op_region_entry_block(launch.id, 0);
-    for v in (0..num_operands).map(buffer).chain([out_buf.result()]) {
-        let ty = match *b.body().value_type(v) {
-            Type::CnmBuffer(t) => Type::memref_in(&t.shape, t.elem, MemorySpace::PuPrivate),
-            other => other,
+    for &v in buffers {
+        let Type::CnmBuffer(t) = *b.body().value_type(v) else {
+            unreachable!("an allocated buffer")
         };
-        b.body_mut().add_block_arg(kernel_block, ty);
+        let view = Type::memref_in(&t.shape, t.elem, MemorySpace::PuPrivate);
+        b.body_mut().add_block_arg(kernel_block, view);
     }
-    OpBuilder::at_end(b.body_mut(), kernel_block)
-        .op(cnm::TERMINATOR)
-        .push();
+    let mut kb = OpBuilder::at_end(b.body_mut(), kernel_block);
+    kb.op(cnm::TERMINATOR).push();
 
-    // Gather the result and synchronise.
-    let gather = b
+    // Gather the output chunks and synchronise. Per-PU partials are named:
+    // the host folds or merges them into the result.
+    let partials = match geometry.out_layout {
+        OutputLayout::ReducePartials { .. } => Some("reduce"),
+        OutputLayout::HistPartials { .. } => Some("histogram"),
+        _ => None,
+    };
+    let mut gather = b
         .op(cnm::GATHER)
-        .operands([out_buf.result(), wg.result()])
-        .attr("scatter_map", tiling_map(tile_shape))
+        .operands([buffers[arity], wg])
+        .attr("scatter_map", out_map)
         .result(result_ty)
-        .result(Type::Token)
-        .push_at(at);
+        .result(Type::Token);
+    if let Some(partials) = partials {
+        gather = gather.attr("cnm.partials", partials);
+    }
+    let gather = gather.push_at(at + 3);
     b.op(cnm::WAIT)
-        .operands((0..num_operands).map(token))
+        .operands(tokens[..arity].iter().copied())
         .operands([launch.result_at(0), gather.result_at(1)])
-        .push_at(at + 1);
-    b.op(cnm::FREE_WORKGROUP)
-        .operand(wg.result())
-        .push_at(at + 2);
+        .push_at(at + 4);
+    b.op(cnm::FREE_WORKGROUP).operand(wg).push_at(at + 5);
 
     // The original op still references its operands; erase it last.
     replace_op(body, op, gather.result_at(0));
-    Ok(())
 }
 
-/// The map that tiles a tensor into per-PU tiles of `tile` (an empty extent
-/// counts as one).
-fn tiling_map(mut tile: Shape) -> AffineMap {
-    for d in tile.iter_mut() {
-        *d = (*d).max(1);
+/// The per-PU buffer shape and the scatter map of a tensor of `shape` in
+/// chunks of `chunk` elements, PU `p` holding the row-major positions
+/// `[p·chunk, (p+1)·chunk)`. When a chunk is a row-major block of the
+/// tensor — whole trailing dimensions under a part of one dimension that
+/// the part divides (any part of the leading one) — the buffer has the
+/// block's shape and the map tiles by it; otherwise the buffer is flat and
+/// the map splits the row-major position.
+fn chunk_layout(shape: &[i64], chunk: usize) -> (Shape, AffineMap) {
+    let (chunk, mut block, mut inner) = (chunk.max(1) as i64, Shape::new(shape), 1);
+    for d in (0..shape.len()).rev() {
+        let extent = shape[d].max(1);
+        if d > 0 && chunk % (inner * extent) == 0 {
+            inner *= extent;
+            continue;
+        }
+        let part = chunk / inner;
+        if d > 0 && extent % part != 0 {
+            break;
+        }
+        block[d] = part;
+        block[..d].fill(1);
+        return (block, AffineMap::tiling(&block));
     }
-    AffineMap::tiling(&tile)
+    let position = (1..shape.len()).fold(AffineExpr::dim(0), |i, d| {
+        i.mul(AffineExpr::constant(shape[d]))
+            .add(AffineExpr::dim(d))
+    });
+    let exprs = vec![position.clone().floor_div(chunk), position.modulo(chunk)];
+    let map = AffineMap::new(shape.len().max(1), exprs);
+    (Shape::new(&[chunk]), map)
+}
+
+/// What a launch states of its kernel besides the kernel's name: its
+/// integer parameters in field order, and the operator of an element-wise or
+/// reduction kernel.
+fn kernel_args(kernel: &DpuKernelKind) -> (Shape, Option<&'static str>) {
+    let funs = linalg::ELEMWISE_FUNS;
+    let op_name = |op| funs.iter().copied().find(|f| BinOp::parse(f) == Some(op));
+    let u = |v: usize| v as i64;
+    match *kernel {
+        DpuKernelKind::Gemm { m, k, n } => (Shape::new(&[u(m), u(k), u(n)]), None),
+        DpuKernelKind::Gemv { rows, cols } => (Shape::new(&[u(rows), u(cols)]), None),
+        DpuKernelKind::Elementwise { op, len } | DpuKernelKind::Reduce { op, len } => {
+            (Shape::new(&[u(len)]), op_name(op))
+        }
+        DpuKernelKind::Histogram {
+            bins,
+            len,
+            max_value,
+        } => (Shape::new(&[u(bins), u(len), max_value.into()]), None),
+        _ => unreachable!("no decoded op runs a {} kernel", kernel.name()),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // cinm -> cim
 // ---------------------------------------------------------------------------
 
-/// Options of the `cinm → cim` lowering. The crossbar geometry the kernels
-/// are tiled for is the architecture's (`memristor::arch`).
+/// Options of the `cinm → cim` lowering. The kernels are tiled by the
+/// crossbar schedule on the default crossbar (`CrossbarConfig::default()`).
 #[derive(Debug, Clone, Default)]
 pub struct CimLoweringOptions {
     /// Interchange the tile loops to minimise crossbar writes
@@ -635,22 +680,28 @@ impl Pass for CinmToCimPass {
             if !func.body.is_live(op) {
                 continue;
             }
-            let name = func.body.op(op).name;
-            if name != cinm::GEMM && name != cinm::GEMV {
+            let Some(dims) = CnmOp::from_cinm(&func.body, op).and_then(CnmOp::matmul_dims) else {
                 continue;
-            }
-            lower_cinm_op_to_cim(&mut func.body, op, &self.options)?;
+            };
+            let o = &self.options;
+            let flags = (o.min_writes, o.parallel_tiles);
+            let schedule = CimSchedule::new(dims, &CrossbarConfig::default(), flags);
+            lower_cinm_op_to_cim(&mut func.body, op, o, schedule.blocking());
             changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
 }
 
-fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions) -> IrResult<()> {
+/// Replaces the matmul-like `op` with its `cim` program, tiled by
+/// `(tile rows, tiles per batch)` of its crossbar schedule.
+fn lower_cinm_op_to_cim(
+    body: &mut Body,
+    op: OpId,
+    options: &CimLoweringOptions,
+    (tile_size, num_tiles): (usize, usize),
+) {
     let op_name = body.op(op).name;
-    if body.op(op).operands.len() != 2 {
-        return Err(IrError::new(format!("{op_name} expects 2 operands")));
-    }
     let (operands, _, result_ty) = unpack::<2>(body, op);
     let arg_types = operands.map(|v| *body.value_type(v));
     let block = body.op_block(op);
@@ -663,8 +714,8 @@ fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions)
         .operand(device.result())
         .operands(operands)
         .attr("cim.kernel", op_name.as_str())
-        .attr("cim.tile_size", memristor::arch::TILE_ROWS as i64)
-        .attr("cim.num_tiles", memristor::arch::NUM_TILES as i64)
+        .attr("cim.tile_size", tile_size as i64)
+        .attr("cim.num_tiles", num_tiles as i64)
         .result(result_ty)
         .region(arg_types);
     if options.min_writes {
@@ -695,29 +746,21 @@ fn lower_cinm_op_to_cim(body: &mut Body, op: OpId, options: &CimLoweringOptions)
         .push_at(index + 3);
 
     replace_op(body, op, exec.result_at(0));
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // cnm -> upmem and cim -> memristor
 // ---------------------------------------------------------------------------
 
-/// Options of the `cnm → upmem` lowering.
+/// Options of the `cnm → upmem` lowering. The grid is the workgroup's: the
+/// pass writes its DPU and tasklet counts, and these fields must agree with
+/// them.
 #[derive(Debug, Clone)]
 pub struct UpmemLoweringOptions {
     /// Number of DIMMs (ranks).
     pub ranks: i64,
     /// Tasklets per DPU.
     pub tasklets: i64,
-}
-
-impl Default for UpmemLoweringOptions {
-    fn default() -> Self {
-        UpmemLoweringOptions {
-            ranks: 4,
-            tasklets: 16,
-        }
-    }
 }
 
 /// Maps `cnm` ops onto the `upmem` device dialect.
@@ -730,6 +773,22 @@ impl CnmToUpmemPass {
     /// Creates the pass with the given options.
     pub fn new(options: UpmemLoweringOptions) -> Self {
         CnmToUpmemPass { options }
+    }
+
+    /// The grid of the workgroup `v` as `[ranks, DPUs per rank, tasklets]`:
+    /// the workgroup is its one statement, and options that disagree with it
+    /// are an error.
+    fn grid(&self, body: &Body, v: ValueId) -> IrResult<[i64; 3]> {
+        let (o, per_rank) = (&self.options, UpmemConfig::default().dpus_per_rank as i64);
+        match *body.value_type(v) {
+            Type::CnmWorkgroup(wg) if wg.shape[..] == [o.ranks * per_rank, o.tasklets] => {
+                Ok([wg.shape[0] / per_rank, per_rank, wg.shape[1]])
+            }
+            ty => Err(IrError::new(format!(
+                "{} ranks of {} tasklets disagree with {ty}",
+                o.ranks, o.tasklets
+            ))),
+        }
     }
 }
 
@@ -745,41 +804,36 @@ impl Pass for CnmToUpmemPass {
                 continue;
             }
             let new_name = match func.body.op(op).name.as_str() {
-                cnm::WORKGROUP => Some(upmem::ALLOC_DPUS),
-                cnm::ALLOC => Some(upmem::ALLOC_MRAM),
-                cnm::SCATTER => Some(upmem::SCATTER),
-                cnm::GATHER => Some(upmem::GATHER),
-                cnm::LAUNCH => Some(upmem::LAUNCH),
-                cnm::WAIT => Some(upmem::WAIT),
-                cnm::FREE_WORKGROUP => Some(upmem::FREE_DPUS),
-                cnm::TERMINATOR => Some(upmem::TERMINATOR),
-                _ => None,
+                cnm::WORKGROUP => upmem::ALLOC_DPUS,
+                cnm::ALLOC => upmem::ALLOC_MRAM,
+                cnm::SCATTER => upmem::SCATTER,
+                cnm::GATHER => upmem::GATHER,
+                cnm::LAUNCH => upmem::LAUNCH,
+                cnm::WAIT => upmem::WAIT,
+                cnm::FREE_WORKGROUP => upmem::FREE_DPUS,
+                cnm::TERMINATOR => upmem::TERMINATOR,
+                _ => continue,
             };
-            if let Some(new_name) = new_name {
-                let body = &mut func.body;
-                body.rename_op(op, new_name);
-                match new_name {
-                    upmem::ALLOC_DPUS => {
-                        body.set_attr(op, "ranks", Attribute::Int(self.options.ranks));
-                        body.set_attr(
-                            op,
-                            "dpus_per_rank",
-                            Attribute::Int(upmem::arch::DPUS_PER_DIMM as i64),
-                        );
-                        body.set_attr(op, "tasklets", Attribute::Int(self.options.tasklets));
+            let body = &mut func.body;
+            body.rename_op(op, new_name);
+            match new_name {
+                upmem::ALLOC_DPUS => {
+                    let grid = self.grid(body, body.result(op, 0))?;
+                    for (key, n) in std::iter::zip(["ranks", "dpus_per_rank", "tasklets"], grid) {
+                        body.set_attr(op, key, Attribute::Int(n));
                     }
-                    upmem::LAUNCH => {
-                        // The kernel is the op kind the launch carries: its
-                        // name is `'static`, so copying the attribute is free.
-                        let kernel = body.op(op).attr("cnm.op_kind").cloned();
-                        let kernel = kernel.unwrap_or("generic".into());
-                        body.set_attr(op, "kernel", kernel);
-                        body.set_attr(op, "tasklets", Attribute::Int(self.options.tasklets));
-                    }
-                    _ => {}
                 }
-                changed = true;
+                upmem::LAUNCH => {
+                    // The kernel is the one the launch carries: its name is
+                    // `'static`, so copying the attribute is free.
+                    let [.., tasklets] = self.grid(body, body.op(op).operands[0])?;
+                    let kernel = body.op(op).attr("cnm.kernel").cloned();
+                    body.set_attr(op, "kernel", kernel.unwrap_or("generic".into()));
+                    body.set_attr(op, "tasklets", Attribute::Int(tasklets));
+                }
+                _ => {}
             }
+            changed = true;
         }
         Ok(PassResult::from_changed(changed))
     }
@@ -803,10 +857,11 @@ impl Pass for CimToMemristorPass {
             match body.op(op).name.as_str() {
                 cim::ACQUIRE => {
                     body.rename_op(op, memristor::CONFIGURE);
+                    let xbar = CrossbarConfig::default();
                     for (key, value) in [
-                        ("tile_rows", memristor::arch::TILE_ROWS),
-                        ("tile_cols", memristor::arch::TILE_COLS),
-                        ("num_tiles", memristor::arch::NUM_TILES),
+                        ("tile_rows", xbar.tile_rows),
+                        ("tile_cols", xbar.tile_cols),
+                        ("num_tiles", xbar.num_tiles),
                     ] {
                         body.set_attr(op, key, Attribute::Int(value as i64));
                     }
@@ -999,10 +1054,18 @@ mod tests {
             f.body.ops_with_name(cnm::WORKGROUP).len()
         );
         assert!(!f.body.ops_with_name(cnm::GATHER).is_empty());
-        // The launch carries the kernel annotation for codegen.
-        let launch = f.body.ops_with_name(cnm::LAUNCH)[0];
-        assert_eq!(f.body.op(launch).str_attr("cnm.op_kind"), Some(cinm::GEMM));
-        assert!(f.body.op(launch).has_attr("cnm.locality_optimized"));
+        // The launch carries the geometry's kernel on the workgroup's 8 DPUs
+        // (8 rows of A each), and B is broadcast whole.
+        let launch = f.body.op(f.body.ops_with_name(cnm::LAUNCH)[0]);
+        assert_eq!(launch.str_attr("cnm.kernel"), Some("gemm"));
+        assert_eq!(
+            launch.int_array_attr("cnm.kernel_args"),
+            Some(&[8, 64, 64][..])
+        );
+        assert!(launch.has_attr("cnm.locality_optimized"));
+        let broadcast = |&s: &OpId| f.body.op(s).has_attr("cnm.broadcast");
+        let scatters = f.body.ops_with_name(cnm::SCATTER);
+        assert_eq!(scatters.iter().filter(|s| broadcast(s)).count(), 1);
         verify_func(&f, &register_all_dialects()).unwrap();
     }
 
@@ -1019,6 +1082,7 @@ mod tests {
         let exec = f.body.ops_with_name(cim::EXECUTE)[0];
         assert!(f.body.op(exec).has_attr("cim.min_writes"));
         assert!(f.body.op(exec).has_attr("cim.parallel_tiles"));
+        assert_eq!(f.body.op(exec).int_attr("cim.num_tiles"), Some(4));
         verify_func(&f, &register_all_dialects()).unwrap();
     }
 
@@ -1030,17 +1094,16 @@ mod tests {
         CinmToCnmPass::new(CnmLoweringOptions::default())
             .run_on_func(&mut f)
             .unwrap();
-        CnmToUpmemPass::new(UpmemLoweringOptions {
-            ranks: 8,
-            tasklets: 16,
-        })
-        .run_on_func(&mut f)
-        .unwrap();
+        // The default workgroup is 512 DPUs of 16 tasklets: 4 ranks. Options
+        // that disagree with it are an error.
+        let upmem = |ranks, tasklets| CnmToUpmemPass::new(UpmemLoweringOptions { ranks, tasklets });
+        assert!(upmem(8, 16).run_on_func(&mut f.clone()).is_err());
+        upmem(4, 16).run_on_func(&mut f).unwrap();
         assert!(f.body.ops_in_dialect("cnm").is_empty());
         let alloc = f.body.ops_with_name(upmem::ALLOC_DPUS)[0];
-        assert_eq!(f.body.op(alloc).int_attr("ranks"), Some(8));
+        assert_eq!(f.body.op(alloc).int_attr("ranks"), Some(4));
         let launch = f.body.ops_with_name(upmem::LAUNCH)[0];
-        assert_eq!(f.body.op(launch).str_attr("kernel"), Some(cinm::GEMM));
+        assert_eq!(f.body.op(launch).str_attr("kernel"), Some("gemm"));
 
         // CIM path.
         let mut g = matmul_func();
@@ -1048,6 +1111,9 @@ mod tests {
         CinmToCimPass::new(CimLoweringOptions::default())
             .run_on_func(&mut g)
             .unwrap();
+        // Without `cim-parallel` a batch is one tile.
+        let exec = g.body.ops_with_name(cim::EXECUTE)[0];
+        assert_eq!(g.body.op(exec).int_attr("cim.num_tiles"), Some(1));
         CimToMemristorPass.run_on_func(&mut g).unwrap();
         assert!(g.body.ops_with_name(cim::ACQUIRE).is_empty());
         assert_eq!(g.body.ops_with_name(memristor::CONFIGURE).len(), 1);

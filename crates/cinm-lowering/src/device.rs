@@ -326,12 +326,7 @@ impl CostModel for CimCostModel {
     }
 
     fn price(&self, op: CnmOp) -> Option<Cost> {
-        let dims = match op {
-            CnmOp::Gemm { m, k, n } => (m, k, n),
-            CnmOp::Gemv { rows, cols } => (rows, cols, 1),
-            _ => return None,
-        };
-        let schedule = CimSchedule::new(dims, &self.config, self.flags);
+        let schedule = CimSchedule::new(op.matmul_dims()?, &self.config, self.flags);
         Some(Cost {
             seconds: schedule.seconds(&self.config, &self.host),
             joules: schedule.joules(&self.config, &self.host),
@@ -598,20 +593,14 @@ impl Device for CimDevice {
     }
 
     fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
-        if !matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. }) {
+        let Some((m, k, n)) = op.matmul_dims() else {
             return Err(unsupported(Target::Cim, op));
-        }
-        if op.work() == 0 {
+        };
+        if m == 0 {
             return Ok((Vec::new(), 0.0));
         }
         let before = self.backend.stats().total_seconds();
-        let (a, b) = (operands[0], operands[1]);
-        let result = match op {
-            CnmOp::Gemm { m, k, n } => self.backend.try_gemm(a, b, m, k, n),
-            CnmOp::Gemv { rows, cols } => self.backend.try_gemv(a, b, rows, cols),
-            _ => unreachable!("the crossbar runs matmul-like ops only"),
-        };
-        match result {
+        match self.backend.try_gemm(operands[0], operands[1], m, k, n) {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;

@@ -273,6 +273,7 @@ mod tests {
     fn default_matches_paper_machine() {
         let c = UpmemConfig::default();
         assert_eq!(c.ranks, 16);
+        assert_eq!((c.dpus_per_rank, c.dpu_freq_hz), (128, 350.0e6));
         assert_eq!(c.num_dpus(), 2048);
         assert_eq!(c.tasklets, 16);
         assert_eq!(c.wram_bytes, 65_536);

@@ -5,8 +5,11 @@
 use cinm::core::runner;
 use cinm::core::{cim_pipeline, cinm_pipeline, cnm_pipeline, compile, Target, TargetSelector};
 use cinm::ir::prelude::*;
-use cinm::lowering::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
-use cinm::upmem::DpuKernelKind;
+use cinm::lowering::cnm_op::{CnmOp, MramLayout, OutputLayout};
+use cinm::lowering::{
+    CimBackend, CimRunOptions, CinmToCnmPass, CnmLoweringOptions, UpmemBackend, UpmemRunOptions,
+};
+use cinm::upmem::{BinOp, DpuKernelKind};
 use cinm::workloads::{build_func, Scale, WorkloadId};
 use cinm_lowering::CimLoweringOptions;
 
@@ -40,79 +43,279 @@ fn every_cim_workload_runs_correctly_on_the_crossbar_backend() {
     }
 }
 
+/// What the one lowering table decodes each `cinm` op of a program at the
+/// `cinm` level to, in walk order (`None`: the op stays at the `cinm` level
+/// for the host).
+fn decoded_cinm_ops(id: WorkloadId, scale: Scale) -> Vec<Option<CnmOp>> {
+    let mut module = Module::new(id.name());
+    module.add_func(build_func(id, scale));
+    compile(&mut module, &cinm_pipeline()).expect("cinm pipeline");
+    let body = &module.funcs[0].body;
+    let ops = body.walk().into_iter();
+    ops.filter(|&op| body.op(op).dialect() == "cinm")
+        .map(|op| CnmOp::from_cinm(body, op))
+        .collect()
+}
+
+/// Both sides of the `cinm → cnm` lowering: every op the table decodes
+/// became a launch, and every `cinm` op left is one the table refuses. Ops
+/// with no `cinm` counterpart (the MLP's bias-add generic and clamp, the
+/// im2col rearrangement) stay for the host on both routes, as in Section
+/// 3.2.2, and every matmul-like program reaches the crossbar's dialect.
 #[test]
 fn pipelines_lower_every_idiomatic_workload_to_device_dialects() {
+    let host_residue = |f: &Func| {
+        f.body.ops_in_dialect("linalg").iter().all(|&op| {
+            let name = f.body.op(op).name;
+            ["linalg.im2col", "linalg.generic", "linalg.elemwise_unary"].contains(&name.as_str())
+        })
+    };
     for id in WorkloadId::upmem_opt_suite() {
         let mut module = Module::new(id.name());
         module.add_func(build_func(id, Scale::Test));
         compile(&mut module, &cnm_pipeline(4, true)).expect("cnm pipeline");
         let f = &module.funcs[0];
-        assert!(
-            !f.body.ops_with_name("upmem.launch").is_empty(),
-            "{}",
-            id.name()
-        );
+        let decoded = decoded_cinm_ops(id, Scale::Test)
+            .into_iter()
+            .flatten()
+            .count();
+        assert!(decoded > 0 && host_residue(f), "{}", id.name());
+        let launches = f.body.ops_with_name("upmem.launch").len();
+        assert_eq!(launches, decoded, "{}", id.name());
         assert!(
             !f.body.ops_with_name("upmem.scatter").is_empty(),
             "{}",
             id.name()
         );
-        assert!(f.body.ops_in_dialect("cinm").is_empty(), "{}", id.name());
+        for op in f.body.ops_in_dialect("cinm") {
+            let left = CnmOp::from_cinm(&f.body, op);
+            assert_eq!(left, None, "{}: {}", id.name(), f.body.op(op).name);
+        }
     }
     for id in WorkloadId::cim_suite() {
         let mut module = Module::new(id.name());
         module.add_func(build_func(id, Scale::Test));
         compile(&mut module, &cim_pipeline(CimLoweringOptions::optimized())).expect("cim pipeline");
         let f = &module.funcs[0];
-        assert!(
-            !f.body.ops_with_name("memristor.configure").is_empty(),
-            "{}",
-            id.name()
-        );
+        assert!(host_residue(f), "{}", id.name());
+        for device_op in ["memristor.configure", "memristor.gemm_tile"] {
+            assert!(!f.body.ops_with_name(device_op).is_empty(), "{}", id.name());
+        }
     }
 }
 
-/// The first place the lowered IR meets the simulator: every `upmem.launch`
-/// of the upmem-route programs carries the WRAM tile, locality flag and
-/// tasklets of the kernel spec `UpmemBackend` launches under the matching
-/// options — the `cinm-opt` lowering with `optimized()`, the baseline
-/// lowering with `default()`.
+/// The per-DPU kernel a lowered launch states: its name, integer arguments
+/// and operator (`None` when they are missing or name no kernel).
+fn launch_kernel(launch: &Operation<'_>) -> Option<DpuKernelKind> {
+    let a = launch.int_array_attr("cnm.kernel_args")?;
+    let u = |i: usize| a.get(i).map(|&v| v as usize);
+    let op = || BinOp::parse(launch.str_attr("cnm.kernel_op")?);
+    Some(match launch.str_attr("kernel")? {
+        "gemm" => DpuKernelKind::Gemm {
+            m: u(0)?,
+            k: u(1)?,
+            n: u(2)?,
+        },
+        "gemv" => DpuKernelKind::Gemv {
+            rows: u(0)?,
+            cols: u(1)?,
+        },
+        "elementwise" => DpuKernelKind::Elementwise {
+            op: op()?,
+            len: u(0)?,
+        },
+        "reduce" => DpuKernelKind::Reduce {
+            op: op()?,
+            len: u(0)?,
+        },
+        "histogram" => DpuKernelKind::Histogram {
+            bins: u(0)?,
+            len: u(1)?,
+            max_value: *a.get(2)? as i32,
+        },
+        _ => return None,
+    })
+}
+
+/// Where the lowered IR meets the simulator: every `upmem.launch` states the
+/// program `UpmemBackend` runs for the `cinm` op it came from. Its operand
+/// buffers (a per-DPU chunk, or the whole operand where the scatter
+/// broadcasts), its output chunk, its kernel and the partials its gather
+/// names are `CnmOp::geometry` of that op on the workgroup's DPUs, and its
+/// WRAM tile, locality flag and tasklets are those of the kernel spec the
+/// backend launches under the matching options — the `cinm-opt` lowering
+/// with `optimized()`, the baseline lowering with `default()`. The
+/// programs are the upmem route's nine at the benchmark's scale and the
+/// streaming `va`, `red` and `hst-l` at test scale.
 #[test]
 fn every_upmem_launch_carries_the_kernel_spec_the_backend_launches() {
+    let programs = WorkloadId::upmem_opt_suite()
+        .into_iter()
+        .map(|id| (id, Scale::Bench))
+        .chain([WorkloadId::Va, WorkloadId::Red, WorkloadId::HstL].map(|id| (id, Scale::Test)));
     let lowerings = [
         (true, UpmemRunOptions::optimized()),
         (false, UpmemRunOptions::default()),
     ];
-    for (optimize_locality, options) in lowerings {
-        let spec = UpmemBackend::new(8, options).kernel_spec(
-            DpuKernelKind::Gemv { rows: 1, cols: 1 },
-            vec![0, 1],
-            2,
-        );
-        let want = (
-            Some(spec.wram_tile_elems as i64),
-            spec.locality_optimized,
-            spec.tasklets.map(|t| t as i64),
-        );
-        let pm = cnm_pipeline(8, optimize_locality);
-        for id in WorkloadId::upmem_opt_suite() {
+    let mut wrong = Vec::new();
+    for (id, scale) in programs {
+        let expected: Vec<CnmOp> = decoded_cinm_ops(id, scale).into_iter().flatten().collect();
+        for (optimize_locality, options) in lowerings.clone() {
+            let backend = UpmemBackend::new(8, options);
             let mut module = Module::new(id.name());
-            module.add_func(build_func(id, Scale::Test));
-            compile(&mut module, &pm).expect("cnm pipeline");
-            let f = &module.funcs[0];
-            let launches = f.body.ops_with_name("upmem.launch");
+            module.add_func(build_func(id, scale));
+            compile(&mut module, &cnm_pipeline(8, optimize_locality)).expect("cnm pipeline");
+            let body = &module.funcs[0].body;
+            let launches = body.ops_with_name("upmem.launch");
             assert!(!launches.is_empty(), "{}", id.name());
-            for launch in launches {
-                let op = f.body.op(launch);
+            if launches.len() != expected.len() {
+                let n = (launches.len(), expected.len());
+                wrong.push(format!(
+                    "{}: {} launches for {} decoded ops",
+                    id.name(),
+                    n.0,
+                    n.1
+                ));
+                continue;
+            }
+            for (&launch, &cnm_op) in launches.iter().zip(&expected) {
+                let at = format!(
+                    "{} ({scale:?}, locality {optimize_locality}) {cnm_op:?}",
+                    id.name()
+                );
+                let op = body.op(launch);
+                let buffers = &op.operands[1..];
+                let Type::CnmWorkgroup(wg) = *body.value_type(op.operands[0]) else {
+                    panic!("{at}: a launch runs on a workgroup");
+                };
+                let dpus = wg.shape[0] as usize;
+                assert_eq!(dpus, backend.num_dpus(), "{at}");
+                let geometry = cnm_op.geometry(dpus);
+                let elements = |v: ValueId| body.value_type(v).num_elements() as usize;
+                let writes =
+                    |v: ValueId, name| body.users(v).into_iter().find(|&u| body.op(u).name == name);
+                let layouts: Vec<MramLayout> = buffers[..buffers.len() - 1]
+                    .iter()
+                    .map(|&buf| {
+                        let scatter = writes(buf, "upmem.scatter").map(|s| body.op(s));
+                        match scatter.is_some_and(|s| s.has_attr("cnm.broadcast")) {
+                            true => MramLayout::Broadcast(elements(buf)),
+                            false => MramLayout::Chunk(elements(buf)),
+                        }
+                    })
+                    .collect();
+                if layouts != geometry.inputs[..layouts.len()] {
+                    wrong.push(format!(
+                        "{at}: operand buffers {layouts:?}, geometry {:?}",
+                        geometry.inputs
+                    ));
+                }
+                let out = *buffers.last().unwrap();
+                if elements(out) != geometry.out_chunk {
+                    wrong.push(format!(
+                        "{at}: output chunk {}, geometry {}",
+                        elements(out),
+                        geometry.out_chunk
+                    ));
+                }
+                if launch_kernel(&op).as_ref() != Some(&geometry.kernel) {
+                    wrong.push(format!(
+                        "{at}: kernel {:?}, geometry {:?}",
+                        launch_kernel(&op),
+                        geometry.kernel
+                    ));
+                }
+                let gather = writes(out, "upmem.gather").map(|g| body.op(g));
+                let partials = gather.and_then(|g| g.str_attr("cnm.partials"));
+                let want = match geometry.out_layout {
+                    OutputLayout::ReducePartials { .. } => Some("reduce"),
+                    OutputLayout::HistPartials { .. } => Some("histogram"),
+                    _ => None,
+                };
+                if partials != want {
+                    wrong.push(format!(
+                        "{at}: gather partials {partials:?}, geometry {want:?}"
+                    ));
+                }
+                let inputs = geometry.kernel.num_inputs() as u32;
+                let spec = backend.kernel_spec(geometry.kernel, (0..inputs).collect(), inputs);
                 let got = (
                     op.int_attr("cnm.wram_tile"),
                     op.has_attr("cnm.locality_optimized"),
                     op.int_attr("tasklets"),
                 );
-                assert_eq!(got, want, "{} (locality {optimize_locality})", id.name());
+                let want = (
+                    Some(spec.wram_tile_elems as i64),
+                    spec.locality_optimized,
+                    spec.tasklets.map(|t| t as i64),
+                );
+                assert_eq!(got, want, "{at}");
             }
         }
     }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// A chunked operand's scatter map, and the output's gather map, put
+/// `chunk` consecutive row-major elements on each PU at consecutive buffer
+/// positions, and the buffer holds one chunk — whether the chunk is a block
+/// of the tensor (a tiling map) or not (a split of the row-major position).
+/// An element-wise op over a 4×6 tensor on 1 to 24 DPUs takes both forms.
+#[test]
+fn chunk_maps_put_consecutive_row_major_elements_on_one_pu() {
+    let row_major = |coords: &[i64], extents: &[i64]| {
+        coords.iter().zip(extents).fold(0, |at, (c, e)| at * e + c)
+    };
+    let (shape, t) = ([4, 6], Type::tensor(&[4, 6], ScalarType::I32));
+    let mut map_forms = [0, 0];
+    for dpus in 1..=24 {
+        let mut f = Func::new("add", vec![t, t], vec![t]);
+        let (a, b) = (f.argument(0), f.argument(1));
+        let entry = f.body.entry_block();
+        let mut builder = OpBuilder::at_end(&mut f.body, entry);
+        let sum = builder.op("cinm.add").operands([a, b]).result(t).push();
+        cinm::dialects::func::ret(&mut builder, &[sum.result()]);
+        let options = CnmLoweringOptions {
+            workgroup: vec![dpus, 1],
+            ..Default::default()
+        };
+        CinmToCnmPass::new(options).run_on_func(&mut f).unwrap();
+        let chunk = 24 / dpus + i64::from(24 % dpus != 0);
+        let scatters = f
+            .body
+            .ops_with_name("cnm.scatter")
+            .into_iter()
+            .map(|op| (op, 1));
+        let gathers = f
+            .body
+            .ops_with_name("cnm.gather")
+            .into_iter()
+            .map(|op| (op, 0));
+        for (op, buffer) in scatters.chain(gathers) {
+            let op = f.body.op(op);
+            let map = op.attr("scatter_map").and_then(Attribute::as_map).unwrap();
+            let buffer = f.body.value_type(op.operands[buffer]).shape().unwrap();
+            assert_eq!(buffer.iter().product::<i64>(), chunk, "{dpus} DPUs");
+            // A block's PU is its row-major place in the grid of blocks.
+            let blocks: Vec<i64> = match buffer.len() {
+                2 => (0..2)
+                    .map(|d| shape[d] / buffer[d] + i64::from(shape[d] % buffer[d] != 0))
+                    .collect(),
+                _ => vec![dpus],
+            };
+            map_forms[buffer.len() - 1] += 1;
+            for at in 0..24 {
+                let image = map.eval(&[at / 6, at % 6]);
+                let (pu, offset) = image.split_at(image.len() / 2);
+                let got = (row_major(pu, &blocks), row_major(offset, buffer));
+                assert_eq!(got, (at / chunk, at % chunk), "{dpus} DPUs, element {at}");
+            }
+        }
+    }
+    assert!(
+        map_forms.iter().all(|&n| n > 0),
+        "both map forms: {map_forms:?}"
+    );
 }
 
 /// `compile` verifies strictly: every program of the suite lowers through
@@ -223,9 +426,13 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// `print_module` of the benchmark's 33 lowered (program, route) pairs at
-/// its scale, hashed at the commit before attribute maps became sorted lists
-/// and op names `'static`: the printer's attribute order and every name are
-/// byte-identical to it.
+/// its scale. The `cinm` and `memristor` entries were hashed at the commit
+/// before attribute maps became sorted lists and op names `'static`: the
+/// printer's attribute order and every name are byte-identical to it. The
+/// `upmem` entries were re-pinned when `cinm → cnm` began lowering each op
+/// from `CnmOp::geometry`: broadcast operands, per-DPU chunks of the
+/// workgroup's DPUs, the kernel on the launch and `mlp`'s transposes left
+/// for the host.
 const PRINTED_IR_HASHES: [(&str, &str, u64); 33] = [
     ("cinm", "mm", 0xe3130ac72b5877e1),
     ("cinm", "2mm", 0x760d063546d5732e),
@@ -242,15 +449,15 @@ const PRINTED_IR_HASHES: [(&str, &str, u64); 33] = [
     ("cinm", "hst-l", 0x95cbe0b6d19b8b7c),
     ("cinm", "red", 0x167b89febae55be1),
     ("cinm", "ts", 0x8f55b72a7c6ec3db),
-    ("upmem", "mm", 0x1deb2e243ce83642),
-    ("upmem", "2mm", 0x3e35ffb80170349d),
-    ("upmem", "3mm", 0x1ff995800be9d4a6),
-    ("upmem", "conv", 0xab71d18923d5cecb),
-    ("upmem", "contrl", 0xd95f9a764a3cf244),
-    ("upmem", "contrs1", 0x2495abef4ac6cb85),
-    ("upmem", "contrs2", 0x964e251c572a576c),
-    ("upmem", "mlp", 0x8253f69f7eb7c7b0),
-    ("upmem", "mv", 0xceeeb7baaa67192d),
+    ("upmem", "mm", 0x9ce3e1da3e9b631c),
+    ("upmem", "2mm", 0x2f5c7864c9cdcfaa),
+    ("upmem", "3mm", 0xd571f16f51e4d2f7),
+    ("upmem", "conv", 0xb4998d1fc8062f82),
+    ("upmem", "contrl", 0xa3784b2237f703c7),
+    ("upmem", "contrs1", 0x7a698a5404e77abf),
+    ("upmem", "contrs2", 0x4b0473dde0400071),
+    ("upmem", "mlp", 0x8f54ac9c03f45191),
+    ("upmem", "mv", 0x57c5693764a44888),
     ("memristor", "mv", 0xab9eb59826073c20),
     ("memristor", "mm", 0x1220be813bc16cff),
     ("memristor", "2mm", 0xbd281db3cad67e88),
