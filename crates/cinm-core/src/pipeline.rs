@@ -62,6 +62,58 @@ pub fn compile(module: &mut Module, pm: &PassManager) -> IrResult<PipelineStats>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cinm_workloads::{build_func, Scale, WorkloadId};
+
+    #[test]
+    fn cnm_pipeline_lowers_every_idiomatic_workload() {
+        for id in WorkloadId::upmem_opt_suite() {
+            let mut module = Module::new(id.name());
+            module.add_func(build_func(id, Scale::Test));
+            let pm = cnm_pipeline(4, true);
+            compile(&mut module, &pm).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+            let f = &module.funcs[0];
+            assert!(
+                !f.body.ops_with_name("upmem.launch").is_empty(),
+                "{} should contain at least one upmem.launch",
+                id.name()
+            );
+            // Operators with no cinm counterpart (the bias-add generic and the
+            // clamp of the MLP, plus the im2col data rearrangement) remain for
+            // the host, exactly as described in Section 3.2.2.
+            assert!(f.body.ops_in_dialect("linalg").iter().all(|&op| {
+                matches!(
+                    f.body.op(op).name.as_str(),
+                    "linalg.im2col" | "linalg.generic" | "linalg.elemwise_unary"
+                )
+            }));
+        }
+    }
+
+    #[test]
+    fn cim_pipeline_lowers_matmul_like_workloads() {
+        for id in [
+            WorkloadId::Mm,
+            WorkloadId::Conv,
+            WorkloadId::Contrs2,
+            WorkloadId::Mlp,
+        ] {
+            let mut module = Module::new(id.name());
+            module.add_func(build_func(id, Scale::Test));
+            let pm = cim_pipeline(CimLoweringOptions::optimized());
+            compile(&mut module, &pm).unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+            let f = &module.funcs[0];
+            assert!(
+                !f.body.ops_with_name("memristor.gemm_tile").is_empty(),
+                "{} should target the crossbar",
+                id.name()
+            );
+            assert!(
+                !f.body.ops_with_name("memristor.configure").is_empty(),
+                "{} should configure the device",
+                id.name()
+            );
+        }
+    }
 
     #[test]
     fn pipelines_report_their_pass_order() {
