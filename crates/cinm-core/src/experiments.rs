@@ -1489,9 +1489,9 @@ mod tests {
         }
         let avg = geomean(&rows.iter().map(Table4Row::reduction).collect::<Vec<_>>());
         assert!(avg > 5.0, "average reduction {avg}");
-        // `sel` has the one region with block arguments: its `^bb0` header
-        // counts as one line, not two.
+        // `sel` is one `cinm.select`: the function's header, the op, the
+        // return and the closing brace.
         let sel = rows.iter().find(|r| r.application == "sel").unwrap();
-        assert_eq!(sel.cinm_loc, 8);
+        assert_eq!(sel.cinm_loc, 4);
     }
 }

@@ -126,33 +126,20 @@ pub fn reference(
         },
         WorkloadParams::Select { threshold, .. } => kernels::select_gt(&b[0], threshold),
         WorkloadParams::Bfs { vertices, degree } => {
-            // Partitioned semantics: each partition owns a contiguous block of
-            // vertices with a local CSR fragment.
-            let vp = vertices.div_ceil(partitions.max(1)).max(1);
-            let mut out = Vec::new();
-            for part in 0..vertices.div_ceil(vp) {
-                let v0 = part * vp;
-                let v1 = (v0 + vp).min(vertices);
-                let local_n = v1 - v0;
-                let mut rows = vec![0i32; vp + 1];
-                let mut cols = Vec::new();
-                for (li, v) in (v0..v1).enumerate() {
-                    let s = b[0][v] as usize;
-                    let e = b[0][v + 1] as usize;
-                    cols.extend_from_slice(&b[1][s..e]);
-                    rows[li + 1] = cols.len() as i32;
-                }
-                for li in local_n..vp {
-                    rows[li + 1] = rows[local_n];
-                }
-                let mut frontier = vec![0i32; vp];
-                frontier[..local_n].copy_from_slice(&b[2][v0..v1]);
-                // Pad the column list to the fixed per-partition extent.
-                cols.resize(vp * degree, 0);
-                let next = kernels::bfs_step(&rows, &cols, &frontier, vp);
-                out.extend_from_slice(&next);
-            }
-            out
+            // Partitioned semantics: one golden step per partition's CSR
+            // fragment.
+            let f = bfs_fragments(&b[0], &b[1], &b[2], vertices, degree, partitions);
+            let vp = f.vertices_per_dpu;
+            (0..f.used_dpus)
+                .flat_map(|p| {
+                    kernels::bfs_step(
+                        &f.rows[p * (vp + 1)..][..vp + 1],
+                        &f.cols[p * vp * degree..][..vp * degree],
+                        &f.frontier[p * vp..][..vp],
+                        vp,
+                    )
+                })
+                .collect()
         }
         WorkloadParams::Histogram {
             bins, max_value, ..

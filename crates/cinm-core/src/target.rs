@@ -161,7 +161,7 @@ mod tests {
         let a = f.argument(0);
         let entry = f.body.entry_block();
         let mut b = OpBuilder::at_end(&mut f.body, entry);
-        let h = cinm_ops::histogram(&mut b, a, 64);
+        let h = cinm_ops::histogram(&mut b, a, 64, 256);
         let _ = cinm_ops::pop_count(&mut b, h);
         let selector = TargetSelector::new();
         let hist = f.body.ops_with_name(cinm_ops::HISTOGRAM)[0];

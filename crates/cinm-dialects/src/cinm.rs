@@ -24,7 +24,8 @@ pub const GEMV: &str = "cinm.gemv";
 pub const GEMM: &str = "cinm.gemm";
 /// Op name: `cinm.transpose` (attr `perms`).
 pub const TRANSPOSE: &str = "cinm.transpose";
-/// Op name: `cinm.histogram` (attr `bins`).
+/// Op name: `cinm.histogram` (attrs `bins` and `max`, the exclusive bound
+/// of the input values).
 pub const HISTOGRAM: &str = "cinm.histogram";
 /// Op name: `cinm.majority` — bit-wise majority.
 pub const MAJORITY: &str = "cinm.majority";
@@ -40,6 +41,9 @@ pub const POP_COUNT: &str = "cinm.popCount";
 pub const REDUCE: &str = "cinm.reduce";
 /// Op name: `cinm.scan` (attr `op`) — inclusive scan.
 pub const SCAN: &str = "cinm.scan";
+/// Op name: `cinm.select` (attr `threshold`) — the elements greater than
+/// the threshold, in order (the PrIM database select; not a Table 1 op).
+pub const SELECT: &str = "cinm.select";
 /// Op name: `cinm.compute` — structural op wrapping a region of cinm ops
 /// that should be offloaded as a unit (kernel/region granularity).
 pub const COMPUTE: &str = "cinm.compute";
@@ -82,14 +86,17 @@ pub fn paradigm_support(op_name: &str) -> Option<ParadigmSupport> {
     match op_name {
         NOT => Some(ParadigmSupport::BOTH),
         GEMV | GEMM | SIM_SEARCH | MERGE_PARTIAL => Some(ParadigmSupport::BOTH),
-        TRANSPOSE | HISTOGRAM | MAJORITY | TOPK | REDUCE | SCAN => Some(ParadigmSupport::CNM_ONLY),
+        TRANSPOSE | HISTOGRAM | MAJORITY | TOPK | REDUCE | SCAN | SELECT => {
+            Some(ParadigmSupport::CNM_ONLY)
+        }
         POP_COUNT => Some(ParadigmSupport::CIM_ONLY),
         COMPUTE => Some(ParadigmSupport::BOTH),
         _ => None,
     }
 }
 
-/// All Table 1 op names (excluding the structural `cinm.compute`).
+/// All Table 1 op names (excluding the structural `cinm.compute` and
+/// `cinm.select`).
 pub fn table1_ops() -> Vec<&'static str> {
     let mut ops: Vec<&str> = Vec::new();
     ops.extend_from_slice(ELEMENTWISE_ARITH);
@@ -122,7 +129,7 @@ pub(crate) static OPS: &[OpConstraint] = &[
     OpConstraint::new(HISTOGRAM)
         .operands(1)
         .results(1)
-        .required_attrs(&["bins"]),
+        .required_attrs(&["bins", "max"]),
     OpConstraint::new(MAJORITY).operands(1).results(1),
     OpConstraint::new("cinm.max").operands(2).results(1),
     OpConstraint::new(MERGE_PARTIAL)
@@ -142,6 +149,10 @@ pub(crate) static OPS: &[OpConstraint] = &[
         .operands(1)
         .results(1)
         .required_attrs(&["op"]),
+    OpConstraint::new(SELECT)
+        .operands(1)
+        .results(1)
+        .required_attrs(&["threshold"]),
     OpConstraint::new(SIM_SEARCH)
         .operands(2)
         .results(2)
@@ -260,13 +271,27 @@ pub fn scan(b: &mut OpBuilder<'_>, op: &'static str, input: ValueId) -> ValueId 
         .result()
 }
 
-/// Builds `cinm.histogram (%in)` with `bins` output buckets.
-pub fn histogram(b: &mut OpBuilder<'_>, input: ValueId, bins: i64) -> ValueId {
+/// Builds `cinm.histogram (%in)` with `bins` output buckets over the input
+/// range `[0, max)`.
+pub fn histogram(b: &mut OpBuilder<'_>, input: ValueId, bins: i64, max: i64) -> ValueId {
     let (_, e) = shaped(b, input);
     b.op(HISTOGRAM)
         .operand(input)
         .attr("bins", bins)
+        .attr("max", max)
         .result(Type::tensor(&[bins], e))
+        .push()
+        .result()
+}
+
+/// Builds `cinm.select #threshold (%in)`: the result has the input's shape,
+/// an upper bound on the selected elements.
+pub fn select(b: &mut OpBuilder<'_>, input: ValueId, threshold: i64) -> ValueId {
+    let (s, e) = shaped(b, input);
+    b.op(SELECT)
+        .operand(input)
+        .attr("threshold", threshold)
+        .result(Type::tensor(&s, e))
         .push()
         .result()
 }
@@ -378,7 +403,7 @@ mod tests {
         assert_eq!(paradigm_support(GEMM), Some(ParadigmSupport::BOTH));
         assert_eq!(paradigm_support(GEMV), Some(ParadigmSupport::BOTH));
         // CNM-only ops.
-        for op in [TRANSPOSE, HISTOGRAM, MAJORITY, TOPK, REDUCE, SCAN] {
+        for op in [TRANSPOSE, HISTOGRAM, MAJORITY, TOPK, REDUCE, SCAN, SELECT] {
             assert_eq!(
                 paradigm_support(op),
                 Some(ParadigmSupport::CNM_ONLY),
@@ -428,7 +453,7 @@ mod tests {
             b.body().value_type(s),
             &Type::tensor(&[256], ScalarType::I32)
         );
-        let h = histogram(&mut b, a, 64);
+        let h = histogram(&mut b, a, 64, 256);
         assert_eq!(
             b.body().value_type(h),
             &Type::tensor(&[64], ScalarType::I32)
@@ -450,6 +475,8 @@ mod tests {
         let m = merge_partial(&mut b, "add", a, b_);
         assert_eq!(b.body().value_type(m), b.body().value_type(a));
         let _ = pop_count(&mut b, a);
+        let sel = select(&mut b, a, 7);
+        assert_eq!(b.body().value_type(sel), b.body().value_type(a));
 
         let mut r = DialectRegistry::new();
         register(&mut r);

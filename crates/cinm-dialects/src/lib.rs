@@ -126,7 +126,7 @@ mod tests {
         assert!(r.constraint("cinm.").is_none());
         assert!(r.constraint("nosuch.op").is_none());
         // What the per-call registrations added up to, plus `cinm.yield`.
-        assert_eq!(r.num_ops(), 105 + 1);
+        assert_eq!(r.num_ops(), 106 + 1);
     }
 
     #[test]

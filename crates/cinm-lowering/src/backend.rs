@@ -379,18 +379,38 @@ impl UpmemBackend {
         self.system.num_dpus()
     }
 
-    /// Runs one op eagerly: the generated host program of
-    /// [`CnmOp::commands`] — the operand transfers (scatter or broadcast,
-    /// per the geometry), the launch, the gather — is issued one command
-    /// after another, and the gathered output is decoded by the
-    /// [`CnmOp::geometry`]'s layout. Each command's transient injected
-    /// faults are retried in place (see [`try_op`](Self::try_op)). An op with
-    /// nothing to compute issues no command: it is answered on the host with
-    /// the value the kernels would produce (the reduction's identity, zeros
-    /// otherwise) and touches no device — no buffer, no transfer, no launch,
-    /// no simulated time.
-    pub(crate) fn run_op(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
-        debug_assert_eq!(operands.len(), op.arity());
+    /// Runs one op eagerly: the generated host program of `CnmOp::commands`
+    /// — the operand transfers (scatter or broadcast, per the geometry), the
+    /// launch, the gather — is issued one command after another, and the
+    /// gathered output is decoded by the [`CnmOp::geometry`]'s layout. Each
+    /// command's transient injected faults are retried in place (see
+    /// [`try_op`](Self::try_op)). A full MRAM refuses the op before any
+    /// command runs. An op with nothing to
+    /// compute issues no command: it is answered on the host with the value
+    /// the kernels would produce (the reduction's identity, zeros otherwise)
+    /// and touches no device — no buffer, no transfer, no launch, no
+    /// simulated time.
+    ///
+    /// # Errors
+    ///
+    /// See [`try_op`](Self::try_op); also typed MRAM exhaustion
+    /// ([`SimError::is_mram_exhausted`]) when the op's buffers do not fit,
+    /// and the simulator's launch-shape error for a time-series window
+    /// longer than a (non-empty) series.
+    ///
+    /// # Panics
+    ///
+    /// When the operands are not the op's: their number is not its arity,
+    /// or one's length is not the element count the op states for it.
+    pub fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
+        op.check_operands(operands);
+        if let CnmOp::TimeSeries { window, len } = op {
+            if len > 0 {
+                // The per-DPU chunks are padded up to a whole window, so the
+                // launch itself would pass: the logical shape is what is wrong.
+                validate_kernel_shape(&DpuKernelKind::TimeSeries { len, window })?;
+            }
+        }
         let dpus = self.system.num_dpus();
         let CnmGeometry {
             inputs,
@@ -431,156 +451,56 @@ impl UpmemBackend {
     }
 
     /// `C[m×n] = A[m×k] × B[k×n]`: row blocks of A are scattered across the
-    /// DPUs, B is broadcast, each DPU computes its C block.
+    /// DPUs, B is broadcast, each DPU computes its C block. Panics where
+    /// [`run`](Self::run) fails, as every per-op method does.
     pub fn gemm(&mut self, a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
-        self.try_gemm(a, b, m, k, n).expect("UPMEM gemm")
-    }
-
-    /// The fallible form of [`gemm`](Self::gemm): transient injected faults
-    /// are retried per command (see [`try_op`](Self::try_op)); permanent
-    /// faults, exhausted retry budgets and a full MRAM surface as errors. A
-    /// full MRAM refuses the op before any command runs. An op with nothing
-    /// to compute (here `m`, `k` or `n` of zero) is answered without
-    /// touching the device — true of every eager op.
-    ///
-    /// # Errors
-    ///
-    /// See [`try_op`](Self::try_op); also typed MRAM exhaustion
-    /// ([`SimError::is_mram_exhausted`]) when the op's buffers do not fit.
-    pub fn try_gemm(
-        &mut self,
-        a: &[i32],
-        b: &[i32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<Vec<i32>, SimError> {
-        assert_eq!(a.len(), m * k, "lhs shape mismatch");
-        assert_eq!(b.len(), k * n, "rhs shape mismatch");
-        self.run_op(CnmOp::Gemm { m, k, n }, &[a, b])
+        self.run(CnmOp::Gemm { m, k, n }, &[a, b])
+            .expect("UPMEM gemm")
     }
 
     /// `y[rows] = A[rows×cols] × x[cols]` with row blocks per DPU.
     pub fn gemv(&mut self, a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
-        self.try_gemv(a, x, rows, cols).expect("UPMEM gemv")
-    }
-
-    /// Fallible form of [`gemv`](Self::gemv).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_gemv(
-        &mut self,
-        a: &[i32],
-        x: &[i32],
-        rows: usize,
-        cols: usize,
-    ) -> Result<Vec<i32>, SimError> {
-        assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
-        assert_eq!(x.len(), cols, "vector shape mismatch");
-        self.run_op(CnmOp::Gemv { rows, cols }, &[a, x])
+        self.run(CnmOp::Gemv { rows, cols }, &[a, x])
+            .expect("UPMEM gemv")
     }
 
     /// Element-wise binary kernel over equally-split chunks.
     pub fn elementwise(&mut self, op: BinOp, a: &[i32], b: &[i32]) -> Vec<i32> {
-        self.try_elementwise(op, a, b).expect("UPMEM elementwise")
-    }
-
-    /// Fallible form of [`elementwise`](Self::elementwise).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_elementwise(
-        &mut self,
-        op: BinOp,
-        a: &[i32],
-        b: &[i32],
-    ) -> Result<Vec<i32>, SimError> {
-        assert_eq!(a.len(), b.len(), "element-wise operands must match");
-        self.run_op(CnmOp::Elementwise { op, len: a.len() }, &[a, b])
+        self.run(CnmOp::Elementwise { op, len: a.len() }, &[a, b])
+            .expect("UPMEM elementwise")
     }
 
     /// Reduction: per-DPU partials are reduced, gathered, and folded on the
     /// host.
     pub fn reduce(&mut self, op: BinOp, a: &[i32]) -> i32 {
-        self.try_reduce(op, a).expect("UPMEM reduce")
-    }
-
-    /// Fallible form of [`reduce`](Self::reduce).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_reduce(&mut self, op: BinOp, a: &[i32]) -> Result<i32, SimError> {
-        let folded = self.run_op(CnmOp::Reduce { op, len: a.len() }, &[a])?;
-        Ok(folded[0])
+        self.run(CnmOp::Reduce { op, len: a.len() }, &[a])
+            .expect("UPMEM reduce")[0]
     }
 
     /// Histogram: per-DPU privatised histograms merged on the host.
     pub fn histogram(&mut self, a: &[i32], bins: usize, max_value: i32) -> Vec<i32> {
-        self.try_histogram(a, bins, max_value)
-            .expect("UPMEM histogram")
-    }
-
-    /// Fallible form of [`histogram`](Self::histogram).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_histogram(
-        &mut self,
-        a: &[i32],
-        bins: usize,
-        max_value: i32,
-    ) -> Result<Vec<i32>, SimError> {
         let len = a.len();
-        self.run_op(
-            CnmOp::Histogram {
-                bins,
-                max_value,
-                len,
-            },
-            &[a],
-        )
+        let op = CnmOp::Histogram {
+            bins,
+            max_value,
+            len,
+        };
+        self.run(op, &[a]).expect("UPMEM histogram")
     }
 
     /// Database select: per-DPU selections concatenated in order.
     pub fn select(&mut self, a: &[i32], threshold: i32) -> Vec<i32> {
-        self.try_select(a, threshold).expect("UPMEM select")
-    }
-
-    /// Fallible form of [`select`](Self::select).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_select(&mut self, a: &[i32], threshold: i32) -> Result<Vec<i32>, SimError> {
         let len = a.len();
-        self.run_op(CnmOp::Select { threshold, len }, &[a])
+        self.run(CnmOp::Select { threshold, len }, &[a])
+            .expect("UPMEM select")
     }
 
     /// Time-series distance profile with partitioned semantics: each DPU
     /// profiles its own chunk against the chunk's leading window.
     pub fn time_series(&mut self, a: &[i32], window: usize) -> Vec<i32> {
-        self.try_time_series(a, window).expect("UPMEM time series")
-    }
-
-    /// Fallible form of [`time_series`](Self::time_series).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm); also the simulator's launch-shape
-    /// error when the window is longer than a (non-empty) series.
-    pub fn try_time_series(&mut self, a: &[i32], window: usize) -> Result<Vec<i32>, SimError> {
         let len = a.len();
-        if len > 0 {
-            // The per-DPU chunks are padded up to a whole window, so the
-            // launch itself would pass: the logical shape is what is wrong.
-            validate_kernel_shape(&DpuKernelKind::TimeSeries { len, window })?;
-        }
-        self.run_op(CnmOp::TimeSeries { window, len }, &[a])
+        self.run(CnmOp::TimeSeries { window, len }, &[a])
+            .expect("UPMEM time series")
     }
 
     /// One BFS frontier expansion with partitioned CSR fragments.
@@ -594,38 +514,13 @@ impl UpmemBackend {
         avg_degree: usize,
         used_dpus: usize,
     ) -> Vec<i32> {
-        self.try_bfs_step(
-            row_offsets,
-            cols,
-            frontier,
-            vertices_per_dpu,
-            avg_degree,
-            used_dpus,
-        )
-        .expect("UPMEM bfs step")
-    }
-
-    /// Fallible form of [`bfs_step`](Self::bfs_step).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_bfs_step(
-        &mut self,
-        row_offsets: &[i32],
-        cols: &[i32],
-        frontier: &[i32],
-        vertices_per_dpu: usize,
-        avg_degree: usize,
-        used_dpus: usize,
-    ) -> Result<Vec<i32>, SimError> {
         let op = CnmOp::BfsStep {
             vertices_per_dpu,
             avg_degree,
             used_dpus,
         };
-        self.run_op(op, &[row_offsets, cols, frontier])
+        self.run(op, &[row_offsets, cols, frontier])
+            .expect("UPMEM bfs step")
     }
 }
 
@@ -845,31 +740,38 @@ impl CimBackend {
     /// order keeps a programmed tile for all its uses (column-major order),
     /// which is exactly the loop interchange of Section 3.2.4.
     pub fn gemm(&mut self, a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
-        self.try_gemm(a, b, m, k, n).expect("CIM gemm")
+        self.run(CnmOp::Gemm { m, k, n }, &[a, b])
+            .expect("CIM gemm")
     }
 
-    /// The fallible form of [`gemm`](Self::gemm). The op issues its tile
-    /// writes and MVM bands one command at a time; a transient fault on any
-    /// command is retried in place (results and simulated statistics stay
-    /// bit-identical to a fault-free run), while a permanent fault — e.g. a
-    /// stuck-at tile — aborts the op so the caller can re-plan around the
-    /// device. A product with nothing to compute (`m`, `k` or `n` of zero) is
-    /// answered without touching the device, the merge pass included.
+    /// `y = A × x` as a single-row GEMM.
+    pub fn gemv(&mut self, a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
+        self.run(CnmOp::Gemv { rows, cols }, &[a, x])
+            .expect("CIM gemv")
+    }
+
+    /// Runs one matmul-like op (a GEMV is a GEMM of one output column) on
+    /// the crossbar. The op issues its tile writes and MVM bands one command
+    /// at a time; a transient fault on any command is retried in place
+    /// (results and simulated statistics stay bit-identical to a fault-free
+    /// run), while a permanent fault — e.g. a stuck-at tile — aborts the op
+    /// so the caller can re-plan around the device. A product with nothing
+    /// to compute (`m`, `k` or `n` of zero) is answered without touching the
+    /// device, the merge pass included.
     ///
     /// # Errors
     ///
     /// A permanent device fault (e.g. stuck-at tiles), a transient fault that
     /// outlived the retry budget, or an invalid program.
-    pub fn try_gemm(
-        &mut self,
-        a: &[i32],
-        b: &[i32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<Vec<i32>, CimError> {
-        assert_eq!(a.len(), m * k, "lhs shape mismatch");
-        assert_eq!(b.len(), k * n, "rhs shape mismatch");
+    ///
+    /// # Panics
+    ///
+    /// When the op is not matmul-like, or the operands are not its two
+    /// matrices.
+    pub fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, CimError> {
+        let (m, k, n) = op.matmul_dims().expect("the crossbar runs matmul-like ops");
+        op.check_operands(operands);
+        let (a, b) = (operands[0], operands[1]);
         if a.is_empty() || b.is_empty() {
             return Ok(vec![0; m * n]);
         }
@@ -907,27 +809,6 @@ impl CimBackend {
             self.host_fallback(merge);
         }
         Ok(c)
-    }
-
-    /// `y = A × x` as a single-row GEMM.
-    pub fn gemv(&mut self, a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
-        self.try_gemv(a, x, rows, cols).expect("CIM gemv")
-    }
-
-    /// Fallible form of [`gemv`](Self::gemv).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_gemm`](Self::try_gemm).
-    pub fn try_gemv(
-        &mut self,
-        a: &[i32],
-        x: &[i32],
-        rows: usize,
-        cols: usize,
-    ) -> Result<Vec<i32>, CimError> {
-        // C = A × X with X = x as a cols×1 stationary matrix.
-        self.try_gemm(a, x, rows, cols, 1)
     }
 }
 
@@ -1171,13 +1052,14 @@ mod tests {
     #[test]
     fn a_window_longer_than_the_series_is_a_launch_shape_error() {
         let mut upmem = small_upmem(1, UpmemRunOptions::default());
-        let err = upmem.try_time_series(&[1, 2], 4).unwrap_err();
+        let ts = |window, len| CnmOp::TimeSeries { window, len };
+        let err = upmem.run(ts(4, 2), &[&[1, 2]]).unwrap_err();
         assert!(err.fault_kind().is_none() && !err.is_mram_exhausted());
         assert!(err.message().contains("window 4 exceeds"), "{err}");
         assert_eq!(*upmem.stats(), SystemStats::default());
         // Chunks shorter than the window are padded, not rejected.
         let series: Vec<i32> = (0..9).collect();
-        assert_eq!(upmem.try_time_series(&series, 9).unwrap(), [0]);
+        assert_eq!(upmem.run(ts(9, 9), &[&series]).unwrap(), [0]);
     }
 
     #[test]

@@ -306,17 +306,25 @@ impl KernelCodegen {
 
 impl CnmOp {
     /// Decodes a `cinm` op from its operand and result types: `gemm`
-    /// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, `histogram` with its result's bins,
-    /// `reduce` with its `op` attribute, the element-wise ops over their
-    /// largest operand. `None` for any other op (which stays at the `cinm`
-    /// level for the host), for a matmul-like op whose operands do not have
-    /// those ranks and for an op with the wrong operand or result count.
+    /// `[m,k]×[k,n]`, `gemv` `[r,c]×[c]`, `histogram` with its result's bins
+    /// and its `max` range, `select` with its `threshold`, `reduce` with its
+    /// `op` attribute, the element-wise ops over their largest operand.
+    /// `None` for any other op (which stays at the `cinm` level for the
+    /// host), for a matmul-like op whose operands do not have those ranks and
+    /// for an op with the wrong operand or result count.
+    ///
+    /// The time-series and BFS kernels are never decoded: their results
+    /// depend on the DPU count (a time-series chunk is
+    /// `max(ceil(len / dpus), window)`, a BFS step runs on per-DPU CSR
+    /// fragments), so lowering a device-agnostic op to them would change
+    /// what it computes.
     pub fn from_cinm(body: &Body, op: OpId) -> Option<CnmOp> {
         let op = body.op(op);
         let dims = |i: usize| body.value_type(*op.operands.get(i)?).shape();
         let size = |d: i64| usize::try_from(d).ok();
         let elements = |v: &ValueId| body.value_type(*v).num_elements();
         let len = || size(op.operands.iter().map(elements).max().unwrap_or(0));
+        let int = |name| i32::try_from(op.int_attr(name)?).ok();
         let decoded = match op.name.as_str() {
             cinm::GEMM => match (dims(0)?, dims(1)?) {
                 (&[m, k], &[_, n]) => CnmOp::Gemm {
@@ -339,7 +347,11 @@ impl CnmOp {
             },
             cinm::HISTOGRAM => CnmOp::Histogram {
                 bins: size(elements(&op.results.iter().next()?))?,
-                max_value: 0,
+                max_value: int("max")?,
+                len: len()?,
+            },
+            cinm::SELECT => CnmOp::Select {
+                threshold: int("threshold")?,
                 len: len()?,
             },
             name => CnmOp::Elementwise {
@@ -489,22 +501,7 @@ impl CnmOp {
     /// nothing.
     pub(crate) fn commands(self, dpus: usize) -> impl Iterator<Item = Command> {
         let geometry = self.geometry(dpus);
-        // Logical element counts of the operands (BFS: pre-partitioned CSR
-        // rows, columns and frontier of every used partition).
-        let elems = match self {
-            CnmOp::Gemm { m, k, n } => [m * k, k * n, 0],
-            CnmOp::Gemv { rows, cols } => [rows * cols, cols, 0],
-            CnmOp::Elementwise { len, .. } => [len, len, 0],
-            CnmOp::Reduce { len, .. }
-            | CnmOp::Histogram { len, .. }
-            | CnmOp::Select { len, .. }
-            | CnmOp::TimeSeries { len, .. } => [len, 0, 0],
-            CnmOp::BfsStep {
-                vertices_per_dpu: c,
-                avg_degree,
-                used_dpus,
-            } => [c + 1, c * avg_degree, c].map(|per_dpu| per_dpu * used_dpus),
-        };
+        let elems = self.operand_elems();
         let arity = self.arity();
         let empty = geometry.out_len == 0 || elems[..arity].contains(&0);
         let transfers = (0..arity).map(move |input| match geometry.inputs[input] {
@@ -527,6 +524,38 @@ impl CnmOp {
         transfers
             .chain(tail)
             .take(if empty { 0 } else { arity + 2 })
+    }
+
+    /// Panics unless `operands` are the op's: one per operand, each of the
+    /// element count the op states for it. The eager backends' one shape
+    /// check.
+    pub(crate) fn check_operands(self, operands: &[&[i32]]) {
+        let (elems, name) = (self.operand_elems(), self.mnemonic());
+        assert_eq!(operands.len(), self.arity(), "{name} operands");
+        for (i, operand) in operands.iter().enumerate() {
+            assert_eq!(operand.len(), elems[i], "{name} operand {i} shape mismatch");
+        }
+    }
+
+    /// The logical element count of each operand, `0` past the arity (BFS:
+    /// the pre-partitioned CSR rows, columns and frontier of every used
+    /// partition): what a transfer bills and what
+    /// [`check_operands`](Self::check_operands) asks of an operand.
+    fn operand_elems(self) -> [usize; 3] {
+        match self {
+            CnmOp::Gemm { m, k, n } => [m * k, k * n, 0],
+            CnmOp::Gemv { rows, cols } => [rows * cols, cols, 0],
+            CnmOp::Elementwise { len, .. } => [len, len, 0],
+            CnmOp::Reduce { len, .. }
+            | CnmOp::Histogram { len, .. }
+            | CnmOp::Select { len, .. }
+            | CnmOp::TimeSeries { len, .. } => [len, 0, 0],
+            CnmOp::BfsStep {
+                vertices_per_dpu: c,
+                avg_degree,
+                used_dpus,
+            } => [c + 1, c * avg_degree, c].map(|per_dpu| per_dpu * used_dpus),
+        }
     }
 
     fn work_mut(&mut self) -> &mut usize {

@@ -551,10 +551,11 @@ fn lower_cinm_op_to_cnm(
     kb.op(cnm::TERMINATOR).push();
 
     // Gather the output chunks and synchronise. Per-PU partials are named:
-    // the host folds or merges them into the result.
+    // the host folds, merges or concatenates them into the result.
     let partials = match geometry.out_layout {
         OutputLayout::ReducePartials { .. } => Some("reduce"),
         OutputLayout::HistPartials { .. } => Some("histogram"),
+        OutputLayout::SelectRaw { .. } => Some("select"),
         _ => None,
     };
     let mut gather = b
@@ -627,6 +628,7 @@ fn kernel_args(kernel: &DpuKernelKind) -> (Shape, Option<&'static str>) {
             len,
             max_value,
         } => (Shape::new(&[u(bins), u(len), max_value.into()]), None),
+        DpuKernelKind::Select { len, threshold } => (Shape::new(&[u(len), threshold.into()]), None),
         _ => unreachable!("no decoded op runs a {} kernel", kernel.name()),
     }
 }

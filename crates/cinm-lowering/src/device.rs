@@ -279,7 +279,7 @@ impl CostModel for CnmCostModel {
 }
 
 /// Cost model of the crossbar: the price of the crate's one crossbar
-/// schedule, the one [`CimBackend::try_gemm`] walks. Its tile writes, MVMs
+/// schedule, the one [`CimBackend::run`] walks. Its tile writes, MVMs
 /// and MVM latencies times the simulator's own `tile_program_seconds`,
 /// `mvm_seconds` and energies, plus the host's issue overhead and merge pass
 /// on the backend's host model, are exactly what [`CimBackend::stats`]
@@ -509,7 +509,7 @@ impl Device for UpmemDevice {
             return Ok((Vec::new(), 0.0));
         }
         let before = self.backend.stats().total_seconds();
-        match self.backend.run_op(op, operands) {
+        match self.backend.run(op, operands) {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;
@@ -593,14 +593,14 @@ impl Device for CimDevice {
     }
 
     fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
-        let Some((m, k, n)) = op.matmul_dims() else {
+        if op.matmul_dims().is_none() {
             return Err(unsupported(Target::Cim, op));
-        };
-        if m == 0 {
+        }
+        if op.work() == 0 {
             return Ok((Vec::new(), 0.0));
         }
         let before = self.backend.stats().total_seconds();
-        match self.backend.try_gemm(operands[0], operands[1], m, k, n) {
+        match self.backend.run(op, operands) {
             Ok(result) => {
                 self.health.record_success();
                 let sim_seconds = self.backend.stats().total_seconds() - before;

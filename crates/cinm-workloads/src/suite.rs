@@ -622,14 +622,21 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             func::ret(&mut b, &[r]);
             f
         }
-        (WorkloadId::HstL, WorkloadParams::Histogram { len, bins, .. }) => {
+        (
+            WorkloadId::HstL,
+            WorkloadParams::Histogram {
+                len,
+                bins,
+                max_value,
+            },
+        ) => {
             // Manually translated (non-idiomatic PrIM benchmark): entered
             // directly at the cinm level, as described in Section 4.1.1.
             let mut f = Func::new("hst_l", [t(&[len])], vec![t(&[bins])]);
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
-            let h = cinm::histogram(&mut b, args[0], bins as i64);
+            let h = cinm::histogram(&mut b, args[0], bins as i64, max_value.into());
             func::ret(&mut b, &[h]);
             f
         }
@@ -638,24 +645,8 @@ pub fn build_func(id: WorkloadId, scale: Scale) -> Func {
             let args = f.arguments();
             let entry = f.body.entry_block();
             let mut b = OpBuilder::at_end(&mut f.body, entry);
-            // Select is expressed as a compute region over the cinm op set.
-            let out = b
-                .op(cinm::COMPUTE)
-                .operand(args[0])
-                .attr("kind", "select")
-                .attr("threshold", threshold as i64)
-                .result(t(&[len]))
-                .region([t(&[len])])
-                .push();
-            {
-                let rb_block = f.body.op_region_entry_block(out.id, 0);
-                let view = f.body.block_args(rb_block)[0];
-                let mut rb = OpBuilder::at_end(&mut f.body, rb_block);
-                let s = cinm::scan(&mut rb, "add", view);
-                rb.op(cinm::YIELD).operand(s).push();
-            }
-            let mut b = OpBuilder::at_end(&mut f.body, entry);
-            func::ret(&mut b, &[out.result_at(0)]);
+            let out = cinm::select(&mut b, args[0], threshold.into());
+            func::ret(&mut b, &[out]);
             f
         }
         (WorkloadId::Bfs, WorkloadParams::Bfs { vertices, degree }) => {

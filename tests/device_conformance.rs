@@ -180,18 +180,15 @@ fn a_full_mram_is_a_typed_refusal_on_the_eager_paths() {
     // 40 elements (160 B) per DPU and buffer: the first input fits, the
     // second does not.
     let v = data::i32_vec(1, 320, -9, 9);
-    let err = device
-        .backend_mut()
-        .try_elementwise(BinOp::Add, &v, &v)
-        .unwrap_err();
-    assert_eq!(err.mram_shortfall(), Some((160, 96)));
-    assert_eq!(device.backend().system().mram_used_bytes(), 0);
-    assert_eq!(device.backend().cached_contexts(), 0);
-
     let add = CnmOp::Elementwise {
         op: BinOp::Add,
         len: v.len(),
     };
+    let err = device.backend_mut().run(add, &[&v, &v]).unwrap_err();
+    assert_eq!(err.mram_shortfall(), Some((160, 96)));
+    assert_eq!(device.backend().system().mram_used_bytes(), 0);
+    assert_eq!(device.backend().cached_contexts(), 0);
+
     let refused = device.run(add, &[&v, &v]).unwrap_err();
     assert_eq!(
         refused,

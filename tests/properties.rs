@@ -291,13 +291,12 @@ fn cim_cost_model_prices_what_the_backend_bills() {
                 };
                 let mut device = CimDevice::new(CimBackend::with_config(config, options));
                 let cost = device.cost();
-                let (op, c) = if gemv {
-                    let c = device.backend_mut().try_gemv(&a, &b, m, k);
-                    (CnmOp::Gemv { rows: m, cols: k }, c)
+                let op = if gemv {
+                    CnmOp::Gemv { rows: m, cols: k }
                 } else {
-                    let c = device.backend_mut().try_gemm(&a, &b, m, k, n);
-                    (CnmOp::Gemm { m, k, n }, c)
+                    CnmOp::Gemm { m, k, n }
                 };
+                let c = device.backend_mut().run(op, &[&a, &b]);
                 let what = format!(
                     "{op:?} on {tile_rows}x{tile_cols}x{num_tiles}, \
                      min_writes={min_writes} parallel={parallel_tiles}"
