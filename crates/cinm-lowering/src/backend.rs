@@ -16,11 +16,13 @@
 //! skip steady-state heap allocation and re-preparation:
 //!
 //! * [`UpmemBackend`] caches its device buffers keyed by op geometry. A cache
-//!   hit reuses the buffers of the previous same-shaped op: the inputs are
-//!   fully overwritten by the op's scatter/broadcast, and the output is
-//!   functionally zeroed (untimed, exactly like a fresh `alloc_buffer`), so
-//!   results, gathered bytes and simulated statistics are **bit-identical**
-//!   to allocating per op — and per-DPU MRAM no longer grows with every op.
+//!   hit reuses the buffers of the previous same-shaped op: a broadcast
+//!   input is fully overwritten by the op's broadcast, a scattered one is
+//!   lent (the launch reads the caller's operand in place and the buffer is
+//!   never read), and the output is functionally zeroed (untimed, exactly
+//!   like a fresh `alloc_buffer`), so results, gathered bytes and simulated
+//!   statistics are **bit-identical** to allocating per op — and per-DPU
+//!   MRAM no longer grows with every op.
 //! * [`CimBackend`] walks the crossbar schedule (a few integers, computed
 //!   per op) and stages the weight block of each tile write in a reusable
 //!   arena. Tile writes read their blocks from that arena, each band of MVMs
@@ -233,7 +235,8 @@ impl UpmemBackend {
     /// untimed, exactly like the fresh `alloc_buffer` it replaces — so
     /// accumulating kernels and partially-written outputs (select) observe
     /// fresh-buffer semantics; every input buffer is fully overwritten by
-    /// the op's own scatter/broadcast. A context that does not fit the MRAM
+    /// the op's own broadcast or lent by its scatter. A context that does
+    /// not fit the MRAM
     /// capacity is refused whole: the typed error is returned with every
     /// buffer already allocated for it freed again.
     fn context(
@@ -379,30 +382,42 @@ impl UpmemBackend {
         self.system.num_dpus()
     }
 
-    /// Runs one op eagerly: the generated host program of `CnmOp::commands`
-    /// — the operand transfers (scatter or broadcast, per the geometry), the
+    /// Runs one op eagerly into `out`, which holds the op's logical result
+    /// (`op.geometry(self.num_dpus()).out_len` elements, an upper bound for
+    /// select), and returns how many elements it wrote (all of them but for
+    /// select). The generated host program of `CnmOp::commands` — the
+    /// operand transfers (scatter or broadcast, per the geometry), the
     /// launch, the gather — is issued one command after another, and the
-    /// gathered output is decoded by the [`CnmOp::geometry`]'s layout. Each
-    /// command's transient injected faults are retried in place (see
-    /// [`try_op`](Self::try_op)). A full MRAM refuses the op before any
-    /// command runs. An op with nothing to
-    /// compute issues no command: it is answered on the host with the value
-    /// the kernels would produce (the reduction's identity, zeros otherwise)
-    /// and touches no device — no buffer, no transfer, no launch, no
-    /// simulated time.
+    /// gathered output is decoded by the [`CnmOp::geometry`]'s layout
+    /// straight from the output slab into `out`. A scattered operand is
+    /// **lent** ([`UpmemSystem::scatter_lent`]): billed as the scatter, read
+    /// in place by the launch, never copied. Each command's transient
+    /// injected faults are retried in place (see [`try_op`](Self::try_op)).
+    /// A full MRAM refuses the op before any command runs. An op with
+    /// nothing to compute issues no command: it is answered on the host with
+    /// the value the kernels would produce (the reduction's identity, zeros
+    /// otherwise) and touches no device — no buffer, no transfer, no launch,
+    /// no simulated time.
     ///
     /// # Errors
     ///
     /// See [`try_op`](Self::try_op); also typed MRAM exhaustion
     /// ([`SimError::is_mram_exhausted`]) when the op's buffers do not fit,
     /// and the simulator's launch-shape error for a time-series window
-    /// longer than a (non-empty) series.
+    /// longer than a (non-empty) series. `out` is unspecified after an
+    /// error.
     ///
     /// # Panics
     ///
-    /// When the operands are not the op's: their number is not its arity,
-    /// or one's length is not the element count the op states for it.
-    pub fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, SimError> {
+    /// When the operands are not the op's (their number is not its arity,
+    /// or one's length is not the element count the op states for it), or
+    /// `out` is not of the op's logical length.
+    pub fn run(
+        &mut self,
+        op: CnmOp,
+        operands: &[&[i32]],
+        out: &mut [i32],
+    ) -> Result<usize, SimError> {
         op.check_operands(operands);
         if let CnmOp::TimeSeries { window, len } = op {
             if len > 0 {
@@ -419,62 +434,76 @@ impl UpmemBackend {
             out_len,
             ..
         } = op.geometry(dpus);
+        assert_eq!(out.len(), out_len, "{} result length", op.mnemonic());
         let mut commands = op.commands(dpus).peekable();
         if commands.peek().is_none() {
-            let fill = match op {
+            out.fill(match op {
                 CnmOp::Reduce { op, .. } => op.identity(),
                 _ => 0,
-            };
-            return Ok(vec![fill; out_len]);
+            });
+            return Ok(out_len);
         }
         let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
         let bufs = &ctx.bufs[..operands.len()];
-        let mut raw = Vec::new();
+        let mut lent = [None; MAX_OP_BUFFERS];
+        let mut written = 0;
         for command in commands {
             match command {
                 Command::Scatter { input, chunk, .. } => {
-                    self.try_op(|sys| sys.scatter_i32(bufs[input], operands[input], chunk))?;
+                    self.try_op(|sys| sys.scatter_lent(bufs[input], operands[input], chunk))?;
+                    lent[input] = Some(operands[input]);
                 }
                 Command::Broadcast { input, .. } => {
                     self.try_op(|sys| sys.broadcast_i32(bufs[input], operands[input]))?;
                 }
                 Command::Launch(kind) => {
                     let spec = self.kernel_spec(kind, bufs.to_vec(), ctx.output());
-                    self.try_op(|sys| sys.launch(&spec))?;
+                    self.try_op(|sys| sys.launch_lent(&spec, &lent[..bufs.len()]))?;
                 }
                 Command::Gather { chunk } => {
-                    raw = self.try_op(|sys| sys.gather_i32(ctx.output(), chunk))?.0;
+                    written = self.try_op(|sys| {
+                        sys.gather_with(ctx.output(), chunk, |raw| {
+                            out_layout.decode_to(raw, dpus, out)
+                        })
+                    })?;
                 }
             }
         }
-        Ok(out_layout.decode(raw, dpus, out_len))
+        Ok(written)
+    }
+
+    /// [`run`](Self::run) into a fresh vector of the result's length —
+    /// the body of every per-op method, which panics where `run` fails.
+    fn run_owned(&mut self, op: CnmOp, operands: &[&[i32]]) -> Vec<i32> {
+        let mut out = vec![0; op.geometry(self.num_dpus()).out_len];
+        let written = self
+            .run(op, operands, &mut out)
+            .unwrap_or_else(|e| panic!("UPMEM {}: {e}", op.mnemonic()));
+        out.truncate(written);
+        out
     }
 
     /// `C[m×n] = A[m×k] × B[k×n]`: row blocks of A are scattered across the
     /// DPUs, B is broadcast, each DPU computes its C block. Panics where
     /// [`run`](Self::run) fails, as every per-op method does.
     pub fn gemm(&mut self, a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
-        self.run(CnmOp::Gemm { m, k, n }, &[a, b])
-            .expect("UPMEM gemm")
+        self.run_owned(CnmOp::Gemm { m, k, n }, &[a, b])
     }
 
     /// `y[rows] = A[rows×cols] × x[cols]` with row blocks per DPU.
     pub fn gemv(&mut self, a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
-        self.run(CnmOp::Gemv { rows, cols }, &[a, x])
-            .expect("UPMEM gemv")
+        self.run_owned(CnmOp::Gemv { rows, cols }, &[a, x])
     }
 
     /// Element-wise binary kernel over equally-split chunks.
     pub fn elementwise(&mut self, op: BinOp, a: &[i32], b: &[i32]) -> Vec<i32> {
-        self.run(CnmOp::Elementwise { op, len: a.len() }, &[a, b])
-            .expect("UPMEM elementwise")
+        self.run_owned(CnmOp::Elementwise { op, len: a.len() }, &[a, b])
     }
 
     /// Reduction: per-DPU partials are reduced, gathered, and folded on the
     /// host.
     pub fn reduce(&mut self, op: BinOp, a: &[i32]) -> i32 {
-        self.run(CnmOp::Reduce { op, len: a.len() }, &[a])
-            .expect("UPMEM reduce")[0]
+        self.run_owned(CnmOp::Reduce { op, len: a.len() }, &[a])[0]
     }
 
     /// Histogram: per-DPU privatised histograms merged on the host.
@@ -485,22 +514,20 @@ impl UpmemBackend {
             max_value,
             len,
         };
-        self.run(op, &[a]).expect("UPMEM histogram")
+        self.run_owned(op, &[a])
     }
 
     /// Database select: per-DPU selections concatenated in order.
     pub fn select(&mut self, a: &[i32], threshold: i32) -> Vec<i32> {
         let len = a.len();
-        self.run(CnmOp::Select { threshold, len }, &[a])
-            .expect("UPMEM select")
+        self.run_owned(CnmOp::Select { threshold, len }, &[a])
     }
 
     /// Time-series distance profile with partitioned semantics: each DPU
     /// profiles its own chunk against the chunk's leading window.
     pub fn time_series(&mut self, a: &[i32], window: usize) -> Vec<i32> {
         let len = a.len();
-        self.run(CnmOp::TimeSeries { window, len }, &[a])
-            .expect("UPMEM time series")
+        self.run_owned(CnmOp::TimeSeries { window, len }, &[a])
     }
 
     /// One BFS frontier expansion with partitioned CSR fragments.
@@ -519,8 +546,7 @@ impl UpmemBackend {
             avg_degree,
             used_dpus,
         };
-        self.run(op, &[row_offsets, cols, frontier])
-            .expect("UPMEM bfs step")
+        self.run_owned(op, &[row_offsets, cols, frontier])
     }
 }
 
@@ -740,18 +766,22 @@ impl CimBackend {
     /// order keeps a programmed tile for all its uses (column-major order),
     /// which is exactly the loop interchange of Section 3.2.4.
     pub fn gemm(&mut self, a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
-        self.run(CnmOp::Gemm { m, k, n }, &[a, b])
-            .expect("CIM gemm")
+        let mut c = vec![0; m * n];
+        self.run(CnmOp::Gemm { m, k, n }, &[a, b], &mut c)
+            .expect("CIM gemm");
+        c
     }
 
     /// `y = A × x` as a single-row GEMM.
     pub fn gemv(&mut self, a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
-        self.run(CnmOp::Gemv { rows, cols }, &[a, x])
-            .expect("CIM gemv")
+        let mut y = vec![0; rows];
+        self.run(CnmOp::Gemv { rows, cols }, &[a, x], &mut y)
+            .expect("CIM gemv");
+        y
     }
 
     /// Runs one matmul-like op (a GEMV is a GEMM of one output column) on
-    /// the crossbar. The op issues its tile writes and MVM bands one command
+    /// the crossbar into `out`, its `m × n` result. The op issues its tile writes and MVM bands one command
     /// at a time; a transient fault on any command is retried in place
     /// (results and simulated statistics stay bit-identical to a fault-free
     /// run), while a permanent fault — e.g. a stuck-at tile — aborts the op
@@ -766,16 +796,18 @@ impl CimBackend {
     ///
     /// # Panics
     ///
-    /// When the op is not matmul-like, or the operands are not its two
-    /// matrices.
-    pub fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, CimError> {
+    /// When the op is not matmul-like, the operands are not its two
+    /// matrices, or `out` is not `m × n`.
+    pub fn run(&mut self, op: CnmOp, operands: &[&[i32]], out: &mut [i32]) -> Result<(), CimError> {
         let (m, k, n) = op.matmul_dims().expect("the crossbar runs matmul-like ops");
         op.check_operands(operands);
-        let (a, b) = (operands[0], operands[1]);
+        assert_eq!(out.len(), m * n, "{} result length", op.mnemonic());
+        // The bands accumulate into `out`.
+        out.fill(0);
+        let (a, b, c) = (operands[0], operands[1], out);
         if a.is_empty() || b.is_empty() {
-            return Ok(vec![0; m * n]);
+            return Ok(());
         }
-        let mut c = vec![0i32; m * n];
 
         // The generated host program walks the schedule one command after
         // another: a program step writes the batch's tiles (each block staged
@@ -808,7 +840,7 @@ impl CimBackend {
         if let Some(merge) = schedule.merge() {
             self.host_fallback(merge);
         }
-        Ok(c)
+        Ok(())
     }
 }
 
@@ -1053,13 +1085,15 @@ mod tests {
     fn a_window_longer_than_the_series_is_a_launch_shape_error() {
         let mut upmem = small_upmem(1, UpmemRunOptions::default());
         let ts = |window, len| CnmOp::TimeSeries { window, len };
-        let err = upmem.run(ts(4, 2), &[&[1, 2]]).unwrap_err();
+        let err = upmem.run(ts(4, 2), &[&[1, 2]], &mut [0]).unwrap_err();
         assert!(err.fault_kind().is_none() && !err.is_mram_exhausted());
         assert!(err.message().contains("window 4 exceeds"), "{err}");
         assert_eq!(*upmem.stats(), SystemStats::default());
         // Chunks shorter than the window are padded, not rejected.
         let series: Vec<i32> = (0..9).collect();
-        assert_eq!(upmem.run(ts(9, 9), &[&series]).unwrap(), [0]);
+        let mut profile = [7];
+        assert_eq!(upmem.run(ts(9, 9), &[&series], &mut profile), Ok(1));
+        assert_eq!(profile, [0]);
     }
 
     #[test]

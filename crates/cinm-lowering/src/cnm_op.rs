@@ -154,8 +154,8 @@ impl OutputLayout {
     /// Whether the logical value is a prefix of the raw gather (chunked,
     /// replicated, profiles): decoding is then a truncation, so a gather
     /// written straight into its destination needs no second buffer. The one
-    /// statement of the rule — [`decode_into`](Self::decode_into), the owned
-    /// `decode` and the session's direct gather all ask it.
+    /// statement of the rule — both decoders and the session's direct gather
+    /// ask it.
     pub fn is_prefix(self) -> bool {
         match self {
             OutputLayout::Chunked | OutputLayout::Replicated | OutputLayout::Profiles { .. } => {
@@ -169,42 +169,52 @@ impl OutputLayout {
 
     /// Decodes `raw` (a gather of every DPU's output chunk on a grid of
     /// `dpus`) into the logical value, replacing the contents of `out`.
-    /// `len` is the logical element count, which the
-    /// [prefix](Self::is_prefix) layouts need; the partial layouts carry
-    /// their own lengths.
+    /// `len` is the logical element count (an upper bound for select).
     pub fn decode_into(self, raw: &[i32], dpus: usize, len: usize, out: &mut Vec<i32>) {
         out.clear();
-        if self.is_prefix() {
-            out.extend_from_slice(&raw[..len]);
+        if let OutputLayout::SelectRaw {
+            threshold,
+            len,
+            chunk,
+        } = self
+        {
+            select_runs(raw, chunk, len, threshold).for_each(|run| out.extend_from_slice(run));
             return;
         }
+        out.resize(len, 0);
+        self.decode_to(raw, dpus, out);
+    }
+
+    /// [`decode_into`](Self::decode_into) a destination of the logical
+    /// length (`out.len()`, an upper bound for select), straight from the
+    /// gathered elements; returns how many it wrote (all of them but for
+    /// select).
+    pub(crate) fn decode_to(self, raw: &[i32], dpus: usize, out: &mut [i32]) -> usize {
         match self {
             OutputLayout::SelectRaw {
                 threshold,
                 len,
                 chunk,
-            } => decode_select_into(raw, chunk, len, threshold, out),
+            } => select_runs(raw, chunk, len, threshold).fold(0, |at, run| {
+                out[at..at + run.len()].copy_from_slice(run);
+                at + run.len()
+            }),
+            // The used DPUs' partials, folded in DPU order.
             OutputLayout::ReducePartials { op, used } => {
-                out.push(fold_reduce_partials(op, raw, used));
+                out[0] = raw[..used]
+                    .iter()
+                    .fold(op.identity(), |acc, &v| op.apply(acc, v));
+                1
             }
             OutputLayout::HistPartials { bins, len, chunk } => {
-                merge_histogram_partials_into(raw, bins, len, chunk, dpus, out);
+                merge_histogram_partials(raw, bins, len, chunk, dpus, out);
+                bins
             }
-            _ => unreachable!("prefix layouts returned above"),
+            _ => {
+                out.copy_from_slice(&raw[..out.len()]);
+                out.len()
+            }
         }
-    }
-
-    /// [`decode_into`](Self::decode_into) for an owned gather: a
-    /// [prefix](Self::is_prefix) layout truncates in place instead of
-    /// copying.
-    pub(crate) fn decode(self, mut raw: Vec<i32>, dpus: usize, len: usize) -> Vec<i32> {
-        if self.is_prefix() {
-            raw.truncate(len);
-            return raw;
-        }
-        let mut out = Vec::new();
-        self.decode_into(&raw, dpus, len, &mut out);
-        out
     }
 }
 
@@ -634,14 +644,19 @@ impl CnmOp {
     }
 }
 
-/// Decodes the raw gathered output of the select kernel: each DPU
+/// The selections in the raw gathered output of the select kernel: each DPU
 /// contributes a `(count, values...)` record of `chunk + 1` elements; the
-/// selections of the used DPUs are concatenated in order, dropping the
+/// selections of the used DPUs, in order, are the result, without the
 /// trailing zero-pad selections of the last chunk for negative thresholds
 /// (padding zeros never pass a non-negative threshold check).
-fn decode_select_into(raw: &[i32], chunk: usize, len: usize, threshold: i32, out: &mut Vec<i32>) {
+fn select_runs(
+    raw: &[i32],
+    chunk: usize,
+    len: usize,
+    threshold: i32,
+) -> impl Iterator<Item = &[i32]> {
     let used_dpus = len.div_ceil(chunk.max(1));
-    for d in 0..used_dpus {
+    (0..used_dpus).map(move |d| {
         let base = d * (chunk + 1);
         let count = raw[base].max(0) as usize;
         let valid = if d + 1 == used_dpus {
@@ -650,22 +665,22 @@ fn decode_select_into(raw: &[i32], chunk: usize, len: usize, threshold: i32, out
         } else {
             count
         };
-        out.extend_from_slice(&raw[base + 1..base + 1 + valid.min(chunk)]);
-    }
+        &raw[base + 1..base + 1 + valid.min(chunk)]
+    })
 }
 
-/// Merges per-DPU privatised histograms into `out` (resized to `bins`),
-/// removing the counts contributed by the zero padding of the final chunk
-/// and by idle DPUs beyond the data.
-fn merge_histogram_partials_into(
+/// Merges per-DPU privatised histograms into the `bins` of `out`, removing
+/// the counts contributed by the zero padding of the final chunk and by idle
+/// DPUs beyond the data.
+fn merge_histogram_partials(
     partials: &[i32],
     bins: usize,
     len: usize,
     chunk: usize,
     dpus: usize,
-    out: &mut Vec<i32>,
+    out: &mut [i32],
 ) {
-    out.resize(bins, 0);
+    out.fill(0);
     for (i, v) in partials.iter().enumerate() {
         out[i % bins] += v;
     }
@@ -676,14 +691,6 @@ fn merge_histogram_partials_into(
     // Idle DPUs (beyond the data) hold all-zero chunks: subtract those too.
     let idle = dpus - len.div_ceil(chunk);
     out[0] -= (idle * chunk) as i32;
-}
-
-/// Folds the per-DPU reduction partials of the used DPUs in DPU order.
-fn fold_reduce_partials(op: BinOp, partials: &[i32], used_dpus: usize) -> i32 {
-    partials
-        .iter()
-        .take(used_dpus)
-        .fold(op.identity(), |acc, &v| op.apply(acc, v))
 }
 
 #[cfg(test)]

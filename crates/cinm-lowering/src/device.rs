@@ -16,8 +16,10 @@
 //!   support rule: a device supports an op exactly when its model prices it;
 //! * **execution** — [`Device::run`] takes the same [`CnmOp`] (usually the
 //!   contiguous shard of work assigned to this device) with its operand
-//!   slices and returns the result and the simulated seconds it cost. Empty
-//!   ops return immediately without touching the device.
+//!   slices, writes the result into the destination its caller gives it —
+//!   for a shard, its range of the one result — and returns the simulated
+//!   seconds it cost. Empty ops return immediately without touching the
+//!   device.
 //!
 //! The three implementations wrap the existing executors: [`UpmemDevice`]
 //! (CNM grid), [`CimDevice`] (memristive crossbar, MVM-only) and
@@ -419,12 +421,20 @@ pub trait Device: Send {
     fn cost(&self) -> Box<dyn CostModel>;
 
     /// Runs one op (usually one shard of a larger op) on its operand
-    /// slices, returning the result and the simulated seconds it cost. Ops
-    /// the cost model does not price return [`ShardError::Unsupported`]; an
-    /// empty op (`op.work() == 0`) returns an empty result at zero cost
-    /// without touching the device. Execution faults return their typed
-    /// error and are recorded in the device's [`health`](Device::health).
-    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError>;
+    /// slices into `out`, which holds the op's result
+    /// (`op.geometry(1).out_len` elements: a range of rows or elements, a
+    /// reduction's one partial, a histogram's bins), and returns the
+    /// simulated seconds it cost. Ops the cost model does not price return
+    /// [`ShardError::Unsupported`]; an empty op (`op.work() == 0`) leaves
+    /// `out` as it is and costs nothing, without touching the device.
+    /// Execution faults return their typed error (`out` is then
+    /// unspecified) and are recorded in the device's
+    /// [`health`](Device::health).
+    ///
+    /// # Panics
+    ///
+    /// When `out` or an operand is not of the length the op states.
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]], out: &mut [i32]) -> Result<f64, ShardError>;
 
     /// The benchmark's pinned form of [`run`](Device::run), kept in the
     /// crate's `pinned` module until the benchmark calls `run` itself.
@@ -501,19 +511,18 @@ impl Device for UpmemDevice {
         Box::new(CnmCostModel::of(&self.backend))
     }
 
-    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]], out: &mut [i32]) -> Result<f64, ShardError> {
         if !shardable(op) {
             return Err(unsupported(Target::Cnm, op));
         }
         if op.work() == 0 {
-            return Ok((Vec::new(), 0.0));
+            return Ok(0.0);
         }
         let before = self.backend.stats().total_seconds();
-        match self.backend.run(op, operands) {
-            Ok(result) => {
+        match self.backend.run(op, operands, out) {
+            Ok(_) => {
                 self.health.record_success();
-                let sim_seconds = self.backend.stats().total_seconds() - before;
-                Ok((result, sim_seconds))
+                Ok(self.backend.stats().total_seconds() - before)
             }
             Err(e) => Err(match e.mram_shortfall() {
                 // A full MRAM is a capacity refusal, not a sick device: it
@@ -592,19 +601,18 @@ impl Device for CimDevice {
         Box::new(CimCostModel::of(&self.backend))
     }
 
-    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]], out: &mut [i32]) -> Result<f64, ShardError> {
         if op.matmul_dims().is_none() {
             return Err(unsupported(Target::Cim, op));
         }
         if op.work() == 0 {
-            return Ok((Vec::new(), 0.0));
+            return Ok(0.0);
         }
         let before = self.backend.stats().total_seconds();
-        match self.backend.run(op, operands) {
-            Ok(result) => {
+        match self.backend.run(op, operands, out) {
+            Ok(()) => {
                 self.health.record_success();
-                let sim_seconds = self.backend.stats().total_seconds() - before;
-                Ok((result, sim_seconds))
+                Ok(self.backend.stats().total_seconds() - before)
             }
             Err(e) => {
                 self.health.record_failure(e.is_permanent_fault());
@@ -665,31 +673,38 @@ impl Device for HostDevice {
         Box::new(HostCostModel::new(self.model.clone()))
     }
 
-    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<(Vec<i32>, f64), ShardError> {
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]], out: &mut [i32]) -> Result<f64, ShardError> {
         let Some(counts) = host_counts(op) else {
             return Err(unsupported(Target::Host, op));
         };
         if op.work() == 0 {
-            return Ok((Vec::new(), 0.0));
+            return Ok(0.0);
         }
+        op.check_operands(operands);
         let a = operands[0];
-        let result = match op {
-            CnmOp::Gemm { m, k, n } => kernels::matmul(a, operands[1], m, k, n),
-            CnmOp::Gemv { rows, cols } => kernels::matvec(a, operands[1], rows, cols),
+        match op {
+            CnmOp::Gemm { m, k, n } => kernels::matmul_into(a, operands[1], m, k, n, out),
+            CnmOp::Gemv { rows, cols } => kernels::matvec_into(a, operands[1], rows, cols, out),
             CnmOp::Elementwise { op, .. } => {
-                kernels::elementwise(a, operands[1], |x, y| op.apply(x, y))
+                kernels::elementwise_into(a, operands[1], out, |x, y| op.apply(x, y))
             }
             CnmOp::Reduce { op, .. } => {
-                vec![a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v))]
+                let [partial] = out else {
+                    panic!("a reduction has one result, not {}", out.len());
+                };
+                *partial = a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v));
             }
             CnmOp::Histogram {
                 bins, max_value, ..
-            } => kernels::histogram(a, bins, max_value),
+            } => {
+                assert_eq!(out.len(), bins, "histogram result length");
+                kernels::histogram_into(a, max_value, out);
+            }
             _ => unreachable!("the host prices the shardable ops only"),
-        };
+        }
         let seconds = self.model.execution_seconds(&counts);
         self.sim_seconds += seconds;
-        Ok((result, seconds))
+        Ok(seconds)
     }
 
     fn sim_seconds(&self) -> f64 {
@@ -777,7 +792,7 @@ mod tests {
             let cost = device.cost();
             assert_eq!(cost.target(), target);
             for (op, operands) in ops {
-                let ran = device.run(op, operands);
+                let ran = device.run(op, operands, &mut vec![0; op.geometry(1).out_len]);
                 let refused = matches!(ran, Err(ShardError::Unsupported { .. }));
                 assert_eq!(cost.price(op).is_some(), !refused, "{target}: {op:?}");
             }
@@ -792,14 +807,12 @@ mod tests {
             op: BinOp::Add,
             len: 8,
         };
-        let err = cim.run(add, &[&v, &v]).unwrap_err();
+        let err = cim.run(add, &[&v, &v], &mut v.clone()).unwrap_err();
         assert!(matches!(err, ShardError::Unsupported { .. }));
         // Empty shards resolve without touching the device.
         let before = cim.sim_seconds();
         let empty = CnmOp::Gemv { rows: 0, cols: 8 };
-        let (result, secs) = cim.run(empty, &[&[], &v]).unwrap();
-        assert!(result.is_empty());
-        assert_eq!(secs, 0.0);
+        assert_eq!(cim.run(empty, &[&[], &v], &mut []), Ok(0.0));
         assert_eq!(cim.sim_seconds(), before);
     }
 }

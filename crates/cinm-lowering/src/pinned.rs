@@ -114,17 +114,18 @@ impl DeviceFuture {
     }
 }
 
-/// The body of `Device::submit`: [`Device::run`] on the lowered shard;
-/// [`ShardError::Unsupported`] is returned here, everything else resolves
-/// through the future.
+/// The body of `Device::submit`: [`Device::run`] on the lowered shard, into
+/// a fresh result; [`ShardError::Unsupported`] is returned here, everything
+/// else resolves through the future.
 pub(crate) fn submit<D: Device + ?Sized>(
     device: &mut D,
     shard: &ShardOp<'_>,
 ) -> Result<DeviceFuture, ShardError> {
     let (op, operands) = shard.lower();
-    let result = device.run(op, &operands[..op.arity()]);
-    if let Err(e @ ShardError::Unsupported { .. }) = result {
-        return Err(e);
-    }
+    let mut out = vec![0; op.geometry(1).out_len];
+    let result = match device.run(op, &operands[..op.arity()], &mut out) {
+        Err(e @ ShardError::Unsupported { .. }) => return Err(e),
+        ran => ran.map(|seconds| (out, seconds)),
+    };
     Ok(DeviceFuture { result })
 }

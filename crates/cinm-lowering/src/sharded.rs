@@ -19,14 +19,13 @@
 //! what the planner chooses for every small op — never touches the queue or
 //! another thread. Nested pool scopes are deadlock-free by construction
 //! (helping waits), so a device task fanning its functional simulation out
-//! over the same pool is fine. Results are merged exactly as the
-//! single-device paths would produce
-//! them, so sharded execution is **bit-identical** to the
-//! `cpu_sim::kernels` goldens:
+//! over the same pool is fine. The result is allocated once and each shard
+//! writes into it where its part belongs, so sharded execution is
+//! **bit-identical** to the `cpu_sim::kernels` goldens:
 //!
-//! * GEMM/GEMV/element-wise: row/element range concatenation — each output
-//!   element is computed by exactly one device with the same wrapping `i32`
-//!   arithmetic.
+//! * GEMM/GEMV/element-wise: each device writes its row/element range of
+//!   the one result — each output element is computed by exactly one device
+//!   with the same wrapping `i32` arithmetic.
 //! * Reduce: per-shard partials folded in shard order; every [`BinOp`] is
 //!   associative over `i32` (wrapping add is exact mod 2³²), so a contiguous
 //!   split folds to the same value as the sequential scan.
@@ -434,7 +433,7 @@ impl Drop for ConcurrencyGuard<'_> {
 
 /// Per-device outcome of one sharded dispatch.
 struct ShardOutcome {
-    result: Result<Vec<i32>, ShardError>,
+    result: Result<(), ShardError>,
     /// Simulated seconds the shard took on its device.
     sim_seconds: f64,
     /// Host wall-clock seconds the device task ran for.
@@ -444,12 +443,16 @@ struct ShardOutcome {
 impl Default for ShardOutcome {
     fn default() -> Self {
         ShardOutcome {
-            result: Ok(Vec::new()),
+            result: Ok(()),
             sim_seconds: 0.0,
             wall_seconds: 0.0,
         }
     }
 }
+
+/// One device's shard of a dispatch: the op at the shard's work, its operand
+/// slices and its range of the result.
+type Shard<'a> = (CnmOp, [&'a [i32]; 2], &'a mut [i32]);
 
 /// Typed operand-shape validation (replacing the hot-path `assert_eq!`s):
 /// mis-shaped inputs are a caller error the execution layers report instead
@@ -585,20 +588,16 @@ impl ShardedBackend {
     }
 
     /// Runs up to three shards concurrently in one pool scope — one
-    /// [`Device::run`] per non-empty shard, the first of them on the calling
-    /// thread and the others on pool workers — and folds their outcomes into
-    /// the statistics.
+    /// [`Device::run`] per non-empty shard into its range of the result, the
+    /// first of them on the calling thread and the others on pool workers —
+    /// and folds their outcomes into the statistics.
     ///
     /// Failures are contained per shard: an execution fault is the shard's
     /// typed [`ShardError`], and a panicking device task is caught and
     /// converted to [`ShardError::ExecutionPanic`] — the other shards still
     /// run (and are accounted) before the first failing device's error, in
     /// `[cnm, cim, host]` order, is returned.
-    fn dispatch(
-        &mut self,
-        work: &ShardSplit,
-        shards: [(CnmOp, [&[i32]; 2]); 3],
-    ) -> Result<[Vec<i32>; 3], ShardError> {
+    fn dispatch(&mut self, work: &ShardSplit, shards: [Shard<'_>; 3]) -> Result<(), ShardError> {
         let tracker = ConcurrencyTracker::default();
         let mut outcomes: [ShardOutcome; 3] = Default::default();
         let op_start = Instant::now();
@@ -606,22 +605,21 @@ impl ShardedBackend {
             let devices: [&mut dyn Device; 3] = [&mut self.cnm, &mut self.cim, &mut self.host];
             let tracker = &tracker;
             self.pool.get().scope(|s| {
-                for (((device, (op, operands)), outcome), slot) in devices
+                for (((device, (op, operands, out)), outcome), slot) in devices
                     .into_iter()
-                    .zip(&shards)
+                    .zip(shards)
                     .zip(outcomes.iter_mut())
                     .zip(Target::ALL)
                 {
                     if op.work() == 0 {
                         continue;
                     }
-                    let operands = &operands[..op.arity()];
                     let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
                     s.spawn_labeled(label, move |_| {
                         let _in_flight = tracker.enter();
                         let start = Instant::now();
                         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            device.run(*op, operands)
+                            device.run(op, &operands[..op.arity()], out)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(ShardError::ExecutionPanic {
@@ -630,7 +628,7 @@ impl ShardedBackend {
                             })
                         });
                         let (result, sim_seconds) = match ran {
-                            Ok((result, sim_seconds)) => (Ok(result), sim_seconds),
+                            Ok(sim_seconds) => (Ok(()), sim_seconds),
                             Err(e) => (Err(e), 0.0),
                         };
                         *outcome = ShardOutcome {
@@ -657,22 +655,21 @@ impl ShardedBackend {
             makespan = makespan.max(outcomes[i].sim_seconds);
         }
         self.stats.sim_makespan_seconds += makespan;
-        let [a, b, c] = outcomes;
-        Ok([a.result?, b.result?, c.result?])
+        outcomes.into_iter().try_for_each(|o| o.result)
     }
 
     /// Co-executes one shardable op across the device set — the single
     /// dispatch the per-op methods below and the `cinm-core` session wrap.
     /// Scattered operands (per the op's [`CnmOp::geometry`]) are sliced by
     /// contiguous work ranges in `[cnm, cim, host]` order, broadcast
-    /// operands go to every device whole, one [`Device::run`] per
+    /// operands go to every device whole, and one [`Device::run`] per
     /// non-empty shard runs concurrently (the first on the caller, the rest
-    /// on the pool), and the shard results
-    /// merge by the op's rule: concatenation for `gemm`/`gemv`/element-wise,
-    /// partials folded in shard order for `reduce` (returned as a
+    /// on the pool). The result is allocated once: for
+    /// `gemm`/`gemv`/element-wise each shard writes its own range of it;
+    /// `reduce` partials are folded in shard order (returned as a
     /// one-element vector; every [`upmem_sim::BinOp`] is associative, so
-    /// this equals the sequential fold), per-bin sums for `histogram`. Zero
-    /// work returns the op's identity without touching a device.
+    /// this equals the sequential fold) and `histogram` partials summed per
+    /// bin. Zero work returns the op's identity without touching a device.
     ///
     /// # Errors
     ///
@@ -759,46 +756,51 @@ impl ShardedBackend {
                 }
             }
         }
-        let layouts = op.geometry(1).inputs;
+        let geometry = op.geometry(1);
+        let layouts = geometry.inputs;
         let (a, b) = (operands[0], operands.get(1).copied().unwrap_or(&[]));
-        let mut lo = 0;
+        // A reduction or histogram shard writes a partial of the result's
+        // length, the others their range of the result itself.
+        let partial = matches!(op, CnmOp::Reduce { .. } | CnmOp::Histogram { .. });
+        let mut out = vec![0; geometry.out_len * if partial { 3 } else { 1 }];
+        let (mut lo, mut rest) = (0, &mut out[..]);
         let shards = Target::ALL.map(|device| {
             let hi = lo + split.get(device);
-            let shard = (
-                op.with_work(hi - lo),
-                [
-                    shard_of(a, layouts[0], total, lo, hi),
-                    shard_of(b, layouts[1], total, lo, hi),
-                ],
-            );
+            let shard_op = op.with_work(hi - lo);
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(if partial {
+                geometry.out_len
+            } else {
+                shard_op.geometry(1).out_len
+            });
+            rest = tail;
+            let operands = [
+                shard_of(a, layouts[0], total, lo, hi),
+                shard_of(b, layouts[1], total, lo, hi),
+            ];
             lo = hi;
-            shard
+            (shard_op, operands, dst)
         });
-        let parts = self.dispatch(split, shards)?;
+        self.dispatch(split, shards)?;
+        if !partial {
+            return Ok(out);
+        }
         Ok(match op {
             CnmOp::Reduce { op, .. } => {
-                let partials = parts.iter().flatten();
-                vec![partials.fold(op.identity(), |acc, &p| op.apply(acc, p))]
+                let ran = out
+                    .iter()
+                    .zip(Target::ALL)
+                    .filter(|&(_, d)| split.get(d) > 0);
+                vec![ran.fold(op.identity(), |acc, (&p, _)| op.apply(acc, p))]
             }
-            CnmOp::Histogram { bins, .. } => {
-                let mut merged = vec![0i32; bins];
-                for (i, count) in parts.iter().flat_map(|part| part.iter().enumerate()) {
-                    merged[i] += count;
-                }
-                merged
-            }
-            // The shards are contiguous work ranges in device order: the
-            // later ones are appended onto the first non-empty part, so a
-            // device that took all the work hands its result through
-            // untouched and nothing is copied into a fresh vector.
+            // A shard that did not run left its bins zero.
             _ => {
-                let len: usize = parts.iter().map(Vec::len).sum();
-                let mut rest = parts.into_iter().skip_while(Vec::is_empty);
-                let mut out = rest.next().unwrap_or_default();
-                out.reserve_exact(len - out.len());
-                for part in rest {
-                    out.extend_from_slice(&part);
+                let (merged, others) = out.split_at_mut(geometry.out_len);
+                for part in others.chunks_exact(geometry.out_len) {
+                    for (m, count) in merged.iter_mut().zip(part) {
+                        *m += count;
+                    }
                 }
+                out.truncate(geometry.out_len);
                 out
             }
         })

@@ -14,9 +14,21 @@
 ///
 /// Panics if the input slices do not match the given shapes.
 pub fn matmul(a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
+    let mut c = vec![0i32; m * n];
+    matmul_into(a, b, m, k, n, &mut c);
+    c
+}
+
+/// [`matmul`] into `c`, which it overwrites.
+///
+/// # Panics
+///
+/// Panics if the slices do not match the given shapes.
+pub fn matmul_into(a: &[i32], b: &[i32], m: usize, k: usize, n: usize, c: &mut [i32]) {
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
     assert_eq!(b.len(), k * n, "rhs shape mismatch");
-    let mut c = vec![0i32; m * n];
+    assert_eq!(c.len(), m * n, "result shape mismatch");
+    c.fill(0);
     for i in 0..m {
         for p in 0..k {
             let av = a[i * k + p];
@@ -28,14 +40,20 @@ pub fn matmul(a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
             }
         }
     }
-    c
 }
 
 /// `y[rows] = A[rows×cols] × x[cols]`.
 pub fn matvec(a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
+    let mut y = vec![0i32; rows];
+    matvec_into(a, x, rows, cols, &mut y);
+    y
+}
+
+/// [`matvec`] into `y`, which it overwrites.
+pub fn matvec_into(a: &[i32], x: &[i32], rows: usize, cols: usize, y: &mut [i32]) {
     assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
     assert_eq!(x.len(), cols, "vector shape mismatch");
-    let mut y = vec![0i32; rows];
+    assert_eq!(y.len(), rows, "result shape mismatch");
     for i in 0..rows {
         let mut acc = 0i32;
         for j in 0..cols {
@@ -43,7 +61,6 @@ pub fn matvec(a: &[i32], x: &[i32], rows: usize, cols: usize) -> Vec<i32> {
         }
         y[i] = acc;
     }
-    y
 }
 
 /// Valid-padding, stride-1 2-D convolution in NHWC/HWCF layout:
@@ -224,8 +241,20 @@ pub fn contraction_contrs2(
 
 /// Element-wise binary operation.
 pub fn elementwise(a: &[i32], b: &[i32], op: impl Fn(i32, i32) -> i32) -> Vec<i32> {
-    assert_eq!(a.len(), b.len(), "element-wise operands must match");
-    a.iter().zip(b).map(|(&x, &y)| op(x, y)).collect()
+    let mut out = vec![0; a.len()];
+    elementwise_into(a, b, &mut out, op);
+    out
+}
+
+/// [`elementwise`] into `out`, which it overwrites.
+pub fn elementwise_into(a: &[i32], b: &[i32], out: &mut [i32], op: impl Fn(i32, i32) -> i32) {
+    assert!(
+        a.len() == b.len() && b.len() == out.len(),
+        "element-wise operands must match"
+    );
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = op(x, y);
+    }
 }
 
 /// Vector addition (the PrIM `va` kernel).
@@ -252,15 +281,22 @@ pub fn inclusive_scan_add(a: &[i32]) -> Vec<i32> {
 /// Histogram with `bins` buckets over values in `[0, max_value)` (the PrIM
 /// `hst-l` kernel); negative values land in bin 0.
 pub fn histogram(a: &[i32], bins: usize, max_value: i32) -> Vec<i32> {
-    assert!(bins > 0, "histogram needs at least one bin");
     let mut out = vec![0i32; bins];
+    histogram_into(a, max_value, &mut out);
+    out
+}
+
+/// [`histogram`] into the bins of `out`, which it overwrites.
+pub fn histogram_into(a: &[i32], max_value: i32, out: &mut [i32]) {
+    let bins = out.len();
+    assert!(bins > 0, "histogram needs at least one bin");
+    out.fill(0);
     let max = max_value.max(1) as i64;
     for &v in a {
         let clamped = (v.max(0) as i64).min(max - 1);
         let bin = (clamped * bins as i64 / max) as usize;
         out[bin] += 1;
     }
-    out
 }
 
 /// Database select: the values strictly greater than `threshold`, in input

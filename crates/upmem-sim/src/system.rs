@@ -40,6 +40,19 @@
 //!   image without cloning it and [`UpmemSystem::zero_buffer`] puts the slab
 //!   back in its fresh replicated form.
 //!
+//! * **lend** — an operand whose slab only the very next launch reads need
+//!   not be stored at all: [`UpmemSystem::scatter_lent`] validates, draws
+//!   its fault and bills the scatter but moves nothing, and
+//!   [`UpmemSystem::launch_lent`] reads the operand's strides from the
+//!   caller's slice (the one partial stride and the empty DPUs' zeros from
+//!   the system's reused scratch). The lent buffer keeps what it held before
+//!   — for the eager backend's per-shape contexts, the fresh replicated zero
+//!   stride it was allocated with, so it never grows to the grid — and
+//!   nothing reads it before the next scatter: those buffers are private to
+//!   the backend, whose every op scatters (lends) or broadcasts each input
+//!   before it launches. A tensor something else may read later — a
+//!   session's resident operand — is adopted or copied instead.
+//!
 //! A caller that only *reads* a gather needs no image at all:
 //! [`UpmemSystem::gather_with`] lends it the tight slab itself (or a copy in
 //! the system's scratch) for the duration of one call.
@@ -741,37 +754,36 @@ fn copy_strides(
 
 /// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
-/// `spec.output`, `spec.extra_outputs` order (moved out of `slabs` by the
-/// caller), every other buffer is read from `slabs`, `scratch` is the
-/// staging arena of the aliased path (grown to the launch's input footprint,
-/// never shrunk) and `narrow` holds the hot path's [`exec::narrow_operand`]
-/// (grown the same way). Output slabs become per-DPU here; inputs are only
-/// ever read through their [`Strides`].
+/// `spec.output`, `spec.extra_outputs` order (moved out of the slab table by
+/// the caller), `cuts` the DPU indices, first 0 and last the grid size, that
+/// cut the grid into runs whose DPUs read their inputs through the same
+/// strides (`[0, num_dpus]` unless an input is
+/// [lent](UpmemSystem::launch_lent)), `ins_of` a run's strides of every input
+/// that is not an output (an input that is, is read through `outs[0]`),
+/// `scratch` is the staging arena of the aliased path (grown to the launch's
+/// input footprint, never shrunk) and `narrow` holds the hot path's
+/// [`exec::narrow_operand`] (grown the same way). Output slabs become per-DPU
+/// here; inputs are only ever read through their [`Strides`].
 ///
 /// The kernel is dispatched once per band of DPUs ([`exec::execute_grid`]),
 /// not once per DPU: one band for `host_threads = 1`, `k` bands of the same
 /// code on the pool for `k` threads — bit-identical for every thread count.
-fn launch_slabs(
+fn launch_slabs<'a>(
     config: &UpmemConfig,
-    num_dpus: usize,
     spec: &KernelSpec,
-    slabs: &[Slab],
+    cuts: &[usize],
+    ins_of: impl Fn(&Range<usize>) -> [Strides<'a>; exec::MAX_KERNEL_INPUTS],
     outs: &mut [&mut Slab],
     scratch: &mut Vec<i32>,
     narrow: &mut Vec<i16>,
 ) {
-    let n_inputs = spec.inputs.len();
+    let (n_inputs, num_dpus) = (spec.inputs.len(), cuts[cuts.len() - 1]);
     debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-    // An input that is also the output is read through `outs[0]` below (the
-    // caller moved that slab out of `slabs`).
-    let mut ins = [Strides::EMPTY; exec::MAX_KERNEL_INPUTS];
-    for (slot, &b) in ins.iter_mut().zip(&spec.inputs) {
-        if b != spec.output {
-            *slot = slabs[b as usize].strides();
-        }
-    }
-    let ins = &ins[..n_inputs];
+    // Lent launches are neither fused nor aliased (validated), so every path
+    // but the hot one reads the one run over the grid.
+    let whole = || ins_of(&(0..num_dpus));
     if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
+        let ins = whole();
         // Fused outputs never alias inputs or each other (validated before
         // dispatch), so the chain runs stage by stage over the whole grid:
         // each stage is an element-wise grid op writing one output slab and
@@ -807,15 +819,25 @@ fn launch_slabs(
         return;
     }
     if !spec.inputs.contains(&spec.output) {
-        // Hot path: input strides are borrowed straight from the slabs and
-        // the output is split into disjoint bands of per-DPU strides.
-        let narrow = exec::narrow_operand(&spec.kind, ins, narrow);
-        config
-            .pool
-            .for_each_band_mut(config.host_threads, out, out_elems, |first, band| {
-                let dpus = first..first + band.len() / out_elems;
-                exec::execute_grid(&spec.kind, ins, narrow, band, out_elems, dpus)
-            });
+        // Hot path: input strides are borrowed straight from the slabs (or
+        // the caller's lent slices) and the output of each run of DPUs is
+        // split into disjoint bands of per-DPU strides.
+        for dpus in cuts
+            .windows(2)
+            .map(|w| w[0]..w[1])
+            .filter(|r| !r.is_empty())
+        {
+            let ins = &ins_of(&dpus)[..n_inputs];
+            let narrow = exec::narrow_operand(&spec.kind, ins, narrow);
+            let out = &mut out[dpus.start * out_elems..dpus.end * out_elems];
+            config
+                .pool
+                .for_each_band_mut(config.host_threads, out, out_elems, |first, band| {
+                    let first = dpus.start + first;
+                    let dpus = first..first + band.len() / out_elems;
+                    exec::execute_grid(&spec.kind, ins, narrow, band, out_elems, dpus)
+                });
+        }
         return;
     }
     // Slow path for the rare launch whose output buffer is also an input:
@@ -825,6 +847,7 @@ fn launch_slabs(
     // identical to the naive reference's per-launch clones, but without
     // per-DPU heap allocation once the arena has grown to the launch's
     // footprint.
+    let ins = &whole()[..n_inputs];
     let mut bounds = [0usize; exec::MAX_KERNEL_INPUTS + 1];
     for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
         let elems = if b == spec.output {
@@ -884,6 +907,9 @@ pub struct UpmemSystem {
     /// aliased launches and lent gathers perform no per-DPU (or per-op) heap
     /// allocation.
     scratch: Vec<i32>,
+    /// The staged tails of a [lent](Self::launch_lent) launch's operands:
+    /// grown to the largest such launch, then reused.
+    staged: Vec<i32>,
     /// The `i16` copy of a launch's replicated `gemm`/`gemv` operand
     /// ([`exec::narrow_operand`]): grown to the largest operand seen, then
     /// reused, so warm launches narrow without allocating.
@@ -941,6 +967,7 @@ impl UpmemSystem {
             free_ids: Vec::new(),
             stats: SystemStats::default(),
             scratch: Vec::new(),
+            staged: Vec::new(),
             narrow: Vec::new(),
             fault,
             tele,
@@ -1305,6 +1332,34 @@ impl UpmemSystem {
         Ok(self.apply_scatter(buffer, image, chunk))
     }
 
+    /// [`scatter_i32`](Self::scatter_i32) that **lends** `data` instead of
+    /// copying it: validates, draws the fault and bills exactly like it,
+    /// then moves nothing — the buffer keeps its contents, and the launch
+    /// that follows reads `data` itself through
+    /// [`launch_lent`](Self::launch_lent). `chunk` must be the buffer's
+    /// per-DPU length, so DPU `d` reads the stride `data[d * chunk..]`, and
+    /// the caller passes the same `data` to that launch.
+    ///
+    /// # Errors
+    ///
+    /// As [`scatter_i32`](Self::scatter_i32); also a `chunk` shorter than
+    /// the buffer's strides (checked before the fault draw).
+    pub fn scatter_lent(
+        &mut self,
+        buffer: BufferId,
+        data: &[i32],
+        chunk: usize,
+    ) -> SimResult<TransferStats> {
+        self.validate_chunk(buffer, chunk)?;
+        if chunk != self.buffer_len(buffer)? {
+            return Err(SimError::new(format!(
+                "a lent scatter fills whole strides, chunk {chunk} does not"
+            )));
+        }
+        self.inject_transfer("scatter")?;
+        Ok(self.account_scatter(data.len()))
+    }
+
     /// Copies the same host data to the buffer of every DPU (broadcast).
     ///
     /// Cost model: the replicated image crosses the host interface once per
@@ -1547,9 +1602,75 @@ impl UpmemSystem {
     /// Returns an error if a referenced buffer does not exist or is too small
     /// for the kernel shape.
     pub fn launch(&mut self, spec: &KernelSpec) -> SimResult<LaunchStats> {
+        self.launch_lent(spec, &[])
+    }
+
+    /// [`launch`](Self::launch) with inputs read from the caller's memory:
+    /// input `i` with `lent[i] = Some(data)` reads `data` as the
+    /// [lent scatter](Self::scatter_lent) of it into the input's buffer
+    /// would have stored it, and its buffer is not read. The DPUs whose
+    /// whole stride lies in `data` read it in place; the one partial DPU and
+    /// the empty ones after it read their zero-padded strides from a scratch
+    /// of the system's, staged here (two strides per lent input, grown once
+    /// and reused). Results and the accounted launch are those of the
+    /// copying scatter followed by [`launch`](Self::launch).
+    ///
+    /// # Errors
+    ///
+    /// As [`launch`](Self::launch); also a lent launch that is fused or
+    /// whose output is one of its inputs, or a `lent` longer than the inputs
+    /// (checked before the fault draw).
+    pub fn launch_lent(
+        &mut self,
+        spec: &KernelSpec,
+        lent: &[Option<&[i32]>],
+    ) -> SimResult<LaunchStats> {
         // Validate kernel and buffer shapes before touching any state.
         self.validate_launch(spec)?;
+        let lends = lent.iter().any(Option::is_some);
+        if lent.len() > spec.inputs.len()
+            || lends
+                && (spec.inputs.contains(&spec.output)
+                    || matches!(spec.kind, DpuKernelKind::FusedElementwise { .. }))
+        {
+            return Err(SimError::new(
+                "a lent launch lends at most its inputs and is neither fused nor aliased",
+            ));
+        }
         self.inject_launch(spec)?;
+        // A lent input is read in place by the DPUs whose whole stride its
+        // slice holds (`split`); the strides it does not fill are staged: the
+        // partial one, then the all-zero one every later DPU reads. The grid
+        // is cut into runs of DPUs that read every input the same way.
+        let num_dpus = self.num_dpus;
+        let mut split = [num_dpus; exec::MAX_KERNEL_INPUTS];
+        let mut cuts = [num_dpus; 2 * exec::MAX_KERNEL_INPUTS + 2];
+        cuts[0] = 0;
+        let mut staged = 0;
+        for (i, &b) in spec.inputs.iter().enumerate() {
+            let Some(Some(data)) = lent.get(i) else {
+                continue;
+            };
+            let elems = self.slabs[b as usize].elems_per_dpu;
+            split[i] = data
+                .len()
+                .checked_div(elems)
+                .map_or(num_dpus, |s| s.min(num_dpus));
+            cuts[2 * i + 1] = split[i];
+            cuts[2 * i + 2] = (split[i] + 1).min(num_dpus);
+            if self.staged.len() < staged + 2 * elems {
+                self.staged.resize(staged + 2 * elems, 0);
+            }
+            let tail = &mut self.staged[staged..staged + 2 * elems];
+            let rest = &data[(split[i] * elems).min(data.len())..];
+            let kept = rest.len().min(elems);
+            tail[..kept].copy_from_slice(&rest[..kept]);
+            tail[kept..].fill(0);
+            staged += 2 * elems;
+        }
+        if lends {
+            cuts.sort_unstable();
+        }
         // Functional execution on every DPU. The output slabs move out of
         // storage (no allocation) so the input slabs can be borrowed
         // immutably while the outputs are mutated.
@@ -1557,11 +1678,38 @@ impl UpmemSystem {
         for (slot, b) in taken.iter_mut().zip(spec.outputs()) {
             *slot = std::mem::take(&mut self.slabs[b as usize]);
         }
+        let (slabs, staged) = (&self.slabs, &self.staged);
+        let ins_of = |dpus: &Range<usize>| {
+            let mut tail = 0;
+            std::array::from_fn(|i| {
+                let Some(&b) = spec.inputs.get(i) else {
+                    return Strides::EMPTY;
+                };
+                match lent.get(i) {
+                    Some(Some(data)) => {
+                        let elems = slabs[b as usize].elems_per_dpu;
+                        tail += 2 * elems;
+                        let (data, step) = if dpus.end <= split[i] {
+                            (&data[..split[i] * elems], elems)
+                        } else if dpus.start == split[i] {
+                            (&staged[tail - 2 * elems..tail - elems], 0)
+                        } else {
+                            (&staged[tail - elems..tail], 0)
+                        };
+                        Strides { data, step, elems }
+                    }
+                    // An input that is also the output is read through the
+                    // taken output slab.
+                    _ if b == spec.output => Strides::EMPTY,
+                    _ => slabs[b as usize].strides(),
+                }
+            })
+        };
         launch_slabs(
             &self.config,
-            self.num_dpus,
             spec,
-            &self.slabs,
+            &cuts[..if lends { cuts.len() } else { 2 }],
+            ins_of,
             &mut taken.each_mut()[..spec.outputs().count()],
             &mut self.scratch,
             &mut self.narrow,

@@ -38,6 +38,18 @@ fn probe_ops<'a>(a: &'a [i32], b: &'a [i32]) -> [(CnmOp, Vec<&'a [i32]>); 5] {
     ]
 }
 
+/// [`Device::run`] into a fresh result of the op's length.
+fn run(
+    device: &mut dyn Device,
+    op: CnmOp,
+    operands: &[&[i32]],
+) -> Result<(Vec<i32>, f64), ShardError> {
+    let mut out = vec![0; op.geometry(1).out_len];
+    device
+        .run(op, operands, &mut out)
+        .map(|seconds| (out, seconds))
+}
+
 /// Runs the whole conformance suite against one device.
 fn conformance(device: &mut dyn Device) {
     let cost = device.cost();
@@ -54,7 +66,7 @@ fn conformance(device: &mut dyn Device) {
                 "{name}: {op:?} price must be positive"
             );
         }
-        let ran = device.run(op, &operands);
+        let ran = run(device, op, &operands);
         let refused = matches!(ran, Err(ShardError::Unsupported { .. }));
         assert_eq!(
             priced.is_some(),
@@ -66,8 +78,7 @@ fn conformance(device: &mut dyn Device) {
     // 2. An empty shard: resolved immediately, no statistics.
     let x = data::i32_vec(7, 8, -4, 4);
     let before = device.sim_seconds();
-    let (result, seconds) = device
-        .run(CnmOp::Gemv { rows: 0, cols: 8 }, &[&[], &x])
+    let (result, seconds) = run(device, CnmOp::Gemv { rows: 0, cols: 8 }, &[&[], &x])
         .expect("empty shards always succeed");
     assert!(result.is_empty(), "{name}: empty shard result");
     assert_eq!(seconds, 0.0, "{name}: empty shard cost");
@@ -77,8 +88,7 @@ fn conformance(device: &mut dyn Device) {
     //    accumulates simulated time.
     let (rows, cols) = (16usize, 8usize);
     let a = data::i32_vec(8, rows * cols, -8, 8);
-    let (result, seconds) = device
-        .run(CnmOp::Gemv { rows, cols }, &[&a, &x])
+    let (result, seconds) = run(device, CnmOp::Gemv { rows, cols }, &[&a, &x])
         .expect("gemv is universally supported and fault-free");
     assert_eq!(
         result,
@@ -99,16 +109,15 @@ fn conformance(device: &mut dyn Device) {
     };
     if cost.price(add).is_none() {
         let before = device.sim_seconds();
-        let err = device.run(add, &[&v, &v]).unwrap_err();
+        let err = run(device, add, &[&v, &v]).unwrap_err();
         assert!(
             matches!(err, ShardError::Unsupported { .. }),
             "{name}: wrong error kind"
         );
         assert_eq!(before, device.sim_seconds(), "{name}: failed run stats");
     } else {
-        let (result, _) = device
-            .run(add, &[&v, &v])
-            .expect("supported, fault-free elementwise shard");
+        let (result, _) =
+            run(device, add, &[&v, &v]).expect("supported, fault-free elementwise shard");
         assert_eq!(result, kernels::vector_add(&v, &v), "{name}: elementwise");
     }
 
@@ -184,12 +193,15 @@ fn a_full_mram_is_a_typed_refusal_on_the_eager_paths() {
         op: BinOp::Add,
         len: v.len(),
     };
-    let err = device.backend_mut().run(add, &[&v, &v]).unwrap_err();
+    let err = device
+        .backend_mut()
+        .run(add, &[&v, &v], &mut vec![0; v.len()])
+        .unwrap_err();
     assert_eq!(err.mram_shortfall(), Some((160, 96)));
     assert_eq!(device.backend().system().mram_used_bytes(), 0);
     assert_eq!(device.backend().cached_contexts(), 0);
 
-    let refused = device.run(add, &[&v, &v]).unwrap_err();
+    let refused = run(&mut device, add, &[&v, &v]).unwrap_err();
     assert_eq!(
         refused,
         ShardError::MramExhausted {

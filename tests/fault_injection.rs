@@ -42,7 +42,7 @@ fn retry_exhaustion_surfaces_a_typed_error() {
     let a = data::i32_vec(1, rows * cols, -8, 8);
     let x = data::i32_vec(2, cols, -8, 8);
     let err = device
-        .run(CnmOp::Gemv { rows, cols }, &[&a, &x])
+        .run(CnmOp::Gemv { rows, cols }, &[&a, &x], &mut vec![0; rows])
         .expect_err("a 100% launch fault rate must exhaust the retry budget");
     match err {
         ShardError::DeviceFault {

@@ -174,7 +174,8 @@ fn pinned_shims_agree_with_the_typed_path() {
         let target = device.cost().target();
         for (shard, op, operands) in &shards {
             device.reset_stats();
-            let ran = device.run(*op, operands);
+            let mut out = vec![0; op.geometry(1).out_len];
+            let ran = device.run(*op, operands, &mut out).map(|s| (out, s));
             device.reset_stats();
             let submitted = device.submit(shard);
             if matches!(ran, Err(ShardError::Unsupported { .. })) {

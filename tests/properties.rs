@@ -296,12 +296,14 @@ fn cim_cost_model_prices_what_the_backend_bills() {
                 } else {
                     CnmOp::Gemm { m, k, n }
                 };
-                let c = device.backend_mut().run(op, &[&a, &b]);
+                let mut c = vec![7; m * n];
+                let ran = device.backend_mut().run(op, &[&a, &b], &mut c);
                 let what = format!(
                     "{op:?} on {tile_rows}x{tile_cols}x{num_tiles}, \
                      min_writes={min_writes} parallel={parallel_tiles}"
                 );
-                assert_eq!(c.unwrap(), kernels::matmul(&a, &b, m, k, n), "{what}");
+                assert_eq!(ran, Ok(()), "{what}");
+                assert_eq!(c, kernels::matmul(&a, &b, m, k, n), "{what}");
                 let billed = device.backend().stats();
                 let Cost { seconds, joules } = cost.price(op).unwrap();
                 assert!(
@@ -383,7 +385,8 @@ fn cnm_cost_model_prices_what_the_backend_bills() {
                     let mut device = UpmemDevice::new(backend);
                     let Cost { seconds, joules } = device.cost().price(*op).unwrap();
                     let before = *device.backend().stats();
-                    device.run(*op, operands).unwrap();
+                    let mut out = vec![0; op.geometry(1).out_len];
+                    device.run(*op, operands, &mut out).unwrap();
                     let after = *device.backend().stats();
                     let what = format!("{op:?} on {ranks} ranks under {opts:?}");
                     let billed = after.total_seconds() - before.total_seconds();
@@ -1663,6 +1666,291 @@ fn planned_auto_shards_execute_bit_identically() {
             );
         }
     });
+}
+
+/// The copying issue order of an eager op: the commands
+/// `UpmemBackend::run` issues, with every scattered operand copied into its
+/// buffer (`scatter_i32`) instead of lent, and the output gathered into a
+/// vector of its own (`gather_i32`) and then decoded. Its per-shape buffers
+/// are allocated, reused and zeroed as the backend's contexts are, and every
+/// command goes through the wrapped backend's `try_op`, so the bill, the
+/// fault draws and the MRAM are comparable with a lending backend's.
+struct CopyingOracle {
+    be: UpmemBackend,
+    contexts: std::collections::HashMap<CnmOp, Vec<u32>>,
+}
+
+impl CopyingOracle {
+    fn new(be: UpmemBackend) -> Self {
+        CopyingOracle {
+            be,
+            contexts: Default::default(),
+        }
+    }
+
+    fn run(&mut self, op: CnmOp, operands: &[&[i32]]) -> Result<Vec<i32>, cinm::upmem::SimError> {
+        use cinm::lowering::cnm_op::MramLayout;
+        if let CnmOp::TimeSeries { window, len } = op {
+            if len > 0 {
+                cinm::upmem::validate_kernel_shape(&DpuKernelKind::TimeSeries { len, window })?;
+            }
+        }
+        let dpus = self.be.num_dpus();
+        let g = op.geometry(dpus);
+        if g.out_len == 0 || operands.iter().any(|o| o.is_empty()) {
+            let fill = match op {
+                CnmOp::Reduce { op, .. } => op.identity(),
+                _ => 0,
+            };
+            return Ok(vec![fill; g.out_len]);
+        }
+        // The backend's context key: the op without the value parameters
+        // that do not shape its buffers.
+        let key = match op {
+            CnmOp::Elementwise { len, .. } => CnmOp::Elementwise {
+                op: BinOp::Add,
+                len,
+            },
+            CnmOp::Reduce { len, .. } => CnmOp::Reduce {
+                op: BinOp::Add,
+                len,
+            },
+            CnmOp::Histogram { bins, len, .. } => CnmOp::Histogram {
+                bins,
+                max_value: 0,
+                len,
+            },
+            CnmOp::Select { len, .. } => CnmOp::Select { threshold: 0, len },
+            CnmOp::BfsStep {
+                vertices_per_dpu,
+                avg_degree,
+                ..
+            } => CnmOp::BfsStep {
+                vertices_per_dpu,
+                avg_degree,
+                used_dpus: 0,
+            },
+            other => other,
+        };
+        let sys = self.be.system_mut();
+        let bufs = match self.contexts.get(&key) {
+            Some(bufs) => {
+                sys.zero_buffer(bufs[operands.len()]).unwrap();
+                bufs.clone()
+            }
+            None => {
+                let lens = g.inputs[..operands.len()]
+                    .iter()
+                    .map(|&(MramLayout::Chunk(n) | MramLayout::Broadcast(n))| n);
+                let bufs: Vec<u32> = lens
+                    .chain([g.out_chunk])
+                    .map(|len| sys.alloc_buffer(len).unwrap())
+                    .collect();
+                self.contexts.insert(key, bufs.clone());
+                bufs
+            }
+        };
+        let out = bufs[operands.len()];
+        for (i, (&operand, layout)) in operands.iter().zip(g.inputs).enumerate() {
+            match layout {
+                MramLayout::Chunk(chunk) => {
+                    self.be
+                        .try_op(|sys| sys.scatter_i32(bufs[i], operand, chunk))?;
+                }
+                MramLayout::Broadcast(_) => {
+                    self.be.try_op(|sys| sys.broadcast_i32(bufs[i], operand))?;
+                }
+            }
+        }
+        let spec = self
+            .be
+            .kernel_spec(g.kernel, bufs[..operands.len()].to_vec(), out);
+        self.be.try_op(|sys| sys.launch(&spec))?;
+        let (raw, _) = self.be.try_op(|sys| sys.gather_i32(out, g.out_chunk))?;
+        let mut result = Vec::new();
+        g.out_layout.decode_into(&raw, dpus, g.out_len, &mut result);
+        Ok(result)
+    }
+}
+
+/// A lending `UpmemBackend::run` (its scattered operands read in place by
+/// the launch, its result decoded straight into the caller's destination)
+/// and a `ShardedBackend::run` writing its shards into one result both
+/// equal the copying issue order — results, `SystemStats`, `FaultStats`
+/// and `mram_used_bytes` — for every op kind, at tight, one-partial-DPU and
+/// empty-trailing-DPU lengths, under transient and permanent fault
+/// schedules and on 1, 2 and 8 host threads.
+#[test]
+fn eager_and_sharded_lent_operands_match_the_copying_issue_order() {
+    use cinm::lowering::{ShardError, ShardedBackend, ShardedRunOptions, Target};
+    use cinm::runtime::{FaultConfig, PoolHandle, RetryPolicy};
+    let patient = RetryPolicy {
+        max_attempts: 256,
+        ..RetryPolicy::default()
+    };
+    let pool = PoolHandle::with_threads(2);
+    let (mut case, mut retries, mut permanent) = (0usize, 0, 0);
+    for_cases(43, |rng| {
+        case += 1;
+        let threads = [1, 2, 8][case % 3];
+        let dpus = [4, 3, 8][case / 3 % 3];
+        let seed = rng.next_u64();
+        let fault = if case % 2 == 0 {
+            FaultConfig::seeded(seed)
+                .with_launch_fault_rate(0.1)
+                .with_transfer_timeout_rate(0.05)
+                .with_transfer_corruption_rate(0.05)
+        } else {
+            FaultConfig::seeded(seed)
+                .with_transfer_timeout_rate(0.05)
+                .with_permanent_after_launches(gen_usize(rng, 4, 16) as u64)
+        };
+        let mut cfg = UpmemConfig::with_ranks(1)
+            .with_host_threads(threads)
+            .with_fault(fault);
+        cfg.dpus_per_rank = dpus;
+        // Work that fills every DPU tightly, leaves one DPU partial, or
+        // leaves trailing DPUs empty.
+        let work = |rng: &mut SplitMix64| match gen_usize(rng, 0, 3) {
+            0 => dpus * gen_usize(rng, 1, 6),
+            1 => {
+                let chunk = gen_usize(rng, 2, 6);
+                dpus * chunk - gen_usize(rng, 1, chunk)
+            }
+            _ => [gen_usize(rng, 1, dpus), dpus + 1][gen_usize(rng, 0, 2)],
+        };
+        let (m, k, n) = (work(rng), gen_usize(rng, 1, 9), gen_usize(rng, 1, 5));
+        let mat = data::i32_vec(rng.next_u64(), m * k, -30, 30);
+        let rhs = data::i32_vec(rng.next_u64(), k * n, -30, 30);
+        let len = work(rng);
+        let v = data::i32_vec(rng.next_u64(), len, -40, 200);
+        let w = data::i32_vec(rng.next_u64(), len, -40, 200);
+        let binop =
+            [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Max, BinOp::Xor][gen_usize(rng, 0, 5)];
+        let reduce = [BinOp::Add, BinOp::Min, BinOp::Max][gen_usize(rng, 0, 3)];
+        let bins = gen_usize(rng, 1, 9);
+        let vertices = gen_usize(rng, 1, 3 * dpus);
+        let (f, degree, _) = gen_bfs(rng, vertices, dpus);
+        let shardable: Vec<(CnmOp, Vec<&[i32]>)> = vec![
+            (CnmOp::Gemm { m, k, n }, vec![&mat, &rhs]),
+            (CnmOp::Gemv { rows: m, cols: k }, vec![&mat, &rhs[..k]]),
+            (CnmOp::Elementwise { op: binop, len }, vec![&v, &w]),
+            (CnmOp::Reduce { op: reduce, len }, vec![&v]),
+            (
+                CnmOp::Histogram {
+                    bins,
+                    max_value: 160,
+                    len,
+                },
+                vec![&v],
+            ),
+        ];
+        let grid_only: Vec<(CnmOp, Vec<&[i32]>)> = vec![
+            (CnmOp::Select { threshold: 60, len }, vec![&v]),
+            (
+                CnmOp::TimeSeries {
+                    window: gen_usize(rng, 1, len.min(4) + 1),
+                    len,
+                },
+                vec![&v],
+            ),
+            (
+                CnmOp::BfsStep {
+                    vertices_per_dpu: f.vertices_per_dpu,
+                    avg_degree: degree,
+                    used_dpus: f.used_dpus,
+                },
+                vec![&f.rows, &f.cols, &f.frontier],
+            ),
+        ];
+        let what = format!("case {case}: {dpus} DPUs, {threads} threads");
+
+        // The eager backend, op after op.
+        let backend = || {
+            let mut be = UpmemBackend::with_config(cfg.clone(), UpmemRunOptions::optimized());
+            be.set_retry_policy(patient);
+            be
+        };
+        let (mut lent, mut copying) = (backend(), CopyingOracle::new(backend()));
+        for (op, operands) in shardable.iter().chain(&grid_only) {
+            let mut out = vec![-1; op.geometry(dpus).out_len];
+            let got = lent.run(*op, operands, &mut out).map(|written| {
+                out.truncate(written);
+                out
+            });
+            let want = copying.run(*op, operands);
+            permanent += want.as_ref().is_err_and(|e| e.is_permanent_fault()) as usize;
+            assert_eq!(got, want, "{what}: {op:?}");
+        }
+        assert_eq!(lent.stats(), copying.be.stats(), "{what}: bill");
+        assert_eq!(lent.fault_stats(), copying.be.fault_stats(), "{what}");
+        let mram = |be: &UpmemBackend| be.system().mram_used_bytes();
+        assert_eq!(mram(&lent), mram(&copying.be), "{what}: MRAM");
+        retries += lent.fault_stats().transient_retries;
+
+        // The sharded backend: its CNM shard is the copying order's op at
+        // the shard's work, and the whole result is the golden's.
+        let mut sharded = ShardedBackend::with_upmem_config(
+            cfg.clone(),
+            ShardedRunOptions::default()
+                .with_ranks(1)
+                .with_pool(pool.clone())
+                .with_host_threads(threads),
+        );
+        sharded.upmem_mut().set_retry_policy(patient);
+        let mut copying = CopyingOracle::new(backend());
+        for (op, operands) in &shardable {
+            let work = op.work();
+            let matmul = matches!(op, CnmOp::Gemm { .. } | CnmOp::Gemv { .. });
+            let split = if matmul {
+                gen_split(rng, work)
+            } else {
+                gen_split_no_cim(rng, work)
+            };
+            let cnm_op = op.with_work(split.cnm);
+            let unit = operands[0].len() / work;
+            let mut cnm_operands = vec![&operands[0][..split.cnm * unit]];
+            cnm_operands.extend(
+                operands
+                    .get(1)
+                    .map(|&b| if matmul { b } else { &b[..split.cnm] }),
+            );
+            let want = match copying.run(cnm_op, &cnm_operands) {
+                Err(e) if split.cnm > 0 => Err(ShardError::DeviceFault {
+                    device: Target::Cnm,
+                    permanent: e.is_permanent_fault(),
+                    message: e.to_string(),
+                }),
+                _ => Ok(match *op {
+                    CnmOp::Gemm { m, k, n } => kernels::matmul(operands[0], operands[1], m, k, n),
+                    CnmOp::Gemv { rows, cols } => {
+                        kernels::matvec(operands[0], operands[1], rows, cols)
+                    }
+                    CnmOp::Elementwise { op, .. } => {
+                        kernels::elementwise(operands[0], operands[1], |x, y| op.apply(x, y))
+                    }
+                    CnmOp::Reduce { op, .. } => vec![operands[0]
+                        .iter()
+                        .fold(op.identity(), |acc, &x| op.apply(acc, x))],
+                    CnmOp::Histogram {
+                        bins, max_value, ..
+                    } => kernels::histogram(operands[0], bins, max_value),
+                    _ => unreachable!("shardable ops only"),
+                }),
+            };
+            let got = sharded.run(*op, operands, &split);
+            assert_eq!(got, want, "{what}: sharded {op:?} {split:?}");
+        }
+        let upmem = sharded.upmem();
+        assert_eq!(upmem.stats(), copying.be.stats(), "{what}: sharded bill");
+        assert_eq!(upmem.fault_stats(), copying.be.fault_stats(), "{what}");
+        assert_eq!(mram(upmem), mram(&copying.be), "{what}: sharded MRAM");
+    });
+    assert!(retries > 0, "the transient schedules should inject faults");
+    assert!(
+        permanent > 0,
+        "the permanent schedules should kill launches"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 # Reads the Chrome trace a `cinm-benchmark run --workload figures` leaves in
 # benchmark/out/trace_figures.json and prints, per run of the 26-run pass
 # (device, workload), the fastest `harness.op` span over the traced passes in
-# milliseconds, and their sum. With a second trace (say the parent's and the
+# milliseconds, a subtotal per device group (12 UPMEM sessions, 9 crossbar
+# programs, 5 sharded ops) and their sum. With a second trace (say the parent's and the
 # change's) it prints both columns and the delta, so a claimed saving can be
 # shown where it sits (choosing-metrics, section 6.6). The run order is the
 # fixed one of benchmark/src/workloads/figures.rs (`programs`): 12 UPMEM
@@ -40,12 +41,16 @@ jq -rn '
         | (length / ($runs | length)) as $passes
         | [range($runs | length) as $i
            | [.[range($passes) * ($runs | length) + $i].dur] | min / 1000] ;
+    # One row: a label and the sum of each column over the runs [from, to).
+    def row($cols; $name; $from; $to): [$name] + [$cols[] | .[$from:$to] | add | r]
+        + (if ($cols | length) == 2
+           then [($cols[1][$from:$to] | add) - ($cols[0][$from:$to] | add) | r] else [] end);
     [inputs | fastest] as $cols
     | (["run", "ms"] + (if ($cols | length) == 2 then ["ms (2nd)", "2nd - 1st"] else [] end)),
-      (range($runs | length) as $i
-       | [$runs[$i]] + [$cols[][$i] | r]
-         + (if ($cols | length) == 2 then [$cols[1][$i] - $cols[0][$i] | r] else [] end)),
-      (["pass"] + [$cols[] | add | r]
-         + (if ($cols | length) == 2 then [($cols[1] | add) - ($cols[0] | add) | r] else [] end))
+      (range($runs | length) as $i | row($cols; $runs[$i]; $i; $i + 1)),
+      row($cols; "upmem (12)"; 0; 12),
+      row($cols; "crossbar (9)"; 12; 21),
+      row($cols; "sharded (5)"; 21; 26),
+      row($cols; "pass"; 0; $runs | length)
     | (.[0] | lpad(18)) + (.[1:] | map(rpad(11)) | join(""))
 ' "$@" || exit 2
