@@ -40,7 +40,7 @@ use crate::session::OpNode;
 
 /// Distinct external operands of one fused group: the simulator's
 /// per-kernel input limit.
-const MAX_FUSED_EXTERNALS: usize = 4;
+pub(crate) const MAX_FUSED_EXTERNALS: usize = 4;
 
 /// One schedule item of an optimized graph.
 pub(crate) enum SchedItem {

@@ -16,7 +16,7 @@ use cpu_sim::kernels;
 use cpu_sim::model::{CpuModel, OpCounts};
 use upmem_sim::{BinOp, SystemStats};
 
-use crate::session::{Session, SessionOptions, TensorShape};
+use crate::session::{Session, SessionOptions, TensorHandle, TensorShape};
 use crate::shard::ShardPolicy;
 use crate::target::Target;
 
@@ -322,13 +322,15 @@ pub fn run_upmem(
 }
 
 /// Runs a workload through the [`Session`] graph API — the primary execution
-/// path. Device ops are recorded lazily and compiled per [`Session::run`];
-/// multi-op workloads (`2mm`, `3mm`, `mlp`) chain through device-resident
-/// intermediates instead of the eager path's gather + re-scatter. Host-side
-/// preparation (im2col, contraction regrouping, MLP weight transposes) runs
-/// on the host exactly as in the eager path, so results are bit-identical to
-/// [`run_upmem`] (pinned by the oracle test). The result is moved out of the
-/// session ([`Session::take`]), so the result handle is stale afterwards.
+/// path. Device ops are recorded lazily against [`Session::input`] tensors
+/// and run with [`Session::run_with`], which reads every operand in place, so
+/// the session copies no input; multi-op workloads (`2mm`, `3mm`, `mlp`)
+/// chain through device-resident intermediates instead of the eager path's
+/// gather + re-scatter. Host-side preparation (im2col, contraction
+/// regrouping, MLP weight transposes) runs on the host exactly as in the
+/// eager path, so results are bit-identical to [`run_upmem`] (pinned by the
+/// oracle test). The result is moved out of the session ([`Session::take`]),
+/// so the result handle is stale afterwards.
 pub fn run_session(
     id: WorkloadId,
     scale: Scale,
@@ -337,32 +339,37 @@ pub fn run_session(
 ) -> Vec<i32> {
     let p = id.params(scale);
     let b = &inp.buffers;
+    let matrix = |rows, cols| TensorShape::Matrix { rows, cols };
+    let vector = |len| TensorShape::Vector { len };
+    let run = |s: &mut Session, feeds: &[(TensorHandle, &[i32])]| {
+        s.run_with(feeds).expect("session plan");
+    };
     match p {
         WorkloadParams::Gemm { m, k, n } => {
-            let a = s.matrix(&b[0], m, k);
-            let bb = s.matrix(&b[1], k, n);
+            let a = s.input(matrix(m, k));
+            let bb = s.input(matrix(k, n));
             let c = s.gemm(a, bb);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0]), (bb, &b[1])]);
             s.take(c)
         }
         WorkloadParams::Gemm2 { m, k, n, p } => {
-            let a = s.matrix(&b[0], m, k);
-            let bb = s.matrix(&b[1], k, n);
-            let cc = s.matrix(&b[2], n, p);
+            let a = s.input(matrix(m, k));
+            let bb = s.input(matrix(k, n));
+            let cc = s.input(matrix(n, p));
             let d = s.gemm(a, bb);
             let e = s.gemm(d, cc);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0]), (bb, &b[1]), (cc, &b[2])]);
             s.take(e)
         }
         WorkloadParams::Gemm3 { m, k, n, p } => {
-            let a = s.matrix(&b[0], m, k);
-            let bb = s.matrix(&b[1], k, n);
-            let cc = s.matrix(&b[2], n, k);
-            let dd = s.matrix(&b[3], k, p);
+            let a = s.input(matrix(m, k));
+            let bb = s.input(matrix(k, n));
+            let cc = s.input(matrix(n, k));
+            let dd = s.input(matrix(k, p));
             let e = s.gemm(a, bb);
             let f = s.gemm(cc, dd);
             let g = s.gemm(e, f);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0]), (bb, &b[1]), (cc, &b[2]), (dd, &b[3])]);
             s.take(g)
         }
         WorkloadParams::Conv2d { h, w, c, kh, kw, f } => {
@@ -370,10 +377,10 @@ pub fn run_session(
             // prepares the patch matrix before the graph runs.
             let patches = kernels::im2col(&b[0], 1, h, w, c, kh, kw);
             let (oh, ow) = (h - kh + 1, w - kw + 1);
-            let a = s.matrix(&patches, oh * ow, kh * kw * c);
-            let bb = s.matrix(&b[1], kh * kw * c, f);
+            let a = s.input(matrix(oh * ow, kh * kw * c));
+            let bb = s.input(matrix(kh * kw * c, f));
             let out = s.gemm(a, bb);
-            s.run().expect("session plan");
+            run(s, &[(a, &patches), (bb, &b[1])]);
             s.take(out)
         }
         WorkloadParams::ContractL {
@@ -386,97 +393,98 @@ pub fn run_session(
         } => {
             let a_mat = regroup_contrl_a(&b[0], a, bb, e, f);
             let b_mat = regroup_contrl_b(&b[1], c, d, e, f);
-            let at = s.matrix(&a_mat, a * bb, e * f);
-            let bt = s.matrix(&b_mat, e * f, c * d);
+            let at = s.input(matrix(a * bb, e * f));
+            let bt = s.input(matrix(e * f, c * d));
             let out = s.gemm(at, bt);
-            s.run().expect("session plan");
+            run(s, &[(at, &a_mat), (bt, &b_mat)]);
             reorder_contrl_output(&s.take(out), a, bb, c, d)
         }
         WorkloadParams::ContractS1 { a, b: bb, c, d } => {
             let a_mat = regroup_contrs1_a(&b[0], a, c, d);
             let b_mat = regroup_contrs1_b(&b[1], bb, c, d);
-            let at = s.matrix(&a_mat, a, c * d);
-            let bt = s.matrix(&b_mat, c * d, bb);
+            let at = s.input(matrix(a, c * d));
+            let bt = s.input(matrix(c * d, bb));
             let out = s.gemm(at, bt);
-            s.run().expect("session plan");
+            run(s, &[(at, &a_mat), (bt, &b_mat)]);
             s.take(out)
         }
         WorkloadParams::ContractS2 { a, b: bb, c, d } => {
-            let at = s.matrix(&b[0], a * c, d);
-            let bt = s.matrix(&b[1], d, bb);
+            let at = s.input(matrix(a * c, d));
+            let bt = s.input(matrix(d, bb));
             let out = s.gemm(at, bt);
-            s.run().expect("session plan");
+            run(s, &[(at, &b[0]), (bt, &b[1])]);
             reorder_contrs2_output(&s.take(out), a, bb, c)
         }
         WorkloadParams::Mlp { batch, layers } => {
             // The weight transposes and bias replication are host-side data
             // preparation; the three GEMM + bias + ReLU stages are one graph
             // whose intermediates chain on the device.
-            let mut x = s.matrix(&b[0], batch, layers[0]);
             let specs = [
                 (&b[1], &b[2], layers[0], layers[1], true),
                 (&b[3], &b[4], layers[1], layers[2], true),
                 (&b[5], &b[6], layers[2], layers[3], false),
             ];
+            // Each prepared operand with the input tensor it is fed to.
+            let mut prepared: Vec<(TensorHandle, Vec<i32>)> = Vec::with_capacity(8);
+            let x0 = s.input(matrix(batch, layers[0]));
+            let mut x = x0;
             let mut out = None;
             for (w, bias, inf, outf, relu) in specs {
-                let wt_host = kernels::transpose(w, outf, inf);
-                let wt = s.matrix(&wt_host, inf, outf);
+                let wt = s.input(matrix(inf, outf));
+                prepared.push((wt, kernels::transpose(w, outf, inf)));
                 let y = s.gemm(x, wt);
-                let bias_full: Vec<i32> = (0..batch * outf).map(|i| bias[i % outf]).collect();
-                let bias_t = s.vector(&bias_full);
+                let bias_t = s.input(vector(batch * outf));
+                prepared.push((bias_t, (0..batch * outf).map(|i| bias[i % outf]).collect()));
                 let mut z = s.elementwise(BinOp::Add, y, bias_t);
                 if relu {
-                    let zeros = s.vector(&vec![0i32; batch * outf]);
+                    let zeros = s.input(vector(batch * outf));
+                    prepared.push((zeros, vec![0i32; batch * outf]));
                     z = s.elementwise(BinOp::Max, z, zeros);
                 }
-                x = s.reshape(
-                    z,
-                    TensorShape::Matrix {
-                        rows: batch,
-                        cols: outf,
-                    },
-                );
+                x = s.reshape(z, matrix(batch, outf));
                 out = Some(z);
             }
             let _ = x; // the last layer's view feeds no further gemm
-            s.run().expect("session plan");
+            let feeds: Vec<(TensorHandle, &[i32])> = std::iter::once((x0, &b[0][..]))
+                .chain(prepared.iter().map(|(h, data)| (*h, &data[..])))
+                .collect();
+            run(s, &feeds);
             s.take(out.expect("mlp has layers"))
         }
         WorkloadParams::Gemv { rows, cols } => {
-            let a = s.matrix(&b[0], rows, cols);
-            let x = s.vector(&b[1]);
+            let a = s.input(matrix(rows, cols));
+            let x = s.input(vector(b[1].len()));
             let y = s.gemv(a, x);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0]), (x, &b[1])]);
             s.take(y)
         }
         WorkloadParams::Vector { .. } => {
-            let a = s.vector(&b[0]);
+            let a = s.input(vector(b[0].len()));
             match id {
                 WorkloadId::Red => {
                     let r = s.reduce(BinOp::Add, a);
-                    s.run().expect("session plan");
+                    run(s, &[(a, &b[0])]);
                     vec![s.fetch_scalar(r)]
                 }
                 _ => {
-                    let bb = s.vector(&b[1]);
+                    let bb = s.input(vector(b[1].len()));
                     let c = s.elementwise(BinOp::Add, a, bb);
-                    s.run().expect("session plan");
+                    run(s, &[(a, &b[0]), (bb, &b[1])]);
                     s.take(c)
                 }
             }
         }
         WorkloadParams::Select { threshold, .. } => {
-            let a = s.vector(&b[0]);
+            let a = s.input(vector(b[0].len()));
             let sel = s.select(a, threshold);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0])]);
             s.take(sel)
         }
         WorkloadParams::Bfs { vertices, degree } => {
             let f = bfs_fragments(&b[0], &b[1], &b[2], vertices, degree, s.num_dpus());
-            let rows = s.vector(&f.rows);
-            let cols = s.vector(&f.cols);
-            let frontier = s.vector(&f.frontier);
+            let rows = s.input(vector(f.rows.len()));
+            let cols = s.input(vector(f.cols.len()));
+            let frontier = s.input(vector(f.frontier.len()));
             let next = s.bfs_step(
                 rows,
                 cols,
@@ -485,21 +493,24 @@ pub fn run_session(
                 degree,
                 f.used_dpus,
             );
-            s.run().expect("session plan");
+            run(
+                s,
+                &[(rows, &f.rows), (cols, &f.cols), (frontier, &f.frontier)],
+            );
             s.take(next)
         }
         WorkloadParams::Histogram {
             bins, max_value, ..
         } => {
-            let a = s.vector(&b[0]);
+            let a = s.input(vector(b[0].len()));
             let h = s.histogram(a, bins, max_value);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0])]);
             s.take(h)
         }
         WorkloadParams::TimeSeries { window, .. } => {
-            let a = s.vector(&b[0]);
+            let a = s.input(vector(b[0].len()));
             let t = s.time_series(a, window);
-            s.run().expect("session plan");
+            run(s, &[(a, &b[0])]);
             s.take(t)
         }
     }
@@ -567,15 +578,17 @@ pub fn run_cim(
             reorder_contrs2_output(&flat, a, bb, c)
         }
         WorkloadParams::Mlp { batch, layers } => {
-            let mut x = b[0].clone();
             let specs = [
                 (&b[1], &b[2], layers[0], layers[1], true),
                 (&b[3], &b[4], layers[1], layers[2], true),
                 (&b[5], &b[6], layers[2], layers[3], false),
             ];
+            // The first layer reads the input in place; each later one the
+            // previous layer's output.
+            let mut x: Option<Vec<i32>> = None;
             for (w, bias, inf, outf, relu) in specs {
                 let wt = kernels::transpose(w, outf, inf);
-                let y = backend.gemm(&x, &wt, batch, inf, outf);
+                let mut y = backend.gemm(x.as_deref().unwrap_or(&b[0]), &wt, batch, inf, outf);
                 // Bias add and ReLU stay on the ARM host (non-matmul ops).
                 backend.host_fallback(OpCounts {
                     int_ops: 2.0 * y.len() as f64,
@@ -583,20 +596,17 @@ pub fn run_cim(
                     bytes_read: (y.len() * 8) as f64,
                     bytes_written: (y.len() * 4) as f64,
                 });
-                x = y
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        let z = v.wrapping_add(bias[i % outf]);
+                for row in y.chunks_exact_mut(outf) {
+                    for (v, &bias) in row.iter_mut().zip(bias.iter()) {
+                        *v = v.wrapping_add(bias);
                         if relu {
-                            z.max(0)
-                        } else {
-                            z
+                            *v = (*v).max(0);
                         }
-                    })
-                    .collect();
+                    }
+                }
+                x = Some(y);
             }
-            x
+            x.expect("mlp has layers")
         }
         WorkloadParams::Gemv { rows, cols } => backend.gemv(&b[0], &b[1], rows, cols),
         _ => panic!("{} is not part of the CIM suite", id.name()),

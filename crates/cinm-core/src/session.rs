@@ -27,6 +27,11 @@
 //!    Unchanged *input* tensors also stay resident across runs — a serving
 //!    loop re-broadcasts only the vectors it [`Session::write`]s.
 //!    [`Session::fetch`] is the only point data returns to the host.
+//! 4. **Fed inputs.** A tensor made by [`Session::input`] has no contents of
+//!    its own: [`Session::run_with`] feeds it a slice for one run, read in
+//!    place by the scatter, the launches and the host and crossbar shards,
+//!    so a cold run copies no input (a written tensor is a copy the session
+//!    keeps, and stays resident). Bills and results are those of writing it.
 //!
 //! # The graph optimizer
 //!
@@ -261,8 +266,8 @@ impl TensorShape {
 /// Handles of **op outputs** stay fetchable until the *next* [`Session::run`]
 /// (at which point unreferenced temporaries are recycled and their handles
 /// go stale — using one afterwards panics with a clear message); handles of
-/// [`Session::vector`]/[`Session::matrix`] source tensors stay valid for the
-/// session's lifetime.
+/// [`Session::vector`]/[`Session::matrix`]/[`Session::input`] source tensors
+/// stay valid for the session's lifetime.
 ///
 /// ```
 /// use cinm_core::session::{Session, SessionOptions, TensorShape};
@@ -354,6 +359,9 @@ struct Slot {
     /// across recycling so steady-state loops never re-allocate.
     host: HostImage,
     host_valid: bool,
+    /// Index of the slice this slot is fed for the run in flight
+    /// ([`Session::run_with`]) — its host copy instead of `host` while set.
+    feed: Option<u32>,
     /// Whether the resident device copy is current.
     device_valid: bool,
     resident: Option<Resident>,
@@ -927,8 +935,16 @@ impl Session {
         h
     }
 
+    /// Creates a tensor of `shape` with no contents: a **fed input**, whose
+    /// contents each [`run_with`](Self::run_with) lends for that run only.
+    pub fn input(&mut self, shape: TensorShape) -> TensorHandle {
+        self.alloc_slot(shape, true)
+    }
+
     /// Overwrites a tensor's host contents (device copies are invalidated;
     /// the next run re-transfers it). The data length must match the shape.
+    /// The session keeps a copy; [`run_with`](Self::run_with) feeds contents
+    /// for one run without one.
     pub fn write(&mut self, h: TensorHandle, data: &[i32]) {
         self.check(h);
         assert_eq!(data.len(), h.shape.len(), "write length mismatch");
@@ -1348,9 +1364,9 @@ impl Session {
                 {
                     continue;
                 }
-                let recipe = s
-                    .recipe
-                    .expect("tensor has no valid copy and no recompute recipe");
+                let recipe = s.recipe.expect(
+                    "tensor has no valid copy and no recompute recipe (an input must be fed)",
+                );
                 for (i, &rin) in recipe.inputs().iter().enumerate() {
                     let rs = &self.slots[rin as usize];
                     assert!(
@@ -1902,6 +1918,8 @@ impl Session {
     /// unchanged) and runs every step in program order. After `run`,
     /// op-output handles are fetchable until the next `run`.
     ///
+    /// `run()` is [`run_with`](Self::run_with) with nothing fed.
+    ///
     /// Device failures are recovered in place (up to
     /// 8 attempts per run):
     /// transient storms re-execute from the failed step, a permanently
@@ -1918,6 +1936,67 @@ impl Session {
     /// device failures that outlive the recovery budget; the recorded graph
     /// is discarded and the session stays usable.
     pub fn run(&mut self) -> Result<(), ShardError> {
+        self.run_with(&[])
+    }
+
+    /// [`run`](Self::run) with each `(handle, data)` of `feeds` **fed**: for
+    /// this run the tensor's contents are `data`, read in place — a
+    /// scattered operand is lent to every launch that reads it
+    /// ([`UpmemSystem::scatter_lent`](upmem_sim::UpmemSystem::scatter_lent)),
+    /// and host and crossbar shards read the slice — so the session copies
+    /// no input. Bills, faults and results are those of
+    /// [`write`](Self::write)`(handle, data)` before the run. Afterwards a
+    /// fed tensor holds no copy on either side (fetching it panics as for
+    /// any tensor with no valid copy), and it may be fed again: a loop that
+    /// feeds the same graph replays one plan. Any source tensor may be fed,
+    /// usually one made by [`input`](Self::input).
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// On a stale or select handle, a feed whose length is not the tensor's,
+    /// a tensor fed twice, and a fed output of the pending graph.
+    pub fn run_with(&mut self, feeds: &[(TensorHandle, &[i32])]) -> Result<(), ShardError> {
+        for (i, &(h, data)) in feeds.iter().enumerate() {
+            self.check_input(h);
+            assert_eq!(data.len(), h.shape.len(), "feed length mismatch");
+            assert!(
+                feeds[..i].iter().all(|(g, _)| g.id != h.id),
+                "a tensor is fed twice"
+            );
+            assert!(
+                !self.ops.iter().any(|o| o.output == h.id),
+                "a fed tensor is an output of the pending graph"
+            );
+        }
+        // The contents change as under `write` (recomputing dependents may
+        // run, so it finishes before any slot is bound).
+        for &(h, _) in feeds {
+            self.kill_recipes_reading(h.id);
+        }
+        for (i, &(h, _)) in feeds.iter().enumerate() {
+            let slot = &mut self.slots[h.id as usize];
+            slot.recipe = None;
+            slot.feed = Some(i as u32);
+            slot.host_valid = true;
+            slot.device_valid = false;
+        }
+        let outcome = self.run_fed(feeds);
+        for &(h, _) in feeds {
+            let slot = &mut self.slots[h.id as usize];
+            slot.feed = None;
+            slot.host_valid = false;
+            slot.device_valid = false;
+            slot.resident = None;
+        }
+        outcome
+    }
+
+    /// The one run body, with `feeds` bound to their slots.
+    fn run_fed(&mut self, feeds: &[Feed<'_>]) -> Result<(), ShardError> {
         if self.ops.is_empty() {
             self.discarded.clear();
             return Ok(());
@@ -1970,7 +2049,7 @@ impl Session {
         let mut from = 0usize;
         let mut attempts = 0u32;
         let outcome = loop {
-            match self.execute(idx, from) {
+            match self.execute(idx, from, feeds) {
                 Ok(()) => break Ok(()),
                 Err((step, error)) => {
                     // Panics and validation errors are bugs, not faults: no
@@ -2081,7 +2160,12 @@ impl Session {
 
     /// Executes the compiled plan `idx` from step `from`; a failure reports
     /// the step it happened in so recovery can resume there.
-    fn execute(&mut self, idx: usize, from: usize) -> Result<(), (usize, ShardError)> {
+    fn execute(
+        &mut self,
+        idx: usize,
+        from: usize,
+        feeds: &[Feed<'_>],
+    ) -> Result<(), (usize, ShardError)> {
         let residency = self.residency;
         let dpus = self.backend.num_dpus();
         let Session {
@@ -2100,12 +2184,19 @@ impl Session {
                     backend,
                     slots,
                     &compiled.cmds[cmds.clone()],
+                    &compiled.binding,
+                    feeds,
                     residency,
                     dpus,
                 ),
-                Step::Planned { op, split } => {
-                    run_planned(backend, slots, &compiled.binding, &compiled.ops[*op], split)
-                }
+                Step::Planned { op, split } => run_planned(
+                    backend,
+                    slots,
+                    &compiled.binding,
+                    &compiled.ops[*op],
+                    split,
+                    feeds,
+                ),
             };
             if let Err(e) = step_result {
                 return Err((si, e));
@@ -2592,12 +2683,11 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
             });
             s.device_valid = residency;
         }
-        CnmCmd::Broadcast { slot, buf, .. } => {
+        CnmCmd::Broadcast { slot, buf, len, .. } => {
             let s = &mut slots[*slot as usize];
-            let len = s.host.len();
             s.resident = Some(Resident {
                 buf: *buf,
-                gather_chunk: len,
+                gather_chunk: *len,
                 layout: OutputLayout::Replicated,
             });
             s.device_valid = residency;
@@ -2613,12 +2703,28 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
     }
 }
 
+/// A fed tensor of [`Session::run_with`] and the slice it is fed.
+type Feed<'a> = (TensorHandle, &'a [i32]);
+
+/// The host copy of `slot`: the slice it is fed in this run, or its image.
+fn host_of<'a>(slot: &'a Slot, feeds: &[Feed<'a>]) -> &'a [i32] {
+    match slot.feed {
+        Some(i) => feeds[i as usize].1,
+        None => &slot.host,
+    }
+}
+
 /// Executes one segment through the simulator's eager entry points in the
-/// recorded (program) order — allocation-free in the steady state.
+/// recorded (program) order — allocation-free in the steady state. A fed
+/// tensor's scatter is lent and every launch reading it lends its slice
+/// (`binding` maps a launch argument to its slot), so its buffer is never
+/// read; a run with nothing fed pays one check per scatter and launch.
 fn run_segment(
     backend: &mut ShardedBackend,
     slots: &mut [Slot],
     cmds: &[CnmCmd],
+    binding: &[u32],
+    feeds: &[Feed<'_>],
     residency: bool,
     dpus: usize,
 ) -> Result<(), ShardError> {
@@ -2631,16 +2737,29 @@ fn run_segment(
             CnmCmd::Scatter {
                 slot, buf, chunk, ..
             } => {
-                // A cold upload (and the re-upload of a free-dropped tensor)
+                // A fed tensor is lent (its `Chunk(chunk)` buffer holds
+                // exactly `chunk` elements, as a lent scatter requires). A
+                // cold upload (and the re-upload of a free-dropped tensor)
                 // hands the image over; a warmed one copies into the slab.
-                let host = &mut slots[*slot as usize].host;
-                backend
-                    .upmem_mut()
-                    .try_op(|sys| sys.scatter_image(*buf, host, *chunk))
-                    .map(|_| ())
+                let s = &mut slots[*slot as usize];
+                match s.feed {
+                    Some(f) => {
+                        let data = feeds[f as usize].1;
+                        backend
+                            .upmem_mut()
+                            .try_op(|sys| sys.scatter_lent(*buf, data, *chunk))
+                    }
+                    None => {
+                        let host = &mut s.host;
+                        backend
+                            .upmem_mut()
+                            .try_op(|sys| sys.scatter_image(*buf, host, *chunk))
+                    }
+                }
+                .map(|_| ())
             }
             CnmCmd::Broadcast { slot, buf, .. } => {
-                let host = &slots[*slot as usize].host;
+                let host = host_of(&slots[*slot as usize], feeds);
                 backend
                     .upmem_mut()
                     .try_op(|sys| sys.broadcast_i32(*buf, host))
@@ -2656,10 +2775,26 @@ fn run_segment(
                     .expect("zero output buffer");
                 Ok(())
             }
-            CnmCmd::Launch { spec, .. } => backend
+            CnmCmd::Launch { spec, .. } if feeds.is_empty() => backend
                 .upmem_mut()
                 .try_op(|sys| sys.launch(spec))
                 .map(|_| ()),
+            CnmCmd::Launch { spec, args } => {
+                let mut lent = [None; fusion::MAX_FUSED_EXTERNALS];
+                for arg in args {
+                    let slot = &slots[binding[arg.cslot as usize] as usize];
+                    if let (LaunchRole::Input(i), MramLayout::Chunk(_), Some(f)) =
+                        (arg.role, arg.key, slot.feed)
+                    {
+                        lent[i as usize] = Some(feeds[f as usize].1);
+                    }
+                }
+                let lent = &lent[..spec.inputs.len()];
+                backend
+                    .upmem_mut()
+                    .try_op(|sys| sys.launch_lent(spec, lent))
+                    .map(|_| ())
+            }
             CnmCmd::Materialize { slot, .. } => {
                 materialize_slot(backend, &mut slots[*slot as usize], dpus)?;
                 Ok(())
@@ -2684,9 +2819,10 @@ fn run_planned(
     binding: &[u32],
     node: &OpNode,
     split: &ShardSplit,
+    feeds: &[Feed<'_>],
 ) -> Result<(), ShardError> {
     let phys = |c: u32| binding[c as usize] as usize;
-    let host = |i: usize| &slots[phys(node.inputs[i])].host[..];
+    let host = |i: usize| host_of(&slots[phys(node.inputs[i])], feeds);
     let operands = [host(0), host(1)];
     let result = backend.run(node.kind, &operands[..node.inputs().len()], split)?;
     let out = &mut slots[phys(node.output)];

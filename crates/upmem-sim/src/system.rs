@@ -48,10 +48,12 @@
 //!   the system's reused scratch). The lent buffer keeps what it held before
 //!   — for the eager backend's per-shape contexts, the fresh replicated zero
 //!   stride it was allocated with, so it never grows to the grid — and
-//!   nothing reads it before the next scatter: those buffers are private to
-//!   the backend, whose every op scatters (lends) or broadcasts each input
-//!   before it launches. A tensor something else may read later — a
-//!   session's resident operand — is adopted or copied instead.
+//!   nothing reads it: the eager backend's buffers are private to it, and
+//!   its every op scatters (lends) or broadcasts each input before it
+//!   launches; a session lends a tensor it is fed for one run to every
+//!   launch of that run that reads it, fused ones included. A tensor
+//!   something else may read later — a session's resident operand — is
+//!   adopted or copied instead.
 //!
 //! A caller that only *reads* a gather needs no image at all:
 //! [`UpmemSystem::gather_with`] lends it the tight slab itself (or a copy in
@@ -779,36 +781,42 @@ fn launch_slabs<'a>(
 ) {
     let (n_inputs, num_dpus) = (spec.inputs.len(), cuts[cuts.len() - 1]);
     debug_assert!(n_inputs <= exec::MAX_KERNEL_INPUTS);
-    // Lent launches are neither fused nor aliased (validated), so every path
-    // but the hot one reads the one run over the grid.
-    let whole = || ins_of(&(0..num_dpus));
+    // The runs of DPUs that read every input the same way (one run over the
+    // grid unless something is lent).
+    let runs = || {
+        cuts.windows(2)
+            .map(|w| w[0]..w[1])
+            .filter(|r| !r.is_empty())
+    };
     if let DpuKernelKind::FusedElementwise { stages, len, .. } = &spec.kind {
-        let ins = whole();
         // Fused outputs never alias inputs or each other (validated before
-        // dispatch), so the chain runs stage by stage over the whole grid:
-        // each stage is an element-wise grid op writing one output slab and
-        // reading launch inputs or the slabs earlier stages wrote. Its work
-        // is proportional to its volume, so small stages stay on the caller
-        // like small transfers do.
+        // dispatch), so each run of DPUs runs the chain stage by stage: each
+        // stage is an element-wise grid op writing one output slab and
+        // reading launch inputs or the strides earlier stages wrote for the
+        // same DPUs. Its work is proportional to its volume, so small stages
+        // stay on the caller like small transfers do.
         debug_assert_eq!(stages.len(), outs.len());
         let threads = transfer_threads(config.host_threads, len * num_dpus);
-        for (s, stage) in stages.iter().enumerate() {
-            let (done, rest) = outs.split_at_mut(s);
-            let operand = |arg| match arg {
-                FusedArg::Input(i) => ins[i as usize],
-                FusedArg::Stage(t) => done[t as usize].strides(),
-            };
-            let (lhs, rhs) = (operand(stage.lhs), operand(stage.rhs));
-            let out_elems = rest[0].elems_per_dpu;
-            config.pool.for_each_band_mut(
-                threads,
-                rest[0].per_dpu_mut(num_dpus, false),
-                out_elems,
-                |first, band| {
-                    let dpus = first..first + band.len() / out_elems;
-                    exec::elementwise_grid(stage.op, *len, lhs, rhs, band, out_elems, dpus)
-                },
-            );
+        for dpus in runs() {
+            let ins = ins_of(&dpus);
+            for (s, stage) in stages.iter().enumerate() {
+                let (done, rest) = outs.split_at_mut(s);
+                let operand = |arg| match arg {
+                    FusedArg::Input(i) => ins[i as usize],
+                    FusedArg::Stage(t) => done[t as usize].strides(),
+                };
+                let (lhs, rhs) = (operand(stage.lhs), operand(stage.rhs));
+                let out_elems = rest[0].elems_per_dpu;
+                let out = rest[0].per_dpu_mut(num_dpus, false);
+                let out = &mut out[dpus.start * out_elems..dpus.end * out_elems];
+                config
+                    .pool
+                    .for_each_band_mut(threads, out, out_elems, |first, band| {
+                        let first = dpus.start + first;
+                        let dpus = first..first + band.len() / out_elems;
+                        exec::elementwise_grid(stage.op, *len, lhs, rhs, band, out_elems, dpus)
+                    });
+            }
         }
         return;
     }
@@ -822,11 +830,7 @@ fn launch_slabs<'a>(
         // Hot path: input strides are borrowed straight from the slabs (or
         // the caller's lent slices) and the output of each run of DPUs is
         // split into disjoint bands of per-DPU strides.
-        for dpus in cuts
-            .windows(2)
-            .map(|w| w[0]..w[1])
-            .filter(|r| !r.is_empty())
-        {
+        for dpus in runs() {
             let ins = &ins_of(&dpus)[..n_inputs];
             let narrow = exec::narrow_operand(&spec.kind, ins, narrow);
             let out = &mut out[dpus.start * out_elems..dpus.end * out_elems];
@@ -847,7 +851,8 @@ fn launch_slabs<'a>(
     // identical to the naive reference's per-launch clones, but without
     // per-DPU heap allocation once the arena has grown to the launch's
     // footprint.
-    let ins = &whole()[..n_inputs];
+    // Lent launches are not aliased (validated): one run over the grid.
+    let ins = &ins_of(&(0..num_dpus))[..n_inputs];
     let mut bounds = [0usize; exec::MAX_KERNEL_INPUTS + 1];
     for (i, (&b, strides)) in spec.inputs.iter().zip(ins).enumerate() {
         let elems = if b == spec.output {
@@ -1617,9 +1622,9 @@ impl UpmemSystem {
     ///
     /// # Errors
     ///
-    /// As [`launch`](Self::launch); also a lent launch that is fused or
-    /// whose output is one of its inputs, or a `lent` longer than the inputs
-    /// (checked before the fault draw).
+    /// As [`launch`](Self::launch); also a lent launch whose output is one
+    /// of its inputs, or a `lent` longer than the inputs (checked before the
+    /// fault draw).
     pub fn launch_lent(
         &mut self,
         spec: &KernelSpec,
@@ -1628,13 +1633,9 @@ impl UpmemSystem {
         // Validate kernel and buffer shapes before touching any state.
         self.validate_launch(spec)?;
         let lends = lent.iter().any(Option::is_some);
-        if lent.len() > spec.inputs.len()
-            || lends
-                && (spec.inputs.contains(&spec.output)
-                    || matches!(spec.kind, DpuKernelKind::FusedElementwise { .. }))
-        {
+        if lent.len() > spec.inputs.len() || lends && spec.inputs.contains(&spec.output) {
             return Err(SimError::new(
-                "a lent launch lends at most its inputs and is neither fused nor aliased",
+                "a lent launch lends at most its inputs and is not aliased",
             ));
         }
         self.inject_launch(spec)?;
@@ -2630,6 +2631,51 @@ mod tests {
             fus.stats().kernel_seconds,
             sep.stats().kernel_seconds
         );
+    }
+
+    #[test]
+    fn a_lent_fused_launch_matches_the_copying_scatter_for_every_stride_shape() {
+        // 4 DPUs × 5 elements: tight (20), one partial DPU (13) and empty
+        // trailing DPUs (6); two stages over a lent and a scattered input.
+        for len in [20usize, 13, 6] {
+            let a: Vec<i32> = (0..len as i32).map(|i| i * 7 % 11 - 5).collect();
+            let b: Vec<i32> = (0..len as i32).map(|i| i * 5 % 9 - 4).collect();
+            let run = |lend: bool| {
+                let mut sys = small_system();
+                let [x, y, s0, s1] = [(); 4].map(|_| sys.alloc_buffer(5).unwrap());
+                if lend {
+                    sys.scatter_lent(x, &a, 5).unwrap();
+                } else {
+                    sys.scatter_i32(x, &a, 5).unwrap();
+                }
+                sys.scatter_i32(y, &b, 5).unwrap();
+                let spec = KernelSpec::new(
+                    DpuKernelKind::FusedElementwise {
+                        stages: vec![
+                            FusedStage {
+                                op: BinOp::Sub,
+                                lhs: FusedArg::Input(0),
+                                rhs: FusedArg::Input(1),
+                            },
+                            FusedStage {
+                                op: BinOp::Mul,
+                                lhs: FusedArg::Stage(0),
+                                rhs: FusedArg::Input(0),
+                            },
+                        ],
+                        len: 5,
+                        arity: 2,
+                    },
+                    vec![x, y],
+                    s0,
+                )
+                .with_extra_outputs(vec![s1]);
+                let lent = [lend.then_some(&a[..]), None];
+                sys.launch_lent(&spec, &lent).unwrap();
+                (contents(&sys, s0), contents(&sys, s1), *sys.stats())
+            };
+            assert_eq!(run(true), run(false), "len {len}");
+        }
     }
 
     #[test]

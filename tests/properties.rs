@@ -2867,6 +2867,293 @@ fn faulted_session_graphs_match_the_fault_free_oracle() {
 }
 
 // ---------------------------------------------------------------------------
+// Fed session inputs: run_with vs write
+// ---------------------------------------------------------------------------
+
+/// One round of a fed-vs-written case: its inputs' contents, and whether the
+/// round records fresh input tensors or reuses the previous round's.
+struct FedRound {
+    data: Vec<Vec<i32>>,
+    fresh: bool,
+}
+
+/// What a fed-vs-written session run must reproduce: per round the run's
+/// outcome and every fetched output, then the session's counters.
+type FedOutcome = (
+    Vec<Result<Vec<Vec<i32>>, cinm::lowering::ShardError>>,
+    cinm::upmem::SystemStats,
+    cinm::runtime::FaultStats,
+    cinm::core::ResidencyStats,
+    [u64; 3],
+    u64,
+);
+
+/// A run that feeds its inputs (`Session::input` + `run_with`, read in
+/// place) is bit-identical to one that writes them first (`write`, a copy
+/// the session keeps): each round's results, then the simulator's bill and
+/// the fault, residency and MRAM used/peak counters. Cases cover every op
+/// kind at tight, one-partial-DPU and empty-trailing lengths; residency on
+/// and off; fused chains (their launches lend too); `Single(Cnm)` and `Auto`
+/// placement (host and crossbar shards read the fed slices); MRAM limits
+/// that evict earlier rounds' fed tensors; transient and permanent fault
+/// schedules; and 1/2/8 host threads. Rounds after the first reuse the
+/// graph, fresh tensors or the same ones fed again, so plans replay.
+#[test]
+fn fed_session_runs_match_the_written_session() {
+    use cinm::core::{Session, SessionOptions, ShardPolicy, Target, TensorHandle, TensorShape};
+    use cinm::lowering::ShardedRunOptions;
+    use cinm::runtime::{FaultConfig, PoolHandle};
+    let pool = PoolHandle::with_threads(2);
+    let (mut case, mut fused, mut sharded, mut evicted, mut faulted) = (0usize, 0, 0, 0, 0);
+    for_cases(44, |rng| {
+        case += 1;
+        let dpus = [4, 3, 8][case % 3];
+        let threads = [1, 2, 8][case / 3 % 3];
+        let residency = case % 4 != 0;
+        let policy = [ShardPolicy::Single(Target::Cnm), ShardPolicy::Auto][case % 2];
+        // Lengths (= gemv/gemm rows) that fill every DPU tightly, leave one
+        // DPU partial, or leave trailing DPUs empty.
+        let len = match gen_usize(rng, 0, 3) {
+            0 => dpus * gen_usize(rng, 1, 24),
+            1 => {
+                let chunk = gen_usize(rng, 2, 24);
+                dpus * chunk - gen_usize(rng, 1, chunk)
+            }
+            _ => gen_usize(rng, 1, dpus),
+        };
+        let (cols, n) = (gen_usize(rng, 2, 24), gen_usize(rng, 1, 5));
+        let (bfs, degree, _) = gen_bfs(rng, len, dpus);
+        let matrix = |rows, cols| TensorShape::Matrix { rows, cols };
+        let vector = |len| TensorShape::Vector { len };
+        let shapes = [
+            matrix(len, cols),
+            matrix(cols, n),
+            vector(cols),
+            vector(len),
+            vector(len),
+            vector(bfs.rows.len()),
+            vector(bfs.cols.len()),
+            vector(bfs.frontier.len()),
+        ];
+        let rounds: Vec<FedRound> = (0..3)
+            .map(|r| FedRound {
+                data: shapes[..5]
+                    .iter()
+                    .map(|s| data::i32_vec(rng.next_u64(), s.len(), -40, 90))
+                    .chain([bfs.rows.clone(), bfs.cols.clone(), bfs.frontier.clone()])
+                    .collect(),
+                fresh: r == 0 || gen_usize(rng, 0, 2) == 0,
+            })
+            .collect();
+        let tape: Vec<[usize; 3]> = (0..gen_usize(rng, 1, 8))
+            .map(|_| [0, 0, 0].map(|_| gen_usize(rng, 0, 1000)))
+            .collect();
+        let fault = match gen_usize(rng, 0, 3) {
+            0 => None,
+            1 => Some(
+                FaultConfig::seeded(rng.next_u64())
+                    .with_launch_fault_rate(0.08)
+                    .with_transfer_timeout_rate(0.04)
+                    .with_transfer_corruption_rate(0.04),
+            ),
+            _ => Some(
+                FaultConfig::seeded(rng.next_u64())
+                    .with_transfer_timeout_rate(0.03)
+                    .with_permanent_after_launches(gen_usize(rng, 2, 12) as u64),
+            ),
+        };
+        let bin_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Max, BinOp::Xor];
+
+        let run = |fed: bool, limit: Option<usize>| -> FedOutcome {
+            let mut cfg = UpmemConfig::with_ranks(1).with_host_threads(threads);
+            cfg.dpus_per_rank = dpus;
+            let mut opts = SessionOptions::default()
+                .with_upmem_config(cfg)
+                .with_sharded(
+                    ShardedRunOptions::default()
+                        .with_ranks(1)
+                        .with_pool(pool.clone())
+                        .with_host_threads(threads),
+                )
+                .with_policy(policy)
+                .with_residency(residency);
+            if let Some(bytes) = limit {
+                opts = opts.with_mram_limit_bytes(bytes);
+            }
+            if let Some(f) = &fault {
+                opts = opts.with_fault(f.clone());
+            }
+            let mut sess = Session::new(opts);
+            let mut outcomes = Vec::new();
+            let mut ins: Vec<TensorHandle> = Vec::new();
+            for round in &rounds {
+                if round.fresh {
+                    ins = shapes
+                        .iter()
+                        .zip(&round.data)
+                        .map(|(&shape, data)| match (fed, shape) {
+                            (true, _) => sess.input(shape),
+                            (false, TensorShape::Matrix { rows, cols }) => {
+                                sess.matrix(data, rows, cols)
+                            }
+                            (false, _) => sess.vector(data),
+                        })
+                        .collect();
+                } else if !fed {
+                    for (&h, data) in ins.iter().zip(&round.data) {
+                        sess.write(h, data);
+                    }
+                }
+                let mut pool = vec![ins[3], ins[4]];
+                let mut outs = Vec::new();
+                for &[kind, pick, arg] in &tape {
+                    let v = pool[pick % pool.len()];
+                    let h = match kind % 11 {
+                        0 => sess.gemv(ins[0], ins[2]),
+                        1..=4 => {
+                            let w = pool[arg % pool.len()];
+                            sess.elementwise(bin_ops[arg % bin_ops.len()], v, w)
+                        }
+                        5 => sess.reduce(bin_ops[arg % 4], v),
+                        6 => sess.histogram(v, 1 + arg % 9, 80),
+                        7 => sess.select(v, (arg % 61) as i32 - 10),
+                        8 => sess.time_series(v, 1 + arg % len.min(4)),
+                        9 => sess.gemm(ins[0], ins[1]),
+                        _ => {
+                            let (vp, used) = (bfs.vertices_per_dpu, bfs.used_dpus);
+                            sess.bfs_step(ins[5], ins[6], ins[7], vp, degree, used)
+                        }
+                    };
+                    if matches!(kind % 11, 0..=4) {
+                        pool.push(h);
+                    }
+                    outs.push(h);
+                }
+                let ran = if fed {
+                    let feeds: Vec<(TensorHandle, &[i32])> = ins
+                        .iter()
+                        .zip(&round.data)
+                        .map(|(&h, d)| (h, &d[..]))
+                        .collect();
+                    sess.run_with(&feeds)
+                } else {
+                    sess.run()
+                };
+                outcomes.push(ran.map(|()| outs.iter().map(|&h| sess.fetch(h)).collect()));
+            }
+            (
+                outcomes,
+                *sess.upmem_stats(),
+                sess.fault_stats(),
+                sess.residency_stats(),
+                sess.shard_stats().work,
+                sess.optimizer_stats().fused_groups,
+            )
+        };
+
+        let what = format!(
+            "case {case}: {dpus} DPUs, {threads} threads, len {len}, residency {residency}, \
+             {policy:?}, {fault:?}"
+        );
+        let unlimited = run(true, None);
+        assert_eq!(unlimited, run(false, None), "{what}");
+        // A limit below what the rounds hold together, so a later round
+        // evicts an earlier one's tensors (or refuses, the same way on both).
+        let peak = unlimited.3.peak_mram_bytes;
+        let limit = peak * gen_usize(rng, 35, 100) / 100;
+        let capped = run(true, Some(limit));
+        assert_eq!(capped, run(false, Some(limit)), "{what}, limit {limit}");
+        fused += (unlimited.5 > 0) as usize;
+        sharded += (unlimited.4[1] + unlimited.4[2] > 0) as usize;
+        evicted += (capped.3.evictions > 0) as usize;
+        faulted += (unlimited.2 != Default::default()) as usize;
+    });
+    assert!(fused > 0, "some graphs should fuse element-wise chains");
+    assert!(
+        sharded > 0,
+        "some Auto plans should run host or crossbar shards"
+    );
+    assert!(evicted > 0, "some limits should evict");
+    assert!(faulted > 0, "some schedules should inject faults");
+}
+
+/// An `input` tensor the run does not feed has no contents to run on.
+#[test]
+#[should_panic(expected = "no valid copy")]
+fn fed_inputs_left_unfed_panic() {
+    use cinm::core::{Session, TensorShape};
+    let mut sess = Session::new(session_options(true));
+    let x = sess.input(TensorShape::Vector { len: 8 });
+    let w = sess.vector(&[1; 8]);
+    sess.elementwise(BinOp::Add, x, w);
+    let _ = sess.run_with(&[(w, &[2; 8])]);
+}
+
+/// A feed must hold exactly the tensor's elements.
+#[test]
+#[should_panic(expected = "feed length mismatch")]
+fn fed_inputs_of_the_wrong_length_panic() {
+    use cinm::core::{Session, TensorShape};
+    let mut sess = Session::new(session_options(true));
+    let x = sess.input(TensorShape::Vector { len: 8 });
+    sess.reduce(BinOp::Add, x);
+    let _ = sess.run_with(&[(x, &[1; 7])]);
+}
+
+/// A fed tensor is lent for its run only: afterwards it holds no copy on
+/// either side, so fetching it panics — while the run's outputs stay
+/// fetchable and the tensor can be fed again.
+#[test]
+fn fed_inputs_hold_no_copy_after_the_run() {
+    use cinm::core::{Session, TensorShape};
+    let mut sess = Session::new(session_options(true));
+    let x = sess.input(TensorShape::Vector { len: 8 });
+    let data: Vec<i32> = (0..8).collect();
+    let s = sess.reduce(BinOp::Add, x);
+    sess.run_with(&[(x, &data)]).expect("cnm placement");
+    assert_eq!(sess.fetch_scalar(s), 28);
+    let fetched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sess.fetch(x)));
+    assert!(fetched.is_err(), "a fed tensor has no copy after its run");
+    let s = sess.reduce(BinOp::Add, x);
+    sess.run_with(&[(x, &[1; 8])]).expect("cnm placement");
+    assert_eq!(sess.fetch_scalar(s), 8);
+    assert_eq!(
+        sess.run_counts(),
+        (2, 1),
+        "the second feed replays the plan"
+    );
+}
+
+/// Feeding a tensor changes its contents as `write` does: an earlier output
+/// computed from it can no longer be recomputed from it, so when MRAM
+/// pressure evicts that output it is spilled, never dropped, and stays
+/// fetchable after the tensor is fed other data.
+#[test]
+fn fed_inputs_fed_again_keep_earlier_outputs_fetchable() {
+    use cinm::core::{Session, TensorShape};
+    // gemm(8×1, 1×16) on 4 DPUs: per DPU 8 B of A, 64 B of B and 128 B of
+    // C, so a second C does not fit beside the first under 200 B.
+    let mut sess = Session::new(session_options(true).with_mram_limit_bytes(200));
+    let a = sess.input(TensorShape::Matrix { rows: 8, cols: 1 });
+    let b = sess.input(TensorShape::Matrix { rows: 1, cols: 16 });
+    let (a1, b1): (Vec<i32>, Vec<i32>) = ((1..=8).collect(), (1..=16).collect());
+    let c1 = sess.gemm(a, b);
+    sess.pin(c1);
+    sess.run_with(&[(a, &a1), (b, &b1)]).expect("fits");
+    let (a2, b2) = (vec![-1; 8], vec![3; 16]);
+    let c2 = sess.gemm(a, b);
+    sess.run_with(&[(a, &a2), (b, &b2)])
+        .expect("fits after evicting c1");
+    assert_eq!(
+        sess.residency_stats().spills,
+        1,
+        "c1 is spilled, not dropped"
+    );
+    assert_eq!(sess.fetch(c1), kernels::matmul(&a1, &b1, 8, 1, 16));
+    assert_eq!(sess.fetch(c2), kernels::matmul(&a2, &b2, 8, 1, 16));
+}
+
+// ---------------------------------------------------------------------------
 // Graph optimizer: optimized runs vs the unoptimized oracle
 // ---------------------------------------------------------------------------
 
