@@ -266,12 +266,12 @@ pub fn run_upmem(
             let a_mat = regroup_contrl_a(&b[0], a, bb, e, f);
             let b_mat = regroup_contrl_b(&b[1], c, d, e, f);
             let flat = backend.gemm(&a_mat, &b_mat, a * bb, e * f, c * d);
-            reorder_contrl_output(&flat, a, bb, c, d)
+            reorder_contrl_output(flat, a, bb, c, d)
         }
         WorkloadParams::ContractS1 { a, b: bb, c, d } => {
             let a_mat = regroup_contrs1_a(&b[0], a, c, d);
             let b_mat = regroup_contrs1_b(&b[1], bb, c, d);
-            backend.gemm(&a_mat, &b_mat, a, c * d, bb)
+            backend.gemm(a_mat, &b_mat, a, c * d, bb)
         }
         WorkloadParams::ContractS2 { a, b: bb, c, d } => {
             let flat = backend.gemm(&b[0], &b[1], a * c, d, bb);
@@ -397,7 +397,7 @@ pub fn run_session(
             let bt = s.input(matrix(e * f, c * d));
             let out = s.gemm(at, bt);
             run(s, &[(at, &a_mat), (bt, &b_mat)]);
-            reorder_contrl_output(&s.take(out), a, bb, c, d)
+            reorder_contrl_output(s.take(out), a, bb, c, d)
         }
         WorkloadParams::ContractS1 { a, b: bb, c, d } => {
             let a_mat = regroup_contrs1_a(&b[0], a, c, d);
@@ -405,7 +405,7 @@ pub fn run_session(
             let at = s.input(matrix(a, c * d));
             let bt = s.input(matrix(c * d, bb));
             let out = s.gemm(at, bt);
-            run(s, &[(at, &a_mat), (bt, &b_mat)]);
+            run(s, &[(at, a_mat), (bt, &b_mat)]);
             s.take(out)
         }
         WorkloadParams::ContractS2 { a, b: bb, c, d } => {
@@ -566,12 +566,12 @@ pub fn run_cim(
                 bytes_written: ((a_mat.len() + b_mat.len()) * 4) as f64,
             });
             let flat = backend.gemm(&a_mat, &b_mat, a * bb, e * f, c * d);
-            reorder_contrl_output(&flat, a, bb, c, d)
+            reorder_contrl_output(flat, a, bb, c, d)
         }
         WorkloadParams::ContractS1 { a, b: bb, c, d } => {
             let a_mat = regroup_contrs1_a(&b[0], a, c, d);
             let b_mat = regroup_contrs1_b(&b[1], bb, c, d);
-            backend.gemm(&a_mat, &b_mat, a, c * d, bb)
+            backend.gemm(a_mat, &b_mat, a, c * d, bb)
         }
         WorkloadParams::ContractS2 { a, b: bb, c, d } => {
             let flat = backend.gemm(&b[0], &b[1], a * c, d, bb);
@@ -769,16 +769,16 @@ fn regroup_contrl_b(b: &[i32], dc: usize, dd: usize, de: usize, df: usize) -> Ve
     out
 }
 
-fn reorder_contrl_output(flat: &[i32], da: usize, db: usize, dc: usize, dd: usize) -> Vec<i32> {
+fn reorder_contrl_output(flat: Vec<i32>, da: usize, db: usize, dc: usize, dd: usize) -> Vec<i32> {
     // flat[(a,b),(c,d)] is already C[a,b,c,d] row-major.
     assert_eq!(flat.len(), da * db * dc * dd);
-    flat.to_vec()
+    flat
 }
 
-fn regroup_contrs1_a(a: &[i32], da: usize, dc: usize, dd: usize) -> Vec<i32> {
+fn regroup_contrs1_a(a: &[i32], da: usize, dc: usize, dd: usize) -> &[i32] {
     // A[a,c,d] -> A'[a,(c,d)] — already contiguous.
     assert_eq!(a.len(), da * dc * dd);
-    a.to_vec()
+    a
 }
 
 fn regroup_contrs1_b(b: &[i32], db: usize, dc: usize, dd: usize) -> Vec<i32> {

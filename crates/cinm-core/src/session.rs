@@ -2792,7 +2792,7 @@ fn run_segment(
                 let lent = &lent[..spec.inputs.len()];
                 backend
                     .upmem_mut()
-                    .try_op(|sys| sys.launch_lent(spec, lent))
+                    .try_op(|sys| sys.launch_lent(spec, lent, None))
                     .map(|_| ())
             }
             CnmCmd::Materialize { slot, .. } => {

@@ -56,7 +56,7 @@ use upmem_sim::{
 };
 
 use crate::cim_schedule::{CimSchedule, SECONDS_PER_COMMAND};
-use crate::cnm_op::{CnmGeometry, CnmOp, Command, KernelCodegen, MramLayout};
+use crate::cnm_op::{CnmGeometry, CnmOp, Command, KernelCodegen, MramLayout, OutputLayout};
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
 /// `0` means "all cores" and wins; otherwise the larger explicit request
@@ -234,22 +234,26 @@ impl UpmemBackend {
     /// use. On a cache hit the output buffer is functionally zeroed —
     /// untimed, exactly like the fresh `alloc_buffer` it replaces — so
     /// accumulating kernels and partially-written outputs (select) observe
-    /// fresh-buffer semantics; every input buffer is fully overwritten by
-    /// the op's own broadcast or lent by its scatter. A context that does
-    /// not fit the MRAM
-    /// capacity is refused whole: the typed error is returned with every
-    /// buffer already allocated for it freed again.
+    /// fresh-buffer semantics, unless the op's output is `lent`: then no
+    /// launch ever wrote the buffer, which is still fresh. Every input
+    /// buffer is fully overwritten by the op's own broadcast or lent by its
+    /// scatter. A context that does not fit the MRAM capacity is refused
+    /// whole: the typed error is returned with every buffer already
+    /// allocated for it freed again.
     fn context(
         &mut self,
         op: CnmOp,
         inputs: &[MramLayout],
         out_chunk: usize,
+        lent: bool,
     ) -> Result<UpmemContext, SimError> {
         let key = op.erased();
         if let Some(&ctx) = self.contexts.get(&key) {
-            self.system
-                .zero_buffer(ctx.output())
-                .expect("cached buffer");
+            if !lent {
+                self.system
+                    .zero_buffer(ctx.output())
+                    .expect("cached buffer");
+            }
             return Ok(ctx);
         }
         // Per-DPU buffer lengths: the inputs, then the output chunk.
@@ -387,11 +391,15 @@ impl UpmemBackend {
     /// select), and returns how many elements it wrote (all of them but for
     /// select). The generated host program of `CnmOp::commands` — the
     /// operand transfers (scatter or broadcast, per the geometry), the
-    /// launch, the gather — is issued one command after another, and the
-    /// gathered output is decoded by the [`CnmOp::geometry`]'s layout
-    /// straight from the output slab into `out`. A scattered operand is
-    /// **lent** ([`UpmemSystem::scatter_lent`]): billed as the scatter, read
-    /// in place by the launch, never copied. Each command's transient
+    /// launch, the gather — is issued one command after another. A
+    /// scattered operand is **lent** ([`UpmemSystem::scatter_lent`]): billed
+    /// as the scatter, read in place by the launch, never copied. So is `out`
+    /// when the [`CnmOp::geometry`]'s output is [`OutputLayout::Chunked`]
+    /// (element-wise, `gemm`, `gemv`, BFS): the launch writes the result
+    /// straight into it ([`UpmemSystem::launch_lent`]) and the gather is
+    /// billed without a copy ([`UpmemSystem::gather_lent`]). The partials
+    /// layouts (reduce, histogram, select) and the time-series profiles are
+    /// decoded from the output slab into `out`. Each command's transient
     /// injected faults are retried in place (see [`try_op`](Self::try_op)).
     /// A full MRAM refuses the op before any command runs. An op with
     /// nothing to compute issues no command: it is answered on the host with
@@ -443,7 +451,8 @@ impl UpmemBackend {
             });
             return Ok(out_len);
         }
-        let ctx = self.context(op, &inputs[..operands.len()], out_chunk)?;
+        let lend_out = out_layout == OutputLayout::Chunked;
+        let ctx = self.context(op, &inputs[..operands.len()], out_chunk, lend_out)?;
         let bufs = &ctx.bufs[..operands.len()];
         let mut lent = [None; MAX_OP_BUFFERS];
         let mut written = 0;
@@ -458,7 +467,15 @@ impl UpmemBackend {
                 }
                 Command::Launch(kind) => {
                     let spec = self.kernel_spec(kind, bufs.to_vec(), ctx.output());
-                    self.try_op(|sys| sys.launch_lent(&spec, &lent[..bufs.len()]))?;
+                    let lent = &lent[..bufs.len()];
+                    self.try_op(|sys| {
+                        let dst = lend_out.then_some(&mut *out);
+                        sys.launch_lent(&spec, lent, dst)
+                    })?;
+                }
+                Command::Gather { chunk } if lend_out => {
+                    self.try_op(|sys| sys.gather_lent(ctx.output(), chunk))?;
+                    written = out_len;
                 }
                 Command::Gather { chunk } => {
                     written = self.try_op(|sys| {

@@ -383,13 +383,19 @@ pub fn fully_connected(
     y
 }
 
-/// Transposes a row-major `rows×cols` matrix.
+/// Transposes a row-major `rows×cols` matrix, one 16×16 block at a time so
+/// that the strided side of the copy stays in cache.
 pub fn transpose(a: &[i32], rows: usize, cols: usize) -> Vec<i32> {
+    const BLOCK: usize = 16;
     assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
     let mut out = vec![0i32; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            out[c * rows + r] = a[r * cols + c];
+    for r0 in (0..rows).step_by(BLOCK) {
+        for c0 in (0..cols).step_by(BLOCK) {
+            for r in r0..(r0 + BLOCK).min(rows) {
+                for c in c0..(c0 + BLOCK).min(cols) {
+                    out[c * rows + r] = a[r * cols + c];
+                }
+            }
         }
     }
     out
@@ -398,6 +404,20 @@ pub fn transpose(a: &[i32], rows: usize, cols: usize) -> Vec<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transpose_matches_its_element_definition() {
+        for (rows, cols) in [(1, 37), (37, 1), (17, 33), (0, 5)] {
+            let a: Vec<i32> = (0..(rows * cols) as i32).map(|i| i * 7 - 100).collect();
+            let t = transpose(&a, rows, cols);
+            assert_eq!(t.len(), a.len());
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t[c * rows + r], a[r * cols + c], "{rows}x{cols} ({r}, {c})");
+                }
+            }
+        }
+    }
 
     #[test]
     fn matmul_and_matvec_basics() {

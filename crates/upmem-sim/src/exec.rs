@@ -70,6 +70,14 @@ fn fits_i16(v: &[i32]) -> bool {
     v.iter().fold(0, |wide, &e| or_offset(wide, e)) >> 16 == 0
 }
 
+/// [`fits_i16`] of a `gemm` row and whether it is all zero, in one pass.
+fn scan_row(row: &[i32]) -> (bool, bool) {
+    let (wide, bits) = row
+        .iter()
+        .fold((0, 0), |(wide, bits), &e| (or_offset(wide, e), bits | e));
+    (wide >> 16 == 0, bits == 0)
+}
+
 /// The narrow product of one element pair: `a as i16` is exact for an `a`
 /// that fits, and no product of two `i16`s overflows `i32`.
 #[inline(always)]
@@ -215,7 +223,9 @@ pub(crate) fn elementwise_grid(
 /// hence order-independent) — `tests/properties.rs` asserts the equivalence
 /// against the retained seed executor over randomized cases. A `gemm` or
 /// `gemv` row whose elements fit `i16` against a narrowed operand takes
-/// [`dot_narrow`], which sums the same products.
+/// [`dot_narrow`], which sums the same products, and an all-zero `gemm` row
+/// (the padding past an op's rows, mostly) adds nothing to its output row,
+/// so it is skipped.
 pub(crate) fn execute_grid(
     kind: &DpuKernelKind,
     ins: &[Strides<'_>],
@@ -229,7 +239,11 @@ pub(crate) fn execute_grid(
             for i in 0..m {
                 let a_row = &a[i * k..(i + 1) * k];
                 let c_row = &mut out[i * n..(i + 1) * n];
-                if let Some(columns) = narrow.filter(|_| fits_i16(a_row)) {
+                let (fits, zero) = scan_row(a_row);
+                if zero {
+                    continue;
+                }
+                if let Some(columns) = narrow.filter(|_| fits) {
                     for (cv, column) in c_row.iter_mut().zip(columns.chunks_exact(k)) {
                         *cv = cv.wrapping_add(dot_narrow(a_row, column));
                     }

@@ -53,7 +53,13 @@
 //!   launches; a session lends a tensor it is fed for one run to every
 //!   launch of that run that reads it, fused ones included. A tensor
 //!   something else may read later — a session's resident operand — is
-//!   adopted or copied instead.
+//!   adopted or copied instead. The output side is the twin: a launch lent
+//!   the caller's destination writes the strides that lie inside it in
+//!   place, stages the one partial stride (only its valid prefix is
+//!   copied) and does not run the DPUs past it; [`UpmemSystem::gather_lent`]
+//!   then bills the gather and draws its fault without copying. The output
+//!   buffer is never written, so the eager backend's stays in its fresh
+//!   replicated form.
 //!
 //! A caller that only *reads* a gather needs no image at all:
 //! [`UpmemSystem::gather_with`] lends it the tight slab itself (or a copy in
@@ -754,6 +760,16 @@ fn copy_strides(
         });
 }
 
+/// Whether what a launch leaves in its `out_elems`-element output strides
+/// depends on what they held: `gemm` and `gemv` accumulate into them, and a
+/// kernel writing fewer elements leaves the rest as they were.
+fn reads_output(kind: &DpuKernelKind, out_elems: usize) -> bool {
+    matches!(
+        kind,
+        DpuKernelKind::Gemm { .. } | DpuKernelKind::Gemv { .. }
+    ) || kind.output_len() < out_elems
+}
+
 /// Functional execution of one (pre-validated) launch on the whole grid, on
 /// pre-borrowed storage: `outs` are the launch's output slabs in
 /// `spec.output`, `spec.extra_outputs` order (moved out of the slab table by
@@ -762,20 +778,26 @@ fn copy_strides(
 /// strides (`[0, num_dpus]` unless an input is
 /// [lent](UpmemSystem::launch_lent)), `ins_of` a run's strides of every input
 /// that is not an output (an input that is, is read through `outs[0]`),
-/// `scratch` is the staging arena of the aliased path (grown to the launch's
-/// input footprint, never shrunk) and `narrow` holds the hot path's
-/// [`exec::narrow_operand`] (grown the same way). Output slabs become per-DPU
-/// here; inputs are only ever read through their [`Strides`].
+/// `scratch` is the staging arena of the aliased path and of a lent output's
+/// partial stride (grown to the launch's footprint, never shrunk) and
+/// `narrow` holds the hot path's [`exec::narrow_operand`] (grown the same
+/// way). Output slabs become per-DPU here, unless the output is `lent`: the
+/// DPUs whose whole stride lies in it write there (`cuts` then also holds
+/// its first partial DPU and the one after), the partial one writes a
+/// staged stride whose prefix is copied, and the rest do not run. Inputs
+/// are only ever read through their [`Strides`].
 ///
 /// The kernel is dispatched once per band of DPUs ([`exec::execute_grid`]),
 /// not once per DPU: one band for `host_threads = 1`, `k` bands of the same
 /// code on the pool for `k` threads — bit-identical for every thread count.
+#[allow(clippy::too_many_arguments)]
 fn launch_slabs<'a>(
     config: &UpmemConfig,
     spec: &KernelSpec,
     cuts: &[usize],
     ins_of: impl Fn(&Range<usize>) -> [Strides<'a>; exec::MAX_KERNEL_INPUTS],
     outs: &mut [&mut Slab],
+    lent: Option<&mut [i32]>,
     scratch: &mut Vec<i32>,
     narrow: &mut Vec<i16>,
 ) {
@@ -821,7 +843,13 @@ fn launch_slabs<'a>(
         return;
     }
     let out_elems = outs[0].elems_per_dpu;
-    let out = outs[0].per_dpu_mut(num_dpus, false);
+    // A lent output starts as the zeroed buffer it stands for wherever the
+    // kernel reads its stride or leaves part of it unwritten.
+    let zero = lent.is_some() && reads_output(&spec.kind, out_elems);
+    let out = match lent {
+        Some(out) => out,
+        None => outs[0].per_dpu_mut(num_dpus, false),
+    };
     if out.is_empty() {
         // Nothing to write, and no strides to split into bands.
         return;
@@ -829,18 +857,36 @@ fn launch_slabs<'a>(
     if !spec.inputs.contains(&spec.output) {
         // Hot path: input strides are borrowed straight from the slabs (or
         // the caller's lent slices) and the output of each run of DPUs is
-        // split into disjoint bands of per-DPU strides.
+        // split into disjoint bands of per-DPU strides. A slab holds every
+        // DPU's stride (`whole` is the grid); a lent output the first
+        // `whole`, then at most a partial one.
+        let whole = out.len() / out_elems;
+        let partial = out.len() % out_elems;
         for dpus in runs() {
             let ins = &ins_of(&dpus)[..n_inputs];
+            let out = if dpus.end <= whole {
+                &mut out[dpus.start * out_elems..dpus.end * out_elems]
+            } else if dpus.start == whole && partial > 0 {
+                scratch.clear();
+                scratch.resize(out_elems, 0);
+                &mut scratch[..]
+            } else {
+                continue;
+            };
             let narrow = exec::narrow_operand(&spec.kind, ins, narrow);
-            let out = &mut out[dpus.start * out_elems..dpus.end * out_elems];
             config
                 .pool
                 .for_each_band_mut(config.host_threads, out, out_elems, |first, band| {
+                    if zero {
+                        band.fill(0);
+                    }
                     let first = dpus.start + first;
                     let dpus = first..first + band.len() / out_elems;
                     exec::execute_grid(&spec.kind, ins, narrow, band, out_elems, dpus)
                 });
+        }
+        if partial > 0 {
+            out[whole * out_elems..].copy_from_slice(&scratch[..partial]);
         }
         return;
     }
@@ -1505,6 +1551,27 @@ impl UpmemSystem {
         Ok(result)
     }
 
+    /// [`gather_i32_into`](Self::gather_i32_into) of what a
+    /// [lent-output launch](Self::launch_lent) already wrote into the
+    /// caller's destination: validates, draws the fault and bills exactly
+    /// like it, then copies nothing. `chunk` must be the buffer's per-DPU
+    /// length, the whole strides that launch wrote.
+    ///
+    /// # Errors
+    ///
+    /// As [`gather_i32_into`](Self::gather_i32_into); also a `chunk` shorter
+    /// than the buffer's strides (checked before the fault draw).
+    pub fn gather_lent(&mut self, buffer: BufferId, chunk: usize) -> SimResult<TransferStats> {
+        self.validate_chunk(buffer, chunk)?;
+        if chunk != self.buffer_len(buffer)? {
+            return Err(SimError::new(format!(
+                "a lent gather reads whole strides, chunk {chunk} does not"
+            )));
+        }
+        self.inject_transfer("gather")?;
+        Ok(self.account_gather(chunk * self.num_dpus))
+    }
+
     /// [`gather_i32_into`](Self::gather_i32_into) a [`HostImage`], truncated
     /// to the first `len` elements (the tensor's logical length). `out`
     /// **adopts** the slab's image instead of receiving a copy when the
@@ -1607,46 +1674,74 @@ impl UpmemSystem {
     /// Returns an error if a referenced buffer does not exist or is too small
     /// for the kernel shape.
     pub fn launch(&mut self, spec: &KernelSpec) -> SimResult<LaunchStats> {
-        self.launch_lent(spec, &[])
+        self.launch_lent(spec, &[], None)
     }
 
-    /// [`launch`](Self::launch) with inputs read from the caller's memory:
-    /// input `i` with `lent[i] = Some(data)` reads `data` as the
-    /// [lent scatter](Self::scatter_lent) of it into the input's buffer
-    /// would have stored it, and its buffer is not read. The DPUs whose
-    /// whole stride lies in `data` read it in place; the one partial DPU and
-    /// the empty ones after it read their zero-padded strides from a scratch
-    /// of the system's, staged here (two strides per lent input, grown once
-    /// and reused). Results and the accounted launch are those of the
-    /// copying scatter followed by [`launch`](Self::launch).
+    /// [`launch`](Self::launch) with inputs read from, and the output
+    /// written to, the caller's memory. Input `i` with `lent[i] =
+    /// Some(data)` reads `data` as the [lent scatter](Self::scatter_lent)
+    /// of it into the input's buffer would have stored it, and its buffer is
+    /// not read. The DPUs whose whole stride lies in `data` read it in
+    /// place; the one partial DPU and the empty ones after it read their
+    /// zero-padded strides from a scratch of the system's, staged here (two
+    /// strides per lent input, grown once and reused).
+    ///
+    /// With `out = Some(dst)` the output buffer is neither read nor written:
+    /// `dst` receives the first `dst.len()` elements that a gather of whole
+    /// strides would return after the launch into a zeroed output buffer.
+    /// The DPUs whose stride lies in `dst` write it in place (a `dst` that
+    /// the kernel reads or does not fill is zeroed first), the one partial
+    /// DPU writes a staged stride of which only the prefix inside `dst` is
+    /// copied, and the DPUs past it are not run. The
+    /// [lent gather](Self::gather_lent) bills the transfer. Results and the
+    /// accounted launch are those of the copying scatter, the
+    /// [`launch`](Self::launch) and the gather.
     ///
     /// # Errors
     ///
     /// As [`launch`](Self::launch); also a lent launch whose output is one
-    /// of its inputs, or a `lent` longer than the inputs (checked before the
-    /// fault draw).
+    /// of its inputs, a `lent` longer than the inputs, or a lent output of a
+    /// fused launch or longer than the grid's output strides (checked
+    /// before the fault draw).
     pub fn launch_lent(
         &mut self,
         spec: &KernelSpec,
         lent: &[Option<&[i32]>],
+        out: Option<&mut [i32]>,
     ) -> SimResult<LaunchStats> {
         // Validate kernel and buffer shapes before touching any state.
         self.validate_launch(spec)?;
-        let lends = lent.iter().any(Option::is_some);
+        let lends = lent.iter().any(Option::is_some) || out.is_some();
         if lent.len() > spec.inputs.len() || lends && spec.inputs.contains(&spec.output) {
             return Err(SimError::new(
                 "a lent launch lends at most its inputs and is not aliased",
+            ));
+        }
+        let out_elems = self.slabs[spec.output as usize].elems_per_dpu;
+        let fused = matches!(spec.kind, DpuKernelKind::FusedElementwise { .. });
+        if out
+            .as_ref()
+            .is_some_and(|dst| fused || dst.len() > out_elems * self.num_dpus)
+        {
+            return Err(SimError::new(
+                "a lent output is not fused and lies within the grid's strides",
             ));
         }
         self.inject_launch(spec)?;
         // A lent input is read in place by the DPUs whose whole stride its
         // slice holds (`split`); the strides it does not fill are staged: the
         // partial one, then the all-zero one every later DPU reads. The grid
-        // is cut into runs of DPUs that read every input the same way.
+        // is cut into runs of DPUs that read every input the same way and
+        // write the same kind of output destination.
         let num_dpus = self.num_dpus;
         let mut split = [num_dpus; exec::MAX_KERNEL_INPUTS];
-        let mut cuts = [num_dpus; 2 * exec::MAX_KERNEL_INPUTS + 2];
+        let mut cuts = [num_dpus; 2 * exec::MAX_KERNEL_INPUTS + 4];
         cuts[0] = 0;
+        if let Some(dst) = &out {
+            let whole = dst.len().checked_div(out_elems).unwrap_or(num_dpus);
+            cuts[2 * exec::MAX_KERNEL_INPUTS + 2] = whole;
+            cuts[2 * exec::MAX_KERNEL_INPUTS + 3] = (whole + 1).min(num_dpus);
+        }
         let mut staged = 0;
         for (i, &b) in spec.inputs.iter().enumerate() {
             let Some(Some(data)) = lent.get(i) else {
@@ -1712,6 +1807,7 @@ impl UpmemSystem {
             &cuts[..if lends { cuts.len() } else { 2 }],
             ins_of,
             &mut taken.each_mut()[..spec.outputs().count()],
+            out,
             &mut self.scratch,
             &mut self.narrow,
         );
@@ -2671,7 +2767,7 @@ mod tests {
                 )
                 .with_extra_outputs(vec![s1]);
                 let lent = [lend.then_some(&a[..]), None];
-                sys.launch_lent(&spec, &lent).unwrap();
+                sys.launch_lent(&spec, &lent, None).unwrap();
                 (contents(&sys, s0), contents(&sys, s1), *sys.stats())
             };
             assert_eq!(run(true), run(false), "len {len}");

@@ -549,9 +549,10 @@ fn time_series_differences_wrap_in_every_build() {
 /// plus the required per-DPU input and output buffer lengths.
 fn random_kernel(rng: &mut SplitMix64) -> (DpuKernelKind, Vec<usize>, usize) {
     let kind = match gen_usize(rng, 0, 10) {
+        // `k` reaches the narrow multiply-accumulate's crossover (16).
         0 => DpuKernelKind::Gemm {
             m: gen_usize(rng, 1, 9),
-            k: gen_usize(rng, 1, 9),
+            k: gen_usize(rng, 1, 25),
             n: gen_usize(rng, 1, 9),
         },
         1 => DpuKernelKind::Gemv {
@@ -629,7 +630,7 @@ fn random_kernel(rng: &mut SplitMix64) -> (DpuKernelKind, Vec<usize>, usize) {
 /// and replicated. A third of the flows keep every buffer tight, a third
 /// loosen exactly one (the layouts next to the flat fast path), the rest
 /// draw each buffer independently; an `Elementwise` launch sometimes writes
-/// into its own first input.
+/// into its own first input, and a `gemm`'s A sometimes holds all-zero rows.
 fn drive_random_flow(
     sys: &mut dyn DpuSystem,
     kind: &DpuKernelKind,
@@ -654,7 +655,22 @@ fn drive_random_flow(
             true => [(1, false), (7, false), (0, true), (7, true)][gen_usize(rng, 0, 4)],
         };
         let buf = sys.alloc_buffer(len + pad).unwrap();
-        let payload = data::i32_vec(data_seed + i as u64, len * sys.num_dpus(), -40, 40);
+        let mut payload = data::i32_vec(data_seed + i as u64, len * sys.num_dpus(), -40, 40);
+        if let (0, &DpuKernelKind::Gemm { k, .. }) = (i, kind) {
+            // All-zero rows of A, which the grid kernel skips: one inside the
+            // data, or every row past the first DPUs' (an op of fewer rows
+            // than DPUs).
+            let rows = payload.len() / k;
+            let zeros = match gen_usize(rng, 0, 3) {
+                0 => {
+                    let row = gen_usize(rng, 0, rows);
+                    row..row + 1
+                }
+                1 => gen_usize(rng, 0, sys.num_dpus()) * len / k..rows,
+                _ => 0..0,
+            };
+            payload[zeros.start * k..zeros.end * k].fill(0);
+        }
         if broadcast {
             sys.broadcast_i32(buf, &payload[..len]).unwrap();
         } else {
@@ -1774,12 +1790,15 @@ impl CopyingOracle {
 }
 
 /// A lending `UpmemBackend::run` (its scattered operands read in place by
-/// the launch, its result decoded straight into the caller's destination)
-/// and a `ShardedBackend::run` writing its shards into one result both
-/// equal the copying issue order — results, `SystemStats`, `FaultStats`
-/// and `mram_used_bytes` — for every op kind, at tight, one-partial-DPU and
-/// empty-trailing-DPU lengths, under transient and permanent fault
-/// schedules and on 1, 2 and 8 host threads.
+/// the launch; a chunked result — element-wise, `gemm`, `gemv`, BFS —
+/// written by the launch straight into the caller's destination, any other
+/// decoded into it) and a `ShardedBackend::run` writing its shards into one
+/// result both equal the copying issue order — results, `SystemStats`,
+/// `FaultStats`, MRAM used and peak bytes and the cached contexts — for
+/// every op kind, at tight, one-partial-DPU and empty-trailing-DPU lengths,
+/// into garbage-filled destinations, twice per shape (the second run reuses
+/// the context), under transient and permanent fault schedules and on 1, 2
+/// and 8 host threads.
 #[test]
 fn eager_and_sharded_lent_operands_match_the_copying_issue_order() {
     use cinm::lowering::{ShardError, ShardedBackend, ShardedRunOptions, Target};
@@ -1872,8 +1891,9 @@ fn eager_and_sharded_lent_operands_match_the_copying_issue_order() {
             be
         };
         let (mut lent, mut copying) = (backend(), CopyingOracle::new(backend()));
-        for (op, operands) in shardable.iter().chain(&grid_only) {
-            let mut out = vec![-1; op.geometry(dpus).out_len];
+        for (op, operands) in shardable.iter().chain(&grid_only).chain(&shardable) {
+            let len = op.geometry(dpus).out_len;
+            let mut out = data::i32_vec(rng.next_u64(), len, -1000, 1000);
             let got = lent.run(*op, operands, &mut out).map(|written| {
                 out.truncate(written);
                 out
@@ -1884,8 +1904,12 @@ fn eager_and_sharded_lent_operands_match_the_copying_issue_order() {
         }
         assert_eq!(lent.stats(), copying.be.stats(), "{what}: bill");
         assert_eq!(lent.fault_stats(), copying.be.fault_stats(), "{what}");
-        let mram = |be: &UpmemBackend| be.system().mram_used_bytes();
+        let mram = |be: &UpmemBackend| {
+            let sys = be.system();
+            (sys.mram_used_bytes(), sys.mram_peak_bytes())
+        };
         assert_eq!(mram(&lent), mram(&copying.be), "{what}: MRAM");
+        assert_eq!(lent.cached_contexts(), copying.contexts.len(), "{what}");
         retries += lent.fault_stats().transient_retries;
 
         // The sharded backend: its CNM shard is the copying order's op at
@@ -1945,6 +1969,7 @@ fn eager_and_sharded_lent_operands_match_the_copying_issue_order() {
         assert_eq!(upmem.stats(), copying.be.stats(), "{what}: sharded bill");
         assert_eq!(upmem.fault_stats(), copying.be.fault_stats(), "{what}");
         assert_eq!(mram(upmem), mram(&copying.be), "{what}: sharded MRAM");
+        assert_eq!(upmem.cached_contexts(), copying.contexts.len(), "{what}");
     });
     assert!(retries > 0, "the transient schedules should inject faults");
     assert!(
