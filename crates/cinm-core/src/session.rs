@@ -7,20 +7,28 @@
 //! instead records a **lazy op graph** against typed [`TensorHandle`]s and
 //! compiles the whole graph at [`Session::run`]:
 //!
-//! 1. **Placement.** Each plannable op (`gemm`/`gemv`/element-wise/
-//!    `reduce`/`histogram`) is shard-planned by the existing (cached)
+//! 1. **Placement, by price.** Each op is placed by the (cached)
 //!    [`CachedShardPlanner`] built from the devices' own cost hookups
-//!    ([`cinm_lowering::Device::cost`]); the PrIM device kernels without a
-//!    planner model (`select`, `time_series`, `bfs_step`) go to the UPMEM
-//!    grid. An op consuming a tensor that is already **device-resident** in
-//!    a compatible layout is placed on that device directly — no plan, no
-//!    round-trip.
+//!    ([`cinm_lowering::Device::cost`]), told what the session's residency
+//!    leaves the op on the grid. The whole op on the grid is priced by the
+//!    grid's model over the commands the session would issue there —
+//!    [`CnmOp::commands`] less the scatter or broadcast of each operand
+//!    already resident in its role, less the gather a resident result
+//!    defers; every other plan first pays the gathers that move operands
+//!    only the grid holds. The cheaper wins under `Auto` (the more frugal
+//!    under `MinimizeEnergy`); forced policies keep their plan. The PrIM
+//!    device kernels without a planner model (`select`, `time_series`,
+//!    `bfs_step`) run on the grid.
 //! 2. **Compilation.** Every op is lowered through the one table
 //!    ([`cinm_lowering::cnm_op::CnmOp::geometry`]). Consecutive UPMEM-placed
-//!    ops become one **segment**: their scatter / broadcast / zero / launch
-//!    commands in program order, executed through the simulator's eager
-//!    entry points. Sharded ops dispatch one `Device::run` per device
-//!    concurrently on the shared worker pool via [`ShardedBackend::run`].
+//!    ops become one **segment**: the commands their price was decided by,
+//!    in program order (a zeroing of each output buffer before its launch),
+//!    executed through the simulator's eager entry points. Sharded ops
+//!    dispatch one `Device::run` per device concurrently on the shared
+//!    worker pool via [`ShardedBackend::run`]. The price a run's plain ops
+//!    were placed by is published per device as the `session.planned.*`
+//!    gauges of [`SessionOptions::telemetry`]; it is what they bill (a
+//!    fused group bills one launch for its ops and is left out).
 //! 3. **Residency.** Intermediate tensors stay in DPU MRAM between ops:
 //!    a `gemv → select` chain launches both kernels against the same
 //!    resident buffer, skipping the gather + re-scatter the eager API pays.
@@ -98,15 +106,16 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, MramLayout, OutputLayout};
-use cinm_lowering::{ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
+use cinm_lowering::cnm_op::{CnmGeometry, CnmOp, Command, MramLayout, OutputLayout};
+use cinm_lowering::{Cost, ShardError, ShardSplit, ShardedBackend, ShardedRunOptions};
 use cinm_runtime::{FaultConfig, FaultStats};
 use upmem_sim::{
     BinOp, DpuKernelKind, FusedStage, HostImage, KernelSpec, SimError, SystemStats, UpmemConfig,
+    MAX_FUSED_STAGES,
 };
 
 use crate::fusion::{self, SchedItem};
-use crate::shard::{CachedShardPlanner, ShardPlanner, ShardPolicy};
+use crate::shard::{CachedShardPlanner, OnGrid, ShardPlan, ShardPlanner, ShardPolicy};
 use crate::target::Target;
 
 /// Options of a [`Session`].
@@ -327,25 +336,50 @@ fn residency_matches(resident: Residency, key: MramLayout) -> bool {
     }
 }
 
+/// Binds an op's `inputs` to their operand roles `keys` against the
+/// virtual host validity and residency `state`, input by input as the
+/// lowering binds them: a tensor used twice transfers once into one role.
+/// Per input: `held` resident in its role, so not transferred (with `keep`
+/// off nothing stays resident), and `moves` the per-DPU chunk of a tensor
+/// only the grid holds, gathered once — at its first use the grid does not
+/// hold, else its first use — and 0 for the others.
+fn bind_inputs(
+    inputs: &[u32],
+    keys: &[MramLayout],
+    keep: bool,
+    state: impl Fn(usize) -> (bool, Residency),
+    held: &mut [bool],
+    moves: &mut [usize],
+) {
+    let mut bound: [Residency; fusion::MAX_FUSED_EXTERNALS] = Default::default();
+    for (i, (&t, &key)) in inputs.iter().zip(keys).enumerate() {
+        let earlier = (0..i).rev().find(|&j| inputs[j] == t);
+        let resident = earlier.map_or_else(|| state(t as usize).1, |j| bound[j]);
+        let transferred = keep.then_some(residency_of(key));
+        held[i] = residency_matches(resident, key);
+        bound[i] = if held[i] { resident } else { transferred };
+    }
+    for (i, &t) in inputs.iter().enumerate() {
+        let (host, resident) = state(t as usize);
+        if !host && !inputs[..i].contains(&t) {
+            let at = (i..inputs.len()).find(|&k| inputs[k] == t && !held[k]);
+            moves[at.unwrap_or(i)] = resident.map_or(0, |(chunk, _)| chunk);
+        }
+    }
+}
+
+/// Whether a plan keeps all of its op's work on the grid, which runs it in
+/// the UPMEM segment.
+fn whole_on_grid(plan: &ShardPlan) -> bool {
+    plan.split.cnm == plan.split.total()
+}
+
 /// The residency a tensor has after being transferred in role `key`.
 fn residency_of(key: MramLayout) -> (usize, OutputLayout) {
     match key {
         MramLayout::Chunk(c) => (c, OutputLayout::Chunked),
         MramLayout::Broadcast(l) => (l, OutputLayout::Replicated),
     }
-}
-
-/// Binds a tensor of (virtual) residency `resident` to operand role `key`:
-/// returns `true` when it is already resident that way, otherwise records
-/// the transfer. The one state transition the optimizer's placement pass
-/// and the lowering share, applied input by input so a tensor used twice by
-/// one op transfers once.
-fn bind_resident(resident: &mut Residency, key: MramLayout, residency: bool) -> bool {
-    if residency_matches(*resident, key) {
-        return true;
-    }
-    *resident = residency.then_some(residency_of(key));
-    false
 }
 
 /// One tensor slot of the session.
@@ -471,17 +505,12 @@ pub(crate) fn single_op_signature(kind: CnmOp) -> u64 {
 /// one memoized plan serves every graph with the same canonical signature.
 #[derive(Debug)]
 enum CnmCmd {
-    Scatter {
+    /// A scatter (`Chunk`) or broadcast (`Broadcast`) of the slot.
+    Transfer {
         cslot: u32,
         slot: u32,
         buf: u32,
-        chunk: usize,
-    },
-    Broadcast {
-        cslot: u32,
-        slot: u32,
-        buf: u32,
-        len: usize,
+        key: MramLayout,
     },
     Zero {
         cslot: u32,
@@ -499,10 +528,6 @@ enum CnmCmd {
         slot: u32,
         resident: Resident,
     },
-    /// Gathers and decodes the slot's resident buffer into its host copy
-    /// (residency-off mode does so for every op output, mirroring the eager
-    /// program).
-    Materialize { cslot: u32, slot: u32 },
 }
 
 /// Canonical source of one buffer argument of a compiled kernel spec.
@@ -524,7 +549,8 @@ enum LaunchRole {
 /// One compiled execution step.
 #[derive(Debug)]
 enum Step {
-    /// Gather + decode a resident tensor to the host (segment boundary).
+    /// Gather + decode a resident tensor to the host (segment boundary;
+    /// with residency off, after every op, as the eager program gathers).
     Materialize { cslot: u32, slot: u32 },
     /// One run of consecutive UPMEM commands, executed in program order.
     Segment { cmds: Range<usize> },
@@ -587,6 +613,9 @@ struct Compiled {
     preconds: Vec<Precond>,
     steps: Vec<Step>,
     cmds: Vec<CnmCmd>,
+    /// The price its placement was decided by, per device `[cnm, cim,
+    /// host]`, summed over the plain ops.
+    planned: [Cost; 3],
 }
 
 /// The graph optimizer of one session: the scratch of an
@@ -598,9 +627,9 @@ struct Compiled {
 struct GraphOptimizer {
     /// CSE, DCE and fusion (`crate::fusion`).
     graph: fusion::Graph,
-    /// The placement pass's virtual residency per canonical slot, and its
-    /// verdict per surviving op: may it fuse.
-    resident: Vec<Residency>,
+    /// The placement pass's virtual host validity and residency per
+    /// canonical slot, and its verdict per surviving op: may it fuse.
+    state: Vec<(bool, Residency)>,
     fusable: Vec<bool>,
 }
 
@@ -690,6 +719,9 @@ struct SessionTele {
     res_spilled_bytes: cinm_telemetry::Gauge,
     res_remat_ops: cinm_telemetry::Gauge,
     fault_retries: cinm_telemetry::Gauge,
+    /// The last run's planned seconds and joules per device `[cnm, cim,
+    /// host]` (see `Compiled::planned`).
+    planned: [[cinm_telemetry::Gauge; 2]; 3],
 }
 
 impl SessionTele {
@@ -707,6 +739,9 @@ impl SessionTele {
             res_spilled_bytes: t.gauge("session.residency.spilled_bytes"),
             res_remat_ops: t.gauge("session.residency.remat_ops"),
             fault_retries: t.gauge("session.fault.retries"),
+            planned: Target::ALL.map(|d| {
+                ["seconds", "joules"].map(|u| t.gauge(&format!("session.planned.{d}.{u}")))
+            }),
         }
     }
 }
@@ -1279,23 +1314,14 @@ impl Session {
         };
         for cmd in cmds.iter_mut() {
             match cmd {
-                CnmCmd::Scatter {
+                CnmCmd::Transfer {
                     cslot,
                     slot,
                     buf,
-                    chunk,
+                    key,
                 } => {
                     *slot = binding[*cslot as usize];
-                    *buf = buf_of(*slot, MramLayout::Chunk(*chunk))?;
-                }
-                CnmCmd::Broadcast {
-                    cslot,
-                    slot,
-                    buf,
-                    len,
-                } => {
-                    *slot = binding[*cslot as usize];
-                    *buf = buf_of(*slot, MramLayout::Broadcast(*len))?;
+                    *buf = buf_of(*slot, *key)?;
                 }
                 CnmCmd::Zero { cslot, key, buf } => {
                     *buf = buf_of(binding[*cslot as usize], *key)?;
@@ -1317,9 +1343,6 @@ impl Session {
                 } => {
                     *slot = binding[*cslot as usize];
                     resident.buf = buf_of(*slot, MramLayout::Chunk(resident.gather_chunk))?;
-                }
-                CnmCmd::Materialize { cslot, slot } => {
-                    *slot = binding[*cslot as usize];
                 }
             }
         }
@@ -1497,30 +1520,34 @@ impl Session {
         }
         let GraphOptimizer {
             graph,
-            resident,
+            state,
             fusable,
         } = opt;
         let eliminated = graph.eliminate(canon, discards, binding.len());
 
         // Placement pass: place the cleaned graph exactly as `compile` will
-        // (same `place`, same `bind_resident` transitions); an element-wise
-        // op left in the UPMEM segment may fuse.
+        // (same `place`, same transitions); an element-wise op left in the
+        // UPMEM segment may fuse.
         let dpus = self.backend.num_dpus();
-        resident.clear();
-        resident.extend(binding.iter().map(|&p| self.slots[p as usize].residency()));
+        state.clear();
+        state.extend(binding.iter().map(|&p| {
+            let slot = &self.slots[p as usize];
+            (slot.host_valid, slot.residency())
+        }));
         fusable.clear();
         for node in graph.ops() {
             let geometry = node.kind.geometry(dpus);
-            if self.place(node, &geometry, resident).ok()?.is_some() {
-                fusable.push(false);
-                resident[node.output as usize] = None;
-                continue;
+            let (on, plan) = self.place(node, &geometry, |t| state[t]).ok()?;
+            let segment = whole_on_grid(&plan);
+            fusable.push(segment && matches!(node.kind, CnmOp::Elementwise { .. }));
+            for (i, (&inp, key)) in node.inputs().iter().zip(geometry.inputs).enumerate() {
+                if !segment || !on.held[i] {
+                    let resident = segment.then_some(residency_of(key));
+                    state[inp as usize] = (true, resident.or(state[inp as usize].1));
+                }
             }
-            fusable.push(matches!(node.kind, CnmOp::Elementwise { .. }));
-            for (&inp, key) in node.inputs().iter().zip(geometry.inputs) {
-                bind_resident(&mut resident[inp as usize], key, true);
-            }
-            resident[node.output as usize] = Some((geometry.out_chunk, geometry.out_layout));
+            let out = (geometry.out_chunk, geometry.out_layout);
+            state[node.output as usize] = (!segment, segment.then_some(out));
         }
 
         let (ops, sched) = graph.fuse(fusable);
@@ -1608,6 +1635,7 @@ impl Session {
             preconds: Vec::new(),
             steps: Vec::new(),
             cmds: Vec::new(),
+            planned: [Cost::default(); 3],
         };
         let slot_of = |&p: &u32| &self.slots[p as usize];
         let mut low = Lowering {
@@ -1679,40 +1707,19 @@ impl Session {
         }
     }
 
-    /// Binds one segment-op input to operand role `key` and returns its
-    /// device buffer: a tensor already resident that way is used in place,
-    /// anything else is scattered/broadcast from its host copy
-    /// (materialized first when only an incompatible device copy exists).
-    fn lower_input(
-        &mut self,
-        low: &mut Lowering,
-        inp: u32,
-        key: MramLayout,
-    ) -> Result<u32, ShardError> {
-        self.note_external(low, inp);
-        let resident = bind_resident(&mut low.resident[inp as usize], key, self.residency);
-        if !resident {
-            self.need_host(low, inp);
-        }
+    /// Scatters or broadcasts canonical slot `inp` into `buf` in operand
+    /// role `key` from its host copy (materialized first when only the grid
+    /// holds it).
+    fn lower_transfer(&mut self, low: &mut Lowering, inp: u32, key: MramLayout, buf: u32) {
+        self.need_host(low, inp);
         let slot = low.binding[inp as usize];
-        let buf = self.ensure_buf(slot, key)?;
-        if !resident {
-            self.compiled[low.idx].cmds.push(match key {
-                MramLayout::Chunk(chunk) => CnmCmd::Scatter {
-                    cslot: inp,
-                    slot,
-                    buf,
-                    chunk,
-                },
-                MramLayout::Broadcast(len) => CnmCmd::Broadcast {
-                    cslot: inp,
-                    slot,
-                    buf,
-                    len,
-                },
-            });
-        }
-        Ok(buf)
+        self.compiled[low.idx].cmds.push(CnmCmd::Transfer {
+            cslot: inp,
+            slot,
+            buf,
+            key,
+        });
+        low.resident[inp as usize] = self.residency.then_some(residency_of(key));
     }
 
     /// Allocates (and schedules the zeroing of) the output buffer of
@@ -1746,12 +1753,24 @@ impl Session {
         low.produced[out as usize] = true;
     }
 
-    /// Lowers `ops[oi]` of the plan: shard-dispatched as a step of its own,
-    /// or as scatter ∥ broadcast → zero → launch in the current segment.
+    /// Lowers `ops[oi]` of the plan where [`place`](Self::place) puts it:
+    /// shard-dispatched as a step of its own, or in the current segment as
+    /// the op's [`CnmOp::commands`] less what its residency saves — the list
+    /// its price was decided by. The zeroing of the output buffer precedes
+    /// the launch; a gather (residency off) materializes the output.
     fn lower_plain(&mut self, low: &mut Lowering, oi: usize) -> Result<(), ShardError> {
         let node = self.compiled[low.idx].ops[oi];
-        let geometry = node.kind.geometry(self.backend.num_dpus());
-        if let Some(split) = self.place(&node, &geometry, &low.resident)? {
+        let dpus = self.backend.num_dpus();
+        let geometry = node.kind.geometry(dpus);
+        let state = |t: usize| (low.host[t], low.resident[t]);
+        let (on, plan) = self.place(&node, &geometry, state)?;
+        let planned = &mut self.compiled[low.idx].planned;
+        for (i, cost) in planned.iter_mut().enumerate() {
+            cost.seconds += plan.estimated_seconds[i];
+            cost.joules += plan.estimated_joules[i];
+        }
+        let out = node.output;
+        if !whole_on_grid(&plan) {
             for &inp in node.inputs() {
                 self.note_external(low, inp);
             }
@@ -1759,60 +1778,25 @@ impl Session {
             for &inp in node.inputs() {
                 self.need_host(low, inp);
             }
+            let split = plan.split;
             self.compiled[low.idx]
                 .steps
                 .push(Step::Planned { op: oi, split });
-            low.host[node.output as usize] = true;
-            low.resident[node.output as usize] = None;
-            low.produced[node.output as usize] = true;
+            low.host[out as usize] = true;
+            low.resident[out as usize] = None;
+            low.produced[out as usize] = true;
             return Ok(());
         }
-        let mut args: Vec<LaunchBind> = Vec::with_capacity(node.inputs().len() + 1);
-        let mut input_bufs: Vec<u32> = Vec::with_capacity(node.inputs().len());
-        for (pos, (&inp, key)) in node.inputs().iter().zip(geometry.inputs).enumerate() {
-            input_bufs.push(self.lower_input(low, inp, key)?);
-            args.push(LaunchBind {
-                role: LaunchRole::Input(pos as u8),
-                cslot: inp,
-                key,
-            });
-        }
-        let out = node.output;
-        let out_key = MramLayout::Chunk(geometry.out_chunk);
-        let out_buf = self.lower_output(low, out, out_key)?;
-        args.push(LaunchBind {
-            role: LaunchRole::Output,
-            cslot: out,
-            key: out_key,
-        });
-        let spec = self
-            .backend
-            .upmem()
-            .kernel_spec(geometry.kernel, input_bufs, out_buf);
-        self.compiled[low.idx]
-            .cmds
-            .push(CnmCmd::Launch { spec, args });
-        let resident = Resident {
-            buf: out_buf,
-            gather_chunk: geometry.out_chunk,
-            layout: geometry.out_layout,
-        };
-        self.lower_set_output(low, out, resident);
-        if !self.residency {
-            // Mirror the eager program: gather and decode every op output
-            // immediately.
-            let slot = low.binding[out as usize];
-            self.compiled[low.idx]
-                .cmds
-                .push(CnmCmd::Materialize { cslot: out, slot });
-            low.host[out as usize] = true;
-        }
-        Ok(())
+        let keys = &geometry.inputs[..node.inputs().len()];
+        let commands = node.kind.commands(dpus).filter(|c| on.issues(c));
+        let (chunk, layout) = (geometry.out_chunk, geometry.out_layout);
+        self.lower_launch(low, node.inputs(), keys, commands, &[out], chunk, layout)
     }
 
     /// Lowers a fused element-wise group (`ops` indexes the plan's flattened
     /// per-stage nodes) into one multi-output kernel launch in the current
-    /// segment. Only emitted with residency on.
+    /// segment, scattering the externals not already resident. Only emitted
+    /// with residency on.
     fn lower_fused(
         &mut self,
         low: &mut Lowering,
@@ -1828,87 +1812,127 @@ impl Session {
             .collect();
         let first = self.compiled[low.idx].ops[ops.start].kind;
         let geometry = first.geometry(self.backend.num_dpus());
-        let key = geometry.inputs[0];
-        let mut args: Vec<LaunchBind> = Vec::with_capacity(externals.len() + stage_outs.len());
-        let mut input_bufs: Vec<u32> = Vec::with_capacity(externals.len());
-        for (pos, &inp) in externals.iter().enumerate() {
-            input_bufs.push(self.lower_input(low, inp, key)?);
+        let (key, chunk) = (geometry.inputs[0], geometry.out_chunk);
+        let keys = [key; fusion::MAX_FUSED_EXTERNALS];
+        let mut held = [false; fusion::MAX_FUSED_EXTERNALS];
+        let mut moves = [0; fusion::MAX_FUSED_EXTERNALS];
+        let (keep, state) = (self.residency, |t: usize| (low.host[t], low.resident[t]));
+        bind_inputs(externals, &keys, keep, state, &mut held, &mut moves);
+        let scatters = (0..externals.len()).filter(move |&i| !held[i]);
+        let kernel = DpuKernelKind::FusedElementwise {
+            stages: stages.to_vec(),
+            len: chunk,
+            arity: externals.len(),
+        };
+        let elems = first.work();
+        let commands = scatters
+            .map(|input| Command::Scatter {
+                input,
+                chunk,
+                elems,
+            })
+            .chain([Command::Launch(kernel)]);
+        let layout = OutputLayout::Chunked;
+        self.lower_launch(low, externals, &keys, commands, &stage_outs, chunk, layout)
+    }
+
+    /// Lowers one launch into the current segment by walking its host
+    /// program `commands`: a transfer binds its operand (of `inputs`, in
+    /// role `keys`), the launch zeroes and writes the `outs` (`chunk`
+    /// elements per DPU decoded by `layout`; the first is the spec's output)
+    /// and a gather materializes the output.
+    #[allow(clippy::too_many_arguments)]
+    fn lower_launch(
+        &mut self,
+        low: &mut Lowering,
+        inputs: &[u32],
+        keys: &[MramLayout],
+        commands: impl Iterator<Item = Command>,
+        outs: &[u32],
+        chunk: usize,
+        layout: OutputLayout,
+    ) -> Result<(), ShardError> {
+        let mut args: Vec<LaunchBind> = Vec::with_capacity(inputs.len() + outs.len());
+        let mut bufs: Vec<u32> = Vec::with_capacity(inputs.len());
+        for (pos, (&inp, &key)) in inputs.iter().zip(keys).enumerate() {
+            self.note_external(low, inp);
+            bufs.push(self.ensure_buf(low.binding[inp as usize], key)?);
             args.push(LaunchBind {
                 role: LaunchRole::Input(pos as u8),
                 cslot: inp,
                 key,
             });
         }
-        let mut out_bufs: Vec<u32> = Vec::with_capacity(stage_outs.len());
-        for (j, &out) in stage_outs.iter().enumerate() {
-            out_bufs.push(self.lower_output(low, out, key)?);
-            args.push(LaunchBind {
-                role: match j {
+        for command in commands {
+            let kernel = match command {
+                Command::Scatter { input, .. } | Command::Broadcast { input, .. } => {
+                    self.lower_transfer(low, inputs[input], keys[input], bufs[input]);
+                    continue;
+                }
+                Command::Gather { .. } => {
+                    self.need_host(low, outs[0]);
+                    continue;
+                }
+                Command::Launch(kernel) => kernel,
+            };
+            let key = MramLayout::Chunk(chunk);
+            let mut out_bufs = [0; MAX_FUSED_STAGES];
+            for (j, &out) in outs.iter().enumerate() {
+                out_bufs[j] = self.lower_output(low, out, key)?;
+                let role = match j {
                     0 => LaunchRole::Output,
                     _ => LaunchRole::Extra(j as u8 - 1),
-                },
-                cslot: out,
-                key,
-            });
-        }
-        let kind = DpuKernelKind::FusedElementwise {
-            stages: stages.to_vec(),
-            len: geometry.out_chunk,
-            arity: externals.len(),
-        };
-        let spec = self
-            .backend
-            .upmem()
-            .kernel_spec(kind, input_bufs, out_bufs[0])
-            .with_extra_outputs(out_bufs[1..].to_vec());
-        self.compiled[low.idx]
-            .cmds
-            .push(CnmCmd::Launch { spec, args });
-        for (&out, &buf) in stage_outs.iter().zip(&out_bufs) {
-            let resident = Resident {
-                buf,
-                gather_chunk: geometry.out_chunk,
-                layout: OutputLayout::Chunked,
-            };
-            self.lower_set_output(low, out, resident);
+                };
+                args.push(LaunchBind {
+                    role,
+                    cslot: out,
+                    key,
+                });
+            }
+            let spec = self
+                .backend
+                .upmem()
+                .kernel_spec(kernel, std::mem::take(&mut bufs), out_bufs[0])
+                .with_extra_outputs(out_bufs[1..outs.len()].to_vec());
+            let args = std::mem::take(&mut args);
+            self.compiled[low.idx]
+                .cmds
+                .push(CnmCmd::Launch { spec, args });
+            for (&out, &buf) in outs.iter().zip(&out_bufs) {
+                let resident = Resident {
+                    buf,
+                    gather_chunk: chunk,
+                    layout,
+                };
+                self.lower_set_output(low, out, resident);
+            }
         }
         Ok(())
     }
 
-    /// Places one op against the virtual residency of its inputs: `None`
-    /// keeps it in the UPMEM segment (the PrIM kernels the planner has no
-    /// model for; chains consuming a tensor already resident in a compatible
-    /// layout; plans that put all work on the grid anyway), `Some(split)`
-    /// shard-dispatches it. The single placement rule — the optimizer's
-    /// placement pass and the lowering both call it.
+    /// Places one op by price, against the virtual host validity and
+    /// residency of its inputs: the planner's plan under what that residency
+    /// leaves the op on the grid ([`ShardPlanner::plan_on`]). A plan whose
+    /// work is all on the grid keeps the op in the UPMEM segment; any other
+    /// plan shard-dispatches it. The single placement rule — the
+    /// optimizer's placement pass and the lowering both call it.
     fn place(
         &mut self,
         node: &OpNode,
         geometry: &CnmGeometry,
-        resident: &[Residency],
-    ) -> Result<Option<ShardSplit>, ShardError> {
-        if node.kind.shard_shape().is_none() {
-            return Ok(None);
-        }
-        let chain_ok = self.residency
-            && matches!(
-                self.planner.planner().policy,
-                ShardPolicy::Auto | ShardPolicy::Single(Target::Cnm)
-            )
-            // Plans built after a grid failure must not route chains back
-            // onto the unhealthy device.
-            && self.backend.device(Target::Cnm).is_healthy();
-        let resident_chain = chain_ok
-            && node
-                .inputs()
-                .iter()
-                .zip(geometry.inputs)
-                .any(|(&t, key)| residency_matches(resident[t as usize], key));
-        if resident_chain {
-            return Ok(None);
-        }
-        let split = self.planner.plan_op(node.kind)?.split;
-        Ok((split.cnm != split.total()).then_some(split))
+        state: impl Fn(usize) -> (bool, Residency),
+    ) -> Result<(OnGrid, ShardPlan), ShardError> {
+        let (dpus, keep) = (self.backend.num_dpus(), self.residency);
+        let mut on = OnGrid {
+            dpus,
+            keep,
+            ..OnGrid::default()
+        };
+        let inputs = node.inputs();
+        let keys = &geometry.inputs[..inputs.len()];
+        bind_inputs(inputs, keys, keep, state, &mut on.held, &mut on.moves);
+        let plan = self.planner.plan_on(node.kind, on)?.clone();
+        Ok((on, plan))
     }
 
     // -- execution ----------------------------------------------------------
@@ -2086,6 +2110,12 @@ impl Session {
         // Discarded survivors and optimizer-eliminated outputs are recycled
         // immediately — their handles go stale by contract.
         if idx < self.compiled.len() {
+            if let Some(t) = &self.tele {
+                for (g, cost) in t.planned.iter().zip(&self.compiled[idx].planned) {
+                    g[0].set(cost.seconds);
+                    g[1].set(cost.joules);
+                }
+            }
             for oi in 0..self.compiled[idx].ops.len() {
                 let c = &self.compiled[idx];
                 let out_c = c.ops[oi].output;
@@ -2187,7 +2217,6 @@ impl Session {
                     &compiled.binding,
                     feeds,
                     residency,
-                    dpus,
                 ),
                 Step::Planned { op, split } => run_planned(
                     backend,
@@ -2634,8 +2663,8 @@ fn cnm_failure(backend: &mut ShardedBackend, context: &str, e: SimError) -> Shar
 }
 
 /// Gathers a resident tensor into the slot's host copy — the one body of
-/// `fetch`/`take`, the segment-boundary step, the residency-off in-run
-/// command and the spill. A [prefix](OutputLayout::is_prefix) layout is
+/// `fetch`/`take`, the `Materialize` step (at a segment boundary, and after
+/// every op with residency off) and the spill. A [prefix](OutputLayout::is_prefix) layout is
 /// gathered straight into `slot.host` at the logical length — a slot with no
 /// storage of that size shares the slab's image instead of receiving a copy
 /// (`UpmemSystem::gather_image`), so a spill followed by the buffer's
@@ -2672,23 +2701,13 @@ fn materialize_slot(
 /// order).
 fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
     match cmd {
-        CnmCmd::Scatter {
-            slot, buf, chunk, ..
-        } => {
+        CnmCmd::Transfer { slot, buf, key, .. } => {
+            let (gather_chunk, layout) = residency_of(*key);
             let s = &mut slots[*slot as usize];
             s.resident = Some(Resident {
                 buf: *buf,
-                gather_chunk: *chunk,
-                layout: OutputLayout::Chunked,
-            });
-            s.device_valid = residency;
-        }
-        CnmCmd::Broadcast { slot, buf, len, .. } => {
-            let s = &mut slots[*slot as usize];
-            s.resident = Some(Resident {
-                buf: *buf,
-                gather_chunk: *len,
-                layout: OutputLayout::Replicated,
+                gather_chunk,
+                layout,
             });
             s.device_valid = residency;
         }
@@ -2698,8 +2717,7 @@ fn apply_effect(slots: &mut [Slot], cmd: &CnmCmd, residency: bool) {
             s.device_valid = residency;
             s.host_valid = false;
         }
-        // Materialize sets `host_valid` itself.
-        CnmCmd::Zero { .. } | CnmCmd::Launch { .. } | CnmCmd::Materialize { .. } => {}
+        CnmCmd::Zero { .. } | CnmCmd::Launch { .. } => {}
     }
 }
 
@@ -2726,7 +2744,6 @@ fn run_segment(
     binding: &[u32],
     feeds: &[Feed<'_>],
     residency: bool,
-    dpus: usize,
 ) -> Result<(), ShardError> {
     for cmd in cmds {
         // Each command runs under the backend's transient-retry policy
@@ -2734,8 +2751,11 @@ fn run_segment(
         // command that still fails commits nothing, so recovery can re-run
         // the segment from its start.
         let executed: Result<(), SimError> = match cmd {
-            CnmCmd::Scatter {
-                slot, buf, chunk, ..
+            CnmCmd::Transfer {
+                slot,
+                buf,
+                key: MramLayout::Chunk(chunk),
+                ..
             } => {
                 // A fed tensor is lent (its `Chunk(chunk)` buffer holds
                 // exactly `chunk` elements, as a lent scatter requires). A
@@ -2758,7 +2778,7 @@ fn run_segment(
                 }
                 .map(|_| ())
             }
-            CnmCmd::Broadcast { slot, buf, .. } => {
+            CnmCmd::Transfer { slot, buf, .. } => {
                 let host = host_of(&slots[*slot as usize], feeds);
                 backend
                     .upmem_mut()
@@ -2794,10 +2814,6 @@ fn run_segment(
                     .upmem_mut()
                     .try_op(|sys| sys.launch_lent(spec, lent, None))
                     .map(|_| ())
-            }
-            CnmCmd::Materialize { slot, .. } => {
-                materialize_slot(backend, &mut slots[*slot as usize], dpus)?;
-                Ok(())
             }
             CnmCmd::SetOutput { .. } => Ok(()),
         };

@@ -43,12 +43,14 @@
 //!
 //! The planner has one entry, [`ShardPlanner::plan_op`] (memoized by
 //! [`CachedShardPlanner::plan_op`]): it plans one typed [`CnmOp`] and prices
-//! it once per (device, shard size). The entries `benchmark/` still calls by
-//! `cinm` name and [`ShardShape`] live in the crate's private `pinned` module.
+//! it once per (device, shard size); a session's crate-private `plan_on`
+//! weighs that plan against the op whole on the grid under its operands'
+//! residency. The entries `benchmark/` still calls by `cinm` name and
+//! [`ShardShape`] live in the crate's private `pinned` module.
 
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 
-use cinm_lowering::cnm_op::CnmOp;
+use cinm_lowering::cnm_op::{CnmOp, Command};
 use cinm_lowering::{Cost, Device, ShardError, ShardSplit};
 use cpu_sim::model::CpuModel;
 use memristor_sim::CrossbarConfig;
@@ -257,6 +259,13 @@ impl ShardPlanner {
             })
     }
 
+    /// The price of a list of grid commands by the first grid model that
+    /// prices it, `None` without one.
+    fn grid_price(&self, mut list: impl Iterator<Item = Command>) -> Option<Cost> {
+        let mut grid = self.models.iter().filter(|m| m.target() == Target::Cnm);
+        grid.find_map(|m| m.price_commands(&mut list))
+    }
+
     /// Full-shard prices of every target, in `[cnm, cim, host]` order.
     fn estimates(&self, op: CnmOp) -> [Option<Cost>; 3] {
         Target::ALL.map(|target| self.estimate(target, op))
@@ -309,6 +318,44 @@ impl ShardPlanner {
             ShardPolicy::MinimizeEnergy => Self::plan_min_energy(work, &estimates),
         };
         Ok(prices.finish(split, fallback))
+    }
+
+    /// Plans one op of a session under the residency `on`: the session's
+    /// one placement rule. A PrIM kernel no model prices runs whole on the
+    /// grid. Any other op's plan ([`plan_op`](Self::plan_op)) first gathers
+    /// its operands off the grid ([`OnGrid::moves`]) and competes with the
+    /// whole op on the grid, priced by the grid's model over the commands
+    /// the session issues there ([`OnGrid::segment`]): `Auto` takes the
+    /// faster, `MinimizeEnergy` the more frugal, a forced policy its plan.
+    /// Each device's estimate is its bill. Outside a session (`on.dpus ==
+    /// 0`) this is [`plan_op`](Self::plan_op).
+    pub(crate) fn plan_on(&self, op: CnmOp, on: OnGrid) -> Result<ShardPlan, ShardError> {
+        if on.dpus == 0 {
+            return self.plan_op(op);
+        }
+        let grid = self.grid_price(on.segment(op));
+        if op.shard_shape().is_none() {
+            return Ok(on_grid(op.work(), grid));
+        }
+        let mut plan = self.plan_op(op)?;
+        let moves = self.grid_price(gathers(on.moves)).unwrap_or_default();
+        let seconds = plan.estimated_seconds.into_iter().fold(0.0, f64::max);
+        let cheaper = |g: Cost| match self.policy {
+            ShardPolicy::Auto => g.seconds < moves.seconds + seconds,
+            ShardPolicy::MinimizeEnergy => g.joules < moves.joules + plan.total_estimated_joules(),
+            _ => false,
+        };
+        if plan.split.cnm == plan.split.total() || grid.is_some_and(cheaper) {
+            return Ok(on_grid(plan.work, grid));
+        }
+        if on.moves != [0; 3] {
+            let shard = op.with_work(plan.split.cnm).commands(on.dpus);
+            let cost = self
+                .grid_price(gathers(on.moves).chain(shard))
+                .unwrap_or_default();
+            (plan.estimated_seconds[0], plan.estimated_joules[0]) = (cost.seconds, cost.joules);
+        }
+        Ok(plan)
     }
 
     /// The `MinimizeEnergy` policy: all work goes to the device with the
@@ -464,10 +511,11 @@ impl Prices<'_> {
 /// devices) — yet exactly that happens in any serving loop issuing
 /// same-shaped ops. `CachedShardPlanner` caches each
 /// computed [`ShardPlan`] keyed by the [`CnmOp`] itself (shape and value
-/// parameters: histograms of different bin counts are different plans);
-/// lookups are allocation-free. The policy and the registered device set are
-/// fixed per wrapped planner — together with the op they fully determine
-/// the plan — so they are invalidation events, not key fields.
+/// parameters: histograms of different bin counts are different plans) and
+/// the residency a session plans it under; lookups are allocation-free. The
+/// policy and the registered device set are fixed per wrapped planner —
+/// together with those they fully determine the plan — so they are
+/// invalidation events, not key fields.
 ///
 /// **Invalidation rule:** any reconfiguration of the planning inputs — a
 /// policy change ([`set_policy`](Self::set_policy)), a newly registered cost
@@ -478,7 +526,7 @@ impl Prices<'_> {
 /// not cached.
 pub struct CachedShardPlanner {
     planner: ShardPlanner,
-    cache: HashMap<CnmOp, ShardPlan>,
+    cache: HashMap<(CnmOp, OnGrid), ShardPlan>,
     hits: u64,
     misses: u64,
 }
@@ -555,15 +603,77 @@ impl CachedShardPlanner {
     ///
     /// Propagates [`ShardPlanner::plan_op`] errors, which are never cached.
     pub fn plan_op(&mut self, op: CnmOp) -> Result<&ShardPlan, ShardError> {
-        if self.cache.contains_key(&op) {
-            self.hits += 1;
-        } else {
-            let plan = self.planner.plan_op(op)?;
-            self.misses += 1;
-            self.cache.insert(op, plan);
-        }
-        Ok(&self.cache[&op])
+        self.plan_on(op, OnGrid::default())
     }
+
+    /// [`ShardPlanner::plan_on`], memoized like [`plan_op`](Self::plan_op).
+    pub(crate) fn plan_on(&mut self, op: CnmOp, on: OnGrid) -> Result<&ShardPlan, ShardError> {
+        Ok(match self.cache.entry((op, on)) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                let plan = self.planner.plan_on(op, on)?;
+                self.misses += 1;
+                miss.insert(plan)
+            }
+        })
+    }
+}
+
+/// `work` units whole on the grid, at the grid's price (zero unpriced).
+fn on_grid(work: usize, grid: Option<Cost>) -> ShardPlan {
+    let (grid, split) = (grid.unwrap_or_default(), ShardSplit::all_cnm(work));
+    ShardPlan {
+        work,
+        fractions: split.fractions(),
+        split,
+        estimated_seconds: [grid.seconds, 0.0, 0.0],
+        estimated_joules: [grid.joules, 0.0, 0.0],
+        fallback: (work > 0).then_some(Target::Cnm),
+    }
+}
+
+/// What a session's residency leaves one op on a grid of `dpus` DPUs. Per
+/// operand: `held` resident in its role, so not transferred; `moves` the
+/// per-DPU chunk to gather before the op runs anywhere but the grid, 0 for
+/// none (a tensor only the grid holds moves once, at its first use the
+/// grid does not hold, which the grid gathers before transferring it).
+/// `keep`: the result stays resident, deferring its gather.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub(crate) struct OnGrid {
+    pub(crate) dpus: usize,
+    pub(crate) held: [bool; 3],
+    pub(crate) moves: [usize; 3],
+    pub(crate) keep: bool,
+}
+
+impl OnGrid {
+    /// Whether the session issues `command` when the op runs on the grid.
+    pub(crate) fn issues(&self, command: &Command) -> bool {
+        match *command {
+            Command::Scatter { input, .. } | Command::Broadcast { input, .. } => !self.held[input],
+            Command::Launch(_) => true,
+            Command::Gather { .. } => !self.keep,
+        }
+    }
+
+    /// The grid's commands of the op run whole there, in issue order: the
+    /// gathers of the `moves` it transfers, then the [`CnmOp::commands`] it
+    /// [`issues`](Self::issues).
+    fn segment(self, op: CnmOp) -> impl Iterator<Item = Command> {
+        let fetch = std::array::from_fn(|i| if self.held[i] { 0 } else { self.moves[i] });
+        gathers(fetch).chain(op.commands(self.dpus).filter(move |c| self.issues(c)))
+    }
+}
+
+/// A gather per non-zero per-DPU chunk, in operand order.
+fn gathers(chunks: [usize; 3]) -> impl Iterator<Item = Command> {
+    chunks
+        .into_iter()
+        .filter(|&c| c > 0)
+        .map(|chunk| Command::Gather { chunk })
 }
 
 /// All `work` units on one device.

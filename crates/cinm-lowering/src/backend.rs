@@ -56,7 +56,7 @@ use upmem_sim::{
 };
 
 use crate::cim_schedule::{CimSchedule, SECONDS_PER_COMMAND};
-use crate::cnm_op::{CnmGeometry, CnmOp, Command, KernelCodegen, MramLayout, OutputLayout};
+use crate::cnm_op::{CnmGeometry, CnmOp, Command, KernelCodegen, MramLayout};
 
 /// Merges the two `host_threads` knobs (simulator config and run options):
 /// `0` means "all cores" and wins; otherwise the larger explicit request
@@ -394,12 +394,13 @@ impl UpmemBackend {
     /// launch, the gather — is issued one command after another. A
     /// scattered operand is **lent** ([`UpmemSystem::scatter_lent`]): billed
     /// as the scatter, read in place by the launch, never copied. So is `out`
-    /// when the [`CnmOp::geometry`]'s output is [`OutputLayout::Chunked`]
-    /// (element-wise, `gemm`, `gemv`, BFS): the launch writes the result
-    /// straight into it ([`UpmemSystem::launch_lent`]) and the gather is
-    /// billed without a copy ([`UpmemSystem::gather_lent`]). The partials
-    /// layouts (reduce, histogram, select) and the time-series profiles are
-    /// decoded from the output slab into `out`. Each command's transient
+    /// when the [`CnmOp::geometry`]'s output is a
+    /// [prefix](crate::cnm_op::OutputLayout::is_prefix) of the gather (element-wise,
+    /// `gemm`, `gemv`, BFS, the time-series profiles): the launch writes the
+    /// result straight into it ([`UpmemSystem::launch_lent`]) and the gather
+    /// is billed without a copy ([`UpmemSystem::gather_lent`]). The partials
+    /// layouts (reduce, histogram, select) are decoded from the output slab
+    /// into `out`. Each command's transient
     /// injected faults are retried in place (see [`try_op`](Self::try_op)).
     /// A full MRAM refuses the op before any command runs. An op with
     /// nothing to compute issues no command: it is answered on the host with
@@ -451,7 +452,7 @@ impl UpmemBackend {
             });
             return Ok(out_len);
         }
-        let lend_out = out_layout == OutputLayout::Chunked;
+        let lend_out = out_layout.is_prefix();
         let ctx = self.context(op, &inputs[..operands.len()], out_chunk, lend_out)?;
         let bufs = &ctx.bufs[..operands.len()];
         let mut lent = [None; MAX_OP_BUFFERS];

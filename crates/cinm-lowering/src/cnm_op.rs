@@ -237,22 +237,33 @@ pub struct CnmGeometry {
 }
 
 /// One host command of an op's program on the grid (see
-/// [`CnmOp::commands`]).
+/// [`CnmOp::commands`]): what the backend and a session issue, and what the
+/// grid's cost model prices.
 #[derive(Debug)]
-pub(crate) enum Command {
-    /// Scatter operand `input` (`elems` logical elements, which is what the
-    /// scatter bills) in per-DPU chunks of `chunk`.
+pub enum Command {
+    /// Scatter an operand in per-DPU chunks.
     Scatter {
+        /// The operand's position.
         input: usize,
+        /// Elements per DPU.
         chunk: usize,
+        /// Logical elements, which is what the scatter bills.
         elems: usize,
     },
-    /// Broadcast operand `input` (`elems` elements) to every DPU.
-    Broadcast { input: usize, elems: usize },
+    /// Broadcast an operand to every DPU.
+    Broadcast {
+        /// The operand's position.
+        input: usize,
+        /// Elements, which is what the broadcast bills.
+        elems: usize,
+    },
     /// Launch the per-DPU kernel on the operands' buffers.
     Launch(DpuKernelKind),
     /// Gather `chunk` elements from every DPU.
-    Gather { chunk: usize },
+    Gather {
+        /// Elements per DPU.
+        chunk: usize,
+    },
 }
 
 /// How CINM generated a DPU kernel: the four code-generation fields of a
@@ -274,7 +285,8 @@ impl KernelCodegen {
     /// with `wram_bytes` of WRAM: unless `wram_tile` overrides it, under the
     /// locality optimisation a WRAM tile of a third of WRAM per operand
     /// stream, divided among the tasklets and rounded down to a multiple of
-    /// 64 words (at least 64); 64 words without it.
+    /// 64 words (at least 64); 64 words without it. An empty tile or an
+    /// overhead that is not positive panics.
     pub(crate) fn new(
         locality_optimized: bool,
         instruction_overhead: f64,
@@ -287,6 +299,11 @@ impl KernelCodegen {
         } else {
             64
         });
+        assert!(wram_tile > 0, "WRAM tile must be non-empty");
+        assert!(
+            instruction_overhead > 0.0,
+            "overhead factor must be positive"
+        );
         KernelCodegen {
             tasklets,
             wram_tile,
@@ -295,21 +312,23 @@ impl KernelCodegen {
         }
     }
 
-    /// The launch of `kind` on the given buffers with this code.
+    /// The launch of `kind` on the given buffers with this code (the
+    /// launch validates their number; a price reads none, so it names none).
     pub(crate) fn spec(
         self,
         kind: DpuKernelKind,
         inputs: Vec<BufferId>,
         output: BufferId,
     ) -> KernelSpec {
-        let spec = KernelSpec::new(kind, inputs, output)
-            .with_tasklets(self.tasklets)
-            .with_wram_tile(self.wram_tile)
-            .with_instruction_overhead(self.instruction_overhead);
-        if self.locality_optimized {
-            spec.with_locality_optimization()
-        } else {
-            spec
+        KernelSpec {
+            kind,
+            inputs,
+            output,
+            extra_outputs: Vec::new(),
+            tasklets: Some(self.tasklets),
+            wram_tile_elems: self.wram_tile,
+            locality_optimized: self.locality_optimized,
+            instruction_overhead_factor: self.instruction_overhead,
         }
     }
 }
@@ -506,10 +525,11 @@ impl CnmOp {
     /// order: one scatter per `Chunk` operand and one broadcast per
     /// `Broadcast` operand of its [`geometry`](Self::geometry), the launch of
     /// the geometry's kernel and the gather of its output chunk. The backend
-    /// issues exactly this list and the cost model prices it. An op with
-    /// nothing to compute — no output elements, or an empty operand — issues
+    /// issues exactly this list and the cost model prices it; a session
+    /// issues it less the transfers its residency saves. An op with nothing
+    /// to compute — no output elements, or an empty operand — issues
     /// nothing.
-    pub(crate) fn commands(self, dpus: usize) -> impl Iterator<Item = Command> {
+    pub fn commands(self, dpus: usize) -> impl Iterator<Item = Command> {
         let geometry = self.geometry(dpus);
         let elems = self.operand_elems();
         let arity = self.arity();

@@ -175,7 +175,7 @@ fn unsupported(device: Target, op: CnmOp) -> ShardError {
 // ---------------------------------------------------------------------------
 
 /// The estimated price of one op on one device.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Cost {
     /// Execution seconds.
     pub seconds: f64,
@@ -199,6 +199,14 @@ pub trait CostModel: Send {
     /// support does not depend on the work; it places by seconds or joules
     /// (`ShardPolicy::MinimizeEnergy`) from the same call.
     fn price(&self, op: CnmOp) -> Option<Cost>;
+
+    /// The bill of a list of grid commands in issue order — what a session
+    /// prices an op's [`CnmOp::commands`] by once its residency has filtered
+    /// them. `None` for a device that issues no grid commands (all but the
+    /// grid).
+    fn price_commands(&self, _commands: &mut dyn Iterator<Item = Command>) -> Option<Cost> {
+        None
+    }
 }
 
 /// Cost model of the UPMEM grid: the bill of the op's host program. The
@@ -239,13 +247,17 @@ impl CostModel for CnmCostModel {
     }
 
     fn price(&self, op: CnmOp) -> Option<Cost> {
-        if !shardable(op) {
-            return None;
-        }
+        let dpus = self.config.num_dpus().max(1);
+        shardable(op)
+            .then(|| self.price_commands(&mut op.commands(dpus)))
+            .flatten()
+    }
+
+    fn price_commands(&self, commands: &mut dyn Iterator<Item = Command>) -> Option<Cost> {
         let cfg = &self.config;
         let dpus = cfg.num_dpus().max(1);
         let mut bill = SystemStats::default();
-        for command in op.commands(dpus) {
+        for command in commands {
             match command {
                 Command::Scatter { elems, .. } => {
                     let t = cfg.chunked_transfer(elems);
@@ -258,9 +270,8 @@ impl CostModel for CnmCostModel {
                     bill.host_to_dpu_energy_j += t.energy_j;
                 }
                 Command::Launch(kind) => {
-                    // Buffer ids are placeholders the cost is independent of.
-                    let inputs = vec![0; kind.num_inputs()];
-                    let spec = self.codegen.spec(kind, inputs, 0);
+                    // The cost reads no buffer, so the launch names none.
+                    let spec = self.codegen.spec(kind, Vec::new(), 0);
                     let tasklets = spec.tasklets.unwrap_or(cfg.tasklets);
                     let launch = kernel_launch_cost(cfg, &spec, tasklets, dpus);
                     bill.kernel_seconds += launch.seconds;

@@ -589,8 +589,9 @@ impl ShardedBackend {
 
     /// Runs up to three shards concurrently in one pool scope — one
     /// [`Device::run`] per non-empty shard into its range of the result, the
-    /// first of them on the calling thread and the others on pool workers —
-    /// and folds their outcomes into the statistics.
+    /// first of them on the calling thread and the others on pool workers;
+    /// a lone shard runs on the calling thread without a scope — and folds
+    /// their outcomes into the statistics.
     ///
     /// Failures are contained per shard: an execution fault is the shard's
     /// typed [`ShardError`], and a panicking device task is caught and
@@ -604,41 +605,46 @@ impl ShardedBackend {
         {
             let devices: [&mut dyn Device; 3] = [&mut self.cnm, &mut self.cim, &mut self.host];
             let tracker = &tracker;
-            self.pool.get().scope(|s| {
-                for (((device, (op, operands, out)), outcome), slot) in devices
-                    .into_iter()
-                    .zip(shards)
-                    .zip(outcomes.iter_mut())
-                    .zip(Target::ALL)
-                {
-                    if op.work() == 0 {
-                        continue;
-                    }
-                    let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
-                    s.spawn_labeled(label, move |_| {
-                        let _in_flight = tracker.enter();
-                        let start = Instant::now();
-                        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            device.run(op, &operands[..op.arity()], out)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(ShardError::ExecutionPanic {
-                                device: slot,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        let (result, sim_seconds) = match ran {
-                            Ok(sim_seconds) => (Ok(()), sim_seconds),
-                            Err(e) => (Err(e), 0.0),
-                        };
-                        *outcome = ShardOutcome {
-                            result,
-                            sim_seconds,
-                            wall_seconds: start.elapsed().as_secs_f64(),
-                        };
-                    });
+            let run = move |device: &mut dyn Device, (op, operands, out): Shard<'_>, slot| {
+                let _in_flight = tracker.enter();
+                let start = Instant::now();
+                let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    device.run(op, &operands[..op.arity()], out)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(ShardError::ExecutionPanic {
+                        device: slot,
+                        message: panic_message(payload.as_ref()),
+                    })
+                });
+                let (result, sim_seconds) = match ran {
+                    Ok(sim_seconds) => (Ok(()), sim_seconds),
+                    Err(e) => (Err(e), 0.0),
+                };
+                ShardOutcome {
+                    result,
+                    sim_seconds,
+                    wall_seconds: start.elapsed().as_secs_f64(),
                 }
-            });
+            };
+            let tasks = devices
+                .into_iter()
+                .zip(shards)
+                .zip(outcomes.iter_mut())
+                .zip(Target::ALL)
+                .filter(|(((_, (op, ..)), _), _)| op.work() > 0);
+            if Target::ALL.iter().filter(|&&t| work.get(t) > 0).count() == 1 {
+                for (((device, shard), outcome), slot) in tasks {
+                    *outcome = run(device, shard, slot);
+                }
+            } else {
+                self.pool.get().scope(|s| {
+                    for (((device, shard), outcome), slot) in tasks {
+                        let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
+                        s.spawn_labeled(label, move |_| *outcome = run(device, shard, slot));
+                    }
+                });
+            }
         }
         self.stats.ops += 1;
         self.stats.wall_seconds += op_start.elapsed().as_secs_f64();

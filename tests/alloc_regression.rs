@@ -638,24 +638,25 @@ fn registry_and_verifier_allocations_do_not_grow_with_the_program() {
 
 /// The benchmark's `session_cold` op — write an activation, record `gemv →
 /// select`, `xor → and → or`, `reduce`, run, fetch — over more shapes than
-/// the plan cache holds, under the auto policy on 256 DPUs: every run
-/// misses, so the graph optimizer, the shard planner and compile all run.
+/// the plan cache holds, on 256 DPUs: every run misses, so the graph
+/// optimizer, the shard planner and compile all run. Under `policy`
+/// `Single(Cnm)` the chain compiles as a fused group; under `Auto`, placed
+/// by price, the streaming ops run on the host (each far cheaper there than
+/// a launch on 256 DPUs), so the shard dispatch runs instead.
 /// Returns the heap allocations of one such op on this thread.
-fn cold_session_op_allocations() -> u64 {
+fn cold_session_op_allocations(policy: ShardPolicy) -> u64 {
     use cinm_lowering::ShardedRunOptions;
     use cinm_runtime::PoolHandle;
 
     const SHAPES: usize = 12;
     let pool = PoolHandle::with_threads(1);
     let mut sess = Session::new(
-        SessionOptions::default()
-            .with_policy(ShardPolicy::Auto)
-            .with_sharded(
-                ShardedRunOptions::default()
-                    .with_ranks(2)
-                    .with_pool(pool)
-                    .with_host_threads(1),
-            ),
+        SessionOptions::default().with_policy(policy).with_sharded(
+            ShardedRunOptions::default()
+                .with_ranks(2)
+                .with_pool(pool)
+                .with_host_threads(1),
+        ),
     );
     let cols = 16usize;
     let models: Vec<_> = (0..SHAPES)
@@ -708,7 +709,11 @@ fn cold_session_op_allocations() -> u64 {
         SHAPES as u64,
         "every run is cold"
     );
-    assert!(sess.optimizer_stats().fused_groups >= 1);
+    if policy == ShardPolicy::Auto {
+        assert!(sess.upmem_stats().launches > 0 && sess.shard_stats().work[2] > 0);
+    } else {
+        assert!(sess.optimizer_stats().fused_groups >= 1);
+    }
     allocs / SHAPES as u64
 }
 
@@ -855,8 +860,13 @@ const STAGES: [&str; 8] = [
 /// instead: an IR copy, or a vector per recorded op, coming back fails here.
 #[test]
 fn cold_runs_and_compiles_stay_under_their_allocation_ceilings() {
-    let cold = cold_session_op_allocations();
-    assert!(cold <= 39, "a cold session op allocated {cold} times");
+    for policy in [ShardPolicy::Single(Target::Cnm), ShardPolicy::Auto] {
+        let cold = cold_session_op_allocations(policy);
+        assert!(
+            cold <= 39,
+            "a cold {policy:?} session op allocated {cold} times"
+        );
+    }
     let compile = compile_allocations_per_program();
     assert!(
         compile <= PROGRAM_CEILING,
@@ -1103,5 +1113,38 @@ fn a_cold_sharded_elementwise_allocates_only_the_result() {
                 bytes as f64 / vector
             );
         }
+    }
+}
+
+/// A cold eager time series writes its profiles straight into the result:
+/// the profiles are a prefix of the gather (whole strides of the used
+/// DPUs), so the launch is lent the result and the op allocates it and
+/// nothing else of its size, within an eighth of the result: 1.03 results'
+/// worth on one DIMM. Decoded from an output slab, the same run allocated
+/// 2.03.
+#[test]
+fn a_cold_eager_time_series_allocates_only_the_result() {
+    use cinm_lowering::{UpmemBackend, UpmemRunOptions};
+
+    let cold = |a: &[i32], window: usize| {
+        let options = UpmemRunOptions::optimized().with_host_threads(1);
+        let mut be = UpmemBackend::new(1, options);
+        alloc_count::bytes_in(|| be.time_series(a, window))
+    };
+    for (len, window) in [(1usize << 16, 8), ((1 << 16) - 3, 5)] {
+        let a: Vec<i32> = (0..len).map(|i| (i % 29) as i32 - 14).collect();
+        cold(&a, window); // process-wide one-time set-up is not the op's
+        let (out, bytes) = cold(&a, window);
+        let result = (out.len() * 4) as f64;
+        assert!(
+            out.len() > len / 2,
+            "{len} elements: {} profiles",
+            out.len()
+        );
+        assert!(
+            bytes as f64 <= result * 1.125,
+            "{len} elements, window {window}: {:.2} results' worth",
+            bytes as f64 / result
+        );
     }
 }

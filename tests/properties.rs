@@ -3593,3 +3593,172 @@ fn limits_below_the_working_set_refuse_with_typed_errors() {
         other => panic!("expected MramExhausted, got {other:?}"),
     }
 }
+
+/// Price is the bill for a session. Seeded random session graphs at test
+/// scale — `gemv`, `gemm`, element-wise, `reduce`, `histogram` and `select`
+/// over a pool of earlier results — run one op per run under `Auto`,
+/// `Single(Cnm)`, `Single(Host)` and `MinimizeEnergy`, residency on and off,
+/// MRAM limited or not. The session places each op by the price of the
+/// commands it issues and publishes that price per device
+/// (`session.planned.{cnm,cim,host}.{seconds,joules}`); per step it equals
+/// the growth of the simulators' statistics, less the spill gathers its
+/// residency manager billed: bit for bit on the grid and on the host, within
+/// 1e-12 on the crossbar. A step that spilled or re-ran a dropped tensor's
+/// recipe adds terms in another order, so its grid bill holds within 1e-12.
+/// Steps an MRAM limit refuses are skipped.
+#[test]
+fn session_price_is_the_bill_of_every_step() {
+    use cinm::core::{Session, ShardPolicy, Target, TensorHandle};
+    use cinm::lowering::ShardError;
+    let policies = [
+        ShardPolicy::Auto,
+        ShardPolicy::Single(Target::Cnm),
+        ShardPolicy::Single(Target::Host),
+        ShardPolicy::MinimizeEnergy,
+    ];
+    let close = |planned: f64, billed: f64| (planned - billed).abs() <= 1e-12 * billed.abs();
+    let (mut steps, mut placed_on) = (0u32, [0u32; 3]);
+    for_cases(45, |rng| {
+        let dpus = [4, 8, 3][gen_usize(rng, 0, 3)];
+        let len = gen_edge_len(rng, dpus, 1, 200);
+        let (cols, n) = (gen_usize(rng, 4, 40), gen_usize(rng, 1, 5));
+        let a_mat = data::i32_vec(rng.next_u64(), len * cols, -8, 8);
+        let b_mat = data::i32_vec(rng.next_u64(), cols * n, -8, 8);
+        let x_vec = data::i32_vec(rng.next_u64(), cols, -8, 8);
+        let v0 = data::i32_vec(rng.next_u64(), len, -64, 64);
+        let tape: Vec<[usize; 3]> = (0..gen_usize(rng, 2, 9))
+            .map(|_| [0, 1, 2].map(|_| gen_usize(rng, 0, 1000)))
+            .collect();
+        let policy = policies[gen_usize(rng, 0, policies.len())];
+        let residency = rng.next_u64() % 2 == 0;
+        let limit = (rng.next_u64() % 3 == 0).then(|| 4 * gen_usize(rng, 40, 2000));
+        let telemetry = Telemetry::new();
+        let mut opts = session_options_on(dpus, residency)
+            .with_policy(policy)
+            .with_telemetry(telemetry.clone());
+        if let Some(bytes) = limit {
+            opts = opts.with_mram_limit_bytes(bytes);
+        }
+        let mut sess = Session::new(opts);
+        let cfg = sess.backend().upmem().system().config().clone();
+        let (at, bt, xt) = (
+            sess.matrix(&a_mat, len, cols),
+            sess.matrix(&b_mat, cols, n),
+            sess.vector(&x_vec),
+        );
+        let mut pool: Vec<TensorHandle> = vec![sess.vector(&v0)];
+        let bin_ops = [BinOp::Add, BinOp::Sub, BinOp::Max, BinOp::Xor];
+        for &[kind, pick_a, pick_b] in &tape {
+            sess.reset_stats();
+            let before = sess.residency_stats();
+            let (i, j) = (pick_a % pool.len(), pick_b % pool.len());
+            let h = match kind % 7 {
+                0 => sess.gemv(at, xt),
+                1 => sess.gemm(at, bt),
+                2 | 3 => sess.elementwise(bin_ops[pick_b % bin_ops.len()], pool[i], pool[j]),
+                4 => sess.reduce(bin_ops[pick_b % 3], pool[i]),
+                5 => sess.histogram(pool[i], 2 + pick_b % 15, 128),
+                _ => sess.select(pool[i], (pick_b % 21) as i32 - 10),
+            };
+            match sess.run() {
+                Ok(()) => {}
+                Err(ShardError::MramExhausted { .. }) if limit.is_some() => continue,
+                Err(e) => panic!("{policy:?}: {e}"),
+            }
+            if matches!(kind % 7, 0 | 2 | 3) {
+                sess.pin(h);
+                pool.push(h);
+            }
+            let after = sess.residency_stats();
+            let gauge = |d: Target, unit: &str| {
+                let name = format!("session.planned.{d}.{unit}");
+                telemetry
+                    .snapshot()
+                    .gauge(&name)
+                    .expect("the session publishes its price")
+            };
+            let what = format!(
+                "step {kind} {policy:?} residency={residency} limit={limit:?} dpus={dpus} \
+                 len={len} cols={cols} n={n}"
+            );
+            // The grid: less what the residency manager's spills gathered.
+            let spills = after.spills - before.spills;
+            let spilled = (after.spilled_bytes - before.spilled_bytes) as usize;
+            let spill = match spills {
+                0 => Cost::default(),
+                k => {
+                    let t = cfg.chunked_transfer(spilled / 4);
+                    let latency = (k - 1) as f64 * cfg.host_transfer_latency_s;
+                    Cost {
+                        seconds: t.seconds + latency,
+                        joules: t.energy_j,
+                    }
+                }
+            };
+            let grid = sess.upmem_stats();
+            let billed = [grid.total_seconds(), grid.total_energy_j()];
+            let planned = [gauge(Target::Cnm, "seconds"), gauge(Target::Cnm, "joules")];
+            let extra = [spill.seconds, spill.joules];
+            for u in 0..2 {
+                if spills == 0 && after.remat_ops == before.remat_ops {
+                    assert_eq!(planned[u], billed[u], "{what}: grid ({u})");
+                } else {
+                    assert!(
+                        close(planned[u] + extra[u], billed[u]),
+                        "{what}: grid ({u})"
+                    );
+                }
+            }
+            let cim = sess.backend().cim_backend().stats();
+            let planned = [gauge(Target::Cim, "seconds"), gauge(Target::Cim, "joules")];
+            assert!(close(planned[0], cim.total_seconds()), "{what}: crossbar");
+            assert!(close(planned[1], cim.total_energy_j()), "{what}: crossbar");
+            let host = sess.backend().device(Target::Host).sim_seconds();
+            assert_eq!(gauge(Target::Host, "seconds"), host, "{what}: host");
+            steps += 1;
+            for d in Target::ALL {
+                placed_on[d.index()] += u32::from(gauge(d, "seconds") > 0.0);
+            }
+        }
+    });
+    // The draws place work on every device.
+    assert!(
+        steps > 100 && placed_on.iter().all(|&n| n > 0),
+        "{steps} {placed_on:?}"
+    );
+}
+
+/// Eager plans stay put: the grid's price of an op's unfiltered command
+/// list is its price, bit for bit, for every plannable op on 1, 4 and 16
+/// ranks — so a session with nothing resident prices as the planner always
+/// did.
+#[test]
+fn session_price_of_the_eager_command_list_is_the_eager_price() {
+    let ops = [
+        CnmOp::Gemm { m: 37, k: 7, n: 3 },
+        CnmOp::Gemv { rows: 700, cols: 9 },
+        CnmOp::Elementwise {
+            op: BinOp::Max,
+            len: 4099,
+        },
+        CnmOp::Reduce {
+            op: BinOp::Add,
+            len: 5,
+        },
+        CnmOp::Histogram {
+            bins: 16,
+            max_value: 64,
+            len: 999,
+        },
+    ];
+    for ranks in [1, 4, 16] {
+        let config = UpmemConfig::with_ranks(ranks);
+        let dpus = config.num_dpus();
+        let backend = UpmemBackend::with_config(config, UpmemRunOptions::optimized());
+        let cost = UpmemDevice::new(backend).cost();
+        for op in ops {
+            let listed = cost.price_commands(&mut op.commands(dpus));
+            assert_eq!(listed, cost.price(op), "{op:?} on {ranks} ranks");
+        }
+    }
+}

@@ -21,7 +21,7 @@
 # bodies/where-clauses stripped) and prefixed with their file path.
 set -euo pipefail
 
-budget=1141 # public items; lower it when the surface shrinks
+budget=1143 # public items; lower it when the surface shrinks
 
 cd "$(dirname "$0")/.."
 snapshot_file="API.txt"

