@@ -25,10 +25,11 @@
 //!    in program order (a zeroing of each output buffer before its launch),
 //!    executed through the simulator's eager entry points. Sharded ops
 //!    dispatch one `Device::run` per device concurrently on the shared
-//!    worker pool via [`ShardedBackend::run`]. The price a run's plain ops
-//!    were placed by is published per device as the `session.planned.*`
-//!    gauges of [`SessionOptions::telemetry`]; it is what they bill (a
-//!    fused group bills one launch for its ops and is left out).
+//!    worker pool via [`ShardedBackend::run`]. The price of the plan is
+//!    published per device as the `session.planned.*` gauges of
+//!    [`SessionOptions::telemetry`]; on the grid it is one walk over the
+//!    commands the run issues (fused launches, gathers, grid shards and the
+//!    spills of the residency manager), so it is the run's bill.
 //! 3. **Residency.** Intermediate tensors stay in DPU MRAM between ops:
 //!    a `gemv → select` chain launches both kernels against the same
 //!    resident buffer, skipping the gather + re-scatter the eager API pays.
@@ -368,6 +369,33 @@ fn bind_inputs(
     }
 }
 
+/// Places one op by price, against the host validity and residency `state`
+/// of its inputs: the planner's plan under what that residency leaves the op
+/// of `geometry` on `dpus` DPUs ([`ShardPlanner::plan_on`]), its result kept
+/// resident when `keep`. A plan whose work is all on the grid keeps the op
+/// in the UPMEM segment; any other plan shard-dispatches it. The single
+/// placement rule — the optimizer's placement pass and the lowering place
+/// by it, and eviction prices a recompute by it.
+fn place(
+    planner: &mut CachedShardPlanner,
+    node: &OpNode,
+    geometry: &CnmGeometry,
+    dpus: usize,
+    keep: bool,
+    state: impl Fn(usize) -> (bool, Residency),
+) -> Result<(OnGrid, ShardPlan), ShardError> {
+    let mut on = OnGrid {
+        dpus,
+        keep,
+        ..OnGrid::default()
+    };
+    let inputs = node.inputs();
+    let keys = &geometry.inputs[..inputs.len()];
+    bind_inputs(inputs, keys, keep, state, &mut on.held, &mut on.moves);
+    let plan = planner.plan_on(node.kind, on)?.clone();
+    Ok((on, plan))
+}
+
 /// Whether a plan keeps all of its op's work on the grid, which runs it in
 /// the UPMEM segment.
 fn whole_on_grid(plan: &ShardPlan) -> bool {
@@ -379,6 +407,19 @@ fn residency_of(key: MramLayout) -> (usize, OutputLayout) {
     match key {
         MramLayout::Chunk(c) => (c, OutputLayout::Chunked),
         MramLayout::Broadcast(l) => (l, OutputLayout::Replicated),
+    }
+}
+
+/// The command that transfers the tensor of `slot` into role `key`.
+fn transfer(key: MramLayout, slot: &Slot) -> Command {
+    let elems = slot.shape.map_or(0, |s| s.len());
+    match key {
+        MramLayout::Chunk(chunk) => Command::Scatter {
+            input: 0,
+            chunk,
+            elems,
+        },
+        MramLayout::Broadcast(_) => Command::Broadcast { input: 0, elems },
     }
 }
 
@@ -413,8 +454,6 @@ struct Slot {
     /// slot; a slot whose token matches the in-flight run is never a
     /// victim (its buffer ids are already patched into the plan).
     protected: u64,
-    /// MRAM round trips (spills, drops and reloads) this tensor has taken.
-    trips: u32,
     /// The op that produced this tensor, with physical input slots — the
     /// DTR-style recompute recipe a dropped (unspilled) tensor is
     /// rematerialized from. `None` for source tensors.
@@ -550,8 +589,9 @@ enum LaunchRole {
 #[derive(Debug)]
 enum Step {
     /// Gather + decode a resident tensor to the host (segment boundary;
-    /// with residency off, after every op, as the eager program gathers).
-    Materialize { cslot: u32, slot: u32 },
+    /// with residency off, after every op, as the eager program gathers)
+    /// of `chunk` elements per DPU.
+    Materialize { cslot: u32, slot: u32, chunk: usize },
     /// One run of consecutive UPMEM commands, executed in program order.
     Segment { cmds: Range<usize> },
     /// One shard-planned op dispatched across the device set.
@@ -613,8 +653,10 @@ struct Compiled {
     preconds: Vec<Precond>,
     steps: Vec<Step>,
     cmds: Vec<CnmCmd>,
-    /// The price its placement was decided by, per device `[cnm, cim,
-    /// host]`, summed over the plain ops.
+    /// The price of a run of the plan, per device `[cnm, cim, host]`: on
+    /// the grid the walk of [`Session::grid_price`] (taken only for the
+    /// gauges of an attached telemetry registry), elsewhere the shards'
+    /// estimates summed over the ops.
     planned: [Cost; 3],
 }
 
@@ -690,15 +732,13 @@ pub struct ResidencyStats {
     pub limit_bytes: usize,
 }
 
-/// The mutable counter subset of [`ResidencyStats`] (peak/used/limit are
-/// read off the simulator when a snapshot is taken).
-#[derive(Debug, Clone, Copy, Default)]
+/// The residency manager's counters — a [`ResidencyStats`] whose MRAM
+/// bytes are read off the simulator when a snapshot is taken — and the
+/// per-DPU chunks the run in flight spilled, in billing order.
+#[derive(Debug, Default)]
 struct ResidencyCounters {
-    evictions: u64,
-    spills: u64,
-    spilled_bytes: u64,
-    remat_drops: u64,
-    remat_ops: u64,
+    stats: ResidencyStats,
+    run_spills: Vec<usize>,
 }
 
 /// The session's registered telemetry series (see
@@ -914,7 +954,6 @@ impl Session {
                 slot.resident = None;
                 slot.composable = composable;
                 slot.pinned = false;
-                slot.trips = 0;
                 slot.last_use = 0;
                 slot.protected = 0;
                 slot.recipe_gens = [0; 3];
@@ -1279,10 +1318,10 @@ impl Session {
     /// evicted under MRAM pressure re-allocates here (possibly evicting
     /// colder tensors in turn).
     fn rebind(&mut self, idx: usize) -> Result<(), ShardError> {
-        let dpus = self.backend.num_dpus();
         let token = self.run_token;
         let Session {
             backend,
+            planner,
             slots,
             live_temps,
             compiled,
@@ -1296,20 +1335,20 @@ impl Session {
             ..
         } = &mut compiled[idx];
         for step in steps.iter_mut() {
-            if let Step::Materialize { cslot, slot } = step {
+            if let Step::Materialize { cslot, slot, .. } = step {
                 *slot = binding[*cslot as usize];
             }
         }
         let mut buf_of = |phys: u32, key: MramLayout| {
             ensure_buf_in(
                 backend,
+                planner,
                 slots,
                 live_temps,
                 phys,
                 key,
                 token,
                 res_counters,
-                dpus,
             )
         };
         for cmd in cmds.iter_mut() {
@@ -1397,7 +1436,7 @@ impl Session {
                         "recompute recipe input went stale"
                     );
                 }
-                self.res_counters.remat_ops += 1;
+                self.res_counters.stats.remat_ops += 1;
                 injected.push(recipe);
             }
         }
@@ -1417,7 +1456,7 @@ impl Session {
         let saved_ops = std::mem::take(&mut self.ops);
         let saved_discarded = std::mem::take(&mut self.discarded);
         self.ops.push(recipe);
-        self.res_counters.remat_ops += 1;
+        self.res_counters.stats.remat_ops += 1;
         self.in_remat = true;
         let outcome = self.run();
         self.in_remat = false;
@@ -1452,16 +1491,15 @@ impl Session {
     }
 
     fn ensure_buf(&mut self, slot: u32, key: MramLayout) -> Result<u32, ShardError> {
-        let dpus = self.backend.num_dpus();
         ensure_buf_in(
             &mut self.backend,
+            &mut self.planner,
             &mut self.slots,
             &self.live_temps,
             slot,
             key,
             self.run_token,
             &mut self.res_counters,
-            dpus,
         )
     }
 
@@ -1537,7 +1575,8 @@ impl Session {
         fusable.clear();
         for node in graph.ops() {
             let geometry = node.kind.geometry(dpus);
-            let (on, plan) = self.place(node, &geometry, |t| state[t]).ok()?;
+            let (keep, at) = (self.residency, |t: usize| state[t]);
+            let (on, plan) = place(&mut self.planner, node, &geometry, dpus, keep, at).ok()?;
             let segment = whole_on_grid(&plan);
             fusable.push(segment && matches!(node.kind, CnmOp::Elementwise { .. }));
             for (i, (&inp, key)) in node.inputs().iter().zip(geometry.inputs).enumerate() {
@@ -1662,8 +1701,44 @@ impl Session {
             }
         }
         self.flush_segment(&mut low);
+        if self.tele.is_some() {
+            self.compiled[idx].planned[0] = self.grid_price(idx, &[]);
+        }
         self.compiled[idx].valid = true;
         Ok(idx)
+    }
+
+    /// The grid's price of a run of plan `idx` after the spill gathers of
+    /// `spills` (per-DPU chunks, in billing order): one walk of the grid's
+    /// model ([`CostModel::price_commands`]) over the grid commands the run
+    /// issues, in issue order — the spills, then per step the gather of a
+    /// `Materialize`, the transfers and launches of a segment (fused ones
+    /// included) or the grid shard of a planned op. It adds its terms up as
+    /// the grid bills them, so it is the run's bill, bit for bit.
+    ///
+    /// [`CostModel::price_commands`]: cinm_lowering::CostModel::price_commands
+    fn grid_price(&self, idx: usize, spills: &[usize]) -> Cost {
+        let (plan, dpus) = (&self.compiled[idx], self.backend.num_dpus());
+        let issued = |cmd: &CnmCmd| match *cmd {
+            CnmCmd::Transfer { slot, key, .. } => Some(transfer(key, &self.slots[slot as usize])),
+            CnmCmd::Launch { ref spec, .. } => Some(Command::Launch(spec.kind.clone())),
+            CnmCmd::Zero { .. } | CnmCmd::SetOutput { .. } => None,
+        };
+        let steps = plan.steps.iter().flat_map(|step| {
+            let (gather, cmds, shard) = match *step {
+                Step::Materialize { chunk, .. } => (Some(Command::Gather { chunk }), 0..0, None),
+                Step::Segment { ref cmds } => (None, cmds.clone(), None),
+                Step::Planned { op, split } => {
+                    (None, 0..0, Some(plan.ops[op].kind.with_work(split.cnm)))
+                }
+            };
+            let shard = shard.into_iter().flat_map(|op| op.commands(dpus));
+            let segment = plan.cmds[cmds].iter().filter_map(issued);
+            gather.into_iter().chain(segment).chain(shard)
+        });
+        let spills = spills.iter().map(|&chunk| Command::Gather { chunk });
+        let price = self.planner.planner().grid_price(spills.chain(steps));
+        price.unwrap_or_default()
     }
 
     /// Closes the current UPMEM segment (if it holds any command).
@@ -1694,15 +1769,20 @@ impl Session {
         self.compiled[low.idx].preconds.push(precond);
     }
 
-    /// Makes canonical slot `c`'s host copy valid, materializing it from its
-    /// resident copy (a step of its own, between segments) when needed.
-    fn need_host(&mut self, low: &mut Lowering, c: u32) {
+    /// Makes canonical slot `c`'s host copy valid, when needed by a step of
+    /// its own between segments that gathers its `chunk` elements per DPU
+    /// (by default those of its resident copy).
+    fn need_host(&mut self, low: &mut Lowering, c: u32, chunk: Option<usize>) {
         if !low.host[c as usize] {
+            let chunk = chunk.or(low.resident[c as usize].map(|r| r.0));
+            let (slot, chunk) = (low.binding[c as usize], chunk.expect("a resident copy"));
             self.flush_segment(low);
-            self.compiled[low.idx].steps.push(Step::Materialize {
+            let step = Step::Materialize {
                 cslot: c,
-                slot: low.binding[c as usize],
-            });
+                slot,
+                chunk,
+            };
+            self.compiled[low.idx].steps.push(step);
             low.host[c as usize] = true;
         }
     }
@@ -1711,7 +1791,7 @@ impl Session {
     /// role `key` from its host copy (materialized first when only the grid
     /// holds it).
     fn lower_transfer(&mut self, low: &mut Lowering, inp: u32, key: MramLayout, buf: u32) {
-        self.need_host(low, inp);
+        self.need_host(low, inp, None);
         let slot = low.binding[inp as usize];
         self.compiled[low.idx].cmds.push(CnmCmd::Transfer {
             cslot: inp,
@@ -1763,9 +1843,10 @@ impl Session {
         let dpus = self.backend.num_dpus();
         let geometry = node.kind.geometry(dpus);
         let state = |t: usize| (low.host[t], low.resident[t]);
-        let (on, plan) = self.place(&node, &geometry, state)?;
+        let keep = self.residency;
+        let (on, plan) = place(&mut self.planner, &node, &geometry, dpus, keep, state)?;
         let planned = &mut self.compiled[low.idx].planned;
-        for (i, cost) in planned.iter_mut().enumerate() {
+        for (i, cost) in planned.iter_mut().enumerate().skip(1) {
             cost.seconds += plan.estimated_seconds[i];
             cost.joules += plan.estimated_joules[i];
         }
@@ -1776,7 +1857,7 @@ impl Session {
             }
             self.flush_segment(low);
             for &inp in node.inputs() {
-                self.need_host(low, inp);
+                self.need_host(low, inp, None);
             }
             let split = plan.split;
             self.compiled[low.idx]
@@ -1869,8 +1950,8 @@ impl Session {
                     self.lower_transfer(low, inputs[input], keys[input], bufs[input]);
                     continue;
                 }
-                Command::Gather { .. } => {
-                    self.need_host(low, outs[0]);
+                Command::Gather { chunk } => {
+                    self.need_host(low, outs[0], Some(chunk));
                     continue;
                 }
                 Command::Launch(kernel) => kernel,
@@ -1908,31 +1989,6 @@ impl Session {
             }
         }
         Ok(())
-    }
-
-    /// Places one op by price, against the virtual host validity and
-    /// residency of its inputs: the planner's plan under what that residency
-    /// leaves the op on the grid ([`ShardPlanner::plan_on`]). A plan whose
-    /// work is all on the grid keeps the op in the UPMEM segment; any other
-    /// plan shard-dispatches it. The single placement rule — the
-    /// optimizer's placement pass and the lowering both call it.
-    fn place(
-        &mut self,
-        node: &OpNode,
-        geometry: &CnmGeometry,
-        state: impl Fn(usize) -> (bool, Residency),
-    ) -> Result<(OnGrid, ShardPlan), ShardError> {
-        let (dpus, keep) = (self.backend.num_dpus(), self.residency);
-        let mut on = OnGrid {
-            dpus,
-            keep,
-            ..OnGrid::default()
-        };
-        let inputs = node.inputs();
-        let keys = &geometry.inputs[..inputs.len()];
-        bind_inputs(inputs, keys, keep, state, &mut on.held, &mut on.moves);
-        let plan = self.planner.plan_on(node.kind, on)?.clone();
-        Ok((on, plan))
     }
 
     // -- execution ----------------------------------------------------------
@@ -2026,6 +2082,7 @@ impl Session {
             return Ok(());
         }
         self.run_token += 1;
+        self.res_counters.run_spills.clear();
         self.remat_evicted_inputs();
         if !self.in_remat {
             // A rematerialization run must not recycle temps that only the
@@ -2111,7 +2168,12 @@ impl Session {
         // immediately — their handles go stale by contract.
         if idx < self.compiled.len() {
             if let Some(t) = &self.tele {
-                for (g, cost) in t.planned.iter().zip(&self.compiled[idx].planned) {
+                let mut planned = self.compiled[idx].planned;
+                let spills = &self.res_counters.run_spills;
+                if !spills.is_empty() {
+                    planned[0] = self.grid_price(idx, spills);
+                }
+                for (g, cost) in t.planned.iter().zip(&planned) {
                     g[0].set(cost.seconds);
                     g[1].set(cost.joules);
                 }
@@ -2179,11 +2241,13 @@ impl Session {
         } else {
             0.0
         });
-        t.res_evictions.set(self.res_counters.evictions as f64);
-        t.res_spills.set(self.res_counters.spills as f64);
+        t.res_evictions
+            .set(self.res_counters.stats.evictions as f64);
+        t.res_spills.set(self.res_counters.stats.spills as f64);
         t.res_spilled_bytes
-            .set(self.res_counters.spilled_bytes as f64);
-        t.res_remat_ops.set(self.res_counters.remat_ops as f64);
+            .set(self.res_counters.stats.spilled_bytes as f64);
+        t.res_remat_ops
+            .set(self.res_counters.stats.remat_ops as f64);
         t.fault_retries
             .set(self.fault_stats().transient_retries as f64);
     }
@@ -2437,14 +2501,10 @@ impl Session {
     pub fn residency_stats(&self) -> ResidencyStats {
         let sys = self.backend.upmem().system();
         ResidencyStats {
-            evictions: self.res_counters.evictions,
-            spills: self.res_counters.spills,
-            spilled_bytes: self.res_counters.spilled_bytes,
-            remat_drops: self.res_counters.remat_drops,
-            remat_ops: self.res_counters.remat_ops,
             peak_mram_bytes: sys.mram_peak_bytes(),
             used_mram_bytes: sys.mram_used_bytes(),
             limit_bytes: sys.config().mram_bytes,
+            ..self.res_counters.stats
         }
     }
 
@@ -2518,13 +2578,13 @@ impl Session {
 #[allow(clippy::too_many_arguments)]
 fn ensure_buf_in(
     backend: &mut ShardedBackend,
+    planner: &mut CachedShardPlanner,
     slots: &mut [Slot],
     live_temps: &[u32],
     slot: u32,
     key: MramLayout,
     protect: u64,
     counters: &mut ResidencyCounters,
-    dpus: usize,
 ) -> Result<u32, ShardError> {
     if let Some(&(_, buf)) = slots[slot as usize].bufs.iter().find(|(k, _)| *k == key) {
         return Ok(buf);
@@ -2540,7 +2600,8 @@ fn ensure_buf_in(
         if needed_bytes <= available_bytes {
             break;
         }
-        if !evict_one(backend, slots, live_temps, slot, protect, counters, dpus)? {
+        let evicted = evict_one(backend, planner, slots, live_temps, slot, protect, counters)?;
+        if !evicted {
             return Err(ShardError::MramExhausted {
                 needed_bytes,
                 available_bytes,
@@ -2559,21 +2620,23 @@ fn ensure_buf_in(
 }
 
 /// Evicts the coldest unprotected tensor's device buffers to relieve MRAM
-/// pressure. The eviction action is chosen per victim by cost: a value that
-/// only lives on the device is either **spilled** to the host (one billed
-/// rescue gather) or **dropped** outright when recomputing it from its
-/// recorded recipe would move fewer bytes than the gather (DTR-style; only
-/// eligible when every recipe input is a stable host-valid source, so the
-/// later replay is bit-identical). Tensors with a current host copy are
-/// dropped for free. Returns whether a victim was evicted.
+/// pressure. A tensor with a current host copy is dropped for free. A value
+/// only the device holds is **spilled** to the host (a billed rescue
+/// gather) or **dropped**, to be recomputed from its recorded recipe
+/// (DTR-style; only when every recipe input is a stable host-valid source,
+/// so the later replay is bit-identical), whichever the planner's prices
+/// make cheaper — in seconds, in joules under `MinimizeEnergy`: a spill
+/// costs its gather and the transfer that brings the value back, a drop
+/// the recipe's plan under the current residency of its inputs
+/// ([`place`]). Returns whether a victim was evicted.
 fn evict_one(
     backend: &mut ShardedBackend,
+    planner: &mut CachedShardPlanner,
     slots: &mut [Slot],
     live_temps: &[u32],
     requester: u32,
     protect: u64,
     counters: &mut ResidencyCounters,
-    dpus: usize,
 ) -> Result<bool, ShardError> {
     // Pinning is a lifetime promise, not a residency one: pinned tensors
     // are evictable (their value survives via spill or recipe), only the
@@ -2591,39 +2654,39 @@ fn evict_one(
     let Some(v) = victim else {
         return Ok(false);
     };
-    let live_device_only = slots[v].device_valid && !slots[v].host_valid;
-    let gather_bytes = slots[v].resident.map_or(0, |r| r.gather_chunk * dpus * 4);
+    let (dpus, s) = (backend.num_dpus(), &slots[v]);
+    let live_device_only = s.device_valid && !s.host_valid;
+    let chunk = s.resident.map_or(0, |r| r.gather_chunk);
     let remat = live_device_only
-        && slots[v].recipe.is_some_and(|r| {
-            let s = &slots[v];
+        && s.recipe.is_some_and(|r| {
             let stable = r.inputs().iter().enumerate().all(|(i, &inp)| {
                 let rs = &slots[inp as usize];
                 rs.gen == s.recipe_gens[i]
                     && rs.host_valid
                     && (rs.pinned || !live_temps.contains(&inp))
             });
-            // Recompute traffic: inputs still resident re-scatter for
-            // free, the rest move their logical bytes back. Spill traffic
-            // is the rescue gather. Cheaper recompute ⇒ drop (DTR).
-            let rescatter_bytes: usize = r
-                .inputs()
-                .iter()
-                .map(|&inp| {
-                    let rs = &slots[inp as usize];
-                    if rs.device_valid && rs.resident.is_some() {
-                        0
-                    } else {
-                        rs.shape.map_or(0, |sh| sh.len()) * 4
+            // A spill gathers the value now and scatters it back later (a
+            // value only the grid holds is an op output, in a chunk buffer).
+            let back = transfer(MramLayout::Chunk(chunk), s);
+            let spill = [Command::Gather { chunk }, back];
+            let state = |t: usize| (slots[t].host_valid, slots[t].residency());
+            let geometry = r.kind.geometry(dpus);
+            stable
+                && place(planner, &r, &geometry, dpus, true, state).is_ok_and(|(_, plan)| {
+                    let spill = planner.planner().grid_price(spill.into_iter());
+                    let spill = spill.unwrap_or_default();
+                    match planner.planner().policy {
+                        ShardPolicy::MinimizeEnergy => plan.total_estimated_joules() < spill.joules,
+                        _ => plan.estimated_seconds.into_iter().fold(0.0, f64::max) < spill.seconds,
                     }
                 })
-                .sum();
-            stable && gather_bytes > rescatter_bytes
         });
     if live_device_only && !remat {
         // Spill: bill the rescue gather and keep the decoded host value.
         materialize_slot(backend, &mut slots[v], dpus)?;
-        counters.spills += 1;
-        counters.spilled_bytes += gather_bytes as u64;
+        counters.stats.spills += 1;
+        counters.stats.spilled_bytes += (chunk * dpus * 4) as u64;
+        counters.run_spills.push(chunk);
     }
     let s = &mut slots[v];
     for &(_, buf) in &s.bufs {
@@ -2636,10 +2699,9 @@ fn evict_one(
     s.bufs.clear();
     s.resident = None;
     s.device_valid = false;
-    s.trips += 1;
-    counters.evictions += 1;
+    counters.stats.evictions += 1;
     if live_device_only && remat {
-        counters.remat_drops += 1;
+        counters.stats.remat_drops += 1;
     }
     Ok(true)
 }
@@ -2975,6 +3037,38 @@ mod tests {
         assert_eq!(got1, expect1, "rematerialized fetch must be bit-identical");
         assert_eq!(got2, expect2);
         assert!(sess.residency_stats().remat_ops >= 1);
+    }
+
+    #[test]
+    fn a_recompute_that_costs_more_than_its_round_trip_spills() {
+        // `y = gemv(a, x)` only the grid holds, its weights and `x`
+        // resident: recomputing it moves no operand, so counting bytes
+        // dropped it. But the recompute, a launch of 4096 MACs per DPU, is
+        // priced 146.5 µs (190.9 µJ), and the spill, the gather of 8
+        // elements per DPU and the scatter that brings `y` back, 80.5 µs
+        // (0.03 µJ), so it spills.
+        let (rows, cols) = (64, 512);
+        let a: Vec<i32> = (0..rows * cols).map(|i| (i % 7) as i32 - 3).collect();
+        let x: Vec<i32> = (0..cols).map(|i| (i % 5) as i32 - 2).collect();
+        let first_run = |sess: &mut Session| {
+            let (at, xt) = (sess.matrix(&a, rows, cols), sess.vector(&x));
+            let y = sess.gemv(at, xt);
+            sess.pin(y);
+            sess.run().unwrap();
+            (at, xt, y)
+        };
+        let mut unlimited = cnm_session(true);
+        first_run(&mut unlimited);
+        // Room for what the first run leaves resident and nothing more.
+        let mut sess = capped_cnm_session(unlimited.residency_stats().used_mram_bytes);
+        let (at, xt, y) = first_run(&mut sess);
+        let w = sess.gemv(at, xt);
+        sess.run().unwrap();
+        let stats = sess.residency_stats();
+        assert_eq!((stats.spills, stats.remat_drops), (1, 0), "{stats:?}");
+        let expect = kernels::matvec(&a, &x, rows, cols);
+        assert_eq!(sess.fetch(y), expect, "the spilled value");
+        assert_eq!(sess.fetch(w), expect);
     }
 
     #[test]

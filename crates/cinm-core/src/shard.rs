@@ -261,7 +261,7 @@ impl ShardPlanner {
 
     /// The price of a list of grid commands by the first grid model that
     /// prices it, `None` without one.
-    fn grid_price(&self, mut list: impl Iterator<Item = Command>) -> Option<Cost> {
+    pub(crate) fn grid_price(&self, mut list: impl Iterator<Item = Command>) -> Option<Cost> {
         let mut grid = self.models.iter().filter(|m| m.target() == Target::Cnm);
         grid.find_map(|m| m.price_commands(&mut list))
     }
@@ -327,8 +327,9 @@ impl ShardPlanner {
     /// whole op on the grid, priced by the grid's model over the commands
     /// the session issues there ([`OnGrid::segment`]): `Auto` takes the
     /// faster, `MinimizeEnergy` the more frugal, a forced policy its plan.
-    /// Each device's estimate is its bill. Outside a session (`on.dpus ==
-    /// 0`) this is [`plan_op`](Self::plan_op).
+    /// A plan off the grid leaves those gathers out of its estimates: the
+    /// session prices the commands its plan issues. Outside a session
+    /// (`on.dpus == 0`) this is [`plan_op`](Self::plan_op).
     pub(crate) fn plan_on(&self, op: CnmOp, on: OnGrid) -> Result<ShardPlan, ShardError> {
         if on.dpus == 0 {
             return self.plan_op(op);
@@ -337,7 +338,7 @@ impl ShardPlanner {
         if op.shard_shape().is_none() {
             return Ok(on_grid(op.work(), grid));
         }
-        let mut plan = self.plan_op(op)?;
+        let plan = self.plan_op(op)?;
         let moves = self.grid_price(gathers(on.moves)).unwrap_or_default();
         let seconds = plan.estimated_seconds.into_iter().fold(0.0, f64::max);
         let cheaper = |g: Cost| match self.policy {
@@ -347,13 +348,6 @@ impl ShardPlanner {
         };
         if plan.split.cnm == plan.split.total() || grid.is_some_and(cheaper) {
             return Ok(on_grid(plan.work, grid));
-        }
-        if on.moves != [0; 3] {
-            let shard = op.with_work(plan.split.cnm).commands(on.dpus);
-            let cost = self
-                .grid_price(gathers(on.moves).chain(shard))
-                .unwrap_or_default();
-            (plan.estimated_seconds[0], plan.estimated_joules[0]) = (cost.seconds, cost.joules);
         }
         Ok(plan)
     }

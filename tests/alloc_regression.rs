@@ -1048,6 +1048,9 @@ fn an_operand_the_device_stores_verbatim_is_never_copied() {
     let z1 = sess.elementwise(BinOp::Add, y, y);
     sess.pin(z1);
     sess.run().expect("cnm placement");
+    // Rewriting `y` with its own contents retires `z1`'s recipe, so `z1`
+    // must spill: recomputing it from `y` is cheaper than a spill.
+    sess.write(y, &src(1 << 16, 7));
     let x = sess.vector(&src(1 << 16, 3));
     let z2 = sess.elementwise(BinOp::Mul, x, x);
     sess.pin(z2);

@@ -3596,28 +3596,63 @@ fn limits_below_the_working_set_refuse_with_typed_errors() {
 
 /// Price is the bill for a session. Seeded random session graphs at test
 /// scale — `gemv`, `gemm`, element-wise, `reduce`, `histogram` and `select`
-/// over a pool of earlier results — run one op per run under `Auto`,
+/// over a pool of earlier results, 1–4 ops per run, half of the element-wise
+/// ops reading the newest tensor so that chains fuse — run under `Auto`,
 /// `Single(Cnm)`, `Single(Host)` and `MinimizeEnergy`, residency on and off,
-/// MRAM limited or not. The session places each op by the price of the
-/// commands it issues and publishes that price per device
-/// (`session.planned.{cnm,cim,host}.{seconds,joules}`); per step it equals
-/// the growth of the simulators' statistics, less the spill gathers its
-/// residency manager billed: bit for bit on the grid and on the host, within
-/// 1e-12 on the crossbar. A step that spilled or re-ran a dropped tensor's
-/// recipe adds terms in another order, so its grid bill holds within 1e-12.
-/// Steps an MRAM limit refuses are skipped.
+/// MRAM limited or not; then a ring of accumulators runs under half the MRAM
+/// it needs, so that runs spill and rematerialize. The session publishes the
+/// price of each run per device
+/// (`session.planned.{cnm,cim,host}.{seconds,joules}`); per run it equals
+/// the growth of the simulators' statistics: bit for bit on the grid — fused
+/// launches, spills and rematerializations included — and on the host,
+/// within 1e-12 on the crossbar. Runs an MRAM limit refuses are skipped.
 #[test]
 fn session_price_is_the_bill_of_every_step() {
     use cinm::core::{Session, ShardPolicy, Target, TensorHandle};
     use cinm::lowering::ShardError;
+    /// Checks the last run's published price against its bill and returns
+    /// the planned seconds per device.
+    fn price_is_bill(sess: &Session, telemetry: &Telemetry, what: &str) -> [f64; 3] {
+        let gauge = |d: Target, unit: &str| {
+            let name = format!("session.planned.{d}.{unit}");
+            telemetry
+                .snapshot()
+                .gauge(&name)
+                .expect("the session publishes its price")
+        };
+        let grid = sess.upmem_stats();
+        assert_eq!(
+            gauge(Target::Cnm, "seconds"),
+            grid.total_seconds(),
+            "{what}: grid"
+        );
+        assert_eq!(
+            gauge(Target::Cnm, "joules"),
+            grid.total_energy_j(),
+            "{what}: grid"
+        );
+        let cim = sess.backend().cim_backend().stats();
+        let close = |planned: f64, billed: f64| (planned - billed).abs() <= 1e-12 * billed.abs();
+        let what = format!("{what}: crossbar");
+        assert!(
+            close(gauge(Target::Cim, "seconds"), cim.total_seconds()),
+            "{what}"
+        );
+        assert!(
+            close(gauge(Target::Cim, "joules"), cim.total_energy_j()),
+            "{what}"
+        );
+        let host = sess.backend().device(Target::Host).sim_seconds();
+        assert_eq!(gauge(Target::Host, "seconds"), host, "{what}: host");
+        Target::ALL.map(|d| gauge(d, "seconds"))
+    }
     let policies = [
         ShardPolicy::Auto,
         ShardPolicy::Single(Target::Cnm),
         ShardPolicy::Single(Target::Host),
         ShardPolicy::MinimizeEnergy,
     ];
-    let close = |planned: f64, billed: f64| (planned - billed).abs() <= 1e-12 * billed.abs();
-    let (mut steps, mut placed_on) = (0u32, [0u32; 3]);
+    let (mut steps, mut placed_on, mut fused) = (0u32, [0u32; 3], 0u32);
     for_cases(45, |rng| {
         let dpus = [4, 8, 3][gen_usize(rng, 0, 3)];
         let len = gen_edge_len(rng, dpus, 1, 200);
@@ -3626,8 +3661,12 @@ fn session_price_is_the_bill_of_every_step() {
         let b_mat = data::i32_vec(rng.next_u64(), cols * n, -8, 8);
         let x_vec = data::i32_vec(rng.next_u64(), cols, -8, 8);
         let v0 = data::i32_vec(rng.next_u64(), len, -64, 64);
-        let tape: Vec<[usize; 3]> = (0..gen_usize(rng, 2, 9))
-            .map(|_| [0, 1, 2].map(|_| gen_usize(rng, 0, 1000)))
+        let runs: Vec<Vec<[usize; 3]>> = (0..gen_usize(rng, 2, 7))
+            .map(|_| {
+                (0..gen_usize(rng, 1, 5))
+                    .map(|_| [0, 1, 2].map(|_| gen_usize(rng, 0, 1000)))
+                    .collect()
+            })
             .collect();
         let policy = policies[gen_usize(rng, 0, policies.len())];
         let residency = rng.next_u64() % 2 == 0;
@@ -3640,7 +3679,6 @@ fn session_price_is_the_bill_of_every_step() {
             opts = opts.with_mram_limit_bytes(bytes);
         }
         let mut sess = Session::new(opts);
-        let cfg = sess.backend().upmem().system().config().clone();
         let (at, bt, xt) = (
             sess.matrix(&a_mat, len, cols),
             sess.matrix(&b_mat, cols, n),
@@ -3648,84 +3686,97 @@ fn session_price_is_the_bill_of_every_step() {
         );
         let mut pool: Vec<TensorHandle> = vec![sess.vector(&v0)];
         let bin_ops = [BinOp::Add, BinOp::Sub, BinOp::Max, BinOp::Xor];
-        for &[kind, pick_a, pick_b] in &tape {
+        for run in &runs {
             sess.reset_stats();
-            let before = sess.residency_stats();
-            let (i, j) = (pick_a % pool.len(), pick_b % pool.len());
-            let h = match kind % 7 {
-                0 => sess.gemv(at, xt),
-                1 => sess.gemm(at, bt),
-                2 | 3 => sess.elementwise(bin_ops[pick_b % bin_ops.len()], pool[i], pool[j]),
-                4 => sess.reduce(bin_ops[pick_b % 3], pool[i]),
-                5 => sess.histogram(pool[i], 2 + pick_b % 15, 128),
-                _ => sess.select(pool[i], (pick_b % 21) as i32 - 10),
-            };
+            let groups = sess.optimizer_stats().fused_groups;
+            // This run's composable outputs join the pool once it succeeds.
+            let mut usable = pool.clone();
+            for &[kind, pick_a, pick_b] in run {
+                let newest = usable.len() - 1;
+                let i = if pick_a % 2 == 0 {
+                    newest
+                } else {
+                    pick_a % usable.len()
+                };
+                let (a, b) = (usable[i], usable[pick_b % usable.len()]);
+                let h = match kind % 7 {
+                    0 => sess.gemv(at, xt),
+                    1 => sess.gemm(at, bt),
+                    2 | 3 => sess.elementwise(bin_ops[pick_b % bin_ops.len()], a, b),
+                    4 => sess.reduce(bin_ops[pick_b % 3], a),
+                    5 => sess.histogram(a, 2 + pick_b % 15, 128),
+                    _ => sess.select(a, (pick_b % 21) as i32 - 10),
+                };
+                if matches!(kind % 7, 0 | 2 | 3) {
+                    usable.push(h);
+                }
+            }
             match sess.run() {
                 Ok(()) => {}
                 Err(ShardError::MramExhausted { .. }) if limit.is_some() => continue,
                 Err(e) => panic!("{policy:?}: {e}"),
             }
-            if matches!(kind % 7, 0 | 2 | 3) {
+            for &h in &usable[pool.len()..] {
                 sess.pin(h);
-                pool.push(h);
             }
-            let after = sess.residency_stats();
-            let gauge = |d: Target, unit: &str| {
-                let name = format!("session.planned.{d}.{unit}");
-                telemetry
-                    .snapshot()
-                    .gauge(&name)
-                    .expect("the session publishes its price")
-            };
+            pool = usable;
             let what = format!(
-                "step {kind} {policy:?} residency={residency} limit={limit:?} dpus={dpus} \
+                "run {run:?} {policy:?} residency={residency} limit={limit:?} dpus={dpus} \
                  len={len} cols={cols} n={n}"
             );
-            // The grid: less what the residency manager's spills gathered.
-            let spills = after.spills - before.spills;
-            let spilled = (after.spilled_bytes - before.spilled_bytes) as usize;
-            let spill = match spills {
-                0 => Cost::default(),
-                k => {
-                    let t = cfg.chunked_transfer(spilled / 4);
-                    let latency = (k - 1) as f64 * cfg.host_transfer_latency_s;
-                    Cost {
-                        seconds: t.seconds + latency,
-                        joules: t.energy_j,
-                    }
-                }
-            };
-            let grid = sess.upmem_stats();
-            let billed = [grid.total_seconds(), grid.total_energy_j()];
-            let planned = [gauge(Target::Cnm, "seconds"), gauge(Target::Cnm, "joules")];
-            let extra = [spill.seconds, spill.joules];
-            for u in 0..2 {
-                if spills == 0 && after.remat_ops == before.remat_ops {
-                    assert_eq!(planned[u], billed[u], "{what}: grid ({u})");
-                } else {
-                    assert!(
-                        close(planned[u] + extra[u], billed[u]),
-                        "{what}: grid ({u})"
-                    );
-                }
-            }
-            let cim = sess.backend().cim_backend().stats();
-            let planned = [gauge(Target::Cim, "seconds"), gauge(Target::Cim, "joules")];
-            assert!(close(planned[0], cim.total_seconds()), "{what}: crossbar");
-            assert!(close(planned[1], cim.total_energy_j()), "{what}: crossbar");
-            let host = sess.backend().device(Target::Host).sim_seconds();
-            assert_eq!(gauge(Target::Host, "seconds"), host, "{what}: host");
+            let planned = price_is_bill(&sess, &telemetry, &what);
             steps += 1;
+            fused += u32::from(sess.optimizer_stats().fused_groups > groups);
             for d in Target::ALL {
-                placed_on[d.index()] += u32::from(gauge(d, "seconds") > 0.0);
+                placed_on[d.index()] += u32::from(planned[d.index()] > 0.0);
             }
         }
     });
-    // The draws place work on every device.
+    // The draws place work on every device and fuse.
     assert!(
-        steps > 100 && placed_on.iter().all(|&n| n > 0),
-        "{steps} {placed_on:?}"
+        steps > 100 && placed_on.iter().all(|&n| n > 0) && fused > 0,
+        "{steps} {placed_on:?} fused {fused}"
     );
+
+    // The ring: each run adds a fresh `gemv` result to one of four pinned
+    // accumulators, with the `gemv` result it added four runs before. Under
+    // half its unlimited MRAM peak the cold accumulators, which only the
+    // grid holds and whose recipes read other such tensors, spill, and the
+    // cold `gemv` results, recomputable from resident sources, are dropped.
+    let ring = |limit: Option<usize>| {
+        let telemetry = Telemetry::new();
+        let mut opts = session_options_on(8, true).with_telemetry(telemetry.clone());
+        if let Some(bytes) = limit {
+            opts = opts.with_mram_limit_bytes(bytes);
+        }
+        let mut sess = Session::new(opts);
+        let a = sess.matrix(&data::i32_vec(71, 64 * 8, -8, 8), 64, 8);
+        let x = sess.vector(&data::i32_vec(72, 8, -8, 8));
+        let mut accs: Vec<TensorHandle> = (0..4).map(|k| sess.vector(&[k; 64])).collect();
+        let mut ys: Vec<TensorHandle> = Vec::new();
+        for step in 0..16 {
+            sess.reset_stats();
+            let y = sess.gemv(a, x);
+            let old = if step < 4 { y } else { ys[step - 4] };
+            let acc = sess.elementwise(BinOp::Add, accs[step % 4], old);
+            sess.run().expect("the ring fits half its peak");
+            sess.pin(y);
+            sess.pin(acc);
+            ys.push(y);
+            accs[step % 4] = acc;
+            price_is_bill(
+                &sess,
+                &telemetry,
+                &format!("ring step {step} limit={limit:?}"),
+            );
+        }
+        let sums: Vec<Vec<i32>> = accs.iter().map(|&h| sess.fetch(h)).collect();
+        (sums, sess.residency_stats())
+    };
+    let (sums, unlimited) = ring(None);
+    let (capped, stats) = ring(Some(unlimited.peak_mram_bytes / 2));
+    assert_eq!(capped, sums, "eviction changed a result");
+    assert!(stats.spills > 0 && stats.remat_ops > 0, "{stats:?}");
 }
 
 /// Eager plans stay put: the grid's price of an op's unfiltered command
