@@ -51,7 +51,7 @@ use cinm_lowering::{BatchPlan, UpmemBackend, UpmemRunOptions};
 use cinm_runtime::{AdmissionError, FairQueue, FaultConfig, FaultStats};
 use upmem_sim::{SimError, SystemStats, UpmemConfig};
 
-use crate::session::single_op_signature;
+use crate::session::{dtr_victim, single_op_signature};
 
 /// Recovery attempts per batch before a request is failed (mirrors the
 /// session recovery loop's budget).
@@ -491,7 +491,7 @@ struct Group {
     /// uploaded. An evicted class keeps its slots, signature and host
     /// shadow and is transparently re-admitted when scheduled again.
     resident: bool,
-    /// Round counter of the class's last dispatch — eviction recency.
+    /// Round of the class's last dispatch: its staleness ([`dtr_victim`]).
     last_round: u64,
 }
 
@@ -528,13 +528,9 @@ pub struct SessionServer {
     tenant_slots: usize,
     max_batch: usize,
     queue_depth: usize,
-    mram_limit_bytes: usize,
-    mram_used_bytes: usize,
     stats: ServerStats,
-    /// Eviction/reload counters of the serving residency manager.
-    res_evictions: u64,
-    res_reloads: u64,
-    res_reload_bytes: u64,
+    /// Eviction/reload counters; the snapshot reads MRAM off the allocator.
+    res: ServerResidency,
     /// Pre-registered server-wide telemetry series (`None` disables export).
     tele: Option<ServerTele>,
     /// Registry handle for late registrations (per-tenant series).
@@ -551,11 +547,9 @@ impl SessionServer {
         if options.fault.is_some() {
             cfg.fault = options.fault.clone();
         }
-        let mram_limit_bytes = options.mram_limit_bytes.unwrap_or(cfg.mram_bytes);
-        // The allocator enforces the same budget the admission ledger does,
-        // so an accounting bug surfaces as a loud typed capacity error
-        // instead of silent over-allocation.
-        cfg.mram_bytes = cfg.mram_bytes.min(mram_limit_bytes);
+        // The allocator holds the budget: admission reads its occupancy.
+        let limit = options.mram_limit_bytes.unwrap_or(cfg.mram_bytes);
+        cfg.mram_bytes = cfg.mram_bytes.min(limit);
         if let Some(t) = &options.telemetry {
             cfg.telemetry = Some(t.clone());
         }
@@ -578,12 +572,8 @@ impl SessionServer {
             tenant_slots,
             max_batch: options.max_batch.max(1),
             queue_depth: options.queue_depth.max(1),
-            mram_limit_bytes,
-            mram_used_bytes: 0,
             stats: ServerStats::default(),
-            res_evictions: 0,
-            res_reloads: 0,
-            res_reload_bytes: 0,
+            res: ServerResidency::default(),
             tele,
             telemetry: options.telemetry.clone(),
         }
@@ -697,10 +687,8 @@ impl SessionServer {
             // Last tenant out: the class's device buffers return to the
             // budget (kept registered — a future load of the same shape
             // re-admits it through the ordinary residency path).
-            let bytes = 4 * g.plan.elems_per_dpu();
             g.plan.release(&mut self.backend).map_err(device_error)?;
             self.groups[gi].resident = false;
-            self.mram_used_bytes -= bytes;
         }
         Ok(())
     }
@@ -741,43 +729,43 @@ impl SessionServer {
         }
     }
 
-    /// Evicts idle resident shape classes (coldest last dispatch first)
-    /// until `needed_bytes` fit under the budget. Classes with a batch in
+    /// Evicts the idle resident shape classes [`dtr_victim`] picks (price:
+    /// the seconds the re-upload of the weights shadow bills; staleness:
+    /// rounds since the last dispatch) until `needed_bytes` fit under the
+    /// budget. Classes with a batch in
     /// the current round are part of the true working set and never
     /// victims; when nothing evictable remains the typed capacity error
     /// surfaces.
     fn make_room(&mut self, needed_bytes: usize) -> Result<(), ServeError> {
         loop {
-            let available = self.mram_limit_bytes.saturating_sub(self.mram_used_bytes);
+            let (used, limit) = (self.mram_used_bytes(), self.mram_limit_bytes());
+            let available = limit.saturating_sub(used);
             if needed_bytes <= available {
                 return Ok(());
             }
-            let victim = self
-                .groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.resident && !g.in_round && g.batch.is_empty())
-                .min_by_key(|(_, g)| g.last_round)
-                .map(|(i, _)| i);
-            let Some(v) = victim else {
+            let cfg = self.backend.system().config();
+            let candidates = self.groups.iter().enumerate().filter_map(|(i, g)| {
+                let idle = g.resident && !g.in_round && g.batch.is_empty();
+                let reload = cfg.chunked_transfer(g.w_stage.len()).seconds;
+                idle.then_some((i, reload, 4 * g.plan.elems_per_dpu(), g.last_round))
+            });
+            let Some(v) = dtr_victim(candidates, self.stats.rounds) else {
                 return Err(ServeError::CapacityExhausted {
                     needed_bytes,
                     available_bytes: available,
                 });
             };
-            let bytes = 4 * self.groups[v].plan.elems_per_dpu();
             self.groups[v]
                 .plan
                 .release(&mut self.backend)
                 .map_err(device_error)?;
             self.groups[v].resident = false;
-            self.mram_used_bytes -= bytes;
-            self.res_evictions += 1;
+            self.res.evictions += 1;
         }
     }
 
     /// Re-admits an evicted shape class: re-allocates its device buffers
-    /// (evicting colder classes as needed) and re-uploads the weight
+    /// (evicting idle classes as needed) and re-uploads the weight
     /// shadow — the billed rematerialization of reloadable weights.
     fn ensure_resident(&mut self, gi: usize) -> Result<(), ServeError> {
         if self.groups[gi].resident {
@@ -789,17 +777,16 @@ impl SessionServer {
             .plan
             .reacquire(&mut self.backend)
             .map_err(device_error)?;
-        self.mram_used_bytes += needed_bytes;
         self.groups[gi].resident = true;
         self.upload_weights(gi)?;
-        self.res_reloads += 1;
-        self.res_reload_bytes += (self.groups[gi].w_stage.len() * 4) as u64;
+        self.res.reloads += 1;
+        self.res.reload_bytes += (self.groups[gi].w_stage.len() * 4) as u64;
         Ok(())
     }
 
     /// Finds or creates the batched shape class for a signature. Admission
-    /// is soft: a new class that does not fit first evicts idle colder
-    /// classes' reloadable weights; the typed capacity error surfaces only
+    /// is soft: a new class that does not fit first evicts idle classes'
+    /// reloadable weights; the typed capacity error surfaces only
     /// when the active working set truly fills the budget.
     fn ensure_group(&mut self, op: CnmOp) -> Result<usize, ServeError> {
         let sig = single_op_signature(op);
@@ -810,7 +797,6 @@ impl SessionServer {
         let needed_bytes = 4 * plan.elems_per_dpu();
         self.make_room(needed_bytes)?;
         plan.reacquire(&mut self.backend).map_err(device_error)?;
-        self.mram_used_bytes += needed_bytes;
         let slots = plan.slots();
         self.groups.push(Group {
             sig,
@@ -1321,24 +1307,23 @@ impl SessionServer {
     /// evictions, weight reloads and their scattered bytes, plus the
     /// allocator's high-water mark against the admission budget.
     pub fn residency_snapshot(&self) -> ServerResidency {
+        let sys = self.backend.system();
         ServerResidency {
-            evictions: self.res_evictions,
-            reloads: self.res_reloads,
-            reload_bytes: self.res_reload_bytes,
-            peak_mram_bytes: self.backend.system().mram_peak_bytes(),
-            used_mram_bytes: self.mram_used_bytes,
-            limit_bytes: self.mram_limit_bytes,
+            peak_mram_bytes: sys.mram_peak_bytes(),
+            used_mram_bytes: sys.mram_used_bytes(),
+            limit_bytes: sys.config().mram_bytes,
+            ..self.res
         }
     }
 
     /// Per-DPU MRAM bytes claimed by resident shape classes.
     pub fn mram_used_bytes(&self) -> usize {
-        self.mram_used_bytes
+        self.backend.system().mram_used_bytes()
     }
 
     /// Per-DPU MRAM budget for resident state.
     pub fn mram_limit_bytes(&self) -> usize {
-        self.mram_limit_bytes
+        self.backend.system().config().mram_bytes
     }
 
     /// Accumulated simulated statistics of the owned grid.
@@ -1614,8 +1599,15 @@ mod tests {
         let mb = server.load_gemv_weights(u, &b, 8, 4).unwrap();
         assert!(server.residency_snapshot().evictions >= 1);
         assert!(server.mram_used_bytes() <= 128);
-        // Scheduling the evicted class re-admits it transparently (evicting
-        // the other in turn) and serves bit-identical results.
+        // Re-admitting the evicted class (evicting the other in turn) bills
+        // exactly the price `make_room` ranks it by.
+        let cfg = server.backend.system().config();
+        let price = cfg.chunked_transfer(server.groups[0].w_stage.len()).seconds;
+        server.backend.reset_stats();
+        server.ensure_resident(0).unwrap();
+        let billed = server.upmem_stats().host_to_dpu_seconds;
+        assert_eq!(billed.to_bits(), price.to_bits());
+        // Scheduling it serves bit-identical results.
         let after = server.submit(ma, &xa).and_then(|q| server.wait(q)).unwrap();
         assert_eq!(after, before);
         assert_eq!(after, host_gemv(&a, &xa, 4, 4));

@@ -447,8 +447,10 @@ struct Slot {
     /// Device buffers of this slot, keyed by role layout. Kept across
     /// recycling (same-shaped successors reuse the MRAM).
     bufs: Vec<(MramLayout, u32)>,
-    /// Run token of the last run that bound this slot — the LRU recency the
-    /// eviction policy orders victims by.
+    /// The price of transferring `bufs` back in, kept by `ensure_buf_in`:
+    /// what evicting a tensor with a host copy costs.
+    reload: Cost,
+    /// Run token of the last run that bound this slot: its staleness.
     last_use: u64,
     /// Run token of the run currently compiling or replaying against this
     /// slot; a slot whose token matches the in-flight run is never a
@@ -1316,7 +1318,7 @@ impl Session {
     /// `ensure_buf_in` — in the warmed steady state every lookup hits the
     /// slot's existing buffer list and the pass allocates nothing; a slot
     /// evicted under MRAM pressure re-allocates here (possibly evicting
-    /// colder tensors in turn).
+    /// other tensors in turn).
     fn rebind(&mut self, idx: usize) -> Result<(), ShardError> {
         let token = self.run_token;
         let Session {
@@ -1505,7 +1507,7 @@ impl Session {
 
     /// Marks every physical slot bound by the canonicalized graph as part
     /// of the in-flight run: it cannot be an eviction victim (plan commands
-    /// may already hold its buffer ids) and its LRU recency is refreshed.
+    /// may already hold its buffer ids) and its staleness restarts.
     fn protect_bound_slots(&mut self) {
         let token = self.run_token;
         let Session {
@@ -2615,20 +2617,41 @@ fn ensure_buf_in(
         .system_mut()
         .alloc_buffer(elems)
         .unwrap_or_else(|e| panic!("MRAM alloc: {e}"));
-    slots[slot as usize].bufs.push((key, buf));
+    let s = &mut slots[slot as usize];
+    s.bufs.push((key, buf));
+    let back = s.bufs.iter().map(|&(k, _)| transfer(k, s));
+    s.reload = planner.planner().grid_price(back).unwrap_or_default();
     Ok(buf)
 }
 
-/// Evicts the coldest unprotected tensor's device buffers to relieve MRAM
-/// pressure. A tensor with a current host copy is dropped for free. A value
-/// only the device holds is **spilled** to the host (a billed rescue
-/// gather) or **dropped**, to be recomputed from its recorded recipe
-/// (DTR-style; only when every recipe input is a stable host-valid source,
-/// so the later replay is bit-identical), whichever the planner's prices
-/// make cheaper — in seconds, in joules under `MinimizeEnergy`: a spill
-/// costs its gather and the transfer that brings the value back, a drop
-/// the recipe's plan under the current residency of its inputs
-/// ([`place`]). Returns whether a victim was evicted.
+/// DTR's eviction rule (Kirisame et al., "Dynamic Tensor
+/// Rematerialization", ICLR 2021), shared by the session's slots and the
+/// server's shape classes: of `(id, price, per-DPU bytes freed, last use)`
+/// candidates, the one with the smallest `price / (bytes × staleness)`,
+/// staleness being `now − last use` and at least 1. Ties go to the older
+/// last use, then to the earlier candidate.
+pub(crate) fn dtr_victim<T>(
+    candidates: impl Iterator<Item = (T, f64, usize, u64)>,
+    now: u64,
+) -> Option<T> {
+    let mut best: Option<(f64, u64, T)> = None;
+    for (id, price, bytes, last) in candidates {
+        let score = price / (bytes.max(1) as f64 * now.saturating_sub(last).max(1) as f64);
+        if best.as_ref().is_none_or(|b| (score, last) < (b.0, b.1)) {
+            best = Some((score, last, id));
+        }
+    }
+    best.map(|b| b.2)
+}
+
+/// Evicts the unprotected tensor [`dtr_victim`] picks to relieve MRAM
+/// pressure, priced in seconds (joules under `MinimizeEnergy`): a value
+/// only the device holds at the cheaper of a **spill** (its billed gather
+/// plus the transfer back) and a **drop** for a DTR-style recompute (the
+/// recipe's [`place`] plan; only when every recipe input is a stable
+/// host-valid source, so the later replay is bit-identical) — priced per
+/// scan, and the action taken if it is picked — any other tensor at its
+/// `reload`. Returns whether a victim was evicted.
 fn evict_one(
     backend: &mut ShardedBackend,
     planner: &mut CachedShardPlanner,
@@ -2641,68 +2664,61 @@ fn evict_one(
     // Pinning is a lifetime promise, not a residency one: pinned tensors
     // are evictable (their value survives via spill or recipe), only the
     // in-flight run's bound slots are untouchable.
-    let mut victim: Option<usize> = None;
-    for (i, s) in slots.iter().enumerate() {
+    let dpus = backend.num_dpus();
+    let energy = planner.planner().policy == ShardPolicy::MinimizeEnergy;
+    let unit = |c: Cost| if energy { c.joules } else { c.seconds };
+    // `((slot, dropped for a recompute), price, bytes freed, last use)`.
+    let candidate = |(i, s): (usize, &Slot)| {
         if i as u32 == requester || s.bufs.is_empty() || s.protected == protect {
-            continue;
+            return None;
         }
-        match victim {
-            Some(v) if slots[v].last_use <= s.last_use => {}
-            _ => victim = Some(i),
+        let bytes = s.bufs.iter().map(|&(k, _)| residency_of(k).0 * 4).sum();
+        if !s.device_valid || s.host_valid {
+            return Some(((i, false), unit(s.reload), bytes, s.last_use));
         }
-    }
-    let Some(v) = victim else {
+        // A value only the grid holds is an op output, in a chunk buffer.
+        let chunk = s.resident.map_or(0, |r| r.gather_chunk);
+        let back = transfer(MramLayout::Chunk(chunk), s);
+        let spill = [Command::Gather { chunk }, back].into_iter();
+        let spill = unit(planner.planner().grid_price(spill).unwrap_or_default());
+        let stable = |(i, &inp): (usize, &u32)| {
+            let rs = &slots[inp as usize];
+            rs.gen == s.recipe_gens[i] && rs.host_valid && (rs.pinned || !live_temps.contains(&inp))
+        };
+        let state = |t: usize| (slots[t].host_valid, slots[t].residency());
+        let remat = s.recipe.and_then(|r| {
+            r.inputs().iter().enumerate().all(stable).then_some(())?;
+            let (_, plan) = place(planner, &r, &r.kind.geometry(dpus), dpus, true, state).ok()?;
+            let seconds = plan.estimated_seconds.into_iter().fold(0.0, f64::max);
+            let joules = plan.total_estimated_joules();
+            Some(unit(Cost { seconds, joules })).filter(|&remat| remat < spill)
+        });
+        let price = remat.unwrap_or(spill);
+        Some(((i, remat.is_some()), price, bytes, s.last_use))
+    };
+    let victim = dtr_victim(slots.iter().enumerate().filter_map(candidate), protect);
+    let Some((v, remat)) = victim else {
         return Ok(false);
     };
-    let (dpus, s) = (backend.num_dpus(), &slots[v]);
-    let live_device_only = s.device_valid && !s.host_valid;
+    let s = &slots[v];
     let chunk = s.resident.map_or(0, |r| r.gather_chunk);
-    let remat = live_device_only
-        && s.recipe.is_some_and(|r| {
-            let stable = r.inputs().iter().enumerate().all(|(i, &inp)| {
-                let rs = &slots[inp as usize];
-                rs.gen == s.recipe_gens[i]
-                    && rs.host_valid
-                    && (rs.pinned || !live_temps.contains(&inp))
-            });
-            // A spill gathers the value now and scatters it back later (a
-            // value only the grid holds is an op output, in a chunk buffer).
-            let back = transfer(MramLayout::Chunk(chunk), s);
-            let spill = [Command::Gather { chunk }, back];
-            let state = |t: usize| (slots[t].host_valid, slots[t].residency());
-            let geometry = r.kind.geometry(dpus);
-            stable
-                && place(planner, &r, &geometry, dpus, true, state).is_ok_and(|(_, plan)| {
-                    let spill = planner.planner().grid_price(spill.into_iter());
-                    let spill = spill.unwrap_or_default();
-                    match planner.planner().policy {
-                        ShardPolicy::MinimizeEnergy => plan.total_estimated_joules() < spill.joules,
-                        _ => plan.estimated_seconds.into_iter().fold(0.0, f64::max) < spill.seconds,
-                    }
-                })
-        });
-    if live_device_only && !remat {
+    if s.device_valid && !s.host_valid && !remat {
         // Spill: bill the rescue gather and keep the decoded host value.
         materialize_slot(backend, &mut slots[v], dpus)?;
         counters.stats.spills += 1;
         counters.stats.spilled_bytes += (chunk * dpus * 4) as u64;
         counters.run_spills.push(chunk);
     }
-    let s = &mut slots[v];
+    let (s, sys) = (&mut slots[v], backend.upmem_mut().system_mut());
     for &(_, buf) in &s.bufs {
-        backend
-            .upmem_mut()
-            .system_mut()
-            .free_buffer(buf)
-            .expect("free evicted buffer");
+        sys.free_buffer(buf).expect("free evicted buffer");
     }
     s.bufs.clear();
+    s.reload = Cost::default();
     s.resident = None;
     s.device_valid = false;
     counters.stats.evictions += 1;
-    if live_device_only && remat {
-        counters.stats.remat_drops += 1;
-    }
+    counters.stats.remat_drops += remat as u64;
     Ok(true)
 }
 

@@ -285,7 +285,7 @@ fn steady_state_fused_chain_loop_is_allocation_free() {
 }
 
 /// The warmed session loop under a finite MRAM limit that admits the
-/// working set — capacity accounting, LRU bookkeeping and eviction scans
+/// working set — capacity accounting, staleness tokens and eviction scans
 /// are active on every allocation, but with no pressure the steady state
 /// still performs **zero** heap allocations per iteration.
 #[test]

@@ -3594,6 +3594,112 @@ fn limits_below_the_working_set_refuse_with_typed_errors() {
     }
 }
 
+/// DTR's victim, not the least recently used one: a small vector last used
+/// two runs ago and a large matrix used in the last run are resident, and
+/// the next op needs room for one more output. Bringing either back costs
+/// one latency-bound transfer, so the matrix, which frees 32 times the
+/// bytes, is the cheaper victim per byte even though it is fresher. The
+/// vector stays resident: an op reading it uploads nothing.
+#[test]
+fn under_pressure_the_fresher_large_matrix_goes_before_the_stale_small_vector() {
+    use cinm::core::Session;
+    let (rows, cols) = (64, 32);
+    let v = data::i32_vec(1, rows, -8, 8);
+    let a = data::i32_vec(2, rows * cols, -8, 8);
+    let x = data::i32_vec(3, cols, -8, 8);
+    // Per DPU of 8: `v` and each vector output 32 B, `a` 1 KB, `x` 128 B.
+    let mut sess = Session::new(session_options_on(8, true).with_mram_limit_bytes(1248 + 16));
+    let (vt, at, xt) = (
+        sess.vector(&v),
+        sess.matrix(&a, rows, cols),
+        sess.vector(&x),
+    );
+    let twice = |t: &[i32]| t.iter().map(|e| e + e).collect::<Vec<i32>>();
+    let w = sess.elementwise(BinOp::Add, vt, vt);
+    sess.pin(w);
+    sess.run().unwrap();
+    assert_eq!(sess.fetch(w), twice(&v));
+    let y = sess.gemv(at, xt);
+    sess.pin(y);
+    sess.run().unwrap();
+    assert_eq!(sess.residency_stats().used_mram_bytes, 1248);
+    let z = sess.elementwise(BinOp::Add, y, y);
+    sess.pin(z);
+    sess.run().unwrap();
+    let res = sess.residency_stats();
+    assert_eq!(
+        (res.evictions, res.spills, res.remat_drops),
+        (1, 0, 0),
+        "{res:?}"
+    );
+    assert_eq!(
+        res.used_mram_bytes,
+        1248 + 32 - 1024,
+        "the matrix went: {res:?}"
+    );
+    let h2d = sess.upmem_stats().host_to_dpu_bytes;
+    let w2 = sess.elementwise(BinOp::Add, vt, vt);
+    sess.pin(w2);
+    sess.run().unwrap();
+    assert_eq!(
+        sess.upmem_stats().host_to_dpu_bytes,
+        h2d,
+        "the vector stayed"
+    );
+    assert_eq!(sess.fetch(w2), twice(&v));
+    assert_eq!(sess.fetch(z), twice(&kernels::matvec(&a, &x, rows, cols)));
+}
+
+/// The server ranks idle shape classes by the same rule: of three classes
+/// of 20, 176 and 1 152 B per DPU, dispatched smallest first, a fourth
+/// class's 56 B evict the large, most recently dispatched one, where the
+/// least recently used order would evict the small and then the medium
+/// one. The small and the medium class then serve without a reload.
+#[test]
+fn serving_evicts_the_class_with_the_cheapest_reload_per_byte_and_round() {
+    use cinm::core::{ServerOptions, SessionServer, TenantSpec};
+    let mut cfg = UpmemConfig::with_ranks(1);
+    cfg.dpus_per_rank = 8;
+    cfg.host_threads = 1;
+    // Four tenant slots of 2 DPUs: gemv `r x c` takes `4 (r c / 2 + c + r / 2)` B.
+    let mut server = SessionServer::new(
+        ServerOptions::default()
+            .with_upmem_config(cfg)
+            .with_tenant_slots(4)
+            .with_mram_limit_bytes(20 + 176 + 1152 + 16),
+    );
+    let shapes = [(2, 2), (8, 8), (32, 16), (4, 4)];
+    let weights: Vec<Vec<i32>> = (0..4)
+        .map(|i| data::i32_vec(10 + i as u64, shapes[i].0 * shapes[i].1, -9, 9))
+        .collect();
+    let mut models = Vec::new();
+    let serve = |server: &mut SessionServer, i: usize, m| {
+        let (rows, cols) = shapes[i];
+        let x = data::i32_vec(20 + i as u64, cols, -9, 9);
+        let y = server.submit(m, &x).and_then(|q| server.wait(q)).unwrap();
+        assert_eq!(y, kernels::matvec(&weights[i], &x, rows, cols), "class {i}");
+    };
+    for (i, &(rows, cols)) in shapes.iter().enumerate() {
+        let t = server.register_tenant(TenantSpec::new(format!("tenant-{i}")));
+        models.push(
+            server
+                .load_gemv_weights(t, &weights[i], rows, cols)
+                .unwrap(),
+        );
+        if i < 3 {
+            serve(&mut server, i, models[i]);
+        }
+    }
+    let snap = server.residency_snapshot();
+    assert_eq!(snap.evictions, 1, "{snap:?}");
+    assert_eq!(snap.used_mram_bytes, 20 + 176 + 56, "the large class went");
+    for i in [0, 1, 3, 2] {
+        serve(&mut server, i, models[i]);
+    }
+    let snap = server.residency_snapshot();
+    assert_eq!(snap.reloads, 1, "only the large class came back: {snap:?}");
+}
+
 /// Price is the bill for a session. Seeded random session graphs at test
 /// scale — `gemv`, `gemm`, element-wise, `reduce`, `histogram` and `select`
 /// over a pool of earlier results, 1–4 ops per run, half of the element-wise
