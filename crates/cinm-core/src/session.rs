@@ -2284,14 +2284,21 @@ impl Session {
                     feeds,
                     residency,
                 ),
-                Step::Planned { op, split } => run_planned(
-                    backend,
-                    slots,
-                    &compiled.binding,
-                    &compiled.ops[*op],
-                    split,
-                    feeds,
-                ),
+                Step::Planned { op, split } => {
+                    let node = &compiled.ops[*op];
+                    let phys = |c: u32| compiled.binding[c as usize] as usize;
+                    // The output's image, held apart while the inputs are read.
+                    let mut out = std::mem::take(&mut slots[phys(node.output)].host);
+                    let host = |i: usize| host_of(&slots[phys(node.inputs[i])], feeds);
+                    let operands = [host(0), host(1)];
+                    let operands = &operands[..node.inputs().len()];
+                    let ran = backend.run_into(node.kind, operands, split, out.overwrite());
+                    let slot = &mut slots[phys(node.output)];
+                    slot.host = out;
+                    // A failed shard leaves the image unspecified.
+                    slot.host_valid = ran.is_ok();
+                    ran.map(|()| (slot.device_valid, slot.resident) = (false, None))
+                }
             };
             if let Err(e) = step_result {
                 return Err((si, e));
@@ -2900,30 +2907,6 @@ fn run_segment(
         }
         apply_effect(slots, cmd, residency);
     }
-    Ok(())
-}
-
-/// Executes one shard-planned op across the device set via the sharded
-/// backend: one `Device::run` per non-empty shard, the first on this
-/// thread and the others concurrently on the shared pool — an op placed
-/// whole on one device runs here without touching the pool's queue.
-fn run_planned(
-    backend: &mut ShardedBackend,
-    slots: &mut [Slot],
-    binding: &[u32],
-    node: &OpNode,
-    split: &ShardSplit,
-    feeds: &[Feed<'_>],
-) -> Result<(), ShardError> {
-    let phys = |c: u32| binding[c as usize] as usize;
-    let host = |i: usize| host_of(&slots[phys(node.inputs[i])], feeds);
-    let operands = [host(0), host(1)];
-    let result = backend.run(node.kind, &operands[..node.inputs().len()], split)?;
-    let out = &mut slots[phys(node.output)];
-    out.host = result.into();
-    out.host_valid = true;
-    out.device_valid = false;
-    out.resident = None;
     Ok(())
 }
 
@@ -3681,6 +3664,48 @@ mod tests {
             let _ = sess.fetch(stale);
         }));
         assert!(caught.is_err(), "failed-run outputs must be stale");
+    }
+
+    /// A host-placed op runs straight into its output slot, and bills what
+    /// the shard dispatch bills: its results and the simulated fields of
+    /// `shard_stats()` equal, bit for bit, those of the same ops and splits
+    /// through `ShardedBackend::run` on a fresh backend.
+    #[test]
+    fn host_placed_ops_bill_what_the_shard_dispatch_bills() {
+        let options = || ShardedRunOptions::default().with_ranks(2);
+        let mut sess = Session::new(
+            SessionOptions::default()
+                .with_policy(ShardPolicy::Auto)
+                .with_sharded(options()),
+        );
+        let (rows, cols) = (64, 16);
+        let w: Vec<i32> = (0..rows * cols).map(|e| (e % 17) as i32 - 8).collect();
+        let x: Vec<i32> = (0..cols).map(|e| e as i32 - 7).collect();
+        let mask: Vec<i32> = (0..rows).map(|e| (e * 5) as i32).collect();
+        let (wt, xt) = (sess.matrix(&w, rows, cols), sess.vector(&x));
+        let mt = sess.vector(&mask);
+        let y = sess.gemv(wt, xt);
+        let z = sess.elementwise(BinOp::Xor, y, mt);
+        let sum = sess.reduce(BinOp::Add, z);
+        sess.run().unwrap();
+
+        let mut be = ShardedBackend::new(options());
+        let host = ShardSplit::all_host(rows);
+        let want_y = be.gemv(&w, &x, rows, cols, &host).unwrap();
+        let want_z = be.elementwise(BinOp::Xor, &want_y, &mask, &host).unwrap();
+        let want_sum = be.reduce(BinOp::Add, &want_z, &host).unwrap();
+        let got = (sess.fetch(y), sess.fetch(z), sess.fetch_scalar(sum));
+        assert_eq!(got, (want_y, want_z, want_sum));
+        let (got, want) = (sess.shard_stats(), be.stats());
+        assert_eq!((got.ops, got.work), (3, [0, 0, 3 * rows as u64]));
+        assert_eq!((got.ops, got.work), (want.ops, want.work));
+        let bits = |s: &cinm_lowering::ShardStats| {
+            (
+                s.sim_seconds.map(f64::to_bits),
+                s.sim_makespan_seconds.to_bits(),
+            )
+        };
+        assert_eq!(bits(got), bits(want));
     }
 
     #[test]

@@ -696,14 +696,15 @@ impl Device for HostDevice {
         match op {
             CnmOp::Gemm { m, k, n } => kernels::matmul_into(a, operands[1], m, k, n, out),
             CnmOp::Gemv { rows, cols } => kernels::matvec_into(a, operands[1], rows, cols, out),
-            CnmOp::Elementwise { op, .. } => {
-                kernels::elementwise_into(a, operands[1], out, |x, y| op.apply(x, y))
+            CnmOp::Elementwise { op, len } => {
+                assert_eq!(out.len(), len, "element-wise result length");
+                op.zip_into(a, operands[1], out)
             }
             CnmOp::Reduce { op, .. } => {
                 let [partial] = out else {
                     panic!("a reduction has one result, not {}", out.len());
                 };
-                *partial = a.iter().fold(op.identity(), |acc, &v| op.apply(acc, v));
+                *partial = op.fold(a);
             }
             CnmOp::Histogram {
                 bins, max_value, ..

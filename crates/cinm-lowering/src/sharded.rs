@@ -11,28 +11,26 @@
 //! shard sizes come from a [`ShardSplit`] (typically produced by the
 //! `cinm-core` shard planner from registered cost models).
 //!
-//! The non-empty device shards are dispatched **concurrently** in one scope
-//! of the shared [`cinm_runtime::WorkerPool`], each driving its own device
-//! back-end one command after another. The dispatching thread is
-//! the scope's first worker: it runs the first non-empty shard itself and
-//! only the others become pool tasks, so an op placed whole on one device —
-//! what the planner chooses for every small op — never touches the queue or
-//! another thread. Nested pool scopes are deadlock-free by construction
-//! (helping waits), so a device task fanning its functional simulation out
-//! over the same pool is fine. The result is allocated once and each shard
-//! writes into it where its part belongs, so sharded execution is
-//! **bit-identical** to the `cpu_sim::kernels` goldens:
+//! The non-empty shards of a split over several devices run
+//! **concurrently** in one scope of the shared [`cinm_runtime::WorkerPool`],
+//! each driving its own device back-end; nested pool scopes are
+//! deadlock-free (helping waits), so a device task fanning its functional
+//! simulation out over the same pool is fine. An op placed whole on one
+//! device — what the planner chooses for every small op — runs on the
+//! calling thread without a scope. Each shard writes its part of the
+//! caller's result vector, so sharded execution is **bit-identical** to
+//! the `cpu_sim::kernels` goldens:
 //!
 //! * GEMM/GEMV/element-wise: each device writes its row/element range of
 //!   the one result — each output element is computed by exactly one device
 //!   with the same wrapping `i32` arithmetic.
-//! * Reduce: per-shard partials folded in shard order; every [`BinOp`] is
-//!   associative over `i32` (wrapping add is exact mod 2³²), so a contiguous
-//!   split folds to the same value as the sequential scan.
+//! * Reduce: an op on one device is that device's fold; over several
+//!   devices the per-shard partials are folded in shard order, which equals
+//!   the sequential fold for the associative [`BinOp`]s (wrapping add is
+//!   exact mod 2³²) but not for `Sub` and `Div`.
 //! * Histogram: per-shard counts summed per bin (addition commutes).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use cinm_runtime::PoolHandle;
 use cpu_sim::model::CpuModel;
@@ -40,7 +38,7 @@ use memristor_sim::CrossbarConfig;
 use upmem_sim::{BinOp, UpmemConfig};
 
 use crate::backend::{CimBackend, CimRunOptions, UpmemBackend, UpmemRunOptions};
-use crate::cnm_op::{CnmOp, MramLayout};
+use crate::cnm_op::CnmOp;
 use crate::device::{CimDevice, Device, HostDevice, Target, UpmemDevice};
 
 /// Errors of sharded planning/execution.
@@ -374,11 +372,6 @@ pub struct ShardStats {
     /// Accumulated simulated makespan: per op, the slowest device shard
     /// defines the op's completion time (the devices run concurrently).
     pub sim_makespan_seconds: f64,
-    /// Host wall-clock seconds each device task spent executing its shard
-    /// (simulator run time, not simulated time).
-    pub busy_wall_seconds: [f64; 3],
-    /// Host wall-clock seconds of the sharded ops end-to-end.
-    pub wall_seconds: f64,
     /// Maximum number of device tasks observed in flight simultaneously —
     /// ≥ 2 demonstrates the back-ends genuinely overlap on the pool.
     pub max_concurrent: usize,
@@ -419,10 +412,6 @@ impl ConcurrencyTracker {
         self.max.fetch_max(now, Ordering::SeqCst);
         ConcurrencyGuard(self)
     }
-
-    fn max_seen(&self) -> usize {
-        self.max.load(Ordering::SeqCst)
-    }
 }
 
 impl Drop for ConcurrencyGuard<'_> {
@@ -432,48 +421,17 @@ impl Drop for ConcurrencyGuard<'_> {
 }
 
 /// Per-device outcome of one sharded dispatch.
+#[derive(Default)]
 struct ShardOutcome {
-    result: Result<(), ShardError>,
+    /// Why the shard failed, if it did.
+    error: Option<ShardError>,
     /// Simulated seconds the shard took on its device.
     sim_seconds: f64,
-    /// Host wall-clock seconds the device task ran for.
-    wall_seconds: f64,
-}
-
-impl Default for ShardOutcome {
-    fn default() -> Self {
-        ShardOutcome {
-            result: Ok(()),
-            sim_seconds: 0.0,
-            wall_seconds: 0.0,
-        }
-    }
 }
 
 /// One device's shard of a dispatch: the op at the shard's work, its operand
-/// slices and its range of the result.
+/// slices and its part of the result.
 type Shard<'a> = (CnmOp, [&'a [i32]; 2], &'a mut [i32]);
-
-/// Typed operand-shape validation (replacing the hot-path `assert_eq!`s):
-/// mis-shaped inputs are a caller error the execution layers report instead
-/// of panicking a worker.
-fn shape_check(
-    op: &'static str,
-    what: &'static str,
-    expected: usize,
-    got: usize,
-) -> Result<(), ShardError> {
-    if expected == got {
-        Ok(())
-    } else {
-        Err(ShardError::ShapeMismatch {
-            op,
-            what,
-            expected,
-            got,
-        })
-    }
-}
 
 /// Best-effort string of a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -491,11 +449,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// them (see the module docs for the sharding and merge rules).
 ///
 /// Every shard is the op's [`CnmOp`] at the shard's work, handed to
-/// [`Device::run`] with its operand slices; [`ShardedBackend::run`] is the
-/// one dispatch (slice, run each non-empty shard on the pool, merge) and the
-/// per-op methods wrap it. The wrapped eager back-ends stay reachable
-/// ([`ShardedBackend::upmem`], [`ShardedBackend::cim_backend`]) as the
-/// equivalence oracle.
+/// [`Device::run`] with its operand slices; [`ShardedBackend::run_into`] is
+/// the one dispatch (check, slice, run each non-empty shard, merge), and
+/// [`ShardedBackend::run`] and the per-op methods wrap it. The wrapped
+/// eager back-ends stay reachable ([`ShardedBackend::upmem`],
+/// [`ShardedBackend::cim_backend`]) as the equivalence oracle.
 #[derive(Debug)]
 pub struct ShardedBackend {
     cnm: UpmemDevice,
@@ -587,95 +545,43 @@ impl ShardedBackend {
         self.cim.backend()
     }
 
-    /// Runs up to three shards concurrently in one pool scope — one
-    /// [`Device::run`] per non-empty shard into its range of the result, the
-    /// first of them on the calling thread and the others on pool workers;
-    /// a lone shard runs on the calling thread without a scope — and folds
-    /// their outcomes into the statistics.
+    /// [`run_into`](Self::run_into) a new vector: what the eager callers
+    /// and the per-op methods below wrap.
     ///
-    /// Failures are contained per shard: an execution fault is the shard's
-    /// typed [`ShardError`], and a panicking device task is caught and
-    /// converted to [`ShardError::ExecutionPanic`] — the other shards still
-    /// run (and are accounted) before the first failing device's error, in
-    /// `[cnm, cim, host]` order, is returned.
-    fn dispatch(&mut self, work: &ShardSplit, shards: [Shard<'_>; 3]) -> Result<(), ShardError> {
-        let tracker = ConcurrencyTracker::default();
-        let mut outcomes: [ShardOutcome; 3] = Default::default();
-        let op_start = Instant::now();
-        {
-            let devices: [&mut dyn Device; 3] = [&mut self.cnm, &mut self.cim, &mut self.host];
-            let tracker = &tracker;
-            let run = move |device: &mut dyn Device, (op, operands, out): Shard<'_>, slot| {
-                let _in_flight = tracker.enter();
-                let start = Instant::now();
-                let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    device.run(op, &operands[..op.arity()], out)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(ShardError::ExecutionPanic {
-                        device: slot,
-                        message: panic_message(payload.as_ref()),
-                    })
-                });
-                let (result, sim_seconds) = match ran {
-                    Ok(sim_seconds) => (Ok(()), sim_seconds),
-                    Err(e) => (Err(e), 0.0),
-                };
-                ShardOutcome {
-                    result,
-                    sim_seconds,
-                    wall_seconds: start.elapsed().as_secs_f64(),
-                }
-            };
-            let tasks = devices
-                .into_iter()
-                .zip(shards)
-                .zip(outcomes.iter_mut())
-                .zip(Target::ALL)
-                .filter(|(((_, (op, ..)), _), _)| op.work() > 0);
-            if Target::ALL.iter().filter(|&&t| work.get(t) > 0).count() == 1 {
-                for (((device, shard), outcome), slot) in tasks {
-                    *outcome = run(device, shard, slot);
-                }
-            } else {
-                self.pool.get().scope(|s| {
-                    for (((device, shard), outcome), slot) in tasks {
-                        let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
-                        s.spawn_labeled(label, move |_| *outcome = run(device, shard, slot));
-                    }
-                });
-            }
-        }
-        self.stats.ops += 1;
-        self.stats.wall_seconds += op_start.elapsed().as_secs_f64();
-        self.stats.max_concurrent = self.stats.max_concurrent.max(tracker.max_seen());
-        let mut makespan = 0.0f64;
-        for (i, device) in Target::ALL.iter().enumerate() {
-            // Failed shards contribute no completed work (their partial
-            // simulated time is still real and stays accounted).
-            if outcomes[i].result.is_ok() {
-                self.stats.work[i] += work.get(*device) as u64;
-            }
-            self.stats.sim_seconds[i] += outcomes[i].sim_seconds;
-            self.stats.busy_wall_seconds[i] += outcomes[i].wall_seconds;
-            makespan = makespan.max(outcomes[i].sim_seconds);
-        }
-        self.stats.sim_makespan_seconds += makespan;
-        outcomes.into_iter().try_for_each(|o| o.result)
+    /// # Errors
+    ///
+    /// Those of `run_into`.
+    pub fn run(
+        &mut self,
+        op: CnmOp,
+        operands: &[&[i32]],
+        split: &ShardSplit,
+    ) -> Result<Vec<i32>, ShardError> {
+        let mut out = Vec::new();
+        self.run_into(op, operands, split, &mut out)?;
+        Ok(out)
     }
 
-    /// Co-executes one shardable op across the device set — the single
-    /// dispatch the per-op methods below and the `cinm-core` session wrap.
-    /// Scattered operands (per the op's [`CnmOp::geometry`]) are sliced by
-    /// contiguous work ranges in `[cnm, cim, host]` order, broadcast
-    /// operands go to every device whole, and one [`Device::run`] per
-    /// non-empty shard runs concurrently (the first on the caller, the rest
-    /// on the pool). The result is allocated once: for
-    /// `gemm`/`gemv`/element-wise each shard writes its own range of it;
-    /// `reduce` partials are folded in shard order (returned as a
-    /// one-element vector; every [`upmem_sim::BinOp`] is associative, so
-    /// this equals the sequential fold) and `histogram` partials summed per
-    /// bin. Zero work returns the op's identity without touching a device.
+    /// Co-executes one shardable op across the device set into `out`, which
+    /// it overwrites (resizing it to the result and reusing its storage) —
+    /// the one dispatch, which [`run`](Self::run) and the session's planned
+    /// ops call.
+    ///
+    /// A split on one device calls that device's [`Device::run`] straight
+    /// into `out` on this thread. A split over several devices slices the
+    /// operands by contiguous work ranges in `[cnm, cim, host]` order (the
+    /// stationary operand of `gemm`/`gemv` goes to every device whole) and
+    /// runs one task per non-empty shard in one pool scope:
+    /// `gemm`/`gemv`/element-wise shards write their ranges of the result;
+    /// `reduce` partials are folded in shard order into a one-element
+    /// result, and `histogram` partials summed per bin. Zero work returns
+    /// the op's identity without touching a device.
+    ///
+    /// A panicking device task is caught and converted to
+    /// [`ShardError::ExecutionPanic`], and failures are contained per
+    /// shard: the other shards still run (and are accounted) before the
+    /// first failing device's error, in `[cnm, cim, host]` order, is
+    /// returned; `out` is then unspecified.
     ///
     /// # Errors
     ///
@@ -683,19 +589,22 @@ impl ShardedBackend {
     /// non-empty shard on a device that cannot execute the op (the crossbar
     /// models analog MVM only; `select`/`time_series`/`bfs_step` are not
     /// shardable at all), or the first failing device's execution error.
-    pub fn run(
+    pub fn run_into(
         &mut self,
         op: CnmOp,
         operands: &[&[i32]],
         split: &ShardSplit,
-    ) -> Result<Vec<i32>, ShardError> {
+        out: &mut Vec<i32>,
+    ) -> Result<(), ShardError> {
         let name = op.mnemonic();
-        let Some(shape) = op.shard_shape() else {
-            return Err(ShardError::Unsupported {
-                device: Target::Host,
-                op: name,
-            });
+        let unsupported = |device| ShardError::Unsupported { device, op: name };
+        let mismatch = |what, expected, got| ShardError::ShapeMismatch {
+            op: name,
+            what,
+            expected,
+            got,
         };
+        let shape = op.shard_shape().ok_or(unsupported(Target::Host))?;
         // The sharded operand holds `inner` elements per work unit; the
         // second one is the stationary `inner × out` operand of a
         // matmul-like op, or the equally sharded rhs of an element-wise op.
@@ -709,107 +618,143 @@ impl ShardedBackend {
             CnmOp::Gemv { .. } => ["matrix elements", "vector elements"],
             _ => ["lhs elements", "rhs elements"],
         };
-        shape_check(name, "operands", op.arity(), operands.len())?;
+        if operands.len() != op.arity() {
+            return Err(mismatch("operands", op.arity(), operands.len()));
+        }
         for ((data, expected), what) in operands
             .iter()
             .zip([shape.work * shape.inner, rhs_len])
             .zip(names)
         {
-            shape_check(name, what, expected, data.len())?;
+            if data.len() != expected {
+                return Err(mismatch(what, expected, data.len()));
+            }
         }
         if let CnmOp::Histogram { bins: 0, .. } = op {
-            return Err(ShardError::ShapeMismatch {
-                op: name,
-                what: "bins (at least one)",
-                expected: 1,
-                got: 0,
-            });
+            return Err(mismatch("bins (at least one)", 1, 0));
         }
-        let total = shape.work;
-        if split.total() != total {
+        if split.total() != shape.work {
             return Err(ShardError::WorkMismatch {
-                expected: total,
+                expected: shape.work,
                 got: split.total(),
             });
         }
         if !matmul_like && split.cim > 0 {
-            return Err(ShardError::Unsupported {
-                device: Target::Cim,
-                op: name,
-            });
+            return Err(unsupported(Target::Cim));
         }
-        if total == 0 {
-            return Ok(match op {
-                CnmOp::Reduce { op, .. } => vec![op.identity()],
-                CnmOp::Histogram { bins, .. } => vec![0; bins],
-                _ => Vec::new(),
-            });
-        }
-        /// The work range `[lo, hi)` of a scattered operand; a broadcast
-        /// operand whole.
-        fn shard_of(
-            data: &[i32],
-            layout: MramLayout,
-            total: usize,
-            lo: usize,
-            hi: usize,
-        ) -> &[i32] {
-            match layout {
-                MramLayout::Broadcast(_) => data,
-                MramLayout::Chunk(_) => {
-                    let unit = data.len() / total;
-                    &data[lo * unit..hi * unit]
-                }
-            }
-        }
-        let geometry = op.geometry(1);
-        let layouts = geometry.inputs;
-        let (a, b) = (operands[0], operands.get(1).copied().unwrap_or(&[]));
         // A reduction or histogram shard writes a partial of the result's
         // length, the others their range of the result itself.
-        let partial = matches!(op, CnmOp::Reduce { .. } | CnmOp::Histogram { .. });
-        let mut out = vec![0; geometry.out_len * if partial { 3 } else { 1 }];
-        let (mut lo, mut rest) = (0, &mut out[..]);
-        let shards = Target::ALL.map(|device| {
-            let hi = lo + split.get(device);
-            let shard_op = op.with_work(hi - lo);
-            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(if partial {
-                geometry.out_len
-            } else {
-                shard_op.geometry(1).out_len
-            });
-            rest = tail;
-            let operands = [
-                shard_of(a, layouts[0], total, lo, hi),
-                shard_of(b, layouts[1], total, lo, hi),
-            ];
-            lo = hi;
-            (shard_op, operands, dst)
-        });
-        self.dispatch(split, shards)?;
-        if !partial {
-            return Ok(out);
+        let partial = match op {
+            CnmOp::Reduce { .. } => Some(1),
+            CnmOp::Histogram { bins, .. } => Some(bins),
+            _ => None,
+        };
+        let out_len = partial.unwrap_or(shape.work * shape.out);
+        out.clear();
+        if shape.work == 0 {
+            out.resize(out_len, 0);
+            if let CnmOp::Reduce { op, .. } = op {
+                out[0] = op.identity();
+            }
+            return Ok(());
         }
-        Ok(match op {
-            CnmOp::Reduce { op, .. } => {
+        let run = |device: &mut dyn Device, (op, operands, out): Shard<'_>, slot| {
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                device.run(op, &operands[..op.arity()], out)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(ShardError::ExecutionPanic {
+                    device: slot,
+                    message: panic_message(payload.as_ref()),
+                })
+            });
+            ShardOutcome {
+                sim_seconds: *ran.as_ref().unwrap_or(&0.0),
+                error: ran.err(),
+            }
+        };
+        let mut outcomes: [ShardOutcome; 3] = Default::default();
+        let lone = Target::ALL
+            .into_iter()
+            .find(|&t| split.get(t) == shape.work);
+        let in_flight = if let Some(device) = lone {
+            // The whole op on one device, straight into `out`.
+            out.resize(out_len, 0);
+            let operands = [operands[0], operands.get(1).copied().unwrap_or(&[])];
+            let shard = (op, operands, &mut out[..]);
+            outcomes[device.index()] = run(self.device_mut(device), shard, device);
+            1
+        } else {
+            out.resize(out_len * if partial.is_some() { 3 } else { 1 }, 0);
+            let (mut lo, mut rest) = (0, &mut out[..]);
+            let shards = Target::ALL.map(|device| {
+                let hi = lo + split.get(device);
+                let len = partial.unwrap_or((hi - lo) * shape.out);
+                let (dst, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                let a = &operands[0][lo * shape.inner..hi * shape.inner];
+                let b = match operands.get(1) {
+                    Some(b) if !matmul_like => &b[lo..hi],
+                    b => b.copied().unwrap_or(&[]),
+                };
+                lo = hi;
+                (op.with_work(split.get(device)), [a, b], dst)
+            });
+            let devices: [&mut dyn Device; 3] = [&mut self.cnm, &mut self.cim, &mut self.host];
+            let tracker = ConcurrencyTracker::default();
+            let tracker = &tracker;
+            let tasks = devices.into_iter().zip(shards).zip(outcomes.iter_mut());
+            self.pool.get().scope(|s| {
+                for (((device, shard), outcome), slot) in tasks.zip(Target::ALL) {
+                    if shard.0.work() > 0 {
+                        let label = ["cnm-shard", "cim-shard", "host-shard"][slot.index()];
+                        s.spawn_labeled(label, move |_| {
+                            let _in_flight = tracker.enter();
+                            *outcome = run(device, shard, slot);
+                        });
+                    }
+                }
+            });
+            tracker.max.load(Ordering::SeqCst)
+        };
+        self.stats.ops += 1;
+        self.stats.max_concurrent = self.stats.max_concurrent.max(in_flight);
+        let mut makespan = 0.0f64;
+        for (i, device) in Target::ALL.iter().enumerate() {
+            // Failed shards contribute no completed work (their partial
+            // simulated time is still real and stays accounted).
+            if outcomes[i].error.is_none() {
+                self.stats.work[i] += split.get(*device) as u64;
+            }
+            self.stats.sim_seconds[i] += outcomes[i].sim_seconds;
+            makespan = makespan.max(outcomes[i].sim_seconds);
+        }
+        self.stats.sim_makespan_seconds += makespan;
+        if let Some(e) = outcomes.into_iter().find_map(|o| o.error) {
+            return Err(e);
+        }
+        match op {
+            CnmOp::Reduce { op, .. } if lone.is_none() => {
                 let ran = out
                     .iter()
                     .zip(Target::ALL)
                     .filter(|&(_, d)| split.get(d) > 0);
-                vec![ran.fold(op.identity(), |acc, (&p, _)| op.apply(acc, p))]
+                out[0] = ran.fold(op.identity(), |acc, (&p, _)| op.apply(acc, p));
+                out.truncate(1);
             }
             // A shard that did not run left its bins zero.
-            _ => {
-                let (merged, others) = out.split_at_mut(geometry.out_len);
-                for part in others.chunks_exact(geometry.out_len) {
+            CnmOp::Histogram { .. } if lone.is_none() => {
+                let (merged, others) = out.split_at_mut(out_len);
+                for part in others.chunks_exact(out_len) {
                     for (m, count) in merged.iter_mut().zip(part) {
                         *m += count;
                     }
                 }
-                out.truncate(geometry.out_len);
-                out
+                out.truncate(out_len);
             }
-        })
+            _ => {}
+        }
+        Ok(())
     }
 
     /// Sharded `C[m×n] = A[m×k] × B[k×n]`: contiguous row ranges of A/C per
@@ -1028,5 +973,48 @@ mod tests {
         );
         assert!(be.reduce(BinOp::Add, &v, &with_cim).is_err());
         assert!(be.histogram(&v, 4, 64, &with_cim).is_err());
+    }
+
+    /// `run_into` checks what `run` checks: a split short of or past the
+    /// op's work and a short operand are typed errors, not a partly filled
+    /// result or a slicing panic, and no device runs.
+    #[test]
+    fn run_into_rejects_a_split_or_operand_that_does_not_fit() {
+        let mut be = small_backend();
+        let v = vec![3i32; 64];
+        let op = CnmOp::Elementwise {
+            op: BinOp::Add,
+            len: 64,
+        };
+        let mut out = vec![7; 5];
+        for got in [40, 70] {
+            let split = ShardSplit::from_fractions(got, [0.25, 0.0, 0.75]).unwrap();
+            let ran = be.run_into(op, &[&v, &v], &split, &mut out);
+            assert_eq!(ran, Err(ShardError::WorkMismatch { expected: 64, got }));
+        }
+        assert_eq!(
+            be.run_into(op, &[&v, &v[..63]], &ShardSplit::all_host(64), &mut out),
+            Err(ShardError::ShapeMismatch {
+                op: "elementwise",
+                what: "rhs elements",
+                expected: 64,
+                got: 63
+            })
+        );
+        assert_eq!(be.stats().ops, 0);
+    }
+
+    /// A reduction on one device is that device's fold, with no merge
+    /// after it: all on the host, it is the sequential fold also for an
+    /// operator that does not associate.
+    #[test]
+    fn a_lone_host_reduction_is_the_sequential_fold() {
+        let mut be = small_backend();
+        let v: Vec<i32> = (1..=40).collect();
+        let sub = v.iter().fold(0i32, |acc, &x| acc.wrapping_sub(x));
+        assert_eq!(
+            be.reduce(BinOp::Sub, &v, &ShardSplit::all_host(40)),
+            Ok(sub)
+        );
     }
 }

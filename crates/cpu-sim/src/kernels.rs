@@ -54,12 +54,14 @@ pub fn matvec_into(a: &[i32], x: &[i32], rows: usize, cols: usize, y: &mut [i32]
     assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
     assert_eq!(x.len(), cols, "vector shape mismatch");
     assert_eq!(y.len(), rows, "result shape mismatch");
-    for i in 0..rows {
-        let mut acc = 0i32;
-        for j in 0..cols {
-            acc = acc.wrapping_add(a[i * cols + j].wrapping_mul(x[j]));
-        }
-        y[i] = acc;
+    if cols == 0 {
+        y.fill(0);
+        return;
+    }
+    for (yi, row) in y.iter_mut().zip(a.chunks_exact(cols)) {
+        *yi = row.iter().zip(x).fold(0i32, |acc, (&av, &xv)| {
+            acc.wrapping_add(av.wrapping_mul(xv))
+        });
     }
 }
 
@@ -139,12 +141,6 @@ pub fn im2col(
         }
     }
     out
-}
-
-/// Flattens a HWCF filter into the `(kh·kw·c) × f` matrix used after im2col.
-pub fn filter_as_matrix(filt: &[i32], kh: usize, kw: usize, c: usize, f: usize) -> Vec<i32> {
-    assert_eq!(filt.len(), kh * kw * c * f, "filter shape mismatch");
-    filt.to_vec()
 }
 
 /// The large contraction of the paper (`contrl`):
@@ -241,20 +237,8 @@ pub fn contraction_contrs2(
 
 /// Element-wise binary operation.
 pub fn elementwise(a: &[i32], b: &[i32], op: impl Fn(i32, i32) -> i32) -> Vec<i32> {
-    let mut out = vec![0; a.len()];
-    elementwise_into(a, b, &mut out, op);
-    out
-}
-
-/// [`elementwise`] into `out`, which it overwrites.
-pub fn elementwise_into(a: &[i32], b: &[i32], out: &mut [i32], op: impl Fn(i32, i32) -> i32) {
-    assert!(
-        a.len() == b.len() && b.len() == out.len(),
-        "element-wise operands must match"
-    );
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = op(x, y);
-    }
+    assert_eq!(a.len(), b.len(), "element-wise operands must match");
+    a.iter().zip(b).map(|(&x, &y)| op(x, y)).collect()
 }
 
 /// Vector addition (the PrIM `va` kernel).
@@ -265,17 +249,6 @@ pub fn vector_add(a: &[i32], b: &[i32]) -> Vec<i32> {
 /// Sum reduction (the PrIM `red` kernel).
 pub fn reduce_add(a: &[i32]) -> i32 {
     a.iter().fold(0i32, |acc, &v| acc.wrapping_add(v))
-}
-
-/// Inclusive prefix-sum scan.
-pub fn inclusive_scan_add(a: &[i32]) -> Vec<i32> {
-    let mut out = Vec::with_capacity(a.len());
-    let mut acc = 0i32;
-    for &v in a {
-        acc = acc.wrapping_add(v);
-        out.push(acc);
-    }
-    out
 }
 
 /// Histogram with `bins` buckets over values in `[0, max_value)` (the PrIM
@@ -435,10 +408,9 @@ mod tests {
         let filt: Vec<i32> = (0..(kh * kw * c * f) as i32).map(|i| i % 7 - 3).collect();
         let direct = conv2d_nhwc_hwcf(&img, &filt, n, h, w, c, kh, kw, f);
         let patches = im2col(&img, n, h, w, c, kh, kw);
-        let fm = filter_as_matrix(&filt, kh, kw, c, f);
         let oh = h - kh + 1;
         let ow = w - kw + 1;
-        let gemm = matmul(&patches, &fm, n * oh * ow, kh * kw * c, f);
+        let gemm = matmul(&patches, &filt, n * oh * ow, kh * kw * c, f);
         assert_eq!(direct, gemm);
     }
 
@@ -476,7 +448,6 @@ mod tests {
         let b = [1; 8];
         assert_eq!(vector_add(&a, &b), vec![2, 6, 4, 9, 3, 10, 5, 8]);
         assert_eq!(reduce_add(&a), 39);
-        assert_eq!(inclusive_scan_add(&[1, 2, 3]), vec![1, 3, 6]);
         assert_eq!(histogram(&a, 3, 9), vec![2, 3, 3]);
         assert_eq!(select_gt(&a, 4), vec![5, 8, 9, 7]);
         let (vals, idxs) = topk(&a, 3);

@@ -40,6 +40,26 @@ macro_rules! with_op {
     };
 }
 
+impl BinOp {
+    /// `out[i] = self.apply(a[i], b[i])` over the three slices' common
+    /// length, in one monomorphic loop per operator (`with_op!`): the
+    /// grid's element-wise launches and the host's kernel.
+    pub fn zip_into(self, a: &[i32], b: &[i32], out: &mut [i32]) {
+        with_op!(self, |f| {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        })
+    }
+
+    /// The fold of `a` from [`identity`](BinOp::identity) in element
+    /// order, in one monomorphic loop per operator: the host's reduction.
+    pub fn fold(self, a: &[i32]) -> i32 {
+        let init = self.identity();
+        with_op!(self, |f| a.iter().fold(init, |acc, &v| f(acc, v)))
+    }
+}
+
 /// Runs `body(inputs, output)` on every DPU of the band: `out` holds the
 /// `out_elems`-element output strides of the DPUs `dpus`, and DPU `d` reads
 /// input `i` through `ins[i].of(d)`.
@@ -197,18 +217,12 @@ pub(crate) fn elementwise_grid(
     } else {
         None
     };
-    with_op!(op, |f| match flat {
-        Some((a, b)) => {
-            for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
-                *o = f(av, bv);
-            }
-        }
+    match flat {
+        Some((a, b)) => op.zip_into(a, b, out),
         None => per_dpu(&[a, b], out, out_elems, dpus, |[a, b], out| {
-            for ((o, &av), &bv) in out[..len].iter_mut().zip(a).zip(b) {
-                *o = f(av, bv);
-            }
+            op.zip_into(a, b, &mut out[..len])
         }),
-    })
+    }
 }
 
 /// Functional semantics of the DPUs `dpus` executing the kernel on their

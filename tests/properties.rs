@@ -3919,3 +3919,88 @@ fn session_price_of_the_eager_command_list_is_the_eager_price() {
         }
     }
 }
+
+/// The host device's kernels — one monomorphic loop per [`BinOp`] for
+/// element-wise ops and reductions, a row-by-row `zip` for `gemv` — equal
+/// the naive indexed loops written here, bit for bit: every operator
+/// (`Div` by 0 and `i32::MIN / -1` included), `reduce`, and `gemv` with
+/// `cols` in {0, 1, 7, 16, 40, 65} and `rows` from 0, on values drawn with
+/// `i32::MIN`, `i32::MAX`, -1 and 0 frequent, so every wrapping path runs.
+#[test]
+fn host_kernels_equal_naive_indexed_loops() {
+    use BinOp::*;
+    fn apply(op: BinOp, x: i32, y: i32) -> i32 {
+        match op {
+            Add => x.wrapping_add(y),
+            Sub => x.wrapping_sub(y),
+            Mul => x.wrapping_mul(y),
+            Div if y == 0 => 0,
+            Div => x.wrapping_div(y),
+            Max => x.max(y),
+            Min => x.min(y),
+            And => x & y,
+            Or => x | y,
+            Xor => x ^ y,
+        }
+    }
+    let identity = |op| match op {
+        Add | Sub | Or | Xor => 0,
+        Mul | Div => 1,
+        Max => i32::MIN,
+        Min => i32::MAX,
+        And => -1,
+    };
+    let draw = |rng: &mut SplitMix64, len: usize| -> Vec<i32> {
+        (0..len)
+            .map(|_| match rng.gen_range_i32(0, 8) {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => -1,
+                3 => 0,
+                _ => rng.next_u64() as i32,
+            })
+            .collect()
+    };
+    let mut host = cinm::lowering::HostDevice::new(cpu_sim::model::CpuModel::arm_host());
+    let mut run = |op: CnmOp, operands: &[&[i32]], out_len: usize| {
+        let mut out = vec![0x5a5a; out_len];
+        host.run(op, operands, &mut out).expect("the host runs it");
+        out
+    };
+    // The edge quotients, element by element.
+    let (a, b) = ([i32::MIN, i32::MIN, 7, -7, 0], [-1, 0, 0, -1, -1]);
+    let quotients = run(CnmOp::Elementwise { op: Div, len: 5 }, &[&a, &b], 5);
+    assert_eq!(quotients, [i32::MIN, 0, 0, 7, 0]);
+    let ops = [Add, Sub, Mul, Div, Max, Min, And, Or, Xor];
+    for_cases(0x4057, |rng| {
+        let len = gen_usize(rng, 1, 80);
+        let (a, b) = (draw(rng, len), draw(rng, len));
+        for op in ops {
+            let mut want = vec![0; len];
+            for i in 0..len {
+                want[i] = apply(op, a[i], b[i]);
+            }
+            let got = run(CnmOp::Elementwise { op, len }, &[&a, &b], len);
+            assert_eq!(got, want, "{op:?} over {len}");
+            let mut acc = identity(op);
+            for &v in &a {
+                acc = apply(op, acc, v);
+            }
+            let got = run(CnmOp::Reduce { op, len }, &[&a], 1);
+            assert_eq!(got, [acc], "reduce {op:?} over {len}");
+        }
+        for cols in [0, 1, 7, 16, 40, 65] {
+            for rows in [0, gen_usize(rng, 1, 24)] {
+                let (m, x) = (draw(rng, rows * cols), draw(rng, cols));
+                let mut want = vec![0i32; rows];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        want[r] = want[r].wrapping_add(m[r * cols + c].wrapping_mul(x[c]));
+                    }
+                }
+                let got = run(CnmOp::Gemv { rows, cols }, &[&m, &x], rows);
+                assert_eq!(got, want, "gemv {rows}x{cols}");
+            }
+        }
+    });
+}

@@ -8,8 +8,8 @@
 #     allowed file than the list says — a new clock read next to an allowed
 #     one fails too, and the list changes only on purpose;
 #   * a test — a file under tests/, or the `#[cfg(test)] mod` of a source
-#     file — names `max_concurrent`, `busy_wall_seconds` or `wall_seconds`,
-#     the host-clock fields of `ShardStats`.
+#     file — names `max_concurrent`, the field of `ShardStats` that the host's
+#     scheduling decides.
 #
 # Usage: tools/check_clocks.sh
 # Exit codes: 0 clean; 1 a violation (each is printed).
@@ -20,9 +20,6 @@ cd "$(dirname "$0")/.."
 # `<file> <lines>`: the files that may read the host clock, and on how many
 # lines.
 allowed=(
-    # The host-clock fields of `ShardStats` (`wall_seconds`,
-    # `busy_wall_seconds`, `max_concurrent`): reported, never decided on.
-    "crates/cinm-lowering/src/sharded.rs 3"
     # Request latency of the server's statistics.
     "crates/cinm-core/src/serve.rs 4"
     # The deadline that turns a lost wake-up in the pool test's rendezvous
@@ -32,7 +29,7 @@ allowed=(
 
 errors=0
 clock='\b(Instant|SystemTime)\b'
-fields='\b(max_concurrent|busy_wall_seconds|wall_seconds)\b'
+fields='\bmax_concurrent\b'
 sources="$(find crates/*/src tests -name '*.rs' | sort)"
 
 declare -A lines_allowed
@@ -61,7 +58,7 @@ for file in $sources; do
         # From the `#[cfg(test)]` that opens a `mod` to the end of the file.
         hits="$(awk '
             prev ~ /^[[:space:]]*#\[cfg\(test\)\]/ && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { t = 1 }
-            t && match($0, "(^|[^A-Za-z0-9_])(max_concurrent|busy_wall_seconds|wall_seconds)([^A-Za-z0-9_]|$)") { print NR ":" $0 }
+            t && match($0, "(^|[^A-Za-z0-9_])max_concurrent([^A-Za-z0-9_]|$)") { print NR ":" $0 }
             { prev = $0 }' "$file")"
         ;;
     esac
